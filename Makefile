@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench bench-smoke bench-overlap bench-redist bench-expand bench-io bench-drain examples experiments analyze clean
+.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench bench-smoke bench-overlap bench-redist bench-expand bench-io bench-drain examples experiments analyze clean
 
 all: build check test
 
@@ -18,12 +18,23 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Non-test Go lines per package (bench/ is the benchmark, not the
+# system) and their total: the number ROADMAP aim 2 is judged by.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' | xargs wc -l \
+	  | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
+	         END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total (non-test, outside bench/)\n", t }' \
+	  | sort -k2
+
 # Static checks plus the race detector over the runtime packages — the
 # SPMD engine is all goroutines, so data races are the bug class to gate
-# on.  Part of the default target.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain bench-overlap bench-redist
+# on — and the benchmark's smoke, which pins the import surface bench/
+# freezes and every replica checksum against its app.  Part of the
+# default target.  It writes no committed file.
+check: check-fault check-recovery check-online check-redist check-expand check-io check-drain
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
+	$(GO) test ./bench
 
 # The memory-bounded redistribution matrix: planner candidates simulated
 # bit-identical to the direct alltoallv across distribution crossings,

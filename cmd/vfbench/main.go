@@ -57,10 +57,6 @@ var (
 	slowRank    = flag.Int("slow-rank", 2, "physical rank whose compute sections -exp straggler stretches")
 	slowFactor  = flag.Float64("slow-factor", 8, "compute slowdown injected on -slow-rank in -exp straggler (<=1 = no injection)")
 	drainOnly   = flag.Bool("drain", false, "run only the drain policy in -exp straggler (skip the off/rebalance comparison; matches vfrun)")
-
-	// Deprecated aliases, kept so existing invocations stay valid.
-	faultTimeout = flag.Duration("fault-timeout", 0, "deprecated alias for -comm-timeout")
-	faultRetries = flag.Int("fault-retries", 0, "deprecated alias for -comm-retries")
 )
 
 // armDeadline starts the hang watchdog: if the process is still alive
@@ -79,16 +75,37 @@ func armDeadline(d time.Duration) {
 	})
 }
 
+// retryFlags returns -comm-timeout and -comm-retries, defaulting to the
+// given deadline and two retries: the recovery experiments need deadlines
+// so that collectives a lost rank leaves in flight abort instead of
+// hanging.
+func retryFlags(timeout time.Duration) (time.Duration, int) {
+	if *commTimeout != 0 {
+		timeout = *commTimeout
+	}
+	if *commRetries != 0 {
+		return timeout, *commRetries
+	}
+	return timeout, 2
+}
+
+// checkpointDir returns -ckpt-dir, or a fresh temporary directory that
+// cleanup removes.
+func checkpointDir() (dir string, cleanup func()) {
+	if *ckptDir != "" {
+		return *ckptDir, func() {}
+	}
+	dir, err := os.MkdirTemp("", "vfckpt-*")
+	if err != nil {
+		log.Fatal(err)
+	}
+	return dir, func() { os.RemoveAll(dir) }
+}
+
 func main() {
 	exp := flag.String("exp", "all", "experiment: adi|pic|smoothing|redist|recover|online-recover|expand|degraded|straggler|all")
 	flag.Parse()
 	armDeadline(*deadline)
-	if *commTimeout == 0 {
-		*commTimeout = *faultTimeout
-	}
-	if *commRetries == 0 {
-		*commRetries = *faultRetries
-	}
 	switch *exp {
 	case "adi":
 		runADI()
@@ -346,25 +363,13 @@ func runRecover() {
 	if *quick {
 		n, iters = 32, 6
 	}
-	dir := *ckptDir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "vfckpt-*"); err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-	}
+	dir, cleanup := checkpointDir()
+	defer cleanup()
 	fault := *faultSpec
 	if fault == "" {
 		fault = "drop,rank=2,after=100" // permanent kill once under way
 	}
-	to, retries := *commTimeout, *commRetries
-	if to == 0 {
-		to = 150 * time.Millisecond
-	}
-	if retries == 0 {
-		retries = 2
-	}
+	to, retries := retryFlags(150 * time.Millisecond)
 
 	fmt.Printf("phase 1: ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q\n", n, n, iters, p, fault)
 	killed := apps.ADIConfig{
@@ -419,25 +424,13 @@ func runOnlineRecover() {
 	if *quick {
 		n, iters = 32, 6
 	}
-	dir := *ckptDir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "vfckpt-*"); err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-	}
+	dir, cleanup := checkpointDir()
+	defer cleanup()
 	fault := *faultSpec
 	if fault == "" {
 		fault = "drop,rank=2,after=150" // permanent kill once the first checkpoints committed
 	}
-	to, retries := *commTimeout, *commRetries
-	if to == 0 {
-		to = 150 * time.Millisecond
-	}
-	if retries == 0 {
-		retries = 2
-	}
+	to, retries := retryFlags(150 * time.Millisecond)
 
 	fmt.Printf("ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q, online recovery on\n",
 		n, n, iters, p, fault)
@@ -484,20 +477,9 @@ func runExpand() {
 	if *quick {
 		n, iters = 24, 6
 	}
-	dir := *ckptDir
-	if dir == "" {
-		if dir, err = os.MkdirTemp("", "vfckpt-*"); err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-	}
-	to, retries := *commTimeout, *commRetries
-	if to == 0 {
-		to = 150 * time.Millisecond
-	}
-	if retries == 0 {
-		retries = 2
-	}
+	dir, cleanup := checkpointDir()
+	defer cleanup()
+	to, retries := retryFlags(150 * time.Millisecond)
 
 	fmt.Printf("ADI %dx%d, %d iters on %d ranks + %d reserved joiner, ckpt every iter, join polled from boundary %d\n",
 		n, n, iters, p, join, *joinAfter)
@@ -608,14 +590,8 @@ func runDegraded() {
 	if *quick {
 		n, iters = 32, 4
 	}
-	dir := *ckptDir
-	if dir == "" {
-		var err error
-		if dir, err = os.MkdirTemp("", "vfckpt-*"); err != nil {
-			log.Fatal(err)
-		}
-		defer os.RemoveAll(dir)
-	}
+	dir, cleanup := checkpointDir()
+	defer cleanup()
 	io := ioCfg()
 	if io.Redundancy == "" {
 		io.Redundancy = pario.RedundancyParity
@@ -765,13 +741,7 @@ func runStraggler() {
 	if *quick {
 		n, iters = 48, 30
 	}
-	to, retries := *commTimeout, *commRetries
-	if to == 0 {
-		to = 250 * time.Millisecond
-	}
-	if retries == 0 {
-		retries = 2
-	}
+	to, retries := retryFlags(250 * time.Millisecond)
 	hw := *healthWin
 	if hw <= 0 {
 		hw = 4
@@ -801,14 +771,8 @@ func runStraggler() {
 			},
 		}
 		if policy == "drain" {
-			dir := *ckptDir
-			if dir == "" {
-				var err error
-				if dir, err = os.MkdirTemp("", "vfckpt-*"); err != nil {
-					log.Fatal(err)
-				}
-				defer os.RemoveAll(dir)
-			}
+			dir, cleanup := checkpointDir()
+			defer cleanup()
 			cfg.CkptDir, cfg.CkptEvery, cfg.IO = dir, *ckptEvery, ioCfg()
 		}
 		res, err := apps.RunADI(cfg)

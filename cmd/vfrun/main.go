@@ -170,26 +170,15 @@ ENDDO
 	if *healthWin > 0 {
 		mopts = append(mopts, machine.WithHealth(health.Config{Window: *healthWin}))
 	}
-	if *commTimeout > 0 || *commRetries > 0 {
-		mopts = append(mopts, machine.WithCommConfig(msg.CommConfig{
-			Timeout: *commTimeout, Retries: *commRetries, Backoff: time.Millisecond,
-		}))
+	mopts = append(mopts, machine.WithCommConfig(msg.RetryPolicy(*commTimeout, *commRetries)))
+	if *recoverRun && *ckptDir == "" {
+		log.Fatal("-recover requires -ckpt-dir")
 	}
 	m := machine.New(*np, mopts...)
 	defer m.Close()
 	e := core.NewEngine(m)
-	in := interp.New(e)
-	interp.RegisterPICDemo(in)
-	in.SetMemBudget(budget)
-	in.SetStraggler(*healthWin > 0, *drain, *slowRank, *slowFactor)
-	if *recoverRun && *ckptDir == "" {
-		log.Fatal("-recover requires -ckpt-dir")
-	}
-	if *ckptDir != "" {
-		in.SetCheckpoint(*ckptDir, *ckptEvery)
-		in.SetRecover(*recoverRun)
-		in.SetIO(*ioServers, *ioRedundancy, *ckptKeep)
-	}
+	e.SetMemBudget(budget)
+	e.SetCkptOptions(ckpt.Options{Servers: *ioServers, Redundancy: *ioRedundancy, Keep: *ckptKeep})
 
 	type arrInfo struct {
 		name     string
@@ -203,53 +192,36 @@ ENDDO
 	drainedView.Store(-1)
 	start := time.Now()
 	if err := m.Run(func(ctx *machine.Ctx) error {
-		// With -online-recover, a body error means a rank was lost: the
-		// survivors regroup onto the next membership epoch, share a fresh
-		// engine and interpreter (the old arrays are bound to the revoked
-		// epoch's numbering), and re-run the program replaying the last
-		// committed checkpoint.  The excluded rank returns its error, which
-		// Machine.Run treats as a non-fatal exit.  With -drain, a
-		// *DrainRankError is the members' agreed decision to shrink the
-		// membership by a Degraded rank instead: Ctx.Drain moves the epoch,
-		// the drained rank exits non-fatally with ErrDrained, and the
-		// survivors take the same recovery re-run path.
-		run := in
-		st, err := run.Run(ctx, unit)
-		for attempt := 1; err != nil && (*onlineRec || *drain) && attempt < *np; attempt++ {
-			if errors.Is(err, machine.ErrExcluded) {
-				return err
+		// The program runs once per membership epoch (core.RunEpochs).  With
+		// -online-recover, a failed run means a rank was lost: the survivors
+		// regroup and re-run the program on a fresh engine and interpreter
+		// (the old arrays are bound to the revoked epoch's numbering).  With
+		// -drain, a *core.Resize is the members' agreed decision to shrink
+		// the membership by a Degraded rank instead, and they take the same
+		// re-run path.  The excluded or drained rank exits non-fatally.
+		var st *interp.State
+		err := core.RunEpochs(ctx, e, *onlineRec, func(eng *core.Engine, replay bool) (err error) {
+			in := interp.New(eng)
+			interp.RegisterPICDemo(in)
+			in.SetStraggler(*healthWin > 0, *drain, *slowRank, *slowFactor)
+			if *ckptDir != "" {
+				in.SetCheckpoint(*ckptDir, *ckptEvery)
+				in.SetRecover(*recoverRun)
 			}
-			var dre *interp.DrainRankError
-			switch {
-			case errors.As(err, &dre):
-				drainedView.Store(int64(dre.ViewRank))
-				if rerr := ctx.Drain(dre.ViewRank); rerr != nil {
-					return rerr
-				}
-			case *onlineRec:
-				if rerr := ctx.Regroup(); rerr != nil {
-					return rerr
-				}
-			default:
-				return err
-			}
-			run = ctx.CollectiveOnce(func() any {
-				e2 := core.NewEngine(m)
-				i2 := interp.New(e2)
-				interp.RegisterPICDemo(i2)
-				i2.SetMemBudget(budget)
-				i2.SetStraggler(*healthWin > 0, *drain, *slowRank, *slowFactor)
-				i2.SetCheckpoint(*ckptDir, *ckptEvery)
-				i2.SetIO(*ioServers, *ioRedundancy, *ckptKeep)
+			if replay {
 				// Replay the last committed checkpoint if there is one; a
-				// loss before the first commit restarts from scratch on
-				// the survivor view.
+				// loss before the first commit restarts from scratch on the
+				// survivor view.
 				ep, _, _ := ckpt.LatestEpoch(*ckptDir)
-				i2.SetRecover(ep >= 0)
-				return i2
-			}).(*interp.Interp)
-			st, err = run.Run(ctx, unit)
-		}
+				in.SetRecover(ep >= 0)
+			}
+			st, err = in.Run(ctx, unit)
+			var rz *core.Resize
+			if errors.As(err, &rz) {
+				drainedView.Store(int64(rz.Drain))
+			}
+			return err
+		})
 		if err != nil {
 			return err
 		}

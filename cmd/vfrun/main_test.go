@@ -1,0 +1,68 @@
+package main
+
+import (
+	"os"
+	"os/exec"
+	"regexp"
+	"testing"
+)
+
+// TestMain lets the tests run vfrun's own main: re-executed with
+// VFRUN_MAIN set, the test binary is the command.
+func TestMain(m *testing.M) {
+	if os.Getenv("VFRUN_MAIN") != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+var checksumLine = regexp.MustCompile(`(?m)^  (\w+) +checksum ([-0-9.]+)`)
+
+// vfrun runs the command and returns its array checksums as printed.
+func vfrun(t *testing.T, args ...string) map[string]string {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "VFRUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("vfrun %v: %v\n%s", args, err, out)
+	}
+	sums := map[string]string{}
+	for _, m := range checksumLine.FindAllSubmatch(out, -1) {
+		sums[string(m[1])] = string(m[2])
+	}
+	return sums
+}
+
+func sameSums(t *testing.T, what string, got, want map[string]string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: checksums %v, want %v", what, got, want)
+	}
+	for name, sum := range want {
+		if got[name] != sum {
+			t.Fatalf("%s: checksums %v, want %v", what, got, want)
+		}
+	}
+}
+
+// TestDemoChecksums pins what the two paper listings compute.
+func TestDemoChecksums(t *testing.T) {
+	sameSums(t, "fig1", vfrun(t, "-p", "4", "-demo", "fig1"),
+		map[string]string{"U": "8190.000000", "F": "4096.000000", "V": "957.019103"})
+	sameSums(t, "fig2", vfrun(t, "-p", "4", "-demo", "fig2"),
+		map[string]string{"BOUNDS": "374.000000", "FIELD": "499712.000000"})
+}
+
+// TestDrainKeepsChecksums: with health scoring, an injected straggler
+// and -drain, the run goes through core.RunEpochs — checkpoint, drain,
+// replay on the survivors — and still computes what the plain run does.
+// Which rank drains, and whether one does before the program ends, is
+// the scorer's business and not compared.
+func TestDrainKeepsChecksums(t *testing.T) {
+	plain := vfrun(t, "-p", "4", "-demo", "fig1")
+	drained := vfrun(t, "-p", "4", "-demo", "fig1",
+		"-health-window", "4", "-drain", "-slow-factor", "8", "-ckpt-dir", t.TempDir())
+	sameSums(t, "drain run", drained, plain)
+}

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/health"
 	"repro/internal/index"
 	"repro/internal/kernels"
 	"repro/internal/machine"
@@ -139,45 +138,26 @@ type ADIConfig struct {
 
 // ADIResult reports an ADI run.
 type ADIResult struct {
+	Outcome
 	Mode        ADIMode
-	Wall        time.Duration
-	Msgs, Bytes int64
 	SweepMsgs   int64 // messages during sweeps (static pipeline traffic)
 	RedistMsgs  int64 // messages during DISTRIBUTE (dynamic traffic)
 	RedistBytes int64
-	ModelTime   float64 // modeled makespan in seconds (0 without model)
 	MaxErr      float64 // vs serial reference (when validated)
 	Checksum    float64
 	CacheHits   int
 	CacheMisses int
-	// Survivors is the failure detector's surviving rank set, populated
-	// (even when Run errors) if Liveness was configured — the processor
-	// count a recovery run should use.
-	Survivors []int
-	// ResumedIter is the checkpointed iteration a Recover run resumed
-	// after, or -1 for a fresh start.
-	ResumedIter int
-	// Epochs counts the checkpoint epochs this run committed.
-	Epochs int
-	// FinalEpoch is the membership epoch the run completed on: 0 for a
-	// failure-free run, >0 after in-process online recovery.
-	FinalEpoch int
-	// PeakWireBytes is the highest per-rank resident wire-buffer
-	// residency any redistribution reached — the quantity MemBudget
-	// bounds.
-	PeakWireBytes int64
-	// DegradedRank is the first physical rank the health scorer ever
-	// classified Degraded (-1: none, or scoring off).
-	DegradedRank int
-	// Mitigation is the straggler mitigation that fired ("rebalance",
-	// "drain", or empty).
-	Mitigation string
-	// Drained lists the physical ranks voluntarily drained from the
-	// membership by the straggler policy.
-	Drained []int
-	// Health is the scorer's final per-rank report (nil with scoring
-	// off) — class, slowdown vs the median, and observation count.
-	Health []health.RankReport
+}
+
+func (c ADIConfig) runConfig() runConfig {
+	return runConfig{
+		P: c.P, Join: c.Join, Iters: c.Iters, Alpha: c.Alpha, Beta: c.Beta, Tracer: c.Tracer,
+		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
+		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
+		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
+		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
+		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
+	}
 }
 
 const (
@@ -197,72 +177,20 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	if cfg.FlopTime == 0 {
 		cfg.FlopTime = 2e-9
 	}
-	// Reserved joiners share the cost model, transport, and detector, so
-	// every physical-rank-indexed structure is sized to the capacity.
-	total := cfg.P + cfg.Join
-	if cfg.NX < total || cfg.NY < total {
-		return ADIResult{}, fmt.Errorf("apps: ADI needs NX,NY >= P+Join (%dx%d on %d)", cfg.NX, cfg.NY, total)
+	res := ADIResult{Mode: cfg.Mode}
+	if total := cfg.P + cfg.Join; cfg.NX < total || cfg.NY < total {
+		return res, fmt.Errorf("apps: ADI needs NX,NY >= P+Join (%dx%d on %d)", cfg.NX, cfg.NY, total)
 	}
-	if cfg.Elastic && (cfg.Join <= 0 || cfg.CkptDir == "") {
-		return ADIResult{}, fmt.Errorf("apps: Elastic requires Join > 0 and a CkptDir")
+	sc := cfg.Straggler
+	if sc.mitigating() && cfg.Mode != ADIDynamic {
+		return res, fmt.Errorf("apps: straggler mitigation requires the dynamic ADI mode (static distributions cannot be re-divided)")
 	}
-	if err := cfg.Straggler.validate(cfg.Liveness != nil, cfg.CommTimeout, cfg.CkptDir); err != nil {
-		return ADIResult{}, err
-	}
-	if cfg.Straggler.mitigating() && cfg.Mode != ADIDynamic {
-		return ADIResult{}, fmt.Errorf("apps: straggler mitigation requires the dynamic ADI mode (static distributions cannot be re-divided)")
-	}
-	var mopts []machine.Option
-	var cm *msg.CostModel
-	var topts []msg.Option
-	if cfg.Alpha != 0 || cfg.Beta != 0 {
-		cm = msg.NewCostModel(total, cfg.Alpha, cfg.Beta)
-		mopts = append(mopts, machine.WithCostModel(cm))
-		topts = append(topts, msg.WithCost(cm))
-	}
-	if cfg.Tracer != nil {
-		mopts = append(mopts, machine.WithTrace(cfg.Tracer))
-		topts = append(topts, msg.WithTracer(cfg.Tracer))
-	}
-	base, err := assembleTransport(total, cfg.UseTCP, cfg.Fault, cfg.Integrity, topts)
-	if err != nil {
-		return ADIResult{Mode: cfg.Mode}, err
-	}
-	if base != nil {
-		mopts = append(mopts, machine.WithTransport(base))
-	}
-	if cfg.CommTimeout > 0 || cfg.CommRetries > 0 {
-		mopts = append(mopts, machine.WithCommConfig(msg.CommConfig{
-			Timeout: cfg.CommTimeout, Retries: cfg.CommRetries, Backoff: time.Millisecond,
-			MaxTimeout: 4 * cfg.CommTimeout, MaxBackoff: 16 * time.Millisecond,
-		}))
-	}
-	if cfg.Liveness != nil {
-		mopts = append(mopts, machine.WithLiveness(*cfg.Liveness))
-	}
-	if cfg.Straggler.Enabled() {
-		mopts = append(mopts, machine.WithHealth(cfg.Straggler.healthConfig()))
-	}
-	if cfg.CkptDir != "" && cfg.CkptEvery <= 0 {
-		cfg.CkptEvery = 1
-	}
-	if cfg.Join > 0 {
-		mopts = append(mopts, machine.WithReserve(cfg.Join))
-	}
-	m := machine.New(cfg.P, mopts...)
-	defer m.Close()
-	e := core.NewEngine(m)
-	e.SetMemBudget(cfg.MemBudget)
-	e.SetCkptOptions(cfg.IO.options())
-	res := ADIResult{Mode: cfg.Mode, ResumedIter: -1, DegradedRank: -1}
 
 	dom := index.Dim(cfg.NX, cfg.NY)
 	initial := func(p index.Point) float64 {
 		return float64((p[0]*31+p[1]*17)%13) - 6.0
 	}
-
-	// serial reference
-	var ref []float64
+	var ref []float64 // serial reference
 	if cfg.Validate {
 		ref = make([]float64, dom.Size())
 		dom.WholeSection().ForEach(func(p index.Point) bool {
@@ -272,284 +200,116 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		kernels.SerialADI(ref, cfg.NX, cfg.NY, cfg.Iters, adiA, adiB, adiC)
 	}
 
-	var sweepMsgs, redistMsgs, redistBytes int64
-	var finalErr, checksum float64
-	var hits, misses int
-	var resumedIter = -1
-	var nEpochs, finalEpoch int
-	var mitigation string
-	var drainedPhys []int
-	start := time.Now()
-	err = m.Run(func(ctx *machine.Ctx) error {
-		// Per-goroutine straggler state, persisting across body re-entries:
-		// a rebalance installs weighted B_BLOCK bounds for the remaining
-		// redistributions; mitigated makes the policy one-shot per run.
-		var rowBounds, colBounds []int
-		mitigated := false
-		body := func(eng *core.Engine, online bool) error {
-			if colBounds != nil && len(colBounds) != ctx.NP() {
-				// A membership transition changed the view size since the
-				// bounds were computed: fall back to the even block split.
-				rowBounds, colBounds = nil, nil
+	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+		var eng *core.Engine
+		var v *core.Array
+		// bounds[d], once a straggler rebalance has installed it, replaces
+		// the even BLOCK split of dimension d in the remaining DISTRIBUTEs.
+		var bounds [2][]int
+		// distribute[d] is the DISTRIBUTE that makes the lines along
+		// dimension d local: d elided, the other dimension blocked.
+		var distribute [2]func() error
+		var sweep [2]func()
+		for d := range 2 {
+			distribute[d] = func() error {
+				dims := [2]dist.DimSpec{dist.BlockDim(), dist.BlockDim()}
+				if b := bounds[1-d]; b != nil {
+					dims[1-d] = dist.BBlockDim(b...)
+				}
+				dims[d] = dist.ElidedDim()
+				return eng.Distribute(ctx, []*core.Array{v}, core.DimsOf(dims[0], dims[1]))
 			}
-			colsTarget := func() core.Expr {
-				if colBounds != nil {
-					return core.DimsOf(dist.ElidedDim(), dist.BBlockDim(colBounds...))
+			sweep[d] = func() { localSweep(ctx, v, d, cfg.FlopTime) }
+		}
+		// A static mode keeps one dimension distributed for the whole run
+		// and sweeps along it with the pipelined solve.
+		pipeDim := -1
+		switch cfg.Mode {
+		case ADIStaticCols:
+			pipeDim = 1
+		case ADIStaticRows:
+			pipeDim = 0
+		}
+		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows, cfg.FlopTime) }
+		addRedist := func(d msg.Snapshot) {
+			res.RedistMsgs += d.TotalDataMsgs()
+			res.RedistBytes += d.TotalBytes()
+		}
+		addSweep := func(d msg.Snapshot) { res.SweepMsgs += d.TotalDataMsgs() }
+		return app{
+			declare: func(e *core.Engine) (err error) {
+				eng = e
+				if bounds[0] != nil && len(bounds[0]) != ctx.NP() {
+					// A membership transition changed the view size since the
+					// bounds were computed: fall back to the even block split.
+					bounds = [2][]int{}
 				}
-				return core.DimsOf(dist.ElidedDim(), dist.BlockDim())
-			}
-			rowsTarget := func() core.Expr {
-				if rowBounds != nil {
-					return core.DimsOf(dist.BBlockDim(rowBounds...), dist.ElidedDim())
-				}
-				return core.DimsOf(dist.BlockDim(), dist.ElidedDim())
-			}
-			colsDist := core.DistSpec{Type: colsType()}
-			rowsDist := core.DistSpec{Type: rowsType()}
-			var v *core.Array
-			switch cfg.Mode {
-			case ADIDynamic:
-				v = eng.MustDeclare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, Init: &colsDist})
-			case ADIStaticCols:
-				v = eng.MustDeclare(ctx, core.Decl{Name: "V", Domain: dom, Static: &colsDist})
-			case ADIStaticRows:
-				v = eng.MustDeclare(ctx, core.Decl{Name: "V", Domain: dom, Static: &rowsDist})
-			}
-			// A fresh run starts from the analytic initial grid; a recovery
-			// run replays the last committed checkpoint — values and
-			// distribution descriptor — onto this (possibly smaller) machine
-			// and resumes after the checkpointed iteration.  An online
-			// recovery attempt does the same in-process, over the regrouped
-			// survivor view.
-			it0 := 0
-			switch {
-			case online:
-				man, err := eng.Recover(ctx, cfg.CkptDir)
-				if err != nil {
-					return err
-				}
-				if iter, ok := man.MetaInt("iter"); ok {
-					it0 = iter + 1
-				}
-				if ctx.Rank() == 0 {
-					resumedIter = it0 - 1
-				}
-			case cfg.Recover:
-				man, err := eng.Restore(ctx, cfg.CkptDir)
-				if err != nil {
-					return err
-				}
-				if iter, ok := man.MetaInt("iter"); ok {
-					it0 = iter + 1
-				}
-				if ctx.Rank() == 0 {
-					resumedIter = it0 - 1
-				}
-			default:
-				v.FillFunc(ctx, initial)
-			}
-			if err := ctx.Barrier(); err != nil {
-				return err
-			}
-
-			// account runs a phase and, after the trailing barrier, adds its
-			// rank-0-observed global traffic delta to the given counters.
-			account := func(phase func() error, msgs, bytes *int64) error {
-				pre := m.Stats().Snapshot()
-				if err := ctx.Barrier(); err != nil { // no rank may send before pre is taken
-					return err
-				}
-				if err := phase(); err != nil {
-					return err
-				}
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					d := m.Stats().Snapshot().Sub(pre)
-					*msgs += d.TotalDataMsgs()
-					if bytes != nil {
-						*bytes += d.TotalBytes()
-					}
-				}
-				return nil
-			}
-
-			ctx.PhaseBegin("iterate")
-			for it := it0; it < cfg.Iters; it++ {
-				var err error
-				iterT0 := time.Now()
+				decl := core.Decl{Name: "V", Domain: dom}
 				switch cfg.Mode {
 				case ADIDynamic:
-					if it > 0 {
-						err = account(func() error {
-							return eng.Distribute(ctx, []*core.Array{v}, colsTarget())
-						}, &redistMsgs, &redistBytes)
-						if err != nil {
-							return err
-						}
-					}
-					// Compute sections run under timed: injected slowdown is
-					// applied and the busy time reported to the health scorer
-					// (barrier/communication waits deliberately excluded).
-					el0 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, cfg.FlopTime) })
-					units := localElems(ctx, v)
-					if err = ctx.Barrier(); err != nil {
-						return err
-					}
-					err = account(func() error {
-						return eng.Distribute(ctx, []*core.Array{v}, rowsTarget())
-					}, &redistMsgs, &redistBytes)
-					if err != nil {
-						return err
-					}
-					el1 := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, cfg.FlopTime) })
-					units += localElems(ctx, v)
-					if err = ctx.Barrier(); err != nil {
-						return err
-					}
-					if cfg.Straggler.Enabled() {
-						ctx.ReportWork(units, el0+el1)
-					}
+					decl.Dynamic, decl.Init = true, &core.DistSpec{Type: colsType()}
 				case ADIStaticCols:
-					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 0, cfg.FlopTime) })
-					if cfg.Straggler.Enabled() {
-						ctx.ReportWork(localElems(ctx, v), el)
-					}
-					if err = ctx.Barrier(); err != nil {
-						return err
-					}
-					err = account(func() error { return pipelinedSweep(ctx, v, 1, cfg.ChunkRows, cfg.FlopTime) }, &sweepMsgs, nil)
-					if err != nil {
-						return err
-					}
+					decl.Static = &core.DistSpec{Type: colsType()}
 				case ADIStaticRows:
-					err = account(func() error { return pipelinedSweep(ctx, v, 0, cfg.ChunkRows, cfg.FlopTime) }, &sweepMsgs, nil)
-					if err != nil {
-						return err
-					}
-					el := cfg.Straggler.timed(ctx, func() { localSweep(ctx, v, 1, cfg.FlopTime) })
-					if cfg.Straggler.Enabled() {
-						ctx.ReportWork(localElems(ctx, v), el)
-					}
-					if err = ctx.Barrier(); err != nil {
-						return err
-					}
+					decl.Static = &core.DistSpec{Type: rowsType()}
 				}
-				if cfg.CkptDir != "" && (it+1)%cfg.CkptEvery == 0 {
-					if _, err := eng.CheckpointIter(ctx, cfg.CkptDir, it); err != nil {
-						return err
-					}
-					if ctx.Rank() == 0 {
-						nEpochs++
-					}
-				}
-				// Elastic scale-out: every member takes the same agreed
-				// poll at the iteration boundary; on a pending joiner the
-				// body checkpoints here and bails out so the recovery
-				// driver can Admit it and replay onto the grown view.
-				if cfg.Elastic && it+1 >= cfg.JoinAfterIter && it+1 < cfg.Iters {
-					grow, gerr := ctx.PollJoin()
-					if gerr != nil {
-						return gerr
-					}
-					if grow {
-						if _, err := eng.CheckpointIter(ctx, cfg.CkptDir, it); err != nil {
+				v, err = e.Declare(ctx, decl)
+				return err
+			},
+			fill: func() { v.FillFunc(ctx, initial) },
+			begin: func(int) error {
+				ctx.PhaseBegin("iterate")
+				return nil
+			},
+			// The x-sweep, then the y-sweep.  Dynamic mode first makes the
+			// sweep's lines local (V is declared so for the first one), which
+			// confines all communication to the DISTRIBUTEs; a static mode
+			// pipelines the sweep along its distributed dimension.  Local
+			// sweeps run under timed: injected slowdown is applied and the
+			// busy time — barrier and communication waits excluded — reported
+			// to the health scorer.
+			step: func(it int) error {
+				var units float64
+				var busy time.Duration
+				for d := range 2 {
+					if d == pipeDim {
+						if err := account(ctx, true, pipe, addSweep); err != nil {
 							return err
 						}
-						return errGrow
+						continue
 					}
-				}
-				// Straggler defense: the members take one agreed mitigation
-				// decision per boundary once the scorer has had a chance to
-				// classify.  A rebalance installs weighted bounds for the
-				// remaining redistributions; a drain checkpoints and leaves
-				// the body so the recovery driver can shrink the membership.
-				if cfg.Straggler.mitigating() && !mitigated && it+1 >= cfg.Straggler.checkAfter() && it+1 < cfg.Iters {
-					dec, view, speeds, derr := decideStraggler(ctx, m, cfg.Straggler, cfg.Iters-(it+1), time.Since(iterT0))
-					if derr != nil {
-						return derr
-					}
-					switch dec {
-					case scale.Rebalance:
-						mitigated = true
-						rowBounds = scale.WeightedBounds(cfg.NX, speeds)
-						colBounds = scale.WeightedBounds(cfg.NY, speeds)
-						if ctx.Rank() == 0 {
-							mitigation = "rebalance"
-						}
-					case scale.Drain:
-						mitigated = true
-						if _, err := eng.CheckpointIter(ctx, cfg.CkptDir, it); err != nil {
+					if cfg.Mode == ADIDynamic && it+d > 0 {
+						if err := account(ctx, true, distribute[d], addRedist); err != nil {
 							return err
 						}
-						if ctx.Rank() == 0 {
-							mitigation = "drain"
-							drainedPhys = append(drainedPhys, ctx.PhysOf(view))
-						}
-						return &drainError{viewRank: view}
+					}
+					busy += sc.timed(ctx, sweep[d])
+					units += localElems(ctx, v)
+					if err := ctx.Barrier(); err != nil {
+						return err
 					}
 				}
-			}
-			ctx.PhaseEnd("iterate")
-
-			if cfg.Validate {
-				got, err := v.GatherTo(ctx, 0)
-				if err != nil {
-					return err
+				if sc.Enabled() {
+					ctx.ReportWork(units, busy)
 				}
+				return nil
+			},
+			rebalance: func(speeds []float64) error {
+				bounds = [2][]int{scale.WeightedBounds(cfg.NX, speeds), scale.WeightedBounds(cfg.NY, speeds)}
+				return nil
+			},
+			end: func() error {
+				ctx.PhaseEnd("iterate")
+				sum, maxErr, err := checksum(ctx, v, ref)
 				if ctx.Rank() == 0 {
-					for i, x := range got {
-						checksum += x
-						d := x - ref[i]
-						if d < 0 {
-							d = -d
-						}
-						if d > finalErr {
-							finalErr = d
-						}
-					}
+					res.Checksum, res.MaxErr = sum, maxErr
+					res.CacheHits, res.CacheMisses = v.DArray().ScheduleCacheStats()
 				}
-			} else {
-				s, err := v.DArray().ReduceSum(ctx)
-				if err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					checksum = s
-				}
-			}
-			if ctx.Rank() == 0 {
-				hits, misses = v.DArray().ScheduleCacheStats()
-				finalEpoch = ctx.Epoch()
-			}
-			return nil
+				return err
+			},
 		}
-		return runWithOnlineRecovery(ctx, m, e, cfg.OnlineRecover && cfg.CkptDir != "", max(cfg.P, 2), cfg.MemBudget, body)
 	})
-	res.Survivors = m.Survivors()
-	res.DegradedRank = degradedRank(m)
-	res.Health = healthReport(m)
-	res.Mitigation = mitigation
-	res.Drained = drainedPhys
-	if err != nil {
-		return res, err
-	}
-	res.Wall = time.Since(start)
-	res.ResumedIter = resumedIter
-	res.Epochs = nEpochs
-	res.FinalEpoch = finalEpoch
-	sn := m.Stats().Snapshot()
-	res.Msgs, res.Bytes = sn.TotalDataMsgs(), sn.TotalBytes()
-	res.PeakWireBytes = m.Stats().PeakWireBytes()
-	res.SweepMsgs, res.RedistMsgs, res.RedistBytes = sweepMsgs, redistMsgs, redistBytes
-	if cm != nil {
-		res.ModelTime = cm.Makespan()
-	}
-	res.MaxErr = finalErr
-	res.Checksum = checksum
-	res.CacheHits, res.CacheMisses = hits, misses
-	return res, nil
+	return res, err
 }
 
 // localSweep solves the tridiagonal systems along dimension dim; every

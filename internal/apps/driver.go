@@ -1,0 +1,388 @@
+package apps
+
+import (
+	"errors"
+	"time"
+
+	"repro/internal/ckpt"
+	"repro/internal/core"
+	"repro/internal/health"
+	"repro/internal/machine"
+	"repro/internal/msg"
+	"repro/internal/scale"
+	"repro/internal/trace"
+)
+
+// runConfig is what the step loop and newMachine read of an app's
+// configuration.  ADIConfig, SmoothConfig and PICConfig keep these as
+// flat fields (their doc comments are the reference) and map onto it.
+type runConfig struct {
+	P, Join, Iters                  int
+	Alpha, Beta                     float64
+	Tracer                          *trace.Tracer
+	UseTCP, Integrity               bool
+	Fault                           string
+	CommTimeout                     time.Duration
+	CommRetries                     int
+	Liveness                        *machine.LivenessConfig
+	CkptDir                         string
+	CkptEvery                       int
+	IO                              IOConfig
+	Recover, OnlineRecover, Elastic bool
+	JoinAfterIter                   int
+	MemBudget                       int64
+	Straggler                       StragglerConfig
+}
+
+// IOConfig selects the parallel-I/O options for an app's checkpoints:
+// how many I/O server ranks stripe each epoch, which redundancy mode
+// protects it, how many epochs to retain, and — for fault-injection
+// runs — the filesystem and retry policy every checkpoint operation
+// goes through.  The zero value keeps the ckpt defaults (min(np, 4)
+// servers, parity redundancy, keep-all, the real filesystem).
+type IOConfig = ckpt.Options
+
+// Outcome is the part of a run's result the step loop produces; the
+// three result types embed it.
+type Outcome struct {
+	Wall        time.Duration
+	Msgs, Bytes int64
+	ModelTime   float64 // modeled makespan in seconds (0 without model)
+	// PeakWireBytes is the highest per-rank resident wire-buffer
+	// residency any redistribution reached — the quantity MemBudget
+	// bounds.
+	PeakWireBytes int64
+	// Survivors is the failure detector's surviving rank set, populated
+	// (even when the run errors) if Liveness was configured — the
+	// processor count a recovery run should use.
+	Survivors []int
+	// ResumedIter is the checkpointed iteration (0-based) a Recover run,
+	// or the last in-process replay, resumed after; -1 for a fresh start.
+	ResumedIter int
+	// Epochs counts the checkpoint epochs the CkptEvery cadence committed.
+	Epochs int
+	// FinalEpoch is the membership epoch the run completed on: 0 for a
+	// run without a transition, >0 after online recovery, a join or a
+	// drain.
+	FinalEpoch int
+	// DegradedRank is the first physical rank the health scorer ever
+	// classified Degraded (-1: none, or scoring off).
+	DegradedRank int
+	// Mitigation is the straggler mitigation that fired ("rebalance",
+	// "drain", or empty).
+	Mitigation string
+	// Drained lists the physical ranks voluntarily drained from the
+	// membership by the straggler policy.
+	Drained []int
+	// Health is the scorer's final per-rank report (nil with scoring
+	// off) — class, slowdown vs the median, and observation count.
+	Health []health.RankReport
+}
+
+// app is one processor's half of an application: the hooks the step
+// loop calls, on every membership epoch, in the order
+//
+//	declare → fill | restore → Barrier → begin(it0) → { step(it) → boundary }* → end
+//
+// The value is built once per processor, so state its closures share
+// (weighted bounds installed by rebalance, say) outlives an epoch.
+type app struct {
+	// declare declares the arrays on the epoch's engine.
+	declare func(eng *core.Engine) error
+	// fill sets the initial values of a fresh start; a recovering run or
+	// a replay restores the last committed checkpoint instead.
+	fill func()
+	// begin runs once before iteration it0, the first not yet done.
+	begin func(it0 int) error
+	// step advances the program by iteration it (0-based).
+	step func(it int) error
+	// rebalance re-divides the work in proportion to the measured
+	// per-rank speeds; nil when the app's distributions cannot.
+	rebalance func(speeds []float64) error
+	// end runs after the last iteration: gather, validate, report.
+	end func() error
+
+	// mitigated is the loop's own: the straggler policy fires once per
+	// run, not once per epoch.
+	mitigated bool
+}
+
+// newMachine assembles the machine a run asked for: the transport stack
+// — TCP loopback or in-process channels, wrapped in a fault injector
+// (spec per msg.ParseFaultPlan) and then, outermost so that injected
+// corruption is caught, in the CRC32C integrity layer, which any
+// corrupt/bitflip fault rule implies — carrying the cost model and the
+// tracer, then the retry policy, the failure detector, the health
+// scorer and the reserved join slots.  Every structure indexed by
+// physical rank is sized to the capacity P+Join.
+func newMachine(rc runConfig) (*machine.Machine, error) {
+	total := rc.P + rc.Join
+	var topts []msg.Option
+	if rc.Alpha != 0 || rc.Beta != 0 {
+		topts = append(topts, msg.WithCost(msg.NewCostModel(total, rc.Alpha, rc.Beta)))
+	}
+	if rc.Tracer != nil {
+		topts = append(topts, msg.WithTracer(rc.Tracer))
+	}
+	var plan *msg.FaultPlan
+	integrity := rc.Integrity
+	if rc.Fault != "" {
+		var err error
+		if plan, err = msg.ParseFaultPlan(rc.Fault); err != nil {
+			return nil, err
+		}
+		integrity = integrity || plan.HasKind(msg.FaultCorrupt)
+	}
+	var tr msg.Transport = msg.NewChanTransport(total, topts...)
+	if rc.UseTCP {
+		tcp, err := msg.NewTCPTransport(total, topts...)
+		if err != nil {
+			return nil, err
+		}
+		tr = tcp
+	}
+	if plan != nil {
+		tr = msg.NewFaultTransport(tr, plan)
+	}
+	if integrity {
+		tr = msg.NewIntegrityTransport(tr)
+	}
+	mopts := []machine.Option{
+		machine.WithTransport(tr),
+		machine.WithCommConfig(msg.RetryPolicy(rc.CommTimeout, rc.CommRetries)),
+		machine.WithReserve(rc.Join),
+	}
+	if rc.Liveness != nil {
+		mopts = append(mopts, machine.WithLiveness(*rc.Liveness))
+	}
+	if rc.Straggler.Enabled() {
+		mopts = append(mopts, machine.WithHealth(rc.Straggler.healthConfig()))
+	}
+	return machine.New(rc.P, mopts...), nil
+}
+
+// run executes an application under the resilient step loop and fills
+// out.  mk builds one processor's hooks; it runs once per processor,
+// inside Machine.Run.
+func run(rc runConfig, out *Outcome, mk func(ctx *machine.Ctx) app) error {
+	*out = Outcome{ResumedIter: -1, DegradedRank: -1}
+	if rc.Elastic && (rc.Join <= 0 || rc.CkptDir == "") {
+		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
+	}
+	if err := rc.Straggler.validate(rc.Liveness != nil, rc.CommTimeout, rc.CkptDir); err != nil {
+		return err
+	}
+	m, err := newMachine(rc)
+	if err != nil {
+		return err
+	}
+	defer m.Close()
+	eng := core.NewEngine(m)
+	eng.SetMemBudget(rc.MemBudget)
+	eng.SetCkptOptions(rc.IO)
+	start := time.Now()
+	err = m.Run(func(ctx *machine.Ctx) error {
+		a := mk(ctx)
+		return core.RunEpochs(ctx, eng, rc.OnlineRecover && rc.CkptDir != "", func(eng *core.Engine, replay bool) error {
+			return rc.epoch(ctx, eng, replay, &a, out)
+		})
+	})
+	out.Survivors = m.Survivors()
+	if h := m.Health(); h != nil {
+		ranks := make([]int, m.Capacity())
+		for i := range ranks {
+			ranks[i] = i
+		}
+		out.Health = h.Report(ranks)
+	}
+	for _, rr := range out.Health {
+		if rr.EverDegraded {
+			out.DegradedRank = rr.Rank
+			break
+		}
+	}
+	if err != nil {
+		return err
+	}
+	out.Wall = time.Since(start)
+	sn := m.Stats().Snapshot()
+	out.Msgs, out.Bytes = sn.TotalDataMsgs(), sn.TotalBytes()
+	out.PeakWireBytes = m.Stats().PeakWireBytes()
+	if cm := m.Cost(); cm != nil {
+		out.ModelTime = cm.Makespan()
+	}
+	return nil
+}
+
+// epoch is one membership epoch of a run, the body core.RunEpochs
+// re-enters after every transition: declare, restore or fill, then
+// iterate.  At each iteration boundary it issues, in this order and
+// only when configured: the CkptEvery checkpoint; the elastic PollJoin
+// (one allreduce) and, on a pending joiner, a checkpoint and core.Grow;
+// the straggler decision (one broadcast, until a mitigation has fired)
+// and then the app's rebalance or a checkpoint and a drain request.  A
+// run with none of these configured adds no collective to the app's own.
+func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *app, out *Outcome) error {
+	if err := a.declare(eng); err != nil {
+		return err
+	}
+	it0 := 0
+	if replay || rc.Recover {
+		// Replay the last committed checkpoint — values and distribution
+		// descriptors — onto this (possibly smaller or larger) view and
+		// resume after the checkpointed iteration.
+		var man *ckpt.Manifest
+		var err error
+		if replay {
+			man, err = eng.Recover(ctx, rc.CkptDir)
+		} else {
+			man, err = eng.Restore(ctx, rc.CkptDir)
+		}
+		if err != nil {
+			return err
+		}
+		if it, ok := man.MetaInt("iter"); ok {
+			it0 = it + 1
+		}
+		if ctx.Rank() == 0 {
+			out.ResumedIter = it0 - 1
+		}
+	} else {
+		a.fill()
+	}
+	if err := ctx.Barrier(); err != nil {
+		return err
+	}
+	if err := a.begin(it0); err != nil {
+		return err
+	}
+	save := func(it int) error {
+		_, err := eng.CheckpointIter(ctx, rc.CkptDir, it)
+		return err
+	}
+	sc := rc.Straggler
+	for it := it0; it < rc.Iters; it++ {
+		t0 := time.Now()
+		if err := a.step(it); err != nil {
+			return err
+		}
+		done := it + 1
+		if rc.CkptDir != "" && done%max(rc.CkptEvery, 1) == 0 {
+			if err := save(it); err != nil {
+				return err
+			}
+			if ctx.Rank() == 0 {
+				out.Epochs++
+			}
+		}
+		// Elastic scale-out: every member takes the same agreed poll; on a
+		// pending joiner they checkpoint here and leave so that RunEpochs
+		// admits it and the replay lands on the grown view.
+		if rc.Elastic && done >= rc.JoinAfterIter && done < rc.Iters {
+			grow, err := ctx.PollJoin()
+			if err != nil {
+				return err
+			}
+			if grow {
+				if err := save(it); err != nil {
+					return err
+				}
+				return core.Grow
+			}
+		}
+		// Straggler defense: one agreed decision per boundary once the
+		// scorer has had a chance to classify.
+		if sc.mitigating() && !a.mitigated && done >= sc.checkAfter() && done < rc.Iters {
+			dec, view, speeds, err := decideStraggler(ctx, sc, rc.Iters-done, time.Since(t0))
+			if err != nil {
+				return err
+			}
+			switch dec {
+			case scale.Rebalance:
+				if err := a.rebalance(speeds); err != nil {
+					return err
+				}
+				a.mitigated = true
+				if ctx.Rank() == 0 {
+					out.Mitigation = "rebalance"
+				}
+			case scale.Drain:
+				a.mitigated = true
+				if err := save(it); err != nil {
+					return err
+				}
+				if ctx.Rank() == 0 {
+					out.Mitigation = "drain"
+					out.Drained = append(out.Drained, ctx.PhysOf(view))
+				}
+				return &core.Resize{Drain: view}
+			}
+		}
+	}
+	if err := a.end(); err != nil {
+		return err
+	}
+	if ctx.Rank() == 0 {
+		out.FinalEpoch = ctx.Epoch()
+	}
+	return nil
+}
+
+// tallyOpen takes rank 0's traffic baseline for a communication phase;
+// with lead, a barrier keeps every rank from sending before it is
+// taken.  tallyClose ends the phase with a barrier and hands rank 0 the
+// global traffic since the baseline.  Every barrier error is returned
+// (msg names the rank in it).
+func tallyOpen(ctx *machine.Ctx, lead bool) (pre msg.Snapshot, err error) {
+	if ctx.Rank() == 0 {
+		pre = ctx.Machine().Stats().Snapshot()
+	}
+	if lead {
+		err = ctx.Barrier()
+	}
+	return pre, err
+}
+
+func tallyClose(ctx *machine.Ctx, pre msg.Snapshot, add func(msg.Snapshot)) error {
+	if err := ctx.Barrier(); err != nil {
+		return err
+	}
+	if ctx.Rank() == 0 {
+		add(ctx.Machine().Stats().Snapshot().Sub(pre))
+	}
+	return nil
+}
+
+// account runs one communication phase between tallyOpen and
+// tallyClose.  A caller whose next message can leave before rank 0 has
+// read the totals follows it with a barrier of its own.
+func account(ctx *machine.Ctx, lead bool, phase func() error, add func(msg.Snapshot)) error {
+	pre, err := tallyOpen(ctx, lead)
+	if err != nil {
+		return err
+	}
+	if err := phase(); err != nil {
+		return err
+	}
+	return tallyClose(ctx, pre, add)
+}
+
+// checksum reduces the final grid of v: with a serial reference, rank 0
+// gathers the grid and also reports the largest deviation from it;
+// without, the sum comes from one allreduce.  Both values are
+// meaningful on rank 0 only.
+func checksum(ctx *machine.Ctx, v *core.Array, ref []float64) (sum, maxErr float64, err error) {
+	if ref == nil {
+		sum, err = v.DArray().ReduceSum(ctx)
+		return sum, 0, err
+	}
+	got, err := v.GatherTo(ctx, 0)
+	if err != nil || ctx.Rank() != 0 {
+		return 0, 0, err
+	}
+	for i, x := range got {
+		sum += x
+		maxErr = max(maxErr, x-ref[i], ref[i]-x)
+	}
+	return sum, maxErr, nil
+}

@@ -95,34 +95,28 @@ type PICConfig struct {
 
 // PICResult reports a PIC run.
 type PICResult struct {
+	Outcome
 	Rebalance       bool
 	ImbalanceSeries []float64 // per-step max/avg particles per processor
 	MeanImbalance   float64
 	FinalImbalance  float64
 	PeakImbalance   float64
 	Redistributions int
-	Msgs, Bytes     int64
 	RedistBytes     int64
-	ModelTime       float64
-	Wall            time.Duration
 	ParticlesStart  float64
 	ParticlesEnd    float64 // conservation check: must equal start
 	FieldChecksum   float64
-	// Survivors is the failure detector's surviving rank set (when
-	// Liveness was configured), populated even on error.
-	Survivors []int
-	// FinalEpoch is the membership epoch the run completed on: 0 for a
-	// failure-free run, >0 after in-process online recovery.
-	FinalEpoch int
-	// DegradedRank is the first physical rank the health scorer ever
-	// classified Degraded (-1: none, or scoring off).
-	DegradedRank int
-	// Mitigation is the straggler mitigation that fired ("rebalance",
-	// "drain", or empty).
-	Mitigation string
-	// Drained lists the physical ranks voluntarily drained from the
-	// membership by the straggler policy.
-	Drained []int
+}
+
+func (c PICConfig) runConfig() runConfig {
+	return runConfig{
+		P: c.P, Join: c.Join, Iters: c.Steps, Alpha: c.Alpha, Beta: c.Beta,
+		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
+		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
+		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
+		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
+		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
+	}
 }
 
 // RunPIC executes the Figure 2 outer loop:
@@ -157,197 +151,90 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 	if cfg.FlopTime == 0 {
 		cfg.FlopTime = 2e-9
 	}
-	capacity := cfg.P + cfg.Join
-	if cfg.NCell < capacity {
-		return PICResult{}, fmt.Errorf("apps: PIC needs NCell >= P+Join")
+	res := PICResult{Rebalance: cfg.Rebalance, ImbalanceSeries: make([]float64, cfg.Steps)}
+	if cfg.NCell < cfg.P+cfg.Join {
+		return res, fmt.Errorf("apps: PIC needs NCell >= P+Join")
 	}
-	if cfg.Elastic && (cfg.Join <= 0 || cfg.CkptDir == "") {
-		return PICResult{}, fmt.Errorf("apps: Elastic requires Join > 0 and a CkptDir")
-	}
-	if err := cfg.Straggler.validate(cfg.Liveness != nil, cfg.CommTimeout, cfg.CkptDir); err != nil {
-		return PICResult{}, err
-	}
-	var mopts []machine.Option
-	var cm *msg.CostModel
-	var topts []msg.Option
-	if cfg.Alpha != 0 || cfg.Beta != 0 {
-		cm = msg.NewCostModel(capacity, cfg.Alpha, cfg.Beta)
-		mopts = append(mopts, machine.WithCostModel(cm))
-		topts = append(topts, msg.WithCost(cm))
-	}
-	base, err := assembleTransport(capacity, cfg.UseTCP, cfg.Fault, cfg.Integrity, topts)
-	if err != nil {
-		return PICResult{Rebalance: cfg.Rebalance}, err
-	}
-	if base != nil {
-		mopts = append(mopts, machine.WithTransport(base))
-	}
-	if cfg.CommTimeout > 0 || cfg.CommRetries > 0 {
-		mopts = append(mopts, machine.WithCommConfig(msg.CommConfig{
-			Timeout: cfg.CommTimeout, Retries: cfg.CommRetries, Backoff: time.Millisecond,
-			MaxTimeout: 4 * cfg.CommTimeout, MaxBackoff: 16 * time.Millisecond,
-		}))
-	}
-	if cfg.Liveness != nil {
-		mopts = append(mopts, machine.WithLiveness(*cfg.Liveness))
-	}
-	if cfg.Straggler.Enabled() {
-		mopts = append(mopts, machine.WithHealth(cfg.Straggler.healthConfig()))
-	}
-	if cfg.Join > 0 {
-		mopts = append(mopts, machine.WithReserve(cfg.Join))
-	}
-	m := machine.New(cfg.P, mopts...)
-	defer m.Close()
-	e := core.NewEngine(m)
-	e.SetMemBudget(cfg.MemBudget)
-	e.SetCkptOptions(cfg.IO.options())
-	res := PICResult{Rebalance: cfg.Rebalance, ImbalanceSeries: make([]float64, cfg.Steps), DegradedRank: -1}
 
 	dom := index.Dim(cfg.NCell)
-	var redistBytes int64
-	var finalEpoch int
-	var mitigation string
-	var drainedPhys []int
-	start := time.Now()
-	err = m.Run(func(ctx *machine.Ctx) error {
-		// Per-goroutine straggler state: a rebalance installs the measured
-		// speed shares so every subsequent balance() weights its B_BLOCK
-		// bounds by throughput; mitigated makes the policy one-shot.
+	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+		var eng *core.Engine
+		var field, count *core.Array
+		// speedShares, once a straggler rebalance has installed the measured
+		// speeds, weights every later balance's B_BLOCK bounds by throughput.
 		var speedShares []float64
-		mitigated := false
-		body := func(eng *core.Engine, online bool) error {
-			if speedShares != nil && len(speedShares) != ctx.NP() {
-				speedShares = nil
-			}
-			blockInit := core.DistSpec{Type: dist.NewType(dist.BlockDim())}
-			field := eng.MustDeclare(ctx, core.Decl{Name: "FIELD", Domain: dom, Dynamic: true, Init: &blockInit})
-			count := eng.MustDeclare(ctx, core.Decl{Name: "COUNT", Domain: dom, Dynamic: true, ConnectTo: "FIELD"})
-
-			// initpos: uniform loading — or, when recovering, replay the last
-			// committed checkpoint (cells, field and distribution descriptor)
-			// onto this run's processors — online, onto the regrouped
-			// survivors — and resume after the recorded step.
-			k0 := 1
-			switch {
-			case online:
-				man, err := eng.Recover(ctx, cfg.CkptDir)
-				if err != nil {
-					return err
-				}
-				if step, ok := man.MetaInt("step"); ok {
-					k0 = step + 1
-				}
-			case cfg.Recover:
-				man, err := eng.Restore(ctx, cfg.CkptDir)
-				if err != nil {
-					return err
-				}
-				if step, ok := man.MetaInt("step"); ok {
-					k0 = step + 1
-				}
-			default:
-				count.FillFunc(ctx, func(index.Point) float64 { return float64(cfg.InitPerCell) })
-				field.FillFunc(ctx, func(index.Point) float64 { return 0 })
-			}
-			if err := ctx.Barrier(); err != nil {
-				return err
-			}
-
-			balance := func() error {
-				// compute BOUNDS equalizing particles per processor, then
-				// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.
-				counts, err := count.GatherTo(ctx, 0)
-				if err != nil {
-					return err
-				}
-				var bounds []int
-				if ctx.Rank() == 0 {
-					if speedShares != nil {
-						bounds = computeWeightedBounds(counts, speedShares)
-					} else {
-						bounds = computeBounds(counts, ctx.NP())
-					}
-				}
-				bounds, err = ctx.Comm().BcastInts(0, bounds)
-				if err != nil {
-					return err
-				}
-				pre := m.Stats().Snapshot()
-				if err := eng.Distribute(ctx, []*core.Array{field},
-					core.DimsOf(dist.BBlockDim(bounds...))); err != nil {
-					return err
-				}
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					redistBytes += m.Stats().Snapshot().Sub(pre).TotalBytes()
-					res.Redistributions++
-				}
-				return ctx.Barrier()
-			}
-
-			imbalance := func() (float64, error) {
-				local := 0.0
-				count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
-				tot, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
-				if err != nil {
-					return 0, err
-				}
-				mx, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
-				if err != nil {
-					return 0, err
-				}
-				avg := tot[0] / float64(ctx.NP())
-				if avg == 0 {
-					return 1, nil
-				}
-				return mx[0] / avg, nil
-			}
-
-			// initial balance (Figure 2 does this before the time loop); a
-			// recovered run keeps the restored distribution until the next
-			// in-loop rebalance check.
-			if cfg.Rebalance && !cfg.Recover {
-				if err := balance(); err != nil {
-					return err
-				}
-			}
-			startCounts, err := count.GatherTo(ctx, 0)
+		var bounds []int
+		distribute := func() error {
+			return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
+		}
+		addRedist := func(d msg.Snapshot) {
+			res.RedistBytes += d.TotalBytes()
+			res.Redistributions++
+		}
+		// balance computes BOUNDS equalizing particles per processor, then
+		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.
+		balance := func() error {
+			counts, err := count.GatherTo(ctx, 0)
 			if err != nil {
 				return err
 			}
+			bounds = nil
 			if ctx.Rank() == 0 {
-				res.ParticlesStart = sum(startCounts)
-			}
-
-			for k := k0; k <= cfg.Steps; k++ {
-				stepT0 := time.Now()
-				// update_field: work proportional to local particle count.
-				// The compute runs under timed so an injected straggler is
-				// stretched and its per-particle cost reported to the scorer.
-				lc, lf := count.Local(ctx), field.Local(ctx)
-				particles := 0.0
-				el := cfg.Straggler.timed(ctx, func() {
-					lc.ForEachOwned(func(p index.Point, v *float64) {
-						n := int(*v)
-						particles += *v
-						acc := lf.At(p)
-						for w := 0; w < n*cfg.WorkPerParticle; w++ {
-							acc += 1e-9 * float64(w%7)
-						}
-						lf.SetAt(p, acc+*v)
-					})
-				})
-				ctx.Charge(cfg.FlopTime * particles * float64(cfg.WorkPerParticle))
-				if cfg.Straggler.Enabled() {
-					ctx.ReportWork(particles, el)
+				if speedShares != nil {
+					bounds = computeWeightedBounds(counts, speedShares)
+				} else {
+					bounds = computeBounds(counts, ctx.NP())
 				}
-				if err := ctx.Barrier(); err != nil {
+			}
+			if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil {
+				return err
+			}
+			// No leading barrier: only the broadcast of BOUNDS separates
+			// rank 0's baseline from the DISTRIBUTE.
+			if err := account(ctx, false, distribute, addRedist); err != nil {
+				return err
+			}
+			return ctx.Barrier()
+		}
+		return app{
+			declare: func(e *core.Engine) (err error) {
+				eng = e
+				if len(speedShares) != ctx.NP() {
+					speedShares = nil // a transition changed the view size
+				}
+				blockInit := core.DistSpec{Type: dist.NewType(dist.BlockDim())}
+				field, err = e.Declare(ctx, core.Decl{Name: "FIELD", Domain: dom, Dynamic: true, Init: &blockInit})
+				if err != nil {
 					return err
 				}
-
+				count, err = e.Declare(ctx, core.Decl{Name: "COUNT", Domain: dom, Dynamic: true, ConnectTo: "FIELD"})
+				return err
+			},
+			// initpos: uniform loading.
+			fill: func() {
+				count.FillFunc(ctx, func(index.Point) float64 { return float64(cfg.InitPerCell) })
+				field.FillFunc(ctx, func(index.Point) float64 { return 0 })
+			},
+			// The initial balance (Figure 2 does this before the time loop);
+			// a recovered run keeps the restored distribution until the next
+			// in-loop rebalance check.
+			begin: func(int) error {
+				if cfg.Rebalance && !cfg.Recover {
+					if err := balance(); err != nil {
+						return err
+					}
+				}
+				startCounts, err := count.GatherTo(ctx, 0)
+				if ctx.Rank() == 0 {
+					res.ParticlesStart = sum(startCounts)
+				}
+				return err
+			},
+			step: func(it int) error {
+				k := it + 1 // Figure 2 counts steps from 1
+				if err := updateField(ctx, cfg, count, field); err != nil {
+					return err
+				}
 				// update_part: DriftFrac of each cell's particles moves to
 				// cell+1; the last cell reflects (keeps its particles).  The
 				// only cross-processor flow is from my last cell to the
@@ -356,115 +243,95 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 					return err
 				}
 
-				imb, err := imbalance() // identical on every rank (allreduce)
+				imb, err := imbalance(ctx, count)
 				if err != nil {
 					return err
 				}
 				if ctx.Rank() == 0 {
-					res.ImbalanceSeries[k-1] = imb
+					res.ImbalanceSeries[it] = imb
 				}
 				if cfg.Rebalance && k%cfg.RebalanceEvery == 0 && imb > cfg.RebalanceThreshold {
-					if err := balance(); err != nil {
-						return err
-					}
+					return balance()
 				}
-				if cfg.CkptDir != "" && k%max(cfg.CkptEvery, 1) == 0 {
-					if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(k)}); err != nil {
-						return err
-					}
+				return nil
+			},
+			// A straggler rebalance re-divides the particles by measured
+			// speed immediately, so the straggler gets fewer particles.
+			rebalance: func(speeds []float64) error {
+				speedShares = scale.FairShares(speeds)
+				return balance()
+			},
+			end: func() error {
+				got, err := count.GatherTo(ctx, 0)
+				if err != nil {
+					return err
 				}
-				// Elastic scale-out: agreed joiner poll at the step
-				// boundary; checkpoint and bail so the driver can Admit.
-				if cfg.Elastic && k >= cfg.JoinAfterIter && k < cfg.Steps {
-					grow, gerr := ctx.PollJoin()
-					if gerr != nil {
-						return gerr
-					}
-					if grow {
-						if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(k)}); err != nil {
-							return err
-						}
-						return errGrow
-					}
+				fields, err := field.GatherTo(ctx, 0)
+				if ctx.Rank() == 0 {
+					res.ParticlesEnd = sum(got)
+					res.FieldChecksum = sum(fields)
 				}
-				// Straggler defense: one agreed mitigation per run.  A
-				// rebalance re-divides the particles by measured speed
-				// immediately (and keeps weighting later balances); a drain
-				// checkpoints and shrinks the membership.
-				if cfg.Straggler.mitigating() && !mitigated && k >= cfg.Straggler.checkAfter() && k < cfg.Steps {
-					dec, view, speeds, derr := decideStraggler(ctx, m, cfg.Straggler, cfg.Steps-k, time.Since(stepT0))
-					if derr != nil {
-						return derr
-					}
-					switch dec {
-					case scale.Rebalance:
-						mitigated = true
-						speedShares = scale.FairShares(speeds)
-						if err := balance(); err != nil {
-							return err
-						}
-						if ctx.Rank() == 0 {
-							mitigation = "rebalance"
-						}
-					case scale.Drain:
-						mitigated = true
-						if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(k)}); err != nil {
-							return err
-						}
-						if ctx.Rank() == 0 {
-							mitigation = "drain"
-							drainedPhys = append(drainedPhys, ctx.PhysOf(view))
-						}
-						return &drainError{viewRank: view}
-					}
-				}
-			}
-
-			got, err := count.GatherTo(ctx, 0)
-			if err != nil {
 				return err
-			}
-			fields, err := field.GatherTo(ctx, 0)
-			if err != nil {
-				return err
-			}
-			if ctx.Rank() == 0 {
-				res.ParticlesEnd = sum(got)
-				res.FieldChecksum = sum(fields)
-				finalEpoch = ctx.Epoch()
-			}
-			return nil
+			},
 		}
-		return runWithOnlineRecovery(ctx, m, e, cfg.OnlineRecover && cfg.CkptDir != "", max(cfg.P, 2), cfg.MemBudget, body)
 	})
-	res.Survivors = m.Survivors()
-	res.DegradedRank = degradedRank(m)
-	res.Mitigation = mitigation
-	res.Drained = drainedPhys
 	if err != nil {
 		return res, err
 	}
-	res.Wall = time.Since(start)
-	res.FinalEpoch = finalEpoch
-	sn := m.Stats().Snapshot()
-	res.Msgs, res.Bytes = sn.TotalDataMsgs(), sn.TotalBytes()
-	res.RedistBytes = redistBytes
-	if cm != nil {
-		res.ModelTime = cm.Makespan()
-	}
-	peak, total := 0.0, 0.0
 	for _, v := range res.ImbalanceSeries {
-		total += v
-		if v > peak {
-			res.PeakImbalance = v
-			peak = v
-		}
+		res.MeanImbalance += v
+		res.PeakImbalance = max(res.PeakImbalance, v)
 	}
 	if cfg.Steps > 0 {
-		res.MeanImbalance = total / float64(cfg.Steps)
+		res.MeanImbalance /= float64(cfg.Steps)
 		res.FinalImbalance = res.ImbalanceSeries[cfg.Steps-1]
 	}
 	return res, nil
+}
+
+// updateField is Figure 2's update_field: work proportional to the
+// local particle count.  The compute runs under timed so an injected
+// straggler is stretched and its per-particle cost reported to the
+// scorer.
+func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) error {
+	lc, lf := count.Local(ctx), field.Local(ctx)
+	particles := 0.0
+	el := cfg.Straggler.timed(ctx, func() {
+		lc.ForEachOwned(func(p index.Point, v *float64) {
+			n := int(*v)
+			particles += *v
+			acc := lf.At(p)
+			for w := 0; w < n*cfg.WorkPerParticle; w++ {
+				acc += 1e-9 * float64(w%7)
+			}
+			lf.SetAt(p, acc+*v)
+		})
+	})
+	ctx.Charge(cfg.FlopTime * particles * float64(cfg.WorkPerParticle))
+	if cfg.Straggler.Enabled() {
+		ctx.ReportWork(particles, el)
+	}
+	return ctx.Barrier()
+}
+
+// imbalance is max/avg particles per processor — Figure 2's rebalance()
+// predicate input — identical on every rank (allreduce).
+func imbalance(ctx *machine.Ctx, count *core.Array) (float64, error) {
+	local := 0.0
+	count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
+	tot, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
+	if err != nil {
+		return 0, err
+	}
+	mx, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
+	if err != nil {
+		return 0, err
+	}
+	avg := tot[0] / float64(ctx.NP())
+	if avg == 0 {
+		return 1, nil
+	}
+	return mx[0] / avg, nil
 }
 
 // moveRight shifts frac of every cell's count one cell to the right

@@ -74,8 +74,11 @@ func RunRedistCost(cfg RedistCostConfig) (RedistCostResult, error) {
 	res := RedistCostResult{ValuesPreserved: true}
 	var wall time.Duration
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := e.MustDeclare(ctx, core.Decl{Name: "A", Domain: dom, Dynamic: true,
+		a, err := e.Declare(ctx, core.Decl{Name: "A", Domain: dom, Dynamic: true,
 			Init: &core.DistSpec{Type: dist.NewType(cfg.From...)}})
+		if err != nil {
+			return err
+		}
 		a.FillFunc(ctx, val)
 		if err := ctx.Barrier(); err != nil {
 			return err

@@ -11,7 +11,6 @@ import (
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/scale"
 	"repro/internal/trace"
 )
 
@@ -110,31 +109,26 @@ type SmoothConfig struct {
 
 // SmoothResult reports a smoothing run.
 type SmoothResult struct {
+	Outcome
 	Mode SmoothMode
 	// MsgsPerProcStep and BytesPerProcStep are the *maximum* per-processor
 	// per-step data traffic (interior processors; the quantities of the
 	// paper's analysis).
 	MsgsPerProcStep  float64
 	BytesPerProcStep float64
-	ModelTime        float64
-	Wall             time.Duration
 	MaxErr           float64
 	Checksum         float64
-	// Survivors is the failure detector's surviving rank set (when
-	// Liveness was configured), populated even on error.
-	Survivors []int
-	// FinalEpoch is the membership epoch the run completed on: 0 for a
-	// failure-free run, >0 after in-process online recovery.
-	FinalEpoch int
-	// DegradedRank is the first physical rank the health scorer ever
-	// classified Degraded (-1: none, or scoring off).
-	DegradedRank int
-	// Mitigation is the straggler mitigation that fired ("drain" or
-	// empty).
-	Mitigation string
-	// Drained lists the physical ranks voluntarily drained from the
-	// membership by the straggler policy.
-	Drained []int
+}
+
+func (c SmoothConfig) runConfig() runConfig {
+	return runConfig{
+		P: c.P, Join: c.Join, Iters: c.Steps, Alpha: c.Alpha, Beta: c.Beta, Tracer: c.Tracer,
+		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
+		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
+		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
+		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
+		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
+	}
 }
 
 // RunSmoothing performs Steps Jacobi smoothing steps on an N×N grid under
@@ -143,288 +137,133 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	if cfg.FlopTime == 0 {
 		cfg.FlopTime = 2e-9
 	}
-	res := SmoothResult{Mode: cfg.Mode, DegradedRank: -1}
+	res := SmoothResult{Mode: cfg.Mode}
 	q := int(math.Round(math.Sqrt(float64(cfg.P))))
 	if cfg.Mode == SmoothBlock2D && q*q != cfg.P {
 		return res, fmt.Errorf("apps: 2-D smoothing needs a square processor count, got %d", cfg.P)
 	}
-	total := cfg.P + cfg.Join
-	if cfg.N < total {
+	if cfg.N < cfg.P+cfg.Join {
 		return res, fmt.Errorf("apps: smoothing needs N >= P+Join")
 	}
-	if cfg.Elastic && (cfg.Join <= 0 || cfg.CkptDir == "" || cfg.Mode != SmoothColumns) {
-		return res, fmt.Errorf("apps: Elastic smoothing requires Join > 0, a CkptDir, and SmoothColumns")
+	if cfg.Elastic && cfg.Mode != SmoothColumns {
+		return res, fmt.Errorf("apps: Elastic smoothing requires SmoothColumns")
 	}
-	if err := cfg.Straggler.validate(cfg.Liveness != nil, cfg.CommTimeout, cfg.CkptDir); err != nil {
-		return res, err
-	}
-	if cfg.Straggler.mitigating() {
-		if cfg.Straggler.Policy != "drain" {
+	sc := cfg.Straggler
+	if sc.mitigating() {
+		if sc.Policy != "drain" {
 			return res, fmt.Errorf("apps: smoothing straggler policy must be drain or off (the ghost connect class keeps the even block split)")
 		}
 		if cfg.Mode != SmoothColumns || cfg.Overlap {
 			return res, fmt.Errorf("apps: smoothing straggler drain requires SmoothColumns and synchronous steps")
 		}
 	}
-	var mopts []machine.Option
-	var cm *msg.CostModel
-	var topts []msg.Option
-	if cfg.Alpha != 0 || cfg.Beta != 0 {
-		cm = msg.NewCostModel(total, cfg.Alpha, cfg.Beta)
-		mopts = append(mopts, machine.WithCostModel(cm))
-		topts = append(topts, msg.WithCost(cm))
-	}
-	if cfg.Tracer != nil {
-		mopts = append(mopts, machine.WithTrace(cfg.Tracer))
-		topts = append(topts, msg.WithTracer(cfg.Tracer))
-	}
-	base, err := assembleTransport(total, cfg.UseTCP, cfg.Fault, cfg.Integrity, topts)
-	if err != nil {
-		return res, err
-	}
-	if base != nil {
-		mopts = append(mopts, machine.WithTransport(base))
-	}
-	if cfg.CommTimeout > 0 || cfg.CommRetries > 0 {
-		mopts = append(mopts, machine.WithCommConfig(msg.CommConfig{
-			Timeout: cfg.CommTimeout, Retries: cfg.CommRetries, Backoff: time.Millisecond,
-			MaxTimeout: 4 * cfg.CommTimeout, MaxBackoff: 16 * time.Millisecond,
-		}))
-	}
-	if cfg.Liveness != nil {
-		mopts = append(mopts, machine.WithLiveness(*cfg.Liveness))
-	}
-	if cfg.Straggler.Enabled() {
-		mopts = append(mopts, machine.WithHealth(cfg.Straggler.healthConfig()))
-	}
-	if cfg.Join > 0 {
-		mopts = append(mopts, machine.WithReserve(cfg.Join))
-	}
-	m := machine.New(cfg.P, mopts...)
-	defer m.Close()
-	e := core.NewEngine(m)
-	e.SetMemBudget(cfg.MemBudget)
-	e.SetCkptOptions(cfg.IO.options())
 
 	dom := index.Dim(cfg.N, cfg.N)
 	initial := func(p index.Point) float64 {
 		return float64((p[0]*13+p[1]*7)%11) * 0.25
 	}
-
 	var ref []float64
 	if cfg.Validate {
-		cur := make([]float64, dom.Size())
+		ref = make([]float64, dom.Size())
 		dom.WholeSection().ForEach(func(p index.Point) bool {
-			cur[dom.Offset(p)] = initial(p)
+			ref[dom.Offset(p)] = initial(p)
 			return true
 		})
 		next := make([]float64, dom.Size())
 		for s := 0; s < cfg.Steps; s++ {
-			kernels.Smooth5(next, cur, cfg.N, cfg.N)
-			cur, next = next, cur
+			kernels.Smooth5(next, ref, cfg.N, cfg.N)
+			ref, next = next, ref
 		}
-		ref = cur
 	}
 
-	var maxErr, checksum float64
 	var exchMsgs, exchBytes int64
-	var finalEpoch int
-	var mitigation string
-	var drainedPhys []int
-	start := time.Now()
-	err = m.Run(func(ctx *machine.Ctx) error {
-		mitigated := false
-		body := func(eng *core.Engine, online bool) error {
-			var spec core.DistSpec
-			switch cfg.Mode {
-			case SmoothColumns:
-				spec = core.DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}
-			case SmoothBlock2D:
-				g := m.ProcsDim("G", q, q)
-				spec = core.DistSpec{Type: dist.NewType(dist.BlockDim(), dist.BlockDim()), Target: g.Whole()}
-			}
-			u := eng.MustDeclare(ctx, core.Decl{Name: "U", Domain: dom, Dynamic: true, Init: &spec, Ghost: []int{1, 1}})
-			v := eng.MustDeclare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: []int{1, 1}})
-			// Fresh runs fill the initial grid; recovery runs replay the last
-			// committed checkpoint — both buffers plus the step parity, so the
-			// double-buffer swap resumes exactly where the lost run stopped.
-			// An online attempt does the same in-process on the survivors.
-			s0 := 0
-			switch {
-			case online:
-				man, err := eng.Recover(ctx, cfg.CkptDir)
+	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+		// U and V are one connect class and the two buffers of the sweep:
+		// step s reads src and writes dst, which then swap.
+		var u, v, src, dst *core.Array
+		var phasePre msg.Snapshot
+		exchange := func() error { return src.ExchangeAllGhosts(ctx) }
+		sweep := func() { smoothLocal(ctx, src, dst, cfg.FlopTime) }
+		addExch := func(d msg.Snapshot) {
+			exchMsgs += d.MaxDataMsgsPerProc()
+			exchBytes += d.MaxBytesPerProc()
+		}
+		return app{
+			declare: func(eng *core.Engine) (err error) {
+				spec := core.DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}
+				if cfg.Mode == SmoothBlock2D {
+					g := ctx.Machine().ProcsDim("G", q, q)
+					spec = core.DistSpec{Type: dist.NewType(dist.BlockDim(), dist.BlockDim()), Target: g.Whole()}
+				}
+				u, err = eng.Declare(ctx, core.Decl{Name: "U", Domain: dom, Dynamic: true, Init: &spec, Ghost: []int{1, 1}})
 				if err != nil {
 					return err
 				}
-				if step, ok := man.MetaInt("step"); ok {
-					s0 = step + 1
-				}
-			case cfg.Recover:
-				man, err := eng.Restore(ctx, cfg.CkptDir)
-				if err != nil {
-					return err
-				}
-				if step, ok := man.MetaInt("step"); ok {
-					s0 = step + 1
-				}
-			default:
-				u.FillFunc(ctx, initial)
-			}
-			if err := ctx.Barrier(); err != nil {
+				v, err = eng.Declare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: []int{1, 1}})
 				return err
-			}
-
-			src, dst := u, v
-			if s0%2 == 1 {
-				src, dst = v, u
-			}
-			ctx.PhaseBegin("smooth")
-			var phasePre msg.Snapshot
-			if cfg.Overlap {
-				if ctx.Rank() == 0 {
-					phasePre = m.Stats().Snapshot()
+			},
+			fill: func() { u.FillFunc(ctx, initial) },
+			// A checkpoint holds both buffers, and the step it was taken
+			// after gives the parity, so the double-buffer swap resumes
+			// exactly where the lost run stopped.
+			begin: func(s0 int) (err error) {
+				src, dst = u, v
+				if s0%2 == 1 {
+					src, dst = v, u
 				}
-				// No rank may send before the phase baseline is taken; the
-				// step loop itself runs barrier-free.
-				if err := ctx.Barrier(); err != nil {
-					return err
+				ctx.PhaseBegin("smooth")
+				if cfg.Overlap {
+					// The step loop runs barrier-free, so its traffic is
+					// measured as one phase around the whole loop.
+					phasePre, err = tallyOpen(ctx, true)
 				}
-			}
-			for s := s0; s < cfg.Steps; s++ {
-				stepT0 := time.Now()
+				return err
+			},
+			step: func(int) error {
 				if cfg.Overlap {
 					if err := smoothStepOverlap(ctx, src, dst, cfg.FlopTime); err != nil {
 						return err
 					}
 				} else {
-					var pre msg.Snapshot
-					if ctx.Rank() == 0 {
-						pre = m.Stats().Snapshot() // only rank 0 reads the deltas
-					}
-					ctx.Barrier() // no rank may send before pre is taken
-					if err := src.ExchangeAllGhosts(ctx); err != nil {
+					if err := account(ctx, true, exchange, addExch); err != nil {
 						return err
 					}
-					ctx.Barrier()
-					if ctx.Rank() == 0 {
-						d := m.Stats().Snapshot().Sub(pre)
-						exchMsgs += d.MaxDataMsgsPerProc()
-						exchBytes += d.MaxBytesPerProc()
-					}
-					el := cfg.Straggler.timed(ctx, func() { smoothLocal(ctx, src, dst, cfg.FlopTime) })
-					if cfg.Straggler.Enabled() {
+					el := sc.timed(ctx, sweep)
+					if sc.Enabled() {
 						ctx.ReportWork(localElems(ctx, src), el)
 					}
-					ctx.Barrier()
-				}
-				src, dst = dst, src
-				if cfg.CkptDir != "" && (s+1)%max(cfg.CkptEvery, 1) == 0 {
-					if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(s)}); err != nil {
+					if err := ctx.Barrier(); err != nil {
 						return err
 					}
 				}
-				// Elastic scale-out: agreed joiner poll at the step
-				// boundary; checkpoint and bail so the driver can Admit.
-				if cfg.Elastic && s+1 >= cfg.JoinAfterIter && s+1 < cfg.Steps {
-					grow, gerr := ctx.PollJoin()
-					if gerr != nil {
-						return gerr
+				src, dst = dst, src
+				return nil
+			},
+			end: func() error {
+				if cfg.Overlap {
+					if err := tallyClose(ctx, phasePre, addExch); err != nil {
+						return err
 					}
-					if grow {
-						if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(s)}); err != nil {
-							return err
-						}
-						return errGrow
-					}
-				}
-				// Straggler defense (drain only): checkpoint the parity and
-				// shrink the membership at an agreed step boundary.
-				if cfg.Straggler.mitigating() && !mitigated && s+1 >= cfg.Straggler.checkAfter() && s+1 < cfg.Steps {
-					dec, view, _, derr := decideStraggler(ctx, m, cfg.Straggler, cfg.Steps-(s+1), time.Since(stepT0))
-					if derr != nil {
-						return derr
-					}
-					if dec == scale.Drain {
-						mitigated = true
-						if _, err := eng.Checkpoint(ctx, cfg.CkptDir, map[string]string{"step": fmt.Sprint(s)}); err != nil {
-							return err
-						}
-						if ctx.Rank() == 0 {
-							mitigation = "drain"
-							drainedPhys = append(drainedPhys, ctx.PhysOf(view))
-						}
-						return &drainError{viewRank: view}
+					// No rank may start post-phase traffic (the reduction
+					// below) until the phase totals are read.
+					if err := ctx.Barrier(); err != nil {
+						return err
 					}
 				}
-			}
-			if cfg.Overlap {
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
+				ctx.PhaseEnd("smooth")
+				sum, maxErr, err := checksum(ctx, src, ref)
 				if ctx.Rank() == 0 {
-					d := m.Stats().Snapshot().Sub(phasePre)
-					exchMsgs += d.MaxDataMsgsPerProc()
-					exchBytes += d.MaxBytesPerProc()
+					res.Checksum, res.MaxErr = sum, maxErr
 				}
-				// No rank may start post-phase traffic (the reduction below)
-				// until the phase totals are read.
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
-			}
-			ctx.PhaseEnd("smooth")
-			if cfg.Validate {
-				got, err := src.GatherTo(ctx, 0)
-				if err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					for i, x := range got {
-						checksum += x
-						d := x - ref[i]
-						if d < 0 {
-							d = -d
-						}
-						if d > maxErr {
-							maxErr = d
-						}
-					}
-				}
-			} else {
-				s, err := src.DArray().ReduceSum(ctx)
-				if err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					checksum = s
-				}
-			}
-			if ctx.Rank() == 0 {
-				finalEpoch = ctx.Epoch()
-			}
-			return nil
+				return err
+			},
 		}
-		return runWithOnlineRecovery(ctx, m, e, cfg.OnlineRecover && cfg.CkptDir != "", max(cfg.P, 2), cfg.MemBudget, body)
 	})
-	res.Survivors = m.Survivors()
-	res.DegradedRank = degradedRank(m)
-	res.Mitigation = mitigation
-	res.Drained = drainedPhys
-	if err != nil {
-		return res, err
-	}
-	res.Wall = time.Since(start)
-	res.FinalEpoch = finalEpoch
 	if cfg.Steps > 0 {
 		res.MsgsPerProcStep = float64(exchMsgs) / float64(cfg.Steps)
 		res.BytesPerProcStep = float64(exchBytes) / float64(cfg.Steps)
 	}
-	if cm != nil {
-		res.ModelTime = cm.Makespan()
-	}
-	res.MaxErr = maxErr
-	res.Checksum = checksum
-	return res, nil
+	return res, err
 }
 
 // smoothLocal computes dst = smooth(src) on the locally owned points,

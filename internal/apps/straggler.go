@@ -1,8 +1,8 @@
 // Straggler defense wiring shared by the application harnesses: a
 // StragglerConfig each app embeds, the compute-time injection that makes
 // a chosen rank measurably slow, the agreed per-boundary mitigation
-// decision (health report → scale policy → broadcast), and the drain
-// sentinel the recovery driver turns into a voluntary scale-in.
+// decision (health report → scale policy → broadcast) the step loop
+// turns into a rebalance or a drain request.
 package apps
 
 import (
@@ -59,13 +59,7 @@ func (sc StragglerConfig) Enabled() bool { return sc.HealthWindow > 0 }
 
 // mitigating reports whether the policy acts on a Degraded rank (as
 // opposed to observing only).
-func (sc StragglerConfig) mitigating() bool {
-	switch sc.Policy {
-	case "rebalance", "drain", "auto":
-		return sc.Enabled()
-	}
-	return false
-}
+func (sc StragglerConfig) mitigating() bool { return sc.Enabled() && sc.mitigatingPolicyName() }
 
 func (sc StragglerConfig) checkAfter() int {
 	if sc.CheckAfter <= 0 {
@@ -143,17 +137,6 @@ func localElems(ctx *machine.Ctx, v *core.Array) float64 {
 	return float64(n)
 }
 
-// drainError is the sentinel an app body returns after an agreed drain
-// decision (and a checkpoint): every member leaves the body at the same
-// iteration boundary, runWithOnlineRecovery calls Ctx.Drain on the view
-// rank, the drained rank exits non-fatally with ErrDrained, and the
-// survivors re-enter the body in recovery mode on the shrunken view.
-type drainError struct{ viewRank int }
-
-func (e *drainError) Error() string {
-	return fmt.Sprintf("apps: drain view rank %d (straggler mitigation)", e.viewRank)
-}
-
 // decideStraggler takes one iteration boundary's mitigation decision,
 // collectively.  Rank 0 consults the health scorer and the configured
 // policy; the decision, the straggler's view rank, and the measured
@@ -165,7 +148,7 @@ func (e *drainError) Error() string {
 // stepWall is the caller's measured wall time of the last step (used by
 // the "auto" policy to size the cost model); stepsLeft the remaining
 // iteration count.
-func decideStraggler(ctx *machine.Ctx, m *machine.Machine, sc StragglerConfig,
+func decideStraggler(ctx *machine.Ctx, sc StragglerConfig,
 	stepsLeft int, stepWall time.Duration) (scale.Decision, int, []float64, error) {
 	var vals []int
 	if ctx.Rank() == 0 {
@@ -175,7 +158,7 @@ func decideStraggler(ctx *machine.Ctx, m *machine.Machine, sc StragglerConfig,
 		for i := range vals[2:] {
 			vals[2+i] = 1e6 // nominal speed
 		}
-		if h := m.Health(); h != nil && np > 1 {
+		if h := ctx.Machine().Health(); h != nil && np > 1 {
 			members := ctx.Members()
 			worst, class, slowdown, ok := h.Worst(members)
 			if ok && class >= health.Degraded {
@@ -236,30 +219,4 @@ func (sc StragglerConfig) decide(np, stepsLeft int, slowdown float64, stepWall t
 		return a.Decision
 	}
 	return scale.Hold
-}
-
-// healthReport snapshots the machine's per-rank health report after a
-// run; nil when health scoring was off.
-func healthReport(m *machine.Machine) []health.RankReport {
-	h := m.Health()
-	if h == nil {
-		return nil
-	}
-	ranks := make([]int, m.Capacity())
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return h.Report(ranks)
-}
-
-// degradedRank scans the machine's health report after a run for the
-// first rank that was ever classified Degraded (or worse); -1 when the
-// run stayed healthy or health scoring was off.
-func degradedRank(m *machine.Machine) int {
-	for _, rr := range healthReport(m) {
-		if rr.EverDegraded {
-			return rr.Rank
-		}
-	}
-	return -1
 }

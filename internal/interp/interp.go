@@ -33,7 +33,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/health"
@@ -95,8 +94,10 @@ type Interp struct {
 	// their one-sided fetch waits and mask the straggler).  With drain
 	// enabled, every DISTRIBUTE checkpoint site doubles as a drain
 	// boundary: if a member is classified Degraded, the interpreter
-	// returns a *DrainRankError the caller turns into a Ctx.Drain epoch
-	// transition plus a recovery re-run.
+	// returns a *core.Resize naming the view rank to drain — from every
+	// member, at the same site (the decision is broadcast), right after a
+	// committed checkpoint — which core.RunEpochs turns into a Ctx.Drain
+	// epoch transition plus a recovery re-run.
 	healthOn   bool
 	drainOn    bool
 	slowRank   int
@@ -113,16 +114,6 @@ func (in *Interp) SetStraggler(healthOn, drain bool, slowRank int, slowFactor fl
 	in.slowRank, in.slowFactor = slowRank, slowFactor
 }
 
-// DrainRankError asks the interpreter's caller to voluntarily drain the
-// given view rank from the membership: every member's Run returns it
-// from the same DISTRIBUTE site (the decision is broadcast), right
-// after a committed checkpoint the survivors can replay.
-type DrainRankError struct{ ViewRank int }
-
-func (e *DrainRankError) Error() string {
-	return fmt.Sprintf("interp: drain view rank %d (straggler mitigation)", e.ViewRank)
-}
-
 // SetCheckpoint enables coordinated checkpoints into dir after every
 // every-th DISTRIBUTE statement (every <= 0 means every one).
 func (in *Interp) SetCheckpoint(dir string, every int) {
@@ -136,20 +127,6 @@ func (in *Interp) SetCheckpoint(dir string, every int) {
 // in the SetCheckpoint directory when it reaches the first DISTRIBUTE
 // statement.
 func (in *Interp) SetRecover(on bool) { in.recoverRun = on }
-
-// SetMemBudget bounds the peak resident wire bytes per rank of every
-// DISTRIBUTE the interpreted program executes (vfrun -redist-budget);
-// n <= 0 means unbounded.  Delegates to Engine.SetMemBudget.
-func (in *Interp) SetMemBudget(n int64) { in.Engine.SetMemBudget(n) }
-
-// SetIO configures the parallel-I/O side of the checkpoint hooks (vfrun
-// -io-servers/-io-redundancy/-ckpt-keep): the number of I/O server
-// ranks (stripe files) per epoch, the redundancy mode (none, parity or
-// replica), and the epoch retention count.  Zero values keep the
-// defaults.  Delegates to Engine.SetCkptOptions.
-func (in *Interp) SetIO(servers int, redundancy string, keep int) {
-	in.Engine.SetCkptOptions(ckpt.Options{Servers: servers, Redundancy: redundancy, Keep: keep})
-}
 
 // New creates an interpreter over an engine and registers the standard
 // builtins (TRIDIAG, RESID, plus no-op INITPOS hooks used by demos).
@@ -617,7 +594,7 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 				return err
 			}
 			if view >= 0 {
-				return &DrainRankError{ViewRank: view}
+				return &core.Resize{Drain: view}
 			}
 		}
 	}

@@ -49,6 +49,22 @@ type CommConfig struct {
 	JitterSeed int64
 }
 
+// RetryPolicy is the deadline/retry policy the apps and vfrun run under:
+// the given per-receive timeout and retry count, a 1 ms initial backoff,
+// the escalated deadline capped at 4×timeout and the escalated backoff
+// at 16 ms, so a retrying collective never waits unboundedly longer than
+// the detector needs to declare a rank dead.  With neither a timeout
+// nor retries it is the zero config (block forever).
+func RetryPolicy(timeout time.Duration, retries int) CommConfig {
+	if timeout <= 0 && retries <= 0 {
+		return CommConfig{}
+	}
+	return CommConfig{
+		Timeout: timeout, Retries: retries, Backoff: time.Millisecond,
+		MaxTimeout: 4 * timeout, MaxBackoff: 16 * time.Millisecond,
+	}
+}
+
 // maxEscalateShift saturates the exponential deadline/backoff escalation so
 // the shift cannot overflow a Duration even with absurd retry counts.
 const maxEscalateShift = 16
