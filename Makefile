@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench bench-smoke bench-overlap bench-redist bench-expand bench-io bench-drain examples experiments analyze clean
+.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench examples experiments analyze clean
 
 all: build check test
 
@@ -97,9 +97,10 @@ soak:
 # torn/bitrot/stall, seeded prob, per-rank counters), stripe assembly and
 # parity/replica reconstruction, the crash-during-Save abort stages (no
 # partial epoch ever commits), the disk-damage x restore matrix on both
-# transports, v1 compatibility, retention pruning, epoch fallback, the
-# scrub pass, and the degraded end-to-end apps — all under the race
-# detector (the I/O servers and retry paths add goroutines).
+# transports, retention pruning, epoch fallback (past damaged and
+# format-1 epochs alike), the scrub pass, and the degraded end-to-end
+# apps — all under the race detector (the I/O servers and retry paths
+# add goroutines).
 check-io:
 	$(GO) test -race -count=1 ./internal/pario ./internal/ckpt
 	$(GO) test -race -count=1 -run 'Degraded|DoubleDamage' ./internal/apps
@@ -110,63 +111,10 @@ check-io:
 check-fault:
 	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout' ./internal/msg ./internal/darray
 
+# The benchmark spine: four paper workloads, one result schema
+# (bench/README.md); results land in bench/out/.
 bench:
-	$(GO) test -bench=. -benchmem .
-
-# Quick allocation/latency regression sweep over the data-movement hot
-# paths: E3 (smoothing ghost exchange), E4 (DISTRIBUTE), and the wire
-# codec micros.  Results land in BENCH_SMOKE.json — the committed
-# BENCH_PR2.json is the frozen PR-2 baseline to diff against, not a
-# file this target overwrites.
-bench-smoke:
-	( $(GO) test -run '^$$' -bench 'BenchmarkSmoothing|BenchmarkRedistribute' -benchtime 1x -benchmem . ; \
-	  $(GO) test -run '^$$' -bench 'BenchmarkCodec' -benchtime 100x -benchmem ./internal/msg ) \
-	| $(GO) run ./cmd/benchjson -o BENCH_SMOKE.json
-
-# Sync-vs-overlap smoothing comparison: the same shapes timed with the
-# synchronous exchange+sweep loop and with the one-sided overlapped loop
-# (interior while the halo puts fly, no per-step barriers).  Each variant
-# first validates bit-identity against the serial reference (maxerr must
-# be exactly 0); results land in BENCH_PR6.json for diffing.
-bench-overlap:
-	$(GO) test -run '^$$' -bench 'BenchmarkSmoothingOverlap' -benchtime 30x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR6.json
-
-# Redistribution under a memory budget: the E4 DISTRIBUTE pairs plus
-# the budgeted variant (unbounded vs array/8 budget).  The benchmark
-# itself asserts measured peak wire bytes <= budget; results land in
-# BENCH_PR7.json for diffing against the BENCH_PR2.json redistribute
-# baselines.
-bench-redist:
-	$(GO) test -run '^$$' -bench 'BenchmarkRedistribute$$|BenchmarkRedistributeBudget' -benchtime 200x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR7.json
-
-# Elastic scale-out: the mid-run join + expand-replay path timed next
-# to the same problem run statically at the grown size (the benchmark
-# asserts bit-exactness and admission on every run).  Results land in
-# BENCH_PR8.json for diffing.
-bench-expand:
-	$(GO) test -run '^$$' -bench 'BenchmarkExpandADI' -benchtime 5x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR8.json
-
-# Crash-safe parallel I/O: the striped two-phase collective writer next
-# to the per-rank flat layout (the v1-era shape), the parity surcharge,
-# and restore from a clean epoch vs restore that reconstructs a deleted
-# stripe from parity and heals it on disk.  Results land in
-# BENCH_PR9.json for diffing.
-bench-io:
-	$(GO) test -run '^$$' -bench 'BenchmarkCkptIO' -benchtime 20x -benchmem . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR9.json
-
-# Straggler defense: the same 8×-slowed dynamic ADI timed with
-# mitigation off, with throughput-weighted rebalancing, and with
-# voluntary drain (every run asserts the straggler was classified
-# Degraded and the result stays bit-exact).  Results land in
-# BENCH_PR10.json for diffing — mitigation should measurably beat the
-# do-nothing baseline.
-bench-drain:
-	$(GO) test -run '^$$' -bench 'BenchmarkStraggler' -benchtime 5x . \
-	| $(GO) run ./cmd/benchjson -o BENCH_PR10.json
+	$(GO) run ./bench
 
 # Regenerate the EXPERIMENTS.md tables (E1-E4).
 experiments:

@@ -1,33 +1,23 @@
 package vienna
 
-// Benchmarks regenerating the paper's evaluation artifacts (see DESIGN.md
-// per-experiment index and EXPERIMENTS.md for measured results):
-//
-//	E1 BenchmarkFig1ADI        — Figure 1 / claim C2 (ADI strategies)
-//	E2 BenchmarkFig2PIC        — Figure 2 / claim C3 (PIC load balance)
-//	E3 BenchmarkSmoothing      — §4 claim C1 (column vs 2-D block)
-//	E4 BenchmarkRedistribute   — §4 claim C4 (DISTRIBUTE cost)
-//	   Benchmark<micro>        — substrate microbenchmarks
+// The benchmarks the spine (go run ./bench) does not measure under a
+// declared name: redistribution under a memory budget, elastic
+// scale-out, the straggler defense, and the parti translation-table
+// gather; ablation_test.go holds the design-choice ablations.  Whole-run
+// ADI / PIC / smoothing, DISTRIBUTE cost, checkpoint I/O and the
+// transport and collective micros are the spine's workloads and probes.
 //
 // Custom metrics: data messages per run (msgs/run), payload bytes per run
-// (bytes/run), and modeled time under the default Hockney parameters
-// (model-ms/run) where a cost model is attached.
+// (bytes/run), and peak wire residency (peakwire).
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/ckpt"
-	"repro/internal/darray"
 	"repro/internal/dist"
-	"repro/internal/index"
 	"repro/internal/machine"
-	"repro/internal/msg"
-	"repro/internal/pario"
 	"repro/internal/parti"
 )
 
@@ -36,184 +26,10 @@ const (
 	benchBeta  = 1e-8 // 10ns/byte — ~100 MB/s
 )
 
-func BenchmarkFig1ADI(b *testing.B) {
-	for _, cfg := range []struct {
-		name string
-		mode apps.ADIMode
-	}{
-		{"dynamic", apps.ADIDynamic},
-		{"staticCols", apps.ADIStaticCols},
-		{"staticRows", apps.ADIStaticRows},
-	} {
-		for _, size := range []int{64, 128} {
-			for _, p := range []int{4, 8} {
-				b.Run(fmt.Sprintf("%s/N%d/P%d", cfg.name, size, p), func(b *testing.B) {
-					var last apps.ADIResult
-					for i := 0; i < b.N; i++ {
-						res, err := apps.RunADI(apps.ADIConfig{
-							NX: size, NY: size, Iters: 2, P: p, Mode: cfg.mode,
-							Alpha: benchAlpha, Beta: benchBeta,
-						})
-						if err != nil {
-							b.Fatal(err)
-						}
-						last = res
-					}
-					b.ReportMetric(float64(last.Msgs), "msgs/run")
-					b.ReportMetric(float64(last.Bytes), "bytes/run")
-					b.ReportMetric(last.ModelTime*1e3, "model-ms/run")
-				})
-			}
-		}
-	}
-}
-
-func BenchmarkFig2PIC(b *testing.B) {
-	for _, cfg := range []struct {
-		name      string
-		rebalance bool
-	}{
-		{"staticBlock", false},
-		{"bblockRebalanced", true},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			var last apps.PICResult
-			for i := 0; i < b.N; i++ {
-				res, err := apps.RunPIC(apps.PICConfig{
-					NCell: 256, Steps: 40, P: 4, Rebalance: cfg.rebalance,
-					DriftFrac: 0.3, Alpha: benchAlpha, Beta: benchBeta,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				last = res
-			}
-			b.ReportMetric(last.MeanImbalance, "mean-imbalance")
-			b.ReportMetric(last.FinalImbalance, "final-imbalance")
-			b.ReportMetric(float64(last.Redistributions), "redists/run")
-			b.ReportMetric(last.ModelTime*1e3, "model-ms/run")
-		})
-	}
-}
-
-func BenchmarkSmoothing(b *testing.B) {
-	for _, mode := range []apps.SmoothMode{apps.SmoothColumns, apps.SmoothBlock2D} {
-		name := "columns"
-		if mode == apps.SmoothBlock2D {
-			name = "block2d"
-		}
-		for _, n := range []int{64, 256, 1024} {
-			b.Run(fmt.Sprintf("%s/N%d/P9", name, n), func(b *testing.B) {
-				var last apps.SmoothResult
-				for i := 0; i < b.N; i++ {
-					res, err := apps.RunSmoothing(apps.SmoothConfig{
-						N: n, Steps: 4, P: 9, Mode: mode,
-						Alpha: benchAlpha, Beta: benchBeta,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.MsgsPerProcStep, "msgs/proc/step")
-				b.ReportMetric(last.BytesPerProcStep, "bytes/proc/step")
-				b.ReportMetric(last.ModelTime*1e3, "model-ms/run")
-			})
-		}
-	}
-}
-
-// BenchmarkSmoothingOverlap pairs the synchronous smoothing loop with the
-// overlapped one (interior computed while the one-sided halo puts are in
-// flight, no per-step barriers) on the same shapes, so the two ns/op
-// figures are directly comparable.  Before timing, each variant runs once
-// against the serial reference and reports maxerr — overlap must be
-// bit-identical, not just close.
-func BenchmarkSmoothingOverlap(b *testing.B) {
-	for _, mode := range []apps.SmoothMode{apps.SmoothColumns, apps.SmoothBlock2D} {
-		name := "columns"
-		if mode == apps.SmoothBlock2D {
-			name = "block2d"
-		}
-		for _, overlap := range []bool{false, true} {
-			variant := "sync"
-			if overlap {
-				variant = "overlap"
-			}
-			b.Run(fmt.Sprintf("%s/%s/N256/P9", name, variant), func(b *testing.B) {
-				cfg := apps.SmoothConfig{N: 256, Steps: 8, P: 9, Mode: mode, Overlap: overlap}
-				vcfg := cfg
-				vcfg.Validate = true
-				chk, err := apps.RunSmoothing(vcfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if chk.MaxErr != 0 {
-					b.Fatalf("MaxErr = %g vs serial, want exactly 0", chk.MaxErr)
-				}
-				var last apps.SmoothResult
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := apps.RunSmoothing(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.MsgsPerProcStep, "msgs/proc/step")
-				b.ReportMetric(last.BytesPerProcStep, "bytes/proc/step")
-				b.ReportMetric(chk.MaxErr, "maxerr")
-			})
-		}
-	}
-}
-
-func BenchmarkRedistribute(b *testing.B) {
-	pairs := []struct {
-		name     string
-		from, to []dist.DimSpec
-		twoD     bool
-	}{
-		{"blockToCyclic", []dist.DimSpec{dist.BlockDim()}, []dist.DimSpec{dist.CyclicDim(1)}, false},
-		{"blockToCyclic4", []dist.DimSpec{dist.BlockDim()}, []dist.DimSpec{dist.CyclicDim(4)}, false},
-		{"colsToRows", []dist.DimSpec{dist.ElidedDim(), dist.BlockDim()}, []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}, true},
-		{"bblockShift", []dist.DimSpec{dist.BBlockDim(100, 200, 300, 1024)}, []dist.DimSpec{dist.BBlockDim(300, 500, 700, 1024)}, false},
-	}
-	for _, pr := range pairs {
-		for _, n := range []int{1024, 4096} {
-			from, to := pr.from, pr.to
-			n1 := 0
-			n0 := n
-			if pr.twoD {
-				n0 = 64
-				n1 = n / 64
-			}
-			if pr.name == "bblockShift" && n != 1024 {
-				continue // bounds are size-specific
-			}
-			b.Run(fmt.Sprintf("%s/N%d/P4", pr.name, n), func(b *testing.B) {
-				var last apps.RedistCostResult
-				for i := 0; i < b.N; i++ {
-					res, err := apps.RunRedistCost(apps.RedistCostConfig{
-						N0: n0, N1: n1, P: 4, Rounds: 2, From: from, To: to,
-						Alpha: benchAlpha, Beta: benchBeta,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					last = res
-				}
-				b.ReportMetric(last.BytesPerRound, "bytes/redist")
-				b.ReportMetric(last.MsgsPerRound, "msgs/redist")
-			})
-		}
-	}
-}
-
-// BenchmarkRedistributeBudget times the same block->cyclic crossing as
-// BenchmarkRedistribute with the planner capped at an eighth of the
-// array: throughput should hold (pairwise/chunked move the same bytes)
-// while the reported peak wire residency drops below the budget.
+// BenchmarkRedistributeBudget times a block->cyclic crossing unbounded
+// and with the planner capped at an eighth of the array: throughput
+// should hold (pairwise/chunked move the same bytes) while the reported
+// peak wire residency drops below the budget.
 func BenchmarkRedistributeBudget(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		bytesTotal := int64(n * 8)
@@ -348,232 +164,6 @@ func BenchmarkStraggler(b *testing.B) {
 			b.ReportMetric(float64(len(last.Drained)), "drained/run")
 			b.ReportMetric(float64(last.Msgs), "msgs/run")
 		})
-	}
-}
-
-// BenchmarkCkptIO times the crash-safe checkpoint paths.  The save
-// variants compare the per-rank flat layout (one stripe per rank over
-// the distributed dimension — the exchange degenerates to self-copies,
-// the v1-era file shape) against the striped two-phase collective write
-// (4 ranks funnel into 2 I/O servers), without and with the parity
-// stripe.  The restore variants read a committed parity epoch back —
-// clean, and with one stripe file deleted before every iteration so each
-// restore must reconstruct it from parity and heal it on disk.
-func BenchmarkCkptIO(b *testing.B) {
-	const np = 4
-	dom := index.Dim(256, 256) // 512 KiB of float64s, divisible by both stripe counts
-	bytesTotal := int64(dom.Size() * 8)
-	fill := func(p index.Point) float64 { return float64(1000*p[0] + p[1]) }
-
-	declare := func(ctx *machine.Ctx) *darray.Array {
-		tg := ctx.Machine().ProcsDim("$io", np).Whole()
-		d := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
-		a := darray.New(ctx, "A", dom, d)
-		a.FillFunc(ctx, fill)
-		return a
-	}
-
-	save := func(b *testing.B, opts ckpt.Options) {
-		dir := b.TempDir()
-		m := machine.New(np)
-		defer m.Close()
-		b.SetBytes(bytesTotal)
-		if err := m.Run(func(ctx *machine.Ctx) error {
-			a := declare(ctx)
-			if err := ctx.Barrier(); err != nil {
-				return err
-			}
-			if ctx.Rank() == 0 {
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				if _, err := ckpt.SaveOpts(ctx, dir, []*darray.Array{a}, nil, opts); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.Run("save/perRankFlat/P4", func(b *testing.B) {
-		save(b, ckpt.Options{Servers: np, Redundancy: pario.RedundancyNone, Keep: 2})
-	})
-	b.Run("save/striped2/P4", func(b *testing.B) {
-		save(b, ckpt.Options{Servers: 2, Redundancy: pario.RedundancyNone, Keep: 2})
-	})
-	b.Run("save/striped2parity/P4", func(b *testing.B) {
-		save(b, ckpt.Options{Servers: 2, Redundancy: pario.RedundancyParity, Keep: 2})
-	})
-
-	restore := func(b *testing.B, damage bool) {
-		dir := b.TempDir()
-		met := &pario.Metrics{}
-		opts := ckpt.Options{Servers: 2, Redundancy: pario.RedundancyParity, IO: pario.Config{Metrics: met}}
-		m := machine.New(np)
-		defer m.Close()
-		b.SetBytes(bytesTotal)
-		var lost string
-		if err := m.Run(func(ctx *machine.Ctx) error {
-			a := declare(ctx)
-			if err := ctx.Barrier(); err != nil {
-				return err
-			}
-			if _, err := ckpt.SaveOpts(ctx, dir, []*darray.Array{a}, nil, opts); err != nil {
-				return err
-			}
-			if ctx.Rank() == 0 {
-				epoch, man, err := ckpt.LatestEpoch(dir)
-				if err != nil {
-					return err
-				}
-				lost = filepath.Join(ckpt.EpochDir(dir, epoch), man.Stripes[1].Name)
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				if damage && ctx.Rank() == 0 {
-					if err := os.Remove(lost); err != nil {
-						return err
-					}
-				}
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
-				r := darray.NewUndistributed(ctx, "A", dom)
-				if _, err := ckpt.RestoreOpts(ctx, dir, []*darray.Array{r}, opts); err != nil {
-					return err
-				}
-				// The reconstruction also heals the stripe on disk, so the
-				// next iteration's damage starts from a whole epoch again.
-				if err := ctx.Barrier(); err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		if damage && met.Reconstructions.Load() < int64(b.N) {
-			b.Fatalf("reconstructions = %d over %d damaged restores", met.Reconstructions.Load(), b.N)
-		}
-		b.ReportMetric(float64(met.Repairs.Load())/float64(b.N), "repairs/run")
-	}
-	b.Run("restore/clean/P4", func(b *testing.B) { restore(b, false) })
-	b.Run("restore/repairLostStripe/P4", func(b *testing.B) { restore(b, true) })
-}
-
-func BenchmarkPointToPoint(b *testing.B) {
-	for _, size := range []int{64, 4096, 65536} {
-		b.Run(fmt.Sprintf("chan/%dB", size), func(b *testing.B) {
-			tr := msg.NewChanTransport(2)
-			defer tr.Close()
-			payload := make([]byte, size)
-			done := make(chan struct{})
-			go func() {
-				ep := tr.Endpoint(1)
-				for i := 0; i < b.N; i++ {
-					if _, err := ep.Recv(0, 1); err != nil {
-						return
-					}
-				}
-				close(done)
-			}()
-			ep := tr.Endpoint(0)
-			b.ResetTimer()
-			b.SetBytes(int64(size))
-			for i := 0; i < b.N; i++ {
-				if err := ep.Send(1, 1, payload); err != nil {
-					b.Fatal(err)
-				}
-			}
-			<-done
-		})
-	}
-	b.Run("tcp/4096B", func(b *testing.B) {
-		tr, err := msg.NewTCPTransport(2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tr.Close()
-		payload := make([]byte, 4096)
-		done := make(chan struct{})
-		go func() {
-			ep := tr.Endpoint(1)
-			for i := 0; i < b.N; i++ {
-				if _, err := ep.Recv(0, 1); err != nil {
-					return
-				}
-			}
-			close(done)
-		}()
-		ep := tr.Endpoint(0)
-		b.ResetTimer()
-		b.SetBytes(4096)
-		for i := 0; i < b.N; i++ {
-			if err := ep.Send(1, 1, payload); err != nil {
-				b.Fatal(err)
-			}
-		}
-		<-done
-	})
-}
-
-func BenchmarkBarrier(b *testing.B) {
-	for _, np := range []int{2, 8} {
-		b.Run(fmt.Sprintf("P%d", np), func(b *testing.B) {
-			m := machine.New(np)
-			defer m.Close()
-			b.ResetTimer()
-			if err := m.Run(func(ctx *machine.Ctx) error {
-				for i := 0; i < b.N; i++ {
-					ctx.Barrier()
-				}
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
-}
-
-func BenchmarkScheduleBuild(b *testing.B) {
-	m := machine.New(8)
-	defer m.Close()
-	tg := m.ProcsDim("P", 8).Whole()
-	dom := index.Dim(1 << 20)
-	oldD := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
-	newD := dist.MustNew(dist.NewType(dist.CyclicDim(4)), dom, tg)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		g := oldD.LocalGrid(3).Intersect(newD.LocalGrid(5))
-		if g.Count() == 0 {
-			b.Fatal("empty intersection")
-		}
-	}
-}
-
-func BenchmarkGhostExchange(b *testing.B) {
-	m := machine.New(4)
-	defer m.Close()
-	e := NewEngine(m)
-	if err := m.Run(func(ctx *Ctx) error {
-		u := e.MustDeclare(ctx, Decl{Name: "U", Domain: Dim(512, 512), Dynamic: true,
-			Init:  &DistSpec{Type: NewType(Elided(), Block())},
-			Ghost: []int{1, 1}})
-		u.Fill(ctx, 1)
-		ctx.Barrier()
-		if ctx.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			if err := u.ExchangeAllGhosts(ctx); err != nil {
-				return err
-			}
-			ctx.Barrier()
-		}
-		return nil
-	}); err != nil {
-		b.Fatal(err)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/health"
 	"repro/internal/machine"
+	"repro/internal/msg"
 	"repro/internal/pario"
 	"repro/internal/redist"
 	"repro/internal/scale"
@@ -38,7 +39,7 @@ var (
 	beta        = flag.Float64("beta", 1e-8, "modeled per-byte cost (s)")
 	quick       = flag.Bool("quick", false, "smaller sizes (for smoke runs)")
 	traceFile   = flag.String("trace", "", "trace the first dynamic ADI run to FILE (Chrome trace_event JSON) and print its per-phase summary")
-	faultSpec   = flag.String("fault", "", "inject transport faults into the ADI runs, e.g. 'senderr,rank=1,after=3,count=2' (see msg.ParseFaultPlan)")
+	faultSpec   = flag.String("fault", "", "inject transport faults into the ADI runs, e.g. 'senderr,rank=1,after=3,count=2' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
 	commTimeout = flag.Duration("comm-timeout", 0, "per-receive collective deadline for the ADI runs (0 = wait forever; matches vfrun)")
 	commRetries = flag.Int("comm-retries", 0, "bounded retries for failed or timed-out collective operations in the ADI runs (matches vfrun)")
 	ckptDir     = flag.String("ckpt-dir", "", "write coordinated checkpoints of the ADI runs into this directory (see internal/ckpt)")
@@ -52,7 +53,7 @@ var (
 	ioServers   = flag.Int("io-servers", 0, "number of I/O server ranks (stripe files) per checkpoint epoch (0 = min(P,4))")
 	ioRedund    = flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep    = flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
-	ioFault     = flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=stripe-0001' (kinds: eio|short|torn|bitrot|stall; see pario.ParseFaultPlan)")
+	ioFault     = flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=stripe-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
 	healthWin   = flag.Int("health-window", 4, "health scorer observation window for -exp straggler (heartbeat-fed EWMA throughput; matches vfrun)")
 	slowRank    = flag.Int("slow-rank", 2, "physical rank whose compute sections -exp straggler stretches")
 	slowFactor  = flag.Float64("slow-factor", 8, "compute slowdown injected on -slow-rank in -exp straggler (<=1 = no injection)")

@@ -40,7 +40,7 @@ func main() {
 	demo := flag.String("demo", "", "run a built-in paper listing: fig1")
 	report := flag.Bool("analyze", false, "print the reaching-distribution report before running")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace of the run to FILE and print the per-phase summary")
-	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: senderr|recverr|delay|drop; see msg.ParseFaultPlan)")
+	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
 	commTimeout := flag.Duration("comm-timeout", 0, "per-receive deadline inside collectives (0 = wait forever)")
 	commRetries := flag.Int("comm-retries", 0, "bounded retries for failed or timed-out collective operations")
 	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after DISTRIBUTE statements")

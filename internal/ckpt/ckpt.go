@@ -31,9 +31,6 @@
 // checks out or is recoverable through redundancy) and fall back epoch
 // by epoch to the newest verifiably complete one.
 //
-// The format-1 layout (one flat file per rank, PR 4) is still readable;
-// Save always writes format 2.
-//
 // Restore replays the recorded distribution over a *virtual* processor
 // arrangement of the checkpointed size, intersects its ownership grids
 // with the live machine's, and unpacks exactly the spans each surviving
@@ -51,7 +48,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -66,17 +62,12 @@ import (
 	"repro/internal/trace"
 )
 
-// Version is the checkpoint format version Save writes.
+// Version is the checkpoint format version Save writes and the only one
+// Restore reads: an epoch whose manifest names another version is skipped
+// like a damaged one.
 const Version = 2
 
-// VersionV1 is the PR-4 format: one flat file per writing rank, no
-// redundancy.  Still readable by Restore and LatestEpoch.
-const VersionV1 = 1
-
-const (
-	fileMagic   = 0x5646434b // "VFCK": v1 per-rank files
-	stripeMagic = 0x56465354 // "VFST": v2 stripe files
-)
+const stripeMagic = 0x56465354 // "VFST": stripe files
 
 // Options configures the parallel-I/O side of Save/Restore.  The zero
 // value means: min(np, 4) I/O servers, parity redundancy, keep all
@@ -139,14 +130,11 @@ type Manifest struct {
 	// checkpoint, so a recovered run knows where to resume.
 	Meta   map[string]string `json:",omitempty"`
 	Arrays []ArrayMeta
-	// Files lists the per-rank data files of a format-1 epoch.
-	Files []FileMeta `json:",omitempty"`
-	// NS is the stripe count of a format-2 epoch.
+	// NS is the stripe count.
 	NS int `json:",omitempty"`
-	// Redundancy is the format-2 self-healing mode (none|parity|replica).
+	// Redundancy is the self-healing mode (none|parity|replica).
 	Redundancy string `json:",omitempty"`
-	// Stripes lists the stripe files of a format-2 epoch (Rank is the
-	// stripe index).
+	// Stripes lists the stripe files (Rank is the stripe index).
 	Stripes []FileMeta `json:",omitempty"`
 	// Parity is the parity stripe of a parity-redundant epoch.
 	Parity *FileMeta `json:",omitempty"`
@@ -175,8 +163,8 @@ type DimMeta struct {
 	Bounds []int `json:",omitempty"`
 }
 
-// FileMeta records one data file's integrity data.  Rank is the writing
-// rank for format-1 files and the stripe index for format-2 stripes.
+// FileMeta records one data file's integrity data.  Rank is the stripe
+// index.
 type FileMeta struct {
 	Rank int
 	Name string
@@ -195,7 +183,7 @@ func (m *Manifest) MetaInt(key string) (int, bool) {
 	return v, err == nil
 }
 
-// stripeSet builds the pario view of a format-2 epoch's files.
+// stripeSet builds the pario view of an epoch's files.
 func (m *Manifest) stripeSet(epochDir string) pario.StripeSet {
 	set := pario.StripeSet{Dir: epochDir, Redundancy: m.Redundancy}
 	for _, fm := range m.Stripes {
@@ -215,7 +203,6 @@ func EpochDir(dir string, epoch int) string {
 }
 
 func epochDirName(epoch int) string   { return fmt.Sprintf("epoch-%08d", epoch) }
-func rankFileName(rank int) string    { return fmt.Sprintf("rank-%04d.bin", rank) }
 func stripeFileName(s int) string     { return fmt.Sprintf("stripe-%04d.bin", s) }
 func parityFileName() string          { return "parity.bin" }
 func stagingDirName(epoch int) string { return epochDirName(epoch) + ".tmp" }
@@ -261,21 +248,9 @@ func epochsIn(f pario.FS, dir string) ([]int, error) {
 
 // verifyEpoch reports whether an epoch is *verifiably complete*: every
 // data file integrity-checks against the manifest, or — for a
-// redundant format-2 epoch — the damage is within what redundancy can
+// redundant epoch — the damage is within what redundancy can
 // reconstruct.
 func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) bool {
-	if man.Version == VersionV1 {
-		if len(man.Files) != man.NP {
-			return false
-		}
-		for _, fm := range man.Files {
-			data, err := cfg.ReadFile(f, tr, rank, filepath.Join(epochDir, fm.Name))
-			if err != nil || int64(len(data)) != fm.Size || crc32IEEE(data) != fm.CRC {
-				return false
-			}
-		}
-		return true
-	}
 	if man.NS <= 0 || len(man.Stripes) != man.NS {
 		return false
 	}
@@ -292,26 +267,32 @@ func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epoch
 // bit-rotted checkpoint is invisible here, and the newest complete
 // predecessor wins.
 func LatestEpoch(dir string) (int, *Manifest, error) {
-	return latestUsable(pario.OS{}, pario.Config{}, nil, 0, dir)
+	epoch, man, _, err := latestUsable(pario.OS{}, pario.Config{}, nil, 0, dir)
+	return epoch, man, err
 }
 
-func latestUsable(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, dir string) (int, *Manifest, error) {
+// latestUsable also reports why the newest epoch was passed over (nil
+// when it was not), so a restore that finds nothing can say what it saw.
+func latestUsable(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, dir string) (epoch int, man *Manifest, skipped, err error) {
 	epochs, err := epochsIn(f, dir)
 	if err != nil {
-		return -1, nil, err
+		return -1, nil, nil, err
 	}
-	for _, n := range epochs {
+	for i, n := range epochs {
 		epochDir := filepath.Join(dir, epochDirName(n))
 		man, err := readManifest(f, cfg, tr, rank, epochDir)
-		if err != nil {
-			continue // uncommitted or damaged epoch: ignore
+		if err == nil && !verifyEpoch(f, cfg, tr, rank, epochDir, man) {
+			err = fmt.Errorf("ckpt: %s: data files lost or corrupt beyond redundancy", epochDir)
 		}
-		if !verifyEpoch(f, cfg, tr, rank, epochDir, man) {
-			continue // incomplete (lost/corrupt data files): fall back
+		if err == nil {
+			return n, man, skipped, nil
 		}
-		return n, man, nil
+		// Uncommitted, damaged, incomplete or of another format: fall back.
+		if i == 0 {
+			skipped = err
+		}
 	}
-	return -1, nil, nil
+	return -1, nil, skipped, nil
 }
 
 // maxEpochDir returns the highest epoch number with a directory in dir,
@@ -337,8 +318,8 @@ func readManifest(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epoc
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", manifestPath(epochDir), err)
 	}
-	if man.Version != Version && man.Version != VersionV1 {
-		return nil, fmt.Errorf("ckpt: %s: format version %d, want %d or %d", epochDir, man.Version, VersionV1, Version)
+	if man.Version != Version {
+		return nil, fmt.Errorf("ckpt: %s: format version %d, want %d", epochDir, man.Version, Version)
 	}
 	return &man, nil
 }
@@ -458,8 +439,6 @@ func appendU32(b []byte, v uint32) []byte {
 func getU32(b []byte, off int) uint32 {
 	return binary.LittleEndian.Uint32(b[off:])
 }
-
-func crc32IEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
 
 // remapDims adapts np-dependent per-dimension specifiers to a new
 // processor arrangement: S_BLOCK/B_BLOCK segment tables sized for the old

@@ -301,7 +301,7 @@ func TestInterruptedCheckpointInvisible(t *testing.T) {
 	if err := os.MkdirAll(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{rankFileName(0), rankFileName(1), "manifest.json"} {
+	for _, f := range []string{stripeFileName(0), stripeFileName(1), "manifest.json"} {
 		if err := os.WriteFile(filepath.Join(staging, f), []byte("partial garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}

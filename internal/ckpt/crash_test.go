@@ -1,7 +1,6 @@
 package ckpt
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -310,84 +309,42 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	if restoreOpts(t, 2, "chan", dir, opts, valA) != 0 {
 		t.Error("fallback restore reported repairs with no redundancy")
 	}
-}
 
-// writeV1Epoch hand-crafts a committed format-1 epoch (one flat file per
-// rank, BLOCK over two ranks) the way the pre-striping code wrote it.
-func writeV1Epoch(t *testing.T, dir string, dom index.Domain, val func(index.Point) float64) {
-	t.Helper()
-	epochDir := filepath.Join(dir, epochDirName(0))
-	if err := os.MkdirAll(epochDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	man := Manifest{
-		Version: VersionV1, Epoch: 0, NP: 2,
-		Arrays: []ArrayMeta{{
-			Name: "A",
-			Dist: DistMeta{Dims: []DimMeta{{Kind: "BLOCK"}}, TargetExtents: []int{2}},
-			Lo:   []int{dom.Lo[0]}, Hi: []int{dom.Hi[0]},
-		}},
-	}
-	n := dom.Extent(0)
-	half := (n + 1) / 2
-	bounds := [][2]int{{dom.Lo[0], dom.Lo[0] + half - 1}, {dom.Lo[0] + half, dom.Hi[0]}}
-	for r, b := range bounds {
-		buf := appendU32(nil, fileMagic)
-		buf = appendU32(buf, VersionV1)
-		buf = appendU32(buf, 0) // epoch
-		buf = appendU32(buf, uint32(r))
-		buf = appendU32(buf, 1) // narr
-		buf = appendU32(buf, uint32(b[1]-b[0]+1))
-		for i := b[0]; i <= b[1]; i++ {
-			buf = msg.AppendFloat64s(buf, []float64{val(index.Point{i})})
-		}
-		name := rankFileName(r)
-		if err := os.WriteFile(filepath.Join(epochDir, name), buf, 0o644); err != nil {
+	// A stray epoch of the retired format 1 is skipped by its version
+	// number exactly as a damaged one is: the fallback still lands on
+	// epoch 0, and Scrub does not count it.
+	strayV1 := func(dir string, epoch int) {
+		t.Helper()
+		if err := os.MkdirAll(EpochDir(dir, epoch), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		man.Files = append(man.Files, FileMeta{Rank: r, Name: name, Size: int64(len(buf)), CRC: crc32IEEE(buf)})
+		if err := os.WriteFile(manifestPath(EpochDir(dir, epoch)), []byte(`{"Version": 1, "Epoch": 2, "NP": 2}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	b, err := json.MarshalIndent(&man, "", "  ")
-	if err != nil {
-		t.Fatal(err)
+	strayV1(dir, 2)
+	if epoch, _, err := LatestEpoch(dir); err != nil || epoch != 0 {
+		t.Fatalf("LatestEpoch past a format-1 epoch = %d, %v; want 0", epoch, err)
 	}
-	if err := os.WriteFile(manifestPath(epochDir), b, 0o644); err != nil {
-		t.Fatal(err)
+	restoreOpts(t, 2, "chan", dir, opts, valA)
+	if sum, err := Scrub(dir, opts); err != nil || sum.Epochs != 2 {
+		t.Fatalf("Scrub = %+v, %v; want the two format-2 epochs only", sum, err)
 	}
-}
-
-// TestV1Compat: a format-1 checkpoint written before the striped layout
-// still restores — on the same rank count (the bit-identical fast path)
-// and across a resize — and Scrub verifies it without inventing repairs.
-func TestV1Compat(t *testing.T) {
-	dir := t.TempDir()
-	dom := domFor("block")
-	writeV1Epoch(t, dir, dom, fill)
-
-	epoch, man, err := LatestEpoch(dir)
-	if err != nil || epoch != 0 || man.Version != VersionV1 {
-		t.Fatalf("LatestEpoch = %d, %+v, %v", epoch, man, err)
+	// Alone in a directory it is no checkpoint at all, and the restore
+	// error says which version it found.
+	only := t.TempDir()
+	strayV1(only, 2)
+	if epoch, man, err := LatestEpoch(only); err != nil || epoch != -1 || man != nil {
+		t.Fatalf("LatestEpoch of a format-1 epoch = %d, %v, %v; want -1", epoch, man, err)
 	}
-	restoreOpts(t, 2, "chan", dir, Options{}, fill)
-	restoreOpts(t, 3, "chan", dir, Options{}, fill)
-
-	sum, err := Scrub(dir, Options{})
-	if err != nil || sum.Epochs != 1 || sum.Checked != 2 || len(sum.Repaired) != 0 || len(sum.Unrecoverable) != 0 {
-		t.Fatalf("Scrub(v1) = %+v, %v", sum, err)
-	}
-
-	// Damaged v1 files have no redundancy: Scrub reports, restore falls
-	// through to an error rather than serving rotten bytes.
-	rotPath := filepath.Join(EpochDir(dir, 0), rankFileName(1))
-	data, _ := os.ReadFile(rotPath)
-	data[len(data)-1] ^= 0xff
-	os.WriteFile(rotPath, data, 0o644)
-	sum, err = Scrub(dir, Options{})
-	if err != nil || len(sum.Unrecoverable) != 1 {
-		t.Fatalf("Scrub(rotten v1) = %+v, %v", sum, err)
-	}
-	if epoch, _, err := LatestEpoch(dir); err != nil || epoch != -1 {
-		t.Fatalf("rotten v1 epoch still visible: %d, %v", epoch, err)
+	m := machine.New(1)
+	defer m.Close()
+	err = m.Run(func(ctx *machine.Ctx) error {
+		_, err := RestoreOpts(ctx, only, []*darray.Array{darray.NewUndistributed(ctx, "A", domFor("block"))}, opts)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "no committed checkpoint") || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("restore of a format-1 epoch = %v, want an error naming the version", err)
 	}
 }
 

@@ -67,10 +67,12 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	var manBytes []byte
 	var scanErr error
 	if rank == 0 {
-		epoch, man, err := latestUsable(f, cfg, tr, rank, dir)
+		epoch, man, skipped, err := latestUsable(f, cfg, tr, rank, dir)
 		switch {
 		case err != nil:
 			scanErr = err
+		case epoch < 0 && skipped != nil:
+			scanErr = fmt.Errorf("ckpt: no committed checkpoint in %s (newest epoch skipped: %v)", dir, skipped)
 		case epoch < 0:
 			scanErr = fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
 		default:
@@ -103,24 +105,12 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 
 	res := &RestoreResult{Manifest: &man, Resized: man.NP != np}
 
-	// The two formats differ only in where the recorded bytes live: v1
-	// keys payloads by writing rank (so the old distribution must be
-	// replayed to know what each file holds), v2 by stripe of the
-	// canonical file order (layout-independent).  Readers cache files so
-	// each rank touches each file at most once per restore.
-	var v1 *v1Reader
-	var v2 *stripeReader
-	if man.Version == VersionV1 {
-		if len(man.Files) != man.NP {
-			return nil, fmt.Errorf("ckpt: manifest lists %d files for %d ranks", len(man.Files), man.NP)
-		}
-		v1 = newV1Reader(f, cfg, tr, rank, epochDir, &man)
-	} else {
-		if man.NS <= 0 || len(man.Stripes) != man.NS {
-			return nil, fmt.Errorf("ckpt: manifest lists %d stripes for NS=%d", len(man.Stripes), man.NS)
-		}
-		v2 = newStripeReader(f, cfg, tr, rank, epochDir, &man)
+	// The reader caches stripe files, so each rank touches each file at
+	// most once per restore.
+	if man.NS <= 0 || len(man.Stripes) != man.NS {
+		return nil, fmt.Errorf("ckpt: manifest lists %d stripes for NS=%d", len(man.Stripes), man.NS)
 	}
+	stripes := newStripeReader(f, cfg, tr, rank, epochDir, &man)
 
 	for ai, am := range man.Arrays {
 		arr, ok := byName[am.Name]
@@ -180,29 +170,12 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		l := arr.Local(ctx)
 		myGrid := l.Grid()
 
-		var fillErr error
-		if v2 != nil {
-			fillErr = v2.fill(l, myGrid, am, ai, dom)
-		} else {
-			// v1: the old distribution, replayed over a virtual
-			// arrangement of the recorded size.  Built once and shared
-			// (SPMD) so its memoized ownership tables exist once.
-			old := ctx.CollectiveOnce(func() any {
-				d, err := replay(am.Dist, dom)
-				return distOrErr{d, err}
-			}).(distOrErr)
-			if old.err != nil {
-				return nil, fmt.Errorf("ckpt: array %s: %w", am.Name, old.err)
-			}
-			fillErr = v1.fill(l, myGrid, old.d, ai, man.NP)
-		}
+		fillErr := stripes.fill(l, myGrid, am, ai, dom)
 		if err := agree(ctx, fillErr); err != nil {
 			return nil, fmt.Errorf("ckpt: array %s: restore: %w", am.Name, err)
 		}
 	}
-	if v2 != nil {
-		res.Repaired = v2.repaired
-	}
+	res.Repaired = stripes.repaired
 	if err := ctx.Barrier(); err != nil {
 		return nil, fmt.Errorf("ckpt: restore barrier: %w", err)
 	}
@@ -210,7 +183,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 }
 
 // stripeReader reads, verifies (and if need be reconstructs and heals)
-// the stripe files of one format-2 epoch, parsing each into per-array
+// the stripe files of one epoch, parsing each into per-array
 // payloads on first touch.
 type stripeReader struct {
 	f        pario.FS

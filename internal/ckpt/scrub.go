@@ -52,17 +52,6 @@ func Scrub(dir string, opts Options) (*ScrubSummary, error) {
 			continue // uncommitted or damaged epoch: not scrubbable
 		}
 		sum.Epochs++
-		if man.Version == VersionV1 {
-			// No redundancy to heal from: verify and report only.
-			for _, fm := range man.Files {
-				sum.Checked++
-				data, err := cfg.ReadFile(f, tr, 0, filepath.Join(epochDir, fm.Name))
-				if err != nil || int64(len(data)) != fm.Size || crc32IEEE(data) != fm.CRC {
-					sum.Unrecoverable = append(sum.Unrecoverable, filepath.Join(epochDirName(n), fm.Name))
-				}
-			}
-			continue
-		}
 		set := man.stripeSet(epochDir)
 		rep, err := set.Scrub(f, cfg, tr, 0)
 		if err != nil {

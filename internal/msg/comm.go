@@ -516,10 +516,65 @@ func (c *Comm) AllgatherInts(vals []int) ([][]int, error) {
 	return out, nil
 }
 
+// ring is the one all-to-all exchange: a barrier-free staggered ring in
+// which round r sends to rank+r and then receives from rank-r, so every
+// peer is busy with a different partner.  pack(to) produces the payload
+// for a remote peer immediately before its send (nil = no message);
+// recvFrom[j] says a message from j is expected; consume(from, data) gets
+// each payload immediately after its receive.  The whole exchange uses
+// the one collective tag the caller drew, identical on every rank.
+func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
+	np, rank := c.NP(), c.Rank()
+	for r := 1; r < np; r++ {
+		to := (rank + r) % np
+		from := (rank - r + np) % np
+		buf, err := pack(to)
+		if err != nil {
+			return fmt.Errorf("msg: %s: rank %d: pack for %d: %w", op, rank, to, err)
+		}
+		if buf != nil {
+			if err := c.send(op, to, tag, buf); err != nil {
+				return err
+			}
+		}
+		if recvFrom[from] {
+			p, err := c.recv(op, from, tag)
+			if err != nil {
+				return err
+			}
+			if err := consume(from, p.Data); err != nil {
+				return fmt.Errorf("msg: %s: rank %d: consume from %d: %w", op, rank, from, err)
+			}
+		}
+	}
+	return nil
+}
+
+// exchange runs the ring over buffers that all exist up front: send[i]
+// goes to processor i (nil is skipped, the self-transfer is a local
+// copy) and the NP buffers received come back (recv[j] is from j).
+func (c *Comm) exchange(op string, tag int, send [][]byte, recvFrom []bool) ([][]byte, error) {
+	rank := c.Rank()
+	recv := make([][]byte, len(send))
+	if send[rank] != nil {
+		cp := make([]byte, len(send[rank]))
+		copy(cp, send[rank])
+		recv[rank] = cp
+	}
+	err := c.ring(op, tag,
+		func(to int) ([]byte, error) { return send[to], nil },
+		recvFrom,
+		func(from int, data []byte) error { recv[from] = data; return nil })
+	if err != nil {
+		return nil, err
+	}
+	return recv, nil
+}
+
 // Alltoallv sends send[i] to processor i and returns the NP buffers
 // received (recv[j] is from processor j).  nil/empty sends are skipped —
 // message counts reflect only real traffic, matching how a redistribution
-// executes.  A barrier-free ring schedule staggers the peers.
+// executes.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	np, rank := c.NP(), c.Rank()
 	if len(send) != np {
@@ -529,12 +584,6 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 		defer c.span("alltoallv").End()
 	}
 	tag := c.nextTag()
-	recv := make([][]byte, np)
-	if send[rank] != nil {
-		cp := make([]byte, len(send[rank]))
-		copy(cp, send[rank])
-		recv[rank] = cp
-	}
 	// Peers learn what to expect through an allgather of per-destination
 	// sizes (-1 marks "no message"); only real payloads then move, so the
 	// payload message counts reflect the actual transfer pattern.
@@ -549,23 +598,11 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msg: alltoallv: rank %d: size exchange: %w", rank, err)
 	}
-	for r := 1; r < np; r++ {
-		to := (rank + r) % np
-		from := (rank - r + np) % np
-		if send[to] != nil {
-			if err := c.send("alltoallv", to, tag, send[to]); err != nil {
-				return nil, err
-			}
-		}
-		if allSizes[from][rank] >= 0 {
-			p, err := c.recv("alltoallv", from, tag)
-			if err != nil {
-				return nil, err
-			}
-			recv[from] = p.Data
-		}
+	recvFrom := make([]bool, np)
+	for from := range recvFrom {
+		recvFrom[from] = allSizes[from][rank] >= 0
 	}
-	return recv, nil
+	return c.exchange("alltoallv", tag, send, recvFrom)
 }
 
 // Scatterv distributes bufs[r] from root to each rank r; every rank
@@ -606,37 +643,13 @@ func (c *Comm) Scatterv(root int, bufs [][]byte) ([]byte, error) {
 // count equals the number of non-empty transfers — exactly the paper's
 // cost model for DISTRIBUTE.
 func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) {
-	np, rank := c.NP(), c.Rank()
-	if len(send) != np || len(recvFrom) != np {
+	if np := c.NP(); len(send) != np || len(recvFrom) != np {
 		return nil, fmt.Errorf("msg: alltoallv-sched needs %d buffers/flags, got %d/%d", np, len(send), len(recvFrom))
 	}
 	if c.tr != nil {
 		defer c.span("alltoallv-sched").End()
 	}
-	tag := c.nextTag()
-	recv := make([][]byte, np)
-	if send[rank] != nil {
-		cp := make([]byte, len(send[rank]))
-		copy(cp, send[rank])
-		recv[rank] = cp
-	}
-	for r := 1; r < np; r++ {
-		to := (rank + r) % np
-		from := (rank - r + np) % np
-		if send[to] != nil {
-			if err := c.send("alltoallv-sched", to, tag, send[to]); err != nil {
-				return nil, err
-			}
-		}
-		if recvFrom[from] {
-			p, err := c.recv("alltoallv-sched", from, tag)
-			if err != nil {
-				return nil, err
-			}
-			recv[from] = p.Data
-		}
-	}
-	return recv, nil
+	return c.exchange("alltoallv-sched", c.nextTag(), send, recvFrom)
 }
 
 // AlltoallvStream is AlltoallvSched with just-in-time buffers: the same
@@ -655,37 +668,13 @@ func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) 
 // returns.  Tag discipline matches the other collectives: one fresh
 // collective tag for the whole exchange, identical on every rank.
 func (c *Comm) AlltoallvStream(pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
-	np, rank := c.NP(), c.Rank()
-	if len(recvFrom) != np {
+	if np := c.NP(); len(recvFrom) != np {
 		return fmt.Errorf("msg: alltoallv-stream needs %d recv flags, got %d", np, len(recvFrom))
 	}
 	if c.tr != nil {
 		defer c.span("alltoallv-stream").End()
 	}
-	tag := c.nextTag()
-	for r := 1; r < np; r++ {
-		to := (rank + r) % np
-		from := (rank - r + np) % np
-		buf, err := pack(to)
-		if err != nil {
-			return fmt.Errorf("msg: alltoallv-stream: rank %d: pack for %d: %w", rank, to, err)
-		}
-		if buf != nil {
-			if err := c.send("alltoallv-stream", to, tag, buf); err != nil {
-				return err
-			}
-		}
-		if recvFrom[from] {
-			p, err := c.recv("alltoallv-stream", from, tag)
-			if err != nil {
-				return err
-			}
-			if err := consume(from, p.Data); err != nil {
-				return fmt.Errorf("msg: alltoallv-stream: rank %d: consume from %d: %w", rank, from, err)
-			}
-		}
-	}
-	return nil
+	return c.ring("alltoallv-stream", c.nextTag(), pack, recvFrom, consume)
 }
 
 // SendRecv exchanges buffers with two (possibly different) peers in one

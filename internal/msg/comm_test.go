@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -283,6 +284,75 @@ func TestAlltoallvStream(t *testing.T) {
 			}
 		}
 		tr.Close()
+	}
+}
+
+// TestAlltoallvStreamDifferential pushes one holey send matrix (nil,
+// empty and non-empty cells, a self-transfer) through all three entry
+// points of the one ring, each on a fresh transport of both kinds:
+// identical payloads from each, and AlltoallvSched and AlltoallvStream
+// identical message and byte counts (Alltoallv adds its size allgather,
+// so its counts are not compared).
+func TestAlltoallvStreamDifferential(t *testing.T) {
+	cell := func(from, to, np int) []byte {
+		switch (from*3 + to) % 4 {
+		case 0:
+			return nil
+		case 1:
+			return []byte{}
+		}
+		return EncodeInts([]int{from, to, from*np + to})[:8+(from+to)%9]
+	}
+	entry := map[string]func(c *Comm, send [][]byte, recvFrom []bool) ([][]byte, error){
+		"alltoallv": func(c *Comm, send [][]byte, _ []bool) ([][]byte, error) { return c.Alltoallv(send) },
+		"sched":     (*Comm).AlltoallvSched,
+		"stream": func(c *Comm, send [][]byte, recvFrom []bool) ([][]byte, error) {
+			recv := make([][]byte, len(send))
+			recv[c.Rank()] = send[c.Rank()] // the caller's local copy
+			return recv, c.AlltoallvStream(
+				func(to int) ([]byte, error) { return send[to], nil },
+				recvFrom,
+				func(from int, data []byte) error { recv[from] = append([]byte{}, data...); return nil })
+		},
+	}
+	for _, transport := range []string{"chan", "tcp"} {
+		for _, np := range []int{1, 5} {
+			moved := map[string]Snapshot{}
+			for name, run := range entry {
+				var tr Transport = NewChanTransport(np)
+				if transport == "tcp" {
+					tcp, err := NewTCPTransport(np)
+					if err != nil {
+						t.Fatal(err)
+					}
+					tr = tcp
+				}
+				runCommsOn(t, tr, func(c *Comm) error {
+					rank := c.Rank()
+					send := make([][]byte, np)
+					recvFrom := make([]bool, np)
+					for p := 0; p < np; p++ {
+						send[p] = cell(rank, p, np)
+						recvFrom[p] = cell(p, rank, np) != nil
+					}
+					recv, err := run(c, send, recvFrom)
+					if err != nil {
+						return err
+					}
+					for from, got := range recv {
+						if want := cell(from, rank, np); (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+							t.Errorf("%s np=%d rank %d: %s from %d = %v, want %v", transport, np, rank, name, from, got, want)
+						}
+					}
+					return nil
+				})
+				moved[name] = tr.Stats().Snapshot()
+				tr.Close()
+			}
+			if a, b := moved["sched"], moved["stream"]; a.TotalMsgs() != b.TotalMsgs() || a.TotalBytes() != b.TotalBytes() {
+				t.Errorf("%s np=%d: sched moved %v, stream %v", transport, np, a, b)
+			}
+		}
 	}
 }
 

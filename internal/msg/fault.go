@@ -3,12 +3,12 @@ package msg
 import (
 	"errors"
 	"fmt"
-	"math/rand"
+	"math"
+	"slices"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/fault"
 	"repro/internal/trace"
 )
 
@@ -56,21 +56,22 @@ const (
 	FaultSlow
 )
 
-var faultKindNames = map[FaultKind]string{
-	FaultSendErr:   "senderr",
-	FaultRecvErr:   "recverr",
-	FaultRecvDelay: "delay",
-	FaultDrop:      "drop",
-	FaultCorrupt:   "corrupt",
-	FaultSlow:      "slow",
+// faultKinds is the wire half of the plan grammar; the row order is the
+// FaultKind numbering.
+var faultKinds = fault.Kinds{
+	FaultSendErr:   {Name: "senderr"},
+	FaultRecvErr:   {Name: "recverr"},
+	FaultRecvDelay: {Name: "delay", NeedDelay: true},
+	FaultDrop:      {Name: "drop"},
+	FaultCorrupt:   {Name: "corrupt", Alias: "bitflip"},
+	FaultSlow:      {Name: "slow", NeedDelay: true},
 }
 
-func (k FaultKind) String() string {
-	if s, ok := faultKindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
+func (k FaultKind) String() string { return faultKinds.Name(int(k)) }
+
+// FaultKinds returns the plan syntax's kind names as "a|b|c", for help
+// texts.
+func FaultKinds() string { return faultKinds.List() }
 
 // FaultRule describes one deterministic fault schedule.  A rule watches the
 // matching operations of one endpoint (sends for FaultSendErr /
@@ -86,17 +87,11 @@ type FaultRule struct {
 	// kinds, the requested source for FaultRecvErr (-1 = any; a receive
 	// from AnySource matches any Peer).
 	Peer int
-	// After skips the first After matching operations.
-	After int
-	// Count fires on the next Count matches after After; 0 means every
-	// subsequent match (a persistent fault).
-	Count int
-	// Every, when > 0, fires on every Every-th match after After instead
-	// of the Count window.
-	Every int
-	// Prob, when > 0, fires each match after After with this probability
-	// using the plan's seeded per-rank RNG instead of Count/Every.
-	Prob float64
+	// After, Count, Every and Prob select which of the matching
+	// operations fire; they are fault.Window's fields, documented there
+	// (Count 0 = every match after After, a persistent fault).
+	After, Count, Every int
+	Prob                float64
 	// Delay is the injected latency for FaultRecvDelay, and the base
 	// per-operation latency for FaultSlow.
 	Delay time.Duration
@@ -140,89 +135,41 @@ func (p *FaultPlan) HasKind(k FaultKind) bool {
 //
 //	senderr,rank=1,after=3,count=2;drop,peer=2,count=1;delay,delay=20ms,every=5
 //
-// Kinds: senderr, recverr, delay, drop, corrupt, slow.  Options: rank,
-// peer, after, count, every, prob, delay (a Go duration), factor (the
-// FaultSlow multiplier).  A bare "seed=N" segment sets the plan seed for
-// prob rules.
+// Kinds: senderr, recverr, delay, drop, corrupt (or bitflip), slow.
+// Options: the common rank, after, count, every, prob and delay (a Go
+// duration), plus peer, factor (the FaultSlow multiplier) and win.  A
+// bare "seed=N" segment sets the plan seed for prob rules.  fault.Parse
+// has the grammar and the value ranges.
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	plan := &FaultPlan{}
-	for _, seg := range strings.Split(spec, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if v, ok := strings.CutPrefix(seg, "seed="); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("msg: fault plan: bad seed %q", v)
-			}
-			plan.Seed = n
-			continue
-		}
-		fields := strings.Split(seg, ",")
-		r := FaultRule{Rank: -1, Peer: -1}
-		switch fields[0] {
-		case "senderr":
-			r.Kind = FaultSendErr
-		case "recverr":
-			r.Kind = FaultRecvErr
-		case "delay":
-			r.Kind = FaultRecvDelay
-		case "drop":
-			r.Kind = FaultDrop
-		case "corrupt", "bitflip":
-			r.Kind = FaultCorrupt
-		case "slow":
-			r.Kind = FaultSlow
-		default:
-			return nil, fmt.Errorf("msg: fault plan: unknown kind %q (want senderr|recverr|delay|drop|corrupt|slow)", fields[0])
-		}
-		for _, f := range fields[1:] {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				return nil, fmt.Errorf("msg: fault plan: bad option %q (want key=value)", f)
-			}
-			var err error
-			switch k {
-			case "rank":
-				r.Rank, err = strconv.Atoi(v)
-			case "peer":
-				r.Peer, err = strconv.Atoi(v)
-			case "after":
-				r.After, err = strconv.Atoi(v)
-			case "count":
-				r.Count, err = strconv.Atoi(v)
-			case "every":
-				r.Every, err = strconv.Atoi(v)
-			case "prob":
-				r.Prob, err = strconv.ParseFloat(v, 64)
-			case "delay":
-				r.Delay, err = time.ParseDuration(v)
-			case "factor":
-				r.Factor, err = strconv.ParseFloat(v, 64)
-			case "win":
-				var n int
-				n, err = strconv.Atoi(v)
-				r.Win = n != 0
-			default:
-				err = fmt.Errorf("unknown option %q", k)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("msg: fault plan: option %q: %v", f, err)
-			}
-		}
-		if r.Kind == FaultRecvDelay && r.Delay <= 0 {
-			return nil, fmt.Errorf("msg: fault plan: delay rule needs delay=<duration>")
-		}
-		if r.Kind == FaultSlow && r.Delay <= 0 {
-			return nil, fmt.Errorf("msg: fault plan: slow rule needs delay=<duration> (the base per-operation latency)")
-		}
-		plan.Rules = append(plan.Rules, r)
-	}
-	if len(plan.Rules) == 0 {
-		return nil, fmt.Errorf("msg: fault plan: no rules in %q", spec)
+	var err error
+	plan.Seed, err = fault.Parse(spec, "msg", faultKinds, func(kind int) fault.Fields {
+		plan.Rules = append(plan.Rules, FaultRule{Kind: FaultKind(kind), Rank: -1, Peer: -1})
+		r := &plan.Rules[len(plan.Rules)-1]
+		return fault.Fields{Rank: &r.Rank, After: &r.After, Count: &r.Count, Every: &r.Every,
+			Prob: &r.Prob, Delay: &r.Delay, Set: r.setOption}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return plan, nil
+}
+
+// setOption stores one of the wire-only plan options.
+func (r *FaultRule) setOption(k, v string) (ok bool, err error) {
+	switch k {
+	case "peer":
+		r.Peer, err = fault.Int(v, -1)
+	case "factor":
+		r.Factor, err = fault.Float(v, 0, math.Inf(1))
+	case "win":
+		var n int
+		n, err = strconv.Atoi(v)
+		r.Win = n != 0
+	default:
+		return false, nil
+	}
+	return true, err
 }
 
 // FaultTransport decorates any Transport with deterministic fault
@@ -249,14 +196,11 @@ func NewFaultTransport(inner Transport, plan *FaultPlan) *FaultTransport {
 	t := &FaultTransport{inner: inner, plan: plan}
 	t.eps = make([]*faultEndpoint, inner.NP())
 	for r := range t.eps {
-		ep := &faultEndpoint{
+		t.eps[r] = &faultEndpoint{
 			t:     t,
 			inner: inner.Endpoint(r),
-			rng:   rand.New(rand.NewSource(plan.Seed + int64(r))),
-			armed: !plan.StartDisarmed,
-			seen:  make([]int, len(plan.Rules)),
+			inj:   fault.NewInjector(plan.Seed, r, !plan.StartDisarmed, plan.Rules, (*FaultRule).window),
 		}
-		t.eps[r] = ep
 	}
 	return t
 }
@@ -284,19 +228,15 @@ func (t *FaultTransport) Tracer() *trace.Tracer { return t.inner.Tracer() }
 // Arm enables injection on rank's endpoint.  For plans built with
 // StartDisarmed, a test arms each rank at a point where that rank's next
 // matching operation is the first of the phase under test.
-func (t *FaultTransport) Arm(rank int) { t.eps[rank].setArmed(true) }
+func (t *FaultTransport) Arm(rank int) { t.eps[rank].inj.SetArmed(true) }
 
 // Disarm disables injection on rank's endpoint.
-func (t *FaultTransport) Disarm(rank int) { t.eps[rank].setArmed(false) }
+func (t *FaultTransport) Disarm(rank int) { t.eps[rank].inj.SetArmed(false) }
 
 type faultEndpoint struct {
 	t     *FaultTransport
 	inner Endpoint
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	armed bool
-	seen  []int // per-rule count of matching operations
+	inj   *fault.Injector[FaultRule]
 }
 
 func (e *faultEndpoint) Rank() int { return e.inner.Rank() }
@@ -305,12 +245,6 @@ func (e *faultEndpoint) NP() int   { return e.inner.NP() }
 // Tracer exposes the wrapped transport's tracer so Comm still records
 // collective spans when running over a FaultTransport.
 func (e *faultEndpoint) Tracer() *trace.Tracer { return e.t.inner.Tracer() }
-
-func (e *faultEndpoint) setArmed(v bool) {
-	e.mu.Lock()
-	e.armed = v
-	e.mu.Unlock()
-}
 
 // isWinTag reports whether a wire tag belongs to the one-sided window
 // tag space (after stripping any folded membership epoch).
@@ -322,56 +256,19 @@ func isWinTag(tag int) bool {
 	return t >= TagRMABase && t < TagCollBase
 }
 
-// fire decides whether any rule of the given kinds fires for an operation
-// with the given peer and tag, advancing the per-rule match counters.
+func (r *FaultRule) window() fault.Window {
+	return fault.Window{After: r.After, Count: r.Count, Every: r.Every, Prob: r.Prob}
+}
+
+// fire runs one operation with the given peer and tag past the schedule
+// and returns the first rule of the given kinds that fires on it.
 func (e *faultEndpoint) fire(peer, tag int, kinds ...FaultKind) *FaultRule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.armed {
-		return nil
-	}
-	var hit *FaultRule
-	for i := range e.t.plan.Rules {
-		r := &e.t.plan.Rules[i]
-		match := false
-		for _, k := range kinds {
-			if r.Kind == k {
-				match = true
-			}
-		}
-		if !match {
-			continue
-		}
-		if r.Rank >= 0 && r.Rank != e.inner.Rank() {
-			continue
-		}
-		if r.Peer >= 0 && peer != AnySource && r.Peer != peer {
-			continue
-		}
-		if r.Win && !isWinTag(tag) {
-			continue
-		}
-		n := e.seen[i]
-		e.seen[i]++
-		if n < r.After {
-			continue
-		}
-		fired := false
-		switch {
-		case r.Prob > 0:
-			fired = e.rng.Float64() < r.Prob
-		case r.Every > 0:
-			fired = (n-r.After)%r.Every == 0
-		case r.Count <= 0:
-			fired = true
-		default:
-			fired = n-r.After < r.Count
-		}
-		if fired && hit == nil {
-			hit = r
-		}
-	}
-	return hit
+	return e.inj.Fire(func(r *FaultRule) bool {
+		return slices.Contains(kinds, r.Kind) &&
+			(r.Rank < 0 || r.Rank == e.inner.Rank()) &&
+			(r.Peer < 0 || peer == AnySource || r.Peer == peer) &&
+			(!r.Win || isWinTag(tag))
+	})
 }
 
 // SharedMemory forwards the one-sided fast-path capability.  Injection

@@ -8,8 +8,31 @@ import (
 	"time"
 )
 
+const goodFaultPlan = "senderr,rank=1,after=3,count=2;drop,peer=2,count=1;delay,delay=20ms,every=5;seed=7"
+
+var badFaultPlans = []string{
+	"",
+	"frobnicate,count=1",
+	"senderr,count",
+	"senderr,bogus=1",
+	"delay,every=2", // delay kind without delay=<duration>
+	"seed=xyzzy",
+	// out-of-range values used to turn a scheduled fault into a
+	// permanent one (or rank=-2 into "every rank") silently
+	"senderr,prob=-0.2",
+	"senderr,prob=1.5",
+	"senderr,prob=NaN",
+	"senderr,count=-1",
+	"senderr,after=-1",
+	"senderr,every=-3",
+	"senderr,rank=-2",
+	"senderr,peer=-2",
+	"slow,delay=1ms,factor=-8",
+	"delay,delay=-20ms",
+}
+
 func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("senderr,rank=1,after=3,count=2;drop,peer=2,count=1;delay,delay=20ms,every=5;seed=7")
+	plan, err := ParseFaultPlan(goodFaultPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,14 +50,7 @@ func TestParseFaultPlan(t *testing.T) {
 		t.Errorf("rule 2 = %+v", plan.Rules[2])
 	}
 
-	for _, bad := range []string{
-		"",
-		"frobnicate,count=1",
-		"senderr,count",
-		"senderr,bogus=1",
-		"delay,every=2", // delay kind without delay=<duration>
-		"seed=xyzzy",
-	} {
+	for _, bad := range badFaultPlans {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) should fail", bad)
 		}
@@ -246,5 +262,36 @@ func TestCollectiveHealsAfterTransientSendErr(t *testing.T) {
 			t.Errorf("rank %d: bcast got %d", c.Rank(), got)
 		}
 		return nil
+	})
+}
+
+// FuzzParseFaultPlan: the parser never panics, and whatever it accepts
+// is a schedule that means what it says — no value out of range that the
+// firing rule would silently read as "persistent" or "every rank".
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Add(goodFaultPlan)
+	f.Add("slow,rank=2,delay=100us,factor=8;bitflip,win=1,prob=0.5")
+	for _, bad := range badFaultPlans {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseFaultPlan(spec)
+		if err != nil {
+			if plan != nil || !strings.HasPrefix(err.Error(), "msg: fault plan: ") {
+				t.Fatalf("ParseFaultPlan(%q) = %v, %v", spec, plan, err)
+			}
+			return
+		}
+		if len(plan.Rules) == 0 {
+			t.Fatalf("ParseFaultPlan(%q) accepted a plan with no rules", spec)
+		}
+		for _, r := range plan.Rules {
+			if r.Kind < 0 || int(r.Kind) >= len(faultKinds) ||
+				r.Rank < -1 || r.Peer < -1 || r.After < 0 || r.Count < 0 || r.Every < 0 ||
+				!(r.Prob >= 0 && r.Prob <= 1) || r.Delay < 0 || !(r.Factor >= 0) ||
+				(faultKinds[r.Kind].NeedDelay && r.Delay <= 0) {
+				t.Fatalf("ParseFaultPlan(%q) accepted out-of-range rule %+v", spec, r)
+			}
+		}
 	})
 }

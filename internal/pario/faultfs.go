@@ -4,13 +4,14 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
-	"math/rand"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/fault"
 )
 
 // ErrInjected is the error produced by injected I/O faults.  An injected
@@ -47,20 +48,21 @@ const (
 	FaultStall
 )
 
-var faultKindNames = map[FaultKind]string{
-	FaultEIO:        "eio",
-	FaultWriteShort: "short",
-	FaultTornRename: "torn",
-	FaultBitrot:     "bitrot",
-	FaultStall:      "stall",
+// faultKinds is the disk half of the plan grammar; the row order is the
+// FaultKind numbering.
+var faultKinds = fault.Kinds{
+	FaultEIO:        {Name: "eio"},
+	FaultWriteShort: {Name: "short"},
+	FaultTornRename: {Name: "torn"},
+	FaultBitrot:     {Name: "bitrot"},
+	FaultStall:      {Name: "stall", NeedDelay: true},
 }
 
-func (k FaultKind) String() string {
-	if s, ok := faultKindNames[k]; ok {
-		return s
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
+func (k FaultKind) String() string { return faultKinds.Name(int(k)) }
+
+// FaultKinds returns the plan syntax's kind names as "a|b|c", for help
+// texts.
+func FaultKinds() string { return faultKinds.List() }
 
 // FaultRule describes one deterministic disk-fault schedule.  A rule
 // watches the matching operations of one rank's FS endpoint and fires on
@@ -80,17 +82,11 @@ type FaultRule struct {
 	// e.g. path=manifest targets the manifest write, path=stripe- the
 	// stripe files.
 	Path string
-	// After skips the first After matching operations.
-	After int
-	// Count fires on the next Count matches after After; 0 means every
-	// subsequent match (a persistent fault).
-	Count int
-	// Every, when > 0, fires on every Every-th match after After instead
-	// of the Count window.
-	Every int
-	// Prob, when > 0, fires each match after After with this probability
-	// using the plan's seeded per-rank RNG instead of Count/Every.
-	Prob float64
+	// After, Count, Every and Prob select which of the matching
+	// operations fire; they are fault.Window's fields, documented there
+	// (Count 0 = every match after After, a persistent fault).
+	After, Count, Every int
+	Prob                float64
 	// Delay is the injected latency for FaultStall.
 	Delay time.Duration
 }
@@ -122,85 +118,44 @@ func (p *FaultPlan) HasKind(k FaultKind) bool {
 //
 //	eio,op=write,path=stripe-,rank=1,count=2;stall,delay=20ms,every=3
 //
-// Kinds: eio, short, torn, bitrot, stall.  Options: op, rank, path,
-// after, count, every, prob, delay (a Go duration).  A bare "seed=N"
-// segment sets the plan seed for prob rules.
+// Kinds: eio, short, torn, bitrot, stall.  Options: the common rank,
+// after, count, every, prob and delay (a Go duration), plus op and path.
+// A bare "seed=N" segment sets the plan seed for prob rules.  fault.Parse
+// has the grammar and the value ranges.
 func ParseFaultPlan(spec string) (*FaultPlan, error) {
 	plan := &FaultPlan{}
-	for _, seg := range strings.Split(spec, ";") {
-		seg = strings.TrimSpace(seg)
-		if seg == "" {
-			continue
-		}
-		if v, ok := strings.CutPrefix(seg, "seed="); ok {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				return nil, fmt.Errorf("pario: fault plan: bad seed %q", v)
-			}
-			plan.Seed = n
-			continue
-		}
-		fields := strings.Split(seg, ",")
-		r := FaultRule{Rank: -1}
-		switch fields[0] {
-		case "eio":
-			r.Kind = FaultEIO
-		case "short":
-			r.Kind = FaultWriteShort
-		case "torn":
-			r.Kind = FaultTornRename
-		case "bitrot":
-			r.Kind = FaultBitrot
-		case "stall":
-			r.Kind = FaultStall
-		default:
-			return nil, fmt.Errorf("pario: fault plan: unknown kind %q (want eio|short|torn|bitrot|stall)", fields[0])
-		}
-		for _, f := range fields[1:] {
-			k, v, ok := strings.Cut(f, "=")
-			if !ok {
-				return nil, fmt.Errorf("pario: fault plan: bad option %q (want key=value)", f)
-			}
-			var err error
-			switch k {
-			case "op":
-				switch v {
-				case "write", "read", "rename", "mkdir", "remove", "readdir":
-					r.Op = v
-				default:
-					err = fmt.Errorf("unknown op %q", v)
-				}
-			case "rank":
-				r.Rank, err = strconv.Atoi(v)
-			case "path":
-				r.Path = v
-			case "after":
-				r.After, err = strconv.Atoi(v)
-			case "count":
-				r.Count, err = strconv.Atoi(v)
-			case "every":
-				r.Every, err = strconv.Atoi(v)
-			case "prob":
-				r.Prob, err = strconv.ParseFloat(v, 64)
-			case "delay":
-				r.Delay, err = time.ParseDuration(v)
-			default:
-				err = fmt.Errorf("unknown option %q", k)
-			}
-			if err != nil {
-				return nil, fmt.Errorf("pario: fault plan: option %q: %v", f, err)
-			}
-		}
-		if r.Kind == FaultStall && r.Delay <= 0 {
-			return nil, fmt.Errorf("pario: fault plan: stall rule needs delay=<duration>")
-		}
-		plan.Rules = append(plan.Rules, r)
-	}
-	if len(plan.Rules) == 0 {
-		return nil, fmt.Errorf("pario: fault plan: no rules in %q", spec)
+	var err error
+	plan.Seed, err = fault.Parse(spec, "pario", faultKinds, func(kind int) fault.Fields {
+		plan.Rules = append(plan.Rules, FaultRule{Kind: FaultKind(kind), Rank: -1})
+		r := &plan.Rules[len(plan.Rules)-1]
+		return fault.Fields{Rank: &r.Rank, After: &r.After, Count: &r.Count, Every: &r.Every,
+			Prob: &r.Prob, Delay: &r.Delay, Set: r.setOption}
+	})
+	if err != nil {
+		return nil, err
 	}
 	return plan, nil
 }
+
+// setOption stores one of the disk-only plan options.
+func (r *FaultRule) setOption(k, v string) (ok bool, err error) {
+	switch k {
+	case "op":
+		if !slices.Contains(faultOps, v) {
+			return true, fmt.Errorf("unknown op (want %s)", strings.Join(faultOps, "|"))
+		}
+		r.Op = v
+	case "path":
+		r.Path = v
+	default:
+		return false, nil
+	}
+	return true, err
+}
+
+// faultOps are the operation names a rule's Op can take, one per FS
+// method.
+var faultOps = []string{"write", "read", "rename", "mkdir", "remove", "readdir"}
 
 // opMatches reports whether a rule applies to the given operation kind,
 // honouring each fault kind's natural operation set when Op is elided.
@@ -244,165 +199,113 @@ func (f *FaultFS) endpoint(rank int) *faultEndpoint {
 	defer f.mu.Unlock()
 	ep, ok := f.eps[rank]
 	if !ok {
-		ep = &faultEndpoint{
-			f:     f,
-			rank:  rank,
-			rng:   rand.New(rand.NewSource(f.plan.Seed + int64(rank))),
-			armed: !f.plan.StartDisarmed,
-			seen:  make([]int, len(f.plan.Rules)),
-		}
+		ep = &faultEndpoint{f: f, rank: rank,
+			inj: fault.NewInjector(f.plan.Seed, rank, !f.plan.StartDisarmed, f.plan.Rules, (*FaultRule).window)}
 		f.eps[rank] = ep
 	}
 	return ep
 }
 
 // Arm enables injection on rank's endpoint.
-func (f *FaultFS) Arm(rank int) { f.endpoint(rank).setArmed(true) }
+func (f *FaultFS) Arm(rank int) { f.endpoint(rank).inj.SetArmed(true) }
 
 // Disarm disables injection on rank's endpoint.
-func (f *FaultFS) Disarm(rank int) { f.endpoint(rank).setArmed(false) }
+func (f *FaultFS) Disarm(rank int) { f.endpoint(rank).inj.SetArmed(false) }
 
 type faultEndpoint struct {
 	f    *FaultFS
 	rank int
-
-	mu    sync.Mutex
-	rng   *rand.Rand
-	armed bool
-	seen  []int
+	inj  *fault.Injector[FaultRule]
 }
 
-func (e *faultEndpoint) setArmed(v bool) {
-	e.mu.Lock()
-	e.armed = v
-	e.mu.Unlock()
+func (r *FaultRule) window() fault.Window {
+	return fault.Window{After: r.After, Count: r.Count, Every: r.Every, Prob: r.Prob}
 }
 
-// fire decides whether any rule of the given kinds fires for an
-// operation, advancing the per-rule match counters.
+// fire runs one operation past the schedule and returns the first rule
+// of the given kinds that fires on it.
 func (e *faultEndpoint) fire(op, path string, kinds ...FaultKind) *FaultRule {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if !e.armed {
-		return nil
-	}
-	var hit *FaultRule
-	for i := range e.f.plan.Rules {
-		r := &e.f.plan.Rules[i]
-		match := false
-		for _, k := range kinds {
-			if r.Kind == k {
-				match = true
-			}
-		}
-		if !match || !r.opMatches(op) {
-			continue
-		}
-		if r.Rank >= 0 && r.Rank != e.rank {
-			continue
-		}
-		if r.Path != "" && !strings.Contains(path, r.Path) {
-			continue
-		}
-		n := e.seen[i]
-		e.seen[i]++
-		if n < r.After {
-			continue
-		}
-		fired := false
-		switch {
-		case r.Prob > 0:
-			fired = e.rng.Float64() < r.Prob
-		case r.Every > 0:
-			fired = (n-r.After)%r.Every == 0
-		case r.Count <= 0:
-			fired = true
-		default:
-			fired = n-r.After < r.Count
-		}
-		if fired && hit == nil {
-			hit = r
-		}
-	}
-	return hit
+	return e.inj.Fire(func(r *FaultRule) bool {
+		return slices.Contains(kinds, r.Kind) && r.opMatches(op) &&
+			(r.Rank < 0 || r.Rank == e.rank) &&
+			(r.Path == "" || strings.Contains(path, r.Path))
+	})
 }
 
-// stallThenEIO applies a stall (if one fired) and then checks the
-// erroring kinds; returns a non-nil rule for the error-producing hit.
-func (e *faultEndpoint) stallThenEIO(op, path string) *FaultRule {
+// begin applies a fired stall, then runs the operation past eio and the
+// given kinds: an eio hit comes back as the operation's error, any other
+// as the rule for the caller to act on.
+func (e *faultEndpoint) begin(op, path string, kinds ...FaultKind) (*FaultRule, error) {
 	if r := e.fire(op, path, FaultStall); r != nil {
 		time.Sleep(r.Delay)
 	}
-	return e.fire(op, path, FaultEIO)
+	r := e.fire(op, path, append(kinds, FaultEIO)...)
+	if r != nil && r.Kind == FaultEIO {
+		return nil, fmt.Errorf("%w: %s %s (rank %d)", ErrInjected, op, path, e.rank)
+	}
+	return r, nil
+}
+
+// rot returns a copy of data with one mid-buffer bit flipped; the
+// caller's buffer stays intact, so only a checksum can tell.
+func rot(data []byte) []byte {
+	if len(data) == 0 {
+		return data
+	}
+	cp := slices.Clone(data)
+	cp[len(cp)/2] ^= 0x04
+	return cp
 }
 
 func (e *faultEndpoint) MkdirAll(path string, perm os.FileMode) error {
-	if r := e.stallThenEIO("mkdir", path); r != nil {
-		return fmt.Errorf("%w: mkdir %s (rank %d)", ErrInjected, path, e.rank)
+	if _, err := e.begin("mkdir", path); err != nil {
+		return err
 	}
 	return e.f.inner.MkdirAll(path, perm)
 }
 
 func (e *faultEndpoint) WriteFile(path string, data []byte, perm os.FileMode) error {
-	if r := e.fire("write", path, FaultStall); r != nil {
-		time.Sleep(r.Delay)
+	r, err := e.begin("write", path, FaultWriteShort, FaultBitrot)
+	if err != nil {
+		return err
 	}
-	if r := e.fire("write", path, FaultEIO, FaultWriteShort, FaultBitrot); r != nil {
-		switch r.Kind {
-		case FaultEIO:
-			return fmt.Errorf("%w: write %s (rank %d)", ErrInjected, path, e.rank)
-		case FaultWriteShort:
-			// Half the data reaches the disk; the error reports the tear.
-			n := len(data) / 2
-			if err := e.f.inner.WriteFile(path, data[:n], perm); err != nil {
-				return err
-			}
-			return fmt.Errorf("%w: short write %s: %d of %d bytes (rank %d)", ErrInjected, path, n, len(data), e.rank)
-		case FaultBitrot:
-			if len(data) == 0 {
-				break
-			}
-			// The stored copy rots; the caller sees success and an intact
-			// buffer.  Only a checksum can tell.
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			cp[len(cp)/2] ^= 0x04
-			return e.f.inner.WriteFile(path, cp, perm)
+	switch {
+	case r == nil:
+	case r.Kind == FaultWriteShort:
+		// Half the data reaches the disk; the error reports the tear.
+		n := len(data) / 2
+		if err := e.f.inner.WriteFile(path, data[:n], perm); err != nil {
+			return err
 		}
+		return fmt.Errorf("%w: short write %s: %d of %d bytes (rank %d)", ErrInjected, path, n, len(data), e.rank)
+	case r.Kind == FaultBitrot:
+		data = rot(data) // the stored copy rots; the call reports success
 	}
 	return e.f.inner.WriteFile(path, data, perm)
 }
 
 func (e *faultEndpoint) ReadFile(path string) ([]byte, error) {
-	if r := e.stallThenEIO("read", path); r != nil {
-		return nil, fmt.Errorf("%w: read %s (rank %d)", ErrInjected, path, e.rank)
+	if _, err := e.begin("read", path); err != nil {
+		return nil, err
 	}
 	data, err := e.f.inner.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if r := e.fire("read", path, FaultBitrot); r != nil && len(data) > 0 {
-		cp := make([]byte, len(data))
-		copy(cp, data)
-		cp[len(cp)/2] ^= 0x04
-		return cp, nil
+	if e.fire("read", path, FaultBitrot) != nil {
+		data = rot(data)
 	}
 	return data, nil
 }
 
 func (e *faultEndpoint) Rename(oldpath, newpath string) error {
-	if r := e.fire("rename", oldpath, FaultStall); r != nil {
-		time.Sleep(r.Delay)
+	r, err := e.begin("rename", oldpath, FaultTornRename)
+	if err != nil {
+		return err
 	}
-	if r := e.fire("rename", oldpath, FaultEIO, FaultTornRename); r != nil {
-		switch r.Kind {
-		case FaultEIO:
-			return fmt.Errorf("%w: rename %s (rank %d)", ErrInjected, oldpath, e.rank)
-		case FaultTornRename:
-			if err := e.tear(oldpath); err != nil {
-				return err
-			}
-			return e.f.inner.Rename(oldpath, newpath)
+	if r != nil {
+		if err := e.tear(oldpath); err != nil {
+			return err
 		}
 	}
 	return e.f.inner.Rename(oldpath, newpath)
@@ -434,15 +337,15 @@ func (e *faultEndpoint) tear(path string) error {
 }
 
 func (e *faultEndpoint) RemoveAll(path string) error {
-	if r := e.stallThenEIO("remove", path); r != nil {
-		return fmt.Errorf("%w: remove %s (rank %d)", ErrInjected, path, e.rank)
+	if _, err := e.begin("remove", path); err != nil {
+		return err
 	}
 	return e.f.inner.RemoveAll(path)
 }
 
 func (e *faultEndpoint) ReadDir(path string) ([]fs.DirEntry, error) {
-	if r := e.stallThenEIO("readdir", path); r != nil {
-		return nil, fmt.Errorf("%w: readdir %s (rank %d)", ErrInjected, path, e.rank)
+	if _, err := e.begin("readdir", path); err != nil {
+		return nil, err
 	}
 	return e.f.inner.ReadDir(path)
 }

@@ -4,12 +4,24 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 )
 
+const goodFaultPlan = "eio,op=write,path=stripe-,rank=1,after=2,count=3;stall,delay=20ms,every=4;seed=7;bitrot,op=read,prob=0.5"
+
+var badFaultPlans = []string{
+	"", "zap", "eio,count", "eio,op=link", "eio,nope=1", "stall", "stall,count=2", "seed=x",
+	// out-of-range values used to turn a scheduled fault into a
+	// permanent one (or rank=-2 into "every rank") silently
+	"eio,prob=-0.2", "eio,prob=1.5", "eio,prob=NaN", "eio,count=-1", "eio,after=-1", "eio,every=-3",
+	"eio,rank=-2", "stall,delay=-20ms",
+}
+
 func TestParseFaultPlan(t *testing.T) {
-	plan, err := ParseFaultPlan("eio,op=write,path=stripe-,rank=1,after=2,count=3;stall,delay=20ms,every=4;seed=7;bitrot,op=read,prob=0.5")
+	plan, err := ParseFaultPlan(goodFaultPlan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,9 +41,7 @@ func TestParseFaultPlan(t *testing.T) {
 	if !plan.HasKind(FaultStall) || plan.HasKind(FaultTornRename) {
 		t.Fatal("HasKind misreports")
 	}
-	for _, bad := range []string{
-		"", "zap", "eio,count", "eio,op=link", "eio,nope=1", "stall", "stall,count=2", "seed=x",
-	} {
+	for _, bad := range badFaultPlans {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) accepted", bad)
 		}
@@ -254,4 +264,35 @@ func TestArmDisarm(t *testing.T) {
 	if err := f.WriteFile(p, []byte("ok"), 0o644); err != nil {
 		t.Fatalf("re-disarmed endpoint injected: %v", err)
 	}
+}
+
+// FuzzParseFaultPlan: the parser never panics, and whatever it accepts
+// is a schedule that means what it says — no value out of range that the
+// firing rule would silently read as "persistent" or "every rank".
+func FuzzParseFaultPlan(f *testing.F) {
+	f.Add(goodFaultPlan)
+	f.Add("short,path=manifest;torn,count=1;bitrot,every=2")
+	for _, bad := range badFaultPlans {
+		f.Add(bad)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		plan, err := ParseFaultPlan(spec)
+		if err != nil {
+			if plan != nil || !strings.HasPrefix(err.Error(), "pario: fault plan: ") {
+				t.Fatalf("ParseFaultPlan(%q) = %v, %v", spec, plan, err)
+			}
+			return
+		}
+		if len(plan.Rules) == 0 {
+			t.Fatalf("ParseFaultPlan(%q) accepted a plan with no rules", spec)
+		}
+		for _, r := range plan.Rules {
+			if r.Kind < 0 || int(r.Kind) >= len(faultKinds) || (r.Op != "" && !slices.Contains(faultOps, r.Op)) ||
+				r.Rank < -1 || r.After < 0 || r.Count < 0 || r.Every < 0 ||
+				!(r.Prob >= 0 && r.Prob <= 1) || r.Delay < 0 ||
+				(faultKinds[r.Kind].NeedDelay && r.Delay <= 0) {
+				t.Fatalf("ParseFaultPlan(%q) accepted out-of-range rule %+v", spec, r)
+			}
+		}
+	})
 }
