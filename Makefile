@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain soak bench examples experiments analyze clean
+.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels soak bench bench-kernels examples experiments analyze clean
 
 all: build check test
 
@@ -31,7 +31,7 @@ loc:
 # on — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain
+check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
@@ -111,10 +111,32 @@ check-io:
 check-fault:
 	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout' ./internal/msg ./internal/darray
 
+# The kernel bit-identity contract: Factor.Solve against the per-line
+# TridiagStrided by Float64bits, on the default build and — where the
+# host can run it — under GOAMD64=v3, the one amd64 configuration in
+# which the compiler may fuse multiply-add, so a changed expression
+# shape would silently stop matching.  Nothing is downloaded.
+check-kernels:
+	$(GO) test -count=1 ./internal/kernels
+	@if grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | grep -qw fma && \
+	    grep -m1 '^flags' /proc/cpuinfo | grep -qw avx2; then \
+	  echo 'GOAMD64=v3 $(GO) test -count=1 ./internal/kernels'; \
+	  GOAMD64=v3 $(GO) test -count=1 ./internal/kernels; \
+	else \
+	  echo 'check-kernels: host CPU lacks fma/avx2, skipping the GOAMD64=v3 run'; \
+	fi
+
 # The benchmark spine: four paper workloads, one result schema
 # (bench/README.md); results land in bench/out/.
 bench:
 	$(GO) run ./bench
+
+# The ADI kernel layer, ns per element on one rank's 1024 x 256 block in
+# both layouts: the per-line reference (what the spine's frozen
+# kernels.tridiag*_ns_per_elem probes time) against the batched
+# Factor.Solve the apps run.
+bench-kernels:
+	$(GO) test -run XXX -bench 'Tridiag|Factor' ./internal/kernels
 
 # Regenerate the EXPERIMENTS.md tables (E1-E4).
 experiments:

@@ -49,6 +49,9 @@ func main() {
 	colDist := vienna.DistSpec{Type: vienna.NewType(vienna.Elided(), vienna.Block())}
 
 	err := m.Run(func(ctx *vienna.Ctx) error {
+		// TRIDIAG's constant-coefficient system, factored once per sweep
+		// direction and shared by all of its lines.
+		tridiag := [2]kernels.Factor{kernels.NewFactor(*nx, -1, 4, -1), kernels.NewFactor(*ny, -1, 4, -1)}
 		// REAL U, F DIST(:, BLOCK) — with overlap areas for RESID's
 		// nearest-neighbour accesses.
 		u := e.MustDeclare(ctx, vienna.Decl{Name: "U", Domain: dom, Static: &colDist, Ghost: []int{1, 1}})
@@ -90,7 +93,7 @@ func main() {
 
 			// x-line sweep: every column V(:,J) is local under (:,BLOCK)
 			vienna.PhaseBegin(ctx, "x-sweep")
-			sweepLocal(ctx, v, 0)
+			sweepLocal(ctx, v, 0, tridiag[0])
 			ctx.Barrier()
 			vienna.PhaseEnd(ctx, "x-sweep")
 
@@ -99,7 +102,7 @@ func main() {
 
 			// y-line sweep: every row V(I,:) is local under (BLOCK,:)
 			vienna.PhaseBegin(ctx, "y-sweep")
-			sweepLocal(ctx, v, 1)
+			sweepLocal(ctx, v, 1, tridiag[1])
 			ctx.Barrier()
 			vienna.PhaseEnd(ctx, "y-sweep")
 		}
@@ -175,8 +178,9 @@ func resid(ctx *vienna.Ctx, v, u, f *vienna.Array, h *vienna.GhostHandle) error 
 	return nil
 }
 
-// sweepLocal runs TRIDIAG along dimension dim on every locally held line.
-func sweepLocal(ctx *vienna.Ctx, v *vienna.Array, dim int) {
+// sweepLocal runs TRIDIAG along dimension dim on every locally held line
+// (dim is elided, so a line has the global extent f was factored for).
+func sweepLocal(ctx *vienna.Ctx, v *vienna.Array, dim int, f kernels.Factor) {
 	l := v.Local(ctx)
 	alloc := l.AllocShape()
 	strd := l.Stride()
@@ -184,8 +188,5 @@ func sweepLocal(ctx *vienna.Ctx, v *vienna.Array, dim int) {
 	if alloc[dim] == 0 || alloc[other] == 0 {
 		return
 	}
-	scratch := make([]float64, alloc[dim])
-	for li := 0; li < alloc[other]; li++ {
-		kernels.TridiagStrided(l.Data(), li*strd[other], strd[dim], alloc[dim], -1, 4, -1, scratch)
-	}
+	f.Solve(l.Data(), 0, strd[dim], strd[other], alloc[other])
 }

@@ -203,9 +203,16 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
 		var eng *core.Engine
 		var v *core.Array
-		// bounds[d], once a straggler rebalance has installed it, replaces
-		// the even BLOCK split of dimension d in the remaining DISTRIBUTEs.
-		var bounds [2][]int
+		// axis[d] is what dimension d carries from step to step (one
+		// variable, so the hooks capture one heap cell).
+		var axis [2]struct {
+			// bounds, once a straggler rebalance has installed it, replaces
+			// the even BLOCK split of d in the remaining DISTRIBUTEs.
+			bounds []int
+			// factor is the elimination the sweep along d shares across its
+			// lines, built by the first sweep (a zero-step run builds none).
+			factor lineFactor
+		}
 		// distribute[d] is the DISTRIBUTE that makes the lines along
 		// dimension d local: d elided, the other dimension blocked.
 		var distribute [2]func() error
@@ -213,13 +220,13 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		for d := range 2 {
 			distribute[d] = func() error {
 				dims := [2]dist.DimSpec{dist.BlockDim(), dist.BlockDim()}
-				if b := bounds[1-d]; b != nil {
+				if b := axis[1-d].bounds; b != nil {
 					dims[1-d] = dist.BBlockDim(b...)
 				}
 				dims[d] = dist.ElidedDim()
 				return eng.Distribute(ctx, []*core.Array{v}, core.DimsOf(dims[0], dims[1]))
 			}
-			sweep[d] = func() { localSweep(ctx, v, d, cfg.FlopTime) }
+			sweep[d] = func() { localSweep(ctx, v, d, cfg.FlopTime, &axis[d].factor) }
 		}
 		// A static mode keeps one dimension distributed for the whole run
 		// and sweeps along it with the pipelined solve.
@@ -239,10 +246,10 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		return app{
 			declare: func(e *core.Engine) (err error) {
 				eng = e
-				if bounds[0] != nil && len(bounds[0]) != ctx.NP() {
+				if b := axis[0].bounds; b != nil && len(b) != ctx.NP() {
 					// A membership transition changed the view size since the
 					// bounds were computed: fall back to the even block split.
-					bounds = [2][]int{}
+					axis[0].bounds, axis[1].bounds = nil, nil
 				}
 				decl := core.Decl{Name: "V", Domain: dom}
 				switch cfg.Mode {
@@ -295,7 +302,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 				return nil
 			},
 			rebalance: func(speeds []float64) error {
-				bounds = [2][]int{scale.WeightedBounds(cfg.NX, speeds), scale.WeightedBounds(cfg.NY, speeds)}
+				axis[0].bounds, axis[1].bounds = scale.WeightedBounds(cfg.NX, speeds), scale.WeightedBounds(cfg.NY, speeds)
 				return nil
 			},
 			end: func() error {
@@ -312,9 +319,18 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	return res, err
 }
 
+// lineFactor caches the factored TRIDIAG system of n unknowns (n == 0:
+// not built yet).
+type lineFactor struct {
+	n int
+	f kernels.Factor
+}
+
 // localSweep solves the tridiagonal systems along dimension dim; every
-// line must be fully local (dim elided in the current distribution).
-func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64) {
+// line must be fully local (dim elided in the current distribution, so
+// its extent is the global one across every shrink, join and rebalance
+// and lf is built once).
+func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64, lf *lineFactor) {
 	l := v.Local(ctx)
 	alloc := l.AllocShape()
 	other := 1 - dim
@@ -323,12 +339,10 @@ func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64) {
 	if n == 0 || alloc[other] == 0 {
 		return
 	}
-	scratch := make([]float64, n)
-	data := l.Data()
-	for li := 0; li < alloc[other]; li++ {
-		start := li * strd[other]
-		kernels.TridiagStrided(data, start, strd[dim], n, adiA, adiB, adiC, scratch)
+	if lf.n != n {
+		*lf = lineFactor{n, kernels.NewFactor(n, adiA, adiB, adiC)}
 	}
+	lf.f.Solve(l.Data(), 0, strd[dim], strd[other], alloc[other])
 	ctx.Charge(flopTime * float64(5*n*alloc[other]))
 }
 

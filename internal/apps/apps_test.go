@@ -22,6 +22,21 @@ func TestADIDynamicMatchesSerial(t *testing.T) {
 	}
 }
 
+// The batched sweep is bit-identical to the serial reference on a grid
+// where neither extent divides by P nor a rank's line count by the
+// kernel's interleave width, so every tail path runs.
+func TestADIDynamicRaggedBitExact(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		res, err := RunADI(ADIConfig{NX: 37, NY: 53, Iters: 3, P: 3, Mode: ADIDynamic, Validate: true, UseTCP: tcp})
+		if err != nil {
+			t.Fatalf("tcp=%v: %v", tcp, err)
+		}
+		if res.MaxErr != 0 {
+			t.Fatalf("tcp=%v: dynamic ADI deviates from serial by %g, want bit-exact", tcp, res.MaxErr)
+		}
+	}
+}
+
 func TestADIStaticColsMatchesSerial(t *testing.T) {
 	res, err := RunADI(ADIConfig{NX: 32, NY: 24, Iters: 3, P: 4, Mode: ADIStaticCols, Validate: true, ChunkRows: 4})
 	if err != nil {

@@ -2,6 +2,7 @@ package interp
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/index"
 	"repro/internal/kernels"
@@ -37,7 +38,6 @@ func builtinTridiag(st *State, args []any) error {
 	if !ok {
 		return fmt.Errorf("TRIDIAG second argument must be scalar")
 	}
-	n := int(nf)
 	dims := aa.SectionDims()
 	if len(dims) != 1 {
 		return fmt.Errorf("TRIDIAG needs exactly one section dimension, got %d", len(dims))
@@ -52,9 +52,12 @@ func builtinTridiag(st *State, args []any) error {
 	d := arr.Dist()
 	dom := arr.Domain()
 	lo := dom.Lo[dim]
-	if n > dom.Extent(dim) {
-		return fmt.Errorf("TRIDIAG length %d exceeds extent %d", n, dom.Extent(dim))
+	// n comes from the program text: a NaN or infinity fails the range
+	// test, a fraction (which int() would silently truncate) the second.
+	if !(nf >= 0 && nf <= float64(dom.Extent(dim))) || nf != math.Trunc(nf) {
+		return fmt.Errorf("TRIDIAG length %v must be an integer in 0..%d", nf, dom.Extent(dim))
 	}
+	n := int(nf)
 	first := make(index.Point, dom.Rank())
 	copy(first, aa.Fixed)
 	first[dim] = lo

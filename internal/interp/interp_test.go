@@ -305,6 +305,35 @@ func TestInterpErrors(t *testing.T) {
 	}
 }
 
+// A bad TRIDIAG length is an error naming the valid range, not a
+// makeslice panic on the rank that owns the line.
+func TestTridiagBadLength(t *testing.T) {
+	for _, call := range []string{
+		"CALL TRIDIAG(V(:, 1), -3)",
+		"CALL TRIDIAG(V(:, 1), 5 / 2)",
+		"CALL NANLEN(V(:, 1))", // no expression of the language yields a NaN
+	} {
+		prog, err := lang.Parse("REAL V(4,4) DIST(:, BLOCK)\n" + call + "\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := sem.Analyze(prog)
+		m := machine.New(2)
+		in := New(core.NewEngine(m))
+		in.Register("NANLEN", func(st *State, args []any) error {
+			return builtinTridiag(st, []any{args[0], math.NaN()})
+		})
+		err = m.Run(func(ctx *machine.Ctx) error {
+			_, err := in.Run(ctx, unit)
+			return err
+		})
+		m.Close()
+		if err == nil || !strings.Contains(err.Error(), "must be an integer in 0..4") {
+			t.Errorf("%s: err = %v", call, err)
+		}
+	}
+}
+
 func TestCustomBuiltin(t *testing.T) {
 	prog, err := lang.Parse(`
 PARAMETER (N = 6)
