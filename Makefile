@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels soak bench bench-kernels examples experiments analyze clean
+.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable soak bench bench-kernels examples experiments analyze clean
 
 all: build check test
 
@@ -31,7 +31,7 @@ loc:
 # on — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels
+check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
@@ -39,11 +39,14 @@ check: check-fault check-recovery check-online check-redist check-expand check-i
 # The memory-bounded redistribution matrix: planner candidates simulated
 # bit-identical to the direct alltoallv across distribution crossings,
 # measured peak-wire-bytes <= budget end to end (array 8x the budget),
-# exact byte/message parity on the unbounded path, the symmetric
-# no-plan failure, the np-keyed schedule cache, and the streaming
-# collective + wire gauge — all under the race detector.
+# exact byte/message parity on the unbounded path and chan/TCP parity of
+# contents, counts and modelled time across the chain crossings, the
+# window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
+# zero allocations warm), the symmetric no-plan failure, the np-keyed
+# schedule cache, and the streaming collective + wire gauge — all under
+# the race detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestCacheKeyedOnView|TestParseBudget|TestWireGauge|TestAlltoallvStream' \
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|TestWireGauge|TestAlltoallvStream' \
 	  ./internal/redist ./internal/darray ./internal/msg
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
@@ -125,6 +128,15 @@ check-kernels:
 	else \
 	  echo 'check-kernels: host CPU lacks fma/avx2, skipping the GOAMD64=v3 run'; \
 	fi
+
+# The byte-view helper (msg.PutFloat64s/GetFloat64s) has a little-endian
+# build that copies a []float64's memory as wire bytes and a portable one
+# that encodes element by element; every host that runs the tests is
+# little-endian, so the other file is cross-built and vetted for a
+# big-endian target to keep it from rotting.  Offline; about 12 s cold.
+check-portable:
+	GOARCH=s390x $(GO) build ./...
+	GOARCH=s390x $(GO) vet ./internal/msg ./internal/darray
 
 # The benchmark spine: four paper workloads, one result schema
 # (bench/README.md); results land in bench/out/.

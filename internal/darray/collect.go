@@ -21,8 +21,9 @@ func (a *Array) GatherTo(ctx *machine.Ctx, root int) ([]float64, error) {
 	var payload []byte
 	if d.IsPrimaryRank(rank) {
 		l := a.locals[rank]
-		payload = l.appendPacked(a.bufs[rank].sendBuf(ctx.NP(), root, l.Count()), l.grid)
-		a.bufs[rank].send[root] = payload
+		bufs := &a.bufs[rank]
+		payload = l.appendPacked(bufs.streamBuf(l.Count()), l.grid)
+		bufs.stream = payload
 	}
 	parts, err := ctx.Comm().Gather(root, payload)
 	if err != nil {

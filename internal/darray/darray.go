@@ -266,22 +266,33 @@ func (a *Array) String() string {
 	return fmt.Sprintf("%s%v DIST %v", a.name, a.dom, d)
 }
 
-// Local is one processor's storage for its part of an Array: a dense
-// column-major block over the owned extents plus ghost margins.
-type Local struct {
-	rank  int
-	dom   index.Domain
+// layout is the storage geometry of one processor's part of an array
+// under one distribution: a dense column-major block over the owned
+// extents plus ghost margins.  It is a pure function of (index domain,
+// ghost widths, distribution, rank), so every processor can compute any
+// peer's — which is how a DISTRIBUTE addresses a peer's storage through
+// the window without reading the peer's Local.
+type layout struct {
 	grid  index.Grid // owned global indices
 	shape []int      // owned counts per dim
 	gLo   []int      // ghost width below (only block-family dims)
 	gHi   []int      // ghost width above
 	alloc []int      // allocated extents = shape + gLo + gHi
 	strd  []int      // column-major strides over alloc
-	data  []float64
+	size  int        // allocated elements, the product of alloc
 	// fast per-dimension addressing: for single stride-1 runs the local
 	// index is i - base[k]; otherwise IndexOf on the run set.
 	base   []int
 	simple []bool
+}
+
+// Local is one processor's storage for its part of an Array: its layout
+// and the data laid out by it.
+type Local struct {
+	rank int
+	dom  index.Domain
+	layout
+	data []float64
 	// segment descriptor (§3.2.1), precomputed because kernels query it
 	// every sweep; nil slices when the owned set is not one contiguous
 	// block per dimension.
@@ -300,19 +311,17 @@ type faceEnt struct {
 	ok  bool
 }
 
-func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
+// layoutOf computes rank's storage geometry under d.
+func (a *Array) layoutOf(rank int, d *dist.Distribution) layout {
 	g := d.LocalGrid(rank)
 	r := a.dom.Rank()
-	l := &Local{
-		rank:   rank,
-		dom:    a.dom,
-		grid:   g,
-		shape:  make([]int, r),
-		gLo:    make([]int, r),
-		gHi:    make([]int, r),
-		alloc:  make([]int, r),
-		strd:   make([]int, r),
-		base:   make([]int, r),
+	// One backing array for the six per-dimension tables; capacities are
+	// clipped so an append to one (Shape and Stride are handed out) can
+	// never run into the next.
+	ints := make([]int, 6*r)
+	cut := func(i int) []int { return ints[i*r : (i+1)*r : (i+1)*r] }
+	l := layout{
+		grid: g, shape: cut(0), gLo: cut(1), gHi: cut(2), alloc: cut(3), strd: cut(4), base: cut(5),
 		simple: make([]bool, r),
 	}
 	n := 1
@@ -348,11 +357,17 @@ func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
 		l.strd[k] = n
 		n *= l.alloc[k]
 	}
-	l.data = make([]float64, n)
-	l.segLo = make([]int, r)
-	l.segHi = make([]int, r)
-	l.segOK = true
-	for k, rs := range g.Dims {
+	l.size = n
+	return l
+}
+
+func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
+	l := &Local{rank: rank, dom: a.dom, layout: a.layoutOf(rank, d)}
+	l.data = make([]float64, l.size)
+	r := len(l.shape)
+	seg := make([]int, 2*r)
+	l.segLo, l.segHi, l.segOK = seg[:r:r], seg[r:], true
+	for k, rs := range l.grid.Dims {
 		if len(rs) != 1 || rs[0].Stride != 1 {
 			l.segLo, l.segHi, l.segOK = nil, nil, false
 			break

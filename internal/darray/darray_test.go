@@ -11,10 +11,29 @@ import (
 	"repro/internal/msg"
 )
 
-// run executes an SPMD body on a fresh machine.
+// run executes an SPMD body on a fresh machine over channels.
 func run(t *testing.T, np int, body func(ctx *machine.Ctx) error) *machine.Machine {
 	t.Helper()
-	m := machine.New(np)
+	return runOn(t, "chan", np, nil, body)
+}
+
+// runOn executes an SPMD body on a fresh np-rank machine over the named
+// transport ("chan" or "tcp"), with cost attached when non-nil.
+func runOn(t *testing.T, transport string, np int, cost *msg.CostModel, body func(ctx *machine.Ctx) error) *machine.Machine {
+	t.Helper()
+	var topts []msg.Option
+	if cost != nil {
+		topts = append(topts, msg.WithCost(cost))
+	}
+	var tr msg.Transport = msg.NewChanTransport(np, topts...)
+	if transport == "tcp" {
+		tcp, err := msg.NewTCPTransport(np, topts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr = tcp
+	}
+	m := machine.New(np, machine.WithTransport(tr))
 	t.Cleanup(func() { m.Close() })
 	if err := m.Run(body); err != nil {
 		t.Fatal(err)
@@ -186,43 +205,59 @@ func TestRedistributePreservesValues(t *testing.T) {
 	})
 }
 
+// chainDom and randomDist generate the distribution crossings of the
+// chain tests: every kind per dimension, at most two distributed.
+var chainDom = index.Dim(12, 9)
+
+func randomDist(tg dist.Target, r *rand.Rand) *dist.Distribution {
+	dom := chainDom
+	specs := make([]dist.DimSpec, 2)
+	dims := 0
+	for k := 0; k < 2; k++ {
+		switch r.Intn(4) {
+		case 0:
+			specs[k] = dist.BlockDim()
+			dims++
+		case 1:
+			specs[k] = dist.CyclicDim(1 + r.Intn(3))
+			dims++
+		case 2:
+			specs[k] = dist.ElidedDim()
+		case 3:
+			n := dom.Extent(k)
+			bounds := make([]int, 2)
+			bounds[0] = r.Intn(n + 1)
+			bounds[1] = n
+			specs[k] = dist.BBlockDim(bounds...)
+			dims++
+		}
+	}
+	if dims > 2 {
+		specs[1] = dist.ElidedDim()
+	}
+	d, err := dist.New(dist.NewType(specs...), dom, tg)
+	if err != nil {
+		panic(err)
+	}
+	return d
+}
+
+// chainSeeds are the chain tests' trials (one random 5-crossing chain
+// each).
+func chainSeeds() []int64 {
+	rng := rand.New(rand.NewSource(77))
+	seeds := make([]int64, 8)
+	for i := range seeds {
+		seeds[i] = rng.Int63()
+	}
+	return seeds
+}
+
 func TestRedistributeChainProperty(t *testing.T) {
 	// Random chains of redistributions must preserve all values.
-	rng := rand.New(rand.NewSource(77))
-	dom := index.Dim(12, 9)
-	mkDist := func(tg dist.Target, r *rand.Rand) *dist.Distribution {
-		specs := make([]dist.DimSpec, 2)
-		dims := 0
-		for k := 0; k < 2; k++ {
-			switch r.Intn(4) {
-			case 0:
-				specs[k] = dist.BlockDim()
-				dims++
-			case 1:
-				specs[k] = dist.CyclicDim(1 + r.Intn(3))
-				dims++
-			case 2:
-				specs[k] = dist.ElidedDim()
-			case 3:
-				n := dom.Extent(k)
-				bounds := make([]int, 2)
-				bounds[0] = r.Intn(n + 1)
-				bounds[1] = n
-				specs[k] = dist.BBlockDim(bounds...)
-				dims++
-			}
-		}
-		if dims > 2 {
-			specs[1] = dist.ElidedDim()
-		}
-		d, err := dist.New(dist.NewType(specs...), dom, tg)
-		if err != nil {
-			panic(err)
-		}
-		return d
-	}
-	for trial := 0; trial < 8; trial++ {
-		seed := rng.Int63()
+	dom := chainDom
+	mkDist := randomDist
+	for trial, seed := range chainSeeds() {
 		run(t, 4, func(ctx *machine.Ctx) error {
 			r := rand.New(rand.NewSource(seed)) // same sequence on all ranks
 			tg := ctx.Machine().ProcsDim("G", 2, 2).Whole()

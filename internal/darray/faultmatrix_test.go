@@ -45,16 +45,53 @@ func TestFaultMatrix(t *testing.T) {
 		for _, op := range ops {
 			for _, fc := range faults {
 				t.Run(transport+"/"+op.name+"/"+fc.name, func(t *testing.T) {
-					runFaultCase(t, transport, op.name, op.frag, fc.rule, fc.expectErr)
+					errs := runFaultCase(t, transport, op.name, fc.rule)
+					if failed := checkFaultErrs(t, errs, op.name, op.frag, fc.expectErr); fc.expectErr && failed == 0 {
+						t.Errorf("%s: frame dropped but every rank completed", op.name)
+					}
 				})
 			}
 		}
 	}
 }
 
+// TestFaultMatrixOfferToken aims the fault at the one message a pulled
+// DISTRIBUTE transfer still sends — the offer token (win=1 matches only
+// window traffic, so barriers pass) — in the three ways that cannot heal
+// inside the deadline: the token is lost, it arrives after every retry
+// gave up, or the send fails more often than it is retried.  The receiver
+// never pulls, returns without entering the commit barrier, and so the
+// barrier fails everywhere: every rank gets an error naming the
+// redistribution, and the old distribution stays readable on all of them
+// (runFaultCase checks values and descriptor).  Over TCP the same stream
+// carries the packed payload and must fail the same way.
+func TestFaultMatrixOfferToken(t *testing.T) {
+	faults := []struct {
+		name string
+		rule msg.FaultRule
+	}{
+		{"drop", msg.FaultRule{Kind: msg.FaultDrop, Rank: faultRank, Peer: -1, Count: 1, Win: true}},
+		// 20+40+80+160 ms of escalating deadlines pass before the token does.
+		{"delay", msg.FaultRule{Kind: msg.FaultRecvDelay, Rank: faultRank, Peer: -1, Count: 1, Delay: 600 * time.Millisecond, Win: true}},
+		{"fail", msg.FaultRule{Kind: msg.FaultSendErr, Rank: faultRank, Peer: -1, Win: true}},
+	}
+	for _, transport := range []string{"chan", "tcp"} {
+		for _, fc := range faults {
+			t.Run(transport+"/"+fc.name, func(t *testing.T) {
+				errs := runFaultCase(t, transport, "redistribute", fc.rule)
+				if failed := checkFaultErrs(t, errs, "redistribute", "redistribution", true); failed != len(errs) {
+					t.Errorf("%d of %d ranks failed, want all: %v", failed, len(errs), errs)
+				}
+			})
+		}
+	}
+}
+
 const faultRank = 1 // the rank whose sends/receives carry the injected fault
 
-func runFaultCase(t *testing.T, transport, opName, opFrag string, rule msg.FaultRule, expectErr bool) {
+// runFaultCase runs one operation on four ranks with rule armed on
+// faultRank for exactly that operation and returns each rank's error.
+func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []error {
 	const np = 4
 	plan := &msg.FaultPlan{StartDisarmed: true, Rules: []msg.FaultRule{rule}}
 	var base msg.Transport
@@ -182,8 +219,14 @@ func runFaultCase(t *testing.T, transport, opName, opFrag string, rule msg.Fault
 	}); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	return errs
+}
 
-	failed := 0
+// checkFaultErrs holds every failure to the matrix's error contract (it
+// names the operation and a rank, and is not a panic; under a healable
+// fault there is none) and returns how many ranks failed.
+func checkFaultErrs(t *testing.T, errs []error, opName, opFrag string, expectErr bool) (failed int) {
+	t.Helper()
 	for r, err := range errs {
 		if err == nil {
 			continue
@@ -202,7 +245,5 @@ func runFaultCase(t *testing.T, transport, opName, opFrag string, rule msg.Fault
 			t.Errorf("rank %d: fault surfaced as a panic: %q", r, err)
 		}
 	}
-	if expectErr && failed == 0 {
-		t.Errorf("%s: frame dropped but every rank completed", opName)
-	}
+	return failed
 }

@@ -59,7 +59,7 @@ func (a *Array) registerWindow(rank int) {
 // toward lower ranks).
 func ghostSubtag(k, dir int) int {
 	st := 1 + 2*k + dir
-	if st > msg.MaxSubtag {
+	if st >= redistSubtag {
 		panic(fmt.Sprintf("darray: ghost exchange dimension %d exceeds the window subtag space", k+1))
 	}
 	return st

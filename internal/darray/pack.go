@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/msg"
+	"repro/internal/redist"
 )
 
 // Run-based data movement.  All bulk transfers (redistribution, ghost
@@ -14,8 +15,10 @@ import (
 // all dimensions), the routines here iterate Grid.ForEachRun: the offset
 // of the outer dimensions is computed once per innermost span, the span
 // itself advances by a constant storage step, and values are encoded into
-// (or decoded from) the wire-format []byte directly — no intermediate
-// []float64 and, with recycled buffers, no per-iteration allocation.
+// (or decoded from) the wire-format []byte directly — a span whose
+// storage step is 1 with a single copy (msg.PutFloat64s/GetFloat64s), a
+// strided one element by element; no intermediate []float64 and, with
+// recycled buffers, no per-iteration allocation.
 
 // dimSpan returns affine storage addressing for run r along dimension k:
 // the local index of r.Lo and the local-index step between consecutive
@@ -31,7 +34,7 @@ import (
 // a single owned run and r.Stride is a multiple of that run's stride —
 // true for every transfer grid produced by per-dimension intersection
 // with a single-run distribution, and checked here rather than assumed.
-func (l *Local) dimSpan(k int, r index.Run) (li0, step int, ok bool) {
+func (l *layout) dimSpan(k int, r index.Run) (li0, step int, ok bool) {
 	if l.simple[k] {
 		return r.Lo - l.base[k] + l.gLo[k], r.Stride, true
 	}
@@ -72,7 +75,13 @@ func (l *Local) appendPacked(buf []byte, g index.Grid) []byte {
 		if li0, step, ok := l.dimSpan(0, r); ok {
 			so := row + li0*l.strd[0]
 			st := step * l.strd[0]
-			for n := r.Count(); n > 0; n-- {
+			n := r.Count()
+			if st == 1 {
+				msg.PutFloat64s(buf, off, data[so:so+n])
+				off += 8 * n
+				return true
+			}
+			for ; n > 0; n-- {
 				msg.PutFloat64(buf, off, data[so])
 				off += 8
 				so += st
@@ -102,7 +111,13 @@ func (l *Local) unpackWire(g index.Grid, buf []byte) {
 		if li0, step, ok := l.dimSpan(0, r); ok {
 			do := row + li0*l.strd[0]
 			st := step * l.strd[0]
-			for n := r.Count(); n > 0; n-- {
+			n := r.Count()
+			if st == 1 {
+				msg.GetFloat64s(data[do:do+n], buf, off)
+				off += 8 * n
+				return true
+			}
+			for ; n > 0; n-- {
 				data[do] = msg.GetFloat64(buf, off)
 				off += 8
 				do += st
@@ -210,39 +225,24 @@ func copyGrid(dst, src *Local, g index.Grid) {
 	})
 }
 
-// commBufs is one processor's reusable communication scratch: per-peer
-// redistribution send buffers, the alltoall views passed to the
-// transport, and the ghost-face pack buffer.  Like locals, each rank
-// touches only its own entry, so no locking is needed.  Buffers may be
-// handed to Endpoint.Send and reused immediately after it returns (the
-// transport finishes reading them first — see msg.Endpoint).
+// commBufs is one processor's reusable communication scratch: the
+// per-schedule transfer plans of stepDirect, the expected-receive flags
+// of the streamed exchange, and the one stream pack buffer.  Like
+// locals, each rank touches only its own entry, so no locking is needed.
+// The buffer may be handed to Endpoint.Send and reused immediately after
+// it returns (the transport finishes reading it first — see
+// msg.Endpoint).
 type commBufs struct {
-	send     [][]byte // per-peer pack buffers, reused across redistributions
-	views    [][]byte // per-call send views handed to AlltoallvSched
+	plans    map[*redist.Schedule]*xferPlan // at most maxPlans, beside the cached schedules
 	recvFrom []bool
-	face     []byte // ghost-face pack buffer
-	stream   []byte // single just-in-time pack buffer for streamed rounds
-}
-
-// sendBuf returns the peer's recycled pack buffer, emptied, with capacity
-// for count elements (sized once from the cached schedule).
-func (b *commBufs) sendBuf(np, peer, count int) []byte {
-	if b.send == nil {
-		b.send = make([][]byte, np)
-	}
-	buf := b.send[peer]
-	if cap(buf) < 8*count {
-		buf = make([]byte, 0, 8*count)
-		b.send[peer] = buf
-	}
-	return buf[:0]
+	stream   []byte // single just-in-time pack buffer (ring rounds, allgather, gather)
 }
 
 // streamBuf returns the single recycled streaming pack buffer, emptied,
-// with capacity for count elements.  Unlike sendBuf there is one buffer
-// total, not one per peer: streamed (pairwise) rounds pack one peer at a
-// time and hand the buffer to Send before packing the next, which is
-// exactly what keeps their peak residency to a single transfer.
+// with capacity for count elements.  There is one buffer, not one per
+// peer: ring rounds pack one peer at a time and hand the buffer to Send
+// before packing the next, which is exactly what keeps their peak
+// residency to a single transfer.
 func (b *commBufs) streamBuf(count int) []byte {
 	if cap(b.stream) < 8*count {
 		b.stream = make([]byte, 0, 8*count)
@@ -250,16 +250,11 @@ func (b *commBufs) streamBuf(count int) []byte {
 	return b.stream[:0]
 }
 
-// alltoallScratch returns the cleared per-call send views and expected-
-// receive flags.
-func (b *commBufs) alltoallScratch(np int) ([][]byte, []bool) {
-	if b.views == nil {
-		b.views = make([][]byte, np)
+// recvFlags returns the cleared per-call expected-receive flags.
+func (b *commBufs) recvFlags(np int) []bool {
+	if b.recvFrom == nil {
 		b.recvFrom = make([]bool, np)
 	}
-	for i := range b.views {
-		b.views[i] = nil
-		b.recvFrom[i] = false
-	}
-	return b.views, b.recvFrom
+	clear(b.recvFrom)
+	return b.recvFrom
 }

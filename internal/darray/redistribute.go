@@ -113,7 +113,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 			}
 		}
 		ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step[0] direct")
-		err := a.stepDirect(ctx, sched, oldLocal, newLocal, a.m.Stats())
+		err := a.stepDirect(ctx, oldD, newD, sched, oldLocal, newLocal, a.m.Stats())
 		ssp.End()
 		if err != nil {
 			return fmt.Errorf("darray: %s: redistribution step 1/1 (direct): %w", a.name, err)
@@ -157,7 +157,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 			var err error
 			switch step.Kind {
 			case redist.StepDirect:
-				err = a.stepDirect(ctx, sub, oldLocal, newLocal, st)
+				err = a.stepDirect(ctx, oldD, newD, sub, oldLocal, newLocal, st)
 			case redist.StepPairwise:
 				err = a.stepPairwise(ctx, sub, oldLocal, newLocal, st)
 			case redist.StepAllgather:
@@ -243,61 +243,179 @@ func unpackGrid(l *Local, g index.Grid, vals []float64) {
 	}
 }
 
-// stepDirect executes one monolithic alltoallv over the step's schedule:
-// every remote send is packed into its peer's recycled wire buffer before
-// the exchange, and every received payload stays resident until unpacked
-// — the legacy (maximal-peak) execution, kept byte- and message-identical
-// for the unbounded plan.  Wire residency is reported to the Stats gauge
-// so the planner's peak estimate is checkable against measurement.
-func (a *Array) stepDirect(ctx *machine.Ctx, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
-	rank, np := ctx.Rank(), ctx.NP()
+// redistSubtag is the window stream a DISTRIBUTE's offers travel on; the
+// ghost exchange owns the subtags below it.
+const redistSubtag = msg.MaxSubtag
+
+// xfer is one remote transfer of a schedule as stepDirect executes it.
+// count == 0 marks a peer with no transfer.
+type xfer struct {
+	grid  index.Grid
+	count int
+	// rect says the grid is one run per dimension and affine on both the
+	// sender's old layout and the receiver's new one: it moves through the
+	// window as src (in the sender's old storage) and dst (in the
+	// receiver's new storage; a sender needs no dst).  Both ends evaluate
+	// this from the same two layouts and the same grid, so they agree —
+	// per transfer: a rank whose other transfers are not rects still
+	// offers and pulls this one.  Any other grid travels packed.
+	rect     bool
+	src, dst msg.Rect
+}
+
+// xferPlan is a schedule's remote transfers indexed by peer.
+type xferPlan struct {
+	send, recv []xfer
+}
+
+// maxPlans bounds the transfer plans a rank keeps.  Phase-alternating
+// programs cycle through a handful of schedules and never reach it; a
+// program that moves to fresh bounds at every DISTRIBUTE (PIC's
+// rebalancing) would otherwise grow by one plan per move, so at the bound
+// the rank starts over — rebuilding a plan costs a few layouts.
+const maxPlans = 16
+
+// rect returns g's region of storage laid out by l; ok is false unless g
+// is one run per dimension and each run is affine in l (dimSpan).  The
+// rect's dimensions are written into dims, which must hold g.Rank().
+func (l *layout) rect(g index.Grid, dims []msg.RectDim) (r msg.Rect, ok bool) {
+	for k, rs := range g.Dims {
+		if len(rs) != 1 {
+			return msg.Rect{}, false
+		}
+		li0, step, ok := l.dimSpan(k, rs[0])
+		if !ok {
+			return msg.Rect{}, false
+		}
+		r.Off += li0 * l.strd[k]
+		dims[k] = msg.RectDim{Stride: step * l.strd[k], Count: rs[0].Count()}
+	}
+	r.Dims = dims
+	return r, true
+}
+
+// hasRemote reports whether any transfer of s crosses ranks.
+func hasRemote(s *redist.Schedule) bool {
+	for _, ts := range [2][]redist.Transfer{s.Sends, s.Recvs} {
+		for i := range ts {
+			if ts[i].Peer != s.Rank {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// planTransfers lays sched's remote transfers out per peer and, for each
+// that qualifies, computes its window rects.  The peer's side comes from
+// the descriptor (layoutOf), never from the peer's Local.  It runs once
+// per schedule: the result is kept beside the cached schedule, so a warm
+// DISTRIBUTE builds no geometry.
+func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) *xferPlan {
+	rank, r := sched.Rank, a.dom.Rank()
+	xs := make([]xfer, 2*np)
+	plan := &xferPlan{send: xs[:np:np], recv: xs[np:]}
+	// One backing array for every rect: a src per send, src and dst per
+	// receive, plus one scratch for the side whose rect is not kept.
+	dims := make([]msg.RectDim, r*(len(sched.Sends)+2*len(sched.Recvs)+1))
+	take := func() []msg.RectDim {
+		d := dims[:r:r]
+		dims = dims[r:]
+		return d
+	}
+	scratch := take()
+	for _, t := range sched.Sends {
+		if t.Peer == rank {
+			continue
+		}
+		x := &plan.send[t.Peer]
+		x.grid, x.count = t.Grid, t.Count
+		if src, ok := oldLocal.rect(t.Grid, take()); ok {
+			peer := a.layoutOf(t.Peer, newD)
+			if _, ok := peer.rect(t.Grid, scratch); ok {
+				x.rect, x.src = true, src
+			}
+		}
+	}
+	for _, t := range sched.Recvs {
+		if t.Peer == rank {
+			continue
+		}
+		x := &plan.recv[t.Peer]
+		x.grid, x.count = t.Grid, t.Count
+		if dst, ok := newLocal.rect(t.Grid, take()); ok {
+			peer := a.layoutOf(t.Peer, oldD)
+			if src, ok := peer.rect(t.Grid, take()); ok {
+				x.rect, x.src, x.dst = true, src, dst
+			}
+		}
+	}
+	return plan
+}
+
+// stepDirect executes the step's schedule in one pass of the staggered
+// ring: each round sends this rank's transfer to one peer and receives
+// its transfer from another — the same messages, bytes and order as the
+// alltoallv it replaces.  A transfer that is a rect on both layouts goes
+// through the array's window (Offer/Pull): on shared memory the receiver
+// copies it straight out of the sender's old storage into its own
+// unpublished new Local, a single copy with nothing resident on the wire;
+// on other transports the window moves it packed.  Any other transfer is
+// packed just in time into the one recycled stream buffer and unpacked on
+// arrival.  The sender's old Local stays untouched until its commit
+// barrier returns, which is after every peer's pull, so the two-phase
+// commit is unchanged: nothing is published before all data arrived.
+func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
+	if !hasRemote(sched) {
+		// Nothing crosses this rank's boundary (a DISTRIBUTE that only
+		// renames the mapping, PIC's first balance): no peer offers to it
+		// or pulls from it, so it needs neither plan nor window.
+		return nil
+	}
+	rank := ctx.Rank()
 	// Stats slices are physical-rank indexed (sized to the transport);
 	// after a regroup/join the view rank diverges from the physical one,
 	// and charging the view rank would misattribute the gauge to another
 	// (possibly dead) rank's slot.
 	prank := ctx.PhysRank()
 	bufs := &a.bufs[rank]
-	send, recvFrom := bufs.alltoallScratch(np)
-	var packed int64
-	for _, t := range sched.Sends {
-		if t.Peer == rank {
-			continue
+	plan := bufs.plans[sched]
+	if plan == nil {
+		plan = a.planTransfers(oldD, newD, sched, ctx.NP(), oldLocal, newLocal)
+		switch {
+		case bufs.plans == nil:
+			bufs.plans = make(map[*redist.Schedule]*xferPlan)
+		case len(bufs.plans) >= maxPlans:
+			clear(bufs.plans)
 		}
-		buf := oldLocal.appendPacked(bufs.sendBuf(np, t.Peer, t.Count), t.Grid)
-		bufs.send[t.Peer] = buf
-		send[t.Peer] = buf
-		packed += int64(len(buf))
+		bufs.plans[sched] = plan
 	}
-	for _, t := range sched.Recvs {
-		if t.Peer != rank {
-			recvFrom[t.Peer] = true
+	win, c := a.window(ctx), ctx.Comm()
+	return c.Ring(func(to, from int) error {
+		if x := &plan.send[to]; x.rect {
+			if err := win.Offer(c, to, redistSubtag, x.src); err != nil {
+				return err
+			}
+		} else if x.count > 0 {
+			bufs.stream = oldLocal.appendPacked(bufs.streamBuf(x.count), x.grid)
+			if err := win.OfferPacked(c, to, redistSubtag, bufs.stream); err != nil {
+				return err
+			}
 		}
-	}
-	st.WireAcquire(prank, packed)
-	recvd, err := ctx.Comm().AlltoallvSched(send, recvFrom)
-	if err != nil {
-		st.WireRelease(prank, packed)
-		return fmt.Errorf("exchange failed: %w", err)
-	}
-	var rb int64
-	for _, t := range sched.Recvs {
-		if t.Peer != rank && recvd[t.Peer] != nil {
-			rb += int64(len(recvd[t.Peer]))
+		if x := &plan.recv[from]; x.rect {
+			return win.Pull(c, from, redistSubtag, x.src, newLocal.data, x.dst)
+		} else if x.count > 0 {
+			data, err := win.PullPacked(c, from, redistSubtag)
+			if err != nil {
+				return err
+			}
+			n := int64(len(data))
+			st.WireAcquire(prank, n)
+			newLocal.unpackWire(x.grid, data)
+			st.WireRelease(prank, n)
 		}
-	}
-	st.WireAcquire(prank, rb)
-	defer st.WireRelease(prank, packed+rb)
-	for _, t := range sched.Recvs {
-		if t.Peer == rank {
-			continue
-		}
-		buf := recvd[t.Peer]
-		if buf == nil {
-			return fmt.Errorf("missing payload from %d", t.Peer)
-		}
-		newLocal.unpackWire(t.Grid, buf)
-	}
-	return nil
+		return nil
+	})
 }
 
 // stepPairwise executes the step's schedule as staggered ring rounds with
@@ -311,7 +429,7 @@ func (a *Array) stepPairwise(ctx *machine.Ctx, sched *redist.Schedule, oldLocal,
 	rank, np := ctx.Rank(), ctx.NP()
 	prank := ctx.PhysRank() // stats gauge slots are physical-rank indexed
 	bufs := &a.bufs[rank]
-	_, recvFrom := bufs.alltoallScratch(np)
+	recvFrom := bufs.recvFlags(np)
 	sendT := make([]*redist.Transfer, np)
 	recvT := make([]*redist.Transfer, np)
 	for i := range sched.Sends {

@@ -6,6 +6,10 @@ package darray
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dist"
@@ -16,12 +20,12 @@ import (
 )
 
 // gatherAfterRedist runs fill -> redistribute(opts) -> gather on a fresh
-// 4-rank machine and returns the gathered contents and the machine's peak
-// resident wire bytes.
-func gatherAfterRedist(t *testing.T, dom index.Domain, mk1, mk2 func(m *machine.Machine) *dist.Distribution, opts ...RedistOption) ([]float64, int64) {
+// 4-rank machine over the named transport and returns the gathered
+// contents and the machine's peak resident wire bytes.
+func gatherAfterRedist(t *testing.T, transport string, dom index.Domain, mk1, mk2 func(m *machine.Machine) *dist.Distribution, opts ...RedistOption) ([]float64, int64) {
 	t.Helper()
 	var out []float64
-	m := run(t, 4, func(ctx *machine.Ctx) error {
+	m := runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
 		d1 := mk1(ctx.Machine())
 		d2 := mk2(ctx.Machine())
 		a := New(ctx, "B", dom, d1)
@@ -42,12 +46,18 @@ func gatherAfterRedist(t *testing.T, dom index.Domain, mk1, mk2 func(m *machine.
 	return out, m.Stats().PeakWireBytes()
 }
 
-// TestRedistributeMemBudgetBounded redistributes an array eight times the
-// budget: the measured peak must respect the bound and the result must be
-// bit-identical to the unbounded redistribution.
+// TestRedistributeMemBudgetBounded redistributes an array thirty-two
+// times the budget: the measured peak must respect the bound and the
+// result must be bit-identical to the unbounded redistribution.  The
+// unbounded reference runs over TCP, the transport with a wire, where the
+// direct step holds one packed transfer at a time (2 KiB here, so the
+// budget sits below a single transfer and only a chunked plan fits it).
+// On shared memory an unbudgeted DISTRIBUTE of rect transfers is pulled
+// straight out of the senders' storage and has no wire residency at all,
+// which is asserted beside it.
 func TestRedistributeMemBudgetBounded(t *testing.T) {
 	dom := index.Dim(4096, 1) // 32 KiB of float64 data
-	const budget = 4096       // array is 8x the budget
+	const budget = 1024       // array is 32x the budget
 	mk1 := func(m *machine.Machine) *dist.Distribution {
 		return dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, m.ProcsDim("P", 4).Whole())
 	}
@@ -55,21 +65,28 @@ func TestRedistributeMemBudgetBounded(t *testing.T) {
 		return dist.MustNew(dist.NewType(dist.CyclicDim(1), dist.ElidedDim()), dom, m.ProcsDim("P", 4).Whole())
 	}
 
-	free, freePeak := gatherAfterRedist(t, dom, mk1, mk2)
+	free, freePeak := gatherAfterRedist(t, "tcp", dom, mk1, mk2)
 	if freePeak <= budget {
 		t.Fatalf("unbounded peak %d not above budget %d; test would be vacuous", freePeak, budget)
 	}
+	pulled, pulledPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2)
+	if pulledPeak != 0 {
+		t.Fatalf("unbudgeted shared-memory DISTRIBUTE held %d wire bytes, want 0 (every transfer is a pull)", pulledPeak)
+	}
+	if !slices.Equal(free, pulled) {
+		t.Fatal("pulled result differs from the framed one")
+	}
 
-	bounded, boundedPeak := gatherAfterRedist(t, dom, mk1, mk2, MemBudget(budget))
-	if boundedPeak > budget {
-		t.Fatalf("measured peak wire bytes %d exceeds budget %d", boundedPeak, budget)
-	}
-	if len(free) != len(bounded) {
-		t.Fatalf("gather lengths differ: %d vs %d", len(free), len(bounded))
-	}
-	for i := range free {
-		if free[i] != bounded[i] {
-			t.Fatalf("budgeted result differs from unbounded at %d: %v vs %v", i, bounded[i], free[i])
+	for _, transport := range []string{"chan", "tcp"} {
+		bounded, boundedPeak := gatherAfterRedist(t, transport, dom, mk1, mk2, MemBudget(budget))
+		if boundedPeak > budget {
+			t.Fatalf("%s: measured peak wire bytes %d exceeds budget %d", transport, boundedPeak, budget)
+		}
+		if boundedPeak == 0 {
+			t.Fatalf("%s: budgeted redistribution reports no wire residency; the bound check would be vacuous", transport)
+		}
+		if !slices.Equal(free, bounded) {
+			t.Fatalf("%s: budgeted result differs from the unbounded one", transport)
 		}
 	}
 }
@@ -86,8 +103,8 @@ func TestRedistributeMemBudget1Dto2D(t *testing.T) {
 		return dist.MustNew(dist.NewType(dist.BlockDim(), dist.BlockDim()), dom, m.ProcsDim("G", 2, 2).Whole())
 	}
 
-	free, _ := gatherAfterRedist(t, dom, mk1, mk2)
-	bounded, boundedPeak := gatherAfterRedist(t, dom, mk1, mk2, MemBudget(budget))
+	free, _ := gatherAfterRedist(t, "chan", dom, mk1, mk2)
+	bounded, boundedPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2, MemBudget(budget))
 	if boundedPeak > budget {
 		t.Fatalf("measured peak wire bytes %d exceeds budget %d", boundedPeak, budget)
 	}
@@ -99,45 +116,118 @@ func TestRedistributeMemBudget1Dto2D(t *testing.T) {
 }
 
 // TestRedistributeUnboundedExactCounts pins the no-budget path to the
-// legacy direct alltoallv: payload bytes and data-message counts must
-// equal the schedule-derived sums exactly.
+// paper's cost model and the two transports to each other.  For a fixed
+// BLOCK -> CYCLIC(3) crossing and for every crossing of the chain test's
+// random chains: payload bytes and data-message counts of each DISTRIBUTE
+// equal the schedule-derived sums exactly, and the run over channels —
+// where rect transfers are pulled out of the sender's storage and the
+// rest travel packed — ends bit-identical to the run over TCP, with the
+// same message and byte totals and the same modelled makespan to the
+// last bit.
 func TestRedistributeUnboundedExactCounts(t *testing.T) {
-	dom := index.Dim(50, 3)
-	var before, after msg.Snapshot
-	var wantBytes, wantMsgs int64
-	run(t, 4, func(ctx *machine.Ctx) error {
-		tg := ctx.Machine().ProcsDim("P", 4).Whole()
-		d1 := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
-		d2 := dist.MustNew(dist.NewType(dist.CyclicDim(3), dist.ElidedDim()), dom, tg)
-		a := New(ctx, "C", dom, d1)
-		a.FillFunc(ctx, val2)
-		ctx.Barrier()
-		if ctx.Rank() == 0 {
-			before = ctx.Machine().Stats().Snapshot()
-			for r := 0; r < 4; r++ {
-				s := redist.Build(d1, d2, r, 4)
-				wantBytes += int64(s.SendBytes())
-				wantMsgs += int64(s.RemoteSendCount())
-			}
-		}
-		ctx.Barrier()
-		if err := a.RedistributeTo(ctx, d2); err != nil {
-			return err
-		}
-		ctx.Barrier()
-		if ctx.Rank() == 0 {
-			after = ctx.Machine().Stats().Snapshot()
-		}
-		ctx.Barrier()
-		return nil
-	})
-	// Barrier messages are zero-byte, so the payload/data-message deltas
-	// isolate the redistribution itself.
-	if got := after.TotalBytes() - before.TotalBytes(); got != wantBytes {
-		t.Errorf("unbounded redistribution moved %d payload bytes, schedules say %d", got, wantBytes)
+	type chain struct {
+		name string
+		dom  index.Domain
+		make func(m *machine.Machine) []*dist.Distribution
 	}
-	if got := after.TotalDataMsgs() - before.TotalDataMsgs(); got != wantMsgs {
-		t.Errorf("unbounded redistribution sent %d data messages, schedules say %d", got, wantMsgs)
+	chains := []chain{{"blockToCyclic3", index.Dim(50, 3), func(m *machine.Machine) []*dist.Distribution {
+		tg := m.ProcsDim("P", 4).Whole()
+		dom := index.Dim(50, 3)
+		return []*dist.Distribution{
+			dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg),
+			dist.MustNew(dist.NewType(dist.CyclicDim(3), dist.ElidedDim()), dom, tg),
+		}
+	}}}
+	for i, seed := range chainSeeds() {
+		chains = append(chains, chain{fmt.Sprintf("chain%d", i), chainDom, func(m *machine.Machine) []*dist.Distribution {
+			r := rand.New(rand.NewSource(seed))
+			tg := m.ProcsDim("G", 2, 2).Whole()
+			ds := []*dist.Distribution{dist.MustNew(dist.NewType(dist.BlockDim(), dist.BlockDim()), chainDom, tg)}
+			for len(ds) < 6 {
+				ds = append(ds, randomDist(tg, r))
+			}
+			return ds
+		}})
+	}
+	type outcome struct {
+		data        []float64
+		msgs, bytes int64
+		model       float64
+	}
+	for _, ch := range chains {
+		t.Run(ch.name, func(t *testing.T) {
+			var outs [2]outcome
+			for ti, transport := range []string{"chan", "tcp"} {
+				out := &outs[ti]
+				cost := msg.NewCostModel(4, 5e-6, 1e-9)
+				m := runOn(t, transport, 4, cost, func(ctx *machine.Ctx) error {
+					ds := ctx.CollectiveOnce(func() any { return ch.make(ctx.Machine()) }).([]*dist.Distribution)
+					a := New(ctx, "C", ch.dom, ds[0])
+					a.FillFunc(ctx, val2)
+					for k := 1; k < len(ds); k++ {
+						var before msg.Snapshot
+						var wantBytes, wantMsgs int64
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						if ctx.Rank() == 0 {
+							before = ctx.Machine().Stats().Snapshot()
+							for r := 0; r < 4; r++ {
+								s := redist.Build(ds[k-1], ds[k], r, 4)
+								wantBytes += int64(s.SendBytes())
+								wantMsgs += int64(s.RemoteSendCount())
+							}
+						}
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						if err := a.RedistributeTo(ctx, ds[k]); err != nil {
+							return err
+						}
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						if ctx.Rank() == 0 {
+							// Barrier messages are zero-byte, so the payload and
+							// data-message deltas isolate the redistribution.
+							after := ctx.Machine().Stats().Snapshot()
+							if got := after.TotalBytes() - before.TotalBytes(); got != wantBytes {
+								t.Errorf("%s crossing %d (%v -> %v): moved %d payload bytes, schedules say %d",
+									transport, k, ds[k-1], ds[k], got, wantBytes)
+							}
+							if got := after.TotalDataMsgs() - before.TotalDataMsgs(); got != wantMsgs {
+								t.Errorf("%s crossing %d (%v -> %v): sent %d data messages, schedules say %d",
+									transport, k, ds[k-1], ds[k], got, wantMsgs)
+							}
+						}
+					}
+					// Rank 0's last snapshot precedes any gather traffic.
+					if err := ctx.Barrier(); err != nil {
+						return err
+					}
+					got, err := a.GatherTo(ctx, 0)
+					if ctx.Rank() == 0 {
+						out.data = got
+					}
+					return err
+				})
+				sn := m.Stats().Snapshot()
+				out.msgs, out.bytes, out.model = sn.TotalDataMsgs(), sn.TotalBytes(), cost.Makespan()
+			}
+			c, tc := outs[0], outs[1]
+			if !slices.Equal(c.data, tc.data) {
+				t.Error("chan and tcp end with different contents")
+			}
+			if c.msgs != tc.msgs || c.bytes != tc.bytes {
+				t.Errorf("traffic differs: chan %d msgs / %d bytes, tcp %d / %d", c.msgs, c.bytes, tc.msgs, tc.bytes)
+			}
+			if math.Float64bits(c.model) != math.Float64bits(tc.model) {
+				t.Errorf("modelled makespan differs: chan %v, tcp %v", c.model, tc.model)
+			}
+			if c.model == 0 {
+				t.Error("cost model saw no traffic")
+			}
+		})
 	}
 }
 

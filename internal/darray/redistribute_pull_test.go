@@ -1,0 +1,162 @@
+package darray
+
+import (
+	"testing"
+
+	"repro/internal/dist"
+	"repro/internal/index"
+	"repro/internal/machine"
+)
+
+// TestRedistributeMixedSchedule crosses (BLOCK,:) -> (CYCLIC(2),:) with a
+// block of five rows, an odd size against the cyclic pairs: where a block
+// boundary splits a pair the transfer grid is a single run per dimension
+// (moved through the window as a rect, pulled on shared memory), where
+// it takes a whole pair it is two runs (packed) — on the same rank in the
+// same ring.  Whether a transfer is a rect is decided per transfer by
+// both of its ends — a per-rank choice deadlocks exactly this crossing.
+func TestRedistributeMixedSchedule(t *testing.T) {
+	dom := index.Dim(20, 5)
+	for _, transport := range []string{"chan", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			var rects, packed [4]int
+			runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
+				tg := ctx.Machine().ProcsDim("P", 4).Whole()
+				blk := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
+				cyc := dist.MustNew(dist.NewType(dist.CyclicDim(2), dist.ElidedDim()), dom, tg)
+				a := New(ctx, "M", dom, blk)
+				a.FillFunc(ctx, val2)
+				for _, d := range []*dist.Distribution{cyc, blk, cyc} {
+					if err := a.RedistributeTo(ctx, d); err != nil {
+						return err
+					}
+					bad := 0
+					a.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
+						if *v != val2(p) {
+							bad++
+						}
+					})
+					if bad != 0 {
+						t.Errorf("rank %d: %d wrong values under %v", ctx.Rank(), bad, d)
+					}
+				}
+				rank := ctx.Rank()
+				for _, plan := range a.bufs[rank].plans {
+					for _, xs := range [][]xfer{plan.send, plan.recv} {
+						for _, x := range xs {
+							switch {
+							case x.rect:
+								rects[rank]++
+							case x.count > 0:
+								packed[rank]++
+							}
+						}
+					}
+				}
+				return nil
+			})
+			// Rank 1 ends up all-packed (its one single-run transfer falls
+			// between the receiver's strided runs, which dimSpan declines)
+			// while its peers pull: the per-rank-fallback deadlock shape.
+			mixed, allPacked := 0, 0
+			for r := range rects {
+				if rects[r] > 0 && packed[r] > 0 {
+					mixed++
+				}
+				if rects[r] == 0 && packed[r] > 0 {
+					allPacked++
+				}
+			}
+			if mixed == 0 || allPacked == 0 {
+				t.Errorf("rect/packed transfers per rank %v/%v: want ranks that mix both beside a rank that only packs", rects, packed)
+			}
+		})
+	}
+}
+
+// TestRedistributeGhostedRects redistributes a ghosted array: the window
+// rects are computed from layouts that include the overlap margins, so
+// every pulled element must land in the interior of the new Local and
+// the margins (stale after a DISTRIBUTE, zero in fresh storage) must
+// stay untouched.
+func TestRedistributeGhostedRects(t *testing.T) {
+	dom := index.Dim(12, 10)
+	for _, transport := range []string{"chan", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
+				grid := ctx.Machine().ProcsDim("G", 2, 2).Whole()
+				line := ctx.Machine().ProcsDim("P", 4).Whole()
+				d1 := dist.MustNew(dist.NewType(dist.BlockDim(), dist.BlockDim()), dom, grid)
+				d2 := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BBlockDim(2, 5, 6, 10)), dom, line)
+				a := New(ctx, "H", dom, d1, WithGhost(2, 1))
+				a.FillFunc(ctx, val2)
+				if err := a.ExchangeAllGhosts(ctx); err != nil { // non-zero margins in the source
+					return err
+				}
+				for _, d := range []*dist.Distribution{d2, d1} {
+					if err := a.RedistributeTo(ctx, d); err != nil {
+						return err
+					}
+					l := a.Local(ctx)
+					want := make([]float64, len(l.Data()))
+					l.ForEachOwned(func(p index.Point, _ *float64) { want[l.Offset(p)] = val2(p) })
+					for i, v := range l.Data() {
+						if v != want[i] {
+							t.Errorf("rank %d under %v: storage[%d] = %v, want %v (alloc %v, ghosts %v/%v)",
+								ctx.Rank(), d, i, v, want[i], l.AllocShape(), l.GhostLo(), l.GhostHi())
+							break
+						}
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestRedistributeWarmAllocs pins what a warm DISTRIBUTE costs in
+// allocations on shared memory: the ADI pair (:,BLOCK) <-> (BLOCK,:) with
+// schedules, transfer plans, window and retired Locals all cached.  What
+// is left is three small objects per call — RedistributeTo's option
+// struct, its trace-span name and the run iterator of the self-copy —
+// and nothing per element, per transfer or per peer: no payload, no pack
+// buffer, no geometry.  testing.AllocsPerRun counts the whole process, so
+// rank 0 measures while the other ranks run the same collective calls,
+// and the figure is divided by the rank count.
+func TestRedistributeWarmAllocs(t *testing.T) {
+	const np, runs = 4, 50
+	dom := index.Dim(64, 64)
+	var perRank float64
+	run(t, np, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", np).Whole()
+		cols := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
+		rows := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
+		a := New(ctx, "V", dom, cols)
+		a.FillFunc(ctx, val2)
+		var failed error
+		pair := func() {
+			for _, d := range []*dist.Distribution{rows, cols} {
+				if err := a.RedistributeTo(ctx, d); err != nil && failed == nil {
+					failed = err
+				}
+			}
+		}
+		pair() // builds schedules, plans, the window; parks both Locals
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			perRank = testing.AllocsPerRun(runs, pair) / (2 * np)
+		} else {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+				pair()
+			}
+		}
+		return failed
+	})
+	// Measured: exactly 3 (the parent commit: 12.9, among them the payload
+	// copies: 6 KiB per rank on this 32 KiB array).
+	if perRank > 3 {
+		t.Errorf("warm DISTRIBUTE: %.2f allocs per rank, want <= 3", perRank)
+	}
+}

@@ -11,8 +11,13 @@ import (
 // ChanTransport is the default in-process transport: each processor owns a
 // matcher mailbox and Send appends a copied payload directly to the
 // destination mailbox.  The copy is deliberate — it preserves
-// distributed-memory semantics (no sharing of buffers between sender and
-// receiver), and makes byte accounting identical to the TCP transport.
+// distributed-memory semantics for everything that is sent (no sharing of
+// buffers between sender and receiver), and makes byte accounting
+// identical to the TCP transport.  What it does share is the address
+// space, which its endpoints report as SharedMemory(): a Window uses
+// that to move registered storage by one direct copy, ordered by a
+// zero-byte token sent through here, instead of copying it into a
+// mailbox and out again.
 type ChanTransport struct {
 	np     int
 	boxes  []*matcher

@@ -143,3 +143,36 @@ func BenchmarkCodecDecodeInto(b *testing.B) {
 		DecodeFloat64sInto(dst, buf)
 	}
 }
+
+// TestFloat64RunsMatchWireEncoding pins the bulk helpers to the wire
+// format on whichever host runs the tests: the little-endian build's
+// in-place byte view and the portable per-element loop must both produce
+// exactly EncodeFloat64s' bytes (`make check-portable` cross-builds the
+// other one).
+func TestFloat64RunsMatchWireEncoding(t *testing.T) {
+	vals := []float64{1, -2.5, math.Pi}
+	want := EncodeFloat64s(vals)
+	buf := make([]byte, 8+len(want))
+	PutFloat64s(buf, 8, vals)
+	if !bytes.Equal(buf[8:], want) {
+		t.Fatalf("PutFloat64s wrote % x, wire encoding is % x", buf[8:], want)
+	}
+	for _, b := range buf[:8] {
+		if b != 0 {
+			t.Fatalf("PutFloat64s wrote before its offset: % x", buf[:8])
+		}
+	}
+	got := make([]float64, len(vals))
+	GetFloat64s(got, buf, 8)
+	for i := range vals {
+		if math.Float64bits(got[i]) != math.Float64bits(vals[i]) {
+			t.Errorf("GetFloat64s[%d] = %v, want %v", i, got[i], vals[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("PutFloat64s into a short buffer did not panic")
+		}
+	}()
+	PutFloat64s(make([]byte, 23), 0, vals)
+}

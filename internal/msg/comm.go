@@ -516,18 +516,31 @@ func (c *Comm) AllgatherInts(vals []int) ([][]int, error) {
 	return out, nil
 }
 
-// ring is the one all-to-all exchange: a barrier-free staggered ring in
-// which round r sends to rank+r and then receives from rank-r, so every
-// peer is busy with a different partner.  pack(to) produces the payload
-// for a remote peer immediately before its send (nil = no message);
-// recvFrom[j] says a message from j is expected; consume(from, data) gets
-// each payload immediately after its receive.  The whole exchange uses
-// the one collective tag the caller drew, identical on every rank.
-func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
+// Ring is the one all-to-all round order: a barrier-free staggered ring
+// in which round r pairs this rank with to = rank+r and from = rank-r, so
+// every peer is busy with a different partner.  round is called once per
+// remote peer pair, in order, and its first error ends the exchange.  A
+// round should send before it receives (sends never block on the
+// receiver here), which is what keeps the ring deadlock-free.
+func (c *Comm) Ring(round func(to, from int) error) error {
 	np, rank := c.NP(), c.Rank()
 	for r := 1; r < np; r++ {
-		to := (rank + r) % np
-		from := (rank - r + np) % np
+		if err := round((rank+r)%np, (rank-r+np)%np); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// ring runs the Ring over one collective tag: pack(to) produces the
+// payload for a remote peer immediately before its send (nil = no
+// message); recvFrom[j] says a message from j is expected; consume(from,
+// data) gets each payload immediately after its receive.  The whole
+// exchange uses the one collective tag the caller drew, identical on
+// every rank.
+func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
+	rank := c.Rank()
+	return c.Ring(func(to, from int) error {
 		buf, err := pack(to)
 		if err != nil {
 			return fmt.Errorf("msg: %s: rank %d: pack for %d: %w", op, rank, to, err)
@@ -546,8 +559,8 @@ func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvF
 				return fmt.Errorf("msg: %s: rank %d: consume from %d: %w", op, rank, from, err)
 			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // exchange runs the ring over buffers that all exist up front: send[i]

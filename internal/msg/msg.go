@@ -101,9 +101,13 @@ type Endpoint interface {
 	// transport copies it into the destination mailbox and the TCP
 	// transport copies it into the outgoing frame — so the caller may
 	// reuse the buffer as soon as Send returns.  This is the contract
-	// that lets the data-movement layer recycle its per-peer pack
-	// buffers across iterations.  Received Packet.Data, by contrast, is
-	// always freshly owned by the receiver.
+	// that lets the data-movement layer recycle its pack buffer across
+	// rounds.  Received Packet.Data, by contrast, is always freshly
+	// owned by the receiver.  Not every byte a program moves is handed
+	// to Send: on endpoints that report SharedMemory() a Window moves
+	// bulk data (ghost faces, DISTRIBUTE's rect transfers) by direct
+	// copy and sends only a zero-byte token here, accounting the
+	// payload beside it.
 	Send(to, tag int, data []byte) error
 	// Recv blocks until a message matching (from, tag) arrives and
 	// returns it.  AnySource / AnyTag act as wildcards.  Messages from
@@ -164,15 +168,29 @@ func matches(p Packet, from, tag int) bool {
 	return (from == AnySource || p.From == from) && (tag == AnyTag || p.Tag == tag)
 }
 
+// take removes and returns the first queued packet matching (from, tag).
+// The slot the removal vacates past the new length is zeroed: left alone
+// it would keep the packet's payload reachable from the mailbox long
+// after the receiver dropped it.  m.mu must be held.
+func (m *matcher) take(from, tag int) (Packet, bool) {
+	for i, p := range m.queue {
+		if matches(p, from, tag) {
+			last := len(m.queue) - 1
+			copy(m.queue[i:], m.queue[i+1:])
+			m.queue[last] = Packet{}
+			m.queue = m.queue[:last]
+			return p, true
+		}
+	}
+	return Packet{}, false
+}
+
 func (m *matcher) get(from, tag int) (Packet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		for i, p := range m.queue {
-			if matches(p, from, tag) {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return p, nil
-			}
+		if p, ok := m.take(from, tag); ok {
+			return p, nil
 		}
 		if m.closed {
 			return Packet{}, ErrClosed
@@ -204,11 +222,8 @@ func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
-		for i, p := range m.queue {
-			if matches(p, from, tag) {
-				m.queue = append(m.queue[:i], m.queue[i+1:]...)
-				return p, nil
-			}
+		if p, ok := m.take(from, tag); ok {
+			return p, nil
 		}
 		if m.closed {
 			return Packet{}, ErrClosed

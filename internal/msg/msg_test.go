@@ -2,6 +2,7 @@ package msg
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -308,5 +309,46 @@ func TestCostModelCharge(t *testing.T) {
 	c2 := NewCostModel(1, 1e-3, 1e-9)
 	if c2.MessageTime(1000) != 1e-3+1e-6 {
 		t.Fatalf("message time = %g", c2.MessageTime(1000))
+	}
+}
+
+// TestMailboxDropsReceivedPayload: once a receiver has taken a message
+// and dropped it, nothing in the transport may keep the payload alive.
+// Removing the last queued packet used to leave it — and its Data, up to
+// a whole DISTRIBUTE transfer per mailbox — in the slice slot just past
+// the new length until some later message overwrote it.
+func TestMailboxDropsReceivedPayload(t *testing.T) {
+	for _, timeout := range []bool{false, true} {
+		m := newMatcher()
+		freed := make(chan struct{})
+		func() {
+			payload := make([]byte, 1<<20)
+			runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
+			m.put(Packet{From: 1, Tag: 7, Data: payload})
+		}()
+		var p Packet
+		var err error
+		if timeout {
+			p, err = m.getTimeout(1, 7, time.Second)
+		} else {
+			p, err = m.get(1, 7)
+		}
+		if err != nil || len(p.Data) != 1<<20 {
+			t.Fatalf("timeout=%v: get = %d bytes, %v", timeout, len(p.Data), err)
+		}
+		p = Packet{}
+		deadline := time.After(5 * time.Second)
+	wait:
+		for {
+			runtime.GC()
+			select {
+			case <-freed:
+				break wait
+			case <-deadline:
+				t.Fatalf("timeout=%v: received payload still reachable from the mailbox", timeout)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		runtime.KeepAlive(m) // the mailbox outlives the message, as a transport's does
 	}
 }

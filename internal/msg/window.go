@@ -15,7 +15,7 @@ import (
 // region described by a Rect, without the target posting a matching
 // receive for the data.
 //
-// Two completion disciplines are offered:
+// Three completion disciplines are offered:
 //
 //   - Counted streams (PutAsync / AwaitPut, subtags 1..63): the initiator
 //     puts into a known target region and the target later consumes
@@ -24,6 +24,11 @@ import (
 //     (replicated) distribution descriptor, so the wire carries payload
 //     only and the message/byte accounting is identical to the two-sided
 //     exchange it replaces.
+//   - Offers (Offer / Pull, the same counted streams): the owner offers a
+//     region of its registered storage and the receiver pulls it into
+//     storage of its own that need not be registered — the DISTRIBUTE
+//     discipline, where the destination must stay private until a commit.
+//     On shared memory the receiver makes the only copy.
 //   - Fence epochs (Put / Get / Fence, subtag 0): MPI-style active-target
 //     synchronization.  Operations are buffered logically into an access
 //     epoch; Fence announces per-peer operation counts, drains and applies
@@ -51,7 +56,11 @@ import (
 // Failure semantics: on the shared-memory path the direct copy happens
 // before the notification token is sent, so a put whose token is lost
 // may leave target memory updated while the completion errors out — as
-// with MPI RMA, window contents are undefined after a failed epoch.
+// with MPI RMA, window contents are undefined after a failed epoch.  An
+// offer whose token is lost copies nothing; but a token that arrives
+// after its pull gave up stays queued and would complete the next pull
+// on that stream, so a counted stream must not be reused after a failed
+// operation without a new epoch (a View folds the epoch into the tag).
 
 // Rect describes a strided hyper-rectangular region of a window's
 // registered storage: element offset Off plus per-dimension (stride,
@@ -111,68 +120,85 @@ func (r Rect) validate(n int) error {
 	return nil
 }
 
-// forEachRun walks the rect as innermost runs: f(off, stride, count) for
-// each run, where off is the element offset of the run's first element.
-func (r Rect) forEachRun(f func(off, stride, count int)) {
+// inlineDims is the rect rank up to which run enumeration keeps its
+// odometer on the stack; every array of the paper's programs (and of the
+// benchmark) is within it, so window traffic allocates nothing.
+const inlineDims = 4
+
+// runCursor enumerates a rect's innermost runs in rect order: off is the
+// element offset of the current run, next steps to the following one.
+type runCursor struct {
+	outer []RectDim       // dimensions 1.. (the odometer's digits)
+	inl   [inlineDims]int // odometer, when it fits
+	big   []int           // odometer of a rect with more outer dimensions
+	off   int
+}
+
+// runs returns a cursor on the rect's first run plus the stride and
+// count every run shares.  A rect with no dimensions is one element.
+func (r Rect) runs() (c runCursor, stride, count int) {
+	c.off = r.Off
 	if len(r.Dims) == 0 {
-		f(r.Off, 1, 1)
-		return
+		return c, 1, 1
 	}
-	in := r.Dims[0]
-	outer := r.Dims[1:]
-	idx := make([]int, len(outer))
-	for {
-		off := r.Off
-		for k, d := range outer {
-			off += idx[k] * d.Stride
-		}
-		f(off, in.Stride, in.Count)
-		k := 0
-		for ; k < len(outer); k++ {
-			idx[k]++
-			if idx[k] < outer[k].Count {
-				break
-			}
-			idx[k] = 0
-		}
-		if k == len(outer) {
-			return
-		}
+	c.outer = r.Dims[1:]
+	if len(c.outer) > inlineDims {
+		c.big = make([]int, len(c.outer))
 	}
+	return c, r.Dims[0].Stride, r.Dims[0].Count
+}
+
+// next advances to the following run; it reports false after the last.
+func (c *runCursor) next() bool {
+	idx := c.big
+	if idx == nil {
+		idx = c.inl[:len(c.outer)]
+	}
+	for k, d := range c.outer {
+		idx[k]++
+		c.off += d.Stride
+		if idx[k] < d.Count {
+			return true
+		}
+		c.off -= idx[k] * d.Stride
+		idx[k] = 0
+	}
+	return false
 }
 
 // copyRect copies src's sr region into dst's dr region directly (the
-// shared-memory fast path).  Counts must match; contiguous innermost
-// runs degrade to copy().
+// shared-memory fast path).  Counts must match; where both sides' runs
+// are contiguous the overlap of the two current runs moves with one
+// copy().
 func copyRect(dst []float64, dr Rect, src []float64, sr Rect) {
-	type run struct{ off, stride, count int }
-	var druns []run
-	dr.forEachRun(func(off, stride, count int) {
-		druns = append(druns, run{off, stride, count})
-	})
-	di, dpos := 0, 0
-	d := druns[0]
-	sr.forEachRun(func(off, stride, count int) {
-		for n := 0; n < count; {
-			if dpos == d.count {
-				di++
-				d = druns[di]
-				dpos = 0
+	dc, dstride, dcount := dr.runs()
+	sc, sstride, scount := sr.runs()
+	dpos, spos := 0, 0
+	for {
+		take := min(dcount-dpos, scount-spos)
+		do, so := dc.off+dpos*dstride, sc.off+spos*sstride
+		if dstride == 1 && sstride == 1 {
+			copy(dst[do:do+take], src[so:so+take])
+		} else {
+			for i := 0; i < take; i++ {
+				dst[do+i*dstride] = src[so+i*sstride]
 			}
-			take := min(count-n, d.count-dpos)
-			so := off + n*stride
-			do := d.off + dpos*d.stride
-			if stride == 1 && d.stride == 1 {
-				copy(dst[do:do+take], src[so:so+take])
-			} else {
-				for i := 0; i < take; i++ {
-					dst[do+i*d.stride] = src[so+i*stride]
-				}
-			}
-			n += take
-			dpos += take
 		}
-	})
+		dpos += take
+		spos += take
+		if dpos == dcount {
+			if !dc.next() {
+				return
+			}
+			dpos = 0
+		}
+		if spos == scount {
+			if !sc.next() {
+				return
+			}
+			spos = 0
+		}
+	}
 }
 
 // PackRect appends the wire encoding of src's r region to buf in rect
@@ -182,12 +208,17 @@ func copyRect(dst []float64, dr Rect, src []float64, sr Rect) {
 func PackRect(buf []byte, src []float64, r Rect) []byte {
 	var off int
 	buf, off = GrowFloat64s(buf, r.Count())
-	r.forEachRun(func(ro, stride, count int) {
-		for i := 0; i < count; i++ {
-			PutFloat64(buf, off, src[ro+i*stride])
-			off += 8
+	c, stride, count := r.runs()
+	for more := true; more; more = c.next() {
+		if stride == 1 {
+			PutFloat64s(buf, off, src[c.off:c.off+count])
+		} else {
+			for i := 0; i < count; i++ {
+				PutFloat64(buf, off+8*i, src[c.off+i*stride])
+			}
 		}
-	})
+		off += 8 * count
+	}
 	return buf
 }
 
@@ -200,12 +231,17 @@ func ApplyRect(dst []float64, r Rect, payload []byte) error {
 		return err
 	}
 	off := 0
-	r.forEachRun(func(ro, stride, count int) {
-		for i := 0; i < count; i++ {
-			dst[ro+i*stride] = GetFloat64(payload, off)
-			off += 8
+	c, stride, count := r.runs()
+	for more := true; more; more = c.next() {
+		if stride == 1 {
+			GetFloat64s(dst[c.off:c.off+count], payload, off)
+		} else {
+			for i := 0; i < count; i++ {
+				dst[c.off+i*stride] = GetFloat64(payload, off+8*i)
+			}
 		}
-	})
+		off += 8 * count
+	}
 	return nil
 }
 
@@ -244,6 +280,9 @@ type Window struct {
 	cost   *CostModel
 	shared []winShared
 	fence  []winFence
+	// op names handed to SendRetry/RecvRetry, built once: the counted
+	// streams run per message and must not concatenate per call.
+	opPut, opAwait, opGet, opFence, opOffer, opPull string
 }
 
 // winShared is per-rank hot-path state.
@@ -273,6 +312,13 @@ func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 		cost:   cost,
 		shared: make([]winShared, np),
 		fence:  make([]winFence, np),
+
+		opPut:   "win-put " + name,
+		opAwait: "win-await " + name,
+		opGet:   "win-get " + name,
+		opFence: "win-fence " + name,
+		opOffer: "win-offer " + name,
+		opPull:  "win-pull " + name,
 	}
 }
 
@@ -341,9 +387,7 @@ func (w *Window) opErr(op string, peer int, err error) error {
 // count; subtag must be in 1..MaxSubtag.  The call returns when the
 // local buffers are reusable; remote completion is the target's await.
 func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
-	if subtag < 1 || subtag > MaxSubtag {
-		panic(fmt.Sprintf("msg: window %s: put subtag %d outside 1..%d", w.name, subtag, MaxSubtag))
-	}
+	w.checkSubtag("put", subtag)
 	if sc, dc := src.Count(), dst.Count(); sc != dc {
 		panic(fmt.Sprintf("msg: window %s: put count mismatch: src %d, dst %d", w.name, sc, dc))
 	}
@@ -361,7 +405,7 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 		// Direct copy first, then the notification token: the token's
 		// delivery is the happens-before edge that publishes the copy.
 		copyRect(tbuf, dst, sh.data, src)
-		if err := SendRetry(c.ep, c.cfg, c.tr, "win-put "+w.name, to, tag, nil); err != nil {
+		if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, tag, nil); err != nil {
 			return w.opErr("put to", to, err)
 		}
 		w.accountDirect(c.ep, rank, to, 8*src.Count())
@@ -371,7 +415,7 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 		return nil
 	}
 	sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
-	if err := SendRetry(c.ep, c.cfg, c.tr, "win-put "+w.name, to, tag, sh.sendBuf); err != nil {
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, tag, sh.sendBuf); err != nil {
 		return w.opErr("put to", to, err)
 	}
 	return nil
@@ -382,10 +426,8 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 // storage (already in place on the shared-memory path).  Completions on
 // one (from, subtag) stream match puts in their issue order.
 func (w *Window) AwaitPut(c *Comm, from, subtag int, dst Rect) error {
-	if subtag < 1 || subtag > MaxSubtag {
-		panic(fmt.Sprintf("msg: window %s: await subtag %d outside 1..%d", w.name, subtag, MaxSubtag))
-	}
-	p, err := RecvRetry(c.ep, c.cfg, c.tr, "win-await "+w.name, from, w.tag(subtag))
+	w.checkSubtag("await", subtag)
+	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opAwait, from, w.tag(subtag))
 	if err != nil {
 		return w.opErr("await put from", from, err)
 	}
@@ -402,6 +444,122 @@ func (w *Window) AwaitPut(c *Comm, from, subtag int, dst Rect) error {
 		return w.opErr("await put from", from, err)
 	}
 	return nil
+}
+
+// checkSubtag panics unless subtag names a counted stream.
+func (w *Window) checkSubtag(op string, subtag int) {
+	if subtag < 1 || subtag > MaxSubtag {
+		panic(fmt.Sprintf("msg: window %s: %s subtag %d outside 1..%d", w.name, op, subtag, MaxSubtag))
+	}
+}
+
+// Offer makes the src region of the caller's registered storage available
+// to rank to, which completes the transfer with the matching Pull(from,
+// subtag, src, ...) — the receiver-driven counterpart of PutAsync, for
+// data whose destination is not (yet) registered storage.  On shared
+// memory nothing is copied here: the transport moves a zero-byte token,
+// accounted as the one data message of 8·count bytes the framed path
+// sends, and the receiver copies straight out of the registered storage.
+// The caller must therefore leave the offered region unmodified until it
+// has synchronized with the receiver again (a barrier both pass after the
+// Pull); the token orders the caller's earlier writes before the
+// receiver's reads.  On other transports the region travels packed, as
+// with PutAsync, and is reusable when Offer returns.
+func (w *Window) Offer(c *Comm, to, subtag int, src Rect) error {
+	w.checkSubtag("offer", subtag)
+	rank := c.Rank()
+	sh := &w.shared[rank]
+	if err := src.validate(len(sh.data)); err != nil {
+		return w.opErr("offer to", to, err)
+	}
+	if !sharedMemory(c.ep) {
+		sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
+		return w.OfferPacked(c, to, subtag, sh.sendBuf)
+	}
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
+		return w.opErr("offer to", to, err)
+	}
+	n := 8 * src.Count()
+	w.accountDirect(c.ep, rank, to, n)
+	c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), n)
+	return nil
+}
+
+// OfferPacked is Offer for data that is not a rect of the registered
+// storage: the caller packed it, and on every transport the payload
+// itself travels on the offer stream (completed by PullPacked).  It lets
+// one exchange mix window transfers with packed ones on a single
+// per-peer FIFO stream.  The payload counts as resident wire bytes until
+// the send returns.
+func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
+	w.checkSubtag("offer", subtag)
+	prank, n := physOf(c.ep, c.Rank()), int64(len(payload))
+	w.stats.WireAcquire(prank, n)
+	err := SendRetry(c.ep, c.cfg, c.tr, w.opOffer, to, w.tag(subtag), payload)
+	w.stats.WireRelease(prank, n)
+	if err != nil {
+		return w.opErr("offer to", to, err)
+	}
+	return nil
+}
+
+// Pull completes one Offer from rank from on the given subtag: the
+// elements of src (in from's registered storage) are stored into the dr
+// region of dst, which is any storage of the caller's — typically one no
+// peer can see yet.  src and dr must cover the same element count, and
+// both ends must describe the same src.  On shared memory the caller
+// copies the rect itself once the token arrives and advances its cost
+// clock to the arrival time of the 8·count bytes the token stands for,
+// so clocks and counters equal the framed path's bit for bit; on other
+// transports the received payload is applied.  Completions on one (from,
+// subtag) stream match offers in their issue order.
+func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rect) error {
+	w.checkSubtag("pull", subtag)
+	if sc, dc := src.Count(), dr.Count(); sc != dc {
+		panic(fmt.Sprintf("msg: window %s: pull count mismatch: src %d, dst %d", w.name, sc, dc))
+	}
+	if err := dr.validate(len(dst)); err != nil {
+		return w.opErr("pull from", from, err)
+	}
+	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opPull, from, w.tag(subtag))
+	if err != nil {
+		return w.opErr("pull from", from, err)
+	}
+	prank := physOf(c.ep, c.Rank())
+	if !sharedMemory(c.ep) {
+		n := int64(len(p.Data))
+		w.stats.WireAcquire(prank, n)
+		err := ApplyRect(dst, dr, p.Data)
+		w.stats.WireRelease(prank, n)
+		if err != nil {
+			return w.opErr("pull from", from, err)
+		}
+		return nil
+	}
+	fbuf := w.shared[from].data
+	if err := src.validate(len(fbuf)); err != nil {
+		return w.opErr("pull from", from, err)
+	}
+	copyRect(dst, dr, fbuf, src)
+	n := 8 * src.Count()
+	if w.cost != nil {
+		// The token's own arrival already ran OnRecv with zero bytes;
+		// max is idempotent, so this lands on the framed arrival time.
+		w.cost.OnRecv(prank, p.SendClock, n)
+	}
+	c.tr.Recv(prank, physOf(c.ep, from), n)
+	return nil
+}
+
+// PullPacked completes one OfferPacked from rank from and returns its
+// payload, which the caller owns.
+func (w *Window) PullPacked(c *Comm, from, subtag int) ([]byte, error) {
+	w.checkSubtag("pull", subtag)
+	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opPull, from, w.tag(subtag))
+	if err != nil {
+		return nil, w.opErr("pull from", from, err)
+	}
+	return p.Data, nil
 }
 
 func (w *Window) fenceState(rank int) *winFence {
@@ -468,7 +626,7 @@ func (w *Window) Put(c *Comm, to int, src, dst Rect) error {
 		frame = PackRect(frame, sh.data, src)
 		sh.sendBuf = frame
 	}
-	if err := SendRetry(c.ep, c.cfg, c.tr, "win-put "+w.name, to, w.tag(0), frame); err != nil {
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, w.tag(0), frame); err != nil {
 		return w.opErr("put to", to, err)
 	}
 	if sharedMemory(c.ep) {
@@ -511,7 +669,7 @@ func (w *Window) Get(c *Comm, from int, src, dst Rect) error {
 	frame := append(sh.sendBuf[:0], frGetReq)
 	frame = appendRectWire(frame, src)
 	sh.sendBuf = frame
-	if err := SendRetry(c.ep, c.cfg, c.tr, "win-get "+w.name, from, w.tag(0), frame); err != nil {
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opGet, from, w.tag(0), frame); err != nil {
 		return w.opErr("get from", from, err)
 	}
 	st.sent[from]++
@@ -535,7 +693,7 @@ func (w *Window) Fence(c *Comm, peers []int) error {
 	for _, p := range peers {
 		hdr[0] = frAnnounce
 		PutUint32(hdr[:], 1, uint32(st.sent[p]))
-		if err := SendRetry(c.ep, c.cfg, c.tr, "win-fence "+w.name, p, w.tag(0), hdr[:]); err != nil {
+		if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0), hdr[:]); err != nil {
 			return w.opErr("fence announce to", p, err)
 		}
 		st.sent[p] = 0
@@ -565,7 +723,7 @@ func (w *Window) Fence(c *Comm, peers []int) error {
 		return false
 	}
 	for pending() {
-		p, err := RecvRetry(c.ep, c.cfg, c.tr, "win-fence "+w.name, AnySource, w.tag(0))
+		p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opFence, AnySource, w.tag(0))
 		if err != nil {
 			return w.opErr("fence drain from", AnySource, err)
 		}
@@ -603,7 +761,7 @@ func (w *Window) Fence(c *Comm, peers []int) error {
 				return w.opErr("fence get-request from", p.From, err)
 			}
 			rep := append([]byte{frGetRep}, PackRect(nil, sh.data, src)...)
-			if err := SendRetry(c.ep, c.cfg, c.tr, "win-fence "+w.name, p.From, w.tag(0), rep); err != nil {
+			if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p.From, w.tag(0), rep); err != nil {
 				return w.opErr("fence get-reply to", p.From, err)
 			}
 			got[p.From]++
@@ -648,7 +806,7 @@ func (w *Window) Fence(c *Comm, peers []int) error {
 	// finished peer is its ack, never a next-epoch operation.
 	ack := [1]byte{frAck}
 	for _, p := range peers {
-		if err := SendRetry(c.ep, c.cfg, c.tr, "win-fence "+w.name, p, w.tag(0), ack[:]); err != nil {
+		if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0), ack[:]); err != nil {
 			return w.opErr("fence ack to", p, err)
 		}
 	}
@@ -656,7 +814,7 @@ func (w *Window) Fence(c *Comm, peers []int) error {
 		if acked[p] {
 			continue
 		}
-		pk, err := RecvRetry(c.ep, c.cfg, c.tr, "win-fence "+w.name, p, w.tag(0))
+		pk, err := RecvRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0))
 		if err != nil {
 			return w.opErr("fence ack from", p, err)
 		}

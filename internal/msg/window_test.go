@@ -76,15 +76,16 @@ func TestWindowRectRoundTrip(t *testing.T) {
 			viaCopy := make([]float64, len(src))
 			copyRect(viaCopy, tc.r, src, tc.r)
 			touched := 0
-			tc.r.forEachRun(func(off, stride, count int) {
+			c, stride, count := tc.r.runs()
+			for more := true; more; more = c.next() {
 				for i := 0; i < count; i++ {
-					at := off + i*stride
+					at := c.off + i*stride
 					if viaWire[at] != src[at] || viaCopy[at] != src[at] {
 						t.Fatalf("element %d: wire=%v copy=%v want %v", at, viaWire[at], viaCopy[at], src[at])
 					}
 					touched++
 				}
-			})
+			}
 			if touched != tc.r.Count() {
 				t.Fatalf("enumerated %d elements, Count()=%d", touched, tc.r.Count())
 			}
@@ -572,5 +573,164 @@ func TestFaultMatrixWindowFenceDrop(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestWindowOfferPullRing drives the offer/pull discipline on both
+// transports with a cost model attached: every rank offers a strided
+// 2-D block of its registered storage to its successor, which pulls it
+// into private storage no window knows about, and a second pair moves a
+// caller-packed payload on the same stream.  Data, counters and every
+// rank's virtual clock must be identical on the token path (chan) and
+// the framed path (tcp) — the clock bit for bit.
+func TestWindowOfferPullRing(t *testing.T) {
+	const np, rows, cols = 4, 6, 5
+	src := Rect{Off: 1, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: rows, Count: cols}}}
+	dst := Rect{Off: 2, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: cols}}}
+	type outcome struct {
+		snap   Snapshot
+		clocks [np]float64
+		got    [np][]float64
+	}
+	results := map[string]*outcome{}
+	for _, name := range []string{"chan", "tcp"} {
+		cost := NewCostModel(np, 3e-6, 2e-9)
+		var tr Transport
+		if name == "tcp" {
+			tcp, err := NewTCPTransport(np, WithCost(cost))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr = tcp
+		} else {
+			tr = NewChanTransport(np, WithCost(cost))
+		}
+		out := &outcome{}
+		win := NewWindow(np, "offer", tr.Stats(), tr.Cost())
+		runCommsOn(t, tr, func(c *Comm) error {
+			r := c.Rank()
+			data := make([]float64, rows*cols)
+			for i := range data {
+				data[i] = float64(1000*r + i)
+			}
+			win.Register(r, data)
+			if err := c.Barrier(); err != nil {
+				return err
+			}
+			next, prev := (r+1)%np, (r+np-1)%np
+			if err := win.Offer(c, next, 7, src); err != nil {
+				return err
+			}
+			private := make([]float64, 8*cols)
+			if err := win.Pull(c, prev, 7, src, private, dst); err != nil {
+				return err
+			}
+			if err := win.OfferPacked(c, next, 7, EncodeFloat64s([]float64{float64(r), -1})); err != nil {
+				return err
+			}
+			packed, err := win.PullPacked(c, prev, 7)
+			if err != nil {
+				return err
+			}
+			if got := DecodeFloat64s(packed); len(got) != 2 || got[0] != float64(prev) || got[1] != -1 {
+				t.Errorf("rank %d: packed pull = %v", r, got)
+			}
+			for j := 0; j < cols; j++ {
+				for i := 0; i < 3; i++ {
+					want := float64(1000*prev + 1 + i + rows*j)
+					if got := private[2+2*i+8*j]; got != want {
+						t.Errorf("%s rank %d: pulled (%d,%d) = %v, want %v", name, r, i, j, got, want)
+					}
+				}
+			}
+			out.got[r] = private
+			// Hold the offered storage still until every peer has pulled.
+			return c.Barrier()
+		})
+		out.snap = tr.Stats().Snapshot()
+		for r := 0; r < np; r++ {
+			out.clocks[r] = cost.Clock(r)
+		}
+		if name == "chan" {
+			if peak := tr.Stats().PeakWireBytes(); peak != 16 {
+				t.Errorf("chan: peak wire bytes %d, want 16 (only the packed offer is ever resident)", peak)
+			}
+		}
+		tr.Close()
+		results[name] = out
+	}
+	ch, tc := results["chan"], results["tcp"]
+	if ch.snap.TotalDataMsgs() != tc.snap.TotalDataMsgs() || ch.snap.TotalBytes() != tc.snap.TotalBytes() ||
+		ch.snap.TotalMsgs() != tc.snap.TotalMsgs() {
+		t.Errorf("stats parity: chan %d data msgs/%d msgs/%d bytes, tcp %d/%d/%d",
+			ch.snap.TotalDataMsgs(), ch.snap.TotalMsgs(), ch.snap.TotalBytes(),
+			tc.snap.TotalDataMsgs(), tc.snap.TotalMsgs(), tc.snap.TotalBytes())
+	}
+	if want := int64(np * (8*3*cols + 16)); ch.snap.TotalBytes() != want {
+		t.Errorf("offer traffic: %d bytes, want %d", ch.snap.TotalBytes(), want)
+	}
+	if ch.clocks != tc.clocks {
+		t.Errorf("cost clocks differ:\n chan %v\n tcp  %v", ch.clocks, tc.clocks)
+	}
+	for r := 0; r < np; r++ {
+		for i := range ch.got[r] {
+			if ch.got[r][i] != tc.got[r][i] {
+				t.Fatalf("rank %d element %d: chan %v, tcp %v", r, i, ch.got[r][i], tc.got[r][i])
+			}
+		}
+	}
+}
+
+// warmWindowPair returns a two-rank shared-memory window with a cost
+// model attached, both Comms driven from the calling goroutine (channel
+// sends never block, so one goroutine can play both ranks — which is what
+// lets testing.AllocsPerRun see only the window's own allocations).
+func warmWindowPair(t *testing.T) (win *Window, c0, c1 *Comm) {
+	t.Helper()
+	tr := NewChanTransport(2, WithCost(NewCostModel(2, 1e-6, 1e-9)))
+	t.Cleanup(func() { tr.Close() })
+	win = NewWindow(2, "warm", tr.Stats(), tr.Cost())
+	win.Register(0, make([]float64, 4096))
+	win.Register(1, make([]float64, 4096))
+	return win, NewComm(tr.Endpoint(0)), NewComm(tr.Endpoint(1))
+}
+
+// A 4-D rect pair with different run structure on the two sides, so the
+// copy walks both odometers: the deepest rank the inline cursor covers.
+var (
+	allocSrc = Rect{Off: 3, Dims: []RectDim{{1, 4}, {8, 3}, {64, 2}, {512, 2}}}
+	allocDst = Rect{Off: 5, Dims: []RectDim{{2, 4}, {16, 3}, {128, 2}, {1024, 2}}}
+)
+
+func TestWindowPutAllocatesNothing(t *testing.T) {
+	win, c0, c1 := warmWindowPair(t)
+	put := func() {
+		if err := win.PutAsync(c0, 1, 1, allocSrc, allocDst); err != nil {
+			t.Fatal(err)
+		}
+		if err := win.AwaitPut(c1, 0, 1, allocDst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	put() // the mailbox grows once
+	if n := testing.AllocsPerRun(100, put); n != 0 {
+		t.Errorf("warm PutAsync+AwaitPut: %v allocs/run, want 0", n)
+	}
+}
+
+func TestWindowPullAllocatesNothing(t *testing.T) {
+	win, c0, c1 := warmWindowPair(t)
+	private := make([]float64, 4096)
+	pull := func() {
+		if err := win.Offer(c0, 1, 2, allocSrc); err != nil {
+			t.Fatal(err)
+		}
+		if err := win.Pull(c1, 0, 2, allocSrc, private, allocDst); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pull()
+	if n := testing.AllocsPerRun(100, pull); n != 0 {
+		t.Errorf("warm Offer+Pull: %v allocs/run, want 0", n)
 	}
 }
