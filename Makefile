@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable soak bench bench-kernels examples experiments analyze clean
+.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -31,7 +31,7 @@ loc:
 # on — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable
+check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
@@ -138,6 +138,22 @@ check-portable:
 	GOARCH=s390x $(GO) build ./...
 	GOARCH=s390x $(GO) vet ./internal/msg ./internal/darray
 
+# The byte path off shared memory: the frozen wire format and the frame
+# limit (golden frame, header fuzz seeds, both refusals), receive-buffer
+# ownership (held payloads never change, a released buffer serves one
+# packet at a time), the warm allocation bounds of a TCP round trip and of
+# a timed receive, the stripe run mapper and the word-wise XOR against
+# their per-element references, the streamed stripe exchange (files
+# byte-identical to a point-by-point image, exact counts, a short payload
+# failing the epoch) — then the three packages whole, under the race
+# detector on one and on two processors, since buffers now change hands
+# between the reader goroutines and the ranks.
+check-wire:
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
+	  ./internal/msg ./internal/pario ./internal/ckpt
+	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
+	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
+
 # The benchmark spine: four paper workloads, one result schema
 # (bench/README.md); results land in bench/out/.
 bench:
@@ -149,6 +165,18 @@ bench:
 # Factor.Solve the apps run.
 bench-kernels:
 	$(GO) test -run XXX -bench 'Tridiag|Factor' ./internal/kernels
+
+# The wire and stripe layers under adi_ckpt_tcp, in-package because a PR
+# that claims a gain may not touch bench/: warm TCP round trips of 64 B,
+# 256 KiB and 1 MiB with every received buffer released, bare and under
+# CRC32C (the spine's msg.tcp.* probes echo p.Data back and never release,
+# so they see the send side only); the stripe run mapper and the parity
+# fold against the per-element loops they replaced; and one warm striped
+# parity save of the 768² grid on 4 ranks over TCP + integrity.
+bench-wire:
+	$(GO) test -run XXX -bench 'TCPRoundTrip' ./internal/msg
+	$(GO) test -run XXX -bench 'Place|XorInto' ./internal/pario
+	$(GO) test -run XXX -bench 'CkptSave768' ./internal/ckpt
 
 # Regenerate the EXPERIMENTS.md tables (E1-E4).
 experiments:

@@ -432,10 +432,6 @@ func agree(ctx *machine.Ctx, local error) error {
 	return nil
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return binary.LittleEndian.AppendUint32(b, v)
-}
-
 func getU32(b []byte, off int) uint32 {
 	return binary.LittleEndian.Uint32(b[off:])
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/machine"
 	"repro/internal/msg"
+	"repro/internal/pario"
 )
 
 // fill gives every point a value with a full-width float64 mantissa, so
@@ -455,7 +456,8 @@ func TestExtract(t *testing.T) {
 		{{Lo: 2, Hi: 5, Stride: 1}},
 		{{Lo: 5, Hi: 7, Stride: 2}},
 	}}
-	out := extract(payload, from, want)
+	out := make([]byte, 8*want.Count())
+	pario.Extract(out, payload, from, want)
 	i := 0
 	want.ForEach(func(p index.Point) bool {
 		if got := msg.GetFloat64(out, 8*i); got != fill(p) {

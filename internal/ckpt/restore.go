@@ -195,6 +195,7 @@ type stripeReader struct {
 	set      pario.StripeSet
 	loaded   map[int][][]byte
 	repaired int
+	scratch  []byte // fill's extraction buffer, reused from stripe to stripe
 }
 
 func newStripeReader(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) *stripeReader {
@@ -247,7 +248,9 @@ func (sr *stripeReader) fill(l *darray.Local, myGrid index.Grid, am ArrayMeta, a
 			l.UnpackWire(myGrid, payload)
 			continue
 		}
-		l.UnpackWire(inter, extract(payload, sg, inter))
+		sr.scratch, _ = msg.GrowFloat64s(sr.scratch[:0], inter.Count())
+		pario.Extract(sr.scratch, payload, sg, inter)
+		l.UnpackWire(inter, sr.scratch)
 	}
 	return nil
 }
@@ -282,34 +285,4 @@ func stripePayloads(data []byte, man *Manifest, epochDir string, s int) ([][]byt
 		off += 8 * n
 	}
 	return payloads, nil
-}
-
-// extract pulls the values at want's points (canonical order) out of a
-// payload recorded in from's canonical enumeration order.  want must be a
-// subset of from.
-func extract(payload []byte, from, want index.Grid) []byte {
-	// Column-major position strides over from's per-dimension counts,
-	// dimension 0 innermost — the canonical enumeration of ForEachRun.
-	strd := make([]int, from.Rank())
-	mul := 1
-	for k := range strd {
-		strd[k] = mul
-		mul *= from.Dims[k].Count()
-	}
-	var out []byte
-	out, _ = msg.GrowFloat64s(out, want.Count())
-	off := 0
-	want.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := 0
-		for k := 1; k < len(p); k++ {
-			row += from.Dims[k].IndexOf(p[k]) * strd[k]
-		}
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			idx := row + from.Dims[0].IndexOf(i)
-			msg.PutFloat64(out, off, msg.GetFloat64(payload, 8*idx))
-			off += 8
-		}
-		return true
-	})
-	return out
 }

@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -29,7 +30,8 @@ func Save(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[string]
 // The write is two-phase, ViPIOS style: each array's domain is split
 // into opts.Servers stripes of the canonical file order, every rank's
 // primary local spans are exchanged into the stripe owners with one
-// collective Alltoallv per epoch, and only then do the I/O server ranks
+// scheduled all-to-all per epoch, each payload placed into the owner's
+// stripe image as it arrives, and only then do the I/O server ranks
 // touch disk — each stripe written once, sequentially, by its server's
 // dedicated goroutine while the ranks move on to the checksum gather and
 // commit agreement.  Redundancy (a parity stripe built by a pipelined
@@ -90,44 +92,81 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	// Phase one: the collective exchange.  Each array's domain is striped
 	// into ns canonical-order slabs; every rank packs the intersection of
 	// its primary spans with each stripe and ships it to the stripe's
-	// server (rank s owns stripe s).  Stripe layout — and therefore every
-	// buffer size below — is a pure function of the domains and ns, so
-	// all ranks agree on it without negotiation.
+	// server (rank s owns stripe s), which places each payload into its
+	// stripe image as it arrives.  Stripe layout and the recorded
+	// distributions — and therefore who sends to whom and every payload
+	// size — are a pure function of the descriptors and ns, so all ranks
+	// agree on them without negotiation: the exchange is a scheduled ring
+	// with no size round in front, and a payload of the wrong size is the
+	// server's to detect (stripeImage.place).
 	stripes := make([][]index.Grid, len(arrays))
+	maxSize := 0
 	for i, a := range arrays {
 		stripes[i] = pario.StripeGrids(a.Domain(), ns)
 	}
-	send := make([][]byte, np)
 	for s := 0; s < ns; s++ {
-		var buf []byte
+		maxSize = max(maxSize, stripeSize(arrays, stripes, s))
+	}
+	var img *stripeImage
+	recvFrom := make([]bool, np)
+	if rank < ns {
+		img = newStripeImage(arrays, stripes, epoch, rank, maxSize)
+		for r := range recvFrom {
+			recvFrom[r] = r != rank && img.expect(r) > 0
+		}
+	}
+	// packFor packs this rank's part of stripe s, nil when it has none.
+	// One buffer serves every destination: Send is done with it on return.
+	var packBuf []byte
+	packFor := func(s int) []byte {
+		if s >= ns {
+			return nil
+		}
+		packBuf = packBuf[:0]
 		for i, a := range arrays {
 			if !a.Dist().IsPrimaryRank(rank) {
 				continue // replicated copies are identical; the primary ships
 			}
 			l := a.Local(ctx)
-			inter := l.Grid().Intersect(stripes[i][s])
-			if inter.Empty() {
-				continue
+			if inter := l.Grid().Intersect(stripes[i][s]); !inter.Empty() {
+				packBuf = l.AppendPacked(packBuf, inter)
 			}
-			buf = l.AppendPacked(buf, inter)
 		}
-		send[s] = buf
+		if len(packBuf) == 0 {
+			return nil
+		}
+		return packBuf
 	}
-	recv, err := ctx.Comm().Alltoallv(send)
+	// A bad payload fails the epoch, not the ring: the server keeps
+	// exchanging (its peers are waiting on its sends) and reports through
+	// the agreement below, so the staging directory is never committed.
+	var placeErr error
+	place := func(from int, data []byte) {
+		if err := img.place(from, data); err != nil && placeErr == nil {
+			placeErr = err
+		}
+	}
+	err = ctx.Comm().AlltoallvStream(
+		func(to int) ([]byte, error) { return packFor(to), nil },
+		recvFrom,
+		func(from int, data []byte) error { place(from, data); return nil })
 	if err != nil {
 		return -1, fmt.Errorf("ckpt: stripe exchange: %w", err)
 	}
 
-	// Phase two: the servers assemble their stripe in memory, checksum
-	// it, and hand it to their I/O goroutine; the disk writes overlap the
-	// parity chain, the checksum gather and the commit agreement below.
+	// Phase two: the servers checksum their stripe and hand it to their
+	// I/O goroutine; the disk writes overlap the parity chain, the
+	// checksum gather and the commit agreement below.
 	var (
 		srv       *pario.Server
 		stripeBuf []byte
 		myCRC     uint32
 	)
 	if rank < ns {
-		stripeBuf = assembleStripe(ctx, arrays, stripes, recv, epoch, rank)
+		if buf := packFor(rank); buf != nil {
+			place(rank, buf)
+		}
+		stripeBuf = img.buf
 		myCRC = crc32.ChecksumIEEE(stripeBuf)
 		srv = pario.StartServer(f, cfg, tr, rank)
 		srv.Write(filepath.Join(staging, stripeFileName(rank)), stripeBuf)
@@ -138,30 +177,32 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 
 	// Parity: a pipelined XOR chain across the server ranks (raw tag
 	// 9101), zero-padded to the largest stripe; the last server writes
-	// the folded result.
+	// the folded result.  The first link sends its image as it stands —
+	// the image's capacity is the padding — and every later link folds
+	// its image into the buffer it received and passes that on.
 	var parityCRC uint32
 	var paritySize int
 	if opts.Redundancy == pario.RedundancyParity && rank < ns {
-		maxSize := 0
-		for s := 0; s < ns; s++ {
-			if sz := stripeSize(arrays, stripes, s); sz > maxSize {
-				maxSize = sz
-			}
-		}
-		acc := make([]byte, maxSize)
-		copy(acc, stripeBuf)
+		acc := stripeBuf[:maxSize]
 		ep, ccfg := ctx.Endpoint(), ctx.Comm().Config()
+		var got msg.Packet
 		if rank > 0 {
-			p, err := msg.RecvRetry(ep, ccfg, tr, "ckpt-parity", rank-1, parityTag)
+			got, err = msg.RecvRetry(ep, ccfg, tr, "ckpt-parity", rank-1, parityTag)
 			if err != nil {
 				return -1, fmt.Errorf("ckpt: parity chain: %w", err)
 			}
-			pario.XorInto(acc, p.Data)
+			if len(got.Data) == maxSize {
+				acc = got.Data
+				pario.XorInto(acc, stripeBuf)
+			} else if placeErr == nil {
+				placeErr = fmt.Errorf("ckpt: parity chain: %d bytes from rank %d, want %d", len(got.Data), rank-1, maxSize)
+			}
 		}
 		if rank < ns-1 {
 			if err := msg.SendRetry(ep, ccfg, tr, "ckpt-parity", rank+1, parityTag, acc); err != nil {
 				return -1, fmt.Errorf("ckpt: parity chain: %w", err)
 			}
+			got.Release()
 		} else {
 			parityCRC = crc32.ChecksumIEEE(acc)
 			paritySize = maxSize
@@ -175,9 +216,11 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	if err != nil {
 		return -1, fmt.Errorf("ckpt: checksum gather: %w", err)
 	}
-	var writeErr error
+	writeErr := placeErr
 	if srv != nil {
-		writeErr = srv.Close()
+		if err := srv.Close(); writeErr == nil {
+			writeErr = err
+		}
 	}
 	if err := agree(ctx, writeErr); err != nil {
 		return -1, fmt.Errorf("ckpt: writing epoch %d: %w", epoch, err)
@@ -283,39 +326,77 @@ func stripeSize(arrays []*darray.Array, stripes [][]index.Grid, s int) int {
 	return n
 }
 
-// assembleStripe builds stripe s's file image from the Alltoallv
-// receive buffers: for every source rank, the intersection of that
+// stripeImage is one server's stripe file, assembled in memory: the
+// header, then per array a u32 count and the array's slab of the stripe
+// in canonical order.  For every source rank, the intersection of that
 // rank's recorded primary grid with the stripe grid says exactly which
 // canonical positions its payload bytes land in.
-func assembleStripe(ctx *machine.Ctx, arrays []*darray.Array, stripes [][]index.Grid, recv [][]byte, epoch, s int) []byte {
-	buf := make([]byte, 0, stripeSize(arrays, stripes, s))
-	buf = appendU32(buf, stripeMagic)
-	buf = appendU32(buf, Version)
-	buf = appendU32(buf, uint32(epoch))
-	buf = appendU32(buf, uint32(s))
-	buf = appendU32(buf, uint32(len(arrays)))
-	offs := make([]int, len(arrays))
-	for i := range arrays {
-		buf = appendU32(buf, uint32(stripes[i][s].Count()))
-		offs[i] = len(buf)
-		buf = append(buf, make([]byte, 8*stripes[i][s].Count())...)
+type stripeImage struct {
+	arrays []*darray.Array
+	grids  []index.Grid // the stripe's slab of each array
+	s      int
+	buf    []byte // the file image; its capacity is the parity padding
+	offs   []int  // byte offset of each array's slab in buf
+}
+
+// newStripeImage allocates stripe s's image once — zeroed, with capacity
+// padTo so the parity chain can send it zero-padded as it stands — and
+// writes the header and the per-array counts.
+func newStripeImage(arrays []*darray.Array, stripes [][]index.Grid, epoch, s, padTo int) *stripeImage {
+	im := &stripeImage{
+		arrays: arrays, s: s,
+		grids: make([]index.Grid, len(arrays)),
+		offs:  make([]int, len(arrays)),
+		buf:   make([]byte, stripeSize(arrays, stripes, s), padTo),
 	}
-	for r := 0; r < ctx.NP(); r++ {
-		data := recv[r]
-		off := 0
-		for i, a := range arrays {
-			d := a.Dist()
-			if !d.IsPrimaryRank(r) {
-				continue
-			}
-			inter := d.LocalGrid(r).Intersect(stripes[i][s])
-			if inter.Empty() {
-				continue
-			}
-			n := 8 * inter.Count()
-			pario.Place(buf[offs[i]:offs[i]+8*stripes[i][s].Count()], data[off:off+n], inter, stripes[i][s])
-			off += n
+	for i, v := range []uint32{stripeMagic, Version, uint32(epoch), uint32(s), uint32(len(arrays))} {
+		binary.LittleEndian.PutUint32(im.buf[4*i:], v)
+	}
+	off := 20
+	for i := range arrays {
+		im.grids[i] = stripes[i][s]
+		n := im.grids[i].Count()
+		binary.LittleEndian.PutUint32(im.buf[off:], uint32(n))
+		im.offs[i] = off + 4
+		off += 4 + 8*n
+	}
+	return im
+}
+
+// parts calls f for every array of which rank r holds a primary part of
+// the stripe, with that part.
+func (im *stripeImage) parts(r int, f func(i int, inter index.Grid)) {
+	for i, a := range im.arrays {
+		d := a.Dist()
+		if !d.IsPrimaryRank(r) {
+			continue
+		}
+		if inter := d.LocalGrid(r).Intersect(im.grids[i]); !inter.Empty() {
+			f(i, inter)
 		}
 	}
-	return buf
+}
+
+// expect is the exact size of rank r's payload for this stripe.
+func (im *stripeImage) expect(r int) int {
+	n := 0
+	im.parts(r, func(_ int, inter index.Grid) { n += 8 * inter.Count() })
+	return n
+}
+
+// place puts rank r's payload — its parts of the stripe, array after
+// array, each in canonical order — where they belong in the image.  The
+// length check is the only one this payload gets: no size was exchanged.
+func (im *stripeImage) place(r int, data []byte) error {
+	if want := im.expect(r); len(data) != want {
+		return fmt.Errorf("ckpt: stripe %d: payload from rank %d is %d bytes, want %d", im.s, r, len(data), want)
+	}
+	off := 0
+	im.parts(r, func(i int, inter index.Grid) {
+		n := 8 * inter.Count()
+		slab := im.buf[im.offs[i] : im.offs[i]+8*im.grids[i].Count()]
+		pario.Place(slab, data[off:off+n], inter, im.grids[i])
+		off += n
+	})
+	return nil
 }

@@ -534,11 +534,11 @@ func (c *Comm) Ring(round func(to, from int) error) error {
 
 // ring runs the Ring over one collective tag: pack(to) produces the
 // payload for a remote peer immediately before its send (nil = no
-// message); recvFrom[j] says a message from j is expected; consume(from,
-// data) gets each payload immediately after its receive.  The whole
-// exchange uses the one collective tag the caller drew, identical on
-// every rank.
-func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
+// message); recvFrom[j] says a message from j is expected; consume gets
+// each packet immediately after its receive and decides whether to keep
+// its payload or release it.  The whole exchange uses the one collective
+// tag the caller drew, identical on every rank.
+func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(p Packet) error) error {
 	rank := c.Rank()
 	return c.Ring(func(to, from int) error {
 		buf, err := pack(to)
@@ -555,7 +555,7 @@ func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvF
 			if err != nil {
 				return err
 			}
-			if err := consume(from, p.Data); err != nil {
+			if err := consume(p); err != nil {
 				return fmt.Errorf("msg: %s: rank %d: consume from %d: %w", op, rank, from, err)
 			}
 		}
@@ -577,7 +577,7 @@ func (c *Comm) exchange(op string, tag int, send [][]byte, recvFrom []bool) ([][
 	err := c.ring(op, tag,
 		func(to int) ([]byte, error) { return send[to], nil },
 		recvFrom,
-		func(from int, data []byte) error { recv[from] = data; return nil })
+		func(p Packet) error { recv[p.From] = p.Data; return nil })
 	if err != nil {
 		return nil, err
 	}
@@ -677,8 +677,9 @@ func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) 
 // it is only called for remote peers (to != rank — callers handle the
 // self-transfer as a local copy).  consume(from, data) is likewise only
 // called for remote peers, once per expected message; data is the
-// transport's buffer and must be fully used (or copied) before consume
-// returns.  Tag discipline matches the other collectives: one fresh
+// transport's buffer, which goes back to it (Packet.Release) when consume
+// returns, so it must be fully used (or copied) by then.  Tag discipline
+// matches the other collectives: one fresh
 // collective tag for the whole exchange, identical on every rank.
 func (c *Comm) AlltoallvStream(pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
 	if np := c.NP(); len(recvFrom) != np {
@@ -687,7 +688,11 @@ func (c *Comm) AlltoallvStream(pack func(to int) ([]byte, error), recvFrom []boo
 	if c.tr != nil {
 		defer c.span("alltoallv-stream").End()
 	}
-	return c.ring("alltoallv-stream", c.nextTag(), pack, recvFrom, consume)
+	return c.ring("alltoallv-stream", c.nextTag(), pack, recvFrom, func(p Packet) error {
+		err := consume(p.From, p.Data)
+		p.Release()
+		return err
+	})
 }
 
 // SendRecv exchanges buffers with two (possibly different) peers in one

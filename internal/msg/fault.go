@@ -295,33 +295,58 @@ func (e *faultEndpoint) stall(peer, tag int) {
 	}
 }
 
-func (e *faultEndpoint) Send(to, tag int, data []byte) error {
+// firedSend runs one send past the slow rules and the send-side schedule.
+func (e *faultEndpoint) firedSend(to, tag int) *FaultRule {
 	e.stall(to, tag)
-	if r := e.fire(to, tag, FaultSendErr, FaultRecvDelay, FaultDrop, FaultCorrupt); r != nil {
-		switch r.Kind {
-		case FaultSendErr:
-			return fmt.Errorf("%w: send %d->%d", ErrInjected, e.inner.Rank(), to)
-		case FaultDrop:
-			return nil // frame silently lost
-		case FaultCorrupt:
-			if len(data) == 0 {
-				return e.inner.Send(to, tag, data)
-			}
-			// Flip one mid-payload bit on a copy (the caller may reuse
-			// its buffer, and must not see the corruption).
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			cp[len(cp)/2] ^= 0x10
-			return e.inner.Send(to, tag, cp)
-		case FaultRecvDelay:
-			cp := make([]byte, len(data))
-			copy(cp, data)
-			go func() {
-				time.Sleep(r.Delay)
-				e.inner.Send(to, tag, cp) //nolint:errcheck // late frame on a dead transport is moot
-			}()
-			return nil
+	return e.fire(to, tag, FaultSendErr, FaultRecvDelay, FaultDrop, FaultCorrupt)
+}
+
+func (e *faultEndpoint) Send(to, tag int, data []byte) error {
+	if r := e.firedSend(to, tag); r != nil {
+		return e.sendFaulty(r, to, tag, data)
+	}
+	return e.inner.Send(to, tag, data)
+}
+
+// sendSummed implements summedSender.  A send no rule fires on goes down
+// as it came; one that is to be corrupted or delayed becomes the joined
+// frame first, so the injected fault lands on the same bytes it would
+// have without the hook.
+func (e *faultEndpoint) sendSummed(to, tag int, data []byte, sum uint32) error {
+	if r := e.firedSend(to, tag); r != nil {
+		return e.sendFaulty(r, to, tag, appendSum(data, sum))
+	}
+	if s, ok := e.inner.(summedSender); ok {
+		return s.sendSummed(to, tag, data, sum)
+	}
+	return e.inner.Send(to, tag, appendSum(data, sum))
+}
+
+// sendFaulty applies the fired send-side rule r to one frame.
+func (e *faultEndpoint) sendFaulty(r *FaultRule, to, tag int, data []byte) error {
+	switch r.Kind {
+	case FaultSendErr:
+		return fmt.Errorf("%w: send %d->%d", ErrInjected, e.inner.Rank(), to)
+	case FaultDrop:
+		return nil // frame silently lost
+	case FaultCorrupt:
+		if len(data) == 0 {
+			return e.inner.Send(to, tag, data)
 		}
+		// Flip one mid-payload bit on a copy (the caller may reuse
+		// its buffer, and must not see the corruption).
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		cp[len(cp)/2] ^= 0x10
+		return e.inner.Send(to, tag, cp)
+	case FaultRecvDelay:
+		cp := make([]byte, len(data))
+		copy(cp, data)
+		go func() {
+			time.Sleep(r.Delay)
+			e.inner.Send(to, tag, cp) //nolint:errcheck // late frame on a dead transport is moot
+		}()
+		return nil
 	}
 	return e.inner.Send(to, tag, data)
 }

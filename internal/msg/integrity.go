@@ -42,6 +42,7 @@ func NewIntegrityTransport(inner Transport) *IntegrityTransport {
 	t.eps = make([]integrityEndpoint, inner.NP())
 	for r := range t.eps {
 		t.eps[r] = integrityEndpoint{inner: inner.Endpoint(r), tr: inner.Tracer()}
+		t.eps[r].summed, _ = t.eps[r].inner.(summedSender)
 	}
 	return t
 }
@@ -66,8 +67,26 @@ func (t *IntegrityTransport) Cost() *CostModel { return t.inner.Cost() }
 func (t *IntegrityTransport) Tracer() *trace.Tracer { return t.inner.Tracer() }
 
 type integrityEndpoint struct {
-	inner Endpoint
-	tr    *trace.Tracer
+	inner  Endpoint
+	summed summedSender // inner, when it can place the trailer itself
+	tr     *trace.Tracer
+}
+
+// summedSender is the facet of an endpoint that can send data followed by
+// a four-byte little-endian sum as one message without the caller joining
+// the two: the TCP endpoint gathers them in its vectored write, the fault
+// injector passes an untouched send through.  The message on the wire is
+// byte for byte Send(to, tag, appendSum(data, sum)).
+type summedSender interface {
+	sendSummed(to, tag int, data []byte, sum uint32) error
+}
+
+// appendSum returns a fresh data‖sum frame.
+func appendSum(data []byte, sum uint32) []byte {
+	framed := make([]byte, len(data)+4)
+	copy(framed, data)
+	PutUint32(framed, len(data), sum)
+	return framed
 }
 
 func (e *integrityEndpoint) Rank() int { return e.inner.Rank() }
@@ -91,10 +110,11 @@ func (e *integrityEndpoint) CheckLive() error {
 }
 
 func (e *integrityEndpoint) Send(to, tag int, data []byte) error {
-	framed := make([]byte, len(data)+4)
-	copy(framed, data)
-	PutUint32(framed, len(data), crc32.Checksum(data, castagnoli))
-	return e.inner.Send(to, tag, framed)
+	sum := crc32.Checksum(data, castagnoli)
+	if e.summed != nil {
+		return e.summed.sendSummed(to, tag, data, sum)
+	}
+	return e.inner.Send(to, tag, appendSum(data, sum))
 }
 
 func (e *integrityEndpoint) verify(p Packet) (Packet, error) {

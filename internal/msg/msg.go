@@ -77,7 +77,8 @@ var ErrClosed = errors.New("msg: transport closed")
 // in time.
 var ErrTimeout = errors.New("msg: receive timeout")
 
-// Packet is a delivered message.
+// Packet is a delivered message.  Data belongs to the receiver: it may be
+// read, written, re-sliced and kept for as long as the receiver likes.
 type Packet struct {
 	From int
 	Tag  int
@@ -85,6 +86,24 @@ type Packet struct {
 	// SendClock is the sender's virtual clock (seconds) at send time,
 	// used by the cost model; zero when no cost model is attached.
 	SendClock float64
+	// home is the free list Data's buffer came from; nil on the chan
+	// transport and for payloads too small to be worth keeping.
+	home *rxFree
+}
+
+// Release hands Data's buffer back to the transport for a later receive
+// of the same size.  After Release the receiver must not touch Data
+// again.  Releasing is never required — a packet that is not released is
+// simply garbage collected — and it is a no-op for packets the transport
+// did not take from a free list (every chan-transport packet, every
+// small one); releasing the same packet twice in a row is harmless.
+// Decorators pass packets by value, so a packet received through a View,
+// the integrity layer or a fault injector releases the buffer it arrived
+// in.
+func (p Packet) Release() {
+	if p.home != nil {
+		p.home.put(p.Data[:cap(p.Data)])
+	}
 }
 
 // Endpoint is one processor's connection to the transport.  Send may be
@@ -98,12 +117,14 @@ type Endpoint interface {
 	NP() int
 	// Send delivers data to processor `to` with the given tag.  The
 	// transport finishes reading data before Send returns — the channel
-	// transport copies it into the destination mailbox and the TCP
-	// transport copies it into the outgoing frame — so the caller may
-	// reuse the buffer as soon as Send returns.  This is the contract
-	// that lets the data-movement layer recycle its pack buffer across
-	// rounds.  Received Packet.Data, by contrast, is always freshly
-	// owned by the receiver.  Not every byte a program moves is handed
+	// transport has copied it into the destination mailbox, the TCP
+	// transport has written it to the socket straight from the caller's
+	// slice — so the caller may reuse the buffer as soon as Send returns
+	// and must not modify it before.  This is the contract that lets the
+	// data-movement layer recycle its pack buffer across rounds.  The
+	// ownership rule on the other side: a received Packet.Data is the
+	// receiver's until it calls Packet.Release and never after; not
+	// releasing is always safe.  Not every byte a program moves is handed
 	// to Send: on endpoints that report SharedMemory() a Window moves
 	// bulk data (ghost faces, DISTRIBUTE's rect transfers) by direct
 	// copy and sends only a zero-byte token here, accounting the
@@ -200,25 +221,19 @@ func (m *matcher) get(from, tag int) (Packet, error) {
 }
 
 func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
-	deadline := time.Now().Add(d)
-	// A ticker goroutine broadcasts periodically so the cond.Wait below
-	// always re-checks the deadline, even if the fire races with a
-	// consumer about to block.  RecvTimeout is a debugging/test facility;
-	// the polling overhead is irrelevant on the fast paths.
-	stop := make(chan struct{})
-	go func() {
-		tick := time.NewTicker(time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-tick.C:
-				m.cond.Broadcast()
-			}
-		}
-	}()
-	defer close(stop)
+	// One timer per call, stopped on return: RecvRetry comes through here
+	// for every receive of a run with a CommTimeout.  The timer sets
+	// expired under the mailbox lock before it broadcasts, so a consumer
+	// that saw it unset is already registered in cond.Wait when the
+	// broadcast goes out — the fire cannot slip between check and wait.
+	expired := false
+	timer := time.AfterFunc(d, func() {
+		m.mu.Lock()
+		expired = true
+		m.mu.Unlock()
+		m.cond.Broadcast()
+	})
+	defer timer.Stop()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for {
@@ -228,7 +243,7 @@ func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
 		if m.closed {
 			return Packet{}, ErrClosed
 		}
-		if time.Now().After(deadline) {
+		if expired {
 			return Packet{}, fmt.Errorf("%w (from=%d tag=%d)", ErrTimeout, from, tag)
 		}
 		m.cond.Wait()

@@ -22,7 +22,13 @@ import (
 //
 // The tag field is 8 bytes because collective tags grow monotonically and
 // never wrap (see TagCollBase).  The sender's rank is established once per
-// connection by a 4-byte handshake, not repeated per frame.
+// connection by a 4-byte handshake, not repeated per frame.  TestTCPFrameGolden
+// pins these bytes.
+//
+// Neither side copies a payload in user space: Send hands the header and
+// the caller's slice to one vectored write, and the reader lands each
+// payload in a buffer of exactly its size that the consumer may hand back
+// with Packet.Release (see rxFree).
 type TCPTransport struct {
 	np     int
 	eps    []*tcpEndpoint
@@ -34,7 +40,101 @@ type TCPTransport struct {
 	mu     sync.Mutex
 }
 
-const tcpFrameHeader = 20
+const (
+	tcpFrameHeader = 20
+	// maxFrame is the largest payload a frame may carry.  The length
+	// field is 32 bits wide, so without a limit a payload of 4 GiB or more
+	// would wrap into a short frame followed by bytes the reader takes
+	// for headers, and a damaged length would make the reader allocate
+	// whatever it says.  Send refuses more; the reader treats more as a
+	// broken connection.
+	maxFrame = 1 << 30
+	// tcpCoalesce is the payload size up to which Send copies the payload
+	// behind the header in the connection's scratch and issues a plain
+	// write: for the barrier tokens and reduction scalars that make up
+	// most messages, gathering two or three iovecs costs more than
+	// copying a few hundred bytes.
+	tcpCoalesce = 1024
+	// rxFreeCap bounds a connection's free list of receive buffers, and
+	// payloads below rxFreeMin bypass it: they are cheap to allocate and
+	// would only push the bulk buffers out.
+	rxFreeCap = 4
+	rxFreeMin = 4096
+)
+
+// putFrameHeader writes the 20-byte frame header for a payload of n bytes.
+func putFrameHeader(hdr []byte, tag, n int, sendClock float64) {
+	tagBits := uint64(int64(tag))
+	PutUint32(hdr, 0, uint32(tagBits))
+	PutUint32(hdr, 4, uint32(tagBits>>32))
+	PutUint32(hdr, 8, uint32(n))
+	bits := float64bitsSafe(sendClock)
+	PutUint32(hdr, 12, uint32(bits))
+	PutUint32(hdr, 16, uint32(bits>>32))
+}
+
+// parseFrameHeader decodes a frame header; ok is false when the length
+// field exceeds maxFrame, which no sender writes.
+func parseFrameHeader(hdr []byte) (tag, n int, sendClock float64, ok bool) {
+	length := GetUint32(hdr, 8)
+	if length > maxFrame {
+		return 0, 0, 0, false
+	}
+	tag = int(int64(uint64(GetUint32(hdr, 0)) | uint64(GetUint32(hdr, 4))<<32))
+	clockBits := uint64(GetUint32(hdr, 12)) | uint64(GetUint32(hdr, 16))<<32
+	return tag, int(length), float64frombitsSafe(clockBits), true
+}
+
+// rxFree is one connection's free list of receive buffers.  The reader
+// takes a buffer of exactly the incoming payload's length when one is
+// listed and allocates otherwise; a buffer enters the list only through
+// Packet.Release.  Transfer sizes repeat exactly from step to step, so in
+// steady state a bulk payload lands in the buffer its predecessor was
+// released from and nothing its size is allocated; a size that stops
+// recurring is pushed out by later releases, so at most rxFreeCap buffers
+// are ever held per connection.
+type rxFree struct {
+	mu   sync.Mutex
+	bufs [rxFreeCap][]byte
+	next int // slot the next release into a full list overwrites
+}
+
+func (f *rxFree) take(n int) []byte {
+	f.mu.Lock()
+	for i, b := range f.bufs {
+		if len(b) == n {
+			f.bufs[i] = nil
+			f.mu.Unlock()
+			return b
+		}
+	}
+	f.mu.Unlock()
+	return make([]byte, n)
+}
+
+func (f *rxFree) put(b []byte) {
+	if len(b) < rxFreeMin {
+		return
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	slot := -1
+	for i, x := range f.bufs {
+		switch {
+		case x == nil:
+			if slot < 0 {
+				slot = i
+			}
+		case &x[0] == &b[0]:
+			return // released twice
+		}
+	}
+	if slot < 0 {
+		slot = f.next
+		f.next = (f.next + 1) % rxFreeCap
+	}
+	f.bufs[slot] = b
+}
 
 // NewTCPTransport builds the mesh on 127.0.0.1 ephemeral ports.
 func NewTCPTransport(np int, opts ...Option) (*TCPTransport, error) {
@@ -109,16 +209,26 @@ func NewTCPTransport(np int, opts ...Option) (*TCPTransport, error) {
 			t.mu.Lock()
 			t.conns = append(t.conns, accepted[r.j], r.conn)
 			t.mu.Unlock()
-			go t.readLoop(t.eps[i], r.j, accepted[r.j])
-			go t.readLoop(t.eps[r.j], i, r.conn)
+			go t.readLoop(t.eps[i], r.j, ci)
+			go t.readLoop(t.eps[r.j], i, cj)
 		}
 	}
 	return t, nil
 }
 
+// tcpConn is one rank's end of a connection.  mu serializes senders and
+// guards their scratch; free belongs to the read side.
 type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
+	// scratch holds the outgoing frame header, then either a coalesced
+	// small payload or the integrity trailer of a vectored one; iov and
+	// bufs are the gather list handed to writev.  Nothing here is
+	// allocated per message.
+	scratch [tcpFrameHeader + tcpCoalesce]byte
+	iov     [3][]byte
+	bufs    net.Buffers
+	free    rxFree
 }
 
 type tcpEndpoint struct {
@@ -128,20 +238,29 @@ type tcpEndpoint struct {
 	out  []*tcpConn // by peer rank; nil for self
 }
 
-func (t *TCPTransport) readLoop(ep *tcpEndpoint, from int, c net.Conn) {
+func (t *TCPTransport) readLoop(ep *tcpEndpoint, from int, c *tcpConn) {
 	hdr := make([]byte, tcpFrameHeader)
 	for {
-		if _, err := io.ReadFull(c, hdr); err != nil {
+		if _, err := io.ReadFull(c.conn, hdr); err != nil {
 			return // connection closed
 		}
-		tag := int(int64(uint64(GetUint32(hdr, 0)) | uint64(GetUint32(hdr, 4))<<32))
-		n := int(GetUint32(hdr, 8))
-		clockBits := uint64(GetUint32(hdr, 12)) | uint64(GetUint32(hdr, 16))<<32
-		data := make([]byte, n)
-		if _, err := io.ReadFull(c, data); err != nil {
+		tag, n, sendClock, ok := parseFrameHeader(hdr)
+		if !ok {
+			// No sender writes such a length: the stream is out of step
+			// and nothing behind this header can be trusted.
+			c.conn.Close()
 			return
 		}
-		ep.box.put(Packet{From: from, Tag: tag, Data: data, SendClock: float64frombitsSafe(clockBits)})
+		p := Packet{From: from, Tag: tag, SendClock: sendClock}
+		if n < rxFreeMin {
+			p.Data = make([]byte, n)
+		} else {
+			p.Data, p.home = c.free.take(n), &c.free
+		}
+		if _, err := io.ReadFull(c.conn, p.Data); err != nil {
+			return
+		}
+		ep.box.put(p)
 	}
 }
 
@@ -186,38 +305,58 @@ func (e *tcpEndpoint) NP() int   { return e.t.np }
 func (e *tcpEndpoint) Tracer() *trace.Tracer { return e.t.tracer }
 
 func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
+	return e.send(to, tag, data, nil)
+}
+
+// sendSummed implements summedSender: the frame's payload is data
+// followed by the four bytes of sum, gathered by the same write.
+func (e *tcpEndpoint) sendSummed(to, tag int, data []byte, sum uint32) error {
+	var trailer [4]byte
+	PutUint32(trailer[:], 0, sum)
+	return e.send(to, tag, data, trailer[:])
+}
+
+// send writes one frame whose payload is data followed by trailer (nil or
+// the integrity layer's four bytes).
+func (e *tcpEndpoint) send(to, tag int, data, trailer []byte) error {
 	if e.t.closed.Load() {
 		return ErrClosed
 	}
 	if to < 0 || to >= e.t.np {
 		return fmt.Errorf("msg: send to invalid rank %d (np=%d)", to, e.t.np)
 	}
+	n := len(data) + len(trailer)
+	if n > maxFrame {
+		return fmt.Errorf("msg: tcp send: rank %d to %d: payload of %d bytes exceeds the frame limit of %d", e.rank, to, n, maxFrame)
+	}
 	var sendClock float64
 	if c := e.t.cost; c != nil {
-		sendClock = c.OnSend(e.rank, len(data))
+		sendClock = c.OnSend(e.rank, n)
 	}
-	e.t.stats.OnSend(e.rank, to, len(data))
+	e.t.stats.OnSend(e.rank, to, n)
 	if tr := e.t.tracer; tr != nil {
-		tr.Send(e.rank, to, len(data))
+		tr.Send(e.rank, to, n)
 	}
 	if to == e.rank {
-		cp := make([]byte, len(data))
-		copy(cp, data)
+		cp := make([]byte, n)
+		copy(cp[copy(cp, data):], trailer)
 		e.box.put(Packet{From: e.rank, Tag: tag, Data: cp, SendClock: sendClock})
 		return nil
 	}
 	oc := e.out[to]
-	frame := make([]byte, tcpFrameHeader+len(data))
-	tagBits := uint64(int64(tag))
-	PutUint32(frame, 0, uint32(tagBits))
-	PutUint32(frame, 4, uint32(tagBits>>32))
-	PutUint32(frame, 8, uint32(len(data)))
-	bits := float64bitsSafe(sendClock)
-	PutUint32(frame, 12, uint32(bits))
-	PutUint32(frame, 16, uint32(bits>>32))
-	copy(frame[tcpFrameHeader:], data)
 	oc.mu.Lock()
-	_, err := oc.conn.Write(frame)
+	putFrameHeader(oc.scratch[:], tag, n, sendClock)
+	body := oc.scratch[tcpFrameHeader:]
+	var err error
+	if n <= tcpCoalesce {
+		copy(body[copy(body, data):], trailer)
+		_, err = oc.conn.Write(oc.scratch[:tcpFrameHeader+n])
+	} else {
+		oc.iov = [3][]byte{oc.scratch[:tcpFrameHeader], data, body[:copy(body, trailer)]}
+		oc.bufs = oc.iov[:]
+		_, err = oc.bufs.WriteTo(oc.conn)
+		oc.iov[1] = nil // the caller's slice is the caller's again
+	}
 	oc.mu.Unlock()
 	if err != nil {
 		return fmt.Errorf("msg: tcp send: %w", err)

@@ -440,7 +440,9 @@ func (w *Window) AwaitPut(c *Comm, from, subtag int, dst Rect) error {
 		c.tr.Recv(physOf(c.ep, rank), physOf(c.ep, from), 8*dst.Count())
 		return nil
 	}
-	if err := ApplyRect(w.shared[rank].data, dst, p.Data); err != nil {
+	err = ApplyRect(w.shared[rank].data, dst, p.Data)
+	p.Release()
+	if err != nil {
 		return w.opErr("await put from", from, err)
 	}
 	return nil
@@ -531,6 +533,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 		w.stats.WireAcquire(prank, n)
 		err := ApplyRect(dst, dr, p.Data)
 		w.stats.WireRelease(prank, n)
+		p.Release()
 		if err != nil {
 			return w.opErr("pull from", from, err)
 		}

@@ -1,0 +1,325 @@
+package msg
+
+import (
+	"bytes"
+	"errors"
+	"hash/crc32"
+	"io"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// rawEndpoint returns rank 0's endpoint of a two-rank TCP transport whose
+// connection to rank 1 is one end of a loopback pair the test holds the
+// other end of, so what Send writes can be read off the wire verbatim.
+func rawEndpoint(t *testing.T, cost *CostModel) (*tcpEndpoint, net.Conn) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	client, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	server, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { client.Close(); server.Close() })
+	tr := &TCPTransport{np: 2, stats: NewStats(2), cost: cost}
+	ep := &tcpEndpoint{t: tr, rank: 0, box: newMatcher(), out: []*tcpConn{nil, {conn: client}}}
+	return ep, server
+}
+
+// TestTCPFrameGolden freezes the wire format: tag, length, clock bits and
+// payload — with integrity, the CRC32C trailer counted in the length —
+// byte for byte, on the coalesced write of a small frame and on the
+// vectored write of a large one.
+func TestTCPFrameGolden(t *testing.T) {
+	cost := NewCostModel(2, 1e-4, 1e-8)
+	cost.Charge(0, 1.5) // the sender's clock: 0x3FF8000000000000
+	ep, wire := rawEndpoint(t, cost)
+	const tag = 0x0123456789
+	header := func(n uint32) []byte {
+		return []byte{
+			0x89, 0x67, 0x45, 0x23, 0x01, 0, 0, 0, // tag, little-endian int64
+			byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24), // payload length
+			0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // sender clock 1.5 as float64 bits
+		}
+	}
+	big := make([]byte, 3*tcpCoalesce+5)
+	for i := range big {
+		big[i] = byte(i*7 + 1)
+	}
+	bigSum := crc32.Checksum(big, crc32.MakeTable(crc32.Castagnoli))
+	summed := &integrityEndpoint{inner: ep, summed: ep}
+	for _, tc := range []struct {
+		name    string
+		send    func(to, tag int, data []byte) error
+		payload []byte
+		trailer []byte
+	}{
+		{"small", ep.Send, []byte("123456789"), nil},
+		// CRC32C("123456789") is the polynomial's check value, E3069283.
+		{"small+crc", summed.Send, []byte("123456789"), []byte{0x83, 0x92, 0x06, 0xE3}},
+		{"empty+crc", summed.Send, nil, []byte{0, 0, 0, 0}},
+		{"large", ep.Send, big, nil},
+		{"large+crc", summed.Send, big, []byte{byte(bigSum), byte(bigSum >> 8), byte(bigSum >> 16), byte(bigSum >> 24)}},
+	} {
+		cost.Reset()
+		cost.Charge(0, 1.5)
+		want := append(header(uint32(len(tc.payload)+len(tc.trailer))), tc.payload...)
+		want = append(want, tc.trailer...)
+		errc := make(chan error, 1)
+		go func() { errc <- tc.send(1, tag, tc.payload) }()
+		got := make([]byte, len(want))
+		wire.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := io.ReadFull(wire, got); err != nil {
+			t.Fatalf("%s: reading the frame: %v", tc.name, err)
+		}
+		if err := <-errc; err != nil {
+			t.Fatalf("%s: send: %v", tc.name, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: frame differs from the golden bytes\n got %x…\nwant %x…", tc.name, got[:min(len(got), 40)], want[:min(len(want), 40)])
+		}
+	}
+	// Nothing else was written.
+	wire.SetReadDeadline(time.Now().Add(20 * time.Millisecond))
+	if n, _ := wire.Read(make([]byte, 1)); n != 0 {
+		t.Error("bytes on the wire beyond the frames sent")
+	}
+}
+
+// FuzzTCPFrameHeader: decoding any 20 bytes neither panics nor asks the
+// reader for more than maxFrame, and a header the decoder accepts is the
+// one putFrameHeader writes for what it decoded.
+func FuzzTCPFrameHeader(f *testing.F) {
+	seed := make([]byte, tcpFrameHeader)
+	f.Add(seed)
+	putFrameHeader(seed, TagCollBase+7, 1<<20, 1.5)
+	f.Add(bytes.Clone(seed))
+	putFrameHeader(seed, -1, maxFrame, 0)
+	f.Add(bytes.Clone(seed))
+	PutUint32(seed, 8, maxFrame+1)
+	f.Add(bytes.Clone(seed))
+	f.Add(bytes.Repeat([]byte{0xFF}, tcpFrameHeader))
+	f.Fuzz(func(t *testing.T, hdr []byte) {
+		if len(hdr) != tcpFrameHeader {
+			return
+		}
+		tag, n, clock, ok := parseFrameHeader(hdr)
+		if !ok {
+			if GetUint32(hdr, 8) <= maxFrame {
+				t.Fatalf("length %d refused", GetUint32(hdr, 8))
+			}
+			return
+		}
+		if n < 0 || n > maxFrame {
+			t.Fatalf("decoder asks for %d bytes", n)
+		}
+		back := make([]byte, tcpFrameHeader)
+		putFrameHeader(back, tag, n, clock)
+		if !bytes.Equal(back, hdr) {
+			t.Fatalf("header %x re-encodes as %x", hdr, back)
+		}
+	})
+}
+
+// TestTCPReaderRejectsOversizedLength: a length field above maxFrame is a
+// broken connection — the reader allocates nothing for it and hangs up.
+func TestTCPReaderRejectsOversizedLength(t *testing.T) {
+	ep, wire := rawEndpoint(t, nil)
+	done := make(chan struct{})
+	go func() { ep.t.readLoop(ep, 1, ep.out[1]); close(done) }()
+	hdr := make([]byte, tcpFrameHeader)
+	putFrameHeader(hdr, 7, 0, 0)
+	PutUint32(hdr, 8, maxFrame+1)
+	if _, err := wire.Write(hdr); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("reader still running after a frame length above maxFrame")
+	}
+	wire.SetReadDeadline(time.Now().Add(5 * time.Second))
+	_, err := wire.Read(make([]byte, 1))
+	var ne net.Error
+	if err == nil || (errors.As(err, &ne) && ne.Timeout()) {
+		t.Errorf("connection not closed by the reader: %v", err)
+	}
+}
+
+// TestPacketReleaseAliasing: a payload the receiver holds is never
+// touched by later traffic, a released buffer is handed out to one later
+// packet at a time, and releasing twice — or releasing a chan packet — is
+// harmless.
+func TestPacketReleaseAliasing(t *testing.T) {
+	sizes := []int{2 * rxFreeMin, 3 * rxFreeMin}
+	pattern := func(seq, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(seq*31 + i)
+		}
+		return b
+	}
+	for _, layer := range wireLayers {
+		t.Run(layer, func(t *testing.T) {
+			tr := newWire(t, layer)
+			defer tr.Close()
+			a, b := tr.Endpoint(0), tr.Endpoint(1)
+			seq := 0
+			// exchange sends k payloads 0 → 1 and receives them all.
+			exchange := func(k int) []Packet {
+				t.Helper()
+				first := seq
+				go func() {
+					for i := 0; i < k; i++ {
+						if err := a.Send(1, 5, pattern(first+i, sizes[(first+i)%len(sizes)])); err != nil {
+							t.Error(err)
+						}
+					}
+				}()
+				seq += k
+				ps := make([]Packet, k)
+				for i := range ps {
+					p, err := b.Recv(0, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !bytes.Equal(p.Data, pattern(first+i, sizes[(first+i)%len(sizes)])) {
+						t.Fatalf("payload %d arrived damaged", first+i)
+					}
+					ps[i] = p
+				}
+				return ps
+			}
+			base := func(p Packet) *byte { return &p.Data[0] }
+
+			const k = 8
+			got := exchange(k)
+			released := map[*byte]bool{}
+			var held []Packet
+			for i, p := range got {
+				if i%2 == 0 {
+					held = append(held, p)
+					continue
+				}
+				released[base(p)] = true
+				p.Release()
+				p.Release() // twice in a row: harmless
+			}
+			for round := 0; round < 3; round++ {
+				next := exchange(k)
+				live := map[*byte]bool{}
+				for _, p := range held {
+					live[base(p)] = true
+				}
+				reused := 0
+				for _, p := range next {
+					if live[base(p)] {
+						t.Fatalf("round %d: two live packets share a buffer", round)
+					}
+					live[base(p)] = true
+					if released[base(p)] {
+						reused++
+					}
+				}
+				if reused == 0 {
+					t.Errorf("round %d: no released buffer was reused", round)
+				}
+				for i, p := range held {
+					if !bytes.Equal(p.Data, pattern(2*i, sizes[(2*i)%len(sizes)])) {
+						t.Fatalf("round %d: held payload %d changed under later traffic", round, 2*i)
+					}
+				}
+				for _, p := range next {
+					released[base(p)] = true
+					p.Release()
+				}
+			}
+		})
+	}
+	t.Run("chan", func(t *testing.T) {
+		tr := NewChanTransport(2)
+		defer tr.Close()
+		want := pattern(1, sizes[0])
+		if err := tr.Endpoint(0).Send(1, 5, want); err != nil {
+			t.Fatal(err)
+		}
+		p, err := tr.Endpoint(1).Recv(0, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+		p.Release()
+		Packet{}.Release()
+		if !bytes.Equal(p.Data, want) {
+			t.Error("a chan packet's payload changed on Release")
+		}
+	})
+}
+
+// TestTCPSteadyStateAllocs: warm 256 KiB send → recv → Release round
+// trips allocate a bounded number of objects and far less than one
+// payload per trip, on TCP and under the integrity layer.  Reached on the
+// reference box, with and without -race: 0.0–0.1 objects and 3–5 bytes
+// per round trip (the parent: 4–7 objects and 1.0–1.6 MB).
+func TestTCPSteadyStateAllocs(t *testing.T) {
+	const size, trips = 256 << 10, 64
+	for _, layer := range wireLayers {
+		tr := newWire(t, layer)
+		buf := make([]byte, 2*size)
+		if err := roundTrips(tr, buf, 8); err != nil {
+			t.Fatal(err)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		err := roundTrips(tr, buf, trips)
+		runtime.ReadMemStats(&m1)
+		tr.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		objs := float64(m1.Mallocs-m0.Mallocs) / trips
+		byts := float64(m1.TotalAlloc-m0.TotalAlloc) / trips
+		t.Logf("%s: %.1f objects, %.0f bytes per round trip", layer, objs, byts)
+		if objs > 2 || byts > size/64 {
+			t.Errorf("%s: %.1f objects and %.0f bytes allocated per warm %d-byte round trip, want at most 2 and %d",
+				layer, objs, byts, size, size/64)
+		}
+	}
+}
+
+// TestRecvTimeoutCheap: a timed receive that is satisfied at once starts
+// no goroutine and allocates a constant handful of objects (one timer
+// with its closure; the parent started a goroutine and a 1 ms ticker per
+// call).
+func TestRecvTimeoutCheap(t *testing.T) {
+	tr := NewChanTransport(2)
+	defer tr.Close()
+	a, b := tr.Endpoint(0), tr.Endpoint(1)
+	before := runtime.NumGoroutine()
+	trip := func() {
+		if err := a.Send(1, 3, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.RecvTimeout(0, 3, time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ {
+		trip()
+	}
+	if after := runtime.NumGoroutine(); after != before {
+		t.Errorf("%d goroutines after 200 satisfied timed receives, %d before", after, before)
+	}
+	if n := testing.AllocsPerRun(200, trip); n > 5 {
+		t.Errorf("a satisfied timed receive allocates %.0f objects, want at most 5", n)
+	}
+}

@@ -1,6 +1,7 @@
 package pario
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"path/filepath"
@@ -63,36 +64,85 @@ func StripeGrids(dom index.Domain, ns int) []index.Grid {
 	return out
 }
 
-// Place scatters payload — the values of grid g in g's canonical
-// enumeration order, 8 bytes each — into dst at the canonical positions
-// of g's points within the enclosing grid into (g must be a subset of
-// into).  It is the write-side inverse of the restore path's extract.
-func Place(dst []byte, payload []byte, g, into index.Grid) {
+// mapRuns is the one walk both directions of stripe traffic share.  It
+// relates two canonical enumerations (dimension 0 fastest, 8 bytes a
+// value): that of g and that of an enclosing grid into (g must be a
+// subset of into).  f is called for consecutive pieces of g's order: the
+// n values starting at value gpos of g sit at positions ipos, ipos+1, …
+// of into.  A run of g whose indices are consecutive members of one run
+// of into's dimension 0 is one piece — for the block-shaped stripes of a
+// checkpoint that is every run, and then a run costs one copy — and any
+// other run goes value by value.
+func mapRuns(g, into index.Grid, f func(gpos, ipos, n int)) {
 	strd := make([]int, into.Rank())
 	mul := 1
 	for k := range strd {
 		strd[k] = mul
 		mul *= into.Dims[k].Count()
 	}
-	off := 0
+	gpos := 0
 	g.ForEachRun(func(p index.Point, r index.Run) bool {
 		row := 0
 		for k := 1; k < len(p); k++ {
 			row += into.Dims[k].IndexOf(p[k]) * strd[k]
 		}
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			idx := row + into.Dims[0].IndexOf(i)
-			copy(dst[8*idx:8*idx+8], payload[off:off+8])
-			off += 8
+		n := r.Count()
+		if contiguousIn(into.Dims[0], r) {
+			f(gpos, row+into.Dims[0].IndexOf(r.Lo), n)
+		} else {
+			for k := 0; k < n; k++ {
+				f(gpos+k, row+into.Dims[0].IndexOf(r.At(k)), 1)
+			}
 		}
+		gpos += n
 		return true
 	})
 }
 
-// XorInto folds src into dst byte-wise (dst must be at least as long as
-// src); the parity stripe is the XOR of all data stripes zero-padded to
-// the longest.
+// contiguousIn reports whether r's indices are consecutive in rs's
+// enumeration: some run of rs with r's stride holds both ends of r (a
+// one-element r is consecutive wherever it lies).
+func contiguousIn(rs index.RunSet, r index.Run) bool {
+	if r.Lo == r.Hi {
+		return true
+	}
+	for _, in := range rs {
+		if in.Contains(r.Lo) {
+			return in.Stride == r.Stride && r.Hi <= in.Hi
+		}
+	}
+	return false
+}
+
+// Place scatters payload — the values of grid g in g's canonical
+// enumeration order, 8 bytes each — into dst at the canonical positions
+// of g's points within the enclosing grid into (g must be a subset of
+// into): the write side of a stripe.
+func Place(dst []byte, payload []byte, g, into index.Grid) {
+	mapRuns(g, into, func(gpos, ipos, n int) {
+		copy(dst[8*ipos:8*(ipos+n)], payload[8*gpos:])
+	})
+}
+
+// Extract is Place's inverse, the read side: it gathers into dst (8 bytes
+// per point of want, want's canonical order) the values at want's points
+// out of a payload recorded in from's canonical order.  want must be a
+// subset of from.
+func Extract(dst []byte, payload []byte, from, want index.Grid) {
+	mapRuns(want, from, func(gpos, ipos, n int) {
+		copy(dst[8*gpos:8*(gpos+n)], payload[8*ipos:])
+	})
+}
+
+// XorInto folds src into dst (dst must be at least as long as src), a
+// word at a time with a byte tail; the parity stripe is the XOR of all
+// data stripes zero-padded to the longest.
 func XorInto(dst, src []byte) {
+	dst = dst[:len(src)]
+	for len(src) >= 8 {
+		binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(dst)^binary.LittleEndian.Uint64(src))
+		dst, src = dst[8:], src[8:]
+	}
 	for i, b := range src {
 		dst[i] ^= b
 	}
