@@ -115,12 +115,16 @@ check-fault:
 	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout' ./internal/msg ./internal/darray
 
 # The kernel bit-identity contract: Factor.Solve against the per-line
-# TridiagStrided by Float64bits, on the default build and — where the
-# host can run it — under GOAMD64=v3, the one amd64 configuration in
-# which the compiler may fuse multiply-add, so a changed expression
-# shape would silently stop matching.  Nothing is downloaded.
+# TridiagStrided, and SmoothRow against the per-point loop it replaced
+# (bits, untouched neighbours, the spans that panic, the fuzz seeds), by
+# Float64bits — on the default build (amd64: the SSE2 row kernel), under
+# the race detector (the Go loop is the whole kernel there) and, where
+# the host can run it, under GOAMD64=v3, the one amd64 configuration in
+# which the compiler may fuse multiply-add, so a changed expression shape
+# would silently stop matching.  Nothing is downloaded.
 check-kernels:
 	$(GO) test -count=1 ./internal/kernels
+	$(GO) test -race -count=1 ./internal/kernels
 	@if grep -m1 '^flags' /proc/cpuinfo 2>/dev/null | grep -qw fma && \
 	    grep -m1 '^flags' /proc/cpuinfo | grep -qw avx2; then \
 	  echo 'GOAMD64=v3 $(GO) test -count=1 ./internal/kernels'; \
@@ -129,14 +133,19 @@ check-kernels:
 	  echo 'check-kernels: host CPU lacks fma/avx2, skipping the GOAMD64=v3 run'; \
 	fi
 
-# The byte-view helper (msg.PutFloat64s/GetFloat64s) has a little-endian
+# Two pairs of build-tagged twins no test host builds both of.  The
+# byte-view helper (msg.PutFloat64s/GetFloat64s) has a little-endian
 # build that copies a []float64's memory as wire bytes and a portable one
 # that encodes element by element; every host that runs the tests is
 # little-endian, so the other file is cross-built and vetted for a
-# big-endian target to keep it from rotting.  Offline; about 12 s cold.
+# big-endian target to keep it from rotting.  kernels.SmoothRow has an
+# amd64 assembly row kernel and a Go one for every other GOARCH, so the Go
+# side is vetted for arm64 and s390x (whose build of ./... compiles it).
+# Offline; about 12 s cold.
 check-portable:
 	GOARCH=s390x $(GO) build ./...
-	GOARCH=s390x $(GO) vet ./internal/msg ./internal/darray
+	GOARCH=s390x $(GO) vet ./internal/msg ./internal/darray ./internal/kernels
+	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 # The byte path off shared memory: the frozen wire format and the frame
 # limit (golden frame, header fuzz seeds, both refusals), receive-buffer
@@ -159,12 +168,17 @@ check-wire:
 bench:
 	$(GO) run ./bench
 
-# The ADI kernel layer, ns per element on one rank's 1024 x 256 block in
-# both layouts: the per-line reference (what the spine's frozen
+# The kernel layer.  ADI, ns per element on one rank's 1024 x 256 block
+# in both layouts: the per-line reference (what the spine's frozen
 # kernels.tridiag*_ns_per_elem probes time) against the batched
-# Factor.Solve the apps run.
+# Factor.Solve the apps run.  Smoothing, ns per point over a 1024-wide
+# block resident in L2 (64 rows) and streamed (1024 rows, one rank of
+# smooth_halo): SmoothRow as built, the Go loop alone, and a copy of the
+# same block — the streaming floor, so the roofline ratio is one command.
+# Reference box, L2 shape: 1.53 with per-point bounds checks -> 0.97 with
+# the bounds hoisted per row -> 0.50 with the SSE2 row kernel.
 bench-kernels:
-	$(GO) test -run XXX -bench 'Tridiag|Factor' ./internal/kernels
+	$(GO) test -run XXX -bench 'Tridiag|Factor|Smooth' ./internal/kernels
 
 # The wire and stripe layers under adi_ckpt_tcp, in-package because a PR
 # that claims a gain may not touch bench/: warm TCP round trips of 64 B,

@@ -329,14 +329,15 @@ func runSmoothing() {
 	// The paper: "given the startup overhead and cost per byte of each
 	// message of the target machine, the ratio N/p will determine the
 	// most appropriate distribution" — sweep machines and P:
-	fmt.Println("\ncrossover N (columns -> 2-D blocks) by machine alpha and P (beta fixed):")
+	fmt.Println("\ncrossover N (columns -> 2-D blocks) by machine alpha and P (beta fixed);")
+	fmt.Println("a distribution's name = no crossover, it wins at every N (2x2: 2 messages either way):")
 	w = tab()
 	fmt.Fprintln(w, "alpha\\P\t4\t9\t16\t64")
 	for _, a := range []float64{1e-5, 1e-4, 1e-3} {
 		row := fmt.Sprintf("%.0e", a)
 		for _, p := range []int{4, 9, 16, 64} {
-			cross := "-"
 			prev := apps.ChooseSmoothingDist(4, p, a, *beta)
+			cross := prev.String()
 			for n := 8; n <= 1<<26; n *= 2 {
 				cur := apps.ChooseSmoothingDist(n, p, a, *beta)
 				if cur != prev {

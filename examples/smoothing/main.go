@@ -77,7 +77,7 @@ func main() {
 				return nil
 			}, vienna.P(vienna.NewPattern(vienna.PElided(), vienna.PBlock()))).
 			Case(func() error {
-				fmt.Println("DCASE: 2-D block algorithm selected — 4 face messages per step")
+				fmt.Println("DCASE: 2-D block algorithm selected — one face message per neighbour per step (4 in the interior, 2 on a 2x2 array)")
 				return nil
 			}, vienna.P(vienna.NewPattern(vienna.PBlock(), vienna.PBlock()))).
 			Default(func() error {

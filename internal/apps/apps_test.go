@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -269,6 +270,37 @@ func TestChooseSmoothingDistCrossover(t *testing.T) {
 	}
 	if switched != 1 {
 		t.Errorf("expected exactly one crossover, saw %d", switched)
+	}
+}
+
+// TestSmoothModelMatchesMeasuredTraffic: the cost ChooseSmoothingDist
+// decides with is the traffic the run then produces — α per message and β
+// per byte of the busiest processor's step, at every square P including
+// the 2×2 arrangement, where no processor has four neighbours.
+func TestSmoothModelMatchesMeasuredTraffic(t *testing.T) {
+	const n, alpha, beta = 48, 1e-4, 1e-8 // n divides by q = 2, 3 and 4
+	for _, p := range []int{4, 9, 16} {
+		cols, blk := SmoothModelCost(n, p, alpha, beta)
+		for mode, model := range map[SmoothMode]float64{SmoothColumns: cols, SmoothBlock2D: blk} {
+			res, err := RunSmoothing(SmoothConfig{N: n, Steps: 3, P: p, Mode: mode})
+			if err != nil {
+				t.Fatalf("P=%d %v: %v", p, mode, err)
+			}
+			measured := alpha*res.MsgsPerProcStep + beta*res.BytesPerProcStep
+			if math.Abs(model-measured) > 1e-12*measured {
+				t.Errorf("P=%d %v: model %g s, measured %v msgs + %v bytes = %g s",
+					p, mode, model, res.MsgsPerProcStep, res.BytesPerProcStep, measured)
+			}
+		}
+	}
+	// Same two messages, half the bytes: on 4 processors blocks win at
+	// every size as soon as bytes cost anything.
+	for n := 4; n <= 1<<20; n = n*3/2 + 1 {
+		for _, beta := range []float64{1e-12, 1e-8, 1e-3} {
+			if ChooseSmoothingDist(n, 4, alpha, beta) != SmoothBlock2D {
+				t.Fatalf("N=%d P=4 beta=%g: chose columns", n, beta)
+			}
+		}
 	}
 }
 

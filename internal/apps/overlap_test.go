@@ -91,6 +91,26 @@ func TestSmoothingOverlapUnevenHalos(t *testing.T) {
 	}
 }
 
+// TestSmoothingOddWidthsBitIdentical: grids whose row spans have every
+// length mod 4, so the row kernel's vector body, its scalar tail and the
+// overlapped step's one-point-wide edge strips all run, against the
+// serial reference (kernels.Smooth5, which shares none of that code).
+func TestSmoothingOddWidthsBitIdentical(t *testing.T) {
+	for _, n := range []int{61, 62, 63} {
+		for _, mode := range []SmoothMode{SmoothColumns, SmoothBlock2D} {
+			for _, overlap := range []bool{false, true} {
+				res, err := RunSmoothing(SmoothConfig{N: n, Steps: 4, P: 4, Mode: mode, Overlap: overlap, Validate: true})
+				if err != nil {
+					t.Fatalf("N=%d %v overlap=%v: %v", n, mode, overlap, err)
+				}
+				if res.MaxErr != 0 {
+					t.Errorf("N=%d %v overlap=%v: deviates from serial by %g", n, mode, overlap, res.MaxErr)
+				}
+			}
+		}
+	}
+}
+
 // TestOnlineRecoverSmoothingOverlap: a rank dies while the barrier-free
 // overlapped loop is in flight; the counted put/await streams surface the
 // failure as wrapped errors, the survivors regroup, and the re-run from

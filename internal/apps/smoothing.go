@@ -24,7 +24,7 @@ const (
 	SmoothColumns SmoothMode = iota
 	// SmoothBlock2D distributes (BLOCK,BLOCK) on a q×q processor array
 	// (P must be a square): 4 messages of size N/q per processor per
-	// step.
+	// step (2 at q = 2, where every processor is a corner).
 	SmoothBlock2D
 )
 
@@ -48,8 +48,8 @@ type SmoothConfig struct {
 	// synchronization — so per-step traffic is reported as the phase total
 	// divided by Steps.  Results are bit-identical to the synchronous mode.
 	Overlap bool
-	// Alpha/Beta attach a cost model; FlopTime charges per grid-point
-	// update (default 2ns).
+	// Alpha/Beta attach a cost model; FlopTime is the modeled time of one
+	// flop (default 2ns), charged four times per grid-point update.
 	Alpha, Beta float64
 	FlopTime    float64
 	// Validate compares the final grid against the serial reference.
@@ -404,11 +404,14 @@ func smoothStepOverlap(ctx *machine.Ctx, src, dst *core.Array, flopTime float64)
 // SmoothModelCost returns the modeled per-step communication cost of the
 // two distributions for an N×N grid on P processors under (alpha, beta) —
 // the §4 formula: columns pay 2 messages of 8N bytes, 2-D blocks pay 4
-// messages of 8N/q bytes.  ChooseSmoothingDist picks the cheaper one.
+// messages of 8N/q bytes.  Those counts are an interior processor's; a
+// distributed dimension of extent e gives its busiest processor
+// min(2, e-1) neighbours, so on a 2×2 arrangement (all corners) blocks
+// pay 2 messages, not 4.  ChooseSmoothingDist picks the cheaper one.
 func SmoothModelCost(n, p int, alpha, beta float64) (columns, block2d float64) {
 	q := int(math.Round(math.Sqrt(float64(p))))
-	columns = 2 * (alpha + beta*8*float64(n))
-	block2d = 4 * (alpha + beta*8*float64(n)/float64(q))
+	columns = float64(min(2, p-1)) * (alpha + beta*8*float64(n))
+	block2d = float64(2*min(2, q-1)) * (alpha + beta*8*float64(n)/float64(q))
 	return columns, block2d
 }
 

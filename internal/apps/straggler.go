@@ -49,7 +49,8 @@ type StragglerConfig struct {
 	CheckAfter int
 	// SlowRank/SlowFactor inject a synthetic straggler for experiments:
 	// the given physical rank's compute sections are stretched by the
-	// factor (sleep).  Injection is active only when SlowFactor > 1.
+	// factor (a sleep of at least stallQuantum).  Injection is active
+	// only when SlowFactor > 1.
 	SlowRank   int
 	SlowFactor float64
 }
@@ -115,17 +116,28 @@ func (sc StragglerConfig) mitigatingPolicyName() bool {
 // time.  Only compute sections go through timed — barrier and
 // communication waits must not count as work, or every rank waiting on
 // the straggler would itself look slow.
+//
+// The reported time is stretched by exactly SlowFactor; the stall that
+// pays for it lasts at least stallQuantum.
 func (sc StragglerConfig) timed(ctx *machine.Ctx, compute func()) time.Duration {
 	t0 := time.Now()
 	compute()
 	el := time.Since(t0)
 	if sc.SlowFactor > 1 && ctx.PhysRank() == sc.SlowRank {
 		extra := time.Duration(float64(el) * (sc.SlowFactor - 1))
-		time.Sleep(extra)
+		time.Sleep(max(extra, stallQuantum))
 		el += extra
 	}
 	return el
 }
+
+// stallQuantum is the shortest stall the injected straggler takes.  A
+// time.Sleep of 10 µs to 1 ms already parks for about a millisecond (the
+// runtime's poller waits in whole milliseconds) while a shorter one
+// returns in microseconds, so without the floor a sweep that gets faster
+// drops off that cliff and the injected rank stops holding anyone up:
+// the run is over before the heartbeat-fed scorer has its observations.
+const stallQuantum = time.Millisecond
 
 // localElems counts the rank's local allocation of v — the work units a
 // sweep over it performs.

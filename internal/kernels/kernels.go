@@ -155,10 +155,35 @@ func Smooth5(out, in []float64, nx, ny int) {
 // elements (dimension-0 storage stride must be 1).  This is the span
 // form of Smooth5's inner loop, used by the runtime's distributed
 // smoothing sweep so locally owned rows are processed as flat slices —
-// no per-point index mapping inside the sweep.
+// no per-point index mapping inside the sweep.  dst and src must not
+// overlap; n <= 0 is a no-op.
+//
+// The five operands are re-sliced once per row (against the slices'
+// lengths, not their capacities), so a span that leaves either slice
+// panics here, before any point is written, and the row kernel runs
+// without a bounds check per load.
 func SmoothRow(dst, src []float64, off, n, rowStride int) {
-	for i := off; i < off+n; i++ {
-		dst[i] = 0.25 * (src[i-1] + src[i+1] + src[i-rowStride] + src[i+rowStride])
+	if n <= 0 {
+		return
+	}
+	dst, src = dst[:len(dst):len(dst)], src[:len(src):len(src)]
+	d := dst[off : off+n]
+	c := src[off-1 : off+n+1]
+	s := src[off-rowStride : off-rowStride+n]
+	nn := src[off+rowStride : off+rowStride+n]
+	smoothSpan(d, c, s, nn)
+}
+
+// smoothSpanGo is the portable row kernel (the whole of smoothSpan off
+// amd64 and under -race, the tail of the row on amd64): d[i] from the
+// centre row c, which starts one point west of d, and the rows s and nn
+// below and above it.  The sum keeps one association on every target,
+// and no product feeds an add, so no compiler may fuse it: the result is
+// Float64bits-identical everywhere.
+func smoothSpanGo(d, c, s, nn []float64) {
+	w, e, s, nn := c[:len(d)], c[2:len(d)+2], s[:len(d)], nn[:len(d)]
+	for i := range d {
+		d[i] = 0.25 * (((w[i] + e[i]) + s[i]) + nn[i])
 	}
 }
 
