@@ -115,13 +115,18 @@ check-fault:
 	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout' ./internal/msg ./internal/darray
 
 # The kernel bit-identity contract: Factor.Solve against the per-line
-# TridiagStrided, and SmoothRow against the per-point loop it replaced
-# (bits, untouched neighbours, the spans that panic, the fuzz seeds), by
-# Float64bits — on the default build (amd64: the SSE2 row kernel), under
-# the race detector (the Go loop is the whole kernel there) and, where
-# the host can run it, under GOAMD64=v3, the one amd64 configuration in
-# which the compiler may fuse multiply-add, so a changed expression shape
-# would silently stop matching.  Nothing is downloaded.
+# TridiagStrided (bits on signed zeros, denormals and infinities, odd and
+# even starts, every lines-mod-4 and lines-mod-interleave tail, the
+# layouts that panic, the fuzz seeds) and SmoothRow against the per-point
+# loop it replaced (bits, untouched neighbours, the spans that panic, the
+# fuzz seeds), by Float64bits — on the default build (amd64: the SSE2
+# kernels of factor_amd64.s and smooth_amd64.s), under the race detector
+# (the Go loops are the whole kernels there) and, where the host can run
+# it, under GOAMD64=v3, the one amd64 configuration in which the compiler
+# may fuse multiply-add.  go1.24 fuses no x - m*y there; the v3 run is the
+# tripwire for a toolchain that does, and if it trips the answer is
+# `&& !amd64.v3` on the assembly's build tags (the Go loops then fuse on
+# both sides of the comparison), not a tolerance.  Nothing is downloaded.
 check-kernels:
 	$(GO) test -count=1 ./internal/kernels
 	$(GO) test -race -count=1 ./internal/kernels
@@ -133,15 +138,15 @@ check-kernels:
 	  echo 'check-kernels: host CPU lacks fma/avx2, skipping the GOAMD64=v3 run'; \
 	fi
 
-# Two pairs of build-tagged twins no test host builds both of.  The
-# byte-view helper (msg.PutFloat64s/GetFloat64s) has a little-endian
-# build that copies a []float64's memory as wire bytes and a portable one
-# that encodes element by element; every host that runs the tests is
-# little-endian, so the other file is cross-built and vetted for a
-# big-endian target to keep it from rotting.  kernels.SmoothRow has an
-# amd64 assembly row kernel and a Go one for every other GOARCH, so the Go
-# side is vetted for arm64 and s390x (whose build of ./... compiles it).
-# Offline; about 12 s cold.
+# Build-tagged twins no test host builds both of.  The byte-view helper
+# (msg.PutFloat64s/GetFloat64s) has a little-endian build that copies a
+# []float64's memory as wire bytes and a portable one that encodes element
+# by element; every host that runs the tests is little-endian, so the
+# other file is cross-built and vetted for a big-endian target to keep it
+# from rotting.  kernels.SmoothRow and kernels.Factor.Solve have amd64
+# assembly kernels and Go ones for every other GOARCH (smooth_generic.go,
+# factor_generic.go), so the Go side is vetted for arm64 and s390x (whose
+# build of ./... compiles it).  Offline; about 12 s cold.
 check-portable:
 	GOARCH=s390x $(GO) build ./...
 	GOARCH=s390x $(GO) vet ./internal/msg ./internal/darray ./internal/kernels
@@ -170,13 +175,17 @@ bench:
 
 # The kernel layer.  ADI, ns per element on one rank's 1024 x 256 block
 # in both layouts: the per-line reference (what the spine's frozen
-# kernels.tridiag*_ns_per_elem probes time) against the batched
-# Factor.Solve the apps run.  Smoothing, ns per point over a 1024-wide
-# block resident in L2 (64 rows) and streamed (1024 rows, one rank of
-# smooth_halo): SmoothRow as built, the Go loop alone, and a copy of the
-# same block — the streaming floor, so the roofline ratio is one command.
-# Reference box, L2 shape: 1.53 with per-point bounds checks -> 0.97 with
-# the bounds hoisted per row -> 0.50 with the SSE2 row kernel.
+# kernels.tridiag*_ns_per_elem probes time), the batched Factor.Solve the
+# apps run and the same with the Go loops as the whole kernel
+# (BenchmarkFactorSolveGo: every GOARCH but amd64, and -race).  Reference
+# box, Factor.Solve: stride1 2.8 -> 1.6-1.7 and lineStride1 2.3-2.5 ->
+# 1.1-1.2 with the SSE2 kernels (Go loops alone: 2.8 / 2.1).  Smoothing, ns
+# per point over a 1024-wide block resident in L2 (64 rows) and streamed
+# (1024 rows, one rank of smooth_halo): SmoothRow as built, the Go loop
+# alone, and a copy of the same block — the streaming floor, so the
+# roofline ratio is one command.  Reference box, L2 shape: 1.53 with
+# per-point bounds checks -> 0.97 with the bounds hoisted per row -> 0.50
+# with the SSE2 row kernel.
 bench-kernels:
 	$(GO) test -run XXX -bench 'Tridiag|Factor|Smooth' ./internal/kernels
 

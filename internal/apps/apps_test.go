@@ -38,6 +38,27 @@ func TestADIDynamicRaggedBitExact(t *testing.T) {
 	}
 }
 
+// Extents around 64 on four ranks give blocks of 13 to 17 lines, so every
+// tail of the sweep kernels — lines mod 4 beside the row kernel, lines
+// mod interleave beside the lockstep one — runs in situ, on both
+// transports, against the serial reference to the bit.
+func TestADIOddExtentsBitIdentical(t *testing.T) {
+	extents := []int{61, 62, 63, 67}
+	for _, tcp := range []bool{false, true} {
+		for _, nx := range extents {
+			for _, ny := range extents {
+				res, err := RunADI(ADIConfig{NX: nx, NY: ny, Iters: 2, P: 4, Mode: ADIDynamic, Validate: true, UseTCP: tcp})
+				if err != nil {
+					t.Fatalf("%dx%d tcp=%v: %v", nx, ny, tcp, err)
+				}
+				if res.MaxErr != 0 {
+					t.Errorf("%dx%d tcp=%v: dynamic ADI deviates from serial by %g, want bit-exact", nx, ny, tcp, res.MaxErr)
+				}
+			}
+		}
+	}
+}
+
 func TestADIStaticColsMatchesSerial(t *testing.T) {
 	res, err := RunADI(ADIConfig{NX: 32, NY: 24, Iters: 3, P: 4, Mode: ADIStaticCols, Validate: true, ChunkRows: 4})
 	if err != nil {

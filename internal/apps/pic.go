@@ -349,23 +349,28 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 
 	var outflow float64 // from my last cell across the boundary
 	var lastIdx int = -1
+	var cells []float64 // the owned cells, contiguous in storage: cell i is cells[i-lo]
+	var lo int
 	if rs.Count() > 0 {
-		lo, hi := rs[0].Lo, rs[len(rs)-1].Hi
+		hi := rs[len(rs)-1].Hi
+		lo = rs[0].Lo
+		// One Offset for the walk, not an At/SetAt per cell: every Point
+		// handed to those is an allocation (Offset's panic message makes it
+		// escape).
+		cells = l.Data()[l.Offset(index.Point{lo}):][:hi-lo+1]
 		// walk right-to-left so a cell's inflow does not cascade this step
 		for i := hi; i >= lo; i-- {
-			p := index.Point{i}
-			c := l.At(p)
+			c := cells[i-lo]
 			mv := float64(int(c * frac))
 			if i == n { // reflecting boundary: stay
 				continue
 			}
-			l.SetAt(p, c-mv)
+			cells[i-lo] = c - mv
 			if i == hi {
 				outflow = mv
 				lastIdx = i
 			} else {
-				q := index.Point{i + 1}
-				l.SetAt(q, l.At(q)+mv)
+				cells[i-lo+1] += mv
 			}
 		}
 	}
@@ -396,8 +401,7 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
 		}
 		vals := msg.DecodeFloat64s(p.Data)
-		q := index.Point{int(vals[1])}
-		l.SetAt(q, l.At(q)+vals[0])
+		cells[int(vals[1])-lo] += vals[0]
 	}
 	return ctx.Barrier()
 }

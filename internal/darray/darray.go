@@ -377,14 +377,21 @@ func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
 	return l
 }
 
-// takeLocal returns a recycled Local for d — zeroed, so it is
-// indistinguishable from a fresh allocation — when one was retired under
-// the same mapping (the steady state of phase-alternating DISTRIBUTE
-// sequences), and allocates otherwise.
-func (a *Array) takeLocal(rank int, d *dist.Distribution) *Local {
+// takeLocal returns storage for d: a recycled Local when one was retired
+// under the same mapping (the steady state of phase-alternating DISTRIBUTE
+// sequences), a fresh allocation otherwise.  Whatever the caller reads
+// before writing reads 0, as in a fresh allocation.  overwritten is its
+// promise to write every owned element before the Local is published — a
+// transferring DISTRIBUTE does, by the self copy plus one incoming
+// transfer per foreign owner — so recycled storage is cleared only when
+// that promise is missing or there are ghost cells, which no transfer
+// writes.
+func (a *Array) takeLocal(rank int, d *dist.Distribution, overwritten bool) *Local {
 	if l, ok := a.retired[rank][d.Fingerprint()]; ok {
 		delete(a.retired[rank], d.Fingerprint())
-		clear(l.data)
+		if !overwritten || l.size != l.grid.Count() {
+			clear(l.data)
+		}
 		return l
 	}
 	return a.allocLocal(rank, d)

@@ -1,0 +1,279 @@
+package darray
+
+import (
+	"errors"
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/dist"
+	"repro/internal/index"
+	"repro/internal/machine"
+	"repro/internal/msg"
+	"repro/internal/redist"
+)
+
+// A DISTRIBUTE back to a mapping the array has held before reuses the
+// storage retired then, and clears it only where something could read it
+// unwritten.  These tests hold recycled storage to what a fresh
+// allocation gives: every owned element has its value, everything else
+// reads 0.
+
+const poison = -7777.5
+
+// poisonRetired overwrites every Local this rank has parked, so an
+// element a later DISTRIBUTE fails to write cannot pass as a stale value
+// that happens to be right.
+func poisonRetired(a *Array, rank int) (n int) {
+	for _, l := range a.retired[rank] {
+		for i := range l.data {
+			l.data[i] = poison
+		}
+		n++
+	}
+	return n
+}
+
+// cycled declares V under d1, fills it with val2 and moves it to d2 and
+// back, so that storage laid out for d2 is parked on every rank.
+func cycled(ctx *machine.Ctx, dom index.Domain, d1, d2 *dist.Distribution, opts []RedistOption) (*Array, error) {
+	a := New(ctx, "V", dom, d1)
+	a.FillFunc(ctx, val2)
+	for _, d := range []*dist.Distribution{d2, d1} {
+		if err := a.RedistributeTo(ctx, d, opts...); err != nil {
+			return nil, err
+		}
+	}
+	return a, nil
+}
+
+// checkStorage compares the whole of this rank's storage — owned
+// elements and margins — with want on the owned points and 0 elsewhere.
+func checkStorage(t *testing.T, ctx *machine.Ctx, a *Array, what string, want func(index.Point) float64) {
+	t.Helper()
+	l := a.Local(ctx)
+	exp := make([]float64, len(l.Data()))
+	l.ForEachOwned(func(p index.Point, _ *float64) { exp[l.Offset(p)] = want(p) })
+	for i, v := range l.Data() {
+		if v != exp[i] {
+			t.Errorf("rank %d %s: storage[%d] = %v, want %v (alloc %v, ghosts %v/%v)",
+				ctx.Rank(), what, i, v, exp[i], l.AllocShape(), l.GhostLo(), l.GhostHi())
+			return
+		}
+	}
+}
+
+// TestRecycledGhostsReadZero alternates a ghosted array between two
+// mappings with its margins filled before every move: the margins of the
+// storage a move lands in read 0 every time, recycled or not.
+func TestRecycledGhostsReadZero(t *testing.T) {
+	dom := index.Dim(12, 10)
+	for _, transport := range []string{"chan", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
+				grid := ctx.Machine().ProcsDim("G", 2, 2).Whole()
+				line := ctx.Machine().ProcsDim("P", 4).Whole()
+				d1 := dist.MustNew(dist.NewType(dist.BlockDim(), dist.BlockDim()), dom, grid)
+				d2 := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, line)
+				a := New(ctx, "H", dom, d1, WithGhost(1, 1))
+				a.FillFunc(ctx, val2)
+				for round, d := range []*dist.Distribution{d2, d1, d2, d1, d2} {
+					if err := a.ExchangeAllGhosts(ctx); err != nil { // non-zero margins in what gets retired
+						return err
+					}
+					if err := a.RedistributeTo(ctx, d); err != nil {
+						return err
+					}
+					checkStorage(t, ctx, a, fmt.Sprintf("move %d", round), val2)
+					// On shared memory a neighbour's next exchange puts
+					// straight into these margins: it waits for the check.
+					if err := ctx.Barrier(); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+		})
+	}
+}
+
+// TestNoTransferOntoRecycledStorage: a NOTRANSFER move moves nothing, so
+// what it does not keep in place must read 0 — also when the storage it
+// lands in last held the array's full values under that same mapping.
+func TestNoTransferOntoRecycledStorage(t *testing.T) {
+	dom := index.Dim(16)
+	run(t, 4, func(ctx *machine.Ctx) error {
+		rank := ctx.Rank()
+		tg := ctx.Machine().ProcsDim("P", 4).Whole()
+		blk := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
+		cyc := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
+		val := func(p index.Point) float64 { return float64(p[0] + 1) }
+		a := New(ctx, "N", dom, blk)
+		a.FillFunc(ctx, val)
+		for _, d := range []*dist.Distribution{cyc, blk} { // retires the cyclic storage, full of values
+			if err := a.RedistributeTo(ctx, d); err != nil {
+				return err
+			}
+		}
+		if _, ok := a.retired[rank][cyc.Fingerprint()]; !ok {
+			t.Errorf("rank %d: no retired cyclic storage; the test would be vacuous", rank)
+		}
+		if err := a.RedistributeTo(ctx, cyc, NoTransfer()); err != nil {
+			return err
+		}
+		checkStorage(t, ctx, a, "after NOTRANSFER", func(p index.Point) float64 {
+			if blk.Owners(p)[0] == rank {
+				return val(p) // already in place: kept
+			}
+			return 0
+		})
+		return nil
+	})
+}
+
+// recycleCases are the executors a transferring DISTRIBUTE can run: the
+// direct step (pulled on shared memory, packed on TCP) and, under a
+// budget a sixteenth of the array, the planner's bounded steps.
+var recycleCases = []struct {
+	name string
+	opts []RedistOption
+}{
+	{"direct", nil},
+	{"budget", []RedistOption{MemBudget(2048)}},
+}
+
+// TestRecycledStorageOverwrittenWhole poisons the parked storage and
+// changes the array's values before moving back onto it: every owned
+// element must hold the new value, whichever executor moved it.
+func TestRecycledStorageOverwrittenWhole(t *testing.T) {
+	dom := index.Dim(64, 64)
+	val3 := func(p index.Point) float64 { return val2(p) + 0.5 }
+	for _, transport := range []string{"chan", "tcp"} {
+		for _, rc := range recycleCases {
+			t.Run(transport+"/"+rc.name, func(t *testing.T) {
+				runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
+					tg := ctx.Machine().ProcsDim("P", 4).Whole()
+					cols := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
+					rows := dist.MustNew(dist.NewType(dist.CyclicDim(3), dist.ElidedDim()), dom, tg)
+					a, err := cycled(ctx, dom, cols, rows, rc.opts)
+					if err != nil {
+						return err
+					}
+					a.FillFunc(ctx, val3)
+					if poisonRetired(a, ctx.Rank()) == 0 {
+						t.Errorf("rank %d: nothing retired; the test would be vacuous", ctx.Rank())
+					}
+					for _, d := range []*dist.Distribution{rows, cols} {
+						if err := a.RedistributeTo(ctx, d, rc.opts...); err != nil {
+							return err
+						}
+						checkStorage(t, ctx, a, "under "+d.String(), val3)
+						poisonRetired(a, ctx.Rank())
+					}
+					return nil
+				})
+			})
+		}
+	}
+}
+
+// TestRecycledStorageAfterFailedPlan fails a DISTRIBUTE onto parked
+// storage — no decomposition fits an 8-byte budget, so every rank parks
+// the storage again, unpublished — and then moves to the same mapping for
+// real: the storage, poisoned in between as a half-finished exchange
+// would leave it, comes back whole and the failure published nothing.
+func TestRecycledStorageAfterFailedPlan(t *testing.T) {
+	dom := index.Dim(64, 64)
+	val3 := func(p index.Point) float64 { return val2(p) + 0.5 }
+	for _, transport := range []string{"chan", "tcp"} {
+		for _, rc := range recycleCases {
+			t.Run(transport+"/"+rc.name, func(t *testing.T) {
+				runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
+					rank := ctx.Rank()
+					tg := ctx.Machine().ProcsDim("P", 4).Whole()
+					cols := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
+					rows := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
+					a, err := cycled(ctx, dom, cols, rows, rc.opts)
+					if err != nil {
+						return err
+					}
+					if err := a.RedistributeTo(ctx, rows, MemBudget(8)); !errors.Is(err, redist.ErrNoPlan) {
+						t.Errorf("rank %d: 8-byte budget: err = %v, want ErrNoPlan", rank, err)
+					}
+					if _, ok := a.retired[rank][rows.Fingerprint()]; !ok {
+						t.Errorf("rank %d: the failed move did not park its storage again", rank)
+					}
+					checkStorage(t, ctx, a, "after the failed move", val2)
+					a.FillFunc(ctx, val3)
+					poisonRetired(a, rank)
+					if err := a.RedistributeTo(ctx, rows, rc.opts...); err != nil {
+						return err
+					}
+					checkStorage(t, ctx, a, "after the move that followed", val3)
+					return nil
+				})
+			})
+		}
+	}
+}
+
+// TestRecycledStorageFailedExchange fails a DISTRIBUTE onto parked,
+// poisoned storage in mid-exchange, as the fault matrix does (rank 1's
+// first frame is dropped; only deadlines unblock its receivers): some
+// ranks have written part of the new storage by then, none publishes it,
+// and the old Local is what every rank still reads.
+func TestRecycledStorageFailedExchange(t *testing.T) {
+	const np = 4
+	dom := index.Dim(64, 64)
+	for _, transport := range []string{"chan", "tcp"} {
+		for _, rc := range recycleCases {
+			t.Run(transport+"/"+rc.name, func(t *testing.T) {
+				plan := &msg.FaultPlan{StartDisarmed: true, Rules: []msg.FaultRule{
+					{Kind: msg.FaultDrop, Rank: faultRank, Peer: -1, Count: 1}}}
+				var base msg.Transport = msg.NewChanTransport(np)
+				if transport == "tcp" {
+					tcp, err := msg.NewTCPTransport(np)
+					if err != nil {
+						t.Fatal(err)
+					}
+					base = tcp
+				}
+				ft := msg.NewFaultTransport(base, plan)
+				cfg := msg.CommConfig{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond}
+				m := machine.New(np, machine.WithTransport(ft), machine.WithCommConfig(cfg))
+				defer m.Close()
+				if err := m.Run(func(ctx *machine.Ctx) error {
+					rank := ctx.Rank()
+					tg := ctx.Machine().ProcsDim("P", np).Whole()
+					cols := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
+					rows := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
+					a, err := cycled(ctx, dom, cols, rows, rc.opts)
+					if err != nil {
+						return err
+					}
+					poisonRetired(a, rank)
+					if err := ctx.Barrier(); err != nil {
+						return err
+					}
+					if rank == faultRank {
+						ft.Arm(faultRank)
+					}
+					err = a.RedistributeTo(ctx, rows, rc.opts...)
+					if rank == faultRank {
+						ft.Disarm(faultRank)
+					}
+					if err == nil {
+						t.Errorf("rank %d: the DISTRIBUTE survived a dropped frame", rank)
+					}
+					if !a.Dist().Equal(cols) {
+						t.Errorf("rank %d: failed DISTRIBUTE left %v published", rank, a.DistType())
+					}
+					checkStorage(t, ctx, a, "after the failed move", val2)
+					return nil
+				}); err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+			})
+		}
+	}
+}

@@ -79,7 +79,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 	sp := tr.BeginSpan(prank, trace.CatDistribute, "DISTRIBUTE "+a.name)
 	defer sp.End()
 
-	newLocal := a.takeLocal(rank, newD)
+	newLocal := a.takeLocal(rank, newD, oldD != nil && !cfg.noTransfer)
 
 	if oldD == nil {
 		// First association: no data to move.
