@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc flake check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -88,6 +88,20 @@ check-drain:
 	$(GO) test -race -run 'TestDrain|TestHealth|TestHysteresis|TestSlowFault|TestBackoffJitter|TestStraggler|TestWeightedBounds|TestFairShares|TestDecisionStrings' \
 	  ./internal/machine ./internal/health ./internal/msg ./internal/scale ./internal/apps
 
+# The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
+# TestStraggler* and TestOnlineRecover* test under GOMAXPROCS=1 and 2,
+# beside a busy-loop CPU hog, failures printed per test.  Compare two
+# trees by running it in each, alternating, in one session.
+FLAKE_N ?= 10
+flake:
+	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
+	for p in 1 2; do \
+	  echo "GOMAXPROCS=$$p, $(FLAKE_N) runs each, beside a CPU hog:"; \
+	  GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run '^(TestStraggler|TestOnlineRecover)' -v ./internal/apps 2>&1 | \
+	    awk '/^--- FAIL/ { f[$$3]++ } /^--- (PASS|FAIL)/ { n[$$3]++ } \
+	         END { for (t in n) printf "  %-44s %d of %d failed\n", t, f[t], n[t] }' | sort; \
+	done
+
 # Bounded chaos run: seeded-random ADI shapes killed at seeded-random
 # points by a seeded-random permanently silent rank, recovered — offline
 # on the survivors (TestSoakChaos) and online in the same process via
@@ -153,7 +167,9 @@ check-portable:
 	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 # The byte path off shared memory: the frozen wire format and the frame
-# limit (golden frame, header fuzz seeds, both refusals), receive-buffer
+# limit (golden frame, header fuzz seeds, both refusals), the fence
+# epoch's rect header (fuzz seeds: no rect that validates addresses
+# outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip and of
 # a timed receive, the stripe run mapper and the word-wise XOR against
@@ -163,7 +179,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzDecodeRectWire|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario

@@ -200,6 +200,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		kernels.SerialADI(ref, cfg.NX, cfg.NY, cfg.Iters, adiA, adiB, adiC)
 	}
 
+	redists, sweeps := make(tally, cfg.P+cfg.Join), make(tally, cfg.P+cfg.Join)
 	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
 		var eng *core.Engine
 		var v *core.Array
@@ -238,11 +239,6 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			pipeDim = 0
 		}
 		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows, cfg.FlopTime) }
-		addRedist := func(d msg.Snapshot) {
-			res.RedistMsgs += d.TotalDataMsgs()
-			res.RedistBytes += d.TotalBytes()
-		}
-		addSweep := func(d msg.Snapshot) { res.SweepMsgs += d.TotalDataMsgs() }
 		return app{
 			declare: func(e *core.Engine) (err error) {
 				eng = e
@@ -273,28 +269,32 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			// confines all communication to the DISTRIBUTEs; a static mode
 			// pipelines the sweep along its distributed dimension.  Local
 			// sweeps run under timed: injected slowdown is applied and the
-			// busy time — barrier and communication waits excluded — reported
-			// to the health scorer.
+			// busy time — communication waits excluded — reported to the
+			// health scorer.
+			//
+			// No barrier follows a sweep: it touches only the rank's own
+			// block, and the next reader of that block is a peer pulling a
+			// DISTRIBUTE transfer, which it does only once this rank's offer
+			// token — sent after the sweep — has arrived; the DISTRIBUTE's
+			// commit barrier still fences the storage it retires.  The
+			// pipelined sweep is ordered by its own messages.
 			step: func(it int) error {
 				var units float64
 				var busy time.Duration
 				for d := range 2 {
 					if d == pipeDim {
-						if err := account(ctx, true, pipe, addSweep); err != nil {
+						if err := sweeps.count(ctx, pipe); err != nil {
 							return err
 						}
 						continue
 					}
 					if cfg.Mode == ADIDynamic && it+d > 0 {
-						if err := account(ctx, true, distribute[d], addRedist); err != nil {
+						if err := redists.count(ctx, distribute[d]); err != nil {
 							return err
 						}
 					}
 					busy += sc.timed(ctx, sweep[d])
 					units += localElems(ctx, v)
-					if err := ctx.Barrier(); err != nil {
-						return err
-					}
 				}
 				if sc.Enabled() {
 					ctx.ReportWork(units, busy)
@@ -316,6 +316,8 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			},
 		}
 	})
+	res.RedistMsgs, res.RedistBytes = redists.sum()
+	res.SweepMsgs, _ = sweeps.sum()
 	return res, err
 }
 

@@ -2,9 +2,15 @@ package apps
 
 import (
 	"math"
+	"regexp"
+	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/index"
+	"repro/internal/machine"
+	"repro/internal/msg"
 )
 
 func TestADIDynamicMatchesSerial(t *testing.T) {
@@ -385,6 +391,66 @@ func TestADIModelTimeCrossover(t *testing.T) {
 	}
 	if dyn.ModelTime >= st.ModelTime {
 		t.Fatalf("under high latency dynamic should win: dyn %.6fs vs static %.6fs", dyn.ModelTime, st.ModelTime)
+	}
+}
+
+// mangleTag is a transport whose frames on one tag are rewritten on the
+// way out — a peer that sends a short or lying frame.
+type mangleTag struct {
+	msg.Transport
+	tag    int
+	mangle func([]byte) []byte
+}
+
+func (t mangleTag) Endpoint(r int) msg.Endpoint { return mangleEP{t.Transport.Endpoint(r), t} }
+
+type mangleEP struct {
+	msg.Endpoint
+	t mangleTag
+}
+
+func (e mangleEP) Send(to, tag int, data []byte) error {
+	if tag == e.t.tag {
+		data = e.t.mangle(data)
+	}
+	return e.Endpoint.Send(to, tag, data)
+}
+
+// TestPICDriftFrameChecked: a drift frame shorter than [flow, cell], or
+// one naming a cell the receiver does not own, is an error of the run
+// that names sender and receiver — not a panic, not a write elsewhere.
+func TestPICDriftFrameChecked(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mangle func([]byte) []byte
+		want   string
+	}{
+		{"truncated", func(b []byte) []byte { return b[:8] }, "has 8 bytes, want 16"},
+		{"foreign cell", func(b []byte) []byte {
+			b = append([]byte(nil), b...)
+			msg.PutFloat64(b, 8, 1)
+			return b
+		}, "names cell 1 outside"},
+	} {
+		m := machine.New(4, machine.WithTransport(mangleTag{msg.NewChanTransport(4), driftTag, tc.mangle}))
+		eng := core.NewEngine(m)
+		err := m.Run(func(ctx *machine.Ctx) error {
+			count, err := eng.Declare(ctx, core.Decl{Name: "COUNT", Domain: index.Dim(16), Dynamic: true,
+				Init: &core.DistSpec{Type: dist.NewType(dist.BlockDim())}})
+			if err != nil {
+				return err
+			}
+			count.FillFunc(ctx, func(index.Point) float64 { return 10 })
+			if err := ctx.Barrier(); err != nil {
+				return err
+			}
+			return moveRight(ctx, count, 0.5)
+		})
+		m.Close()
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !regexp.MustCompile(`rank \d.* from rank \d`).MatchString(err.Error()) ||
+			strings.Contains(err.Error(), "panicked") {
+			t.Errorf("%s: err = %v, want %q naming both ranks, no panic", tc.name, err, tc.want)
+		}
 	}
 }
 

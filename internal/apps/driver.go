@@ -214,6 +214,10 @@ func run(rc runConfig, out *Outcome, mk func(ctx *machine.Ctx) app) error {
 	return nil
 }
 
+// testHookStep, set by kill tests, runs on every rank before each
+// iteration (iterStarts in recovery_test.go).
+var testHookStep func(ctx *machine.Ctx, it int)
+
 // epoch is one membership epoch of a run, the body core.RunEpochs
 // re-enters after every transition: declare, restore or fill, then
 // iterate.  At each iteration boundary it issues, in this order and
@@ -262,6 +266,9 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 	}
 	sc := rc.Straggler
 	for it := it0; it < rc.Iters; it++ {
+		if testHookStep != nil {
+			testHookStep(ctx, it)
+		}
 		t0 := time.Now()
 		if err := a.step(it); err != nil {
 			return err
@@ -328,43 +335,40 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 	return nil
 }
 
-// tallyOpen takes rank 0's traffic baseline for a communication phase;
-// with lead, a barrier keeps every rank from sending before it is
-// taken.  tallyClose ends the phase with a barrier and hands rank 0 the
-// global traffic since the baseline.  Every barrier error is returned
-// (msg names the rank in it).
-func tallyOpen(ctx *machine.Ctx, lead bool) (pre msg.Snapshot, err error) {
-	if ctx.Rank() == 0 {
-		pre = ctx.Machine().Stats().Snapshot()
-	}
-	if lead {
-		err = ctx.Barrier()
-	}
-	return pre, err
-}
+// tally is one kind of an app's traffic, [data messages, bytes] per
+// physical rank (capacity P+Join): a rank adds what it sent during its own
+// phases to its own slot (msg.Stats.Sent), so no rank waits for another
+// to read a counter.  Read the slots after Machine.Run has returned.
+type tally [][2]int64
 
-func tallyClose(ctx *machine.Ctx, pre msg.Snapshot, add func(msg.Snapshot)) error {
-	if err := ctx.Barrier(); err != nil {
-		return err
-	}
-	if ctx.Rank() == 0 {
-		add(ctx.Machine().Stats().Snapshot().Sub(pre))
-	}
-	return nil
-}
-
-// account runs one communication phase between tallyOpen and
-// tallyClose.  A caller whose next message can leave before rank 0 has
-// read the totals follows it with a barrier of its own.
-func account(ctx *machine.Ctx, lead bool, phase func() error, add func(msg.Snapshot)) error {
-	pre, err := tallyOpen(ctx, lead)
-	if err != nil {
-		return err
-	}
+// count runs phase and adds what ctx's rank sent during it to its slot.
+func (t tally) count(ctx *machine.Ctx, phase func() error) error {
+	st, r := ctx.Machine().Stats(), ctx.PhysRank()
+	m0, b0 := st.Sent(r)
 	if err := phase(); err != nil {
 		return err
 	}
-	return tallyClose(ctx, pre, add)
+	m1, b1 := st.Sent(r)
+	t[r][0] += m1 - m0
+	t[r][1] += b1 - b0
+	return nil
+}
+
+// sum is the traffic of all ranks together.
+func (t tally) sum() (msgs, bytes int64) {
+	for _, s := range t {
+		msgs, bytes = msgs+s[0], bytes+s[1]
+	}
+	return msgs, bytes
+}
+
+// most is the largest message count and the largest byte count any one
+// rank sent.
+func (t tally) most() (msgs, bytes int64) {
+	for _, s := range t {
+		msgs, bytes = max(msgs, s[0]), max(bytes, s[1])
+	}
+	return msgs, bytes
 }
 
 // checksum reduces the final grid of v: with a serial reference, rank 0

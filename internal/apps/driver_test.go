@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -21,8 +22,8 @@ type toy struct {
 	n     int
 	steps []int // iterations view rank 0 stepped through, replays included
 	// failBarrierAt, when >= 0, arms the (disarmed) fault plan on rank 1
-	// just before that iteration's accounted phase, so the phase's leading
-	// barrier is the first operation to fail.
+	// just before that iteration's barrier, so the barrier is the first
+	// operation to fail.
 	failBarrierAt int
 	pastBarrier   bool // rank 1 got past the barrier that had to fail
 	maxErr        float64
@@ -75,7 +76,7 @@ func (ty *toy) run(rc runConfig) (Outcome, error) {
 				if it == ty.failBarrierAt && ctx.Rank() == 1 {
 					ft.Arm(1)
 				}
-				err := account(ctx, true, func() error { return nil }, func(msg.Snapshot) {})
+				err := ctx.Barrier()
 				if err == nil && it == ty.failBarrierAt && ctx.Rank() == 1 {
 					ty.pastBarrier = true
 				}
@@ -106,6 +107,7 @@ func TestStepLoop(t *testing.T) {
 		name       string
 		conf       func(rc *runConfig)
 		prior      int // iterations a checkpointing run completes first
+		kill       int // rank 2 falls silent from iteration kill on (0: never)
 		epochs     int // want Outcome.Epochs (-1: at least one)
 		resumed    int // want Outcome.ResumedIter (-2: any >= 0)
 		transition bool
@@ -133,8 +135,8 @@ func TestStepLoop(t *testing.T) {
 		}},
 		{name: "kill", conf: func(rc *runConfig) {
 			elastic(rc)
-			rc.Fault, rc.OnlineRecover = "drop,rank=2,after=120", true
-		}, epochs: -1, resumed: -2, transition: true, check: func(t *testing.T, out Outcome) {
+			rc.OnlineRecover = true
+		}, kill: 6, epochs: -1, resumed: -2, transition: true, check: func(t *testing.T, out Outcome) {
 			if len(out.Survivors) != 3 {
 				t.Fatalf("survivors = %v, want 3 of 4", out.Survivors)
 			}
@@ -146,6 +148,15 @@ func TestStepLoop(t *testing.T) {
 				rc.CkptDir = ""
 			}
 			tc.conf(&rc)
+			if tc.kill > 0 {
+				after := killAfter(t, 2, tc.kill, 0, func() error {
+					dry := rc
+					dry.CkptDir = t.TempDir()
+					_, err := (&toy{n: 64, failBarrierAt: -1}).run(dry)
+					return err
+				})
+				rc.Fault = fmt.Sprintf("drop,rank=2,after=%d", after)
+			}
 			if tc.prior > 0 {
 				first := rc
 				first.Iters, first.Recover = tc.prior, false
@@ -185,7 +196,7 @@ func TestStepLoop(t *testing.T) {
 	}
 }
 
-// TestStepLoopBarrierError: the accounting helper returns the error of a
+// TestStepLoopBarrierError: the step loop returns the error of a
 // barrier that fails, so the step aborts there, naming the rank.
 func TestStepLoopBarrierError(t *testing.T) {
 	ty := &toy{n: 64, failBarrierAt: 2}

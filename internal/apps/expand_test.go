@@ -92,11 +92,9 @@ func TestExpandRejectedJoin(t *testing.T) {
 // death, the join at a later boundary (or both in one transition) —
 // and still finish bit-exact.
 func TestExpandUnderFault(t *testing.T) {
-	dir := t.TempDir()
-	res, err := RunADI(ADIConfig{
+	cfg := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, P: 4, Mode: ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
-		Fault:         fmt.Sprintf("drop,rank=2,after=%d", 150),
+		CkptEvery:     1,
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,
 		Liveness:      testLiveness(),
@@ -104,7 +102,18 @@ func TestExpandUnderFault(t *testing.T) {
 		Join:          1,
 		Elastic:       true,
 		JoinAfterIter: 2,
+	}
+	// Rank 2 dies inside iteration 1: after the first commit, before the
+	// first boundary that polls for the waiting joiner.
+	after := killAfter(t, 2, 1, 1, func() error {
+		dry := cfg
+		dry.CkptDir = t.TempDir()
+		_, err := RunADI(dry)
+		return err
 	})
+	cfg.CkptDir = t.TempDir()
+	cfg.Fault = fmt.Sprintf("drop,rank=2,after=%d", after)
+	res, err := RunADI(cfg)
 	if err != nil {
 		t.Fatalf("expand under fault: %v", err)
 	}

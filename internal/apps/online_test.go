@@ -14,22 +14,28 @@ import (
 
 // onlineADI is the shared shape of the online-recovery kill matrix: a
 // 4-rank dynamic ADI with per-iteration checkpoints, a permanently
-// silent rank, and OnlineRecover — the survivors must regroup and
-// finish in the same process, matching the serial reference
-// bit-for-bit.
-func onlineADI(t *testing.T, useTCP bool, after int) {
+// silent rank from its off-th send of iteration it on, and OnlineRecover
+// — the survivors must regroup and finish in the same process, matching
+// the serial reference bit-for-bit.
+func onlineADI(t *testing.T, useTCP bool, it, off int) {
 	t.Helper()
-	dir := t.TempDir()
 	cfg := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, P: 4, Mode: ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
+		CkptEvery:     1,
 		UseTCP:        useTCP,
-		Fault:         fmt.Sprintf("drop,rank=2,after=%d", after),
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,
 		Liveness:      testLiveness(),
 		OnlineRecover: true,
 	}
+	after := killAfter(t, 2, it, off, func() error {
+		dry := cfg
+		dry.CkptDir = t.TempDir()
+		_, err := RunADI(dry)
+		return err
+	})
+	cfg.CkptDir = t.TempDir()
+	cfg.Fault = fmt.Sprintf("drop,rank=2,after=%d", after)
 	res, err := RunADI(cfg)
 	if err != nil {
 		t.Fatalf("online recovery run (tcp=%v after=%d): %v", useTCP, after, err)
@@ -48,34 +54,41 @@ func onlineADI(t *testing.T, useTCP bool, after int) {
 	}
 }
 
-// TestOnlineRecoverADIChan: kill early in the run (between collectives)
-// over the in-process transport.
-func TestOnlineRecoverADIChan(t *testing.T) { onlineADI(t, false, 150) }
+// TestOnlineRecoverADIChan: kill at an iteration boundary (between
+// collectives) over the in-process transport.
+func TestOnlineRecoverADIChan(t *testing.T) { onlineADI(t, false, 4, 0) }
 
 // TestOnlineRecoverADIChanMidCollective: a later kill point that lands
-// inside the redistribution traffic of a DISTRIBUTE in flight.
-func TestOnlineRecoverADIChanMidCollective(t *testing.T) { onlineADI(t, false, 260) }
+// inside the redistribution traffic of a DISTRIBUTE in flight — the
+// iteration's first DISTRIBUTE, after the victim's first transfer.
+func TestOnlineRecoverADIChanMidCollective(t *testing.T) { onlineADI(t, false, 6, 1) }
 
 // TestOnlineRecoverADITCP: the same regroup over real sockets.
-func TestOnlineRecoverADITCP(t *testing.T) { onlineADI(t, true, 150) }
+func TestOnlineRecoverADITCP(t *testing.T) { onlineADI(t, true, 4, 0) }
 
 // TestOnlineRecoverADITCPMidCollective: sockets × late kill.
-func TestOnlineRecoverADITCPMidCollective(t *testing.T) { onlineADI(t, true, 260) }
+func TestOnlineRecoverADITCPMidCollective(t *testing.T) { onlineADI(t, true, 6, 1) }
 
 // TestOnlineRecoverSmoothing: the smoothing app's double-buffered
 // stencil survives a mid-run rank loss in-process and still matches the
 // serial reference.
 func TestOnlineRecoverSmoothing(t *testing.T) {
-	dir := t.TempDir()
 	cfg := SmoothConfig{
 		N: 24, Steps: 8, P: 4, Mode: SmoothColumns, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
-		Fault:         "drop,rank=1,after=80",
+		CkptEvery:     1,
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,
 		Liveness:      testLiveness(),
 		OnlineRecover: true,
 	}
+	after := killAfter(t, 1, 4, 1, func() error {
+		dry := cfg
+		dry.CkptDir = t.TempDir()
+		_, err := RunSmoothing(dry)
+		return err
+	})
+	cfg.CkptDir = t.TempDir()
+	cfg.Fault = fmt.Sprintf("drop,rank=1,after=%d", after)
 	res, err := RunSmoothing(cfg)
 	if err != nil {
 		t.Fatalf("online smoothing recovery: %v", err)
@@ -92,16 +105,22 @@ func TestOnlineRecoverSmoothing(t *testing.T) {
 // conservation holds across the membership change (FIELD and COUNT are
 // one connect class, restored together).
 func TestOnlineRecoverPICConservation(t *testing.T) {
-	dir := t.TempDir()
 	cfg := PICConfig{
 		NCell: 32, Steps: 8, P: 4, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptDir: dir, CkptEvery: 1,
-		Fault:         "drop,rank=3,after=80",
+		CkptEvery:     1,
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,
 		Liveness:      testLiveness(),
 		OnlineRecover: true,
 	}
+	after := killAfter(t, 3, 5, 1, func() error {
+		dry := cfg
+		dry.CkptDir = t.TempDir()
+		_, err := RunPIC(dry)
+		return err
+	})
+	cfg.CkptDir = t.TempDir()
+	cfg.Fault = fmt.Sprintf("drop,rank=3,after=%d", after)
 	res, err := RunPIC(cfg)
 	if err != nil {
 		t.Fatalf("online PIC recovery: %v", err)
@@ -120,10 +139,16 @@ func TestOnlineRecoverPICConservation(t *testing.T) {
 func TestOnlineBitflipSurfacesIntegrityError(t *testing.T) {
 	cfg := ADIConfig{
 		NX: 16, NY: 16, Iters: 2, P: 4, Mode: ADIDynamic,
-		Fault:       "bitflip,rank=1,count=1,after=40",
 		CommTimeout: 100 * time.Millisecond,
 		CommRetries: 2,
 	}
+	after := killAfter(t, 1, 1, 1, func() error {
+		dry := cfg
+		dry.Integrity = true // what the bitflip rule implies
+		_, err := RunADI(dry)
+		return err
+	})
+	cfg.Fault = fmt.Sprintf("bitflip,rank=1,count=1,after=%d", after)
 	_, err := RunADI(cfg)
 	if err == nil {
 		t.Fatal("a corrupted frame must fail the run (it cannot be silently absorbed)")
@@ -163,16 +188,25 @@ func TestSoakOnline(t *testing.T) {
 		n := 16 + 4*rng.Intn(4)
 		iters := 5 + rng.Intn(4)
 		victim := rng.Intn(4)
-		after := 120 + rng.Intn(250)
 		cfg := ADIConfig{
 			NX: n, NY: n, Iters: iters, P: 4, Mode: ADIDynamic, Validate: true,
-			CkptDir: dir, CkptEvery: 1,
-			Fault:         fmt.Sprintf("drop,rank=%d,after=%d", victim, after),
+			CkptEvery:     1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		}
+		// Any send of any iteration but the first and the last.
+		starts := iterStarts(t, victim, func() error {
+			dry := cfg
+			dry.CkptDir = t.TempDir()
+			_, err := RunADI(dry)
+			return err
+		})
+		it := 1 + rng.Intn(iters-2)
+		after := starts[it] + rng.Intn(starts[it+1]-starts[it])
+		cfg.CkptDir = dir
+		cfg.Fault = fmt.Sprintf("drop,rank=%d,after=%d", victim, after)
 		res, err := RunADI(cfg)
 		if err != nil {
 			if epoch, _, lerr := ckpt.LatestEpoch(dir); lerr == nil && epoch < 0 {

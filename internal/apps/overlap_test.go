@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -118,19 +119,22 @@ func TestSmoothingOddWidthsBitIdentical(t *testing.T) {
 // the failed epoch are revoked with the view — no stale-tag traffic leaks
 // into the survivor epoch.
 func TestOnlineRecoverSmoothingOverlap(t *testing.T) {
-	dir := t.TempDir()
 	cfg := SmoothConfig{
 		N: 24, Steps: 8, P: 4, Mode: SmoothColumns, Validate: true, Overlap: true,
-		CkptDir: dir, CkptEvery: 1,
-		// The barrier-free loop sends far fewer messages per step than the
-		// synchronous one, so the kill threshold is lower than in the
-		// synchronous online test.
-		Fault:         "drop,rank=1,after=40",
+		CkptEvery:     1,
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,
 		Liveness:      testLiveness(),
 		OnlineRecover: true,
 	}
+	after := killAfter(t, 1, 4, 0, func() error {
+		dry := cfg
+		dry.CkptDir = t.TempDir()
+		_, err := RunSmoothing(dry)
+		return err
+	})
+	cfg.CkptDir = t.TempDir()
+	cfg.Fault = fmt.Sprintf("drop,rank=1,after=%d", after)
 	res, err := RunSmoothing(cfg)
 	if err != nil {
 		t.Fatalf("online overlapped smoothing recovery: %v", err)

@@ -157,6 +157,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 	}
 
 	dom := index.Dim(cfg.NCell)
+	redists := make(tally, cfg.P+cfg.Join)
 	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
 		var eng *core.Engine
 		var field, count *core.Array
@@ -167,12 +168,10 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		distribute := func() error {
 			return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
 		}
-		addRedist := func(d msg.Snapshot) {
-			res.RedistBytes += d.TotalBytes()
-			res.Redistributions++
-		}
 		// balance computes BOUNDS equalizing particles per processor, then
-		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.
+		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.  No
+		// barrier follows: the DISTRIBUTE ends in its own commit and swap
+		// barriers, and the next step touches only the new local blocks.
 		balance := func() error {
 			counts, err := count.GatherTo(ctx, 0)
 			if err != nil {
@@ -189,12 +188,13 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil {
 				return err
 			}
-			// No leading barrier: only the broadcast of BOUNDS separates
-			// rank 0's baseline from the DISTRIBUTE.
-			if err := account(ctx, false, distribute, addRedist); err != nil {
+			if err := redists.count(ctx, distribute); err != nil {
 				return err
 			}
-			return ctx.Barrier()
+			if ctx.Rank() == 0 {
+				res.Redistributions++
+			}
+			return nil
 		}
 		return app{
 			declare: func(e *core.Engine) (err error) {
@@ -232,9 +232,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			},
 			step: func(it int) error {
 				k := it + 1 // Figure 2 counts steps from 1
-				if err := updateField(ctx, cfg, count, field); err != nil {
-					return err
-				}
+				updateField(ctx, cfg, count, field)
 				// update_part: DriftFrac of each cell's particles moves to
 				// cell+1; the last cell reflects (keeps its particles).  The
 				// only cross-processor flow is from my last cell to the
@@ -275,6 +273,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			},
 		}
 	})
+	_, res.RedistBytes = redists.sum()
 	if err != nil {
 		return res, err
 	}
@@ -292,8 +291,10 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 // updateField is Figure 2's update_field: work proportional to the
 // local particle count.  The compute runs under timed so an injected
 // straggler is stretched and its per-particle cost reported to the
-// scorer.
-func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) error {
+// scorer.  It reads and writes the rank's own cells only, so nothing
+// waits for it: no peer reads FIELD, and the peer that moveRight sends
+// COUNT flow to adds it to a cell of its own.
+func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 	lc, lf := count.Local(ctx), field.Local(ctx)
 	particles := 0.0
 	el := cfg.Straggler.timed(ctx, func() {
@@ -311,28 +312,28 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) erro
 	if cfg.Straggler.Enabled() {
 		ctx.ReportWork(particles, el)
 	}
-	return ctx.Barrier()
 }
 
 // imbalance is max/avg particles per processor — Figure 2's rebalance()
-// predicate input — identical on every rank (allreduce).
+// predicate input — identical on every rank: one allreduce of [sum, max].
+// It is the step's one rendezvous: no rank leaves it before every rank
+// has finished the step's moveRight.
 func imbalance(ctx *machine.Ctx, count *core.Array) (float64, error) {
 	local := 0.0
 	count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
-	tot, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
+	r, err := ctx.Comm().AllreduceEach([]float64{local, local}, msg.SumF64, msg.MaxF64)
 	if err != nil {
 		return 0, err
 	}
-	mx, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
-	if err != nil {
-		return 0, err
-	}
-	avg := tot[0] / float64(ctx.NP())
+	avg := r[0] / float64(ctx.NP())
 	if avg == 0 {
 		return 1, nil
 	}
-	return mx[0] / avg, nil
+	return r[1] / avg, nil
 }
+
+// driftTag is the tag of moveRight's frames: [flow, cell] as two float64s.
+const driftTag = 9100
 
 // moveRight shifts frac of every cell's count one cell to the right
 // (reflecting at the global last cell).  Cross-boundary flow travels as a
@@ -345,7 +346,6 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	n := dom.Extent(0)
 	rs := l.Grid().Dims[0]
 	ep := ctx.Endpoint()
-	const tag = 9100
 
 	var outflow float64 // from my last cell across the boundary
 	var lastIdx int = -1
@@ -375,8 +375,9 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 		}
 	}
 	// exchange boundary flows: send to owner of my hi+1, receive from the
-	// owner of my lo-1's segment (if any).  Every processor participates;
-	// empty segments forward nothing.
+	// owner of my lo-1's segment (if any) — never this rank, whose cells
+	// are one interval.  Every processor participates; empty segments
+	// forward nothing.
 	sendTo := -1
 	if lastIdx >= 0 && lastIdx < n {
 		sendTo = d.Owner(index.Point{lastIdx + 1})
@@ -387,23 +388,30 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	}
 	cfg := ctx.Comm().Config()
 	tr := ctx.Tracer()
-	if sendTo >= 0 && sendTo != ctx.Rank() {
-		if err := msg.SendRetry(ep, cfg, tr, "pic-drift", sendTo, tag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
+	if sendTo >= 0 {
+		if err := msg.SendRetry(ep, cfg, tr, "pic-drift", sendTo, driftTag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
 			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
 		}
-	} else if sendTo == ctx.Rank() {
-		q := index.Point{lastIdx + 1}
-		l.SetAt(q, l.At(q)+outflow)
 	}
-	if recvFrom >= 0 && recvFrom != ctx.Rank() {
-		p, err := msg.RecvRetry(ep, cfg, tr, "pic-drift", recvFrom, tag)
+	if recvFrom >= 0 {
+		p, err := msg.RecvRetry(ep, cfg, tr, "pic-drift", recvFrom, driftTag)
 		if err != nil {
 			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
 		}
-		vals := msg.DecodeFloat64s(p.Data)
-		cells[int(vals[1])-lo] += vals[0]
+		if len(p.Data) != 16 {
+			return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d has %d bytes, want 16", ctx.Rank(), recvFrom, len(p.Data))
+		}
+		flow, at := msg.GetFloat64(p.Data, 0), msg.GetFloat64(p.Data, 8)
+		if c := int(at); float64(c) != at || c < lo || c >= lo+len(cells) {
+			return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d names cell %v outside cells %d..%d", ctx.Rank(), recvFrom, at, lo, lo+len(cells)-1)
+		}
+		cells[int(at)-lo] += flow
 	}
-	return ctx.Barrier()
+	// No barrier: a rank sends one frame a step, paired by the descriptor
+	// both sides read, and frames of one sender and tag arrive in order, so
+	// a frame sent a step early waits behind this one; the step's allreduce
+	// (imbalance) is the rendezvous before a DISTRIBUTE can re-pair them.
+	return nil
 }
 
 // computeBounds returns B_BLOCK bounds assigning contiguous cells to

@@ -15,6 +15,39 @@ func testLiveness() *machine.LivenessConfig {
 	return &machine.LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond}
 }
 
+// iterStarts runs dry — the test's own configuration with the fault left
+// out — and returns how many messages victim had sent when each iteration
+// of its first epoch began.  A fault rule on victim with after=starts[it]
+// first fires on the first send of iteration it: kill points derived this
+// way follow the run's message count wherever it goes.  Heartbeats, sent
+// off the step loop's clock when liveness is on, make it approximate by
+// the few that fall differently in the two runs.
+func iterStarts(t *testing.T, victim int, dry func() error) []int {
+	t.Helper()
+	var starts []int // appended by the victim's goroutine only
+	testHookStep = func(ctx *machine.Ctx, it int) {
+		if ctx.PhysRank() == victim && ctx.Epoch() == 0 {
+			starts = append(starts, int(ctx.Machine().Stats().Snapshot().MsgsSent[victim]))
+		}
+	}
+	defer func() { testHookStep = nil }()
+	if err := dry(); err != nil {
+		t.Fatalf("fault-free dry run: %v", err)
+	}
+	return starts
+}
+
+// killAfter is the after= of a fault rule on victim that first fires on
+// its off-th send (from 0) of iteration it, measured on a dry run.
+func killAfter(t *testing.T, victim, it, off int, dry func() error) int {
+	t.Helper()
+	starts := iterStarts(t, victim, dry)
+	if it >= len(starts) {
+		t.Fatalf("the dry run began %d iterations on rank %d, none numbered %d", len(starts), victim, it)
+	}
+	return starts[it] + off
+}
+
 // TestADIKillAndRecover is the end-to-end acceptance path: an ADI run
 // with periodic checkpoints is killed by a permanently silent rank, the
 // failure detector names the survivors, and a relaunch on the three
@@ -28,13 +61,19 @@ func TestADIKillAndRecover(t *testing.T) {
 	}
 
 	// Phase 1: 4 ranks, rank 2 falls permanently silent once the run is
-	// under way (after= lets the first checkpoints commit).
+	// under way (at iteration 4, so the first checkpoints commit).
 	killed := base
 	killed.P = 4
-	killed.Fault = "drop,rank=2,after=150"
 	killed.CommTimeout = 150 * time.Millisecond
 	killed.CommRetries = 2
 	killed.Liveness = testLiveness()
+	after := killAfter(t, 2, 4, 0, func() error {
+		dry := killed
+		dry.CkptDir = t.TempDir()
+		_, err := RunADI(dry)
+		return err
+	})
+	killed.Fault = fmt.Sprintf("drop,rank=2,after=%d", after)
 	res, err := RunADI(killed)
 	if err == nil {
 		t.Fatal("run with a permanently silent rank should fail")

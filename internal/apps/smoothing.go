@@ -10,7 +10,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/msg"
 	"repro/internal/trace"
 )
 
@@ -176,18 +175,14 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 		}
 	}
 
-	var exchMsgs, exchBytes int64
+	exch := make(tally, cfg.P+cfg.Join)
 	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
 		// U and V are one connect class and the two buffers of the sweep:
 		// step s reads src and writes dst, which then swap.
 		var u, v, src, dst *core.Array
-		var phasePre msg.Snapshot
 		exchange := func() error { return src.ExchangeAllGhosts(ctx) }
 		sweep := func() { smoothLocal(ctx, src, dst, cfg.FlopTime) }
-		addExch := func(d msg.Snapshot) {
-			exchMsgs += d.MaxDataMsgsPerProc()
-			exchBytes += d.MaxBytesPerProc()
-		}
+		overlap := func() error { return smoothStepOverlap(ctx, src, dst, cfg.FlopTime) }
 		return app{
 			declare: func(eng *core.Engine) (err error) {
 				spec := core.DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}
@@ -206,32 +201,29 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 			// A checkpoint holds both buffers, and the step it was taken
 			// after gives the parity, so the double-buffer swap resumes
 			// exactly where the lost run stopped.
-			begin: func(s0 int) (err error) {
+			begin: func(s0 int) error {
 				src, dst = u, v
 				if s0%2 == 1 {
 					src, dst = v, u
 				}
 				ctx.PhaseBegin("smooth")
-				if cfg.Overlap {
-					// The step loop runs barrier-free, so its traffic is
-					// measured as one phase around the whole loop.
-					phasePre, err = tallyOpen(ctx, true)
-				}
-				return err
+				return nil
 			},
 			step: func(int) error {
 				if cfg.Overlap {
-					if err := smoothStepOverlap(ctx, src, dst, cfg.FlopTime); err != nil {
+					if err := exch.count(ctx, overlap); err != nil {
 						return err
 					}
 				} else {
-					if err := account(ctx, true, exchange, addExch); err != nil {
+					if err := exch.count(ctx, exchange); err != nil {
 						return err
 					}
 					el := sc.timed(ctx, sweep)
 					if sc.Enabled() {
 						ctx.ReportWork(localElems(ctx, src), el)
 					}
+					// The next exchange writes src's ghosts, which a slower
+					// neighbour's sweep may still be reading.
 					if err := ctx.Barrier(); err != nil {
 						return err
 					}
@@ -240,16 +232,6 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 				return nil
 			},
 			end: func() error {
-				if cfg.Overlap {
-					if err := tallyClose(ctx, phasePre, addExch); err != nil {
-						return err
-					}
-					// No rank may start post-phase traffic (the reduction
-					// below) until the phase totals are read.
-					if err := ctx.Barrier(); err != nil {
-						return err
-					}
-				}
 				ctx.PhaseEnd("smooth")
 				sum, maxErr, err := checksum(ctx, src, ref)
 				if ctx.Rank() == 0 {
@@ -260,8 +242,9 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 		}
 	})
 	if cfg.Steps > 0 {
-		res.MsgsPerProcStep = float64(exchMsgs) / float64(cfg.Steps)
-		res.BytesPerProcStep = float64(exchBytes) / float64(cfg.Steps)
+		msgs, bytes := exch.most()
+		res.MsgsPerProcStep = float64(msgs) / float64(cfg.Steps)
+		res.BytesPerProcStep = float64(bytes) / float64(cfg.Steps)
 	}
 	return res, err
 }

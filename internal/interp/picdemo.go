@@ -180,9 +180,15 @@ func RegisterPICDemo(in *Interp) {
 			if err != nil {
 				return err
 			}
-			vals := msg.DecodeFloat64s(pk.Data)
-			q := index.Point{int(vals[1]), 1}
-			l.SetAt(q, l.At(q)+vals[0])
+			if len(pk.Data) != 16 {
+				return fmt.Errorf("interp: UPDATE_PART at rank %d: drift frame from rank %d has %d bytes, want 16", ctx.Rank(), recvFrom, len(pk.Data))
+			}
+			flow, at := msg.GetFloat64(pk.Data, 0), msg.GetFloat64(pk.Data, 8)
+			if c := int(at); float64(c) != at || c < rs[0].Lo || c > rs[len(rs)-1].Hi {
+				return fmt.Errorf("interp: UPDATE_PART at rank %d: drift frame from rank %d names cell %v outside cells %d..%d", ctx.Rank(), recvFrom, at, rs[0].Lo, rs[len(rs)-1].Hi)
+			}
+			q := index.Point{int(at), 1}
+			l.SetAt(q, l.At(q)+flow)
 		}
 		if err := ctx.Barrier(); err != nil {
 			return err
@@ -194,28 +200,13 @@ func RegisterPICDemo(in *Interp) {
 	// 1.1 — the Figure 2 rebalance() predicate.  It stores the result in
 	// the scalar REBAL (call: CALL REBALANCE(FIELD)).
 	in.Register("REBALANCE", func(st *State, args []any) error {
-		fa := args[0].(*ArrayArg)
-		ctx := st.Ctx
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
-		local := 0.0
-		fa.Arr.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
-			if p[1] == 1 {
-				local += *v
-			}
-		})
-		tot, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
+		tot, mx, err := particleLoad(st, args[0].(*ArrayArg))
 		if err != nil {
 			return err
 		}
-		mx, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
-		if err != nil {
-			return err
-		}
-		avg := tot[0] / float64(ctx.NP())
+		avg := tot / float64(st.Ctx.NP())
 		st.Scalars["REBAL"] = 0
-		if avg > 0 && mx[0]/avg > 1.1 {
+		if avg > 0 && mx/avg > 1.1 {
 			st.Scalars["REBAL"] = 1
 		}
 		return nil
@@ -225,30 +216,36 @@ func RegisterPICDemo(in *Interp) {
 	in.Register("IMBALANCE", func(st *State, args []any) error {
 		fa := args[0].(*ArrayArg)
 		step := args[1].(float64)
-		ctx := st.Ctx
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
-		local := 0.0
-		fa.Arr.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
-			if p[1] == 1 {
-				local += *v
-			}
-		})
-		tot, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
+		tot, mx, err := particleLoad(st, fa)
 		if err != nil {
 			return err
 		}
-		mx, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
-		if err != nil {
-			return err
-		}
-		if ctx.Rank() == 0 {
-			avg := tot[0] / float64(ctx.NP())
-			fmt.Printf("  step %3.0f: imbalance %.3f  (dist %v)\n", step, mx[0]/avg, fa.Arr.DistType())
+		if st.Ctx.Rank() == 0 {
+			avg := tot / float64(st.Ctx.NP())
+			fmt.Printf("  step %3.0f: imbalance %.3f  (dist %v)\n", step, mx/avg, fa.Arr.DistType())
 		}
 		return nil
 	})
+}
+
+// particleLoad returns the total particle count and the largest on any
+// one processor, identical everywhere: one allreduce of [sum, max].
+func particleLoad(st *State, fa *ArrayArg) (tot, mx float64, err error) {
+	ctx := st.Ctx
+	if err := ctx.Barrier(); err != nil {
+		return 0, 0, err
+	}
+	local := 0.0
+	fa.Arr.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
+		if p[1] == 1 {
+			local += *v
+		}
+	})
+	r, err := ctx.Comm().AllreduceEach([]float64{local, local}, msg.SumF64, msg.MaxF64)
+	if err != nil {
+		return 0, 0, err
+	}
+	return r[0], r[1], nil
 }
 
 // PICDemoSource is Figure 2 made runnable: the structure is the paper's,

@@ -1,12 +1,14 @@
 package interp
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/lang"
 	"repro/internal/machine"
+	"repro/internal/msg"
 	"repro/internal/sem"
 )
 
@@ -67,6 +69,42 @@ func TestPICDemoEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(distStr, "B_BLOCK") {
 		t.Fatalf("final distribution %s is not a general block", distStr)
+	}
+}
+
+// truncDrift cuts UPDATE_PART's drift frames (tag 9400) to 8 bytes.
+type truncDrift struct{ msg.Transport }
+
+func (t truncDrift) Endpoint(r int) msg.Endpoint { return truncDriftEP{t.Transport.Endpoint(r)} }
+
+type truncDriftEP struct{ msg.Endpoint }
+
+func (e truncDriftEP) Send(to, tag int, data []byte) error {
+	if tag == 9400 {
+		data = data[:min(len(data), 8)]
+	}
+	return e.Endpoint.Send(to, tag, data)
+}
+
+// TestPICDemoTruncatedDriftFrame: a short drift frame fails the program
+// with an error naming both ranks instead of panicking the receiver.
+func TestPICDemoTruncatedDriftFrame(t *testing.T) {
+	prog, err := lang.Parse(PICDemoSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := sem.Analyze(prog)
+	m := machine.New(4, machine.WithTransport(truncDrift{msg.NewChanTransport(4)}))
+	defer m.Close()
+	in := New(core.NewEngine(m))
+	RegisterPICDemo(in)
+	err = m.Run(func(ctx *machine.Ctx) error {
+		_, err := in.Run(ctx, unit)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "has 8 bytes, want 16") ||
+		!regexp.MustCompile(`rank \d.* from rank \d`).MatchString(err.Error()) || strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("err = %v, want the short frame named by both ranks, no panic", err)
 	}
 }
 

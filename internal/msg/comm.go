@@ -343,6 +343,13 @@ func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
 // slice holds the reduction, on others it is nil.  All processors must
 // pass slices of identical length.
 func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64) ([]float64, error) {
+	return c.reduce(root, vals, []func(a, b float64) float64{op})
+}
+
+// reduce is the binomial-tree reduction under every Reduce and Allreduce:
+// element i combines under ops[i], or under ops[0] when ops holds one
+// operation for every element.
+func (c *Comm) reduce(root int, vals []float64, ops []func(a, b float64) float64) ([]float64, error) {
 	if c.tr != nil {
 		defer c.span("reduce").End()
 	}
@@ -378,6 +385,10 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 			}
 			DecodeFloat64sInto(got, p.Data)
 			for i := range acc {
+				op := ops[0]
+				if len(ops) > 1 {
+					op = ops[i]
+				}
 				acc[i] = op(acc[i], got[i])
 			}
 		}
@@ -388,7 +399,26 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 // AllreduceF64 reduces over all processors and distributes the result to
 // everyone.
 func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) ([]float64, error) {
-	red, err := c.ReduceF64(0, vals, op)
+	return c.allreduce(vals, []func(a, b float64) float64{op})
+}
+
+// AllreduceEach reduces vals over all processors element by element —
+// element i under ops[i] — and returns the result on every processor.  It
+// is one reduce into rank 0 and one broadcast of the whole vector, so k
+// reductions of one value cost the messages of one.  Every element takes
+// the same binomial tree in the same order as an AllreduceF64 of that
+// element alone, so the results are bit-identical to k separate calls.
+// len(ops) must equal len(vals); all processors must pass equally long
+// vectors (a mismatch is an error on the rank that sees it).
+func (c *Comm) AllreduceEach(vals []float64, ops ...func(a, b float64) float64) ([]float64, error) {
+	if len(ops) != len(vals) {
+		return nil, fmt.Errorf("msg: allreduce: rank %d: %d values under %d operations", c.Rank(), len(vals), len(ops))
+	}
+	return c.allreduce(vals, ops)
+}
+
+func (c *Comm) allreduce(vals []float64, ops []func(a, b float64) float64) ([]float64, error) {
+	red, err := c.reduce(0, vals, ops)
 	if err != nil {
 		return nil, err
 	}
@@ -399,6 +429,9 @@ func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) ([]fl
 	out, err := c.Bcast(0, buf)
 	if err != nil {
 		return nil, err
+	}
+	if len(out) != 8*len(vals) {
+		return nil, fmt.Errorf("msg: allreduce: rank %d: result of %d bytes, want %d", c.Rank(), len(out), 8*len(vals))
 	}
 	return DecodeFloat64s(out), nil
 }

@@ -263,6 +263,38 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
+// TestStatsSentBySender: Sent reads one rank's data messages and bytes —
+// zero-byte tokens excluded, a shared-memory window transfer credited to
+// the rank that offered it — and no other rank's traffic moves it.
+func TestStatsSentBySender(t *testing.T) {
+	tr := NewChanTransport(2)
+	defer tr.Close()
+	win := NewWindow(2, "sent", tr.Stats(), nil)
+	win.Register(0, make([]float64, 8))
+	private := make([]float64, 8)
+	runCommsOn(t, tr, func(c *Comm) error {
+		if err := c.Barrier(); err != nil { // zero-byte tokens: not data
+			return err
+		}
+		if c.Rank() == 1 {
+			if _, err := c.Endpoint().Recv(0, 1); err != nil {
+				return err
+			}
+			return win.Pull(c, 0, 1, RectRun(0, 3), private, RectRun(0, 3))
+		}
+		if err := c.Endpoint().Send(1, 1, make([]byte, 40)); err != nil {
+			return err
+		}
+		return win.Offer(c, 1, 1, RectRun(0, 3))
+	})
+	if m, b := tr.Stats().Sent(0); m != 2 || b != 40+24 {
+		t.Errorf("Sent(0) = %d msgs, %d bytes; want 2, 64", m, b)
+	}
+	if m, b := tr.Stats().Sent(1); m != 0 || b != 0 {
+		t.Errorf("Sent(1) = %d msgs, %d bytes; want 0, 0", m, b)
+	}
+}
+
 func TestCostModelPointToPoint(t *testing.T) {
 	cost := NewCostModel(2, 1e-4, 1e-8)
 	tr := NewChanTransport(2, WithCost(cost))

@@ -98,6 +98,16 @@ func (s *Stats) OnSend(from, to, n int) {
 	_ = to
 }
 
+// Sent returns the data messages and payload bytes rank has sent so far.
+// Only rank's own sends move them — a shared-memory window transfer is
+// credited by its sender, and only the simulated one-sided reads
+// (Window.Get, darray's remote element access) credit a peer — so a rank
+// may difference two readings around a phase of its own without meeting
+// anyone.
+func (s *Stats) Sent(rank int) (msgs, bytes int64) {
+	return s.dataSent[rank].Load(), s.bytesSent[rank].Load()
+}
+
 // OnRecv records a message of n bytes received by rank from from.
 func (s *Stats) OnRecv(rank, from, n int) {
 	s.msgsRecv[rank].Add(1)

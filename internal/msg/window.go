@@ -106,12 +106,27 @@ func (r Rect) bounds() (lo, hi int) {
 	return lo, hi
 }
 
-// validate checks the rect against a storage of n elements.
+// validate checks the rect against a storage of n elements.  A rect off
+// the wire may carry any offset, strides and counts: the offset (the
+// first element) must be in the storage, and the dimensions' extents are
+// summed only while they fit in it, so bounds cannot overflow.
 func (r Rect) validate(n int) error {
+	if r.Off < 0 || r.Off >= n {
+		return fmt.Errorf("msg: rect offset %d outside storage of %d elements", r.Off, n)
+	}
+	span := 0 // the dimensions' |extents| so far, kept <= n-1
 	for _, d := range r.Dims {
 		if d.Count <= 0 {
 			return fmt.Errorf("msg: rect dimension with count %d", d.Count)
 		}
+		s := d.Stride
+		if s < 0 {
+			s = -s
+		}
+		if s < 0 || s > 0 && d.Count-1 > (n-1-span)/s {
+			return fmt.Errorf("msg: rect dimension (stride %d, count %d) spans past storage of %d elements", d.Stride, d.Count, n)
+		}
+		span += (d.Count - 1) * s
 	}
 	lo, hi := r.bounds()
 	if lo < 0 || hi >= n {

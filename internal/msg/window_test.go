@@ -1,6 +1,7 @@
 package msg
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -120,6 +121,54 @@ func TestWindowRectValidate(t *testing.T) {
 	if err := ApplyRect(make([]float64, 8), RectRun(0, 4), make([]byte, 24)); err == nil {
 		t.Fatal("short payload accepted")
 	}
+}
+
+// FuzzDecodeRectWire: the rect header a fence epoch decodes from every
+// put and get request never panics the decoder, is refused exactly when
+// it is shorter than the dimension count it announces, re-encodes byte
+// for byte when accepted, and — once validate accepts it against a
+// storage — addresses no element outside that storage, however its
+// strides and counts overflow.
+func FuzzDecodeRectWire(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{2, 0, 0, 0})
+	f.Add(appendRectWire(nil, RectRun(3, 5)))
+	f.Add(appendRectWire(nil, allocSrc))
+	f.Add(append(appendRectWire(nil, Rect{Off: 7}), 1, 2, 3))
+	f.Add(appendRectWire(nil, Rect{Off: 9, Dims: []RectDim{{-2, 3}, {8, 2}}}))
+	f.Add(appendRectWire(nil, Rect{Off: 1, Dims: []RectDim{{1 << 62, 5}}}))
+	f.Add(appendRectWire(nil, Rect{Off: 1 << 62, Dims: []RectDim{{1 << 62, 2}, {1 << 62, 2}}}))
+	f.Fuzz(func(t *testing.T, buf []byte) {
+		r, rest, err := decodeRectWire(buf)
+		if err != nil {
+			if len(buf) > 0 && len(buf)-1 >= 8*(1+2*int(buf[0])) {
+				t.Fatalf("complete %d-dimension header refused: %v", buf[0], err)
+			}
+			return
+		}
+		if back := append(appendRectWire(nil, r), rest...); !bytes.Equal(back, buf) {
+			t.Fatalf("%x decodes to %+v, which encodes as %x", buf, r, back)
+		}
+		const n = 64
+		if r.validate(n) != nil {
+			return
+		}
+		elems := 1
+		for _, d := range r.Dims {
+			if d.Count > 4*n/elems {
+				return // a stride-0 repeat: in bounds, too long to walk here
+			}
+			elems *= d.Count
+		}
+		c, stride, count := r.runs()
+		for more := true; more; more = c.next() {
+			for i := 0; i < count; i++ {
+				if off := c.off + i*stride; off < 0 || off >= n {
+					t.Fatalf("validated rect %+v addresses element %d of %d", r, off, n)
+				}
+			}
+		}
+	})
 }
 
 // TestWindowPutAsyncRing drives the counted-stream discipline on both
