@@ -36,18 +36,22 @@ check: check-fault check-recovery check-online check-redist check-expand check-i
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
 
-# The memory-bounded redistribution matrix: planner candidates simulated
-# bit-identical to the direct alltoallv across distribution crossings,
-# measured peak-wire-bytes <= budget end to end (array 8x the budget),
-# exact byte/message parity on the unbounded path and chan/TCP parity of
+# The memory-bounded redistribution matrix: every plan the planner
+# selects simulated bit-identical to the unbudgeted move across
+# distribution crossings, its ring-round peak recomputed from the
+# schedules, the selection rule, and the executor's measured peak wire
+# bytes held to the modelled peak on chan and TCP; measured peak <= budget
+# end to end (array 32x the budget, an elastic run over TCP), exact
+# byte/message parity on the unbounded path and chan/TCP parity of
 # contents, counts and modelled time across the chain crossings, the
 # window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
-# zero allocations warm), the symmetric no-plan failure, the np-keyed
-# schedule cache, and the streaming collective + wire gauge — all under
-# the race detector.
+# warm allocation bounds on chan, released payloads on TCP), the
+# symmetric no-plan failure, the np-keyed schedule cache, the budget
+# parser and its fuzz seeds, and the streaming collective + wire gauge —
+# all under the race detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|TestWireGauge|TestAlltoallvStream' \
-	  ./internal/redist ./internal/darray ./internal/msg
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestAlltoallvStream|TestExpandRespectsMemBudget' \
+	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
 # timeout, a join racing a death, two deaths in one liveness window),

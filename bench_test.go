@@ -28,8 +28,9 @@ const (
 
 // BenchmarkRedistributeBudget times a block->cyclic crossing unbounded
 // and with the planner capped at an eighth of the array: throughput
-// should hold (pairwise/chunked move the same bytes) while the reported
-// peak wire residency drops below the budget.
+// should hold (every plan runs the same ring, whole or per panel, and
+// moves the same bytes) while the reported peak wire residency stays
+// within the budget.
 func BenchmarkRedistributeBudget(b *testing.B) {
 	for _, n := range []int{1024, 4096} {
 		bytesTotal := int64(n * 8)

@@ -128,12 +128,14 @@ func TestExpandUnderFault(t *testing.T) {
 // TestExpandRespectsMemBudget: the post-join redistributions of the
 // resumed loop run at the grown processor count and must stay under the
 // configured planner budget — measured by the wire gauge, attributed to
-// physical ranks.
+// physical ranks.  The run is over TCP: on shared memory ADI's rect
+// transfers are pulled straight out of the senders' storage and hold no
+// wire bytes, which would leave the bound nothing to check.
 func TestExpandRespectsMemBudget(t *testing.T) {
 	const budget = 2048
 	dir := t.TempDir()
 	res, err := RunADI(ADIConfig{
-		NX: 32, NY: 32, Iters: 6, P: 3, Mode: ADIDynamic, Validate: true,
+		NX: 32, NY: 32, Iters: 6, P: 3, Mode: ADIDynamic, Validate: true, UseTCP: true,
 		CkptDir: dir, CkptEvery: 1,
 		CommTimeout:   150 * time.Millisecond,
 		CommRetries:   2,

@@ -64,6 +64,11 @@ type Array struct {
 	// rank re-registers its storage whenever its Local is replaced.
 	winOnce sync.Once
 	win     *msg.Window
+
+	// span is every move's trace span name, "DISTRIBUTE <name>", built by
+	// the first move so arrays that never move never build it.
+	spanOnce sync.Once
+	span     string
 }
 
 // Option configures array creation.

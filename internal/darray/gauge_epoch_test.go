@@ -39,15 +39,18 @@ func TestWireGaugeCrossEpoch(t *testing.T) {
 		}
 		// Epoch 1, survivors [0 1 3] renumbered to views [0 1 2].  A
 		// budgeted redistribution must charge residency to the physical
-		// slots of the survivors.
-		dom := index.Dim(24)
+		// slots of the survivors.  BLOCK -> CYCLIC(2) over 48 elements
+		// gives every transfer several runs, so on this shared-memory
+		// transport each one travels packed and is metered (a rect would
+		// be pulled with no wire residency at all).
+		dom := index.Dim(48)
 		tg := m.ProcsDim("PG", 3).Whole()
 		a := New(ctx, "G", dom, dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg))
 		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0]) })
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
-		newD := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
+		newD := dist.MustNew(dist.NewType(dist.CyclicDim(2)), dom, tg)
 		return a.RedistributeTo(ctx, newD, MemBudget(1<<20))
 	})
 	if err != nil {

@@ -148,52 +148,6 @@ func (l *Local) UnpackWire(g index.Grid, buf []byte) {
 	l.unpackWire(g, buf)
 }
 
-// unpackSelect stores at g's points the values found in buf, where buf is
-// the canonical wire packing of the (super)grid src with g ⊆ src — the
-// local-select half of allgather-based redistribution: a peer published
-// its whole owned part, and this rank picks out just the spans it needs.
-// Positions are the src enumeration's linear indices (dimension 0
-// fastest, matching appendPacked's order).
-func (l *Local) unpackSelect(g, src index.Grid, buf []byte) error {
-	if n := msg.Float64Count(buf); n != src.Count() {
-		return fmt.Errorf("darray: select: %d values for a %d-point source grid", n, src.Count())
-	}
-	rank := g.Rank()
-	strides := make([]int, rank)
-	mult := 1
-	for k := 0; k < rank; k++ {
-		strides[k] = mult
-		mult *= src.Dims[k].Count()
-	}
-	data := l.data
-	outside := false
-	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		rowPos := 0
-		for k := 1; k < rank; k++ {
-			pos := src.Dims[k].IndexOf(p[k])
-			if pos < 0 {
-				outside = true
-				return false
-			}
-			rowPos += pos * strides[k]
-		}
-		row := l.rowOffset(p)
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			pos := src.Dims[0].IndexOf(i)
-			if pos < 0 {
-				outside = true
-				return false
-			}
-			data[row+l.li(0, i)*l.strd[0]] = msg.GetFloat64(buf, 8*(rowPos+pos))
-		}
-		return true
-	})
-	if outside {
-		return fmt.Errorf("darray: select: transfer grid not contained in source grid")
-	}
-	return nil
-}
-
 // copyGrid copies the values at g's points from src into dst (both must
 // address every point of g) — the span-loop form of the redistribution
 // local move and the NOTRANSFER keep.
@@ -226,16 +180,14 @@ func copyGrid(dst, src *Local, g index.Grid) {
 }
 
 // commBufs is one processor's reusable communication scratch: the
-// per-schedule transfer plans of stepDirect, the expected-receive flags
-// of the streamed exchange, and the one stream pack buffer.  Like
-// locals, each rank touches only its own entry, so no locking is needed.
-// The buffer may be handed to Endpoint.Send and reused immediately after
-// it returns (the transport finishes reading it first — see
-// msg.Endpoint).
+// per-schedule transfer plans of stepDirect and the one stream pack
+// buffer.  Like locals, each rank touches only its own entry, so no
+// locking is needed.  The buffer may be handed to Endpoint.Send and
+// reused immediately after it returns (the transport finishes reading it
+// first — see msg.Endpoint).
 type commBufs struct {
-	plans    map[*redist.Schedule]*xferPlan // at most maxPlans, beside the cached schedules
-	recvFrom []bool
-	stream   []byte // single just-in-time pack buffer (ring rounds, allgather, gather)
+	plans  map[*redist.Schedule]*xferPlan // at most maxPlans, beside the cached schedules
+	stream []byte                         // single just-in-time pack buffer (ring rounds, gather)
 }
 
 // streamBuf returns the single recycled streaming pack buffer, emptied,
@@ -248,13 +200,4 @@ func (b *commBufs) streamBuf(count int) []byte {
 		b.stream = make([]byte, 0, 8*count)
 	}
 	return b.stream[:0]
-}
-
-// recvFlags returns the cleared per-call expected-receive flags.
-func (b *commBufs) recvFlags(np int) []bool {
-	if b.recvFrom == nil {
-		b.recvFrom = make([]bool, np)
-	}
-	clear(b.recvFrom)
-	return b.recvFrom
 }

@@ -3,6 +3,7 @@ package darray
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/dist"
@@ -28,6 +29,32 @@ var packCases = []struct {
 	{"bblockShift", index.Dim(64), []dist.DimSpec{dist.BBlockDim(10, 20, 30, 64)}, []dist.DimSpec{dist.BBlockDim(25, 40, 50, 64)}},
 	{"colsToRows", index.Dim(12, 16), []dist.DimSpec{dist.ElidedDim(), dist.BlockDim()}, []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}},
 	{"block2dToCyclicCols", index.Dim(12, 16), []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}, []dist.DimSpec{dist.CyclicDim(2), dist.ElidedDim()}},
+}
+
+// packGrid serializes the values at the grid's points in canonical order
+// — the per-point reference implementation of the packing order that
+// Local.appendPacked (fused span pack+encode) must match byte for byte.
+func packGrid(l *Local, g index.Grid) []float64 {
+	out := make([]float64, 0, g.Count())
+	g.ForEach(func(p index.Point) bool {
+		out = append(out, l.data[l.Offset(p)])
+		return true
+	})
+	return out
+}
+
+// unpackGrid stores values (canonical order) at the grid's points — the
+// per-point reference counterpart of Local.unpackWire.
+func unpackGrid(l *Local, g index.Grid, vals []float64) {
+	i := 0
+	g.ForEach(func(p index.Point) bool {
+		l.data[l.Offset(p)] = vals[i]
+		i++
+		return true
+	})
+	if i != len(vals) {
+		panic(fmt.Sprintf("darray: unpack count mismatch: %d points, %d values", i, len(vals)))
+	}
 }
 
 // TestPackUnpackMatchesPerPointReference holds the span-based wire path

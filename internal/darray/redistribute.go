@@ -32,7 +32,7 @@ func NoTransfer() RedistOption {
 // that fit; if even the finest decomposition exceeds the budget the
 // redistribution fails (on every rank symmetrically, before any data
 // moves) and the old distribution stays fully readable.  n <= 0 means
-// unbounded, which guarantees the single direct alltoallv plan.
+// unbounded: one pass of the ring over the whole domain, with no plan.
 func MemBudget(n int64) RedistOption {
 	return func(c *redistConfig) { c.memBudget = n }
 }
@@ -76,7 +76,8 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 
 	tr := ctx.Tracer()
 	prank := ctx.PhysRank() // trace timelines are physical-rank indexed
-	sp := tr.BeginSpan(prank, trace.CatDistribute, "DISTRIBUTE "+a.name)
+	a.spanOnce.Do(func() { a.span = "DISTRIBUTE " + a.name })
+	sp := tr.BeginSpan(prank, trace.CatDistribute, a.span)
 	defer sp.End()
 
 	newLocal := a.takeLocal(rank, newD, oldD != nil && !cfg.noTransfer)
@@ -98,88 +99,59 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 		schedEv = "sched:hit"
 	}
 
-	switch {
-	case !cfg.noTransfer && cfg.memBudget <= 0:
-		// No budget: the plan is by definition the single direct
-		// alltoallv, so skip plan construction entirely — this keeps the
-		// default path byte-, message-, and work-identical to the
-		// pre-planner execution (plan enumeration builds every rank's
-		// schedule, which matters on redistribute-heavy loops).
-		tr.Instant(prank, trace.CatDistribute, schedEv, -1, int64(sched.SendBytes()))
-		tr.Instant(prank, trace.CatRedist, "plan:direct", -1, -1)
-		for _, t := range sched.Sends {
-			if t.Peer == rank {
-				copyGrid(newLocal, oldLocal, t.Grid)
-			}
-		}
-		ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step[0] direct")
-		err := a.stepDirect(ctx, oldD, newD, sched, oldLocal, newLocal, a.m.Stats())
-		ssp.End()
-		if err != nil {
-			return fmt.Errorf("darray: %s: redistribution step 1/1 (direct): %w", a.name, err)
-		}
-
-	case !cfg.noTransfer:
-		// Plan the move: decompose it into bounded collective steps that
-		// fit the memory budget.  The plan is computed identically on
-		// every rank from the distributions alone (and cached), so no
-		// coordination is needed.
-		psp := tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
-		opt := redist.PlanOptions{MemBudget: cfg.memBudget}
-		if cm := a.m.Cost(); cm != nil {
-			opt.Alpha, opt.Beta = cm.Alpha, cm.Beta
-		}
-		plan, perr := a.cache.GetPlan(oldD, newD, np, opt)
-		psp.End()
-		if perr != nil {
-			// Every rank fails here symmetrically before any data moves:
-			// the old distribution stays published and readable.
-			a.retireLocal(rank, newD, newLocal)
-			return fmt.Errorf("darray: %s: redistribution planning: %w", a.name, perr)
-		}
-		tr.Instant(prank, trace.CatDistribute, schedEv, -1, int64(sched.SendBytes()))
-		tr.Instant(prank, trace.CatRedist, "plan:"+plan.Kind, -1, plan.PeakBytes)
-
-		// The self-transfer never touches the wire: copy it whole before
-		// the stepped exchange (still only into newLocal — two-phase
-		// commit semantics are unchanged).
-		for _, t := range sched.Sends {
-			if t.Peer == rank {
-				copyGrid(newLocal, oldLocal, t.Grid)
-			}
-		}
-
-		st := a.m.Stats()
-		for k := range plan.Steps {
-			step := &plan.Steps[k]
-			ssp := tr.BeginSpan(prank, trace.CatRedist, fmt.Sprintf("redist:step[%d] %s", k, step.Kind))
-			sub := plan.StepSchedule(sched, k)
-			var err error
-			switch step.Kind {
-			case redist.StepDirect:
-				err = a.stepDirect(ctx, oldD, newD, sub, oldLocal, newLocal, st)
-			case redist.StepPairwise:
-				err = a.stepPairwise(ctx, sub, oldLocal, newLocal, st)
-			case redist.StepAllgather:
-				err = a.stepAllgather(ctx, oldD, sub, oldLocal, newLocal, st)
-			default:
-				err = fmt.Errorf("unknown step kind %v", step.Kind)
-			}
-			ssp.End()
-			if err != nil {
-				return fmt.Errorf("darray: %s: redistribution step %d/%d (%s): %w",
-					a.name, k+1, len(plan.Steps), step.Kind, err)
-			}
-		}
-
-	default:
-		// NOTRANSFER: keep whatever was already in place.
+	if cfg.noTransfer {
+		// NOTRANSFER: keep whatever was already in place.  Even without
+		// data motion all processors must agree the descriptor swap
+		// happened; the barrier below provides that.
 		tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
 		if keep := sched.LocalKeep; !keep.Empty() {
 			copyGrid(newLocal, oldLocal, keep)
 		}
-		// Even without data motion all processors must agree the
-		// descriptor swap happened; the barrier below provides that.
+	} else {
+		// The move runs stepDirect once over the whole domain or, under a
+		// memory budget, once per panel of the plan that fits it.  The plan
+		// is computed identically on every rank from the distributions
+		// alone (and cached), so no coordination is needed; without a
+		// budget none is built — planning builds every rank's schedule,
+		// which matters on redistribute-heavy loops.
+		var plan *redist.Plan
+		steps, planEv, peak := 1, "plan:direct", int64(-1)
+		if cfg.memBudget > 0 {
+			psp := tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
+			p, err := a.cache.GetPlan(oldD, newD, np, redist.PlanOptions{MemBudget: cfg.memBudget})
+			psp.End()
+			if err != nil {
+				// Every rank fails here symmetrically before any data moves:
+				// the old distribution stays published and readable.
+				a.retireLocal(rank, newD, newLocal)
+				return fmt.Errorf("darray: %s: redistribution planning: %w", a.name, err)
+			}
+			plan, steps, planEv, peak = p, len(p.Steps), "plan:"+p.Kind, p.PeakBytes
+		}
+		tr.Instant(prank, trace.CatDistribute, schedEv, -1, int64(sched.SendBytes()))
+		tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
+
+		// The self-transfer never touches the wire: copy it whole before
+		// the ring (still only into newLocal — two-phase commit semantics
+		// are unchanged).
+		for _, t := range sched.Sends {
+			if t.Peer == rank {
+				copyGrid(newLocal, oldLocal, t.Grid)
+			}
+		}
+		st := a.m.Stats()
+		for k := 0; k < steps; k++ {
+			sub := sched
+			if plan != nil {
+				sub = plan.StepSchedule(sched, k)
+			}
+			ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step")
+			err := a.stepDirect(ctx, oldD, newD, sub, oldLocal, newLocal, st)
+			ssp.End()
+			if err != nil {
+				return fmt.Errorf("darray: %s: redistribution step %d/%d: %w", a.name, k+1, steps, err)
+			}
+		}
 	}
 
 	// Two-phase commit: nothing is published until the commit barrier
@@ -213,34 +185,6 @@ func (a *Array) swapDist(ctx *machine.Ctx, newD *dist.Distribution) error {
 		return fmt.Errorf("darray: %s: distribution swap barrier: %w", a.name, err)
 	}
 	return nil
-}
-
-// packGrid serializes the values at the grid's points in canonical order.
-//
-// This is the per-point reference implementation of the packing order;
-// the hot paths use Local.appendPacked (fused span pack+encode), and the
-// differential tests in pack_test.go hold the two to byte equality.
-func packGrid(l *Local, g index.Grid) []float64 {
-	out := make([]float64, 0, g.Count())
-	g.ForEach(func(p index.Point) bool {
-		out = append(out, l.data[l.Offset(p)])
-		return true
-	})
-	return out
-}
-
-// unpackGrid stores values (canonical order) at the grid's points — the
-// per-point reference counterpart of Local.unpackWire.
-func unpackGrid(l *Local, g index.Grid, vals []float64) {
-	i := 0
-	g.ForEach(func(p index.Point) bool {
-		l.data[l.Offset(p)] = vals[i]
-		i++
-		return true
-	})
-	if i != len(vals) {
-		panic(fmt.Sprintf("darray: unpack count mismatch: %d points, %d values", i, len(vals)))
-	}
 }
 
 // redistSubtag is the window stream a DISTRIBUTE's offers travel on; the
@@ -354,15 +298,17 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 }
 
 // stepDirect executes the step's schedule in one pass of the staggered
-// ring: each round sends this rank's transfer to one peer and receives
-// its transfer from another — the same messages, bytes and order as the
-// alltoallv it replaces.  A transfer that is a rect on both layouts goes
-// through the array's window (Offer/Pull): on shared memory the receiver
-// copies it straight out of the sender's old storage into its own
-// unpublished new Local, a single copy with nothing resident on the wire;
-// on other transports the window moves it packed.  Any other transfer is
-// packed just in time into the one recycled stream buffer and unpacked on
-// arrival.  The sender's old Local stays untouched until its commit
+// ring — DISTRIBUTE's one executor, run once per step of the plan: each
+// round sends this rank's transfer to one peer and receives its transfer
+// from another, so at most one outgoing and one incoming transfer are
+// resident at a time (the peak redist.PlanMove models).  A transfer that
+// is a rect on both layouts goes through the array's window (Offer/Pull):
+// on shared memory the receiver copies it straight out of the sender's
+// old storage into its own unpublished new Local, a single copy with
+// nothing resident on the wire; on other transports the window moves it
+// packed.  Any other transfer is packed just in time into the one
+// recycled stream buffer and unpacked on arrival, and its received buffer
+// goes back to the transport.  The sender's old Local stays untouched until its commit
 // barrier returns, which is after every peer's pull, so the two-phase
 // commit is unchanged: nothing is published before all data arrived.
 func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
@@ -405,122 +351,18 @@ func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sche
 		if x := &plan.recv[from]; x.rect {
 			return win.Pull(c, from, redistSubtag, x.src, newLocal.data, x.dst)
 		} else if x.count > 0 {
-			data, err := win.PullPacked(c, from, redistSubtag)
+			p, err := win.PullPacked(c, from, redistSubtag)
 			if err != nil {
 				return err
 			}
-			n := int64(len(data))
+			n := int64(len(p.Data))
 			st.WireAcquire(prank, n)
-			newLocal.unpackWire(x.grid, data)
+			newLocal.unpackWire(x.grid, p.Data)
 			st.WireRelease(prank, n)
+			p.Release()
 		}
 		return nil
 	})
-}
-
-// stepPairwise executes the step's schedule as staggered ring rounds with
-// just-in-time buffers: each round packs exactly one peer's spans into
-// one recycled buffer immediately before the send, and unpacks each
-// received payload immediately on arrival — at most one outgoing and one
-// incoming buffer resident per round, which is what bounds the peak.
-// Messages and bytes on the wire are identical to stepDirect; only
-// residency differs.
-func (a *Array) stepPairwise(ctx *machine.Ctx, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
-	rank, np := ctx.Rank(), ctx.NP()
-	prank := ctx.PhysRank() // stats gauge slots are physical-rank indexed
-	bufs := &a.bufs[rank]
-	recvFrom := bufs.recvFlags(np)
-	sendT := make([]*redist.Transfer, np)
-	recvT := make([]*redist.Transfer, np)
-	for i := range sched.Sends {
-		if t := &sched.Sends[i]; t.Peer != rank {
-			sendT[t.Peer] = t
-		}
-	}
-	for i := range sched.Recvs {
-		if t := &sched.Recvs[i]; t.Peer != rank {
-			recvT[t.Peer] = t
-			recvFrom[t.Peer] = true
-		}
-	}
-	var resident int64 // bytes of the round's packed send still accounted
-	pack := func(to int) ([]byte, error) {
-		if resident > 0 {
-			// The previous round's send buffer is reusable as soon as its
-			// Send returned (see msg.Endpoint); packing over it now ends
-			// its residency.
-			st.WireRelease(prank, resident)
-			resident = 0
-		}
-		t := sendT[to]
-		if t == nil {
-			return nil, nil
-		}
-		buf := oldLocal.appendPacked(bufs.streamBuf(t.Count), t.Grid)
-		bufs.stream = buf
-		resident = int64(len(buf))
-		st.WireAcquire(prank, resident)
-		return buf, nil
-	}
-	consume := func(from int, data []byte) error {
-		t := recvT[from]
-		if t == nil {
-			return fmt.Errorf("unexpected payload from %d", from)
-		}
-		n := int64(len(data))
-		st.WireAcquire(prank, n)
-		newLocal.unpackWire(t.Grid, data)
-		st.WireRelease(prank, n)
-		return nil
-	}
-	err := ctx.Comm().AlltoallvStream(pack, recvFrom, consume)
-	if resident > 0 {
-		st.WireRelease(prank, resident)
-	}
-	if err != nil {
-		return fmt.Errorf("pairwise exchange failed: %w", err)
-	}
-	return nil
-}
-
-// stepAllgather publishes every primary rank's whole old-distribution
-// part and selects this rank's incoming spans locally from the gathered
-// frame — 2(np-1) messages total, peak memory on the order of the whole
-// array (the planner only picks it when that fits the budget and beats
-// the alternatives on message count).
-func (a *Array) stepAllgather(ctx *machine.Ctx, oldD *dist.Distribution, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
-	rank, np := ctx.Rank(), ctx.NP()
-	prank := ctx.PhysRank() // stats gauge slots are physical-rank indexed
-	bufs := &a.bufs[rank]
-	var mine []byte
-	myGrid := oldD.LocalGrid(rank)
-	if oldD.IsPrimaryRank(rank) && !myGrid.Empty() {
-		mine = oldLocal.appendPacked(bufs.streamBuf(myGrid.Count()), myGrid)
-		bufs.stream = mine
-	}
-	own := int64(len(mine))
-	st.WireAcquire(prank, own)
-	parts, err := ctx.Comm().Allgather(mine)
-	if err != nil {
-		st.WireRelease(prank, own)
-		return fmt.Errorf("allgather failed: %w", err)
-	}
-	frame := int64(4 * np)
-	for _, p := range parts {
-		frame += int64(len(p))
-	}
-	st.WireAcquire(prank, frame)
-	st.WireRelease(prank, own)
-	defer st.WireRelease(prank, frame)
-	for _, t := range sched.Recvs {
-		if t.Peer == rank {
-			continue
-		}
-		if err := newLocal.unpackSelect(t.Grid, oldD.LocalGrid(t.Peer), parts[t.Peer]); err != nil {
-			return fmt.Errorf("select from %d: %w", t.Peer, err)
-		}
-	}
-	return nil
 }
 
 // ScheduleCacheStats returns (hits, misses) of the redistribution

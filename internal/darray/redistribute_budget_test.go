@@ -52,41 +52,47 @@ func gatherAfterRedist(t *testing.T, transport string, dom index.Domain, mk1, mk
 // unbounded reference runs over TCP, the transport with a wire, where the
 // direct step holds one packed transfer at a time (2 KiB here, so the
 // budget sits below a single transfer and only a chunked plan fits it).
-// On shared memory an unbudgeted DISTRIBUTE of rect transfers is pulled
-// straight out of the senders' storage and has no wire residency at all,
-// which is asserted beside it.
+// The budgeted moves must show wire residency wherever there is a wire:
+// over TCP, and for BLOCK -> CYCLIC(2) — several runs per transfer, packed
+// on every transport — over channels too.  On shared memory a BLOCK ->
+// CYCLIC of rect transfers is pulled straight out of the senders' storage
+// and has no wire residency at all, budgeted or not, which is asserted
+// beside it.
 func TestRedistributeMemBudgetBounded(t *testing.T) {
 	dom := index.Dim(4096, 1) // 32 KiB of float64 data
 	const budget = 1024       // array is 32x the budget
 	mk1 := func(m *machine.Machine) *dist.Distribution {
 		return dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, m.ProcsDim("P", 4).Whole())
 	}
-	mk2 := func(m *machine.Machine) *dist.Distribution {
-		return dist.MustNew(dist.NewType(dist.CyclicDim(1), dist.ElidedDim()), dom, m.ProcsDim("P", 4).Whole())
-	}
-
-	free, freePeak := gatherAfterRedist(t, "tcp", dom, mk1, mk2)
-	if freePeak <= budget {
-		t.Fatalf("unbounded peak %d not above budget %d; test would be vacuous", freePeak, budget)
-	}
-	pulled, pulledPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2)
-	if pulledPeak != 0 {
-		t.Fatalf("unbudgeted shared-memory DISTRIBUTE held %d wire bytes, want 0 (every transfer is a pull)", pulledPeak)
-	}
-	if !slices.Equal(free, pulled) {
-		t.Fatal("pulled result differs from the framed one")
-	}
-
-	for _, transport := range []string{"chan", "tcp"} {
-		bounded, boundedPeak := gatherAfterRedist(t, transport, dom, mk1, mk2, MemBudget(budget))
-		if boundedPeak > budget {
-			t.Fatalf("%s: measured peak wire bytes %d exceeds budget %d", transport, boundedPeak, budget)
+	for _, k := range []int{1, 2} {
+		mk2 := func(m *machine.Machine) *dist.Distribution {
+			return dist.MustNew(dist.NewType(dist.CyclicDim(k), dist.ElidedDim()), dom, m.ProcsDim("P", 4).Whole())
 		}
-		if boundedPeak == 0 {
-			t.Fatalf("%s: budgeted redistribution reports no wire residency; the bound check would be vacuous", transport)
+		free, freePeak := gatherAfterRedist(t, "tcp", dom, mk1, mk2)
+		if freePeak <= budget {
+			t.Fatalf("CYCLIC(%d): unbounded peak %d not above budget %d; test would be vacuous", k, freePeak, budget)
 		}
-		if !slices.Equal(free, bounded) {
-			t.Fatalf("%s: budgeted result differs from the unbounded one", transport)
+		for _, transport := range []string{"chan", "tcp"} {
+			bounded, boundedPeak := gatherAfterRedist(t, transport, dom, mk1, mk2, MemBudget(budget))
+			if boundedPeak > budget {
+				t.Fatalf("CYCLIC(%d) %s: measured peak wire bytes %d exceeds budget %d", k, transport, boundedPeak, budget)
+			}
+			if pulled := transport == "chan" && k == 1; pulled != (boundedPeak == 0) {
+				t.Fatalf("CYCLIC(%d) %s: budgeted peak wire bytes %d: a pull holds none, a wire some (or the bound check is vacuous)",
+					k, transport, boundedPeak)
+			}
+			if !slices.Equal(free, bounded) {
+				t.Fatalf("CYCLIC(%d) %s: budgeted result differs from the unbounded one", k, transport)
+			}
+		}
+		if k == 1 {
+			pulled, pulledPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2)
+			if pulledPeak != 0 {
+				t.Fatalf("unbudgeted shared-memory DISTRIBUTE held %d wire bytes, want 0 (every transfer is a pull)", pulledPeak)
+			}
+			if !slices.Equal(free, pulled) {
+				t.Fatal("pulled result differs from the framed one")
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package darray
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/dist"
@@ -117,10 +118,10 @@ func TestRedistributeGhostedRects(t *testing.T) {
 // TestRedistributeWarmAllocs pins what a warm DISTRIBUTE costs in
 // allocations on shared memory: the ADI pair (:,BLOCK) <-> (BLOCK,:) with
 // schedules, transfer plans, window and retired Locals all cached.  What
-// is left is three small objects per call — RedistributeTo's option
-// struct, its trace-span name and the run iterator of the self-copy —
-// and nothing per element, per transfer or per peer: no payload, no pack
-// buffer, no geometry.  testing.AllocsPerRun counts the whole process, so
+// is left is two small objects per call — RedistributeTo's option struct
+// and the run iterator of the self-copy — and nothing per element, per
+// transfer or per peer: no payload, no pack buffer, no geometry, no span
+// name.  testing.AllocsPerRun counts the whole process, so
 // rank 0 measures while the other ranks run the same collective calls,
 // and the figure is divided by the rank count.
 func TestRedistributeWarmAllocs(t *testing.T) {
@@ -154,9 +155,68 @@ func TestRedistributeWarmAllocs(t *testing.T) {
 		}
 		return failed
 	})
-	// Measured: exactly 3 (the parent commit: 12.9, among them the payload
-	// copies: 6 KiB per rank on this 32 KiB array).
-	if perRank > 3 {
-		t.Errorf("warm DISTRIBUTE: %.2f allocs per rank, want <= 3", perRank)
+	// Measured: exactly 2 (3 while the span name was concatenated per call).
+	if perRank > 2 {
+		t.Errorf("warm DISTRIBUTE: %.2f allocs per rank, want <= 2", perRank)
+	}
+}
+
+// TestRedistributeTCPReleasesPayloads: over TCP a packed transfer of 4
+// KiB or more lands in a buffer from the connection's free list, which
+// only Packet.Release refills.  A warm BLOCK <-> CYCLIC(2) DISTRIBUTE —
+// every transfer several runs, so packed, and 8 KiB — must hand each
+// payload back after unpacking it, so the next move's payloads reuse
+// those buffers and a warm DISTRIBUTE allocates less than one payload's
+// size in the whole process.
+func TestRedistributeTCPReleasesPayloads(t *testing.T) {
+	const np, runs, payload = 4, 20, 8 << 10
+	dom := index.Dim(4 * 4 * payload / 8) // 1024-element transfers
+	var perMove float64
+	runOn(t, "tcp", np, nil, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", np).Whole()
+		blk := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
+		cyc := dist.MustNew(dist.NewType(dist.CyclicDim(2)), dom, tg)
+		a := New(ctx, "T", dom, blk)
+		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0]) })
+		pair := func() error {
+			for _, d := range []*dist.Distribution{cyc, blk} {
+				if err := a.RedistributeTo(ctx, d); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		for i := 0; i < 3; i++ { // build schedules and plans, fill the free lists
+			if err := pair(); err != nil {
+				return err
+			}
+		}
+		var m0, m1 runtime.MemStats
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			runtime.ReadMemStats(&m0)
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		for i := 0; i < runs; i++ {
+			if err := pair(); err != nil {
+				return err
+			}
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			runtime.ReadMemStats(&m1)
+			perMove = float64(m1.TotalAlloc-m0.TotalAlloc) / (2 * runs)
+		}
+		return nil
+	})
+	t.Logf("%.0f bytes allocated per warm DISTRIBUTE (all ranks, %d-byte transfers)", perMove, payload)
+	if perMove >= payload {
+		t.Errorf("warm TCP DISTRIBUTE allocates %.0f bytes, want less than one %d-byte payload", perMove, payload)
 	}
 }

@@ -703,8 +703,8 @@ func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) 
 // round's send buffer is produced by pack immediately before the send
 // and each received payload is handed to consume immediately after the
 // receive — so at most one outgoing and one incoming buffer per peer are
-// resident at any time.  This is the executor primitive of
-// memory-bounded redistribution (pairwise-exchange rounds).
+// resident at any time.  The checkpoint save streams its stripe exchange
+// through it (ckpt.SaveOpts).
 //
 // pack(to) returns the payload for peer `to`, or nil for "no message";
 // it is only called for remote peers (to != rank — callers handle the

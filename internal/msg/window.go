@@ -570,14 +570,14 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 }
 
 // PullPacked completes one OfferPacked from rank from and returns its
-// payload, which the caller owns.
-func (w *Window) PullPacked(c *Comm, from, subtag int) ([]byte, error) {
+// packet, whose Data the caller owns and hands back with p.Release.
+func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 	w.checkSubtag("pull", subtag)
 	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opPull, from, w.tag(subtag))
 	if err != nil {
-		return nil, w.opErr("pull from", from, err)
+		return Packet{}, w.opErr("pull from", from, err)
 	}
-	return p.Data, nil
+	return p, nil
 }
 
 func (w *Window) fenceState(rank int) *winFence {

@@ -681,9 +681,10 @@ func TestWindowOfferPullRing(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			if got := DecodeFloat64s(packed); len(got) != 2 || got[0] != float64(prev) || got[1] != -1 {
+			if got := DecodeFloat64s(packed.Data); len(got) != 2 || got[0] != float64(prev) || got[1] != -1 {
 				t.Errorf("rank %d: packed pull = %v", r, got)
 			}
+			packed.Release()
 			for j := 0; j < cols; j++ {
 				for i := 0; i < 3; i++ {
 					want := float64(1000*prev + 1 + i + rows*j)

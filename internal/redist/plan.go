@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -14,65 +15,32 @@ import (
 
 // This file turns redist from a one-shot schedule builder into a
 // *planner*: a (dist_A -> dist_B) move is decomposed into a short sequence
-// of bounded collective steps, each plan candidate is costed with a
-// Hockney α/β model plus an exact peak-resident-wire-bytes estimate, and
-// the plan that fits the caller's memory budget is selected.  The
-// decomposition grammar follows "Memory-efficient array redistribution
-// through portable collective communication" (Rink et al.): any move
-// factors into direct all-to-all, pairwise exchange rounds, panel-chunked
-// rounds, and allgather+local-select; the multi-step scheduling cost
-// model follows Sudarsan & Ribbens.
+// of bounded steps, each costed by its exact peak resident wire bytes, and
+// the plan that fits the caller's memory budget is selected.  Every step
+// is one pass of the one executor, darray's stepDirect: a staggered ring
+// in which round j pairs rank r with to = r+j and from = r-j, so a rank
+// holds at most its send to one peer and its receive from another at a
+// time.  Building redistribution from a few portable collectives follows
+// "Memory-efficient array redistribution through portable collective
+// communication" (Rink et al.) — here one collective, run whole or per
+// panel; the multi-step cost model follows Sudarsan & Ribbens.
 //
-//	plan     := direct | pairwise | chunked(C) | allgather
-//	direct   := one alltoallv, every send packed before the exchange
-//	pairwise := np-1 ring rounds, one peer's send+recv resident at a time
-//	chunked  := C domain panels, each moved by pairwise rounds
-//	allgather:= every rank publishes its part, receivers select locally
+//	plan    := direct | chunked(C)
+//	direct  := one ring over the whole domain
+//	chunked := C domain panels, one ring each
 //
-// All candidates move exactly the same element set (the symmetric
-// Schedule); they differ only in how many wire bytes are resident at
-// once and in how many messages they take.
+// Both move exactly the same element set (the symmetric Schedule); they
+// differ only in how many wire bytes are resident at once and in how many
+// messages they take.
 
-// StepKind enumerates the portable collective step types a plan is built
-// from.
-type StepKind int
-
-// Step kinds.
-const (
-	// StepDirect is one monolithic alltoallv: every outgoing span is
-	// packed before the exchange and every incoming payload is resident
-	// until unpacked — today's legacy execution, maximal peak memory.
-	StepDirect StepKind = iota
-	// StepPairwise moves (a panel of) the transfer in np-1 staggered
-	// ring rounds; at most one peer's send buffer and one peer's receive
-	// payload are resident at any time.
-	StepPairwise
-	// StepAllgather publishes every rank's packed local part and lets
-	// each receiver select the spans it needs locally — few messages,
-	// peak memory on the order of the whole array.
-	StepAllgather
-)
-
-func (k StepKind) String() string {
-	switch k {
-	case StepDirect:
-		return "direct"
-	case StepPairwise:
-		return "pairwise"
-	case StepAllgather:
-		return "allgather"
-	}
-	return fmt.Sprintf("StepKind(%d)", int(k))
-}
-
-// Step is one bounded collective round of a plan.
+// Step is one pass of the ring over the whole domain or one panel of it.
 type Step struct {
-	Kind StepKind
-	// Panel restricts the move to a slab of the index domain (chunked
-	// plans); an empty Dims slice means the whole domain.
-	Panel index.Grid
-	// PeakBytes is the maximum resident wire bytes any rank holds during
-	// this step (send buffers + received payloads, 8 bytes/element).
+	// Panel restricts the move to a slab of the plan's chunk dimension;
+	// nil means the whole domain.
+	Panel index.RunSet
+	// PeakBytes is the most wire bytes any rank holds in one ring round:
+	// its send to that round's peer plus its receive from the other (8
+	// bytes/element).
 	PeakBytes int64
 	// Msgs and Bytes are the remote data messages and payload bytes the
 	// step moves, summed over all ranks.
@@ -80,28 +48,18 @@ type Step struct {
 	Bytes int64
 }
 
-// Whole reports whether the step covers the full domain (no panel
-// restriction).
-func (s *Step) Whole() bool { return len(s.Panel.Dims) == 0 }
-
 // PlanOptions parameterizes plan selection.
 type PlanOptions struct {
 	// MemBudget bounds the peak resident wire bytes per rank.  Zero (or
-	// negative) means unbounded, which guarantees the direct plan — and
-	// with it exact byte/msg parity with the legacy one-shot alltoallv.
+	// negative) means unbounded, which selects the direct plan.
 	MemBudget int64
-	// Alpha and Beta are the Hockney model parameters (seconds per
-	// message, seconds per byte) used for the modeled-time tie-break;
-	// both zero selects uninformed defaults.
-	Alpha, Beta float64
 }
 
 // Plan is the selected decomposition of one redistribution, identical on
 // every rank (it is computed from the distributions alone, SPMD-
 // symmetrically — no coordination messages).
 type Plan struct {
-	// Kind names the decomposition ("direct", "pairwise", "chunked[8]",
-	// "allgather").
+	// Kind names the decomposition ("direct", "chunked[8]").
 	Kind string
 	// Steps execute in order; each is individually bounded.
 	Steps []Step
@@ -111,9 +69,6 @@ type Plan struct {
 	// Msgs and Bytes total the remote traffic over all steps and ranks.
 	Msgs  int64
 	Bytes int64
-	// ModelTime is the plan's modeled execution time (seconds) under the
-	// α/β parameters the planner was given.
-	ModelTime float64
 	// Budget echoes the MemBudget the plan was selected under.
 	Budget int64
 
@@ -132,10 +87,10 @@ func (p *Plan) String() string {
 	return fmt.Sprintf("%s steps=%d peak=%dB msgs=%d bytes=%d", p.Kind, len(p.Steps), p.PeakBytes, p.Msgs, p.Bytes)
 }
 
-// ErrNoPlan reports that no candidate decomposition fits the memory
-// budget (the budget is below even a single-panel pairwise exchange of
-// the finest chunking).  The budget is enforced, not advisory: callers
-// must fail the redistribution rather than exceed it.
+// ErrNoPlan reports that no decomposition fits the memory budget (the
+// budget is below even the finest chunking's peak).  The budget is
+// enforced, not advisory: callers must fail the redistribution rather
+// than exceed it.
 var ErrNoPlan = errors.New("redist: no plan fits the memory budget")
 
 // StepSchedule returns s restricted to step k's panel: every transfer
@@ -143,8 +98,8 @@ var ErrNoPlan = errors.New("redist: no plan fits the memory budget")
 // steps return s itself.  Results are memoized per (rank, step) — phase-
 // alternating programs execute the same plan every iteration.
 func (p *Plan) StepSchedule(s *Schedule, k int) *Schedule {
-	st := &p.Steps[k]
-	if st.Whole() {
+	panel := p.Steps[k].Panel
+	if panel == nil {
 		return s
 	}
 	key := subKey{s.Rank, k}
@@ -157,21 +112,20 @@ func (p *Plan) StepSchedule(s *Schedule, k int) *Schedule {
 		return sub
 	}
 	p.mu.Unlock()
-	sub := restrictSchedule(s, st.Panel, p.chunkDim)
+	sub := restrictSchedule(s, panel, p.chunkDim)
 	p.mu.Lock()
 	p.sub[key] = sub
 	p.mu.Unlock()
 	return sub
 }
 
-// restrictSchedule intersects every transfer of s with the panel (which
-// differs from the full domain only along dimension chunkDim).
-func restrictSchedule(s *Schedule, panel index.Grid, chunkDim int) *Schedule {
+// restrictSchedule intersects every transfer of s with the panel along
+// dimension chunkDim.
+func restrictSchedule(s *Schedule, panel index.RunSet, chunkDim int) *Schedule {
 	out := &Schedule{Rank: s.Rank}
 	clip := func(g index.Grid) index.Grid {
-		ng := index.Grid{Dims: make([]index.RunSet, len(g.Dims))}
-		copy(ng.Dims, g.Dims)
-		ng.Dims[chunkDim] = g.Dims[chunkDim].Intersect(panel.Dims[chunkDim])
+		ng := index.Grid{Dims: slices.Clone(g.Dims)}
+		ng.Dims[chunkDim] = g.Dims[chunkDim].Intersect(panel)
 		return ng
 	}
 	for _, t := range s.Sends {
@@ -203,347 +157,115 @@ func panelCount(g index.Grid, k int, panel index.RunSet) int {
 	return g.Count() / dk * g.Dims[k].Intersect(panel).Count()
 }
 
-// planner carries the shared inputs of candidate construction.
+// planner carries the shared inputs of plan construction.
 type planner struct {
-	oldD, newD *dist.Distribution
-	np         int
-	opt        PlanOptions
-	scheds     []*Schedule // per-rank symmetric schedules
+	dom      index.Domain
+	np       int
+	chunkDim int
+	scheds   []*Schedule // per-rank symmetric schedules
 }
 
 // PlanMove selects the decomposition of (oldD -> newD) over np ranks
 // under opt.  It is deterministic in its arguments, so every SPMD rank
-// computes the same plan.  With no budget the direct plan is returned
-// unconditionally (exact byte/msg parity with the legacy path); with a
-// budget, candidates are ranked by (peak bytes, messages, modeled time)
-// among those that fit, and ErrNoPlan is returned when none does.
+// computes the same plan: direct when there is no budget or its peak
+// fits, otherwise the coarsest chunking (doubling search) whose peak
+// fits, otherwise ErrNoPlan naming the finest chunking's peak.
 func PlanMove(oldD, newD *dist.Distribution, np int, opt PlanOptions) (*Plan, error) {
-	pl := newPlanner(oldD, newD, np, opt)
-	direct := pl.direct()
-	if pl.opt.MemBudget <= 0 {
-		return direct, nil
+	pl := newPlanner(oldD, newD, np)
+	best, budget := pl.plan(nil), opt.MemBudget
+	if budget <= 0 {
+		return best, nil
 	}
-	cands := pl.candidates(direct)
-	var best *Plan
-	for _, c := range cands {
-		if c.PeakBytes > opt.MemBudget {
-			continue
-		}
-		if best == nil || better(c, best) {
-			best = c
-		}
+	maxC := pl.dom.Extent(pl.chunkDim)
+	for c := 2; best.PeakBytes > budget && c/2 < maxC; c *= 2 {
+		best = pl.plan(pl.panels(min(c, maxC)))
 	}
-	if best == nil {
-		min := direct
-		for _, c := range cands {
-			if c.PeakBytes < min.PeakBytes {
-				min = c
-			}
-		}
+	if best.PeakBytes > budget {
 		return nil, fmt.Errorf("%w: budget %d bytes, finest decomposition (%s) still peaks at %d bytes",
-			ErrNoPlan, opt.MemBudget, min.Kind, min.PeakBytes)
+			ErrNoPlan, budget, best.Kind, best.PeakBytes)
 	}
-	best.Budget = opt.MemBudget
+	best.Budget = budget
 	return best, nil
 }
 
-// newPlanner builds the shared candidate-construction state: the
-// symmetric per-rank schedules and the (defaulted) cost parameters.
-func newPlanner(oldD, newD *dist.Distribution, np int, opt PlanOptions) *planner {
-	if opt.Alpha == 0 && opt.Beta == 0 {
-		// Uninformed defaults: iPSC-class latency, ~100 MB/s — only the
-		// tie-break depends on them.
-		opt.Alpha, opt.Beta = 1e-4, 1e-8
-	}
-	pl := &planner{oldD: oldD, newD: newD, np: np, opt: opt}
-	pl.scheds = make([]*Schedule, np)
-	for r := 0; r < np; r++ {
+// newPlanner builds the symmetric per-rank schedules and picks the chunk
+// dimension: the one with the largest extent (ties to the outermost), so
+// panels stay slab-shaped and the finest chunking has the most headroom.
+func newPlanner(oldD, newD *dist.Distribution, np int) *planner {
+	pl := &planner{dom: oldD.Domain(), np: np, scheds: make([]*Schedule, np)}
+	for r := range pl.scheds {
 		pl.scheds[r] = Build(oldD, newD, r, np)
+	}
+	for k := 1; k < pl.dom.Rank(); k++ {
+		if pl.dom.Extent(k) >= pl.dom.Extent(pl.chunkDim) {
+			pl.chunkDim = k
+		}
 	}
 	return pl
 }
 
-// candidates lists every decomposition the planner considers under its
-// options, in enumeration (tie-break) order.
-func (pl *planner) candidates(direct *Plan) []*Plan {
-	cands := []*Plan{direct, pl.pairwise()}
-	if ch := pl.chunked(); ch != nil {
-		cands = append(cands, ch)
-	}
-	if ag := pl.allgather(); ag != nil {
-		cands = append(cands, ag)
-	}
-	return cands
-}
-
-// Candidates returns every candidate decomposition the planner would
-// consider for (oldD -> newD) under opt, feasible or not — direct and
-// pairwise always, chunked when a budget forces panel stepping and the
-// domain can be sliced, allgather when the old distribution is not
-// replicated.  Exposed for the planner's property tests and for analysis
-// tooling; plan selection itself goes through PlanMove.
-func Candidates(oldD, newD *dist.Distribution, np int, opt PlanOptions) []*Plan {
-	pl := newPlanner(oldD, newD, np, opt)
-	return pl.candidates(pl.direct())
-}
-
-// better ranks candidate plans: lowest peak resident bytes first, then
-// fewest messages, then lowest modeled time.  Strict comparisons keep the
-// enumeration order (direct, pairwise, chunked, allgather) as the final
-// tie-break.
-func better(a, b *Plan) bool {
-	if a.PeakBytes != b.PeakBytes {
-		return a.PeakBytes < b.PeakBytes
-	}
-	if a.Msgs != b.Msgs {
-		return a.Msgs < b.Msgs
-	}
-	return a.ModelTime < b.ModelTime
-}
-
-// remoteBytes returns rank r's remote send and receive payload bytes.
-func remoteBytes(s *Schedule) (send, recv, sendMsgs, recvMsgs int64) {
-	for _, t := range s.Sends {
-		if t.Peer != s.Rank {
-			send += int64(8 * t.Count)
-			sendMsgs++
+// plan runs the ring once per panel, or once over the whole domain when
+// panels is nil (the direct plan).
+func (pl *planner) plan(panels []index.RunSet) *Plan {
+	p := &Plan{Kind: "direct", chunkDim: pl.chunkDim}
+	if panels == nil {
+		p.Steps = []Step{pl.ring(nil)}
+	} else {
+		p.Kind = fmt.Sprintf("chunked[%d]", len(panels))
+		p.Steps = make([]Step, len(panels))
+		for i, pn := range panels {
+			p.Steps[i] = pl.ring(pn)
 		}
 	}
-	for _, t := range s.Recvs {
-		if t.Peer != s.Rank {
-			recv += int64(8 * t.Count)
-			recvMsgs++
-		}
+	for _, st := range p.Steps {
+		p.PeakBytes = max(p.PeakBytes, st.PeakBytes)
+		p.Msgs += st.Msgs
+		p.Bytes += st.Bytes
 	}
-	return
+	return p
 }
 
-// direct builds the legacy one-shot candidate: one alltoallv step, every
-// send buffer packed up front, every receive payload resident until
-// unpacked.
-func (pl *planner) direct() *Plan {
-	var peak, msgs, bytes int64
-	var worst float64
-	for r := 0; r < pl.np; r++ {
-		s, v, sm, rm := remoteBytes(pl.scheds[r])
-		if p := s + v; p > peak {
-			peak = p
-		}
-		msgs += sm
-		bytes += s
-		if t := pl.opt.Alpha*float64(sm+rm) + pl.opt.Beta*float64(s+v); t > worst {
-			worst = t
-		}
-	}
-	return &Plan{
-		Kind:      "direct",
-		Steps:     []Step{{Kind: StepDirect, PeakBytes: peak, Msgs: msgs, Bytes: bytes}},
-		PeakBytes: peak, Msgs: msgs, Bytes: bytes, ModelTime: worst,
-	}
-}
-
-// pairwise builds the ring-round candidate over the whole domain: same
-// messages and bytes as direct, but only one peer's send and one peer's
-// receive resident per round.
-func (pl *planner) pairwise() *Plan {
-	peak := pl.pairwisePeak(nil)
-	_, msgs, bytes, t := pl.roundCost(nil)
-	return &Plan{
-		Kind:      "pairwise",
-		Steps:     []Step{{Kind: StepPairwise, PeakBytes: peak, Msgs: msgs, Bytes: bytes}},
-		PeakBytes: peak, Msgs: msgs, Bytes: bytes, ModelTime: t,
-	}
-}
-
-// pairBytes returns the payload bytes rank r sends to peer q under the
-// optional panel restriction (nil = whole domain) along chunkDim.
-func (pl *planner) pairBytes(r, q int, panel index.RunSet, chunkDim int) int64 {
-	for _, t := range pl.scheds[r].Sends {
-		if t.Peer != q {
-			continue
-		}
-		if panel == nil {
-			return int64(8 * t.Count)
-		}
-		return int64(8 * panelCount(t.Grid, chunkDim, panel))
-	}
-	return 0
-}
-
-// pairwisePeak computes max over (rank, ring round) of resident bytes
-// (send to the round's peer + receive from the round's peer) under the
-// optional panel restriction.
-func (pl *planner) pairwisePeak(panel index.RunSet) int64 {
-	chunkDim := pl.chunkDimOf()
-	var peak int64
-	for r := 0; r < pl.np; r++ {
-		for j := 1; j < pl.np; j++ {
-			to := (r + j) % pl.np
-			from := (r - j + pl.np) % pl.np
-			res := pl.pairBytes(r, to, panel, chunkDim) + pl.pairBytes(from, r, panel, chunkDim)
-			if res > peak {
-				peak = res
+// ring costs one pass of the executor's staggered ring over the panel
+// (nil: the whole domain) — the one cost function: a round holds rank r's
+// send to to = r+j beside its receive from from = r-j.
+func (pl *planner) ring(panel index.RunSet) Step {
+	np := pl.np
+	sent := make([]int64, np*np) // sent[r*np+q]: bytes r sends to q
+	for r, s := range pl.scheds {
+		for _, t := range s.Sends {
+			if t.Peer == r {
+				continue
 			}
+			n := t.Count
+			if panel != nil {
+				n = panelCount(t.Grid, pl.chunkDim, panel)
+			}
+			sent[r*np+t.Peer] = int64(8 * n)
 		}
 	}
-	return peak
-}
-
-// roundCost totals messages, bytes and modeled time of one pairwise pass
-// under the optional panel restriction.
-func (pl *planner) roundCost(panel index.RunSet) (peak, msgs, bytes int64, t float64) {
-	chunkDim := pl.chunkDimOf()
-	for j := 1; j < pl.np; j++ {
-		var roundT float64
-		for r := 0; r < pl.np; r++ {
-			to := (r + j) % pl.np
-			from := (r - j + pl.np) % pl.np
-			snd := pl.pairBytes(r, to, panel, chunkDim)
-			rcv := pl.pairBytes(from, r, panel, chunkDim)
+	st := Step{Panel: panel}
+	for r := 0; r < np; r++ {
+		for j := 1; j < np; j++ {
+			snd, rcv := sent[r*np+(r+j)%np], sent[(r-j+np)%np*np+r]
 			if snd > 0 {
-				msgs++
-				bytes += snd
+				st.Msgs++
+				st.Bytes += snd
 			}
-			var rt float64
-			if snd > 0 {
-				rt += pl.opt.Alpha + pl.opt.Beta*float64(snd)
-			}
-			if rcv > 0 {
-				rt += pl.opt.Alpha + pl.opt.Beta*float64(rcv)
-			}
-			if rt > roundT {
-				roundT = rt
-			}
-			if res := snd + rcv; res > peak {
-				peak = res
-			}
-		}
-		t += roundT
-	}
-	return
-}
-
-// chunkDimOf picks the domain dimension panels slice: the one with the
-// largest extent (ties to the outermost), so panels stay slab-shaped and
-// the finest chunking has the most headroom.
-func (pl *planner) chunkDimOf() int {
-	dom := pl.oldD.Domain()
-	best, bestExt := 0, 0
-	for k := 0; k < dom.Rank(); k++ {
-		if e := dom.Extent(k); e >= bestExt {
-			best, bestExt = k, e
+			st.PeakBytes = max(st.PeakBytes, snd+rcv)
 		}
 	}
-	return best
+	return st
 }
 
-// panels splits the chunk dimension's extent into c contiguous slabs.
+// panels splits the chunk dimension's extent into c <= extent contiguous
+// slabs.
 func (pl *planner) panels(c int) []index.RunSet {
-	k := pl.chunkDimOf()
-	dom := pl.oldD.Domain()
-	lo, hi := dom.Lo[k], dom.Hi[k]
-	n := hi - lo + 1
-	if c > n {
-		c = n
-	}
-	out := make([]index.RunSet, 0, c)
-	for i := 0; i < c; i++ {
-		plo := lo + i*n/c
-		phi := lo + (i+1)*n/c - 1
-		if phi < plo {
-			continue
-		}
-		out = append(out, index.RunSet{index.NewRun(plo, phi, 1)})
+	lo, n := pl.dom.Lo[pl.chunkDim], pl.dom.Extent(pl.chunkDim)
+	out := make([]index.RunSet, c)
+	for i := range out {
+		out[i] = index.RunSet{index.NewRun(lo+i*n/c, lo+(i+1)*n/c-1, 1)}
 	}
 	return out
-}
-
-// chunked builds the panel-stepping candidate: the smallest chunk count
-// (doubling search) whose per-step pairwise peak fits the budget.  Nil
-// when even single-index panels do not fit.
-func (pl *planner) chunked() *Plan {
-	k := pl.chunkDimOf()
-	dom := pl.oldD.Domain()
-	maxC := dom.Extent(k)
-	if maxC < 2 {
-		return nil
-	}
-	for c := 2; ; c *= 2 {
-		if c > maxC {
-			c = maxC
-		}
-		panels := pl.panels(c)
-		var peak, msgs, bytes int64
-		var t float64
-		fits := true
-		steps := make([]Step, 0, len(panels))
-		for _, pn := range panels {
-			sp, sm, sb, st := pl.roundCost(pn)
-			if sp > pl.opt.MemBudget {
-				fits = false
-				break
-			}
-			if sp > peak {
-				peak = sp
-			}
-			msgs += sm
-			bytes += sb
-			t += st
-			g := index.Grid{Dims: make([]index.RunSet, dom.Rank())}
-			for d := 0; d < dom.Rank(); d++ {
-				g.Dims[d] = index.RunSet{index.NewRun(dom.Lo[d], dom.Hi[d], 1)}
-			}
-			g.Dims[k] = pn
-			steps = append(steps, Step{Kind: StepPairwise, Panel: g, PeakBytes: sp, Msgs: sm, Bytes: sb})
-		}
-		if fits {
-			return &Plan{
-				Kind:      fmt.Sprintf("chunked[%d]", len(steps)),
-				Steps:     steps,
-				PeakBytes: peak, Msgs: msgs, Bytes: bytes, ModelTime: t,
-				chunkDim: k,
-			}
-		}
-		if c == maxC {
-			return nil
-		}
-	}
-}
-
-// allgather builds the publish-and-select candidate: every rank packs its
-// whole old-distribution part, an allgather shares the concatenation, and
-// receivers select their new spans locally.  Offered only for
-// non-replicated old distributions (otherwise several replicas would
-// publish the same elements).
-func (pl *planner) allgather() *Plan {
-	if pl.oldD.Replicated() {
-		return nil
-	}
-	var sumOwn, maxOwn int64
-	for r := 0; r < pl.np; r++ {
-		own := int64(8 * pl.oldD.LocalGrid(r).Count())
-		sumOwn += own
-		if own > maxOwn {
-			maxOwn = own
-		}
-	}
-	frame := sumOwn + int64(4*pl.np)
-	// Gather to root: np-1 sends of the senders' parts; binomial bcast of
-	// the frame: np-1 sends of frame bytes.  Peak resident on any rank is
-	// the full frame plus its own packed part.
-	msgs := int64(2 * (pl.np - 1))
-	bytes := (sumOwn - maxOwn) + int64(pl.np-1)*frame // gather payloads (root sends nothing) + bcast frames
-	peak := frame + maxOwn
-	logNP := 0
-	for 1<<logNP < pl.np {
-		logNP++
-	}
-	t := pl.opt.Alpha*float64(pl.np-1+logNP) + pl.opt.Beta*float64(sumOwn+frame)
-	return &Plan{
-		Kind:      "allgather",
-		Steps:     []Step{{Kind: StepAllgather, PeakBytes: peak, Msgs: msgs, Bytes: bytes}},
-		PeakBytes: peak, Msgs: msgs, Bytes: bytes, ModelTime: t,
-	}
 }
 
 // ParseBudget parses a human-friendly byte count: a plain integer, or an

@@ -1,21 +1,26 @@
 package redist_test
 
-// Planner property tests.  They run without a machine: distributions are
+// Planner property tests.  Most run without a machine: distributions are
 // built over ckpt's virtual replay target (a dense column-major processor
-// array with no transport behind it), every candidate plan is executed as
+// array with no transport behind it), every selected plan is executed as
 // a schedule-level simulation, and the delivered element set is checked
-// for exact equality with the new distribution's ownership — the
-// bit-identity property the byte-level executor tests in internal/darray
-// then confirm end to end on a live machine.
+// for exact equality with the new distribution's ownership.
+// TestPlanPeakBoundsExecutor then runs the same crossings on a live
+// machine and holds the executor's measured wire residency to the plan's
+// modelled peak.
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/index"
+	"repro/internal/machine"
+	"repro/internal/msg"
 	"repro/internal/redist"
 )
 
@@ -29,11 +34,10 @@ type crossing struct {
 
 // planCrossings covers the distribution-kind matrix of the acceptance
 // criteria: block/cyclic/B_BLOCK/2-D crossings, uneven extents, and a
-// 1-D -> 2-D processor-arrangement change.
-func planCrossings(t *testing.T) []crossing {
+// 1-D -> 2-D processor-arrangement change, over a line of four processors
+// and a 2x2 grid of them.
+func planCrossings(t *testing.T, line, grid dist.Target) []crossing {
 	t.Helper()
-	line := ckpt.NewVirtualTarget(4)
-	grid := ckpt.NewVirtualTarget(2, 2)
 	mk := func(typ dist.Type, dom index.Domain, tg dist.Target) *dist.Distribution {
 		d, err := dist.New(typ, dom, tg)
 		if err != nil {
@@ -68,6 +72,22 @@ func planCrossings(t *testing.T) []crossing {
 			mk(dist.NewType(dist.BlockDim(), dist.BlockDim()), dun, grid),
 			mk(dist.NewType(dist.CyclicDim(1), dist.ElidedDim()), dun, line), 4},
 	}
+}
+
+// virtualCrossings is planCrossings over virtual processor arrays.
+func virtualCrossings(t *testing.T) []crossing {
+	return planCrossings(t, ckpt.NewVirtualTarget(4), ckpt.NewVirtualTarget(2, 2))
+}
+
+// planBudgets are the memory budgets every planner test selects under:
+// unbounded, one that every direct plan fits, and ever tighter ones that
+// force chunking and, at 16 bytes, ErrNoPlan for three crossings.
+var planBudgets = []int64{0, 1 << 20, 4096, 512, 128, 64, 16}
+
+// planInfeasible names the crossings no plan fits at 16 bytes — the
+// only budget of planBudgets that any crossing fails.
+var planInfeasible = map[string]bool{
+	"cols->rows 2-D": true, "1-D block -> 2-D block": true, "2-D block -> cyclic uneven": true,
 }
 
 func planVal(p index.Point) float64 {
@@ -148,155 +168,248 @@ func simulatePlan(t *testing.T, c crossing, plan *redist.Plan) {
 	}
 }
 
-// TestPlanCandidatesBitIdentical simulates every candidate decomposition
-// for every crossing at several budgets: whatever the planner could pick,
-// the moved element set must equal the direct alltoallv's exactly.
+// TestPlanCandidatesBitIdentical simulates every plan PlanMove selects
+// for every crossing at every budget, and at one byte under the direct
+// plan's peak — the loosest budget that forces panels: whatever the
+// planner picks, the moved element set must equal the unbudgeted move's
+// exactly.
 func TestPlanCandidatesBitIdentical(t *testing.T) {
-	for _, c := range planCrossings(t) {
+	for _, c := range virtualCrossings(t) {
+		direct, err := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
 		seen := map[string]bool{}
-		// Budgets chosen to materialize different chunk counts (chunked
-		// candidates only exist when panel stepping is needed to fit).
-		for _, budget := range []int64{0, 1 << 20, 512, 64, 16} {
-			for _, plan := range redist.Candidates(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget}) {
-				if seen[plan.Kind] {
-					continue
-				}
-				seen[plan.Kind] = true
-				t.Run(fmt.Sprintf("%s/%s", c.name, plan.Kind), func(t *testing.T) {
-					simulatePlan(t, c, plan)
-				})
+		for _, budget := range append(planBudgets, direct.PeakBytes-1) {
+			plan, err := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})
+			if err != nil || seen[plan.Kind] {
+				continue
 			}
+			seen[plan.Kind] = true
+			t.Run(fmt.Sprintf("%s/%s", c.name, plan.Kind), func(t *testing.T) {
+				simulatePlan(t, c, plan)
+			})
 		}
 	}
 }
 
-// TestPlanEstimatesConsistent checks the candidate cost bookkeeping:
-// pairwise and chunked move exactly the direct plan's bytes; nothing
-// beats direct on messages except allgather; plan totals equal the sums
-// of their steps.
+// TestPlanEstimatesConsistent checks the cost bookkeeping of every
+// selected plan: it moves exactly the schedules' bytes, the direct plan in
+// exactly their messages and a chunked one in no fewer; plan totals are
+// the sums of their steps; and the peak is the ring-round cost recomputed
+// from the receive side — max over ranks r and rounds j of r's send to
+// r+j plus its receive from r-j — which a budgeted plan keeps within its
+// budget.
 func TestPlanEstimatesConsistent(t *testing.T) {
-	for _, c := range planCrossings(t) {
-		cands := redist.Candidates(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: 64})
-		var direct *redist.Plan
-		for _, p := range cands {
-			if p.Kind == "direct" {
-				direct = p
-			}
-		}
-		if direct == nil {
-			t.Fatalf("%s: no direct candidate", c.name)
-		}
-		// Direct's totals must equal the schedule-level sums the legacy
-		// executor produces.
+	for _, c := range virtualCrossings(t) {
+		scheds := make([]*redist.Schedule, c.np)
 		var wantMsgs, wantBytes int64
-		for r := 0; r < c.np; r++ {
-			s := redist.Build(c.oldD, c.newD, r, c.np)
-			wantMsgs += int64(s.RemoteSendCount())
-			wantBytes += int64(s.SendBytes())
+		for r := range scheds {
+			scheds[r] = redist.Build(c.oldD, c.newD, r, c.np)
+			wantMsgs += int64(scheds[r].RemoteSendCount())
+			wantBytes += int64(scheds[r].SendBytes())
 		}
-		if direct.Msgs != wantMsgs || direct.Bytes != wantBytes {
-			t.Fatalf("%s: direct plan %d msgs/%d bytes, schedules say %d/%d",
-				c.name, direct.Msgs, direct.Bytes, wantMsgs, wantBytes)
-		}
-		for _, p := range cands {
+		for _, budget := range planBudgets {
+			p, err := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})
+			if err != nil {
+				continue
+			}
 			var stepPeak, stepMsgs, stepBytes int64
-			for _, s := range p.Steps {
-				if s.PeakBytes > stepPeak {
-					stepPeak = s.PeakBytes
+			for k, st := range p.Steps {
+				stepPeak = max(stepPeak, st.PeakBytes)
+				stepMsgs += st.Msgs
+				stepBytes += st.Bytes
+				var ring int64
+				for r := 0; r < c.np; r++ {
+					sub := p.StepSchedule(scheds[r], k)
+					for j := 1; j < c.np; j++ {
+						ring = max(ring, peerBytes(sub.Sends, (r+j)%c.np)+peerBytes(sub.Recvs, (r-j+c.np)%c.np))
+					}
 				}
-				stepMsgs += s.Msgs
-				stepBytes += s.Bytes
+				if ring != st.PeakBytes {
+					t.Errorf("%s/%s step %d: peak %d, ring rounds hold %d", c.name, p.Kind, k, st.PeakBytes, ring)
+				}
 			}
 			if stepPeak != p.PeakBytes || stepMsgs != p.Msgs || stepBytes != p.Bytes {
 				t.Errorf("%s/%s: plan totals (%d,%d,%d) != step sums (%d,%d,%d)",
 					c.name, p.Kind, p.PeakBytes, p.Msgs, p.Bytes, stepPeak, stepMsgs, stepBytes)
 			}
-			switch p.Kind {
-			case "pairwise":
-				if p.Bytes != direct.Bytes || p.Msgs != direct.Msgs {
-					t.Errorf("%s/pairwise: %d msgs/%d bytes, want direct's %d/%d",
-						c.name, p.Msgs, p.Bytes, direct.Msgs, direct.Bytes)
-				}
-				if p.PeakBytes > direct.PeakBytes {
-					t.Errorf("%s/pairwise: peak %d exceeds direct's %d", c.name, p.PeakBytes, direct.PeakBytes)
-				}
-			case "allgather":
-			default:
-				if p.Bytes != direct.Bytes {
-					t.Errorf("%s/%s: moves %d bytes, direct moves %d", c.name, p.Kind, p.Bytes, direct.Bytes)
-				}
-				if p.Msgs < direct.Msgs {
-					t.Errorf("%s/%s: %d msgs beat direct's %d without publishing", c.name, p.Kind, p.Msgs, direct.Msgs)
-				}
+			if p.Bytes != wantBytes {
+				t.Errorf("%s/%s: moves %d bytes, schedules say %d", c.name, p.Kind, p.Bytes, wantBytes)
+			}
+			if p.Kind == "direct" && p.Msgs != wantMsgs || p.Msgs < wantMsgs {
+				t.Errorf("%s/%s: %d msgs, schedules say %d", c.name, p.Kind, p.Msgs, wantMsgs)
+			}
+			if budget > 0 && p.PeakBytes > budget {
+				t.Errorf("%s/%s: peak %d exceeds budget %d", c.name, p.Kind, p.PeakBytes, budget)
 			}
 		}
 	}
 }
 
-// TestPlanSelection pins the selection rule: no budget -> always direct;
-// a budget picks the lowest-peak/fewest-message feasible candidate; an
-// impossible budget is a typed, enforced error.
-func TestPlanSelection(t *testing.T) {
-	tg := ckpt.NewVirtualTarget(4)
-	dom := index.Dim(256)
-	oldD, err := dist.New(dist.NewType(dist.BlockDim()), dom, tg)
-	if err != nil {
-		t.Fatal(err)
+// peerBytes returns the payload bytes of the transfer with peer in ts.
+func peerBytes(ts []redist.Transfer, peer int) int64 {
+	for _, t := range ts {
+		if t.Peer == peer {
+			return int64(8 * t.Count)
+		}
 	}
-	newD, err := dist.New(dist.NewType(dist.CyclicDim(1)), dom, tg)
-	if err != nil {
-		t.Fatal(err)
+	return 0
+}
+
+// TestPlanSelection pins the selection rule at every budget: direct when
+// there is no budget or its peak fits; otherwise the coarsest chunking
+// that fits, so a tighter budget never takes fewer steps or messages;
+// otherwise a typed, enforced ErrNoPlan that names the finest chunking —
+// for exactly the crossings the planner has always refused.
+func TestPlanSelection(t *testing.T) {
+	for _, c := range virtualCrossings(t) {
+		direct, err := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.Kind != "direct" || len(direct.Steps) != 1 || direct.Steps[0].Panel != nil || direct.Budget != 0 {
+			t.Fatalf("%s: no budget must select the whole-domain direct plan, got %v", c.name, direct)
+		}
+		prev := direct
+		for _, budget := range planBudgets[1:] {
+			p, err := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})
+			if err != nil {
+				if !errors.Is(err, redist.ErrNoPlan) || !strings.Contains(err.Error(), "finest decomposition (chunked[") {
+					t.Errorf("%s budget %d: got %v, want ErrNoPlan naming the finest chunking", c.name, budget, err)
+				}
+				if !planInfeasible[c.name] || budget != 16 {
+					t.Errorf("%s budget %d: no plan, but one has always fit", c.name, budget)
+				}
+				continue
+			}
+			if planInfeasible[c.name] && budget == 16 {
+				t.Errorf("%s budget %d: plan %v where none has ever fit", c.name, budget, p)
+			}
+			if p.Budget != budget || p.PeakBytes > budget || p.Bytes != direct.Bytes {
+				t.Errorf("%s budget %d: plan %v (budget %d) breaks the budget or the bytes", c.name, budget, p, p.Budget)
+			}
+			switch {
+			case direct.PeakBytes <= budget:
+				if p.Kind != "direct" || p.PeakBytes != direct.PeakBytes || p.Msgs != direct.Msgs {
+					t.Errorf("%s budget %d: direct (peak %d) fits, got %v", c.name, budget, direct.PeakBytes, p)
+				}
+			case !strings.HasPrefix(p.Kind, "chunked[") || len(p.Steps) < 2:
+				t.Errorf("%s budget %d: direct peaks at %d, got %v", c.name, budget, direct.PeakBytes, p)
+			}
+			if len(p.Steps) < len(prev.Steps) || p.Msgs < prev.Msgs {
+				t.Errorf("%s budget %d: %v takes fewer steps or messages than %v under a looser budget", c.name, budget, p, prev)
+			}
+			prev = p
+		}
 	}
 
+	// A 256-element BLOCK -> CYCLIC: an eighth of the direct peak needs
+	// panels; one byte fits nothing, and the error names the finest
+	// chunking, one panel per index.
+	tg := ckpt.NewVirtualTarget(4)
+	dom := index.Dim(256)
+	oldD := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
+	newD := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
 	direct, err := redist.PlanMove(oldD, newD, 4, redist.PlanOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if direct.Kind != "direct" || len(direct.Steps) != 1 {
-		t.Fatalf("no budget must select the direct plan, got %v", direct)
-	}
-
-	// A budget at the direct peak admits pairwise, which strictly lowers
-	// the peak at the same message count.
-	p, err := redist.PlanMove(oldD, newD, 4, redist.PlanOptions{MemBudget: direct.PeakBytes})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.PeakBytes > direct.PeakBytes || p.Msgs != direct.Msgs || p.Bytes != direct.Bytes {
-		t.Fatalf("budgeted plan %v worse than direct (peak %d msgs %d bytes %d)",
-			p, direct.PeakBytes, direct.Msgs, direct.Bytes)
-	}
-	if p.Budget != direct.PeakBytes {
-		t.Fatalf("plan does not echo its budget: %d", p.Budget)
-	}
-
-	// An eighth of the transfer forces panel chunking: still all the
-	// bytes, more messages, peak within budget.
 	small := direct.PeakBytes / 8
 	ch, err := redist.PlanMove(oldD, newD, 4, redist.PlanOptions{MemBudget: small})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ch.PeakBytes > small {
-		t.Fatalf("plan peak %d exceeds budget %d", ch.PeakBytes, small)
+	if ch.PeakBytes > small || ch.Bytes != direct.Bytes || len(ch.Steps) < 2 {
+		t.Fatalf("budget %d of peak %d: got %v", small, direct.PeakBytes, ch)
 	}
-	if ch.Bytes != direct.Bytes {
-		t.Fatalf("budgeted plan moves %d bytes, direct moves %d", ch.Bytes, direct.Bytes)
+	_, err = redist.PlanMove(oldD, newD, 4, redist.PlanOptions{MemBudget: 1})
+	if !errors.Is(err, redist.ErrNoPlan) || !strings.Contains(err.Error(), "(chunked[256]) still peaks at 8 bytes") {
+		t.Fatalf("budget 1 byte: got %v, want ErrNoPlan naming chunked[256]", err)
 	}
-	if len(ch.Steps) < 2 {
-		t.Fatalf("budget %d of peak %d should need multiple steps, got %v", small, direct.PeakBytes, ch)
-	}
+}
 
-	// Impossible budget: typed error, no plan.
-	if _, err := redist.PlanMove(oldD, newD, 4, redist.PlanOptions{MemBudget: 1}); !errors.Is(err, redist.ErrNoPlan) {
-		t.Fatalf("budget 1 byte: got %v, want ErrNoPlan", err)
+// TestPlanPeakBoundsExecutor runs every crossing at every budget on a
+// live 4-rank machine, over TCP — where every remote transfer crosses a
+// wire and is metered — and over channels.  The wire residency the
+// executor is measured to hold (Stats.PeakWireBytes) must never exceed
+// the selected plan's modelled PeakBytes, budgeted or not: the model is an
+// upper bound of what the executor holds.  A budget no plan fits must
+// fail on every rank, and every other move must deliver exactly the
+// values the unbudgeted one does.
+func TestPlanPeakBoundsExecutor(t *testing.T) {
+	for _, transport := range []string{"chan", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			var tr msg.Transport = msg.NewChanTransport(4)
+			if transport == "tcp" {
+				tcp, err := msg.NewTCPTransport(4)
+				if err != nil {
+					t.Fatal(err)
+				}
+				tr = tcp
+			}
+			m := machine.New(4, machine.WithTransport(tr))
+			defer m.Close()
+			cs := planCrossings(t, m.ProcsDim("P", 4).Whole(), m.ProcsDim("G", 2, 2).Whole())
+			st := m.Stats()
+			err := m.Run(func(ctx *machine.Ctx) error {
+				for _, c := range cs {
+					for _, budget := range planBudgets {
+						plan, perr := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})
+						a := darray.New(ctx, "X", c.dom, c.oldD)
+						a.FillFunc(ctx, planVal)
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						if ctx.Rank() == 0 {
+							st.ResetWirePeak()
+						}
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						err := a.RedistributeTo(ctx, c.newD, darray.MemBudget(budget))
+						if perr != nil {
+							if !errors.Is(err, redist.ErrNoPlan) {
+								t.Errorf("%s budget %d rank %d: got %v, want ErrNoPlan", c.name, budget, ctx.Rank(), err)
+							}
+							continue
+						}
+						if err != nil {
+							return err
+						}
+						a.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
+							if *v != planVal(p) {
+								t.Errorf("%s budget %d rank %d: %v = %v, want %v", c.name, budget, ctx.Rank(), p, *v, planVal(p))
+							}
+						})
+						if err := ctx.Barrier(); err != nil {
+							return err
+						}
+						if ctx.Rank() != 0 {
+							continue
+						}
+						peak := st.PeakWireBytes()
+						if peak > plan.PeakBytes {
+							t.Errorf("%s budget %d (%v): measured peak %d exceeds the modelled %d", c.name, budget, plan, peak, plan.PeakBytes)
+						}
+						if transport == "tcp" && plan.Msgs > 0 && peak == 0 {
+							t.Errorf("%s budget %d: no wire residency measured over TCP; the bound would be vacuous", c.name, budget)
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
 // TestPlanDeterministic: the plan is a pure function of its arguments —
 // the SPMD contract that lets every rank plan independently.
 func TestPlanDeterministic(t *testing.T) {
-	for _, c := range planCrossings(t) {
+	for _, c := range virtualCrossings(t) {
 		for _, budget := range []int64{0, 4096, 128} {
 			a, errA := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})
 			b, errB := redist.PlanMove(c.oldD, c.newD, c.np, redist.PlanOptions{MemBudget: budget})

@@ -115,8 +115,7 @@ type cacheKey struct {
 
 // planKey identifies a selected Plan: plans are rank-independent (every
 // SPMD rank computes the same one), so only the distribution pair, the
-// view width and the budget distinguish them.  α/β are deliberately not
-// in the key — within one run they are fixed machine parameters.
+// view width and the budget distinguish them.
 type planKey struct {
 	oldFP  string
 	newFP  string

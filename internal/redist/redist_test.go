@@ -264,25 +264,29 @@ func TestCacheKeyedOnView(t *testing.T) {
 	}
 }
 
+// budgetCase is one ParseBudget input with its verdict.
+type budgetCase struct {
+	in   string
+	want int64
+	err  bool
+}
+
+var parseBudgetCases = []budgetCase{
+	{"", 0, false},
+	{"0", 0, false},
+	{"4096", 4096, false},
+	{"4K", 4 << 10, false},
+	{"4k", 4 << 10, false},
+	{"2M", 2 << 20, false},
+	{"1G", 1 << 30, false},
+	{" 64K ", 64 << 10, false},
+	{"-1", 0, true},
+	{"x", 0, true},
+	{"4T", 0, true},
+}
+
 func TestParseBudget(t *testing.T) {
-	cases := []struct {
-		in   string
-		want int64
-		err  bool
-	}{
-		{"", 0, false},
-		{"0", 0, false},
-		{"4096", 4096, false},
-		{"4K", 4 << 10, false},
-		{"4k", 4 << 10, false},
-		{"2M", 2 << 20, false},
-		{"1G", 1 << 30, false},
-		{" 64K ", 64 << 10, false},
-		{"-1", 0, true},
-		{"x", 0, true},
-		{"4T", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseBudgetCases {
 		got, err := ParseBudget(c.in)
 		if (err != nil) != c.err {
 			t.Errorf("ParseBudget(%q) err = %v, want err=%v", c.in, err, c.err)
@@ -294,33 +298,30 @@ func TestParseBudget(t *testing.T) {
 	}
 }
 
+// parseBudgetOverflowCases probe every suffix just above and just below
+// its overflow point, with and without whitespace.
+var parseBudgetOverflowCases = []budgetCase{
+	// the historical overflow reproducer
+	{"99999999999999G", 0, true},
+	// per-suffix boundaries: the largest n that still fits, and n+1
+	{fmt.Sprintf("%d", int64(math.MaxInt64)), math.MaxInt64, false},
+	{"9223372036854775808", 0, true}, // MaxInt64+1: strconv range error
+	{fmt.Sprintf("%dK", math.MaxInt64>>10), (math.MaxInt64 >> 10) << 10, false},
+	{fmt.Sprintf("%dK", math.MaxInt64>>10+1), 0, true},
+	{fmt.Sprintf("%dM", math.MaxInt64>>20), (math.MaxInt64 >> 20) << 20, false},
+	{fmt.Sprintf("%dM", math.MaxInt64>>20+1), 0, true},
+	{fmt.Sprintf("%dG", math.MaxInt64>>30), (math.MaxInt64 >> 30) << 30, false},
+	{fmt.Sprintf("%dG", math.MaxInt64>>30+1), 0, true},
+	// whitespace must not change the verdict either way
+	{fmt.Sprintf("  %dG  ", math.MaxInt64>>30), (math.MaxInt64 >> 30) << 30, false},
+	{"  99999999999999G  ", 0, true},
+}
+
 // TestParseBudgetOverflow: n × multiplier must not wrap around int64 —
 // before the range check, "99999999999999G" silently overflowed to a
-// bogus (possibly negative) budget.  Every suffix is probed just above
-// and just below its overflow point, with and without whitespace.
+// bogus (possibly negative) budget.
 func TestParseBudgetOverflow(t *testing.T) {
-	const maxI64 = math.MaxInt64
-	cases := []struct {
-		in   string
-		want int64
-		err  bool
-	}{
-		// the historical overflow reproducer
-		{"99999999999999G", 0, true},
-		// per-suffix boundaries: the largest n that still fits, and n+1
-		{fmt.Sprintf("%d", int64(maxI64)), maxI64, false},
-		{"9223372036854775808", 0, true}, // MaxInt64+1: strconv range error
-		{fmt.Sprintf("%dK", maxI64>>10), (maxI64 >> 10) << 10, false},
-		{fmt.Sprintf("%dK", maxI64>>10+1), 0, true},
-		{fmt.Sprintf("%dM", maxI64>>20), (maxI64 >> 20) << 20, false},
-		{fmt.Sprintf("%dM", maxI64>>20+1), 0, true},
-		{fmt.Sprintf("%dG", maxI64>>30), (maxI64 >> 30) << 30, false},
-		{fmt.Sprintf("%dG", maxI64>>30+1), 0, true},
-		// whitespace must not change the verdict either way
-		{fmt.Sprintf("  %dG  ", maxI64>>30), (maxI64 >> 30) << 30, false},
-		{"  99999999999999G  ", 0, true},
-	}
-	for _, c := range cases {
+	for _, c := range parseBudgetOverflowCases {
 		got, err := ParseBudget(c.in)
 		if (err != nil) != c.err {
 			t.Errorf("ParseBudget(%q) err = %v, want err=%v", c.in, err, c.err)
@@ -333,4 +334,25 @@ func TestParseBudgetOverflow(t *testing.T) {
 			t.Errorf("ParseBudget(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParseBudget, seeded from both tables above: any input either fails
+// or yields a budget n >= 0, never a panic, and every accepted n is
+// printed back and reparsed to itself.
+func FuzzParseBudget(f *testing.F) {
+	for _, c := range append(parseBudgetCases, parseBudgetOverflowCases...) {
+		f.Add(c.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		n, err := ParseBudget(s)
+		if err != nil {
+			return
+		}
+		if n < 0 {
+			t.Fatalf("ParseBudget(%q) = %d, want >= 0", s, n)
+		}
+		if back, err := ParseBudget(strconv.FormatInt(n, 10)); err != nil || back != n {
+			t.Fatalf("ParseBudget(%q) = %d, which reparses to %d, %v", s, n, back, err)
+		}
+	})
 }

@@ -52,8 +52,8 @@ const (
 	// reduce, alltoallv, ...).
 	CatCollective = "collective"
 	// CatRedist marks redistribution planner/executor detail — the
-	// "redist:plan" span naming the chosen decomposition and one
-	// "redist:step[k]" span per bounded step.  Deliberately NOT
+	// "redist:plan" span, the "plan:<kind>" instant naming the chosen
+	// decomposition and one "redist:step" span per step.  Deliberately NOT
 	// attributable: the enclosing CatDistribute span keeps the whole
 	// DISTRIBUTE cost, and these nested spans only show the breakdown.
 	CatRedist = "redist"
