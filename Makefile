@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc flake check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -25,6 +25,14 @@ loc:
 	  | awk '$$2 != "total" { d = $$2; sub("/[^/]*$$", "", d); n[d] += $$1; t += $$1 } \
 	         END { for (d in n) printf "%6d %s\n", n[d], d; printf "%6d total (non-test, outside bench/)\n", t }' \
 	  | sort -k2
+
+# The reachability gate (ROADMAP aim 2): every non-test function is
+# reached from a cmd, example, bench path or the vienna facade, or is
+# listed in testdata/reachable_allow.txt.  TestReachable runs in tier-1;
+# this prints its listing: file:line, function and length of everything
+# only tests reach.
+dead:
+	@$(GO) test -count=1 -run '^TestReachable$$' -v . | sed -n 's/^ *reachable_test.go:[0-9]*: //p'
 
 # Static checks plus the race detector over the runtime packages — the
 # SPMD engine is all goroutines, so data races are the bug class to gate
@@ -83,13 +91,13 @@ check-recovery:
 # The straggler-defense matrix: the voluntary-drain protocol (basic
 # drain, drain racing a real death in one transition, drained-rank
 # goroutine leak gates), the health scorer's hysteresis and EWMA
-# arithmetic, the slow transport fault and seeded backoff jitter, the
+# arithmetic, the slow transport fault and the retry backoff, the
 # straggler policy model (weighted bounds, fair shares, drain vs
 # rebalance break-even), and the end-to-end apps matrix — chan and TCP
 # × rebalance and drain, ADI/PIC/smoothing, bit-exact across the drain
 # epoch transition — all under the race detector.
 check-drain:
-	$(GO) test -race -run 'TestDrain|TestHealth|TestHysteresis|TestSlowFault|TestBackoffJitter|TestStraggler|TestWeightedBounds|TestFairShares|TestDecisionStrings' \
+	$(GO) test -race -run 'TestDrain|TestHealth|TestHysteresis|TestSlowFault|TestBackoffDelay|TestStraggler|TestWeightedBounds|TestFairShares|TestDecisionStrings' \
 	  ./internal/machine ./internal/health ./internal/msg ./internal/scale ./internal/apps
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
@@ -171,9 +179,9 @@ check-portable:
 	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 # The byte path off shared memory: the frozen wire format and the frame
-# limit (golden frame, header fuzz seeds, both refusals), the fence
-# epoch's rect header (fuzz seeds: no rect that validates addresses
-# outside its storage), receive-buffer
+# limit (golden frame, header fuzz seeds, both refusals), the rect
+# check every window transfer runs (fuzz seeds: no rect that validates
+# addresses outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip and of
 # a timed receive, the stripe run mapper and the word-wise XOR against
@@ -183,7 +191,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzDecodeRectWire|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario

@@ -88,7 +88,7 @@ func saveOn(t *testing.T, np int, dir, kind string, meta map[string]string) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
-		_, err := Save(ctx, dir, []*darray.Array{a}, meta)
+		_, err := SaveOpts(ctx, dir, []*darray.Array{a}, meta, Options{})
 		return err
 	})
 	if err != nil {
@@ -104,8 +104,8 @@ func restoreOn(t *testing.T, np int, dir, kind string, wantResized bool) {
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
 		dom := domFor(kind)
-		a := darray.NewUndistributed(ctx, "A", dom)
-		res, err := Restore(ctx, dir, []*darray.Array{a})
+		a := darray.New(ctx, "A", dom, nil)
+		res, err := RestoreOpts(ctx, dir, []*darray.Array{a}, Options{})
 		if err != nil {
 			return err
 		}
@@ -172,8 +172,8 @@ func TestRestoreOntoMoreRanks(t *testing.T) {
 	owned := make([]int, 4)
 	err := m.Run(func(ctx *machine.Ctx) error {
 		dom := domFor("block")
-		a := darray.NewUndistributed(ctx, "A", dom)
-		if _, err := Restore(ctx, dir, []*darray.Array{a}); err != nil {
+		a := darray.New(ctx, "A", dom, nil)
+		if _, err := RestoreOpts(ctx, dir, []*darray.Array{a}, Options{}); err != nil {
 			return err
 		}
 		owned[ctx.Rank()] = a.Local(ctx).Count()
@@ -223,7 +223,7 @@ func TestEpochsAccumulate(t *testing.T) {
 			if err := ctx.Barrier(); err != nil {
 				return err
 			}
-			epoch, err := Save(ctx, dir, []*darray.Array{a}, nil)
+			epoch, err := SaveOpts(ctx, dir, []*darray.Array{a}, nil, Options{})
 			if err != nil {
 				return err
 			}
@@ -236,7 +236,7 @@ func TestEpochsAccumulate(t *testing.T) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
-		if _, err := Restore(ctx, dir, []*darray.Array{a}); err != nil {
+		if _, err := RestoreOpts(ctx, dir, []*darray.Array{a}, Options{}); err != nil {
 			return err
 		}
 		got, err := a.GatherTo(ctx, 0)
@@ -280,8 +280,8 @@ func TestCorruptFileRejected(t *testing.T) {
 	m := machine.New(1)
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := darray.NewUndistributed(ctx, "A", domFor("block"))
-		_, err := Restore(ctx, dir, []*darray.Array{a})
+		a := darray.New(ctx, "A", domFor("block"), nil)
+		_, err := RestoreOpts(ctx, dir, []*darray.Array{a}, Options{})
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "no committed checkpoint") {
@@ -336,8 +336,8 @@ func TestEmptyDirRestoreFails(t *testing.T) {
 	m := machine.New(2)
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := darray.NewUndistributed(ctx, "A", index.Dim(8))
-		_, err := Restore(ctx, t.TempDir(), []*darray.Array{a})
+		a := darray.New(ctx, "A", index.Dim(8), nil)
+		_, err := RestoreOpts(ctx, t.TempDir(), []*darray.Array{a}, Options{})
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "no committed checkpoint") {
@@ -351,8 +351,8 @@ func TestUndistributedSaveFails(t *testing.T) {
 	m := machine.New(2)
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := darray.NewUndistributed(ctx, "A", index.Dim(8))
-		_, err := Save(ctx, t.TempDir(), []*darray.Array{a}, nil)
+		a := darray.New(ctx, "A", index.Dim(8), nil)
+		_, err := SaveOpts(ctx, t.TempDir(), []*darray.Array{a}, nil, Options{})
 		if err == nil || !strings.Contains(err.Error(), "no distribution") {
 			t.Errorf("err = %v", err)
 		}
@@ -371,8 +371,8 @@ func TestDomainMismatchRejected(t *testing.T) {
 	m := machine.New(2)
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := darray.NewUndistributed(ctx, "A", index.Dim(7)) // checkpoint has 29
-		_, err := Restore(ctx, dir, []*darray.Array{a})
+		a := darray.New(ctx, "A", index.Dim(7), nil) // checkpoint has 29
+		_, err := RestoreOpts(ctx, dir, []*darray.Array{a}, Options{})
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "domain") {

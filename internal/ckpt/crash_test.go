@@ -56,7 +56,7 @@ func restoreOpts(t *testing.T, np int, transport, dir string, opts Options, val 
 	repairs := make([]int, np)
 	err := m.Run(func(ctx *machine.Ctx) error {
 		dom := domFor("block")
-		a := darray.NewUndistributed(ctx, "A", dom)
+		a := darray.New(ctx, "A", dom, nil)
 		res, err := RestoreOpts(ctx, dir, []*darray.Array{a}, opts)
 		if err != nil {
 			return err
@@ -340,7 +340,7 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	m := machine.New(1)
 	defer m.Close()
 	err = m.Run(func(ctx *machine.Ctx) error {
-		_, err := RestoreOpts(ctx, only, []*darray.Array{darray.NewUndistributed(ctx, "A", domFor("block"))}, opts)
+		_, err := RestoreOpts(ctx, only, []*darray.Array{darray.New(ctx, "A", domFor("block"), nil)}, opts)
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "no committed checkpoint") || !strings.Contains(err.Error(), "format version 1") {

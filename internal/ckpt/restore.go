@@ -27,12 +27,6 @@ type RestoreResult struct {
 	Repaired int
 }
 
-// Restore fills the given arrays from the newest verifiably complete
-// epoch in dir with default I/O options (collective).  See RestoreOpts.
-func Restore(ctx *machine.Ctx, dir string, arrays []*darray.Array) (*RestoreResult, error) {
-	return RestoreOpts(ctx, dir, arrays, Options{})
-}
-
 // RestoreOpts fills the given arrays from the newest verifiably
 // complete epoch in dir (collective).  Epoch selection distrusts the
 // directory: an epoch whose manifest is unreadable, or whose data files

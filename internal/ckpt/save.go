@@ -16,12 +16,6 @@ import (
 	"repro/internal/trace"
 )
 
-// Save writes one coordinated checkpoint epoch of the given arrays with
-// default I/O options (collective).  See SaveOpts.
-func Save(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[string]string) (int, error) {
-	return SaveOpts(ctx, dir, arrays, meta, Options{})
-}
-
 // SaveOpts writes one coordinated checkpoint epoch of the given arrays
 // (collective; every rank passes the same arrays in the same order and
 // the same options).  Every array must currently be distributed.  meta

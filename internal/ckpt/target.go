@@ -4,8 +4,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-
-	"repro/internal/dist"
 )
 
 // virtualTarget replays a checkpointed processor arrangement without a
@@ -69,18 +67,6 @@ func (t virtualTarget) String() string {
 		parts[k] = "1:" + strconv.Itoa(e)
 	}
 	return "$CKPT(" + strings.Join(parts, ",") + ")"
-}
-
-// NewVirtualTarget exposes the replay target for tests and simulations
-// outside this package: a dense, 0-based, column-major processor array of
-// the given extents, implementing dist.Target without a live machine.
-// The redistribution planner's property tests use it to build and cross
-// arbitrary distributions (including multi-dimensional ones) without
-// spinning up transports.
-func NewVirtualTarget(extents ...int) dist.Target {
-	ext := make([]int, len(extents))
-	copy(ext, extents)
-	return virtualTarget{ext: ext}
 }
 
 // balancedExtents factors np into nd per-dimension extents whose product

@@ -135,20 +135,11 @@ type DistOption interface {
 
 type distConfig struct {
 	noTransfer []*Array
-	memBudget  *int64 // nil = use the engine default
 }
 
 type distOptionFunc func(*distConfig)
 
 func (f distOptionFunc) applyDist(c *distConfig) { f(c) }
-
-// MemBudget bounds the peak resident wire bytes per rank for this
-// DISTRIBUTE statement's data transfers, overriding the engine default
-// installed with Engine.SetMemBudget.  n <= 0 means unbounded (and also
-// overrides a bounded engine default back to unbounded).
-func MemBudget(n int64) DistOption {
-	return distOptionFunc(func(c *distConfig) { c.memBudget = &n })
-}
 
 // NoTransfer lists secondary arrays whose data is not physically moved by
 // the DISTRIBUTE — the paper's NOTRANSFER attribute ("only the access
@@ -209,11 +200,7 @@ func (e *Engine) Distribute(ctx *machine.Ctx, primaries []*Array, expr Expr, opt
 		if err != nil {
 			return err
 		}
-		budget := e.MemBudgetDefault()
-		if cfg.memBudget != nil {
-			budget = *cfg.memBudget
-		}
-		if err := e.distributeToBudget(ctx, b, newD, nt, budget); err != nil {
+		if err := e.distributeTo(ctx, b, newD, nt); err != nil {
 			return err
 		}
 	}
@@ -221,23 +208,20 @@ func (e *Engine) Distribute(ctx *machine.Ctx, primaries []*Array, expr Expr, opt
 }
 
 // distributeTo moves one primary's class to newD under the engine's
-// default memory budget.
+// memory budget, which bounds each member's peak resident wire bytes
+// (0 = unbounded).  On a traced run the whole statement is recorded as a
+// structural span; the per-array DISTRIBUTE spans the redistributions
+// open inside it carry the attributed costs.
 func (e *Engine) distributeTo(ctx *machine.Ctx, b *Array, newD *dist.Distribution, nt map[*Array]bool) error {
-	return e.distributeToBudget(ctx, b, newD, nt, e.MemBudgetDefault())
-}
-
-// distributeToBudget moves one primary's class to newD.  The whole
-// statement is recorded as a structural trace span; the per-array
-// DISTRIBUTE spans the redistributions open inside it carry the
-// attributed costs.  budget bounds each member's peak resident wire
-// bytes (0 = unbounded).
-func (e *Engine) distributeToBudget(ctx *machine.Ctx, b *Array, newD *dist.Distribution, nt map[*Array]bool, budget int64) error {
 	if !b.rng.Allows(newD.DistType()) {
 		return fmt.Errorf("core: DISTRIBUTE %s :: %v violates declared %v: %w", b.name, newD.DistType(), b.rng, ErrRangeViolation)
 	}
-	defer ctx.Tracer().BeginSpan(ctx.Rank(), trace.CatStmt, "DISTRIBUTE "+b.name).End()
+	if tr := ctx.Tracer(); tr.Enabled() {
+		// Built only here: an untraced statement allocates no span name.
+		defer tr.BeginSpan(ctx.Rank(), trace.CatStmt, "DISTRIBUTE "+b.name).End()
+	}
 	var bopt []darray.RedistOption
-	if budget > 0 {
+	if budget := e.MemBudgetDefault(); budget > 0 {
 		bopt = append(bopt, darray.MemBudget(budget))
 	}
 	// Step 1+2 (§3.2.2): new distribution and access functions for B.

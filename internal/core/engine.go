@@ -45,8 +45,8 @@ type Engine struct {
 	arrays map[string]*Array
 	order  []string
 
-	// memBudget is the default peak-resident-wire-bytes bound applied to
-	// every DISTRIBUTE data transfer (0 = unbounded; see darray.MemBudget).
+	// memBudget is the peak-resident-wire-bytes bound applied to every
+	// DISTRIBUTE data transfer (0 = unbounded; see darray.MemBudget).
 	memBudget atomic.Int64
 
 	// ckptMu guards ckptOpts (function-valued fields rule out an atomic).
@@ -72,16 +72,15 @@ func (e *Engine) CkptOptions() ckpt.Options {
 	return e.ckptOpts
 }
 
-// SetMemBudget installs a default redistribution memory budget: every
+// SetMemBudget installs the redistribution memory budget: every
 // DISTRIBUTE (and CallWith restore) executed through this engine bounds
-// its peak resident wire bytes per rank to n, unless a statement-level
-// core.MemBudget option overrides it.  n <= 0 restores the unbounded
-// default.  Safe to call from any rank, but the SPMD contract applies:
-// every rank must observe the same value at each collective.
+// its peak resident wire bytes per rank to n.  n <= 0 restores the
+// unbounded default.  Safe to call from any rank, but the SPMD contract
+// applies: every rank must observe the same value at each collective.
 func (e *Engine) SetMemBudget(n int64) { e.memBudget.Store(n) }
 
-// MemBudgetDefault returns the engine's default redistribution memory
-// budget (0 = unbounded).
+// MemBudgetDefault returns the engine's redistribution memory budget
+// (0 = unbounded).
 func (e *Engine) MemBudgetDefault() int64 { return e.memBudget.Load() }
 
 // NewEngine creates a scope on the given machine.  Collective-by-

@@ -113,33 +113,3 @@ func (a *Array) ReduceSum(ctx *machine.Ctx) (float64, error) {
 	}
 	return out[0], nil
 }
-
-// MaxAbsDiff compares two arrays with identical domains element-wise and
-// returns the maximum absolute difference on every rank.  Both arrays
-// must currently have the same distribution (it walks a's owned set and
-// reads b locally).
-func MaxAbsDiff(ctx *machine.Ctx, x, y *Array) (float64, error) {
-	if !x.dom.Equal(y.dom) {
-		return 0, fmt.Errorf("darray: MaxAbsDiff: domain mismatch between %s %v and %s %v",
-			x.name, x.dom, y.name, y.dom)
-	}
-	rank := ctx.Rank()
-	local := 0.0
-	if x.requireDist().IsPrimaryRank(rank) {
-		lx, ly := x.locals[rank], y.locals[rank]
-		lx.ForEachOwned(func(p index.Point, v *float64) {
-			dv := *v - ly.At(p)
-			if dv < 0 {
-				dv = -dv
-			}
-			if dv > local {
-				local = dv
-			}
-		})
-	}
-	out, err := ctx.Comm().AllreduceF64([]float64{local}, msg.MaxF64)
-	if err != nil {
-		return 0, fmt.Errorf("darray: MaxAbsDiff %s/%s at rank %d: %w", x.name, y.name, rank, err)
-	}
-	return out[0], nil
-}

@@ -88,7 +88,10 @@ func WithGhost(widths ...int) Option {
 
 // New collectively creates a distributed array.  Every processor must
 // call it with equivalent arguments (SPMD discipline); the returned
-// handle is shared.  The array's elements are zero-initialized.
+// handle is shared.  The array's elements are zero-initialized.  A nil d
+// creates a DYNAMIC array with no initial distribution (paper §2.3: it
+// "cannot be legally accessed before it has been explicitly associated
+// with a distribution"); accessors panic until the first RedistributeTo.
 func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, opts ...Option) *Array {
 	var o arrOpts
 	for _, op := range opts {
@@ -131,22 +134,11 @@ func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, 
 	return a
 }
 
-// NewUndistributed creates the handle of a DYNAMIC array that has no
-// initial distribution (paper §2.3: such an array "cannot be legally
-// accessed before it has been explicitly associated with a distribution").
-// Accessors panic until the first Redistribute.
-func NewUndistributed(ctx *machine.Ctx, name string, dom index.Domain) *Array {
-	return New(ctx, name, dom, nil)
-}
-
 // Name returns the array's declaration name.
 func (a *Array) Name() string { return a.name }
 
 // Domain returns the array's index domain.
 func (a *Array) Domain() index.Domain { return a.dom }
-
-// Ghost returns the per-dimension ghost widths.
-func (a *Array) Ghost() []int { return a.ghost }
 
 // Dist returns the current distribution (nil before the first
 // association).
@@ -304,16 +296,6 @@ type Local struct {
 	segLo []int
 	segHi []int
 	segOK bool
-	// ghost-face grids, memoized per (dimension, phase): the faces only
-	// depend on the owned grid and the (steady) face widths, so stencil
-	// iteration asks for the same four grids per dimension every step.
-	faces []faceEnt
-}
-
-type faceEnt struct {
-	run index.Run
-	g   index.Grid
-	ok  bool
 }
 
 // layoutOf computes rank's storage geometry under d.
@@ -453,24 +435,6 @@ func (l *Local) GhostHi() []int { return l.gHi }
 // is precomputed once per local allocation) and must not be modified.
 func (l *Local) Segment() (lo, hi []int, ok bool) {
 	return l.segLo, l.segHi, l.segOK
-}
-
-// face returns the owned grid with dimension k replaced by run r,
-// memoized per (dimension, phase) slot: ghost exchange requests the same
-// four faces per dimension on every stencil step, so after the first
-// exchange this allocates nothing.  Only the owning rank calls it.
-func (l *Local) face(k, slot int, r index.Run) index.Grid {
-	if l.faces == nil {
-		l.faces = make([]faceEnt, 4*len(l.grid.Dims))
-	}
-	e := &l.faces[4*k+slot]
-	if !e.ok || e.run != r {
-		g := index.Grid{Dims: make([]index.RunSet, len(l.grid.Dims))}
-		copy(g.Dims, l.grid.Dims)
-		g.Dims[k] = index.RunSet{r}
-		e.run, e.g, e.ok = r, g, true
-	}
-	return e.g
 }
 
 // li returns the local storage index of global index i along dimension k

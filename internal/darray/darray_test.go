@@ -127,7 +127,7 @@ func TestAccessBeforeDistributionPanics(t *testing.T) {
 	m := machine.New(2)
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
-		a := NewUndistributed(ctx, "U", index.Dim(4))
+		a := New(ctx, "U", index.Dim(4), nil)
 		if a.Distributed() {
 			t.Error("should be undistributed")
 		}
@@ -142,7 +142,7 @@ func TestAccessBeforeDistributionPanics(t *testing.T) {
 func TestFirstAssociationThenAccess(t *testing.T) {
 	run(t, 2, func(ctx *machine.Ctx) error {
 		tg := ctx.Machine().ProcsDim("P", 2).Whole()
-		a := NewUndistributed(ctx, "U", index.Dim(6))
+		a := New(ctx, "U", index.Dim(6), nil)
 		d := dist.MustNew(dist.NewType(dist.CyclicDim(1)), index.Dim(6), tg)
 		if err := a.RedistributeTo(ctx, d); err != nil {
 			return err
@@ -561,32 +561,4 @@ func TestDArrayOverTCP(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestMaxAbsDiff(t *testing.T) {
-	run(t, 2, func(ctx *machine.Ctx) error {
-		tg := ctx.Machine().ProcsDim("P", 2).Whole()
-		dom := index.Dim(6)
-		d := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
-		x := New(ctx, "X", dom, d)
-		y := New(ctx, "Y", dom, d)
-		x.Fill(ctx, 1)
-		y.Fill(ctx, 1)
-		ctx.Barrier()
-		if got, err := MaxAbsDiff(ctx, x, y); err != nil {
-			return err
-		} else if got != 0 {
-			t.Errorf("identical arrays diff = %v", got)
-		}
-		if ctx.Rank() == 1 {
-			y.Set(ctx, index.Point{6}, 3.5)
-		}
-		ctx.Barrier()
-		if got, err := MaxAbsDiff(ctx, x, y); err != nil {
-			return err
-		} else if got != 2.5 {
-			t.Errorf("diff = %v", got)
-		}
-		return nil
-	})
 }

@@ -309,39 +309,6 @@ func (d DimSpec) runSet(p, lo, n, np int) index.RunSet {
 	panic("dist: runSet unknown kind")
 }
 
-// localCount returns the number of indices owned by coordinate p.
-func (d DimSpec) localCount(p, lo, n, np int) int {
-	switch d.Kind {
-	case Block, SBlock, BBlock:
-		slo, shi := d.segBounds(p, lo, n, np)
-		if shi < slo {
-			return 0
-		}
-		return shi - slo + 1
-	case Cyclic:
-		if d.Phase != 0 {
-			return d.runSet(p, lo, n, np).Count()
-		}
-		k := normK(d.K)
-		full := n / (np * k)
-		rem := n - full*np*k
-		cnt := full * k
-		// leading remainder: coordinates 0.. get extra
-		start := p * k
-		extra := rem - start
-		if extra > k {
-			extra = k
-		}
-		if extra > 0 {
-			cnt += extra
-		}
-		return cnt
-	case Elided:
-		return n
-	}
-	panic("dist: localCount unknown kind")
-}
-
 // localIndex returns the 0-based local position of global index i on its
 // owning coordinate (the paper's loc_map, per dimension).
 func (d DimSpec) localIndex(i, lo, n, np int) int {

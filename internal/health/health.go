@@ -120,9 +120,6 @@ func New(np int, cfg Config) *Scorer {
 	return &Scorer{cfg: cfg.withDefaults(), ranks: make([]rankState, np)}
 }
 
-// Config returns the effective (defaulted) configuration.
-func (s *Scorer) Config() Config { return s.cfg }
-
 // Observe folds one work report from rank into the score: seq is the
 // report sequence (monotone per rank; stale or duplicate sequences are
 // ignored), units and secs are *cumulative* work units completed and
@@ -210,25 +207,6 @@ func (s *Scorer) medianLocked() float64 {
 	return (costs[mid-1] + costs[mid]) / 2
 }
 
-// Class returns rank's current classification (Healthy before any
-// observation).
-func (s *Scorer) Class(rank int) Class {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.ranks) {
-		return Healthy
-	}
-	return s.ranks[rank].class
-}
-
-// Slowdown returns rank's EWMA cost relative to the median (1 =
-// nominal, 8 = eight times slower; 1 before any observation).
-func (s *Scorer) Slowdown(rank int) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.slowdownLocked(rank)
-}
-
 func (s *Scorer) slowdownLocked(rank int) float64 {
 	if rank < 0 || rank >= len(s.ranks) || s.ranks[rank].n == 0 {
 		return 1
@@ -238,17 +216,6 @@ func (s *Scorer) slowdownLocked(rank int) float64 {
 		return 1
 	}
 	return s.ranks[rank].cost / med
-}
-
-// Observations returns how many scored observations rank has
-// contributed — the policy layer gates decisions on a warm-up count.
-func (s *Scorer) Observations(rank int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if rank < 0 || rank >= len(s.ranks) {
-		return 0
-	}
-	return s.ranks[rank].n
 }
 
 // Speeds returns the relative throughput of each given physical rank

@@ -4,6 +4,9 @@ import (
 	"testing"
 )
 
+// report is rank's line of s's health report.
+func report(s *Scorer, rank int) RankReport { return s.Report([]int{rank})[0] }
+
 // feed folds one per-unit-cost observation into rank's score: each call
 // advances the cumulative counters by (units, units×cost) so the delta
 // scored is exactly cost seconds per unit.
@@ -45,15 +48,15 @@ func TestHealthDetectsStraggler(t *testing.T) {
 		}
 		f.feed(s, 3, 8.0)
 	}
-	if c := s.Class(3); c != Suspect {
+	if c := report(s, 3).Class; c != Suspect {
 		t.Fatalf("8x rank classified %v after 12 rounds, want suspect", c)
 	}
 	for r := 0; r < 3; r++ {
-		if c := s.Class(r); c != Healthy {
+		if c := report(s, r).Class; c != Healthy {
 			t.Fatalf("healthy rank %d classified %v", r, c)
 		}
 	}
-	if sd := s.Slowdown(3); sd < 4 {
+	if sd := report(s, 3).Slowdown; sd < 4 {
 		t.Fatalf("slowdown(3) = %.2f, want ≈8", sd)
 	}
 	rep := s.Report([]int{0, 1, 2, 3})
@@ -80,7 +83,7 @@ func TestHysteresisSingleSlowStepNeverFlips(t *testing.T) {
 		}
 		f.feed(s, 2, 100.0)
 		f.feed(s, 3, 1.0)
-		if c := s.Class(2); c != Healthy {
+		if c := report(s, 2).Class; c != Healthy {
 			t.Fatalf("hysteresis=%d: a single slow step flipped rank 2 to %v", hyst, c)
 		}
 	}
@@ -99,7 +102,7 @@ func TestHysteresisRecovery(t *testing.T) {
 		}
 		f.feed(s, 3, 4.0)
 	}
-	if c := s.Class(3); c != Degraded {
+	if c := report(s, 3).Class; c != Degraded {
 		t.Fatalf("rank 3 = %v, want degraded", c)
 	}
 	// Recovery: nominal again.  The short window forgets fast; the
@@ -109,7 +112,7 @@ func TestHysteresisRecovery(t *testing.T) {
 		for r := 0; r < 4; r++ {
 			f.feed(s, r, 1.0)
 		}
-		if s.Class(3) == Healthy {
+		if report(s, 3).Class == Healthy {
 			flipped = i
 			break
 		}
@@ -133,11 +136,11 @@ func TestHealthDedupBySeq(t *testing.T) {
 	for i := 0; i < 5; i++ { // same report, five monitors
 		s.Observe(1, 1, 100, 100)
 	}
-	if n := s.Observations(1); n != 1 {
+	if n := report(s, 1).Observations; n != 1 {
 		t.Fatalf("observations = %d after replaying seq 1 five times, want 1", n)
 	}
 	s.Observe(1, 0, 50, 50) // stale sequence: ignored
-	if n := s.Observations(1); n != 1 {
+	if n := report(s, 1).Observations; n != 1 {
 		t.Fatalf("stale sequence was scored: observations = %d", n)
 	}
 }
@@ -171,7 +174,7 @@ func TestHealthNoObservationsIsHealthy(t *testing.T) {
 	if _, _, _, ok := s.Worst([]int{0, 1, 2}); ok {
 		t.Fatal("Worst found a straggler in an empty scorer")
 	}
-	if s.Class(1) != Healthy || s.Slowdown(1) != 1 {
+	if report(s, 1).Class != Healthy || report(s, 1).Slowdown != 1 {
 		t.Fatal("unobserved rank not nominal")
 	}
 	sp := s.Speeds([]int{0, 1, 2})

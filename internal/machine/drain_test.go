@@ -171,22 +171,22 @@ func TestHealthPiggyback(t *testing.T) {
 	if h == nil {
 		t.Fatal("Machine.Health() = nil with WithHealth")
 	}
-	if n := h.Observations(3); n < 3 {
+	rep := h.Report([]int{0, 1, 2, 3})
+	if n := rep[3].Observations; n < 3 {
 		t.Fatalf("only %d observations of rank 3 made it through the heartbeat plane", n)
 	}
-	if c := h.Class(3); c != health.Degraded {
+	if c := rep[3].Class; c != health.Degraded {
 		t.Fatalf("8x rank classified %v, want degraded (slowdown %.2f over %d obs)",
-			c, h.Slowdown(3), h.Observations(3))
+			c, rep[3].Slowdown, rep[3].Observations)
 	}
-	if sd := h.Slowdown(3); sd < 3 {
+	if sd := rep[3].Slowdown; sd < 3 {
 		t.Fatalf("slowdown(3) = %.2f, want ≈8", sd)
 	}
 	for r := 0; r < 3; r++ {
-		if c := h.Class(r); c != health.Healthy {
+		if c := rep[r].Class; c != health.Healthy {
 			t.Fatalf("healthy rank %d classified %v", r, c)
 		}
 	}
-	rep := h.Report([]int{0, 1, 2, 3})
 	if !rep[3].EverDegraded {
 		t.Fatal("EverDegraded not set on the straggler")
 	}

@@ -12,16 +12,6 @@ import (
 // reflect true message sizes (8 bytes per REAL*8 element, as on the
 // machines the paper targeted).
 
-// AppendUint64s appends 64-bit values to buf.
-func AppendUint64s(buf []byte, vals []uint64) []byte {
-	off := len(buf)
-	buf = append(buf, make([]byte, 8*len(vals))...)
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[off+8*i:], v)
-	}
-	return buf
-}
-
 // EncodeFloat64s encodes a []float64 payload.
 func EncodeFloat64s(vals []float64) []byte {
 	return AppendFloat64s(nil, vals)
@@ -97,15 +87,6 @@ func DecodeFloat64sInto(dst []float64, buf []byte) {
 	for i := range dst {
 		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
 	}
-}
-
-// EncodeInt64s encodes a []int64 payload.
-func EncodeInt64s(vals []int64) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(v))
-	}
-	return buf
 }
 
 // DecodeInt64s decodes a []int64 payload.

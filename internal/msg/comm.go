@@ -36,17 +36,6 @@ type CommConfig struct {
 	// MaxBackoff likewise caps the escalated sleep between failed send
 	// attempts.
 	MaxBackoff time.Duration
-	// Jitter randomizes every escalated backoff sleep by ±Jitter as a
-	// fraction of the escalated value (clamped to [0,1]).  Without it the
-	// escalation is fully deterministic, so all ranks retrying against
-	// one slow peer wake in lockstep and collide again; a fraction around
-	// 0.5 spreads the herd.  The jitter stream is a pure function of
-	// (JitterSeed, rank, operation, attempt), so a seeded run replays
-	// identically.
-	Jitter float64
-	// JitterSeed seeds the deterministic jitter stream (any value,
-	// including 0, is a valid seed).
-	JitterSeed int64
 }
 
 // RetryPolicy is the deadline/retry policy the apps and vfrun run under:
@@ -85,51 +74,10 @@ func escalate(d time.Duration, attempt int, max time.Duration) time.Duration {
 	return e
 }
 
-// splitmix64 is the SplitMix64 finalizer: a cheap, well-distributed
-// stateless hash used to derive the jitter stream.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// hashOp folds an operation name into the jitter key.
-func hashOp(op string) uint64 {
-	const offset, prime = 14695981039346656037, 1099511628211 // FNV-1a
-	h := uint64(offset)
-	for i := 0; i < len(op); i++ {
-		h = (h ^ uint64(op[i])) * prime
-	}
-	return h
-}
-
-// BackoffDelay returns the sleep before retry attempt+1 of the named
-// operation on the given rank: the exponentially escalated Backoff,
-// randomized by ±Jitter when configured.  The jitter is a pure function
-// of (JitterSeed, rank, op, attempt) — deterministic for reproducible
-// tests, yet distinct across ranks and attempts so retry herds against a
-// slow peer de-synchronize.  Zero Jitter reproduces the historical
-// deterministic escalation exactly.
-func (cfg CommConfig) BackoffDelay(rank int, op string, attempt int) time.Duration {
-	base := escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
-	j := cfg.Jitter
-	if j <= 0 || base <= 0 {
-		return base
-	}
-	if j > 1 {
-		j = 1
-	}
-	h := splitmix64(uint64(cfg.JitterSeed) ^ hashOp(op) ^ uint64(rank)<<32 ^ uint64(attempt))
-	u := float64(h>>11) / float64(1<<53) // uniform in [0,1)
-	d := time.Duration(float64(base) * (1 + j*(2*u-1)))
-	if d < 0 {
-		d = 0
-	}
-	if cfg.MaxBackoff > 0 && d > cfg.MaxBackoff {
-		d = cfg.MaxBackoff
-	}
-	return d
+// BackoffDelay returns the sleep before retry attempt+1: Backoff doubled
+// per attempt, capped at MaxBackoff.
+func (cfg CommConfig) BackoffDelay(attempt int) time.Duration {
+	return escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
 }
 
 // liveChecker is the optional endpoint facet consulted before every
@@ -171,7 +119,7 @@ func SendRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, to, tag
 			tr.Instant(ep.Rank(), trace.CatCollective, "retry:"+op, to, int64(attempt+1))
 		}
 		if cfg.Backoff > 0 {
-			time.Sleep(cfg.BackoffDelay(ep.Rank(), op, attempt))
+			time.Sleep(cfg.BackoffDelay(attempt))
 		}
 	}
 }
@@ -202,7 +150,7 @@ func RecvRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, from, t
 			tr.Instant(ep.Rank(), trace.CatCollective, "retry:"+op, from, int64(attempt+1))
 		}
 		if cfg.Backoff > 0 {
-			time.Sleep(cfg.BackoffDelay(ep.Rank(), op, attempt))
+			time.Sleep(cfg.BackoffDelay(attempt))
 		}
 	}
 }
@@ -339,16 +287,10 @@ func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// ReduceF64 reduces elementwise over op into root; on root the returned
-// slice holds the reduction, on others it is nil.  All processors must
-// pass slices of identical length.
-func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64) ([]float64, error) {
-	return c.reduce(root, vals, []func(a, b float64) float64{op})
-}
-
-// reduce is the binomial-tree reduction under every Reduce and Allreduce:
+// reduce is the binomial-tree reduction into root under every Allreduce:
 // element i combines under ops[i], or under ops[0] when ops holds one
-// operation for every element.
+// operation for every element.  On root the returned slice holds the
+// reduction, on others it is nil.
 func (c *Comm) reduce(root int, vals []float64, ops []func(a, b float64) float64) ([]float64, error) {
 	if c.tr != nil {
 		defer c.span("reduce").End()
@@ -434,24 +376,6 @@ func (c *Comm) allreduce(vals []float64, ops []func(a, b float64) float64) ([]fl
 		return nil, fmt.Errorf("msg: allreduce: rank %d: result of %d bytes, want %d", c.Rank(), len(out), 8*len(vals))
 	}
 	return DecodeFloat64s(out), nil
-}
-
-// ReduceInts reduces an []int elementwise into root.
-func (c *Comm) ReduceInts(root int, vals []int, op func(a, b int) int) ([]int, error) {
-	f := make([]float64, len(vals))
-	for i, v := range vals {
-		f[i] = float64(v)
-	}
-	fop := func(a, b float64) float64 { return float64(op(int(a), int(b))) }
-	r, err := c.ReduceF64(root, f, fop)
-	if err != nil || r == nil {
-		return nil, err
-	}
-	out := make([]int, len(r))
-	for i, v := range r {
-		out[i] = int(v)
-	}
-	return out, nil
 }
 
 // AllreduceInts reduces an []int over all processors; every processor gets
@@ -728,20 +652,6 @@ func (c *Comm) AlltoallvStream(pack func(to int) ([]byte, error), recvFrom []boo
 	})
 }
 
-// SendRecv exchanges buffers with two (possibly different) peers in one
-// step: sends sbuf to `to` while receiving from `from`.  Used by shift
-// communications (ghost-cell exchange).
-func (c *Comm) SendRecv(to int, sbuf []byte, from, tag int) ([]byte, error) {
-	if err := c.send("sendrecv", to, tag, sbuf); err != nil {
-		return nil, err
-	}
-	p, err := c.recv("sendrecv", from, tag)
-	if err != nil {
-		return nil, err
-	}
-	return p.Data, nil
-}
-
 // BcastInts broadcasts an []int from root and returns it on every rank.
 func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
 	var buf []byte
@@ -755,17 +665,9 @@ func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
 	return DecodeInts(out), nil
 }
 
-// MaxInt / SumInt / MinInt are reduction ops.
+// MaxInt returns the larger of a and b.
 func MaxInt(a, b int) int {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinInt returns the smaller of a and b.
-func MinInt(a, b int) int {
-	if a < b {
 		return a
 	}
 	return b
@@ -780,14 +682,6 @@ func SumF64(a, b float64) float64 { return a + b }
 // MaxF64 returns the larger of a and b.
 func MaxF64(a, b float64) float64 {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// MinF64 returns the smaller of a and b.
-func MinF64(a, b float64) float64 {
-	if a < b {
 		return a
 	}
 	return b

@@ -84,7 +84,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 	for _, np := range []int{1, 2, 3, 6, 8} {
 		tr := runComms(t, np, func(c *Comm) error {
 			vals := []float64{float64(c.Rank() + 1), float64(c.Rank() * 2)}
-			r, err := c.ReduceF64(0, vals, SumF64)
+			r, err := c.reduce(0, vals, []func(a, b float64) float64{SumF64})
 			if err != nil {
 				return err
 			}
@@ -118,7 +118,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 
 func TestReduceNonRoot(t *testing.T) {
 	tr := runComms(t, 4, func(c *Comm) error {
-		r, err := c.ReduceInts(2, []int{c.Rank()}, SumInt)
+		r, err := c.reduce(2, []float64{float64(c.Rank())}, []func(a, b float64) float64{SumF64})
 		if err != nil {
 			return err
 		}
@@ -404,7 +404,7 @@ func eachVals(rank int) []float64 {
 	return []float64{x, x, 1e16 - x, float64(rank % 3)}
 }
 
-var eachOps = []func(a, b float64) float64{SumF64, MaxF64, SumF64, MinF64}
+var eachOps = []func(a, b float64) float64{SumF64, MaxF64, SumF64, math.Min}
 
 // TestAllreduceEachMatchesSeparate: the fused reduction gives every rank,
 // on both transports, the bits that one AllreduceF64 per element gives.
@@ -527,7 +527,7 @@ func TestAllreduceEachLengthMismatch(t *testing.T) {
 	errs := runWindowRanks(tr, CommConfig{Timeout: 50 * time.Millisecond}, func(c *Comm) error {
 		vals, ops := []float64{1, 2}, []func(a, b float64) float64{SumF64, MaxF64}
 		if c.Rank() == 2 {
-			vals, ops = append(vals, 3), append(ops, MinF64)
+			vals, ops = append(vals, 3), append(ops, math.Min)
 		}
 		_, err := c.AllreduceEach(vals, ops...)
 		return err
@@ -563,23 +563,6 @@ func TestCollectivesOverTCP(t *testing.T) {
 		}
 		return nil
 	})
-}
-
-func TestSendRecvShift(t *testing.T) {
-	np := 4
-	tr := runComms(t, np, func(c *Comm) error {
-		right := (c.Rank() + 1) % np
-		left := (c.Rank() - 1 + np) % np
-		got, err := c.SendRecv(right, EncodeInts([]int{c.Rank()}), left, 99)
-		if err != nil {
-			return err
-		}
-		if DecodeInts(got)[0] != left {
-			t.Errorf("shift got %d want %d", DecodeInts(got)[0], left)
-		}
-		return nil
-	})
-	tr.Close()
 }
 
 func TestScatterv(t *testing.T) {

@@ -221,11 +221,6 @@ func TestCodecRoundTrips(t *testing.T) {
 			t.Fatalf("int roundtrip[%d] = %d want %d", i, gi[i], ints[i])
 		}
 	}
-	i64 := []int64{-5, 9}
-	g64 := DecodeInt64s(EncodeInt64s(i64))
-	if g64[0] != -5 || g64[1] != 9 {
-		t.Fatal("int64 roundtrip wrong")
-	}
 }
 
 func TestStatsCounting(t *testing.T) {

@@ -104,61 +104,13 @@ func TestSlowFaultArmDisarm(t *testing.T) {
 	}
 }
 
-// TestBackoffJitterDeterministic: the jitter stream is a pure function
-// of (seed, rank, op, attempt) — two configs with the same seed agree
-// delay for delay, a different seed diverges somewhere, and every value
-// stays within ±Jitter of the escalated base (and under MaxBackoff).
-func TestBackoffJitterDeterministic(t *testing.T) {
-	cfg := CommConfig{Backoff: time.Millisecond, MaxBackoff: 64 * time.Millisecond, Jitter: 0.5, JitterSeed: 42}
-	same := cfg
-	other := cfg
-	other.JitterSeed = 43
-	diverged := false
-	for rank := 0; rank < 4; rank++ {
-		for attempt := 0; attempt < 6; attempt++ {
-			d := cfg.BackoffDelay(rank, "bcast", attempt)
-			if d != same.BackoffDelay(rank, "bcast", attempt) {
-				t.Fatalf("same seed diverged at rank %d attempt %d", rank, attempt)
-			}
-			if d != other.BackoffDelay(rank, "bcast", attempt) {
-				diverged = true
-			}
-			base := escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
-			lo := time.Duration(float64(base) * 0.5)
-			hi := time.Duration(float64(base) * 1.5)
-			if hi > cfg.MaxBackoff {
-				hi = cfg.MaxBackoff
-			}
-			if d < lo || d > hi {
-				t.Fatalf("rank %d attempt %d: delay %v outside [%v, %v]", rank, attempt, d, lo, hi)
-			}
-		}
-	}
-	if !diverged {
-		t.Fatal("different seeds produced identical jitter streams")
-	}
-}
-
-// TestBackoffJitterSpreadsRanks: the whole point — ranks retrying the
-// same operation at the same attempt must not wake at the same instant.
-func TestBackoffJitterSpreadsRanks(t *testing.T) {
-	cfg := CommConfig{Backoff: 8 * time.Millisecond, Jitter: 0.5, JitterSeed: 1}
-	seen := map[time.Duration]bool{}
-	for rank := 0; rank < 8; rank++ {
-		seen[cfg.BackoffDelay(rank, "gather", 2)] = true
-	}
-	if len(seen) < 6 {
-		t.Fatalf("8 ranks collapsed onto %d distinct delays — the herd is still in lockstep", len(seen))
-	}
-}
-
-// TestBackoffJitterZeroIsLegacy: Jitter 0 must reproduce the historical
-// deterministic escalation bit for bit.
-func TestBackoffJitterZeroIsLegacy(t *testing.T) {
+// TestBackoffDelayEscalates: the sleep before each retry is the plain
+// deterministic escalation of Backoff, capped at MaxBackoff.
+func TestBackoffDelayEscalates(t *testing.T) {
 	cfg := CommConfig{Backoff: time.Millisecond, MaxBackoff: 16 * time.Millisecond}
 	for attempt := 0; attempt < 8; attempt++ {
 		want := escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
-		if got := cfg.BackoffDelay(3, "scatter", attempt); got != want {
+		if got := cfg.BackoffDelay(attempt); got != want {
 			t.Fatalf("attempt %d: BackoffDelay = %v, want plain escalate %v", attempt, got, want)
 		}
 	}

@@ -95,9 +95,6 @@ func NewView(inner Endpoint, epoch int, phys []int, check func() error) *View {
 	return v
 }
 
-// Epoch returns the membership epoch this view belongs to.
-func (v *View) Epoch() int { return v.epoch }
-
 // Phys returns the physical rank of view rank r.
 func (v *View) Phys(r int) int { return v.phys[r] }
 

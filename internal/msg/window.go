@@ -2,38 +2,31 @@ package msg
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
 // One-sided communication windows.
 //
 // A Window exposes each processor's registered []float64 storage for
-// remote put/get access — the PGAS model layered over the repo's
-// two-sided transports.  Every rank registers its own storage slice;
-// afterwards any rank may Put into (or Get out of) a peer's registered
-// region described by a Rect, without the target posting a matching
-// receive for the data.
+// remote access — the PGAS model layered over the repo's two-sided
+// transports.  Every rank registers its own storage slice; afterwards a
+// rank may put into a peer's registered region described by a Rect, or
+// pull a region its owner offered.
 //
-// Three completion disciplines are offered:
+// Two completion disciplines are offered, both on counted streams
+// (subtags 1..63):
 //
-//   - Counted streams (PutAsync / AwaitPut, subtags 1..63): the initiator
-//     puts into a known target region and the target later consumes
-//     exactly one completion per expected put.  This is the ghost-exchange
-//     discipline — both sides can derive the transfer geometry from the
-//     (replicated) distribution descriptor, so the wire carries payload
-//     only and the message/byte accounting is identical to the two-sided
-//     exchange it replaces.
-//   - Offers (Offer / Pull, the same counted streams): the owner offers a
-//     region of its registered storage and the receiver pulls it into
-//     storage of its own that need not be registered — the DISTRIBUTE
-//     discipline, where the destination must stay private until a commit.
-//     On shared memory the receiver makes the only copy.
-//   - Fence epochs (Put / Get / Fence, subtag 0): MPI-style active-target
-//     synchronization.  Operations are buffered logically into an access
-//     epoch; Fence announces per-peer operation counts, drains and applies
-//     every incoming operation, services get requests, and returns when
-//     both sides of every pairing are complete.
+//   - Puts (PutAsync / AwaitPut): the initiator puts into a known target
+//     region and the target later consumes exactly one completion per
+//     expected put.  This is the ghost-exchange discipline — both sides
+//     can derive the transfer geometry from the (replicated) distribution
+//     descriptor, so the wire carries payload only and the message/byte
+//     accounting is identical to the two-sided exchange it replaces.
+//   - Offers (Offer / Pull): the owner offers a region of its registered
+//     storage and the receiver pulls it into storage of its own that need
+//     not be registered — the DISTRIBUTE discipline, where the destination
+//     must stay private until a commit.  On shared memory the receiver
+//     makes the only copy.
 //
 // Transport interplay:
 //
@@ -56,7 +49,7 @@ import (
 // Failure semantics: on the shared-memory path the direct copy happens
 // before the notification token is sent, so a put whose token is lost
 // may leave target memory updated while the completion errors out — as
-// with MPI RMA, window contents are undefined after a failed epoch.  An
+// with MPI RMA, window contents are undefined after a failed put.  An
 // offer whose token is lost copies nothing; but a token that arrives
 // after its pull gave up stays queued and would complete the next pull
 // on that stream, so a counted stream must not be reused after a failed
@@ -261,9 +254,10 @@ func ApplyRect(dst []float64, r Rect, payload []byte) error {
 }
 
 // Window tag layout: each window owns winTagSlots consecutive tags above
-// winTagBase; subtag 0 is the fence-epoch stream, subtags 1..63 are
-// counted put streams.  The window id rotates through the space, which
-// holds ~1M concurrently-live windows per transport.
+// winTagBase; subtags 1..63 are the counted streams, and subtag 0 is
+// unused so that every stream keeps its tag on the wire.  The window id
+// rotates through the space, which holds ~1M concurrently-live windows
+// per transport.
 const (
 	winTagSlots = 64
 	winTagBase  = TagRMABase + 8192
@@ -275,29 +269,18 @@ const MaxSubtag = winTagSlots - 1
 
 var winSeq atomic.Int64
 
-// fence frame kinds (first payload byte of a subtag-0 frame).
-const (
-	frPut      = 1 // put: [kind][rect?][payload?] (rect+payload absent on the shared path)
-	frAnnounce = 2 // fence announcement: [kind][u32 ops-sent-to-you]
-	frGetReq   = 3 // get request: [kind][rect]
-	frGetRep   = 4 // get reply: [kind][payload]
-	frAck      = 5 // fence completion ack: [kind]
-)
-
 // Window is a one-sided access window over per-rank registered storage.
 // The object is shared by all ranks of a transport (SPMD discipline);
 // per-rank state is indexed by rank.
 type Window struct {
 	id     int
 	name   string
-	np     int
 	stats  *Stats
 	cost   *CostModel
 	shared []winShared
-	fence  []winFence
 	// op names handed to SendRetry/RecvRetry, built once: the counted
 	// streams run per message and must not concatenate per call.
-	opPut, opAwait, opGet, opFence, opOffer, opPull string
+	opPut, opAwait, opOffer, opPull string
 }
 
 // winShared is per-rank hot-path state.
@@ -307,14 +290,6 @@ type winShared struct {
 	_       [40]byte  // keep ranks off each other's cache lines
 }
 
-// winFence is per-rank fence-epoch state, allocated lazily on first use.
-type winFence struct {
-	once sync.Once
-	sent []int  // ops sent to each peer this epoch (subtag-0 puts + get requests)
-	pend []Rect // flattened pending gets: destination rects, FIFO per peer
-	from []int  // pending gets: target rank per entry (parallel to pend)
-}
-
 // NewWindow creates a window for np ranks.  stats must be non-nil; cost
 // may be nil.  All ranks must share the returned object (create it once
 // and publish it, e.g. via a collective constructor).
@@ -322,16 +297,12 @@ func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 	return &Window{
 		id:     int(winSeq.Add(1)),
 		name:   name,
-		np:     np,
 		stats:  stats,
 		cost:   cost,
 		shared: make([]winShared, np),
-		fence:  make([]winFence, np),
 
 		opPut:   "win-put " + name,
 		opAwait: "win-await " + name,
-		opGet:   "win-get " + name,
-		opFence: "win-fence " + name,
 		opOffer: "win-offer " + name,
 		opPull:  "win-pull " + name,
 	}
@@ -578,267 +549,4 @@ func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 		return Packet{}, w.opErr("pull from", from, err)
 	}
 	return p, nil
-}
-
-func (w *Window) fenceState(rank int) *winFence {
-	f := &w.fence[rank]
-	f.once.Do(func() { f.sent = make([]int, w.np) })
-	return f
-}
-
-// appendRectWire appends a rect's wire encoding: [u8 ndims][i64 off]
-// then (stride, count) i64 pairs.
-func appendRectWire(buf []byte, r Rect) []byte {
-	buf = append(buf, byte(len(r.Dims)))
-	vals := make([]uint64, 0, 1+2*len(r.Dims))
-	vals = append(vals, uint64(int64(r.Off)))
-	for _, d := range r.Dims {
-		vals = append(vals, uint64(int64(d.Stride)), uint64(int64(d.Count)))
-	}
-	return AppendUint64s(buf, vals)
-}
-
-// decodeRectWire decodes a rect, returning it and the remaining bytes.
-func decodeRectWire(buf []byte) (Rect, []byte, error) {
-	if len(buf) < 1 {
-		return Rect{}, nil, fmt.Errorf("msg: truncated rect header")
-	}
-	nd := int(buf[0])
-	need := 8 * (1 + 2*nd)
-	buf = buf[1:]
-	if len(buf) < need {
-		return Rect{}, nil, fmt.Errorf("msg: truncated rect (%d bytes, want %d)", len(buf), need)
-	}
-	vals := DecodeInt64s(buf[:need])
-	r := Rect{Off: int(vals[0]), Dims: make([]RectDim, nd)}
-	for i := 0; i < nd; i++ {
-		r.Dims[i] = RectDim{Stride: int(vals[1+2*i]), Count: int(vals[2+2*i])}
-	}
-	return r, buf[need:], nil
-}
-
-// Put stores the caller's src region into rank to's dst region within
-// the current fence epoch.  The target observes the data after its next
-// Fence that pairs with the caller's.
-func (w *Window) Put(c *Comm, to int, src, dst Rect) error {
-	if sc, dc := src.Count(), dst.Count(); sc != dc {
-		panic(fmt.Sprintf("msg: window %s: put count mismatch: src %d, dst %d", w.name, sc, dc))
-	}
-	rank := c.Rank()
-	sh := &w.shared[rank]
-	if err := src.validate(len(sh.data)); err != nil {
-		return w.opErr("put to", to, err)
-	}
-	st := w.fenceState(rank)
-	var frame []byte
-	if sharedMemory(c.ep) {
-		tbuf := w.shared[to].data
-		if err := dst.validate(len(tbuf)); err != nil {
-			return w.opErr("put to", to, err)
-		}
-		copyRect(tbuf, dst, sh.data, src)
-		frame = []byte{frPut}
-	} else {
-		frame = append(sh.sendBuf[:0], frPut)
-		frame = appendRectWire(frame, dst)
-		frame = PackRect(frame, sh.data, src)
-		sh.sendBuf = frame
-	}
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, w.tag(0), frame); err != nil {
-		return w.opErr("put to", to, err)
-	}
-	if sharedMemory(c.ep) {
-		w.accountDirect(c.ep, rank, to, 8*src.Count())
-	}
-	st.sent[to]++
-	return nil
-}
-
-// Get fetches rank from's src region into the caller's dst region.  On
-// shared memory the data is read directly (and is whatever the source
-// epoch last published); on framed transports the value arrives by the
-// end of the caller's next Fence.
-func (w *Window) Get(c *Comm, from int, src, dst Rect) error {
-	if sc, dc := src.Count(), dst.Count(); sc != dc {
-		panic(fmt.Sprintf("msg: window %s: get count mismatch: src %d, dst %d", w.name, sc, dc))
-	}
-	rank := c.Rank()
-	sh := &w.shared[rank]
-	if err := dst.validate(len(sh.data)); err != nil {
-		return w.opErr("get from", from, err)
-	}
-	if sharedMemory(c.ep) {
-		fbuf := w.shared[from].data
-		if err := src.validate(len(fbuf)); err != nil {
-			return w.opErr("get from", from, err)
-		}
-		copyRect(sh.data, dst, fbuf, src)
-		// Simulated one-sided fetch: account a request/reply round trip's
-		// payload on both sides and charge the caller its modeled cost
-		// (the accounting convention of darray's element-level RMA).
-		n := 8 * src.Count()
-		w.accountDirect(c.ep, from, rank, n)
-		if w.cost != nil {
-			w.cost.Charge(physOf(c.ep, rank), 2*w.cost.Alpha+w.cost.Beta*float64(n))
-		}
-		return nil
-	}
-	st := w.fenceState(rank)
-	frame := append(sh.sendBuf[:0], frGetReq)
-	frame = appendRectWire(frame, src)
-	sh.sendBuf = frame
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opGet, from, w.tag(0), frame); err != nil {
-		return w.opErr("get from", from, err)
-	}
-	st.sent[from]++
-	st.pend = append(st.pend, dst)
-	st.from = append(st.from, from)
-	return nil
-}
-
-// Fence completes the current access epoch against the given peers:
-// announces how many operations the caller issued toward each, drains
-// and applies every incoming operation, services incoming get requests,
-// collects the caller's own get replies, and exchanges a final ack round
-// so no peer starts its next epoch before everyone in this one has
-// drained.  Every listed peer must call Fence listing the caller
-// symmetrically.  After Fence returns, all puts toward the caller from
-// fenced peers are visible and all the caller's gets have completed.
-func (w *Window) Fence(c *Comm, peers []int) error {
-	rank := c.Rank()
-	st := w.fenceState(rank)
-	var hdr [5]byte
-	for _, p := range peers {
-		hdr[0] = frAnnounce
-		PutUint32(hdr[:], 1, uint32(st.sent[p]))
-		if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0), hdr[:]); err != nil {
-			return w.opErr("fence announce to", p, err)
-		}
-		st.sent[p] = 0
-	}
-	// Drain from all peers at once (AnySource): a fixed per-peer drain
-	// order can deadlock a get cycle, since a peer's reply only arrives
-	// once that peer drains us.  Frames from one peer arrive in send
-	// order (per-(from,tag) FIFO), so its operations precede its
-	// announce; replies and acks may arrive in any interleaving after.
-	need := make(map[int]int, len(peers)) // announced op count per peer (-1: not yet announced)
-	got := make(map[int]int, len(peers))  // ops consumed per peer
-	reps := make(map[int]int, len(peers)) // get replies received per peer
-	acked := make(map[int]bool, len(peers))
-	wantReps := make(map[int]int, len(peers))
-	for _, p := range peers {
-		need[p] = -1
-	}
-	for _, p := range st.from {
-		wantReps[p]++
-	}
-	pending := func() bool {
-		for _, p := range peers {
-			if need[p] < 0 || got[p] < need[p] || reps[p] < wantReps[p] {
-				return true
-			}
-		}
-		return false
-	}
-	for pending() {
-		p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opFence, AnySource, w.tag(0))
-		if err != nil {
-			return w.opErr("fence drain from", AnySource, err)
-		}
-		if _, ok := need[p.From]; !ok {
-			return w.opErr("fence drain from", p.From, fmt.Errorf("msg: frame from rank outside fence group"))
-		}
-		if len(p.Data) == 0 {
-			return w.opErr("fence drain from", p.From, fmt.Errorf("msg: empty fence frame"))
-		}
-		kind, body := p.Data[0], p.Data[1:]
-		switch kind {
-		case frPut:
-			if len(body) > 0 {
-				dst, payload, err := decodeRectWire(body)
-				if err != nil {
-					return w.opErr("fence put from", p.From, err)
-				}
-				if err := ApplyRect(w.shared[rank].data, dst, payload); err != nil {
-					return w.opErr("fence put from", p.From, err)
-				}
-			}
-			// On the shared path the sender already applied the data; the
-			// token only carries the count and the happens-before edge.
-			got[p.From]++
-		case frGetReq:
-			src, rest, err := decodeRectWire(body)
-			if err != nil {
-				return w.opErr("fence get-request from", p.From, err)
-			}
-			if len(rest) != 0 {
-				return w.opErr("fence get-request from", p.From, fmt.Errorf("msg: trailing bytes"))
-			}
-			sh := &w.shared[rank]
-			if err := src.validate(len(sh.data)); err != nil {
-				return w.opErr("fence get-request from", p.From, err)
-			}
-			rep := append([]byte{frGetRep}, PackRect(nil, sh.data, src)...)
-			if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p.From, w.tag(0), rep); err != nil {
-				return w.opErr("fence get-reply to", p.From, err)
-			}
-			got[p.From]++
-		case frGetRep:
-			// Match this peer's reps-th pending get on that peer (FIFO:
-			// the peer services requests in the order they were sent).
-			idx, seen := -1, 0
-			for i, fp := range st.from {
-				if fp == p.From {
-					if seen == reps[p.From] {
-						idx = i
-						break
-					}
-					seen++
-				}
-			}
-			if idx < 0 {
-				return w.opErr("fence get-reply from", p.From, fmt.Errorf("msg: unexpected reply"))
-			}
-			if err := ApplyRect(w.shared[rank].data, st.pend[idx], body); err != nil {
-				return w.opErr("fence get-reply from", p.From, err)
-			}
-			reps[p.From]++
-		case frAnnounce:
-			if len(body) != 4 {
-				return w.opErr("fence announce from", p.From, fmt.Errorf("msg: malformed announce"))
-			}
-			need[p.From] = int(GetUint32(p.Data, 1))
-		case frAck:
-			// A peer that finished draining before we did; remember it so
-			// the ack round below does not wait for it again.
-			acked[p.From] = true
-		default:
-			return w.opErr("fence drain from", p.From, fmt.Errorf("msg: unknown frame kind %d", kind))
-		}
-	}
-	st.pend = st.pend[:0]
-	st.from = st.from[:0]
-	// Ack round: a peer may only leave the fence (and start next-epoch
-	// traffic) once every peer has acked, i.e. finished draining.  Acks
-	// are awaited per peer — by FIFO the first unconsumed frame from a
-	// finished peer is its ack, never a next-epoch operation.
-	ack := [1]byte{frAck}
-	for _, p := range peers {
-		if err := SendRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0), ack[:]); err != nil {
-			return w.opErr("fence ack to", p, err)
-		}
-	}
-	for _, p := range peers {
-		if acked[p] {
-			continue
-		}
-		pk, err := RecvRetry(c.ep, c.cfg, c.tr, w.opFence, p, w.tag(0))
-		if err != nil {
-			return w.opErr("fence ack from", p, err)
-		}
-		if len(pk.Data) != 1 || pk.Data[0] != frAck {
-			return w.opErr("fence ack from", p, fmt.Errorf("msg: unexpected frame kind %d", pk.Data[0]))
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package msg
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -123,31 +122,29 @@ func TestWindowRectValidate(t *testing.T) {
 	}
 }
 
-// FuzzDecodeRectWire: the rect header a fence epoch decodes from every
-// put and get request never panics the decoder, is refused exactly when
-// it is shorter than the dimension count it announces, re-encodes byte
-// for byte when accepted, and — once validate accepts it against a
-// storage — addresses no element outside that storage, however its
-// strides and counts overflow.
-func FuzzDecodeRectWire(f *testing.F) {
-	f.Add([]byte{})
-	f.Add([]byte{2, 0, 0, 0})
-	f.Add(appendRectWire(nil, RectRun(3, 5)))
-	f.Add(appendRectWire(nil, allocSrc))
-	f.Add(append(appendRectWire(nil, Rect{Off: 7}), 1, 2, 3))
-	f.Add(appendRectWire(nil, Rect{Off: 9, Dims: []RectDim{{-2, 3}, {8, 2}}}))
-	f.Add(appendRectWire(nil, Rect{Off: 1, Dims: []RectDim{{1 << 62, 5}}}))
-	f.Add(appendRectWire(nil, Rect{Off: 1 << 62, Dims: []RectDim{{1 << 62, 2}, {1 << 62, 2}}}))
-	f.Fuzz(func(t *testing.T, buf []byte) {
-		r, rest, err := decodeRectWire(buf)
-		if err != nil {
-			if len(buf) > 0 && len(buf)-1 >= 8*(1+2*int(buf[0])) {
-				t.Fatalf("complete %d-dimension header refused: %v", buf[0], err)
-			}
-			return
+// FuzzRectValidate: a rect that arrives from a peer may carry any
+// offset, strides and counts.  validate never panics on one, and once it
+// accepts a rect against a storage of n elements, every element the run
+// cursor visits lies in [0, n) — however the strides and counts overflow.
+func FuzzRectValidate(f *testing.F) {
+	seed := func(r Rect) {
+		var sc [2 * inlineDims]int64
+		for k, d := range r.Dims {
+			sc[2*k], sc[2*k+1] = int64(d.Stride), int64(d.Count)
 		}
-		if back := append(appendRectWire(nil, r), rest...); !bytes.Equal(back, buf) {
-			t.Fatalf("%x decodes to %+v, which encodes as %x", buf, r, back)
+		f.Add(int64(r.Off), uint8(len(r.Dims)), sc[0], sc[1], sc[2], sc[3], sc[4], sc[5], sc[6], sc[7])
+	}
+	seed(RectRun(3, 5))
+	seed(allocSrc)
+	seed(Rect{Off: 7})
+	seed(Rect{Off: 9, Dims: []RectDim{{-2, 3}, {8, 2}}})
+	seed(Rect{Off: 1, Dims: []RectDim{{1 << 62, 5}}})
+	seed(Rect{Off: 1 << 62, Dims: []RectDim{{1 << 62, 2}, {1 << 62, 2}}})
+	f.Fuzz(func(t *testing.T, off int64, nd uint8, s0, c0, s1, c1, s2, c2, s3, c3 int64) {
+		sc := [...]int64{s0, c0, s1, c1, s2, c2, s3, c3}
+		r := Rect{Off: int(off), Dims: make([]RectDim, int(nd)%(inlineDims+1))}
+		for k := range r.Dims {
+			r.Dims[k] = RectDim{Stride: int(sc[2*k]), Count: int(sc[2*k+1])}
 		}
 		const n = 64
 		if r.validate(n) != nil {
@@ -163,8 +160,8 @@ func FuzzDecodeRectWire(f *testing.F) {
 		c, stride, count := r.runs()
 		for more := true; more; more = c.next() {
 			for i := 0; i < count; i++ {
-				if off := c.off + i*stride; off < 0 || off >= n {
-					t.Fatalf("validated rect %+v addresses element %d of %d", r, off, n)
+				if at := c.off + i*stride; at < 0 || at >= n {
+					t.Fatalf("validated rect %+v addresses element %d of %d", r, at, n)
 				}
 			}
 		}
@@ -268,100 +265,6 @@ func TestWindowPutAsyncStrided(t *testing.T) {
 	})
 }
 
-// TestWindowFencePutGet exercises the fence-epoch discipline, including a
-// mutual get cycle (every rank gets from its successor) that would
-// deadlock a fixed-order drain, and a second epoch to prove the counters
-// reset cleanly.
-func TestWindowFencePutGet(t *testing.T) {
-	const np, n = 3, 10
-	withWindowTransports(t, np, func(t *testing.T, tr Transport) {
-		win := NewWindow(np, "fence", tr.Stats(), tr.Cost())
-		runCommsOn(t, tr, func(c *Comm) error {
-			c.SetConfig(CommConfig{Timeout: 2 * time.Second, Retries: 2})
-			r := c.Rank()
-			data := make([]float64, n)
-			for i := 0; i < 2; i++ {
-				data[i] = float64(100*r + i)
-			}
-			win.Register(r, data)
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			var peers []int
-			for p := 0; p < np; p++ {
-				if p != r {
-					peers = append(peers, p)
-				}
-			}
-			next, prev := (r+1)%np, (r+np-1)%np
-			// Epoch 1: put my [0,2) into next's [2,4) and get next's [0,2)
-			// into my [6,8) — a full get cycle around the ring.
-			if err := win.Put(c, next, RectRun(0, 2), RectRun(2, 2)); err != nil {
-				return err
-			}
-			if err := win.Get(c, next, RectRun(0, 2), RectRun(6, 2)); err != nil {
-				return err
-			}
-			if err := win.Fence(c, peers); err != nil {
-				return err
-			}
-			for i := 0; i < 2; i++ {
-				if want := float64(100*prev + i); data[2+i] != want {
-					t.Errorf("rank %d put-in element %d: got %v, want %v", r, 2+i, data[2+i], want)
-				}
-				if want := float64(100*next + i); data[6+i] != want {
-					t.Errorf("rank %d got element %d: got %v, want %v", r, 6+i, data[6+i], want)
-				}
-			}
-			// Epoch 2: fresh values through the same window; stale epoch-1
-			// counts must not leak in.
-			data[0] = float64(100*r) + 0.5
-			if err := win.Put(c, prev, RectRun(0, 1), RectRun(9, 1)); err != nil {
-				return err
-			}
-			if err := win.Fence(c, peers); err != nil {
-				return err
-			}
-			if want := float64(100*next) + 0.5; data[9] != want {
-				t.Errorf("rank %d epoch-2 element: got %v, want %v", r, data[9], want)
-			}
-			return c.Barrier()
-		})
-	})
-}
-
-// TestWindowFenceIdlePeer: a rank that issued no operations still fences
-// collectively (count-0 announces) without hanging.
-func TestWindowFenceIdlePeer(t *testing.T) {
-	const np = 3
-	withWindowTransports(t, np, func(t *testing.T, tr Transport) {
-		win := NewWindow(np, "idle", tr.Stats(), tr.Cost())
-		runCommsOn(t, tr, func(c *Comm) error {
-			c.SetConfig(CommConfig{Timeout: 2 * time.Second, Retries: 2})
-			r := c.Rank()
-			data := make([]float64, 4)
-			data[0] = float64(r + 1)
-			win.Register(r, data)
-			if err := c.Barrier(); err != nil {
-				return err
-			}
-			peers := []int{(r + 1) % np, (r + 2) % np}
-			if r == 0 { // only rank 0 communicates
-				if err := win.Put(c, 1, RectRun(0, 1), RectRun(3, 1)); err != nil {
-					return err
-				}
-			}
-			if err := win.Fence(c, peers); err != nil {
-				return err
-			}
-			if r == 1 && data[3] != 1 {
-				t.Errorf("rank 1: got %v, want 1", data[3])
-			}
-			return nil
-		})
-	})
-}
-
 // TestWindowRevokedEpochAborts: window operations through a View whose
 // liveness check fails must abort with the checker's error, wrapped with
 // the window name and peer rank.
@@ -386,8 +289,8 @@ func TestWindowRevokedEpochAborts(t *testing.T) {
 	if err := win.AwaitPut(c, 1, 1, RectRun(0, 2)); !errors.Is(err, revoked) {
 		t.Fatalf("await on revoked epoch = %v, want the checker's error", err)
 	}
-	if err := win.Fence(c, []int{1}); !errors.Is(err, revoked) {
-		t.Fatalf("fence on revoked epoch = %v, want the checker's error", err)
+	if err := win.Pull(c, 1, 1, RectRun(0, 2), make([]float64, 2), RectRun(0, 2)); !errors.Is(err, revoked) {
+		t.Fatalf("pull on revoked epoch = %v, want the checker's error", err)
 	}
 }
 
@@ -583,43 +486,6 @@ func TestFaultMatrixWindowBitflip(t *testing.T) {
 			}
 			if errs[1] == nil || !strings.Contains(errs[1].Error(), "window flipwin") {
 				t.Errorf("rank 1 error %q does not name the window", errs[1])
-			}
-		})
-	}
-}
-
-// TestFaultMatrixWindowFenceDrop: dropping a fence-epoch put starves the
-// target's drain; both ranks unwind with wrapped fence errors instead of
-// deadlocking — the sender because its peer never acks, the target
-// because the announced operation never arrives.
-func TestFaultMatrixWindowFenceDrop(t *testing.T) {
-	for _, tcp := range []bool{false, true} {
-		name := map[bool]string{false: "chan", true: "tcp"}[tcp]
-		t.Run(name, func(t *testing.T) {
-			tr, closeTr := faultMatrixSetup(t, tcp, "drop,rank=0,count=1,win=1")
-			defer closeTr()
-			win := NewWindow(2, "fencedrop", tr.Stats(), tr.Cost())
-			errs := runWindowRanks(tr, windowFaultCfg, func(c *Comm) error {
-				r := c.Rank()
-				win.Register(r, make([]float64, 4))
-				if err := c.Barrier(); err != nil {
-					return err
-				}
-				if r == 0 {
-					if err := win.Put(c, 1, RectRun(0, 2), RectRun(0, 2)); err != nil {
-						return err
-					}
-				}
-				return win.Fence(c, []int{1 - r})
-			})
-			for r, err := range errs {
-				if err == nil {
-					t.Errorf("rank %d = nil, want a fence error", r)
-					continue
-				}
-				if !strings.Contains(err.Error(), "fence") || !strings.Contains(err.Error(), "window fencedrop") {
-					t.Errorf("rank %d error %q does not name the fence and window", r, err)
-				}
 			}
 		})
 	}

@@ -96,20 +96,6 @@ type FaultRule struct {
 type FaultPlan struct {
 	Seed  int64
 	Rules []FaultRule
-	// StartDisarmed builds the FS with injection switched off on every
-	// rank; tests call FaultFS.Arm(rank) at the point where the rank's
-	// subsequent I/O is exactly the phase under test.
-	StartDisarmed bool
-}
-
-// HasKind reports whether any rule of the plan is of kind k.
-func (p *FaultPlan) HasKind(k FaultKind) bool {
-	for _, r := range p.Rules {
-		if r.Kind == k {
-			return true
-		}
-	}
-	return false
 }
 
 // ParseFaultPlan parses the -io-fault flag syntax, the disk twin of
@@ -176,8 +162,7 @@ func (r *FaultRule) opMatches(op string) bool {
 
 // FaultFS decorates any FS with the plan's deterministic fault
 // schedules.  Each SPMD rank performs its I/O through its own endpoint
-// (Rank), which carries that rank's match counters and armed flag —
-// the Arm/Disarm shape of msg.FaultTransport, moved to storage.
+// (Rank), which carries that rank's match counters.
 type FaultFS struct {
 	inner FS
 	plan  *FaultPlan
@@ -192,25 +177,17 @@ func NewFaultFS(inner FS, plan *FaultPlan) *FaultFS {
 }
 
 // Rank returns rank's fault-injecting FS endpoint (created on first use).
-func (f *FaultFS) Rank(rank int) FS { return f.endpoint(rank) }
-
-func (f *FaultFS) endpoint(rank int) *faultEndpoint {
+func (f *FaultFS) Rank(rank int) FS {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	ep, ok := f.eps[rank]
 	if !ok {
 		ep = &faultEndpoint{f: f, rank: rank,
-			inj: fault.NewInjector(f.plan.Seed, rank, !f.plan.StartDisarmed, f.plan.Rules, (*FaultRule).window)}
+			inj: fault.NewInjector(f.plan.Seed, rank, true, f.plan.Rules, (*FaultRule).window)}
 		f.eps[rank] = ep
 	}
 	return ep
 }
-
-// Arm enables injection on rank's endpoint.
-func (f *FaultFS) Arm(rank int) { f.endpoint(rank).inj.SetArmed(true) }
-
-// Disarm disables injection on rank's endpoint.
-func (f *FaultFS) Disarm(rank int) { f.endpoint(rank).inj.SetArmed(false) }
 
 type faultEndpoint struct {
 	f    *FaultFS

@@ -38,9 +38,6 @@ func TestParseFaultPlan(t *testing.T) {
 	if plan.Rules[2].Kind != FaultBitrot || plan.Rules[2].Op != "read" || plan.Rules[2].Prob != 0.5 {
 		t.Fatalf("rule 2 = %+v", plan.Rules[2])
 	}
-	if !plan.HasKind(FaultStall) || plan.HasKind(FaultTornRename) {
-		t.Fatal("HasKind misreports")
-	}
 	for _, bad := range badFaultPlans {
 		if _, err := ParseFaultPlan(bad); err == nil {
 			t.Errorf("ParseFaultPlan(%q) accepted", bad)
@@ -242,27 +239,6 @@ func TestRetryHealsEIO(t *testing.T) {
 	ff = NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultEIO, Op: "write", Rank: -1}}})
 	if err := cfg.WriteFile(ff.Rank(0), nil, 0, p, []byte("ok")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("persistent EIO = %v, want ErrInjected", err)
-	}
-}
-
-func TestArmDisarm(t *testing.T) {
-	dir := t.TempDir()
-	ff := NewFaultFS(OS{}, &FaultPlan{
-		StartDisarmed: true,
-		Rules:         []FaultRule{{Kind: FaultEIO, Op: "write", Rank: -1}},
-	})
-	f := ff.Rank(0)
-	p := filepath.Join(dir, "f")
-	if err := f.WriteFile(p, []byte("ok"), 0o644); err != nil {
-		t.Fatalf("disarmed endpoint injected: %v", err)
-	}
-	ff.Arm(0)
-	if err := f.WriteFile(p, []byte("ok"), 0o644); !errors.Is(err, ErrInjected) {
-		t.Fatalf("armed endpoint did not inject: %v", err)
-	}
-	ff.Disarm(0)
-	if err := f.WriteFile(p, []byte("ok"), 0o644); err != nil {
-		t.Fatalf("re-disarmed endpoint injected: %v", err)
 	}
 }
 

@@ -6,8 +6,7 @@
 //   - an FS abstraction seam under every read/write/rename the
 //     checkpoint paths perform, with FaultFS — a deterministic, seedable
 //     fault injector (I/O errors, short writes, torn renames, silent bit
-//     rot, stalls) sharing the plan syntax and Arm/Disarm shape of
-//     msg.FaultTransport;
+//     rot, stalls) sharing the plan syntax of msg.FaultTransport;
 //   - Config, a CommConfig-style timeout/retry/backoff policy applied to
 //     each I/O operation, with "io:" trace spans and retry instants;
 //   - stripe geometry (StripeGrids/Place) that decouples the on-disk

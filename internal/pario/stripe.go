@@ -283,10 +283,6 @@ type Health struct {
 	Recoverable bool
 }
 
-// Clean reports a fully intact set (no damage anywhere, redundancy
-// included).
-func (h Health) Clean() bool { return len(h.BadStripes) == 0 && len(h.BadAux) == 0 }
-
 // Verify integrity-checks every file of the set without modifying
 // anything.
 func (s *StripeSet) Verify(f FS, cfg Config, tr *trace.Tracer, rank int) Health {

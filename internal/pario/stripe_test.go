@@ -204,6 +204,9 @@ func TestReplicaReconstruct(t *testing.T) {
 	}
 }
 
+// intact reports a set with no damage anywhere, redundancy included.
+func intact(h Health) bool { return len(h.BadStripes) == 0 && len(h.BadAux) == 0 }
+
 func TestVerifyMatrix(t *testing.T) {
 	type damage func(t *testing.T, dir string, set StripeSet)
 	loseStripe := func(t *testing.T, dir string, set StripeSet) {
@@ -235,7 +238,7 @@ func TestVerifyMatrix(t *testing.T) {
 			dir := t.TempDir()
 			set := writeSet(t, dir, tc.redundancy, []byte("aaaaaaaa"), []byte("bbbbbbbb"))
 			clean := set.Verify(OS{}, Config{}, nil, 0)
-			if !clean.Clean() || !clean.Recoverable {
+			if !intact(clean) || !clean.Recoverable {
 				t.Fatalf("fresh set not clean: %+v", clean)
 			}
 			if tc.damage != nil {
@@ -245,7 +248,7 @@ func TestVerifyMatrix(t *testing.T) {
 			if h.Recoverable != tc.recoverable {
 				t.Fatalf("Recoverable = %v, want %v (%+v)", h.Recoverable, tc.recoverable, h)
 			}
-			if tc.damage != nil && h.Clean() {
+			if tc.damage != nil && intact(h) {
 				t.Fatal("damage not detected")
 			}
 		})
@@ -279,7 +282,7 @@ func TestScrubRepairsEverything(t *testing.T) {
 	if err != nil || len(rep.Repaired) != 1 || rep.Repaired[0] != "parity.bin" || len(rep.Unrecoverable) != 0 {
 		t.Fatalf("Scrub(parity rot) = %+v, %v", rep, err)
 	}
-	if !set.Verify(OS{}, cfg, nil, 0).Clean() {
+	if !intact(set.Verify(OS{}, cfg, nil, 0)) {
 		t.Fatal("set not clean after parity recompute")
 	}
 
@@ -292,7 +295,7 @@ func TestScrubRepairsEverything(t *testing.T) {
 	if err != nil || len(rep.Repaired) != 2 || len(rep.Unrecoverable) != 0 {
 		t.Fatalf("Scrub(replica) = %+v, %v", rep, err)
 	}
-	if !set.Verify(OS{}, cfg, nil, 0).Clean() {
+	if !intact(set.Verify(OS{}, cfg, nil, 0)) {
 		t.Fatal("set not clean after replica scrub")
 	}
 }

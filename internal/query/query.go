@@ -45,22 +45,6 @@ func IDT(s Selector, pat dist.Pattern) bool {
 	return pat.Matches(s.DistType())
 }
 
-// IDTOn additionally tests the processor section the array is distributed
-// to (the paper: "optionally, of the processor sections to which the
-// arguments are distributed").
-func IDTOn(s Selector, pat dist.Pattern, target dist.Target) bool {
-	if !IDT(s, pat) {
-		return false
-	}
-	type distGetter interface{ Dist() *dist.Distribution }
-	dg, ok := s.(distGetter)
-	if !ok {
-		return false
-	}
-	d := dg.Dist()
-	return d.Target() == target || d.Target().String() == target.String()
-}
-
 // Q is one query in a condition list.
 type Q struct {
 	// Tag names the selector this query applies to; empty means the

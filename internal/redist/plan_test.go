@@ -15,7 +15,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ckpt"
 	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -74,9 +73,24 @@ func planCrossings(t *testing.T, line, grid dist.Target) []crossing {
 	}
 }
 
-// virtualCrossings is planCrossings over virtual processor arrays.
+// virtualCrossings is planCrossings over the processor arrays of a
+// machine that never runs: the planner reads only their geometry.
 func virtualCrossings(t *testing.T) []crossing {
-	return planCrossings(t, ckpt.NewVirtualTarget(4), ckpt.NewVirtualTarget(2, 2))
+	m := machine.New(4)
+	t.Cleanup(func() { m.Close() })
+	return planCrossings(t, m.ProcsDim("P", 4).Whole(), m.ProcsDim("G", 2, 2).Whole())
+}
+
+// remoteSends is the number of messages s sends: its transfers to other
+// ranks.
+func remoteSends(s *redist.Schedule) int {
+	n := 0
+	for _, tr := range s.Sends {
+		if tr.Peer != s.Rank {
+			n++
+		}
+	}
+	return n
 }
 
 // planBudgets are the memory budgets every planner test selects under:
@@ -206,7 +220,7 @@ func TestPlanEstimatesConsistent(t *testing.T) {
 		var wantMsgs, wantBytes int64
 		for r := range scheds {
 			scheds[r] = redist.Build(c.oldD, c.newD, r, c.np)
-			wantMsgs += int64(scheds[r].RemoteSendCount())
+			wantMsgs += int64(remoteSends(scheds[r]))
 			wantBytes += int64(scheds[r].SendBytes())
 		}
 		for _, budget := range planBudgets {
@@ -307,7 +321,9 @@ func TestPlanSelection(t *testing.T) {
 	// A 256-element BLOCK -> CYCLIC: an eighth of the direct peak needs
 	// panels; one byte fits nothing, and the error names the finest
 	// chunking, one panel per index.
-	tg := ckpt.NewVirtualTarget(4)
+	m := machine.New(4)
+	defer m.Close()
+	tg := m.ProcsDim("P", 4).Whole()
 	dom := index.Dim(256)
 	oldD := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
 	newD := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)

@@ -60,17 +60,6 @@ func (s *Schedule) SendBytes() int {
 	return n
 }
 
-// RemoteSendCount returns the number of messages this rank sends.
-func (s *Schedule) RemoteSendCount() int {
-	n := 0
-	for _, t := range s.Sends {
-		if t.Peer != s.Rank {
-			n++
-		}
-	}
-	return n
-}
-
 // Build computes rank's schedule for redistributing from oldD to newD.
 // Both distributions must cover the same index domain.  np is the
 // transport size (peers are enumerated 0..np-1; ranks outside a

@@ -45,8 +45,14 @@ func TestScheduleBlockToCyclic(t *testing.T) {
 	if s0.SendBytes() != 16 { // 2 elements * 8 bytes to remote peer
 		t.Errorf("send bytes = %d", s0.SendBytes())
 	}
-	if s0.RemoteSendCount() != 1 {
-		t.Errorf("remote sends = %d", s0.RemoteSendCount())
+	remote := 0
+	for _, tr := range s0.Sends {
+		if tr.Peer != s0.Rank {
+			remote++
+		}
+	}
+	if remote != 1 {
+		t.Errorf("remote sends = %d", remote)
 	}
 }
 

@@ -1,0 +1,317 @@
+package vienna
+
+// The reachability gate: every non-test function and method of the module
+// has a production caller, or is listed in testdata/reachable_allow.txt.
+//
+// The walk type-checks the module's non-test files from source (standard
+// library only) and follows every use of a function or method object —
+// calls, method values, function values — from these roots:
+//
+//   - main and init of every package (main is only a root in cmd/*,
+//     examples/* and bench);
+//   - every exported func and var of the facade (vienna.go) and the
+//     exported method sets of the types it aliases;
+//   - every function a package-level declaration uses;
+//   - every method whose name an interface type of the module declares, or
+//     that a standard-library interface calls by name (stdlibMethods).
+//
+// Reachability is computed under the default build tags and under race,
+// and a function is dead only if neither reaches it, so the Go fallbacks
+// the assembly kernels replace on amd64 count as live.  bench/ is a root
+// but not checked: it is the benchmark, not the system.
+//
+// The test fails when a dead function is not in the allow-list and when a
+// listed function is no longer dead, so the list can only shrink.  `make
+// dead` runs it with -v to print the listing.
+
+import (
+	"errors"
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+)
+
+const reachModule = "repro"
+
+// stdlibMethods are the methods standard-library interfaces call by name
+// (fmt, errors, encoding/json, io, sort): no interface of the module
+// declares them, yet the standard library reaches them.
+var stdlibMethods = map[string]bool{
+	"String": true, "Error": true, "Unwrap": true, "Is": true, "Format": true,
+	"MarshalJSON": true, "Read": true, "Write": true, "Close": true,
+	"Len": true, "Less": true, "Swap": true,
+}
+
+// reachFunc is one declared function or method.
+type reachFunc struct {
+	file        string // relative to the module root
+	line, lines int
+}
+
+// reachGraph is the call graph of one build configuration.
+type reachGraph struct {
+	decls map[string]reachFunc
+	edges map[string][]string
+	roots []string
+}
+
+func TestReachable(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	live := map[string]bool{}
+	decls := map[string]reachFunc{}
+	for _, tags := range [][]string{nil, {"race"}} {
+		g, err := buildReachGraph(fset, std, tags)
+		if err != nil {
+			t.Fatalf("tags %v: %v", tags, err)
+		}
+		for k, f := range g.decls {
+			decls[k] = f
+		}
+		for k := range g.reach() {
+			live[k] = true
+		}
+	}
+	var dead []string
+	for k := range decls {
+		if !live[k] {
+			dead = append(dead, k)
+		}
+	}
+	sort.Slice(dead, func(i, j int) bool {
+		a, b := decls[dead[i]], decls[dead[j]]
+		return a.file < b.file || a.file == b.file && a.line < b.line
+	})
+
+	// The allow-list: one function per line, '#' starts a comment.
+	list, err := os.ReadFile("testdata/reachable_allow.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	allow := map[string]bool{}
+	for _, line := range strings.Split(string(list), "\n") {
+		if k, _, _ := strings.Cut(line, "#"); strings.TrimSpace(k) != "" {
+			allow[strings.TrimSpace(k)] = true
+		}
+	}
+	total := 0
+	for _, k := range dead {
+		f := decls[k]
+		total += f.lines
+		t.Logf("%s:%d: %s (%d lines)", f.file, f.line, k, f.lines)
+		if !allow[k] {
+			t.Errorf("%s:%d: %s is reached only by tests: give it a production caller or delete it", f.file, f.line, k)
+		}
+	}
+	t.Logf("%d functions, %d lines reached only by tests", len(dead), total)
+	for k := range allow {
+		if _, ok := decls[k]; !ok || live[k] {
+			t.Errorf("testdata/reachable_allow.txt: %s is reached or gone: remove it from the list", k)
+		}
+	}
+}
+
+// reach returns every function reachable from the roots.
+func (g *reachGraph) reach() map[string]bool {
+	seen := map[string]bool{}
+	work := append([]string(nil), g.roots...)
+	for len(work) > 0 {
+		k := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[k] {
+			continue
+		}
+		seen[k] = true
+		work = append(work, g.edges[k]...)
+	}
+	return seen
+}
+
+// reachLoader type-checks the module's packages under one build context,
+// delegating standard-library imports to std.
+type reachLoader struct {
+	ctxt  build.Context
+	fset  *token.FileSet
+	std   types.Importer
+	pkgs  map[string]*reachPkg
+	order []*reachPkg
+}
+
+type reachPkg struct {
+	path  string
+	name  string
+	files []*ast.File
+	info  *types.Info
+	types *types.Package
+}
+
+func (l *reachLoader) Import(path string) (*types.Package, error) {
+	if !inModule(path) {
+		return l.std.Import(path)
+	}
+	p, err := l.load(path)
+	if err != nil {
+		return nil, err
+	}
+	return p.types, nil
+}
+
+func (l *reachLoader) load(path string) (*reachPkg, error) {
+	if p, ok := l.pkgs[path]; ok {
+		if p == nil {
+			return nil, fmt.Errorf("import cycle through %s", path)
+		}
+		return p, nil
+	}
+	l.pkgs[path] = nil
+	dir := "." + strings.TrimPrefix(path, reachModule)
+	bp, err := l.ctxt.ImportDir(dir, 0)
+	if err != nil {
+		return nil, err
+	}
+	p := &reachPkg{path: path, name: bp.Name, info: &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}}
+	for _, name := range bp.GoFiles {
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		p.files = append(p.files, f)
+	}
+	conf := types.Config{Importer: l}
+	if p.types, err = conf.Check(path, l.fset, p.files, p.info); err != nil {
+		return nil, err
+	}
+	l.pkgs[path] = p
+	l.order = append(l.order, p)
+	return p, nil
+}
+
+// buildReachGraph loads every package of the module under the default
+// build tags plus tags and returns its call graph.
+func buildReachGraph(fset *token.FileSet, std types.Importer, tags []string) (*reachGraph, error) {
+	l := &reachLoader{ctxt: build.Default, fset: fset, std: std, pkgs: map[string]*reachPkg{}}
+	l.ctxt.BuildTags = tags
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+			return filepath.SkipDir
+		}
+		ipath := reachModule
+		if path != "." {
+			ipath += "/" + filepath.ToSlash(path)
+		}
+		_, err = l.load(ipath)
+		var noGo *build.NoGoError
+		if errors.As(err, &noGo) {
+			return nil
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+
+	g := &reachGraph{decls: map[string]reachFunc{}, edges: map[string][]string{}}
+	ifaceNames := map[string]bool{}
+	for name := range stdlibMethods {
+		ifaceNames[name] = true
+	}
+	var methods []*types.Func
+	for _, p := range l.order {
+		for _, tv := range p.info.Types {
+			if it, ok := tv.Type.(*types.Interface); ok {
+				for i := 0; i < it.NumMethods(); i++ {
+					ifaceNames[it.Method(i).Name()] = true
+				}
+			}
+		}
+		checked := p.path != reachModule+"/bench"
+		for _, f := range p.files {
+			for _, decl := range f.Decls {
+				fd, ok := decl.(*ast.FuncDecl)
+				if !ok {
+					// A use at package level makes its target a root.
+					g.roots = append(g.roots, funcUses(p.info, decl)...)
+					continue
+				}
+				fn := p.info.Defs[fd.Name].(*types.Func)
+				k := funcKey(fn)
+				g.edges[k] = append(g.edges[k], funcUses(p.info, fd)...)
+				name := fd.Name.Name
+				switch {
+				case fd.Recv == nil && (name == "init" || name == "main" && p.name == "main"):
+					g.roots = append(g.roots, k)
+				case p.path == reachModule && fd.Recv == nil && fd.Name.IsExported():
+					g.roots = append(g.roots, k)
+				case fd.Recv != nil:
+					methods = append(methods, fn)
+				}
+				if checked {
+					start, end := fset.Position(fd.Pos()), fset.Position(fd.End())
+					g.decls[k] = reachFunc{filepath.ToSlash(start.Filename), start.Line, end.Line - start.Line + 1}
+				}
+			}
+		}
+	}
+	for _, fn := range methods {
+		if ifaceNames[fn.Name()] {
+			g.roots = append(g.roots, funcKey(fn))
+		}
+	}
+	// The facade's aliases export their types' method sets.
+	scope := l.pkgs[reachModule].types.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || !tn.IsAlias() || !tn.Exported() {
+			continue
+		}
+		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
+		for i := 0; i < ms.Len(); i++ {
+			if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
+				g.roots = append(g.roots, funcKey(fn))
+			}
+		}
+	}
+	return g, nil
+}
+
+// funcUses lists the module's functions and methods node uses.
+func funcUses(info *types.Info, node ast.Node) []string {
+	var out []string
+	ast.Inspect(node, func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok {
+			if fn, ok := info.Uses[id].(*types.Func); ok && fn.Pkg() != nil && inModule(fn.Pkg().Path()) {
+				out = append(out, funcKey(fn))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+func inModule(path string) bool {
+	return path == reachModule || strings.HasPrefix(path, reachModule+"/")
+}
+
+// funcKey names a function as the allow-list does: its full name without
+// the module prefix, e.g. internal/parti.NewTTable or
+// (*internal/msg.Window).Offer.
+func funcKey(fn *types.Func) string {
+	return strings.ReplaceAll(fn.Origin().FullName(), reachModule+"/", "")
+}

@@ -325,12 +325,13 @@ type Local = darray.Local
 type GhostHandle = darray.GhostHandle
 
 // Window is a one-sided communication window: each processor registers
-// its []float64 storage, after which any processor may Put into (or Get
-// out of) a peer's registered region without the peer posting a receive.
-// It offers counted put streams (PutAsync/AwaitPut — the ghost-exchange
-// discipline) and MPI-style fence epochs (Put/Get/Fence).  The ghost
-// machinery uses windows internally; they are exported for custom
-// one-sided protocols over the same transports.
+// its []float64 storage, after which a processor may put into a peer's
+// registered region, or pull one out of it, on counted streams.  It
+// offers puts (PutAsync/AwaitPut — the ghost-exchange discipline) and
+// offers (Offer/Pull — the DISTRIBUTE discipline, where the receiver's
+// storage stays private).  The ghost and redistribution machinery use
+// windows internally; they are exported for custom one-sided protocols
+// over the same transports.
 type Window = msg.Window
 
 // NewWindow creates a one-sided window shared by np processors; every
