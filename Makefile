@@ -55,11 +55,15 @@ check: check-fault check-recovery check-online check-redist check-expand check-i
 # window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
 # warm allocation bounds on chan, released payloads on TCP), the
 # symmetric no-plan failure, the np-keyed schedule cache, the budget
-# parser and its fuzz seeds, and the streaming collective + wire gauge —
-# all under the race detector.
+# parser and its fuzz seeds, the streaming collective + wire gauge, and
+# the barrier-free DISTRIBUTE: no Comm.Barrier in warm ADI or fresh
+# B_BLOCK class moves, ghosts exact after a move with one rank held back,
+# recycled storage intact under a lagging puller, and interpreted
+# non-local reads around a DISTRIBUTE equal to P = 1 — all under the race
+# detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestAlltoallvStream|TestExpandRespectsMemBudget' \
-	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestAlltoallvStream|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads' \
+	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
 # timeout, a join racing a death, two deaths in one liveness window),
@@ -101,17 +105,29 @@ check-drain:
 	  ./internal/machine ./internal/health ./internal/msg ./internal/scale ./internal/apps
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
-# TestStraggler* and TestOnlineRecover* test under GOMAXPROCS=1 and 2,
-# beside a busy-loop CPU hog, failures printed per test.  Compare two
-# trees by running it in each, alternating, in one session.
+# TestStraggler* and TestOnlineRecover* test, and of the darray package
+# (whose DISTRIBUTE orders itself by messages, not barriers), under
+# GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
+# many runs failed and, for each failing run, the first *_test.go:N: line
+# that test logged — enough to tell a false accusation from a false death
+# without a rerun.  Compare two trees by running it in each, alternating,
+# in one session.
 FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  echo "GOMAXPROCS=$$p, $(FLAKE_N) runs each, beside a CPU hog:"; \
-	  GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run '^(TestStraggler|TestOnlineRecover)' -v ./internal/apps 2>&1 | \
-	    awk '/^--- FAIL/ { f[$$3]++ } /^--- (PASS|FAIL)/ { n[$$3]++ } \
-	         END { for (t in n) printf "  %-44s %d of %d failed\n", t, f[t], n[t] }' | sort; \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover)' './internal/darray:.'; do \
+	    pkg=$${set%%:*}; pat=$${set#*:}; \
+	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
+	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \
+	      awk '/^=== (RUN|CONT)/ { cur = $$3; sub("/.*", "", cur); next } \
+	           /_test\.go:[0-9]+:/ { if (!(cur in first)) { l = $$0; sub(/^[ \t]+/, "", l); first[cur] = l }; next } \
+	           /^--- (PASS|FAIL)/ { t = $$3; n[t]++; \
+	             if ($$2 == "FAIL:") { f[t]++; why[t] = why[t] sprintf("%s\t1\t      run %d: %s\n", t, n[t], (t in first) ? first[t] : "(no test line logged)") } \
+	             delete first[t] } \
+	           END { for (t in n) { printf "%s\t0\t  %-44s %d of %d failed\n", t, t, f[t], n[t]; printf "%s", why[t] } }' | \
+	      sort -t "$$(printf '\t')" -k1,1 -k2,2n -s | cut -f3-; \
+	  done; \
 	done
 
 # Bounded chaos run: seeded-random ADI shapes killed at seeded-random

@@ -228,7 +228,7 @@ ENDDO
 		// gather results on rank 0 (collective per array, in order)
 		for _, n := range unit.Order {
 			arr, ok := st.Array(n)
-			if !ok || !arr.Distributed() {
+			if !ok || !arr.Distributed(ctx.Rank()) {
 				continue
 			}
 			sum := 0.0
@@ -240,7 +240,7 @@ ENDDO
 				for _, v := range data {
 					sum += v
 				}
-				arrays = append(arrays, arrInfo{n, sum, arr.DistType().String(), arr.Epoch()})
+				arrays = append(arrays, arrInfo{n, sum, arr.DistType(0).String(), arr.Epoch(0)})
 			}
 		}
 		if ctx.Rank() == 0 {

@@ -31,7 +31,7 @@ func Example() {
 		// ... y-sweep: every row V(I,:) is local ...
 
 		if ctx.Rank() == 0 {
-			fmt.Println("V is now", v.DistType())
+			fmt.Println("V is now", v.DistType(ctx.Rank()))
 		}
 		return nil
 	})
@@ -52,7 +52,7 @@ func ExampleSelect() {
 		if ctx.Rank() != 0 {
 			return nil
 		}
-		_, err := vienna.Select(b).
+		_, err := vienna.Select(ctx, b).
 			Case(func() error { fmt.Println("block algorithm"); return nil },
 				vienna.P(vienna.NewPattern(vienna.PBlock()))).
 			Case(func() error { fmt.Println("cyclic algorithm"); return nil },
@@ -75,7 +75,7 @@ func ExampleIDT() {
 			Init: &vienna.DistSpec{Type: vienna.NewType(vienna.Elided(), vienna.Block())},
 		})
 		if ctx.Rank() == 0 {
-			fmt.Println(vienna.IDT(b, vienna.NewPattern(vienna.PElided(), vienna.PBlock())))
+			fmt.Println(vienna.IDT(ctx, b, vienna.NewPattern(vienna.PElided(), vienna.PBlock())))
 		}
 		return nil
 	})

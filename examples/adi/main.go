@@ -113,7 +113,7 @@ func main() {
 		}
 		if ctx.Rank() == 0 {
 			fmt.Printf("ADI %dx%d on %d processors, %d iterations\n", *nx, *ny, *np, *iters)
-			fmt.Printf("final V distribution: %v (redistributed %d times)\n", v.DistType(), v.Epoch())
+			fmt.Printf("final V distribution: %v (redistributed %d times)\n", v.DistType(ctx.Rank()), v.Epoch(ctx.Rank()))
 			fmt.Printf("checksum(V) = %.6f\n", total)
 			hits, misses := v.DArray().ScheduleCacheStats()
 			fmt.Printf("redistribution schedule cache: %d hits / %d misses\n", hits, misses)

@@ -45,10 +45,10 @@ func main() {
 		if ctx.Rank() == 0 {
 			fmt.Println("class C(B):")
 			for _, mbr := range b.ClassMembers() {
-				fmt.Printf("  %s: %v\n", mbr.Name(), mbr.DistType())
+				fmt.Printf("  %s: %v\n", mbr.Name(), mbr.DistType(ctx.Rank()))
 			}
 			fmt.Printf("alignment invariant: owner A2(3,5) = %d, owner B(5,3) = %d\n",
-				a2.Dist().Owner(vienna.Point{3, 5}), b.Dist().Owner(vienna.Point{5, 3}))
+				a2.DistOf(ctx.Rank()).Owner(vienna.Point{3, 5}), b.DistOf(ctx.Rank()).Owner(vienna.Point{5, 3}))
 		}
 		ctx.Barrier()
 
@@ -61,13 +61,13 @@ func main() {
 			d := m.Stats().Snapshot().Sub(base)
 			fmt.Printf("\nafter DISTRIBUTE B :: (CYCLIC,BLOCK) NOTRANSFER(A1):\n")
 			for _, mbr := range b.ClassMembers() {
-				fmt.Printf("  %s: %v (epoch %d)\n", mbr.Name(), mbr.DistType(), mbr.Epoch())
+				fmt.Printf("  %s: %v (epoch %d)\n", mbr.Name(), mbr.DistType(ctx.Rank()), mbr.Epoch(ctx.Rank()))
 			}
 			fmt.Printf("  B(3,5) = %v (moved), A2 still mirrors B through the alignment\n", b.Get(ctx, 3, 5))
 			fmt.Printf("  traffic for the class move: %d data messages, %d bytes\n",
 				d.TotalDataMsgs(), d.TotalBytes())
 			fmt.Printf("  alignment invariant still holds: %v\n",
-				a2.Dist().Owner(vienna.Point{3, 5}) == b.Dist().Owner(vienna.Point{5, 3}))
+				a2.DistOf(ctx.Rank()).Owner(vienna.Point{3, 5}) == b.DistOf(ctx.Rank()).Owner(vienna.Point{5, 3}))
 		}
 		return nil
 	})

@@ -40,7 +40,7 @@ func main() {
 			if ctx.Rank() != 0 {
 				return nil
 			}
-			arm, err := vienna.Select(b1, b2, b3).
+			arm, err := vienna.Select(ctx, b1, b2, b3).
 				Case(func() error { fmt.Println("  -> a1"); return nil },
 					vienna.P(vienna.NewPattern(vienna.PBlock())),
 					vienna.P(vienna.NewPattern(vienna.PBlock())),
@@ -56,7 +56,7 @@ func main() {
 				return err
 			}
 			fmt.Printf("%s: B1=%v B2=%v B3=%v matched arm %d\n",
-				when, b1.DistType(), b2.DistType(), b3.DistType(), arm+1)
+				when, b1.DistType(ctx.Rank()), b2.DistType(ctx.Rank()), b3.DistType(ctx.Rank()), arm+1)
 			return nil
 		}
 

@@ -54,25 +54,28 @@ func main() {
 		ctx.Barrier()
 		if ctx.Rank() == 0 {
 			fmt.Println("declared:", c, "\n         ", b, "\n         ", a)
-			fmt.Printf("owner of B(5,5): processor %d\n", b.Dist().Owner(vienna.Point{5, 5}))
-			fmt.Printf("B's type: %v   A follows: %v\n", b.DistType(), a.DistType())
+			fmt.Printf("owner of B(5,5): processor %d\n", b.DistOf(ctx.Rank()).Owner(vienna.Point{5, 5}))
+			fmt.Printf("B's type: %v   A follows: %v\n", b.DistType(ctx.Rank()), a.DistType(ctx.Rank()))
 		}
 		ctx.Barrier()
 
 		// DISTRIBUTE B :: (BLOCK, BLOCK) — A moves with its primary.
 		e.MustDistribute(ctx, []*vienna.Array{b},
 			vienna.DimsOf(vienna.Block(), vienna.Block()).To(r.Whole()))
+		// A DISTRIBUTE has no barrier of its own; B(5,5) is read from its
+		// owner's storage, so wait until every owner has committed.
+		ctx.Barrier()
 		if ctx.Rank() == 0 {
-			fmt.Printf("after DISTRIBUTE: B %v, A %v (epoch %d)\n", b.DistType(), a.DistType(), b.Epoch())
+			fmt.Printf("after DISTRIBUTE: B %v, A %v (epoch %d)\n", b.DistType(ctx.Rank()), a.DistType(ctx.Rank()), b.Epoch(ctx.Rank()))
 			fmt.Printf("B(5,5) still reads %v\n", b.Get(ctx, 5, 5))
 		}
 		ctx.Barrier()
 
 		// IDT and DCASE
 		if ctx.Rank() == 0 {
-			fmt.Printf("IDT(B, (BLOCK,*)) = %v\n", vienna.IDT(b, vienna.NewPattern(vienna.PBlock(), vienna.PAny())))
+			fmt.Printf("IDT(B, (BLOCK,*)) = %v\n", vienna.IDT(ctx, b, vienna.NewPattern(vienna.PBlock(), vienna.PAny())))
 			picked := ""
-			_, err := vienna.Select(b, a).
+			_, err := vienna.Select(ctx, b, a).
 				Case(func() error { picked = "both block-block"; return nil },
 					vienna.P(vienna.NewPattern(vienna.PBlock(), vienna.PBlock())),
 					vienna.P(vienna.NewPattern(vienna.PBlock(), vienna.PBlock()))).

@@ -71,7 +71,7 @@ func main() {
 		if ctx.Rank() != 0 {
 			return nil
 		}
-		_, err := vienna.Select(grid).
+		_, err := vienna.Select(ctx, grid).
 			Case(func() error {
 				fmt.Println("DCASE: column algorithm selected — 2 shift messages per step")
 				return nil

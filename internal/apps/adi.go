@@ -275,9 +275,10 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			// No barrier follows a sweep: it touches only the rank's own
 			// block, and the next reader of that block is a peer pulling a
 			// DISTRIBUTE transfer, which it does only once this rank's offer
-			// token — sent after the sweep — has arrived; the DISTRIBUTE's
-			// commit barrier still fences the storage it retires.  The
-			// pipelined sweep is ordered by its own messages.
+			// token — sent after the sweep — has arrived.  The DISTRIBUTE
+			// has no barrier either: the storage it retires is recycled only
+			// after the next DISTRIBUTE has collected every puller's done
+			// token.  The pipelined sweep is ordered by its own messages.
 			step: func(it int) error {
 				var units float64
 				var busy time.Duration

@@ -170,8 +170,10 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		}
 		// balance computes BOUNDS equalizing particles per processor, then
 		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.  No
-		// barrier follows: the DISTRIBUTE ends in its own commit and swap
-		// barriers, and the next step touches only the new local blocks.
+		// barrier follows, and the DISTRIBUTE has none: a rank leaves it
+		// once its own new blocks have landed, and the next step touches
+		// only those.  Its drift frame, addressed by its new descriptor,
+		// waits in the receiver's mailbox until the receiver has moved too.
 		balance := func() error {
 			counts, err := count.GatherTo(ctx, 0)
 			if err != nil {
@@ -341,7 +343,7 @@ const driftTag = 9100
 // failures are returned as wrapped errors.
 func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	l := count.Local(ctx)
-	d := count.Dist()
+	d := count.DistOf(ctx.Rank())
 	dom := count.Domain()
 	n := dom.Extent(0)
 	rs := l.Grid().Dims[0]

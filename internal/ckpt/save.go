@@ -46,7 +46,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	// identically on a non-checkpointable distribution).
 	metas := make([]ArrayMeta, len(arrays))
 	for i, a := range arrays {
-		d := a.Dist()
+		d := a.Dist(rank)
 		if d == nil {
 			return -1, fmt.Errorf("ckpt: array %s has no distribution", a.Name())
 		}
@@ -118,7 +118,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		}
 		packBuf = packBuf[:0]
 		for i, a := range arrays {
-			if !a.Dist().IsPrimaryRank(rank) {
+			if !a.Dist(rank).IsPrimaryRank(rank) {
 				continue // replicated copies are identical; the primary ships
 			}
 			l := a.Local(ctx)
@@ -358,10 +358,11 @@ func newStripeImage(arrays []*darray.Array, stripes [][]index.Grid, epoch, s, pa
 }
 
 // parts calls f for every array of which rank r holds a primary part of
-// the stripe, with that part.
+// the stripe, with that part, as the descriptors of the stripe's server
+// (rank s) say.
 func (im *stripeImage) parts(r int, f func(i int, inter index.Grid)) {
 	for i, a := range im.arrays {
-		d := a.Dist()
+		d := a.Dist(im.s)
 		if !d.IsPrimaryRank(r) {
 			continue
 		}

@@ -64,14 +64,22 @@ func (a *Array) ClassMembers() []*Array {
 func (a *Array) Range() dist.Range { return a.rng }
 
 // Distributed implements query.Selector: whether the array currently has
-// a well-defined distribution.
-func (a *Array) Distributed() bool { return a.arr.Distributed() }
+// a well-defined distribution on processor rank.
+func (a *Array) Distributed(rank int) bool { return a.arr.Distributed(rank) }
 
-// DistType implements query.Selector.
-func (a *Array) DistType() dist.Type { return a.arr.DistType() }
+// DistType implements query.Selector: the distribution type processor
+// rank holds.
+func (a *Array) DistType(rank int) dist.Type { return a.arr.DistType(rank) }
 
-// Dist returns the current distribution (nil before first association).
-func (a *Array) Dist() *dist.Distribution { return a.arr.Dist() }
+// DistOf returns the distribution processor rank holds (nil before first
+// association).  Each processor installs its own as its part of a
+// DISTRIBUTE commits; SPMD code asks for its own rank.
+func (a *Array) DistOf(rank int) *dist.Distribution { return a.arr.Dist(rank) }
+
+// Dist returns the distribution processor 0 holds: every processor's,
+// once all have passed a synchronizing collective after the last
+// DISTRIBUTE.
+func (a *Array) Dist() *dist.Distribution { return a.arr.Dist(0) }
 
 // DArray exposes the underlying runtime array for kernels.
 func (a *Array) DArray() *darray.Array { return a.arr }
@@ -79,12 +87,15 @@ func (a *Array) DArray() *darray.Array { return a.arr }
 // Local returns the calling processor's local storage.
 func (a *Array) Local(ctx *machine.Ctx) *darray.Local { return a.arr.Local(ctx) }
 
-// Get reads a global element (one-sided when remote).
+// Get reads a global element (one-sided when remote).  A remote access
+// reaches the owner's storage directly, so the caller orders it after the
+// owner's last write and DISTRIBUTE with a barrier; a DISTRIBUTE has none
+// of its own.
 func (a *Array) Get(ctx *machine.Ctx, p ...int) float64 {
 	return a.arr.Get(ctx, index.Point(p))
 }
 
-// Set writes a global element (one-sided when remote).
+// Set writes a global element (one-sided when remote; ordered as for Get).
 func (a *Array) Set(ctx *machine.Ctx, v float64, p ...int) {
 	a.arr.Set(ctx, index.Point(p), v)
 }
@@ -131,8 +142,9 @@ func (a *Array) StartExchangeAllGhosts(ctx *machine.Ctx) (*darray.GhostHandle, e
 	return a.arr.StartExchangeAllGhosts(ctx)
 }
 
-// Epoch returns the number of redistributions so far.
-func (a *Array) Epoch() int { return a.arr.Epoch() }
+// Epoch returns the number of redistributions processor rank has
+// committed.
+func (a *Array) Epoch(rank int) int { return a.arr.Epoch(rank) }
 
 func (a *Array) String() string { return a.arr.String() }
 
@@ -168,7 +180,7 @@ func (a *Array) CallWith(ctx *machine.Ctx, spec DistSpec, restore bool, body fun
 	if !a.dynamic {
 		return fmt.Errorf("core: CallWith on statically distributed array %s: %w", a.name, ErrNotPrimary)
 	}
-	saved := a.arr.Dist()
+	saved := a.arr.Dist(ctx.Rank())
 	if err := a.e.Distribute(ctx, []*Array{a}, ExprOf(spec)); err != nil {
 		return err
 	}

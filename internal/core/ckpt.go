@@ -21,7 +21,7 @@ func (e *Engine) Checkpoint(ctx *machine.Ctx, dir string, meta map[string]string
 	defer ctx.PhaseEnd("checkpoint")
 	var das []*darray.Array
 	for _, a := range e.Arrays() {
-		if a.Distributed() {
+		if a.Distributed(ctx.Rank()) {
 			das = append(das, a.DArray())
 		}
 	}
@@ -61,7 +61,7 @@ func (e *Engine) Restore(ctx *machine.Ctx, dir string) (*ckpt.Manifest, error) {
 		return nil, fmt.Errorf("core: restore from %s: %w", dir, err)
 	}
 	for _, a := range e.Arrays() {
-		if !a.Distributed() {
+		if !a.Distributed(ctx.Rank()) {
 			continue
 		}
 		if err := a.ExchangeAllGhosts(ctx); err != nil {

@@ -15,12 +15,12 @@ import (
 // Example 3 redistributes B4 as "(=B1, CYCLIC(3))", giving B4's first
 // dimension whatever distribution B1 has *at execution time*.
 type DimExpr interface {
-	eval(e *Engine) (dist.DimSpec, error)
+	eval(e *Engine, rank int) (dist.DimSpec, error)
 }
 
 type litDim struct{ spec dist.DimSpec }
 
-func (l litDim) eval(*Engine) (dist.DimSpec, error) { return l.spec, nil }
+func (l litDim) eval(*Engine, int) (dist.DimSpec, error) { return l.spec, nil }
 
 // Lit lifts a literal dimension specifier into a DimExpr.
 func Lit(spec dist.DimSpec) DimExpr { return litDim{spec} }
@@ -30,15 +30,15 @@ type fromDim struct {
 	dim  int
 }
 
-func (f fromDim) eval(e *Engine) (dist.DimSpec, error) {
+func (f fromDim) eval(e *Engine, rank int) (dist.DimSpec, error) {
 	src, ok := e.Lookup(f.name)
 	if !ok {
 		return dist.DimSpec{}, fmt.Errorf("core: distribution extraction from unknown array %s", f.name)
 	}
-	if !src.Distributed() {
+	if !src.Distributed(rank) {
 		return dist.DimSpec{}, fmt.Errorf("core: distribution extraction from %s before it has a distribution", f.name)
 	}
-	t := src.DistType()
+	t := src.DistType(rank)
 	if f.dim < 0 || f.dim >= t.Rank() {
 		return dist.DimSpec{}, fmt.Errorf("core: extraction of dimension %d from rank-%d array %s", f.dim+1, t.Rank(), f.name)
 	}
@@ -103,14 +103,14 @@ func (x Expr) evalFor(ctx *machine.Ctx, e *Engine, b *Array) (*dist.Distribution
 		if !ok {
 			return nil, fmt.Errorf("core: DISTRIBUTE %s: alignment with unknown array %s", b.name, x.alignWith)
 		}
-		if !other.Distributed() {
+		if !other.Distributed(ctx.Rank()) {
 			return nil, fmt.Errorf("core: DISTRIBUTE %s: alignment with undistributed array %s", b.name, x.alignWith)
 		}
-		return dist.Construct(*x.align, other.Dist(), b.dom)
+		return dist.Construct(*x.align, other.DistOf(ctx.Rank()), b.dom)
 	}
 	specs := make([]dist.DimSpec, len(x.dims))
 	for i, dx := range x.dims {
-		s, err := dx.eval(e)
+		s, err := dx.eval(e, ctx.Rank())
 		if err != nil {
 			return nil, err
 		}

@@ -240,7 +240,7 @@ func (e *Engine) Declare(ctx *machine.Ctx, d Decl) (*Array, error) {
 		if other.Dynamic() {
 			return nil, fmt.Errorf("core: %s: static alignment with dynamic array %s (use DYNAMIC, CONNECT)", d.Name, d.AlignWith)
 		}
-		d0, err = dist.Construct(*d.StaticAlign, other.arr.Dist(), d.Domain)
+		d0, err = dist.Construct(*d.StaticAlign, other.arr.Dist(ctx.Rank()), d.Domain)
 		if err != nil {
 			return nil, fmt.Errorf("core: %s: %w", d.Name, err)
 		}
@@ -330,8 +330,8 @@ func (e *Engine) Declare(ctx *machine.Ctx, d Decl) (*Array, error) {
 	// Secondary with an already-distributed primary: derive now.
 	if a.connKind != ConnNone && d0 == nil {
 		prim := a.class.primary
-		if prim.arr != nil && prim.arr.Distributed() {
-			d0, err = a.derive(prim.arr.Dist())
+		if prim.arr != nil && prim.arr.Distributed(ctx.Rank()) {
+			d0, err = a.derive(prim.arr.Dist(ctx.Rank()))
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", d.Name, err)
 			}

@@ -53,11 +53,11 @@ func TestPaperExample1(t *testing.T) {
 			p := index.Point{tc.i, tc.j, tc.k}
 			// δC(i,j,k) = R(ceil(i/5), ceil(j/5)) as a rank
 			wantCoords := []int{(tc.i-1)/5 + 1, (tc.j-1)/5 + 1}
-			if got, want := c.Dist().Owner(p), r.RankOf(wantCoords); got != want {
+			if got, want := c.DistOf(ctx.Rank()).Owner(p), r.RankOf(wantCoords); got != want {
 				t.Errorf("δC%v = %d want %d", p, got, want)
 			}
 			// δD(i,j,k) = δC(j,i,k)
-			if got, want := d.Dist().Owner(p), c.Dist().Owner(index.Point{tc.j, tc.i, tc.k}); got != want {
+			if got, want := d.DistOf(ctx.Rank()).Owner(p), c.DistOf(ctx.Rank()).Owner(index.Point{tc.j, tc.i, tc.k}); got != want {
 				t.Errorf("δD%v = %d want δC(transposed) = %d", p, got, want)
 			}
 		}
@@ -93,10 +93,10 @@ func TestPaperExample2(t *testing.T) {
 			ConnectTo: "B4", Align: &dist.Alignment{Maps: []dist.AxisMap{dist.Axis(0), dist.Axis(1)}}})
 
 		if ctx.Rank() == 0 {
-			if b1.Distributed() {
+			if b1.Distributed(ctx.Rank()) {
 				t.Error("B1 has no initial distribution")
 			}
-			if !b2.Distributed() || !b2.DistType().Equal(dist.NewType(dist.BlockDim())) {
+			if !b2.Distributed(ctx.Rank()) || !b2.DistType(ctx.Rank()).Equal(dist.NewType(dist.BlockDim())) {
 				t.Error("B2 initial distribution wrong")
 			}
 			members := b4.ClassMembers()
@@ -106,8 +106,8 @@ func TestPaperExample2(t *testing.T) {
 			if len(b3.ClassMembers()) != 1 {
 				t.Error("B3 class should be {B3}")
 			}
-			if !a1.DistType().Equal(b4.DistType()) {
-				t.Errorf("A1 type %v != B4 type %v", a1.DistType(), b4.DistType())
+			if !a1.DistType(ctx.Rank()).Equal(b4.DistType(ctx.Rank())) {
+				t.Errorf("A1 type %v != B4 type %v", a1.DistType(ctx.Rank()), b4.DistType(ctx.Rank()))
 			}
 			if a1.Conn() != ConnExtract || a2.Conn() != ConnAlign {
 				t.Error("connection kinds wrong")
@@ -120,13 +120,13 @@ func TestPaperExample2(t *testing.T) {
 		// Redistributing B4 moves A1, A2 with it and keeps types equal.
 		e.MustDistribute(ctx, []*Array{b4}, DimsOf(dist.BlockDim(), dist.BlockDim()).To(r2.Whole()))
 		if ctx.Rank() == 0 {
-			if !a1.DistType().Equal(b4.DistType()) {
-				t.Errorf("after DISTRIBUTE, A1 %v != B4 %v", a1.DistType(), b4.DistType())
+			if !a1.DistType(ctx.Rank()).Equal(b4.DistType(ctx.Rank())) {
+				t.Errorf("after DISTRIBUTE, A1 %v != B4 %v", a1.DistType(ctx.Rank()), b4.DistType(ctx.Rank()))
 			}
 			// identity alignment over BLOCK derives a general block with
 			// identical segments — owner equality is the real invariant
 			for _, p := range []index.Point{{1, 1}, {5, 9}, {12, 12}} {
-				if a2.Dist().Owner(p) != b4.Dist().Owner(p) {
+				if a2.DistOf(ctx.Rank()).Owner(p) != b4.DistOf(ctx.Rank()).Owner(p) {
 					t.Errorf("A2 owner%v diverged from B4", p)
 				}
 			}
@@ -158,16 +158,16 @@ func TestPaperExample3(t *testing.T) {
 		a1 := e.MustDeclare(ctx, Decl{Name: "A1", Domain: index.Dim(n, n), Dynamic: true, ConnectTo: "B4"})
 
 		e.MustDistribute(ctx, []*Array{b1}, DimsOf(dist.BlockDim()))
-		if ctx.Rank() == 0 && !b1.DistType().Equal(dist.NewType(dist.BlockDim())) {
-			t.Errorf("B1 = %v", b1.DistType())
+		if ctx.Rank() == 0 && !b1.DistType(ctx.Rank()).Equal(dist.NewType(dist.BlockDim())) {
+			t.Errorf("B1 = %v", b1.DistType(ctx.Rank()))
 		}
 		ctx.Barrier()
 
 		k := 2 // K = expr
 		e.MustDistribute(ctx, []*Array{b1, b2}, DimsOf(dist.CyclicDim(k)))
 		if ctx.Rank() == 0 {
-			if !b1.DistType().Equal(dist.NewType(dist.CyclicDim(2))) || !b2.DistType().Equal(dist.NewType(dist.CyclicDim(2))) {
-				t.Errorf("B1/B2 after CYCLIC(K): %v %v", b1.DistType(), b2.DistType())
+			if !b1.DistType(ctx.Rank()).Equal(dist.NewType(dist.CyclicDim(2))) || !b2.DistType(ctx.Rank()).Equal(dist.NewType(dist.CyclicDim(2))) {
+				t.Errorf("B1/B2 after CYCLIC(K): %v %v", b1.DistType(ctx.Rank()), b2.DistType(ctx.Rank()))
 			}
 		}
 		ctx.Barrier()
@@ -177,11 +177,11 @@ func TestPaperExample3(t *testing.T) {
 			Dims(From("B1"), Lit(dist.CyclicDim(3))).To(r2.Whole()))
 		if ctx.Rank() == 0 {
 			want := dist.NewType(dist.CyclicDim(2), dist.CyclicDim(3))
-			if !b4.DistType().Equal(want) {
-				t.Errorf("B4 = %v want %v", b4.DistType(), want)
+			if !b4.DistType(ctx.Rank()).Equal(want) {
+				t.Errorf("B4 = %v want %v", b4.DistType(ctx.Rank()), want)
 			}
-			if !a1.DistType().Equal(want) {
-				t.Errorf("A1 = %v want %v (follows its primary)", a1.DistType(), want)
+			if !a1.DistType(ctx.Rank()).Equal(want) {
+				t.Errorf("A1 = %v want %v (follows its primary)", a1.DistType(ctx.Rank()), want)
 			}
 		}
 		return nil
@@ -198,7 +198,7 @@ func TestRangeViolation(t *testing.T) {
 			t.Errorf("range violation not caught: %v", err)
 		}
 		// the array keeps its old distribution
-		if !b.DistType().Equal(dist.NewType(dist.BlockDim())) {
+		if !b.DistType(ctx.Rank()).Equal(dist.NewType(dist.BlockDim())) {
 			t.Error("failed DISTRIBUTE must not change the distribution")
 		}
 		// initial distribution violating the range is caught at declaration
@@ -238,6 +238,7 @@ func TestNoTransferAttribute(t *testing.T) {
 		ctx.Barrier()
 		// NOTRANSFER(A): B's data moves, A's does not.
 		e.MustDistribute(ctx, []*Array{b}, DimsOf(dist.CyclicDim(1)), NoTransfer(a))
+		ctx.Barrier() // a remote Get reads the owner's storage: wait for its commit
 		if ctx.Rank() == 0 {
 			if got := b.Get(ctx, 7); got != 7 {
 				t.Errorf("B(7) = %v, data should have moved", got)
@@ -245,7 +246,7 @@ func TestNoTransferAttribute(t *testing.T) {
 		}
 		ctx.Barrier()
 		// A's type still follows B
-		if !a.DistType().Equal(b.DistType()) {
+		if !a.DistType(ctx.Rank()).Equal(b.DistType(ctx.Rank())) {
 			t.Error("NOTRANSFER must still update the access function / type")
 		}
 		// but values did not travel: a kept only elements it already had
@@ -277,7 +278,7 @@ func TestDistributeAlignForm(t *testing.T) {
 		e.MustDistribute(ctx, []*Array{b}, AlignWith("C", dist.Transpose2D()))
 		if ctx.Rank() == 0 {
 			for _, p := range []index.Point{{1, 5}, {8, 1}, {4, 4}} {
-				if b.Dist().Owner(p) != c.Dist().Owner(index.Point{p[1], p[0]}) {
+				if b.DistOf(ctx.Rank()).Owner(p) != c.DistOf(ctx.Rank()).Owner(index.Point{p[1], p[0]}) {
 					t.Errorf("aligned owner%v wrong", p)
 				}
 			}
@@ -343,7 +344,7 @@ func TestCallWithRestores(t *testing.T) {
 		ctx.Barrier()
 		// HPF-style: restore on return
 		err := b.CallWith(ctx, DistSpec{Type: dist.NewType(dist.CyclicDim(1))}, true, func() error {
-			if !b.DistType().Equal(dist.NewType(dist.CyclicDim(1))) {
+			if !b.DistType(ctx.Rank()).Equal(dist.NewType(dist.CyclicDim(1))) {
 				t.Error("callee does not see its declared distribution")
 			}
 			return nil
@@ -351,7 +352,7 @@ func TestCallWithRestores(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !b.DistType().Equal(dist.NewType(dist.BlockDim())) {
+		if !b.DistType(ctx.Rank()).Equal(dist.NewType(dist.BlockDim())) {
 			t.Error("restore=true did not restore the caller's distribution")
 		}
 		ctx.Barrier()
@@ -360,7 +361,7 @@ func TestCallWithRestores(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if !b.DistType().Equal(dist.NewType(dist.CyclicDim(2))) {
+		if !b.DistType(ctx.Rank()).Equal(dist.NewType(dist.CyclicDim(2))) {
 			t.Error("restore=false should keep the callee's distribution")
 		}
 		// values preserved throughout
@@ -376,7 +377,7 @@ func TestCoreArraysWorkWithDCase(t *testing.T) {
 		v := e.MustDeclare(ctx, Decl{Name: "V", Domain: index.Dim(8, 8), Dynamic: true,
 			Init: &DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}})
 		picked := ""
-		_, err := query.Select(v).
+		_, err := query.Select(ctx.Rank(), v).
 			Case(func() error { picked = "columns"; return nil },
 				query.P(dist.NewPattern(dist.PElided(), dist.PBlock()))).
 			Case(func() error { picked = "rows"; return nil },
@@ -389,7 +390,7 @@ func TestCoreArraysWorkWithDCase(t *testing.T) {
 		if picked != "columns" {
 			t.Errorf("picked %q", picked)
 		}
-		if !query.IDT(v, dist.NewPattern(dist.PAny(), dist.PBlock())) {
+		if !query.IDT(ctx.Rank(), v, dist.NewPattern(dist.PAny(), dist.PBlock())) {
 			t.Error("IDT on core array failed")
 		}
 		return nil
@@ -557,7 +558,7 @@ func TestSBlockDistribute(t *testing.T) {
 			t.Errorf("S_BLOCK redistribution corrupted %d values", bad)
 		}
 		// IDT sees the irregular kind
-		if !query.IDT(b, dist.NewPattern(dist.PSBlock())) {
+		if !query.IDT(ctx.Rank(), b, dist.NewPattern(dist.PSBlock())) {
 			t.Error("IDT(S_BLOCK(*)) failed")
 		}
 		return nil

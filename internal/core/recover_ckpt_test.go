@@ -110,7 +110,7 @@ func restoreUnevenConnected(t *testing.T, np int, dir string, wantIter int) {
 			}
 		}
 		if ctx.Rank() == 0 {
-			if ud, wd := u.DistType().String(), w.DistType().String(); ud != wd {
+			if ud, wd := u.DistType(ctx.Rank()).String(), w.DistType(ctx.Rank()).String(); ud != wd {
 				t.Errorf("np %d: CONNECT broken after restore: U dist %s, W dist %s", np, ud, wd)
 			}
 		}

@@ -16,14 +16,14 @@ import (
 // callbacks).  Transport failures and contribution-size mismatches are
 // returned as wrapped errors naming the array and the ranks involved.
 func (a *Array) GatherTo(ctx *machine.Ctx, root int) ([]float64, error) {
-	d := a.requireDist()
 	rank := ctx.Rank()
+	d := a.requireDist(rank)
 	var payload []byte
 	if d.IsPrimaryRank(rank) {
 		l := a.locals[rank]
-		bufs := &a.bufs[rank]
-		payload = l.appendPacked(bufs.streamBuf(l.Count()), l.grid)
-		bufs.stream = payload
+		own := &a.own[rank]
+		payload = l.appendPacked(own.streamBuf(l.Count()), l.grid)
+		own.stream = payload
 	}
 	parts, err := ctx.Comm().Gather(root, payload)
 	if err != nil {
@@ -64,8 +64,8 @@ func (a *Array) GatherTo(ctx *machine.Ctx, root int) ([]float64, error) {
 // its local part.  A wrong-sized data slice on root and transport
 // failures are returned as wrapped errors naming the array and ranks.
 func (a *Array) ScatterFrom(ctx *machine.Ctx, root int, data []float64) error {
-	d := a.requireDist()
 	rank, np := ctx.Rank(), ctx.NP()
+	d := a.requireDist(rank)
 	var bufs [][]byte
 	if rank == root {
 		if len(data) != a.dom.Size() {
@@ -100,8 +100,8 @@ func (a *Array) ScatterFrom(ctx *machine.Ctx, root int, data []float64) error {
 // every rank (replicas divide their contribution so each element counts
 // once).
 func (a *Array) ReduceSum(ctx *machine.Ctx) (float64, error) {
-	d := a.requireDist()
 	rank := ctx.Rank()
+	d := a.requireDist(rank)
 	local := 0.0
 	if d.IsPrimaryRank(rank) {
 		l := a.locals[rank]

@@ -20,15 +20,25 @@
 // redistribution, gather/scatter — moves real messages and therefore
 // works unchanged over the TCP transport.
 //
+// Every processor owns its descriptor: it holds its own dist(A) and
+// epoch and replaces them when its part of a DISTRIBUTE commits, as
+// §3.2.2 has each processor evaluate the new distribution for itself.
+// Nothing is published and no DISTRIBUTE waits in a barrier; a processor
+// reaches a peer's storage only where a message orders the access (see
+// RedistributeTo and startGhostDim).
+//
 // Mutation discipline: the engine assumes the SPMD owner-computes model —
-// between two barriers, an element is either written only by its owner or
-// read by anyone, never both.  This is exactly the guarantee compiled
-// Vienna Fortran code provides.
+// between two synchronization points, an element is either written only
+// by its owner or read by anyone, never both.  This is exactly the
+// guarantee compiled Vienna Fortran code provides.  The non-local Get and
+// Set read a peer's storage directly, so their callers order them with
+// barriers (the interpreter does, per statement).
 package darray
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -39,36 +49,48 @@ import (
 
 // Array is a distributed array of float64 (Fortran REAL*8) elements.
 // The handle is shared by all processors; per-processor state lives in
-// locals[rank].
+// locals[rank] and own[rank], which only that processor writes.
 type Array struct {
 	name   string
 	dom    index.Domain
 	m      *machine.Machine
 	ghost  []int // symmetric ghost width per dimension
 	locals []*Local
-	bufs   []commBufs // per-rank reusable pack buffers (indexed like locals)
-	// retired parks each rank's storage when a DISTRIBUTE replaces it,
-	// keyed by distribution fingerprint; phase-alternating programs
-	// bounce between a few mappings, so the next DISTRIBUTE back reuses
-	// the allocation instead of growing the heap every transition.
-	retired []map[string]*Local
-	cache   *redist.Cache
+	own    []rankState // indexed like locals
+	cache  *redist.Cache
 
-	mu   sync.RWMutex
-	dst  *dist.Distribution
-	epoc int // redistribution epoch (diagnostics)
-
-	// win is the one-sided window over the locals' storage, created
-	// lazily by the first ghost exchange (winOnce gives every rank a
-	// consistent view of the shared object without a barrier).  Each
-	// rank re-registers its storage whenever its Local is replaced.
-	winOnce sync.Once
-	win     *msg.Window
+	// win is the one-sided window over the locals' storage.  Each rank
+	// registers its storage whenever its Local is replaced.
+	win *msg.Window
 
 	// span is every move's trace span name, "DISTRIBUTE <name>", built by
 	// the first move so arrays that never move never build it.
 	spanOnce sync.Once
 	span     string
+}
+
+// rankState is what one processor keeps of an array for itself.  Like
+// locals, each rank touches only its own entry, so no locking is needed.
+type rankState struct {
+	// dst is dist(A) as this rank holds it; it is atomic only so that
+	// Dist(0) may be read from another rank without a data race.
+	dst  atomic.Pointer[dist.Distribution]
+	epoc int // redistributions this rank has committed (diagnostics)
+	// signal has bit k set while this rank's neighbours along dimension
+	// k have not been told of storage a DISTRIBUTE committed (see
+	// startGhostDim).
+	signal uint64
+	// retired parks the storage a DISTRIBUTE replaced, keyed by
+	// distribution fingerprint; phase-alternating programs bounce between
+	// a few mappings, so the next DISTRIBUTE back reuses the allocation
+	// instead of growing the heap every transition.
+	retired map[string]*Local
+	// plans holds stepDirect's per-schedule transfer plans (at most
+	// maxPlans, beside the cached schedules) and stream its single
+	// just-in-time pack buffer (ring rounds, gather).  The buffer may be
+	// handed to Endpoint.Send and reused as soon as Send returns.
+	plans  map[*redist.Schedule]*xferPlan
+	stream []byte
 }
 
 // Option configures array creation.
@@ -108,27 +130,30 @@ func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, 
 		panic(fmt.Sprintf("darray: %s: %d ghost widths for rank-%d array", name, len(g), dom.Rank()))
 	}
 	a := ctx.CollectiveOnce(func() any {
-		return &Array{
-			name:    name,
-			dom:     dom,
-			m:       ctx.Machine(),
-			ghost:   g,
-			locals:  make([]*Local, ctx.NP()),
-			bufs:    make([]commBufs, ctx.NP()),
-			retired: make([]map[string]*Local, ctx.NP()),
-			cache:   redist.NewCache(),
-			dst:     d,
+		np := ctx.NP()
+		a := &Array{
+			name:   name,
+			dom:    dom,
+			m:      ctx.Machine(),
+			ghost:  g,
+			locals: make([]*Local, np),
+			own:    make([]rankState, np),
+			cache:  redist.NewCache(),
+			win:    msg.NewWindow(np, name, ctx.Machine().Stats(), ctx.Machine().Cost()),
 		}
-	}).(*Array)
-	if d != nil {
 		// Under SPMD discipline every rank passes an equivalent (often
-		// distinct) descriptor object; allocate from the shared one so
+		// distinct) descriptor object; every rank starts from this one so
 		// its memoized per-rank tables (local grids, coordinates,
 		// fingerprint) are built once instead of once per rank.
-		if sd := a.Dist(); sd != nil && (sd == d || sd.Equal(d)) {
-			d = sd
+		for r := range a.own {
+			a.own[r].dst.Store(d)
 		}
-		a.locals[ctx.Rank()] = a.allocLocal(ctx.Rank(), d)
+		return a
+	}).(*Array)
+	if d := a.Dist(ctx.Rank()); d != nil {
+		l := a.allocLocal(ctx.Rank(), d)
+		a.locals[ctx.Rank()] = l
+		a.win.Register(ctx.Rank(), l.data)
 	}
 	ctx.Barrier()
 	return a
@@ -140,33 +165,22 @@ func (a *Array) Name() string { return a.name }
 // Domain returns the array's index domain.
 func (a *Array) Domain() index.Domain { return a.dom }
 
-// Dist returns the current distribution (nil before the first
-// association).
-func (a *Array) Dist() *dist.Distribution {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.dst
-}
+// Dist returns the distribution rank holds (nil before the first
+// association).  Each rank installs its own when its part of a
+// DISTRIBUTE commits, so another rank's answer is only current once a
+// message or collective orders that rank's last DISTRIBUTE before the
+// call.
+func (a *Array) Dist(rank int) *dist.Distribution { return a.own[rank].dst.Load() }
 
-// DistType returns the current distribution type, panicking if the array
-// has not been associated with a distribution yet.
-func (a *Array) DistType() dist.Type {
-	d := a.Dist()
-	if d == nil {
-		panic(fmt.Sprintf("darray: %s accessed before association with a distribution", a.name))
-	}
-	return d.DistType()
-}
+// DistType returns rank's current distribution type, panicking if the
+// array has not been associated with a distribution yet.
+func (a *Array) DistType(rank int) dist.Type { return a.requireDist(rank).DistType() }
 
-// Distributed reports whether the array currently has a distribution.
-func (a *Array) Distributed() bool { return a.Dist() != nil }
+// Distributed reports whether rank holds a distribution for the array.
+func (a *Array) Distributed(rank int) bool { return a.Dist(rank) != nil }
 
-// Epoch returns the number of redistributions performed so far.
-func (a *Array) Epoch() int {
-	a.mu.RLock()
-	defer a.mu.RUnlock()
-	return a.epoc
-}
+// Epoch returns the number of redistributions rank has committed.
+func (a *Array) Epoch(rank int) int { return a.own[rank].epoc }
 
 // Local returns this processor's local part.
 func (a *Array) Local(ctx *machine.Ctx) *Local {
@@ -177,8 +191,8 @@ func (a *Array) Local(ctx *machine.Ctx) *Local {
 	return l
 }
 
-func (a *Array) requireDist() *dist.Distribution {
-	d := a.Dist()
+func (a *Array) requireDist(rank int) *dist.Distribution {
+	d := a.Dist(rank)
 	if d == nil {
 		panic(fmt.Sprintf("darray: %s accessed before association with a distribution", a.name))
 	}
@@ -189,8 +203,8 @@ func (a *Array) requireDist() *dist.Distribution {
 // reads are one-sided fetches from the owner with message accounting
 // (16-byte request, 8-byte reply).
 func (a *Array) Get(ctx *machine.Ctx, p index.Point) float64 {
-	d := a.requireDist()
 	rank := ctx.Rank()
+	d := a.requireDist(rank)
 	if d.IsLocal(rank, p) {
 		return a.locals[rank].At(p)
 	}
@@ -204,8 +218,8 @@ func (a *Array) Get(ctx *machine.Ctx, p index.Point) float64 {
 // programs never need them, but explicit reassignment phases — e.g. PIC
 // particle motion — do).  Under replication every replica is updated.
 func (a *Array) Set(ctx *machine.Ctx, p index.Point, v float64) {
-	d := a.requireDist()
 	rank := ctx.Rank()
+	d := a.requireDist(rank)
 	if d.IsLocal(rank, p) && !d.Replicated() {
 		a.locals[rank].SetAt(p, v)
 		return
@@ -254,9 +268,9 @@ func (a *Array) Fill(ctx *machine.Ctx, v float64) {
 	a.FillFunc(ctx, func(index.Point) float64 { return v })
 }
 
-// String describes the array.
+// String describes the array with the distribution rank 0 holds.
 func (a *Array) String() string {
-	d := a.Dist()
+	d := a.Dist(0)
 	if d == nil {
 		return fmt.Sprintf("%s%v DYNAMIC (no distribution)", a.name, a.dom)
 	}
@@ -374,8 +388,8 @@ func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
 // that promise is missing or there are ghost cells, which no transfer
 // writes.
 func (a *Array) takeLocal(rank int, d *dist.Distribution, overwritten bool) *Local {
-	if l, ok := a.retired[rank][d.Fingerprint()]; ok {
-		delete(a.retired[rank], d.Fingerprint())
+	if l, ok := a.own[rank].retired[d.Fingerprint()]; ok {
+		delete(a.own[rank].retired, d.Fingerprint())
 		if !overwritten || l.size != l.grid.Count() {
 			clear(l.data)
 		}
@@ -391,10 +405,10 @@ const maxRetired = 4
 // retireLocal parks replaced storage for a later DISTRIBUTE back to the
 // same mapping.
 func (a *Array) retireLocal(rank int, d *dist.Distribution, l *Local) {
-	m := a.retired[rank]
+	m := a.own[rank].retired
 	if m == nil {
 		m = make(map[string]*Local, maxRetired)
-		a.retired[rank] = m
+		a.own[rank].retired = m
 	}
 	fp := d.Fingerprint()
 	if _, ok := m[fp]; !ok && len(m) >= maxRetired {

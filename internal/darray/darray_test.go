@@ -128,7 +128,7 @@ func TestAccessBeforeDistributionPanics(t *testing.T) {
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
 		a := New(ctx, "U", index.Dim(4), nil)
-		if a.Distributed() {
+		if a.Distributed(ctx.Rank()) {
 			t.Error("should be undistributed")
 		}
 		_ = a.Local(ctx) // must panic
@@ -147,7 +147,7 @@ func TestFirstAssociationThenAccess(t *testing.T) {
 		if err := a.RedistributeTo(ctx, d); err != nil {
 			return err
 		}
-		if !a.Distributed() || a.Epoch() != 1 {
+		if !a.Distributed(ctx.Rank()) || a.Epoch(ctx.Rank()) != 1 {
 			t.Error("association failed")
 		}
 		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0]) })
@@ -198,8 +198,8 @@ func TestRedistributePreservesValues(t *testing.T) {
 				return true
 			})
 		}
-		if a.Epoch() != 2 {
-			t.Errorf("epoch = %d", a.Epoch())
+		if a.Epoch(ctx.Rank()) != 2 {
+			t.Errorf("epoch = %d", a.Epoch(ctx.Rank()))
 		}
 		return nil
 	})
@@ -334,8 +334,8 @@ func TestRedistributeNoOp(t *testing.T) {
 		if err := a.RedistributeTo(ctx, d1b); err != nil { // logically identical
 			return err
 		}
-		if a.Epoch() != 0 {
-			t.Errorf("no-op redistribution bumped epoch to %d", a.Epoch())
+		if a.Epoch(ctx.Rank()) != 0 {
+			t.Errorf("no-op redistribution bumped epoch to %d", a.Epoch(ctx.Rank()))
 		}
 		if a.Local(ctx).At(index.Point{a.Local(ctx).Grid().Dims[0].At(0)}) == 0 {
 			t.Error("values lost on no-op")

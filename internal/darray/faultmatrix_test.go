@@ -17,9 +17,10 @@ import (
 // transports.  Every cell must either complete after retry (send errors
 // and delays heal under the deadline/retry CommConfig) or return a wrapped
 // error naming the operation and a rank (drops are unrecoverable: only the
-// deadline unblocks the receiver).  Nothing may panic, and a failed
-// redistribute must leave the array readable with its old distribution on
-// every rank.
+// deadline unblocks the receiver).  Nothing may panic.  A redistribute
+// has no global commit: each rank ends it holding either the new
+// distribution (it completed) or its old one (it failed), with the values
+// that distribution says it owns.
 func TestFaultMatrix(t *testing.T) {
 	faults := []struct {
 		name      string
@@ -59,12 +60,13 @@ func TestFaultMatrix(t *testing.T) {
 // DISTRIBUTE transfer still sends — the offer token (win=1 matches only
 // window traffic, so barriers pass) — in the three ways that cannot heal
 // inside the deadline: the token is lost, it arrives after every retry
-// gave up, or the send fails more often than it is retried.  The receiver
-// never pulls, returns without entering the commit barrier, and so the
-// barrier fails everywhere: every rank gets an error naming the
-// redistribution, and the old distribution stays readable on all of them
-// (runFaultCase checks values and descriptor).  Over TCP the same stream
-// carries the packed payload and must fail the same way.
+// gave up, or the send fails more often than it is retried.  The rank
+// waiting for it fails with an error naming the redistribution and keeps
+// its old distribution and values; ranks that did not need the token
+// complete (runFaultCase checks each rank's values and descriptor).
+// Recovering from the mixed state is core.RunEpochs' checkpoint replay.
+// Over TCP the same stream carries the packed payload and must fail the
+// same way.
 func TestFaultMatrixOfferToken(t *testing.T) {
 	faults := []struct {
 		name string
@@ -79,8 +81,8 @@ func TestFaultMatrixOfferToken(t *testing.T) {
 		for _, fc := range faults {
 			t.Run(transport+"/"+fc.name, func(t *testing.T) {
 				errs := runFaultCase(t, transport, "redistribute", fc.rule)
-				if failed := checkFaultErrs(t, errs, "redistribute", "redistribution", true); failed != len(errs) {
-					t.Errorf("%d of %d ranks failed, want all: %v", failed, len(errs), errs)
+				if failed := checkFaultErrs(t, errs, "redistribute", "redistribution", true); failed == 0 {
+					t.Errorf("no rank failed: %v", errs)
 				}
 			})
 		}
@@ -191,15 +193,13 @@ func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []
 		case "redistribute":
 			opErr = a.RedistributeTo(ctx, cyc)
 			if opErr == nil {
-				if !a.Dist().Equal(cyc) {
-					t.Errorf("rank %d: dist after redistribute = %v, want cyclic", rank, a.DistType())
+				if !a.Dist(rank).Equal(cyc) {
+					t.Errorf("rank %d: dist after redistribute = %v, want cyclic", rank, a.DistType(rank))
 				}
-			} else {
-				// A failed DISTRIBUTE must leave the old association and
-				// data intact everywhere (two-phase commit).
-				if !a.Dist().Equal(blk) {
-					t.Errorf("rank %d: failed redistribute left dist %v, want old block dist", rank, a.DistType())
-				}
+			} else if !a.Dist(rank).Equal(blk) {
+				// A rank that failed has not committed: its old association
+				// and data are intact.
+				t.Errorf("rank %d: failed redistribute left dist %v, want old block dist", rank, a.DistType(rank))
 			}
 			bad := 0
 			a.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {

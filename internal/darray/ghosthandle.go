@@ -19,40 +19,13 @@ import (
 // lets a stencil sweep compute its interior while the halos are still in
 // flight (start → interior → Wait → peeled edges).
 //
-// Both sides derive the transfer geometry from the replicated
-// distribution descriptor, so puts carry payload only and the per-step
+// Both sides derive the transfer geometry from their distribution
+// descriptors, so puts carry payload only and the per-step
 // message and byte counts are identical to the two-sided exchange this
 // replaces (the §4 cost arguments keep holding).  Each array owns a
 // window with a private tag subspace, so concurrent exchanges of
 // different arrays — or of several dimensions of one array — can be in
 // flight together without tag collisions.
-
-// window returns the array's one-sided window, creating and registering
-// it on first use.  sync.Once publishes the shared object to every rank;
-// the locals it registers were published by the barrier that followed
-// their allocation.
-func (a *Array) window(ctx *machine.Ctx) *msg.Window {
-	a.winOnce.Do(func() {
-		w := msg.NewWindow(ctx.NP(), a.name, a.m.Stats(), a.m.Cost())
-		for r, l := range a.locals {
-			if l != nil {
-				w.Register(r, l.data)
-			}
-		}
-		a.win = w
-	})
-	return a.win
-}
-
-// registerWindow re-registers rank's (re)allocated storage with the
-// array's window, if one exists.  Callers must invoke it between the
-// Local swap and the barrier that publishes it (RedistributeTo's commit
-// sequence), so no peer can address the retired storage afterwards.
-func (a *Array) registerWindow(rank int) {
-	if a.win != nil {
-		a.win.Register(rank, a.locals[rank].data)
-	}
-}
 
 // ghostSubtag returns the counted-stream subtag of dimension k's
 // exchange in direction dir (0: faces travel toward higher ranks, 1:
@@ -140,8 +113,19 @@ func (a *Array) StartExchangeAllGhosts(ctx *machine.Ctx) (*GhostHandle, error) {
 
 // startGhostDim issues dimension k's outbound puts and records the
 // inbound completions on h.
+//
+// A put writes straight into the neighbour's registered storage and reads
+// the neighbour's Local for its geometry, so it must not run before the
+// neighbour has committed the DISTRIBUTE this rank committed last.  The
+// first exchange along k after a DISTRIBUTE therefore starts with a
+// zero-byte signal to each neighbour — sent after this rank's own commit —
+// and waits for the neighbour's signal before putting to it.  Signals ride
+// the streams the faces do, ahead of them, so the neighbours' Waits see
+// faces only.  Later exchanges need no signal: a neighbour cannot commit
+// another DISTRIBUTE before it has waited for this rank's faces.
 func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
-	d := a.requireDist()
+	rank := ctx.Rank()
+	d := a.requireDist(rank)
 	if a.ghost[k] == 0 {
 		return nil
 	}
@@ -149,7 +133,6 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 	if td < 0 {
 		return nil // dimension not distributed: the full extent is local
 	}
-	rank := ctx.Rank()
 	l := a.locals[rank]
 	coords, ok := d.Target().CoordsOf(rank)
 	if !ok || l.Count() == 0 {
@@ -160,7 +143,7 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 		panic(fmt.Sprintf("darray: %s: ghost exchange on non-contiguous dimension %d", a.name, k+1))
 	}
 	w := a.ghost[k]
-	win := a.window(ctx)
+	win := a.win
 	h.win = win
 	c := ctx.Comm()
 	defer ctx.Tracer().BeginSpan(rank, trace.CatGhost, "ghost-start "+a.name).End()
@@ -169,9 +152,32 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 	prev := neighborRank(d, coords, td, -1)
 
 	stUp, stDn := ghostSubtag(k, 0), ghostSubtag(k, 1)
+	fail := func(err error) error {
+		return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", a.name, k+1, err)
+	}
+	own := &a.own[rank]
+	signal := own.signal&(1<<k) != 0
+	if signal {
+		own.signal &^= 1 << k
+		if next >= 0 {
+			if err := win.Signal(c, next, stUp); err != nil {
+				return fail(err)
+			}
+		}
+		if prev >= 0 {
+			if err := win.Signal(c, prev, stDn); err != nil {
+				return fail(err)
+			}
+		}
+	}
 
 	// Faces traveling upward: my top rows into next's low ghost margin.
 	if next >= 0 {
+		if signal {
+			if err := win.AwaitSignal(c, next, stDn); err != nil {
+				return fail(err)
+			}
+		}
 		fw := min(w, hi-lo+1)
 		ln := a.locals[next]
 		nlo, _, nok := segDim(ln, k)
@@ -181,7 +187,7 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 		src := l.storageRect(k, hi-fw+1, hi)
 		dst := ln.storageRect(k, nlo-fw, nlo-1)
 		if err := win.PutAsync(c, next, stUp, src, dst); err != nil {
-			return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", a.name, k+1, err)
+			return fail(err)
 		}
 	}
 	if prev >= 0 {
@@ -191,6 +197,11 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 	}
 	// Faces traveling downward: my bottom rows into prev's high margin.
 	if prev >= 0 {
+		if signal {
+			if err := win.AwaitSignal(c, prev, stUp); err != nil {
+				return fail(err)
+			}
+		}
 		fw := min(w, hi-lo+1)
 		lp := a.locals[prev]
 		_, phi, pok := segDim(lp, k)
@@ -200,7 +211,7 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 		src := l.storageRect(k, lo, lo+fw-1)
 		dst := lp.storageRect(k, phi+1, phi+fw)
 		if err := win.PutAsync(c, prev, stDn, src, dst); err != nil {
-			return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", a.name, k+1, err)
+			return fail(err)
 		}
 	}
 	if next >= 0 {

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/msg"
-	"repro/internal/redist"
 )
 
 // Run-based data movement.  All bulk transfers (redistribution, ghost
@@ -179,23 +178,12 @@ func copyGrid(dst, src *Local, g index.Grid) {
 	})
 }
 
-// commBufs is one processor's reusable communication scratch: the
-// per-schedule transfer plans of stepDirect and the one stream pack
-// buffer.  Like locals, each rank touches only its own entry, so no
-// locking is needed.  The buffer may be handed to Endpoint.Send and
-// reused immediately after it returns (the transport finishes reading it
-// first — see msg.Endpoint).
-type commBufs struct {
-	plans  map[*redist.Schedule]*xferPlan // at most maxPlans, beside the cached schedules
-	stream []byte                         // single just-in-time pack buffer (ring rounds, gather)
-}
-
 // streamBuf returns the single recycled streaming pack buffer, emptied,
 // with capacity for count elements.  There is one buffer, not one per
 // peer: ring rounds pack one peer at a time and hand the buffer to Send
 // before packing the next, which is exactly what keeps their peak
 // residency to a single transfer.
-func (b *commBufs) streamBuf(count int) []byte {
+func (b *rankState) streamBuf(count int) []byte {
 	if cap(b.stream) < 8*count {
 		b.stream = make([]byte, 0, 8*count)
 	}

@@ -3,6 +3,7 @@ package darray
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -23,9 +24,15 @@ const poison = -7777.5
 
 // poisonRetired overwrites every Local this rank has parked, so an
 // element a later DISTRIBUTE fails to write cannot pass as a stale value
-// that happens to be right.
-func poisonRetired(a *Array, rank int) (n int) {
-	for _, l := range a.retired[rank] {
+// that happens to be right.  Peers may still be pulling from the storage
+// the last move retired, so it first settles the window, as the next
+// DISTRIBUTE would before recycling anything.
+func poisonRetired(t *testing.T, ctx *machine.Ctx, a *Array) (n int) {
+	t.Helper()
+	if err := a.win.Settle(ctx.Comm()); err != nil {
+		t.Fatalf("rank %d: settle: %v", ctx.Rank(), err)
+	}
+	for _, l := range a.own[ctx.Rank()].retired {
 		for i := range l.data {
 			l.data[i] = poison
 		}
@@ -115,7 +122,7 @@ func TestNoTransferOntoRecycledStorage(t *testing.T) {
 				return err
 			}
 		}
-		if _, ok := a.retired[rank][cyc.Fingerprint()]; !ok {
+		if _, ok := a.own[rank].retired[cyc.Fingerprint()]; !ok {
 			t.Errorf("rank %d: no retired cyclic storage; the test would be vacuous", rank)
 		}
 		if err := a.RedistributeTo(ctx, cyc, NoTransfer()); err != nil {
@@ -160,7 +167,7 @@ func TestRecycledStorageOverwrittenWhole(t *testing.T) {
 						return err
 					}
 					a.FillFunc(ctx, val3)
-					if poisonRetired(a, ctx.Rank()) == 0 {
+					if poisonRetired(t, ctx, a) == 0 {
 						t.Errorf("rank %d: nothing retired; the test would be vacuous", ctx.Rank())
 					}
 					for _, d := range []*dist.Distribution{rows, cols} {
@@ -168,7 +175,7 @@ func TestRecycledStorageOverwrittenWhole(t *testing.T) {
 							return err
 						}
 						checkStorage(t, ctx, a, "under "+d.String(), val3)
-						poisonRetired(a, ctx.Rank())
+						poisonRetired(t, ctx, a)
 					}
 					return nil
 				})
@@ -200,12 +207,12 @@ func TestRecycledStorageAfterFailedPlan(t *testing.T) {
 					if err := a.RedistributeTo(ctx, rows, MemBudget(8)); !errors.Is(err, redist.ErrNoPlan) {
 						t.Errorf("rank %d: 8-byte budget: err = %v, want ErrNoPlan", rank, err)
 					}
-					if _, ok := a.retired[rank][rows.Fingerprint()]; !ok {
+					if _, ok := a.own[rank].retired[rows.Fingerprint()]; !ok {
 						t.Errorf("rank %d: the failed move did not park its storage again", rank)
 					}
 					checkStorage(t, ctx, a, "after the failed move", val2)
 					a.FillFunc(ctx, val3)
-					poisonRetired(a, rank)
+					poisonRetired(t, ctx, a)
 					if err := a.RedistributeTo(ctx, rows, rc.opts...); err != nil {
 						return err
 					}
@@ -219,9 +226,11 @@ func TestRecycledStorageAfterFailedPlan(t *testing.T) {
 
 // TestRecycledStorageFailedExchange fails a DISTRIBUTE onto parked,
 // poisoned storage in mid-exchange, as the fault matrix does (rank 1's
-// first frame is dropped; only deadlines unblock its receivers): some
-// ranks have written part of the new storage by then, none publishes it,
-// and the old Local is what every rank still reads.
+// first frame is dropped; only deadlines unblock its receivers): a rank
+// that fails may have written part of the new storage, publishes none of
+// it and still reads its old Local; a rank that completes reads the new
+// one whole.  Some rank must fail — in the move, or, when the frame was a
+// done token, in the offerer's next Settle.
 func TestRecycledStorageFailedExchange(t *testing.T) {
 	const np = 4
 	dom := index.Dim(64, 64)
@@ -242,6 +251,7 @@ func TestRecycledStorageFailedExchange(t *testing.T) {
 				cfg := msg.CommConfig{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond}
 				m := machine.New(np, machine.WithTransport(ft), machine.WithCommConfig(cfg))
 				defer m.Close()
+				var failed atomic.Int32
 				if err := m.Run(func(ctx *machine.Ctx) error {
 					rank := ctx.Rank()
 					tg := ctx.Machine().ProcsDim("P", np).Whole()
@@ -251,7 +261,7 @@ func TestRecycledStorageFailedExchange(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					poisonRetired(a, rank)
+					poisonRetired(t, ctx, a)
 					if err := ctx.Barrier(); err != nil {
 						return err
 					}
@@ -259,19 +269,34 @@ func TestRecycledStorageFailedExchange(t *testing.T) {
 						ft.Arm(faultRank)
 					}
 					err = a.RedistributeTo(ctx, rows, rc.opts...)
+					moved := err == nil
+					if moved {
+						// A lost done token surfaces at the offerer's next Settle.
+						err = a.win.Settle(ctx.Comm())
+					}
 					if rank == faultRank {
 						ft.Disarm(faultRank)
 					}
-					if err == nil {
-						t.Errorf("rank %d: the DISTRIBUTE survived a dropped frame", rank)
+					if err != nil {
+						failed.Add(1)
 					}
-					if !a.Dist().Equal(cols) {
-						t.Errorf("rank %d: failed DISTRIBUTE left %v published", rank, a.DistType())
+					if moved {
+						if !a.Dist(rank).Equal(rows) {
+							t.Errorf("rank %d: completed DISTRIBUTE left %v", rank, a.DistType(rank))
+						}
+						checkStorage(t, ctx, a, "after the completed move", val2)
+						return nil
+					}
+					if !a.Dist(rank).Equal(cols) {
+						t.Errorf("rank %d: failed DISTRIBUTE left %v published", rank, a.DistType(rank))
 					}
 					checkStorage(t, ctx, a, "after the failed move", val2)
 					return nil
 				}); err != nil {
 					t.Fatalf("Run: %v", err)
+				}
+				if failed.Load() == 0 {
+					t.Error("the DISTRIBUTE survived a dropped frame on every rank")
 				}
 			})
 		}

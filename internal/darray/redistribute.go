@@ -49,6 +49,17 @@ func MemBudget(n int64) RedistOption {
 // and receives its new local data.  Ghost areas are reallocated (their
 // contents become stale and must be refreshed with ExchangeGhosts).
 //
+// Nothing in it is a global rendezvous.  A processor commits — installs
+// its new Local and descriptor — as soon as its own incoming data has
+// landed, while peers may still be pulling from its old storage; the
+// window keeps offering that storage until the processor's next move
+// collects the pullers' done tokens (msg.Window.Settle), and only then is
+// it recycled.  A processor that fails returns before committing and
+// keeps its old Local and distribution, but peers that completed their
+// part have committed theirs: a failed DISTRIBUTE leaves the array
+// inconsistent across processors, and recovery replays the last
+// checkpoint (core.RunEpochs does, under the apps' step loop).
+//
 // Every processor must pass the same newD object.  Programmer errors (nil
 // or domain-mismatched distribution) panic; transport failures during the
 // data exchange are returned as errors wrapping the underlying cause.
@@ -64,14 +75,9 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 		o(&cfg)
 	}
 	rank, np := ctx.Rank(), ctx.NP()
-	oldD := a.Dist()
-
+	oldD := a.Dist(rank)
 	if oldD != nil && oldD.Equal(newD) {
-		// No-op redistribution: nothing moves, descriptors unchanged.
-		if err := ctx.Barrier(); err != nil {
-			return fmt.Errorf("darray: %s: redistribution barrier: %w", a.name, err)
-		}
-		return nil
+		return nil // no-op redistribution: nothing moves, descriptor unchanged
 	}
 
 	tr := ctx.Tracer()
@@ -80,16 +86,15 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 	sp := tr.BeginSpan(prank, trace.CatDistribute, a.span)
 	defer sp.End()
 
+	// Peers of the previous move may still be pulling from the storage
+	// this rank offered then, which takeLocal is about to recycle.
+	if err := a.win.Settle(ctx.Comm()); err != nil {
+		return fmt.Errorf("darray: %s: redistribution: %w", a.name, err)
+	}
 	newLocal := a.takeLocal(rank, newD, oldD != nil && !cfg.noTransfer)
-
 	if oldD == nil {
-		// First association: no data to move.
-		if err := ctx.Barrier(); err != nil {
-			return fmt.Errorf("darray: %s: redistribution barrier: %w", a.name, err)
-		}
-		a.locals[rank] = newLocal
-		a.registerWindow(rank)
-		return a.swapDist(ctx, newD)
+		a.commit(rank, newD, newLocal) // first association: no data to move
+		return nil
 	}
 
 	oldLocal := a.locals[rank]
@@ -100,9 +105,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 	}
 
 	if cfg.noTransfer {
-		// NOTRANSFER: keep whatever was already in place.  Even without
-		// data motion all processors must agree the descriptor swap
-		// happened; the barrier below provides that.
+		// NOTRANSFER: keep whatever was already in place.
 		tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
 		if keep := sched.LocalKeep; !keep.Empty() {
 			copyGrid(newLocal, oldLocal, keep)
@@ -122,7 +125,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 			psp.End()
 			if err != nil {
 				// Every rank fails here symmetrically before any data moves:
-				// the old distribution stays published and readable.
+				// the old distribution stays in place and readable.
 				a.retireLocal(rank, newD, newLocal)
 				return fmt.Errorf("darray: %s: redistribution planning: %w", a.name, err)
 			}
@@ -132,8 +135,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 		tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
 
 		// The self-transfer never touches the wire: copy it whole before
-		// the ring (still only into newLocal — two-phase commit semantics
-		// are unchanged).
+		// the ring (still only into the uncommitted newLocal).
 		for _, t := range sched.Sends {
 			if t.Peer == rank {
 				copyGrid(newLocal, oldLocal, t.Grid)
@@ -154,37 +156,25 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 		}
 	}
 
-	// Two-phase commit: nothing is published until the commit barrier
-	// proves every processor received all its incoming spans.  A rank
-	// whose exchange failed returned above without entering the barrier,
-	// so under a deadline/retry CommConfig the surviving ranks' barrier
-	// fails too and no rank commits: a failed DISTRIBUTE leaves the array
-	// readable with its old Local and old distribution everywhere.
-	if err := ctx.Barrier(); err != nil {
-		a.retireLocal(rank, newD, newLocal)
-		return fmt.Errorf("darray: %s: redistribution commit: %w", a.name, err)
-	}
-	a.locals[rank] = newLocal
-	a.registerWindow(rank)
+	// Every transfer into newLocal has landed: the ring returned only
+	// after this rank's last pull or unpack.  Commit without waiting for
+	// the peers still pulling from oldLocal — the window keeps offering it
+	// until this rank's next Settle.
+	a.commit(rank, newD, newLocal)
 	a.retireLocal(rank, oldD, oldLocal)
-	return a.swapDist(ctx, newD)
+	return nil
 }
 
-// swapDist publishes the new descriptor; the surrounding barriers give
-// every processor a consistent view.  It runs only after the commit
-// barrier, so every rank's data is already in place; a failure of its own
-// barrier is reported but cannot un-publish the descriptor.
-func (a *Array) swapDist(ctx *machine.Ctx, newD *dist.Distribution) error {
-	if ctx.Rank() == 0 {
-		a.mu.Lock()
-		a.dst = newD
-		a.epoc++
-		a.mu.Unlock()
-	}
-	if err := ctx.Barrier(); err != nil {
-		return fmt.Errorf("darray: %s: distribution swap barrier: %w", a.name, err)
-	}
-	return nil
+// commit makes l and d this rank's storage and descriptor: l becomes the
+// target of ghost puts, and the next ghost exchange along each dimension
+// first signals the neighbours that it did (startGhostDim).
+func (a *Array) commit(rank int, d *dist.Distribution, l *Local) {
+	a.locals[rank] = l
+	a.win.Register(rank, l.data)
+	own := &a.own[rank]
+	own.dst.Store(d)
+	own.epoc++
+	own.signal = ^uint64(0)
 }
 
 // redistSubtag is the window stream a DISTRIBUTE's offers travel on; the
@@ -308,9 +298,8 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 // nothing resident on the wire; on other transports the window moves it
 // packed.  Any other transfer is packed just in time into the one
 // recycled stream buffer and unpacked on arrival, and its received buffer
-// goes back to the transport.  The sender's old Local stays untouched until its commit
-// barrier returns, which is after every peer's pull, so the two-phase
-// commit is unchanged: nothing is published before all data arrived.
+// goes back to the transport.  The sender's old Local stays untouched
+// until its next move's Settle has every puller's done token.
 func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
 	if !hasRemote(sched) {
 		// Nothing crosses this rank's boundary (a DISTRIBUTE that only
@@ -324,27 +313,27 @@ func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sche
 	// and charging the view rank would misattribute the gauge to another
 	// (possibly dead) rank's slot.
 	prank := ctx.PhysRank()
-	bufs := &a.bufs[rank]
-	plan := bufs.plans[sched]
+	own := &a.own[rank]
+	plan := own.plans[sched]
 	if plan == nil {
 		plan = a.planTransfers(oldD, newD, sched, ctx.NP(), oldLocal, newLocal)
 		switch {
-		case bufs.plans == nil:
-			bufs.plans = make(map[*redist.Schedule]*xferPlan)
-		case len(bufs.plans) >= maxPlans:
-			clear(bufs.plans)
+		case own.plans == nil:
+			own.plans = make(map[*redist.Schedule]*xferPlan)
+		case len(own.plans) >= maxPlans:
+			clear(own.plans)
 		}
-		bufs.plans[sched] = plan
+		own.plans[sched] = plan
 	}
-	win, c := a.window(ctx), ctx.Comm()
+	win, c := a.win, ctx.Comm()
 	return c.Ring(func(to, from int) error {
 		if x := &plan.send[to]; x.rect {
 			if err := win.Offer(c, to, redistSubtag, x.src); err != nil {
 				return err
 			}
 		} else if x.count > 0 {
-			bufs.stream = oldLocal.appendPacked(bufs.streamBuf(x.count), x.grid)
-			if err := win.OfferPacked(c, to, redistSubtag, bufs.stream); err != nil {
+			own.stream = oldLocal.appendPacked(own.streamBuf(x.count), x.grid)
+			if err := win.OfferPacked(c, to, redistSubtag, own.stream); err != nil {
 				return err
 			}
 		}

@@ -7,7 +7,6 @@ package darray
 import (
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -128,8 +127,9 @@ func TestRedistributeMemBudget1Dto2D(t *testing.T) {
 // equal the schedule-derived sums exactly, and the run over channels —
 // where rect transfers are pulled out of the sender's storage and the
 // rest travel packed — ends bit-identical to the run over TCP, with the
-// same message and byte totals and the same modelled makespan to the
-// last bit.
+// same data-message and byte totals.  A pull also returns a zero-byte done
+// token, so the channel run's modelled makespan may exceed TCP's, by at
+// most one send overhead per extra message.
 func TestRedistributeUnboundedExactCounts(t *testing.T) {
 	type chain struct {
 		name string
@@ -156,13 +156,14 @@ func TestRedistributeUnboundedExactCounts(t *testing.T) {
 		}})
 	}
 	type outcome struct {
-		data        []float64
-		msgs, bytes int64
-		model       float64
+		data             []float64
+		msgs, all, bytes int64
+		model            float64
 	}
 	for _, ch := range chains {
 		t.Run(ch.name, func(t *testing.T) {
 			var outs [2]outcome
+			var overhead float64
 			for ti, transport := range []string{"chan", "tcp"} {
 				out := &outs[ti]
 				cost := msg.NewCostModel(4, 5e-6, 1e-9)
@@ -222,7 +223,8 @@ func TestRedistributeUnboundedExactCounts(t *testing.T) {
 					return err
 				})
 				sn := m.Stats().Snapshot()
-				out.msgs, out.bytes, out.model = sn.TotalDataMsgs(), sn.TotalBytes(), cost.Makespan()
+				out.msgs, out.all, out.bytes, out.model = sn.TotalDataMsgs(), sn.TotalMsgs(), sn.TotalBytes(), cost.Makespan()
+				overhead = cost.SendOverhead
 			}
 			c, tc := outs[0], outs[1]
 			if !slices.Equal(c.data, tc.data) {
@@ -231,8 +233,9 @@ func TestRedistributeUnboundedExactCounts(t *testing.T) {
 			if c.msgs != tc.msgs || c.bytes != tc.bytes {
 				t.Errorf("traffic differs: chan %d msgs / %d bytes, tcp %d / %d", c.msgs, c.bytes, tc.msgs, tc.bytes)
 			}
-			if math.Float64bits(c.model) != math.Float64bits(tc.model) {
-				t.Errorf("modelled makespan differs: chan %v, tcp %v", c.model, tc.model)
+			if d := c.model - tc.model; d < 0 || d > float64(c.all-tc.all)*overhead*(1+1e-9) {
+				t.Errorf("modelled makespan: chan %v, tcp %v: chan's %d extra tokens allow [0, %v]",
+					c.model, tc.model, c.all-tc.all, float64(c.all-tc.all)*overhead)
 			}
 			if c.model == 0 {
 				t.Error("cost model saw no traffic")
@@ -259,8 +262,8 @@ func TestRedistributeBudgetInfeasible(t *testing.T) {
 		}
 		ctx.Barrier()
 		// The array must still be fully usable under the old distribution.
-		if a.Epoch() != 0 {
-			t.Errorf("rank %d: epoch advanced to %d on failed plan", ctx.Rank(), a.Epoch())
+		if a.Epoch(ctx.Rank()) != 0 {
+			t.Errorf("rank %d: epoch advanced to %d on failed plan", ctx.Rank(), a.Epoch(ctx.Rank()))
 		}
 		l := a.Local(ctx)
 		l.ForEachOwned(func(p index.Point, v *float64) {

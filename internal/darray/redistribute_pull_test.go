@@ -42,7 +42,7 @@ func TestRedistributeMixedSchedule(t *testing.T) {
 					}
 				}
 				rank := ctx.Rank()
-				for _, plan := range a.bufs[rank].plans {
+				for _, plan := range a.own[rank].plans {
 					for _, xs := range [][]xfer{plan.send, plan.recv} {
 						for _, x := range xs {
 							switch {

@@ -49,7 +49,7 @@ func builtinTridiag(st *State, args []any) error {
 	if err := ctx.Barrier(); err != nil {
 		return err
 	}
-	d := arr.Dist()
+	d := arr.DistOf(ctx.Rank())
 	dom := arr.Domain()
 	lo := dom.Lo[dim]
 	// n comes from the program text: a NaN or infinity fails the range

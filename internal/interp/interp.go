@@ -316,7 +316,7 @@ func (st *State) forall(stm *lang.ForallStmt) error {
 	// Owner-computes partitioning for the single-assignment body.
 	if len(stm.Body) == 1 {
 		if as, ok := stm.Body[0].(*lang.AssignStmt); ok {
-			if arr, isArr := st.arrays[as.LHS.Name]; isArr && as.LHS.Indices != nil && arr.Distributed() {
+			if arr, isArr := st.arrays[as.LHS.Name]; isArr && as.LHS.Indices != nil && arr.Distributed(st.Ctx.Rank()) {
 				dim := -1
 				for k, ix := range as.LHS.Indices {
 					if ref, ok := ix.(*lang.Ref); ok && ref.Indices == nil && ref.Name == stm.Var {
@@ -579,7 +579,20 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 			return fmt.Errorf("%v: recover: %w", stm.Pos(), err)
 		}
 	}
+	// A DISTRIBUTE synchronizes nothing, but the interpreter's non-local
+	// element reads and writes (darray.Array.Get/Set) reach straight into
+	// the owner's Local — the shared-address backdoor of ROADMAP item 4.
+	// So the statement is fenced here: the barrier before it lets every
+	// processor finish such accesses under the old distribution before
+	// any owner commits the new one, and the barrier after lets every
+	// owner commit before any processor accesses it under the new one.
+	if err := st.Ctx.Barrier(); err != nil {
+		return err
+	}
 	if err := st.distributeExec(stm); err != nil {
+		return err
+	}
+	if err := st.Ctx.Barrier(); err != nil {
 		return err
 	}
 	st.nDistribute++
@@ -684,17 +697,13 @@ func (st *State) selectStmt(stm *lang.SelectStmt) error {
 		}
 		sels = append(sels, a)
 	}
-	qsels := make([]querySel, len(sels))
-	for i, a := range sels {
-		qsels[i] = querySel{a}
-	}
 	types := make([]dist.Type, len(sels))
 	byName := map[string]dist.Type{}
 	for i, a := range sels {
-		if !a.Distributed() {
+		if !a.Distributed(st.Ctx.Rank()) {
 			return fmt.Errorf("%v: selector %s has no well-defined distribution", stm.Pos(), a.Name())
 		}
-		types[i] = a.DistType()
+		types[i] = a.DistType(st.Ctx.Rank())
 		byName[a.Name()] = types[i]
 	}
 	for _, arm := range stm.Arms {
@@ -720,12 +729,6 @@ func (st *State) selectStmt(stm *lang.SelectStmt) error {
 	}
 	return nil // no match: construct completes without executing an action
 }
-
-type querySel struct{ a *core.Array }
-
-func (q querySel) QueryName() string   { return q.a.Name() }
-func (q querySel) Distributed() bool   { return q.a.Distributed() }
-func (q querySel) DistType() dist.Type { return q.a.DistType() }
 
 func (st *State) call(stm *lang.CallStmt) error {
 	fn, ok := st.In.builtins[stm.Name]
@@ -805,7 +808,7 @@ func (st *State) assign(stm *lang.AssignStmt) error {
 		p[k] = int(v)
 	}
 	// owner-computes: only owners evaluate the RHS and store
-	d := arr.Dist()
+	d := arr.DistOf(st.Ctx.Rank())
 	if d == nil {
 		return fmt.Errorf("%v: %s assigned before association with a distribution", stm.Pos(), lhs.Name)
 	}
@@ -999,9 +1002,9 @@ func (st *State) evalIDT(ex *lang.IDTExpr) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("IDT of undeclared array %s", ex.Array)
 	}
-	if !arr.Distributed() {
+	if !arr.Distributed(st.Ctx.Rank()) {
 		return false, fmt.Errorf("IDT of %s before association with a distribution", ex.Array)
 	}
 	pat := st.Unit.AbstractPattern(ex.Pattern)
-	return pat.Matches(arr.DistType()), nil
+	return pat.Matches(arr.DistType(st.Ctx.Rank())), nil
 }

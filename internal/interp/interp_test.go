@@ -576,3 +576,44 @@ ENDDO
 		}
 	}
 }
+
+// TestDistributeThenNonLocalReads: element reads on either side of an
+// interpreted DISTRIBUTE reach into the owners' storage (scalar
+// statements, an IF condition, an array statement).  The statement-level
+// barriers around a DISTRIBUTE must order them against the owners'
+// commits, so P = 4 computes what P = 1 does.
+func TestDistributeThenNonLocalReads(t *testing.T) {
+	const src = `
+PARAMETER (N = 16)
+REAL A(N) DYNAMIC, DIST(BLOCK)
+REAL B(N) DIST(CYCLIC)
+DO I = 1, N
+  A(I) = I * I
+ENDDO
+S = 0
+DO K = 1, 4
+  S = S + A(N + 1 - K)
+  DISTRIBUTE A :: (CYCLIC(3))
+  S = S + 2 * A(K) + A(N - K)
+  IF (A(N) .GT. S) THEN
+    S = S + 1
+  ENDIF
+  B(K) = A(N + 1 - K) + S
+  DISTRIBUTE A :: (BLOCK)
+  S = S + A(2 * K)
+  A(K) = A(K) + 1
+ENDDO
+`
+	serialS, serialB := runProgram(t, 1, src, "B")
+	for _, np := range []int{2, 4} {
+		s, b := runProgram(t, np, src, "B")
+		if s["S"] != serialS["S"] {
+			t.Errorf("P=%d: S = %v, P=1 computes %v", np, s["S"], serialS["S"])
+		}
+		for i := range serialB {
+			if b[i] != serialB[i] {
+				t.Errorf("P=%d: B(%d) = %v, P=1 computes %v", np, i+1, b[i], serialB[i])
+			}
+		}
+	}
+}

@@ -133,7 +133,7 @@ func RegisterPICDemo(in *Interp) {
 			return err
 		}
 		arr := fa.Arr
-		d := arr.Dist()
+		d := arr.DistOf(ctx.Rank())
 		l := arr.Local(ctx)
 		ncell := arr.Domain().Extent(0)
 		rs := l.Grid().Dims[0]
@@ -222,7 +222,7 @@ func RegisterPICDemo(in *Interp) {
 		}
 		if st.Ctx.Rank() == 0 {
 			avg := tot / float64(st.Ctx.NP())
-			fmt.Printf("  step %3.0f: imbalance %.3f  (dist %v)\n", step, mx/avg, fa.Arr.DistType())
+			fmt.Printf("  step %3.0f: imbalance %.3f  (dist %v)\n", step, mx/avg, fa.Arr.DistType(0))
 		}
 		return nil
 	})

@@ -43,8 +43,8 @@ func TestPICDemoEndToEnd(t *testing.T) {
 			// plane 1 holds the particle counts
 			n := field.Domain().Extent(0)
 			counts = data[:n]
-			epochs = field.Epoch()
-			distStr = field.DistType().String()
+			epochs = field.Epoch(ctx.Rank())
+			distStr = field.DistType(ctx.Rank()).String()
 		}
 		return nil
 	}); err != nil {
@@ -137,7 +137,7 @@ DISTRIBUTE B :: (CYCLIC) NOTRANSFER (A)
 		}
 		a, _ := st.Array("A")
 		b, _ := st.Array("B")
-		if !a.DistType().Equal(b.DistType()) {
+		if !a.DistType(ctx.Rank()).Equal(b.DistType(ctx.Rank())) {
 			t.Error("NOTRANSFER must still re-derive the secondary's type")
 		}
 		// rank 0 owned 1..4 before; under CYCLIC it owns odds. Kept

@@ -277,6 +277,9 @@ func TestStatsSentBySender(t *testing.T) {
 			}
 			return win.Pull(c, 0, 1, RectRun(0, 3), private, RectRun(0, 3))
 		}
+		if err := win.Settle(c); err != nil {
+			return err
+		}
 		if err := c.Endpoint().Send(1, 1, make([]byte, 40)); err != nil {
 			return err
 		}

@@ -22,11 +22,17 @@ import (
 //     can derive the transfer geometry from the (replicated) distribution
 //     descriptor, so the wire carries payload only and the message/byte
 //     accounting is identical to the two-sided exchange it replaces.
-//   - Offers (Offer / Pull): the owner offers a region of its registered
+//   - Offers (Offer / Pull): the owner offers a region of its offered
 //     storage and the receiver pulls it into storage of its own that need
 //     not be registered — the DISTRIBUTE discipline, where the destination
-//     must stay private until a commit.  On shared memory the receiver
-//     makes the only copy.
+//     stays private until its owner publishes it.  On shared memory the
+//     receiver makes the only copy and then hands the owner a done token;
+//     the owner's Settle collects them before it reuses what it offered.
+//
+// A rank's offered storage is its registered storage as of its last
+// Settle, so it may register new storage (publishing it to puts) while
+// peers still pull from the old: a DISTRIBUTE commits without waiting for
+// its pullers.
 //
 // Transport interplay:
 //
@@ -54,6 +60,7 @@ import (
 // after its pull gave up stays queued and would complete the next pull
 // on that stream, so a counted stream must not be reused after a failed
 // operation without a new epoch (a View folds the epoch into the tag).
+// A done token lost with its puller fails the offerer's next Settle.
 
 // Rect describes a strided hyper-rectangular region of a window's
 // registered storage: element offset Off plus per-dimension (stride,
@@ -254,14 +261,15 @@ func ApplyRect(dst []float64, r Rect, payload []byte) error {
 }
 
 // Window tag layout: each window owns winTagSlots consecutive tags above
-// winTagBase; subtags 1..63 are the counted streams, and subtag 0 is
-// unused so that every stream keeps its tag on the wire.  The window id
-// rotates through the space, which holds ~1M concurrently-live windows
-// per transport.
+// winTagBase; subtags 1..63 are the counted streams, and subtag 0 carries
+// the done tokens pullers return to offerers.  The window id rotates
+// through the space, which holds ~1M concurrently-live windows per
+// transport.
 const (
 	winTagSlots = 64
 	winTagBase  = TagRMABase + 8192
 	maxWindows  = (TagCollBase - winTagBase) / winTagSlots
+	doneSubtag  = 0
 )
 
 // MaxSubtag is the largest counted-stream subtag a window supports.
@@ -280,43 +288,75 @@ type Window struct {
 	shared []winShared
 	// op names handed to SendRetry/RecvRetry, built once: the counted
 	// streams run per message and must not concatenate per call.
-	opPut, opAwait, opOffer, opPull string
+	opPut, opAwait, opOffer, opPull, opDone, opSignal string
 }
 
-// winShared is per-rank hot-path state.
+// winShared is per-rank hot-path state.  Only its rank writes it; peers
+// read data after a put-ordering token and offered after an offer token.
 type winShared struct {
-	data    []float64 // registered storage (written by Register under program barriers)
+	data    []float64 // registered storage: the target of puts
+	offered []float64 // what offers address: data as of the last Settle
+	owed    []int32   // per peer, done tokens not yet collected by Settle
 	sendBuf []byte    // recycled pack buffer (framed path)
-	_       [40]byte  // keep ranks off each other's cache lines
+	_       [64]byte  // keep ranks off each other's cache lines
 }
 
 // NewWindow creates a window for np ranks.  stats must be non-nil; cost
 // may be nil.  All ranks must share the returned object (create it once
 // and publish it, e.g. via a collective constructor).
 func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
+	shared := make([]winShared, np)
+	owed := make([]int32, np*np)
+	for r := range shared {
+		shared[r].owed = owed[r*np : (r+1)*np : (r+1)*np]
+	}
 	return &Window{
 		id:     int(winSeq.Add(1)),
 		name:   name,
 		stats:  stats,
 		cost:   cost,
-		shared: make([]winShared, np),
+		shared: shared,
 
-		opPut:   "win-put " + name,
-		opAwait: "win-await " + name,
-		opOffer: "win-offer " + name,
-		opPull:  "win-pull " + name,
+		opPut:    "win-put " + name,
+		opAwait:  "win-await " + name,
+		opOffer:  "win-offer " + name,
+		opPull:   "win-pull " + name,
+		opDone:   "win-done " + name,
+		opSignal: "win-signal " + name,
 	}
 }
 
 // Name returns the window's diagnostic name.
 func (w *Window) Name() string { return w.name }
 
-// Register associates rank's storage with the window.  Call it whenever
-// the rank's storage is (re)allocated, strictly before the next barrier
-// or collective that precedes remote access — registration is published
-// to peers by that synchronization, not by Register itself.
+// Register associates rank's storage with the window as the target of
+// puts.  Call it on rank whenever its storage is (re)allocated, before
+// whatever message orders it before a peer's next put — a barrier, a
+// collective, or a Signal.  Offers address it only after the rank's next
+// Settle.
 func (w *Window) Register(rank int, data []float64) {
 	w.shared[rank].data = data
+}
+
+// Settle waits until every peer that pulled from the caller's offered
+// storage is done with it — one done token per pulled offer, on shared
+// memory; nothing is owed elsewhere — and then offers from the caller's
+// registered storage.  A rank calls it before it reuses storage it
+// offered (DISTRIBUTE does, at the start of each move).  The tokens were
+// sent as each pull finished, so by then they have normally arrived.
+func (w *Window) Settle(c *Comm) error {
+	sh := &w.shared[c.Rank()]
+	for from, n := range sh.owed {
+		for ; n > 0; n-- {
+			if _, err := RecvRetry(c.ep, c.cfg, c.tr, w.opDone, from, w.tag(doneSubtag)); err != nil {
+				sh.owed[from] = n
+				return w.opErr("settle with", from, err)
+			}
+		}
+		sh.owed[from] = 0
+	}
+	sh.offered = sh.data
+	return nil
 }
 
 // Registered returns rank's registered storage (nil if none).
@@ -441,32 +481,33 @@ func (w *Window) checkSubtag(op string, subtag int) {
 	}
 }
 
-// Offer makes the src region of the caller's registered storage available
+// Offer makes the src region of the caller's offered storage available
 // to rank to, which completes the transfer with the matching Pull(from,
 // subtag, src, ...) — the receiver-driven counterpart of PutAsync, for
 // data whose destination is not (yet) registered storage.  On shared
 // memory nothing is copied here: the transport moves a zero-byte token,
 // accounted as the one data message of 8·count bytes the framed path
-// sends, and the receiver copies straight out of the registered storage.
-// The caller must therefore leave the offered region unmodified until it
-// has synchronized with the receiver again (a barrier both pass after the
-// Pull); the token orders the caller's earlier writes before the
+// sends, and the receiver copies straight out of the offered storage.
+// The caller must therefore leave the offered region unmodified until
+// its next Settle, which returns once the receiver's done token is in;
+// the offer token orders the caller's earlier writes before the
 // receiver's reads.  On other transports the region travels packed, as
 // with PutAsync, and is reusable when Offer returns.
 func (w *Window) Offer(c *Comm, to, subtag int, src Rect) error {
 	w.checkSubtag("offer", subtag)
 	rank := c.Rank()
 	sh := &w.shared[rank]
-	if err := src.validate(len(sh.data)); err != nil {
+	if err := src.validate(len(sh.offered)); err != nil {
 		return w.opErr("offer to", to, err)
 	}
 	if !sharedMemory(c.ep) {
-		sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
+		sh.sendBuf = PackRect(sh.sendBuf[:0], sh.offered, src)
 		return w.OfferPacked(c, to, subtag, sh.sendBuf)
 	}
 	if err := SendRetry(c.ep, c.cfg, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("offer to", to, err)
 	}
+	sh.owed[to]++
 	n := 8 * src.Count()
 	w.accountDirect(c.ep, rank, to, n)
 	c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), n)
@@ -492,13 +533,14 @@ func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
 }
 
 // Pull completes one Offer from rank from on the given subtag: the
-// elements of src (in from's registered storage) are stored into the dr
+// elements of src (in from's offered storage) are stored into the dr
 // region of dst, which is any storage of the caller's — typically one no
 // peer can see yet.  src and dr must cover the same element count, and
 // both ends must describe the same src.  On shared memory the caller
-// copies the rect itself once the token arrives and advances its cost
-// clock to the arrival time of the 8·count bytes the token stands for,
-// so clocks and counters equal the framed path's bit for bit; on other
+// copies the rect itself once the token arrives, advances its cost clock
+// to the arrival time of the 8·count bytes the token stands for — so
+// counters and the arrival equal the framed path's — and then hands the
+// offerer the zero-byte done token its Settle waits for; on other
 // transports the received payload is applied.  Completions on one (from,
 // subtag) stream match offers in their issue order.
 func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rect) error {
@@ -525,7 +567,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 		}
 		return nil
 	}
-	fbuf := w.shared[from].data
+	fbuf := w.shared[from].offered
 	if err := src.validate(len(fbuf)); err != nil {
 		return w.opErr("pull from", from, err)
 	}
@@ -537,6 +579,9 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 		w.cost.OnRecv(prank, p.SendClock, n)
 	}
 	c.tr.Recv(prank, physOf(c.ep, from), n)
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opDone, from, w.tag(doneSubtag), nil); err != nil {
+		return w.opErr("pull from", from, err)
+	}
 	return nil
 }
 
@@ -549,4 +594,31 @@ func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 		return Packet{}, w.opErr("pull from", from, err)
 	}
 	return p, nil
+}
+
+// Signal sends rank to a zero-byte token on the counted stream subtag.
+// The token carries no data, only the order of everything the caller did
+// before it — typically registering new storage — ahead of the
+// receiver's matching AwaitSignal; signals and puts on one stream
+// complete in issue order.
+func (w *Window) Signal(c *Comm, to, subtag int) error {
+	w.checkSubtag("signal", subtag)
+	if err := SendRetry(c.ep, c.cfg, c.tr, w.opSignal, to, w.tag(subtag), nil); err != nil {
+		return w.opErr("signal to", to, err)
+	}
+	return nil
+}
+
+// AwaitSignal completes one Signal from rank from on the given subtag.
+func (w *Window) AwaitSignal(c *Comm, from, subtag int) error {
+	w.checkSubtag("signal", subtag)
+	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opSignal, from, w.tag(subtag))
+	if err != nil {
+		return w.opErr("await signal from", from, err)
+	}
+	if len(p.Data) != 0 {
+		p.Release()
+		return w.opErr("await signal from", from, fmt.Errorf("msg: %d-byte payload where a signal was due", len(p.Data)))
+	}
+	return nil
 }

@@ -3,6 +3,7 @@ package msg
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -184,6 +185,9 @@ func TestWindowPutAsyncRing(t *testing.T) {
 				data[i] = float64(100*r + i)
 			}
 			win.Register(r, data)
+			if err := win.Settle(c); err != nil {
+				return err
+			}
 			if err := c.Barrier(); err != nil {
 				return err
 			}
@@ -495,9 +499,11 @@ func TestFaultMatrixWindowBitflip(t *testing.T) {
 // transports with a cost model attached: every rank offers a strided
 // 2-D block of its registered storage to its successor, which pulls it
 // into private storage no window knows about, and a second pair moves a
-// caller-packed payload on the same stream.  Data, counters and every
-// rank's virtual clock must be identical on the token path (chan) and
-// the framed path (tcp) — the clock bit for bit.
+// caller-packed payload on the same stream.  Data, payload bytes and
+// data messages must be identical on the token path (chan) and the
+// framed path (tcp).  The token path also returns one zero-byte done
+// token per pull, so it sends np more messages and every virtual clock
+// runs exactly one send overhead ahead of the framed path's.
 func TestWindowOfferPullRing(t *testing.T) {
 	const np, rows, cols = 4, 6, 5
 	src := Rect{Off: 1, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: rows, Count: cols}}}
@@ -529,6 +535,9 @@ func TestWindowOfferPullRing(t *testing.T) {
 				data[i] = float64(1000*r + i)
 			}
 			win.Register(r, data)
+			if err := win.Settle(c); err != nil {
+				return err
+			}
 			if err := c.Barrier(); err != nil {
 				return err
 			}
@@ -577,16 +586,18 @@ func TestWindowOfferPullRing(t *testing.T) {
 	}
 	ch, tc := results["chan"], results["tcp"]
 	if ch.snap.TotalDataMsgs() != tc.snap.TotalDataMsgs() || ch.snap.TotalBytes() != tc.snap.TotalBytes() ||
-		ch.snap.TotalMsgs() != tc.snap.TotalMsgs() {
-		t.Errorf("stats parity: chan %d data msgs/%d msgs/%d bytes, tcp %d/%d/%d",
+		ch.snap.TotalMsgs() != tc.snap.TotalMsgs()+np {
+		t.Errorf("stats parity: chan %d data msgs/%d msgs/%d bytes, tcp %d/%d/%d (chan adds %d done tokens)",
 			ch.snap.TotalDataMsgs(), ch.snap.TotalMsgs(), ch.snap.TotalBytes(),
-			tc.snap.TotalDataMsgs(), tc.snap.TotalMsgs(), tc.snap.TotalBytes())
+			tc.snap.TotalDataMsgs(), tc.snap.TotalMsgs(), tc.snap.TotalBytes(), np)
 	}
 	if want := int64(np * (8*3*cols + 16)); ch.snap.TotalBytes() != want {
 		t.Errorf("offer traffic: %d bytes, want %d", ch.snap.TotalBytes(), want)
 	}
-	if ch.clocks != tc.clocks {
-		t.Errorf("cost clocks differ:\n chan %v\n tcp  %v", ch.clocks, tc.clocks)
+	for r := range ch.clocks {
+		if d := ch.clocks[r] - tc.clocks[r]; math.Abs(d-1.5e-6) > 1e-15 {
+			t.Errorf("rank %d: chan clock %v runs %v ahead of tcp's %v, want one send overhead (1.5e-6)", r, ch.clocks[r], d, tc.clocks[r])
+		}
 	}
 	for r := 0; r < np; r++ {
 		for i := range ch.got[r] {
@@ -636,6 +647,9 @@ func TestWindowPutAllocatesNothing(t *testing.T) {
 
 func TestWindowPullAllocatesNothing(t *testing.T) {
 	win, c0, c1 := warmWindowPair(t)
+	if err := win.Settle(c0); err != nil {
+		t.Fatal(err)
+	}
 	private := make([]float64, 4096)
 	pull := func() {
 		if err := win.Offer(c0, 1, 2, allocSrc); err != nil {
@@ -644,9 +658,12 @@ func TestWindowPullAllocatesNothing(t *testing.T) {
 		if err := win.Pull(c1, 0, 2, allocSrc, private, allocDst); err != nil {
 			t.Fatal(err)
 		}
+		if err := win.Settle(c0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	pull()
 	if n := testing.AllocsPerRun(100, pull); n != 0 {
-		t.Errorf("warm Offer+Pull: %v allocs/run, want 0", n)
+		t.Errorf("warm Offer+Pull+Settle: %v allocs/run, want 0", n)
 	}
 }

@@ -3,8 +3,9 @@
 // the IDT intrinsic function and the DCASE construct.
 //
 // Both operate on selectors — anything exposing a name and a current
-// distribution type (darray.Array and core.DynArray qualify).  DCASE
-// follows the paper's semantics precisely:
+// distribution type (core.Array qualifies).  Every processor holds its
+// own descriptor of an array, so a query names the processor asking.
+// DCASE follows the paper's semantics precisely:
 //
 //   - every selector must be allocated and associated with a well-defined
 //     distribution when the construct executes;
@@ -27,22 +28,23 @@ type Selector interface {
 	// QueryName is the declaration name used by name-tagged query lists.
 	QueryName() string
 	// Distributed reports whether the array is currently associated with
-	// a distribution.
-	Distributed() bool
-	// DistType returns the current distribution type.
-	DistType() dist.Type
+	// a distribution on processor rank.
+	Distributed(rank int) bool
+	// DistType returns the current distribution type on processor rank.
+	DistType(rank int) dist.Type
 }
 
-// IDT is the intrinsic distribution-type test of §2.5.2: it returns true
-// when the selector's current distribution type matches the pattern.
-// Like the paper's IDT it requires the array to have a well-defined
-// distribution (panics otherwise, mirroring the run-time error a Vienna
-// Fortran program would raise).
-func IDT(s Selector, pat dist.Pattern) bool {
-	if !s.Distributed() {
+// IDT is the intrinsic distribution-type test of §2.5.2, evaluated on
+// processor rank: it returns true when the selector's current
+// distribution type matches the pattern.  Like the paper's IDT it
+// requires the array to have a well-defined distribution (panics
+// otherwise, mirroring the run-time error a Vienna Fortran program would
+// raise).
+func IDT(rank int, s Selector, pat dist.Pattern) bool {
+	if !s.Distributed(rank) {
 		panic(fmt.Sprintf("query: IDT on %s before association with a distribution", s.QueryName()))
 	}
-	return pat.Matches(s.DistType())
+	return pat.Matches(s.DistType(rank))
 }
 
 // Q is one query in a condition list.
@@ -68,21 +70,22 @@ type arm struct {
 
 // DCase is the dcase-construct builder:
 //
-//	matched, err := query.Select(b1, b2, b3).
+//	matched, err := query.Select(rank, b1, b2, b3).
 //		Case(a1, query.P(p1), query.P(p2), query.P(p3)).
 //		Case(a2, query.On("B1", pc), query.On("B3", pb)).
 //		Default(a4).
 //		Run()
 type DCase struct {
+	rank      int
 	selectors []Selector
 	arms      []arm
 	err       error
 }
 
-// Select starts a dcase construct over the given selectors (at least
-// one, as the paper requires r >= 1).
-func Select(selectors ...Selector) *DCase {
-	d := &DCase{selectors: selectors}
+// Select starts a dcase construct executed by processor rank over the
+// given selectors (at least one, as the paper requires r >= 1).
+func Select(rank int, selectors ...Selector) *DCase {
+	d := &DCase{rank: rank, selectors: selectors}
 	if len(selectors) == 0 {
 		d.err = fmt.Errorf("query: SELECT DCASE needs at least one selector")
 	}
@@ -154,10 +157,10 @@ func (d *DCase) Run() (matched int, err error) {
 	types := make([]dist.Type, len(d.selectors))
 	byName := map[string]dist.Type{}
 	for i, s := range d.selectors {
-		if !s.Distributed() {
+		if !s.Distributed(d.rank) {
 			return -1, fmt.Errorf("query: selector %s has no well-defined distribution at DCASE execution", s.QueryName())
 		}
-		types[i] = s.DistType()
+		types[i] = s.DistType(d.rank)
 		byName[s.QueryName()] = types[i]
 	}
 	for i, a := range d.arms {

@@ -14,9 +14,9 @@ type fakeSel struct {
 	has  bool
 }
 
-func (f *fakeSel) QueryName() string   { return f.name }
-func (f *fakeSel) Distributed() bool   { return f.has }
-func (f *fakeSel) DistType() dist.Type { return f.typ }
+func (f *fakeSel) QueryName() string      { return f.name }
+func (f *fakeSel) Distributed(int) bool   { return f.has }
+func (f *fakeSel) DistType(int) dist.Type { return f.typ }
 
 func sel(name string, dims ...dist.DimSpec) *fakeSel {
 	return &fakeSel{name: name, typ: dist.NewType(dims...), has: true}
@@ -24,13 +24,13 @@ func sel(name string, dims ...dist.DimSpec) *fakeSel {
 
 func TestIDT(t *testing.T) {
 	b := sel("B", dist.BlockDim(), dist.CyclicDim(2))
-	if !IDT(b, dist.NewPattern(dist.PBlock(), dist.PCyclic(2))) {
+	if !IDT(0, b, dist.NewPattern(dist.PBlock(), dist.PCyclic(2))) {
 		t.Error("exact IDT failed")
 	}
-	if IDT(b, dist.NewPattern(dist.PCyclic(2))) {
+	if IDT(0, b, dist.NewPattern(dist.PCyclic(2))) {
 		t.Error("wrong leading dim matched")
 	}
-	if !IDT(b, dist.NewPattern(dist.PBlock())) {
+	if !IDT(0, b, dist.NewPattern(dist.PBlock())) {
 		t.Error("short pattern (implicit *) failed")
 	}
 	defer func() {
@@ -38,7 +38,7 @@ func TestIDT(t *testing.T) {
 			t.Error("IDT on undistributed selector should panic")
 		}
 	}()
-	IDT(&fakeSel{name: "U"}, dist.AnyPattern())
+	IDT(0, &fakeSel{name: "U"}, dist.AnyPattern())
 }
 
 // TestPaperExample4 executes the dcase construct of paper Example 4 under
@@ -52,7 +52,7 @@ func TestPaperExample4(t *testing.T) {
 		b1 := &fakeSel{name: "B1", typ: t1, has: true}
 		b2 := &fakeSel{name: "B2", typ: t2, has: true}
 		b3 := &fakeSel{name: "B3", typ: t3, has: true}
-		d := Select(b1, b2, b3).
+		d := Select(0, b1, b2, b3).
 			// CASE (BLOCK),(BLOCK),(CYCLIC(2),CYCLIC)
 			Case(act("a1"),
 				P(dist.NewPattern(dist.PBlock())),
@@ -100,7 +100,7 @@ func TestPaperExample4(t *testing.T) {
 func TestDCaseFirstMatchWins(t *testing.T) {
 	b := sel("B", dist.BlockDim())
 	order := []string{}
-	m, err := Select(b).
+	m, err := Select(0, b).
 		Case(func() error { order = append(order, "first"); return nil }, P(dist.AnyPattern())).
 		Case(func() error { order = append(order, "second"); return nil }, P(dist.NewPattern(dist.PBlock()))).
 		Run()
@@ -112,7 +112,7 @@ func TestDCaseFirstMatchWins(t *testing.T) {
 func TestDCaseNoMatchNoDefault(t *testing.T) {
 	b := sel("B", dist.BlockDim())
 	ran := false
-	m, err := Select(b).
+	m, err := Select(0, b).
 		Case(func() error { ran = true; return nil }, P(dist.NewPattern(dist.PCyclic(1)))).
 		Run()
 	if err != nil || m != -1 || ran {
@@ -124,7 +124,7 @@ func TestDCaseEmptyQueryListMatches(t *testing.T) {
 	// "A query list need not contain a query for every selector" — the
 	// empty list is all implicit "*".
 	b := sel("B", dist.CyclicDim(5))
-	m, err := Select(b).Case(nil).Run()
+	m, err := Select(0, b).Case(nil).Run()
 	if err != nil || m != 0 {
 		t.Fatalf("m=%d err=%v", m, err)
 	}
@@ -134,28 +134,28 @@ func TestDCaseErrors(t *testing.T) {
 	b1 := sel("B1", dist.BlockDim())
 	b2 := sel("B2", dist.BlockDim())
 	// mixed positional and tagged
-	if _, err := Select(b1, b2).Case(nil, P(dist.AnyPattern()), On("B2", dist.AnyPattern())).Run(); err == nil || !strings.Contains(err.Error(), "mixes") {
+	if _, err := Select(0, b1, b2).Case(nil, P(dist.AnyPattern()), On("B2", dist.AnyPattern())).Run(); err == nil || !strings.Contains(err.Error(), "mixes") {
 		t.Errorf("mixed list err = %v", err)
 	}
 	// unknown tag
-	if _, err := Select(b1).Case(nil, On("NOPE", dist.AnyPattern())).Run(); err == nil || !strings.Contains(err.Error(), "not a selector") {
+	if _, err := Select(0, b1).Case(nil, On("NOPE", dist.AnyPattern())).Run(); err == nil || !strings.Contains(err.Error(), "not a selector") {
 		t.Errorf("unknown tag err = %v", err)
 	}
 	// too many positional queries
-	if _, err := Select(b1).Case(nil, P(dist.AnyPattern()), P(dist.AnyPattern())).Run(); err == nil {
+	if _, err := Select(0, b1).Case(nil, P(dist.AnyPattern()), P(dist.AnyPattern())).Run(); err == nil {
 		t.Error("too many positional queries accepted")
 	}
 	// duplicate tag
-	if _, err := Select(b1, b2).Case(nil, On("B1", dist.AnyPattern()), On("B1", dist.AnyPattern())).Run(); err == nil {
+	if _, err := Select(0, b1, b2).Case(nil, On("B1", dist.AnyPattern()), On("B1", dist.AnyPattern())).Run(); err == nil {
 		t.Error("duplicate tag accepted")
 	}
 	// no selectors
-	if _, err := Select().Case(nil).Run(); err == nil {
+	if _, err := Select(0).Case(nil).Run(); err == nil {
 		t.Error("empty selector list accepted")
 	}
 	// undistributed selector at execution
 	u := &fakeSel{name: "U"}
-	if _, err := Select(u).Case(nil).Run(); err == nil || !strings.Contains(err.Error(), "well-defined") {
+	if _, err := Select(0, u).Case(nil).Run(); err == nil || !strings.Contains(err.Error(), "well-defined") {
 		t.Errorf("undistributed selector err = %v", err)
 	}
 }
@@ -165,8 +165,8 @@ func TestDCaseTaggedOrderIrrelevant(t *testing.T) {
 	// semantically irrelevant."
 	b1 := sel("B1", dist.BlockDim())
 	b2 := sel("B2", dist.CyclicDim(1))
-	m1, _ := Select(b1, b2).Case(nil, On("B2", dist.NewPattern(dist.PCyclic(1))), On("B1", dist.NewPattern(dist.PBlock()))).Run()
-	m2, _ := Select(b1, b2).Case(nil, On("B1", dist.NewPattern(dist.PBlock())), On("B2", dist.NewPattern(dist.PCyclic(1)))).Run()
+	m1, _ := Select(0, b1, b2).Case(nil, On("B2", dist.NewPattern(dist.PCyclic(1))), On("B1", dist.NewPattern(dist.PBlock()))).Run()
+	m2, _ := Select(0, b1, b2).Case(nil, On("B1", dist.NewPattern(dist.PBlock())), On("B2", dist.NewPattern(dist.PCyclic(1)))).Run()
 	if m1 != 0 || m2 != 0 {
 		t.Fatalf("tag order changed result: %d %d", m1, m2)
 	}
@@ -175,7 +175,7 @@ func TestDCaseTaggedOrderIrrelevant(t *testing.T) {
 func TestDCaseActionError(t *testing.T) {
 	b := sel("B", dist.BlockDim())
 	wantErr := "boom"
-	_, err := Select(b).Default(func() error { return errOf(wantErr) }).Run()
+	_, err := Select(0, b).Default(func() error { return errOf(wantErr) }).Run()
 	if err == nil || err.Error() != wantErr {
 		t.Fatalf("err = %v", err)
 	}

@@ -299,11 +299,18 @@ var (
 	PatternOf  = dist.PatternOf
 )
 
-// IDT is the intrinsic distribution-type test (§2.5.2).
-var IDT = query.IDT
+// Selector is an array whose distribution DCASE and IDT can query.
+type Selector = query.Selector
 
-// Select starts a DCASE construct (§2.5.1).
-var Select = query.Select
+// IDT is the intrinsic distribution-type test (§2.5.2), evaluated on the
+// calling processor's descriptor.
+func IDT(ctx *Ctx, s Selector, pat Pattern) bool { return query.IDT(ctx.Rank(), s, pat) }
+
+// Select starts a DCASE construct (§2.5.1) executed by the calling
+// processor.
+func Select(ctx *Ctx, selectors ...Selector) *query.DCase {
+	return query.Select(ctx.Rank(), selectors...)
+}
 
 // On and P build name-tagged and positional queries.
 var (

@@ -29,17 +29,18 @@ func TestFacadeEndToEnd(t *testing.T) {
 		ctx.Barrier()
 		v.ExchangeAllGhosts(ctx)
 
-		if !IDT(v, NewPattern(PElided(), PBlock())) {
+		if !IDT(ctx, v, NewPattern(PElided(), PBlock())) {
 			t.Error("IDT failed on initial distribution")
 		}
 		e.MustDistribute(ctx, []*Array{v}, DimsOf(Block(), Block()).To(r.Whole()))
+		ctx.Barrier() // a remote Get reads the owner's storage: wait for its commit
 		if got := v.Get(ctx, 7, 9); got != 7+900 {
 			t.Errorf("V(7,9) = %v", got)
 		}
-		if !w.DistType().Equal(NewType(Block(), Block())) {
+		if !w.DistType(ctx.Rank()).Equal(NewType(Block(), Block())) {
 			t.Error("secondary did not follow")
 		}
-		arm, err := Select(v, w).
+		arm, err := Select(ctx, v, w).
 			Case(func() error { return nil }, P(NewPattern(PBlock(), PBlock()))).
 			Default(func() error { return nil }).
 			Run()
@@ -88,6 +89,7 @@ func TestFacadeCostModelAndTCP(t *testing.T) {
 		a.Fill(ctx, 3)
 		ctx.Barrier()
 		e2.MustDistribute(ctx, []*Array{a}, DimsOf(Cyclic(1)))
+		ctx.Barrier() // a remote Get reads the owner's storage: wait for its commit
 		if a.Get(ctx, 17) != 3 {
 			t.Error("value lost over TCP redistribution")
 		}
