@@ -106,7 +106,8 @@ check-drain:
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
 # TestStraggler* and TestOnlineRecover* test, and of the darray package
-# (whose DISTRIBUTE orders itself by messages, not barriers), under
+# (whose DISTRIBUTE orders itself by messages, not barriers) and the ckpt
+# package (whose save folds parity partials around the stripe ring), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -116,7 +117,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover)' './internal/darray:.'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover)' './internal/darray:.' './internal/ckpt:.'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \
@@ -201,13 +202,15 @@ check-portable:
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip and of
 # a timed receive, the stripe run mapper and the word-wise XOR against
-# their per-element references, the streamed stripe exchange (files
-# byte-identical to a point-by-point image, exact counts, a short payload
-# failing the epoch) — then the three packages whole, under the race
+# their per-element references, the streamed stripe exchange and the
+# parity fold (files byte-identical to a point-by-point image on 1-8
+# ranks, exact counts, the modelled critical path, a short payload or
+# partial failing the epoch, the stripe parser's fuzz seeds) — then the
+# three packages whole, under the race
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
@@ -237,8 +240,8 @@ bench-kernels:
 # that claims a gain may not touch bench/: warm TCP round trips of 64 B,
 # 256 KiB and 1 MiB with every received buffer released, bare and under
 # CRC32C (the spine's msg.tcp.* probes echo p.Data back and never release,
-# so they see the send side only); the stripe run mapper and the parity
-# fold against the per-element loops they replaced; and one warm striped
+# so they see the send side only); the stripe run mapper and the word-wise
+# XOR against the per-element loops they replaced; and one warm striped
 # parity save of the 768² grid on 4 ranks over TCP + integrity.
 bench-wire:
 	$(GO) test -run XXX -bench 'TCPRoundTrip' ./internal/msg

@@ -17,7 +17,9 @@
 //     replica of every stripe, so any single lost or corrupt stripe file
 //     of an epoch is reconstructed at restore time — and repaired in
 //     place (self-healing); a Scrub pass detects and fixes rot before it
-//     is needed;
+//     is needed.  The parity is folded from per-rank partials, each
+//     rank's own data XORed at its offsets in the stripe files, over a
+//     binomial tree that runs beside the stripe exchange;
 //   - `manifest.json` recording the array descriptors (domain bounds and
 //     the full distribution expression), the stripe map with a CRC-32
 //     per stripe, and the redundancy mode.
@@ -39,8 +41,9 @@
 // restore is bit-identical.
 //
 // All entry points are SPMD-collective and error-returning; a rank whose
-// local I/O fails propagates the failure to every peer through a status
-// reduction so no rank commits or proceeds alone.
+// local I/O fails propagates the failure to every peer — through the
+// checksum gather of a save, a status reduction in a restore — so no
+// rank commits or proceeds alone.
 package ckpt
 
 import (
@@ -98,9 +101,6 @@ func (o Options) withDefaults(np int) Options {
 		o.Servers = 4
 	}
 	if o.Servers > np {
-		o.Servers = np
-	}
-	if np < o.Servers {
 		o.Servers = np
 	}
 	if o.Redundancy == "" {
@@ -246,16 +246,17 @@ func epochsIn(f pario.FS, dir string) ([]int, error) {
 	return epochs, nil
 }
 
-// verifyEpoch reports whether an epoch is *verifiably complete*: every
-// data file integrity-checks against the manifest, or — for a
-// redundant epoch — the damage is within what redundancy can
-// reconstruct.
-func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) bool {
+// verifyEpoch reports whether an epoch is *verifiably complete* — every
+// data file integrity-checks against the manifest, or, for a redundant
+// epoch, the damage is within what redundancy can reconstruct — and
+// which data stripes failed their check.
+func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) (ok bool, bad []int) {
 	if man.NS <= 0 || len(man.Stripes) != man.NS {
-		return false
+		return false, nil
 	}
 	set := man.stripeSet(epochDir)
-	return set.Verify(f, cfg, tr, rank).Recoverable
+	h := set.Verify(f, cfg, tr, rank)
+	return h.Recoverable, h.BadStripes
 }
 
 // LatestEpoch scans dir for the newest *verifiably complete* epoch: its
@@ -267,32 +268,36 @@ func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epoch
 // bit-rotted checkpoint is invisible here, and the newest complete
 // predecessor wins.
 func LatestEpoch(dir string) (int, *Manifest, error) {
-	epoch, man, _, err := latestUsable(pario.OS{}, pario.Config{}, nil, 0, dir)
+	epoch, man, _, _, err := latestUsable(pario.OS{}, pario.Config{}, nil, 0, dir)
 	return epoch, man, err
 }
 
-// latestUsable also reports why the newest epoch was passed over (nil
+// latestUsable also reports the data stripes of the chosen epoch that
+// failed verification, and why the newest epoch was passed over (nil
 // when it was not), so a restore that finds nothing can say what it saw.
-func latestUsable(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, dir string) (epoch int, man *Manifest, skipped, err error) {
+func latestUsable(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, dir string) (epoch int, man *Manifest, bad []int, skipped, err error) {
 	epochs, err := epochsIn(f, dir)
 	if err != nil {
-		return -1, nil, nil, err
+		return -1, nil, nil, nil, err
 	}
 	for i, n := range epochs {
 		epochDir := filepath.Join(dir, epochDirName(n))
 		man, err := readManifest(f, cfg, tr, rank, epochDir)
-		if err == nil && !verifyEpoch(f, cfg, tr, rank, epochDir, man) {
-			err = fmt.Errorf("ckpt: %s: data files lost or corrupt beyond redundancy", epochDir)
+		if err == nil {
+			var ok bool
+			if ok, bad = verifyEpoch(f, cfg, tr, rank, epochDir, man); !ok {
+				err = fmt.Errorf("ckpt: %s: data files lost or corrupt beyond redundancy", epochDir)
+			}
 		}
 		if err == nil {
-			return n, man, skipped, nil
+			return n, man, bad, skipped, nil
 		}
 		// Uncommitted, damaged, incomplete or of another format: fall back.
 		if i == 0 {
 			skipped = err
 		}
 	}
-	return -1, nil, skipped, nil
+	return -1, nil, nil, skipped, nil
 }
 
 // maxEpochDir returns the highest epoch number with a directory in dir,
@@ -410,6 +415,10 @@ func gridsEqual(a, b index.Grid) bool {
 	return true
 }
 
+// errPeerFailed is what every rank but the failing one reports when a
+// collective step of a save or restore fails somewhere else.
+var errPeerFailed = errors.New("ckpt: a peer rank failed")
+
 // agree propagates a local failure to every rank: after it returns nil,
 // every rank knows every other rank succeeded.  The reduction itself runs
 // under the machine's CommConfig, so a rank that died (rather than
@@ -427,7 +436,7 @@ func agree(ctx *machine.Ctx, local error) error {
 		return err
 	}
 	if out[0] > 0 {
-		return errors.New("ckpt: a peer rank failed")
+		return errPeerFailed
 	}
 	return nil
 }

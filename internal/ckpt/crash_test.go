@@ -1,9 +1,11 @@
 package ckpt
 
 import (
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -388,4 +390,106 @@ func TestScrubHealsCommittedEpochs(t *testing.T) {
 		}
 	}
 	restoreOpts(t, 2, "chan", dir, opts, fill)
+}
+
+// afterReadFS runs hook once, right after the first read of a file named
+// trigger returns.
+type afterReadFS struct {
+	pario.FS
+	trigger string
+	once    sync.Once
+	hook    func()
+}
+
+func (a *afterReadFS) ReadFile(path string) ([]byte, error) {
+	data, err := a.FS.ReadFile(path)
+	if filepath.Base(path) == a.trigger {
+		a.once.Do(a.hook)
+	}
+	return data, err
+}
+
+// TestRestoreDamageAfterVerify pins what a restore does with a data
+// stripe damaged after rank 0 verified the epoch (parity.bin is the last
+// file Verify reads) and before the ranks read it.  Rank 0's verification
+// is the only CRC an intact stripe gets, so a stripe whose size changed
+// is still reconstructed from parity, bit-exact and healed, while a
+// same-size bit flip is read as it is: the one value it hits comes back
+// with that bit flipped, and nothing is repaired.
+func TestRestoreDamageAfterVerify(t *testing.T) {
+	const np = 4
+	dom := domFor("block")
+	var hit index.Point
+	pario.StripeGrids(dom, np)[1].ForEach(func(p index.Point) bool { hit = p; return false })
+	for _, tc := range []struct {
+		name    string
+		damage  func(data []byte) []byte
+		flipped bool
+	}{
+		{"resized", func(data []byte) []byte { return data[:len(data)/2] }, false},
+		// Byte 24 is the low byte of the stripe's first value: after the
+		// 20-byte header and the one array's count word.
+		{"bitflip", func(data []byte) []byte { data[24] ^= 1; return data }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := saveOpts(t, np, "chan", dir, Options{}, fill); err != nil {
+				t.Fatal(err)
+			}
+			victim := filepath.Join(EpochDir(dir, 0), stripeFileName(1))
+			var damageErr error
+			fs := &afterReadFS{FS: pario.OS{}, trigger: parityFileName(), hook: func() {
+				data, err := os.ReadFile(victim)
+				if err == nil {
+					err = os.WriteFile(victim, tc.damage(data), 0o644)
+				}
+				damageErr = err
+			}}
+			opts := Options{FS: func(r int) pario.FS {
+				if r == 0 {
+					return fs
+				}
+				return pario.OS{}
+			}}
+			m := machine.New(np)
+			defer m.Close()
+			repairs := make([]int, np)
+			err := m.Run(func(ctx *machine.Ctx) error {
+				a := darray.New(ctx, "A", dom, nil)
+				res, err := RestoreOpts(ctx, dir, []*darray.Array{a}, opts)
+				if err != nil {
+					return err
+				}
+				repairs[ctx.Rank()] = res.Repaired
+				got, err := a.GatherTo(ctx, 0)
+				if err != nil || ctx.Rank() != 0 {
+					return err
+				}
+				dom.WholeSection().ForEach(func(p index.Point) bool {
+					want := fill(p)
+					if tc.flipped && dom.Offset(p) == dom.Offset(hit) {
+						want = math.Float64frombits(math.Float64bits(want) ^ 1)
+					}
+					if g := got[dom.Offset(p)]; g != want {
+						t.Errorf("[%v] = %v, want %v", p, g, want)
+					}
+					return true
+				})
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if damageErr != nil {
+				t.Fatal(damageErr)
+			}
+			total := 0
+			for _, r := range repairs {
+				total += r
+			}
+			if tc.flipped != (total == 0) {
+				t.Errorf("%d stripe reconstructions", total)
+			}
+		})
+	}
 }

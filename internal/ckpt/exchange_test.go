@@ -57,18 +57,18 @@ func referenceStripe(doms []index.Domain, ns, epoch, s int) []byte {
 // stripe and parity files byte-identical to images assembled here point
 // by point (same header, same canonical order, same zero padding), records
 // their sizes and checksums in the manifest, and moves exactly the
-// parent's traffic minus the size allgather that used to precede the
-// exchange.
+// messages and bytes counted below.
 func TestSaveStripeExchangeCounts(t *testing.T) {
 	const np, ns = 4, 4
 	doms := []index.Domain{index.Dim(13, 9), index.Dim(29)}
-	// Measured at the parent commit (Alltoallv behind an AllgatherInts of
-	// the per-destination sizes): 42 data messages, 3252 bytes.  The
-	// allgather was a gather of 3 messages of 32 bytes (four 8-byte sizes)
-	// and a broadcast of 3 messages of 144 bytes (a 16-byte length table
-	// and the four size vectors).
-	const parentMsgs, parentBytes = 42, 3252
-	const wantMsgs, wantBytes = parentMsgs - 6, parentBytes - (3*32 + 3*144)
+	// The streamed exchange behind a size allgather moved 42 data messages
+	// and 3252 bytes; dropping the allgather (a gather of 3 messages of 32
+	// bytes and a broadcast of 3 of 144) left 36 and 2724.  Then the two
+	// agreements after the checksum gather (each an allreduce: 3 + 3
+	// messages of 8 bytes) became one verdict broadcast (3 messages of 8
+	// bytes), with each rank's outcome riding in the gather: 27 and 2652.
+	// The parity fold's 3 partials (P − 1) are 3 of those messages.
+	const wantMsgs, wantBytes = 42 - 6 - (12 - 3), 3252 - (3*32 + 3*144) - (12-3)*8
 	for _, transport := range []string{"chan", "tcp"} {
 		dir := t.TempDir()
 		m := newMachine(t, np, transport)
@@ -103,8 +103,8 @@ func TestSaveStripeExchangeCounts(t *testing.T) {
 			t.Fatalf("%s: %v", transport, err)
 		}
 		if moved.TotalDataMsgs() != wantMsgs || moved.TotalBytes() != wantBytes {
-			t.Errorf("%s: save moved %d data messages and %d bytes, want %d and %d (the parent's %d and %d minus the size allgather)",
-				transport, moved.TotalDataMsgs(), moved.TotalBytes(), wantMsgs, wantBytes, parentMsgs, parentBytes)
+			t.Errorf("%s: save moved %d data messages and %d bytes, want %d and %d",
+				transport, moved.TotalDataMsgs(), moved.TotalBytes(), wantMsgs, wantBytes)
 		}
 
 		epochDir := filepath.Join(dir, epochDirName(0))
@@ -168,7 +168,7 @@ func TestStripeImageShortPayload(t *testing.T) {
 		for i, a := range arrays {
 			stripes[i] = pario.StripeGrids(a.Domain(), np)
 		}
-		im := newStripeImage(arrays, stripes, 0, 1, stripeSize(arrays, stripes, 0))
+		im := newStripeImage(arrays, stripes, 0, 1, np)
 		clean := bytes.Clone(im.buf)
 		want := im.expect(2)
 		if want == 0 {
@@ -193,12 +193,13 @@ func TestStripeImageShortPayload(t *testing.T) {
 	}
 }
 
-// truncTransport cuts the first non-empty message rank from sends to rank
-// to after arm down to half: a peer whose payload is shorter than its
-// descriptor predicts.
+// truncTransport halves the first non-empty message rank from sends to
+// rank to, after arm, on a tag that match selects: a peer whose payload is
+// shorter than its descriptors predict.
 type truncTransport struct {
 	msg.Transport
 	from, to int
+	match    func(tag int) bool
 	armed    atomic.Bool
 }
 
@@ -216,22 +217,22 @@ func (t *truncTransport) Endpoint(r int) msg.Endpoint {
 }
 
 func (e *truncEndpoint) Send(to, tag int, data []byte) error {
-	if to == e.t.to && len(data) > 0 && e.t.armed.CompareAndSwap(true, false) {
+	if to == e.t.to && len(data) > 0 && e.t.match(msg.UnfoldTag(tag)) && e.t.armed.CompareAndSwap(true, false) {
 		data = data[:len(data)/2]
 	}
 	return e.Endpoint.Send(to, tag, data)
 }
 
-var shortPayload = regexp.MustCompile(`ckpt: stripe 1: payload from rank 2 is \d+ bytes, want \d+`)
-
-// TestSaveShortPayloadFailsEpoch: a short stripe payload fails the save
-// on every rank — the server with the message naming it, the others by
-// agreement — without a panic, without a hang, and without committing an
-// epoch.
-func TestSaveShortPayloadFailsEpoch(t *testing.T) {
+// saveTruncated runs one 4-rank save in which rank 2's first message to
+// rank 1 on a tag match selects arrives halved, and checks that the save
+// fails on every rank — rank 1 with an error matching want, the others
+// by agreement — without a panic, without a hang, and without committing
+// an epoch.
+func saveTruncated(t *testing.T, match func(tag int) bool, want *regexp.Regexp) {
+	t.Helper()
 	const np = 4
 	dir := t.TempDir()
-	tt := &truncTransport{Transport: msg.NewChanTransport(np), from: 2, to: 1}
+	tt := &truncTransport{Transport: msg.NewChanTransport(np), from: 2, to: 1, match: match}
 	m := machine.New(np, machine.WithTransport(tt))
 	defer m.Close()
 	errs := make([]error, np)
@@ -240,8 +241,6 @@ func TestSaveShortPayloadFailsEpoch(t *testing.T) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
-		// The first thing rank 2 sends rank 1 inside the save is its part
-		// of stripe 1 (the epoch broadcast reaches both from rank 0).
 		if ctx.Rank() == 2 {
 			tt.armed.Store(true)
 		}
@@ -255,13 +254,32 @@ func TestSaveShortPayloadFailsEpoch(t *testing.T) {
 		switch {
 		case err == nil:
 			t.Errorf("rank %d: save succeeded", r)
-		case r == 1 && !shortPayload.MatchString(err.Error()):
+		case r == 1 && !want.MatchString(err.Error()):
 			t.Errorf("rank 1: %v", err)
 		case r != 1 && !strings.Contains(err.Error(), "a peer rank failed"):
 			t.Errorf("rank %d: %v", r, err)
 		}
 	}
+	if tt.armed.Load() {
+		t.Error("no message was truncated")
+	}
 	if epochs, err := epochsIn(pario.OS{}, dir); err != nil || len(epochs) != 0 {
 		t.Errorf("epochs after a failed save: %v (%v)", epochs, err)
 	}
+}
+
+// TestSaveShortPayloadFailsEpoch: rank 2's part of stripe 1 — the only
+// payload rank 2 sends rank 1 on a collective tag — arrives short.
+func TestSaveShortPayloadFailsEpoch(t *testing.T) {
+	saveTruncated(t, func(tag int) bool { return tag >= msg.TagCollBase },
+		regexp.MustCompile(`ckpt: stripe 1: payload from rank 2 is \d+ bytes, want \d+`))
+}
+
+// TestSaveShortPartialFailsEpoch: rank 2's parity partial arrives short at
+// rank 1, its parent in the fold tree rooted at rank 3 (rank 2 is a leaf
+// and sends before the exchange).  Rank 1 still merges and forwards, so
+// the root is not left waiting.
+func TestSaveShortPartialFailsEpoch(t *testing.T) {
+	saveTruncated(t, func(tag int) bool { return tag == parityTag },
+		regexp.MustCompile(`ckpt: parity fold: \d+ bytes from rank 2, want \d+`))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strconv"
 
 	"repro/internal/darray"
@@ -57,11 +58,12 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	// Rank 0 locates the newest usable epoch — verifying completeness
 	// and falling back past damaged ones — and broadcasts the manifest
 	// so every rank restores the same epoch even if a concurrent writer
-	// commits meanwhile.
+	// commits meanwhile.  The data stripes its verification flagged ride
+	// along; the others are known intact, and no rank checksums them again.
 	var manBytes []byte
 	var scanErr error
 	if rank == 0 {
-		epoch, man, skipped, err := latestUsable(f, cfg, tr, rank, dir)
+		epoch, man, bad, skipped, err := latestUsable(f, cfg, tr, rank, dir)
 		switch {
 		case err != nil:
 			scanErr = err
@@ -70,7 +72,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		case epoch < 0:
 			scanErr = fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
 		default:
-			manBytes, scanErr = json.Marshal(man)
+			manBytes, scanErr = json.Marshal(restorePlan{Manifest: *man, Bad: bad})
 		}
 		if scanErr != nil {
 			manBytes = nil
@@ -86,10 +88,11 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		}
 		return nil, fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
 	}
-	var man Manifest
-	if err := json.Unmarshal(manBytes, &man); err != nil {
+	var plan restorePlan
+	if err := json.Unmarshal(manBytes, &plan); err != nil {
 		return nil, fmt.Errorf("ckpt: manifest decode: %w", err)
 	}
+	man := plan.Manifest
 	epochDir := filepath.Join(dir, epochDirName(man.Epoch))
 
 	byName := make(map[string]*darray.Array, len(arrays))
@@ -104,7 +107,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	if man.NS <= 0 || len(man.Stripes) != man.NS {
 		return nil, fmt.Errorf("ckpt: manifest lists %d stripes for NS=%d", len(man.Stripes), man.NS)
 	}
-	stripes := newStripeReader(f, cfg, tr, rank, epochDir, &man)
+	stripes := newStripeReader(f, cfg, tr, rank, epochDir, &man, plan.Bad)
 
 	for ai, am := range man.Arrays {
 		arr, ok := byName[am.Name]
@@ -176,9 +179,18 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	return res, nil
 }
 
-// stripeReader reads, verifies (and if need be reconstructs and heals)
-// the stripe files of one epoch, parsing each into per-array
-// payloads on first touch.
+// restorePlan is rank 0's broadcast at the start of a restore: the
+// chosen epoch's manifest and the data stripes its verification flagged.
+// With none flagged it marshals to exactly the manifest's JSON.
+type restorePlan struct {
+	Manifest
+	Bad []int `json:",omitempty"`
+}
+
+// stripeReader reads (and if need be reconstructs and heals) the stripe
+// files of one epoch, parsing each into per-array payloads on first
+// touch.  A stripe rank 0's verification found intact is only
+// size-checked: the window between that check and this read is trusted.
 type stripeReader struct {
 	f        pario.FS
 	cfg      pario.Config
@@ -187,14 +199,15 @@ type stripeReader struct {
 	epochDir string
 	man      *Manifest
 	set      pario.StripeSet
+	bad      []int // data stripes rank 0's verification flagged
 	loaded   map[int][][]byte
 	repaired int
 	scratch  []byte // fill's extraction buffer, reused from stripe to stripe
 }
 
-func newStripeReader(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) *stripeReader {
+func newStripeReader(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest, bad []int) *stripeReader {
 	return &stripeReader{
-		f: f, cfg: cfg, tr: tr, rank: rank, epochDir: epochDir, man: man,
+		f: f, cfg: cfg, tr: tr, rank: rank, epochDir: epochDir, man: man, bad: bad,
 		set:    man.stripeSet(epochDir),
 		loaded: make(map[int][][]byte),
 	}
@@ -206,7 +219,11 @@ func (sr *stripeReader) payloadsOf(s int) ([][]byte, error) {
 	if p, ok := sr.loaded[s]; ok {
 		return p, nil
 	}
-	data, repaired, err := sr.set.ReadStripe(sr.f, sr.cfg, sr.tr, sr.rank, s, true)
+	read := sr.set.ReadIntact
+	if slices.Contains(sr.bad, s) {
+		read = sr.set.ReadStripe
+	}
+	data, repaired, err := read(sr.f, sr.cfg, sr.tr, sr.rank, s, true)
 	if err != nil {
 		return nil, err
 	}

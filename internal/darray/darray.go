@@ -63,10 +63,23 @@ type Array struct {
 	// registers its storage whenever its Local is replaced.
 	win *msg.Window
 
-	// span is every move's trace span name, "DISTRIBUTE <name>", built by
-	// the first move so arrays that never move never build it.
-	spanOnce sync.Once
-	span     string
+	// span is every move's trace span name, "DISTRIBUTE <name>", and
+	// ghostStartSpan / ghostWaitSpan those of a ghost exchange's two
+	// halves, all built once (spans) by the first move or exchange: an
+	// array that does neither builds no name, and no call concatenates one
+	// again.
+	spanOnce                      sync.Once
+	span                          string
+	ghostStartSpan, ghostWaitSpan string
+}
+
+// spans builds the array's trace span names once.
+func (a *Array) spans() {
+	a.spanOnce.Do(func() {
+		a.span = "DISTRIBUTE " + a.name
+		a.ghostStartSpan = "ghost-start " + a.name
+		a.ghostWaitSpan = "ghost-wait " + a.name
+	})
 }
 
 // rankState is what one processor keeps of an array for itself.  Like

@@ -146,7 +146,8 @@ func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
 	win := a.win
 	h.win = win
 	c := ctx.Comm()
-	defer ctx.Tracer().BeginSpan(rank, trace.CatGhost, "ghost-start "+a.name).End()
+	a.spans()
+	defer ctx.Tracer().BeginSpan(rank, trace.CatGhost, a.ghostStartSpan).End()
 
 	next := neighborRank(d, coords, td, +1)
 	prev := neighborRank(d, coords, td, -1)
@@ -238,7 +239,7 @@ func (h *GhostHandle) Wait() error {
 		return nil
 	}
 	c := h.ctx.Comm()
-	defer h.ctx.Tracer().BeginSpan(h.ctx.Rank(), trace.CatGhost, "ghost-wait "+h.a.name).End()
+	defer h.ctx.Tracer().BeginSpan(h.ctx.Rank(), trace.CatGhost, h.a.ghostWaitSpan).End()
 	for _, wt := range h.waits {
 		if err := h.win.AwaitPut(c, wt.from, wt.subtag, wt.dst); err != nil {
 			h.err = fmt.Errorf("darray: %s: ghost exchange dim %d: %w", h.a.name, wt.dim+1, err)

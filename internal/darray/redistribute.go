@@ -82,7 +82,7 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 
 	tr := ctx.Tracer()
 	prank := ctx.PhysRank() // trace timelines are physical-rank indexed
-	a.spanOnce.Do(func() { a.span = "DISTRIBUTE " + a.name })
+	a.spans()
 	sp := tr.BeginSpan(prank, trace.CatDistribute, a.span)
 	defer sp.End()
 

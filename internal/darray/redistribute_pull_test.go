@@ -161,6 +161,45 @@ func TestRedistributeWarmAllocs(t *testing.T) {
 	}
 }
 
+// TestGhostExchangeWarmAllocs bounds the allocations of a warm ghost
+// exchange, per rank, the way TestRedistributeWarmAllocs bounds a warm
+// DISTRIBUTE: a (:,BLOCK) grid with one ghost column a side, as the
+// smoothing sweep refreshes it every step, on chan.
+func TestGhostExchangeWarmAllocs(t *testing.T) {
+	const np, runs = 4, 50
+	dom := index.Dim(64, 64)
+	var perRank float64
+	run(t, np, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", np).Whole()
+		cols := dist.MustNew(dist.NewType(dist.ElidedDim(), dist.BlockDim()), dom, tg)
+		a := New(ctx, "G", dom, cols, WithGhost(0, 1))
+		a.FillFunc(ctx, val2)
+		var failed error
+		exchange := func() {
+			if err := a.ExchangeAllGhosts(ctx); err != nil && failed == nil {
+				failed = err
+			}
+		}
+		exchange() // signals the neighbours, registers the storage
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			perRank = testing.AllocsPerRun(runs, exchange) / np
+		} else {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+				exchange()
+			}
+		}
+		return failed
+	})
+	// Measured: 10-10.25 (12-12.25 while the two span names were
+	// concatenated per call).
+	if perRank > 11 {
+		t.Errorf("warm ghost exchange: %.2f allocs per rank, want <= 11", perRank)
+	}
+}
+
 // TestRedistributeTCPReleasesPayloads: over TCP a packed transfer of 4
 // KiB or more lands in a buffer from the connection's free list, which
 // only Packet.Release refills.  A warm BLOCK <-> CYCLIC(2) DISTRIBUTE —

@@ -86,8 +86,8 @@ func payloadOf(g index.Grid) []byte {
 	return b
 }
 
-// checkBothWays compares Place and Extract with their references on one
-// (sub, super) pair of grids.
+// checkBothWays compares Place, PlaceXor and Extract with their references
+// on one (sub, super) pair of grids.
 func checkBothWays(t *testing.T, name string, sub, super index.Grid) {
 	t.Helper()
 	n := 8 * super.Count()
@@ -97,6 +97,18 @@ func checkBothWays(t *testing.T, name string, sub, super index.Grid) {
 	placeRef(want, part, sub, super)
 	if !bytes.Equal(got, want) {
 		t.Errorf("%s: Place differs from the per-element reference (sub %v in %v)", name, sub, super)
+	}
+	// PlaceXor onto a patterned dst folds exactly what Place writes into a
+	// zeroed one, and leaves every other byte alone.
+	got = make([]byte, n)
+	for i := range got {
+		got[i] = byte(i*101 + 7)
+	}
+	xored := bytes.Clone(got)
+	xorRef(xored, want)
+	PlaceXor(got, part, sub, super)
+	if !bytes.Equal(got, xored) {
+		t.Errorf("%s: PlaceXor differs from Place folded in (sub %v in %v)", name, sub, super)
 	}
 	whole := payloadOf(super)
 	got, want = make([]byte, len(part)), make([]byte, len(part))

@@ -124,6 +124,16 @@ func Place(dst []byte, payload []byte, g, into index.Grid) {
 	})
 }
 
+// PlaceXor is Place folding instead of copying: it XORs payload into dst
+// at the canonical positions of g's points within into.  A rank folds its
+// parts of every stripe into one parity partial this way, before the
+// stripe exchange has moved a byte.
+func PlaceXor(dst []byte, payload []byte, g, into index.Grid) {
+	mapRuns(g, into, func(gpos, ipos, n int) {
+		XorInto(dst[8*ipos:8*(ipos+n)], payload[8*gpos:8*(gpos+n)])
+	})
+}
+
 // Extract is Place's inverse, the read side: it gathers into dst (8 bytes
 // per point of want, want's canonical order) the values at want's points
 // out of a payload recorded in from's canonical order.  want must be a
@@ -269,6 +279,18 @@ func (s *StripeSet) ReadStripe(f FS, cfg Config, tr *trace.Tracer, rank, i int, 
 		}
 	}
 	return data, true, nil
+}
+
+// ReadIntact is ReadStripe for a stripe an earlier Verify found intact:
+// it reads the file and checks its size but not its CRC.  A file that no
+// longer reads, or whose size changed since, goes the ReadStripe way.
+func (s *StripeSet) ReadIntact(f FS, cfg Config, tr *trace.Tracer, rank, i int, repair bool) (data []byte, repaired bool, err error) {
+	info := s.Stripes[i]
+	data, err = cfg.ReadFile(f, tr, rank, filepath.Join(s.Dir, info.Name))
+	if err == nil && int64(len(data)) == info.Size {
+		return data, false, nil
+	}
+	return s.ReadStripe(f, cfg, tr, rank, i, repair)
 }
 
 // Health reports a Verify pass over a stripe set.
