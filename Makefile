@@ -55,14 +55,14 @@ check: check-fault check-recovery check-online check-redist check-expand check-i
 # window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
 # warm allocation bounds on chan, released payloads on TCP), the
 # symmetric no-plan failure, the np-keyed schedule cache, the budget
-# parser and its fuzz seeds, the streaming collective + wire gauge, and
+# parser and its fuzz seeds, the wire gauge, and
 # the barrier-free DISTRIBUTE: no Comm.Barrier in warm ADI or fresh
 # B_BLOCK class moves, ghosts exact after a move with one rank held back,
 # recycled storage intact under a lagging puller, and interpreted
 # non-local reads around a DISTRIBUTE equal to P = 1 — all under the race
 # detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestAlltoallvStream|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads' \
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
@@ -85,11 +85,12 @@ check-online:
 	  ./internal/msg ./internal/machine ./internal/apps
 
 # The kill-a-rank matrix: checkpoint round-trips across every
-# distribution kind (incl. shrink restores), heartbeat failure
+# distribution kind (incl. shrink restores), restores that read only the
+# rank files they need, heartbeat failure
 # detection, goroutine-leak gates, and the end-to-end kill-and-recover
 # apps — all under the race detector.
 check-recovery:
-	$(GO) test -race -run 'TestRoundTrip|TestRestoreOnto|TestEpochs|TestCorrupt|TestInterrupted|TestLiveness|TestSurvivors|TestErroringRun|TestPanickingRun|TestADIKillAndRecover|TestADIRecover|TestSmoothingRecover|TestPICRecover|TestDistributeCheckpointRecover' \
+	$(GO) test -race -run 'TestRoundTrip|TestRestoreOnto|TestRestoreReadsOwnFile|TestEpochs|TestCorrupt|TestInterrupted|TestLiveness|TestSurvivors|TestErroringRun|TestPanickingRun|TestADIKillAndRecover|TestADIRecover|TestSmoothingRecover|TestPICRecover|TestDistributeCheckpointRecover' \
 	  ./internal/ckpt ./internal/machine ./internal/apps ./internal/interp
 
 # The straggler-defense matrix: the voluntary-drain protocol (basic
@@ -107,7 +108,7 @@ check-drain:
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
 # TestStraggler* and TestOnlineRecover* test, and of the darray package
 # (whose DISTRIBUTE orders itself by messages, not barriers) and the ckpt
-# package (whose save folds parity partials around the stripe ring), under
+# package (whose save folds parity partials over a tree), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -140,7 +141,7 @@ soak:
 	SOAK=1 $(GO) test -race -run 'TestSoakChaos|TestSoakOnline' -count=1 -v ./internal/apps
 
 # The crash-safe parallel-I/O matrix: the FaultFS schedules (eio/short/
-# torn/bitrot/stall, seeded prob, per-rank counters), stripe assembly and
+# torn/bitrot/stall, seeded prob, per-rank counters), rank files and
 # parity/replica reconstruction, the crash-during-Save abort stages (no
 # partial epoch ever commits), the disk-damage x restore matrix on both
 # transports, retention pruning, epoch fallback (past damaged and
@@ -201,16 +202,16 @@ check-portable:
 # addresses outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip and of
-# a timed receive, the stripe run mapper and the word-wise XOR against
-# their per-element references, the streamed stripe exchange and the
-# parity fold (files byte-identical to a point-by-point image on 1-8
-# ranks, exact counts, the modelled critical path, a short payload or
-# partial failing the epoch, the stripe parser's fuzz seeds) — then the
+# a timed receive, the restore's run extractor and the word-wise XOR
+# against their per-element references, the rank files and the parity
+# fold (files byte-identical to a point-by-point image on 1-8 ranks, exact
+# counts, the modelled critical path, a short partial failing the epoch,
+# the rank-file parser's and the manifest decoder's fuzz seeds) — then the
 # three packages whole, under the race
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveStripeExchangeCounts|TestStripeImageShortPayload|TestSaveShortPayloadFailsEpoch|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
@@ -236,16 +237,16 @@ bench:
 bench-kernels:
 	$(GO) test -run XXX -bench 'Tridiag|Factor|Smooth' ./internal/kernels
 
-# The wire and stripe layers under adi_ckpt_tcp, in-package because a PR
+# The wire and file layers under adi_ckpt_tcp, in-package because a PR
 # that claims a gain may not touch bench/: warm TCP round trips of 64 B,
 # 256 KiB and 1 MiB with every received buffer released, bare and under
 # CRC32C (the spine's msg.tcp.* probes echo p.Data back and never release,
-# so they see the send side only); the stripe run mapper and the word-wise
-# XOR against the per-element loops they replaced; and one warm striped
+# so they see the send side only); the restore's run extractor and the
+# word-wise XOR against the per-element loops they replaced; and one warm
 # parity save of the 768² grid on 4 ranks over TCP + integrity.
 bench-wire:
 	$(GO) test -run XXX -bench 'TCPRoundTrip' ./internal/msg
-	$(GO) test -run XXX -bench 'Place|XorInto' ./internal/pario
+	$(GO) test -run XXX -bench 'Extract|XorInto' ./internal/pario
 	$(GO) test -run XXX -bench 'CkptSave768' ./internal/ckpt
 
 # Regenerate the EXPERIMENTS.md tables (E1-E4).

@@ -50,10 +50,9 @@ var (
 	redistBgt   = flag.String("redist-budget", "", "bound each redistribution's peak resident wire bytes per rank in -exp redist, e.g. 64K, 2M (empty/0 = unbounded)")
 	elastic     = flag.Int("elastic", 0, "reserve N joiner ranks in the ADI runs and admit them at the first elastic iteration boundary (requires -ckpt-dir; see -exp expand for the full demo)")
 	joinAfter   = flag.Int("join-after", 2, "first iteration boundary at which elastic runs poll for pending joiners (with -elastic / -exp expand)")
-	ioServers   = flag.Int("io-servers", 0, "number of I/O server ranks (stripe files) per checkpoint epoch (0 = min(P,4))")
 	ioRedund    = flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep    = flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
-	ioFault     = flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=stripe-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
+	ioFault     = flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=rank-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
 	healthWin   = flag.Int("health-window", 4, "health scorer observation window for -exp straggler (heartbeat-fed EWMA throughput; matches vfrun)")
 	slowRank    = flag.Int("slow-rank", 2, "physical rank whose compute sections -exp straggler stretches")
 	slowFactor  = flag.Float64("slow-factor", 8, "compute slowdown injected on -slow-rank in -exp straggler (<=1 = no injection)")
@@ -146,7 +145,7 @@ func tab() *tabwriter.Writer {
 // sink, so per-run I/O counts don't bleed across experiments.
 func ioCfg() apps.IOConfig {
 	cfg := apps.IOConfig{
-		Servers: *ioServers, Redundancy: *ioRedund, Keep: *ckptKeep,
+		Redundancy: *ioRedund, Keep: *ckptKeep,
 		IO: pario.Config{Metrics: &pario.Metrics{}},
 	}
 	if *ioFault != "" {
@@ -580,14 +579,14 @@ func runExpand() {
 	fmt.Println("\nall three applications grew onto the admitted rank and finished correct")
 }
 
-// runDegraded demonstrates the striped parallel-I/O path end to end on
-// all three applications: checkpoints are written by I/O server ranks as
-// stripe files with redundancy, so losing or corrupting any single file
-// of the newest epoch still restores bit-exact — the damaged stripe is
-// reconstructed on the fly and healed on disk — and a Scrub pass repairs
-// silent bitrot in place before a second failure can stack on top of it.
+// runDegraded demonstrates the parallel-I/O path end to end on all three
+// applications: every rank writes its own rank file, with redundancy, so
+// losing or corrupting any single file of the newest epoch still restores
+// bit-exact — the damaged file is reconstructed on the fly and healed on
+// disk — and a Scrub pass repairs silent bitrot in place before a second
+// failure can stack on top of it.
 func runDegraded() {
-	fmt.Printf("\n== E8: degraded-mode restore (striped I/O, redundancy, self-healing) ==\n")
+	fmt.Printf("\n== E8: degraded-mode restore (rank files, redundancy, self-healing) ==\n")
 	n, iters, p := 64, 6, 4
 	if *quick {
 		n, iters = 32, 4
@@ -616,11 +615,11 @@ func runDegraded() {
 	if err != nil || epoch < 0 {
 		log.Fatalf("no committed checkpoint after phase 1 (epoch %d, %v)", epoch, err)
 	}
-	victim := man.Stripes[len(man.Stripes)/2].Name
+	victim := man.Files[len(man.Files)/2].Name
 	if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), victim)); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  committed epoch %d holds %d stripe files; deleted %s\n", epoch, man.NS, victim)
+	fmt.Printf("  committed epoch %d holds %d rank files; deleted %s\n", epoch, len(man.Files), victim)
 
 	fmt.Printf("phase 2: relaunch with -recover against the damaged epoch\n")
 	rec := base
@@ -631,7 +630,7 @@ func runDegraded() {
 	}
 	fmt.Printf("  resumed after iteration %d, ran to %d; max|err| vs fault-free serial reference = %g\n",
 		res.ResumedIter, iters, res.MaxErr)
-	fmt.Printf("  stripes reconstructed from redundancy: %d; files healed on disk: %d\n",
+	fmt.Printf("  rank files reconstructed from redundancy: %d; files healed on disk: %d\n",
 		met.Reconstructions.Load(), met.Repairs.Load())
 	if res.MaxErr != 0 {
 		log.Fatal("degraded restore deviates from the serial reference (want bit-for-bit 0)")
@@ -643,7 +642,7 @@ func runDegraded() {
 	if err != nil || epoch < 0 {
 		log.Fatalf("no committed checkpoint after phase 2 (epoch %d, %v)", epoch, err)
 	}
-	rot := filepath.Join(ckpt.EpochDir(dir, epoch), man.Stripes[0].Name)
+	rot := filepath.Join(ckpt.EpochDir(dir, epoch), man.Files[0].Name)
 	buf, err := os.ReadFile(rot)
 	if err != nil {
 		log.Fatal(err)
@@ -652,9 +651,7 @@ func runDegraded() {
 	if err := os.WriteFile(rot, buf, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	sum, err := ckpt.Scrub(dir, ckpt.Options{
-		Servers: io.Servers, Redundancy: io.Redundancy, FS: io.FS, IO: io.IO,
-	})
+	sum, err := ckpt.Scrub(dir, ckpt.Options{Redundancy: io.Redundancy, FS: io.FS, IO: io.IO})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -714,13 +711,13 @@ func runDegraded() {
 	fmt.Println("\nall three applications restored correct state from a damaged epoch")
 }
 
-// damageLatest deletes one stripe file of dir's newest committed epoch.
+// damageLatest deletes one rank file of dir's newest committed epoch.
 func damageLatest(dir string) {
 	epoch, man, err := ckpt.LatestEpoch(dir)
 	if err != nil || epoch < 0 {
 		log.Fatalf("no committed checkpoint in %s (epoch %d, %v)", dir, epoch, err)
 	}
-	victim := man.Stripes[len(man.Stripes)/2].Name
+	victim := man.Files[len(man.Files)/2].Name
 	if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), victim)); err != nil {
 		log.Fatal(err)
 	}

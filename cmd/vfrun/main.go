@@ -45,7 +45,6 @@ func main() {
 	commRetries := flag.Int("comm-retries", 0, "bounded retries for failed or timed-out collective operations")
 	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after DISTRIBUTE statements")
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th DISTRIBUTE statement")
-	ioServers := flag.Int("io-servers", 0, "number of I/O server ranks (stripe files) per checkpoint epoch (0 = min(P,4))")
 	ioRedundancy := flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep := flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
 	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir at the first DISTRIBUTE site (the survivors' rank count may differ from the writer's)")
@@ -178,7 +177,7 @@ ENDDO
 	defer m.Close()
 	e := core.NewEngine(m)
 	e.SetMemBudget(budget)
-	e.SetCkptOptions(ckpt.Options{Servers: *ioServers, Redundancy: *ioRedundancy, Keep: *ckptKeep})
+	e.SetCkptOptions(ckpt.Options{Redundancy: *ioRedundancy, Keep: *ckptKeep})
 
 	type arrInfo struct {
 		name     string

@@ -10,26 +10,24 @@ import (
 	"repro/internal/pario"
 )
 
-// degradedIO builds the test I/O options: striped checkpoints with the
-// given redundancy, metrics attached, and a transient injected read
-// fault (first stripe read per rank fails once) healed by the retry
-// policy.
+// degradedIO builds the test I/O options: checkpoints with the given
+// redundancy, metrics attached, and a transient injected read fault
+// (first rank-file read per rank fails once) healed by the retry policy.
 func degradedIO(t *testing.T, redundancy string) (IOConfig, *pario.Metrics) {
 	t.Helper()
-	plan, err := pario.ParseFaultPlan("eio,op=read,path=stripe,count=1")
+	plan, err := pario.ParseFaultPlan("eio,op=read,path=rank-,count=1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	met := &pario.Metrics{}
 	return IOConfig{
-		Servers:    3,
 		Redundancy: redundancy,
 		FS:         pario.NewFaultFS(pario.OS{}, plan).Rank,
 		IO:         pario.Config{Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Metrics: met},
 	}, met
 }
 
-// damageNewest deletes one stripe file of the newest committed epoch and
+// damageNewest deletes one rank file of the newest committed epoch and
 // returns its name.
 func damageNewest(t *testing.T, dir string) string {
 	t.Helper()
@@ -37,7 +35,7 @@ func damageNewest(t *testing.T, dir string) string {
 	if err != nil || epoch < 0 {
 		t.Fatalf("no committed checkpoint (epoch %d, %v)", epoch, err)
 	}
-	name := man.Stripes[len(man.Stripes)/2].Name
+	name := man.Files[len(man.Files)/2].Name
 	if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), name)); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +153,7 @@ func TestDoubleDamageFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	base := ADIConfig{
 		NX: 16, NY: 16, Iters: 2, P: 2, Mode: ADIDynamic,
-		CkptDir: dir, CkptEvery: 1, IO: IOConfig{Servers: 2, Redundancy: pario.RedundancyParity, Keep: 1},
+		CkptDir: dir, CkptEvery: 1, IO: IOConfig{Redundancy: pario.RedundancyParity, Keep: 1},
 	}
 	if _, err := RunADI(base); err != nil {
 		t.Fatal(err)
@@ -164,7 +162,7 @@ func TestDoubleDamageFailsLoudly(t *testing.T) {
 	if err != nil || epoch < 0 {
 		t.Fatal(err)
 	}
-	for _, name := range []string{man.Stripes[0].Name, man.Stripes[1].Name} {
+	for _, name := range []string{man.Files[0].Name, man.Files[1].Name} {
 		if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), name)); err != nil {
 			t.Fatal(err)
 		}

@@ -1,44 +1,42 @@
 // Package ckpt implements versioned, coordinated checkpoints of
 // distributed arrays: the durable half of surviving permanent rank loss.
 //
-// Since PR 9 the storage engine underneath is internal/pario, a
-// ViPIOS-style parallel I/O subsystem.  A checkpoint *epoch* is one
-// directory, `epoch-<n>`, holding:
+// The storage engine underneath is internal/pario, a ViPIOS-style
+// parallel I/O subsystem, and the file layout follows the layout the
+// distribution announces: the descriptor already is the layout, so a
+// checkpoint needs no second one.  A checkpoint *epoch* is one directory,
+// `epoch-<n>`, holding:
 //
-//   - `stripe-<s>.bin` — NS stripe files in a canonical *file order*
-//     decoupled from the in-memory distribution: each array's domain is
-//     split into NS contiguous slabs of its canonical enumeration
-//     (pario.StripeGrids), and a two-phase collective write first
-//     exchanges every rank's local spans into the stripe owners (the
-//     I/O server ranks) and only then touches disk — however the arrays
-//     are distributed, each stripe is written exactly once, sequentially,
-//     by one rank;
-//   - optional redundancy: a parity stripe (byte-wise XOR) or a full
-//     replica of every stripe, so any single lost or corrupt stripe file
-//     of an epoch is reconstructed at restore time — and repaired in
-//     place (self-healing); a Scrub pass detects and fixes rot before it
-//     is needed.  The parity is folded from per-rank partials, each
-//     rank's own data XORed at its offsets in the stripe files, over a
-//     binomial tree that runs beside the stripe exchange;
+//   - `rank-<r>.bin` — one rank file per rank that wrote the epoch: rank
+//     r's primary local segment of every array, in local canonical
+//     order, written by r's own I/O server goroutine — no array data
+//     crosses the wire on its way to disk;
+//   - optional redundancy: a parity file (byte-wise XOR of the rank
+//     files) or a full replica of every rank file, so any single lost or
+//     corrupt rank file of an epoch is reconstructed at restore time —
+//     and repaired in place (self-healing); a Scrub pass detects and
+//     fixes rot before it is needed.  The parity is folded from the rank
+//     files themselves over a binomial tree;
 //   - `manifest.json` recording the array descriptors (domain bounds and
-//     the full distribution expression), the stripe map with a CRC-32
-//     per stripe, and the redundancy mode.
+//     the full distribution expression), the rank files with a CRC-32
+//     each, and the redundancy mode.
 //
 // Epochs commit atomically: all files are written into `epoch-<n>.tmp`
-// and the directory is renamed only after every stripe's checksum has
-// been gathered into the manifest.  A crash mid-write leaves either a
-// previous committed epoch or a stale `.tmp` directory, which the next
-// Save garbage-collects.  Restore — and LatestEpoch — trust no epoch
-// blindly: they verify completeness (manifest parses, every stripe file
-// checks out or is recoverable through redundancy) and fall back epoch
-// by epoch to the newest verifiably complete one.
+// and the directory is renamed only after every file's checksum has been
+// gathered into the manifest.  A crash mid-write leaves either a previous
+// committed epoch or a stale `.tmp` directory, which the next Save
+// garbage-collects.  Restore — and LatestEpoch — trust no epoch blindly:
+// they verify completeness (manifest parses and validates, every rank
+// file checks out or is recoverable through redundancy) and fall back
+// epoch by epoch to the newest verifiably complete one.
 //
 // Restore replays the recorded distribution over a *virtual* processor
-// arrangement of the checkpointed size, intersects its ownership grids
-// with the live machine's, and unpacks exactly the spans each surviving
-// rank now owns — so a checkpoint taken on P ranks restores onto any
-// machine size, fewer *or more* ranks.  On the same rank count the
-// restore is bit-identical.
+// arrangement of the checkpointed size, intersects every saved rank's
+// grid with what the live rank now owns, and reads exactly the rank files
+// that hold a part of it — so a checkpoint taken on P ranks restores onto
+// any machine size, fewer *or more* ranks, and onto another distribution.
+// On the same rank count and distribution a rank reads its own file only,
+// and the restore is bit-identical.
 //
 // All entry points are SPMD-collective and error-returning; a rank whose
 // local I/O fails propagates the failure to every peer — through the
@@ -68,17 +66,14 @@ import (
 // Version is the checkpoint format version Save writes and the only one
 // Restore reads: an epoch whose manifest names another version is skipped
 // like a damaged one.
-const Version = 2
+const Version = 3
 
-const stripeMagic = 0x56465354 // "VFST": stripe files
+const fileMagic = 0x5646524b // "VFRK": rank files
 
 // Options configures the parallel-I/O side of Save/Restore.  The zero
-// value means: min(np, 4) I/O servers, parity redundancy, keep all
-// epochs, the real filesystem, no I/O deadline or retries.
+// value means: parity redundancy, keep all epochs, the real filesystem,
+// no I/O deadline or retries.
 type Options struct {
-	// Servers is the number of I/O server ranks — and therefore stripe
-	// files — per epoch (<= 0: min(np, 4); capped at np).
-	Servers int
 	// Redundancy selects the self-healing mode: pario.RedundancyParity
 	// (default), pario.RedundancyReplica, or pario.RedundancyNone.
 	Redundancy string
@@ -96,13 +91,7 @@ type Options struct {
 	IO pario.Config
 }
 
-func (o Options) withDefaults(np int) Options {
-	if o.Servers <= 0 {
-		o.Servers = 4
-	}
-	if o.Servers > np {
-		o.Servers = np
-	}
+func (o Options) withDefaults() Options {
 	if o.Redundancy == "" {
 		o.Redundancy = pario.RedundancyParity
 	}
@@ -130,13 +119,11 @@ type Manifest struct {
 	// checkpoint, so a recovered run knows where to resume.
 	Meta   map[string]string `json:",omitempty"`
 	Arrays []ArrayMeta
-	// NS is the stripe count.
-	NS int `json:",omitempty"`
 	// Redundancy is the self-healing mode (none|parity|replica).
 	Redundancy string `json:",omitempty"`
-	// Stripes lists the stripe files (Rank is the stripe index).
-	Stripes []FileMeta `json:",omitempty"`
-	// Parity is the parity stripe of a parity-redundant epoch.
+	// Files lists the NP rank files, Files[r] rank r's.
+	Files []FileMeta `json:",omitempty"`
+	// Parity is the parity file of a parity-redundant epoch.
 	Parity *FileMeta `json:",omitempty"`
 }
 
@@ -163,8 +150,7 @@ type DimMeta struct {
 	Bounds []int `json:",omitempty"`
 }
 
-// FileMeta records one data file's integrity data.  Rank is the stripe
-// index.
+// FileMeta records one file's integrity data and the rank that wrote it.
 type FileMeta struct {
 	Rank int
 	Name string
@@ -183,10 +169,11 @@ func (m *Manifest) MetaInt(key string) (int, bool) {
 	return v, err == nil
 }
 
-// stripeSet builds the pario view of an epoch's files.
+// stripeSet builds the pario view of an epoch's files: the rank files
+// are the set's stripes.
 func (m *Manifest) stripeSet(epochDir string) pario.StripeSet {
 	set := pario.StripeSet{Dir: epochDir, Redundancy: m.Redundancy}
-	for _, fm := range m.Stripes {
+	for _, fm := range m.Files {
 		set.Stripes = append(set.Stripes, pario.StripeInfo{Name: fm.Name, Size: fm.Size, CRC: fm.CRC})
 	}
 	if m.Parity != nil {
@@ -203,19 +190,74 @@ func EpochDir(dir string, epoch int) string {
 }
 
 func epochDirName(epoch int) string   { return fmt.Sprintf("epoch-%08d", epoch) }
-func stripeFileName(s int) string     { return fmt.Sprintf("stripe-%04d.bin", s) }
+func rankFileName(r int) string       { return fmt.Sprintf("rank-%04d.bin", r) }
 func parityFileName() string          { return "parity.bin" }
 func stagingDirName(epoch int) string { return epochDirName(epoch) + ".tmp" }
 func manifestPath(dir string) string  { return filepath.Join(dir, "manifest.json") }
+
+// maxPoints bounds a recorded domain's bounds and point count, so that no
+// arithmetic on a decoded manifest overflows.
+const maxPoints = 1 << 40
+
 func domainOf(am ArrayMeta) (index.Domain, error) {
 	if len(am.Lo) == 0 || len(am.Lo) != len(am.Hi) {
 		return index.Domain{}, fmt.Errorf("ckpt: array %s: malformed domain bounds", am.Name)
 	}
 	bounds := make([][2]int, len(am.Lo))
+	points := 1
 	for k := range am.Lo {
-		bounds[k] = [2]int{am.Lo[k], am.Hi[k]}
+		lo, hi := am.Lo[k], am.Hi[k]
+		if lo < -maxPoints || hi > maxPoints || lo > hi || points > maxPoints/(hi-lo+1) {
+			return index.Domain{}, fmt.Errorf("ckpt: array %s: malformed domain bounds", am.Name)
+		}
+		points *= hi - lo + 1
+		bounds[k] = [2]int{lo, hi}
 	}
 	return index.NewDomain(bounds...), nil
+}
+
+// validate checks everything a restore trusts a manifest with, before any
+// data file is read: the format version, a file list of NP entries under
+// their own names, and for every array well-formed domain bounds and a
+// distribution that replays over a recorded arrangement of at most NP
+// ranks.
+func (m *Manifest) validate() error {
+	if m.Version != Version {
+		return fmt.Errorf("format version %d, want %d", m.Version, Version)
+	}
+	if m.NP < 1 || len(m.Files) != m.NP {
+		return fmt.Errorf("%d rank files listed for NP=%d", len(m.Files), m.NP)
+	}
+	for r, fm := range m.Files {
+		if fm.Name != rankFileName(r) || fm.Size < 0 {
+			return fmt.Errorf("rank file %d recorded as %q, %d bytes", r, fm.Name, fm.Size)
+		}
+	}
+	if !pario.ValidRedundancy(m.Redundancy) || (m.Parity != nil && m.Parity.Name != parityFileName()) {
+		return fmt.Errorf("malformed redundancy %q", m.Redundancy)
+	}
+	for _, am := range m.Arrays {
+		dom, err := domainOf(am)
+		if err != nil {
+			return err
+		}
+		procs := 1
+		for _, e := range am.Dist.TargetExtents {
+			if e < 1 || procs > m.NP/e {
+				return fmt.Errorf("array %s: target %v exceeds NP=%d", am.Name, am.Dist.TargetExtents, m.NP)
+			}
+			procs *= e
+		}
+		for _, d := range am.Dist.Dims {
+			if d.K > maxPoints {
+				return fmt.Errorf("array %s: %s block size %d", am.Name, d.Kind, d.K)
+			}
+		}
+		if _, err := replay(am.Dist, dom); err != nil {
+			return fmt.Errorf("array %s: %w", am.Name, err)
+		}
+	}
+	return nil
 }
 
 var (
@@ -249,11 +291,8 @@ func epochsIn(f pario.FS, dir string) ([]int, error) {
 // verifyEpoch reports whether an epoch is *verifiably complete* — every
 // data file integrity-checks against the manifest, or, for a redundant
 // epoch, the damage is within what redundancy can reconstruct — and
-// which data stripes failed their check.
+// which rank files failed their check.
 func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) (ok bool, bad []int) {
-	if man.NS <= 0 || len(man.Stripes) != man.NS {
-		return false, nil
-	}
 	set := man.stripeSet(epochDir)
 	h := set.Verify(f, cfg, tr, rank)
 	return h.Recoverable, h.BadStripes
@@ -323,8 +362,8 @@ func readManifest(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epoc
 	if err := json.Unmarshal(b, &man); err != nil {
 		return nil, fmt.Errorf("ckpt: %s: %w", manifestPath(epochDir), err)
 	}
-	if man.Version != Version {
-		return nil, fmt.Errorf("ckpt: %s: format version %d, want %d", epochDir, man.Version, Version)
+	if err := man.validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: %s: %w", epochDir, err)
 	}
 	return &man, nil
 }

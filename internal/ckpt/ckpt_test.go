@@ -75,9 +75,8 @@ func domFor(kind string) index.Domain {
 	}
 }
 
-// saveOn runs an SPMD save of one freshly filled array and returns the
-// committed epoch.
-func saveOn(t *testing.T, np int, dir, kind string, meta map[string]string) {
+// saveOn runs an SPMD save of one freshly filled array.
+func saveOn(t testing.TB, np int, dir, kind string, meta map[string]string) {
 	t.Helper()
 	m := machine.New(np)
 	defer m.Close()
@@ -204,8 +203,8 @@ func TestMetaRoundTrip(t *testing.T) {
 	if man.NP != 2 || len(man.Arrays) != 1 {
 		t.Fatalf("manifest shape: %+v", man)
 	}
-	if man.NS != 2 || len(man.Stripes) != 2 || man.Redundancy != "parity" || man.Parity == nil {
-		t.Fatalf("stripe map: %+v", man)
+	if len(man.Files) != 2 || man.Redundancy != "parity" || man.Parity == nil {
+		t.Fatalf("file map: %+v", man)
 	}
 }
 
@@ -258,12 +257,12 @@ func TestEpochsAccumulate(t *testing.T) {
 }
 
 // TestCorruptFileRejected: damage beyond what redundancy can rebuild (a
-// data stripe AND the parity stripe) must make the epoch invisible — a
+// rank file AND the parity file) must make the epoch invisible — a
 // bit-rotted checkpoint is never silently restored.
 func TestCorruptFileRejected(t *testing.T) {
 	dir := t.TempDir()
 	saveOn(t, 2, dir, "block", nil)
-	for _, name := range []string{stripeFileName(1), parityFileName()} {
+	for _, name := range []string{rankFileName(1), parityFileName()} {
 		path := filepath.Join(dir, epochDirName(0), name)
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -302,7 +301,7 @@ func TestInterruptedCheckpointInvisible(t *testing.T) {
 	if err := os.MkdirAll(staging, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	for _, f := range []string{stripeFileName(0), stripeFileName(1), "manifest.json"} {
+	for _, f := range []string{rankFileName(0), rankFileName(1), "manifest.json"} {
 		if err := os.WriteFile(filepath.Join(staging, f), []byte("partial garbage"), 0o644); err != nil {
 			t.Fatal(err)
 		}

@@ -103,7 +103,7 @@ func noStagingLeft(t *testing.T, dir string) {
 }
 
 // TestSaveAbortMatrix kills a Save at every distinct stage of its
-// write path via persistent injected faults — staging mkdir, stripe
+// write path via persistent injected faults — staging mkdir, rank-file
 // write, parity write, manifest write, commit rename — and checks the
 // crash-safety contract each time: the failure surfaces on every rank,
 // the previously committed epoch is untouched and restores bit-exact,
@@ -115,7 +115,7 @@ func TestSaveAbortMatrix(t *testing.T) {
 		plan string
 	}{
 		{"mkdir-staging", "eio,op=mkdir,path=.tmp"},
-		{"stripe-write", "eio,op=write,path=stripe-"},
+		{"stripe-write", "eio,op=write,path=rank-"},
 		{"parity-write", "eio,op=write,path=parity"},
 		{"manifest-write", "eio,op=write,path=manifest"},
 		{"commit-rename", "eio,op=rename,path=.tmp"},
@@ -123,7 +123,7 @@ func TestSaveAbortMatrix(t *testing.T) {
 	for _, st := range stages {
 		t.Run(st.name, func(t *testing.T) {
 			dir := t.TempDir()
-			opts := Options{Servers: 2, Redundancy: pario.RedundancyParity}
+			opts := Options{Redundancy: pario.RedundancyParity}
 			if err := saveOpts(t, 2, "chan", dir, opts, fill); err != nil {
 				t.Fatalf("clean save: %v", err)
 			}
@@ -168,7 +168,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 		redundancy string
 		file       func(man *Manifest) string
 		apply      func(t *testing.T, path string)
-		repairs    bool // a data stripe was rebuilt and healed
+		repairs    bool // a rank file was rebuilt and healed
 	}
 	remove := func(t *testing.T, path string) {
 		t.Helper()
@@ -198,7 +198,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 		}
 	}
 	stripe := func(i int) func(*Manifest) string {
-		return func(man *Manifest) string { return man.Stripes[i].Name }
+		return func(man *Manifest) string { return man.Files[i].Name }
 	}
 	cases := []damage{
 		{"lost-stripe", pario.RedundancyParity, stripe(1), remove, true},
@@ -207,13 +207,13 @@ func TestDamageRestoreMatrix(t *testing.T) {
 		{"lost-parity", pario.RedundancyParity, func(man *Manifest) string { return man.Parity.Name }, remove, false},
 		{"lost-stripe-replica-mode", pario.RedundancyReplica, stripe(1), remove, true},
 		{"rotten-replica", pario.RedundancyReplica,
-			func(man *Manifest) string { return pario.ReplicaName(man.Stripes[0].Name) }, rot, false},
+			func(man *Manifest) string { return pario.ReplicaName(man.Files[0].Name) }, rot, false},
 	}
 	for _, transport := range []string{"chan", "tcp"} {
 		for _, tc := range cases {
 			t.Run(transport+"/"+tc.name, func(t *testing.T) {
 				dir := t.TempDir()
-				opts := Options{Servers: 3, Redundancy: tc.redundancy}
+				opts := Options{Redundancy: tc.redundancy}
 				if err := saveOpts(t, 4, transport, dir, opts, fill); err != nil {
 					t.Fatal(err)
 				}
@@ -225,8 +225,8 @@ func TestDamageRestoreMatrix(t *testing.T) {
 				tc.apply(t, victim)
 
 				// Restore under a transient injected read fault: the first
-				// stripe read on every rank fails once and heals on retry.
-				plan, err := pario.ParseFaultPlan("eio,op=read,path=stripe-,count=1")
+				// rank-file read on every rank fails once and heals on retry.
+				plan, err := pario.ParseFaultPlan("eio,op=read,path=rank-,count=1")
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -235,10 +235,10 @@ func TestDamageRestoreMatrix(t *testing.T) {
 				degraded.IO = pario.Config{Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond}
 				repairs := restoreOpts(t, 4, transport, dir, degraded, fill)
 				if tc.repairs && repairs == 0 {
-					t.Error("no rank reported a stripe reconstruction")
+					t.Error("no rank reported a rank-file reconstruction")
 				}
 
-				// Self-healing: the restore repaired damaged data stripes in
+				// Self-healing: the restore repaired damaged rank files in
 				// place, so a plain Verify of the epoch sees them intact.
 				set := man.stripeSet(EpochDir(dir, epoch))
 				h := set.Verify(pario.OS{}, pario.Config{}, nil, 0)
@@ -254,7 +254,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 // keep <= 0 keeps everything.
 func TestRetention(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Servers: 2, Redundancy: pario.RedundancyParity, Keep: 2}
+	opts := Options{Redundancy: pario.RedundancyParity, Keep: 2}
 	for i := 0; i < 4; i++ {
 		if err := saveOpts(t, 2, "chan", dir, opts, fill); err != nil {
 			t.Fatal(err)
@@ -288,7 +288,7 @@ func TestRetention(t *testing.T) {
 // epoch's.
 func TestEpochFallbackRestoresOlder(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Servers: 2, Redundancy: pario.RedundancyNone}
+	opts := Options{Redundancy: pario.RedundancyNone}
 	valA := func(p index.Point) float64 { return 1000 + fill(p) }
 	valB := func(p index.Point) float64 { return 2000 + fill(p) }
 	if err := saveOpts(t, 2, "chan", dir, opts, valA); err != nil {
@@ -300,8 +300,8 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	if epoch, _, err := LatestEpoch(dir); err != nil || epoch != 1 {
 		t.Fatalf("LatestEpoch = %d, %v", epoch, err)
 	}
-	// No redundancy: losing one stripe makes epoch 1 unusable.
-	if err := os.Remove(filepath.Join(EpochDir(dir, 1), stripeFileName(0))); err != nil {
+	// No redundancy: losing one rank file makes epoch 1 unusable.
+	if err := os.Remove(filepath.Join(EpochDir(dir, 1), rankFileName(0))); err != nil {
 		t.Fatal(err)
 	}
 	epoch, man, err := LatestEpoch(dir)
@@ -330,7 +330,7 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	}
 	restoreOpts(t, 2, "chan", dir, opts, valA)
 	if sum, err := Scrub(dir, opts); err != nil || sum.Epochs != 2 {
-		t.Fatalf("Scrub = %+v, %v; want the two format-2 epochs only", sum, err)
+		t.Fatalf("Scrub = %+v, %v; want the two current-format epochs only", sum, err)
 	}
 	// Alone in a directory it is no checkpoint at all, and the restore
 	// error says which version it found.
@@ -350,19 +350,18 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	}
 }
 
-// TestScrubHealsCommittedEpochs: Scrub over a directory of striped
-// epochs repairs rot in every epoch it can and leaves them all verifying
-// clean.
+// TestScrubHealsCommittedEpochs: Scrub over a directory of epochs
+// repairs rot in every epoch it can and leaves them all verifying clean.
 func TestScrubHealsCommittedEpochs(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{Servers: 2, Redundancy: pario.RedundancyParity}
+	opts := Options{Redundancy: pario.RedundancyParity}
 	for i := 0; i < 2; i++ {
 		if err := saveOpts(t, 2, "chan", dir, opts, fill); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for epoch := 0; epoch < 2; epoch++ {
-		path := filepath.Join(EpochDir(dir, epoch), stripeFileName(epoch%2))
+		path := filepath.Join(EpochDir(dir, epoch), rankFileName(epoch%2))
 		data, err := os.ReadFile(path)
 		if err != nil {
 			t.Fatal(err)
@@ -373,7 +372,7 @@ func TestScrubHealsCommittedEpochs(t *testing.T) {
 		}
 	}
 	met := &pario.Metrics{}
-	sum, err := Scrub(dir, Options{Servers: 2, Redundancy: pario.RedundancyParity, IO: pario.Config{Metrics: met}})
+	sum, err := Scrub(dir, Options{Redundancy: pario.RedundancyParity, IO: pario.Config{Metrics: met}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,25 +408,29 @@ func (a *afterReadFS) ReadFile(path string) ([]byte, error) {
 	return data, err
 }
 
-// TestRestoreDamageAfterVerify pins what a restore does with a data
-// stripe damaged after rank 0 verified the epoch (parity.bin is the last
-// file Verify reads) and before the ranks read it.  Rank 0's verification
-// is the only CRC an intact stripe gets, so a stripe whose size changed
-// is still reconstructed from parity, bit-exact and healed, while a
+// TestRestoreDamageAfterVerify pins what a restore does with a rank file
+// damaged after rank 0 verified the epoch (parity.bin is the last file
+// Verify reads) and before the ranks read it.  Rank 0's verification is
+// the only CRC an intact rank file gets, so a file whose size changed is
+// still reconstructed from parity, bit-exact and healed, while a
 // same-size bit flip is read as it is: the one value it hits comes back
 // with that bit flipped, and nothing is repaired.
 func TestRestoreDamageAfterVerify(t *testing.T) {
 	const np = 4
 	dom := domFor("block")
+	saved, err := replay(DistMeta{Dims: []DimMeta{{Kind: "BLOCK"}}, TargetExtents: []int{np}}, dom)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var hit index.Point
-	pario.StripeGrids(dom, np)[1].ForEach(func(p index.Point) bool { hit = p; return false })
+	saved.LocalGrid(1).ForEach(func(p index.Point) bool { hit = p; return false })
 	for _, tc := range []struct {
 		name    string
 		damage  func(data []byte) []byte
 		flipped bool
 	}{
 		{"resized", func(data []byte) []byte { return data[:len(data)/2] }, false},
-		// Byte 24 is the low byte of the stripe's first value: after the
+		// Byte 24 is the low byte of rank 1's first value: after the
 		// 20-byte header and the one array's count word.
 		{"bitflip", func(data []byte) []byte { data[24] ^= 1; return data }, true},
 	} {
@@ -436,7 +439,7 @@ func TestRestoreDamageAfterVerify(t *testing.T) {
 			if err := saveOpts(t, np, "chan", dir, Options{}, fill); err != nil {
 				t.Fatal(err)
 			}
-			victim := filepath.Join(EpochDir(dir, 0), stripeFileName(1))
+			victim := filepath.Join(EpochDir(dir, 0), rankFileName(1))
 			var damageErr error
 			fs := &afterReadFS{FS: pario.OS{}, trigger: parityFileName(), hook: func() {
 				data, err := os.ReadFile(victim)
@@ -488,7 +491,7 @@ func TestRestoreDamageAfterVerify(t *testing.T) {
 				total += r
 			}
 			if tc.flipped != (total == 0) {
-				t.Errorf("%d stripe reconstructions", total)
+				t.Errorf("%d rank-file reconstructions", total)
 			}
 		})
 	}

@@ -3,8 +3,6 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/darray"
@@ -14,13 +12,13 @@ import (
 	"repro/internal/msg"
 )
 
-// TestParityFoldMatrix: the parity stripe the fold tree builds is the XOR
-// of the stripe files zero-padded to the longest, and every stripe file is
-// the point-by-point image, on machines of 1 to 8 ranks — trees of every
-// shape, non-powers of two included, and more ranks than servers — under
-// the default, 2 and 3 servers, over chan and TCP, for one save of four
-// arrays at once: BLOCK, CYCLIC(3), uneven B_BLOCK and a block replicated
-// across a second processor dimension.
+// TestParityFoldMatrix: every rank file is the point-by-point image of
+// the rank's primary segments, and the parity file the fold tree builds
+// is the XOR of the rank files zero-padded to the largest, on machines of
+// 1 to 8 ranks — trees of every shape, non-powers of two included — over
+// chan and TCP, for one save of four arrays at once: BLOCK, CYCLIC(3),
+// uneven B_BLOCK and a block replicated across a second processor
+// dimension (whose replicas write nothing).
 func TestParityFoldMatrix(t *testing.T) {
 	kinds := []string{"block", "cyclic", "bblock", "replicated"}
 	var doms []index.Domain
@@ -29,64 +27,41 @@ func TestParityFoldMatrix(t *testing.T) {
 	}
 	for _, transport := range []string{"chan", "tcp"} {
 		for _, np := range []int{1, 2, 3, 4, 5, 8} {
-			for _, servers := range []int{0, 2, 3} {
-				name := fmt.Sprintf("%s/P=%d/servers=%d", transport, np, servers)
-				dir := t.TempDir()
-				m := newMachine(t, np, transport)
-				err := m.Run(func(ctx *machine.Ctx) error {
-					arrays := make([]*darray.Array, len(kinds))
-					for i, kind := range kinds {
-						arrays[i] = darray.New(ctx, string(rune('A'+i)), doms[i], distFor(ctx, kind, doms[i], np))
-						arrays[i].FillFunc(ctx, fill)
+			name := fmt.Sprintf("%s/P=%d", transport, np)
+			dir := t.TempDir()
+			m := newMachine(t, np, transport)
+			dists := make([]*dist.Distribution, len(kinds))
+			err := m.Run(func(ctx *machine.Ctx) error {
+				arrays := make([]*darray.Array, len(kinds))
+				for i, kind := range kinds {
+					arrays[i] = darray.New(ctx, string(rune('A'+i)), doms[i], distFor(ctx, kind, doms[i], np))
+					arrays[i].FillFunc(ctx, fill)
+					if ctx.Rank() == 0 {
+						dists[i] = arrays[i].Dist(0)
 					}
-					_, err := SaveOpts(ctx, dir, arrays, nil, Options{Servers: servers})
-					return err
-				})
-				m.Close()
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
 				}
-				ns := Options{Servers: servers}.withDefaults(np).Servers
-				epochDir := EpochDir(dir, 0)
-				var parity []byte
-				for s := 0; s < ns; s++ {
-					got, err := os.ReadFile(filepath.Join(epochDir, stripeFileName(s)))
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					if !bytes.Equal(got, referenceStripe(doms, ns, 0, s)) {
-						t.Errorf("%s: stripe %d differs from the point-by-point image", name, s)
-					}
-					if len(got) > len(parity) {
-						parity = append(parity, make([]byte, len(got)-len(parity))...)
-					}
-					xorRef(parity, got)
-				}
-				got, err := os.ReadFile(filepath.Join(epochDir, parityFileName()))
-				if err != nil {
-					t.Fatalf("%s: %v", name, err)
-				}
-				if !bytes.Equal(got, parity) {
-					t.Errorf("%s: parity.bin is not the XOR of the zero-padded stripe files", name)
-				}
+				_, err := SaveOpts(ctx, dir, arrays, nil, Options{})
+				return err
+			})
+			m.Close()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
+			want := make([][]byte, np)
+			for r := range want {
+				want[r] = referenceRankFile(dists, 0, r)
+			}
+			checkEpochFiles(t, name, EpochDir(dir, 0), want)
 		}
-	}
-}
-
-func xorRef(dst, src []byte) {
-	for i, b := range src {
-		dst[i] ^= b
 	}
 }
 
 // TestSaveCriticalPath: under α = 1e-4 s and β = 1e-8 s/B, a 4-rank save
 // of the 768² grid with its rows blocked (adi_ckpt_tcp at a checkpoint)
-// spends at most two hops of a full stripe more modelled time than the
-// same save without redundancy.  The chain the fold replaced started
-// after the exchange and added three.  Data messages per save are exact:
-// the epoch broadcast 3, the exchange 12, the fold 3 partials, the
-// checksum gather 6 and the verdict broadcast 3.
+// spends at most two hops of a full rank file more modelled time than the
+// same save without redundancy: the fold's depth.  Data messages per save
+// are exact: the epoch broadcast 3, the fold 3, the checksum gather 6 and
+// the verdict broadcast 3 (the stripe exchange added 12 more).
 func TestSaveCriticalPath(t *testing.T) {
 	const edge, np = 768, 4
 	const alpha, beta = 1e-4, 1e-8
@@ -116,17 +91,18 @@ func TestSaveCriticalPath(t *testing.T) {
 		t.Errorf("parity save spans %.2f ms, more than the save without redundancy (%.2f ms) plus two hops (%.2f ms)",
 			parity*1e3, none*1e3, 2*hop*1e3)
 	}
-	if parityMsgs != 27 || noneMsgs != 24 {
-		t.Errorf("data messages per save: %d with parity, %d without; want 27 and 24", parityMsgs, noneMsgs)
+	if parityMsgs != 15 || noneMsgs != 12 {
+		t.Errorf("data messages per save: %d with parity, %d without; want 15 and 12", parityMsgs, noneMsgs)
 	}
 }
 
-// FuzzStripePayloads: the stripe header and payload-table parser never
-// panics, and whatever it accepts is a table that fits the file: one
-// payload per manifest array, each exactly the count its word announces,
-// back to back after the header.
+// FuzzStripePayloads: the rank-file header and payload-table parser
+// (filePayloads; a rank file is a stripe of its epoch's pario.StripeSet)
+// never panics, and whatever it accepts is a table that fits the file:
+// one payload per manifest array, each exactly the count its word
+// announces, back to back after the header.
 func FuzzStripePayloads(f *testing.F) {
-	img := referenceStripe([]index.Domain{index.Dim(13, 9), index.Dim(29)}, 3, 7, 1)
+	img := referenceRankFile(exchangeDists(f, 3), 7, 1)
 	f.Add(img, uint8(2))
 	f.Add(img, uint8(3))
 	f.Add(img[:20], uint8(2))
@@ -135,7 +111,7 @@ func FuzzStripePayloads(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Fuzz(func(t *testing.T, data []byte, narr uint8) {
 		man := &Manifest{Epoch: 7, Arrays: make([]ArrayMeta, narr%8)}
-		payloads, err := stripePayloads(data, man, "epoch", 1)
+		payloads, err := filePayloads(data, man, "epoch", 1)
 		if err != nil {
 			return
 		}

@@ -13,7 +13,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/pario"
-	"repro/internal/trace"
 )
 
 // RestoreResult reports what a restore did.
@@ -22,7 +21,7 @@ type RestoreResult struct {
 	// Resized is true when the checkpoint was written by a different
 	// number of ranks than the restoring machine has.
 	Resized bool
-	// Repaired counts stripe reconstructions this rank performed while
+	// Repaired counts rank-file reconstructions this rank performed while
 	// reading — nonzero means the epoch was read in degraded mode and
 	// healed in place.  Per-rank, informational.
 	Repaired int
@@ -30,10 +29,10 @@ type RestoreResult struct {
 
 // RestoreOpts fills the given arrays from the newest verifiably
 // complete epoch in dir (collective).  Epoch selection distrusts the
-// directory: an epoch whose manifest is unreadable, or whose data files
-// are damaged beyond what its redundancy can reconstruct, is skipped
-// and the next older one is tried — restore falls back epoch by epoch
-// to the newest one that can actually be read.  Damaged stripes
+// directory: an epoch whose manifest is unreadable or invalid, or whose
+// rank files are damaged beyond what its redundancy can reconstruct, is
+// skipped and the next older one is tried — restore falls back epoch by
+// epoch to the newest one that can actually be read.  Damaged rank files
 // encountered while reading are reconstructed from redundancy and
 // repaired in place (self-healing).
 //
@@ -42,15 +41,16 @@ type RestoreResult struct {
 // first re-associated with the restored distribution descriptor —
 // replayed exactly when the surviving machine can host the recorded
 // processor arrangement, re-factored over the surviving ranks otherwise
-// (np-dependent S_BLOCK/B_BLOCK specifiers degrade to BLOCK) — and then
-// filled with the recorded values.  Ghost areas are left stale; refresh
-// them with ExchangeGhosts before stencil use.
+// (np-dependent S_BLOCK/B_BLOCK specifiers degrade to BLOCK).  Then every
+// rank reads the saved rank files whose grids meet what it now owns,
+// one file at a time, and unpacks those parts.  Ghost areas are left
+// stale; refresh them with ExchangeGhosts before stencil use.
 func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Options) (*RestoreResult, error) {
 	rank, np := ctx.Rank(), ctx.NP()
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(np)
+	opts = opts.withDefaults()
 	f := opts.FS(rank)
 	cfg := opts.IO
 	tr := ctx.Tracer()
@@ -58,7 +58,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	// Rank 0 locates the newest usable epoch — verifying completeness
 	// and falling back past damaged ones — and broadcasts the manifest
 	// so every rank restores the same epoch even if a concurrent writer
-	// commits meanwhile.  The data stripes its verification flagged ride
+	// commits meanwhile.  The rank files its verification flagged ride
 	// along; the others are known intact, and no rank checksums them again.
 	var manBytes []byte
 	var scanErr error
@@ -88,27 +88,21 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		}
 		return nil, fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
 	}
-	var plan restorePlan
-	if err := json.Unmarshal(manBytes, &plan); err != nil {
-		return nil, fmt.Errorf("ckpt: manifest decode: %w", err)
+	plan, err := decodePlan(manBytes)
+	if err != nil {
+		return nil, err
 	}
 	man := plan.Manifest
-	epochDir := filepath.Join(dir, epochDirName(man.Epoch))
 
 	byName := make(map[string]*darray.Array, len(arrays))
 	for _, a := range arrays {
 		byName[a.Name()] = a
 	}
 
-	res := &RestoreResult{Manifest: &man, Resized: man.NP != np}
-
-	// The reader caches stripe files, so each rank touches each file at
-	// most once per restore.
-	if man.NS <= 0 || len(man.Stripes) != man.NS {
-		return nil, fmt.Errorf("ckpt: manifest lists %d stripes for NS=%d", len(man.Stripes), man.NS)
-	}
-	stripes := newStripeReader(f, cfg, tr, rank, epochDir, &man, plan.Bad)
-
+	// Adopt every array's restored descriptor first, and note which parts
+	// of which saved rank files this rank now owns.
+	locals := make([]*darray.Local, len(man.Arrays))
+	need := make([][]piece, man.NP)
 	for ai, am := range man.Arrays {
 		arr, ok := byName[am.Name]
 		if !ok {
@@ -121,160 +115,161 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		if !arr.Domain().Equal(dom) {
 			return nil, fmt.Errorf("ckpt: array %s: domain %v in checkpoint, %v declared", am.Name, dom, arr.Domain())
 		}
-
-		// The destination distribution on the live machine: the recorded
-		// arrangement when the sizes match exactly, a balanced
-		// re-factorization over all np ranks otherwise.  Both directions
-		// resize: a restore onto fewer ranks (shrink recovery) compacts
-		// the arrangement, and a restore onto more ranks (expand
-		// recovery after a join) spreads it so the new members own data
-		// instead of idling.
-		oldExt := am.Dist.TargetExtents
-		newExt := oldExt
-		if (virtualTarget{ext: oldExt}).Size() != np {
-			newExt = balancedExtents(np, len(oldExt))
+		neu, err := restoredDist(ctx, am, dom)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: array %s: rebuilding distribution: %w", am.Name, err)
 		}
-		newMeta := am.Dist
-		if !intsEqual(newExt, oldExt) {
-			newMeta = remapDims(am.Dist, newExt)
-		}
-		procName := "$CKPT"
-		for _, e := range newExt {
-			procName += "x" + strconv.Itoa(e)
-		}
-		target := ctx.Machine().ProcsDim(procName, newExt...).Whole()
-		type distOrErr struct {
-			d   *dist.Distribution
-			err error
-		}
-		neu := ctx.CollectiveOnce(func() any {
-			typ, err := typeOf(newMeta)
-			if err != nil {
-				return distOrErr{nil, err}
-			}
-			d, err := dist.New(typ, dom, target)
-			return distOrErr{d, err}
-		}).(distOrErr)
-		if neu.err != nil {
-			return nil, fmt.Errorf("ckpt: array %s: rebuilding distribution: %w", am.Name, neu.err)
-		}
-
-		// Adopt the descriptor without moving the (stale) data, then fill
-		// the owned spans from the recorded bytes.
-		if err := arr.RedistributeTo(ctx, neu.d, darray.NoTransfer()); err != nil {
+		// Adopt the descriptor without moving the (stale) data.
+		if err := arr.RedistributeTo(ctx, neu, darray.NoTransfer()); err != nil {
 			return nil, fmt.Errorf("ckpt: array %s: %w", am.Name, err)
 		}
-		l := arr.Local(ctx)
-		myGrid := l.Grid()
-
-		fillErr := stripes.fill(l, myGrid, am, ai, dom)
-		if err := agree(ctx, fillErr); err != nil {
-			return nil, fmt.Errorf("ckpt: array %s: restore: %w", am.Name, err)
+		locals[ai] = arr.Local(ctx)
+		saved, err := replay(am.Dist, dom)
+		if err != nil {
+			return nil, fmt.Errorf("ckpt: array %s: %w", am.Name, err)
+		}
+		mine := locals[ai].Grid()
+		for r := range need {
+			if !saved.IsPrimaryRank(r) {
+				continue
+			}
+			g := saved.LocalGrid(r)
+			if part := mine.Intersect(g); !part.Empty() {
+				need[r] = append(need[r], piece{ai, g, part})
+			}
 		}
 	}
-	res.Repaired = stripes.repaired
+
+	res := &RestoreResult{Manifest: &man, Resized: man.NP != np}
+	epochDir := filepath.Join(dir, epochDirName(man.Epoch))
+	set := man.stripeSet(epochDir)
+	var scratch []byte
+	fill := func(r int, pieces []piece) error {
+		read := set.ReadIntact
+		if slices.Contains(plan.Bad, r) {
+			read = set.ReadStripe
+		}
+		data, repaired, err := read(f, cfg, tr, rank, r, true)
+		if err != nil {
+			return err
+		}
+		if repaired {
+			res.Repaired++
+		}
+		payloads, err := filePayloads(data, &man, epochDir, r)
+		if err != nil {
+			return err
+		}
+		for _, pc := range pieces {
+			payload := payloads[pc.ai]
+			if msg.Float64Count(payload) != pc.g.Count() {
+				return fmt.Errorf("ckpt: array %s: rank file %d holds %d values, its grid has %d",
+					man.Arrays[pc.ai].Name, r, msg.Float64Count(payload), pc.g.Count())
+			}
+			if !gridsEqual(pc.part, pc.g) {
+				scratch, _ = msg.GrowFloat64s(scratch[:0], pc.part.Count())
+				pario.Extract(scratch, payload, pc.g, pc.part)
+				payload = scratch
+			}
+			locals[pc.ai].UnpackWire(pc.part, payload)
+		}
+		return nil
+	}
+	// Saved files outer, arrays inner: at most one file is resident.
+	var fillErr error
+	for r, pieces := range need {
+		if len(pieces) > 0 && fillErr == nil {
+			fillErr = fill(r, pieces)
+		}
+	}
+	if err := agree(ctx, fillErr); err != nil {
+		return nil, fmt.Errorf("ckpt: restore: %w", err)
+	}
 	if err := ctx.Barrier(); err != nil {
 		return nil, fmt.Errorf("ckpt: restore barrier: %w", err)
 	}
 	return res, nil
 }
 
+// piece is one array's part of one saved rank file that the restoring
+// rank now owns: part of the file's grid g.
+type piece struct {
+	ai      int
+	g, part index.Grid
+}
+
+// restoredDist is the destination distribution on the live machine: the
+// recorded arrangement when the sizes match exactly, a balanced
+// re-factorization over all np ranks otherwise.  Both directions resize:
+// a restore onto fewer ranks (shrink recovery) compacts the arrangement,
+// and a restore onto more ranks (expand recovery after a join) spreads it
+// so the new members own data instead of idling.
+func restoredDist(ctx *machine.Ctx, am ArrayMeta, dom index.Domain) (*dist.Distribution, error) {
+	oldExt := am.Dist.TargetExtents
+	newExt := oldExt
+	if (virtualTarget{ext: oldExt}).Size() != ctx.NP() {
+		newExt = balancedExtents(ctx.NP(), len(oldExt))
+	}
+	newMeta := am.Dist
+	if !intsEqual(newExt, oldExt) {
+		newMeta = remapDims(am.Dist, newExt)
+	}
+	procName := "$CKPT"
+	for _, e := range newExt {
+		procName += "x" + strconv.Itoa(e)
+	}
+	target := ctx.Machine().ProcsDim(procName, newExt...).Whole()
+	type distOrErr struct {
+		d   *dist.Distribution
+		err error
+	}
+	neu := ctx.CollectiveOnce(func() any {
+		typ, err := typeOf(newMeta)
+		if err != nil {
+			return distOrErr{nil, err}
+		}
+		d, err := dist.New(typ, dom, target)
+		return distOrErr{d, err}
+	}).(distOrErr)
+	return neu.d, neu.err
+}
+
 // restorePlan is rank 0's broadcast at the start of a restore: the
-// chosen epoch's manifest and the data stripes its verification flagged.
+// chosen epoch's manifest and the rank files its verification flagged.
 // With none flagged it marshals to exactly the manifest's JSON.
 type restorePlan struct {
 	Manifest
 	Bad []int `json:",omitempty"`
 }
 
-// stripeReader reads (and if need be reconstructs and heals) the stripe
-// files of one epoch, parsing each into per-array payloads on first
-// touch.  A stripe rank 0's verification found intact is only
-// size-checked: the window between that check and this read is trusted.
-type stripeReader struct {
-	f        pario.FS
-	cfg      pario.Config
-	tr       *trace.Tracer
-	rank     int
-	epochDir string
-	man      *Manifest
-	set      pario.StripeSet
-	bad      []int // data stripes rank 0's verification flagged
-	loaded   map[int][][]byte
-	repaired int
-	scratch  []byte // fill's extraction buffer, reused from stripe to stripe
+// decodePlan decodes a restore broadcast and validates it — manifest and
+// flagged files alike — before any data file is read: whatever the bytes,
+// it returns a plan a restore can trust or an error.
+func decodePlan(b []byte) (restorePlan, error) {
+	var plan restorePlan
+	if err := json.Unmarshal(b, &plan); err != nil {
+		return plan, fmt.Errorf("ckpt: manifest decode: %w", err)
+	}
+	if err := plan.validate(); err != nil {
+		return plan, fmt.Errorf("ckpt: manifest: %w", err)
+	}
+	for _, r := range plan.Bad {
+		if r < 0 || r >= plan.NP {
+			return plan, fmt.Errorf("ckpt: manifest: flagged rank file %d of %d", r, plan.NP)
+		}
+	}
+	return plan, nil
 }
 
-func newStripeReader(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest, bad []int) *stripeReader {
-	return &stripeReader{
-		f: f, cfg: cfg, tr: tr, rank: rank, epochDir: epochDir, man: man, bad: bad,
-		set:    man.stripeSet(epochDir),
-		loaded: make(map[int][][]byte),
-	}
-}
-
-// payloadsOf returns stripe s's per-array payloads, reading and healing
-// the stripe file on first use.
-func (sr *stripeReader) payloadsOf(s int) ([][]byte, error) {
-	if p, ok := sr.loaded[s]; ok {
-		return p, nil
-	}
-	read := sr.set.ReadIntact
-	if slices.Contains(sr.bad, s) {
-		read = sr.set.ReadStripe
-	}
-	data, repaired, err := read(sr.f, sr.cfg, sr.tr, sr.rank, s, true)
-	if err != nil {
-		return nil, err
-	}
-	if repaired {
-		sr.repaired++
-	}
-	p, err := stripePayloads(data, sr.man, sr.epochDir, s)
-	if err != nil {
-		return nil, err
-	}
-	sr.loaded[s] = p
-	return p, nil
-}
-
-// fill unpacks the spans of myGrid from the stripes it intersects.
-func (sr *stripeReader) fill(l *darray.Local, myGrid index.Grid, am ArrayMeta, ai int, dom index.Domain) error {
-	grids := pario.StripeGrids(dom, sr.man.NS)
-	for s, sg := range grids {
-		inter := myGrid.Intersect(sg)
-		if inter.Empty() {
-			continue
-		}
-		payloads, err := sr.payloadsOf(s)
-		if err != nil {
-			return err
-		}
-		payload := payloads[ai]
-		if msg.Float64Count(payload) != sg.Count() {
-			return fmt.Errorf("ckpt: array %s: stripe %d payload has %d values, grid has %d",
-				am.Name, s, msg.Float64Count(payload), sg.Count())
-		}
-		if gridsEqual(inter, sg) && gridsEqual(inter, myGrid) {
-			l.UnpackWire(myGrid, payload)
-			continue
-		}
-		sr.scratch, _ = msg.GrowFloat64s(sr.scratch[:0], inter.Count())
-		pario.Extract(sr.scratch, payload, sg, inter)
-		l.UnpackWire(inter, sr.scratch)
-	}
-	return nil
-}
-
-// stripePayloads parses one stripe file's body into per-array payloads
-// in manifest order, validating the header against the manifest.
-func stripePayloads(data []byte, man *Manifest, epochDir string, s int) ([][]byte, error) {
-	name := stripeFileName(s)
+// filePayloads parses rank file r's body into per-array payloads in
+// manifest order, validating the header against the manifest.
+func filePayloads(data []byte, man *Manifest, epochDir string, r int) ([][]byte, error) {
+	name := rankFileName(r)
 	if len(data) < 20 {
 		return nil, fmt.Errorf("ckpt: %s/%s: truncated header", epochDir, name)
 	}
 	u32 := func(off int) int { return int(getU32(data, off)) }
-	if u32(0) != stripeMagic || u32(4) != Version || u32(8) != man.Epoch || u32(12) != s {
+	if u32(0) != fileMagic || u32(4) != Version || u32(8) != man.Epoch || u32(12) != r {
 		return nil, fmt.Errorf("ckpt: %s/%s: header mismatch", epochDir, name)
 	}
 	narr := u32(16)

@@ -21,8 +21,8 @@ type ScrubSummary struct {
 }
 
 // Scrub walks every committed epoch in dir, integrity-checks all of its
-// files, and repairs what redundancy can rebuild — data stripes from
-// parity or replica, damaged parity recomputed from intact stripes,
+// files, and repairs what redundancy can rebuild — rank files from
+// parity or replica, damaged parity recomputed from intact rank files,
 // damaged replicas recopied from their primaries.  Run it periodically
 // (or before shrinking redundancy) so silent bitrot is caught while the
 // redundant copy still exists, not at restore time.  Unrecoverable
@@ -35,7 +35,7 @@ func Scrub(dir string, opts Options) (*ScrubSummary, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults(1)
+	opts = opts.withDefaults()
 	f := opts.FS(0)
 	cfg := opts.IO
 	var tr *trace.Tracer

@@ -289,7 +289,7 @@ func (d DimSpec) runSet(p, lo, n, np int) index.RunSet {
 		k := normK(d.K)
 		ph := d.normPhase(np)
 		cyc := np * k
-		runs := make([]index.Run, 0, k)
+		runs := make([]index.Run, 0, min(k, n))
 		for j := 0; j < k; j++ {
 			// offsets off with (off+ph) ≡ p*k+j (mod np*k)
 			startOff := ((p*k+j-ph)%cyc + cyc) % cyc

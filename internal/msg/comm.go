@@ -489,40 +489,10 @@ func (c *Comm) Ring(round func(to, from int) error) error {
 	return nil
 }
 
-// ring runs the Ring over one collective tag: pack(to) produces the
-// payload for a remote peer immediately before its send (nil = no
-// message); recvFrom[j] says a message from j is expected; consume gets
-// each packet immediately after its receive and decides whether to keep
-// its payload or release it.  The whole exchange uses the one collective
-// tag the caller drew, identical on every rank.
-func (c *Comm) ring(op string, tag int, pack func(to int) ([]byte, error), recvFrom []bool, consume func(p Packet) error) error {
-	rank := c.Rank()
-	return c.Ring(func(to, from int) error {
-		buf, err := pack(to)
-		if err != nil {
-			return fmt.Errorf("msg: %s: rank %d: pack for %d: %w", op, rank, to, err)
-		}
-		if buf != nil {
-			if err := c.send(op, to, tag, buf); err != nil {
-				return err
-			}
-		}
-		if recvFrom[from] {
-			p, err := c.recv(op, from, tag)
-			if err != nil {
-				return err
-			}
-			if err := consume(p); err != nil {
-				return fmt.Errorf("msg: %s: rank %d: consume from %d: %w", op, rank, from, err)
-			}
-		}
-		return nil
-	})
-}
-
-// exchange runs the ring over buffers that all exist up front: send[i]
-// goes to processor i (nil is skipped, the self-transfer is a local
-// copy) and the NP buffers received come back (recv[j] is from j).
+// exchange runs the Ring over one collective tag, identical on every
+// rank: send[i] goes to processor i (nil is skipped, the self-transfer is
+// a local copy), recvFrom[j] says a message from j is expected, and the
+// NP buffers received come back (recv[j] is from j).
 func (c *Comm) exchange(op string, tag int, send [][]byte, recvFrom []bool) ([][]byte, error) {
 	rank := c.Rank()
 	recv := make([][]byte, len(send))
@@ -531,10 +501,21 @@ func (c *Comm) exchange(op string, tag int, send [][]byte, recvFrom []bool) ([][
 		copy(cp, send[rank])
 		recv[rank] = cp
 	}
-	err := c.ring(op, tag,
-		func(to int) ([]byte, error) { return send[to], nil },
-		recvFrom,
-		func(p Packet) error { recv[p.From] = p.Data; return nil })
+	err := c.Ring(func(to, from int) error {
+		if send[to] != nil {
+			if err := c.send(op, to, tag, send[to]); err != nil {
+				return err
+			}
+		}
+		if recvFrom[from] {
+			p, err := c.recv(op, from, tag)
+			if err != nil {
+				return err
+			}
+			recv[from] = p.Data
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -620,36 +601,6 @@ func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) 
 		defer c.span("alltoallv-sched").End()
 	}
 	return c.exchange("alltoallv-sched", c.nextTag(), send, recvFrom)
-}
-
-// AlltoallvStream is AlltoallvSched with just-in-time buffers: the same
-// staggered ring order and the same messages on the wire, but each
-// round's send buffer is produced by pack immediately before the send
-// and each received payload is handed to consume immediately after the
-// receive — so at most one outgoing and one incoming buffer per peer are
-// resident at any time.  The checkpoint save streams its stripe exchange
-// through it (ckpt.SaveOpts).
-//
-// pack(to) returns the payload for peer `to`, or nil for "no message";
-// it is only called for remote peers (to != rank — callers handle the
-// self-transfer as a local copy).  consume(from, data) is likewise only
-// called for remote peers, once per expected message; data is the
-// transport's buffer, which goes back to it (Packet.Release) when consume
-// returns, so it must be fully used (or copied) by then.  Tag discipline
-// matches the other collectives: one fresh
-// collective tag for the whole exchange, identical on every rank.
-func (c *Comm) AlltoallvStream(pack func(to int) ([]byte, error), recvFrom []bool, consume func(from int, data []byte) error) error {
-	if np := c.NP(); len(recvFrom) != np {
-		return fmt.Errorf("msg: alltoallv-stream needs %d recv flags, got %d", np, len(recvFrom))
-	}
-	if c.tr != nil {
-		defer c.span("alltoallv-stream").End()
-	}
-	return c.ring("alltoallv-stream", c.nextTag(), pack, recvFrom, func(p Packet) error {
-		err := consume(p.From, p.Data)
-		p.Release()
-		return err
-	})
 }
 
 // BcastInts broadcasts an []int from root and returns it on every rank.

@@ -79,8 +79,8 @@ type FaultRule struct {
 	// Rank restricts the rule to one rank's endpoint (-1 = all).
 	Rank int
 	// Path restricts by substring of the operation's path ("" = any);
-	// e.g. path=manifest targets the manifest write, path=stripe- the
-	// stripe files.
+	// e.g. path=manifest targets the manifest write, path=rank- a
+	// checkpoint's rank files.
 	Path string
 	// After, Count, Every and Prob select which of the matching
 	// operations fire; they are fault.Window's fields, documented there
@@ -102,7 +102,7 @@ type FaultPlan struct {
 // msg.ParseFaultPlan: semicolon-separated rules, each a kind followed by
 // comma-separated key=value options, e.g.
 //
-//	eio,op=write,path=stripe-,rank=1,count=2;stall,delay=20ms,every=3
+//	eio,op=write,path=rank-,rank=1,count=2;stall,delay=20ms,every=3
 //
 // Kinds: eio, short, torn, bitrot, stall.  Options: the common rank,
 // after, count, every, prob and delay (a Go duration), plus op and path.

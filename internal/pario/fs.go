@@ -9,16 +9,15 @@
 //     rot, stalls) sharing the plan syntax of msg.FaultTransport;
 //   - Config, a CommConfig-style timeout/retry/backoff policy applied to
 //     each I/O operation, with "io:" trace spans and retry instants;
-//   - stripe geometry (StripeGrids/Place) that decouples the on-disk
-//     layout from the in-memory distribution: file order is the array's
-//     canonical enumeration, split into contiguous slabs that I/O server
-//     ranks own, whatever the compute distribution looks like;
-//   - redundancy and self-healing (StripeSet): per-stripe CRCs plus a
-//     parity or replica stripe, so any single lost or corrupt stripe
-//     file is reconstructed at read time — and repaired in place — and a
-//     Scrub pass detects and fixes rot before it is needed;
-//   - Server, a dedicated I/O goroutine per server rank, so stripe
-//     writes overlap the collective coordination that follows them.
+//   - Extract, which reads the part of a recorded grid's payload that a
+//     sub-grid covers, run by run;
+//   - redundancy and self-healing (StripeSet): the data files of a set
+//     are its stripes, each with a CRC, plus a parity or replica stripe,
+//     so any single lost or corrupt stripe file is reconstructed at read
+//     time — and repaired in place — and a Scrub pass detects and fixes
+//     rot before it is needed;
+//   - Server, a dedicated I/O goroutine per rank, so file writes overlap
+//     the collective coordination that follows them.
 //
 // The package is deliberately below internal/ckpt: it knows bytes,
 // files, grids and checksums, not arrays or manifests.

@@ -10,18 +10,9 @@ import (
 	"repro/internal/index"
 )
 
-// placeRef and extractRef are the per-element walks Place and Extract
-// replaced: one IndexOf and one 8-byte copy per point.  They are the
-// reference the run mapper must match bit for bit.
-func placeRef(dst, payload []byte, g, into index.Grid) {
-	off := 0
-	g.ForEach(func(p index.Point) bool {
-		copy(dst[8*canonicalPos(into, p):][:8], payload[off:off+8])
-		off += 8
-		return true
-	})
-}
-
+// extractRef is the per-element walk Extract replaced: one IndexOf and
+// one 8-byte copy per point.  It is the reference the run mapper must
+// match bit for bit.
 func extractRef(dst, payload []byte, from, want index.Grid) {
 	off := 0
 	want.ForEach(func(p index.Point) bool {
@@ -86,32 +77,13 @@ func payloadOf(g index.Grid) []byte {
 	return b
 }
 
-// checkBothWays compares Place, PlaceXor and Extract with their references
-// on one (sub, super) pair of grids.
-func checkBothWays(t *testing.T, name string, sub, super index.Grid) {
+// checkExtract compares Extract with its reference on one (sub, super)
+// pair of grids.
+func checkExtract(t *testing.T, name string, sub, super index.Grid) {
 	t.Helper()
-	n := 8 * super.Count()
 	part := payloadOf(sub)
-	got, want := make([]byte, n), make([]byte, n)
-	Place(got, part, sub, super)
-	placeRef(want, part, sub, super)
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s: Place differs from the per-element reference (sub %v in %v)", name, sub, super)
-	}
-	// PlaceXor onto a patterned dst folds exactly what Place writes into a
-	// zeroed one, and leaves every other byte alone.
-	got = make([]byte, n)
-	for i := range got {
-		got[i] = byte(i*101 + 7)
-	}
-	xored := bytes.Clone(got)
-	xorRef(xored, want)
-	PlaceXor(got, part, sub, super)
-	if !bytes.Equal(got, xored) {
-		t.Errorf("%s: PlaceXor differs from Place folded in (sub %v in %v)", name, sub, super)
-	}
 	whole := payloadOf(super)
-	got, want = make([]byte, len(part)), make([]byte, len(part))
+	got, want := make([]byte, len(part)), make([]byte, len(part))
 	Extract(got, whole, super, sub)
 	extractRef(want, whole, super, sub)
 	if !bytes.Equal(got, want) {
@@ -122,42 +94,41 @@ func checkBothWays(t *testing.T, name string, sub, super index.Grid) {
 	}
 }
 
-// TestPlaceExtractRuns runs the mapper against the per-element reference,
-// both directions, bit for bit: every rank's part of every stripe for
+// TestPlaceExtractRuns runs Extract against the per-element reference,
+// bit for bit, on what a restore reads: every saved rank's grid under
 // BLOCK, CYCLIC(1), CYCLIC(3) and B_BLOCK in each dimension of 1-D, 2-D
-// and 3-D domains (what a checkpoint does), and the same parts against an
-// enclosing grid that is itself strided (the general contract).
+// and 3-D domains, intersected with every new rank's grid of a BLOCK or
+// CYCLIC(3) over 3 ranks in the same dimension, and with a window of the
+// domain (the general contract).
 func TestPlaceExtractRuns(t *testing.T) {
 	const np = 4
 	extents := [][]int{{29}, {13, 9}, {7, 6, 5}}
 	for _, ext := range extents {
-		dom := index.Dim(ext...)
+		whole := index.Grid{Dims: make([]index.RunSet, len(ext))}
+		window := index.Grid{Dims: make([]index.RunSet, len(ext))}
+		for k, e := range ext {
+			whole.Dims[k] = index.NewRunSet(index.NewRun(0, e-1, 1))
+			window.Dims[k] = index.NewRunSet(index.NewRun(1, e-2, 1))
+		}
 		for _, kind := range []string{"block", "cyclic1", "cyclic3", "bblock"} {
 			for d := range ext {
 				for r := 0; r < np; r++ {
-					local := index.Grid{Dims: make([]index.RunSet, len(ext))}
-					for k, e := range ext {
-						local.Dims[k] = index.NewRunSet(index.NewRun(0, e-1, 1))
-					}
-					local.Dims[d] = owned(kind, ext[d], np, r)
-					for _, ns := range []int{1, 3} {
-						for s, stripe := range StripeGrids(dom, ns) {
-							sub := local.Intersect(stripe)
-							if sub.Empty() {
-								continue
-							}
-							name := fmt.Sprintf("%dD %s dim %d rank %d stripe %d/%d", len(ext), kind, d, r, s, ns)
-							checkBothWays(t, name, sub, stripe)
+					saved := whole
+					saved.Dims = append([]index.RunSet(nil), whole.Dims...)
+					saved.Dims[d] = owned(kind, ext[d], np, r)
+					wants := []index.Grid{window}
+					for _, newKind := range []string{"block", "cyclic3"} {
+						for q := 0; q < 3; q++ {
+							mine := whole
+							mine.Dims = append([]index.RunSet(nil), whole.Dims...)
+							mine.Dims[d] = owned(newKind, ext[d], 3, q)
+							wants = append(wants, mine)
 						}
 					}
-					// A strided enclosing grid: the rank's own part around
-					// its intersection with a window of the domain.
-					window := index.Grid{Dims: make([]index.RunSet, len(ext))}
-					for k, e := range ext {
-						window.Dims[k] = index.NewRunSet(index.NewRun(1, e-2, 1))
-					}
-					if sub := local.Intersect(window); !sub.Empty() {
-						checkBothWays(t, fmt.Sprintf("%dD %s dim %d rank %d in own part", len(ext), kind, d, r), sub, local)
+					for i, w := range wants {
+						if sub := saved.Intersect(w); !sub.Empty() {
+							checkExtract(t, fmt.Sprintf("%dD %s dim %d rank %d, want %d", len(ext), kind, d, r, i), sub, saved)
+						}
 					}
 				}
 			}
@@ -167,7 +138,7 @@ func TestPlaceExtractRuns(t *testing.T) {
 	// element by element.
 	super := index.Grid{Dims: []index.RunSet{{{Lo: 1, Hi: 19, Stride: 2}}, {{Lo: 0, Hi: 3, Stride: 1}}}}
 	sub := index.Grid{Dims: []index.RunSet{{{Lo: 3, Hi: 15, Stride: 4}}, {{Lo: 1, Hi: 2, Stride: 1}}}}
-	checkBothWays(t, "stride multiple", sub, super)
+	checkExtract(t, "stride multiple", sub, super)
 }
 
 // xorRef is the byte loop XorInto replaced.
@@ -204,27 +175,29 @@ func TestXorIntoWords(t *testing.T) {
 	}
 }
 
-// BenchmarkPlace places one rank's quarter of a 768×192 stripe (192 runs
-// of 192 values, what one payload of adi_ckpt_tcp's exchange is); the
+// BenchmarkExtract extracts the 192×192 corner of a 192×768 rank file
+// (a (:,BLOCK) restore over 4 ranks of a 768² grid saved (BLOCK,:)); the
 // sub-benchmark "ref" is the per-element walk it replaced.
-func BenchmarkPlace(b *testing.B) {
-	stripe := StripeGrids(index.Dim(768, 768), 4)[1]
-	sub := stripe.Intersect(index.Grid{Dims: []index.RunSet{
-		index.NewRunSet(index.NewRun(192, 383, 1)), index.NewRunSet(index.NewRun(0, 767, 1)),
+func BenchmarkExtract(b *testing.B) {
+	saved := index.Grid{Dims: []index.RunSet{
+		index.NewRunSet(index.NewRun(0, 191, 1)), index.NewRunSet(index.NewRun(0, 767, 1)),
+	}}
+	sub := saved.Intersect(index.Grid{Dims: []index.RunSet{
+		index.NewRunSet(index.NewRun(0, 767, 1)), index.NewRunSet(index.NewRun(192, 383, 1)),
 	}})
-	payload := make([]byte, 8*sub.Count())
-	dst := make([]byte, 8*stripe.Count())
-	for name, place := range map[string]func(dst, payload []byte, g, into index.Grid){"runs": Place, "ref": placeRef} {
+	payload := make([]byte, 8*saved.Count())
+	dst := make([]byte, 8*sub.Count())
+	for name, extract := range map[string]func(dst, payload []byte, from, want index.Grid){"runs": Extract, "ref": extractRef} {
 		b.Run(name, func(b *testing.B) {
-			b.SetBytes(int64(len(payload)))
+			b.SetBytes(int64(len(dst)))
 			for i := 0; i < b.N; i++ {
-				place(dst, payload, sub, stripe)
+				extract(dst, payload, saved, sub)
 			}
 		})
 	}
 }
 
-// BenchmarkXorInto folds one 1.2 MB stripe image into another.
+// BenchmarkXorInto folds one 1.2 MB rank file into another.
 func BenchmarkXorInto(b *testing.B) {
 	dst, src := make([]byte, 768*192*8+24), make([]byte, 768*192*8+24)
 	for name, xor := range map[string]func(dst, src []byte){"words": XorInto, "ref": xorRef} {

@@ -6,8 +6,9 @@ import (
 	"repro/internal/trace"
 )
 
-// Server is one dedicated I/O server goroutine: the rank that owns a
-// stripe hands completed write jobs to its server and goes back to the
+// Server is one dedicated I/O server goroutine: a rank hands completed
+// write jobs (its own file, its replica, the parity) to its server and
+// goes back to the
 // collective protocol (checksum gathers, manifest agreement) while the
 // bytes drain to disk.  Writes execute in submission order under the
 // server's Config; the first failure is remembered and later jobs are

@@ -30,68 +30,33 @@ func ValidRedundancy(s string) bool {
 	return s == RedundancyNone || s == RedundancyParity || s == RedundancyReplica
 }
 
-// StripeGrids partitions dom's canonical point set into ns contiguous
-// slabs along the outermost (last) dimension — dimension 0 varies
-// fastest in the canonical enumeration, so a slab of the last dimension
-// is a contiguous byte range of the canonical file order.  This is the
-// on-disk layout: a balanced BLOCK split that never depends on how the
-// array is distributed in memory.  Stripes beyond the extent come back
-// empty (still same-rank grids, so intersections stay legal).
-func StripeGrids(dom index.Domain, ns int) []index.Grid {
-	nd := dom.Rank()
-	last := nd - 1
-	n := dom.Hi[last] - dom.Lo[last] + 1
-	out := make([]index.Grid, ns)
-	base, rem := n/ns, n%ns
-	start := dom.Lo[last]
-	for s := 0; s < ns; s++ {
-		take := base
-		if s < rem {
-			take++
-		}
-		g := index.Grid{Dims: make([]index.RunSet, nd)}
-		for k := 0; k < last; k++ {
-			g.Dims[k] = index.NewRunSet(index.NewRun(dom.Lo[k], dom.Hi[k], 1))
-		}
-		if take > 0 {
-			g.Dims[last] = index.NewRunSet(index.NewRun(start, start+take-1, 1))
-		} else {
-			g.Dims[last] = index.NewRunSet()
-		}
-		start += take
-		out[s] = g
-	}
-	return out
-}
-
-// mapRuns is the one walk both directions of stripe traffic share.  It
-// relates two canonical enumerations (dimension 0 fastest, 8 bytes a
-// value): that of g and that of an enclosing grid into (g must be a
-// subset of into).  f is called for consecutive pieces of g's order: the
-// n values starting at value gpos of g sit at positions ipos, ipos+1, …
-// of into.  A run of g whose indices are consecutive members of one run
-// of into's dimension 0 is one piece — for the block-shaped stripes of a
-// checkpoint that is every run, and then a run costs one copy — and any
-// other run goes value by value.
-func mapRuns(g, into index.Grid, f func(gpos, ipos, n int)) {
-	strd := make([]int, into.Rank())
+// Extract gathers into dst (8 bytes per point of want, want's canonical
+// order, dimension 0 fastest) the values at want's points out of a
+// payload recorded in from's canonical order; want must be a subset of
+// from.  A restore reads the part of a saved rank file it now owns this
+// way.  A run of want whose indices are consecutive members of one run of
+// from's dimension 0 costs one copy — for block-shaped pieces that is
+// every run — and any other run goes value by value.
+func Extract(dst []byte, payload []byte, from, want index.Grid) {
+	strd := make([]int, from.Rank())
 	mul := 1
 	for k := range strd {
 		strd[k] = mul
-		mul *= into.Dims[k].Count()
+		mul *= from.Dims[k].Count()
 	}
+	at := func(gpos, ipos, n int) { copy(dst[8*gpos:8*(gpos+n)], payload[8*ipos:]) }
 	gpos := 0
-	g.ForEachRun(func(p index.Point, r index.Run) bool {
+	want.ForEachRun(func(p index.Point, r index.Run) bool {
 		row := 0
 		for k := 1; k < len(p); k++ {
-			row += into.Dims[k].IndexOf(p[k]) * strd[k]
+			row += from.Dims[k].IndexOf(p[k]) * strd[k]
 		}
 		n := r.Count()
-		if contiguousIn(into.Dims[0], r) {
-			f(gpos, row+into.Dims[0].IndexOf(r.Lo), n)
+		if contiguousIn(from.Dims[0], r) {
+			at(gpos, row+from.Dims[0].IndexOf(r.Lo), n)
 		} else {
 			for k := 0; k < n; k++ {
-				f(gpos+k, row+into.Dims[0].IndexOf(r.At(k)), 1)
+				at(gpos+k, row+from.Dims[0].IndexOf(r.At(k)), 1)
 			}
 		}
 		gpos += n
@@ -112,36 +77,6 @@ func contiguousIn(rs index.RunSet, r index.Run) bool {
 		}
 	}
 	return false
-}
-
-// Place scatters payload — the values of grid g in g's canonical
-// enumeration order, 8 bytes each — into dst at the canonical positions
-// of g's points within the enclosing grid into (g must be a subset of
-// into): the write side of a stripe.
-func Place(dst []byte, payload []byte, g, into index.Grid) {
-	mapRuns(g, into, func(gpos, ipos, n int) {
-		copy(dst[8*ipos:8*(ipos+n)], payload[8*gpos:])
-	})
-}
-
-// PlaceXor is Place folding instead of copying: it XORs payload into dst
-// at the canonical positions of g's points within into.  A rank folds its
-// parts of every stripe into one parity partial this way, before the
-// stripe exchange has moved a byte.
-func PlaceXor(dst []byte, payload []byte, g, into index.Grid) {
-	mapRuns(g, into, func(gpos, ipos, n int) {
-		XorInto(dst[8*ipos:8*(ipos+n)], payload[8*gpos:8*(gpos+n)])
-	})
-}
-
-// Extract is Place's inverse, the read side: it gathers into dst (8 bytes
-// per point of want, want's canonical order) the values at want's points
-// out of a payload recorded in from's canonical order.  want must be a
-// subset of from.
-func Extract(dst []byte, payload []byte, from, want index.Grid) {
-	mapRuns(want, from, func(gpos, ipos, n int) {
-		copy(dst[8*gpos:8*(gpos+n)], payload[8*ipos:])
-	})
 }
 
 // XorInto folds src into dst (dst must be at least as long as src), a

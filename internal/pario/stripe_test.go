@@ -1,93 +1,12 @@
 package pario
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
-
-	"repro/internal/index"
 )
-
-func TestStripeGridsPartition(t *testing.T) {
-	dom := index.NewDomain([2]int{1, 5}, [2]int{1, 7}) // 5x7, split along dim 1
-	grids := StripeGrids(dom, 3)
-	if len(grids) != 3 {
-		t.Fatalf("got %d grids", len(grids))
-	}
-	total := 0
-	sizes := make([]int, len(grids))
-	for s, g := range grids {
-		sizes[s] = g.Count()
-		total += g.Count()
-	}
-	if total != 35 {
-		t.Fatalf("stripes cover %d points, want 35", total)
-	}
-	// Balanced BLOCK along the last dim: 3,2,2 rows of 5 points each.
-	want := []int{15, 10, 10}
-	for s := range want {
-		if sizes[s] != want[s] {
-			t.Fatalf("stripe sizes %v, want %v", sizes, want)
-		}
-	}
-	// More stripes than extent: the tail comes back empty but well-formed.
-	grids = StripeGrids(index.NewDomain([2]int{0, 3}), 6)
-	nonEmpty := 0
-	for _, g := range grids {
-		if g.Rank() != 1 {
-			t.Fatal("empty stripe changed rank")
-		}
-		if g.Count() > 0 {
-			nonEmpty++
-		}
-	}
-	if nonEmpty != 4 {
-		t.Fatalf("%d non-empty stripes for a 4-point domain, want 4", nonEmpty)
-	}
-}
-
-// TestPlaceCanonical checks Place against a hand-computed canonical
-// layout: payloads written through two disjoint sub-grids must land at
-// each point's canonical (dim-0-fastest) offset within the stripe.
-func TestPlaceCanonical(t *testing.T) {
-	dom := index.NewDomain([2]int{0, 3}, [2]int{0, 2}) // 4x3
-	into := StripeGrids(dom, 1)[0]
-	dst := make([]byte, 8*into.Count())
-
-	// Two "rank contributions": columns {0,1} and column {2}.
-	parts := []index.Grid{
-		{Dims: []index.RunSet{
-			index.NewRunSet(index.NewRun(0, 3, 1)),
-			index.NewRunSet(index.NewRun(0, 1, 1)),
-		}},
-		{Dims: []index.RunSet{
-			index.NewRunSet(index.NewRun(0, 3, 1)),
-			index.NewRunSet(index.NewRun(2, 2, 1)),
-		}},
-	}
-	val := func(i, j int) uint64 { return uint64(100*i + j) }
-	for _, g := range parts {
-		payload := make([]byte, 0, 8*g.Count())
-		g.ForEachRun(func(p index.Point, r index.Run) bool {
-			for i := r.Lo; i <= r.Hi; i += r.Stride {
-				payload = binary.LittleEndian.AppendUint64(payload, val(i, p[1]))
-			}
-			return true
-		})
-		Place(dst, payload, g, into)
-	}
-	for j := 0; j < 3; j++ {
-		for i := 0; i < 4; i++ {
-			got := binary.LittleEndian.Uint64(dst[8*(j*4+i):])
-			if got != val(i, j) {
-				t.Fatalf("dst[%d,%d] = %d, want %d", i, j, got, val(i, j))
-			}
-		}
-	}
-}
 
 // writeSet materializes a stripe set on disk and returns its metadata.
 func writeSet(t *testing.T, dir, redundancy string, stripes ...[]byte) StripeSet {
