@@ -4,8 +4,6 @@ package vienna
 //
 //   - pipeline chunking in the static ADI baseline (latency/parallelism
 //     trade-off of the "compiler-embedded" communication);
-//   - schedule-aware alltoallv vs. the generic size-exchanging variant
-//     (the §3.2.2 symmetric-schedule optimization);
 //   - schedule cache on repeated redistribution (first vs. later rounds).
 
 import (
@@ -16,7 +14,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/machine"
-	"repro/internal/msg"
 )
 
 func BenchmarkADIPipelineChunk(b *testing.B) {
@@ -37,44 +34,6 @@ func BenchmarkADIPipelineChunk(b *testing.B) {
 			b.ReportMetric(last.ModelTime*1e3, "model-ms/run")
 		})
 	}
-}
-
-func BenchmarkAlltoallvSchedAblation(b *testing.B) {
-	run := func(b *testing.B, sched bool) {
-		m := machine.New(4)
-		defer m.Close()
-		payload := msg.EncodeFloat64s(make([]float64, 512))
-		if err := m.Run(func(ctx *machine.Ctx) error {
-			np, rank := ctx.NP(), ctx.Rank()
-			send := make([][]byte, np)
-			recvFrom := make([]bool, np)
-			right := (rank + 1) % np
-			left := (rank - 1 + np) % np
-			send[right] = payload
-			recvFrom[left] = true
-			if ctx.Rank() == 0 {
-				b.ResetTimer()
-			}
-			for i := 0; i < b.N; i++ {
-				var err error
-				if sched {
-					_, err = ctx.Comm().AlltoallvSched(send, recvFrom)
-				} else {
-					_, err = ctx.Comm().Alltoallv(send)
-				}
-				if err != nil {
-					return err
-				}
-			}
-			return nil
-		}); err != nil {
-			b.Fatal(err)
-		}
-		sn := m.Stats().Snapshot()
-		b.ReportMetric(float64(sn.TotalMsgs())/float64(b.N), "msgs/op")
-	}
-	b.Run("generic", func(b *testing.B) { run(b, false) })
-	b.Run("schedule-aware", func(b *testing.B) { run(b, true) })
 }
 
 func BenchmarkRedistributeCacheAblation(b *testing.B) {

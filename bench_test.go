@@ -2,8 +2,8 @@ package vienna
 
 // The benchmarks the spine (go run ./bench) does not measure under a
 // declared name: redistribution under a memory budget, elastic
-// scale-out, the straggler defense, and the parti translation-table
-// gather; ablation_test.go holds the design-choice ablations.  Whole-run
+// scale-out and the straggler defense; ablation_test.go holds the
+// design-choice ablations.  Whole-run
 // ADI / PIC / smoothing, DISTRIBUTE cost, checkpoint I/O and the
 // transport and collective micros are the spine's workloads and probes.
 //
@@ -18,7 +18,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/dist"
 	"repro/internal/machine"
-	"repro/internal/parti"
 )
 
 const (
@@ -165,41 +164,5 @@ func BenchmarkStraggler(b *testing.B) {
 			b.ReportMetric(float64(len(last.Drained)), "drained/run")
 			b.ReportMetric(float64(last.Msgs), "msgs/run")
 		})
-	}
-}
-
-func BenchmarkTTableGather(b *testing.B) {
-	m := machine.New(4)
-	defer m.Close()
-	const n = 4096
-	if err := m.Run(func(ctx *machine.Ctx) error {
-		rank := ctx.Rank()
-		mine := make([]int, 0, n/4)
-		for i := rank + 1; i <= n; i += 4 {
-			mine = append(mine, i)
-		}
-		tt := parti.NewTTable(ctx, n, mine)
-		local := make([]float64, len(mine))
-		for k := range local {
-			local[k] = float64(mine[k])
-		}
-		want := make([]int, 256)
-		for k := range want {
-			want[k] = (rank*97+k*31)%n + 1
-		}
-		sched := parti.BuildGather(ctx, tt, want)
-		ctx.Barrier()
-		if ctx.Rank() == 0 {
-			b.ResetTimer()
-		}
-		for i := 0; i < b.N; i++ {
-			vals := sched.Gather(ctx, local)
-			if vals[0] != float64(want[0]) {
-				return fmt.Errorf("bad gather")
-			}
-		}
-		return nil
-	}); err != nil {
-		b.Fatal(err)
 	}
 }

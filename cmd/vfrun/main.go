@@ -4,7 +4,7 @@
 // internal/core) end to end.
 //
 //	vfrun -p 4 program.vf
-//	vfrun -p 4 -demo fig1
+//	vfrun -p 4 -demo fig1|fig2
 //
 // After the run it prints every array's checksum and final distribution
 // type, the scalar environment, and the traffic the program generated.
@@ -37,7 +37,7 @@ import (
 
 func main() {
 	np := flag.Int("p", 4, "number of processors")
-	demo := flag.String("demo", "", "run a built-in paper listing: fig1")
+	demo := flag.String("demo", "", "run a built-in paper listing: fig1|fig2")
 	report := flag.Bool("analyze", false, "print the reaching-distribution report before running")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace of the run to FILE and print the per-phase summary")
 	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
@@ -107,7 +107,7 @@ ENDDO
 		}
 		src = string(b)
 	default:
-		fmt.Fprintln(os.Stderr, "usage: vfrun [-p N] <file.vf> | vfrun -demo fig1")
+		fmt.Fprintln(os.Stderr, "usage: vfrun [-p N] <file.vf> | vfrun -demo fig1|fig2")
 		os.Exit(2)
 	}
 

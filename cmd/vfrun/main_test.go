@@ -47,12 +47,15 @@ func sameSums(t *testing.T, what string, got, want map[string]string) {
 	}
 }
 
-// TestDemoChecksums pins what the two paper listings compute.
+// TestDemoChecksums pins what the two paper listings compute, Figure 2
+// at five widths: every BALANCE sets BOUNDS by scale.CountBounds.
 func TestDemoChecksums(t *testing.T) {
 	sameSums(t, "fig1", vfrun(t, "-p", "4", "-demo", "fig1"),
 		map[string]string{"U": "8190.000000", "F": "4096.000000", "V": "957.019103"})
-	sameSums(t, "fig2", vfrun(t, "-p", "4", "-demo", "fig2"),
-		map[string]string{"BOUNDS": "374.000000", "FIELD": "499712.000000"})
+	for p, bounds := range map[string]string{"2": "210", "3": "293", "4": "374", "5": "458", "8": "700"} {
+		sameSums(t, "fig2 on "+p, vfrun(t, "-p", p, "-demo", "fig2"),
+			map[string]string{"BOUNDS": bounds + ".000000", "FIELD": "499712.000000"})
+	}
 }
 
 // TestDrainKeepsChecksums: with health scoring, an injected straggler

@@ -194,23 +194,6 @@ func TestPICImbalanceSeriesMonotoneStatic(t *testing.T) {
 	}
 }
 
-func TestComputeBounds(t *testing.T) {
-	counts := []float64{10, 10, 10, 10, 0, 0, 0, 0}
-	b := computeBounds(counts, 4)
-	if b[3] != 8 {
-		t.Fatalf("last bound = %d", b[3])
-	}
-	// each processor should get ~10 particles: bounds 1,2,3,8
-	if b[0] != 1 || b[1] != 2 || b[2] != 3 {
-		t.Fatalf("bounds = %v", b)
-	}
-	// degenerate: everything in one cell
-	b = computeBounds([]float64{0, 0, 100, 0}, 2)
-	if b[1] != 4 || b[0] < 2 {
-		t.Fatalf("bounds = %v", b)
-	}
-}
-
 func TestSmoothingMessageCounts(t *testing.T) {
 	// Claim C1 exactly: columns -> 2 messages of 8N bytes; 2-D blocks on
 	// q×q -> 4 messages of 8N/q bytes (per interior processor per step).

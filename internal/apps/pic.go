@@ -182,9 +182,9 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			bounds = nil
 			if ctx.Rank() == 0 {
 				if speedShares != nil {
-					bounds = computeWeightedBounds(counts, speedShares)
+					bounds = scale.WeightedCountBounds(counts, speedShares)
 				} else {
-					bounds = computeBounds(counts, ctx.NP())
+					bounds = scale.CountBounds(counts, ctx.NP())
 				}
 			}
 			if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil {
@@ -414,74 +414,6 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	// a frame sent a step early waits behind this one; the step's allreduce
 	// (imbalance) is the rendezvous before a DISTRIBUTE can re-pair them.
 	return nil
-}
-
-// computeBounds returns B_BLOCK bounds assigning contiguous cells to
-// processors so that each gets roughly total/np particles — the balance()
-// of Figure 2.
-func computeBounds(counts []float64, np int) []int {
-	total := sum(counts)
-	per := total / float64(np)
-	bounds := make([]int, np)
-	acc := 0.0
-	p := 0
-	for i, c := range counts {
-		acc += c
-		if acc >= per*float64(p+1) && p < np-1 {
-			bounds[p] = i + 1 // 1-based cell index
-			p++
-		}
-	}
-	for ; p < np; p++ {
-		bounds[p] = len(counts)
-	}
-	// bounds must be non-decreasing and end at NCell; fill any gaps
-	prev := 0
-	for i := range bounds {
-		if bounds[i] < prev {
-			bounds[i] = prev
-		}
-		prev = bounds[i]
-	}
-	bounds[np-1] = len(counts)
-	return bounds
-}
-
-// computeWeightedBounds generalizes computeBounds to uneven targets: the
-// cumulative particle targets follow the given work shares (summing to 1,
-// from scale.FairShares) instead of an even total/np split, so a slow
-// processor's segment carries proportionally fewer particles.
-func computeWeightedBounds(counts, shares []float64) []int {
-	np := len(shares)
-	total := sum(counts)
-	targets := make([]float64, np)
-	cum := 0.0
-	for p := range shares {
-		cum += shares[p]
-		targets[p] = total * cum
-	}
-	bounds := make([]int, np)
-	acc := 0.0
-	p := 0
-	for i, c := range counts {
-		acc += c
-		for p < np-1 && acc >= targets[p] {
-			bounds[p] = i + 1 // 1-based cell index
-			p++
-		}
-	}
-	for ; p < np; p++ {
-		bounds[p] = len(counts)
-	}
-	prev := 0
-	for i := range bounds {
-		if bounds[i] < prev {
-			bounds[i] = prev
-		}
-		prev = bounds[i]
-	}
-	bounds[np-1] = len(counts)
-	return bounds
 }
 
 func sum(v []float64) float64 {

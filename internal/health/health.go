@@ -13,8 +13,10 @@
 // ranks, so the classification is self-calibrating: it needs no
 // absolute speed model, only that most ranks are healthy.  Transitions
 // are guarded by hysteresis: a rank changes class only after Hysteresis
-// consecutive observations land in the same new class, so one slow
-// step (a GC pause, a page fault) never flips anyone.
+// consecutive observations land in the same new class, and an
+// observation counts as slow only when both its own cost and the EWMA
+// are, so one slow step (a GC pause, a page fault, a deschedule) never
+// flips anyone.
 //
 // Everything here is pure, mutex-guarded state; the machine layer feeds
 // it and the policy layer reads it.
@@ -149,18 +151,25 @@ func (s *Scorer) Observe(rank int, seq int64, units, secs float64) {
 		st.cost = alpha*cost + (1-alpha)*st.cost
 	}
 	st.n++
-	s.reclassify(rank)
+	s.reclassify(rank, cost)
 }
 
-// reclassify recomputes rank's candidate class against the current
-// median cost and advances its hysteresis streak.  Caller holds mu.
-func (s *Scorer) reclassify(rank int) {
+// reclassify places rank's newest observation against the current
+// median cost and advances its hysteresis streak.  An observation
+// argues for the class of the milder of its own cost and the EWMA: the
+// EWMA alone carries one extreme sample (a descheduled compute section)
+// over several later observations and would let a single pause fill a
+// whole streak, while the raw cost alone counts every moderately noisy
+// sample.  A streak of slow observations survives flicker between the
+// Degraded and Suspect bands and settles on the milder of the two.
+// Caller holds mu.
+func (s *Scorer) reclassify(rank int, cost float64) {
 	med := s.medianLocked()
 	st := &s.ranks[rank]
 	if med <= 0 {
 		return
 	}
-	ratio := st.cost / med
+	ratio := min(cost, st.cost) / med
 	target := Healthy
 	switch {
 	case ratio >= s.cfg.SuspectRatio:
@@ -172,16 +181,20 @@ func (s *Scorer) reclassify(rank int) {
 		st.streak = 0
 		return
 	}
-	if target == st.candidate {
+	switch {
+	case target == st.candidate:
 		st.streak++
-	} else {
+	case st.streak > 0 && target >= Degraded && st.candidate >= Degraded:
+		st.candidate = min(target, st.candidate)
+		st.streak++
+	default:
 		st.candidate = target
 		st.streak = 1
 	}
 	if st.streak >= s.cfg.Hysteresis {
-		st.class = target
+		st.class = st.candidate
 		st.streak = 0
-		if target >= Degraded {
+		if st.class >= Degraded {
 			st.everDegr = true
 		}
 	}

@@ -89,6 +89,46 @@ func TestHysteresisSingleSlowStepNeverFlips(t *testing.T) {
 	}
 }
 
+// TestPauseEchoNeverFlips: one pause followed by nominal steps must not
+// flip a rank, even though the EWMA stays far above the median for
+// several observations afterwards.
+func TestPauseEchoNeverFlips(t *testing.T) {
+	for _, hyst := range []int{2, 3} {
+		s := New(4, Config{Window: 4, DegradedRatio: 2, Hysteresis: hyst})
+		f := newFeeder(4)
+		warm(s, f, 4)
+		f.feed(s, 1, 100.0)
+		for i := 0; i < 8; i++ {
+			for r := 0; r < 4; r++ {
+				f.feed(s, r, 1.0)
+			}
+			if rep := report(s, 1); rep.Class != Healthy || rep.EverDegraded {
+				t.Fatalf("hysteresis=%d: round %d after one pause rank 1 is %v (ever degraded %v)", hyst, i, rep.Class, rep.EverDegraded)
+			}
+		}
+	}
+}
+
+// TestStreakSurvivesBandFlicker: a straggler whose cost flickers across
+// the Suspect line is classified after one streak, as the milder band.
+func TestStreakSurvivesBandFlicker(t *testing.T) {
+	s := New(4, Config{Window: 4, DegradedRatio: 2, SuspectRatio: 6, Hysteresis: 3})
+	f := newFeeder(4)
+	warm(s, f, 4)
+	for i, cost := range []float64{20, 5, 20} {
+		for r := 0; r < 3; r++ {
+			f.feed(s, r, 1.0)
+		}
+		f.feed(s, 3, cost)
+		if c := report(s, 3).Class; i < 2 && c != Healthy {
+			t.Fatalf("rank 3 classified %v after %d observations", c, i+1)
+		}
+	}
+	if c := report(s, 3).Class; c != Degraded {
+		t.Fatalf("flickering straggler = %v after 3 slow observations, want degraded", c)
+	}
+}
+
 // TestHysteresisRecovery: a rank that was Degraded returns to Healthy
 // only after a full streak of nominal observations — and its
 // EverDegraded flag stays set for the run's report.

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/msg"
+	"repro/internal/scale"
 )
 
 // Builtins backing the Figure 2 demo: the PIC helper procedures the paper
@@ -40,60 +41,19 @@ func RegisterPICDemo(in *Interp) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
-		ncell := fa.Arr.Domain().Extent(0)
-		np := ctx.NP()
-		// gather per-cell counts to rank 0, compute bounds, broadcast
-		counts := make([]float64, 0, ncell)
-		lf := fa.Arr.Local(ctx)
-		var local []float64
-		var cells []int
-		lf.ForEachOwned(func(p index.Point, v *float64) {
+		// Every cell has one owner, so summing each rank's dense vector of
+		// its own cells' counts gives every rank the exact counts.
+		counts := make([]float64, fa.Arr.Domain().Extent(0))
+		fa.Arr.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
 			if p[1] == 1 {
-				local = append(local, *v)
-				cells = append(cells, p[0])
+				counts[p[0]-1] = *v
 			}
 		})
-		// allgather (cell, count) pairs
-		payload := make([]float64, 0, 2*len(local))
-		for i := range local {
-			payload = append(payload, float64(cells[i]), local[i])
-		}
-		parts, err := ctx.Comm().Allgather(msg.EncodeFloat64s(payload))
+		counts, err := ctx.Comm().AllreduceF64(counts, msg.SumF64)
 		if err != nil {
 			return err
 		}
-		counts = make([]float64, ncell)
-		for _, p := range parts {
-			vals := msg.DecodeFloat64s(p)
-			for i := 0; i+1 < len(vals); i += 2 {
-				counts[int(vals[i])-1] = vals[i+1]
-			}
-		}
-		total := 0.0
-		for _, c := range counts {
-			total += c
-		}
-		per := total / float64(np)
-		bounds := make([]int, np)
-		acc, pi := 0.0, 0
-		for i, c := range counts {
-			acc += c
-			if acc >= per*float64(pi+1) && pi < np-1 {
-				bounds[pi] = i + 1
-				pi++
-			}
-		}
-		for ; pi < np; pi++ {
-			bounds[pi] = ncell
-		}
-		prev := 0
-		for i := range bounds {
-			if bounds[i] < prev {
-				bounds[i] = prev
-			}
-			prev = bounds[i]
-		}
-		bounds[np-1] = ncell
+		bounds := scale.CountBounds(counts, ctx.NP())
 		// store into the replicated BOUNDS array
 		lb := ba.Arr.Local(ctx)
 		for i, b := range bounds {

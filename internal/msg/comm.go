@@ -423,52 +423,66 @@ func (c *Comm) Gather(root int, buf []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// Allgather collects each processor's buf everywhere (gather at 0 followed
-// by a broadcast of the framed concatenation).
-func (c *Comm) Allgather(buf []byte) ([][]byte, error) {
-	np := c.NP()
-	parts, err := c.Gather(0, buf)
+// AllgatherInts gathers one int slice per processor everywhere: a gather
+// at 0, then a broadcast of the framed concatenation (encodeAllgather).
+// A frame that does not decode is an error on the rank that received it.
+func (c *Comm) AllgatherInts(vals []int) ([][]int, error) {
+	parts, err := c.Gather(0, EncodeInts(vals))
 	if err != nil {
 		return nil, err
 	}
 	var frame []byte
 	if c.Rank() == 0 {
-		// frame: np lengths then the payloads
-		total := 4 * np
-		for _, p := range parts {
-			total += len(p)
-		}
-		frame = make([]byte, 4*np, total)
-		for i, p := range parts {
-			PutUint32(frame, 4*i, uint32(len(p)))
-		}
-		for _, p := range parts {
-			frame = append(frame, p...)
-		}
+		frame = encodeAllgather(parts)
 	}
-	frame, err = c.Bcast(0, frame)
-	if err != nil {
+	if frame, err = c.Bcast(0, frame); err != nil {
 		return nil, err
 	}
-	out := make([][]byte, np)
-	off := 4 * np
-	for i := 0; i < np; i++ {
-		n := int(GetUint32(frame, 4*i))
-		out[i] = frame[off : off+n]
-		off += n
-	}
-	return out, nil
+	return decodeAllgatherInts(c.Rank(), c.NP(), frame)
 }
 
-// AllgatherInts gathers one int slice per processor everywhere.
-func (c *Comm) AllgatherInts(vals []int) ([][]int, error) {
-	parts, err := c.Allgather(EncodeInts(vals))
-	if err != nil {
-		return nil, err
+// encodeAllgather frames the gathered parts: one uint32 length per
+// part, then the parts in rank order.
+func encodeAllgather(parts [][]byte) []byte {
+	total := 4 * len(parts)
+	for _, p := range parts {
+		total += len(p)
 	}
-	out := make([][]int, len(parts))
+	frame := make([]byte, 4*len(parts), total)
 	for i, p := range parts {
-		out[i] = DecodeInts(p)
+		PutUint32(frame, 4*i, uint32(len(p)))
+	}
+	for _, p := range parts {
+		frame = append(frame, p...)
+	}
+	return frame
+}
+
+// decodeAllgatherInts splits an encodeAllgather frame of np int parts,
+// as received by rank.  The lengths must cover exactly the rest of the
+// frame and each must be whole ints; any other frame is an error, never
+// a panic.
+func decodeAllgatherInts(rank, np int, frame []byte) ([][]int, error) {
+	if len(frame) < 4*np {
+		return nil, fmt.Errorf("msg: allgather: rank %d: frame of %d bytes is shorter than its %d lengths", rank, len(frame), np)
+	}
+	body := 0
+	for i := 0; i < np; i++ {
+		n := int(GetUint32(frame, 4*i))
+		if n%8 != 0 {
+			return nil, fmt.Errorf("msg: allgather: rank %d: part %d has %d bytes, not whole ints", rank, i, n)
+		}
+		body += n
+	}
+	if body != len(frame)-4*np {
+		return nil, fmt.Errorf("msg: allgather: rank %d: lengths sum to %d bytes, frame carries %d", rank, body, len(frame)-4*np)
+	}
+	out := make([][]int, np)
+	off := 4 * np
+	for i := range out {
+		n := int(GetUint32(frame, 4*i))
+		out[i] = DecodeInts(frame[off : off+n])
+		off += n
 	}
 	return out, nil
 }
@@ -489,43 +503,10 @@ func (c *Comm) Ring(round func(to, from int) error) error {
 	return nil
 }
 
-// exchange runs the Ring over one collective tag, identical on every
-// rank: send[i] goes to processor i (nil is skipped, the self-transfer is
-// a local copy), recvFrom[j] says a message from j is expected, and the
-// NP buffers received come back (recv[j] is from j).
-func (c *Comm) exchange(op string, tag int, send [][]byte, recvFrom []bool) ([][]byte, error) {
-	rank := c.Rank()
-	recv := make([][]byte, len(send))
-	if send[rank] != nil {
-		cp := make([]byte, len(send[rank]))
-		copy(cp, send[rank])
-		recv[rank] = cp
-	}
-	err := c.Ring(func(to, from int) error {
-		if send[to] != nil {
-			if err := c.send(op, to, tag, send[to]); err != nil {
-				return err
-			}
-		}
-		if recvFrom[from] {
-			p, err := c.recv(op, from, tag)
-			if err != nil {
-				return err
-			}
-			recv[from] = p.Data
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return recv, nil
-}
-
 // Alltoallv sends send[i] to processor i and returns the NP buffers
-// received (recv[j] is from processor j).  nil/empty sends are skipped —
-// message counts reflect only real traffic, matching how a redistribution
-// executes.
+// received (recv[j] is from processor j).  nil sends are skipped and the
+// self-transfer is a local copy — message counts reflect only real
+// traffic, matching how a redistribution executes.
 func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	np, rank := c.NP(), c.Rank()
 	if len(send) != np {
@@ -549,11 +530,30 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("msg: alltoallv: rank %d: size exchange: %w", rank, err)
 	}
-	recvFrom := make([]bool, np)
-	for from := range recvFrom {
-		recvFrom[from] = allSizes[from][rank] >= 0
+	recv := make([][]byte, np)
+	if send[rank] != nil {
+		recv[rank] = make([]byte, len(send[rank]))
+		copy(recv[rank], send[rank])
 	}
-	return c.exchange("alltoallv", tag, send, recvFrom)
+	err = c.Ring(func(to, from int) error {
+		if send[to] != nil {
+			if err := c.send("alltoallv", to, tag, send[to]); err != nil {
+				return err
+			}
+		}
+		if allSizes[from][rank] >= 0 {
+			p, err := c.recv("alltoallv", from, tag)
+			if err != nil {
+				return err
+			}
+			recv[from] = p.Data
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return recv, nil
 }
 
 // Scatterv distributes bufs[r] from root to each rank r; every rank
@@ -585,22 +585,6 @@ func (c *Comm) Scatterv(root int, bufs [][]byte) ([]byte, error) {
 		return nil, err
 	}
 	return p.Data, nil
-}
-
-// AlltoallvSched is Alltoallv for the case where every processor already
-// knows which peers will send to it (recvFrom[j] true means a message from
-// j is expected).  Redistribution schedules are computed symmetrically on
-// all processors (§3.2.2), so no size exchange is needed and the message
-// count equals the number of non-empty transfers — exactly the paper's
-// cost model for DISTRIBUTE.
-func (c *Comm) AlltoallvSched(send [][]byte, recvFrom []bool) ([][]byte, error) {
-	if np := c.NP(); len(send) != np || len(recvFrom) != np {
-		return nil, fmt.Errorf("msg: alltoallv-sched needs %d buffers/flags, got %d/%d", np, len(send), len(recvFrom))
-	}
-	if c.tr != nil {
-		defer c.span("alltoallv-sched").End()
-	}
-	return c.exchange("alltoallv-sched", c.nextTag(), send, recvFrom)
 }
 
 // BcastInts broadcasts an []int from root and returns it on every rank.

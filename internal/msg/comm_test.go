@@ -2,6 +2,7 @@ package msg
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -164,6 +165,73 @@ func TestGatherAllgather(t *testing.T) {
 	}
 }
 
+// TestAllgatherRejectsBadFrames plays rank 0 of three and broadcasts a
+// crafted frame in place of the gathered one: ranks 1 and 2 each return
+// an error naming themselves, and neither panics.
+func TestAllgatherRejectsBadFrames(t *testing.T) {
+	frame := func(body int, lens ...uint32) []byte {
+		f := make([]byte, 4*len(lens)+body)
+		for i, n := range lens {
+			PutUint32(f, 4*i, n)
+		}
+		return f
+	}
+	for _, tc := range []struct {
+		name, want string
+		frame      []byte
+	}{
+		{"short", "shorter than its 3 lengths", frame(0, 8, 8)},
+		{"overrun", "lengths sum to 24 bytes, frame carries 16", frame(16, 8, 8, 8)},
+		{"trailing", "lengths sum to 24 bytes, frame carries 32", frame(32, 8, 8, 8)},
+		{"ragged", "part 0 has 5 bytes", frame(16, 5, 3, 8)},
+		{"huge", "part 1 has 4294967295 bytes", frame(16, 8, 1<<32-1, 8)},
+	} {
+		tr := NewChanTransport(3)
+		for rank := 1; rank < 3; rank++ {
+			// A fresh Comm's gather takes the first collective tag and
+			// its broadcast the second.
+			if err := tr.Endpoint(0).Send(rank, TagCollBase+2, tc.frame); err != nil {
+				t.Fatal(err)
+			}
+			_, err := NewComm(tr.Endpoint(rank)).AllgatherInts([]int{rank})
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("rank %d: ", rank)) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: rank %d: err = %v, want %q", tc.name, rank, err, tc.want)
+			}
+		}
+		tr.Close()
+	}
+}
+
+// FuzzAllgatherFrame: decoding any frame either fails with an error or
+// yields np int parts that encode back to exactly that frame.
+func FuzzAllgatherFrame(f *testing.F) {
+	for _, np := range []int{1, 3, 5} {
+		parts := make([][]byte, np)
+		for r := range parts {
+			parts[r] = EncodeInts(make([]int, r))
+		}
+		f.Add(encodeAllgather(parts), uint8(np-1))
+	}
+	f.Add([]byte{8, 0, 0, 0, 1, 2, 3}, uint8(0))
+	f.Fuzz(func(t *testing.T, frame []byte, n uint8) {
+		np := int(n)%16 + 1
+		parts, err := decodeAllgatherInts(0, np, frame)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "msg: allgather: rank 0: ") {
+				t.Fatalf("error %q does not name the rank", err)
+			}
+			return
+		}
+		enc := make([][]byte, len(parts))
+		for i, p := range parts {
+			enc[i] = EncodeInts(p)
+		}
+		if len(parts) != np || !bytes.Equal(encodeAllgather(enc), frame) {
+			t.Fatalf("np=%d: frame %x decoded to %v", np, frame, parts)
+		}
+	})
+}
+
 func TestAlltoallv(t *testing.T) {
 	for _, np := range []int{1, 2, 4, 5} {
 		tr := runComms(t, np, func(c *Comm) error {
@@ -198,44 +266,11 @@ func TestAlltoallv(t *testing.T) {
 	}
 }
 
-func TestAlltoallvSched(t *testing.T) {
-	np := 4
-	tr := runComms(t, np, func(c *Comm) error {
-		send := make([][]byte, np)
-		recvFrom := make([]bool, np)
-		// ring: send only to right neighbor, expect only from left
-		right := (c.Rank() + 1) % np
-		left := (c.Rank() - 1 + np) % np
-		send[right] = EncodeInts([]int{c.Rank()})
-		recvFrom[left] = true
-		recv, err := c.AlltoallvSched(send, recvFrom)
-		if err != nil {
-			return err
-		}
-		if recv[left] == nil || DecodeInts(recv[left])[0] != left {
-			t.Errorf("rank %d: sched exchange wrong: %v", c.Rank(), recv)
-		}
-		for f := 0; f < np; f++ {
-			if f != left && f != c.Rank() && recv[f] != nil {
-				t.Errorf("unexpected buffer from %d", f)
-			}
-		}
-		return nil
-	})
-	// Message-count honesty: exactly np payload messages (self-sends are
-	// local copies and the ring has np directed edges, one per rank,
-	// excluding self; here every rank sends exactly one remote message).
-	sn := tr.Stats().Snapshot()
-	if sn.TotalMsgs() != int64(np) {
-		t.Fatalf("sched alltoallv sent %d messages, want %d", sn.TotalMsgs(), np)
-	}
-	tr.Close()
-}
-
-// TestAlltoallvDifferential pushes one holey send matrix (nil, empty and
-// non-empty cells, a self-transfer) through both entry points of the one
-// ring, each on a fresh transport of both kinds: identical payloads from
-// each.
+// TestAlltoallvDifferential pushes one holey send matrix (nil, empty
+// and non-empty cells, a self-transfer) through the ring on fresh
+// transports of both kinds: on each, every rank receives exactly its
+// column of the matrix, and the messages are the size allgather's
+// 2(np-1) plus one per non-nil remote cell.
 func TestAlltoallvDifferential(t *testing.T) {
 	cell := func(from, to, np int) []byte {
 		switch (from*3 + to) % 4 {
@@ -246,42 +281,37 @@ func TestAlltoallvDifferential(t *testing.T) {
 		}
 		return EncodeInts([]int{from, to, from*np + to})[:8+(from+to)%9]
 	}
-	entry := map[string]func(c *Comm, send [][]byte, recvFrom []bool) ([][]byte, error){
-		"alltoallv": func(c *Comm, send [][]byte, _ []bool) ([][]byte, error) { return c.Alltoallv(send) },
-		"sched":     (*Comm).AlltoallvSched,
-	}
-	for _, transport := range []string{"chan", "tcp"} {
-		for _, np := range []int{1, 5} {
-			for name, run := range entry {
-				var tr Transport = NewChanTransport(np)
-				if transport == "tcp" {
-					tcp, err := NewTCPTransport(np)
-					if err != nil {
-						t.Fatal(err)
-					}
-					tr = tcp
+	for _, np := range []int{1, 2, 4, 5} {
+		want := int64(2 * (np - 1))
+		for from := 0; from < np; from++ {
+			for to := 0; to < np; to++ {
+				if from != to && cell(from, to, np) != nil {
+					want++
 				}
-				runCommsOn(t, tr, func(c *Comm) error {
-					rank := c.Rank()
-					send := make([][]byte, np)
-					recvFrom := make([]bool, np)
-					for p := 0; p < np; p++ {
-						send[p] = cell(rank, p, np)
-						recvFrom[p] = cell(p, rank, np) != nil
-					}
-					recv, err := run(c, send, recvFrom)
-					if err != nil {
-						return err
-					}
-					for from, got := range recv {
-						if want := cell(from, rank, np); (got == nil) != (want == nil) || !bytes.Equal(got, want) {
-							t.Errorf("%s np=%d rank %d: %s from %d = %v, want %v", transport, np, rank, name, from, got, want)
-						}
-					}
-					return nil
-				})
-				tr.Close()
 			}
+		}
+		for name, tr := range transports(t, np) {
+			runCommsOn(t, tr, func(c *Comm) error {
+				rank := c.Rank()
+				send := make([][]byte, np)
+				for p := range send {
+					send[p] = cell(rank, p, np)
+				}
+				recv, err := c.Alltoallv(send)
+				if err != nil {
+					return err
+				}
+				for from, got := range recv {
+					if want := cell(from, rank, np); (got == nil) != (want == nil) || !bytes.Equal(got, want) {
+						t.Errorf("%s np=%d rank %d: from %d = %v, want %v", name, np, rank, from, got, want)
+					}
+				}
+				return nil
+			})
+			if got := tr.Stats().Snapshot().TotalMsgs(); got != want {
+				t.Errorf("%s np=%d: %d messages, want %d", name, np, got, want)
+			}
+			tr.Close()
 		}
 	}
 }

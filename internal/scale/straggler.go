@@ -164,3 +164,72 @@ func WeightedBounds(n int, speeds []float64) []int {
 	}
 	return bounds
 }
+
+// CountBounds returns B_BLOCK bounds assigning contiguous cells to np
+// processors so that each gets roughly total/np of the counts (particles
+// per cell) — the balance() of the paper's Figure 2.  Bounds are 1-based
+// inclusive upper bounds, non-decreasing, ending at len(counts).
+func CountBounds(counts []float64, np int) []int {
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	per := total / float64(np)
+	bounds := make([]int, np)
+	acc := 0.0
+	p := 0
+	for i, c := range counts {
+		acc += c
+		if acc >= per*float64(p+1) && p < np-1 {
+			bounds[p] = i + 1 // 1-based cell index
+			p++
+		}
+	}
+	return closeBounds(bounds, p, len(counts))
+}
+
+// WeightedCountBounds generalizes CountBounds to uneven targets: the
+// cumulative count targets follow the given work shares (summing to 1,
+// from FairShares) instead of an even total/np split, so a slow
+// processor's segment carries proportionally fewer particles.
+func WeightedCountBounds(counts, shares []float64) []int {
+	np := len(shares)
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	targets := make([]float64, np)
+	cum := 0.0
+	for p := range shares {
+		cum += shares[p]
+		targets[p] = total * cum
+	}
+	bounds := make([]int, np)
+	acc := 0.0
+	p := 0
+	for i, c := range counts {
+		acc += c
+		for p < np-1 && acc >= targets[p] {
+			bounds[p] = i + 1 // 1-based cell index
+			p++
+		}
+	}
+	return closeBounds(bounds, p, len(counts))
+}
+
+// closeBounds gives the processors from p on the bound n, fills any gap
+// so the bounds never decrease, and ends them at n.
+func closeBounds(bounds []int, p, n int) []int {
+	for ; p < len(bounds); p++ {
+		bounds[p] = n
+	}
+	prev := 0
+	for i := range bounds {
+		if bounds[i] < prev {
+			bounds[i] = prev
+		}
+		prev = bounds[i]
+	}
+	bounds[len(bounds)-1] = n
+	return bounds
+}

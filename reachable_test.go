@@ -310,7 +310,7 @@ func inModule(path string) bool {
 }
 
 // funcKey names a function as the allow-list does: its full name without
-// the module prefix, e.g. internal/parti.NewTTable or
+// the module prefix, e.g. internal/kernels.Resid or
 // (*internal/msg.Window).Offer.
 func funcKey(fn *types.Func) string {
 	return strings.ReplaceAll(fn.Origin().FullName(), reachModule+"/", "")
