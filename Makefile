@@ -154,9 +154,10 @@ check-io:
 
 # The fault-injection matrix: every collective pattern under injected
 # send errors, delivery delays, and dropped frames, on both transports,
-# with the race detector on (the retry/deadline paths add goroutines).
+# with the race detector on (the retry/deadline paths add goroutines),
+# and vfrun's corrupt rule caught by the CRC32C layer it implies.
 check-fault:
-	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout' ./internal/msg ./internal/darray
+	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout|TestCorruptFaultIsCaught' ./internal/msg ./internal/darray ./cmd/vfrun
 
 # The kernel bit-identity contract: Factor.Solve against the per-line
 # TridiagStrided (bits on signed zeros, denormals and infinities, odd and

@@ -135,11 +135,13 @@ func BenchmarkStraggler(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				cfg := apps.ADIConfig{
 					NX: 64, NY: 64, Iters: 30, P: 4, Mode: apps.ADIDynamic, Validate: true,
-					CommTimeout: 250 * time.Millisecond, CommRetries: 2,
-					Liveness: &machine.LivenessConfig{Interval: 5 * time.Millisecond},
-					Straggler: apps.StragglerConfig{
-						HealthWindow: 4, DegradedRatio: 2, Hysteresis: 2,
-						Policy: policy, CheckAfter: 3, SlowRank: 2, SlowFactor: 8,
+					Runtime: apps.Runtime{
+						CommTimeout: 250 * time.Millisecond, CommRetries: 2,
+						Liveness: &machine.LivenessConfig{Interval: 5 * time.Millisecond},
+						Straggler: apps.StragglerConfig{
+							HealthWindow: 4, DegradedRatio: 2, Hysteresis: 2,
+							Policy: policy, CheckAfter: 3, SlowRank: 2, SlowFactor: 8,
+						},
 					},
 				}
 				if policy == "drain" {

@@ -7,7 +7,7 @@
 //	vfbench -exp smoothing  §4 claim C1 (N/p crossover)
 //	vfbench -exp redist     §4 claim C4 (DISTRIBUTE cost, amortization)
 //	vfbench -exp expand     elastic scale-out (rank join + grow policy)
-//	vfbench -exp degraded   striped checkpoint I/O, redundancy, self-healing restore
+//	vfbench -exp degraded   rank-file checkpoint I/O, redundancy, self-healing restore
 //	vfbench -exp straggler  straggler defense (health scoring, weighted rebalance, voluntary drain)
 //	vfbench -exp all        everything
 package main
@@ -75,18 +75,38 @@ func armDeadline(d time.Duration) {
 	})
 }
 
-// retryFlags returns -comm-timeout and -comm-retries, defaulting to the
-// given deadline and two retries: the recovery experiments need deadlines
-// so that collectives a lost rank leaves in flight abort instead of
-// hanging.
-func retryFlags(timeout time.Duration) (time.Duration, int) {
-	if *commTimeout != 0 {
-		timeout = *commTimeout
+// runtimeFlags is the run settings the flags ask for: -fault, -comm-*,
+// -ckpt-*, -recover, -online-recover and the -io-* checkpoint options
+// (a fresh ioCfg per call).  The E1 runs take it as it is.
+func runtimeFlags() apps.Runtime {
+	return apps.Runtime{
+		Fault: *faultSpec, CommTimeout: *commTimeout, CommRetries: *commRetries,
+		CkptDir: *ckptDir, CkptEvery: *ckptEvery, IO: ioCfg(),
+		Recover: *recoverRun, OnlineRecover: *onlineRec,
 	}
-	if *commRetries != 0 {
-		return timeout, *commRetries
+}
+
+// demoRuntime is runtimeFlags for a demo that checkpoints into dir and
+// decides itself whether to inject a fault, resume or recover online.
+func demoRuntime(dir string) apps.Runtime {
+	rt := runtimeFlags()
+	rt.CkptDir, rt.Fault, rt.Recover, rt.OnlineRecover = dir, "", false, false
+	return rt
+}
+
+// resilient adds what a run that loses, admits or drains ranks needs:
+// the failure detector, and deadlines — timeout and two retries unless
+// -comm-timeout / -comm-retries say otherwise — so that collectives a
+// lost rank leaves in flight abort instead of hanging.
+func resilient(rt apps.Runtime, timeout time.Duration) apps.Runtime {
+	rt.Liveness = &machine.LivenessConfig{}
+	if rt.CommTimeout == 0 {
+		rt.CommTimeout = timeout
 	}
-	return timeout, 2
+	if rt.CommRetries == 0 {
+		rt.CommRetries = 2
+	}
+	return rt
 }
 
 // checkpointDir returns -ckpt-dir, or a fresh temporary directory that
@@ -182,25 +202,16 @@ func runADI() {
 	for _, n := range sizes {
 		for _, p := range procs {
 			for _, mode := range []apps.ADIMode{apps.ADIDynamic, apps.ADIStaticCols} {
+				rt := runtimeFlags()
+				if *elastic > 0 {
+					rt = resilient(rt, 150*time.Millisecond)
+					rt.Join, rt.Elastic, rt.JoinAfterIter = *elastic, true, *joinAfter
+				} else if *onlineRec {
+					rt.Liveness = &machine.LivenessConfig{}
+				}
 				cfg := apps.ADIConfig{
 					NX: n, NY: n, Iters: 4, P: p, Mode: mode,
-					Alpha: *alpha, Beta: *beta, Validate: true,
-					Fault: *faultSpec, CommTimeout: *commTimeout, CommRetries: *commRetries,
-					CkptDir: *ckptDir, CkptEvery: *ckptEvery, Recover: *recoverRun,
-					IO:            ioCfg(),
-					OnlineRecover: *onlineRec,
-				}
-				if (*onlineRec || *elastic > 0) && cfg.Liveness == nil {
-					cfg.Liveness = &machine.LivenessConfig{}
-				}
-				if *elastic > 0 {
-					cfg.Join, cfg.Elastic, cfg.JoinAfterIter = *elastic, true, *joinAfter
-					if cfg.CommTimeout == 0 {
-						cfg.CommTimeout = 150 * time.Millisecond
-					}
-					if cfg.CommRetries == 0 {
-						cfg.CommRetries = 2
-					}
+					Alpha: *alpha, Beta: *beta, Validate: true, Runtime: rt,
 				}
 				if *traceFile != "" && mode == apps.ADIDynamic && tr == nil {
 					tr = trace.New(p + *elastic)
@@ -370,15 +381,13 @@ func runRecover() {
 	if fault == "" {
 		fault = "drop,rank=2,after=100" // permanent kill once under way
 	}
-	to, retries := retryFlags(150 * time.Millisecond)
 
 	fmt.Printf("phase 1: ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q\n", n, n, iters, p, fault)
 	killed := apps.ADIConfig{
 		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic,
-		CkptDir: dir, CkptEvery: *ckptEvery, IO: ioCfg(),
-		Fault: fault, CommTimeout: to, CommRetries: retries,
-		Liveness: &machine.LivenessConfig{},
+		Runtime: resilient(demoRuntime(dir), 150*time.Millisecond),
 	}
+	killed.Fault = fault
 	res, err := apps.RunADI(killed)
 	if err == nil {
 		fmt.Println("the injected fault never fired; nothing to recover from")
@@ -399,9 +408,10 @@ func runRecover() {
 	}
 	fmt.Printf("phase 2: relaunch on %d survivors with -recover\n", np)
 	rec := apps.ADIConfig{
-		NX: n, NY: n, Iters: iters, P: np, Mode: apps.ADIDynamic,
-		CkptDir: dir, CkptEvery: *ckptEvery, IO: ioCfg(), Recover: true, Validate: true,
+		NX: n, NY: n, Iters: iters, P: np, Mode: apps.ADIDynamic, Validate: true,
+		Runtime: demoRuntime(dir),
 	}
+	rec.Recover = true
 	res2, err := apps.RunADI(rec)
 	if err != nil {
 		log.Fatal(err)
@@ -431,17 +441,14 @@ func runOnlineRecover() {
 	if fault == "" {
 		fault = "drop,rank=2,after=150" // permanent kill once the first checkpoints committed
 	}
-	to, retries := retryFlags(150 * time.Millisecond)
 
 	fmt.Printf("ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q, online recovery on\n",
 		n, n, iters, p, fault)
 	cfg := apps.ADIConfig{
 		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: *ckptEvery, IO: ioCfg(),
-		Fault: fault, CommTimeout: to, CommRetries: retries,
-		Liveness:      &machine.LivenessConfig{},
-		OnlineRecover: true,
+		Runtime: resilient(demoRuntime(dir), 150*time.Millisecond),
 	}
+	cfg.Fault, cfg.OnlineRecover = fault, true
 	res, err := apps.RunADI(cfg)
 	if err != nil {
 		log.Fatalf("online recovery run: %v", err)
@@ -480,23 +487,21 @@ func runExpand() {
 	}
 	dir, cleanup := checkpointDir()
 	defer cleanup()
-	to, retries := retryFlags(150 * time.Millisecond)
+	grow := func() apps.Runtime {
+		rt := resilient(demoRuntime(dir), 150*time.Millisecond)
+		rt.Join, rt.Elastic, rt.JoinAfterIter = join, true, *joinAfter
+		return rt
+	}
 
 	fmt.Printf("ADI %dx%d, %d iters on %d ranks + %d reserved joiner, ckpt every iter, join polled from boundary %d\n",
 		n, n, iters, p, join, *joinAfter)
 	tr := trace.New(p + join)
 	cfg := apps.ADIConfig{
 		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Validate: true,
-		Alpha: *alpha, Beta: *beta, Tracer: tr,
-		CkptDir: dir, CkptEvery: *ckptEvery, IO: ioCfg(),
-		Fault: *faultSpec, CommTimeout: to, CommRetries: retries,
-		Liveness:      &machine.LivenessConfig{},
-		OnlineRecover: *faultSpec != "",
-		Join:          join,
-		Elastic:       true,
-		JoinAfterIter: *joinAfter,
-		MemBudget:     budget,
+		Alpha: *alpha, Beta: *beta, Runtime: grow(),
 	}
+	cfg.Tracer, cfg.MemBudget = tr, budget
+	cfg.Fault, cfg.OnlineRecover = *faultSpec, *faultSpec != ""
 	res, err := apps.RunADI(cfg)
 	if err != nil {
 		log.Fatalf("elastic ADI run: %v", err)
@@ -536,13 +541,7 @@ func runExpand() {
 
 	fmt.Printf("\nsmoothing %dx%d, %d steps on %d+%d ranks (columns)\n", n, n, iters, p, join)
 	sres, err := apps.RunSmoothing(apps.SmoothConfig{
-		N: n, Steps: iters, P: p, Mode: apps.SmoothColumns, Validate: true,
-		CkptDir: dir, CkptEvery: *ckptEvery,
-		CommTimeout: to, CommRetries: retries,
-		Liveness:      &machine.LivenessConfig{},
-		Join:          join,
-		Elastic:       true,
-		JoinAfterIter: *joinAfter,
+		N: n, Steps: iters, P: p, Mode: apps.SmoothColumns, Validate: true, Runtime: grow(),
 	})
 	if err != nil {
 		log.Fatalf("elastic smoothing run: %v", err)
@@ -558,12 +557,7 @@ func runExpand() {
 	fmt.Printf("\nPIC %d cells, %d steps on %d+%d ranks, B_BLOCK rebalance every 2\n", n, iters, p, join)
 	pres, err := apps.RunPIC(apps.PICConfig{
 		NCell: n, Steps: iters, P: p, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptDir: dir, CkptEvery: *ckptEvery,
-		CommTimeout: to, CommRetries: retries,
-		Liveness:      &machine.LivenessConfig{},
-		Join:          join,
-		Elastic:       true,
-		JoinAfterIter: *joinAfter,
+		Runtime: grow(),
 	})
 	if err != nil {
 		log.Fatalf("elastic PIC run: %v", err)
@@ -593,19 +587,14 @@ func runDegraded() {
 	}
 	dir, cleanup := checkpointDir()
 	defer cleanup()
-	io := ioCfg()
+	rt := demoRuntime(dir)
+	io := &rt.IO
 	if io.Redundancy == "" {
 		io.Redundancy = pario.RedundancyParity
 	}
-	if io.IO.Metrics == nil {
-		io.IO.Metrics = &pario.Metrics{}
-	}
 	met := io.IO.Metrics
 
-	base := apps.ADIConfig{
-		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic,
-		CkptDir: dir, CkptEvery: *ckptEvery, IO: io,
-	}
+	base := apps.ADIConfig{NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Runtime: rt}
 	fmt.Printf("phase 1: ADI %dx%d, %d iters on %d ranks, ckpt every iter, %s redundancy\n",
 		n, n, iters, p, io.Redundancy)
 	if _, err := apps.RunADI(base); err != nil {
@@ -667,10 +656,8 @@ func runDegraded() {
 
 	sdir := filepath.Join(dir, "smooth")
 	fmt.Printf("phase 4: smoothing %dx%d, %d steps on %d ranks, same damage drill\n", n, n, iters, p)
-	sbase := apps.SmoothConfig{
-		N: n, Steps: iters, P: p, Mode: apps.SmoothColumns,
-		CkptDir: sdir, CkptEvery: *ckptEvery, IO: io,
-	}
+	sbase := apps.SmoothConfig{N: n, Steps: iters, P: p, Mode: apps.SmoothColumns, Runtime: rt}
+	sbase.CkptDir = sdir
 	if _, err := apps.RunSmoothing(sbase); err != nil {
 		log.Fatal(err)
 	}
@@ -687,13 +674,12 @@ func runDegraded() {
 	}
 
 	pdir := filepath.Join(dir, "pic")
-	pio := io
-	pio.Redundancy = pario.RedundancyReplica
 	fmt.Printf("phase 5: PIC %d cells, %d steps on %d ranks, replica redundancy\n", n, iters, p)
 	pbase := apps.PICConfig{
 		NCell: n, Steps: iters, P: p, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptDir: pdir, CkptEvery: *ckptEvery, IO: pio,
+		Runtime: rt,
 	}
+	pbase.CkptDir, pbase.IO.Redundancy = pdir, pario.RedundancyReplica
 	if _, err := apps.RunPIC(pbase); err != nil {
 		log.Fatal(err)
 	}
@@ -740,7 +726,6 @@ func runStraggler() {
 	if *quick {
 		n, iters = 48, 30
 	}
-	to, retries := retryFlags(250 * time.Millisecond)
 	hw := *healthWin
 	if hw <= 0 {
 		hw = 4
@@ -760,19 +745,18 @@ func runStraggler() {
 	for _, policy := range policies {
 		cfg := apps.ADIConfig{
 			NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Validate: true,
-			Alpha: *alpha, Beta: *beta,
-			CommTimeout: to, CommRetries: retries,
-			Liveness: &machine.LivenessConfig{Interval: 5 * time.Millisecond},
-			Straggler: apps.StragglerConfig{
-				HealthWindow: hw, DegradedRatio: 2, Hysteresis: 2,
-				Policy: policy, CheckAfter: 3,
-				SlowRank: *slowRank, SlowFactor: *slowFactor,
-			},
+			Alpha: *alpha, Beta: *beta, Runtime: resilient(demoRuntime(""), 250*time.Millisecond),
+		}
+		cfg.Liveness = &machine.LivenessConfig{Interval: 5 * time.Millisecond}
+		cfg.Straggler = apps.StragglerConfig{
+			HealthWindow: hw, DegradedRatio: 2, Hysteresis: 2,
+			Policy: policy, CheckAfter: 3,
+			SlowRank: *slowRank, SlowFactor: *slowFactor,
 		}
 		if policy == "drain" {
 			dir, cleanup := checkpointDir()
 			defer cleanup()
-			cfg.CkptDir, cfg.CkptEvery, cfg.IO = dir, *ckptEvery, ioCfg()
+			cfg.CkptDir = dir
 		}
 		res, err := apps.RunADI(cfg)
 		if err != nil {

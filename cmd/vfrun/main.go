@@ -22,9 +22,9 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/core"
-	"repro/internal/health"
 	"repro/internal/interp"
 	"repro/internal/lang"
 	"repro/internal/machine"
@@ -127,21 +127,14 @@ ENDDO
 		fmt.Println()
 	}
 
-	var mopts []machine.Option
-	var topts []msg.Option
+	rt := apps.Runtime{
+		Fault: *faultSpec, CommTimeout: *commTimeout, CommRetries: *commRetries,
+		Straggler: apps.StragglerConfig{HealthWindow: *healthWin},
+	}
 	var tr *trace.Tracer
 	if *traceFile != "" || *elastic {
 		tr = trace.New(*np)
-		mopts = append(mopts, machine.WithTrace(tr))
-		topts = append(topts, msg.WithTracer(tr))
-	}
-	if *faultSpec != "" {
-		plan, err := msg.ParseFaultPlan(*faultSpec)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ft := msg.NewFaultTransport(msg.NewChanTransport(*np, topts...), plan)
-		mopts = append(mopts, machine.WithTransport(ft))
+		rt.Tracer = tr
 	}
 	if *drain {
 		if *healthWin == 0 {
@@ -158,22 +151,21 @@ ENDDO
 		// The survivors need failure detection to notice a lost rank, and
 		// deadlines so in-flight collectives abort instead of hanging; the
 		// health scorer's work reports ride on the same heartbeats.
-		mopts = append(mopts, machine.WithLiveness(machine.LivenessConfig{}))
-		if *commTimeout == 0 {
-			*commTimeout = 150 * time.Millisecond
+		rt.Liveness = &machine.LivenessConfig{}
+		if rt.CommTimeout == 0 {
+			rt.CommTimeout = 150 * time.Millisecond
 		}
-		if *commRetries == 0 {
-			*commRetries = 2
+		if rt.CommRetries == 0 {
+			rt.CommRetries = 2
 		}
 	}
-	if *healthWin > 0 {
-		mopts = append(mopts, machine.WithHealth(health.Config{Window: *healthWin}))
-	}
-	mopts = append(mopts, machine.WithCommConfig(msg.RetryPolicy(*commTimeout, *commRetries)))
 	if *recoverRun && *ckptDir == "" {
 		log.Fatal("-recover requires -ckpt-dir")
 	}
-	m := machine.New(*np, mopts...)
+	m, err := apps.NewMachine(*np, 0, 0, rt)
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer m.Close()
 	e := core.NewEngine(m)
 	e.SetMemBudget(budget)

@@ -4,6 +4,7 @@ import (
 	"os"
 	"os/exec"
 	"regexp"
+	"strings"
 	"testing"
 )
 
@@ -68,4 +69,16 @@ func TestDrainKeepsChecksums(t *testing.T) {
 	drained := vfrun(t, "-p", "4", "-demo", "fig1",
 		"-health-window", "4", "-drain", "-slow-factor", "8", "-ckpt-dir", t.TempDir())
 	sameSums(t, "drain run", drained, plain)
+}
+
+// TestCorruptFaultIsCaught: a corrupt fault rule switches the CRC32C
+// layer on, so the flipped payload stops the run as a named integrity
+// error instead of reaching the program as a wrong value.
+func TestCorruptFaultIsCaught(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-p", "4", "-demo", "fig2", "-fault", "corrupt,rank=1,every=1")
+	cmd.Env = append(os.Environ(), "VFRUN_MAIN=1")
+	out, err := cmd.CombinedOutput()
+	if err == nil || !strings.Contains(string(out), "msg: payload integrity check failed") {
+		t.Fatalf("err = %v, want a failed run naming the integrity check; output:\n%s", err, out)
+	}
 }

@@ -22,7 +22,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/scale"
-	"repro/internal/trace"
 )
 
 // ADIMode selects the distribution strategy of the ADI run.
@@ -70,70 +69,7 @@ type ADIConfig struct {
 	FlopTime float64
 	// Validate compares the final grid against the serial reference.
 	Validate bool
-	// UseTCP runs the machine over the TCP loopback transport instead of
-	// the in-process one (same semantics, real sockets).
-	UseTCP bool
-	// Tracer, when non-nil, records the run's spans and messages (the
-	// iteration loop is annotated as the "iterate" phase).
-	Tracer *trace.Tracer
-	// Fault, when non-empty, wraps the transport in a fault-injecting
-	// decorator built from msg.ParseFaultPlan (the vfbench -fault flag).
-	Fault string
-	// CommTimeout/CommRetries install a deadline/retry policy on the
-	// collectives so injected faults surface as errors instead of hangs.
-	// The escalated per-receive deadline is capped at 4×CommTimeout.
-	CommTimeout time.Duration
-	CommRetries int
-	// CkptDir enables coordinated checkpoints: after every CkptEvery-th
-	// completed iteration the grid and its distribution descriptor are
-	// written to this directory (see internal/ckpt).
-	CkptDir string
-	// CkptEvery is the checkpoint period in iterations (default 1 when
-	// CkptDir is set).
-	CkptEvery int
-	// IO selects the parallel-I/O options (striping, redundancy,
-	// retention, disk-fault injection) for the checkpoints.
-	IO IOConfig
-	// Recover resumes from the latest committed checkpoint in CkptDir
-	// instead of the initial grid: the recorded distribution is replayed
-	// onto this run's P processors (shrunken if fewer survive) and the
-	// iteration counter restarts after the checkpointed iteration.
-	Recover bool
-	// Liveness, when non-nil, runs the heartbeat failure detector so a
-	// run killed by a permanent rank loss can report its survivors.
-	Liveness *machine.LivenessConfig
-	// OnlineRecover enables in-process failure recovery: when a rank
-	// dies mid-run, the survivors Regroup onto the next membership
-	// epoch, replay the last committed checkpoint from CkptDir onto the
-	// shrunken processor view, and resume the iteration without leaving
-	// Run.  Requires CkptDir, Liveness, and a CommTimeout.
-	OnlineRecover bool
-	// Integrity appends a CRC32C trailer to every wire message, turning
-	// silent payload corruption into the named msg.ErrIntegrity
-	// transport error.  Implied when Fault has a corrupt/bitflip rule.
-	Integrity bool
-	// Join reserves this many extra ranks beyond P; they park in
-	// AwaitJoin and are admitted mid-run when Elastic is set (see
-	// machine.WithReserve).  Requires Liveness and a CommTimeout.
-	Join int
-	// Elastic lets the active members poll for pending joiners at every
-	// iteration boundary at or after JoinAfterIter; on a hit they
-	// checkpoint, admit the joiner into the next membership epoch, and
-	// replay onto the grown view.  Requires CkptDir and Join > 0.
-	Elastic bool
-	// JoinAfterIter is the first iteration boundary at which the members
-	// poll for joiners (0 = poll from the first).
-	JoinAfterIter int
-	// MemBudget bounds each rank's peak resident wire bytes during
-	// redistributions (Engine.SetMemBudget), surviving every recovery
-	// and expansion transition.  <= 0 means unbounded.
-	MemBudget int64
-	// Straggler configures the rank-health scorer, an optional injected
-	// slow rank, and the mitigation policy (observe, rebalance the block
-	// bounds by measured speed, or drain the straggler).  Mitigation
-	// requires ADIDynamic — the static modes cannot re-divide their
-	// distribution.
-	Straggler StragglerConfig
+	Runtime
 }
 
 // ADIResult reports an ADI run.
@@ -147,17 +83,6 @@ type ADIResult struct {
 	Checksum    float64
 	CacheHits   int
 	CacheMisses int
-}
-
-func (c ADIConfig) runConfig() runConfig {
-	return runConfig{
-		P: c.P, Join: c.Join, Iters: c.Iters, Alpha: c.Alpha, Beta: c.Beta, Tracer: c.Tracer,
-		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
-		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
-		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
-		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
-		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
-	}
 }
 
 const (
@@ -181,6 +106,8 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	if total := cfg.P + cfg.Join; cfg.NX < total || cfg.NY < total {
 		return res, fmt.Errorf("apps: ADI needs NX,NY >= P+Join (%dx%d on %d)", cfg.NX, cfg.NY, total)
 	}
+	// Mitigation re-divides V's distribution, which only the dynamic mode
+	// may change.
 	sc := cfg.Straggler
 	if sc.mitigating() && cfg.Mode != ADIDynamic {
 		return res, fmt.Errorf("apps: straggler mitigation requires the dynamic ADI mode (static distributions cannot be re-divided)")
@@ -201,7 +128,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	}
 
 	redists, sweeps := make(tally, cfg.P+cfg.Join), make(tally, cfg.P+cfg.Join)
-	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+	err := run(runConfig{cfg.P, cfg.Iters, cfg.Alpha, cfg.Beta, cfg.Runtime}, &res.Outcome, func(ctx *machine.Ctx) app {
 		var eng *core.Engine
 		var v *core.Array
 		// axis[d] is what dimension d carries from step to step (one

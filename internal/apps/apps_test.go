@@ -34,7 +34,7 @@ func TestADIDynamicMatchesSerial(t *testing.T) {
 // kernel's interleave width, so every tail path runs.
 func TestADIDynamicRaggedBitExact(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
-		res, err := RunADI(ADIConfig{NX: 37, NY: 53, Iters: 3, P: 3, Mode: ADIDynamic, Validate: true, UseTCP: tcp})
+		res, err := RunADI(ADIConfig{NX: 37, NY: 53, Iters: 3, P: 3, Mode: ADIDynamic, Validate: true, Runtime: Runtime{UseTCP: tcp}})
 		if err != nil {
 			t.Fatalf("tcp=%v: %v", tcp, err)
 		}
@@ -53,7 +53,7 @@ func TestADIOddExtentsBitIdentical(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		for _, nx := range extents {
 			for _, ny := range extents {
-				res, err := RunADI(ADIConfig{NX: nx, NY: ny, Iters: 2, P: 4, Mode: ADIDynamic, Validate: true, UseTCP: tcp})
+				res, err := RunADI(ADIConfig{NX: nx, NY: ny, Iters: 2, P: 4, Mode: ADIDynamic, Validate: true, Runtime: Runtime{UseTCP: tcp}})
 				if err != nil {
 					t.Fatalf("%dx%d tcp=%v: %v", nx, ny, tcp, err)
 				}
@@ -438,21 +438,21 @@ func TestPICDriftFrameChecked(t *testing.T) {
 }
 
 func TestAppsOverTCP(t *testing.T) {
-	adi, err := RunADI(ADIConfig{NX: 24, NY: 24, Iters: 2, P: 3, Mode: ADIDynamic, Validate: true, UseTCP: true})
+	adi, err := RunADI(ADIConfig{NX: 24, NY: 24, Iters: 2, P: 3, Mode: ADIDynamic, Validate: true, Runtime: Runtime{UseTCP: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if adi.MaxErr > 1e-10 {
 		t.Fatalf("TCP ADI deviates by %g", adi.MaxErr)
 	}
-	sm, err := RunSmoothing(SmoothConfig{N: 32, Steps: 2, P: 4, Mode: SmoothColumns, Validate: true, UseTCP: true})
+	sm, err := RunSmoothing(SmoothConfig{N: 32, Steps: 2, P: 4, Mode: SmoothColumns, Validate: true, Runtime: Runtime{UseTCP: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sm.MaxErr > 1e-12 {
 		t.Fatalf("TCP smoothing deviates by %g", sm.MaxErr)
 	}
-	pic, err := RunPIC(PICConfig{NCell: 32, Steps: 10, P: 4, Rebalance: true, UseTCP: true, WorkPerParticle: 2})
+	pic, err := RunPIC(PICConfig{NCell: 32, Steps: 10, P: 4, Rebalance: true, WorkPerParticle: 2, Runtime: Runtime{UseTCP: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,8 +51,11 @@ func adiDegraded(t *testing.T, useTCP bool) {
 	dir := t.TempDir()
 	io, met := degradedIO(t, pario.RedundancyParity)
 	base := ADIConfig{
-		NX: 24, NY: 24, Iters: 6, P: 4, Mode: ADIDynamic, UseTCP: useTCP,
-		CkptDir: dir, CkptEvery: 1, IO: io,
+		NX: 24, NY: 24, Iters: 6, P: 4, Mode: ADIDynamic,
+		Runtime: Runtime{
+			UseTCP:  useTCP,
+			CkptDir: dir, CkptEvery: 1, IO: io,
+		},
 	}
 	if _, err := RunADI(base); err != nil {
 		t.Fatal(err)
@@ -92,7 +95,9 @@ func TestSmoothingDegradedRestore(t *testing.T) {
 	io, met := degradedIO(t, pario.RedundancyParity)
 	base := SmoothConfig{
 		N: 20, Steps: 4, P: 4, Mode: SmoothColumns,
-		CkptDir: dir, CkptEvery: 1, IO: io,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1, IO: io,
+		},
 	}
 	if _, err := RunSmoothing(base); err != nil {
 		t.Fatal(err)
@@ -123,7 +128,9 @@ func TestPICDegradedRestoreReplica(t *testing.T) {
 	io, met := degradedIO(t, pario.RedundancyReplica)
 	base := PICConfig{
 		NCell: 32, Steps: 4, P: 4, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptDir: dir, CkptEvery: 1, IO: io,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1, IO: io,
+		},
 	}
 	if _, err := RunPIC(base); err != nil {
 		t.Fatal(err)
@@ -153,7 +160,9 @@ func TestDoubleDamageFailsLoudly(t *testing.T) {
 	dir := t.TempDir()
 	base := ADIConfig{
 		NX: 16, NY: 16, Iters: 2, P: 2, Mode: ADIDynamic,
-		CkptDir: dir, CkptEvery: 1, IO: IOConfig{Redundancy: pario.RedundancyParity, Keep: 1},
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1, IO: IOConfig{Redundancy: pario.RedundancyParity, Keep: 1},
+		},
 	}
 	if _, err := RunADI(base); err != nil {
 		t.Fatal(err)

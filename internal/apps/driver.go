@@ -13,33 +13,96 @@ import (
 	"repro/internal/trace"
 )
 
-// runConfig is what the step loop and newMachine read of an app's
-// configuration.  ADIConfig, SmoothConfig and PICConfig keep these as
-// flat fields (their doc comments are the reference) and map onto it.
+// Runtime is the run settings the three applications share: transport,
+// fault injection, deadlines, checkpoints, recovery, elastic join,
+// memory budget and straggler defense.  ADIConfig, SmoothConfig and
+// PICConfig embed it; NewMachine builds a machine from it.  An "iteration"
+// below is a step in smoothing and PIC.  The zero value is a plain run.
+type Runtime struct {
+	// UseTCP runs the machine over the TCP loopback transport instead of
+	// the in-process one (same semantics, real sockets).
+	UseTCP bool
+	// Tracer, when non-nil, records the run's spans and messages (ADI's
+	// loop is the "iterate" phase, smoothing's the "smooth" phase).
+	Tracer *trace.Tracer
+	// Fault, when non-empty, wraps the transport in a fault-injecting
+	// decorator built from msg.ParseFaultPlan.
+	Fault string
+	// CommTimeout/CommRetries install a deadline/retry policy on the
+	// collectives so injected faults surface as errors instead of hangs.
+	// The escalated per-receive deadline is capped at 4×CommTimeout.
+	CommTimeout time.Duration
+	CommRetries int
+	// CkptDir enables coordinated checkpoints: after every CkptEvery-th
+	// completed iteration (default every one) the app's arrays and their
+	// distribution descriptors are written to this directory (see
+	// internal/ckpt).
+	CkptDir   string
+	CkptEvery int
+	// IO selects the checkpoints' parallel-I/O options (redundancy,
+	// retention, disk-fault injection).
+	IO IOConfig
+	// Recover resumes from the latest committed checkpoint in CkptDir
+	// instead of the initial values: the recorded distributions are
+	// replayed onto this run's P processors (shrunken if fewer survive)
+	// and the loop restarts after the checkpointed iteration.
+	Recover bool
+	// Liveness, when non-nil, runs the heartbeat failure detector so a
+	// run killed by a permanent rank loss can report its survivors.
+	Liveness *machine.LivenessConfig
+	// OnlineRecover enables in-process failure recovery: when a rank
+	// dies mid-run, the survivors Regroup onto the next membership
+	// epoch, replay the last committed checkpoint from CkptDir onto the
+	// shrunken processor view, and resume without leaving Run.  Requires
+	// CkptDir, Liveness, and a CommTimeout.
+	OnlineRecover bool
+	// Integrity appends a CRC32C trailer to every wire message, turning
+	// silent payload corruption into the named msg.ErrIntegrity
+	// transport error.  Implied when Fault has a corrupt/bitflip rule.
+	Integrity bool
+	// Join reserves this many extra ranks beyond P; they park in
+	// AwaitJoin and are admitted mid-run when Elastic is set (see
+	// machine.WithReserve).  Requires Liveness and a CommTimeout.
+	Join int
+	// Elastic lets the active members poll for pending joiners at every
+	// iteration boundary at or after JoinAfterIter (0 = from the first);
+	// on a hit they checkpoint, admit the joiner into the next membership
+	// epoch, and replay onto the grown view.  Requires CkptDir and
+	// Join > 0.
+	Elastic       bool
+	JoinAfterIter int
+	// MemBudget bounds each rank's peak resident wire bytes during
+	// redistributions (Engine.SetMemBudget), surviving every recovery
+	// and expansion transition.  <= 0 means unbounded.
+	MemBudget int64
+	// Straggler configures the rank-health scorer, an optional injected
+	// slow rank, and the mitigation policy (observe, rebalance the block
+	// bounds by measured speed, or drain the straggler).
+	Straggler StragglerConfig
+}
+
+// validate checks the prerequisites Elastic and the straggler policy
+// need from the rest of the settings.
+func (rt Runtime) validate() error {
+	if rt.Elastic && (rt.Join <= 0 || rt.CkptDir == "") {
+		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
+	}
+	return rt.Straggler.validate(rt.Liveness != nil, rt.CommTimeout, rt.CkptDir)
+}
+
+// runConfig is what the step loop reads of an app's configuration.
 type runConfig struct {
-	P, Join, Iters                  int
-	Alpha, Beta                     float64
-	Tracer                          *trace.Tracer
-	UseTCP, Integrity               bool
-	Fault                           string
-	CommTimeout                     time.Duration
-	CommRetries                     int
-	Liveness                        *machine.LivenessConfig
-	CkptDir                         string
-	CkptEvery                       int
-	IO                              IOConfig
-	Recover, OnlineRecover, Elastic bool
-	JoinAfterIter                   int
-	MemBudget                       int64
-	Straggler                       StragglerConfig
+	P, Iters    int
+	Alpha, Beta float64
+	Runtime
 }
 
 // IOConfig selects the parallel-I/O options for an app's checkpoints:
-// how many I/O server ranks stripe each epoch, which redundancy mode
-// protects it, how many epochs to retain, and — for fault-injection
-// runs — the filesystem and retry policy every checkpoint operation
-// goes through.  The zero value keeps the ckpt defaults (min(np, 4)
-// servers, parity redundancy, keep-all, the real filesystem).
+// which redundancy mode protects each epoch's rank files, how many
+// epochs to retain, and — for fault-injection runs — the filesystem and
+// retry policy every checkpoint operation goes through.  The zero value
+// keeps the ckpt defaults (parity redundancy, keep-all, the real
+// filesystem).
 type IOConfig = ckpt.Options
 
 // Outcome is the part of a run's result the step loop produces; the
@@ -107,34 +170,38 @@ type app struct {
 	mitigated bool
 }
 
-// newMachine assembles the machine a run asked for: the transport stack
-// — TCP loopback or in-process channels, wrapped in a fault injector
-// (spec per msg.ParseFaultPlan) and then, outermost so that injected
-// corruption is caught, in the CRC32C integrity layer, which any
-// corrupt/bitflip fault rule implies — carrying the cost model and the
-// tracer, then the retry policy, the failure detector, the health
-// scorer and the reserved join slots.  Every structure indexed by
-// physical rank is sized to the capacity P+Join.
-func newMachine(rc runConfig) (*machine.Machine, error) {
-	total := rc.P + rc.Join
-	var topts []msg.Option
-	if rc.Alpha != 0 || rc.Beta != 0 {
-		topts = append(topts, msg.WithCost(msg.NewCostModel(total, rc.Alpha, rc.Beta)))
+// NewMachine is the one place a machine is assembled: p processors (the
+// cost model alpha/beta when either is non-zero), the transport stack —
+// TCP loopback or in-process channels, wrapped in a fault injector (spec
+// per msg.ParseFaultPlan) and then, outermost so that injected corruption
+// is caught, in the CRC32C integrity layer, which any corrupt/bitflip
+// fault rule implies — carrying the cost model and the tracer, then the
+// retry policy, the failure detector, the health scorer and the reserved
+// join slots.  Every structure indexed by physical rank is sized to the
+// capacity p+rt.Join.
+func NewMachine(p int, alpha, beta float64, rt Runtime) (*machine.Machine, error) {
+	if err := rt.validate(); err != nil {
+		return nil, err
 	}
-	if rc.Tracer != nil {
-		topts = append(topts, msg.WithTracer(rc.Tracer))
+	total := p + rt.Join
+	var topts []msg.Option
+	if alpha != 0 || beta != 0 {
+		topts = append(topts, msg.WithCost(msg.NewCostModel(total, alpha, beta)))
+	}
+	if rt.Tracer != nil {
+		topts = append(topts, msg.WithTracer(rt.Tracer))
 	}
 	var plan *msg.FaultPlan
-	integrity := rc.Integrity
-	if rc.Fault != "" {
+	integrity := rt.Integrity
+	if rt.Fault != "" {
 		var err error
-		if plan, err = msg.ParseFaultPlan(rc.Fault); err != nil {
+		if plan, err = msg.ParseFaultPlan(rt.Fault); err != nil {
 			return nil, err
 		}
 		integrity = integrity || plan.HasKind(msg.FaultCorrupt)
 	}
 	var tr msg.Transport = msg.NewChanTransport(total, topts...)
-	if rc.UseTCP {
+	if rt.UseTCP {
 		tcp, err := msg.NewTCPTransport(total, topts...)
 		if err != nil {
 			return nil, err
@@ -149,16 +216,16 @@ func newMachine(rc runConfig) (*machine.Machine, error) {
 	}
 	mopts := []machine.Option{
 		machine.WithTransport(tr),
-		machine.WithCommConfig(msg.RetryPolicy(rc.CommTimeout, rc.CommRetries)),
-		machine.WithReserve(rc.Join),
+		machine.WithCommConfig(msg.RetryPolicy(rt.CommTimeout, rt.CommRetries)),
+		machine.WithReserve(rt.Join),
 	}
-	if rc.Liveness != nil {
-		mopts = append(mopts, machine.WithLiveness(*rc.Liveness))
+	if rt.Liveness != nil {
+		mopts = append(mopts, machine.WithLiveness(*rt.Liveness))
 	}
-	if rc.Straggler.Enabled() {
-		mopts = append(mopts, machine.WithHealth(rc.Straggler.healthConfig()))
+	if rt.Straggler.Enabled() {
+		mopts = append(mopts, machine.WithHealth(rt.Straggler.healthConfig()))
 	}
-	return machine.New(rc.P, mopts...), nil
+	return machine.New(p, mopts...), nil
 }
 
 // run executes an application under the resilient step loop and fills
@@ -166,13 +233,7 @@ func newMachine(rc runConfig) (*machine.Machine, error) {
 // inside Machine.Run.
 func run(rc runConfig, out *Outcome, mk func(ctx *machine.Ctx) app) error {
 	*out = Outcome{ResumedIter: -1, DegradedRank: -1}
-	if rc.Elastic && (rc.Join <= 0 || rc.CkptDir == "") {
-		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
-	}
-	if err := rc.Straggler.validate(rc.Liveness != nil, rc.CommTimeout, rc.CkptDir); err != nil {
-		return err
-	}
-	m, err := newMachine(rc)
+	m, err := NewMachine(rc.P, rc.Alpha, rc.Beta, rc.Runtime)
 	if err != nil {
 		return err
 	}

@@ -143,7 +143,7 @@ func TestStepLoop(t *testing.T) {
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rc := runConfig{P: 4, Iters: iters, CkptDir: t.TempDir(), CkptEvery: 1}
+			rc := runConfig{P: 4, Iters: iters, Runtime: Runtime{CkptDir: t.TempDir(), CkptEvery: 1}}
 			if tc.name == "plain" {
 				rc.CkptDir = ""
 			}
@@ -200,7 +200,7 @@ func TestStepLoop(t *testing.T) {
 // barrier that fails, so the step aborts there, naming the rank.
 func TestStepLoopBarrierError(t *testing.T) {
 	ty := &toy{n: 64, failBarrierAt: 2}
-	_, err := ty.run(runConfig{P: 4, Iters: 6, Fault: "senderr,rank=1"})
+	_, err := ty.run(runConfig{P: 4, Iters: 6, Runtime: Runtime{Fault: "senderr,rank=1"}})
 	if err == nil || !strings.Contains(err.Error(), "barrier") || !strings.Contains(err.Error(), "rank 1") {
 		t.Fatalf("err = %v, want the failed barrier at rank 1", err)
 	}
@@ -214,9 +214,9 @@ func TestStepLoopBarrierError(t *testing.T) {
 // does — comes back as an error of the run, not as a rank panic.
 func TestDeclareErrorIsReturned(t *testing.T) {
 	const fault = "senderr,rank=1"
-	_, adiErr := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 2, P: 4, Fault: fault})
-	_, smoothErr := RunSmoothing(SmoothConfig{N: 16, Steps: 2, P: 4, Fault: fault})
-	_, picErr := RunPIC(PICConfig{NCell: 16, Steps: 2, P: 4, Fault: fault})
+	_, adiErr := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 2, P: 4, Runtime: Runtime{Fault: fault}})
+	_, smoothErr := RunSmoothing(SmoothConfig{N: 16, Steps: 2, P: 4, Runtime: Runtime{Fault: fault}})
+	_, picErr := RunPIC(PICConfig{NCell: 16, Steps: 2, P: 4, Runtime: Runtime{Fault: fault}})
 	for app, err := range map[string]error{"ADI": adiErr, "smoothing": smoothErr, "PIC": picErr} {
 		if err == nil || !strings.Contains(err.Error(), "injected") || strings.Contains(err.Error(), "panicked") {
 			t.Errorf("%s: err = %v, want the injected send error, returned", app, err)
@@ -230,15 +230,15 @@ func TestAllAppsReportHealth(t *testing.T) {
 	sc := stragglerCfg("off")
 	sc.SlowFactor = 0
 	lv, to := testLiveness(), 250*time.Millisecond
-	adi, err := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 4, P: 4, Liveness: lv, CommTimeout: to, Straggler: sc})
+	adi, err := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smooth, err := RunSmoothing(SmoothConfig{N: 16, Steps: 4, P: 4, Liveness: lv, CommTimeout: to, Straggler: sc})
+	smooth, err := RunSmoothing(SmoothConfig{N: 16, Steps: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic, err := RunPIC(PICConfig{NCell: 16, Steps: 4, P: 4, Liveness: lv, CommTimeout: to, Straggler: sc})
+	pic, err := RunPIC(PICConfig{NCell: 16, Steps: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,14 +17,16 @@ func expandADI(t *testing.T, useTCP bool, joinAfter int) ADIResult {
 	dir := t.TempDir()
 	cfg := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, P: 3, Mode: ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
-		UseTCP:        useTCP,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: joinAfter,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1,
+			UseTCP:        useTCP,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: joinAfter,
+		},
 	}
 	res, err := RunADI(cfg)
 	if err != nil {
@@ -68,13 +70,15 @@ func TestExpandRejectedJoin(t *testing.T) {
 	dir := t.TempDir()
 	res, err := RunADI(ADIConfig{
 		NX: 24, NY: 24, Iters: 4, P: 3, Mode: ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: 100,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: 100,
+		},
 	})
 	if err != nil {
 		t.Fatalf("rejected join must not fail the run: %v", err)
@@ -94,14 +98,16 @@ func TestExpandRejectedJoin(t *testing.T) {
 func TestExpandUnderFault(t *testing.T) {
 	cfg := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, P: 4, Mode: ADIDynamic, Validate: true,
-		CkptEvery:     1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		OnlineRecover: true,
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: 2,
+		Runtime: Runtime{
+			CkptEvery:     1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			OnlineRecover: true,
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: 2,
+		},
 	}
 	// Rank 2 dies inside iteration 1: after the first commit, before the
 	// first boundary that polls for the waiting joiner.
@@ -135,15 +141,18 @@ func TestExpandRespectsMemBudget(t *testing.T) {
 	const budget = 2048
 	dir := t.TempDir()
 	res, err := RunADI(ADIConfig{
-		NX: 32, NY: 32, Iters: 6, P: 3, Mode: ADIDynamic, Validate: true, UseTCP: true,
-		CkptDir: dir, CkptEvery: 1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: 2,
-		MemBudget:     budget,
+		NX: 32, NY: 32, Iters: 6, P: 3, Mode: ADIDynamic, Validate: true,
+		Runtime: Runtime{
+			UseTCP:  true,
+			CkptDir: dir, CkptEvery: 1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: 2,
+			MemBudget:     budget,
+		},
 	})
 	if err != nil {
 		t.Fatalf("elastic budgeted run: %v", err)
@@ -169,13 +178,15 @@ func TestExpandSmoothing(t *testing.T) {
 	dir := t.TempDir()
 	res, err := RunSmoothing(SmoothConfig{
 		N: 24, Steps: 8, P: 3, Mode: SmoothColumns, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: 2,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: 2,
+		},
 	})
 	if err != nil {
 		t.Fatalf("elastic smoothing: %v", err)
@@ -195,13 +206,15 @@ func TestExpandPICConservation(t *testing.T) {
 	dir := t.TempDir()
 	res, err := RunPIC(PICConfig{
 		NCell: 32, Steps: 8, P: 3, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptDir: dir, CkptEvery: 1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		Join:          1,
-		Elastic:       true,
-		JoinAfterIter: 2,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			Join:          1,
+			Elastic:       true,
+			JoinAfterIter: 2,
+		},
 	})
 	if err != nil {
 		t.Fatalf("elastic PIC: %v", err)

@@ -21,12 +21,14 @@ func onlineADI(t *testing.T, useTCP bool, it, off int) {
 	t.Helper()
 	cfg := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, P: 4, Mode: ADIDynamic, Validate: true,
-		CkptEvery:     1,
-		UseTCP:        useTCP,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		OnlineRecover: true,
+		Runtime: Runtime{
+			CkptEvery:     1,
+			UseTCP:        useTCP,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			OnlineRecover: true,
+		},
 	}
 	after := killAfter(t, 2, it, off, func() error {
 		dry := cfg
@@ -75,11 +77,13 @@ func TestOnlineRecoverADITCPMidCollective(t *testing.T) { onlineADI(t, true, 6, 
 func TestOnlineRecoverSmoothing(t *testing.T) {
 	cfg := SmoothConfig{
 		N: 24, Steps: 8, P: 4, Mode: SmoothColumns, Validate: true,
-		CkptEvery:     1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		OnlineRecover: true,
+		Runtime: Runtime{
+			CkptEvery:     1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			OnlineRecover: true,
+		},
 	}
 	after := killAfter(t, 1, 4, 1, func() error {
 		dry := cfg
@@ -107,11 +111,13 @@ func TestOnlineRecoverSmoothing(t *testing.T) {
 func TestOnlineRecoverPICConservation(t *testing.T) {
 	cfg := PICConfig{
 		NCell: 32, Steps: 8, P: 4, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16,
-		CkptEvery:     1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		OnlineRecover: true,
+		Runtime: Runtime{
+			CkptEvery:     1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			OnlineRecover: true,
+		},
 	}
 	after := killAfter(t, 3, 5, 1, func() error {
 		dry := cfg
@@ -139,8 +145,10 @@ func TestOnlineRecoverPICConservation(t *testing.T) {
 func TestOnlineBitflipSurfacesIntegrityError(t *testing.T) {
 	cfg := ADIConfig{
 		NX: 16, NY: 16, Iters: 2, P: 4, Mode: ADIDynamic,
-		CommTimeout: 100 * time.Millisecond,
-		CommRetries: 2,
+		Runtime: Runtime{
+			CommTimeout: 100 * time.Millisecond,
+			CommRetries: 2,
+		},
 	}
 	after := killAfter(t, 1, 1, 1, func() error {
 		dry := cfg
@@ -163,7 +171,9 @@ func TestOnlineBitflipSurfacesIntegrityError(t *testing.T) {
 func TestOnlineIntegrityCleanRun(t *testing.T) {
 	res, err := RunADI(ADIConfig{
 		NX: 16, NY: 16, Iters: 3, P: 4, Mode: ADIDynamic, Validate: true,
-		Integrity: true,
+		Runtime: Runtime{
+			Integrity: true,
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -190,11 +200,13 @@ func TestSoakOnline(t *testing.T) {
 		victim := rng.Intn(4)
 		cfg := ADIConfig{
 			NX: n, NY: n, Iters: iters, P: 4, Mode: ADIDynamic, Validate: true,
-			CkptEvery:     1,
-			CommTimeout:   150 * time.Millisecond,
-			CommRetries:   2,
-			Liveness:      testLiveness(),
-			OnlineRecover: true,
+			Runtime: Runtime{
+				CkptEvery:     1,
+				CommTimeout:   150 * time.Millisecond,
+				CommRetries:   2,
+				Liveness:      testLiveness(),
+				OnlineRecover: true,
+			},
 		}
 		// Any send of any iteration but the first and the last.
 		starts := iterStarts(t, victim, func() error {

@@ -18,7 +18,7 @@ func TestSmoothingOverlapBitIdentical(t *testing.T) {
 				name += "/tcp"
 			}
 			t.Run(name, func(t *testing.T) {
-				base := SmoothConfig{N: 33, Steps: 3, P: 9, Mode: mode, UseTCP: tcp, Validate: true}
+				base := SmoothConfig{N: 33, Steps: 3, P: 9, Mode: mode, Validate: true, Runtime: Runtime{UseTCP: tcp}}
 				sync, err := RunSmoothing(base)
 				if err != nil {
 					t.Fatal(err)
@@ -121,11 +121,13 @@ func TestSmoothingOddWidthsBitIdentical(t *testing.T) {
 func TestOnlineRecoverSmoothingOverlap(t *testing.T) {
 	cfg := SmoothConfig{
 		N: 24, Steps: 8, P: 4, Mode: SmoothColumns, Validate: true, Overlap: true,
-		CkptEvery:     1,
-		CommTimeout:   150 * time.Millisecond,
-		CommRetries:   2,
-		Liveness:      testLiveness(),
-		OnlineRecover: true,
+		Runtime: Runtime{
+			CkptEvery:     1,
+			CommTimeout:   150 * time.Millisecond,
+			CommRetries:   2,
+			Liveness:      testLiveness(),
+			OnlineRecover: true,
+		},
 	}
 	after := killAfter(t, 1, 4, 0, func() error {
 		dry := cfg

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -43,54 +42,10 @@ type PICConfig struct {
 	// per particle-op.
 	Alpha, Beta float64
 	FlopTime    float64
-	// UseTCP runs the machine over the TCP loopback transport instead of
-	// the in-process one (same semantics, real sockets).
-	UseTCP bool
-	// CkptDir enables coordinated checkpoints of FIELD and COUNT after
-	// every CkptEvery-th step (default every step when set).
-	CkptDir   string
-	CkptEvery int
-	// IO selects the parallel-I/O options (striping, redundancy,
-	// retention, disk-fault injection) for the checkpoints.
-	IO IOConfig
-	// Recover resumes from the latest committed checkpoint in CkptDir;
-	// a B_BLOCK(BOUNDS) distribution sized for the lost machine degrades
-	// to BLOCK on the survivors until the next rebalance.
-	Recover bool
-	// Fault wraps the transport in a fault-injecting decorator built
-	// from msg.ParseFaultPlan.
-	Fault string
-	// CommTimeout/CommRetries install a deadline/retry policy so faults
-	// surface as errors instead of hangs.
-	CommTimeout time.Duration
-	CommRetries int
-	// Liveness, when non-nil, runs the heartbeat failure detector.
-	Liveness *machine.LivenessConfig
-	// OnlineRecover enables in-process failure recovery (see
-	// ADIConfig.OnlineRecover); requires CkptDir, Liveness, and a
-	// CommTimeout.
-	OnlineRecover bool
-	// Integrity appends a CRC32C trailer to every wire message; implied
-	// when Fault has a corrupt/bitflip rule.
-	Integrity bool
-	// Join reserves this many extra ranks beyond P; they park in
-	// AwaitJoin and are admitted mid-run when Elastic is set.
-	Join int
-	// Elastic polls for pending joiners at step boundaries at or after
-	// JoinAfterIter; on a hit the members checkpoint, admit the joiner,
-	// and replay onto the grown view (the next rebalance then spreads
-	// B_BLOCK bounds over it).  Requires CkptDir and Join > 0.
-	Elastic bool
-	// JoinAfterIter is the first step boundary at which members poll.
-	JoinAfterIter int
-	// MemBudget bounds each rank's peak resident wire bytes during
-	// redistributions; <= 0 means unbounded.
-	MemBudget int64
-	// Straggler configures the rank-health scorer, an optional injected
-	// slow rank, and the mitigation policy.  A rebalance here feeds the
-	// measured speeds into the B_BLOCK bounds computation, so the
-	// straggler gets fewer particles, not just fewer cells.
-	Straggler StragglerConfig
+	// Runtime: a restore onto a different processor count (Recover, or a
+	// replay after a join, drain or loss) degrades the saved
+	// B_BLOCK(BOUNDS) to BLOCK until the next rebalance.
+	Runtime
 }
 
 // PICResult reports a PIC run.
@@ -106,17 +61,6 @@ type PICResult struct {
 	ParticlesStart  float64
 	ParticlesEnd    float64 // conservation check: must equal start
 	FieldChecksum   float64
-}
-
-func (c PICConfig) runConfig() runConfig {
-	return runConfig{
-		P: c.P, Join: c.Join, Iters: c.Steps, Alpha: c.Alpha, Beta: c.Beta,
-		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
-		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
-		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
-		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
-		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
-	}
 }
 
 // RunPIC executes the Figure 2 outer loop:
@@ -158,7 +102,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 
 	dom := index.Dim(cfg.NCell)
 	redists := make(tally, cfg.P+cfg.Join)
-	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+	err := run(runConfig{cfg.P, cfg.Steps, cfg.Alpha, cfg.Beta, cfg.Runtime}, &res.Outcome, func(ctx *machine.Ctx) app {
 		var eng *core.Engine
 		var field, count *core.Array
 		// speedShares, once a straggler rebalance has installed the measured

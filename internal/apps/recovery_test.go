@@ -57,7 +57,9 @@ func TestADIKillAndRecover(t *testing.T) {
 	dir := t.TempDir()
 	base := ADIConfig{
 		NX: 24, NY: 24, Iters: 8, Mode: ADIDynamic, Validate: true,
-		CkptDir: dir, CkptEvery: 1,
+		Runtime: Runtime{
+			CkptDir: dir, CkptEvery: 1,
+		},
 	}
 
 	// Phase 1: 4 ranks, rank 2 falls permanently silent once the run is
@@ -111,11 +113,11 @@ func TestADIKillAndRecover(t *testing.T) {
 // converges.
 func TestADIRecoverSameRankCount(t *testing.T) {
 	dir := t.TempDir()
-	first := ADIConfig{NX: 16, NY: 16, Iters: 3, P: 4, Mode: ADIDynamic, CkptDir: dir}
+	first := ADIConfig{NX: 16, NY: 16, Iters: 3, P: 4, Mode: ADIDynamic, Runtime: Runtime{CkptDir: dir}}
 	if _, err := RunADI(first); err != nil {
 		t.Fatal(err)
 	}
-	rec := ADIConfig{NX: 16, NY: 16, Iters: 6, P: 4, Mode: ADIDynamic, CkptDir: dir, Recover: true, Validate: true}
+	rec := ADIConfig{NX: 16, NY: 16, Iters: 6, P: 4, Mode: ADIDynamic, Validate: true, Runtime: Runtime{CkptDir: dir, Recover: true}}
 	res, err := RunADI(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -133,11 +135,11 @@ func TestADIRecoverSameRankCount(t *testing.T) {
 // the serial reference exactly.
 func TestSmoothingRecoverFewerRanks(t *testing.T) {
 	dir := t.TempDir()
-	first := SmoothConfig{N: 20, Steps: 3, P: 4, Mode: SmoothColumns, CkptDir: dir}
+	first := SmoothConfig{N: 20, Steps: 3, P: 4, Mode: SmoothColumns, Runtime: Runtime{CkptDir: dir}}
 	if _, err := RunSmoothing(first); err != nil {
 		t.Fatal(err)
 	}
-	rec := SmoothConfig{N: 20, Steps: 7, P: 2, Mode: SmoothColumns, CkptDir: dir, Recover: true, Validate: true}
+	rec := SmoothConfig{N: 20, Steps: 7, P: 2, Mode: SmoothColumns, Validate: true, Runtime: Runtime{CkptDir: dir, Recover: true}}
 	res, err := RunSmoothing(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -152,11 +154,11 @@ func TestSmoothingRecoverFewerRanks(t *testing.T) {
 // and particle conservation holds through kill and recovery.
 func TestPICRecoverConservation(t *testing.T) {
 	dir := t.TempDir()
-	first := PICConfig{NCell: 32, Steps: 4, P: 4, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16, CkptDir: dir}
+	first := PICConfig{NCell: 32, Steps: 4, P: 4, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16, Runtime: Runtime{CkptDir: dir}}
 	if _, err := RunPIC(first); err != nil {
 		t.Fatal(err)
 	}
-	rec := PICConfig{NCell: 32, Steps: 8, P: 3, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16, CkptDir: dir, Recover: true}
+	rec := PICConfig{NCell: 32, Steps: 8, P: 3, Rebalance: true, RebalanceEvery: 2, InitPerCell: 16, Runtime: Runtime{CkptDir: dir, Recover: true}}
 	res, err := RunPIC(rec)
 	if err != nil {
 		t.Fatal(err)
@@ -183,7 +185,7 @@ func TestSoakChaos(t *testing.T) {
 		iters := 5 + rng.Intn(4)
 		victim := rng.Intn(4)
 		after := 100 + rng.Intn(250)
-		base := ADIConfig{NX: n, NY: n, Iters: iters, Mode: ADIDynamic, Validate: true, CkptDir: dir, CkptEvery: 1}
+		base := ADIConfig{NX: n, NY: n, Iters: iters, Mode: ADIDynamic, Validate: true, Runtime: Runtime{CkptDir: dir, CkptEvery: 1}}
 
 		killed := base
 		killed.P = 4

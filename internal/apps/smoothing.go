@@ -3,14 +3,12 @@ package apps
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/kernels"
 	"repro/internal/machine"
-	"repro/internal/trace"
 )
 
 // SmoothMode selects the grid distribution of the §4 smoothing study.
@@ -53,57 +51,7 @@ type SmoothConfig struct {
 	FlopTime    float64
 	// Validate compares the final grid against the serial reference.
 	Validate bool
-	// UseTCP runs the machine over the TCP loopback transport instead of
-	// the in-process one (same semantics, real sockets).
-	UseTCP bool
-	// Tracer, when non-nil, records the run's spans and messages (the
-	// stepping loop is annotated as the "smooth" phase).
-	Tracer *trace.Tracer
-	// CkptDir enables coordinated checkpoints of both smoothing buffers
-	// after every CkptEvery-th step (default every step when set).
-	CkptDir   string
-	CkptEvery int
-	// IO selects the parallel-I/O options (striping, redundancy,
-	// retention, disk-fault injection) for the checkpoints.
-	IO IOConfig
-	// Recover resumes from the latest committed checkpoint in CkptDir,
-	// replaying the recorded distribution onto this run's P processors.
-	Recover bool
-	// Fault wraps the transport in a fault-injecting decorator built
-	// from msg.ParseFaultPlan.
-	Fault string
-	// CommTimeout/CommRetries install a deadline/retry policy so faults
-	// surface as errors instead of hangs.
-	CommTimeout time.Duration
-	CommRetries int
-	// Liveness, when non-nil, runs the heartbeat failure detector.
-	Liveness *machine.LivenessConfig
-	// OnlineRecover enables in-process failure recovery (see
-	// ADIConfig.OnlineRecover); requires CkptDir, Liveness and a
-	// CommTimeout, and SmoothColumns mode (the 2-D processor grid of
-	// SmoothBlock2D cannot shrink onto a non-square survivor count).
-	OnlineRecover bool
-	// Integrity appends a CRC32C trailer to every wire message; implied
-	// when Fault has a corrupt/bitflip rule.
-	Integrity bool
-	// Join reserves this many extra ranks beyond P; they park in
-	// AwaitJoin and are admitted mid-run when Elastic is set.
-	Join int
-	// Elastic polls for pending joiners at step boundaries at or after
-	// JoinAfterIter and grows the view onto them (SmoothColumns only,
-	// for the same reason as OnlineRecover).  Requires CkptDir, Join.
-	Elastic bool
-	// JoinAfterIter is the first step boundary at which members poll.
-	JoinAfterIter int
-	// MemBudget bounds each rank's peak resident wire bytes during
-	// redistributions; <= 0 means unbounded.
-	MemBudget int64
-	// Straggler configures the rank-health scorer, an optional injected
-	// slow rank, and the mitigation policy.  Smoothing supports
-	// observation and the "drain" policy only (SmoothColumns, synchronous
-	// steps): its ghost-bearing connect class keeps the even block split,
-	// so a weighted rebalance is not available here.
-	Straggler StragglerConfig
+	Runtime
 }
 
 // SmoothResult reports a smoothing run.
@@ -117,17 +65,6 @@ type SmoothResult struct {
 	BytesPerProcStep float64
 	MaxErr           float64
 	Checksum         float64
-}
-
-func (c SmoothConfig) runConfig() runConfig {
-	return runConfig{
-		P: c.P, Join: c.Join, Iters: c.Steps, Alpha: c.Alpha, Beta: c.Beta, Tracer: c.Tracer,
-		UseTCP: c.UseTCP, Integrity: c.Integrity, Fault: c.Fault,
-		CommTimeout: c.CommTimeout, CommRetries: c.CommRetries, Liveness: c.Liveness,
-		CkptDir: c.CkptDir, CkptEvery: c.CkptEvery, IO: c.IO,
-		Recover: c.Recover, OnlineRecover: c.OnlineRecover, Elastic: c.Elastic,
-		JoinAfterIter: c.JoinAfterIter, MemBudget: c.MemBudget, Straggler: c.Straggler,
-	}
 }
 
 // RunSmoothing performs Steps Jacobi smoothing steps on an N×N grid under
@@ -144,6 +81,7 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	if cfg.N < cfg.P+cfg.Join {
 		return res, fmt.Errorf("apps: smoothing needs N >= P+Join")
 	}
+	// A joiner cannot extend the square processor grid of SmoothBlock2D.
 	if cfg.Elastic && cfg.Mode != SmoothColumns {
 		return res, fmt.Errorf("apps: Elastic smoothing requires SmoothColumns")
 	}
@@ -176,7 +114,7 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	}
 
 	exch := make(tally, cfg.P+cfg.Join)
-	err := run(cfg.runConfig(), &res.Outcome, func(ctx *machine.Ctx) app {
+	err := run(runConfig{cfg.P, cfg.Steps, cfg.Alpha, cfg.Beta, cfg.Runtime}, &res.Outcome, func(ctx *machine.Ctx) app {
 		// U and V are one connect class and the two buffers of the sweep:
 		// step s reads src and writes dst, which then swap.
 		var u, v, src, dst *core.Array

@@ -170,23 +170,11 @@ func decideStraggler(ctx *machine.Ctx, sc StragglerConfig,
 		for i := range vals[2:] {
 			vals[2+i] = 1e6 // nominal speed
 		}
-		if h := ctx.Machine().Health(); h != nil && np > 1 {
-			members := ctx.Members()
-			worst, class, slowdown, ok := h.Worst(members)
-			if ok && class >= health.Degraded {
-				view := -1
-				for i, p := range members {
-					if p == worst {
-						view = i
-					}
-				}
-				if view >= 0 {
-					if dec := sc.decide(np, stepsLeft, slowdown, stepWall); dec != scale.Hold {
-						vals[0], vals[1] = int(dec), view
-						for i, sp := range h.Speeds(members) {
-							vals[2+i] = int(sp * 1e6)
-						}
-					}
+		if view, slowdown := ctx.DegradedMember(); view >= 0 && np > 1 {
+			if dec := sc.decide(np, stepsLeft, slowdown, stepWall); dec != scale.Hold {
+				vals[0], vals[1] = int(dec), view
+				for i, sp := range ctx.Machine().Health().Speeds(ctx.Members()) {
+					vals[2+i] = int(sp * 1e6)
 				}
 			}
 		}

@@ -29,12 +29,14 @@ func stragglerADI(t *testing.T, useTCP bool, policy string) ADIResult {
 	t.Helper()
 	cfg := ADIConfig{
 		NX: 64, NY: 64, Iters: 40, P: 4, Mode: ADIDynamic, Validate: true,
-		CkptDir: t.TempDir(), CkptEvery: 4,
-		UseTCP:      useTCP,
-		CommTimeout: 250 * time.Millisecond,
-		CommRetries: 2,
-		Liveness:    testLiveness(),
-		Straggler:   stragglerCfg(policy),
+		Runtime: Runtime{
+			CkptDir: t.TempDir(), CkptEvery: 4,
+			UseTCP:      useTCP,
+			CommTimeout: 250 * time.Millisecond,
+			CommRetries: 2,
+			Liveness:    testLiveness(),
+			Straggler:   stragglerCfg(policy),
+		},
 	}
 	res, err := RunADI(cfg)
 	if err != nil {
@@ -103,10 +105,12 @@ func TestStragglerADIDrainTCP(t *testing.T) {
 func TestStragglerObserveOnly(t *testing.T) {
 	res, err := RunADI(ADIConfig{
 		NX: 64, NY: 64, Iters: 30, P: 4, Mode: ADIDynamic, Validate: true,
-		CommTimeout: 250 * time.Millisecond,
-		CommRetries: 2,
-		Liveness:    testLiveness(),
-		Straggler:   stragglerCfg("off"),
+		Runtime: Runtime{
+			CommTimeout: 250 * time.Millisecond,
+			CommRetries: 2,
+			Liveness:    testLiveness(),
+			Straggler:   stragglerCfg("off"),
+		},
 	})
 	if err != nil {
 		t.Fatalf("observe-only run: %v", err)
@@ -129,10 +133,12 @@ func TestStragglerPICRebalance(t *testing.T) {
 	res, err := RunPIC(PICConfig{
 		NCell: 64, Steps: 30, P: 4, Rebalance: true, RebalanceEvery: 5,
 		InitPerCell: 32, WorkPerParticle: 400,
-		CommTimeout: 250 * time.Millisecond,
-		CommRetries: 2,
-		Liveness:    testLiveness(),
-		Straggler:   stragglerCfg("rebalance"),
+		Runtime: Runtime{
+			CommTimeout: 250 * time.Millisecond,
+			CommRetries: 2,
+			Liveness:    testLiveness(),
+			Straggler:   stragglerCfg("rebalance"),
+		},
 	})
 	if err != nil {
 		t.Fatalf("PIC straggler run: %v", err)
@@ -158,11 +164,13 @@ func TestStragglerPICDrain(t *testing.T) {
 	res, err := RunPIC(PICConfig{
 		NCell: 64, Steps: 30, P: 4, Rebalance: true, RebalanceEvery: 5,
 		InitPerCell: 32, WorkPerParticle: 400,
-		CkptDir: t.TempDir(), CkptEvery: 2,
-		CommTimeout: 250 * time.Millisecond,
-		CommRetries: 2,
-		Liveness:    testLiveness(),
-		Straggler:   stragglerCfg("drain"),
+		Runtime: Runtime{
+			CkptDir: t.TempDir(), CkptEvery: 2,
+			CommTimeout: 250 * time.Millisecond,
+			CommRetries: 2,
+			Liveness:    testLiveness(),
+			Straggler:   stragglerCfg("drain"),
+		},
 	})
 	if err != nil {
 		t.Fatalf("PIC drain run: %v", err)
@@ -184,11 +192,13 @@ func TestStragglerPICDrain(t *testing.T) {
 func TestStragglerSmoothingDrain(t *testing.T) {
 	res, err := RunSmoothing(SmoothConfig{
 		N: 64, Steps: 30, P: 4, Mode: SmoothColumns, Validate: true,
-		CkptDir: t.TempDir(), CkptEvery: 2,
-		CommTimeout: 250 * time.Millisecond,
-		CommRetries: 2,
-		Liveness:    testLiveness(),
-		Straggler:   stragglerCfg("drain"),
+		Runtime: Runtime{
+			CkptDir: t.TempDir(), CkptEvery: 2,
+			CommTimeout: 250 * time.Millisecond,
+			CommRetries: 2,
+			Liveness:    testLiveness(),
+			Straggler:   stragglerCfg("drain"),
+		},
 	})
 	if err != nil {
 		t.Fatalf("smoothing drain run: %v", err)
@@ -251,10 +261,12 @@ func TestStragglerConfigValidation(t *testing.T) {
 	}
 	if _, err := RunSmoothing(SmoothConfig{
 		N: 32, Steps: 4, P: 4, Mode: SmoothColumns,
-		CkptDir:     t.TempDir(),
-		CommTimeout: 250 * time.Millisecond,
-		Liveness:    testLiveness(),
-		Straggler:   StragglerConfig{HealthWindow: 4, Policy: "rebalance"},
+		Runtime: Runtime{
+			CkptDir:     t.TempDir(),
+			CommTimeout: 250 * time.Millisecond,
+			Liveness:    testLiveness(),
+			Straggler:   StragglerConfig{HealthWindow: 4, Policy: "rebalance"},
+		},
 	}); err == nil {
 		t.Error("smoothing accepted the rebalance policy")
 	}

@@ -47,7 +47,7 @@ func spanOpen(stack []trace.Event, cat, name string) bool {
 func TestADIDynamicTraceConfinement(t *testing.T) {
 	const np = 4
 	tr := trace.New(np)
-	if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIDynamic, Tracer: tr}); err != nil {
+	if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIDynamic, Runtime: Runtime{Tracer: tr}}); err != nil {
 		t.Fatal(err)
 	}
 	inIterate, escaped := 0, 0
@@ -71,7 +71,7 @@ func TestADIDynamicTraceConfinement(t *testing.T) {
 
 	// Control: the static distribution communicates inside the sweep.
 	tr2 := trace.New(np)
-	if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIStaticCols, Tracer: tr2}); err != nil {
+	if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIStaticCols, Runtime: Runtime{Tracer: tr2}}); err != nil {
 		t.Fatal(err)
 	}
 	sweepSends := 0
@@ -104,7 +104,7 @@ func TestSmoothingTraceShape(t *testing.T) {
 	}
 	for _, tc := range cases {
 		tr := trace.New(9)
-		if _, err := RunSmoothing(SmoothConfig{N: 33, Steps: 2, P: 9, Mode: tc.mode, Tracer: tr}); err != nil {
+		if _, err := RunSmoothing(SmoothConfig{N: 33, Steps: 2, P: 9, Mode: tc.mode, Runtime: Runtime{Tracer: tr}}); err != nil {
 			t.Fatal(err)
 		}
 		sum := tr.Summarize()
@@ -125,6 +125,33 @@ func TestSmoothingTraceShape(t *testing.T) {
 			if _, ok := sum.Phase("ghost-wait " + arr); !ok {
 				t.Fatalf("%v: no %q row in summary:\n%s", tc.mode, "ghost-wait "+arr, sum.String())
 			}
+		}
+	}
+}
+
+// TestPICTraceConnectClass is §2.3's connect class seen in a trace:
+// COUNT is CONNECT(=FIELD), so every DISTRIBUTE of FIELD moves COUNT with
+// it, and each rank records exactly one span of each per redistribution.
+func TestPICTraceConnectClass(t *testing.T) {
+	const np = 4
+	tr := trace.New(np)
+	res, err := RunPIC(PICConfig{NCell: 64, Steps: 30, P: np, Rebalance: true, DriftFrac: 0.35, Runtime: Runtime{Tracer: tr}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Redistributions == 0 {
+		t.Fatal("no redistribution: the run does not exercise the connect class")
+	}
+	for rank := 0; rank < np; rank++ {
+		spans := map[string]int{}
+		for _, e := range tr.Events(rank) {
+			if e.Kind == trace.KindBegin && e.Cat == trace.CatDistribute {
+				spans[e.Name]++
+			}
+		}
+		if f, c := spans["DISTRIBUTE FIELD"], spans["DISTRIBUTE COUNT"]; f != res.Redistributions || c != res.Redistributions {
+			t.Errorf("rank %d: %d DISTRIBUTE FIELD and %d DISTRIBUTE COUNT spans, want %d of each",
+				rank, f, c, res.Redistributions)
 		}
 	}
 }

@@ -54,8 +54,8 @@ type Engine struct {
 	ckptOpts ckpt.Options
 }
 
-// SetCkptOptions installs the parallel-I/O options (I/O server count,
-// redundancy mode, retention, filesystem and retry policy) applied to
+// SetCkptOptions installs the parallel-I/O options (redundancy mode,
+// retention, filesystem and retry policy) applied to
 // every Checkpoint/Restore/Recover through this engine.  The SPMD
 // contract applies: every rank must observe the same value at each
 // collective.

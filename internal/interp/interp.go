@@ -35,7 +35,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dist"
-	"repro/internal/health"
 	"repro/internal/index"
 	"repro/internal/lang"
 	"repro/internal/machine"
@@ -622,16 +621,7 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 func (st *State) drainDecision() (int, error) {
 	vals := []int{-1}
 	if st.Ctx.Rank() == 0 {
-		if h := st.Ctx.Machine().Health(); h != nil {
-			members := st.Ctx.Members()
-			if worst, class, _, ok := h.Worst(members); ok && class >= health.Degraded {
-				for i, p := range members {
-					if p == worst {
-						vals[0] = i
-					}
-				}
-			}
-		}
+		vals[0], _ = st.Ctx.DegradedMember()
 	}
 	out, err := st.Ctx.Comm().BcastInts(0, vals)
 	if err != nil {
