@@ -97,8 +97,8 @@ check-recovery:
 # drain, drain racing a real death in one transition, drained-rank
 # goroutine leak gates), the health scorer's hysteresis and EWMA
 # arithmetic, the slow transport fault and the retry backoff, the
-# straggler policy model (weighted bounds, fair shares, drain vs
-# rebalance break-even), and the end-to-end apps matrix — chan and TCP
+# weighted bounds and fair shares a rebalance divides by, and the
+# end-to-end apps matrix — chan and TCP
 # × rebalance and drain, ADI/PIC/smoothing, bit-exact across the drain
 # epoch transition — all under the race detector.
 check-drain:
@@ -145,8 +145,9 @@ soak:
 # parity/replica reconstruction, the crash-during-Save abort stages (no
 # partial epoch ever commits), the disk-damage x restore matrix on both
 # transports, retention pruning, epoch fallback (past damaged and
-# format-1 epochs alike), the scrub pass, and the degraded end-to-end
-# apps — all under the race detector (the I/O servers and retry paths
+# format-1 epochs alike), the scrub pass, the disk deadline that
+# escalates like the wire's (TestStallDeadlineEscalates), and the
+# degraded end-to-end apps — all under the race detector (the I/O servers and retry paths
 # add goroutines).
 check-io:
 	$(GO) test -race -count=1 ./internal/pario ./internal/ckpt

@@ -94,21 +94,6 @@ func demoRuntime(dir string) apps.Runtime {
 	return rt
 }
 
-// resilient adds what a run that loses, admits or drains ranks needs:
-// the failure detector, and deadlines — timeout and two retries unless
-// -comm-timeout / -comm-retries say otherwise — so that collectives a
-// lost rank leaves in flight abort instead of hanging.
-func resilient(rt apps.Runtime, timeout time.Duration) apps.Runtime {
-	rt.Liveness = &machine.LivenessConfig{}
-	if rt.CommTimeout == 0 {
-		rt.CommTimeout = timeout
-	}
-	if rt.CommRetries == 0 {
-		rt.CommRetries = 2
-	}
-	return rt
-}
-
 // checkpointDir returns -ckpt-dir, or a fresh temporary directory that
 // cleanup removes.
 func checkpointDir() (dir string, cleanup func()) {
@@ -166,7 +151,7 @@ func tab() *tabwriter.Writer {
 func ioCfg() apps.IOConfig {
 	cfg := apps.IOConfig{
 		Redundancy: *ioRedund, Keep: *ckptKeep,
-		IO: pario.Config{Metrics: &pario.Metrics{}},
+		Metrics: &pario.Metrics{},
 	}
 	if *ioFault != "" {
 		plan, err := pario.ParseFaultPlan(*ioFault)
@@ -174,9 +159,7 @@ func ioCfg() apps.IOConfig {
 			log.Fatal(err)
 		}
 		cfg.FS = pario.NewFaultFS(pario.OS{}, plan).Rank
-		cfg.IO.Timeout = time.Second
-		cfg.IO.Retries = 2
-		cfg.IO.Backoff = time.Millisecond
+		cfg.Retry = msg.RetryPolicy{Timeout: time.Second, Retries: 2}
 	}
 	return cfg
 }
@@ -204,7 +187,7 @@ func runADI() {
 			for _, mode := range []apps.ADIMode{apps.ADIDynamic, apps.ADIStaticCols} {
 				rt := runtimeFlags()
 				if *elastic > 0 {
-					rt = resilient(rt, 150*time.Millisecond)
+					rt = rt.Resilient(150 * time.Millisecond)
 					rt.Join, rt.Elastic, rt.JoinAfterIter = *elastic, true, *joinAfter
 				} else if *onlineRec {
 					rt.Liveness = &machine.LivenessConfig{}
@@ -385,13 +368,12 @@ func runRecover() {
 	fmt.Printf("phase 1: ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q\n", n, n, iters, p, fault)
 	killed := apps.ADIConfig{
 		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic,
-		Runtime: resilient(demoRuntime(dir), 150*time.Millisecond),
+		Runtime: demoRuntime(dir).Resilient(150 * time.Millisecond),
 	}
 	killed.Fault = fault
 	res, err := apps.RunADI(killed)
 	if err == nil {
-		fmt.Println("the injected fault never fired; nothing to recover from")
-		return
+		log.Fatal("the injected fault never fired; nothing to recover from")
 	}
 	fmt.Printf("  run failed as injected: %v\n", err)
 	fmt.Printf("  failure detector survivors: %v\n", res.Survivors)
@@ -439,14 +421,14 @@ func runOnlineRecover() {
 	defer cleanup()
 	fault := *faultSpec
 	if fault == "" {
-		fault = "drop,rank=2,after=150" // permanent kill once the first checkpoints committed
+		fault = "drop,rank=2,after=100" // permanent kill once the first checkpoints committed
 	}
 
 	fmt.Printf("ADI %dx%d, %d iters on %d ranks, ckpt every iter, fault %q, online recovery on\n",
 		n, n, iters, p, fault)
 	cfg := apps.ADIConfig{
 		NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Validate: true,
-		Runtime: resilient(demoRuntime(dir), 150*time.Millisecond),
+		Runtime: demoRuntime(dir).Resilient(150 * time.Millisecond),
 	}
 	cfg.Fault, cfg.OnlineRecover = fault, true
 	res, err := apps.RunADI(cfg)
@@ -454,8 +436,7 @@ func runOnlineRecover() {
 		log.Fatalf("online recovery run: %v", err)
 	}
 	if res.FinalEpoch == 0 {
-		fmt.Println("the injected fault never fired; the run completed on epoch 0")
-		return
+		log.Fatal("the injected fault never fired; the run completed on epoch 0")
 	}
 	fmt.Printf("  rank loss detected; survivors %v regrouped onto membership epoch %d\n",
 		res.Survivors, res.FinalEpoch)
@@ -488,7 +469,7 @@ func runExpand() {
 	dir, cleanup := checkpointDir()
 	defer cleanup()
 	grow := func() apps.Runtime {
-		rt := resilient(demoRuntime(dir), 150*time.Millisecond)
+		rt := demoRuntime(dir).Resilient(150 * time.Millisecond)
 		rt.Join, rt.Elastic, rt.JoinAfterIter = join, true, *joinAfter
 		return rt
 	}
@@ -592,7 +573,7 @@ func runDegraded() {
 	if io.Redundancy == "" {
 		io.Redundancy = pario.RedundancyParity
 	}
-	met := io.IO.Metrics
+	met := io.Metrics
 
 	base := apps.ADIConfig{NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Runtime: rt}
 	fmt.Printf("phase 1: ADI %dx%d, %d iters on %d ranks, ckpt every iter, %s redundancy\n",
@@ -640,7 +621,7 @@ func runDegraded() {
 	if err := os.WriteFile(rot, buf, 0o644); err != nil {
 		log.Fatal(err)
 	}
-	sum, err := ckpt.Scrub(dir, ckpt.Options{Redundancy: io.Redundancy, FS: io.FS, IO: io.IO})
+	sum, err := ckpt.Scrub(dir, *io)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -745,7 +726,7 @@ func runStraggler() {
 	for _, policy := range policies {
 		cfg := apps.ADIConfig{
 			NX: n, NY: n, Iters: iters, P: p, Mode: apps.ADIDynamic, Validate: true,
-			Alpha: *alpha, Beta: *beta, Runtime: resilient(demoRuntime(""), 250*time.Millisecond),
+			Alpha: *alpha, Beta: *beta, Runtime: demoRuntime("").Resilient(250 * time.Millisecond),
 		}
 		cfg.Liveness = &machine.LivenessConfig{Interval: 5 * time.Millisecond}
 		cfg.Straggler = apps.StragglerConfig{

@@ -148,16 +148,8 @@ ENDDO
 		log.Fatal("-online-recover requires -ckpt-dir")
 	}
 	if *onlineRec || *healthWin > 0 {
-		// The survivors need failure detection to notice a lost rank, and
-		// deadlines so in-flight collectives abort instead of hanging; the
-		// health scorer's work reports ride on the same heartbeats.
-		rt.Liveness = &machine.LivenessConfig{}
-		if rt.CommTimeout == 0 {
-			rt.CommTimeout = 150 * time.Millisecond
-		}
-		if rt.CommRetries == 0 {
-			rt.CommRetries = 2
-		}
+		// The health scorer's work reports ride on the heartbeats too.
+		rt = rt.Resilient(150 * time.Millisecond)
 	}
 	if *recoverRun && *ckptDir == "" {
 		log.Fatal("-recover requires -ckpt-dir")

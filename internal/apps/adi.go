@@ -282,7 +282,7 @@ func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64, lf *
 // chunks, then back-substitutes in the reverse direction.  This is the
 // communication pattern a compiler must generate for the static ADI
 // (paper §4).  Transport failures are returned as wrapped errors (under
-// the machine's CommConfig the pipeline receives run with deadlines).
+// the machine's retry policy the pipeline receives run with deadlines).
 func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTime float64) error {
 	l := v.Local(ctx)
 	rank, np := ctx.Rank(), ctx.NP()
@@ -296,7 +296,7 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 	}
 	data := l.Data()
 	ep := ctx.Endpoint()
-	cfg := ctx.Comm().Config()
+	pol := ctx.Comm().Retry()
 	tr := ctx.Tracer()
 	const fwdTag, bwdTag = 9001, 9002
 
@@ -316,7 +316,7 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 		}
 		in := make([]kernels.SweepState, c1-c0)
 		if prev >= 0 {
-			p, err := msg.RecvRetry(ep, cfg, tr, "pipelined-sweep", prev, fwdTag)
+			p, err := msg.RecvRetry(ep, pol, tr, "pipelined-sweep", prev, fwdTag)
 			if err != nil {
 				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
 			}
@@ -332,7 +332,7 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 		}
 		ctx.Charge(flopTime * float64(5*segN*(c1-c0)))
 		if next < np {
-			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", next, fwdTag, msg.EncodeFloat64s(out)); err != nil {
+			if err := msg.SendRetry(ep, pol, tr, "pipelined-sweep", next, fwdTag, msg.EncodeFloat64s(out)); err != nil {
 				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
 			}
 		}
@@ -345,7 +345,7 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 		}
 		in := make([]kernels.BackState, c1-c0)
 		if next < np {
-			p, err := msg.RecvRetry(ep, cfg, tr, "pipelined-sweep", next, bwdTag)
+			p, err := msg.RecvRetry(ep, pol, tr, "pipelined-sweep", next, bwdTag)
 			if err != nil {
 				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
 			}
@@ -361,7 +361,7 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTim
 		}
 		ctx.Charge(flopTime * float64(3*segN*(c1-c0)))
 		if prev >= 0 {
-			if err := msg.SendRetry(ep, cfg, tr, "pipelined-sweep", prev, bwdTag, msg.EncodeFloat64s(out)); err != nil {
+			if err := msg.SendRetry(ep, pol, tr, "pipelined-sweep", prev, bwdTag, msg.EncodeFloat64s(out)); err != nil {
 				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/ckpt"
+	"repro/internal/msg"
 	"repro/internal/pario"
 )
 
@@ -23,7 +24,8 @@ func degradedIO(t *testing.T, redundancy string) (IOConfig, *pario.Metrics) {
 	return IOConfig{
 		Redundancy: redundancy,
 		FS:         pario.NewFaultFS(pario.OS{}, plan).Rank,
-		IO:         pario.Config{Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond, Metrics: met},
+		Metrics:    met,
+		Retry:      msg.RetryPolicy{Timeout: 2 * time.Second, Retries: 2},
 	}, met
 }
 

@@ -90,6 +90,21 @@ func (rt Runtime) validate() error {
 	return rt.Straggler.validate(rt.Liveness != nil, rt.CommTimeout, rt.CkptDir)
 }
 
+// Resilient is rt for a run that loses, admits or drains ranks: the
+// failure detector on, and deadlines — timeout and two retries unless
+// CommTimeout / CommRetries are already set — so that collectives a lost
+// rank leaves in flight abort instead of hanging.
+func (rt Runtime) Resilient(timeout time.Duration) Runtime {
+	rt.Liveness = &machine.LivenessConfig{}
+	if rt.CommTimeout == 0 {
+		rt.CommTimeout = timeout
+	}
+	if rt.CommRetries == 0 {
+		rt.CommRetries = 2
+	}
+	return rt
+}
+
 // runConfig is what the step loop reads of an app's configuration.
 type runConfig struct {
 	P, Iters    int
@@ -216,7 +231,7 @@ func NewMachine(p int, alpha, beta float64, rt Runtime) (*machine.Machine, error
 	}
 	mopts := []machine.Option{
 		machine.WithTransport(tr),
-		machine.WithCommConfig(msg.RetryPolicy(rt.CommTimeout, rt.CommRetries)),
+		machine.WithRetry(msg.RetryPolicy{Timeout: rt.CommTimeout, Retries: rt.CommRetries}),
 		machine.WithReserve(rt.Join),
 	}
 	if rt.Liveness != nil {
@@ -330,7 +345,6 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 		if testHookStep != nil {
 			testHookStep(ctx, it)
 		}
-		t0 := time.Now()
 		if err := a.step(it); err != nil {
 			return err
 		}
@@ -361,7 +375,7 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 		// Straggler defense: one agreed decision per boundary once the
 		// scorer has had a chance to classify.
 		if sc.mitigating() && !a.mitigated && done >= sc.checkAfter() && done < rc.Iters {
-			dec, view, speeds, err := decideStraggler(ctx, sc, rc.Iters-done, time.Since(t0))
+			dec, view, speeds, err := decideStraggler(ctx, sc)
 			if err != nil {
 				return err
 			}

@@ -332,15 +332,15 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	if rs.Count() > 0 && rs[0].Lo > 1 {
 		recvFrom = d.Owner(index.Point{rs[0].Lo - 1})
 	}
-	cfg := ctx.Comm().Config()
+	pol := ctx.Comm().Retry()
 	tr := ctx.Tracer()
 	if sendTo >= 0 {
-		if err := msg.SendRetry(ep, cfg, tr, "pic-drift", sendTo, driftTag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
+		if err := msg.SendRetry(ep, pol, tr, "pic-drift", sendTo, driftTag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
 			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
 		}
 	}
 	if recvFrom >= 0 {
-		p, err := msg.RecvRetry(ep, cfg, tr, "pic-drift", recvFrom, driftTag)
+		p, err := msg.RecvRetry(ep, pol, tr, "pic-drift", recvFrom, driftTag)
 		if err != nil {
 			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
 		}

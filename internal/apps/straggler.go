@@ -39,9 +39,7 @@ type StragglerConfig struct {
 	//	            speeds (B_BLOCK with the straggler's block shrunk);
 	//	"drain"     checkpoint and voluntarily drain the straggler from
 	//	            the membership (scale-in); survivors replay onto the
-	//	            shrunken view;
-	//	"auto"      let scale.RecommendStraggler pick between them from
-	//	            the measured step time and slowdown.
+	//	            shrunken view.
 	Policy string
 	// CheckAfter is the first iteration boundary at which the members
 	// evaluate the mitigation policy (default 2 — the scorer needs a few
@@ -60,7 +58,7 @@ func (sc StragglerConfig) Enabled() bool { return sc.HealthWindow > 0 }
 
 // mitigating reports whether the policy acts on a Degraded rank (as
 // opposed to observing only).
-func (sc StragglerConfig) mitigating() bool { return sc.Enabled() && sc.mitigatingPolicyName() }
+func (sc StragglerConfig) mitigating() bool { return sc.Enabled() && sc.decide() != scale.Hold }
 
 func (sc StragglerConfig) checkAfter() int {
 	if sc.CheckAfter <= 0 {
@@ -81,15 +79,15 @@ func (sc StragglerConfig) healthConfig() health.Config {
 // surrounding app config.
 func (sc StragglerConfig) validate(haveLiveness bool, commTimeout time.Duration, ckptDir string) error {
 	if !sc.Enabled() {
-		if sc.mitigatingPolicyName() {
+		if sc.decide() != scale.Hold {
 			return fmt.Errorf("apps: straggler policy %q needs HealthWindow > 0 (nothing is measured)", sc.Policy)
 		}
 		return nil
 	}
 	switch sc.Policy {
-	case "", "off", "rebalance", "drain", "auto":
+	case "", "off", "rebalance", "drain":
 	default:
-		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, drain, or auto)", sc.Policy)
+		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, or drain)", sc.Policy)
 	}
 	if !haveLiveness {
 		return errors.New("apps: straggler defense requires Liveness (work reports ride on heartbeats)")
@@ -97,18 +95,10 @@ func (sc StragglerConfig) validate(haveLiveness bool, commTimeout time.Duration,
 	if sc.mitigating() && commTimeout <= 0 {
 		return errors.New("apps: straggler mitigation requires a CommTimeout")
 	}
-	if (sc.Policy == "drain" || sc.Policy == "auto") && ckptDir == "" {
+	if sc.Policy == "drain" && ckptDir == "" {
 		return errors.New("apps: straggler drain requires a CkptDir (survivors replay the checkpoint onto the shrunken view)")
 	}
 	return nil
-}
-
-func (sc StragglerConfig) mitigatingPolicyName() bool {
-	switch sc.Policy {
-	case "rebalance", "drain", "auto":
-		return true
-	}
-	return false
 }
 
 // timed runs a compute section, stretches it on the injected straggler,
@@ -156,12 +146,7 @@ func localElems(ctx *machine.Ctx, v *core.Array) float64 {
 // computes identical weighted bounds).  Returns Hold when no rank is
 // classified Degraded yet — the policy simply re-checks at the next
 // boundary.
-//
-// stepWall is the caller's measured wall time of the last step (used by
-// the "auto" policy to size the cost model); stepsLeft the remaining
-// iteration count.
-func decideStraggler(ctx *machine.Ctx, sc StragglerConfig,
-	stepsLeft int, stepWall time.Duration) (scale.Decision, int, []float64, error) {
+func decideStraggler(ctx *machine.Ctx, sc StragglerConfig) (scale.Decision, int, []float64, error) {
 	var vals []int
 	if ctx.Rank() == 0 {
 		np := ctx.NP()
@@ -170,12 +155,10 @@ func decideStraggler(ctx *machine.Ctx, sc StragglerConfig,
 		for i := range vals[2:] {
 			vals[2+i] = 1e6 // nominal speed
 		}
-		if view, slowdown := ctx.DegradedMember(); view >= 0 && np > 1 {
-			if dec := sc.decide(np, stepsLeft, slowdown, stepWall); dec != scale.Hold {
-				vals[0], vals[1] = int(dec), view
-				for i, sp := range ctx.Machine().Health().Speeds(ctx.Members()) {
-					vals[2+i] = int(sp * 1e6)
-				}
+		if view := ctx.DegradedMember(); view >= 0 && np > 1 {
+			vals[0], vals[1] = int(sc.decide()), view
+			for i, sp := range ctx.Machine().Health().Speeds(ctx.Members()) {
+				vals[2+i] = int(sp * 1e6)
 			}
 		}
 	}
@@ -193,30 +176,14 @@ func decideStraggler(ctx *machine.Ctx, sc StragglerConfig,
 	return scale.Decision(out[0]), out[1], speeds, nil
 }
 
-// decide maps the configured policy to a decision for a rank measured
-// slowdown× slow.  Forced policies skip the cost model; "auto" runs
-// scale.RecommendStraggler on the measured step time split into a
-// nominal compute estimate.
-func (sc StragglerConfig) decide(np, stepsLeft int, slowdown float64, stepWall time.Duration) scale.Decision {
+// decide maps the configured policy to its decision for a Degraded rank:
+// Hold for "" and "off", which observe only.
+func (sc StragglerConfig) decide() scale.Decision {
 	switch sc.Policy {
 	case "rebalance":
 		return scale.Rebalance
 	case "drain":
 		return scale.Drain
-	case "auto":
-		// The measured step wall tracks the straggler's critical path:
-		// nominal (healthy-rank) compute is the wall deflated by the
-		// slowdown.  Comm/Idle are folded into compute — a conservative
-		// split that still separates the three candidate step times.
-		nominal := stepWall.Seconds()
-		if slowdown > 1 {
-			nominal /= slowdown
-		}
-		a := scale.RecommendStraggler(scale.StragglerParams{
-			NP: np, StepsLeft: stepsLeft, Slowdown: slowdown,
-			Step: scale.PerStep{Compute: nominal},
-		})
-		return a.Decision
 	}
 	return scale.Hold
 }

@@ -86,9 +86,11 @@ type Options struct {
 	// injected fault schedules deterministic: pass (*pario.FaultFS).Rank
 	// to put a seeded fault plan under every read and write.
 	FS func(rank int) pario.FS
-	// IO is the per-operation deadline/retry/backoff policy (and metrics
-	// sink) applied to every filesystem operation.
-	IO pario.Config
+	// Metrics, when non-nil, counts the I/O every rank performs.
+	Metrics *pario.Metrics
+	// Retry is the policy every filesystem operation runs under: the
+	// transport's, with the same deadline escalation and backoff.
+	Retry msg.RetryPolicy
 }
 
 func (o Options) withDefaults() Options {
@@ -99,6 +101,12 @@ func (o Options) withDefaults() Options {
 		o.FS = func(int) pario.FS { return pario.OS{} }
 	}
 	return o
+}
+
+// disk is rank's handle on the storage layer under these options (after
+// withDefaults).
+func (o Options) disk(rank int, tr *trace.Tracer) pario.Disk {
+	return pario.Disk{FS: o.FS(rank), Retry: o.Retry, Metrics: o.Metrics, Tracer: tr, Rank: rank}
 }
 
 // Validate rejects malformed options deterministically on every rank.
@@ -292,9 +300,9 @@ func epochsIn(f pario.FS, dir string) ([]int, error) {
 // data file integrity-checks against the manifest, or, for a redundant
 // epoch, the damage is within what redundancy can reconstruct — and
 // which rank files failed their check.
-func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string, man *Manifest) (ok bool, bad []int) {
+func verifyEpoch(d pario.Disk, epochDir string, man *Manifest) (ok bool, bad []int) {
 	set := man.stripeSet(epochDir)
-	h := set.Verify(f, cfg, tr, rank)
+	h := set.Verify(d)
 	return h.Recoverable, h.BadStripes
 }
 
@@ -307,24 +315,24 @@ func verifyEpoch(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epoch
 // bit-rotted checkpoint is invisible here, and the newest complete
 // predecessor wins.
 func LatestEpoch(dir string) (int, *Manifest, error) {
-	epoch, man, _, _, err := latestUsable(pario.OS{}, pario.Config{}, nil, 0, dir)
+	epoch, man, _, _, err := latestUsable(pario.Disk{FS: pario.OS{}}, dir)
 	return epoch, man, err
 }
 
 // latestUsable also reports the data stripes of the chosen epoch that
 // failed verification, and why the newest epoch was passed over (nil
 // when it was not), so a restore that finds nothing can say what it saw.
-func latestUsable(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, dir string) (epoch int, man *Manifest, bad []int, skipped, err error) {
-	epochs, err := epochsIn(f, dir)
+func latestUsable(d pario.Disk, dir string) (epoch int, man *Manifest, bad []int, skipped, err error) {
+	epochs, err := epochsIn(d.FS, dir)
 	if err != nil {
 		return -1, nil, nil, nil, err
 	}
 	for i, n := range epochs {
 		epochDir := filepath.Join(dir, epochDirName(n))
-		man, err := readManifest(f, cfg, tr, rank, epochDir)
+		man, err := readManifest(d, epochDir)
 		if err == nil {
 			var ok bool
-			if ok, bad = verifyEpoch(f, cfg, tr, rank, epochDir, man); !ok {
+			if ok, bad = verifyEpoch(d, epochDir, man); !ok {
 				err = fmt.Errorf("ckpt: %s: data files lost or corrupt beyond redundancy", epochDir)
 			}
 		}
@@ -353,8 +361,8 @@ func maxEpochDir(f pario.FS, dir string) (int, error) {
 	return epochs[0], nil
 }
 
-func readManifest(f pario.FS, cfg pario.Config, tr *trace.Tracer, rank int, epochDir string) (*Manifest, error) {
-	b, err := cfg.ReadFile(f, tr, rank, manifestPath(epochDir))
+func readManifest(d pario.Disk, epochDir string) (*Manifest, error) {
+	b, err := d.ReadFile(manifestPath(epochDir))
 	if err != nil {
 		return nil, err
 	}
@@ -460,7 +468,7 @@ var errPeerFailed = errors.New("ckpt: a peer rank failed")
 
 // agree propagates a local failure to every rank: after it returns nil,
 // every rank knows every other rank succeeded.  The reduction itself runs
-// under the machine's CommConfig, so a rank that died (rather than
+// under the machine's retry policy, so a rank that died (rather than
 // erred) surfaces as a transport error here.
 func agree(ctx *machine.Ctx, local error) error {
 	v := 0

@@ -232,7 +232,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 				}
 				degraded := opts
 				degraded.FS = pario.NewFaultFS(pario.OS{}, plan).Rank
-				degraded.IO = pario.Config{Timeout: 2 * time.Second, Retries: 2, Backoff: time.Millisecond}
+				degraded.Retry = msg.RetryPolicy{Timeout: 2 * time.Second, Retries: 2}
 				repairs := restoreOpts(t, 4, transport, dir, degraded, fill)
 				if tc.repairs && repairs == 0 {
 					t.Error("no rank reported a rank-file reconstruction")
@@ -241,7 +241,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 				// Self-healing: the restore repaired damaged rank files in
 				// place, so a plain Verify of the epoch sees them intact.
 				set := man.stripeSet(EpochDir(dir, epoch))
-				h := set.Verify(pario.OS{}, pario.Config{}, nil, 0)
+				h := set.Verify(pario.Disk{FS: pario.OS{}})
 				if !h.Recoverable || len(h.BadStripes) > 0 {
 					t.Errorf("epoch not healed after restore: %+v", h)
 				}
@@ -372,7 +372,7 @@ func TestScrubHealsCommittedEpochs(t *testing.T) {
 		}
 	}
 	met := &pario.Metrics{}
-	sum, err := Scrub(dir, Options{Redundancy: pario.RedundancyParity, IO: pario.Config{Metrics: met}})
+	sum, err := Scrub(dir, Options{Redundancy: pario.RedundancyParity, Metrics: met})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,9 +51,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	f := opts.FS(rank)
-	cfg := opts.IO
-	tr := ctx.Tracer()
+	d := opts.disk(rank, ctx.Tracer())
 
 	// Rank 0 locates the newest usable epoch — verifying completeness
 	// and falling back past damaged ones — and broadcasts the manifest
@@ -63,7 +61,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	var manBytes []byte
 	var scanErr error
 	if rank == 0 {
-		epoch, man, bad, skipped, err := latestUsable(f, cfg, tr, rank, dir)
+		epoch, man, bad, skipped, err := latestUsable(d, dir)
 		switch {
 		case err != nil:
 			scanErr = err
@@ -149,7 +147,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		if slices.Contains(plan.Bad, r) {
 			read = set.ReadStripe
 		}
-		data, repaired, err := read(f, cfg, tr, rank, r, true)
+		data, repaired, err := read(d, r, true)
 		if err != nil {
 			return err
 		}

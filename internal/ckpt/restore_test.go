@@ -92,8 +92,8 @@ func TestRestoreReadsOwnFile(t *testing.T) {
 		var mu sync.Mutex
 		got := map[int][]string{}
 		opts := Options{
-			IO: pario.Config{Metrics: met},
-			FS: func(r int) pario.FS { return readLog{pario.OS{}, r, &mu, got} },
+			Metrics: met,
+			FS:      func(r int) pario.FS { return readLog{pario.OS{}, r, &mu, got} },
 		}
 		m := machine.New(np)
 		err := m.Run(func(ctx *machine.Ctx) error {

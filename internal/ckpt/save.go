@@ -14,7 +14,6 @@ import (
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/pario"
-	"repro/internal/trace"
 )
 
 // SaveOpts writes one coordinated checkpoint epoch of the given arrays
@@ -38,9 +37,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		return -1, err
 	}
 	opts = opts.withDefaults()
-	f := opts.FS(rank)
-	cfg := opts.IO
-	tr := ctx.Tracer()
+	d := opts.disk(rank, ctx.Tracer())
 
 	// Serialize descriptors first (deterministic: every rank fails
 	// identically on a non-checkpointable distribution).
@@ -68,7 +65,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	epoch := -1
 	var prepErr error
 	if rank == 0 {
-		epoch, prepErr = prepareStaging(f, cfg, tr, dir)
+		epoch, prepErr = prepareStaging(d, dir)
 	}
 	ep, err := ctx.Comm().BcastInts(0, []int{epoch})
 	if err != nil {
@@ -92,7 +89,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	}
 	file := packRankFile(ctx, arrays, epoch, sizes[rank])
 	myCRC := crc32.ChecksumIEEE(file)
-	srv := pario.StartServer(f, cfg, tr, rank)
+	srv := pario.StartServer(d)
 	srv.Write(filepath.Join(staging, rankFileName(rank)), file)
 	if opts.Redundancy == pario.RedundancyReplica {
 		srv.Write(filepath.Join(staging, pario.ReplicaName(rankFileName(rank))), file)
@@ -180,17 +177,17 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		}
 		b, err := json.MarshalIndent(&man, "", "  ")
 		if err == nil {
-			err = cfg.WriteFile(f, tr, rank, manifestPath(staging), b)
+			err = d.WriteFile(manifestPath(staging), b)
 		}
 		if err == nil {
 			// The rename is the commit point: before it the epoch is an
 			// ignorable .tmp directory, after it the manifest and every
 			// checksummed rank file are in place.
-			err = cfg.Rename(f, tr, rank, staging, filepath.Join(dir, epochDirName(epoch)))
+			err = d.Rename(staging, filepath.Join(dir, epochDirName(epoch)))
 		}
 		commitErr = err
 		if commitErr == nil && opts.Keep > 0 {
-			pruneEpochs(f, dir, opts.Keep)
+			pruneEpochs(d.FS, dir, opts.Keep)
 		}
 	}
 	verdict := 0
@@ -230,11 +227,11 @@ func hasChildren(v, np int) bool { return v&1 == 0 && v+1 < np }
 // fold.
 func foldParity(ctx *machine.Ctx, acc []byte, root int, sizes []int, fail func(error)) error {
 	rank, np := ctx.Rank(), ctx.NP()
-	ep, cfg, tr := ctx.Endpoint(), ctx.Comm().Config(), ctx.Tracer()
+	ep, pol, tr := ctx.Endpoint(), ctx.Comm().Retry(), ctx.Tracer()
 	v := (rank - root + np) % np
 	for mask := 1; mask < np; mask <<= 1 {
 		if v&mask != 0 {
-			return msg.SendRetry(ep, cfg, tr, "ckpt-parity", (v-mask+root)%np, parityTag, acc)
+			return msg.SendRetry(ep, pol, tr, "ckpt-parity", (v-mask+root)%np, parityTag, acc)
 		}
 		if v|mask >= np {
 			continue
@@ -244,7 +241,7 @@ func foldParity(ctx *machine.Ctx, acc []byte, root int, sizes []int, fail func(e
 		if hasChildren(v|mask, np) {
 			want = len(acc)
 		}
-		got, err := msg.RecvRetry(ep, cfg, tr, "ckpt-parity", from, parityTag)
+		got, err := msg.RecvRetry(ep, pol, tr, "ckpt-parity", from, parityTag)
 		if err != nil {
 			return err
 		}
@@ -318,30 +315,30 @@ func putBuf(b []byte) {
 // prepareStaging (rank 0 only) creates dir, removes stale staging
 // directories from interrupted runs, picks the next epoch number and
 // creates its staging directory.
-func prepareStaging(f pario.FS, cfg pario.Config, tr *trace.Tracer, dir string) (int, error) {
-	if err := cfg.MkdirAll(f, tr, 0, dir); err != nil {
+func prepareStaging(d pario.Disk, dir string) (int, error) {
+	if err := d.MkdirAll(dir); err != nil {
 		return -1, err
 	}
-	if ents, err := f.ReadDir(dir); err == nil {
+	if ents, err := d.FS.ReadDir(dir); err == nil {
 		for _, e := range ents {
 			if e.IsDir() && stagingDirRe.MatchString(e.Name()) {
 				// Best-effort GC of an interrupted checkpoint's staging
 				// debris; a leftover under this epoch's own name is
 				// cleared again below in any case.
-				_ = f.RemoveAll(filepath.Join(dir, e.Name()))
+				_ = d.FS.RemoveAll(filepath.Join(dir, e.Name()))
 			}
 		}
 	}
-	latest, err := maxEpochDir(f, dir)
+	latest, err := maxEpochDir(d.FS, dir)
 	if err != nil {
 		return -1, err
 	}
 	epoch := latest + 1
 	staging := filepath.Join(dir, stagingDirName(epoch))
-	if err := f.RemoveAll(staging); err != nil {
+	if err := d.FS.RemoveAll(staging); err != nil {
 		return -1, err
 	}
-	if err := cfg.MkdirAll(f, tr, 0, staging); err != nil {
+	if err := d.MkdirAll(staging); err != nil {
 		return -1, err
 	}
 	return epoch, nil

@@ -3,8 +3,6 @@ package ckpt
 import (
 	"fmt"
 	"path/filepath"
-
-	"repro/internal/trace"
 )
 
 // ScrubSummary reports a Scrub pass over a checkpoint directory.
@@ -36,24 +34,21 @@ func Scrub(dir string, opts Options) (*ScrubSummary, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults()
-	f := opts.FS(0)
-	cfg := opts.IO
-	var tr *trace.Tracer
-
-	epochs, err := epochsIn(f, dir)
+	d := opts.disk(0, nil)
+	epochs, err := epochsIn(d.FS, dir)
 	if err != nil {
 		return nil, err
 	}
 	sum := &ScrubSummary{}
 	for _, n := range epochs {
 		epochDir := filepath.Join(dir, epochDirName(n))
-		man, err := readManifest(f, cfg, tr, 0, epochDir)
+		man, err := readManifest(d, epochDir)
 		if err != nil {
 			continue // uncommitted or damaged epoch: not scrubbable
 		}
 		sum.Epochs++
 		set := man.stripeSet(epochDir)
-		rep, err := set.Scrub(f, cfg, tr, 0)
+		rep, err := set.Scrub(d)
 		if err != nil {
 			return sum, fmt.Errorf("ckpt: scrubbing %s: %w", epochDir, err)
 		}

@@ -15,7 +15,7 @@ import (
 // barrier, bcast, gather, alltoallv, ghost exchange, redistribute — under
 // an injected send error, a delivery delay, and a dropped frame, on both
 // transports.  Every cell must either complete after retry (send errors
-// and delays heal under the deadline/retry CommConfig) or return a wrapped
+// and delays heal under the retry policy) or return a wrapped
 // error naming the operation and a rank (drops are unrecoverable: only the
 // deadline unblocks the receiver).  Nothing may panic.  A redistribute
 // has no global commit: each rank ends it holding either the new
@@ -107,8 +107,8 @@ func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []
 		base = msg.NewChanTransport(np)
 	}
 	ft := msg.NewFaultTransport(base, plan)
-	cfg := msg.CommConfig{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond}
-	m := machine.New(np, machine.WithTransport(ft), machine.WithCommConfig(cfg))
+	cfg := msg.RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 3}
+	m := machine.New(np, machine.WithTransport(ft), machine.WithRetry(cfg))
 	defer m.Close()
 
 	errs := make([]error, np)

@@ -19,11 +19,11 @@ import (
 // for a rank that was busy and nonzero for a corpse.
 func TestWireGaugeCrossEpoch(t *testing.T) {
 	lc := machine.LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond}
-	cc := msg.CommConfig{Timeout: 150 * time.Millisecond, Retries: 2, MaxTimeout: 250 * time.Millisecond}
+	cc := msg.RetryPolicy{Timeout: 150 * time.Millisecond, Retries: 2}
 	plan := &msg.FaultPlan{Rules: []msg.FaultRule{{Kind: msg.FaultDrop, Rank: 2, Peer: -1, After: 0}}}
 	m := machine.New(4,
 		machine.WithTransport(msg.NewFaultTransport(msg.NewChanTransport(4), plan)),
-		machine.WithLiveness(lc), machine.WithCommConfig(cc))
+		machine.WithLiveness(lc), machine.WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
 		var err error

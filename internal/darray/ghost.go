@@ -26,7 +26,7 @@ import (
 // computation with the exchange.  Programmer errors (ghost exchange on a
 // non-contiguous dimension) panic; transport failures are returned as
 // errors wrapping the underlying cause.  The exchange runs under the
-// machine's msg.CommConfig deadline/retry policy, so a lost face
+// machine's msg.RetryPolicy, so a lost face
 // surfaces as a wrapped timeout instead of blocking forever.
 func (a *Array) ExchangeGhosts(ctx *machine.Ctx, k int) error {
 	h, err := a.StartExchangeGhosts(ctx, k)

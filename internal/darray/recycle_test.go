@@ -248,8 +248,8 @@ func TestRecycledStorageFailedExchange(t *testing.T) {
 					base = tcp
 				}
 				ft := msg.NewFaultTransport(base, plan)
-				cfg := msg.CommConfig{Timeout: 20 * time.Millisecond, Retries: 3, Backoff: time.Millisecond}
-				m := machine.New(np, machine.WithTransport(ft), machine.WithCommConfig(cfg))
+				cfg := msg.RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 3}
+				m := machine.New(np, machine.WithTransport(ft), machine.WithRetry(cfg))
 				defer m.Close()
 				var failed atomic.Int32
 				if err := m.Run(func(ctx *machine.Ctx) error {

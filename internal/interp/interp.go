@@ -621,7 +621,7 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 func (st *State) drainDecision() (int, error) {
 	vals := []int{-1}
 	if st.Ctx.Rank() == 0 {
-		vals[0], _ = st.Ctx.DegradedMember()
+		vals[0] = st.Ctx.DegradedMember()
 	}
 	out, err := st.Ctx.Comm().BcastInts(0, vals)
 	if err != nil {

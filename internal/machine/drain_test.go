@@ -17,7 +17,7 @@ import (
 // whole succeeds — a voluntary departure is not an abort.
 func TestDrainShrinksEpoch(t *testing.T) {
 	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithCommConfig(cc))
+	m := New(4, WithLiveness(lc), WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
 		if err := ctx.Barrier(); err != nil {
@@ -117,7 +117,7 @@ func TestDrainedRunLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
 		lc, cc := hbCfg()
-		m := New(4, WithLiveness(lc), WithCommConfig(cc), WithHealth(health.Config{}))
+		m := New(4, WithLiveness(lc), WithRetry(cc), WithHealth(health.Config{}))
 		err := m.Run(func(ctx *Ctx) error {
 			ctx.ReportWork(1, time.Millisecond)
 			if err := ctx.Barrier(); err != nil {
@@ -150,7 +150,7 @@ func TestDrainedRunLeaksNoGoroutines(t *testing.T) {
 // shared scorer, and the 8× rank is the one classified Degraded.
 func TestHealthPiggyback(t *testing.T) {
 	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithCommConfig(cc),
+	m := New(4, WithLiveness(lc), WithRetry(cc),
 		WithHealth(health.Config{Window: 4, DegradedRatio: 2, SuspectRatio: 50, Hysteresis: 2}))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
@@ -209,7 +209,7 @@ func TestDrainValidation(t *testing.T) {
 	}
 
 	lc, cc := hbCfg()
-	m2 := New(2, WithLiveness(lc), WithCommConfig(cc))
+	m2 := New(2, WithLiveness(lc), WithRetry(cc))
 	defer m2.Close()
 	err = m2.Run(func(ctx *Ctx) error {
 		if err := ctx.Drain(7); err == nil {

@@ -112,8 +112,8 @@ func (c *Ctx) AwaitJoin() error {
 	if !c.reserved {
 		return errors.New("machine: AwaitJoin on a non-reserved rank")
 	}
-	if m.commCfg.Timeout <= 0 {
-		return errors.New("machine: AwaitJoin requires a CommConfig Timeout (the same machinery Regroup needs)")
+	if m.retry.Timeout <= 0 {
+		return errors.New("machine: AwaitJoin requires a retry Timeout (the same machinery Regroup needs)")
 	}
 	myPhys := c.rank
 	tr := m.Tracer()
@@ -146,7 +146,7 @@ func (c *Ctx) AwaitJoin() error {
 			c.rank = myView
 			c.reserved = false
 			c.comm = msg.NewComm(msg.NewView(ep, epoch, members, m.epochCheck(members)))
-			c.comm.SetConfig(m.commCfg)
+			c.comm.SetRetry(m.retry)
 			c.collSeq = 0
 			if tr != nil {
 				tr.Instant(myPhys, trace.CatPhase, fmt.Sprintf("epoch:%d", epoch), myView, int64(len(members)))

@@ -17,7 +17,7 @@ func joinMachine(t *testing.T, base, reserve int, plan *msg.FaultPlan) *Machine 
 	if plan != nil {
 		tr = msg.NewFaultTransport(tr, plan)
 	}
-	return New(base, WithReserve(reserve), WithTransport(tr), WithLiveness(lc), WithCommConfig(cc))
+	return New(base, WithReserve(reserve), WithTransport(tr), WithLiveness(lc), WithRetry(cc))
 }
 
 // TestJoinAdmit: a reserved rank registers via AwaitJoin; the two active
@@ -149,7 +149,7 @@ func TestRegroupTwoDeadSameWindow(t *testing.T) {
 		{Kind: msg.FaultDrop, Rank: 3, Peer: -1, After: 0},
 	}}
 	m := New(5, WithTransport(msg.NewFaultTransport(msg.NewChanTransport(5), plan)),
-		WithLiveness(lc), WithCommConfig(cc))
+		WithLiveness(lc), WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
 		var err error

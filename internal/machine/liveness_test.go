@@ -11,15 +11,15 @@ import (
 
 // hbCfg is a liveness/retry configuration tuned so tests detect a dead
 // rank well before a blocked collective exhausts its retries.
-func hbCfg() (LivenessConfig, msg.CommConfig) {
+func hbCfg() (LivenessConfig, msg.RetryPolicy) {
 	return LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond},
-		msg.CommConfig{Timeout: 150 * time.Millisecond, Retries: 2, MaxTimeout: 250 * time.Millisecond}
+		msg.RetryPolicy{Timeout: 150 * time.Millisecond, Retries: 2}
 }
 
 // TestLivenessAllAlive: a healthy run declares no one dead.
 func TestLivenessAllAlive(t *testing.T) {
 	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithCommConfig(cc))
+	m := New(4, WithLiveness(lc), WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
 		time.Sleep(3 * lc.Window) // give heartbeats several windows
@@ -44,7 +44,7 @@ func TestLivenessDetectsSilentRank(t *testing.T) {
 	}
 	lc, cc := hbCfg()
 	ft := msg.NewFaultTransport(msg.NewChanTransport(4), plan)
-	m := New(4, WithTransport(ft), WithLiveness(lc), WithCommConfig(cc))
+	m := New(4, WithTransport(ft), WithLiveness(lc), WithRetry(cc))
 	defer m.Close()
 	err = m.Run(func(ctx *Ctx) error {
 		// Rank 2's sends all vanish, so this collective cannot complete;
@@ -97,7 +97,7 @@ func TestErroringRunLeaksNoGoroutines(t *testing.T) {
 	lc, cc := hbCfg()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		m := New(4, WithLiveness(lc), WithCommConfig(cc))
+		m := New(4, WithLiveness(lc), WithRetry(cc))
 		err := m.Run(func(ctx *Ctx) error {
 			if ctx.Rank() == 1 {
 				return errors.New("injected body failure")

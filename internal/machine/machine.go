@@ -37,7 +37,7 @@ type Machine struct {
 	np        int // total physical ranks: base + reserved
 	base      int // initially active ranks (epoch 0 membership)
 	transport msg.Transport
-	commCfg   msg.CommConfig
+	retry     msg.RetryPolicy
 	liveness  *LivenessConfig
 	det       *detector
 	joins     *joinReg
@@ -94,7 +94,7 @@ type config struct {
 	transport msg.Transport
 	cost      *msg.CostModel
 	tracer    *trace.Tracer
-	comm      msg.CommConfig
+	retry     msg.RetryPolicy
 	liveness  *LivenessConfig
 	reserve   int
 	health    *health.Config
@@ -121,11 +121,11 @@ func WithTrace(tr *trace.Tracer) Option {
 	return func(c *config) { c.tracer = tr }
 }
 
-// WithCommConfig installs a deadline/retry policy on every processor's
-// collectives (see msg.CommConfig).  The zero config blocks forever, the
-// historical behaviour.
-func WithCommConfig(cc msg.CommConfig) Option {
-	return func(c *config) { c.comm = cc }
+// WithRetry installs a retry policy on every processor's collectives
+// (see msg.RetryPolicy).  The zero policy blocks forever, the historical
+// behaviour.
+func WithRetry(pol msg.RetryPolicy) Option {
+	return func(c *config) { c.retry = pol }
 }
 
 // WithReserve provisions extra transport slots for processors that may
@@ -133,7 +133,7 @@ func WithCommConfig(cc msg.CommConfig) Option {
 // sized base+extra, the reserved ranks run the SPMD body with
 // Ctx.Reserved() == true and park in Ctx.AwaitJoin until the active
 // membership admits them into an epoch (Ctx.Admit, or a Regroup that
-// finds them pending).  Requires WithLiveness and a CommConfig Timeout —
+// finds them pending).  Requires WithLiveness and a retry Timeout —
 // the same machinery a Regroup needs.
 func WithReserve(extra int) Option {
 	return func(c *config) { c.reserve = extra }
@@ -181,7 +181,7 @@ func New(np int, opts ...Option) *Machine {
 		np:        total,
 		base:      np,
 		transport: tr,
-		commCfg:   cfg.comm,
+		retry:     cfg.retry,
 		liveness:  cfg.liveness,
 		objects:   make(map[int64]*collEntry),
 		procs:     make(map[string]*ProcArray),
@@ -361,7 +361,7 @@ func (m *Machine) newCtx(rank int) *Ctx {
 		// AwaitJoin installs the first admitted view.
 		c.reserved = true
 		c.comm = msg.NewComm(ep)
-		c.comm.SetConfig(m.commCfg)
+		c.comm.SetRetry(m.retry)
 		return c
 	}
 	if m.det != nil {
@@ -378,7 +378,7 @@ func (m *Machine) newCtx(rank int) *Ctx {
 	} else {
 		c.comm = msg.NewComm(ep)
 	}
-	c.comm.SetConfig(m.commCfg)
+	c.comm.SetRetry(m.retry)
 	return c
 }
 

@@ -293,14 +293,14 @@ func TestBarrierErrorOnClosedTransport(t *testing.T) {
 	}
 }
 
-// TestCommConfigInstalled: WithCommConfig must reach every rank's Comm.
+// TestCommConfigInstalled: WithRetry must reach every rank's Comm.
 func TestCommConfigInstalled(t *testing.T) {
-	cc := msg.CommConfig{Timeout: 123 * time.Millisecond, Retries: 5, Backoff: time.Millisecond}
-	m := New(2, WithCommConfig(cc))
+	cc := msg.RetryPolicy{Timeout: 123 * time.Millisecond, Retries: 5}
+	m := New(2, WithRetry(cc))
 	defer m.Close()
 	if err := m.Run(func(ctx *Ctx) error {
-		if got := ctx.Comm().Config(); got != cc {
-			t.Errorf("rank %d: comm config = %+v, want %+v", ctx.Rank(), got, cc)
+		if got := ctx.Comm().Retry(); got != cc {
+			t.Errorf("rank %d: retry policy = %+v, want %+v", ctx.Rank(), got, cc)
 		}
 		return nil
 	}); err != nil {

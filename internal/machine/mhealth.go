@@ -30,23 +30,22 @@ func WithHealth(hc health.Config) Option {
 func (m *Machine) Health() *health.Scorer { return m.health }
 
 // DegradedMember is the view rank of the current membership's worst
-// member the health scorer classifies Degraded or worse, and its
-// slowdown against the median rank; view is -1 without a scorer or when
-// no member is degraded.
-func (c *Ctx) DegradedMember() (view int, slowdown float64) {
+// member the health scorer classifies Degraded or worse; -1 without a
+// scorer or when no member is degraded.
+func (c *Ctx) DegradedMember() int {
 	if c.m.health == nil {
-		return -1, 0
+		return -1
 	}
 	members := c.Members()
-	worst, class, slowdown, ok := c.m.health.Worst(members)
+	worst, class, _, ok := c.m.health.Worst(members)
 	if ok && class >= health.Degraded {
 		for i, p := range members {
 			if p == worst {
-				return i, slowdown
+				return i
 			}
 		}
 	}
-	return -1, 0
+	return -1
 }
 
 // workLog is the machine-shared cumulative work counters, indexed by

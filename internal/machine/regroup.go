@@ -37,19 +37,10 @@ func (m *Machine) epochCheck(phys []int) func() error {
 
 // regroupBudget is the per-round agreement deadline: generous enough
 // that a survivor still unwinding from an aborted epoch-e operation (at
-// worst one full escalated receive per the CommConfig) joins the round
-// before anyone suspects it.
+// worst one receive retried to exhaustion) joins the round before anyone
+// suspects it.
 func (m *Machine) regroupBudget() time.Duration {
-	attempt := m.commCfg.MaxTimeout
-	if attempt <= 0 {
-		shift := m.commCfg.Retries
-		if shift > 10 {
-			shift = 10
-		}
-		attempt = m.commCfg.Timeout << shift
-	}
-	budget := time.Duration(m.commCfg.Retries+1)*attempt + m.liveness.Window + 250*time.Millisecond
-	return budget
+	return m.retry.MaxWait() + m.liveness.Window + 250*time.Millisecond
 }
 
 // encodeMasks packs the suspected-dead, pending-join, and pending-drain
@@ -101,7 +92,7 @@ func decodeMasks(data []byte, np int) (suspect, join, drain []bool) {
 //
 // On the dead rank itself (the detector is shared, so a rank sees its
 // own death) Regroup returns ErrExcluded, which the body must return.
-// Regroup requires WithLiveness and a CommConfig Timeout (a dead rank's
+// Regroup requires WithLiveness and a retry Timeout (a dead rank's
 // goroutine can only unwind through receive deadlines).
 //
 // All survivors must call Regroup (SPMD discipline); it is collective
@@ -144,8 +135,8 @@ func (c *Ctx) transition(kind transKind) error {
 	if m.det == nil {
 		return errors.New("machine: Regroup requires WithLiveness")
 	}
-	if m.commCfg.Timeout <= 0 {
-		return errors.New("machine: Regroup requires a CommConfig Timeout (dead ranks unwind through receive deadlines)")
+	if m.retry.Timeout <= 0 {
+		return errors.New("machine: Regroup requires a retry Timeout (dead ranks unwind through receive deadlines)")
 	}
 	myPhys := c.phys[c.rank]
 	tr := m.Tracer()
@@ -367,7 +358,7 @@ func (c *Ctx) transition(kind transKind) error {
 	c.phys = members
 	c.rank = myView
 	c.comm = msg.NewComm(msg.NewView(ep, newEpoch, members, m.epochCheck(members)))
-	c.comm.SetConfig(m.commCfg)
+	c.comm.SetRetry(m.retry)
 	c.collSeq = 0
 	if tr != nil {
 		tr.Instant(myPhys, trace.CatPhase, fmt.Sprintf("epoch:%d", newEpoch), myView, int64(len(members)))

@@ -25,7 +25,7 @@ func regroupMachine(t *testing.T, plan *msg.FaultPlan) *Machine {
 	if plan != nil {
 		tr = msg.NewFaultTransport(tr, plan)
 	}
-	return New(4, WithTransport(tr), WithLiveness(lc), WithCommConfig(cc))
+	return New(4, WithTransport(tr), WithLiveness(lc), WithRetry(cc))
 }
 
 // TestRegroupAfterKill: rank 2 goes permanently silent mid-run; the
@@ -129,7 +129,7 @@ func TestRegroupRequiresLivenessAndTimeout(t *testing.T) {
 	defer m2.Close()
 	err = m2.Run(func(ctx *Ctx) error { return ctx.Regroup() })
 	if err == nil {
-		t.Fatal("Regroup without a CommConfig timeout should fail")
+		t.Fatal("Regroup without a retry timeout should fail")
 	}
 }
 

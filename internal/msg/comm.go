@@ -8,50 +8,51 @@ import (
 	"repro/internal/trace"
 )
 
-// CommConfig bounds how long a collective may wait on the transport.  The
-// zero value preserves the historical behaviour: block forever, fail only
-// when the transport errors.
+// RetryPolicy bounds how long an operation may wait on the transport (or,
+// in internal/pario, on the disk).  The zero value preserves the
+// historical behaviour: block forever, fail only when the operation
+// errors.
 //
-// With a Timeout set, every receive inside a collective runs under a
-// deadline; a timed-out or failed operation is retried up to Retries times
-// with exponential escalation (the deadline doubles per attempt, and
-// failed sends sleep Backoff<<attempt between attempts) before the
-// collective returns a wrapped error naming the collective and rank.
+// With a Timeout set, every receive runs under a deadline; a timed-out or
+// failed operation is retried up to Retries times before the caller gets
+// a wrapped error naming the operation and rank.  The deadline doubles
+// per attempt up to 4×Timeout, and a failed attempt sleeps 1 ms doubling
+// to 16 ms before the next, so a retrying operation never waits
+// unboundedly longer than the detector needs to declare a rank dead.
 // Errors that cannot heal (ErrClosed, ErrIntegrity — the corrupt frame
 // is already consumed) are never retried.
-type CommConfig struct {
-	// Timeout is the per-receive deadline inside collectives; 0 means
-	// wait forever.
+type RetryPolicy struct {
+	// Timeout is the first attempt's deadline; 0 means wait forever.
 	Timeout time.Duration
 	// Retries is the number of extra attempts after the first failure.
 	Retries int
-	// Backoff is the initial sleep between failed send attempts; it
-	// doubles per retry.  0 means retry immediately.
-	Backoff time.Duration
-	// MaxTimeout caps the escalated per-receive deadline: no retry ever
-	// waits longer than this, however many attempts have failed.  0 means
-	// no explicit cap (the escalation still saturates rather than
-	// overflowing).
-	MaxTimeout time.Duration
-	// MaxBackoff likewise caps the escalated sleep between failed send
-	// attempts.
-	MaxBackoff time.Duration
 }
 
-// RetryPolicy is the deadline/retry policy the apps and vfrun run under:
-// the given per-receive timeout and retry count, a 1 ms initial backoff,
-// the escalated deadline capped at 4×timeout and the escalated backoff
-// at 16 ms, so a retrying collective never waits unboundedly longer than
-// the detector needs to declare a rank dead.  With neither a timeout
-// nor retries it is the zero config (block forever).
-func RetryPolicy(timeout time.Duration, retries int) CommConfig {
-	if timeout <= 0 && retries <= 0 {
-		return CommConfig{}
-	}
-	return CommConfig{
-		Timeout: timeout, Retries: retries, Backoff: time.Millisecond,
-		MaxTimeout: 4 * timeout, MaxBackoff: 16 * time.Millisecond,
-	}
+// The escalation every RetryPolicy runs: the deadline grows to at most
+// maxDeadlineFactor×Timeout, the sleep between attempts from baseBackoff
+// to maxBackoff.
+const (
+	maxDeadlineFactor = 4
+	baseBackoff       = time.Millisecond
+	maxBackoff        = 16 * time.Millisecond
+)
+
+// Deadline returns the deadline of attempt (0-based): Timeout doubled per
+// attempt, capped at 4×Timeout.  0 means wait forever.
+func (p RetryPolicy) Deadline(attempt int) time.Duration {
+	return escalate(p.Timeout, attempt, maxDeadlineFactor*p.Timeout)
+}
+
+// Backoff returns the sleep before retry attempt+1: 1 ms doubled per
+// attempt, capped at 16 ms.
+func (RetryPolicy) Backoff(attempt int) time.Duration {
+	return escalate(baseBackoff, attempt, maxBackoff)
+}
+
+// MaxWait bounds the deadlines one operation retried to exhaustion waits
+// through: (Retries+1)·4·Timeout.
+func (p RetryPolicy) MaxWait() time.Duration {
+	return time.Duration(p.Retries+1) * maxDeadlineFactor * p.Timeout
 }
 
 // maxEscalateShift saturates the exponential deadline/backoff escalation so
@@ -74,12 +75,6 @@ func escalate(d time.Duration, attempt int, max time.Duration) time.Duration {
 	return e
 }
 
-// BackoffDelay returns the sleep before retry attempt+1: Backoff doubled
-// per attempt, capped at MaxBackoff.
-func (cfg CommConfig) BackoffDelay(attempt int) time.Duration {
-	return escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
-}
-
 // liveChecker is the optional endpoint facet consulted before every
 // retry attempt: a non-nil error (typically machine.ErrEpochRevoked from
 // an epoch View) aborts the operation immediately instead of letting it
@@ -100,10 +95,10 @@ func terminal(err error) bool {
 	return errors.Is(err, ErrClosed) || errors.Is(err, ErrIntegrity)
 }
 
-// SendRetry sends with the config's bounded-retry policy, wrapping any
-// terminal error with the operation name and sending rank.  Each retry is
-// recorded as a "retry:<op>" instant on the tracer (when non-nil).
-func SendRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, to, tag int, data []byte) error {
+// SendRetry sends under the retry policy, wrapping any terminal error
+// with the operation name and sending rank.  Each retry is recorded as a
+// "retry:<op>" instant on the tracer (when non-nil).
+func SendRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, to, tag int, data []byte) error {
 	for attempt := 0; ; attempt++ {
 		if err := checkLive(ep); err != nil {
 			return fmt.Errorf("msg: %s: rank %d: send to %d: %w", op, ep.Rank(), to, err)
@@ -112,46 +107,42 @@ func SendRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, to, tag
 		if err == nil {
 			return nil
 		}
-		if attempt >= cfg.Retries || terminal(err) {
+		if attempt >= pol.Retries || terminal(err) {
 			return fmt.Errorf("msg: %s: rank %d: send to %d: %w", op, ep.Rank(), to, err)
 		}
 		if tr != nil {
 			tr.Instant(ep.Rank(), trace.CatCollective, "retry:"+op, to, int64(attempt+1))
 		}
-		if cfg.Backoff > 0 {
-			time.Sleep(cfg.BackoffDelay(attempt))
-		}
+		time.Sleep(pol.Backoff(attempt))
 	}
 }
 
-// RecvRetry receives with the config's deadline/bounded-retry policy,
-// wrapping any terminal error with the operation name and receiving rank.
-// With no Timeout configured it blocks forever (but still retries
-// recoverable receive errors up to Retries times).
-func RecvRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, from, tag int) (Packet, error) {
+// RecvRetry receives under the retry policy, wrapping any terminal error
+// with the operation name and receiving rank.  With no Timeout it blocks
+// forever (but still retries recoverable receive errors up to Retries
+// times).
+func RecvRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, from, tag int) (Packet, error) {
 	for attempt := 0; ; attempt++ {
 		if err := checkLive(ep); err != nil {
 			return Packet{}, fmt.Errorf("msg: %s: rank %d: recv from %d: %w", op, ep.Rank(), from, err)
 		}
 		var p Packet
 		var err error
-		if cfg.Timeout > 0 {
-			p, err = ep.RecvTimeout(from, tag, escalate(cfg.Timeout, attempt, cfg.MaxTimeout))
+		if pol.Timeout > 0 {
+			p, err = ep.RecvTimeout(from, tag, pol.Deadline(attempt))
 		} else {
 			p, err = ep.Recv(from, tag)
 		}
 		if err == nil {
 			return p, nil
 		}
-		if attempt >= cfg.Retries || terminal(err) {
+		if attempt >= pol.Retries || terminal(err) {
 			return Packet{}, fmt.Errorf("msg: %s: rank %d: recv from %d: %w", op, ep.Rank(), from, err)
 		}
 		if tr != nil {
 			tr.Instant(ep.Rank(), trace.CatCollective, "retry:"+op, from, int64(attempt+1))
 		}
-		if cfg.Backoff > 0 {
-			time.Sleep(cfg.BackoffDelay(attempt))
-		}
+		time.Sleep(pol.Backoff(attempt))
 	}
 }
 
@@ -167,7 +158,7 @@ func RecvRetry(ep Endpoint, cfg CommConfig, tr *trace.Tracer, op string, from, t
 type Comm struct {
 	ep  Endpoint
 	tr  *trace.Tracer
-	cfg CommConfig
+	pol RetryPolicy
 	seq int64
 }
 
@@ -181,22 +172,21 @@ func NewComm(ep Endpoint) *Comm {
 	return c
 }
 
-// SetConfig installs the deadline/retry policy for this Comm's
-// collectives.  Every processor of an SPMD program must install the same
-// config (collective counts stay aligned either way, but retry behaviour
-// should be uniform).
-func (c *Comm) SetConfig(cfg CommConfig) { c.cfg = cfg }
+// SetRetry installs the retry policy for this Comm's collectives.  Every
+// processor of an SPMD program must install the same policy (collective
+// counts stay aligned either way, but retry behaviour should be uniform).
+func (c *Comm) SetRetry(pol RetryPolicy) { c.pol = pol }
 
-// Config returns the installed deadline/retry policy.
-func (c *Comm) Config() CommConfig { return c.cfg }
+// Retry returns the installed retry policy.
+func (c *Comm) Retry() RetryPolicy { return c.pol }
 
 // send/recv are the retrying transport ops all collectives go through.
 func (c *Comm) send(op string, to, tag int, data []byte) error {
-	return SendRetry(c.ep, c.cfg, c.tr, op, to, tag, data)
+	return SendRetry(c.ep, c.pol, c.tr, op, to, tag, data)
 }
 
 func (c *Comm) recv(op string, from, tag int) (Packet, error) {
-	return RecvRetry(c.ep, c.cfg, c.tr, op, from, tag)
+	return RecvRetry(c.ep, c.pol, c.tr, op, from, tag)
 }
 
 // span opens a collective-category trace span.  Call sites guard on

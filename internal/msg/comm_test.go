@@ -471,7 +471,7 @@ func TestAllreduceEachAllocs(t *testing.T) {
 func TestAllreduceEachLengthMismatch(t *testing.T) {
 	tr := NewChanTransport(3)
 	defer tr.Close()
-	for r, err := range runWindowRanks(tr, CommConfig{}, func(c *Comm) error {
+	for r, err := range runWindowRanks(tr, RetryPolicy{}, func(c *Comm) error {
 		_, err := c.AllreduceEach([]float64{1, 2}, SumF64)
 		return err
 	}) {
@@ -482,7 +482,7 @@ func TestAllreduceEachLengthMismatch(t *testing.T) {
 	if n := tr.Stats().Snapshot().TotalMsgs(); n != 0 {
 		t.Errorf("%d messages sent for a call that must fail up front", n)
 	}
-	errs := runWindowRanks(tr, CommConfig{Timeout: 50 * time.Millisecond}, func(c *Comm) error {
+	errs := runWindowRanks(tr, RetryPolicy{Timeout: 50 * time.Millisecond}, func(c *Comm) error {
 		vals, ops := []float64{1, 2}, []func(a, b float64) float64{SumF64, MaxF64}
 		if c.Rank() == 2 {
 			vals, ops = append(vals, 3), append(ops, math.Min)

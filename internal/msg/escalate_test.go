@@ -36,23 +36,28 @@ func TestEscalateCap(t *testing.T) {
 
 // TestRecvRetryHonorsMaxTimeout: a retry chain with an aggressive Timeout
 // and many Retries must not stall for escalated deadlines beyond
-// MaxTimeout — a regression test for the formerly unbounded doubling.
+// 4×Timeout — a regression test for the formerly unbounded doubling.
 func TestRecvRetryHonorsMaxTimeout(t *testing.T) {
 	tr := NewChanTransport(2)
 	defer tr.Close()
-	cfg := CommConfig{
-		Timeout:    2 * time.Millisecond,
-		Retries:    6, // uncapped escalation would wait 2+4+...+128 ms
-		MaxTimeout: 4 * time.Millisecond,
+	pol := RetryPolicy{Timeout: time.Millisecond, Retries: 8}
+	for attempt, want := range []time.Duration{1, 2, 4, 4, 4, 4, 4, 4, 4} {
+		if got := pol.Deadline(attempt); got != want*time.Millisecond {
+			t.Fatalf("Deadline(%d) = %v, want %v", attempt, got, want*time.Millisecond)
+		}
+	}
+	if got, want := pol.MaxWait(), 9*4*time.Millisecond; got != want {
+		t.Fatalf("MaxWait = %v, want %v", got, want)
 	}
 	start := time.Now()
-	_, err := RecvRetry(tr.Endpoint(0), cfg, nil, "test", 1, 7)
+	_, err := RecvRetry(tr.Endpoint(0), pol, nil, "test", 1, 7)
 	elapsed := time.Since(start)
 	if err == nil {
 		t.Fatal("receive with no sender should fail")
 	}
-	// Uncapped: 2+4+8+16+32+64+128 = 254ms.  Capped: 2+4+4*5 = 26ms.
-	if elapsed > 150*time.Millisecond {
-		t.Fatalf("retry chain took %v; MaxTimeout cap not applied", elapsed)
+	// Deadlines uncapped: 1+2+...+256 = 511ms.  Capped: 1+2+4·7 = 31ms,
+	// plus 79ms of backoff sleeps.
+	if elapsed > 300*time.Millisecond {
+		t.Fatalf("retry chain took %v; 4×Timeout cap not applied", elapsed)
 	}
 }

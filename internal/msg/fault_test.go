@@ -115,7 +115,7 @@ func TestFaultRecvDelayHealsViaEscalatingDeadline(t *testing.T) {
 		t.Fatalf("short recv = %v, want ErrTimeout", err)
 	}
 	// ...but RecvRetry's escalating deadline eventually sees it
-	cfg := CommConfig{Timeout: 5 * time.Millisecond, Retries: 6}
+	cfg := RetryPolicy{Timeout: 5 * time.Millisecond, Retries: 6}
 	p, err := RecvRetry(ft.Endpoint(1), cfg, nil, "probe", 0, 5)
 	if err != nil || DecodeInts(p.Data)[0] != 9 {
 		t.Fatalf("RecvRetry: packet %+v err %v", p, err)
@@ -145,7 +145,7 @@ func TestSendRetryTerminalErrorNamesOpAndRank(t *testing.T) {
 		Rules: []FaultRule{{Kind: FaultSendErr, Rank: 0, Peer: -1}}, // Count 0: persistent
 	})
 	defer ft.Close()
-	err := SendRetry(ft.Endpoint(0), CommConfig{Retries: 2}, nil, "ghost-exchange", 1, 7, nil)
+	err := SendRetry(ft.Endpoint(0), RetryPolicy{Retries: 2}, nil, "ghost-exchange", 1, 7, nil)
 	if err == nil || !errors.Is(err, ErrInjected) {
 		t.Fatalf("err = %v, want wrapped ErrInjected", err)
 	}
@@ -215,7 +215,7 @@ func TestCollectiveTimeoutUnderDelay(t *testing.T) {
 		Rules: []FaultRule{{Kind: FaultRecvDelay, Rank: 0, Peer: -1, Delay: time.Second}},
 	})
 	defer ft.Close()
-	cfg := CommConfig{Timeout: 5 * time.Millisecond, Retries: 1}
+	cfg := RetryPolicy{Timeout: 5 * time.Millisecond, Retries: 1}
 	errs := make([]error, 2)
 	var wg sync.WaitGroup
 	for r := 0; r < 2; r++ {
@@ -223,7 +223,7 @@ func TestCollectiveTimeoutUnderDelay(t *testing.T) {
 		go func(r int) {
 			defer wg.Done()
 			c := NewComm(ft.Endpoint(r))
-			c.SetConfig(cfg)
+			c.SetRetry(cfg)
 			errs[r] = c.Barrier()
 		}(r)
 	}
@@ -247,9 +247,9 @@ func TestCollectiveHealsAfterTransientSendErr(t *testing.T) {
 		Rules: []FaultRule{{Kind: FaultSendErr, Rank: 0, Peer: -1, Count: 2}},
 	})
 	defer ft.Close()
-	cfg := CommConfig{Timeout: 100 * time.Millisecond, Retries: 4, Backoff: time.Millisecond}
+	cfg := RetryPolicy{Timeout: 100 * time.Millisecond, Retries: 4}
 	runCommsOn(t, ft, func(c *Comm) error {
-		c.SetConfig(cfg)
+		c.SetRetry(cfg)
 		var buf []byte
 		if c.Rank() == 0 {
 			buf = EncodeInts([]int{31337})

@@ -79,7 +79,7 @@ func TestIntegrityRecvRetrySurfacesNamedError(t *testing.T) {
 	if err := it.Endpoint(0).Send(1, 9001, EncodeInts([]int{7})); err != nil {
 		t.Fatal(err)
 	}
-	cfg := CommConfig{Timeout: 50 * time.Millisecond, Retries: 8}
+	cfg := RetryPolicy{Timeout: 50 * time.Millisecond, Retries: 8}
 	start := time.Now()
 	_, err = RecvRetry(it.Endpoint(1), cfg, nil, "recv", 0, 9001)
 	if !errors.Is(err, ErrIntegrity) {

@@ -104,14 +104,14 @@ func TestSlowFaultArmDisarm(t *testing.T) {
 	}
 }
 
-// TestBackoffDelayEscalates: the sleep before each retry is the plain
-// deterministic escalation of Backoff, capped at MaxBackoff.
+// TestBackoffDelayEscalates: the sleep before each retry is 1 ms doubled
+// per attempt, capped at 16 ms, whatever the policy.
 func TestBackoffDelayEscalates(t *testing.T) {
-	cfg := CommConfig{Backoff: time.Millisecond, MaxBackoff: 16 * time.Millisecond}
-	for attempt := 0; attempt < 8; attempt++ {
-		want := escalate(cfg.Backoff, attempt, cfg.MaxBackoff)
-		if got := cfg.BackoffDelay(attempt); got != want {
-			t.Fatalf("attempt %d: BackoffDelay = %v, want plain escalate %v", attempt, got, want)
+	for _, pol := range []RetryPolicy{{}, {Timeout: time.Second, Retries: 9}} {
+		for attempt, want := range []time.Duration{1, 2, 4, 8, 16, 16, 16} {
+			if got := pol.Backoff(attempt); got != want*time.Millisecond {
+				t.Fatalf("%+v: Backoff(%d) = %v, want %v", pol, attempt, got, want*time.Millisecond)
+			}
 		}
 	}
 }

@@ -133,7 +133,7 @@ func TestViewCheckLiveAbortsRetry(t *testing.T) {
 		}
 		return nil
 	})
-	cfg := CommConfig{Timeout: 20 * time.Millisecond, Retries: 5}
+	cfg := RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 5}
 	dead = true
 	start := time.Now()
 	_, err := RecvRetry(v, cfg, nil, "test", 1, 9001)

@@ -348,7 +348,7 @@ func (w *Window) Settle(c *Comm) error {
 	sh := &w.shared[c.Rank()]
 	for from, n := range sh.owed {
 		for ; n > 0; n-- {
-			if _, err := RecvRetry(c.ep, c.cfg, c.tr, w.opDone, from, w.tag(doneSubtag)); err != nil {
+			if _, err := RecvRetry(c.ep, c.pol, c.tr, w.opDone, from, w.tag(doneSubtag)); err != nil {
 				sh.owed[from] = n
 				return w.opErr("settle with", from, err)
 			}
@@ -431,7 +431,7 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 		// Direct copy first, then the notification token: the token's
 		// delivery is the happens-before edge that publishes the copy.
 		copyRect(tbuf, dst, sh.data, src)
-		if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, tag, nil); err != nil {
+		if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, tag, nil); err != nil {
 			return w.opErr("put to", to, err)
 		}
 		w.accountDirect(c.ep, rank, to, 8*src.Count())
@@ -441,7 +441,7 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 		return nil
 	}
 	sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opPut, to, tag, sh.sendBuf); err != nil {
+	if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, tag, sh.sendBuf); err != nil {
 		return w.opErr("put to", to, err)
 	}
 	return nil
@@ -453,7 +453,7 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 // one (from, subtag) stream match puts in their issue order.
 func (w *Window) AwaitPut(c *Comm, from, subtag int, dst Rect) error {
 	w.checkSubtag("await", subtag)
-	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opAwait, from, w.tag(subtag))
+	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opAwait, from, w.tag(subtag))
 	if err != nil {
 		return w.opErr("await put from", from, err)
 	}
@@ -504,7 +504,7 @@ func (w *Window) Offer(c *Comm, to, subtag int, src Rect) error {
 		sh.sendBuf = PackRect(sh.sendBuf[:0], sh.offered, src)
 		return w.OfferPacked(c, to, subtag, sh.sendBuf)
 	}
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
+	if err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("offer to", to, err)
 	}
 	sh.owed[to]++
@@ -524,7 +524,7 @@ func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
 	w.checkSubtag("offer", subtag)
 	prank, n := physOf(c.ep, c.Rank()), int64(len(payload))
 	w.stats.WireAcquire(prank, n)
-	err := SendRetry(c.ep, c.cfg, c.tr, w.opOffer, to, w.tag(subtag), payload)
+	err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), payload)
 	w.stats.WireRelease(prank, n)
 	if err != nil {
 		return w.opErr("offer to", to, err)
@@ -551,7 +551,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 	if err := dr.validate(len(dst)); err != nil {
 		return w.opErr("pull from", from, err)
 	}
-	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opPull, from, w.tag(subtag))
+	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opPull, from, w.tag(subtag))
 	if err != nil {
 		return w.opErr("pull from", from, err)
 	}
@@ -579,7 +579,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 		w.cost.OnRecv(prank, p.SendClock, n)
 	}
 	c.tr.Recv(prank, physOf(c.ep, from), n)
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opDone, from, w.tag(doneSubtag), nil); err != nil {
+	if err := SendRetry(c.ep, c.pol, c.tr, w.opDone, from, w.tag(doneSubtag), nil); err != nil {
 		return w.opErr("pull from", from, err)
 	}
 	return nil
@@ -589,7 +589,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 // packet, whose Data the caller owns and hands back with p.Release.
 func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 	w.checkSubtag("pull", subtag)
-	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opPull, from, w.tag(subtag))
+	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opPull, from, w.tag(subtag))
 	if err != nil {
 		return Packet{}, w.opErr("pull from", from, err)
 	}
@@ -603,7 +603,7 @@ func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 // complete in issue order.
 func (w *Window) Signal(c *Comm, to, subtag int) error {
 	w.checkSubtag("signal", subtag)
-	if err := SendRetry(c.ep, c.cfg, c.tr, w.opSignal, to, w.tag(subtag), nil); err != nil {
+	if err := SendRetry(c.ep, c.pol, c.tr, w.opSignal, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("signal to", to, err)
 	}
 	return nil
@@ -612,7 +612,7 @@ func (w *Window) Signal(c *Comm, to, subtag int) error {
 // AwaitSignal completes one Signal from rank from on the given subtag.
 func (w *Window) AwaitSignal(c *Comm, from, subtag int) error {
 	w.checkSubtag("signal", subtag)
-	p, err := RecvRetry(c.ep, c.cfg, c.tr, w.opSignal, from, w.tag(subtag))
+	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opSignal, from, w.tag(subtag))
 	if err != nil {
 		return w.opErr("await signal from", from, err)
 	}

@@ -31,7 +31,7 @@ func withWindowTransports(t *testing.T, np int, f func(t *testing.T, tr Transpor
 
 // runWindowRanks is runCommsOn without the fatal-on-error policy: fault
 // tests need the per-rank errors back to assert on their shape.
-func runWindowRanks(tr Transport, cfg CommConfig, body func(c *Comm) error) []error {
+func runWindowRanks(tr Transport, pol RetryPolicy, body func(c *Comm) error) []error {
 	errs := make([]error, tr.NP())
 	var wg sync.WaitGroup
 	for r := 0; r < tr.NP(); r++ {
@@ -39,7 +39,7 @@ func runWindowRanks(tr Transport, cfg CommConfig, body func(c *Comm) error) []er
 		go func(r int) {
 			defer wg.Done()
 			c := NewComm(tr.Endpoint(r))
-			c.SetConfig(cfg)
+			c.SetRetry(pol)
 			errs[r] = body(c)
 		}(r)
 	}
@@ -281,7 +281,7 @@ func TestWindowRevokedEpochAborts(t *testing.T) {
 	revoked := errors.New("membership epoch revoked")
 	v := NewView(tr.Endpoint(0), 1, []int{0, 1}, func() error { return revoked })
 	c := NewComm(v)
-	c.SetConfig(CommConfig{Timeout: 50 * time.Millisecond, Retries: 1})
+	c.SetRetry(RetryPolicy{Timeout: 50 * time.Millisecond, Retries: 1})
 
 	err := win.PutAsync(c, 1, 1, RectRun(0, 2), RectRun(0, 2))
 	if !errors.Is(err, revoked) {
@@ -319,7 +319,7 @@ func TestWindowStaleEpochTagNeverMatches(t *testing.T) {
 	// Rank 1 awaits under epoch 1: the epoch-0 token must not match.
 	v1 := NewView(tr.Endpoint(1), 1, []int{0, 1}, nil)
 	c1 := NewComm(v1)
-	c1.SetConfig(CommConfig{Timeout: 30 * time.Millisecond, Retries: 1})
+	c1.SetRetry(RetryPolicy{Timeout: 30 * time.Millisecond, Retries: 1})
 	err := win.AwaitPut(c1, 0, 1, RectRun(0, 2))
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("await across epochs = %v, want ErrTimeout (stale tag must not match)", err)
@@ -362,12 +362,7 @@ func faultMatrixSetup(t *testing.T, tcp bool, plan string) (Transport, func()) {
 
 // windowFaultCfg keeps fault-matrix cases fast: short deadlines, a couple
 // of escalating retries.
-var windowFaultCfg = CommConfig{
-	Timeout:    25 * time.Millisecond,
-	Retries:    3,
-	Backoff:    time.Millisecond,
-	MaxTimeout: 200 * time.Millisecond,
-}
+var windowFaultCfg = RetryPolicy{Timeout: 25 * time.Millisecond, Retries: 3}
 
 // windowFaultBody is the canonical two-rank put/await exchange used by
 // the fault-matrix cases.  The leading barrier proves win=1 rules leave

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/msg"
 )
 
 const goodFaultPlan = "eio,op=write,path=stripe-,rank=1,after=2,count=3;stall,delay=20ms,every=4;seed=7;bitrot,op=read,prob=0.5"
@@ -196,16 +198,15 @@ func TestTornRename(t *testing.T) {
 	}
 }
 
-// TestStallTimeoutRetry drives a stalled write through Config's deadline:
+// TestStallTimeoutRetry drives a stalled write through Disk's deadline:
 // the first attempt exceeds Timeout, the retry hits a clean device.
 func TestStallTimeoutRetry(t *testing.T) {
 	dir := t.TempDir()
 	ff := NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultStall, Op: "write", Rank: -1, Count: 1, Delay: 200 * time.Millisecond}}})
-	f := ff.Rank(0)
 	met := &Metrics{}
-	cfg := Config{Timeout: 20 * time.Millisecond, Retries: 2, Metrics: met}
+	d := Disk{FS: ff.Rank(0), Retry: msg.RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 2}, Metrics: met}
 	p := filepath.Join(dir, "f")
-	if err := cfg.WriteFile(f, nil, 0, p, []byte("ok")); err != nil {
+	if err := d.WriteFile(p, []byte("ok")); err != nil {
 		t.Fatalf("stalled write did not heal on retry: %v", err)
 	}
 	if met.Retries.Load() == 0 {
@@ -219,14 +220,33 @@ func TestStallTimeoutRetry(t *testing.T) {
 	}
 }
 
+// TestStallDeadlineEscalates: a device that stalls every write for longer
+// than Timeout but less than twice it heals on the first retry, because
+// the retry's deadline doubles as on the wire.  A fixed per-attempt
+// deadline times out on every attempt.
+func TestStallDeadlineEscalates(t *testing.T) {
+	dir := t.TempDir()
+	const stall = 150 * time.Millisecond
+	ff := NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultStall, Op: "write", Rank: -1, Delay: stall}}})
+	met := &Metrics{}
+	d := Disk{FS: ff.Rank(0), Retry: msg.RetryPolicy{Timeout: 100 * time.Millisecond, Retries: 1}, Metrics: met}
+	p := filepath.Join(dir, "f")
+	if err := d.WriteFile(p, []byte("ok")); err != nil {
+		t.Fatalf("stalled write did not heal under the escalated deadline: %v", err)
+	}
+	if got := met.Retries.Load(); got != 1 {
+		t.Fatalf("retries = %d, want 1", got)
+	}
+	time.Sleep(stall) // let the timed-out first attempt land before cleanup
+}
+
 func TestRetryHealsEIO(t *testing.T) {
 	dir := t.TempDir()
 	ff := NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultEIO, Op: "write", Rank: -1, Count: 2}}})
-	f := ff.Rank(0)
 	met := &Metrics{}
-	cfg := Config{Retries: 2, Backoff: time.Millisecond, Metrics: met}
+	d := Disk{FS: ff.Rank(0), Retry: msg.RetryPolicy{Retries: 2}, Metrics: met}
 	p := filepath.Join(dir, "f")
-	if err := cfg.WriteFile(f, nil, 0, p, []byte("ok")); err != nil {
+	if err := d.WriteFile(p, []byte("ok")); err != nil {
 		t.Fatalf("EIO did not heal within the retry budget: %v", err)
 	}
 	if got := met.Retries.Load(); got != 2 {
@@ -237,7 +257,8 @@ func TestRetryHealsEIO(t *testing.T) {
 	}
 	// A persistent fault exhausts the budget and surfaces.
 	ff = NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultEIO, Op: "write", Rank: -1}}})
-	if err := cfg.WriteFile(ff.Rank(0), nil, 0, p, []byte("ok")); !errors.Is(err, ErrInjected) {
+	d.FS = ff.Rank(0)
+	if err := d.WriteFile(p, []byte("ok")); !errors.Is(err, ErrInjected) {
 		t.Fatalf("persistent EIO = %v, want ErrInjected", err)
 	}
 }

@@ -7,8 +7,9 @@
 //     checkpoint paths perform, with FaultFS — a deterministic, seedable
 //     fault injector (I/O errors, short writes, torn renames, silent bit
 //     rot, stalls) sharing the plan syntax of msg.FaultTransport;
-//   - Config, a CommConfig-style timeout/retry/backoff policy applied to
-//     each I/O operation, with "io:" trace spans and retry instants;
+//   - Disk, one rank's handle that runs each I/O operation under the
+//     transport's msg.RetryPolicy, with "io:" trace spans and retry
+//     instants;
 //   - Extract, which reads the part of a recorded grid's payload that a
 //     sub-grid covers, run by run;
 //   - redundancy and self-healing (StripeSet): the data files of a set
@@ -65,7 +66,7 @@ func (OS) RemoveAll(path string) error { return os.RemoveAll(path) }
 // ReadDir delegates to os.ReadDir.
 func (OS) ReadDir(path string) ([]fs.DirEntry, error) { return os.ReadDir(path) }
 
-// Metrics counts what the I/O layer did; attach one to a Config to
+// Metrics counts what the I/O layer did; attach one to a Disk to
 // observe a run.  All fields are safe for concurrent update.
 type Metrics struct {
 	BytesWritten atomic.Int64

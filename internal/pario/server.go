@@ -1,25 +1,18 @@
 package pario
 
-import (
-	"sync"
-
-	"repro/internal/trace"
-)
+import "sync"
 
 // Server is one dedicated I/O server goroutine: a rank hands completed
 // write jobs (its own file, its replica, the parity) to its server and
 // goes back to the
 // collective protocol (checksum gathers, manifest agreement) while the
 // bytes drain to disk.  Writes execute in submission order under the
-// server's Config; the first failure is remembered and later jobs are
+// server's Disk; the first failure is remembered and later jobs are
 // skipped (the epoch cannot commit anyway, and skipping keeps fault
 // schedules deterministic).  Close joins the goroutine — no Server ever
 // outlives its Save.
 type Server struct {
-	f    FS
-	cfg  Config
-	tr   *trace.Tracer
-	rank int
+	d Disk
 
 	jobs chan writeJob
 	done sync.WaitGroup
@@ -33,9 +26,9 @@ type writeJob struct {
 	data []byte
 }
 
-// StartServer launches the I/O server goroutine for one rank.
-func StartServer(f FS, cfg Config, tr *trace.Tracer, rank int) *Server {
-	s := &Server{f: f, cfg: cfg, tr: tr, rank: rank, jobs: make(chan writeJob, 4)}
+// StartServer launches the I/O server goroutine for d's rank.
+func StartServer(d Disk) *Server {
+	s := &Server{d: d, jobs: make(chan writeJob, 4)}
 	s.done.Add(1)
 	go s.loop()
 	return s
@@ -47,7 +40,7 @@ func (s *Server) loop() {
 		if s.Err() != nil {
 			continue // drain: a failed epoch skips the remaining writes
 		}
-		if err := s.cfg.WriteFile(s.f, s.tr, s.rank, j.path, j.data); err != nil {
+		if err := s.d.WriteFile(j.path, j.data); err != nil {
 			s.mu.Lock()
 			if s.err == nil {
 				s.err = err

@@ -116,8 +116,8 @@ type StripeSet struct {
 
 // checkedRead reads and integrity-checks one file against its recorded
 // size and CRC; any mismatch (or a missing file) comes back as an error.
-func (s *StripeSet) checkedRead(f FS, cfg Config, tr *trace.Tracer, rank int, name string, size int64, crc uint32) ([]byte, error) {
-	data, err := cfg.ReadFile(f, tr, rank, filepath.Join(s.Dir, name))
+func (s *StripeSet) checkedRead(d Disk, name string, size int64, crc uint32) ([]byte, error) {
+	data, err := d.ReadFile(filepath.Join(s.Dir, name))
 	if err != nil {
 		return nil, err
 	}
@@ -130,23 +130,23 @@ func (s *StripeSet) checkedRead(f FS, cfg Config, tr *trace.Tracer, rank int, na
 // reconstruct rebuilds data stripe i from the redundancy stripes: the
 // replica copy in replica mode, the XOR of every other stripe plus
 // parity in parity mode.
-func (s *StripeSet) reconstruct(f FS, cfg Config, tr *trace.Tracer, rank, i int) ([]byte, error) {
+func (s *StripeSet) reconstruct(d Disk, i int) ([]byte, error) {
 	info := s.Stripes[i]
 	switch s.Redundancy {
 	case RedundancyReplica:
-		data, err := s.checkedRead(f, cfg, tr, rank, ReplicaName(info.Name), info.Size, info.CRC)
+		data, err := s.checkedRead(d, ReplicaName(info.Name), info.Size, info.CRC)
 		if err != nil {
 			return nil, fmt.Errorf("pario: stripe %d unrecoverable (replica also damaged): %w", i, err)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Reconstructions.Add(1)
+		if d.Metrics != nil {
+			d.Metrics.Reconstructions.Add(1)
 		}
 		return data, nil
 	case RedundancyParity:
 		if s.Parity == nil {
 			return nil, fmt.Errorf("pario: stripe %d unrecoverable (no parity stripe recorded)", i)
 		}
-		acc, err := s.checkedRead(f, cfg, tr, rank, s.Parity.Name, s.Parity.Size, s.Parity.CRC)
+		acc, err := s.checkedRead(d, s.Parity.Name, s.Parity.Size, s.Parity.CRC)
 		if err != nil {
 			return nil, fmt.Errorf("pario: stripe %d unrecoverable (parity damaged): %w", i, err)
 		}
@@ -156,7 +156,7 @@ func (s *StripeSet) reconstruct(f FS, cfg Config, tr *trace.Tracer, rank, i int)
 			if j == i {
 				continue
 			}
-			data, err := s.checkedRead(f, cfg, tr, rank, other.Name, other.Size, other.CRC)
+			data, err := s.checkedRead(d, other.Name, other.Size, other.CRC)
 			if err != nil {
 				return nil, fmt.Errorf("pario: stripe %d unrecoverable (stripe %d also damaged): %w", i, j, err)
 			}
@@ -166,8 +166,8 @@ func (s *StripeSet) reconstruct(f FS, cfg Config, tr *trace.Tracer, rank, i int)
 		if crc32.ChecksumIEEE(data) != info.CRC {
 			return nil, fmt.Errorf("pario: stripe %d: parity reconstruction fails its checksum (multiple damaged files)", i)
 		}
-		if cfg.Metrics != nil {
-			cfg.Metrics.Reconstructions.Add(1)
+		if d.Metrics != nil {
+			d.Metrics.Reconstructions.Add(1)
 		}
 		return data, nil
 	}
@@ -178,19 +178,19 @@ func (s *StripeSet) reconstruct(f FS, cfg Config, tr *trace.Tracer, rank, i int)
 // a rank-unique temporary name and is renamed into place, so concurrent
 // repairs by several restoring ranks (always with identical bytes) are
 // benign.
-func (s *StripeSet) repairFile(f FS, cfg Config, tr *trace.Tracer, rank int, name string, data []byte) error {
+func (s *StripeSet) repairFile(d Disk, name string, data []byte) error {
 	path := filepath.Join(s.Dir, name)
-	tmp := fmt.Sprintf("%s.repair.%d", path, rank)
-	if err := cfg.WriteFile(f, tr, rank, tmp, data); err != nil {
+	tmp := fmt.Sprintf("%s.repair.%d", path, d.Rank)
+	if err := d.WriteFile(tmp, data); err != nil {
 		return err
 	}
-	if err := cfg.Rename(f, tr, rank, tmp, path); err != nil {
+	if err := d.Rename(tmp, path); err != nil {
 		return err
 	}
-	if cfg.Metrics != nil {
-		cfg.Metrics.Repairs.Add(1)
+	if d.Metrics != nil {
+		d.Metrics.Repairs.Add(1)
 	}
-	tr.Instant(rank, trace.CatIO, "io:repair "+name, -1, int64(len(data)))
+	d.Tracer.Instant(d.Rank, trace.CatIO, "io:repair "+name, -1, int64(len(data)))
 	return nil
 }
 
@@ -198,18 +198,18 @@ func (s *StripeSet) repairFile(f FS, cfg Config, tr *trace.Tracer, rank int, nam
 // or missing stripe file is reconstructed from redundancy; with repair
 // set the reconstruction is also written back in place (self-healing
 // restore).  repaired reports whether a reconstruction happened.
-func (s *StripeSet) ReadStripe(f FS, cfg Config, tr *trace.Tracer, rank, i int, repair bool) (data []byte, repaired bool, err error) {
+func (s *StripeSet) ReadStripe(d Disk, i int, repair bool) (data []byte, repaired bool, err error) {
 	info := s.Stripes[i]
-	data, err = s.checkedRead(f, cfg, tr, rank, info.Name, info.Size, info.CRC)
+	data, err = s.checkedRead(d, info.Name, info.Size, info.CRC)
 	if err == nil {
 		return data, false, nil
 	}
-	data, rerr := s.reconstruct(f, cfg, tr, rank, i)
+	data, rerr := s.reconstruct(d, i)
 	if rerr != nil {
 		return nil, false, fmt.Errorf("%v; %w", err, rerr)
 	}
 	if repair {
-		if werr := s.repairFile(f, cfg, tr, rank, info.Name, data); werr != nil {
+		if werr := s.repairFile(d, info.Name, data); werr != nil {
 			return nil, true, fmt.Errorf("pario: repairing stripe %d: %w", i, werr)
 		}
 	}
@@ -219,13 +219,13 @@ func (s *StripeSet) ReadStripe(f FS, cfg Config, tr *trace.Tracer, rank, i int, 
 // ReadIntact is ReadStripe for a stripe an earlier Verify found intact:
 // it reads the file and checks its size but not its CRC.  A file that no
 // longer reads, or whose size changed since, goes the ReadStripe way.
-func (s *StripeSet) ReadIntact(f FS, cfg Config, tr *trace.Tracer, rank, i int, repair bool) (data []byte, repaired bool, err error) {
+func (s *StripeSet) ReadIntact(d Disk, i int, repair bool) (data []byte, repaired bool, err error) {
 	info := s.Stripes[i]
-	data, err = cfg.ReadFile(f, tr, rank, filepath.Join(s.Dir, info.Name))
+	data, err = d.ReadFile(filepath.Join(s.Dir, info.Name))
 	if err == nil && int64(len(data)) == info.Size {
 		return data, false, nil
 	}
-	return s.ReadStripe(f, cfg, tr, rank, i, repair)
+	return s.ReadStripe(d, i, repair)
 }
 
 // Health reports a Verify pass over a stripe set.
@@ -242,21 +242,21 @@ type Health struct {
 
 // Verify integrity-checks every file of the set without modifying
 // anything.
-func (s *StripeSet) Verify(f FS, cfg Config, tr *trace.Tracer, rank int) Health {
+func (s *StripeSet) Verify(d Disk) Health {
 	var h Health
 	for i, info := range s.Stripes {
-		if _, err := s.checkedRead(f, cfg, tr, rank, info.Name, info.Size, info.CRC); err != nil {
+		if _, err := s.checkedRead(d, info.Name, info.Size, info.CRC); err != nil {
 			h.BadStripes = append(h.BadStripes, i)
 		}
 		if s.Redundancy == RedundancyReplica {
-			if _, err := s.checkedRead(f, cfg, tr, rank, ReplicaName(info.Name), info.Size, info.CRC); err != nil {
+			if _, err := s.checkedRead(d, ReplicaName(info.Name), info.Size, info.CRC); err != nil {
 				h.BadAux = append(h.BadAux, ReplicaName(info.Name))
 			}
 		}
 	}
 	parityOK := true
 	if s.Redundancy == RedundancyParity && s.Parity != nil {
-		if _, err := s.checkedRead(f, cfg, tr, rank, s.Parity.Name, s.Parity.Size, s.Parity.CRC); err != nil {
+		if _, err := s.checkedRead(d, s.Parity.Name, s.Parity.Size, s.Parity.CRC); err != nil {
 			h.BadAux = append(h.BadAux, s.Parity.Name)
 			parityOK = false
 		}
@@ -298,24 +298,24 @@ type ScrubReport struct {
 // recomputed from the (now intact) data stripes, and damaged replicas
 // are recopied from their primaries.  Unrecoverable damage is reported,
 // not an error — the caller decides whether a degraded epoch is fatal.
-func (s *StripeSet) Scrub(f FS, cfg Config, tr *trace.Tracer, rank int) (ScrubReport, error) {
-	sp := tr.BeginSpan(rank, trace.CatIO, "io:scrub")
+func (s *StripeSet) Scrub(d Disk) (ScrubReport, error) {
+	sp := d.Tracer.BeginSpan(d.Rank, trace.CatIO, "io:scrub")
 	defer sp.End()
 	var rep ScrubReport
 	intact := make([][]byte, len(s.Stripes))
 	for i, info := range s.Stripes {
 		rep.Checked++
-		data, err := s.checkedRead(f, cfg, tr, rank, info.Name, info.Size, info.CRC)
+		data, err := s.checkedRead(d, info.Name, info.Size, info.CRC)
 		if err == nil {
 			intact[i] = data
 			continue
 		}
-		data, rerr := s.reconstruct(f, cfg, tr, rank, i)
+		data, rerr := s.reconstruct(d, i)
 		if rerr != nil {
 			rep.Unrecoverable = append(rep.Unrecoverable, info.Name)
 			continue
 		}
-		if werr := s.repairFile(f, cfg, tr, rank, info.Name, data); werr != nil {
+		if werr := s.repairFile(d, info.Name, data); werr != nil {
 			return rep, werr
 		}
 		intact[i] = data
@@ -325,14 +325,14 @@ func (s *StripeSet) Scrub(f FS, cfg Config, tr *trace.Tracer, rank int) (ScrubRe
 	case RedundancyReplica:
 		for i, info := range s.Stripes {
 			rep.Checked++
-			if _, err := s.checkedRead(f, cfg, tr, rank, ReplicaName(info.Name), info.Size, info.CRC); err == nil {
+			if _, err := s.checkedRead(d, ReplicaName(info.Name), info.Size, info.CRC); err == nil {
 				continue
 			}
 			if intact[i] == nil {
 				rep.Unrecoverable = append(rep.Unrecoverable, ReplicaName(info.Name))
 				continue
 			}
-			if werr := s.repairFile(f, cfg, tr, rank, ReplicaName(info.Name), intact[i]); werr != nil {
+			if werr := s.repairFile(d, ReplicaName(info.Name), intact[i]); werr != nil {
 				return rep, werr
 			}
 			rep.Repaired = append(rep.Repaired, ReplicaName(info.Name))
@@ -342,7 +342,7 @@ func (s *StripeSet) Scrub(f FS, cfg Config, tr *trace.Tracer, rank int) (ScrubRe
 			break
 		}
 		rep.Checked++
-		if _, err := s.checkedRead(f, cfg, tr, rank, s.Parity.Name, s.Parity.Size, s.Parity.CRC); err == nil {
+		if _, err := s.checkedRead(d, s.Parity.Name, s.Parity.Size, s.Parity.CRC); err == nil {
 			break
 		}
 		buf := make([]byte, s.Parity.Size)
@@ -358,7 +358,7 @@ func (s *StripeSet) Scrub(f FS, cfg Config, tr *trace.Tracer, rank int) (ScrubRe
 			rep.Unrecoverable = append(rep.Unrecoverable, s.Parity.Name)
 			break
 		}
-		if werr := s.repairFile(f, cfg, tr, rank, s.Parity.Name, buf); werr != nil {
+		if werr := s.repairFile(d, s.Parity.Name, buf); werr != nil {
 			return rep, werr
 		}
 		rep.Repaired = append(rep.Repaired, s.Parity.Name)

@@ -58,13 +58,13 @@ func TestParityReconstructAndRepair(t *testing.T) {
 	a, b, c := []byte("aaaaaaaa"), []byte("bbbb"), []byte("cccccc")
 	set := writeSet(t, dir, RedundancyParity, a, b, c)
 	met := &Metrics{}
-	cfg := Config{Metrics: met}
+	d := Disk{FS: OS{}, Metrics: met}
 
 	// Delete one stripe: ReadStripe reconstructs from parity and heals.
 	if err := os.Remove(filepath.Join(dir, set.Stripes[1].Name)); err != nil {
 		t.Fatal(err)
 	}
-	data, repaired, err := set.ReadStripe(OS{}, cfg, nil, 0, 1, true)
+	data, repaired, err := set.ReadStripe(d, 1, true)
 	if err != nil || !repaired || string(data) != "bbbb" {
 		t.Fatalf("ReadStripe = %q, repaired=%v, err=%v", data, repaired, err)
 	}
@@ -76,27 +76,27 @@ func TestParityReconstructAndRepair(t *testing.T) {
 	}
 
 	// An intact read afterwards does not reconstruct again.
-	if _, repaired, err = set.ReadStripe(OS{}, cfg, nil, 0, 1, true); err != nil || repaired {
+	if _, repaired, err = set.ReadStripe(d, 1, true); err != nil || repaired {
 		t.Fatalf("post-heal read repaired=%v err=%v", repaired, err)
 	}
 
 	// Corrupt (not delete) a different stripe: same outcome, repair off
 	// leaves the damage in place.
 	corrupt(t, filepath.Join(dir, set.Stripes[2].Name))
-	data, repaired, err = set.ReadStripe(OS{}, cfg, nil, 0, 2, false)
+	data, repaired, err = set.ReadStripe(d, 2, false)
 	if err != nil || !repaired || string(data) != "cccccc" {
 		t.Fatalf("ReadStripe(corrupt) = %q, repaired=%v, err=%v", data, repaired, err)
 	}
-	if h := set.Verify(OS{}, cfg, nil, 0); len(h.BadStripes) != 1 || h.BadStripes[0] != 2 || !h.Recoverable {
+	if h := set.Verify(d); len(h.BadStripes) != 1 || h.BadStripes[0] != 2 || !h.Recoverable {
 		t.Fatalf("Verify after no-repair read = %+v", h)
 	}
 
 	// Two damaged data files exceed single-parity redundancy.
 	corrupt(t, filepath.Join(dir, set.Stripes[0].Name))
-	if _, _, err := set.ReadStripe(OS{}, cfg, nil, 0, 0, false); err == nil {
+	if _, _, err := set.ReadStripe(d, 0, false); err == nil {
 		t.Fatal("double damage must be unrecoverable in parity mode")
 	}
-	if h := set.Verify(OS{}, cfg, nil, 0); h.Recoverable {
+	if h := set.Verify(d); h.Recoverable {
 		t.Fatal("Verify calls a double-damaged parity set recoverable")
 	}
 }
@@ -104,21 +104,21 @@ func TestParityReconstructAndRepair(t *testing.T) {
 func TestReplicaReconstruct(t *testing.T) {
 	dir := t.TempDir()
 	set := writeSet(t, dir, RedundancyReplica, []byte("aaaaaaaa"), []byte("bbbb"))
-	cfg := Config{}
+	d := Disk{FS: OS{}}
 
 	// Lose a primary: the replica serves and heals it.
 	os.Remove(filepath.Join(dir, set.Stripes[0].Name))
-	data, repaired, err := set.ReadStripe(OS{}, cfg, nil, 0, 0, true)
+	data, repaired, err := set.ReadStripe(d, 0, true)
 	if err != nil || !repaired || string(data) != "aaaaaaaa" {
 		t.Fatalf("ReadStripe = %q, repaired=%v, err=%v", data, repaired, err)
 	}
 	// Lose a primary AND its replica: unrecoverable.
 	os.Remove(filepath.Join(dir, set.Stripes[1].Name))
 	os.Remove(filepath.Join(dir, ReplicaName(set.Stripes[1].Name)))
-	if _, _, err := set.ReadStripe(OS{}, cfg, nil, 0, 1, true); err == nil {
+	if _, _, err := set.ReadStripe(d, 1, true); err == nil {
 		t.Fatal("primary+replica loss must be unrecoverable")
 	}
-	if h := set.Verify(OS{}, cfg, nil, 0); h.Recoverable {
+	if h := set.Verify(d); h.Recoverable {
 		t.Fatalf("Verify = %+v, want unrecoverable", h)
 	}
 }
@@ -156,14 +156,14 @@ func TestVerifyMatrix(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			set := writeSet(t, dir, tc.redundancy, []byte("aaaaaaaa"), []byte("bbbbbbbb"))
-			clean := set.Verify(OS{}, Config{}, nil, 0)
+			clean := set.Verify(Disk{FS: OS{}})
 			if !intact(clean) || !clean.Recoverable {
 				t.Fatalf("fresh set not clean: %+v", clean)
 			}
 			if tc.damage != nil {
 				tc.damage(t, dir, set)
 			}
-			h := set.Verify(OS{}, Config{}, nil, 0)
+			h := set.Verify(Disk{FS: OS{}})
 			if h.Recoverable != tc.recoverable {
 				t.Fatalf("Recoverable = %v, want %v (%+v)", h.Recoverable, tc.recoverable, h)
 			}
@@ -178,14 +178,14 @@ func TestScrubRepairsEverything(t *testing.T) {
 	dir := t.TempDir()
 	set := writeSet(t, dir, RedundancyParity, []byte("aaaaaaaa"), []byte("bbbb"), []byte("cccccc"))
 	met := &Metrics{}
-	cfg := Config{Metrics: met}
+	d := Disk{FS: OS{}, Metrics: met}
 
 	corrupt(t, filepath.Join(dir, set.Stripes[1].Name))
 	corrupt(t, filepath.Join(dir, set.Parity.Name))
 	// One damaged stripe + damaged parity: the stripe heals from the
 	// remaining stripes... no — parity is damaged too, so stripe 1 is
 	// unrecoverable.  Scrub reports it instead of erroring.
-	rep, err := set.Scrub(OS{}, cfg, nil, 0)
+	rep, err := set.Scrub(d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestScrubRepairsEverything(t *testing.T) {
 	dir = t.TempDir()
 	set = writeSet(t, dir, RedundancyParity, []byte("aaaaaaaa"), []byte("bbbb"), []byte("cccccc"))
 	corrupt(t, filepath.Join(dir, set.Parity.Name))
-	rep, err = set.Scrub(OS{}, cfg, nil, 0)
+	rep, err = set.Scrub(d)
 	if err != nil || len(rep.Repaired) != 1 || rep.Repaired[0] != "parity.bin" || len(rep.Unrecoverable) != 0 {
 		t.Fatalf("Scrub(parity rot) = %+v, %v", rep, err)
 	}
-	if !intact(set.Verify(OS{}, cfg, nil, 0)) {
+	if !intact(set.Verify(d)) {
 		t.Fatal("set not clean after parity recompute")
 	}
 
@@ -210,18 +210,18 @@ func TestScrubRepairsEverything(t *testing.T) {
 	set = writeSet(t, dir, RedundancyReplica, []byte("aaaaaaaa"), []byte("bbbb"))
 	corrupt(t, filepath.Join(dir, ReplicaName(set.Stripes[1].Name)))
 	os.Remove(filepath.Join(dir, set.Stripes[0].Name))
-	rep, err = set.Scrub(OS{}, cfg, nil, 0)
+	rep, err = set.Scrub(d)
 	if err != nil || len(rep.Repaired) != 2 || len(rep.Unrecoverable) != 0 {
 		t.Fatalf("Scrub(replica) = %+v, %v", rep, err)
 	}
-	if !intact(set.Verify(OS{}, cfg, nil, 0)) {
+	if !intact(set.Verify(d)) {
 		t.Fatal("set not clean after replica scrub")
 	}
 }
 
 func TestServerOverlapAndFailure(t *testing.T) {
 	dir := t.TempDir()
-	srv := StartServer(OS{}, Config{}, nil, 0)
+	srv := StartServer(Disk{FS: OS{}})
 	for i := 0; i < 8; i++ {
 		srv.Write(filepath.Join(dir, stripeName(i)), []byte{byte(i), byte(i)})
 	}
@@ -237,7 +237,7 @@ func TestServerOverlapAndFailure(t *testing.T) {
 
 	// First failure is sticky; later jobs are skipped, not written.
 	ff := NewFaultFS(OS{}, &FaultPlan{Rules: []FaultRule{{Kind: FaultEIO, Op: "write", Rank: -1, Count: 1}}})
-	srv = StartServer(ff.Rank(0), Config{}, nil, 0)
+	srv = StartServer(Disk{FS: ff.Rank(0)})
 	srv.Write(filepath.Join(dir, "fail.bin"), []byte("x"))
 	srv.Write(filepath.Join(dir, "skipped.bin"), []byte("y"))
 	if err := srv.Close(); err == nil {

@@ -70,10 +70,10 @@ const (
 	Shrink
 	// Rebalance keeps every rank but re-divides the work in proportion
 	// to measured speeds — the degraded-mode mitigation for a straggler
-	// worth keeping (RecommendStraggler).
+	// worth keeping.
 	Rebalance
 	// Drain voluntarily releases the straggler: P−1 healthy ranks beat P
-	// with one slow (RecommendStraggler).
+	// with one slow.
 	Drain
 )
 

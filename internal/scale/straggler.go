@@ -1,103 +1,7 @@
-// Straggler mitigation policy: given a measured per-rank slowdown (from
-// the health scorer) and the same per-step cost breakdown the
-// grow/shrink policy uses, decide whether to do nothing, rebalance the
-// block bounds around the slow rank, or drain it from the membership.
-//
-// The model extends StepTime with a straggler term.  Let f be the slow
-// rank's slowdown and np the processor count, with Step the *nominal*
-// (healthy-rank) breakdown:
-//
-//   - Do nothing: the straggler stretches every step's critical path to
-//     its own compute time — Compute×f + Comm + Idle.
-//   - Rebalance: work is re-divided in proportion to measured speeds, so
-//     all ranks finish together; the effective processor count is
-//     (np−1) + 1/f and the compute term Compute×np/(np−1+1/f).  Comm
-//     and Idle stay: the slow rank still sits on every collective.
-//   - Drain: np−1 full-speed ranks run the step — exactly
-//     StepTime(Step, np, np−1); the break-even of the issue's "P−1
-//     healthy beat P with one slow".
-//
-// Rebalance and drain each pay the one-time redistribution cost Redist;
-// the recommendation is the largest positive projected net over the
-// remaining steps.
+// Straggler rebalancing: the block bounds that divide work in proportion
+// to measured per-rank speeds (from the health scorer), and the
+// particle-count bounds of the paper's balance() (Figure 2).
 package scale
-
-import "fmt"
-
-// StragglerParams is one mitigation question: NP processors with
-// StepsLeft steps remaining, one rank measured Slowdown× slower than
-// the median, nominal per-step breakdown Step (at NP, healthy ranks),
-// and one-time redistribution cost Redist for either mitigation.
-type StragglerParams struct {
-	NP        int
-	StepsLeft int
-	Step      PerStep
-	Slowdown  float64
-	Redist    float64
-}
-
-// StragglerAdvice reports the mitigation recommendation with the
-// modeled per-step times and projected nets behind it.
-type StragglerAdvice struct {
-	// Decision is Hold, Rebalance, or Drain.
-	Decision Decision
-	// Modeled per-step seconds under each course of action.
-	StepNone, StepRebalance, StepDrain float64
-	// Projected remaining-time savings (vs doing nothing) of each
-	// mitigation, net of Redist.  Positive iff the mitigation pays.
-	NetRebalance, NetDrain float64
-}
-
-func (a StragglerAdvice) String() string {
-	return fmt.Sprintf("%s (step none %.3gms, rebalance %.3gms, drain %.3gms; net rebalance %.3gms, drain %.3gms)",
-		a.Decision, a.StepNone*1e3, a.StepRebalance*1e3, a.StepDrain*1e3, a.NetRebalance*1e3, a.NetDrain*1e3)
-}
-
-// StragglerStepTime models the per-step seconds of nominal breakdown s
-// on np processors of which one runs slowdown× slower, with work
-// divided evenly (the do-nothing baseline).
-func StragglerStepTime(s PerStep, slowdown float64) float64 {
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	return s.Compute*slowdown + s.Comm + s.Idle
-}
-
-// RebalancedStepTime models the per-step seconds when work is divided
-// in proportion to speed instead: all ranks finish together behind an
-// effective processor count of (np−1) + 1/slowdown.
-func RebalancedStepTime(s PerStep, np int, slowdown float64) float64 {
-	if slowdown < 1 {
-		slowdown = 1
-	}
-	eff := float64(np-1) + 1/slowdown
-	return s.Compute*float64(np)/eff + s.Comm + s.Idle
-}
-
-// RecommendStraggler evaluates the three courses of action.  Degenerate
-// inputs (fewer than 2 processors, no measured slowdown, no steps left)
-// hold.
-func RecommendStraggler(p StragglerParams) StragglerAdvice {
-	a := StragglerAdvice{Decision: Hold}
-	a.StepNone = StragglerStepTime(p.Step, p.Slowdown)
-	a.StepRebalance = a.StepNone
-	a.StepDrain = a.StepNone
-	if p.NP < 2 || p.Slowdown <= 1 || p.StepsLeft <= 0 {
-		return a
-	}
-	a.StepRebalance = RebalancedStepTime(p.Step, p.NP, p.Slowdown)
-	a.StepDrain = StepTime(p.Step, p.NP, p.NP-1)
-	steps := float64(p.StepsLeft)
-	a.NetRebalance = steps*(a.StepNone-a.StepRebalance) - p.Redist
-	a.NetDrain = steps*(a.StepNone-a.StepDrain) - p.Redist
-	switch {
-	case a.NetDrain > 0 && a.NetDrain >= a.NetRebalance:
-		a.Decision = Drain
-	case a.NetRebalance > 0:
-		a.Decision = Rebalance
-	}
-	return a
-}
 
 // FairShares normalizes per-rank speeds (from health.Scorer.Speeds)
 // into work shares summing to 1.  Non-positive speeds are clamped to a

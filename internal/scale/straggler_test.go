@@ -2,80 +2,6 @@ package scale
 
 import "testing"
 
-// TestStragglerRecommendsMitigation: a compute-bound step with an 8×
-// rank and a cheap redistribution must not be left alone.
-func TestStragglerRecommendsMitigation(t *testing.T) {
-	a := RecommendStraggler(StragglerParams{
-		NP: 4, StepsLeft: 50, Slowdown: 8,
-		Step:   PerStep{Compute: 0.010, Comm: 0.001, Idle: 0.001},
-		Redist: 0.020,
-	})
-	if a.Decision == Hold {
-		t.Fatalf("8x straggler held: %v", a)
-	}
-	if a.StepNone <= a.StepRebalance || a.StepNone <= a.StepDrain {
-		t.Fatalf("mitigated steps not faster than doing nothing: %v", a)
-	}
-}
-
-// TestStragglerDrainBreakEven: the issue's break-even — P−1 healthy
-// ranks beat P with one slow exactly when the slowdown exceeds
-// np/(np−1) on a pure-compute step.
-func TestStragglerDrainBreakEven(t *testing.T) {
-	step := PerStep{Compute: 0.010}
-	// f = 2 > 4/3: drain is a strict win.
-	a := RecommendStraggler(StragglerParams{NP: 4, StepsLeft: 100, Slowdown: 2, Step: step})
-	if a.StepDrain >= a.StepNone {
-		t.Fatalf("f=2 np=4: drain (%.4f) not faster than none (%.4f)", a.StepDrain, a.StepNone)
-	}
-	// f = 1.2 < 4/3: doing nothing beats draining (rebalance may still win).
-	a = RecommendStraggler(StragglerParams{NP: 4, StepsLeft: 100, Slowdown: 1.2, Step: step})
-	if a.StepDrain <= a.StepNone {
-		t.Fatalf("f=1.2 np=4: drain (%.4f) should lose to none (%.4f)", a.StepDrain, a.StepNone)
-	}
-	if a.NetDrain > 0 && a.Decision == Drain {
-		t.Fatalf("sub-break-even drain recommended: %v", a)
-	}
-}
-
-// TestStragglerExtremeFavorsDrain: with a huge slowdown and a real idle
-// share, the drained machine's smaller barrier beats keeping the
-// straggler on a sliver of work.
-func TestStragglerExtremeFavorsDrain(t *testing.T) {
-	a := RecommendStraggler(StragglerParams{
-		NP: 4, StepsLeft: 200, Slowdown: 100,
-		Step: PerStep{Compute: 0.010, Comm: 0.001, Idle: 0.004},
-	})
-	if a.Decision != Drain {
-		t.Fatalf("extreme straggler with idle share: %v, want drain", a)
-	}
-	if a.NetDrain < a.NetRebalance {
-		t.Fatalf("drain net %.4f < rebalance net %.4f", a.NetDrain, a.NetRebalance)
-	}
-}
-
-// TestStragglerMildHolds: a barely-slow rank with an expensive
-// redistribution and few steps left is not worth touching.
-func TestStragglerMildHolds(t *testing.T) {
-	a := RecommendStraggler(StragglerParams{
-		NP: 4, StepsLeft: 2, Slowdown: 1.05,
-		Step:   PerStep{Compute: 0.010, Comm: 0.002, Idle: 0.001},
-		Redist: 1.0,
-	})
-	if a.Decision != Hold {
-		t.Fatalf("mild straggler mitigated: %v", a)
-	}
-	for _, p := range []StragglerParams{
-		{NP: 1, StepsLeft: 10, Slowdown: 8, Step: PerStep{Compute: 1}},
-		{NP: 4, StepsLeft: 0, Slowdown: 8, Step: PerStep{Compute: 1}},
-		{NP: 4, StepsLeft: 10, Slowdown: 1, Step: PerStep{Compute: 1}},
-	} {
-		if a := RecommendStraggler(p); a.Decision != Hold {
-			t.Fatalf("degenerate %+v: %v, want hold", p, a)
-		}
-	}
-}
-
 // TestDecisionStrings: the new decisions print their names.
 func TestDecisionStrings(t *testing.T) {
 	for d, want := range map[Decision]string{

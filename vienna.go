@@ -125,15 +125,14 @@ var NewTCPTransport = msg.NewTCPTransport
 // (NewMachine defaults to it); useful as the base of a FaultTransport.
 var NewChanTransport = msg.NewChanTransport
 
-// CommConfig bounds how long collectives wait on the transport: a
+// RetryPolicy bounds how long collectives wait on the transport: a
 // per-receive deadline with bounded retry and exponential escalation.
-// Install it machine-wide with WithCommConfig; the zero value blocks
-// forever (the historical behaviour).
-type CommConfig = msg.CommConfig
+// Install it machine-wide with WithRetry; the zero value blocks forever
+// (the historical behaviour).
+type RetryPolicy = msg.RetryPolicy
 
-// WithCommConfig installs a deadline/retry policy on every processor's
-// collectives.
-var WithCommConfig = machine.WithCommConfig
+// WithRetry installs a retry policy on every processor's collectives.
+var WithRetry = machine.WithRetry
 
 // FaultTransport decorates any transport with deterministic, seedable
 // injection of send errors, delivery delays, and dropped frames — see
