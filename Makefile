@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc dead flake check check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-halo check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -39,7 +39,7 @@ dead:
 # on — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire
+check: check-fault check-recovery check-online check-redist check-halo check-expand check-io check-drain check-kernels check-portable check-wire
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
@@ -64,6 +64,19 @@ check: check-fault check-recovery check-online check-redist check-expand check-i
 check-redist:
 	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
+
+# The depth-k halo: smoothing at forced depths 1, 2, 3 and 5 bit-identical
+# to the serial reference with claim C1's exact counts at depth k (columns,
+# 2x2 and 3x3 blocks, uneven N, synchronous and overlapped, chan and TCP),
+# the model's depth and a depth-5 run recovered mid-block, every other
+# TestSmoothing*; corners forwarded into a width-3 ring on an uneven 3x3
+# grid, a barrier-free depth-3 stencil with a sleeping rank (passes only
+# while each rank applies its own faces), the split-phase exchange, the
+# warm exchange's allocation bound, and the window puts with their fault
+# matrix — all under the race detector.
+check-halo:
+	$(GO) test -race -count=1 -run 'TestSmoothing|TestOnlineRecoverSmoothingDepth|TestGhostCornersDepth3Uneven|TestGhostDepthSkew|TestStartExchangeGhosts|TestGhostExchangeWarmAllocs|TestWindowPut|TestFaultMatrixWindow' \
+	  ./internal/apps ./internal/darray ./internal/msg
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
 # timeout, a join racing a death, two deaths in one liveness window),

@@ -269,33 +269,45 @@ func runPIC() {
 func runSmoothing() {
 	fmt.Printf("\n== E3: smoothing (claim C1) — alpha=%.0e beta=%.0e ==\n", *alpha, *beta)
 	fmt.Println("Columns: 2 messages of 8N bytes/proc/step.  2-D blocks on qxq: 4 messages")
-	fmt.Println("of 8N/q bytes.  The ratio N/p (vs alpha/beta) determines the winner.")
+	fmt.Println("of 8N/q bytes.  The ratio N/p (vs alpha/beta) determines the winner.  Each")
+	fmt.Println("distribution exchanges a depth-k halo once every k steps, k chosen by the")
+	fmt.Println("same model (apps.SmoothDepth): m/k messages, bytes plus the corners.  The")
+	fmt.Println("distribution is chosen on the paper's k = 1 costs, the depth then for it.")
 	w := tab()
-	fmt.Fprintln(w, "N\tP\tdist\tmsgs/proc/step\tbytes/proc/step\tmodeled comm/step\tchosen")
+	fmt.Fprintln(w, "N\tP\tdist\tk\tmsgs/proc/step\tbytes/proc/step\tmodeled cost/step\tchosen")
 	sizes := []int{64, 256, 1024, 4096}
 	if *quick {
 		sizes = []int{64, 256}
 	}
 	for _, n := range sizes {
-		cc, cb := apps.SmoothModelCost(n, 9, *alpha, *beta)
 		choice := apps.ChooseSmoothingDist(n, 9, *alpha, *beta)
 		for _, mode := range []apps.SmoothMode{apps.SmoothColumns, apps.SmoothBlock2D} {
+			k := apps.SmoothDepth(mode, n, 9, *alpha, *beta, 0)
 			var res apps.SmoothResult
 			var err error
 			if n <= 1024 {
-				res, err = apps.RunSmoothing(apps.SmoothConfig{N: n, Steps: 3, P: 9, Mode: mode})
+				// Two whole blocks: the run decides k itself.
+				res, err = apps.RunSmoothing(apps.SmoothConfig{N: n, Steps: 2 * k, P: 9, Mode: mode, Alpha: *alpha, Beta: *beta})
 				if err != nil {
 					log.Fatal(err)
 				}
 			} else {
-				// analytic only at the largest size
-				res.Mode = mode
+				// analytic only at the largest size: an interior processor's
+				// m faces of k layers once per k steps, dimension 1's
+				// spanning dimension 0's margins when k > 1
+				res.Mode, res.Depth = mode, k
 				if mode == apps.SmoothColumns {
-					res.MsgsPerProcStep, res.BytesPerProcStep = 2, float64(2*8*n)
+					res.MsgsPerProcStep, res.BytesPerProcStep = 2/float64(k), float64(2*8*n)
 				} else {
-					res.MsgsPerProcStep, res.BytesPerProcStep = 4, float64(4*8*n/3)
+					corner := 0
+					if k > 1 {
+						corner = 2 * k
+					}
+					res.MsgsPerProcStep = 4 / float64(k)
+					res.BytesPerProcStep = float64(8 * (2*n/3 + 2*(n/3+corner)))
 				}
 			}
+			cc, cb := apps.SmoothModelCost(n, 9, k, *alpha, *beta, 0)
 			mc := cc
 			if mode == apps.SmoothBlock2D {
 				mc = cb
@@ -304,8 +316,8 @@ func runSmoothing() {
 			if mode == choice {
 				star = "  <- chosen at runtime"
 			}
-			fmt.Fprintf(w, "%d\t9\t%v\t%.0f\t%.0f\t%.3e s\t%s\n",
-				n, res.Mode, res.MsgsPerProcStep, res.BytesPerProcStep, mc, star)
+			fmt.Fprintf(w, "%d\t9\t%v\t%d\t%.2f\t%.0f\t%.3e s\t%s\n",
+				n, res.Mode, res.Depth, res.MsgsPerProcStep, res.BytesPerProcStep, mc, star)
 		}
 	}
 	w.Flush()

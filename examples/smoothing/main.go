@@ -11,7 +11,8 @@
 //	 determine the most appropriate distribution."
 //
 // The grid is DYNAMIC; after the decision the program issues a single
-// DISTRIBUTE and the smoothing loop runs with only ghost-area exchanges.
+// DISTRIBUTE and the smoothing loop runs with only ghost-area exchanges,
+// k layers deep once every k steps, k chosen by the same machine model.
 // A DCASE construct then dispatches on the chosen distribution.
 package main
 
@@ -32,11 +33,13 @@ func main() {
 	beta := flag.Float64("beta", 1e-9, "machine per-byte cost (s)")
 	flag.Parse()
 
-	// The §4 runtime decision.
+	// The §4 runtime decisions: the distribution, then the halo depth k
+	// (ghosts exchanged once every k steps) for it.
 	mode := apps.ChooseSmoothingDist(*n, *np, *alpha, *beta)
-	cc, cb := apps.SmoothModelCost(*n, *np, *alpha, *beta)
+	cc, cb := apps.SmoothModelCost(*n, *np, 1, *alpha, *beta, 0)
+	k := apps.SmoothDepth(mode, *n, *np, *alpha, *beta, 0)
 	fmt.Printf("N=%d, P=%d, alpha=%.1e, beta=%.1e\n", *n, *np, *alpha, *beta)
-	fmt.Printf("modeled cost/step: columns %.3e s, 2-D blocks %.3e s -> choose %v\n", cc, cb, mode)
+	fmt.Printf("modeled cost/step: columns %.3e s, 2-D blocks %.3e s -> choose %v, halo depth %d\n", cc, cb, mode, k)
 
 	res, err := apps.RunSmoothing(apps.SmoothConfig{
 		N: *n, Steps: *steps, P: *np, Mode: mode,
@@ -45,8 +48,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("ran %d steps under %v: %.0f msgs/proc/step, %.0f bytes/proc/step\n",
-		*steps, res.Mode, res.MsgsPerProcStep, res.BytesPerProcStep)
+	fmt.Printf("ran %d steps under %v, halo depth %d: %.2f msgs/proc/step, %.0f bytes/proc/step\n",
+		*steps, res.Mode, res.Depth, res.MsgsPerProcStep, res.BytesPerProcStep)
 	fmt.Printf("modeled time %.4fs, wall %v, max deviation from serial %.2e\n",
 		res.ModelTime, res.Wall, res.MaxErr)
 

@@ -3,8 +3,10 @@ package apps
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"repro/internal/core"
+	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/kernels"
@@ -38,12 +40,13 @@ type SmoothConfig struct {
 	Steps int
 	P     int
 	Mode  SmoothMode
-	// Overlap runs each step with the ghost exchange in flight during the
-	// interior update (the StartExchangeAllGhosts/Wait split) instead of a
-	// synchronous exchange followed by the full sweep.  The step loop then
-	// runs without per-step barriers — neighbour completion is the only
-	// synchronization — so per-step traffic is reported as the phase total
-	// divided by Steps.  Results are bit-identical to the synchronous mode.
+	// Overlap runs the first step of each block with the ghost exchange in
+	// flight during the interior update (smoothBlockStart: one dimension's
+	// start/Wait per band of interior rows) instead of a synchronous
+	// exchange followed by the full sweep.  Neither mode has a per-step
+	// barrier — neighbour completion is the only synchronization — so
+	// per-step traffic is the phase total divided by Steps.  Results are
+	// bit-identical to the synchronous mode.
 	Overlap bool
 	// Alpha/Beta attach a cost model; FlopTime is the modeled time of one
 	// flop (default 2ns), charged four times per grid-point update.
@@ -58,6 +61,9 @@ type SmoothConfig struct {
 type SmoothResult struct {
 	Outcome
 	Mode SmoothMode
+	// Depth is the halo depth k the run chose (SmoothDepth; on the last
+	// membership epoch): ghosts were exchanged once every k steps.
+	Depth int
 	// MsgsPerProcStep and BytesPerProcStep are the *maximum* per-processor
 	// per-step data traffic (interior processors; the quantities of the
 	// paper's analysis).
@@ -67,8 +73,19 @@ type SmoothResult struct {
 	Checksum         float64
 }
 
+// testDepth, set by tests, forces the halo depth (still clamped to the
+// thinnest segment); 0 leaves it to the model.
+var testDepth int
+
 // RunSmoothing performs Steps Jacobi smoothing steps on an N×N grid under
 // the chosen distribution, counting ghost-exchange traffic.
+//
+// The halo is k deep, with k chosen by the §4 model (SmoothDepth): the
+// ghosts are exchanged once at the start of every block of k steps, and
+// step j of a block updates the owned box widened by k−1−j on every side
+// that has a neighbour, recomputing the ring its neighbours own instead
+// of receiving it — with the same arithmetic, so the grid stays bit for
+// bit the serial one.  Without a cost model k is 1: one exchange a step.
 func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	if cfg.FlopTime == 0 {
 		cfg.FlopTime = 2e-9
@@ -113,58 +130,82 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 		}
 	}
 
+	// The dimensions a step exchanges, in the order their faces go.
+	exDims := []int{1}
+	if cfg.Mode == SmoothBlock2D {
+		exDims = []int{0, 1}
+	}
 	exch := make(tally, cfg.P+cfg.Join)
 	err := run(runConfig{cfg.P, cfg.Steps, cfg.Alpha, cfg.Beta, cfg.Runtime}, &res.Outcome, func(ctx *machine.Ctx) app {
 		// U and V are one connect class and the two buffers of the sweep:
-		// step s reads src and writes dst, which then swap.
+		// step s reads src and writes dst, which then swap.  k is the
+		// epoch's halo depth and s0 the step its first block starts at.
 		var u, v, src, dst *core.Array
-		exchange := func() error { return src.ExchangeAllGhosts(ctx) }
-		sweep := func() { smoothLocal(ctx, src, dst, cfg.FlopTime) }
-		overlap := func() error { return smoothStepOverlap(ctx, src, dst, cfg.FlopTime) }
+		var k, s0 int
 		return app{
 			declare: func(eng *core.Engine) (err error) {
 				spec := core.DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}
+				p := ctx.NP()
 				if cfg.Mode == SmoothBlock2D {
 					g := ctx.Machine().ProcsDim("G", q, q)
 					spec = core.DistSpec{Type: dist.NewType(dist.BlockDim(), dist.BlockDim()), Target: g.Whole()}
+					p = q * q
 				}
-				u, err = eng.Declare(ctx, core.Decl{Name: "U", Domain: dom, Dynamic: true, Init: &spec, Ghost: []int{1, 1}})
+				k = SmoothDepth(cfg.Mode, cfg.N, p, cfg.Alpha, cfg.Beta, cfg.FlopTime)
+				if ctx.Rank() == 0 {
+					res.Depth = k
+				}
+				ghost := []int{k, k}
+				u, err = eng.Declare(ctx, core.Decl{Name: "U", Domain: dom, Dynamic: true, Init: &spec, Ghost: ghost})
 				if err != nil {
 					return err
 				}
-				v, err = eng.Declare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: []int{1, 1}})
+				v, err = eng.Declare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: ghost})
 				return err
 			},
 			fill: func() { u.FillFunc(ctx, initial) },
 			// A checkpoint holds both buffers, and the step it was taken
 			// after gives the parity, so the double-buffer swap resumes
-			// exactly where the lost run stopped.
-			begin: func(s0 int) error {
-				src, dst = u, v
-				if s0%2 == 1 {
+			// exactly where the lost run stopped; the first block starts
+			// there too, with an exchange.
+			begin: func(first int) error {
+				src, dst, s0 = u, v, first
+				if first%2 == 1 {
 					src, dst = v, u
 				}
 				ctx.PhaseBegin("smooth")
 				return nil
 			},
-			step: func(int) error {
-				if cfg.Overlap {
-					if err := exch.count(ctx, overlap); err != nil {
+			step: func(s int) error {
+				// Step j of a block of kb <= k steps updates the owned box
+				// widened by kb-1-j; the last block may be short.
+				j := (s - s0) % k
+				w := min(k, cfg.Steps-(s-j)) - 1 - j
+				switch {
+				case cfg.Overlap && j == 0:
+					if err := exch.count(ctx, func() error { return smoothBlockStart(ctx, src, dst, exDims, w, cfg.FlopTime) }); err != nil {
 						return err
 					}
-				} else {
-					if err := exch.count(ctx, exchange); err != nil {
-						return err
+				case cfg.Overlap:
+					smoothLocal(ctx, src, dst, w, cfg.FlopTime)
+				default:
+					if j == 0 {
+						if err := exch.count(ctx, func() error { return src.ExchangeAllGhosts(ctx) }); err != nil {
+							return err
+						}
 					}
-					el := sc.timed(ctx, sweep)
+					el := sc.timed(ctx, func() { smoothLocal(ctx, src, dst, w, cfg.FlopTime) })
 					if sc.Enabled() {
 						ctx.ReportWork(localElems(ctx, src), el)
 					}
-					// The next exchange writes src's ghosts, which a slower
-					// neighbour's sweep may still be reading.
-					if err := ctx.Barrier(); err != nil {
-						return err
-					}
+				}
+				if j > 0 {
+					// A step inside a block waits for nothing.  Yield, so
+					// that ranks sharing a core advance a step at a time:
+					// one that ran its whole block first would leave its
+					// neighbours' cores idle at the next exchange and at
+					// the end of the run.
+					runtime.Gosched()
 				}
 				src, dst = dst, src
 				return nil
@@ -187,30 +228,68 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	return res, err
 }
 
-// smoothLocal computes dst = smooth(src) on the locally owned points,
-// reading neighbours from src's ghost cells; global boundary points copy
-// through.  Both arrays must share the distribution and ghost widths
-// (they are one connect class), so their storage layouts coincide and the
-// stencil runs on raw offsets.  Rows are processed as contiguous spans:
-// boundary rows copy through with copy(), interior rows run
-// kernels.SmoothRow over the interior span with the (at most two) global
-// edge columns peeled off — the same run-based movement the pack/unpack
-// layer uses, instead of a per-point branch in the inner loop.
-func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, flopTime float64) {
+// smoothBox is the global box [i0..i1]×[j0..j1] of the grid — i along
+// the unit-stride dimension 0, j along dimension 1; ok is false for a
+// rank that owns nothing.
+type smoothBox struct {
+	i0, i1, j0, j1 int
+	ok             bool
+}
+
+// boxOf is l's owned segment widened by w (shrunk, for w < 0) on every
+// side that has a neighbour; a side on the global boundary has none.
+// Step j of a depth-k block updates boxOf(l, dom, k-1-j).
+func boxOf(l *darray.Local, dom index.Domain, w int) smoothBox {
+	lo, hi, ok := l.Segment()
+	if !ok || l.Count() == 0 {
+		return smoothBox{}
+	}
+	b := smoothBox{lo[0], hi[0], lo[1], hi[1], true}
+	if b.i0 > 1 {
+		b.i0 -= w
+	}
+	if b.i1 < dom.Hi[0] {
+		b.i1 += w
+	}
+	if b.j0 > 1 {
+		b.j0 -= w
+	}
+	if b.j1 < dom.Hi[1] {
+		b.j1 += w
+	}
+	return b
+}
+
+// smoothLocal computes dst = smooth(src) over the owned points widened by
+// w on every side with a neighbour, reading src's ghost cells up to w+1
+// deep; global boundary points copy through.  Both arrays must share the
+// distribution and ghost widths (they are one connect class), so their
+// storage layouts coincide and the stencil runs on raw offsets.  Rows are
+// processed as contiguous spans: boundary rows copy through with copy(),
+// interior rows run kernels.SmoothRow over the interior span with the (at
+// most two) global edge columns peeled off — the same run-based movement
+// the pack/unpack layer uses, instead of a per-point branch in the inner
+// loop.
+func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, w int, flopTime float64) {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
-	dom := src.Domain()
-	n0, n1 := dom.Hi[0], dom.Hi[1]
-	lo, hi, ok := ls.Segment()
-	if !ok || ls.Count() == 0 {
+	b := boxOf(ls, src.Domain(), w)
+	if !b.ok {
 		return
+	}
+	ctx.Charge(flopTime * float64(4*smoothPart(ls, ld, src.Domain(), b.i0, b.i1, b.j0, b.j1)))
+}
+
+// smoothPart runs smoothRect over the global box [i0..i1]×[j0..j1] of the
+// storage ls and ld share; an empty box does nothing.
+func smoothPart(ls, ld *darray.Local, dom index.Domain, i0, i1, j0, j1 int) int {
+	if i0 > i1 || j0 > j1 {
+		return 0
 	}
 	strd := ls.Stride()
 	if strd[0] != 1 {
 		panic("apps: smoothing needs unit stride along dimension 0")
 	}
-	cnt := smoothRect(ld.Data(), ls.Data(), ls.Offset(index.Point{lo[0], lo[1]}), strd[1],
-		lo[0], hi[0], lo[1], hi[1], n0, n1)
-	ctx.Charge(flopTime * float64(4*cnt))
+	return smoothRect(ld.Data(), ls.Data(), ls.Offset(index.Point{i0, j0}), strd[1], i0, i1, j0, j1, dom.Hi[0], dom.Hi[1])
 }
 
 // smoothRect applies one smoothing step to the global sub-rectangle
@@ -243,97 +322,129 @@ func smoothRect(dd, sd []float64, rowOff, s1, i0, i1, j0, j1, n0, n1 int) int {
 	return cnt
 }
 
-// smoothStepOverlap performs one smoothing step with the ghost exchange
-// in flight during the bulk of the computation: the owned region is
-// split into an interior whose stencil reads no ghost cell and up to
-// four one-point-wide edge strips that do; the interior runs between
-// StartExchangeAllGhosts and Wait, the strips after.  Every point goes
+// smoothBlockStart performs the first step of a block, updating the box
+// widened by w, with the block's ghost exchange in flight during the bulk
+// of the computation.  The interior — the owned segment shrunk by one on
+// every side with a neighbour — reads no ghost cell; it is cut into one
+// band of rows per exchanged dimension.  Each dimension in turn is
+// started, its band computed and its faces applied, so a wide face
+// leaves only after the margins of the dimensions before it have landed
+// (the corners it forwards); the rest of the box — edge strips and the
+// ring the neighbours own — follows the last wait.  Every point goes
 // through the same smoothRect arithmetic as the synchronous path, so the
-// result is bit-identical.
+// result is bit-identical.  Compute is charged as it is done, so the
+// model sees each arrival hidden under the band before its wait.
 //
-// The split is race-free without barriers: inbound puts land only in
-// src's ghost cells, which the interior never reads, and the counted
-// put/await streams bound neighbour skew to one step — a neighbour's
-// next-step put targets the other buffer of the src/dst pair, whose
-// ghost cells nothing is reading.
-func smoothStepOverlap(ctx *machine.Ctx, src, dst *core.Array, flopTime float64) error {
-	h, err := src.StartExchangeAllGhosts(ctx)
-	if err != nil {
-		return err
-	}
+// The split is race-free without barriers: faces are applied only by
+// this rank's own waits, into src's margins, which the interior never
+// reads; the ring of dst this rank writes is its own storage too.
+func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int, flopTime float64) error {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
 	dom := src.Domain()
-	n0, n1 := dom.Hi[0], dom.Hi[1]
-	lo, hi, ok := ls.Segment()
-	if !ok || ls.Count() == 0 {
-		return h.Wait()
+	in, b := boxOf(ls, dom, -1), boxOf(ls, dom, w)
+	charge := func(cnt int) { ctx.Charge(flopTime * float64(4*cnt)) }
+	for n, d := range dims {
+		h, err := src.StartExchangeGhosts(ctx, d)
+		if err != nil {
+			return err
+		}
+		if in.ok {
+			rows := in.j1 - in.j0 + 1
+			j0, j1 := in.j0+n*rows/len(dims), in.j0+(n+1)*rows/len(dims)-1
+			charge(smoothPart(ls, ld, dom, in.i0, in.i1, j0, j1))
+		}
+		if err := h.Wait(); err != nil {
+			return err
+		}
 	}
-	sd, dd := ls.Data(), ld.Data()
-	strd := ls.Stride()
-	if strd[0] != 1 {
-		panic("apps: smoothing needs unit stride along dimension 0")
+	if !b.ok {
+		return nil
 	}
-	s1 := strd[1]
-	off := func(i, j int) int { return ls.Offset(index.Point{i, j}) }
-	lo0, hi0, lo1, hi1 := lo[0], hi[0], lo[1], hi[1]
-
-	// Shrink each side that has a neighbour (and hence a ghost margin the
-	// boundary stencils read) by one point to get the interior box.
-	iILo, iIHi, jILo, jIHi := lo0, hi0, lo1, hi1
-	if lo0 > 1 {
-		iILo++
-	}
-	if hi0 < n0 {
-		iIHi--
-	}
-	if lo1 > 1 {
-		jILo++
-	}
-	if hi1 < n1 {
-		jIHi--
-	}
-
-	cnt := 0
-	if iILo <= iIHi && jILo <= jIHi {
-		cnt += smoothRect(dd, sd, off(iILo, jILo), s1, iILo, iIHi, jILo, jIHi, n0, n1)
-	}
-	if err := h.Wait(); err != nil {
-		return err
-	}
-	// South and north strips span the full owned width; west and east
+	// South and north strips span the box's full width; west and east
 	// strips cover the remaining middle rows.  Together with the interior
-	// they partition the owned region (degenerate segments collapse the
-	// empty strips).
-	if jILo-1 >= lo1 {
-		cnt += smoothRect(dd, sd, off(lo0, lo1), s1, lo0, hi0, lo1, jILo-1, n0, n1)
-	}
-	if jN0 := max(jIHi+1, jILo); jN0 <= hi1 {
-		cnt += smoothRect(dd, sd, off(lo0, jN0), s1, lo0, hi0, jN0, hi1, n0, n1)
-	}
-	if jILo <= jIHi {
-		if iILo-1 >= lo0 {
-			cnt += smoothRect(dd, sd, off(lo0, jILo), s1, lo0, iILo-1, jILo, jIHi, n0, n1)
-		}
-		if iE0 := max(iIHi+1, iILo); iE0 <= hi0 {
-			cnt += smoothRect(dd, sd, off(iE0, jILo), s1, iE0, hi0, jILo, jIHi, n0, n1)
-		}
-	}
-	ctx.Charge(flopTime * float64(4*cnt))
+	// they partition the box (degenerate segments collapse the empty
+	// strips).
+	cnt := smoothPart(ls, ld, dom, b.i0, b.i1, b.j0, in.j0-1)
+	cnt += smoothPart(ls, ld, dom, b.i0, b.i1, max(in.j1+1, in.j0), b.j1)
+	cnt += smoothPart(ls, ld, dom, b.i0, in.i0-1, in.j0, in.j1)
+	cnt += smoothPart(ls, ld, dom, max(in.i1+1, in.i0), b.i1, in.j0, in.j1)
+	charge(cnt)
 	return nil
 }
 
-// SmoothModelCost returns the modeled per-step communication cost of the
-// two distributions for an N×N grid on P processors under (alpha, beta) —
-// the §4 formula: columns pay 2 messages of 8N bytes, 2-D blocks pay 4
-// messages of 8N/q bytes.  Those counts are an interior processor's; a
-// distributed dimension of extent e gives its busiest processor
-// min(2, e-1) neighbours, so on a 2×2 arrangement (all corners) blocks
-// pay 2 messages, not 4.  ChooseSmoothingDist picks the cheaper one.
-func SmoothModelCost(n, p int, alpha, beta float64) (columns, block2d float64) {
-	q := int(math.Round(math.Sqrt(float64(p))))
-	columns = float64(min(2, p-1)) * (alpha + beta*8*float64(n))
-	block2d = float64(2*min(2, q-1)) * (alpha + beta*8*float64(n)/float64(q))
-	return columns, block2d
+// SmoothModelCost returns the modeled per-step cost of the two
+// distributions for an N×N grid on P processors with a depth-k halo,
+// under (alpha, beta) and flopTime — the §4 formula, extended by the
+// depth.  At k = 1 it is the paper's: columns pay 2 messages of 8N
+// bytes, 2-D blocks pay 4 messages of 8N/q bytes.  Those counts are an
+// interior processor's; a distributed dimension of extent e gives its
+// busiest processor min(2, e-1) neighbours, so on a 2×2 arrangement (all
+// corners) blocks pay 2 messages, not 4.  ChooseSmoothingDist picks the
+// cheaper distribution at k = 1; SmoothDepth the k for one.
+func SmoothModelCost(n, p, k int, alpha, beta, flopTime float64) (columns, block2d float64) {
+	return smoothStepCost(SmoothColumns, n, p, k, alpha, beta, flopTime),
+		smoothStepCost(SmoothBlock2D, n, p, k, alpha, beta, flopTime)
+}
+
+// smoothStepCost is the modeled cost per step of a block of k steps on
+// the busiest processor under mode, which owns ext[0]×ext[1] points with
+// nb[d] neighbours along dimension d: the block's one exchange — a face
+// of k layers per neighbour, dimension 1's spanning dimension 0's margins
+// once k > 1 (the corners it forwards) — and the ring of the neighbours'
+// points step j recomputes, k-1-j deep on every side with a neighbour, at
+// the 4 flops of an update each.
+func smoothStepCost(mode SmoothMode, n, p, k int, alpha, beta, flopTime float64) float64 {
+	ext, nb := [2]float64{float64(n), float64(n) / float64(p)}, [2]int{0, min(2, p-1)}
+	if mode == SmoothBlock2D {
+		q := int(math.Round(math.Sqrt(float64(p))))
+		e := float64(n) / float64(q)
+		ext, nb = [2]float64{e, e}, [2]int{min(2, q-1), min(2, q-1)}
+	}
+	kf := float64(k)
+	face1 := ext[0]
+	if k > 1 {
+		face1 += float64(nb[0]) * kf
+	}
+	comm := float64(nb[0])*(alpha+beta*8*kf*ext[1]) + float64(nb[1])*(alpha+beta*8*kf*face1)
+	ring := 0.0
+	for w := 1.0; w < kf; w++ {
+		ring += (ext[0]+float64(nb[0])*w)*(ext[1]+float64(nb[1])*w) - ext[0]*ext[1]
+	}
+	return (comm + 4*flopTime*ring) / kf
+}
+
+// SmoothDepth is the §4 runtime decision of the halo depth: the k with
+// the lowest modeled step cost for the distribution (SmoothModelCost),
+// no deeper than the thinnest segment — a ghost ring is filled by the
+// face neighbours alone — and 1 when no machine model is given (alpha =
+// beta = 0).  flopTime 0 means the default 2 ns.  The cost falls with k
+// while the saved start-ups outweigh the recomputed ring and rises
+// after, so the search stops at the first rise.
+func SmoothDepth(mode SmoothMode, n, p int, alpha, beta, flopTime float64) int {
+	if flopTime == 0 {
+		flopTime = 2e-9
+	}
+	e := p // processors along a distributed dimension
+	if mode == SmoothBlock2D {
+		e = int(math.Round(math.Sqrt(float64(p))))
+	}
+	bs := (n + e - 1) / e
+	thin := n - (n-1)/bs*bs // BLOCK's last, thinnest non-empty segment
+	if testDepth > 0 {
+		return max(1, min(testDepth, thin))
+	}
+	if alpha == 0 && beta == 0 {
+		return 1
+	}
+	best, bestCost := 1, smoothStepCost(mode, n, p, 1, alpha, beta, flopTime)
+	for k := 2; k <= thin; k++ {
+		c := smoothStepCost(mode, n, p, k, alpha, beta, flopTime)
+		if c >= bestCost {
+			break
+		}
+		best, bestCost = k, c
+	}
+	return best
 }
 
 // ChooseSmoothingDist implements the §4 runtime decision: given the grid
@@ -344,7 +455,7 @@ func ChooseSmoothingDist(n, p int, alpha, beta float64) SmoothMode {
 	if q*q != p {
 		return SmoothColumns // no square arrangement available
 	}
-	c, b := SmoothModelCost(n, p, alpha, beta)
+	c, b := SmoothModelCost(n, p, 1, alpha, beta, 0)
 	if b < c {
 		return SmoothBlock2D
 	}

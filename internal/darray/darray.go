@@ -25,7 +25,7 @@
 // §3.2.2 has each processor evaluate the new distribution for itself.
 // Nothing is published and no DISTRIBUTE waits in a barrier; a processor
 // reaches a peer's storage only where a message orders the access (see
-// RedistributeTo and startGhostDim).
+// RedistributeTo); a ghost exchange touches only the caller's own.
 //
 // Mutation discipline: the engine assumes the SPMD owner-computes model —
 // between two synchronization points, an element is either written only
@@ -89,10 +89,9 @@ type rankState struct {
 	// Dist(0) may be read from another rank without a data race.
 	dst  atomic.Pointer[dist.Distribution]
 	epoc int // redistributions this rank has committed (diagnostics)
-	// signal has bit k set while this rank's neighbours along dimension
-	// k have not been told of storage a DISTRIBUTE committed (see
-	// startGhostDim).
-	signal uint64
+	// ghosts is the ghost exchange under dst, rebuilt by the first
+	// exchange after a commit (ghostPlanOf).
+	ghosts ghostPlan
 	// retired parks the storage a DISTRIBUTE replaced, keyed by
 	// distribution fingerprint; phase-alternating programs bounce between
 	// a few mappings, so the next DISTRIBUTE back reuses the allocation

@@ -6,9 +6,9 @@ import (
 )
 
 // ExchangeGhosts refreshes the overlap areas of dimension k: each
-// processor puts its boundary faces into the neighbouring processors'
-// ghost margins along that dimension's target dimension and waits for
-// the neighbours' faces to land in its own.  Overlap areas are the
+// processor sends its boundary faces to the neighbouring processors along
+// that dimension's target dimension and applies the neighbours' faces
+// into its own ghost margins.  Overlap areas are the
 // mechanism the VFE uses to satisfy nearest-neighbour non-local
 // references (§3.2: "the associated overlap areas"); a 5-point smoothing
 // step needs one exchange per distributed dimension per sweep, which is
@@ -19,7 +19,9 @@ import (
 // areas are clipped at the domain boundary (non-periodic), and the
 // exchanged face width is min(ghost width, neighbour segment width) —
 // with degenerate segments thinner than the overlap, the farther ghost
-// rows stay stale (only nearest neighbours exchange).
+// rows stay stale (only nearest neighbours exchange).  With a width above
+// 1 the faces carry the corners of the dimensions before k (see
+// StartExchangeGhosts), so exchange those first.
 //
 // ExchangeGhosts is simply StartExchangeGhosts followed by
 // GhostHandle.Wait; use the start/wait pair directly to overlap local

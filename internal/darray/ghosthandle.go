@@ -3,6 +3,7 @@ package darray
 import (
 	"fmt"
 
+	"repro/internal/dist"
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -10,22 +11,32 @@ import (
 
 // Asynchronous ghost exchange over one-sided windows.
 //
-// StartExchangeGhosts pushes this processor's boundary faces directly
-// into its neighbours' ghost margins (msg.Window.PutAsync) and returns a
-// GhostHandle immediately; the faces this processor is owed arrive
-// whenever the neighbours start their own exchange.  GhostHandle.Wait
-// blocks until every expected face has been deposited — a lightweight
-// per-neighbour completion rather than a global barrier, which is what
-// lets a stencil sweep compute its interior while the halos are still in
-// flight (start → interior → Wait → peeled edges).
+// StartExchangeGhosts sends this processor's boundary faces to its
+// neighbours (msg.Window.PutAsync) and returns a GhostHandle immediately;
+// the faces this processor is owed arrive whenever the neighbours start
+// their own exchange.  GhostHandle.Wait applies every expected face into
+// this processor's ghost margins — a lightweight per-neighbour completion
+// rather than a global barrier, which is what lets a stencil sweep
+// compute its interior while the halos are still in flight (start →
+// interior → Wait → peeled edges).  Only Wait writes the margins, so a
+// neighbour that starts its next exchange early cannot touch cells this
+// processor still reads.
 //
-// Both sides derive the transfer geometry from their distribution
-// descriptors, so puts carry payload only and the per-step
-// message and byte counts are identical to the two-sided exchange this
-// replaces (the §4 cost arguments keep holding).  Each array owns a
-// window with a private tag subspace, so concurrent exchanges of
-// different arrays — or of several dimensions of one array — can be in
-// flight together without tag collisions.
+// Each side derives the transfer geometry from its own distribution
+// descriptor — the sender never reads a neighbour's Local — so puts carry
+// payload only and the per-step message and byte counts are identical to
+// the two-sided exchange this replaces (the §4 cost arguments keep
+// holding).  Each array owns a window with a private tag subspace, so
+// concurrent exchanges of different arrays — or of several dimensions of
+// one array — can be in flight together without tag collisions.
+//
+// Corners.  A width-1 face covers the owned extent of every other
+// dimension, as a 5-point stencil needs.  A wider face of dimension k
+// also covers the ghost margins of every dimension before k, so that,
+// exchanged in dimension order — dimension j's faces applied before
+// dimension k's leave — the corner blocks travel forwarded through the
+// face neighbours and the whole ring is filled (a depth-k halo computed
+// over for several steps needs its corners).
 
 // ghostSubtag returns the counted-stream subtag of dimension k's
 // exchange in direction dir (0: faces travel toward higher ranks, 1:
@@ -38,20 +49,92 @@ func ghostSubtag(k, dir int) int {
 	return st
 }
 
-// storageRect describes the storage region covering dimension k's local
+// ghostFace is one face of a rank's ghost exchange: the neighbour it goes
+// to or comes from, the window stream it rides and the region of this
+// rank's storage it leaves from or lands in.
+type ghostFace struct {
+	peer, subtag int
+	rect         msg.Rect
+}
+
+// ghostDim is one dimension's exchange as a rank runs it.
+type ghostDim struct {
+	send, recv []ghostFace
+}
+
+// ghostPlan is a rank's ghost exchange under one committed distribution.
+// Its faces depend only on the descriptor and the ghost widths, so the
+// first exchange after a commit builds it and every later one reuses it:
+// a warm exchange allocates no rect and no neighbour list.
+type ghostPlan struct {
+	d    *dist.Distribution
+	dims []ghostDim
+}
+
+// ghostPlanOf returns rank's exchange plan under its current distribution
+// d, building it if d is new.  Faces clip to min(ghost width, segment
+// width) on each side; a dimension that is not distributed, or a rank
+// outside the target or with an empty segment, exchanges nothing.
+func (a *Array) ghostPlanOf(rank int, d *dist.Distribution) *ghostPlan {
+	g := &a.own[rank].ghosts
+	if g.d == d {
+		return g
+	}
+	*g = ghostPlan{d: d, dims: make([]ghostDim, a.dom.Rank())}
+	l := a.locals[rank]
+	coords, ok := d.Target().CoordsOf(rank)
+	if !ok || l.Count() == 0 {
+		return g
+	}
+	for k := range g.dims {
+		w, td := a.ghost[k], d.ProcDim(k)
+		if w == 0 || td < 0 {
+			continue
+		}
+		lo, hi, ok := segDim(l, k)
+		if !ok {
+			panic(fmt.Sprintf("darray: %s: ghost exchange on non-contiguous dimension %d", a.name, k+1))
+		}
+		fw := min(w, hi-lo+1)
+		stUp, stDn := ghostSubtag(k, 0), ghostSubtag(k, 1)
+		gd := &g.dims[k]
+		// Faces travelling upward leave my top rows for next's low margin
+		// and arrive from prev in mine; downward ones the other way.
+		if next := neighborRank(d, coords, td, +1); next >= 0 {
+			gd.send = append(gd.send, ghostFace{next, stUp, l.faceRect(k, hi-fw+1, hi, w > 1)})
+			if nw := min(w, dimCount(d, k, next)); nw > 0 {
+				gd.recv = append(gd.recv, ghostFace{next, stDn, l.faceRect(k, hi+1, hi+nw, w > 1)})
+			}
+		}
+		if prev := neighborRank(d, coords, td, -1); prev >= 0 {
+			gd.send = append(gd.send, ghostFace{prev, stDn, l.faceRect(k, lo, lo+fw-1, w > 1)})
+			if pw := min(w, dimCount(d, k, prev)); pw > 0 {
+				gd.recv = append(gd.recv, ghostFace{prev, stUp, l.faceRect(k, lo-pw, lo-1, w > 1)})
+			}
+		}
+	}
+	return g
+}
+
+// faceRect describes the storage region covering dimension k's local
 // positions for global indices [aIdx..bIdx] (which may lie in the ghost
-// margins; the dimension must be contiguous) and the full owned extents
-// of every other dimension, in canonical pack order.  It reads only
-// immutable Local geometry, so building a rect over a neighbour's Local
-// is race-free.
-func (l *Local) storageRect(k, aIdx, bIdx int) msg.Rect {
+// margins; the dimension must be contiguous) and, in every other
+// dimension, the owned extent — widened by the ghost margins in the
+// dimensions before k when corners is set — in canonical pack order.
+// Both ends of a face build it over the same extents: neighbours along k
+// own the same indices in every other dimension, and their margins there
+// are clipped alike.
+func (l *Local) faceRect(k, aIdx, bIdx int, corners bool) msg.Rect {
 	r := msg.Rect{Dims: make([]msg.RectDim, len(l.shape))}
 	off := 0
 	for d := range l.shape {
-		if d == k {
+		switch {
+		case d == k:
 			off += l.li(k, aIdx) * l.strd[d]
 			r.Dims[d] = msg.RectDim{Stride: l.strd[d], Count: bIdx - aIdx + 1}
-		} else {
+		case corners && d < k:
+			r.Dims[d] = msg.RectDim{Stride: l.strd[d], Count: l.alloc[d]}
+		default:
 			// Owned cells occupy the contiguous local positions
 			// gLo[d]..gLo[d]+shape[d]-1 regardless of the global run
 			// structure, in enumeration (pack) order.
@@ -63,170 +146,88 @@ func (l *Local) storageRect(k, aIdx, bIdx int) msg.Rect {
 	return r
 }
 
-// ghostWait records one face this processor is owed.
-type ghostWait struct {
-	from   int
-	subtag int
-	dst    msg.Rect
-	dim    int
-}
-
 // GhostHandle tracks an in-flight asynchronous ghost exchange.  Wait
 // must be called exactly once per handle before the ghost cells are
 // read; it is safe to call on a nil handle (a no-op, so callers may
 // thread handles through optional paths).
 type GhostHandle struct {
-	a     *Array
-	ctx   *machine.Ctx
-	win   *msg.Window
-	waits []ghostWait
-	done  bool
-	err   error
+	a    *Array
+	ctx  *machine.Ctx
+	plan *ghostPlan
+	dims uint64 // dimensions started and not yet applied
+	done bool
+	err  error
 }
 
 // StartExchangeGhosts begins refreshing the overlap areas of dimension
-// k: boundary faces are put into the neighbours' ghost margins without
-// waiting for the inbound faces.  Complete it with GhostHandle.Wait
-// before reading this processor's own ghost cells.  See ExchangeGhosts
-// for the synchronous semantics, clipping rules and error behaviour.
+// k: boundary faces are sent to the neighbours without waiting for the
+// inbound faces.  Complete it with GhostHandle.Wait before reading this
+// processor's own ghost cells.  With a ghost width above 1 the faces
+// carry the margins of the dimensions before k (see Corners above), so
+// start dimension k only after those dimensions' handles were waited.
+// See ExchangeGhosts for the synchronous semantics, clipping rules and
+// error behaviour.
 func (a *Array) StartExchangeGhosts(ctx *machine.Ctx, k int) (*GhostHandle, error) {
 	h := &GhostHandle{a: a, ctx: ctx}
-	if err := a.startGhostDim(ctx, k, h); err != nil {
+	if err := h.start(k); err != nil {
 		return nil, err
 	}
 	return h, nil
 }
 
 // StartExchangeAllGhosts begins the exchange of every dimension with a
-// non-zero overlap, returning one handle that completes them all.  The
+// non-zero overlap, returning one handle that completes them all.  Width-1
 // dimensions' transfers are independent (faces carry owned cells only),
-// so they ride different window subtags concurrently.
+// so they ride different window subtags concurrently; before a dimension
+// whose faces carry corners starts, the dimensions before it are waited
+// for, and only the last such dimension is left in flight.
 func (a *Array) StartExchangeAllGhosts(ctx *machine.Ctx) (*GhostHandle, error) {
 	h := &GhostHandle{a: a, ctx: ctx}
 	for k := 0; k < a.dom.Rank(); k++ {
-		if err := a.startGhostDim(ctx, k, h); err != nil {
+		if a.ghost[k] > 1 {
+			if err := h.apply(); err != nil {
+				return nil, err
+			}
+		}
+		if err := h.start(k); err != nil {
 			return nil, err
 		}
 	}
 	return h, nil
 }
 
-// startGhostDim issues dimension k's outbound puts and records the
-// inbound completions on h.
-//
-// A put writes straight into the neighbour's registered storage and reads
-// the neighbour's Local for its geometry, so it must not run before the
-// neighbour has committed the DISTRIBUTE this rank committed last.  The
-// first exchange along k after a DISTRIBUTE therefore starts with a
-// zero-byte signal to each neighbour — sent after this rank's own commit —
-// and waits for the neighbour's signal before putting to it.  Signals ride
-// the streams the faces do, ahead of them, so the neighbours' Waits see
-// faces only.  Later exchanges need no signal: a neighbour cannot commit
-// another DISTRIBUTE before it has waited for this rank's faces.
-func (a *Array) startGhostDim(ctx *machine.Ctx, k int, h *GhostHandle) error {
+// start issues dimension k's outbound puts and marks its inbound faces
+// as owed on h.
+func (h *GhostHandle) start(k int) error {
+	a, ctx := h.a, h.ctx
 	rank := ctx.Rank()
 	d := a.requireDist(rank)
 	if a.ghost[k] == 0 {
 		return nil
 	}
-	td := d.ProcDim(k)
-	if td < 0 {
-		return nil // dimension not distributed: the full extent is local
+	h.plan = a.ghostPlanOf(rank, d)
+	gd := &h.plan.dims[k]
+	if len(gd.send) == 0 && len(gd.recv) == 0 {
+		return nil
 	}
-	l := a.locals[rank]
-	coords, ok := d.Target().CoordsOf(rank)
-	if !ok || l.Count() == 0 {
-		return nil // outside the target or empty segment: nothing to exchange
-	}
-	lo, hi, okSeg := segDim(l, k)
-	if !okSeg {
-		panic(fmt.Sprintf("darray: %s: ghost exchange on non-contiguous dimension %d", a.name, k+1))
-	}
-	w := a.ghost[k]
-	win := a.win
-	h.win = win
+	h.dims |= 1 << k
 	c := ctx.Comm()
 	a.spans()
 	defer ctx.Tracer().BeginSpan(rank, trace.CatGhost, a.ghostStartSpan).End()
-
-	next := neighborRank(d, coords, td, +1)
-	prev := neighborRank(d, coords, td, -1)
-
-	stUp, stDn := ghostSubtag(k, 0), ghostSubtag(k, 1)
-	fail := func(err error) error {
-		return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", a.name, k+1, err)
-	}
-	own := &a.own[rank]
-	signal := own.signal&(1<<k) != 0
-	if signal {
-		own.signal &^= 1 << k
-		if next >= 0 {
-			if err := win.Signal(c, next, stUp); err != nil {
-				return fail(err)
-			}
-		}
-		if prev >= 0 {
-			if err := win.Signal(c, prev, stDn); err != nil {
-				return fail(err)
-			}
-		}
-	}
-
-	// Faces traveling upward: my top rows into next's low ghost margin.
-	if next >= 0 {
-		if signal {
-			if err := win.AwaitSignal(c, next, stDn); err != nil {
-				return fail(err)
-			}
-		}
-		fw := min(w, hi-lo+1)
-		ln := a.locals[next]
-		nlo, _, nok := segDim(ln, k)
-		if !nok {
-			panic(fmt.Sprintf("darray: %s: ghost exchange on non-contiguous dimension %d", a.name, k+1))
-		}
-		src := l.storageRect(k, hi-fw+1, hi)
-		dst := ln.storageRect(k, nlo-fw, nlo-1)
-		if err := win.PutAsync(c, next, stUp, src, dst); err != nil {
-			return fail(err)
-		}
-	}
-	if prev >= 0 {
-		if fw := min(w, dimCount(d, k, prev)); fw > 0 {
-			h.waits = append(h.waits, ghostWait{prev, stUp, l.storageRect(k, lo-fw, lo-1), k})
-		}
-	}
-	// Faces traveling downward: my bottom rows into prev's high margin.
-	if prev >= 0 {
-		if signal {
-			if err := win.AwaitSignal(c, prev, stUp); err != nil {
-				return fail(err)
-			}
-		}
-		fw := min(w, hi-lo+1)
-		lp := a.locals[prev]
-		_, phi, pok := segDim(lp, k)
-		if !pok {
-			panic(fmt.Sprintf("darray: %s: ghost exchange on non-contiguous dimension %d", a.name, k+1))
-		}
-		src := l.storageRect(k, lo, lo+fw-1)
-		dst := lp.storageRect(k, phi+1, phi+fw)
-		if err := win.PutAsync(c, prev, stDn, src, dst); err != nil {
-			return fail(err)
-		}
-	}
-	if next >= 0 {
-		if fw := min(w, dimCount(d, k, next)); fw > 0 {
-			h.waits = append(h.waits, ghostWait{next, stDn, l.storageRect(k, hi+1, hi+fw), k})
+	for _, f := range gd.send {
+		// The target applies the face through its own rect; the put
+		// names only this side's.
+		if err := a.win.PutAsync(c, f.peer, f.subtag, f.rect, f.rect); err != nil {
+			return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", a.name, k+1, err)
 		}
 	}
 	return nil
 }
 
-// Wait blocks until every face this processor is owed has been deposited
-// in its ghost margins, completing the exchange.  A second Wait (or a
-// Wait on a nil handle) returns the first completion's result without
-// waiting again.
+// Wait blocks until every face this processor is owed has arrived and
+// applies it into its ghost margins, completing the exchange.  A second
+// Wait (or a Wait on a nil handle) returns the first completion's result
+// without waiting again.
 func (h *GhostHandle) Wait() error {
 	if h == nil {
 		return nil
@@ -235,15 +236,27 @@ func (h *GhostHandle) Wait() error {
 		return h.err
 	}
 	h.done = true
-	if len(h.waits) == 0 {
+	h.err = h.apply()
+	return h.err
+}
+
+// apply awaits and applies the faces of every dimension started since
+// the last apply, in dimension order.
+func (h *GhostHandle) apply() error {
+	if h.dims == 0 {
 		return nil
 	}
 	c := h.ctx.Comm()
 	defer h.ctx.Tracer().BeginSpan(h.ctx.Rank(), trace.CatGhost, h.a.ghostWaitSpan).End()
-	for _, wt := range h.waits {
-		if err := h.win.AwaitPut(c, wt.from, wt.subtag, wt.dst); err != nil {
-			h.err = fmt.Errorf("darray: %s: ghost exchange dim %d: %w", h.a.name, wt.dim+1, err)
-			return h.err
+	for k := range h.plan.dims {
+		if h.dims&(1<<k) == 0 {
+			continue
+		}
+		h.dims &^= 1 << k
+		for _, f := range h.plan.dims[k].recv {
+			if err := h.a.win.AwaitPut(c, f.peer, f.subtag, f.rect); err != nil {
+				return fmt.Errorf("darray: %s: ghost exchange dim %d: %w", h.a.name, k+1, err)
+			}
 		}
 	}
 	return nil

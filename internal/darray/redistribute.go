@@ -166,15 +166,16 @@ func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts .
 }
 
 // commit makes l and d this rank's storage and descriptor: l becomes the
-// target of ghost puts, and the next ghost exchange along each dimension
-// first signals the neighbours that it did (startGhostDim).
+// storage its ghost awaits apply into, and its next ghost exchange builds
+// a plan for d.  No neighbour is told: a face put before or after the
+// neighbour's own commit lands at the neighbour's matching await, in
+// whatever storage the neighbour has committed by then.
 func (a *Array) commit(rank int, d *dist.Distribution, l *Local) {
 	a.locals[rank] = l
 	a.win.Register(rank, l.data)
 	own := &a.own[rank]
 	own.dst.Store(d)
 	own.epoc++
-	own.signal = ^uint64(0)
 }
 
 // redistSubtag is the window stream a DISTRIBUTE's offers travel on; the

@@ -13,15 +13,18 @@ import (
 // destination mailbox.  The copy is deliberate — it preserves
 // distributed-memory semantics for everything that is sent (no sharing of
 // buffers between sender and receiver), and makes byte accounting
-// identical to the TCP transport.  What it does share is the address
-// space, which its endpoints report as SharedMemory(): a Window uses
-// that to move registered storage by one direct copy, ordered by a
-// zero-byte token sent through here, instead of copying it into a
-// mailbox and out again.
+// identical to the TCP transport.  As on TCP, the copy lands in a buffer
+// from a per-(sender, receiver) free list that only Packet.Release
+// refills, so a released payload's buffer carries the next one of its
+// size.  What the endpoints do share is the address space, which they
+// report as SharedMemory(): a Window's Offer/Pull uses that to let the
+// receiver copy straight out of the offerer's storage, ordered by a
+// zero-byte token sent through here.
 type ChanTransport struct {
 	np     int
 	boxes  []*matcher
 	eps    []chanEndpoint
+	free   []rxFree // by sender*np + receiver
 	stats  *Stats
 	cost   *CostModel
 	tracer *trace.Tracer
@@ -37,6 +40,7 @@ func NewChanTransport(np int, opts ...Option) *ChanTransport {
 	t := &ChanTransport{
 		np:    np,
 		boxes: make([]*matcher, np),
+		free:  make([]rxFree, np*np),
 		stats: NewStats(np),
 	}
 	for _, o := range opts {
@@ -109,8 +113,8 @@ func (e *chanEndpoint) Rank() int { return e.rank }
 func (e *chanEndpoint) NP() int   { return e.t.np }
 
 // SharedMemory reports that sender and receiver share one address space,
-// enabling the one-sided window fast path (direct copies between
-// registered slices; the transport moves only notification tokens).
+// enabling the window's offer/pull fast path (the puller copies straight
+// out of the offered storage; the transport moves only tokens).
 func (e *chanEndpoint) SharedMemory() bool { return true }
 
 // Tracer exposes the transport's tracer so Comm can record collective
@@ -124,9 +128,12 @@ func (e *chanEndpoint) Send(to, tag int, data []byte) error {
 	if to < 0 || to >= e.t.np {
 		return fmt.Errorf("msg: send to invalid rank %d (np=%d)", to, e.t.np)
 	}
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	p := Packet{From: e.rank, Tag: tag, Data: cp}
+	p := Packet{From: e.rank, Tag: tag, Data: make([]byte, 0)}
+	if n := len(data); n > 0 {
+		f := &e.t.free[e.rank*e.t.np+to]
+		p.Data, p.home = f.take(n), f
+		copy(p.Data, data)
+	}
 	if c := e.t.cost; c != nil {
 		p.SendClock = c.OnSend(e.rank, len(data))
 	}

@@ -272,9 +272,9 @@ func (e *faultEndpoint) fire(peer, tag int, kinds ...FaultKind) *FaultRule {
 }
 
 // SharedMemory forwards the one-sided fast-path capability.  Injection
-// still applies to window traffic: the direct copy is published by a
-// notification token that passes through this endpoint, so dropping,
-// delaying or failing the token drops, delays or fails the completion.
+// still applies to window traffic: a put's payload and an offer's
+// notification token both pass through this endpoint, so dropping,
+// delaying or failing them drops, delays or fails the completion.
 func (e *faultEndpoint) SharedMemory() bool { return sharedMemory(e.inner) }
 
 // slowDur is the per-operation latency a fired FaultSlow rule charges.

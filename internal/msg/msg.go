@@ -86,8 +86,8 @@ type Packet struct {
 	// SendClock is the sender's virtual clock (seconds) at send time,
 	// used by the cost model; zero when no cost model is attached.
 	SendClock float64
-	// home is the free list Data's buffer came from; nil on the chan
-	// transport and for payloads too small to be worth keeping.
+	// home is the free list Data's buffer came from; nil for empty
+	// payloads and for TCP payloads too small to be worth keeping.
 	home *rxFree
 }
 
@@ -95,8 +95,8 @@ type Packet struct {
 // of the same size.  After Release the receiver must not touch Data
 // again.  Releasing is never required — a packet that is not released is
 // simply garbage collected — and it is a no-op for packets the transport
-// did not take from a free list (every chan-transport packet, every
-// small one); releasing the same packet twice in a row is harmless.
+// did not take from a free list (empty ones, small TCP ones); releasing
+// the same packet twice in a row is harmless.
 // Decorators pass packets by value, so a packet received through a View,
 // the integrity layer or a fault injector releases the buffer it arrived
 // in.
@@ -125,10 +125,11 @@ type Endpoint interface {
 	// ownership rule on the other side: a received Packet.Data is the
 	// receiver's until it calls Packet.Release and never after; not
 	// releasing is always safe.  Not every byte a program moves is handed
-	// to Send: on endpoints that report SharedMemory() a Window moves
-	// bulk data (ghost faces, DISTRIBUTE's rect transfers) by direct
-	// copy and sends only a zero-byte token here, accounting the
-	// payload beside it.
+	// to Send: on endpoints that report SharedMemory() a Window's
+	// Offer/Pull (DISTRIBUTE's rect transfers) lets the receiver copy
+	// straight out of the offerer's storage and sends only a zero-byte
+	// token here, accounting the payload beside it.  Ghost faces are
+	// always sent here, packed.
 	Send(to, tag int, data []byte) error
 	// Recv blocks until a message matching (from, tag) arrives and
 	// returns it.  AnySource / AnyTag act as wildcards.  Messages from

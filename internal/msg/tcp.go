@@ -56,8 +56,9 @@ const (
 	// copying a few hundred bytes.
 	tcpCoalesce = 1024
 	// rxFreeCap bounds a connection's free list of receive buffers, and
-	// payloads below rxFreeMin bypass it: they are cheap to allocate and
-	// would only push the bulk buffers out.
+	// TCP payloads below rxFreeMin bypass it: the reader allocates them
+	// cheaply and they would only push the bulk buffers out.  (The chan
+	// transport copies every payload anyway, so all of its take the list.)
 	rxFreeCap = 4
 	rxFreeMin = 4096
 )
@@ -85,10 +86,11 @@ func parseFrameHeader(hdr []byte) (tag, n int, sendClock float64, ok bool) {
 	return tag, int(length), float64frombitsSafe(clockBits), true
 }
 
-// rxFree is one connection's free list of receive buffers.  The reader
-// takes a buffer of exactly the incoming payload's length when one is
-// listed and allocates otherwise; a buffer enters the list only through
-// Packet.Release.  Transfer sizes repeat exactly from step to step, so in
+// rxFree is one connection's free list of receive buffers — a TCP
+// connection's, or a chan sender-receiver pair's.  The reader (on chan,
+// the sending copy) takes a buffer of exactly the incoming payload's
+// length when one is listed and allocates otherwise; a buffer enters the
+// list only through Packet.Release.  Transfer sizes repeat exactly from step to step, so in
 // steady state a bulk payload lands in the buffer its predecessor was
 // released from and nothing its size is allocated; a size that stops
 // recurring is pushed out by later releases, so at most rxFreeCap buffers
@@ -113,9 +115,6 @@ func (f *rxFree) take(n int) []byte {
 }
 
 func (f *rxFree) put(b []byte) {
-	if len(b) < rxFreeMin {
-		return
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	slot := -1

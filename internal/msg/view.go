@@ -114,7 +114,7 @@ func (v *View) Tracer() *trace.Tracer {
 }
 
 // SharedMemory forwards the one-sided fast-path capability of the
-// wrapped endpoint (windows over a view keep the direct-copy path).
+// wrapped endpoint (offers over a view keep the token path).
 func (v *View) SharedMemory() bool { return sharedMemory(v.inner) }
 
 // CheckLive reports whether the view's epoch is still valid; a non-nil

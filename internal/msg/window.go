@@ -16,12 +16,16 @@ import (
 // Two completion disciplines are offered, both on counted streams
 // (subtags 1..63):
 //
-//   - Puts (PutAsync / AwaitPut): the initiator puts into a known target
-//     region and the target later consumes exactly one completion per
-//     expected put.  This is the ghost-exchange discipline — both sides
-//     can derive the transfer geometry from the (replicated) distribution
+//   - Puts (PutAsync / AwaitPut): the initiator packs a region of its
+//     storage and sends it; the target consumes exactly one completion
+//     per expected put and applies the payload into a region of its own
+//     storage.  This is the ghost-exchange discipline — both sides derive
+//     the transfer geometry from their own (replicated) distribution
 //     descriptor, so the wire carries payload only and the message/byte
 //     accounting is identical to the two-sided exchange it replaces.
+//     Only the target writes its storage, at the await, so a put from a
+//     neighbour that runs ahead can never land in a region the target is
+//     still reading.
 //   - Offers (Offer / Pull): the owner offers a region of its offered
 //     storage and the receiver pulls it into storage of its own that need
 //     not be registered — the DISTRIBUTE discipline, where the destination
@@ -30,37 +34,37 @@ import (
 //     the owner's Settle collects them before it reuses what it offered.
 //
 // A rank's offered storage is its registered storage as of its last
-// Settle, so it may register new storage (publishing it to puts) while
-// peers still pull from the old: a DISTRIBUTE commits without waiting for
-// its pullers.
+// Settle, so it may register new storage (the target of its own awaits)
+// while peers still pull from the old: a DISTRIBUTE commits without
+// waiting for its pullers.
 //
 // Transport interplay:
 //
-//   - On a transport whose endpoints report SharedMemory() (the in-process
-//     chan transport, possibly under fault/integrity/view wrappers), data
-//     moves by a bounds-checked direct copy between the registered slices;
-//     the transport moves only a notification token.  The token carries
-//     the happens-before edge (matcher mutex) that makes the direct copy
-//     race-free, and the payload bytes are accounted on both sides so
-//     Stats and CostModel parity with the framed path is preserved.
-//   - On other transports (TCP loopback) the initiator packs the region
-//     span by span into a recycled wire buffer (the PR-2 pack engine) and
-//     the target applies it bounds-checked at its synchronization point.
+//   - A put is packed span by span into a recycled wire buffer (the
+//     darray pack engine's run walk), sent through the endpoint, and
+//     applied bounds-checked at the target's await, which then releases
+//     the payload — on every transport.  The chan transport recycles released
+//     payload buffers as TCP does, so a warm put allocates nothing.
+//   - An offer on a transport whose endpoints report SharedMemory() (the
+//     in-process chan transport, possibly under fault/integrity/view
+//     wrappers) moves only a notification token: the token carries the
+//     happens-before edge (matcher mutex) that makes the puller's direct
+//     copy race-free, and the payload bytes are accounted on both sides so
+//     Stats and CostModel parity with the framed path is preserved.  On
+//     other transports (TCP loopback) offers travel packed, like puts.
 //
 // Epoch safety: window operations go through the caller's endpoint, so
 // when that endpoint is a *View the tags are epoch-folded and every
 // retry consults the liveness checker — a put or await on a revoked
 // epoch aborts with the view's error instead of matching stale traffic.
 //
-// Failure semantics: on the shared-memory path the direct copy happens
-// before the notification token is sent, so a put whose token is lost
-// may leave target memory updated while the completion errors out — as
-// with MPI RMA, window contents are undefined after a failed put.  An
-// offer whose token is lost copies nothing; but a token that arrives
-// after its pull gave up stays queued and would complete the next pull
-// on that stream, so a counted stream must not be reused after a failed
-// operation without a new epoch (a View folds the epoch into the tag).
-// A done token lost with its puller fails the offerer's next Settle.
+// Failure semantics: a put whose payload is lost leaves the target's
+// storage untouched and its await errors out.  An offer whose token is
+// lost copies nothing; but a token that arrives after its pull gave up
+// stays queued and would complete the next pull on that stream, so a
+// counted stream must not be reused after a failed operation without a
+// new epoch (a View folds the epoch into the tag).  A done token lost
+// with its puller fails the offerer's next Settle.
 
 // Rect describes a strided hyper-rectangular region of a window's
 // registered storage: element offset Off plus per-dimension (stride,
@@ -288,16 +292,16 @@ type Window struct {
 	shared []winShared
 	// op names handed to SendRetry/RecvRetry, built once: the counted
 	// streams run per message and must not concatenate per call.
-	opPut, opAwait, opOffer, opPull, opDone, opSignal string
+	opPut, opAwait, opOffer, opPull, opDone string
 }
 
 // winShared is per-rank hot-path state.  Only its rank writes it; peers
-// read data after a put-ordering token and offered after an offer token.
+// read offered after an offer token.
 type winShared struct {
-	data    []float64 // registered storage: the target of puts
+	data    []float64 // registered storage: the target of awaited puts
 	offered []float64 // what offers address: data as of the last Settle
 	owed    []int32   // per peer, done tokens not yet collected by Settle
-	sendBuf []byte    // recycled pack buffer (framed path)
+	sendBuf []byte    // recycled pack buffer (puts; offers off shared memory)
 	_       [64]byte  // keep ranks off each other's cache lines
 }
 
@@ -317,23 +321,20 @@ func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 		cost:   cost,
 		shared: shared,
 
-		opPut:    "win-put " + name,
-		opAwait:  "win-await " + name,
-		opOffer:  "win-offer " + name,
-		opPull:   "win-pull " + name,
-		opDone:   "win-done " + name,
-		opSignal: "win-signal " + name,
+		opPut:   "win-put " + name,
+		opAwait: "win-await " + name,
+		opOffer: "win-offer " + name,
+		opPull:  "win-pull " + name,
+		opDone:  "win-done " + name,
 	}
 }
 
 // Name returns the window's diagnostic name.
 func (w *Window) Name() string { return w.name }
 
-// Register associates rank's storage with the window as the target of
-// puts.  Call it on rank whenever its storage is (re)allocated, before
-// whatever message orders it before a peer's next put — a barrier, a
-// collective, or a Signal.  Offers address it only after the rank's next
-// Settle.
+// Register associates rank's storage with the window: rank's awaits
+// apply puts into it, and its offers address it after the rank's next
+// Settle.  Call it on rank whenever its storage is (re)allocated.
 func (w *Window) Register(rank int, data []float64) {
 	w.shared[rank].data = data
 }
@@ -382,10 +383,10 @@ func physOf(ep Endpoint, r int) int {
 	return r
 }
 
-// accountDirect records the payload bytes of one direct-copy transfer:
-// the notification token already counted as one (zero-byte) message on
-// each side, so adding the payload bytes to both ends makes the counters
-// match the framed path exactly (one data message of n bytes).
+// accountDirect records the payload bytes of one token-path offer: the
+// token already counted as one (zero-byte) message on each side, so
+// adding the payload bytes to both ends makes the counters match the
+// framed path exactly (one data message of n bytes).
 func (w *Window) accountDirect(ep Endpoint, from, to, n int) {
 	pf, pt := physOf(ep, from), physOf(ep, to)
 	w.stats.bytesSent[pf].Add(int64(n))
@@ -393,55 +394,29 @@ func (w *Window) accountDirect(ep Endpoint, from, to, n int) {
 	w.stats.bytesRecv[pt].Add(int64(n))
 }
 
-// chargeRecvBytes advances the calling rank's cost clock by the per-byte
-// transfer cost the token's zero-byte arrival did not carry.  Only the
-// clock's owner may call it (single-writer clocks).
-func (w *Window) chargeRecvBytes(ep Endpoint, rank, n int) {
-	if w.cost != nil {
-		w.cost.Charge(physOf(ep, rank), w.cost.Beta*float64(n))
-	}
-}
-
 func (w *Window) opErr(op string, peer int, err error) error {
 	return fmt.Errorf("msg: window %s: %s rank %d: %w", w.name, op, peer, err)
 }
 
 // PutAsync initiates a counted one-sided put: the elements of src (in
-// the caller's registered storage) are stored into dst (in rank to's
-// registered storage).  The target completes it with a matching
-// AwaitPut(from, subtag, dst).  src and dst must cover the same element
-// count; subtag must be in 1..MaxSubtag.  The call returns when the
-// local buffers are reusable; remote completion is the target's await.
+// the caller's registered storage) are packed and sent to rank to, whose
+// matching AwaitPut(from, subtag, dst) stores them into dst of its own
+// storage.  dst names that target region; the caller checks only that it
+// covers as many elements as src, since the target applies the payload
+// through the rect it hands AwaitPut.  subtag must be in 1..MaxSubtag.
+// The call returns when src is reusable; remote completion is the
+// target's await.
 func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 	w.checkSubtag("put", subtag)
 	if sc, dc := src.Count(), dst.Count(); sc != dc {
 		panic(fmt.Sprintf("msg: window %s: put count mismatch: src %d, dst %d", w.name, sc, dc))
 	}
-	rank := c.Rank()
-	sh := &w.shared[rank]
+	sh := &w.shared[c.Rank()]
 	if err := src.validate(len(sh.data)); err != nil {
 		return w.opErr("put to", to, err)
 	}
-	tag := w.tag(subtag)
-	if sharedMemory(c.ep) {
-		tbuf := w.shared[to].data
-		if err := dst.validate(len(tbuf)); err != nil {
-			return w.opErr("put to", to, err)
-		}
-		// Direct copy first, then the notification token: the token's
-		// delivery is the happens-before edge that publishes the copy.
-		copyRect(tbuf, dst, sh.data, src)
-		if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, tag, nil); err != nil {
-			return w.opErr("put to", to, err)
-		}
-		w.accountDirect(c.ep, rank, to, 8*src.Count())
-		// The zero-byte token is invisible to the trace; record the data
-		// transfer the direct copy performed.
-		c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), 8*src.Count())
-		return nil
-	}
 	sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
-	if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, tag, sh.sendBuf); err != nil {
+	if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, w.tag(subtag), sh.sendBuf); err != nil {
 		return w.opErr("put to", to, err)
 	}
 	return nil
@@ -449,24 +424,15 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 
 // AwaitPut completes one counted put from rank from on the given
 // subtag, applying the payload into dst of the caller's registered
-// storage (already in place on the shared-memory path).  Completions on
-// one (from, subtag) stream match puts in their issue order.
+// storage and releasing it.  Completions on one (from, subtag) stream
+// match puts in their issue order.
 func (w *Window) AwaitPut(c *Comm, from, subtag int, dst Rect) error {
 	w.checkSubtag("await", subtag)
 	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opAwait, from, w.tag(subtag))
 	if err != nil {
 		return w.opErr("await put from", from, err)
 	}
-	rank := c.Rank()
-	if len(p.Data) == 0 {
-		// Shared-path token: data already in place; charge the transfer
-		// bytes the zero-byte token did not carry and record the arrival
-		// the trace's zero-byte recv instant omitted.
-		w.chargeRecvBytes(c.ep, rank, 8*dst.Count())
-		c.tr.Recv(physOf(c.ep, rank), physOf(c.ep, from), 8*dst.Count())
-		return nil
-	}
-	err = ApplyRect(w.shared[rank].data, dst, p.Data)
+	err = ApplyRect(w.shared[c.Rank()].data, dst, p.Data)
 	p.Release()
 	if err != nil {
 		return w.opErr("await put from", from, err)
@@ -594,31 +560,4 @@ func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
 		return Packet{}, w.opErr("pull from", from, err)
 	}
 	return p, nil
-}
-
-// Signal sends rank to a zero-byte token on the counted stream subtag.
-// The token carries no data, only the order of everything the caller did
-// before it — typically registering new storage — ahead of the
-// receiver's matching AwaitSignal; signals and puts on one stream
-// complete in issue order.
-func (w *Window) Signal(c *Comm, to, subtag int) error {
-	w.checkSubtag("signal", subtag)
-	if err := SendRetry(c.ep, c.pol, c.tr, w.opSignal, to, w.tag(subtag), nil); err != nil {
-		return w.opErr("signal to", to, err)
-	}
-	return nil
-}
-
-// AwaitSignal completes one Signal from rank from on the given subtag.
-func (w *Window) AwaitSignal(c *Comm, from, subtag int) error {
-	w.checkSubtag("signal", subtag)
-	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opSignal, from, w.tag(subtag))
-	if err != nil {
-		return w.opErr("await signal from", from, err)
-	}
-	if len(p.Data) != 0 {
-		p.Release()
-		return w.opErr("await signal from", from, fmt.Errorf("msg: %d-byte payload where a signal was due", len(p.Data)))
-	}
-	return nil
 }

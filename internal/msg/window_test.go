@@ -172,7 +172,7 @@ func FuzzRectValidate(f *testing.F) {
 // TestWindowPutAsyncRing drives the counted-stream discipline on both
 // transports: every rank puts a block into its successor's storage and
 // awaits the matching put from its predecessor.  The same traffic must
-// produce identical Stats on the direct-copy and framed paths.
+// produce identical Stats on both.
 func TestWindowPutAsyncRing(t *testing.T) {
 	const np, n = 4, 8
 	snapshots := map[string]Snapshot{}
@@ -216,7 +216,7 @@ func TestWindowPutAsyncRing(t *testing.T) {
 		t.Fatalf("missing snapshots: %v", snapshots)
 	}
 	// One data message of 8*n/2 bytes per rank, plus identical barrier
-	// traffic: the fast path must be accounting-equivalent to the wire.
+	// traffic: both transports must account the puts alike.
 	if ch.TotalDataMsgs() != tc.TotalDataMsgs() || ch.TotalBytes() != tc.TotalBytes() {
 		t.Errorf("stats parity: chan %d msgs/%d bytes, tcp %d msgs/%d bytes",
 			ch.TotalDataMsgs(), ch.TotalBytes(), tc.TotalDataMsgs(), tc.TotalBytes())
@@ -298,9 +298,9 @@ func TestWindowRevokedEpochAborts(t *testing.T) {
 	}
 }
 
-// TestWindowStaleEpochTagNeverMatches: a put token sent under epoch 0
-// must not satisfy an await posted under epoch 1 — the fold keeps the tag
-// spaces disjoint, so the stale token rots in the mailbox and the await
+// TestWindowStaleEpochTagNeverMatches: a put sent under epoch 0 must
+// not satisfy an await posted under epoch 1 — the fold keeps the tag
+// spaces disjoint, so the stale put rots in the mailbox and the await
 // times out instead of consuming wrong-epoch traffic.
 func TestWindowStaleEpochTagNeverMatches(t *testing.T) {
 	tr := NewChanTransport(2)
@@ -316,7 +316,7 @@ func TestWindowStaleEpochTagNeverMatches(t *testing.T) {
 	if err := win.PutAsync(c0, 1, 1, RectRun(0, 2), RectRun(0, 2)); err != nil {
 		t.Fatal(err)
 	}
-	// Rank 1 awaits under epoch 1: the epoch-0 token must not match.
+	// Rank 1 awaits under epoch 1: the epoch-0 put must not match.
 	v1 := NewView(tr.Endpoint(1), 1, []int{0, 1}, nil)
 	c1 := NewComm(v1)
 	c1.SetRetry(RetryPolicy{Timeout: 30 * time.Millisecond, Retries: 1})
@@ -324,7 +324,7 @@ func TestWindowStaleEpochTagNeverMatches(t *testing.T) {
 	if !errors.Is(err, ErrTimeout) {
 		t.Fatalf("await across epochs = %v, want ErrTimeout (stale tag must not match)", err)
 	}
-	// The epoch-0 token is still there for an epoch-0 await.
+	// The epoch-0 put is still there for an epoch-0 await.
 	c1e0 := NewComm(tr.Endpoint(1))
 	if err := win.AwaitPut(c1e0, 0, 1, RectRun(0, 2)); err != nil {
 		t.Fatalf("same-epoch await after cross-epoch miss: %v", err)
@@ -395,7 +395,7 @@ func windowFaultBody(win *Window) func(c *Comm) error {
 }
 
 // TestFaultMatrixWindowSendErr: a persistent injected send fault on the
-// put token/frame exhausts the sender's retries with a wrapped error
+// put's frame exhausts the sender's retries with a wrapped error
 // naming the window and peer; the starved awaiter times out.  No panics,
 // no hangs, on either transport.
 func TestFaultMatrixWindowSendErr(t *testing.T) {
@@ -467,8 +467,8 @@ func TestFaultMatrixWindowDelay(t *testing.T) {
 
 // TestFaultMatrixWindowBitflip: wire corruption of window traffic under
 // an integrity layer surfaces ErrIntegrity at the awaiter instead of
-// silently corrupt data.  On the shared-memory path the corruptible frame
-// is the CRC-trailed notification token; on TCP it is the payload itself.
+// silently corrupt data.  A put travels as its packed, CRC-trailed
+// payload on both transports, so the corrupted frame is the payload.
 func TestFaultMatrixWindowBitflip(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		name := map[bool]string{false: "chan", true: "tcp"}[tcp]

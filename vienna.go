@@ -33,9 +33,9 @@
 //
 // # Overlapping computation with communication
 //
-// Ghost (overlap) areas refresh through one-sided windows: each put lands
-// directly in the neighbour's halo, so the exchange can stay in flight
-// while the owning processor computes its interior:
+// Ghost (overlap) areas refresh through one-sided windows: each face
+// leaves as a put and lands when its receiver waits, so the exchange can
+// stay in flight while the owning processor computes its interior:
 //
 //	h, err := u.StartExchangeAllGhosts(ctx) // halos leave as one-sided puts
 //	if err != nil {
@@ -325,17 +325,18 @@ type Local = darray.Local
 
 // GhostHandle is an in-flight asynchronous ghost exchange, returned by
 // Array.StartExchangeGhosts / Array.StartExchangeAllGhosts.  The halos
-// travel as one-sided puts into the neighbours' overlap areas; call Wait
-// before reading the refreshed ghost cells.  See "Overlapping computation
-// with communication" in the package documentation.
+// travel as one-sided puts, which Wait applies into the caller's own
+// overlap areas; call it before reading the refreshed ghost cells.  See
+// "Overlapping computation with communication" in the package
+// documentation.
 type GhostHandle = darray.GhostHandle
 
 // Window is a one-sided communication window: each processor registers
 // its []float64 storage, after which a processor may put into a peer's
-// registered region, or pull one out of it, on counted streams.  It
-// offers puts (PutAsync/AwaitPut — the ghost-exchange discipline) and
-// offers (Offer/Pull — the DISTRIBUTE discipline, where the receiver's
-// storage stays private).  The ghost and redistribution machinery use
+// registered region — applied by the peer's await — or pull one out of
+// it, on counted streams.  It offers puts (PutAsync/AwaitPut — the
+// ghost-exchange discipline) and offers (Offer/Pull — the DISTRIBUTE
+// discipline, where the receiver's storage stays private).  The ghost and redistribution machinery use
 // windows internally; they are exported for custom one-sided protocols
 // over the same transports.
 type Window = msg.Window
