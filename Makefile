@@ -119,9 +119,11 @@ check-drain:
 	  ./internal/machine ./internal/health ./internal/msg ./internal/scale ./internal/apps
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
-# TestStraggler* and TestOnlineRecover* test, and of the darray package
-# (whose DISTRIBUTE orders itself by messages, not barriers) and the ckpt
-# package (whose save folds parity partials over a tree), under
+# TestStraggler*, TestOnlineRecover*, TestPIC* and TestExpandPIC* test
+# (PIC runs up to RebalanceEvery steps between two rendezvous), and of
+# the darray package (whose DISTRIBUTE orders itself by messages, not
+# barriers) and the ckpt package (whose save folds parity partials over
+# a tree), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -131,7 +133,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover)' './internal/darray:.' './internal/ckpt:.'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \

@@ -105,6 +105,12 @@ func (rt Runtime) Resilient(timeout time.Duration) Runtime {
 	return rt
 }
 
+// savesAfter reports whether the step loop writes a checkpoint once done
+// iterations have completed: the CkptEvery cadence.
+func (rt Runtime) savesAfter(done int) bool {
+	return rt.CkptDir != "" && done%max(rt.CkptEvery, 1) == 0
+}
+
 // runConfig is what the step loop reads of an app's configuration.
 type runConfig struct {
 	P, Iters    int
@@ -349,7 +355,7 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 			return err
 		}
 		done := it + 1
-		if rc.CkptDir != "" && done%max(rc.CkptEvery, 1) == 0 {
+		if rc.savesAfter(done) {
 			if err := save(it); err != nil {
 				return err
 			}

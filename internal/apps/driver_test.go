@@ -152,6 +152,7 @@ func TestStepLoop(t *testing.T) {
 				after := killAfter(t, 2, tc.kill, 0, func() error {
 					dry := rc
 					dry.CkptDir = t.TempDir()
+					dry.Integrity = true // offers framed, as under the fault plan
 					_, err := (&toy{n: 64, failBarrierAt: -1}).run(dry)
 					return err
 				})

@@ -114,6 +114,7 @@ func TestExpandUnderFault(t *testing.T) {
 	after := killAfter(t, 2, 1, 1, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunADI(dry)
 		return err
 	})

@@ -150,6 +150,7 @@ func TestOnlineRecoverSmoothingDepth(t *testing.T) {
 	after := killAfter(t, 1, 11, 0, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunSmoothing(dry)
 		return err
 	})

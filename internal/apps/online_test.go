@@ -33,6 +33,7 @@ func onlineADI(t *testing.T, useTCP bool, it, off int) {
 	after := killAfter(t, 2, it, off, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunADI(dry)
 		return err
 	})
@@ -88,6 +89,7 @@ func TestOnlineRecoverSmoothing(t *testing.T) {
 	after := killAfter(t, 1, 4, 1, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunSmoothing(dry)
 		return err
 	})
@@ -122,6 +124,7 @@ func TestOnlineRecoverPICConservation(t *testing.T) {
 	after := killAfter(t, 3, 5, 1, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunPIC(dry)
 		return err
 	})
@@ -212,6 +215,7 @@ func TestSoakOnline(t *testing.T) {
 		starts := iterStarts(t, victim, func() error {
 			dry := cfg
 			dry.CkptDir = t.TempDir()
+			dry.Integrity = true // offers framed, as under the fault plan
 			_, err := RunADI(dry)
 			return err
 		})

@@ -132,6 +132,7 @@ func TestOnlineRecoverSmoothingOverlap(t *testing.T) {
 	after := killAfter(t, 1, 4, 0, func() error {
 		dry := cfg
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunSmoothing(dry)
 		return err
 	})

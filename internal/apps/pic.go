@@ -63,6 +63,10 @@ type PICResult struct {
 	FieldChecksum   float64
 }
 
+// testFlushEvery, set by tests, reduces the imbalance on every step, as a
+// run the driver may leave at any boundary does.
+var testFlushEvery bool
+
 // RunPIC executes the Figure 2 outer loop:
 //
 //	CALL initpos; CALL balance; DISTRIBUTE FIELD :: B_BLOCK(BOUNDS)
@@ -109,6 +113,49 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// speeds, weights every later balance's B_BLOCK bounds by throughput.
 		var speedShares []float64
 		var bounds []int
+		// pending is this rank's particle sum of every step since the last
+		// flush; vals and ops are the flush's reduction vector and operations,
+		// kept so that a longer batch allocates nothing more.
+		var pending, vals []float64
+		var ops []func(a, b float64) float64
+		// flush reduces the pending batch in one AllreduceEach of [sums…,
+		// maxes…] and stores each step's max/avg particles per processor —
+		// Figure 2's rebalance() predicate input — in the series on rank 0,
+		// the batch ending at step it.  It returns the last step's, the same
+		// on every rank.  Every element takes the binomial tree of a scalar
+		// allreduce, so each value is bit for bit what a reduction on every
+		// step would give.
+		flush := func(it int) (float64, error) {
+			n := len(pending)
+			vals = append(append(vals[:0], pending...), pending...)
+			ops = ops[:0]
+			for range n {
+				ops = append(ops, msg.SumF64)
+			}
+			for range n {
+				ops = append(ops, msg.MaxF64)
+			}
+			pending = pending[:0]
+			r, err := ctx.Comm().AllreduceEach(vals, ops...)
+			if err != nil {
+				return 0, err
+			}
+			imb := 0.0
+			for i := range n {
+				imb = 1
+				if avg := r[i] / float64(ctx.NP()); avg != 0 {
+					imb = r[n+i] / avg
+				}
+				if ctx.Rank() == 0 {
+					res.ImbalanceSeries[it+1-n+i] = imb
+				}
+			}
+			return imb, nil
+		}
+		// A run the driver may leave at any iteration boundary (a join, a
+		// straggler drain) flushes every step, and any run flushes before a
+		// checkpoint, so a replay never needs a lost rank's pending sums.
+		flushEvery := testFlushEvery || cfg.Elastic || cfg.Straggler.mitigating()
 		distribute := func() error {
 			return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
 		}
@@ -165,6 +212,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			// a recovered run keeps the restored distribution until the next
 			// in-loop rebalance check.
 			begin: func(int) error {
+				pending = pending[:0] // a failed epoch's batch is recomputed
 				if cfg.Rebalance && !cfg.Recover {
 					if err := balance(); err != nil {
 						return err
@@ -187,14 +235,18 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 					return err
 				}
 
-				imb, err := imbalance(ctx, count)
+				local := 0.0
+				count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
+				pending = append(pending, local)
+				check := k%cfg.RebalanceEvery == 0
+				if !check && k < cfg.Steps && !cfg.savesAfter(k) && !flushEvery {
+					return nil
+				}
+				imb, err := flush(it)
 				if err != nil {
 					return err
 				}
-				if ctx.Rank() == 0 {
-					res.ImbalanceSeries[it] = imb
-				}
-				if cfg.Rebalance && k%cfg.RebalanceEvery == 0 && imb > cfg.RebalanceThreshold {
+				if cfg.Rebalance && check && imb > cfg.RebalanceThreshold {
 					return balance()
 				}
 				return nil
@@ -258,24 +310,6 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 	if cfg.Straggler.Enabled() {
 		ctx.ReportWork(particles, el)
 	}
-}
-
-// imbalance is max/avg particles per processor — Figure 2's rebalance()
-// predicate input — identical on every rank: one allreduce of [sum, max].
-// It is the step's one rendezvous: no rank leaves it before every rank
-// has finished the step's moveRight.
-func imbalance(ctx *machine.Ctx, count *core.Array) (float64, error) {
-	local := 0.0
-	count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
-	r, err := ctx.Comm().AllreduceEach([]float64{local, local}, msg.SumF64, msg.MaxF64)
-	if err != nil {
-		return 0, err
-	}
-	avg := r[0] / float64(ctx.NP())
-	if avg == 0 {
-		return 1, nil
-	}
-	return r[1] / avg, nil
 }
 
 // driftTag is the tag of moveRight's frames: [flow, cell] as two float64s.
@@ -355,8 +389,10 @@ func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
 	}
 	// No barrier: a rank sends one frame a step, paired by the descriptor
 	// both sides read, and frames of one sender and tag arrive in order, so
-	// a frame sent a step early waits behind this one; the step's allreduce
-	// (imbalance) is the rendezvous before a DISTRIBUTE can re-pair them.
+	// between two rebalance checks a rank may run up to RebalanceEvery steps
+	// ahead of its receiver, its frames queued behind this one.  balance is
+	// the rendezvous before a DISTRIBUTE can re-pair them: no rank leaves
+	// its GatherTo and BcastInts before every rank has finished its drift.
 	return nil
 }
 

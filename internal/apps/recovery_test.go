@@ -17,11 +17,13 @@ func testLiveness() *machine.LivenessConfig {
 
 // iterStarts runs dry — the test's own configuration with the fault left
 // out — and returns how many messages victim had sent when each iteration
-// of its first epoch began.  A fault rule on victim with after=starts[it]
-// first fires on the first send of iteration it: kill points derived this
-// way follow the run's message count wherever it goes.  Heartbeats, sent
-// off the step loop's clock when liveness is on, make it approximate by
-// the few that fall differently in the two runs.
+// of its first epoch began.  A dry run turns the integrity layer on: like
+// the fault layer, it takes DISTRIBUTE offers off the shared-memory token
+// path, so both runs send the same messages.  A fault rule on victim with
+// after=starts[it] first fires on the first send of iteration it: kill
+// points derived this way follow the run's message count wherever it
+// goes.  Heartbeats, sent off the step loop's clock when liveness is on,
+// make it approximate by the few that fall differently in the two runs.
 func iterStarts(t *testing.T, victim int, dry func() error) []int {
 	t.Helper()
 	var starts []int // appended by the victim's goroutine only
@@ -72,6 +74,7 @@ func TestADIKillAndRecover(t *testing.T) {
 	after := killAfter(t, 2, 4, 0, func() error {
 		dry := killed
 		dry.CkptDir = t.TempDir()
+		dry.Integrity = true // offers framed, as under the fault plan
 		_, err := RunADI(dry)
 		return err
 	})

@@ -1,6 +1,8 @@
 package darray
 
 import (
+	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -57,16 +59,15 @@ func TestFaultMatrix(t *testing.T) {
 }
 
 // TestFaultMatrixOfferToken aims the fault at the one message a pulled
-// DISTRIBUTE transfer still sends — the offer token (win=1 matches only
-// window traffic, so barriers pass) — in the three ways that cannot heal
-// inside the deadline: the token is lost, it arrives after every retry
+// DISTRIBUTE transfer sends — the offer (win=1 matches only window
+// traffic, so barriers pass), which the fault layer frames with its
+// packed payload on both transports — in the three ways that cannot heal
+// inside the deadline: the offer is lost, it arrives after every retry
 // gave up, or the send fails more often than it is retried.  The rank
 // waiting for it fails with an error naming the redistribution and keeps
-// its old distribution and values; ranks that did not need the token
+// its old distribution and values; ranks that did not need the offer
 // complete (runFaultCase checks each rank's values and descriptor).
 // Recovering from the mixed state is core.RunEpochs' checkpoint replay.
-// Over TCP the same stream carries the packed payload and must fail the
-// same way.
 func TestFaultMatrixOfferToken(t *testing.T) {
 	faults := []struct {
 		name string
@@ -89,10 +90,32 @@ func TestFaultMatrixOfferToken(t *testing.T) {
 	}
 }
 
+// TestFaultMatrixRedistributeBitflip: a bit flipped in a DISTRIBUTE's
+// window traffic surfaces as msg.ErrIntegrity on both transports — on
+// chan too, where the fault and integrity layers take the offers off the
+// shared-memory token path and frame their payloads.  No rank may commit
+// a corrupted value (runFaultCase checks each rank's values).
+func TestFaultMatrixRedistributeBitflip(t *testing.T) {
+	rule := msg.FaultRule{Kind: msg.FaultCorrupt, Rank: faultRank, Peer: -1, Count: 1, Win: true}
+	for _, transport := range []string{"chan", "tcp"} {
+		t.Run(transport, func(t *testing.T) {
+			errs := runFaultCase(t, transport, "redistribute", rule)
+			if failed := checkFaultErrs(t, errs, "redistribute", "redistribution", true); failed == 0 {
+				t.Fatalf("no rank failed: %v", errs)
+			}
+			if !slices.ContainsFunc(errs, func(err error) bool { return errors.Is(err, msg.ErrIntegrity) }) {
+				t.Errorf("errors %v, want a wrapped msg.ErrIntegrity", errs)
+			}
+		})
+	}
+}
+
 const faultRank = 1 // the rank whose sends/receives carry the injected fault
 
 // runFaultCase runs one operation on four ranks with rule armed on
-// faultRank for exactly that operation and returns each rank's error.
+// faultRank for exactly that operation and returns each rank's error.  A
+// corrupt rule implies the CRC32C layer outside the fault layer, as in
+// apps.NewMachine.
 func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []error {
 	const np = 4
 	plan := &msg.FaultPlan{StartDisarmed: true, Rules: []msg.FaultRule{rule}}
@@ -107,8 +130,12 @@ func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []
 		base = msg.NewChanTransport(np)
 	}
 	ft := msg.NewFaultTransport(base, plan)
+	var tr msg.Transport = ft
+	if rule.Kind == msg.FaultCorrupt {
+		tr = msg.NewIntegrityTransport(ft)
+	}
 	cfg := msg.RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 3}
-	m := machine.New(np, machine.WithTransport(ft), machine.WithRetry(cfg))
+	m := machine.New(np, machine.WithTransport(tr), machine.WithRetry(cfg))
 	defer m.Close()
 
 	errs := make([]error, np)

@@ -185,6 +185,10 @@ func (r *FaultRule) setOption(k, v string) (ok bool, err error) {
 //     inner transport's Stats never see it.
 //   - FaultRecvErr: injected on the receive side; the mailbox is not
 //     consulted, so the message (if any) survives for the retry.
+//
+// Its endpoints do not report SharedMemory(), even over the chan
+// transport: a Window's offers then travel packed through this layer, so
+// a rule reaches every payload byte a DISTRIBUTE moves.
 type FaultTransport struct {
 	inner Transport
 	plan  *FaultPlan
@@ -270,12 +274,6 @@ func (e *faultEndpoint) fire(peer, tag int, kinds ...FaultKind) *FaultRule {
 			(!r.Win || isWinTag(tag))
 	})
 }
-
-// SharedMemory forwards the one-sided fast-path capability.  Injection
-// still applies to window traffic: a put's payload and an offer's
-// notification token both pass through this endpoint, so dropping,
-// delaying or failing them drops, delays or fails the completion.
-func (e *faultEndpoint) SharedMemory() bool { return sharedMemory(e.inner) }
 
 // slowDur is the per-operation latency a fired FaultSlow rule charges.
 func (r *FaultRule) slowDur() time.Duration {

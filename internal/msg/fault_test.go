@@ -295,3 +295,31 @@ func FuzzParseFaultPlan(f *testing.F) {
 		}
 	})
 }
+
+// TestWrappersTakeOffersOffSharedMemory: the chan transport shares one
+// address space, bare or under a View, but under the fault or integrity
+// layer it does not say so, so a Window's offers travel framed and those
+// layers see every DISTRIBUTE payload.
+func TestWrappersTakeOffersOffSharedMemory(t *testing.T) {
+	plan, err := ParseFaultPlan("drop,rank=0,count=1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := NewChanTransport(2)
+	defer base.Close()
+	for name, c := range map[string]struct {
+		ep   Endpoint
+		want bool
+	}{
+		"chan":             {base.Endpoint(0), true},
+		"view":             {NewView(base.Endpoint(0), 1, []int{0, 1}, nil), true},
+		"fault":            {NewFaultTransport(base, plan).Endpoint(0), false},
+		"integrity":        {NewIntegrityTransport(base).Endpoint(0), false},
+		"integrity(fault)": {NewIntegrityTransport(NewFaultTransport(base, plan)).Endpoint(0), false},
+		"view(fault)":      {NewView(NewFaultTransport(base, plan).Endpoint(0), 1, []int{0, 1}, nil), false},
+	} {
+		if got := sharedMemory(c.ep); got != c.want {
+			t.Errorf("%s: sharedMemory = %v, want %v", name, got, c.want)
+		}
+	}
+}

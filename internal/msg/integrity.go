@@ -30,7 +30,8 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // Layer it OUTSIDE a FaultTransport (Integrity(Fault(base))): the
 // checksum is then computed before injection and verified after, so an
 // injected FaultCorrupt flip is caught exactly as real wire corruption
-// would be.
+// would be.  Its endpoints do not report SharedMemory(), so a Window's
+// offers travel packed and the checksum covers their payloads as well.
 type IntegrityTransport struct {
 	inner Transport
 	eps   []integrityEndpoint
@@ -94,11 +95,6 @@ func (e *integrityEndpoint) NP() int   { return e.inner.NP() }
 
 // Tracer exposes the wrapped transport's tracer for Comm.
 func (e *integrityEndpoint) Tracer() *trace.Tracer { return e.tr }
-
-// SharedMemory forwards the one-sided fast-path capability; the CRC
-// trailer still covers every notification token, so a bitflipped token
-// surfaces as ErrIntegrity at the completion.
-func (e *integrityEndpoint) SharedMemory() bool { return sharedMemory(e.inner) }
 
 // CheckLive delegates to the wrapped endpoint when it carries a
 // liveness check (a View stacked under the integrity layer).

@@ -38,6 +38,9 @@ type TCPTransport struct {
 	closed atomic.Bool
 	conns  []net.Conn // all conns for Close
 	mu     sync.Mutex
+	// readers counts the running readLoops; Close waits for them, so no
+	// reader touches an endpoint once Close has returned.
+	readers sync.WaitGroup
 }
 
 const (
@@ -208,8 +211,9 @@ func NewTCPTransport(np int, opts ...Option) (*TCPTransport, error) {
 			t.mu.Lock()
 			t.conns = append(t.conns, accepted[r.j], r.conn)
 			t.mu.Unlock()
-			go t.readLoop(t.eps[i], r.j, ci)
-			go t.readLoop(t.eps[r.j], i, cj)
+			t.readers.Add(2)
+			go func() { defer t.readers.Done(); t.readLoop(t.eps[i], r.j, ci) }()
+			go func() { defer t.readers.Done(); t.readLoop(t.eps[r.j], i, cj) }()
 		}
 	}
 	return t, nil
@@ -278,7 +282,8 @@ func (t *TCPTransport) Tracer() *trace.Tracer { return t.tracer }
 // Endpoint returns processor rank's endpoint.
 func (t *TCPTransport) Endpoint(rank int) Endpoint { return t.eps[rank] }
 
-// Close tears down all connections; blocked receives return ErrClosed.
+// Close tears down all connections and returns once their readers have
+// stopped; blocked receives return ErrClosed.
 func (t *TCPTransport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
@@ -293,6 +298,7 @@ func (t *TCPTransport) Close() error {
 			ep.box.close()
 		}
 	}
+	t.readers.Wait()
 	return nil
 }
 

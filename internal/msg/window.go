@@ -46,8 +46,9 @@ import (
 //     the payload — on every transport.  The chan transport recycles released
 //     payload buffers as TCP does, so a warm put allocates nothing.
 //   - An offer on a transport whose endpoints report SharedMemory() (the
-//     in-process chan transport, possibly under fault/integrity/view
-//     wrappers) moves only a notification token: the token carries the
+//     in-process chan transport, possibly under a View; not under the
+//     fault or integrity layers, which must see the payload) moves only
+//     a notification token: the token carries the
 //     happens-before edge (matcher mutex) that makes the puller's direct
 //     copy race-free, and the payload bytes are accounted on both sides so
 //     Stats and CostModel parity with the framed path is preserved.  On
@@ -368,7 +369,7 @@ func (w *Window) tag(subtag int) int {
 }
 
 // sharedMemory reports whether the endpoint's transport chain delivers
-// within one address space (the chan transport, under any wrappers).
+// within one address space (the chan transport, bare or under a View).
 func sharedMemory(ep Endpoint) bool {
 	s, ok := ep.(interface{ SharedMemory() bool })
 	return ok && s.SharedMemory()
