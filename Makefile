@@ -85,7 +85,7 @@ check-halo:
 # grow/shrink policy arithmetic, and the end-to-end apps that admit a
 # joiner mid-run and finish bit-exact — all under the race detector.
 check-expand:
-	$(GO) test -race -run 'TestJoin|TestAdmit|TestRegroupTwoDead|TestExpand|TestRestoreOnto|TestFoldTagBoundary|TestParseBudgetOverflow|TestWireGaugeCrossEpoch|TestStepTime|TestRecommend|TestFromSummary|TestRedistCost' \
+	$(GO) test -race -run 'TestJoin|TestAdmit|TestRegroupTwoDead|TestExpand|TestRestoreOnto|TestFoldTagBoundary|TestParseBudgetOverflow|TestWireGaugeCrossEpoch|TestStepTime|TestRecommend|TestRedistCost' \
 	  ./internal/machine ./internal/ckpt ./internal/msg ./internal/redist ./internal/darray ./internal/scale ./internal/apps
 
 # The online-recovery matrix: membership-epoch regroup agreement,
@@ -160,13 +160,14 @@ soak:
 # parity/replica reconstruction, the crash-during-Save abort stages (no
 # partial epoch ever commits), the disk-damage x restore matrix on both
 # transports, retention pruning, epoch fallback (past damaged and
-# format-1 epochs alike), the scrub pass, the disk deadline that
-# escalates like the wire's (TestStallDeadlineEscalates), and the
-# degraded end-to-end apps — all under the race detector (the I/O servers and retry paths
-# add goroutines).
+# format-1 epochs alike), the disk deadline that escalates like the
+# wire's (TestStallDeadlineEscalates), and the degraded end-to-end apps —
+# all under the race detector (the I/O servers and retry paths add
+# goroutines), and vfrun's -io-fault run healed by the disk retries.
 check-io:
 	$(GO) test -race -count=1 ./internal/pario ./internal/ckpt
 	$(GO) test -race -count=1 -run 'Degraded|DoubleDamage' ./internal/apps
+	$(GO) test -race -count=1 -run 'TestIOFaultKeepsChecksums' ./cmd/vfrun
 
 # The fault-injection matrix: every collective pattern under injected
 # send errors, delivery delays, and dropped frames, on both transports,

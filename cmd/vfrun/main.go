@@ -29,6 +29,7 @@ import (
 	"repro/internal/lang"
 	"repro/internal/machine"
 	"repro/internal/msg"
+	"repro/internal/pario"
 	"repro/internal/redist"
 	"repro/internal/scale"
 	"repro/internal/sem"
@@ -47,6 +48,7 @@ func main() {
 	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th DISTRIBUTE statement")
 	ioRedundancy := flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep := flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
+	ioFault := flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=rank-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
 	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir at the first DISTRIBUTE site (the survivors' rank count may differ from the writer's)")
 	onlineRec := flag.Bool("online-recover", false, "recover from a mid-run rank loss in-process: survivors regroup onto the next membership epoch and replay the last committed checkpoint (requires -ckpt-dir)")
 	deadline := flag.Duration("deadline", 0, "kill the whole process with a goroutine dump if it runs longer than this (hang watchdog; 0 = off)")
@@ -127,32 +129,33 @@ ENDDO
 		fmt.Println()
 	}
 
+	// The run settings, prerequisites included, are checked once, by
+	// apps.NewMachine; the interpreter reads them back from rt.
 	rt := apps.Runtime{
 		Fault: *faultSpec, CommTimeout: *commTimeout, CommRetries: *commRetries,
+		CkptDir: *ckptDir, CkptEvery: *ckptEvery, Recover: *recoverRun, OnlineRecover: *onlineRec,
+		IO:        ckpt.Options{Redundancy: *ioRedundancy, Keep: *ckptKeep},
 		Straggler: apps.StragglerConfig{HealthWindow: *healthWin},
+	}
+	if *drain {
+		rt.Straggler.Policy = "drain"
+	}
+	if *ioFault != "" {
+		plan, err := pario.ParseFaultPlan(*ioFault)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rt.IO.FS = pario.NewFaultFS(pario.OS{}, plan).Rank
+		rt.IO.Retry = msg.RetryPolicy{Timeout: time.Second, Retries: 2}
 	}
 	var tr *trace.Tracer
 	if *traceFile != "" || *elastic {
 		tr = trace.New(*np)
 		rt.Tracer = tr
 	}
-	if *drain {
-		if *healthWin == 0 {
-			log.Fatal("-drain requires -health-window (nothing is measured without it)")
-		}
-		if *ckptDir == "" {
-			log.Fatal("-drain requires -ckpt-dir (survivors replay the checkpoint onto the shrunken view)")
-		}
-	}
-	if *onlineRec && *ckptDir == "" {
-		log.Fatal("-online-recover requires -ckpt-dir")
-	}
 	if *onlineRec || *healthWin > 0 {
 		// The health scorer's work reports ride on the heartbeats too.
 		rt = rt.Resilient(150 * time.Millisecond)
-	}
-	if *recoverRun && *ckptDir == "" {
-		log.Fatal("-recover requires -ckpt-dir")
 	}
 	m, err := apps.NewMachine(*np, 0, 0, rt)
 	if err != nil {
@@ -161,7 +164,7 @@ ENDDO
 	defer m.Close()
 	e := core.NewEngine(m)
 	e.SetMemBudget(budget)
-	e.SetCkptOptions(ckpt.Options{Redundancy: *ioRedundancy, Keep: *ckptKeep})
+	e.SetCkptOptions(rt.IO)
 
 	type arrInfo struct {
 		name     string
@@ -183,19 +186,19 @@ ENDDO
 		// the membership by a Degraded rank instead, and they take the same
 		// re-run path.  The excluded or drained rank exits non-fatally.
 		var st *interp.State
-		err := core.RunEpochs(ctx, e, *onlineRec, func(eng *core.Engine, replay bool) (err error) {
+		err := core.RunEpochs(ctx, e, rt.OnlineRecover, func(eng *core.Engine, replay bool) (err error) {
 			in := interp.New(eng)
 			interp.RegisterPICDemo(in)
-			in.SetStraggler(*healthWin > 0, *drain, *slowRank, *slowFactor)
-			if *ckptDir != "" {
-				in.SetCheckpoint(*ckptDir, *ckptEvery)
-				in.SetRecover(*recoverRun)
+			in.SetStraggler(rt.Straggler.Enabled(), *drain, *slowRank, *slowFactor)
+			if rt.CkptDir != "" {
+				in.SetCheckpoint(rt.CkptDir, rt.CkptEvery)
+				in.SetRecover(rt.Recover)
 			}
 			if replay {
 				// Replay the last committed checkpoint if there is one; a
 				// loss before the first commit restarts from scratch on the
 				// survivor view.
-				ep, _, _ := ckpt.LatestEpoch(*ckptDir)
+				ep, _, _ := ckpt.LatestEpoch(rt.CkptDir)
 				in.SetRecover(ep >= 0)
 			}
 			st, err = in.Run(ctx, unit)

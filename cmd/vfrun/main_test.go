@@ -71,6 +71,16 @@ func TestDrainKeepsChecksums(t *testing.T) {
 	sameSums(t, "drain run", drained, plain)
 }
 
+// TestIOFaultKeepsChecksums: an injected disk write error under the
+// checkpoints is retried away, and the run computes what the plain run
+// does.
+func TestIOFaultKeepsChecksums(t *testing.T) {
+	plain := vfrun(t, "-p", "4", "-demo", "fig1")
+	faulted := vfrun(t, "-p", "4", "-demo", "fig1",
+		"-ckpt-dir", t.TempDir(), "-io-fault", "eio,op=write,count=1")
+	sameSums(t, "io-fault run", faulted, plain)
+}
+
 // TestCorruptFaultIsCaught: a corrupt fault rule switches the CRC32C
 // layer on, so the flipped payload stops the run as a named integrity
 // error instead of reaching the program as a wrong value.

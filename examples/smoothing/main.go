@@ -36,8 +36,8 @@ func main() {
 	// The §4 runtime decisions: the distribution, then the halo depth k
 	// (ghosts exchanged once every k steps) for it.
 	mode := apps.ChooseSmoothingDist(*n, *np, *alpha, *beta)
-	cc, cb := apps.SmoothModelCost(*n, *np, 1, *alpha, *beta, 0)
-	k := apps.SmoothDepth(mode, *n, *np, *alpha, *beta, 0)
+	cc, cb := apps.SmoothModelCost(*n, *np, 1, *alpha, *beta)
+	k := apps.SmoothDepth(mode, *n, *np, *alpha, *beta)
 	fmt.Printf("N=%d, P=%d, alpha=%.1e, beta=%.1e\n", *n, *np, *alpha, *beta)
 	fmt.Printf("modeled cost/step: columns %.3e s, 2-D blocks %.3e s -> choose %v, halo depth %d\n", cc, cb, mode, k)
 

@@ -1,6 +1,7 @@
 // Package apps contains the paper's application studies (§4) as
 // parameterized, metric-reporting harnesses shared by the examples, the
-// benchmarks in bench_test.go, and cmd/vfbench:
+// benchmark spine (bench/), the root benchmarks, and cmd/vfbench's
+// tables E1–E4:
 //
 //   - ADI (Figure 1, claim C2): dynamic redistribution between sweeps vs
 //     a static distribution with a pipelined distributed tridiagonal
@@ -9,6 +10,10 @@
 //   - grid smoothing (claim C1): column vs 2-D block distribution and the
 //     N/p crossover;
 //   - redistribution microcosts (claim C4).
+//
+// The three applications run under one step loop (driver.go) that adds
+// checkpoints, recovery, elastic join and straggler defense; this
+// package's tests drive those paths.
 package apps
 
 import (
@@ -65,8 +70,6 @@ type ADIConfig struct {
 	ChunkRows int
 	// Alpha/Beta attach a Hockney cost model when non-zero.
 	Alpha, Beta float64
-	// FlopTime charges modeled compute per element-update (default 2ns).
-	FlopTime float64
 	// Validate compares the final grid against the serial reference.
 	Validate bool
 	Runtime
@@ -98,9 +101,6 @@ func rowsType() dist.Type { return dist.NewType(dist.BlockDim(), dist.ElidedDim(
 func RunADI(cfg ADIConfig) (ADIResult, error) {
 	if cfg.ChunkRows <= 0 {
 		cfg.ChunkRows = 8
-	}
-	if cfg.FlopTime == 0 {
-		cfg.FlopTime = 2e-9
 	}
 	res := ADIResult{Mode: cfg.Mode}
 	if total := cfg.P + cfg.Join; cfg.NX < total || cfg.NY < total {
@@ -154,7 +154,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 				dims[d] = dist.ElidedDim()
 				return eng.Distribute(ctx, []*core.Array{v}, core.DimsOf(dims[0], dims[1]))
 			}
-			sweep[d] = func() { localSweep(ctx, v, d, cfg.FlopTime, &axis[d].factor) }
+			sweep[d] = func() { localSweep(ctx, v, d, &axis[d].factor) }
 		}
 		// A static mode keeps one dimension distributed for the whole run
 		// and sweeps along it with the pipelined solve.
@@ -165,7 +165,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		case ADIStaticRows:
 			pipeDim = 0
 		}
-		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows, cfg.FlopTime) }
+		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows) }
 		return app{
 			declare: func(e *core.Engine) (err error) {
 				eng = e
@@ -260,7 +260,7 @@ type lineFactor struct {
 // line must be fully local (dim elided in the current distribution, so
 // its extent is the global one across every shrink, join and rebalance
 // and lf is built once).
-func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64, lf *lineFactor) {
+func localSweep(ctx *machine.Ctx, v *core.Array, dim int, lf *lineFactor) {
 	l := v.Local(ctx)
 	alloc := l.AllocShape()
 	other := 1 - dim
@@ -283,7 +283,7 @@ func localSweep(ctx *machine.Ctx, v *core.Array, dim int, flopTime float64, lf *
 // communication pattern a compiler must generate for the static ADI
 // (paper §4).  Transport failures are returned as wrapped errors (under
 // the machine's retry policy the pipeline receives run with deadlines).
-func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, flopTime float64) error {
+func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int) error {
 	l := v.Local(ctx)
 	rank, np := ctx.Rank(), ctx.NP()
 	alloc := l.AllocShape()

@@ -290,7 +290,7 @@ func TestChooseSmoothingDistCrossover(t *testing.T) {
 func TestSmoothModelMatchesMeasuredTraffic(t *testing.T) {
 	const n, alpha, beta = 48, 1e-4, 1e-8 // n divides by q = 2, 3 and 4
 	for _, p := range []int{4, 9, 16} {
-		cols, blk := SmoothModelCost(n, p, 1, alpha, beta, 0)
+		cols, blk := SmoothModelCost(n, p, 1, alpha, beta)
 		for mode, model := range map[SmoothMode]float64{SmoothColumns: cols, SmoothBlock2D: blk} {
 			res, err := RunSmoothing(SmoothConfig{N: n, Steps: 3, P: p, Mode: mode})
 			if err != nil {

@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -29,6 +30,9 @@ func degradedIO(t *testing.T, redundancy string) (IOConfig, *pario.Metrics) {
 	}, met
 }
 
+// epochDir is where internal/ckpt commits epoch n of dir.
+func epochDir(dir string, n int) string { return filepath.Join(dir, fmt.Sprintf("epoch-%08d", n)) }
+
 // damageNewest deletes one rank file of the newest committed epoch and
 // returns its name.
 func damageNewest(t *testing.T, dir string) string {
@@ -38,7 +42,7 @@ func damageNewest(t *testing.T, dir string) string {
 		t.Fatalf("no committed checkpoint (epoch %d, %v)", epoch, err)
 	}
 	name := man.Files[len(man.Files)/2].Name
-	if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), name)); err != nil {
+	if err := os.Remove(filepath.Join(epochDir(dir, epoch), name)); err != nil {
 		t.Fatal(err)
 	}
 	return name
@@ -174,7 +178,7 @@ func TestDoubleDamageFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{man.Files[0].Name, man.Files[1].Name} {
-		if err := os.Remove(filepath.Join(ckpt.EpochDir(dir, epoch), name)); err != nil {
+		if err := os.Remove(filepath.Join(epochDir(dir, epoch), name)); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -81,9 +81,15 @@ type Runtime struct {
 	Straggler StragglerConfig
 }
 
-// validate checks the prerequisites Elastic and the straggler policy
-// need from the rest of the settings.
+// validate checks the prerequisites Recover, OnlineRecover, Elastic and
+// the straggler policy need from the rest of the settings.
 func (rt Runtime) validate() error {
+	if rt.Recover && rt.CkptDir == "" {
+		return errors.New("apps: Recover requires a CkptDir")
+	}
+	if rt.OnlineRecover && (rt.CkptDir == "" || rt.Liveness == nil || rt.CommTimeout <= 0) {
+		return errors.New("apps: OnlineRecover requires a CkptDir, Liveness and a CommTimeout")
+	}
 	if rt.Elastic && (rt.Join <= 0 || rt.CkptDir == "") {
 		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
 	}
@@ -110,6 +116,10 @@ func (rt Runtime) Resilient(timeout time.Duration) Runtime {
 func (rt Runtime) savesAfter(done int) bool {
 	return rt.CkptDir != "" && done%max(rt.CkptEvery, 1) == 0
 }
+
+// flopTime is the modeled time of one flop, which the apps charge to the
+// cost model for their compute.
+const flopTime = 2e-9
 
 // runConfig is what the step loop reads of an app's configuration.
 type runConfig struct {
@@ -265,7 +275,7 @@ func run(rc runConfig, out *Outcome, mk func(ctx *machine.Ctx) app) error {
 	start := time.Now()
 	err = m.Run(func(ctx *machine.Ctx) error {
 		a := mk(ctx)
-		return core.RunEpochs(ctx, eng, rc.OnlineRecover && rc.CkptDir != "", func(eng *core.Engine, replay bool) error {
+		return core.RunEpochs(ctx, eng, rc.OnlineRecover, func(eng *core.Engine, replay bool) error {
 			return rc.epoch(ctx, eng, replay, &a, out)
 		})
 	})

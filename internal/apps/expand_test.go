@@ -7,16 +7,16 @@ import (
 )
 
 // expandADI is the shared shape of the elastic scale-out matrix: a
-// 3-rank dynamic ADI with one reserved joiner, per-iteration
+// 3-rank ADI in the given mode with one reserved joiner, per-iteration
 // checkpoints, and Elastic polling from the given iteration boundary.
 // The members must admit the joiner mid-run, replay the checkpoint onto
 // the grown 4-rank view, finish there, and still match the serial
 // reference bit-for-bit.
-func expandADI(t *testing.T, useTCP bool, joinAfter int) ADIResult {
+func expandADI(t *testing.T, mode ADIMode, useTCP bool, joinAfter int) ADIResult {
 	t.Helper()
 	dir := t.TempDir()
 	cfg := ADIConfig{
-		NX: 24, NY: 24, Iters: 8, P: 3, Mode: ADIDynamic, Validate: true,
+		NX: 24, NY: 24, Iters: 8, P: 3, Mode: mode, Validate: true,
 		Runtime: Runtime{
 			CkptDir: dir, CkptEvery: 1,
 			UseTCP:        useTCP,
@@ -30,7 +30,7 @@ func expandADI(t *testing.T, useTCP bool, joinAfter int) ADIResult {
 	}
 	res, err := RunADI(cfg)
 	if err != nil {
-		t.Fatalf("elastic expand run (tcp=%v joinAfter=%d): %v", useTCP, joinAfter, err)
+		t.Fatalf("elastic expand run (%v tcp=%v joinAfter=%d): %v", mode, useTCP, joinAfter, err)
 	}
 	if res.FinalEpoch < 1 {
 		t.Fatalf("run finished on epoch %d: the joiner was never admitted", res.FinalEpoch)
@@ -49,18 +49,22 @@ func expandADI(t *testing.T, useTCP bool, joinAfter int) ADIResult {
 
 // TestExpandADIChan: the joiner is admitted at the first iteration
 // boundary, before the iteration loop has built up collective state.
-func TestExpandADIChan(t *testing.T) { expandADI(t, false, 0) }
+func TestExpandADIChan(t *testing.T) { expandADI(t, ADIDynamic, false, 0) }
 
 // TestExpandADIChanMidRun: admission after several iterations of
 // DISTRIBUTE traffic — the schedule/plan caches and collective
 // sequences of the old epoch must not leak into the grown view.
-func TestExpandADIChanMidRun(t *testing.T) { expandADI(t, false, 4) }
+func TestExpandADIChanMidRun(t *testing.T) { expandADI(t, ADIDynamic, false, 4) }
 
 // TestExpandADITCP: the same join handshake over real sockets.
-func TestExpandADITCP(t *testing.T) { expandADI(t, true, 0) }
+func TestExpandADITCP(t *testing.T) { expandADI(t, ADIDynamic, true, 0) }
 
 // TestExpandADITCPMidRun: sockets × late admission.
-func TestExpandADITCPMidRun(t *testing.T) { expandADI(t, true, 4) }
+func TestExpandADITCPMidRun(t *testing.T) { expandADI(t, ADIDynamic, true, 4) }
+
+// TestExpandADIStaticCols: the static (:,BLOCK) mode, whose sweeps
+// pipeline across the column blocks, grows onto the joiner as well.
+func TestExpandADIStaticCols(t *testing.T) { expandADI(t, ADIStaticCols, false, 2) }
 
 // TestExpandRejectedJoin: a reserved rank is configured but the members
 // never reach the polling boundary (JoinAfterIter beyond the run).  The

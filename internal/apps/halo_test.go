@@ -99,15 +99,15 @@ func TestSmoothingDepthBitIdenticalCounts(t *testing.T) {
 // and keeps k = 1 without one.
 func TestSmoothingDepthFromModel(t *testing.T) {
 	for _, n := range []int{2048, 2054} {
-		if k := SmoothDepth(SmoothBlock2D, n, 4, 1e-4, 1e-8, 2e-9); k != 5 {
+		if k := SmoothDepth(SmoothBlock2D, n, 4, 1e-4, 1e-8); k != 5 {
 			t.Errorf("N=%d: SmoothDepth = %d, want 5", n, k)
 		}
 	}
-	if k := SmoothDepth(SmoothBlock2D, 2048, 4, 0, 0, 0); k != 1 {
+	if k := SmoothDepth(SmoothBlock2D, 2048, 4, 0, 0); k != 1 {
 		t.Errorf("no model: SmoothDepth = %d, want 1", k)
 	}
 	// The clamp: 3×3 blocks of 10 points are 4, 4 and 2 wide.
-	if k := SmoothDepth(SmoothBlock2D, 10, 9, 1e-3, 1e-9, 2e-9); k > 2 {
+	if k := SmoothDepth(SmoothBlock2D, 10, 9, 1e-3, 1e-9); k > 2 {
 		t.Errorf("N=10 on 3x3: SmoothDepth = %d, deeper than the thinnest segment", k)
 	}
 	res, err := RunSmoothing(SmoothConfig{N: 256, Steps: 10, P: 4, Mode: SmoothBlock2D, Overlap: true,
@@ -115,7 +115,7 @@ func TestSmoothingDepthFromModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := SmoothDepth(SmoothBlock2D, 256, 4, 1e-4, 1e-8, 0)
+	want := SmoothDepth(SmoothBlock2D, 256, 4, 1e-4, 1e-8)
 	if res.Depth != want || want == 1 || res.MaxErr != 0 {
 		t.Errorf("modelled run: depth %d (model %d), MaxErr %g; want the model's depth > 1 and 0", res.Depth, want, res.MaxErr)
 	}

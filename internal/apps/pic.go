@@ -38,10 +38,9 @@ type PICConfig struct {
 	// WorkPerParticle spins this many arithmetic ops per particle in
 	// update_field, making wall time reflect the load (default 40).
 	WorkPerParticle int
-	// Alpha/Beta attach a cost model; FlopTime charges modeled compute
-	// per particle-op.
+	// Alpha/Beta attach a cost model; each particle-op is charged one
+	// flop.
 	Alpha, Beta float64
-	FlopTime    float64
 	// Runtime: a restore onto a different processor count (Recover, or a
 	// replay after a join, drain or loss) degrades the saved
 	// B_BLOCK(BOUNDS) to BLOCK until the next rebalance.
@@ -95,9 +94,6 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 	}
 	if cfg.WorkPerParticle == 0 {
 		cfg.WorkPerParticle = 40
-	}
-	if cfg.FlopTime == 0 {
-		cfg.FlopTime = 2e-9
 	}
 	res := PICResult{Rebalance: cfg.Rebalance, ImbalanceSeries: make([]float64, cfg.Steps)}
 	if cfg.NCell < cfg.P+cfg.Join {
@@ -306,7 +302,7 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 			lf.SetAt(p, acc+*v)
 		})
 	})
-	ctx.Charge(cfg.FlopTime * particles * float64(cfg.WorkPerParticle))
+	ctx.Charge(flopTime * particles * float64(cfg.WorkPerParticle))
 	if cfg.Straggler.Enabled() {
 		ctx.ReportWork(particles, el)
 	}

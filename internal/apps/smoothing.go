@@ -48,10 +48,9 @@ type SmoothConfig struct {
 	// per-step traffic is the phase total divided by Steps.  Results are
 	// bit-identical to the synchronous mode.
 	Overlap bool
-	// Alpha/Beta attach a cost model; FlopTime is the modeled time of one
-	// flop (default 2ns), charged four times per grid-point update.
+	// Alpha/Beta attach a cost model; a grid-point update is charged
+	// four flops.
 	Alpha, Beta float64
-	FlopTime    float64
 	// Validate compares the final grid against the serial reference.
 	Validate bool
 	Runtime
@@ -87,9 +86,6 @@ var testDepth int
 // of receiving it — with the same arithmetic, so the grid stays bit for
 // bit the serial one.  Without a cost model k is 1: one exchange a step.
 func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
-	if cfg.FlopTime == 0 {
-		cfg.FlopTime = 2e-9
-	}
 	res := SmoothResult{Mode: cfg.Mode}
 	q := int(math.Round(math.Sqrt(float64(cfg.P))))
 	if cfg.Mode == SmoothBlock2D && q*q != cfg.P {
@@ -151,7 +147,7 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 					spec = core.DistSpec{Type: dist.NewType(dist.BlockDim(), dist.BlockDim()), Target: g.Whole()}
 					p = q * q
 				}
-				k = SmoothDepth(cfg.Mode, cfg.N, p, cfg.Alpha, cfg.Beta, cfg.FlopTime)
+				k = SmoothDepth(cfg.Mode, cfg.N, p, cfg.Alpha, cfg.Beta)
 				if ctx.Rank() == 0 {
 					res.Depth = k
 				}
@@ -183,18 +179,18 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 				w := min(k, cfg.Steps-(s-j)) - 1 - j
 				switch {
 				case cfg.Overlap && j == 0:
-					if err := exch.count(ctx, func() error { return smoothBlockStart(ctx, src, dst, exDims, w, cfg.FlopTime) }); err != nil {
+					if err := exch.count(ctx, func() error { return smoothBlockStart(ctx, src, dst, exDims, w) }); err != nil {
 						return err
 					}
 				case cfg.Overlap:
-					smoothLocal(ctx, src, dst, w, cfg.FlopTime)
+					smoothLocal(ctx, src, dst, w)
 				default:
 					if j == 0 {
 						if err := exch.count(ctx, func() error { return src.ExchangeAllGhosts(ctx) }); err != nil {
 							return err
 						}
 					}
-					el := sc.timed(ctx, func() { smoothLocal(ctx, src, dst, w, cfg.FlopTime) })
+					el := sc.timed(ctx, func() { smoothLocal(ctx, src, dst, w) })
 					if sc.Enabled() {
 						ctx.ReportWork(localElems(ctx, src), el)
 					}
@@ -270,7 +266,7 @@ func boxOf(l *darray.Local, dom index.Domain, w int) smoothBox {
 // most two) global edge columns peeled off — the same run-based movement
 // the pack/unpack layer uses, instead of a per-point branch in the inner
 // loop.
-func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, w int, flopTime float64) {
+func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, w int) {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
 	b := boxOf(ls, src.Domain(), w)
 	if !b.ok {
@@ -338,7 +334,7 @@ func smoothRect(dd, sd []float64, rowOff, s1, i0, i1, j0, j1, n0, n1 int) int {
 // The split is race-free without barriers: faces are applied only by
 // this rank's own waits, into src's margins, which the interior never
 // reads; the ring of dst this rank writes is its own storage too.
-func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int, flopTime float64) error {
+func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int) error {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
 	dom := src.Domain()
 	in, b := boxOf(ls, dom, -1), boxOf(ls, dom, w)
@@ -381,9 +377,9 @@ func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int,
 // busiest processor min(2, e-1) neighbours, so on a 2×2 arrangement (all
 // corners) blocks pay 2 messages, not 4.  ChooseSmoothingDist picks the
 // cheaper distribution at k = 1; SmoothDepth the k for one.
-func SmoothModelCost(n, p, k int, alpha, beta, flopTime float64) (columns, block2d float64) {
-	return smoothStepCost(SmoothColumns, n, p, k, alpha, beta, flopTime),
-		smoothStepCost(SmoothBlock2D, n, p, k, alpha, beta, flopTime)
+func SmoothModelCost(n, p, k int, alpha, beta float64) (columns, block2d float64) {
+	return smoothStepCost(SmoothColumns, n, p, k, alpha, beta),
+		smoothStepCost(SmoothBlock2D, n, p, k, alpha, beta)
 }
 
 // smoothStepCost is the modeled cost per step of a block of k steps on
@@ -393,7 +389,7 @@ func SmoothModelCost(n, p, k int, alpha, beta, flopTime float64) (columns, block
 // once k > 1 (the corners it forwards) — and the ring of the neighbours'
 // points step j recomputes, k-1-j deep on every side with a neighbour, at
 // the 4 flops of an update each.
-func smoothStepCost(mode SmoothMode, n, p, k int, alpha, beta, flopTime float64) float64 {
+func smoothStepCost(mode SmoothMode, n, p, k int, alpha, beta float64) float64 {
 	ext, nb := [2]float64{float64(n), float64(n) / float64(p)}, [2]int{0, min(2, p-1)}
 	if mode == SmoothBlock2D {
 		q := int(math.Round(math.Sqrt(float64(p))))
@@ -417,13 +413,10 @@ func smoothStepCost(mode SmoothMode, n, p, k int, alpha, beta, flopTime float64)
 // the lowest modeled step cost for the distribution (SmoothModelCost),
 // no deeper than the thinnest segment — a ghost ring is filled by the
 // face neighbours alone — and 1 when no machine model is given (alpha =
-// beta = 0).  flopTime 0 means the default 2 ns.  The cost falls with k
-// while the saved start-ups outweigh the recomputed ring and rises
-// after, so the search stops at the first rise.
-func SmoothDepth(mode SmoothMode, n, p int, alpha, beta, flopTime float64) int {
-	if flopTime == 0 {
-		flopTime = 2e-9
-	}
+// beta = 0).  The cost falls with k while the saved start-ups outweigh
+// the recomputed ring and rises after, so the search stops at the first
+// rise.
+func SmoothDepth(mode SmoothMode, n, p int, alpha, beta float64) int {
 	e := p // processors along a distributed dimension
 	if mode == SmoothBlock2D {
 		e = int(math.Round(math.Sqrt(float64(p))))
@@ -436,9 +429,9 @@ func SmoothDepth(mode SmoothMode, n, p int, alpha, beta, flopTime float64) int {
 	if alpha == 0 && beta == 0 {
 		return 1
 	}
-	best, bestCost := 1, smoothStepCost(mode, n, p, 1, alpha, beta, flopTime)
+	best, bestCost := 1, smoothStepCost(mode, n, p, 1, alpha, beta)
 	for k := 2; k <= thin; k++ {
-		c := smoothStepCost(mode, n, p, k, alpha, beta, flopTime)
+		c := smoothStepCost(mode, n, p, k, alpha, beta)
 		if c >= bestCost {
 			break
 		}
@@ -455,7 +448,7 @@ func ChooseSmoothingDist(n, p int, alpha, beta float64) SmoothMode {
 	if q*q != p {
 		return SmoothColumns // no square arrangement available
 	}
-	c, b := SmoothModelCost(n, p, 1, alpha, beta, 0)
+	c, b := SmoothModelCost(n, p, 1, alpha, beta)
 	if b < c {
 		return SmoothBlock2D
 	}

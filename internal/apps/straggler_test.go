@@ -245,6 +245,14 @@ func TestStragglerConfigValidation(t *testing.T) {
 			c.CommTimeout = 250 * time.Millisecond
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "panic"}
 		}},
+		{"online recover without ckpt", func(c *ADIConfig) {
+			c.Liveness = testLiveness()
+			c.CommTimeout = 250 * time.Millisecond
+			c.OnlineRecover = true
+		}},
+		{"recover without ckpt", func(c *ADIConfig) {
+			c.Recover = true
+		}},
 		{"static mode", func(c *ADIConfig) {
 			c.Liveness = testLiveness()
 			c.CommTimeout = 250 * time.Millisecond

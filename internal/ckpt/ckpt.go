@@ -14,9 +14,8 @@
 //   - optional redundancy: a parity file (byte-wise XOR of the rank
 //     files) or a full replica of every rank file, so any single lost or
 //     corrupt rank file of an epoch is reconstructed at restore time —
-//     and repaired in place (self-healing); a Scrub pass detects and
-//     fixes rot before it is needed.  The parity is folded from the rank
-//     files themselves over a binomial tree;
+//     and repaired in place (self-healing).  The parity is folded from
+//     the rank files themselves over a binomial tree;
 //   - `manifest.json` recording the array descriptors (domain bounds and
 //     the full distribution expression), the rank files with a CRC-32
 //     each, and the redundancy mode.
@@ -188,13 +187,6 @@ func (m *Manifest) stripeSet(epochDir string) pario.StripeSet {
 		set.Parity = &pario.StripeInfo{Name: m.Parity.Name, Size: m.Parity.Size, CRC: m.Parity.CRC}
 	}
 	return set
-}
-
-// EpochDir returns the directory a committed epoch lives in — the path
-// tools (and fault-injection tests) damage to exercise degraded-mode
-// restore.
-func EpochDir(dir string, epoch int) string {
-	return filepath.Join(dir, epochDirName(epoch))
 }
 
 func epochDirName(epoch int) string   { return fmt.Sprintf("epoch-%08d", epoch) }

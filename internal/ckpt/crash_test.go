@@ -221,7 +221,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 				if err != nil || epoch != 0 {
 					t.Fatalf("LatestEpoch = %d, %v", epoch, err)
 				}
-				victim := filepath.Join(EpochDir(dir, epoch), tc.file(man))
+				victim := filepath.Join(filepath.Join(dir, epochDirName(epoch)), tc.file(man))
 				tc.apply(t, victim)
 
 				// Restore under a transient injected read fault: the first
@@ -240,7 +240,7 @@ func TestDamageRestoreMatrix(t *testing.T) {
 
 				// Self-healing: the restore repaired damaged rank files in
 				// place, so a plain Verify of the epoch sees them intact.
-				set := man.stripeSet(EpochDir(dir, epoch))
+				set := man.stripeSet(filepath.Join(dir, epochDirName(epoch)))
 				h := set.Verify(pario.Disk{FS: pario.OS{}})
 				if !h.Recoverable || len(h.BadStripes) > 0 {
 					t.Errorf("epoch not healed after restore: %+v", h)
@@ -301,7 +301,7 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 		t.Fatalf("LatestEpoch = %d, %v", epoch, err)
 	}
 	// No redundancy: losing one rank file makes epoch 1 unusable.
-	if err := os.Remove(filepath.Join(EpochDir(dir, 1), rankFileName(0))); err != nil {
+	if err := os.Remove(filepath.Join(filepath.Join(dir, epochDirName(1)), rankFileName(0))); err != nil {
 		t.Fatal(err)
 	}
 	epoch, man, err := LatestEpoch(dir)
@@ -314,13 +314,13 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 
 	// A stray epoch of the retired format 1 is skipped by its version
 	// number exactly as a damaged one is: the fallback still lands on
-	// epoch 0, and Scrub does not count it.
+	// epoch 0.
 	strayV1 := func(dir string, epoch int) {
 		t.Helper()
-		if err := os.MkdirAll(EpochDir(dir, epoch), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Join(dir, epochDirName(epoch)), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(manifestPath(EpochDir(dir, epoch)), []byte(`{"Version": 1, "Epoch": 2, "NP": 2}`), 0o644); err != nil {
+		if err := os.WriteFile(manifestPath(filepath.Join(dir, epochDirName(epoch))), []byte(`{"Version": 1, "Epoch": 2, "NP": 2}`), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -329,9 +329,6 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 		t.Fatalf("LatestEpoch past a format-1 epoch = %d, %v; want 0", epoch, err)
 	}
 	restoreOpts(t, 2, "chan", dir, opts, valA)
-	if sum, err := Scrub(dir, opts); err != nil || sum.Epochs != 2 {
-		t.Fatalf("Scrub = %+v, %v; want the two current-format epochs only", sum, err)
-	}
 	// Alone in a directory it is no checkpoint at all, and the restore
 	// error says which version it found.
 	only := t.TempDir()
@@ -348,47 +345,6 @@ func TestEpochFallbackRestoresOlder(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "no committed checkpoint") || !strings.Contains(err.Error(), "format version 1") {
 		t.Fatalf("restore of a format-1 epoch = %v, want an error naming the version", err)
 	}
-}
-
-// TestScrubHealsCommittedEpochs: Scrub over a directory of epochs
-// repairs rot in every epoch it can and leaves them all verifying clean.
-func TestScrubHealsCommittedEpochs(t *testing.T) {
-	dir := t.TempDir()
-	opts := Options{Redundancy: pario.RedundancyParity}
-	for i := 0; i < 2; i++ {
-		if err := saveOpts(t, 2, "chan", dir, opts, fill); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for epoch := 0; epoch < 2; epoch++ {
-		path := filepath.Join(EpochDir(dir, epoch), rankFileName(epoch%2))
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data[len(data)/3] ^= 0x08
-		if err := os.WriteFile(path, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	met := &pario.Metrics{}
-	sum, err := Scrub(dir, Options{Redundancy: pario.RedundancyParity, Metrics: met})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.Epochs != 2 || len(sum.Repaired) != 2 || len(sum.Unrecoverable) != 0 {
-		t.Fatalf("Scrub = %+v", sum)
-	}
-	if met.Repairs.Load() != 2 {
-		t.Fatalf("repair metric = %d, want 2", met.Repairs.Load())
-	}
-	for epoch := 0; epoch < 2; epoch++ {
-		_, man, err := LatestEpoch(dir)
-		if err != nil || man == nil {
-			t.Fatal(err)
-		}
-	}
-	restoreOpts(t, 2, "chan", dir, opts, fill)
 }
 
 // afterReadFS runs hook once, right after the first read of a file named
@@ -439,7 +395,7 @@ func TestRestoreDamageAfterVerify(t *testing.T) {
 			if err := saveOpts(t, np, "chan", dir, Options{}, fill); err != nil {
 				t.Fatal(err)
 			}
-			victim := filepath.Join(EpochDir(dir, 0), rankFileName(1))
+			victim := filepath.Join(filepath.Join(dir, epochDirName(0)), rankFileName(1))
 			var damageErr error
 			fs := &afterReadFS{FS: pario.OS{}, trigger: parityFileName(), hook: func() {
 				data, err := os.ReadFile(victim)

@@ -3,6 +3,7 @@ package ckpt
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/darray"
@@ -51,7 +52,7 @@ func TestParityFoldMatrix(t *testing.T) {
 			for r := range want {
 				want[r] = referenceRankFile(dists, 0, r)
 			}
-			checkEpochFiles(t, name, EpochDir(dir, 0), want)
+			checkEpochFiles(t, name, filepath.Join(dir, epochDirName(0)), want)
 		}
 	}
 }

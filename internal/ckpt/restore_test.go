@@ -58,7 +58,7 @@ func TestRestoreReadsOwnFile(t *testing.T) {
 	if err != nil || man == nil {
 		t.Fatalf("LatestEpoch: %v", err)
 	}
-	raw, err := os.ReadFile(manifestPath(EpochDir(dir, 0)))
+	raw, err := os.ReadFile(manifestPath(filepath.Join(dir, epochDirName(0))))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,7 +190,7 @@ func FuzzManifest(f *testing.F) {
 	}{{2, "block"}, {4, "replicated"}, {3, "bblock"}, {4, "cyclic"}, {4, "block2d"}} {
 		sub := filepath.Join(dir, c.kind+string(rune('0'+i)))
 		saveOn(f, c.np, sub, c.kind, map[string]string{"iter": "3"})
-		raw, err := os.ReadFile(manifestPath(EpochDir(sub, 0)))
+		raw, err := os.ReadFile(manifestPath(filepath.Join(sub, epochDirName(0))))
 		if err != nil {
 			f.Fatal(err)
 		}

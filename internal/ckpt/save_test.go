@@ -173,7 +173,7 @@ func TestSaveCounts(t *testing.T) {
 		for r := range want {
 			want[r] = referenceRankFile(exchangeDists(t, np), 0, r)
 		}
-		checkEpochFiles(t, transport, EpochDir(dir, 0), want)
+		checkEpochFiles(t, transport, filepath.Join(dir, epochDirName(0)), want)
 	}
 }
 

@@ -97,7 +97,7 @@ func RegisterPICDemo(in *Interp) {
 		l := arr.Local(ctx)
 		ncell := arr.Domain().Extent(0)
 		rs := l.Grid().Dims[0]
-		ep := ctx.Endpoint()
+		ep, pol, tr := ctx.Endpoint(), ctx.Comm().Retry(), ctx.Tracer()
 		const tag = 9400
 		var outflow float64
 		lastIdx := -1
@@ -128,7 +128,7 @@ func RegisterPICDemo(in *Interp) {
 			recvFrom = d.Owner(index.Point{rs[0].Lo - 1, 1})
 		}
 		if sendTo >= 0 && sendTo != ctx.Rank() {
-			if err := ep.Send(sendTo, tag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
+			if err := msg.SendRetry(ep, pol, tr, "update-part", sendTo, tag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
 				return err
 			}
 		} else if sendTo == ctx.Rank() {
@@ -136,7 +136,7 @@ func RegisterPICDemo(in *Interp) {
 			l.SetAt(q, l.At(q)+outflow)
 		}
 		if recvFrom >= 0 && recvFrom != ctx.Rank() {
-			pk, err := ep.Recv(recvFrom, tag)
+			pk, err := msg.RecvRetry(ep, pol, tr, "update-part", recvFrom, tag)
 			if err != nil {
 				return err
 			}

@@ -4,6 +4,7 @@ import (
 	"regexp"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/lang"
@@ -105,6 +106,63 @@ func TestPICDemoTruncatedDriftFrame(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "has 8 bytes, want 16") ||
 		!regexp.MustCompile(`rank \d.* from rank \d`).MatchString(err.Error()) || strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("err = %v, want the short frame named by both ranks, no panic", err)
+	}
+}
+
+// dropDrift loses UPDATE_PART's drift frames (tag 9400) on the wire: the
+// sender sees a successful send, the receiver never gets the frame.
+type dropDrift struct{ msg.Transport }
+
+func (t dropDrift) Endpoint(r int) msg.Endpoint { return dropDriftEP{t.Transport.Endpoint(r)} }
+
+type dropDriftEP struct{ msg.Endpoint }
+
+func (e dropDriftEP) Send(to, tag int, data []byte) error {
+	if tag == 9400 {
+		return nil
+	}
+	return e.Endpoint.Send(to, tag, data)
+}
+
+// TestPICDemoLostDriftFrameTimesOut: the drift exchange runs under the
+// machine's retry policy like every other receive, so a lost frame ends
+// the program with an error within the retry budget instead of leaving
+// the receiver blocked for good.
+func TestPICDemoLostDriftFrameTimesOut(t *testing.T) {
+	prog, err := lang.Parse(PICDemoSource)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := sem.Analyze(prog)
+	pol := msg.RetryPolicy{Timeout: 50 * time.Millisecond, Retries: 1}
+	m := machine.New(4, machine.WithTransport(dropDrift{msg.NewChanTransport(4)}), machine.WithRetry(pol))
+	defer m.Close()
+	in := New(core.NewEngine(m))
+	RegisterPICDemo(in)
+	errs := make([]error, 4)
+	done := make(chan error, 1)
+	go func() {
+		done <- m.Run(func(ctx *machine.Ctx) error {
+			_, err := in.Run(ctx, unit)
+			errs[ctx.Rank()] = err
+			return err
+		})
+	}()
+	// The receiver gives up after pol.MaxWait(); the ranks it leaves in a
+	// barrier after one more.  Twice that again is slack for a loaded box.
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("the run survived a lost drift frame")
+		}
+	case <-time.After(4 * pol.MaxWait()):
+		t.Fatalf("UPDATE_PART still blocked %v after its drift frame was lost", 4*pol.MaxWait())
+	}
+	// Rank 1 waits for rank 0's frame.  Whether its own deadline or the
+	// abort of a rank that timed out in a barrier ends the wait, it ends
+	// in the retried receive, which names the operation.
+	if errs[1] == nil || !strings.Contains(errs[1].Error(), "update-part: rank 1: recv from 0") {
+		t.Fatalf("rank 1: err = %v, want its drift receive from rank 0 named", errs[1])
 	}
 }
 

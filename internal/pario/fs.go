@@ -15,8 +15,7 @@
 //   - redundancy and self-healing (StripeSet): the data files of a set
 //     are its stripes, each with a CRC, plus a parity or replica stripe,
 //     so any single lost or corrupt stripe file is reconstructed at read
-//     time — and repaired in place — and a Scrub pass detects and fixes
-//     rot before it is needed;
+//     time and repaired in place;
 //   - Server, a dedicated I/O goroutine per rank, so file writes overlap
 //     the collective coordination that follows them.
 //
@@ -75,8 +74,8 @@ type Metrics struct {
 	ReadOps      atomic.Int64
 	// Retries counts operation attempts after a failure.
 	Retries atomic.Int64
-	// Repairs counts stripe files rewritten from redundancy (by restore
-	// or Scrub).
+	// Repairs counts stripe files rewritten from redundancy by a
+	// restore.
 	Repairs atomic.Int64
 	// Reconstructions counts stripe payloads rebuilt from parity or a
 	// replica at read time (whether or not they were written back).

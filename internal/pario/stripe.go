@@ -105,7 +105,7 @@ func ReplicaName(name string) string { return name + ".rep" }
 
 // StripeSet describes the files of one committed epoch: the data
 // stripes, the redundancy mode, and (in parity mode) the parity stripe.
-// It is the unit Verify, ReadStripe and Scrub operate on; internal/ckpt
+// It is the unit Verify and ReadStripe operate on; internal/ckpt
 // builds one from each epoch manifest.
 type StripeSet struct {
 	Dir        string
@@ -281,87 +281,4 @@ func (s *StripeSet) Verify(d Disk) Health {
 		h.Recoverable = len(h.BadStripes) == 0
 	}
 	return h
-}
-
-// ScrubReport says what a Scrub pass found and fixed.
-type ScrubReport struct {
-	// Checked counts integrity-checked files (stripes + redundancy).
-	Checked int
-	// Repaired lists files rewritten in place from redundancy.
-	Repaired []string
-	// Unrecoverable lists damaged files that could not be rebuilt.
-	Unrecoverable []string
-}
-
-// Scrub detects and repairs rot in place: every damaged or missing data
-// stripe is rebuilt from redundancy and rewritten, damaged parity is
-// recomputed from the (now intact) data stripes, and damaged replicas
-// are recopied from their primaries.  Unrecoverable damage is reported,
-// not an error — the caller decides whether a degraded epoch is fatal.
-func (s *StripeSet) Scrub(d Disk) (ScrubReport, error) {
-	sp := d.Tracer.BeginSpan(d.Rank, trace.CatIO, "io:scrub")
-	defer sp.End()
-	var rep ScrubReport
-	intact := make([][]byte, len(s.Stripes))
-	for i, info := range s.Stripes {
-		rep.Checked++
-		data, err := s.checkedRead(d, info.Name, info.Size, info.CRC)
-		if err == nil {
-			intact[i] = data
-			continue
-		}
-		data, rerr := s.reconstruct(d, i)
-		if rerr != nil {
-			rep.Unrecoverable = append(rep.Unrecoverable, info.Name)
-			continue
-		}
-		if werr := s.repairFile(d, info.Name, data); werr != nil {
-			return rep, werr
-		}
-		intact[i] = data
-		rep.Repaired = append(rep.Repaired, info.Name)
-	}
-	switch s.Redundancy {
-	case RedundancyReplica:
-		for i, info := range s.Stripes {
-			rep.Checked++
-			if _, err := s.checkedRead(d, ReplicaName(info.Name), info.Size, info.CRC); err == nil {
-				continue
-			}
-			if intact[i] == nil {
-				rep.Unrecoverable = append(rep.Unrecoverable, ReplicaName(info.Name))
-				continue
-			}
-			if werr := s.repairFile(d, ReplicaName(info.Name), intact[i]); werr != nil {
-				return rep, werr
-			}
-			rep.Repaired = append(rep.Repaired, ReplicaName(info.Name))
-		}
-	case RedundancyParity:
-		if s.Parity == nil {
-			break
-		}
-		rep.Checked++
-		if _, err := s.checkedRead(d, s.Parity.Name, s.Parity.Size, s.Parity.CRC); err == nil {
-			break
-		}
-		buf := make([]byte, s.Parity.Size)
-		ok := true
-		for i := range s.Stripes {
-			if intact[i] == nil {
-				ok = false
-				break
-			}
-			XorInto(buf, intact[i])
-		}
-		if !ok || crc32.ChecksumIEEE(buf) != s.Parity.CRC {
-			rep.Unrecoverable = append(rep.Unrecoverable, s.Parity.Name)
-			break
-		}
-		if werr := s.repairFile(d, s.Parity.Name, buf); werr != nil {
-			return rep, werr
-		}
-		rep.Repaired = append(rep.Repaired, s.Parity.Name)
-	}
-	return rep, nil
 }

@@ -174,51 +174,6 @@ func TestVerifyMatrix(t *testing.T) {
 	}
 }
 
-func TestScrubRepairsEverything(t *testing.T) {
-	dir := t.TempDir()
-	set := writeSet(t, dir, RedundancyParity, []byte("aaaaaaaa"), []byte("bbbb"), []byte("cccccc"))
-	met := &Metrics{}
-	d := Disk{FS: OS{}, Metrics: met}
-
-	corrupt(t, filepath.Join(dir, set.Stripes[1].Name))
-	corrupt(t, filepath.Join(dir, set.Parity.Name))
-	// One damaged stripe + damaged parity: the stripe heals from the
-	// remaining stripes... no — parity is damaged too, so stripe 1 is
-	// unrecoverable.  Scrub reports it instead of erroring.
-	rep, err := set.Scrub(d)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Unrecoverable) != 2 {
-		t.Fatalf("Scrub = %+v, want stripe 1 and parity unrecoverable", rep)
-	}
-
-	// Re-materialize, damage only parity: Scrub recomputes it in place.
-	dir = t.TempDir()
-	set = writeSet(t, dir, RedundancyParity, []byte("aaaaaaaa"), []byte("bbbb"), []byte("cccccc"))
-	corrupt(t, filepath.Join(dir, set.Parity.Name))
-	rep, err = set.Scrub(d)
-	if err != nil || len(rep.Repaired) != 1 || rep.Repaired[0] != "parity.bin" || len(rep.Unrecoverable) != 0 {
-		t.Fatalf("Scrub(parity rot) = %+v, %v", rep, err)
-	}
-	if !intact(set.Verify(d)) {
-		t.Fatal("set not clean after parity recompute")
-	}
-
-	// Replica mode: a rotten replica is recopied from its primary.
-	dir = t.TempDir()
-	set = writeSet(t, dir, RedundancyReplica, []byte("aaaaaaaa"), []byte("bbbb"))
-	corrupt(t, filepath.Join(dir, ReplicaName(set.Stripes[1].Name)))
-	os.Remove(filepath.Join(dir, set.Stripes[0].Name))
-	rep, err = set.Scrub(d)
-	if err != nil || len(rep.Repaired) != 2 || len(rep.Unrecoverable) != 0 {
-		t.Fatalf("Scrub(replica) = %+v, %v", rep, err)
-	}
-	if !intact(set.Verify(d)) {
-		t.Fatal("set not clean after replica scrub")
-	}
-}
-
 func TestServerOverlapAndFailure(t *testing.T) {
 	dir := t.TempDir()
 	srv := StartServer(Disk{FS: OS{}})

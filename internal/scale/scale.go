@@ -22,7 +22,7 @@
 //	stepsLeft × (tCur − tNew) > R
 //
 // Everything here is pure arithmetic over numbers the caller measured
-// (typically from a trace.Summary via FromSummary/RedistCost), so the
+// (typically from a run's trace, as RedistCost reads it), so the
 // policy is unit-testable without a machine.
 package scale
 
@@ -147,35 +147,6 @@ func Recommend(p Params) Advice {
 		}
 	}
 	return a
-}
-
-// FromSummary extracts the per-step breakdown of the named phase from a
-// trace summary of steps iterations on np processors.  The phase total
-// is its virtual α/β time when a cost model recorded one, else its wall
-// time; the communication share is modeled from the phase's message
-// count and bytes under (alpha, beta) averaged over the processors; the
-// idle share is the recorded barrier wait; compute is the remainder.
-// ok is false when the phase is absent or steps <= 0.
-func FromSummary(s *trace.Summary, phase string, steps, np int, alpha, beta float64) (ps PerStep, ok bool) {
-	if s == nil || steps <= 0 || np <= 0 {
-		return PerStep{}, false
-	}
-	st, found := s.Phase(phase)
-	if !found {
-		return PerStep{}, false
-	}
-	total := st.VTime
-	if total == 0 {
-		total = st.Wall.Seconds()
-	}
-	comm := (alpha*float64(st.Msgs) + beta*float64(st.Bytes)) / float64(np)
-	idle := st.BarrierWait
-	compute := total - comm - idle
-	if compute < 0 {
-		compute = 0
-	}
-	inv := 1 / float64(steps)
-	return PerStep{Compute: compute * inv, Comm: comm * inv, Idle: idle * inv}, true
 }
 
 // RedistCost estimates the one-time cost of one resize from the

@@ -3,7 +3,6 @@ package scale
 import (
 	"math"
 	"testing"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -82,47 +81,6 @@ func TestRecommendDegenerate(t *testing.T) {
 			t.Errorf("Recommend(%+v) = %v, want hold", p, a.Decision)
 		}
 	}
-}
-
-func TestFromSummaryBreakdown(t *testing.T) {
-	// A synthetic summary: the "iterate" phase ran 10 steps on 2 ranks
-	// with 4s of virtual time, 1s of it barrier wait, and traffic whose
-	// α/β cost averages 1s per rank.
-	alpha, beta := 0.5, 1e-3
-	s := &trace.Summary{Phases: []trace.PhaseStat{{
-		Cat: trace.CatPhase, Name: "iterate", Count: 1,
-		Msgs: 2, Bytes: 1000, // (0.5*2 + 1e-3*1000)/2 ranks = 1s comm
-		VTime: 4, BarrierWait: 1,
-	}}}
-	ps, ok := FromSummary(s, "iterate", 10, 2, alpha, beta)
-	if !ok {
-		t.Fatal("FromSummary missed the phase")
-	}
-	approx(t, "comm/step", ps.Comm, 0.1)
-	approx(t, "idle/step", ps.Idle, 0.1)
-	approx(t, "compute/step", ps.Compute, 0.2) // (4 - 1 - 1)/10
-	approx(t, "total/step", ps.Total(), 0.4)
-
-	if _, ok := FromSummary(s, "absent", 10, 2, alpha, beta); ok {
-		t.Error("FromSummary found an absent phase")
-	}
-	if _, ok := FromSummary(s, "iterate", 0, 2, alpha, beta); ok {
-		t.Error("FromSummary accepted steps = 0")
-	}
-	if _, ok := FromSummary(nil, "iterate", 10, 2, alpha, beta); ok {
-		t.Error("FromSummary accepted a nil summary")
-	}
-}
-
-func TestFromSummaryFallsBackToWall(t *testing.T) {
-	s := &trace.Summary{Phases: []trace.PhaseStat{{
-		Cat: trace.CatPhase, Name: "iterate", Count: 1, Wall: 2 * time.Second,
-	}}}
-	ps, ok := FromSummary(s, "iterate", 4, 2, 0, 0)
-	if !ok {
-		t.Fatal("FromSummary missed the phase")
-	}
-	approx(t, "compute/step (wall fallback)", ps.Compute, 0.5)
 }
 
 func TestRedistCost(t *testing.T) {
