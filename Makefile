@@ -120,10 +120,10 @@ check-drain:
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
 # TestStraggler*, TestOnlineRecover*, TestPIC* and TestExpandPIC* test
-# (PIC runs up to RebalanceEvery steps between two rendezvous), and of
+# (PIC runs up to RebalanceEvery steps between two rendezvous), of
 # the darray package (whose DISTRIBUTE orders itself by messages, not
 # barriers) and the ckpt package (whose save folds parity partials over
-# a tree), under
+# a tree), and of msg's TestRecvTimeoutCheap (a goroutine count), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -133,7 +133,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \
@@ -163,11 +163,12 @@ soak:
 # format-1 epochs alike), the disk deadline that escalates like the
 # wire's (TestStallDeadlineEscalates), and the degraded end-to-end apps —
 # all under the race detector (the I/O servers and retry paths add
-# goroutines), and vfrun's -io-fault run healed by the disk retries.
+# goroutines), vfrun's -io-fault run healed by the disk retries, and
+# vfrun's -recover runs (fig1, fig2) giving the plain run's checksums.
 check-io:
 	$(GO) test -race -count=1 ./internal/pario ./internal/ckpt
 	$(GO) test -race -count=1 -run 'Degraded|DoubleDamage' ./internal/apps
-	$(GO) test -race -count=1 -run 'TestIOFaultKeepsChecksums' ./cmd/vfrun
+	$(GO) test -race -count=1 -run 'TestIOFaultKeepsChecksums|TestRecoverKeepsChecksums' ./cmd/vfrun
 
 # The fault-injection matrix: every collective pattern under injected
 # send errors, delivery delays, and dropped frames, on both transports,
@@ -176,10 +177,12 @@ check-io:
 check-fault:
 	$(GO) test -race -run 'TestFaultMatrix|TestFault|TestCollectiveTimeout|TestCollectiveHeals|TestCollectiveTagNeverWraps|TestRecvTimeout|TestCorruptFaultIsCaught' ./internal/msg ./internal/darray ./cmd/vfrun
 
-# The kernel bit-identity contract: Factor.Solve against the per-line
-# TridiagStrided (bits on signed zeros, denormals and infinities, odd and
-# even starts, every lines-mod-4 and lines-mod-interleave tail, the
-# layouts that panic, the fuzz seeds) and SmoothRow against the per-point
+# The kernel bit-identity contract: Factor.Solve, and its Forward/Back
+# segment sweeps chained over 1..5 segments (empty ones included; the
+# static ADI's pipeline), against the per-line TridiagStrided (bits on
+# signed zeros, denormals and infinities, odd and even starts, every
+# lines-mod-4 and lines-mod-interleave tail, the layouts that panic, the
+# fuzz seeds with a random cut) and SmoothRow against the per-point
 # loop it replaced (bits, untouched neighbours, the spans that panic, the
 # fuzz seeds), by Float64bits — on the default build (amd64: the SSE2
 # kernels of factor_amd64.s and smooth_amd64.s), under the race detector

@@ -44,12 +44,12 @@ func main() {
 	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
 	commTimeout := flag.Duration("comm-timeout", 0, "per-receive deadline inside collectives (0 = wait forever)")
 	commRetries := flag.Int("comm-retries", 0, "bounded retries for failed or timed-out collective operations")
-	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after DISTRIBUTE statements")
-	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th DISTRIBUTE statement")
+	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after top-level DISTRIBUTE statements (those outside every DO, IF and DCASE)")
+	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th top-level DISTRIBUTE statement")
 	ioRedundancy := flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep := flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
 	ioFault := flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=rank-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
-	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir at the first DISTRIBUTE site (the survivors' rank count may differ from the writer's)")
+	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir at the top-level DISTRIBUTE it was taken after (the survivors' rank count may differ from the writer's)")
 	onlineRec := flag.Bool("online-recover", false, "recover from a mid-run rank loss in-process: survivors regroup onto the next membership epoch and replay the last committed checkpoint (requires -ckpt-dir)")
 	deadline := flag.Duration("deadline", 0, "kill the whole process with a goroutine dump if it runs longer than this (hang watchdog; 0 = off)")
 	redistBudget := flag.String("redist-budget", "", "bound each DISTRIBUTE's peak resident wire bytes per rank, e.g. 64K, 2M (empty/0 = unbounded)")

@@ -81,6 +81,23 @@ func TestIOFaultKeepsChecksums(t *testing.T) {
 	sameSums(t, "io-fault run", faulted, plain)
 }
 
+// TestRecoverKeepsChecksums: a run recovered from the checkpoints of a
+// plain run computes what the plain run does.  Figure 2 redistributes
+// inside its DO loop; its checkpoint is taken at the DISTRIBUTE before
+// the loop and the recovery restores there, so the loop runs once from
+// its start, not again from the state its last trip left.  (Figure 1
+// also recovers on fewer ranks; Figure 2's BOUNDS($NP) is sized by them.)
+func TestRecoverKeepsChecksums(t *testing.T) {
+	for demo, widths := range map[string][]string{"fig1": {"4", "3"}, "fig2": {"4"}} {
+		plain := vfrun(t, "-p", "4", "-demo", demo)
+		dir := t.TempDir()
+		sameSums(t, demo+" checkpointed run", vfrun(t, "-p", "4", "-demo", demo, "-ckpt-dir", dir), plain)
+		for _, p := range widths {
+			sameSums(t, demo+" recovered on "+p, vfrun(t, "-p", p, "-demo", demo, "-ckpt-dir", dir, "-recover"), plain)
+		}
+	}
+}
+
 // TestCorruptFaultIsCaught: a corrupt fault rule switches the CRC32C
 // layer on, so the flipped payload stops the run as a named integrity
 // error instead of reaching the program as a wrong value.

@@ -165,7 +165,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 		case ADIStaticRows:
 			pipeDim = 0
 		}
-		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows) }
+		pipe := func() error { return pipelinedSweep(ctx, v, pipeDim, cfg.ChunkRows, &axis[pipeDim].factor) }
 		return app{
 			declare: func(e *core.Engine) (err error) {
 				eng = e
@@ -276,14 +276,21 @@ func localSweep(ctx *machine.Ctx, v *core.Array, dim int, lf *lineFactor) {
 	ctx.Charge(flopTime * float64(5*n*alloc[other]))
 }
 
+// The tags of pipelinedSweep's frames: forward d' values downstream,
+// back-substituted solutions upstream.
+const fwdTag, bwdTag = 9001, 9002
+
 // pipelinedSweep solves the tridiagonal systems along a BLOCK-distributed
-// dimension dim: each processor eliminates its segment of every line and
-// forwards per-line pipeline state (b', d') to the next processor in
-// chunks, then back-substitutes in the reverse direction.  This is the
+// dimension dim: each processor eliminates its segment of every line
+// (lf.f.Forward, lf built for the global extent) and forwards each
+// line's last d' to the next processor in chunks of lines, then
+// back-substitutes (lf.f.Back) in the reverse direction.  b' is the
+// shared factor's, so a frame carries one value per line.  This is the
 // communication pattern a compiler must generate for the static ADI
-// (paper §4).  Transport failures are returned as wrapped errors (under
-// the machine's retry policy the pipeline receives run with deadlines).
-func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int) error {
+// (paper §4).  Transport failures and frames of the wrong size are
+// returned as errors (under the machine's retry policy the pipeline
+// receives run with deadlines).
+func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int, lf *lineFactor) error {
 	l := v.Local(ctx)
 	rank, np := ctx.Rank(), ctx.NP()
 	alloc := l.AllocShape()
@@ -291,78 +298,63 @@ func pipelinedSweep(ctx *machine.Ctx, v *core.Array, dim int, chunk int) error {
 	strd := l.Stride()
 	segN := alloc[dim]    // my extent along the recurrence dimension
 	lines := alloc[other] // number of independent systems (all local)
-	if lines == 0 {
-		return nil
+	dom := v.Domain()
+	if n := dom.Extent(dim); lf.n != n {
+		*lf = lineFactor{n, kernels.NewFactor(n, adiA, adiB, adiC)}
+	}
+	g0 := 0 // my segment's first row of the global line
+	if segN > 0 {
+		lo, _, _ := l.Segment()
+		g0 = lo[dim] - dom.Lo[dim]
 	}
 	data := l.Data()
 	ep := ctx.Endpoint()
 	pol := ctx.Comm().Retry()
 	tr := ctx.Tracer()
-	const fwdTag, bwdTag = 9001, 9002
-
-	// per-line modified diagonals, needed again by the backward pass
-	bps := make([][]float64, lines)
-	for i := range bps {
-		bps[i] = make([]float64, segN)
+	carry := make([]float64, min(chunk, lines))
+	// recv decodes from's frame for a chunk into c.
+	recv := func(from, tag int, c []float64) error {
+		p, err := msg.RecvRetry(ep, pol, tr, "pipelined-sweep", from, tag)
+		if err != nil {
+			return err
+		}
+		if len(p.Data) != 8*len(c) {
+			return fmt.Errorf("frame from rank %d on tag %d has %d bytes, want %d (%d lines)", from, tag, len(p.Data), 8*len(c), len(c))
+		}
+		msg.DecodeFloat64sInto(c, p.Data)
+		p.Release()
+		return nil
 	}
+	inRange := func(r int) bool { return r >= 0 && r < np }
 
-	prev, next := rank-1, rank+1
-
-	// forward elimination, pipelined in chunks of lines
-	for c0 := 0; c0 < lines; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > lines {
-			c1 = lines
-		}
-		in := make([]kernels.SweepState, c1-c0)
-		if prev >= 0 {
-			p, err := msg.RecvRetry(ep, pol, tr, "pipelined-sweep", prev, fwdTag)
+	// The forward elimination runs downstream, then the back substitution
+	// upstream, each pipelined in chunks of lines.
+	for _, pass := range [...]struct {
+		name     string
+		from, to int
+		tag      int
+		sweep    func(data []float64, start, stride, lineStride, lines, g0, seg int, carry []float64)
+		flops    int
+	}{
+		{"forward", rank - 1, rank + 1, fwdTag, lf.f.Forward, 5},
+		{"backward", rank + 1, rank - 1, bwdTag, lf.f.Back, 3},
+	} {
+		for c0 := 0; c0 < lines; c0 += chunk {
+			k := min(chunk, lines-c0)
+			c := carry[:k]
+			var err error
+			if inRange(pass.from) {
+				err = recv(pass.from, pass.tag, c)
+			}
+			if err == nil {
+				pass.sweep(data, c0*strd[other], strd[dim], strd[other], k, g0, segN, c)
+				ctx.Charge(flopTime * float64(pass.flops*segN*k))
+				if inRange(pass.to) {
+					err = msg.SendRetry(ep, pol, tr, "pipelined-sweep", pass.to, pass.tag, msg.EncodeFloat64s(c))
+				}
+			}
 			if err != nil {
-				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
-			}
-			vals := msg.DecodeFloat64s(p.Data)
-			for k := range in {
-				in[k] = kernels.SweepState{BP: vals[2*k], D: vals[2*k+1], Valid: true}
-			}
-		}
-		out := make([]float64, 0, 2*(c1-c0))
-		for li := c0; li < c1; li++ {
-			st := kernels.ForwardSegment(data, li*strd[other], strd[dim], segN, adiA, adiB, adiC, in[li-c0], bps[li])
-			out = append(out, st.BP, st.D)
-		}
-		ctx.Charge(flopTime * float64(5*segN*(c1-c0)))
-		if next < np {
-			if err := msg.SendRetry(ep, pol, tr, "pipelined-sweep", next, fwdTag, msg.EncodeFloat64s(out)); err != nil {
-				return fmt.Errorf("apps: ADI forward sweep at rank %d: %w", rank, err)
-			}
-		}
-	}
-	// back substitution, pipelined in the reverse direction
-	for c0 := 0; c0 < lines; c0 += chunk {
-		c1 := c0 + chunk
-		if c1 > lines {
-			c1 = lines
-		}
-		in := make([]kernels.BackState, c1-c0)
-		if next < np {
-			p, err := msg.RecvRetry(ep, pol, tr, "pipelined-sweep", next, bwdTag)
-			if err != nil {
-				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
-			}
-			vals := msg.DecodeFloat64s(p.Data)
-			for k := range in {
-				in[k] = kernels.BackState{X: vals[k], Valid: true}
-			}
-		}
-		out := make([]float64, 0, c1-c0)
-		for li := c0; li < c1; li++ {
-			st := kernels.BackwardSegment(data, li*strd[other], strd[dim], segN, adiC, in[li-c0], bps[li])
-			out = append(out, st.X)
-		}
-		ctx.Charge(flopTime * float64(3*segN*(c1-c0)))
-		if prev >= 0 {
-			if err := msg.SendRetry(ep, pol, tr, "pipelined-sweep", prev, bwdTag, msg.EncodeFloat64s(out)); err != nil {
-				return fmt.Errorf("apps: ADI backward sweep at rank %d: %w", rank, err)
+				return fmt.Errorf("apps: ADI %s sweep at rank %d: %w", pass.name, rank, err)
 			}
 		}
 	}

@@ -437,6 +437,28 @@ func TestPICDriftFrameChecked(t *testing.T) {
 	}
 }
 
+// TestPipelineFrameChecked: a forward frame of the static ADI's pipeline
+// one value short is an error of the run that names the receiver, the
+// sender, the tag and both sizes — not a panic.
+func TestPipelineFrameChecked(t *testing.T) {
+	m := machine.New(4, machine.WithTransport(mangleTag{msg.NewChanTransport(4), fwdTag, func(b []byte) []byte { return b[:len(b)-8] }}))
+	defer m.Close()
+	eng := core.NewEngine(m)
+	err := m.Run(func(ctx *machine.Ctx) error {
+		v, err := eng.Declare(ctx, core.Decl{Name: "V", Domain: index.Dim(16, 16), Static: &core.DistSpec{Type: colsType()}})
+		if err != nil {
+			return err
+		}
+		v.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0] - p[1]) })
+		var lf lineFactor
+		return pipelinedSweep(ctx, v, 1, 4, &lf)
+	})
+	if err == nil || !regexp.MustCompile(`rank \d.* from rank \d on tag 9001 has 24 bytes, want 32`).MatchString(err.Error()) ||
+		strings.Contains(err.Error(), "panicked") {
+		t.Errorf("err = %v, want the receiver, the sender, tag 9001 and 24 bytes of 32 named, no panic", err)
+	}
+}
+
 func TestAppsOverTCP(t *testing.T) {
 	adi, err := RunADI(ADIConfig{NX: 24, NY: 24, Iters: 2, P: 3, Mode: ADIDynamic, Validate: true, Runtime: Runtime{UseTCP: true}})
 	if err != nil {

@@ -62,17 +62,20 @@ func builtinTridiag(st *State, args []any) error {
 	copy(first, aa.Fixed)
 	first[dim] = lo
 
+	// Every line of a length shares one elimination, built by the first
+	// CALL that solves one.
+	f, ok := st.factors[n]
+	if !ok {
+		f = kernels.NewFactor(n, TriA, TriB, TriC)
+		st.factors[n] = f
+	}
 	if d.ProcDim(dim) < 0 {
 		// line fully local to its owners: in-place strided solve
 		if d.IsLocal(ctx.Rank(), first) {
 			l := arr.Local(ctx)
-			start := l.Offset(first)
-			kernels.TridiagStrided(l.Data(), start, l.Stride()[dim], n, TriA, TriB, TriC, nil)
+			f.Solve(l.Data(), l.Offset(first), l.Stride()[dim], 0, 1)
 		}
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
-		return nil
+		return ctx.Barrier()
 	}
 	// distributed line: gather-solve-scatter on the first element's owner
 	if ctx.Rank() == d.Owner(first) {
@@ -82,16 +85,13 @@ func builtinTridiag(st *State, args []any) error {
 			p[dim] = lo + i
 			vals[i] = arr.DArray().Get(ctx, p)
 		}
-		kernels.Tridiag(vals, TriA, TriB, TriC, nil)
+		f.Solve(vals, 0, 1, 0, 1)
 		for i := 0; i < n; i++ {
 			p[dim] = lo + i
 			arr.DArray().Set(ctx, p, vals[i])
 		}
 	}
-	if err := ctx.Barrier(); err != nil {
-		return err
-	}
-	return nil
+	return ctx.Barrier()
 }
 
 // builtinResid is Figure 1's RESID(V, U, F, NX, NY): V = F - A(U) for the

@@ -33,11 +33,14 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/index"
+	"repro/internal/kernels"
 	"repro/internal/lang"
 	"repro/internal/machine"
+	"repro/internal/query"
 	"repro/internal/sem"
 )
 
@@ -71,9 +74,11 @@ type Interp struct {
 
 	// Checkpoint hooks (vfrun -ckpt-dir/-ckpt-every/-recover).  DISTRIBUTE
 	// statements are the natural consistency points of a Vienna Fortran
-	// program — the paper's dynamic phase boundaries — so checkpoints are
-	// taken after every ckptEvery-th executed DISTRIBUTE, and a recovery
-	// run replays the latest committed epoch at the first DISTRIBUTE site
+	// program — the paper's dynamic phase boundaries.  A top-level one
+	// (outside every DO, IF and DCASE) runs once, so its ordinal names a
+	// point of the run: checkpoints are taken after every ckptEvery-th
+	// top-level DISTRIBUTE and record its ordinal, and a recovery run
+	// replays the latest committed epoch at the one of that ordinal
 	// (demo-grade: arrays declared after that site are not restored, and
 	// statements before it re-execute on the fresh run).
 	ckptDir    string
@@ -114,7 +119,7 @@ func (in *Interp) SetStraggler(healthOn, drain bool, slowRank int, slowFactor fl
 }
 
 // SetCheckpoint enables coordinated checkpoints into dir after every
-// every-th DISTRIBUTE statement (every <= 0 means every one).
+// every-th top-level DISTRIBUTE statement (every <= 0 means every one).
 func (in *Interp) SetCheckpoint(dir string, every int) {
 	if every <= 0 {
 		every = 1
@@ -123,8 +128,8 @@ func (in *Interp) SetCheckpoint(dir string, every int) {
 }
 
 // SetRecover makes the next Run restore the latest committed checkpoint
-// in the SetCheckpoint directory when it reaches the first DISTRIBUTE
-// statement.
+// in the SetCheckpoint directory when it reaches the top-level
+// DISTRIBUTE statement that checkpoint was taken at.
 func (in *Interp) SetRecover(on bool) { in.recoverRun = on }
 
 // New creates an interpreter over an engine and registers the standard
@@ -147,11 +152,14 @@ type State struct {
 	Scalars map[string]float64
 	arrays  map[string]*core.Array
 
-	// nDistribute counts executed DISTRIBUTE statements; every rank runs
-	// the same statement sequence in lockstep, so the counters agree and
-	// the checkpoint hooks fire collectively.
-	nDistribute int
-	recovered   bool
+	// sites numbers the top-level DISTRIBUTEs from 1; every rank runs the
+	// same statements in lockstep, so the checkpoint hooks fire
+	// collectively.  restoreAt is the site a recovery restores at (0: none).
+	sites     map[*lang.DistributeStmt]int
+	restoreAt int
+
+	// factors holds TRIDIAG's eliminations by line length.
+	factors map[int]kernels.Factor
 }
 
 // Array resolves a declared array by name.
@@ -166,15 +174,51 @@ func (in *Interp) Run(ctx *machine.Ctx, unit *sem.Unit) (*State, error) {
 	if unit.HasErrors() {
 		return nil, fmt.Errorf("interp: program has semantic errors: %v", unit.Diags[0])
 	}
-	st := &State{In: in, Ctx: ctx, Unit: unit, Scalars: map[string]float64{}, arrays: map[string]*core.Array{}}
+	st := &State{In: in, Ctx: ctx, Unit: unit, Scalars: map[string]float64{}, arrays: map[string]*core.Array{},
+		factors: map[int]kernels.Factor{}}
 	for k, v := range unit.Params {
 		st.Scalars[k] = float64(v)
 	}
 	st.Scalars["$NP"] = float64(ctx.NP())
+	if in.ckptDir != "" {
+		st.sites = map[*lang.DistributeStmt]int{}
+		for _, s := range unit.Prog.Stmts {
+			if d, ok := s.(*lang.DistributeStmt); ok {
+				st.sites[d] = len(st.sites) + 1
+			}
+		}
+		var err error
+		if st.restoreAt, err = restoreSite(ctx, in); err != nil {
+			return st, err
+		}
+	}
 	if err := st.stmts(unit.Prog.Stmts); err != nil {
 		return st, err
 	}
 	return st, nil
+}
+
+// restoreSite is the site a recovery run restores at — the one its
+// latest committed epoch was taken at, as rank 0 reads it (collective),
+// or the first if none is readable, whose restore then says why — and 0
+// on a run that does not recover.
+func restoreSite(ctx *machine.Ctx, in *Interp) (int, error) {
+	if !in.recoverRun {
+		return 0, nil
+	}
+	at := []int{1}
+	if ctx.Rank() == 0 {
+		if _, man, _ := ckpt.LatestEpoch(in.ckptDir); man != nil {
+			if n, ok := man.MetaInt("distribute"); ok {
+				at[0] = n
+			}
+		}
+	}
+	at, err := ctx.Comm().BcastInts(0, at)
+	if err != nil {
+		return 0, fmt.Errorf("interp: recover: %w", err)
+	}
+	return at[0], nil
 }
 
 func (st *State) stmts(list []lang.Stmt) error {
@@ -569,11 +613,11 @@ func (st *State) dimSpec(d lang.DistDim, dom index.Domain, dimIdx int, target st
 
 func (st *State) distribute(stm *lang.DistributeStmt) error {
 	in := st.In
-	if in.recoverRun && in.ckptDir != "" && !st.recovered {
-		// First DISTRIBUTE site of a recovery run: replay the last
-		// committed epoch over the declared arrays, then let the
-		// statement itself re-establish the program's distribution.
-		st.recovered = true
+	site := st.sites[stm] // 0: not a checkpoint site
+	if site > 0 && site == st.restoreAt {
+		// The site the checkpoint was taken at: replay the last committed
+		// epoch over the declared arrays, then let the statement itself
+		// re-establish the program's distribution.
 		if _, err := in.Engine.Restore(st.Ctx, in.ckptDir); err != nil {
 			return fmt.Errorf("%v: recover: %w", stm.Pos(), err)
 		}
@@ -594,9 +638,8 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 	if err := st.Ctx.Barrier(); err != nil {
 		return err
 	}
-	st.nDistribute++
-	if in.ckptDir != "" && st.nDistribute%in.ckptEvery == 0 {
-		meta := map[string]string{"distribute": fmt.Sprint(st.nDistribute)}
+	if site > 0 && site%in.ckptEvery == 0 {
+		meta := map[string]string{"distribute": fmt.Sprint(site)}
 		if _, err := in.Engine.Checkpoint(st.Ctx, in.ckptDir, meta); err != nil {
 			return fmt.Errorf("%v: checkpoint: %w", stm.Pos(), err)
 		}
@@ -678,46 +721,37 @@ func (st *State) distributeExec(stm *lang.DistributeStmt) error {
 	return nil
 }
 
+// selectStmt runs a DCASE construct through query.DCase: the first arm
+// whose query list matches the selectors' current distributions runs.
 func (st *State) selectStmt(stm *lang.SelectStmt) error {
-	var sels []*core.Array
-	for _, n := range stm.Selectors {
+	sels := make([]query.Selector, len(stm.Selectors))
+	for i, n := range stm.Selectors {
 		a, ok := st.arrays[n]
 		if !ok {
 			return fmt.Errorf("%v: DCASE selector %s not declared", stm.Pos(), n)
 		}
-		sels = append(sels, a)
+		sels[i] = a
 	}
-	types := make([]dist.Type, len(sels))
-	byName := map[string]dist.Type{}
-	for i, a := range sels {
-		if !a.Distributed(st.Ctx.Rank()) {
-			return fmt.Errorf("%v: selector %s has no well-defined distribution", stm.Pos(), a.Name())
-		}
-		types[i] = a.DistType(st.Ctx.Rank())
-		byName[a.Name()] = types[i]
-	}
+	dc := query.Select(st.Ctx.Rank(), sels...)
 	for _, arm := range stm.Arms {
-		match := true
-		if !arm.Default {
-			for qi, q := range arm.Queries {
-				var t dist.Type
-				if q.Tag != "" {
-					t = byName[q.Tag]
-				} else {
-					t = types[qi]
-				}
-				pat := st.Unit.AbstractPattern(q.Pattern)
-				if !pat.Matches(t) {
-					match = false
-					break
-				}
-			}
+		action := func() error { return st.stmts(arm.Body) }
+		if arm.Default {
+			dc.Default(action)
+			continue
 		}
-		if match {
-			return st.stmts(arm.Body)
+		qs := make([]query.Q, len(arm.Queries))
+		for i, q := range arm.Queries {
+			qs[i] = query.Q{Tag: q.Tag, Pattern: st.Unit.AbstractPattern(q.Pattern)}
 		}
+		dc.Case(action, qs...)
 	}
-	return nil // no match: construct completes without executing an action
+	// An error before any arm ran is the construct's; an arm's own error
+	// is its statements', already positioned.
+	matched, err := dc.Run()
+	if err != nil && matched < 0 {
+		return fmt.Errorf("%v: %w", stm.Pos(), err)
+	}
+	return err
 }
 
 func (st *State) call(stm *lang.CallStmt) error {
@@ -995,6 +1029,5 @@ func (st *State) evalIDT(ex *lang.IDTExpr) (bool, error) {
 	if !arr.Distributed(st.Ctx.Rank()) {
 		return false, fmt.Errorf("IDT of %s before association with a distribution", ex.Array)
 	}
-	pat := st.Unit.AbstractPattern(ex.Pattern)
-	return pat.Matches(arr.DistType(st.Ctx.Rank())), nil
+	return query.IDT(st.Ctx.Rank(), arr, st.Unit.AbstractPattern(ex.Pattern)), nil
 }

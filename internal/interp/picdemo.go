@@ -28,9 +28,6 @@ func RegisterPICDemo(in *Interp) {
 			}
 			return 0
 		})
-		if err := st.Ctx.Barrier(); err != nil {
-			return err
-		}
 		return nil
 	})
 
@@ -38,9 +35,6 @@ func RegisterPICDemo(in *Interp) {
 		ba := args[0].(*ArrayArg)
 		fa := args[1].(*ArrayArg)
 		ctx := st.Ctx
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
 		// Every cell has one owner, so summing each rank's dense vector of
 		// its own cells' counts gives every rank the exact counts.
 		counts := make([]float64, fa.Arr.Domain().Extent(0))
@@ -59,19 +53,12 @@ func RegisterPICDemo(in *Interp) {
 		for i, b := range bounds {
 			lb.SetAt(index.Point{i + 1}, float64(b))
 		}
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
 		return nil
 	})
 
 	in.Register("UPDATE_FIELD", func(st *State, args []any) error {
 		fa := args[0].(*ArrayArg)
-		ctx := st.Ctx
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
-		l := fa.Arr.Local(ctx)
+		l := fa.Arr.Local(st.Ctx)
 		l.ForEachOwned(func(p index.Point, v *float64) {
 			if p[1] != 1 {
 				return
@@ -80,18 +67,12 @@ func RegisterPICDemo(in *Interp) {
 			q := index.Point{p[0], 2}
 			l.SetAt(q, l.At(q)+*v)
 		})
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
 		return nil
 	})
 
 	in.Register("UPDATE_PART", func(st *State, args []any) error {
 		fa := args[0].(*ArrayArg)
 		ctx := st.Ctx
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
 		arr := fa.Arr
 		d := arr.DistOf(ctx.Rank())
 		l := arr.Local(ctx)
@@ -150,9 +131,6 @@ func RegisterPICDemo(in *Interp) {
 			q := index.Point{int(at), 1}
 			l.SetAt(q, l.At(q)+flow)
 		}
-		if err := ctx.Barrier(); err != nil {
-			return err
-		}
 		return nil
 	})
 
@@ -192,9 +170,6 @@ func RegisterPICDemo(in *Interp) {
 // one processor, identical everywhere: one allreduce of [sum, max].
 func particleLoad(st *State, fa *ArrayArg) (tot, mx float64, err error) {
 	ctx := st.Ctx
-	if err := ctx.Barrier(); err != nil {
-		return 0, 0, err
-	}
 	local := 0.0
 	fa.Arr.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
 		if p[1] == 1 {

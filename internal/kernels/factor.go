@@ -46,12 +46,13 @@ const interleave = 8
 // j*lineStride + i*stride].  The lines must not overlap.  It allocates
 // nothing.
 //
-// With lineStride == 1 (lines side by side: a sweep along the slow
-// dimension of a column-major block) the line index runs innermost over
-// two contiguous rows, so the recurrence runs across i while the CPU
-// pipelines across j and the block is streamed once.  With stride == 1
-// (contiguous lines) interleave lines advance together.  Any other
-// layout, and the lines mod interleave tail, go one line at a time.
+// With stride == 1 (contiguous lines) interleave lines advance together
+// (solveLanes).  Every other layout, and the lines mod interleave tail,
+// is the one-segment case of Forward and Back: with lineStride == 1
+// (lines side by side: a sweep along the slow dimension of a
+// column-major block) they run row by row, so the recurrence runs across
+// i while the CPU pipelines across j and the block is streamed once, and
+// otherwise one line at a time.
 //
 // A line that leaves data panics, as indexing it would: the batched
 // paths check each row, or the outermost lines of each group, once
@@ -62,35 +63,119 @@ func (f Factor) Solve(data []float64, start, stride, lineStride, lines int) {
 		return
 	}
 	data = data[:len(data):len(data)]
-	if lineStride == 1 && stride != 1 {
-		f.solveRows(data, start, stride, lines)
-		return
-	}
 	j := 0
 	if stride == 1 {
 		for ; j+interleave <= lines; j += interleave {
 			f.solveLanes(data, start+j*lineStride, lineStride)
 		}
 	}
-	for ; j < lines; j++ {
-		f.solveLine(data, start+j*lineStride, stride)
+	if j < lines {
+		start += j * lineStride
+		f.Forward(data, start, stride, lineStride, lines-j, 0, n, nil)
+		f.Back(data, start, stride, lineStride, lines-j, 0, n, nil)
 	}
 }
 
-// solveLine is TridiagStrided over the shared factor.
-func (f Factor) solveLine(data []float64, start, stride int) {
-	m, bp, c := f.m, f.bp, f.c
-	n := len(bp)
-	idx := start + stride
-	for i := 1; i < n; i, idx = i+1, idx+stride {
-		data[idx] -= m[i] * data[idx-stride]
+// Forward is the forward substitution over rows [g0, g0+seg) of lines
+// lines: the share of Solve one processor runs when the lines are split
+// into segments across processors (the static ADI's pipelined sweep).
+// start, stride and lineStride address the segment as Solve's do a whole
+// line, so row g0+i of line j is data[start + j*lineStride + i*stride].
+// Each line carries one value across the cut: on entry carry[j] is row
+// g0-1 of line j as the upstream segment's Forward left it (read only
+// when g0 > 0), and on return it is row g0+seg-1, for the downstream
+// segment (written only when carry is not nil).  An empty segment leaves
+// carry as it is, so the value passes through.  Chaining the segments'
+// Forwards and then, in reverse, their Backs is Solve, bit for bit.
+func (f Factor) Forward(data []float64, start, stride, lineStride, lines, g0, seg int, carry []float64) {
+	if f.idle(g0, seg, lines) {
+		return
 	}
-	last := start + (n-1)*stride
-	data[last] /= bp[n-1]
-	idx = last - stride
-	for i := n - 2; i >= 0; i, idx = i-1, idx-stride {
-		data[idx] = (data[idx] - c*data[idx+stride]) / bp[i]
+	data = data[:len(data):len(data)]
+	if lineStride == 1 && stride != 1 {
+		prev := carry // row i-1
+		for i := g0; i < g0+seg; i++ {
+			cur := data[start+(i-g0)*stride:][:lines]
+			if i > 0 {
+				rowFwd(cur, prev, f.m[i])
+			}
+			prev = cur
+		}
+		if carry != nil {
+			copy(carry[:lines], prev)
+		}
+		return
 	}
+	m := f.m[:g0+seg]
+	for j := 0; j < lines; j++ {
+		idx := start + j*lineStride
+		if g0 > 0 {
+			data[idx] -= m[g0] * carry[j]
+		}
+		for i := g0 + 1; i < len(m); i++ {
+			idx += stride
+			data[idx] -= m[i] * data[idx-stride]
+		}
+		if carry != nil {
+			carry[j] = data[idx]
+		}
+	}
+}
+
+// Back is the back substitution over the rows Forward eliminated, run
+// once every downstream segment's Back has: on entry carry[j] is the
+// solution at row g0+seg of line j (read only when g0+seg < n), and on
+// return it is the solution at row g0, for the upstream segment (written
+// only when carry is not nil).
+func (f Factor) Back(data []float64, start, stride, lineStride, lines, g0, seg int, carry []float64) {
+	if f.idle(g0, seg, lines) {
+		return
+	}
+	data = data[:len(data):len(data)]
+	bp, c := f.bp, f.c
+	end := g0 + seg
+	if lineStride == 1 && stride != 1 {
+		prev := carry // row i+1
+		for i := end - 1; i >= g0; i-- {
+			cur := data[start+(i-g0)*stride:][:lines]
+			if i == len(bp)-1 {
+				for j := range cur {
+					cur[j] /= bp[i]
+				}
+			} else {
+				rowBack(cur, prev, c, bp[i])
+			}
+			prev = cur
+		}
+		if carry != nil {
+			copy(carry[:lines], prev)
+		}
+		return
+	}
+	for j := 0; j < lines; j++ {
+		idx := start + j*lineStride + (seg-1)*stride
+		if end == len(bp) {
+			data[idx] /= bp[end-1]
+		} else {
+			data[idx] = (data[idx] - c*carry[j]) / bp[end-1]
+		}
+		for i := end - 2; i >= g0; i-- {
+			idx -= stride
+			data[idx] = (data[idx] - c*data[idx+stride]) / bp[i]
+		}
+		if carry != nil {
+			carry[j] = data[idx]
+		}
+	}
+}
+
+// idle reports whether a segment sweep has nothing to do, after checking
+// that its rows lie inside the system.
+func (f Factor) idle(g0, seg, lines int) bool {
+	if g0 < 0 || seg < 0 || g0+seg > len(f.bp) {
+		panic("kernels: segment rows outside the factored system")
+	}
+	return seg == 0 || lines <= 0
 }
 
 // solveLanesGo solves interleave contiguous lines lineStride apart,
@@ -136,30 +221,6 @@ func (f Factor) solveLanesGo(data []float64, start, lineStride int) {
 		x5[i] = (x5[i] - c*x5[i+1]) / bi
 		x6[i] = (x6[i] - c*x6[i+1]) / bi
 		x7[i] = (x7[i] - c*x7[i+1]) / bi
-	}
-}
-
-// solveRows solves lines lines stored side by side: row i holds element
-// i of every line, contiguously.  The re-slice of each row is the only
-// bounds check; rowFwd and rowBack run the two equal-length rows it
-// yields without one.
-func (f Factor) solveRows(data []float64, start, stride, lines int) {
-	m, bp, c := f.m, f.bp, f.c
-	n := len(bp)
-	row := func(i int) []float64 { return data[start+i*stride:][:lines] }
-	prev := row(0)
-	for i := 1; i < n; i++ {
-		cur := row(i)
-		rowFwd(cur, prev, m[i])
-		prev = cur
-	}
-	for j := range prev {
-		prev[j] /= bp[n-1]
-	}
-	for i := n - 2; i >= 0; i-- {
-		cur := row(i)
-		rowBack(cur, prev, c, bp[i])
-		prev = cur
 	}
 }
 

@@ -28,8 +28,8 @@ func rowBackSSE2(cur, prev *float64, n int, c, bi float64)
 func solveLanesSSE2(x *float64, lineStride int, m, bp *float64, n int, c float64)
 
 // rowFwd runs the SSE2 kernel over the largest multiple of 4 points and
-// the Go loop over the tail.  solveRows' re-slices are the assembly's
-// bounds check.
+// the Go loop over the tail.  Forward's and Back's re-slices of each row
+// are the assembly's bounds check.
 func rowFwd(cur, prev []float64, mi float64) {
 	prev = prev[:len(cur)]
 	k := len(cur) &^ 3

@@ -3,6 +3,7 @@ package kernels
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -68,6 +69,94 @@ func TestFactorSolveBitIdentical(t *testing.T) {
 	}
 }
 
+// solveSegments is the pipelined solve on one processor's view: the
+// lines cut into segments at bounds (0 = bounds[0] <= ... <=
+// bounds[len-1] = n, repeats making empty segments), every segment's
+// Forward in order and then every Back in reverse, one carry slice
+// passed from segment to segment as the pipeline's frames pass it.
+func solveSegments(f Factor, data []float64, start, stride, lineStride, lines int, bounds []int) {
+	carry := make([]float64, max(lines, 0))
+	for s := 0; s+1 < len(bounds); s++ {
+		g0 := bounds[s]
+		f.Forward(data, start+g0*stride, stride, lineStride, lines, g0, bounds[s+1]-g0, carry)
+	}
+	for s := len(bounds) - 2; s >= 0; s-- {
+		g0 := bounds[s]
+		f.Back(data, start+g0*stride, stride, lineStride, lines, g0, bounds[s+1]-g0, carry)
+	}
+}
+
+// randomCuts splits n rows into 1..maxSeg segments at random cuts,
+// repeats (empty segments) included.
+func randomCuts(rng *rand.Rand, n, maxSeg int) []int {
+	k := 1 + rng.Intn(maxSeg)
+	bounds := []int{0}
+	for s := 1; s < k; s++ {
+		bounds = append(bounds, rng.Intn(n+1))
+	}
+	sort.Ints(bounds)
+	return append(bounds, n)
+}
+
+// TestSegmentSweepsBitIdentical: the chained segment sweeps of the
+// static ADI's pipeline leave every element of the buffer — padding
+// included — with the bits the per-line reference leaves there, however
+// the lines are cut into 1..P segments, empty ones at either end or in
+// the middle included, for lines side by side (the row kernels) and
+// strided ones.
+func TestSegmentSweepsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	const maxSeg = 5
+	for _, co := range [][3]float64{{-1, 4, -1}, {-1.25, 4.5, -0.75}} {
+		a, b, c := co[0], co[1], co[2]
+		for _, n := range []int{1, 2, 3, 7, 40, 257} {
+			f := NewFactor(n, a, b, c)
+			cutsets := [][]int{{0, n}, {0, 0, n}, {0, n, n}, {0, n / 2, n / 2, n}}
+			for range 12 {
+				cutsets = append(cutsets, randomCuts(rng, n, maxSeg))
+			}
+			for _, lines := range []int{1, 3, 4, 5, 2*interleave + 1} {
+				for _, lay := range factorLayouts {
+					for _, bounds := range cutsets {
+						stride, lineStride := lay.strides(n, lines)
+						got := factorTestData(rng, 5+lines*lineStride+n*stride+4, rng.Intn(2) == 0)
+						want := append([]float64(nil), got...)
+						for j := 0; j < lines; j++ {
+							TridiagStrided(want, 5+j*lineStride, stride, n, a, b, c, nil)
+						}
+						solveSegments(f, got, 5, stride, lineStride, lines, bounds)
+						for i := range want {
+							if !sameBits(got[i], want[i]) {
+								t.Fatalf("coef %v n=%d lines=%d %s cuts %v: data[%d] = %x want %x",
+									co, n, lines, lay.name, bounds, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSegmentSweepRowsOutsideSystem: a segment that reaches outside the
+// factored system's rows panics before it writes anything.
+func TestSegmentSweepRowsOutsideSystem(t *testing.T) {
+	f := NewFactor(8, -1, 4, -1)
+	data := sentinels(64)
+	carry := make([]float64, 2)
+	for _, r := range [][2]int{{-1, 2}, {7, 2}, {0, 9}, {3, -1}} {
+		if !panics(func() { f.Forward(data, 0, 1, 8, 2, r[0], r[1], carry) }) ||
+			!panics(func() { f.Back(data, 0, 1, 8, 2, r[0], r[1], carry) }) {
+			t.Errorf("rows [%d, %d): no panic", r[0], r[0]+r[1])
+		}
+	}
+	for i, v := range data {
+		if v != smoothSentinel {
+			t.Fatalf("a panicking segment sweep wrote data[%d]", i)
+		}
+	}
+}
+
 // TestFactorSolvePanicsOutOfRange: the bounds are hoisted, not dropped.
 // A line that leaves the slice panics in every layout — also when the
 // slice has capacity to spare — and nothing past its length is written.
@@ -109,9 +198,10 @@ func TestFactorSolvePanicsOutOfRange(t *testing.T) {
 	}
 }
 
-// FuzzFactorSolve drives Solve and the per-line reference over arbitrary
-// geometry with disjoint lines, in range or not: they panic on the same
-// layouts and agree bit for bit on the rest.
+// FuzzFactorSolve drives Solve, the segment sweeps over a random split
+// and the per-line reference over arbitrary geometry with disjoint
+// lines, in range or not: they panic on the same layouts and agree bit
+// for bit on the rest.
 func FuzzFactorSolve(f *testing.F) {
 	f.Add(0, 0, 0, 0, int64(0))
 	f.Add(1, 1, 1, 1, int64(1))
@@ -143,23 +233,28 @@ func FuzzFactorSolve(f *testing.F) {
 			got = got[:len(got)-4-rng.Intn(len(got)-3)]
 		}
 		want := append([]float64(nil), got...)
+		seg := append([]float64(nil), got...)
 		pg := panics(func() { NewFactor(n, a, b, c).Solve(got, start, stride, lineStride, lines) })
 		pw := panics(func() {
 			for j := 0; j < lines; j++ {
 				TridiagStrided(want, start+j*lineStride, stride, n, a, b, c, nil)
 			}
 		})
-		if pg != pw {
-			t.Fatalf("n=%d lines=%d stride=%d lineStride=%d len=%d: Solve panicked = %v, reference = %v",
-				n, lines, stride, lineStride, len(got), pg, pw)
+		// The same lines cut at random into segments, swept as the
+		// pipeline sweeps them.
+		bounds := randomCuts(rng, n, 5)
+		ps := panics(func() { solveSegments(NewFactor(n, a, b, c), seg, start, stride, lineStride, lines, bounds) })
+		if pg != pw || ps != pw {
+			t.Fatalf("n=%d lines=%d stride=%d lineStride=%d len=%d cuts %v: Solve panicked = %v, segments = %v, reference = %v",
+				n, lines, stride, lineStride, len(got), bounds, pg, ps, pw)
 		}
 		if pg {
 			return
 		}
 		for i := range want {
-			if !sameBits(got[i], want[i]) {
-				t.Fatalf("n=%d lines=%d stride=%d lineStride=%d: data[%d] = %v, reference %v",
-					n, lines, stride, lineStride, i, got[i], want[i])
+			if !sameBits(got[i], want[i]) || !sameBits(seg[i], want[i]) {
+				t.Fatalf("n=%d lines=%d stride=%d lineStride=%d cuts %v: data[%d] = %v (Solve), %v (segments), reference %v",
+					n, lines, stride, lineStride, bounds, i, got[i], seg[i], want[i])
 			}
 		}
 	})

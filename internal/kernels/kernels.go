@@ -3,11 +3,12 @@
 // used by the ADI iteration of Figure 1, a residual computation, and the
 // 5-point smoothing step whose communication pattern §4 analyzes.
 //
-// Two variants of the tridiagonal solve exist: a whole-line solve for
-// lines that are local to one processor (the dynamic-distribution ADI),
-// and segment sweeps for the pipelined distributed solve a compiler must
-// emit when the line is spread across processors (the static-distribution
-// ADI baseline).
+// TRIDIAG is eliminated once, by Factor: Solve for lines local to one
+// processor (the dynamic-distribution ADI and the interpreter's TRIDIAG),
+// and Forward/Back over one segment of many lines for the pipelined
+// distributed solve a compiler must emit when the lines are spread
+// across processors (the static-distribution ADI baseline).  Tridiag and
+// TridiagStrided are the per-line reference they are tested against.
 package kernels
 
 // Tridiag overwrites rhs with the solution of the constant-coefficient
@@ -65,73 +66,6 @@ func TridiagStrided(data []float64, start, stride, n int, a, b, c float64, scrat
 	for i := n - 2; i >= 0; i, idx = i-1, idx-stride {
 		data[idx] = (data[idx] - c*data[idx+stride]) / bp[i]
 	}
-}
-
-// SweepState carries the pipeline state of a distributed Thomas solve
-// between processor segments: the modified diagonal and rhs of the last
-// row of the upstream segment.
-type SweepState struct {
-	BP float64 // modified diagonal b'
-	D  float64 // modified rhs d'
-	// Valid is false on the first segment (no upstream).
-	Valid bool
-}
-
-// ForwardSegment performs the forward-elimination sweep on one segment of
-// a distributed line (strided access as in TridiagStrided), starting from
-// the upstream state, and returns the state to pass downstream.  bp
-// receives the modified diagonal for the segment (needed by
-// BackwardSegment) and must have length n.
-func ForwardSegment(data []float64, start, stride, n int, a, b, c float64, in SweepState, bp []float64) SweepState {
-	if n == 0 {
-		return in
-	}
-	idx := start
-	prevBP, prevD := 0.0, 0.0
-	have := in.Valid
-	if have {
-		prevBP, prevD = in.BP, in.D
-	}
-	for i := 0; i < n; i, idx = i+1, idx+stride {
-		if have {
-			m := a / prevBP
-			bp[i] = b - m*c
-			data[idx] -= m * prevD
-		} else {
-			bp[i] = b
-			have = true
-		}
-		prevBP, prevD = bp[i], data[idx]
-	}
-	return SweepState{BP: prevBP, D: prevD, Valid: true}
-}
-
-// BackState carries the back-substitution pipeline state: the first
-// solution value of the downstream segment.
-type BackState struct {
-	X     float64
-	Valid bool
-}
-
-// BackwardSegment performs back-substitution on one segment given the
-// downstream state (the solution value just after this segment), using
-// the modified diagonal bp produced by ForwardSegment.  It returns the
-// state to pass upstream (the segment's first solution value).
-func BackwardSegment(data []float64, start, stride, n int, c float64, in BackState, bp []float64) BackState {
-	if n == 0 {
-		return in
-	}
-	idx := start + (n-1)*stride
-	if in.Valid {
-		data[idx] = (data[idx] - c*in.X) / bp[n-1]
-	} else {
-		data[idx] /= bp[n-1]
-	}
-	for i := n - 2; i >= 0; i-- {
-		idx -= stride
-		data[idx] = (data[idx] - c*data[idx+stride]) / bp[i]
-	}
-	return BackState{X: data[start], Valid: true}
 }
 
 // Smooth5 computes one Jacobi smoothing step on the interior of a dense

@@ -66,67 +66,6 @@ func TestTridiagStridedMatchesDense(t *testing.T) {
 	}
 }
 
-func TestSegmentedSweepsMatchWholeLine(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const n = 40
-	a, b, c := -1.0, 4.0, -1.0
-	for _, cuts := range [][]int{{20}, {7, 23}, {1, 2, 3}, {39}} {
-		whole := make([]float64, n)
-		for i := range whole {
-			whole[i] = rng.Float64()
-		}
-		seg := make([]float64, n)
-		copy(seg, whole)
-		Tridiag(whole, a, b, c, nil)
-
-		// segmented: forward across segments, then backward in reverse
-		bounds := append(append([]int{0}, cuts...), n)
-		bps := make([][]float64, len(bounds)-1)
-		st := SweepState{}
-		for s := 0; s+1 < len(bounds); s++ {
-			lo, hi := bounds[s], bounds[s+1]
-			bps[s] = make([]float64, hi-lo)
-			st = ForwardSegment(seg, lo, 1, hi-lo, a, b, c, st, bps[s])
-		}
-		back := BackState{}
-		for s := len(bounds) - 2; s >= 0; s-- {
-			lo, hi := bounds[s], bounds[s+1]
-			back = BackwardSegment(seg, lo, 1, hi-lo, c, back, bps[s])
-		}
-		for i := range whole {
-			if math.Abs(seg[i]-whole[i]) > 1e-10 {
-				t.Fatalf("cuts %v: seg[%d] = %g want %g", cuts, i, seg[i], whole[i])
-			}
-		}
-	}
-}
-
-func TestSegmentedSweepEmptySegment(t *testing.T) {
-	const n = 10
-	a, b, c := -1.0, 4.0, -1.0
-	data := make([]float64, n)
-	for i := range data {
-		data[i] = float64(i + 1)
-	}
-	want := make([]float64, n)
-	copy(want, data)
-	Tridiag(want, a, b, c, nil)
-
-	bp0 := make([]float64, 4)
-	bp2 := make([]float64, 6)
-	st := ForwardSegment(data, 0, 1, 4, a, b, c, SweepState{}, bp0)
-	st = ForwardSegment(data, 4, 1, 0, a, b, c, st, nil) // empty middle
-	ForwardSegment(data, 4, 1, 6, a, b, c, st, bp2)
-	back := BackwardSegment(data, 4, 1, 6, c, BackState{}, bp2)
-	back = BackwardSegment(data, 4, 1, 0, c, back, nil)
-	BackwardSegment(data, 0, 1, 4, c, back, bp0)
-	for i := range want {
-		if math.Abs(data[i]-want[i]) > 1e-10 {
-			t.Fatalf("with empty segment: [%d] = %g want %g", i, data[i], want[i])
-		}
-	}
-}
-
 func TestSmooth5(t *testing.T) {
 	const nx, ny = 4, 3
 	in := make([]float64, nx*ny)

@@ -296,6 +296,23 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// settledGoroutines is runtime.NumGoroutine once it has held still for
+// three samples 5 ms apart (2 s at most): the goroutines of the tests
+// before may still be exiting when a test starts.
+func settledGoroutines() int {
+	n, still := runtime.NumGoroutine(), 0
+	for deadline := time.Now().Add(2 * time.Second); still < 3 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			still++
+		} else {
+			n, still = m, 0
+		}
+	}
+	return n
+}
+
 // TestRecvTimeoutCheap: a timed receive that is satisfied at once starts
 // no goroutine and allocates a constant handful of objects (one timer
 // with its closure; the parent started a goroutine and a 1 ms ticker per
@@ -304,7 +321,7 @@ func TestRecvTimeoutCheap(t *testing.T) {
 	tr := NewChanTransport(2)
 	defer tr.Close()
 	a, b := tr.Endpoint(0), tr.Endpoint(1)
-	before := runtime.NumGoroutine()
+	before := settledGoroutines()
 	trip := func() {
 		if err := a.Send(1, 3, nil); err != nil {
 			t.Fatal(err)
