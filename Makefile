@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc dead flake check check-halo check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -39,7 +39,7 @@ dead:
 # on — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-halo check-expand check-io check-drain check-kernels check-portable check-wire
+check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test ./bench
@@ -77,6 +77,14 @@ check-redist:
 check-halo:
 	$(GO) test -race -count=1 -run 'TestSmoothing|TestOnlineRecoverSmoothingDepth|TestGhostCornersDepth3Uneven|TestGhostDepthSkew|TestStartExchangeGhosts|TestGhostExchangeWarmAllocs|TestWindowPut|TestFaultMatrixWindow' \
 	  ./internal/apps ./internal/darray ./internal/msg
+
+# Figure 2's PIC: the depth-k drift bit-identical to the serial reference
+# on 2–7 ranks over chan and TCP, its frame count per block and its frame
+# checks, the batched imbalance reduction against a per-step one (plain,
+# recovered, killed mid-batch), and the degraded restore and trace tests
+# — all under the race detector.
+check-pic:
+	$(GO) test -race -run '^TestPIC' ./internal/apps
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
 # timeout, a join racing a death, two deaths in one liveness window),

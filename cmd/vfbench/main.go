@@ -111,7 +111,7 @@ func runPIC() {
 		steps = 40
 	}
 	w := tab()
-	fmt.Fprintln(w, "NCELL\tP\tstrategy\tmean imb\tpeak imb\tfinal imb\tredists\tredist bytes\tmodel(ms)\twall(ms)")
+	fmt.Fprintln(w, "NCELL\tP\tstrategy\tmean imb\tpeak imb\tfinal imb\tredists\tredist bytes\tmsgs/step\tmodel(ms)\twall(ms)")
 	for _, reb := range []bool{false, true} {
 		res, err := apps.RunPIC(apps.PICConfig{
 			NCell: 256, Steps: steps, P: 4, Rebalance: reb, DriftFrac: 0.35,
@@ -124,9 +124,9 @@ func runPIC() {
 		if reb {
 			name = "B_BLOCK rebalanced"
 		}
-		fmt.Fprintf(w, "256\t4\t%s\t%.3f\t%.3f\t%.3f\t%d\t%d\t%.2f\t%.1f\n",
+		fmt.Fprintf(w, "256\t4\t%s\t%.3f\t%.3f\t%.3f\t%d\t%d\t%.2f\t%.2f\t%.1f\n",
 			name, res.MeanImbalance, res.PeakImbalance, res.FinalImbalance,
-			res.Redistributions, res.RedistBytes, res.ModelTime*1e3,
+			res.Redistributions, res.RedistBytes, float64(res.Msgs)/float64(steps), res.ModelTime*1e3,
 			float64(res.Wall.Microseconds())/1e3)
 		if res.ParticlesStart != res.ParticlesEnd {
 			log.Fatalf("particle conservation violated: %v -> %v", res.ParticlesStart, res.ParticlesEnd)

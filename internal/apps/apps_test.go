@@ -399,37 +399,27 @@ func (e mangleEP) Send(to, tag int, data []byte) error {
 	return e.Endpoint.Send(to, tag, data)
 }
 
-// TestPICDriftFrameChecked: a drift frame shorter than [flow, cell], or
-// one naming a cell the receiver does not own, is an error of the run
-// that names sender and receiver — not a panic, not a write elsewhere.
+// TestPICDriftFrameChecked: a drift frame shorter than [first cell, k
+// cells], or one whose first cell is not the receiver's lo−k, is an error
+// of the run that names sender and receiver — not a panic, not a ghost
+// read from the wrong cells.
 func TestPICDriftFrameChecked(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		mangle func([]byte) []byte
 		want   string
 	}{
-		{"truncated", func(b []byte) []byte { return b[:8] }, "has 8 bytes, want 16"},
-		{"foreign cell", func(b []byte) []byte {
+		{"truncated", func(b []byte) []byte { return b[:8] }, "has 8 bytes, want 8·(k+1) = 32"},
+		{"wrong first cell", func(b []byte) []byte {
 			b = append([]byte(nil), b...)
-			msg.PutFloat64(b, 8, 1)
+			msg.PutFloat64(b, 0, 1)
 			return b
-		}, "names cell 1 outside"},
+		}, "starts at cell 1, want"},
 	} {
-		m := machine.New(4, machine.WithTransport(mangleTag{msg.NewChanTransport(4), driftTag, tc.mangle}))
-		eng := core.NewEngine(m)
-		err := m.Run(func(ctx *machine.Ctx) error {
-			count, err := eng.Declare(ctx, core.Decl{Name: "COUNT", Domain: index.Dim(16), Dynamic: true,
-				Init: &core.DistSpec{Type: dist.NewType(dist.BlockDim())}})
-			if err != nil {
-				return err
-			}
-			count.FillFunc(ctx, func(index.Point) float64 { return 10 })
-			if err := ctx.Barrier(); err != nil {
-				return err
-			}
-			return moveRight(ctx, count, 0.5)
+		err := onBlockCount(mangleTag{msg.NewChanTransport(4), driftTag, tc.mangle}, 16, 10, func(ctx *machine.Ctx, count *core.Array) error {
+			dr := drift{frac: 0.5}
+			return dr.step(ctx, count, 3) // k = 3 of each rank's 4 cells
 		})
-		m.Close()
 		if err == nil || !strings.Contains(err.Error(), tc.want) || !regexp.MustCompile(`rank \d.* from rank \d`).MatchString(err.Error()) ||
 			strings.Contains(err.Error(), "panicked") {
 			t.Errorf("%s: err = %v, want %q naming both ranks, no panic", tc.name, err, tc.want)

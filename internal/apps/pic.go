@@ -2,6 +2,8 @@ package apps
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/dist"
@@ -58,7 +60,8 @@ type PICResult struct {
 	Redistributions int
 	RedistBytes     int64
 	ParticlesStart  float64
-	ParticlesEnd    float64 // conservation check: must equal start
+	ParticlesEnd    float64   // conservation check: must equal start
+	Counts          []float64 // the final COUNT, gathered: particles per cell
 	FieldChecksum   float64
 }
 
@@ -152,6 +155,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// straggler drain) flushes every step, and any run flushes before a
 		// checkpoint, so a replay never needs a lost rank's pending sums.
 		flushEvery := testFlushEvery || cfg.Elastic || cfg.Straggler.mitigating()
+		dr := &drift{frac: cfg.DriftFrac}
 		distribute := func() error {
 			return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
 		}
@@ -159,9 +163,11 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.  No
 		// barrier follows, and the DISTRIBUTE has none: a rank leaves it
 		// once its own new blocks have landed, and the next step touches
-		// only those.  Its drift frame, addressed by its new descriptor,
-		// waits in the receiver's mailbox until the receiver has moved too.
+		// only those.  The drift block ends with it: the next step's frame,
+		// addressed by the new descriptor, waits in the receiver's mailbox
+		// until the receiver has moved too.
 		balance := func() error {
+			dr.restart()
 			counts, err := count.GatherTo(ctx, 0)
 			if err != nil {
 				return err
@@ -209,6 +215,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			// in-loop rebalance check.
 			begin: func(int) error {
 				pending = pending[:0] // a failed epoch's batch is recomputed
+				dr.restart()
 				if cfg.Rebalance && !cfg.Recover {
 					if err := balance(); err != nil {
 						return err
@@ -227,7 +234,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				// cell+1; the last cell reflects (keeps its particles).  The
 				// only cross-processor flow is from my last cell to the
 				// owner of the next cell.
-				if err := moveRight(ctx, count, cfg.DriftFrac); err != nil {
+				if err := dr.step(ctx, count, cfg.driftHorizon(it)); err != nil {
 					return err
 				}
 
@@ -260,7 +267,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				}
 				fields, err := field.GatherTo(ctx, 0)
 				if ctx.Rank() == 0 {
-					res.ParticlesEnd = sum(got)
+					res.ParticlesEnd, res.Counts = sum(got), got
 					res.FieldChecksum = sum(fields)
 				}
 				return err
@@ -282,12 +289,19 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 	return res, nil
 }
 
+// driftHorizon is how many steps from step it on the distribution is sure
+// to last: to the next rebalance check or the end of the run, whichever
+// comes first.  A drift block goes no deeper.
+func (cfg PICConfig) driftHorizon(it int) int {
+	return min(cfg.RebalanceEvery-it%cfg.RebalanceEvery, cfg.Steps-it)
+}
+
 // updateField is Figure 2's update_field: work proportional to the
 // local particle count.  The compute runs under timed so an injected
 // straggler is stretched and its per-particle cost reported to the
 // scorer.  It reads and writes the rank's own cells only, so nothing
-// waits for it: no peer reads FIELD, and the peer that moveRight sends
-// COUNT flow to adds it to a cell of its own.
+// waits for it: no peer reads FIELD, and COUNT crosses to a peer only in
+// a drift frame.
 func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 	lc, lf := count.Local(ctx), field.Local(ctx)
 	particles := 0.0
@@ -308,88 +322,136 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 	}
 }
 
-// driftTag is the tag of moveRight's frames: [flow, cell] as two float64s.
+// driftTag is the tag of the drift frames: [first cell, the sender's last
+// k cells] as float64s.
 const driftTag = 9100
 
-// moveRight shifts frac of every cell's count one cell to the right
-// (reflecting at the global last cell).  Cross-boundary flow travels as a
-// point-to-point message to the owner of the next cell; transport
-// failures are returned as wrapped errors.
-func moveRight(ctx *machine.Ctx, count *core.Array, frac float64) error {
-	l := count.Local(ctx)
-	d := count.DistOf(ctx.Rank())
-	dom := count.Domain()
-	n := dom.Extent(0)
-	rs := l.Grid().Dims[0]
-	ep := ctx.Endpoint()
+// drift is one rank's half of update_part's boundary traffic.  A flow
+// moves one cell a step, so for k steps everything that crosses into a
+// rank is decided by its left neighbour's last k cells (the overlap-area
+// argument of §4).  At the start of a block of k steps the neighbour
+// sends those cells once; each step the receiver advances its copy — the
+// depth-k ghost — with the owner's own arithmetic, in the owner's order,
+// and adds what leaves the ghost's edge to its first cell.  The value
+// lives as long as the rank: begin and balance end the current block.
+type drift struct {
+	frac  float64
+	left  int       // steps left in the current block; 0 starts one
+	ghost []float64 // cells lo−k..lo−1 as the left neighbour holds them; empty without one
+	buf   []byte    // the frame being sent, reused (Send is done with it on return)
+}
 
-	var outflow float64 // from my last cell across the boundary
-	var lastIdx int = -1
+// restart ends the current block: the next step starts one under the
+// distribution it finds.
+func (dr *drift) restart() { dr.left = 0 }
+
+// step moves frac of every cell's count one cell to the right (reflecting
+// at the global last cell).  horizon is the number of steps the current
+// distribution is sure to last — to the next rebalance check or the end
+// of the run — and caps a new block's depth.  Transport failures and
+// malformed frames are returned as errors naming both ranks.
+func (dr *drift) step(ctx *machine.Ctx, count *core.Array, horizon int) error {
+	l := count.Local(ctx)
+	n := count.Domain().Extent(0)
+	rs := l.Grid().Dims[0]
 	var cells []float64 // the owned cells, contiguous in storage: cell i is cells[i-lo]
-	var lo int
+	lo := 0
 	if rs.Count() > 0 {
-		hi := rs[len(rs)-1].Hi
 		lo = rs[0].Lo
 		// One Offset for the walk, not an At/SetAt per cell: every Point
 		// handed to those is an allocation (Offset's panic message makes it
 		// escape).
-		cells = l.Data()[l.Offset(index.Point{lo}):][:hi-lo+1]
-		// walk right-to-left so a cell's inflow does not cascade this step
-		for i := hi; i >= lo; i-- {
-			c := cells[i-lo]
-			mv := float64(int(c * frac))
-			if i == n { // reflecting boundary: stay
-				continue
-			}
-			cells[i-lo] = c - mv
-			if i == hi {
-				outflow = mv
-				lastIdx = i
-			} else {
-				cells[i-lo+1] += mv
-			}
+		cells = l.Data()[l.Offset(index.Point{lo}):][:rs[len(rs)-1].Hi-lo+1]
+	}
+	if dr.left == 0 {
+		if err := dr.start(ctx, count, cells, lo, n, horizon); err != nil {
+			return err
 		}
 	}
-	// exchange boundary flows: send to owner of my hi+1, receive from the
-	// owner of my lo-1's segment (if any) — never this rank, whose cells
-	// are one interval.  Every processor participates; empty segments
-	// forward nothing.
-	sendTo := -1
-	if lastIdx >= 0 && lastIdx < n {
-		sendTo = d.Owner(index.Point{lastIdx + 1})
+	dr.left--
+	shiftRight(cells, dr.frac, lo+len(cells)-1 == n)
+	if len(dr.ghost) > 0 {
+		cells[0] += shiftRight(dr.ghost, dr.frac, false)
 	}
-	recvFrom := -1
-	if rs.Count() > 0 && rs[0].Lo > 1 {
-		recvFrom = d.Owner(index.Point{rs[0].Lo - 1})
-	}
-	pol := ctx.Comm().Retry()
-	tr := ctx.Tracer()
-	if sendTo >= 0 {
-		if err := msg.SendRetry(ep, pol, tr, "pic-drift", sendTo, driftTag, msg.EncodeFloat64s([]float64{outflow, float64(lastIdx + 1)})); err != nil {
-			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
-		}
-	}
-	if recvFrom >= 0 {
-		p, err := msg.RecvRetry(ep, pol, tr, "pic-drift", recvFrom, driftTag)
-		if err != nil {
-			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
-		}
-		if len(p.Data) != 16 {
-			return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d has %d bytes, want 16", ctx.Rank(), recvFrom, len(p.Data))
-		}
-		flow, at := msg.GetFloat64(p.Data, 0), msg.GetFloat64(p.Data, 8)
-		if c := int(at); float64(c) != at || c < lo || c >= lo+len(cells) {
-			return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d names cell %v outside cells %d..%d", ctx.Rank(), recvFrom, at, lo, lo+len(cells)-1)
-		}
-		cells[int(at)-lo] += flow
-	}
-	// No barrier: a rank sends one frame a step, paired by the descriptor
-	// both sides read, and frames of one sender and tag arrive in order, so
-	// between two rebalance checks a rank may run up to RebalanceEvery steps
-	// ahead of its receiver, its frames queued behind this one.  balance is
-	// the rendezvous before a DISTRIBUTE can re-pair them: no rank leaves
-	// its GatherTo and BcastInts before every rank has finished its drift.
+	// Give up the core at every step, as the blocking receive of a frame a
+	// step used to: with more ranks than cores, Go's scheduler (which
+	// preempts after 10 ms) otherwise runs whole blocks of one rank at a
+	// time and can pack them onto the cores unevenly — pic_rebalance's
+	// step time went bimodal, a third of the runs about 35 % slow.
+	runtime.Gosched()
 	return nil
+}
+
+// start begins a block of k steps: k is the largest depth every sender
+// can fill and the distribution outlives, the same on every rank, read
+// from the descriptor each holds.  A rank with cells after its own sends
+// its last k cells to their owner; a rank with cells before its own
+// receives its ghost.  Frames of one sender and tag arrive in order and
+// both sides pair them by the same descriptor and the same k, so no
+// barrier is needed: between two rebalance checks a rank may run up to
+// RebalanceEvery steps ahead of its receiver, its block frames queued in
+// order.  A block never outlives a check, and balance is the rendezvous
+// before a DISTRIBUTE can re-pair them: no rank leaves its GatherTo and
+// BcastInts before every rank has received the block frames it needs.
+func (dr *drift) start(ctx *machine.Ctx, count *core.Array, cells []float64, lo, n, horizon int) error {
+	d := count.DistOf(ctx.Rank())
+	k := horizon
+	for r := range ctx.NP() {
+		if rs := d.LocalGrid(r).Dims[0]; rs.Count() > 0 && rs[len(rs)-1].Hi < n {
+			k = min(k, rs.Count())
+		}
+	}
+	dr.left = k
+	dr.ghost = dr.ghost[:0]
+	if len(cells) == 0 {
+		return nil
+	}
+	ep, pol, tr := ctx.Endpoint(), ctx.Comm().Retry(), ctx.Tracer()
+	if hi := lo + len(cells) - 1; hi < n {
+		dr.buf = msg.AppendFloat64s(msg.AppendFloat64s(dr.buf[:0], []float64{float64(hi - k + 1)}), cells[len(cells)-k:])
+		if err := msg.SendRetry(ep, pol, tr, "pic-drift", d.Owner(index.Point{hi + 1}), driftTag, dr.buf); err != nil {
+			return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
+		}
+	}
+	if lo == 1 {
+		return nil
+	}
+	from := d.Owner(index.Point{lo - 1})
+	p, err := msg.RecvRetry(ep, pol, tr, "pic-drift", from, driftTag)
+	if err != nil {
+		return fmt.Errorf("apps: PIC drift at rank %d: %w", ctx.Rank(), err)
+	}
+	defer p.Release()
+	if len(p.Data) != 8*(k+1) {
+		return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d has %d bytes, want 8·(k+1) = %d", ctx.Rank(), from, len(p.Data), 8*(k+1))
+	}
+	if first := msg.GetFloat64(p.Data, 0); first != float64(lo-k) {
+		return fmt.Errorf("apps: PIC drift at rank %d: frame from rank %d starts at cell %v, want %d", ctx.Rank(), from, first, lo-k)
+	}
+	dr.ghost = slices.Grow(dr.ghost, k)[:k]
+	msg.DecodeFloat64sInto(dr.ghost, p.Data[8:])
+	return nil
+}
+
+// shiftRight moves frac of every cell's count one cell to the right within
+// cells and returns what leaves the last one — nothing when it is the
+// chain's reflecting end.  The walk runs right to left, so a cell's
+// inflow does not cascade within a step.
+func shiftRight(cells []float64, frac float64, reflect bool) (out float64) {
+	for i := len(cells) - 1; i >= 0; i-- {
+		if i == len(cells)-1 && reflect {
+			continue
+		}
+		c := cells[i]
+		mv := float64(int(c * frac))
+		cells[i] = c - mv
+		if i == len(cells)-1 {
+			out = mv
+		} else {
+			cells[i+1] += mv
+		}
+	}
+	return out
 }
 
 func sum(v []float64) float64 {

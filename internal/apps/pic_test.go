@@ -3,8 +3,15 @@ package apps
 import (
 	"fmt"
 	"math"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/dist"
+	"repro/internal/index"
+	"repro/internal/machine"
+	"repro/internal/msg"
 )
 
 // runPICFlushEvery runs cfg with the imbalance reduced on every step, the
@@ -187,5 +194,191 @@ func TestPICBatchedImbalanceOnlineRecover(t *testing.T) {
 	}
 	if res.ParticlesEnd != float64(32*16) {
 		t.Fatalf("particles not conserved through online recovery: %v, want %v", res.ParticlesEnd, 32*16)
+	}
+}
+
+// picReference is Figure 2 on one dense array, written from the listing
+// and the PICConfig docs alone: no processors, no messages, one walk of
+// the whole chain per step.  It returns the per-step imbalance, the final
+// field and counts, and the number of balance() calls.  Particle counts
+// stay whole numbers, so every sum below is exact in any order.
+func picReference(cfg PICConfig) (series, field, count []float64, redists int) {
+	n, np := cfg.NCell, cfg.P
+	count, field = make([]float64, n), make([]float64, n)
+	for i := range count {
+		count[i] = float64(cfg.InitPerCell)
+	}
+	// last[r] is the last cell (1-based) processor r owns: BLOCK first.
+	last := make([]int, np)
+	for r := range last {
+		last[r] = min((r+1)*((n+np-1)/np), n)
+	}
+	balance := func() {
+		total := 0.0
+		for _, c := range count {
+			total += c
+		}
+		// Processor r's segment ends at the first cell where the running
+		// total reaches (r+1)/np of the whole; a cell ends one segment at
+		// most, and the last processor takes what is left.
+		r, run := 0, 0.0
+		for i, c := range count {
+			run += c
+			if r < np-1 && run >= total/float64(np)*float64(r+1) {
+				last[r] = i + 1
+				r++
+			}
+		}
+		for ; r < np; r++ {
+			last[r] = n
+		}
+		redists++
+	}
+	if cfg.Rebalance {
+		balance()
+	}
+	for k := 1; k <= cfg.Steps; k++ {
+		for i, c := range count { // update_field
+			acc := field[i]
+			for w := 0; w < int(c)*cfg.WorkPerParticle; w++ {
+				acc += 1e-9 * float64(w%7)
+			}
+			field[i] = acc + c
+		}
+		for i := n - 2; i >= 0; i-- { // update_part; cell n reflects
+			mv := float64(int(count[i] * cfg.DriftFrac))
+			count[i] -= mv
+			count[i+1] += mv
+		}
+		total, most, first := 0.0, 0.0, 0
+		for _, l := range last {
+			seg := 0.0
+			for _, c := range count[first:l] {
+				seg += c
+			}
+			total, most, first = total+seg, max(most, seg), l
+		}
+		imb := 1.0
+		if avg := total / float64(np); avg != 0 {
+			imb = most / avg
+		}
+		series = append(series, imb)
+		if cfg.Rebalance && k%cfg.RebalanceEvery == 0 && imb > cfg.RebalanceThreshold {
+			balance()
+		}
+	}
+	return series, field, count, redists
+}
+
+// TestPICDriftMatchesSerial: the depth-k drift gives the serial
+// reference's field, imbalance series, redistributions and final counts
+// bit for bit on 2 to 7 ranks, on chan and TCP.  A sender's segment caps
+// k below the check period in both shapes from P = 3 on: BLOCK over 23
+// cells gives senders 4 to 8 cells (and rank 6 of 7 none), and the
+// rebalanced B_BLOCK bounds give senders 5 to 8 cells at P = 5 and 7 and
+// leave trailing ranks empty as the particles pile up on the right.
+// Neither run's Steps is a multiple of the check period.
+func TestPICDriftMatchesSerial(t *testing.T) {
+	shapes := []PICConfig{
+		{NCell: 23, Steps: 27, RebalanceEvery: 10, DriftFrac: 0.3, InitPerCell: 40},
+		{NCell: 40, Steps: 37, Rebalance: true, RebalanceEvery: 10, RebalanceThreshold: 1.05, DriftFrac: 0.45, InitPerCell: 30},
+	}
+	for _, tcp := range []bool{false, true} {
+		for _, p := range []int{2, 3, 4, 5, 7} {
+			for _, shape := range shapes {
+				cfg := shape
+				cfg.P, cfg.WorkPerParticle, cfg.UseTCP = p, 1, tcp
+				t.Run(fmt.Sprintf("tcp=%v/P=%d/rebalance=%v", tcp, p, cfg.Rebalance), func(t *testing.T) {
+					got, err := RunPIC(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					series, field, count, redists := picReference(cfg)
+					fieldSum := 0.0
+					for _, f := range field {
+						fieldSum += f
+					}
+					bits := func(v []float64) string {
+						b := make([]uint64, len(v))
+						for i, x := range v {
+							b[i] = math.Float64bits(x)
+						}
+						return fmt.Sprint(b)
+					}
+					if bits(got.ImbalanceSeries) != bits(series) {
+						t.Errorf("ImbalanceSeries %v, serial %v", got.ImbalanceSeries, series)
+					}
+					if bits(got.Counts) != bits(count) {
+						t.Errorf("COUNT %v, serial %v", got.Counts, count)
+					}
+					if math.Float64bits(got.FieldChecksum) != math.Float64bits(fieldSum) {
+						t.Errorf("FieldChecksum %v, serial %v", got.FieldChecksum, fieldSum)
+					}
+					if got.Redistributions != redists {
+						t.Errorf("Redistributions %d, serial %d", got.Redistributions, redists)
+					}
+					if cfg.Rebalance && redists < 3 {
+						t.Errorf("%d redistributions: the shape does not exercise rebalancing", redists)
+					}
+				})
+			}
+		}
+	}
+}
+
+// onBlockCount runs body on every rank of a machine over tr, with COUNT
+// declared BLOCK over ncell cells and every cell holding v.
+func onBlockCount(tr msg.Transport, ncell int, v float64, body func(ctx *machine.Ctx, count *core.Array) error) error {
+	m := machine.New(tr.NP(), machine.WithTransport(tr))
+	defer m.Close()
+	eng := core.NewEngine(m)
+	return m.Run(func(ctx *machine.Ctx) error {
+		count, err := eng.Declare(ctx, core.Decl{Name: "COUNT", Domain: index.Dim(ncell), Dynamic: true,
+			Init: &core.DistSpec{Type: dist.NewType(dist.BlockDim())}})
+		if err != nil {
+			return err
+		}
+		count.FillFunc(ctx, func(index.Point) float64 { return v })
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		return body(ctx, count)
+	})
+}
+
+// TestPICDriftFramesPerBlock pins the drift traffic: static BLOCK on 4
+// ranks with a check every 10 of 30 steps is three blocks of depth 10,
+// one frame per sender (ranks 0–2) and block — 9 frames, where a frame a
+// step would be 90 — and the counts still match the serial reference.
+func TestPICDriftFramesPerBlock(t *testing.T) {
+	cfg := PICConfig{NCell: 64, Steps: 30, P: 4, RebalanceEvery: 10, DriftFrac: 0.2, InitPerCell: 64}
+	var frames atomic.Int64
+	count := func(b []byte) []byte { frames.Add(1); return b }
+	var got []float64
+	tr := mangleTag{msg.NewChanTransport(cfg.P), driftTag, count}
+	err := onBlockCount(tr, cfg.NCell, float64(cfg.InitPerCell), func(ctx *machine.Ctx, c *core.Array) error {
+		dr := drift{frac: cfg.DriftFrac}
+		for it := range cfg.Steps {
+			if err := dr.step(ctx, c, cfg.driftHorizon(it)); err != nil {
+				return err
+			}
+		}
+		all, err := c.GatherTo(ctx, 0)
+		if ctx.Rank() == 0 {
+			got = all
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := frames.Load(); n != 9 {
+		t.Errorf("%d drift frames, want 9 (3 senders × 3 blocks)", n)
+	}
+	_, _, want, _ := picReference(cfg)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("cell %d: %v particles, serial %v", i+1, got[i], want[i])
+		}
 	}
 }

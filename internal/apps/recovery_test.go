@@ -22,8 +22,9 @@ func testLiveness() *machine.LivenessConfig {
 // path, so both runs send the same messages.  A fault rule on victim with
 // after=starts[it] first fires on the first send of iteration it: kill
 // points derived this way follow the run's message count wherever it
-// goes.  Heartbeats, sent off the step loop's clock when liveness is on,
-// make it approximate by the few that fall differently in the two runs.
+// goes.  Heartbeats, which beat on the wall clock when liveness is on,
+// count in neither: the transports' Stats leave them out and a fault
+// rule's schedule skips them.
 func iterStarts(t *testing.T, victim int, dry func() error) []int {
 	t.Helper()
 	var starts []int // appended by the victim's goroutine only

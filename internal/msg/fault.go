@@ -265,14 +265,23 @@ func (r *FaultRule) window() fault.Window {
 }
 
 // fire runs one operation with the given peer and tag past the schedule
-// and returns the first rule of the given kinds that fires on it.
+// and returns the first rule of the given kinds that fires on it.  A
+// heartbeat is not counted — the failure detector beats on a wall-clock
+// period, so counting it would move an after= or every= schedule by how
+// long the program ran — and meets only a rule that has fired and has no
+// end: a rank killed by a persistent drop falls silent to the detector
+// too.
 func (e *faultEndpoint) fire(peer, tag int, kinds ...FaultKind) *FaultRule {
-	return e.inj.Fire(func(r *FaultRule) bool {
+	match := func(r *FaultRule) bool {
 		return slices.Contains(kinds, r.Kind) &&
 			(r.Rank < 0 || r.Rank == e.inner.Rank()) &&
 			(r.Peer < 0 || peer == AnySource || r.Peer == peer) &&
 			(!r.Win || isWinTag(tag))
-	})
+	}
+	if tag == TagHeartbeat {
+		return e.inj.Holding(match)
+	}
+	return e.inj.Fire(match)
 }
 
 // slowDur is the per-operation latency a fired FaultSlow rule charges.

@@ -12,7 +12,10 @@ import (
 //
 // Counters are updated with atomics so they can be read while the SPMD
 // program runs; Snapshot gives a consistent-enough view for reporting after
-// a barrier.
+// a barrier.  They count the program's traffic only: the transports do not
+// report the failure detector's heartbeats (TagHeartbeat), which beat on a
+// wall-clock period and would make every count depend on how long a run
+// took — the same traffic a fault schedule does not count.
 type Stats struct {
 	np        int
 	msgsSent  []atomic.Int64
