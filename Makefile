@@ -34,14 +34,17 @@ loc:
 dead:
 	@$(GO) test -count=1 -run '^TestReachable$$' -v . | sed -n 's/^ *reachable_test.go:[0-9]*: //p'
 
-# Static checks plus the race detector over the runtime packages — the
-# SPMD engine is all goroutines, so data races are the bug class to gate
-# on — and the benchmark's smoke, which pins the import surface bench/
+# Static checks plus the race detector over the runtime packages and
+# vfrun — the SPMD engine is all goroutines, so data races are the bug
+# class to gate on, and vfrun's tests are the ones that drive the
+# interpreted Figure 2 through checkpoint, recover and corrupt-fault
+# runs — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
 check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
+	$(GO) test -race ./cmd/vfrun
 	$(GO) test ./bench
 
 # The memory-bounded redistribution matrix: every plan the planner
@@ -81,8 +84,9 @@ check-halo:
 # Figure 2's PIC: the depth-k drift bit-identical to the serial reference
 # on 2–7 ranks over chan and TCP, its frame count per block and its frame
 # checks, the batched imbalance reduction against a per-step one (plain,
-# recovered, killed mid-batch), and the degraded restore and trace tests
-# — all under the race detector.
+# recovered, killed mid-batch), the interpreted listing equal to RunPIC
+# on 1–7 ranks over chan and TCP and timing out on a lost drift frame,
+# and the degraded restore and trace tests — all under the race detector.
 check-pic:
 	$(GO) test -race -run '^TestPIC' ./internal/apps
 

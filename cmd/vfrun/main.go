@@ -8,6 +8,8 @@
 //
 // After the run it prints every array's checksum and final distribution
 // type, the scalar environment, and the traffic the program generated.
+// Figure 2 (apps.Fig2Source) runs apps.RunPIC's own helper procedures and
+// computes what RunPIC does: its FIELD, COUNT and DISTRIBUTE count.
 package main
 
 import (
@@ -98,7 +100,7 @@ ENDDO
 `
 	case *demo == "fig2":
 		name = "demo:fig2"
-		src = interp.PICDemoSource
+		src = apps.Fig2Source
 	case *demo != "":
 		log.Fatalf("unknown demo %q", *demo)
 	case flag.NArg() == 1:
@@ -188,7 +190,7 @@ ENDDO
 		var st *interp.State
 		err := core.RunEpochs(ctx, e, rt.OnlineRecover, func(eng *core.Engine, replay bool) (err error) {
 			in := interp.New(eng)
-			interp.RegisterPICDemo(in)
+			apps.RegisterFig2(in)
 			in.SetStraggler(rt.Straggler.Enabled(), *drain, *slowRank, *slowFactor)
 			if rt.CkptDir != "" {
 				in.SetCheckpoint(rt.CkptDir, rt.CkptEvery)

@@ -49,13 +49,15 @@ func sameSums(t *testing.T, what string, got, want map[string]string) {
 }
 
 // TestDemoChecksums pins what the two paper listings compute, Figure 2
-// at five widths: every BALANCE sets BOUNDS by scale.CountBounds.
+// at five widths: every BALANCE sets BOUNDS by scale.CountBounds, and
+// FIELD and COUNT are what apps.RunPIC computes (apps'
+// TestPICFig2MatchesRunPIC holds the listing to it).
 func TestDemoChecksums(t *testing.T) {
 	sameSums(t, "fig1", vfrun(t, "-p", "4", "-demo", "fig1"),
 		map[string]string{"U": "8190.000000", "F": "4096.000000", "V": "957.019103"})
-	for p, bounds := range map[string]string{"2": "210", "3": "293", "4": "374", "5": "458", "8": "700"} {
+	for p, bounds := range map[string]string{"2": "200", "3": "279", "4": "356", "5": "431", "8": "646"} {
 		sameSums(t, "fig2 on "+p, vfrun(t, "-p", p, "-demo", "fig2"),
-			map[string]string{"BOUNDS": bounds + ".000000", "FIELD": "499712.000000"})
+			map[string]string{"BOUNDS": bounds + ".000000", "FIELD": "491520.058944", "COUNT": "8192.000000"})
 	}
 }
 

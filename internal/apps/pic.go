@@ -83,21 +83,7 @@ var testFlushEvery bool
 // per-cell particle counts) is declared CONNECT(=FIELD), so every
 // DISTRIBUTE moves both — the class semantics of §2.3 doing real work.
 func RunPIC(cfg PICConfig) (PICResult, error) {
-	if cfg.RebalanceEvery <= 0 {
-		cfg.RebalanceEvery = 10
-	}
-	if cfg.RebalanceThreshold == 0 {
-		cfg.RebalanceThreshold = 1.1
-	}
-	if cfg.DriftFrac == 0 {
-		cfg.DriftFrac = 0.2
-	}
-	if cfg.InitPerCell == 0 {
-		cfg.InitPerCell = 64
-	}
-	if cfg.WorkPerParticle == 0 {
-		cfg.WorkPerParticle = 40
-	}
+	cfg = cfg.withDefaults()
 	res := PICResult{Rebalance: cfg.Rebalance, ImbalanceSeries: make([]float64, cfg.Steps)}
 	if cfg.NCell < cfg.P+cfg.Join {
 		return res, fmt.Errorf("apps: PIC needs NCell >= P+Join")
@@ -111,54 +97,12 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// speedShares, once a straggler rebalance has installed the measured
 		// speeds, weights every later balance's B_BLOCK bounds by throughput.
 		var speedShares []float64
-		var bounds []int
-		// pending is this rank's particle sum of every step since the last
-		// flush; vals and ops are the flush's reduction vector and operations,
-		// kept so that a longer batch allocates nothing more.
-		var pending, vals []float64
-		var ops []func(a, b float64) float64
-		// flush reduces the pending batch in one AllreduceEach of [sums…,
-		// maxes…] and stores each step's max/avg particles per processor —
-		// Figure 2's rebalance() predicate input — in the series on rank 0,
-		// the batch ending at step it.  It returns the last step's, the same
-		// on every rank.  Every element takes the binomial tree of a scalar
-		// allreduce, so each value is bit for bit what a reduction on every
-		// step would give.
-		flush := func(it int) (float64, error) {
-			n := len(pending)
-			vals = append(append(vals[:0], pending...), pending...)
-			ops = ops[:0]
-			for range n {
-				ops = append(ops, msg.SumF64)
-			}
-			for range n {
-				ops = append(ops, msg.MaxF64)
-			}
-			pending = pending[:0]
-			r, err := ctx.Comm().AllreduceEach(vals, ops...)
-			if err != nil {
-				return 0, err
-			}
-			imb := 0.0
-			for i := range n {
-				imb = 1
-				if avg := r[i] / float64(ctx.NP()); avg != 0 {
-					imb = r[n+i] / avg
-				}
-				if ctx.Rank() == 0 {
-					res.ImbalanceSeries[it+1-n+i] = imb
-				}
-			}
-			return imb, nil
-		}
+		var batch imbalances
 		// A run the driver may leave at any iteration boundary (a join, a
 		// straggler drain) flushes every step, and any run flushes before a
 		// checkpoint, so a replay never needs a lost rank's pending sums.
 		flushEvery := testFlushEvery || cfg.Elastic || cfg.Straggler.mitigating()
 		dr := &drift{frac: cfg.DriftFrac}
-		distribute := func() error {
-			return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
-		}
 		// balance computes BOUNDS equalizing particles per processor, then
 		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.  No
 		// barrier follows, and the DISTRIBUTE has none: a rank leaves it
@@ -168,22 +112,13 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// until the receiver has moved too.
 		balance := func() error {
 			dr.restart()
-			counts, err := count.GatherTo(ctx, 0)
+			bounds, err := picBounds(ctx, count, speedShares)
 			if err != nil {
 				return err
 			}
-			bounds = nil
-			if ctx.Rank() == 0 {
-				if speedShares != nil {
-					bounds = scale.WeightedCountBounds(counts, speedShares)
-				} else {
-					bounds = scale.CountBounds(counts, ctx.NP())
-				}
-			}
-			if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil {
-				return err
-			}
-			if err := redists.count(ctx, distribute); err != nil {
+			if err := redists.count(ctx, func() error {
+				return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
+			}); err != nil {
 				return err
 			}
 			if ctx.Rank() == 0 {
@@ -205,16 +140,12 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				count, err = e.Declare(ctx, core.Decl{Name: "COUNT", Domain: dom, Dynamic: true, ConnectTo: "FIELD"})
 				return err
 			},
-			// initpos: uniform loading.
-			fill: func() {
-				count.FillFunc(ctx, func(index.Point) float64 { return float64(cfg.InitPerCell) })
-				field.FillFunc(ctx, func(index.Point) float64 { return 0 })
-			},
+			fill: func() { initPos(ctx, cfg, count, field) },
 			// The initial balance (Figure 2 does this before the time loop);
 			// a recovered run keeps the restored distribution until the next
 			// in-loop rebalance check.
 			begin: func(int) error {
-				pending = pending[:0] // a failed epoch's batch is recomputed
+				batch.pending = batch.pending[:0] // a failed epoch's batch is recomputed
 				dr.restart()
 				if cfg.Rebalance && !cfg.Recover {
 					if err := balance(); err != nil {
@@ -238,18 +169,20 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 					return err
 				}
 
-				local := 0.0
-				count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
-				pending = append(pending, local)
+				batch.add(ctx, count)
 				check := k%cfg.RebalanceEvery == 0
 				if !check && k < cfg.Steps && !cfg.savesAfter(k) && !flushEvery {
 					return nil
 				}
-				imb, err := flush(it)
+				// The series on rank 0 gets the batch ending at step it.
+				imbs, err := batch.flush(ctx)
 				if err != nil {
 					return err
 				}
-				if cfg.Rebalance && check && imb > cfg.RebalanceThreshold {
+				if ctx.Rank() == 0 {
+					copy(res.ImbalanceSeries[it+1-len(imbs):], imbs)
+				}
+				if cfg.Rebalance && check && imbs[len(imbs)-1] > cfg.RebalanceThreshold {
 					return balance()
 				}
 				return nil
@@ -287,6 +220,96 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		res.FinalImbalance = res.ImbalanceSeries[cfg.Steps-1]
 	}
 	return res, nil
+}
+
+// withDefaults fills the zero fields with their documented defaults.
+func (cfg PICConfig) withDefaults() PICConfig {
+	if cfg.RebalanceEvery <= 0 {
+		cfg.RebalanceEvery = 10
+	}
+	if cfg.RebalanceThreshold == 0 {
+		cfg.RebalanceThreshold = 1.1
+	}
+	if cfg.DriftFrac == 0 {
+		cfg.DriftFrac = 0.2
+	}
+	if cfg.InitPerCell == 0 {
+		cfg.InitPerCell = 64
+	}
+	if cfg.WorkPerParticle == 0 {
+		cfg.WorkPerParticle = 40
+	}
+	return cfg
+}
+
+// initPos is Figure 2's initpos: uniform loading, no field yet.
+func initPos(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
+	count.FillFunc(ctx, func(index.Point) float64 { return float64(cfg.InitPerCell) })
+	field.FillFunc(ctx, func(index.Point) float64 { return 0 })
+}
+
+// picBounds is the bounds half of Figure 2's balance(): COUNT gathered on
+// rank 0, B_BLOCK bounds equalizing particles per processor there — or,
+// given shares, per unit of measured speed — and broadcast to every rank.
+func picBounds(ctx *machine.Ctx, count *core.Array, shares []float64) ([]int, error) {
+	counts, err := count.GatherTo(ctx, 0)
+	if err != nil {
+		return nil, err
+	}
+	var bounds []int
+	if ctx.Rank() == 0 {
+		if shares != nil {
+			bounds = scale.WeightedCountBounds(counts, shares)
+		} else {
+			bounds = scale.CountBounds(counts, ctx.NP())
+		}
+	}
+	return ctx.Comm().BcastInts(0, bounds)
+}
+
+// imbalances batches Figure 2's rebalance() input: add appends a step's
+// particle sum over this rank's cells, flush reduces every pending one.
+// vals and ops are the flush's reduction vector and operations, kept so
+// that a longer batch allocates nothing more.
+type imbalances struct {
+	pending, vals []float64
+	ops           []func(a, b float64) float64
+}
+
+func (b *imbalances) add(ctx *machine.Ctx, count *core.Array) {
+	local := 0.0
+	count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
+	b.pending = append(b.pending, local)
+}
+
+// flush reduces the pending batch (at least one step) in one
+// AllreduceEach of [sums…, maxes…] and returns each step's max/avg
+// particles per processor, the same on every rank.  Every element takes
+// the binomial tree of a scalar allreduce, so each value is bit for bit
+// what a reduction on every step would give.
+func (b *imbalances) flush(ctx *machine.Ctx) ([]float64, error) {
+	n := len(b.pending)
+	b.vals = append(append(b.vals[:0], b.pending...), b.pending...)
+	b.ops = b.ops[:0]
+	for range n {
+		b.ops = append(b.ops, msg.SumF64)
+	}
+	for range n {
+		b.ops = append(b.ops, msg.MaxF64)
+	}
+	b.pending = b.pending[:0]
+	r, err := ctx.Comm().AllreduceEach(b.vals, b.ops...)
+	if err != nil {
+		return nil, err
+	}
+	for i := range n {
+		imb := 1.0
+		if avg := r[i] / float64(ctx.NP()); avg != 0 {
+			imb = r[n+i] / avg
+		}
+		r[i] = imb
+	}
+	return r[:n], nil
 }
 
 // driftHorizon is how many steps from step it on the distribution is sure

@@ -43,10 +43,6 @@ func (a *Array) Domain() index.Domain { return a.dom }
 // Dynamic reports whether the array was declared DYNAMIC.
 func (a *Array) Dynamic() bool { return a.dynamic }
 
-// Primary reports whether the array is the primary of its connect class
-// (static arrays are trivially primary).
-func (a *Array) Primary() bool { return a.connKind == ConnNone }
-
 // ConnKind returns how the array connects to its primary.
 func (a *Array) Conn() ConnKind { return a.connKind }
 
@@ -59,9 +55,6 @@ func (a *Array) ClassMembers() []*Array {
 	out := []*Array{a.class.primary}
 	return append(out, a.class.secondaries...)
 }
-
-// Range returns the declared distribution range (empty = unrestricted).
-func (a *Array) Range() dist.Range { return a.rng }
 
 // Distributed implements query.Selector: whether the array currently has
 // a well-defined distribution on processor rank.

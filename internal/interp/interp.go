@@ -132,8 +132,9 @@ func (in *Interp) SetCheckpoint(dir string, every int) {
 // DISTRIBUTE statement that checkpoint was taken at.
 func (in *Interp) SetRecover(on bool) { in.recoverRun = on }
 
-// New creates an interpreter over an engine and registers the standard
-// builtins (TRIDIAG, RESID, plus no-op INITPOS hooks used by demos).
+// New creates an interpreter over an engine and registers Figure 1's
+// builtins, TRIDIAG and RESID; a program's other procedures are
+// registered by whoever runs it (apps.RegisterFig2 for Figure 2).
 func New(e *core.Engine) *Interp {
 	in := &Interp{Engine: e, builtins: map[string]Builtin{}}
 	in.Register("TRIDIAG", builtinTridiag)

@@ -617,3 +617,52 @@ ENDDO
 		}
 	}
 }
+
+func TestInterpNoTransfer(t *testing.T) {
+	src := `
+PARAMETER (N = 8)
+REAL B(N) DYNAMIC, DIST(BLOCK)
+REAL A(N) DYNAMIC, CONNECT(=B)
+DO I = 1, N
+  A(I) = I * 10
+ENDDO
+DISTRIBUTE B :: (CYCLIC) NOTRANSFER (A)
+`
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unit := sem.Analyze(prog)
+	if unit.HasErrors() {
+		t.Fatalf("sem: %v", unit.Diags)
+	}
+	m := machine.New(2)
+	defer m.Close()
+	e := core.NewEngine(m)
+	in := New(e)
+	if err := m.Run(func(ctx *machine.Ctx) error {
+		st, err := in.Run(ctx, unit)
+		if err != nil {
+			return err
+		}
+		a, _ := st.Array("A")
+		b, _ := st.Array("B")
+		if !a.DistType(ctx.Rank()).Equal(b.DistType(ctx.Rank())) {
+			t.Error("NOTRANSFER must still re-derive the secondary's type")
+		}
+		// rank 0 owned 1..4 before; under CYCLIC it owns odds. Kept
+		// in-place: 1, 3. Elements 5, 7 were not transferred: zero.
+		if ctx.Rank() == 0 {
+			l := a.Local(ctx)
+			if l.At([]int{1}) != 10 || l.At([]int{3}) != 30 {
+				t.Error("in-place values lost under NOTRANSFER")
+			}
+			if l.At([]int{5}) != 0 || l.At([]int{7}) != 0 {
+				t.Error("NOTRANSFER moved data")
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+}

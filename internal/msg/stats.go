@@ -178,18 +178,6 @@ func (sn Snapshot) TotalDataMsgs() int64 {
 	return t
 }
 
-// MaxDataMsgsPerProc returns the maximum number of non-empty messages
-// sent by any single processor.
-func (sn Snapshot) MaxDataMsgsPerProc() int64 {
-	var m int64
-	for _, v := range sn.DataSent {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
 // TotalMsgs returns the total number of messages sent.
 func (sn Snapshot) TotalMsgs() int64 {
 	var t int64

@@ -361,9 +361,6 @@ func (w *Window) Settle(c *Comm) error {
 	return nil
 }
 
-// Registered returns rank's registered storage (nil if none).
-func (w *Window) Registered(rank int) []float64 { return w.shared[rank].data }
-
 func (w *Window) tag(subtag int) int {
 	return winTagBase + (w.id%maxWindows)*winTagSlots + subtag
 }

@@ -72,7 +72,11 @@ func WeightedBounds(n int, speeds []float64) []int {
 // CountBounds returns B_BLOCK bounds assigning contiguous cells to np
 // processors so that each gets roughly total/np of the counts (particles
 // per cell) — the balance() of the paper's Figure 2.  Bounds are 1-based
-// inclusive upper bounds, non-decreasing, ending at len(counts).
+// inclusive upper bounds, non-decreasing, ending at len(counts).  It sets
+// one bound per cell: a cell heavy enough to pass several targets closes
+// one block, and the next blocks close at the following cells.  That is
+// why it is not WeightedCountBounds with even shares, which closes a
+// block at every target the cell passes.
 func CountBounds(counts []float64, np int) []int {
 	total := 0.0
 	for _, c := range counts {

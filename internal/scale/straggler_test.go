@@ -1,6 +1,9 @@
 package scale
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestDecisionStrings: the new decisions print their names.
 func TestDecisionStrings(t *testing.T) {
@@ -85,6 +88,15 @@ func TestCountBounds(t *testing.T) {
 	b = CountBounds([]float64{0, 0, 100, 0}, 2)
 	if b[1] != 4 || b[0] < 2 {
 		t.Fatalf("bounds = %v", b)
+	}
+	// heavy cells: one bound per cell, where the even weighted split
+	// closes two blocks at cell 1 and two at cell 3
+	heavy := []float64{93, 0, 65, 0, 0, 0, 0, 0, 20}
+	if b := CountBounds(heavy, 5); fmt.Sprint(b) != "[1 2 3 4 9]" {
+		t.Fatalf("bounds = %v, want [1 2 3 4 9]", b)
+	}
+	if b := WeightedCountBounds(heavy, []float64{0.2, 0.2, 0.2, 0.2, 0.2}); fmt.Sprint(b) != "[1 1 3 3 9]" {
+		t.Fatalf("even weighted bounds = %v, want [1 1 3 3 9]", b)
 	}
 }
 
