@@ -37,8 +37,8 @@ dead:
 # Static checks plus the race detector over the runtime packages and
 # vfrun — the SPMD engine is all goroutines, so data races are the bug
 # class to gate on, and vfrun's tests are the ones that drive the
-# interpreted Figure 2 through checkpoint, recover and corrupt-fault
-# runs — and the benchmark's smoke, which pins the import surface bench/
+# interpreted Figure 2 through checkpoint, recover, online-recover and
+# corrupt-fault runs — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
 check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire
@@ -85,8 +85,9 @@ check-halo:
 # on 2–7 ranks over chan and TCP, its frame count per block and its frame
 # checks, the batched imbalance reduction against a per-step one (plain,
 # recovered, killed mid-batch), the interpreted listing equal to RunPIC
-# on 1–7 ranks over chan and TCP and timing out on a lost drift frame,
-# and the degraded restore and trace tests — all under the race detector.
+# on 1–7 ranks over chan and TCP, timing out on a lost drift frame and
+# resuming on fewer ranks mid-loop, and the degraded restore and trace
+# tests — all under the race detector.
 check-pic:
 	$(GO) test -race -run '^TestPIC' ./internal/apps
 
@@ -104,19 +105,20 @@ check-expand:
 # epoch-folded tag views, typed epoch revocation, per-message CRC32C
 # integrity (bitflip -> named transport error, zero panics), and the
 # kill-a-rank-mid-run apps that regroup and finish in the same process,
-# bit-for-bit against the serial reference — all under the race detector.
+# bit-for-bit against the serial reference, and vfrun's interpreted
+# Figure 2 doing the same — all under the race detector.
 check-online:
 	$(GO) test -race -run 'TestOnlineRecover|TestOnlineBitflip|TestOnlineIntegrity|TestSoakOnline|TestRegroup|TestEpochRevoked|TestExcluded|TestIntegrity|TestView|TestFoldTag' \
-	  ./internal/msg ./internal/machine ./internal/apps
+	  ./internal/msg ./internal/machine ./internal/apps ./cmd/vfrun
 
 # The kill-a-rank matrix: checkpoint round-trips across every
 # distribution kind (incl. shrink restores), restores that read only the
 # rank files they need, heartbeat failure
 # detection, goroutine-leak gates, and the end-to-end kill-and-recover
-# apps — all under the race detector.
+# apps and listing — all under the race detector.
 check-recovery:
-	$(GO) test -race -run 'TestRoundTrip|TestRestoreOnto|TestRestoreReadsOwnFile|TestEpochs|TestCorrupt|TestInterrupted|TestLiveness|TestSurvivors|TestErroringRun|TestPanickingRun|TestADIKillAndRecover|TestADIRecover|TestSmoothingRecover|TestPICRecover|TestDistributeCheckpointRecover' \
-	  ./internal/ckpt ./internal/machine ./internal/apps ./internal/interp
+	$(GO) test -race -run 'TestRoundTrip|TestRestoreOnto|TestRestoreReadsOwnFile|TestEpochs|TestCorrupt|TestInterrupted|TestLiveness|TestSurvivors|TestErroringRun|TestPanickingRun|TestADIKillAndRecover|TestADIRecover|TestSmoothingRecover|TestPICRecover|TestListingRecover' \
+	  ./internal/ckpt ./internal/machine ./internal/apps
 
 # The straggler-defense matrix: the voluntary-drain protocol (basic
 # drain, drain racing a real death in one transition, drained-rank

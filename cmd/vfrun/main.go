@@ -6,30 +6,29 @@
 //	vfrun -p 4 program.vf
 //	vfrun -p 4 -demo fig1|fig2
 //
-// After the run it prints every array's checksum and final distribution
-// type, the scalar environment, and the traffic the program generated.
-// Figure 2 (apps.Fig2Source) runs apps.RunPIC's own helper procedures and
-// computes what RunPIC does: its FIELD, COUNT and DISTRIBUTE count.
+// The program runs under the step loop of internal/apps
+// (apps.RunListing): its last top-level DO is the loop whose trips
+// -ckpt-dir checkpoints, -recover and -online-recover resume after, and
+// whose boundaries -drain acts at.  After the run it prints every array's
+// checksum and final distribution type, the scalar environment, and the
+// traffic the program generated.  Figure 2 (apps.Fig2Source) runs
+// apps.RunPIC's own helper procedures and computes what RunPIC does: its
+// FIELD, COUNT and DISTRIBUTE count.
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"os"
 	"runtime"
 	"sort"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/ckpt"
-	"repro/internal/core"
-	"repro/internal/interp"
 	"repro/internal/lang"
-	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/pario"
 	"repro/internal/redist"
@@ -46,20 +45,20 @@ func main() {
 	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
 	commTimeout := flag.Duration("comm-timeout", 0, "per-receive deadline inside collectives (0 = wait forever)")
 	commRetries := flag.Int("comm-retries", 0, "bounded retries for failed or timed-out collective operations")
-	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after top-level DISTRIBUTE statements (those outside every DO, IF and DCASE)")
-	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th top-level DISTRIBUTE statement")
+	ckptDir := flag.String("ckpt-dir", "", "take coordinated checkpoints into DIR after trips of the program's driver loop (its last top-level DO)")
+	ckptEvery := flag.Int("ckpt-every", 1, "checkpoint after every N-th trip of the driver loop")
 	ioRedundancy := flag.String("io-redundancy", "", "checkpoint redundancy mode: parity (default), replica, or none")
 	ckptKeep := flag.Int("ckpt-keep", 0, "keep only the newest N committed checkpoint epochs (0 = keep all)")
 	ioFault := flag.String("io-fault", "", "inject disk faults under the checkpoint paths, e.g. 'eio,op=write,count=2;bitrot,path=rank-0001' (kinds: "+pario.FaultKinds()+"; see pario.ParseFaultPlan)")
-	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir at the top-level DISTRIBUTE it was taken after (the survivors' rank count may differ from the writer's)")
+	recoverRun := flag.Bool("recover", false, "restore the latest committed checkpoint in -ckpt-dir and resume after the trip it was taken after (the survivors' rank count may differ from the writer's)")
 	onlineRec := flag.Bool("online-recover", false, "recover from a mid-run rank loss in-process: survivors regroup onto the next membership epoch and replay the last committed checkpoint (requires -ckpt-dir)")
 	deadline := flag.Duration("deadline", 0, "kill the whole process with a goroutine dump if it runs longer than this (hang watchdog; 0 = off)")
 	redistBudget := flag.String("redist-budget", "", "bound each DISTRIBUTE's peak resident wire bytes per rank, e.g. 64K, 2M (empty/0 = unbounded)")
 	elastic := flag.Bool("elastic", false, "after the run, print the cost-driven grow/shrink advice for P±1 ranks from the run's measured trace (see internal/scale)")
 	healthWin := flag.Int("health-window", 0, "score per-rank health from heartbeat-carried work reports over this EWMA observation window and print the report after the run (0 = off; see internal/health)")
-	drain := flag.Bool("drain", false, "voluntarily drain a rank classified Degraded at a DISTRIBUTE checkpoint site: members shrink the membership by one epoch and replay the checkpoint (requires -health-window and -ckpt-dir)")
+	drain := flag.Bool("drain", false, "voluntarily drain a rank classified Degraded at a trip boundary of the driver loop: members checkpoint, shrink the membership by one epoch and replay the checkpoint (requires -health-window and -ckpt-dir)")
 	slowRank := flag.Int("slow-rank", 1, "physical rank the straggler injection marks slow (with -slow-factor)")
-	slowFactor := flag.Float64("slow-factor", 1, "inflate -slow-rank's reported per-statement cost by this factor so the health scorer sees a straggler (<=1 = no injection)")
+	slowFactor := flag.Float64("slow-factor", 1, "inflate -slow-rank's reported cost of every compute statement by this factor so the health scorer sees a straggler (<=1 = no injection)")
 	flag.Parse()
 	armDeadline(*deadline)
 	budget, err := redist.ParseBudget(*redistBudget)
@@ -132,12 +131,14 @@ ENDDO
 	}
 
 	// The run settings, prerequisites included, are checked once, by
-	// apps.NewMachine; the interpreter reads them back from rt.
+	// apps.NewMachine; apps.RunListing runs the program under the step
+	// loop the applications share.
 	rt := apps.Runtime{
 		Fault: *faultSpec, CommTimeout: *commTimeout, CommRetries: *commRetries,
 		CkptDir: *ckptDir, CkptEvery: *ckptEvery, Recover: *recoverRun, OnlineRecover: *onlineRec,
 		IO:        ckpt.Options{Redundancy: *ioRedundancy, Keep: *ckptKeep},
-		Straggler: apps.StragglerConfig{HealthWindow: *healthWin},
+		MemBudget: budget,
+		Straggler: apps.StragglerConfig{HealthWindow: *healthWin, SlowRank: *slowRank, SlowFactor: *slowFactor},
 	}
 	if *drain {
 		rt.Straggler.Policy = "drain"
@@ -159,95 +160,19 @@ ENDDO
 		// The health scorer's work reports ride on the heartbeats too.
 		rt = rt.Resilient(150 * time.Millisecond)
 	}
-	m, err := apps.NewMachine(*np, 0, 0, rt)
+	res, err := apps.RunListing(unit, *np, rt)
 	if err != nil {
-		log.Fatal(err)
-	}
-	defer m.Close()
-	e := core.NewEngine(m)
-	e.SetMemBudget(budget)
-	e.SetCkptOptions(rt.IO)
-
-	type arrInfo struct {
-		name     string
-		sum      float64
-		distType string
-		epochs   int
-	}
-	var arrays []arrInfo
-	var scalars map[string]float64
-	var drainedView atomic.Int64
-	drainedView.Store(-1)
-	start := time.Now()
-	if err := m.Run(func(ctx *machine.Ctx) error {
-		// The program runs once per membership epoch (core.RunEpochs).  With
-		// -online-recover, a failed run means a rank was lost: the survivors
-		// regroup and re-run the program on a fresh engine and interpreter
-		// (the old arrays are bound to the revoked epoch's numbering).  With
-		// -drain, a *core.Resize is the members' agreed decision to shrink
-		// the membership by a Degraded rank instead, and they take the same
-		// re-run path.  The excluded or drained rank exits non-fatally.
-		var st *interp.State
-		err := core.RunEpochs(ctx, e, rt.OnlineRecover, func(eng *core.Engine, replay bool) (err error) {
-			in := interp.New(eng)
-			apps.RegisterFig2(in)
-			in.SetStraggler(rt.Straggler.Enabled(), *drain, *slowRank, *slowFactor)
-			if rt.CkptDir != "" {
-				in.SetCheckpoint(rt.CkptDir, rt.CkptEvery)
-				in.SetRecover(rt.Recover)
-			}
-			if replay {
-				// Replay the last committed checkpoint if there is one; a
-				// loss before the first commit restarts from scratch on the
-				// survivor view.
-				ep, _, _ := ckpt.LatestEpoch(rt.CkptDir)
-				in.SetRecover(ep >= 0)
-			}
-			st, err = in.Run(ctx, unit)
-			var rz *core.Resize
-			if errors.As(err, &rz) {
-				drainedView.Store(int64(rz.Drain))
-			}
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		// gather results on rank 0 (collective per array, in order)
-		for _, n := range unit.Order {
-			arr, ok := st.Array(n)
-			if !ok || !arr.Distributed(ctx.Rank()) {
-				continue
-			}
-			sum := 0.0
-			data, err := arr.GatherTo(ctx, 0)
-			if err != nil {
-				return err
-			}
-			if ctx.Rank() == 0 {
-				for _, v := range data {
-					sum += v
-				}
-				arrays = append(arrays, arrInfo{n, sum, arr.DistType(0).String(), arr.Epoch(0)})
-			}
-		}
-		if ctx.Rank() == 0 {
-			scalars = st.Scalars
-		}
-		return nil
-	}); err != nil {
 		log.Fatalf("%s: %v", name, err)
 	}
-	wall := time.Since(start)
 
 	fmt.Printf("== %s on %d processors ==\n", name, *np)
 	fmt.Println("arrays:")
-	for _, a := range arrays {
+	for _, a := range res.Arrays {
 		fmt.Printf("  %-8s checksum %.6f   final dist %s   (redistributed %d times)\n",
-			a.name, a.sum, a.distType, a.epochs)
+			a.Name, a.Sum, a.Dist, a.Distributes)
 	}
 	var names []string
-	for k := range scalars {
+	for k := range res.Scalars {
 		if k[0] != '$' {
 			names = append(names, k)
 		}
@@ -256,33 +181,29 @@ ENDDO
 	if len(names) > 0 {
 		fmt.Println("scalars:")
 		for _, k := range names {
-			fmt.Printf("  %-8s %v\n", k, scalars[k])
+			fmt.Printf("  %-8s %v\n", k, res.Scalars[k])
 		}
 	}
-	sn := m.Stats().Snapshot()
-	fmt.Printf("traffic: %d data messages, %d bytes\n", sn.TotalDataMsgs(), sn.TotalBytes())
-	if dv := drainedView.Load(); dv >= 0 {
-		fmt.Printf("drained: view rank %d left the membership at a DISTRIBUTE checkpoint site; the survivors replayed the checkpoint and finished on %d ranks\n",
-			dv, *np-1)
+	fmt.Printf("traffic: %d data messages, %d bytes\n", res.Msgs, res.Bytes)
+	if res.FinalEpoch > 0 {
+		fmt.Printf("membership: finished on epoch %d, survivors %v\n", res.FinalEpoch, res.Survivors)
 	}
-	if *healthWin > 0 {
-		if h := m.Health(); h != nil {
-			fmt.Println("health:")
-			ranks := make([]int, *np)
-			for i := range ranks {
-				ranks[i] = i
+	for _, r := range res.Drained {
+		fmt.Printf("drained: rank %d left the membership at an iteration boundary; the survivors replayed the checkpoint and finished on %d ranks\n",
+			r, *np-len(res.Drained))
+	}
+	if *healthWin > 0 && res.Health != nil {
+		fmt.Println("health:")
+		for _, rr := range res.Health {
+			suffix := ""
+			if rr.EverDegraded {
+				suffix = "  [classified Degraded during the run]"
 			}
-			for _, rr := range h.Report(ranks) {
-				suffix := ""
-				if rr.EverDegraded {
-					suffix = "  [classified Degraded during the run]"
-				}
-				fmt.Printf("  %s%s\n", rr, suffix)
-			}
+			fmt.Printf("  %s%s\n", rr, suffix)
 		}
 	}
 	if *elastic {
-		printScaleAdvice(tr.Summarize(), *np, wall)
+		printScaleAdvice(tr.Summarize(), *np, res.Wall)
 	}
 	if tr != nil && *traceFile != "" {
 		if err := tr.WriteJSONFile(*traceFile); err != nil {

@@ -29,6 +29,11 @@ func vfrun(t *testing.T, args ...string) map[string]string {
 	if err != nil {
 		t.Fatalf("vfrun %v: %v\n%s", args, err, out)
 	}
+	return checksums(out)
+}
+
+// checksums reads the array checksums out of vfrun's output.
+func checksums(out []byte) map[string]string {
 	sums := map[string]string{}
 	for _, m := range checksumLine.FindAllSubmatch(out, -1) {
 		sums[string(m[1])] = string(m[2])
@@ -84,11 +89,10 @@ func TestIOFaultKeepsChecksums(t *testing.T) {
 }
 
 // TestRecoverKeepsChecksums: a run recovered from the checkpoints of a
-// plain run computes what the plain run does.  Figure 2 redistributes
-// inside its DO loop; its checkpoint is taken at the DISTRIBUTE before
-// the loop and the recovery restores there, so the loop runs once from
-// its start, not again from the state its last trip left.  (Figure 1
-// also recovers on fewer ranks; Figure 2's BOUNDS($NP) is sized by them.)
+// plain run computes what the plain run does.  Checkpoints follow the
+// trips of the program's driver loop (its last top-level DO), and the
+// recovery resumes after the last checkpointed trip.  (Figure 1 also
+// recovers on fewer ranks; Figure 2's BOUNDS($NP) is sized by them.)
 func TestRecoverKeepsChecksums(t *testing.T) {
 	for demo, widths := range map[string][]string{"fig1": {"4", "3"}, "fig2": {"4"}} {
 		plain := vfrun(t, "-p", "4", "-demo", demo)
@@ -109,5 +113,23 @@ func TestCorruptFaultIsCaught(t *testing.T) {
 	out, err := cmd.CombinedOutput()
 	if err == nil || !strings.Contains(string(out), "msg: payload integrity check failed") {
 		t.Fatalf("err = %v, want a failed run naming the integrity check; output:\n%s", err, out)
+	}
+}
+
+// TestOnlineRecoverFig2: rank 2 of the interpreted Figure 2 falls silent
+// from its N-th send on; the survivors regroup, replay the last
+// checkpoint and finish with the plain run's FIELD and COUNT.
+func TestOnlineRecoverFig2(t *testing.T) {
+	for _, n := range []string{"30", "60", "90"} {
+		args := []string{"-p", "4", "-demo", "fig2", "-online-recover", "-ckpt-dir", t.TempDir(), "-fault", "drop,rank=2,after=" + n}
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "VFRUN_MAIN=1")
+		out, err := cmd.CombinedOutput()
+		if err != nil || !strings.Contains(string(out), "membership: finished on epoch 1, survivors [0 1 3]") {
+			t.Fatalf("vfrun %v: err = %v, want a run that regroups onto [0 1 3]; output:\n%s", args, err, out)
+		}
+		if sums := checksums(out); sums["FIELD"] != "491520.058944" || sums["COUNT"] != "8192.000000" {
+			t.Errorf("after=%s: checksums %v, want FIELD 491520.058944 and COUNT 8192.000000", n, sums)
+		}
 	}
 }

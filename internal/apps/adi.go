@@ -186,8 +186,8 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 				v, err = e.Declare(ctx, decl)
 				return err
 			},
-			fill: func() { v.FillFunc(ctx, initial) },
-			begin: func(int) error {
+			fill: func() error { v.FillFunc(ctx, initial); return nil },
+			begin: func(int, map[string]string) error {
 				ctx.PhaseBegin("iterate")
 				return nil
 			},

@@ -2,6 +2,7 @@ package apps
 
 import (
 	"errors"
+	"strconv"
 	"time"
 
 	"repro/internal/ckpt"
@@ -52,9 +53,9 @@ type Runtime struct {
 	Liveness *machine.LivenessConfig
 	// OnlineRecover enables in-process failure recovery: when a rank
 	// dies mid-run, the survivors Regroup onto the next membership
-	// epoch, replay the last committed checkpoint from CkptDir onto the
-	// shrunken processor view, and resume without leaving Run.  Requires
-	// CkptDir, Liveness, and a CommTimeout.
+	// epoch, replay the last committed checkpoint from CkptDir (if any)
+	// onto the shrunken processor view, and resume without leaving Run.
+	// Requires CkptDir, Liveness, and a CommTimeout.
 	OnlineRecover bool
 	// Integrity appends a CRC32C trailer to every wire message, turning
 	// silent payload corruption into the named msg.ErrIntegrity
@@ -176,7 +177,7 @@ type Outcome struct {
 // app is one processor's half of an application: the hooks the step
 // loop calls, on every membership epoch, in the order
 //
-//	declare → fill | restore → Barrier → begin(it0) → { step(it) → boundary }* → end
+//	declare → fill | restore → Barrier → begin(it0, meta) → { step(it) → boundary }* → end
 //
 // The value is built once per processor, so state its closures share
 // (weighted bounds installed by rebalance, say) outlives an epoch.
@@ -185,9 +186,10 @@ type app struct {
 	declare func(eng *core.Engine) error
 	// fill sets the initial values of a fresh start; a recovering run or
 	// a replay restores the last committed checkpoint instead.
-	fill func()
-	// begin runs once before iteration it0, the first not yet done.
-	begin func(it0 int) error
+	fill func() error
+	// begin runs once before iteration it0, the first not yet done; meta
+	// is the restored checkpoint's (nil on a fresh start).
+	begin func(it0 int, meta map[string]string) error
 	// step advances the program by iteration it (0-based).
 	step func(it int) error
 	// rebalance re-divides the work in proportion to the measured
@@ -195,6 +197,8 @@ type app struct {
 	rebalance func(speeds []float64) error
 	// end runs after the last iteration: gather, validate, report.
 	end func() error
+	// save, when set, adds the app's own state to a checkpoint's meta.
+	save func(meta map[string]string)
 
 	// mitigated is the loop's own: the straggler policy fires once per
 	// run, not once per epoch.
@@ -322,38 +326,47 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 	if err := a.declare(eng); err != nil {
 		return err
 	}
-	it0 := 0
-	if replay || rc.Recover {
-		// Replay the last committed checkpoint — values and distribution
-		// descriptors — onto this (possibly smaller or larger) view and
-		// resume after the checkpointed iteration.
-		var man *ckpt.Manifest
-		var err error
-		if replay {
-			man, err = eng.Recover(ctx, rc.CkptDir)
-		} else {
-			man, err = eng.Restore(ctx, rc.CkptDir)
-		}
-		if err != nil {
-			return err
-		}
+	// Replay the last committed checkpoint — values and distribution
+	// descriptors — onto this (possibly smaller or larger) view and
+	// resume after the checkpointed iteration.
+	var man *ckpt.Manifest
+	var err error
+	switch {
+	case replay:
+		man, err = eng.Recover(ctx, rc.CkptDir)
+	case rc.Recover:
+		man, err = eng.Restore(ctx, rc.CkptDir)
+	}
+	it0, restored := 0, map[string]string(nil)
+	switch {
+	case man != nil:
 		if it, ok := man.MetaInt("iter"); ok {
 			it0 = it + 1
 		}
 		if ctx.Rank() == 0 {
 			out.ResumedIter = it0 - 1
 		}
-	} else {
-		a.fill()
+		restored = man.Meta
+	case err == nil, replay && errors.Is(err, ckpt.ErrNoEpoch):
+		// A fresh start, or a replay lost before the first commit (every
+		// rank learns that from one broadcast).
+		err = a.fill()
+	}
+	if err != nil {
+		return err
 	}
 	if err := ctx.Barrier(); err != nil {
 		return err
 	}
-	if err := a.begin(it0); err != nil {
+	if err := a.begin(it0, restored); err != nil {
 		return err
 	}
 	save := func(it int) error {
-		_, err := eng.CheckpointIter(ctx, rc.CkptDir, it)
+		meta := map[string]string{"iter": strconv.Itoa(it)}
+		if a.save != nil {
+			a.save(meta)
+		}
+		_, err := eng.Checkpoint(ctx, rc.CkptDir, meta)
 		return err
 	}
 	sc := rc.Straggler

@@ -62,8 +62,8 @@ func (ty *toy) run(rc runConfig) (Outcome, error) {
 					Init: &core.DistSpec{Type: dist.NewType(dist.BlockDim())}})
 				return err
 			},
-			fill:  func() { v.Fill(ctx, 0) },
-			begin: func(int) error { return nil },
+			fill:  func() error { v.Fill(ctx, 0); return nil },
+			begin: func(int, map[string]string) error { return nil },
 			step: func(i int) error {
 				it = i
 				if ctx.Rank() == 0 {

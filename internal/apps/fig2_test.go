@@ -15,11 +15,10 @@ import (
 	"repro/internal/sem"
 )
 
-// fig2 parses Fig2Source and returns it with an interpreter over m that
-// runs RegisterFig2's helper procedures.
-func fig2(t *testing.T, m *machine.Machine) (*interp.Interp, *sem.Unit) {
+// checked parses and checks a listing.
+func checked(t *testing.T, src string) *sem.Unit {
 	t.Helper()
-	prog, err := lang.Parse(Fig2Source)
+	prog, err := lang.Parse(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,9 +26,26 @@ func fig2(t *testing.T, m *machine.Machine) (*interp.Interp, *sem.Unit) {
 	if unit.HasErrors() {
 		t.Fatalf("sem: %v", unit.Diags)
 	}
+	return unit
+}
+
+// fig2 parses Fig2Source and returns it with an interpreter over m that
+// runs RegisterFig2's helper procedures.
+func fig2(t *testing.T, m *machine.Machine) (*interp.Interp, *sem.Unit) {
+	t.Helper()
 	in := interp.New(core.NewEngine(m))
 	RegisterFig2(in)
-	return in, unit
+	return in, checked(t, Fig2Source)
+}
+
+// runWhole executes the whole listing on the calling processor, outside
+// the step loop.
+func runWhole(in *interp.Interp, ctx *machine.Ctx, unit *sem.Unit) (*interp.State, error) {
+	st, err := in.NewState(ctx, unit)
+	if err != nil {
+		return nil, err
+	}
+	return st, st.Run(unit.Prog.Stmts)
 }
 
 // TestPICFig2MatchesRunPIC: the interpreted Figure 2 listing computes
@@ -55,7 +71,7 @@ func TestPICFig2MatchesRunPIC(t *testing.T) {
 				var fieldSum float64
 				var distributes int
 				if err := m.Run(func(ctx *machine.Ctx) error {
-					st, err := in.Run(ctx, unit)
+					st, err := runWhole(in, ctx, unit)
 					if err != nil {
 						return err
 					}
@@ -129,7 +145,7 @@ func TestPICFig2LostDriftFrameTimesOut(t *testing.T) {
 	done := make(chan error, 1)
 	go func() {
 		done <- m.Run(func(ctx *machine.Ctx) error {
-			_, err := in.Run(ctx, unit)
+			_, err := runWhole(in, ctx, unit)
 			errs[ctx.Rank()] = err
 			return err
 		})

@@ -140,11 +140,11 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				count, err = e.Declare(ctx, core.Decl{Name: "COUNT", Domain: dom, Dynamic: true, ConnectTo: "FIELD"})
 				return err
 			},
-			fill: func() { initPos(ctx, cfg, count, field) },
+			fill: func() error { initPos(ctx, cfg, count, field); return nil },
 			// The initial balance (Figure 2 does this before the time loop);
 			// a recovered run keeps the restored distribution until the next
 			// in-loop rebalance check.
-			begin: func(int) error {
+			begin: func(int, map[string]string) error {
 				batch.pending = batch.pending[:0] // a failed epoch's batch is recomputed
 				dr.restart()
 				if cfg.Rebalance && !cfg.Recover {

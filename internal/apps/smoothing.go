@@ -159,12 +159,12 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 				v, err = eng.Declare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: ghost})
 				return err
 			},
-			fill: func() { u.FillFunc(ctx, initial) },
+			fill: func() error { u.FillFunc(ctx, initial); return nil },
 			// A checkpoint holds both buffers, and the step it was taken
 			// after gives the parity, so the double-buffer swap resumes
 			// exactly where the lost run stopped; the first block starts
 			// there too, with an exchange.
-			begin: func(first int) error {
+			begin: func(first int, _ map[string]string) error {
 				src, dst, s0 = u, v, first
 				if first%2 == 1 {
 					src, dst = v, u

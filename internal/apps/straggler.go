@@ -121,6 +121,17 @@ func (sc StragglerConfig) timed(ctx *machine.Ctx, compute func()) time.Duration 
 	return el
 }
 
+// report hands one interpreted statement's busy time to the health
+// scorer as one unit of work, SlowFactor× on SlowRank: unlike timed's
+// stall, a real mid-statement stall would also inflate the other ranks'
+// one-sided fetch waits and mask the straggler.
+func (sc StragglerConfig) report(ctx *machine.Ctx, busy time.Duration) {
+	if sc.SlowFactor > 1 && ctx.PhysRank() == sc.SlowRank {
+		busy = time.Duration(float64(busy) * sc.SlowFactor)
+	}
+	ctx.ReportWork(1, busy)
+}
+
 // stallQuantum is the shortest stall the injected straggler takes.  A
 // time.Sleep of 10 µs to 1 ms already parks for about a millisecond (the
 // runtime's poller waits in whole milliseconds) while a shorter one

@@ -2,10 +2,12 @@ package ckpt
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/darray"
 	"repro/internal/dist"
@@ -14,6 +16,16 @@ import (
 	"repro/internal/msg"
 	"repro/internal/pario"
 )
+
+// ErrNoEpoch is the error of a restore that finds no committed
+// checkpoint epoch; every rank of the restore returns it, or none does.
+var ErrNoEpoch = errors.New("ckpt: no committed checkpoint")
+
+// PerProcessor is the Meta key naming, comma-separated, the arrays with
+// one element per processor (bounds that read $NP).  Restored onto
+// another processor count such an array keeps its declared value, as a
+// B_BLOCK degrades to BLOCK.
+const PerProcessor = "per-processor"
 
 // RestoreResult reports what a restore did.
 type RestoreResult struct {
@@ -37,10 +49,11 @@ type RestoreResult struct {
 // repaired in place (self-healing).
 //
 // Arrays are matched to the manifest by name; every manifest array must
-// be present (extra live arrays are left untouched).  Each array is
-// first re-associated with the restored distribution descriptor —
-// replayed exactly when the surviving machine can host the recorded
-// processor arrangement, re-factored over the surviving ranks otherwise
+// be present with its checkpointed domain, PerProcessor arrays aside
+// (extra live arrays are left untouched).  Each array is first
+// re-associated with the restored distribution descriptor — replayed
+// exactly when the surviving machine can host the recorded processor
+// arrangement, re-factored over the surviving ranks otherwise
 // (np-dependent S_BLOCK/B_BLOCK specifiers degrade to BLOCK).  Then every
 // rank reads the saved rank files whose grids meet what it now owns,
 // one file at a time, and unpacks those parts.  Ghost areas are left
@@ -66,25 +79,29 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 		case err != nil:
 			scanErr = err
 		case epoch < 0 && skipped != nil:
-			scanErr = fmt.Errorf("ckpt: no committed checkpoint in %s (newest epoch skipped: %v)", dir, skipped)
+			scanErr = fmt.Errorf("%w in %s (newest epoch skipped: %v)", ErrNoEpoch, dir, skipped)
 		case epoch < 0:
-			scanErr = fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
+			scanErr = fmt.Errorf("%w in %s", ErrNoEpoch, dir)
 		default:
 			manBytes, scanErr = json.Marshal(restorePlan{Manifest: *man, Bad: bad})
 		}
 		if scanErr != nil {
-			manBytes = nil
+			manBytes = nil // every rank returns ErrNoEpoch
+			if !errors.Is(scanErr, ErrNoEpoch) {
+				manBytes = []byte(scanErr.Error()) // not a plan: no rank does
+			}
 		}
 	}
 	manBytes, err := ctx.Comm().Bcast(0, manBytes)
-	if err != nil {
+	switch {
+	case err != nil:
 		return nil, fmt.Errorf("ckpt: manifest broadcast: %w", err)
-	}
-	if len(manBytes) == 0 {
-		if scanErr != nil {
-			return nil, scanErr
-		}
-		return nil, fmt.Errorf("ckpt: no committed checkpoint in %s", dir)
+	case scanErr != nil:
+		return nil, scanErr
+	case len(manBytes) == 0:
+		return nil, fmt.Errorf("%w in %s", ErrNoEpoch, dir)
+	case manBytes[0] != '{':
+		return nil, fmt.Errorf("ckpt: rank 0: %s", manBytes)
 	}
 	plan, err := decodePlan(manBytes)
 	if err != nil {
@@ -111,6 +128,9 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 			return nil, err
 		}
 		if !arr.Domain().Equal(dom) {
+			if man.NP != np && slices.Contains(strings.Split(man.Meta[PerProcessor], ","), am.Name) {
+				continue // one element per processor: it keeps its declared value
+			}
 			return nil, fmt.Errorf("ckpt: array %s: domain %v in checkpoint, %v declared", am.Name, dom, arr.Domain())
 		}
 		neu, err := restoredDist(ctx, am, dom)

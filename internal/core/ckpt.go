@@ -12,10 +12,10 @@ import (
 // Checkpoint writes one coordinated checkpoint epoch of every currently
 // distributed array in the scope to dir (collective; traced as its own
 // "checkpoint" phase).  meta (may be nil) is stored in the manifest for
-// the recovering run — by convention the interpreter and the apps store
-// the iteration counter under "iter".  Arrays not yet associated with a
-// distribution are skipped: before its first DISTRIBUTE an array holds
-// no committed data.  It returns the committed epoch number.
+// the recovering run — by convention the step loop stores the iteration
+// counter under "iter".  Arrays not yet associated with a distribution
+// are skipped: before its first DISTRIBUTE an array holds no committed
+// data.  It returns the committed epoch number.
 func (e *Engine) Checkpoint(ctx *machine.Ctx, dir string, meta map[string]string) (int, error) {
 	ctx.PhaseBegin("checkpoint")
 	defer ctx.PhaseEnd("checkpoint")
@@ -44,7 +44,7 @@ func (e *Engine) CheckpointIter(ctx *machine.Ctx, dir string, iter int) (int, er
 // Restore fills the scope's arrays from the latest committed checkpoint
 // epoch in dir (collective; traced as its own "restore" phase).  Every
 // checkpointed array must be declared in this scope with the same
-// domain; each is re-associated with the restored (possibly shrunken)
+// domain, those the checkpoint's meta names ckpt.PerProcessor aside; each is re-associated with the restored (possibly shrunken)
 // distribution and refilled, and arrays with ghost regions get a ghost
 // exchange so stencil code can resume immediately.  The manifest is
 // returned so the caller can read back its Meta (e.g. the iteration to

@@ -70,7 +70,11 @@ func RunEpochs(ctx *machine.Ctx, eng *Engine, recoverLost bool, body func(eng *E
 		case err == nil || !recoverLost || errors.Is(err, machine.ErrExcluded) || attempt >= max(m.NP(), 2):
 			return err
 		default:
-			err = ctx.Regroup()
+			// The body's error stands beside the regroup's own.
+			if rerr := ctx.Regroup(); rerr != nil {
+				return errors.Join(err, rerr)
+			}
+			err = nil
 		}
 		if err != nil {
 			return err

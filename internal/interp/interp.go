@@ -33,7 +33,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -72,65 +71,12 @@ type Interp struct {
 	Engine   *core.Engine
 	builtins map[string]Builtin
 
-	// Checkpoint hooks (vfrun -ckpt-dir/-ckpt-every/-recover).  DISTRIBUTE
-	// statements are the natural consistency points of a Vienna Fortran
-	// program — the paper's dynamic phase boundaries.  A top-level one
-	// (outside every DO, IF and DCASE) runs once, so its ordinal names a
-	// point of the run: checkpoints are taken after every ckptEvery-th
-	// top-level DISTRIBUTE and record its ordinal, and a recovery run
-	// replays the latest committed epoch at the one of that ordinal
-	// (demo-grade: arrays declared after that site are not restored, and
-	// statements before it re-execute on the fresh run).
-	ckptDir    string
-	ckptEvery  int
-	recoverRun bool
-
-	// Straggler hooks (vfrun -health-window/-drain/-slow-rank/
-	// -slow-factor).  With health scoring on, every compute statement
-	// (CALL, assignment, FORALL) reports its busy time to the machine's
-	// health scorer via Ctx.ReportWork — one statement is one work unit,
-	// which is comparable across ranks because the SPMD program executes
-	// the same statement sequence in lockstep.  The injection is
-	// report-side: slowRank's work reports are marked slowFactor× more
-	// expensive, so the scorer and the drain machinery react exactly as
-	// they would to a genuinely slow rank, without distorting the other
-	// ranks' measurements (a real mid-statement stall would also inflate
-	// their one-sided fetch waits and mask the straggler).  With drain
-	// enabled, every DISTRIBUTE checkpoint site doubles as a drain
-	// boundary: if a member is classified Degraded, the interpreter
-	// returns a *core.Resize naming the view rank to drain — from every
-	// member, at the same site (the decision is broadcast), right after a
-	// committed checkpoint — which core.RunEpochs turns into a Ctx.Drain
-	// epoch transition plus a recovery re-run.
-	healthOn   bool
-	drainOn    bool
-	slowRank   int
-	slowFactor float64
+	// Report, when set, receives the busy time of every compute statement
+	// (CALL, assignment, FORALL), its builtins' communication waits
+	// included: one unit of work, comparable across ranks that execute
+	// the same statements in lockstep.
+	Report func(ctx *machine.Ctx, busy time.Duration)
 }
-
-// SetStraggler configures the straggler hooks: health-scored work
-// reports (healthOn; the machine must run machine.WithHealth and
-// liveness heartbeats), drain decisions at DISTRIBUTE checkpoint sites
-// (drain; requires SetCheckpoint), and the synthetic straggler
-// (slowFactor > 1 inflates slowRank's reported per-statement cost).
-func (in *Interp) SetStraggler(healthOn, drain bool, slowRank int, slowFactor float64) {
-	in.healthOn, in.drainOn = healthOn, drain
-	in.slowRank, in.slowFactor = slowRank, slowFactor
-}
-
-// SetCheckpoint enables coordinated checkpoints into dir after every
-// every-th top-level DISTRIBUTE statement (every <= 0 means every one).
-func (in *Interp) SetCheckpoint(dir string, every int) {
-	if every <= 0 {
-		every = 1
-	}
-	in.ckptDir, in.ckptEvery = dir, every
-}
-
-// SetRecover makes the next Run restore the latest committed checkpoint
-// in the SetCheckpoint directory when it reaches the top-level
-// DISTRIBUTE statement that checkpoint was taken at.
-func (in *Interp) SetRecover(on bool) { in.recoverRun = on }
 
 // New creates an interpreter over an engine and registers Figure 1's
 // builtins, TRIDIAG and RESID; a program's other procedures are
@@ -153,12 +99,6 @@ type State struct {
 	Scalars map[string]float64
 	arrays  map[string]*core.Array
 
-	// sites numbers the top-level DISTRIBUTEs from 1; every rank runs the
-	// same statements in lockstep, so the checkpoint hooks fire
-	// collectively.  restoreAt is the site a recovery restores at (0: none).
-	sites     map[*lang.DistributeStmt]int
-	restoreAt int
-
 	// factors holds TRIDIAG's eliminations by line length.
 	factors map[int]kernels.Factor
 }
@@ -169,9 +109,11 @@ func (st *State) Array(name string) (*core.Array, bool) {
 	return a, ok
 }
 
-// Run executes the program on the calling processor (invoke from within
-// machine.Run on every rank).
-func (in *Interp) Run(ctx *machine.Ctx, unit *sem.Unit) (*State, error) {
+// NewState starts executing the program on the calling processor (invoke
+// from within machine.Run on every rank): its scalar environment holds the
+// PARAMETERs and $NP, and no array is declared yet.  Run and Trip execute
+// its statements.
+func (in *Interp) NewState(ctx *machine.Ctx, unit *sem.Unit) (*State, error) {
 	if unit.HasErrors() {
 		return nil, fmt.Errorf("interp: program has semantic errors: %v", unit.Diags[0])
 	}
@@ -181,48 +123,18 @@ func (in *Interp) Run(ctx *machine.Ctx, unit *sem.Unit) (*State, error) {
 		st.Scalars[k] = float64(v)
 	}
 	st.Scalars["$NP"] = float64(ctx.NP())
-	if in.ckptDir != "" {
-		st.sites = map[*lang.DistributeStmt]int{}
-		for _, s := range unit.Prog.Stmts {
-			if d, ok := s.(*lang.DistributeStmt); ok {
-				st.sites[d] = len(st.sites) + 1
-			}
-		}
-		var err error
-		if st.restoreAt, err = restoreSite(ctx, in); err != nil {
-			return st, err
-		}
-	}
-	if err := st.stmts(unit.Prog.Stmts); err != nil {
-		return st, err
-	}
 	return st, nil
 }
 
-// restoreSite is the site a recovery run restores at — the one its
-// latest committed epoch was taken at, as rank 0 reads it (collective),
-// or the first if none is readable, whose restore then says why — and 0
-// on a run that does not recover.
-func restoreSite(ctx *machine.Ctx, in *Interp) (int, error) {
-	if !in.recoverRun {
-		return 0, nil
-	}
-	at := []int{1}
-	if ctx.Rank() == 0 {
-		if _, man, _ := ckpt.LatestEpoch(in.ckptDir); man != nil {
-			if n, ok := man.MetaInt("distribute"); ok {
-				at[0] = n
-			}
-		}
-	}
-	at, err := ctx.Comm().BcastInts(0, at)
-	if err != nil {
-		return 0, fmt.Errorf("interp: recover: %w", err)
-	}
-	return at[0], nil
+// Trip executes one trip of a DO loop's body with its induction variable
+// set to v.
+func (st *State) Trip(do *lang.DoStmt, v float64) error {
+	st.Scalars[do.Var] = v
+	return st.Run(do.Body)
 }
 
-func (st *State) stmts(list []lang.Stmt) error {
+// Run executes a statement list.
+func (st *State) Run(list []lang.Stmt) error {
 	for _, s := range list {
 		if err := st.stmt(s); err != nil {
 			return err
@@ -261,9 +173,9 @@ func (st *State) stmt(s lang.Stmt) error {
 			return err
 		}
 		if c {
-			return st.stmts(stm.Then)
+			return st.Run(stm.Then)
 		}
-		return st.stmts(stm.Else)
+		return st.Run(stm.Else)
 	case *lang.DoStmt:
 		from, err := st.evalScalar(stm.From)
 		if err != nil {
@@ -283,8 +195,7 @@ func (st *State) stmt(s lang.Stmt) error {
 			return fmt.Errorf("%v: DO step is zero", stm.Pos())
 		}
 		for v := from; (step > 0 && v <= to) || (step < 0 && v >= to); v += step {
-			st.Scalars[stm.Var] = v
-			if err := st.stmts(stm.Body); err != nil {
+			if err := st.Trip(stm, v); err != nil {
 				return err
 			}
 		}
@@ -299,24 +210,15 @@ func (st *State) stmt(s lang.Stmt) error {
 	return fmt.Errorf("%v: unsupported statement %T", s.Pos(), s)
 }
 
-// computeStmt runs one compute statement through the straggler hooks,
-// reporting its busy time to the health scorer as one unit of work (the
-// injected straggler's report is inflated by slowFactor).  The builtins'
-// internal communication waits are included — demo-grade, but symmetric
-// across ranks in this lockstep execution model, so an injected
-// asymmetry still dominates the per-unit cost.
+// computeStmt runs one compute statement, reporting its busy time
+// through Interp.Report when that is set.
 func (st *State) computeStmt(run func() error) error {
-	in := st.In
-	if !in.healthOn {
+	if st.In.Report == nil {
 		return run()
 	}
 	t0 := time.Now()
 	err := run()
-	el := time.Since(t0)
-	if in.slowFactor > 1 && st.Ctx.PhysRank() == in.slowRank {
-		el = time.Duration(float64(el) * in.slowFactor)
-	}
-	st.Ctx.ReportWork(1, el)
+	st.In.Report(st.Ctx, time.Since(t0))
 	return err
 }
 
@@ -401,7 +303,7 @@ func (st *State) forall(stm *lang.ForallStmt) error {
 	// general body: full-range walk, owner-computes per element
 	for v := from; (step > 0 && v <= to) || (step < 0 && v >= to); v += step {
 		st.Scalars[stm.Var] = v
-		if err := st.stmts(stm.Body); err != nil {
+		if err := st.Run(stm.Body); err != nil {
 			return err
 		}
 	}
@@ -613,16 +515,6 @@ func (st *State) dimSpec(d lang.DistDim, dom index.Domain, dimIdx int, target st
 }
 
 func (st *State) distribute(stm *lang.DistributeStmt) error {
-	in := st.In
-	site := st.sites[stm] // 0: not a checkpoint site
-	if site > 0 && site == st.restoreAt {
-		// The site the checkpoint was taken at: replay the last committed
-		// epoch over the declared arrays, then let the statement itself
-		// re-establish the program's distribution.
-		if _, err := in.Engine.Restore(st.Ctx, in.ckptDir); err != nil {
-			return fmt.Errorf("%v: recover: %w", stm.Pos(), err)
-		}
-	}
 	// A DISTRIBUTE synchronizes nothing, but the interpreter's non-local
 	// element reads and writes (darray.Array.Get/Set) reach straight into
 	// the owner's Local — the shared-address backdoor of ROADMAP item 4.
@@ -636,42 +528,7 @@ func (st *State) distribute(stm *lang.DistributeStmt) error {
 	if err := st.distributeExec(stm); err != nil {
 		return err
 	}
-	if err := st.Ctx.Barrier(); err != nil {
-		return err
-	}
-	if site > 0 && site%in.ckptEvery == 0 {
-		meta := map[string]string{"distribute": fmt.Sprint(site)}
-		if _, err := in.Engine.Checkpoint(st.Ctx, in.ckptDir, meta); err != nil {
-			return fmt.Errorf("%v: checkpoint: %w", stm.Pos(), err)
-		}
-		if in.drainOn && st.Ctx.NP() > 1 {
-			view, err := st.drainDecision()
-			if err != nil {
-				return err
-			}
-			if view >= 0 {
-				return &core.Resize{Drain: view}
-			}
-		}
-	}
-	return nil
-}
-
-// drainDecision takes one DISTRIBUTE site's drain decision,
-// collectively: rank 0 consults the health scorer for a member
-// classified Degraded (or worse) and broadcasts its view rank, -1 for
-// "everyone is healthy".  The checkpoint this site just committed is
-// what the survivors replay after the drain.
-func (st *State) drainDecision() (int, error) {
-	vals := []int{-1}
-	if st.Ctx.Rank() == 0 {
-		vals[0] = st.Ctx.DegradedMember()
-	}
-	out, err := st.Ctx.Comm().BcastInts(0, vals)
-	if err != nil {
-		return -1, err
-	}
-	return out[0], nil
+	return st.Ctx.Barrier()
 }
 
 func (st *State) distributeExec(stm *lang.DistributeStmt) error {
@@ -735,7 +592,7 @@ func (st *State) selectStmt(stm *lang.SelectStmt) error {
 	}
 	dc := query.Select(st.Ctx.Rank(), sels...)
 	for _, arm := range stm.Arms {
-		action := func() error { return st.stmts(arm.Body) }
+		action := func() error { return st.Run(arm.Body) }
 		if arm.Default {
 			dc.Default(action)
 			continue

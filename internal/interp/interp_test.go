@@ -13,6 +13,15 @@ import (
 	"repro/internal/sem"
 )
 
+// run executes the whole program on the calling processor.
+func run(in *Interp, ctx *machine.Ctx, unit *sem.Unit) (*State, error) {
+	st, err := in.NewState(ctx, unit)
+	if err != nil {
+		return nil, err
+	}
+	return st, st.Run(unit.Prog.Stmts)
+}
+
 // runProgram executes src on np processors and returns rank 0's state and
 // a gather of the named array.
 func runProgram(t *testing.T, np int, src string, gather string) (map[string]float64, []float64) {
@@ -32,7 +41,7 @@ func runProgram(t *testing.T, np int, src string, gather string) (map[string]flo
 	var scalars map[string]float64
 	var data []float64
 	if err := m.Run(func(ctx *machine.Ctx) error {
-		st, err := in.Run(ctx, unit)
+		st, err := run(in, ctx, unit)
 		if err != nil {
 			return err
 		}
@@ -290,7 +299,7 @@ func TestInterpErrors(t *testing.T) {
 		e := core.NewEngine(m)
 		in := New(e)
 		return m.Run(func(ctx *machine.Ctx) error {
-			_, err := in.Run(ctx, unit)
+			_, err := run(in, ctx, unit)
 			return err
 		})
 	}
@@ -324,7 +333,7 @@ func TestTridiagBadLength(t *testing.T) {
 			return builtinTridiag(st, []any{args[0], math.NaN()})
 		})
 		err = m.Run(func(ctx *machine.Ctx) error {
-			_, err := in.Run(ctx, unit)
+			_, err := run(in, ctx, unit)
 			return err
 		})
 		m.Close()
@@ -356,7 +365,7 @@ CALL FILLSQ(A, N)
 	})
 	var data []float64
 	if err := m.Run(func(ctx *machine.Ctx) error {
-		st, err := in.Run(ctx, unit)
+		st, err := run(in, ctx, unit)
 		if err != nil {
 			return err
 		}
@@ -431,7 +440,7 @@ ENDFORALL
 	e := core.NewEngine(m)
 	in := New(e)
 	err = m.Run(func(ctx *machine.Ctx) error {
-		_, err := in.Run(ctx, unit)
+		_, err := run(in, ctx, unit)
 		return err
 	})
 	if err == nil || !strings.Contains(err.Error(), "not allowed inside FORALL") {
@@ -508,75 +517,6 @@ DISTRIBUTE B :: (:, BLOCK)
 	}
 }
 
-// runProgramCkpt is runProgram with the checkpoint hooks engaged.
-func runProgramCkpt(t *testing.T, np int, src, gather, dir string, rec bool) []float64 {
-	t.Helper()
-	prog, err := lang.Parse(src)
-	if err != nil {
-		t.Fatalf("parse: %v", err)
-	}
-	unit := sem.Analyze(prog)
-	if unit.HasErrors() {
-		t.Fatalf("sem: %v", unit.Diags)
-	}
-	m := machine.New(np)
-	t.Cleanup(func() { m.Close() })
-	in := New(core.NewEngine(m))
-	in.SetCheckpoint(dir, 1)
-	in.SetRecover(rec)
-	var data []float64
-	if err := m.Run(func(ctx *machine.Ctx) error {
-		st, err := in.Run(ctx, unit)
-		if err != nil {
-			return err
-		}
-		arr, _ := st.Array(gather)
-		got, err := arr.GatherTo(ctx, 0)
-		if err != nil {
-			return err
-		}
-		if ctx.Rank() == 0 {
-			data = got
-		}
-		return nil
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return data
-}
-
-// TestDistributeCheckpointRecover: a DISTRIBUTE statement commits a
-// checkpoint; a recovery run on fewer processors restores it at its first
-// DISTRIBUTE site and finishes with the same values.
-func TestDistributeCheckpointRecover(t *testing.T) {
-	const src = `
-PARAMETER (N = 12)
-REAL A(N) DYNAMIC, DIST(BLOCK)
-DO I = 1, N
-  A(I) = I * I
-ENDDO
-DISTRIBUTE A :: (CYCLIC)
-DO I = 1, N
-  A(I) = A(I) + 1
-ENDDO
-`
-	dir := t.TempDir()
-	want := runProgramCkpt(t, 4, src, "A", dir, false)
-	// The checkpoint holds A right after the DISTRIBUTE (values i*i); the
-	// recovery run restores it there, so the +1 pass still applies once.
-	got := runProgramCkpt(t, 3, src, "A", dir, true)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("A[%d] = %v after shrink-recovery, want %v", i+1, got[i], want[i])
-		}
-	}
-	for i := 0; i < 12; i++ {
-		if want[i] != float64((i+1)*(i+1)+1) {
-			t.Fatalf("reference A[%d] = %v, want %v", i+1, want[i], (i+1)*(i+1)+1)
-		}
-	}
-}
-
 // TestDistributeThenNonLocalReads: element reads on either side of an
 // interpreted DISTRIBUTE reach into the owners' storage (scalar
 // statements, an IF condition, an array statement).  The statement-level
@@ -641,7 +581,7 @@ DISTRIBUTE B :: (CYCLIC) NOTRANSFER (A)
 	e := core.NewEngine(m)
 	in := New(e)
 	if err := m.Run(func(ctx *machine.Ctx) error {
-		st, err := in.Run(ctx, unit)
+		st, err := run(in, ctx, unit)
 		if err != nil {
 			return err
 		}

@@ -23,6 +23,8 @@ package sem
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/lang"
@@ -430,6 +432,66 @@ func (u *Unit) EvalConst(e lang.Expr) (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// Listing is a program cut at its driver loop, the loop a run iterates,
+// checkpoints and resizes at: its last top-level DO, if PARAMETERs and
+// $NP give its bounds.
+type Listing struct {
+	// Decls are the top-level declarations; Pre and Post the other
+	// statements before and after Loop.  Without a Loop, Pre is them all
+	// and Trips is 1: the program is one iteration.
+	Decls, Pre, Post []lang.Stmt
+	Loop             *lang.DoStmt
+	// From and Step are Loop's first value and step, Trips its trip count.
+	From, Step, Trips int
+	// PerNP names the arrays whose bounds read $NP.
+	PerNP []string
+}
+
+// Cut cuts the program at its driver loop for a run on np processors.
+func (u *Unit) Cut(np int) Listing {
+	env := &Unit{Params: maps.Clone(u.Params)}
+	env.Params["$NP"] = np
+	l, at := Listing{Trips: 1}, -1
+	for i, s := range u.Prog.Stmts {
+		if do, ok := s.(*lang.DoStmt); ok {
+			at, l.Loop = i, do
+		}
+	}
+	if l.Loop != nil {
+		from, okFrom := env.EvalConst(l.Loop.From)
+		to, okTo := env.EvalConst(l.Loop.To)
+		step, okStep := 1, true
+		if l.Loop.Step != nil {
+			step, okStep = env.EvalConst(l.Loop.Step)
+		}
+		if okFrom && okTo && okStep && step != 0 {
+			l.From, l.Step, l.Trips = from, step, max(0, (to-from+step)/step)
+		} else {
+			at, l.Loop = -1, nil
+		}
+	}
+	for i, s := range u.Prog.Stmts {
+		switch s := s.(type) {
+		case *lang.ParameterStmt, *lang.ProcessorsStmt:
+			l.Decls = append(l.Decls, s)
+		case *lang.DeclStmt:
+			l.Decls = append(l.Decls, s)
+			for _, d := range s.Names {
+				if ai := u.Arrays[d.Name]; ai != nil && slices.Contains(ai.Extents, -1) {
+					l.PerNP = append(l.PerNP, d.Name)
+				}
+			}
+		default:
+			if at < 0 || i < at {
+				l.Pre = append(l.Pre, s)
+			} else if i > at {
+				l.Post = append(l.Post, s)
+			}
+		}
+	}
+	return l
 }
 
 // AbstractDim converts a parsed distribution component into the abstract

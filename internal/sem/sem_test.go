@@ -207,3 +207,39 @@ func TestAffineOf(t *testing.T) {
 		t.Fatal("I*J should not be affine")
 	}
 }
+
+// TestCut: the driver loop is the last top-level DO whose bounds
+// PARAMETERs and $NP give, with Fortran's trip count; a DO whose bounds
+// read a variable, or no DO at all, leaves the program one iteration.
+func TestCut(t *testing.T) {
+	const head = `
+PARAMETER (N = 7)
+INTEGER B($NP)
+REAL A(N) DIST(BLOCK)
+S = 0
+`
+	for _, c := range []struct {
+		loops                  string
+		from, trips, pre, post int
+		loop                   bool
+	}{
+		{"DO I = 1, N\n  S = S + 1\nENDDO\n", 1, 7, 1, 1, true},
+		{"DO I = 1, N\nENDDO\nDO K = $NP, 1, -2\nENDDO\n", 4, 2, 2, 1, true},
+		{"DO K = 5, 4\nENDDO\n", 5, 0, 1, 1, true},
+		{"DO K = 1, S\nENDDO\n", 0, 1, 3, 0, false},
+		{"", 0, 1, 2, 0, false},
+	} {
+		u := analyze(t, head+c.loops+"S = S + 2\n")
+		wantClean(t, u)
+		l := u.Cut(4)
+		if (l.Loop != nil) != c.loop || l.From != c.from || l.Trips != c.trips {
+			t.Errorf("%q: loop %v from %d, %d trips; want %v, %d, %d", c.loops, l.Loop != nil, l.From, l.Trips, c.loop, c.from, c.trips)
+		}
+		if len(l.Decls) != 3 || len(l.PerNP) != 1 || l.PerNP[0] != "B" {
+			t.Errorf("%q: %d declarations, per-processor %v; want 3 and [B]", c.loops, len(l.Decls), l.PerNP)
+		}
+		if len(l.Pre) != c.pre || len(l.Post) != c.post {
+			t.Errorf("%q: %d statements before the loop and %d after; want %d and %d", c.loops, len(l.Pre), len(l.Post), c.pre, c.post)
+		}
+	}
+}
