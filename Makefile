@@ -92,7 +92,7 @@ check-pic:
 	$(GO) test -race -run '^TestPIC' ./internal/apps
 
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
-# timeout, a join racing a death, two deaths in one liveness window),
+# timeout, a join racing a death, two deaths at the same moment),
 # expand-restores onto more ranks, the epoch-headroom and budget-parse
 # overflow guards, physical-rank gauge attribution across epochs, the
 # grow/shrink policy arithmetic, and the end-to-end apps that admit a
@@ -101,20 +101,22 @@ check-expand:
 	$(GO) test -race -run 'TestJoin|TestAdmit|TestRegroupTwoDead|TestExpand|TestRestoreOnto|TestFoldTagBoundary|TestParseBudgetOverflow|TestWireGaugeCrossEpoch|TestStepTime|TestRecommend|TestRedistCost' \
 	  ./internal/machine ./internal/ckpt ./internal/msg ./internal/redist ./internal/darray ./internal/scale ./internal/apps
 
-# The online-recovery matrix: membership-epoch regroup agreement,
-# epoch-folded tag views, typed epoch revocation, per-message CRC32C
+# The online-recovery matrix: deaths confirmed from missed deadlines by
+# one probe (a silenced rank confirmed, a sleeping one and a lost frame
+# not), membership-epoch regroup agreement, epoch-folded tag views and
+# their suspicion hook, typed epoch revocation, per-message CRC32C
 # integrity (bitflip -> named transport error, zero panics), and the
 # kill-a-rank-mid-run apps that regroup and finish in the same process,
 # bit-for-bit against the serial reference, and vfrun's interpreted
 # Figure 2 doing the same — all under the race detector.
 check-online:
-	$(GO) test -race -run 'TestOnlineRecover|TestOnlineBitflip|TestOnlineIntegrity|TestSoakOnline|TestRegroup|TestEpochRevoked|TestExcluded|TestIntegrity|TestView|TestFoldTag' \
+	$(GO) test -race -run 'TestOnlineRecover|TestOnlineBitflip|TestOnlineIntegrity|TestSoakOnline|TestLiveness|TestRegroup|TestEpochRevoked|TestExcluded|TestIntegrity|TestView|TestFoldTag' \
 	  ./internal/msg ./internal/machine ./internal/apps ./cmd/vfrun
 
 # The kill-a-rank matrix: checkpoint round-trips across every
 # distribution kind (incl. shrink restores), restores that read only the
-# rank files they need, heartbeat failure
-# detection, goroutine-leak gates, and the end-to-end kill-and-recover
+# rank files they need, failure detection
+# from missed deadlines, goroutine-leak gates, and the end-to-end kill-and-recover
 # apps and listing — all under the race detector.
 check-recovery:
 	$(GO) test -race -run 'TestRoundTrip|TestRestoreOnto|TestRestoreReadsOwnFile|TestEpochs|TestCorrupt|TestInterrupted|TestLiveness|TestSurvivors|TestErroringRun|TestPanickingRun|TestADIKillAndRecover|TestADIRecover|TestSmoothingRecover|TestPICRecover|TestListingRecover' \
@@ -136,8 +138,10 @@ check-drain:
 # TestStraggler*, TestOnlineRecover*, TestPIC* and TestExpandPIC* test
 # (PIC runs up to RebalanceEvery steps between two rendezvous), of
 # the darray package (whose DISTRIBUTE orders itself by messages, not
-# barriers) and the ckpt package (whose save folds parity partials over
-# a tree), and of msg's TestRecvTimeoutCheap (a goroutine count), under
+# barriers), the ckpt package (whose save folds parity partials over
+# a tree) and the machine package (whose deaths are confirmed from
+# missed deadlines), and of msg's TestRecvTimeoutCheap (a goroutine
+# count), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -147,7 +151,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.' './internal/machine:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/dist"
-	"repro/internal/machine"
 )
 
 const (
@@ -81,7 +80,6 @@ func BenchmarkExpandADI(b *testing.B) {
 			cfg.P = 3
 			cfg.CkptDir, cfg.CkptEvery = b.TempDir(), 1
 			cfg.CommTimeout, cfg.CommRetries = 150*time.Millisecond, 2
-			cfg.Liveness = &machine.LivenessConfig{}
 			cfg.Join, cfg.Elastic, cfg.JoinAfterIter = 1, true, 2
 			res, err := apps.RunADI(cfg)
 			if err != nil {
@@ -137,7 +135,6 @@ func BenchmarkStraggler(b *testing.B) {
 					NX: 64, NY: 64, Iters: 30, P: 4, Mode: apps.ADIDynamic, Validate: true,
 					Runtime: apps.Runtime{
 						CommTimeout: 250 * time.Millisecond, CommRetries: 2,
-						Liveness: &machine.LivenessConfig{Interval: 5 * time.Millisecond},
 						Straggler: apps.StragglerConfig{
 							HealthWindow: 4, DegradedRatio: 2, Hysteresis: 2,
 							Policy: policy, CheckAfter: 3, SlowRank: 2, SlowFactor: 8,

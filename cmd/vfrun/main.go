@@ -55,7 +55,7 @@ func main() {
 	deadline := flag.Duration("deadline", 0, "kill the whole process with a goroutine dump if it runs longer than this (hang watchdog; 0 = off)")
 	redistBudget := flag.String("redist-budget", "", "bound each DISTRIBUTE's peak resident wire bytes per rank, e.g. 64K, 2M (empty/0 = unbounded)")
 	elastic := flag.Bool("elastic", false, "after the run, print the cost-driven grow/shrink advice for P±1 ranks from the run's measured trace (see internal/scale)")
-	healthWin := flag.Int("health-window", 0, "score per-rank health from heartbeat-carried work reports over this EWMA observation window and print the report after the run (0 = off; see internal/health)")
+	healthWin := flag.Int("health-window", 0, "score per-rank health from the work reports every rank gathers at each trip of the driver loop, over this EWMA observation window, and print the report after the run (0 = off; see internal/health)")
 	drain := flag.Bool("drain", false, "voluntarily drain a rank classified Degraded at a trip boundary of the driver loop: members checkpoint, shrink the membership by one epoch and replay the checkpoint (requires -health-window and -ckpt-dir)")
 	slowRank := flag.Int("slow-rank", 1, "physical rank the straggler injection marks slow (with -slow-factor)")
 	slowFactor := flag.Float64("slow-factor", 1, "inflate -slow-rank's reported cost of every compute statement by this factor so the health scorer sees a straggler (<=1 = no injection)")
@@ -156,8 +156,9 @@ ENDDO
 		tr = trace.New(*np)
 		rt.Tracer = tr
 	}
-	if *onlineRec || *healthWin > 0 {
-		// The health scorer's work reports ride on the heartbeats too.
+	if *onlineRec || *drain {
+		// A drain is a membership transition like a regroup: both run
+		// under the deadlines whose misses are the failure signal.
 		rt = rt.Resilient(150 * time.Millisecond)
 	}
 	res, err := apps.RunListing(unit, *np, rt)

@@ -31,7 +31,10 @@ type Runtime struct {
 	Fault string
 	// CommTimeout/CommRetries install a deadline/retry policy on the
 	// collectives so injected faults surface as errors instead of hangs.
-	// The escalated per-receive deadline is capped at 4×CommTimeout.
+	// The escalated per-receive deadline is capped at 4×CommTimeout.  A
+	// CommTimeout also turns the machine's membership machinery on: a
+	// missed deadline raises a suspicion of the peer, one probe confirms
+	// a death, and Outcome.Survivors reports the ranks left.
 	CommTimeout time.Duration
 	CommRetries int
 	// CkptDir enables coordinated checkpoints: after every CkptEvery-th
@@ -48,14 +51,11 @@ type Runtime struct {
 	// replayed onto this run's P processors (shrunken if fewer survive)
 	// and the loop restarts after the checkpointed iteration.
 	Recover bool
-	// Liveness, when non-nil, runs the heartbeat failure detector so a
-	// run killed by a permanent rank loss can report its survivors.
-	Liveness *machine.LivenessConfig
 	// OnlineRecover enables in-process failure recovery: when a rank
 	// dies mid-run, the survivors Regroup onto the next membership
 	// epoch, replay the last committed checkpoint from CkptDir (if any)
 	// onto the shrunken processor view, and resume without leaving Run.
-	// Requires CkptDir, Liveness, and a CommTimeout.
+	// Requires a CkptDir and a CommTimeout.
 	OnlineRecover bool
 	// Integrity appends a CRC32C trailer to every wire message, turning
 	// silent payload corruption into the named msg.ErrIntegrity
@@ -63,7 +63,7 @@ type Runtime struct {
 	Integrity bool
 	// Join reserves this many extra ranks beyond P; they park in
 	// AwaitJoin and are admitted mid-run when Elastic is set (see
-	// machine.WithReserve).  Requires Liveness and a CommTimeout.
+	// machine.WithReserve).  Requires a CommTimeout.
 	Join int
 	// Elastic lets the active members poll for pending joiners at every
 	// iteration boundary at or after JoinAfterIter (0 = from the first);
@@ -88,21 +88,23 @@ func (rt Runtime) validate() error {
 	if rt.Recover && rt.CkptDir == "" {
 		return errors.New("apps: Recover requires a CkptDir")
 	}
-	if rt.OnlineRecover && (rt.CkptDir == "" || rt.Liveness == nil || rt.CommTimeout <= 0) {
-		return errors.New("apps: OnlineRecover requires a CkptDir, Liveness and a CommTimeout")
+	if rt.OnlineRecover && (rt.CkptDir == "" || rt.CommTimeout <= 0) {
+		return errors.New("apps: OnlineRecover requires a CkptDir and a CommTimeout")
+	}
+	if rt.Join > 0 && rt.CommTimeout <= 0 {
+		return errors.New("apps: Join requires a CommTimeout (admissions run over the membership machinery)")
 	}
 	if rt.Elastic && (rt.Join <= 0 || rt.CkptDir == "") {
 		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
 	}
-	return rt.Straggler.validate(rt.Liveness != nil, rt.CommTimeout, rt.CkptDir)
+	return rt.Straggler.validate(rt.CommTimeout, rt.CkptDir)
 }
 
-// Resilient is rt for a run that loses, admits or drains ranks: the
-// failure detector on, and deadlines — timeout and two retries unless
-// CommTimeout / CommRetries are already set — so that collectives a lost
-// rank leaves in flight abort instead of hanging.
+// Resilient is rt for a run that loses, admits or drains ranks: deadlines
+// — timeout and two retries unless CommTimeout / CommRetries are already
+// set — so that collectives a lost rank leaves in flight abort instead of
+// hanging, and the membership machinery the timeout turns on.
 func (rt Runtime) Resilient(timeout time.Duration) Runtime {
-	rt.Liveness = &machine.LivenessConfig{}
 	if rt.CommTimeout == 0 {
 		rt.CommTimeout = timeout
 	}
@@ -147,9 +149,9 @@ type Outcome struct {
 	// residency any redistribution reached — the quantity MemBudget
 	// bounds.
 	PeakWireBytes int64
-	// Survivors is the failure detector's surviving rank set, populated
-	// (even when the run errors) if Liveness was configured — the
-	// processor count a recovery run should use.
+	// Survivors is the set of ranks not confirmed dead, populated (even
+	// when the run errors) if a CommTimeout was set — the processor count
+	// a recovery run should use.
 	Survivors []int
 	// ResumedIter is the checkpointed iteration (0-based) a Recover run,
 	// or the last in-process replay, resumed after; -1 for a fresh start.
@@ -160,8 +162,9 @@ type Outcome struct {
 	// run without a transition, >0 after online recovery, a join or a
 	// drain.
 	FinalEpoch int
-	// DegradedRank is the first physical rank the health scorer ever
-	// classified Degraded (-1: none, or scoring off).
+	// DegradedRank is the first physical rank the health scorer of the
+	// final view's rank 0 ever classified Degraded (-1: none, or scoring
+	// off).
 	DegradedRank int
 	// Mitigation is the straggler mitigation that fired ("rebalance",
 	// "drain", or empty).
@@ -169,8 +172,9 @@ type Outcome struct {
 	// Drained lists the physical ranks voluntarily drained from the
 	// membership by the straggler policy.
 	Drained []int
-	// Health is the scorer's final per-rank report (nil with scoring
-	// off) — class, slowdown vs the median, and observation count.
+	// Health is the final per-rank report of the scorer of the final
+	// view's rank 0 (nil with scoring off) — class, slowdown vs the
+	// median, and observation count.
 	Health []health.RankReport
 }
 
@@ -200,9 +204,12 @@ type app struct {
 	// save, when set, adds the app's own state to a checkpoint's meta.
 	save func(meta map[string]string)
 
-	// mitigated is the loop's own: the straggler policy fires once per
-	// run, not once per epoch.
+	// mitigated, health and observed are the loop's own: the straggler
+	// policy fires once per run, not once per epoch, and the member's
+	// scorer keeps its observations across epochs.
 	mitigated bool
+	health    *health.Scorer
+	observed  int64
 }
 
 // NewMachine is the one place a machine is assembled: p processors (the
@@ -211,9 +218,9 @@ type app struct {
 // per msg.ParseFaultPlan) and then, outermost so that injected corruption
 // is caught, in the CRC32C integrity layer, which any corrupt/bitflip
 // fault rule implies — carrying the cost model and the tracer, then the
-// retry policy, the failure detector, the health scorer and the reserved
-// join slots.  Every structure indexed by physical rank is sized to the
-// capacity p+rt.Join.
+// retry policy (whose timeout turns the membership machinery on) and the
+// reserved join slots.  Every structure indexed by physical rank is sized
+// to the capacity p+rt.Join.
 func NewMachine(p int, alpha, beta float64, rt Runtime) (*machine.Machine, error) {
 	if err := rt.validate(); err != nil {
 		return nil, err
@@ -249,18 +256,10 @@ func NewMachine(p int, alpha, beta float64, rt Runtime) (*machine.Machine, error
 	if integrity {
 		tr = msg.NewIntegrityTransport(tr)
 	}
-	mopts := []machine.Option{
+	return machine.New(p,
 		machine.WithTransport(tr),
 		machine.WithRetry(msg.RetryPolicy{Timeout: rt.CommTimeout, Retries: rt.CommRetries}),
-		machine.WithReserve(rt.Join),
-	}
-	if rt.Liveness != nil {
-		mopts = append(mopts, machine.WithLiveness(*rt.Liveness))
-	}
-	if rt.Straggler.Enabled() {
-		mopts = append(mopts, machine.WithHealth(rt.Straggler.healthConfig()))
-	}
-	return machine.New(p, mopts...), nil
+		machine.WithReserve(rt.Join)), nil
 }
 
 // run executes an application under the resilient step loop and fills
@@ -279,24 +278,14 @@ func run(rc runConfig, out *Outcome, mk func(ctx *machine.Ctx) app) error {
 	start := time.Now()
 	err = m.Run(func(ctx *machine.Ctx) error {
 		a := mk(ctx)
+		if rc.Straggler.Enabled() {
+			a.health = health.New(m.Capacity(), rc.Straggler.healthConfig())
+		}
 		return core.RunEpochs(ctx, eng, rc.OnlineRecover, func(eng *core.Engine, replay bool) error {
 			return rc.epoch(ctx, eng, replay, &a, out)
 		})
 	})
 	out.Survivors = m.Survivors()
-	if h := m.Health(); h != nil {
-		ranks := make([]int, m.Capacity())
-		for i := range ranks {
-			ranks[i] = i
-		}
-		out.Health = h.Report(ranks)
-	}
-	for _, rr := range out.Health {
-		if rr.EverDegraded {
-			out.DegradedRank = rr.Rank
-			break
-		}
-	}
 	if err != nil {
 		return err
 	}
@@ -319,9 +308,10 @@ var testHookStep func(ctx *machine.Ctx, it int)
 // iterate.  At each iteration boundary it issues, in this order and
 // only when configured: the CkptEvery checkpoint; the elastic PollJoin
 // (one allreduce) and, on a pending joiner, a checkpoint and core.Grow;
-// the straggler decision (one broadcast, until a mitigation has fired)
-// and then the app's rebalance or a checkpoint and a drain request.  A
-// run with none of these configured adds no collective to the app's own.
+// the health observation (one allgather) and, until a mitigation has
+// fired, the straggler decision it feeds: the app's rebalance or a
+// checkpoint and a drain request.  A run with none of these configured
+// adds no collective to the app's own.
 func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *app, out *Outcome) error {
 	if err := a.declare(eng); err != nil {
 		return err
@@ -401,13 +391,18 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 				return core.Grow
 			}
 		}
-		// Straggler defense: one agreed decision per boundary once the
+		// Straggler defense: one health collective per boundary, and the
+		// decision every member takes from the same observations once the
 		// scorer has had a chance to classify.
+		if a.health == nil {
+			continue
+		}
+		a.observed++
+		if err := observeHealth(ctx, a.health, a.observed); err != nil {
+			return err
+		}
 		if sc.mitigating() && !a.mitigated && done >= sc.checkAfter() && done < rc.Iters {
-			dec, view, speeds, err := decideStraggler(ctx, sc)
-			if err != nil {
-				return err
-			}
+			dec, view, speeds := decideStraggler(ctx, sc, a.health)
 			switch dec {
 			case scale.Rebalance:
 				if err := a.rebalance(speeds); err != nil {
@@ -435,6 +430,19 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 	}
 	if ctx.Rank() == 0 {
 		out.FinalEpoch = ctx.Epoch()
+		if a.health != nil {
+			ranks := make([]int, ctx.Machine().Capacity())
+			for i := range ranks {
+				ranks[i] = i
+			}
+			out.Health = a.health.Report(ranks)
+			for _, rr := range out.Health {
+				if rr.EverDegraded {
+					out.DegradedRank = rr.Rank
+					break
+				}
+			}
+		}
 	}
 	return nil
 }

@@ -101,7 +101,7 @@ func (ty *toy) run(rc runConfig) (Outcome, error) {
 func TestStepLoop(t *testing.T) {
 	const iters = 12
 	elastic := func(rc *runConfig) {
-		rc.CommTimeout, rc.CommRetries, rc.Liveness = 150*time.Millisecond, 2, testLiveness()
+		rc.CommTimeout, rc.CommRetries = 150*time.Millisecond, 2
 	}
 	for _, tc := range []struct {
 		name       string
@@ -230,16 +230,16 @@ func TestDeclareErrorIsReturned(t *testing.T) {
 func TestAllAppsReportHealth(t *testing.T) {
 	sc := stragglerCfg("off")
 	sc.SlowFactor = 0
-	lv, to := testLiveness(), 250*time.Millisecond
-	adi, err := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
+	to := 250 * time.Millisecond
+	adi, err := RunADI(ADIConfig{NX: 16, NY: 16, Iters: 4, P: 4, Runtime: Runtime{CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	smooth, err := RunSmoothing(SmoothConfig{N: 16, Steps: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
+	smooth, err := RunSmoothing(SmoothConfig{N: 16, Steps: 4, P: 4, Runtime: Runtime{CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pic, err := RunPIC(PICConfig{NCell: 16, Steps: 4, P: 4, Runtime: Runtime{Liveness: lv, CommTimeout: to, Straggler: sc}})
+	pic, err := RunPIC(PICConfig{NCell: 16, Steps: 4, P: 4, Runtime: Runtime{CommTimeout: to, Straggler: sc}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ func expandADI(t *testing.T, mode ADIMode, useTCP bool, joinAfter int) ADIResult
 			UseTCP:        useTCP,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			Join:          1,
 			Elastic:       true,
 			JoinAfterIter: joinAfter,
@@ -78,7 +77,6 @@ func TestExpandRejectedJoin(t *testing.T) {
 			CkptDir: dir, CkptEvery: 1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			Join:          1,
 			Elastic:       true,
 			JoinAfterIter: 100,
@@ -106,7 +104,6 @@ func TestExpandUnderFault(t *testing.T) {
 			CkptEvery:     1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 			Join:          1,
 			Elastic:       true,
@@ -152,7 +149,6 @@ func TestExpandRespectsMemBudget(t *testing.T) {
 			CkptDir: dir, CkptEvery: 1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			Join:          1,
 			Elastic:       true,
 			JoinAfterIter: 2,
@@ -187,7 +183,6 @@ func TestExpandSmoothing(t *testing.T) {
 			CkptDir: dir, CkptEvery: 1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			Join:          1,
 			Elastic:       true,
 			JoinAfterIter: 2,
@@ -215,7 +210,6 @@ func TestExpandPICConservation(t *testing.T) {
 			CkptDir: dir, CkptEvery: 1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			Join:          1,
 			Elastic:       true,
 			JoinAfterIter: 2,

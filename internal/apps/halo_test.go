@@ -143,7 +143,6 @@ func TestOnlineRecoverSmoothingDepth(t *testing.T) {
 			CkptEvery:     3,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		},
 	}

@@ -100,7 +100,7 @@ func TestOnlineRecoverFig2(t *testing.T) {
 	}
 	rt := Runtime{
 		CkptEvery: 4, CommTimeout: 150 * time.Millisecond, CommRetries: 2,
-		Liveness: testLiveness(), OnlineRecover: true,
+		OnlineRecover: true,
 	}
 	after := killAfter(t, 2, 30, 0, func() error {
 		dry := rt

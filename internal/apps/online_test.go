@@ -26,7 +26,6 @@ func onlineADI(t *testing.T, useTCP bool, it, off int) {
 			UseTCP:        useTCP,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		},
 	}
@@ -72,6 +71,39 @@ func TestOnlineRecoverADITCP(t *testing.T) { onlineADI(t, true, 4, 0) }
 // TestOnlineRecoverADITCPMidCollective: sockets × late kill.
 func TestOnlineRecoverADITCPMidCollective(t *testing.T) { onlineADI(t, true, 6, 1) }
 
+// TestOnlineRecoverFaultFreeIsExact: a fault-free run with online
+// recovery on — a CkptDir and a CommTimeout, and with the timeout the
+// membership machinery — misses no deadline, so it sends no probe: it
+// reports the same messages, bytes and modelled makespan as the same run
+// without recovery, on both transports.
+func TestOnlineRecoverFaultFreeIsExact(t *testing.T) {
+	for _, useTCP := range []bool{false, true} {
+		plain := ADIConfig{
+			NX: 32, NY: 32, Iters: 6, P: 4, Mode: ADIDynamic, Validate: true,
+			Alpha: 1e-5, Beta: 1e-9,
+			Runtime: Runtime{CkptDir: t.TempDir(), CkptEvery: 2, UseTCP: useTCP},
+		}
+		rec := plain
+		rec.CkptDir = t.TempDir()
+		rec.CommTimeout, rec.CommRetries, rec.OnlineRecover = 2*time.Second, 2, true
+		var got [2]ADIResult
+		for i, cfg := range []ADIConfig{plain, rec} {
+			res, err := RunADI(cfg)
+			if err != nil {
+				t.Fatalf("tcp=%v recover=%v: %v", useTCP, cfg.OnlineRecover, err)
+			}
+			got[i] = res
+		}
+		if got[0].Msgs != got[1].Msgs || got[0].Bytes != got[1].Bytes || got[0].ModelTime != got[1].ModelTime {
+			t.Errorf("tcp=%v: with recovery %d msgs, %d bytes, model %v s; without %d, %d, %v s",
+				useTCP, got[1].Msgs, got[1].Bytes, got[1].ModelTime, got[0].Msgs, got[0].Bytes, got[0].ModelTime)
+		}
+		if got[1].FinalEpoch != 0 || got[1].MaxErr != 0 {
+			t.Errorf("tcp=%v: recovery run finished on epoch %d, MaxErr %g", useTCP, got[1].FinalEpoch, got[1].MaxErr)
+		}
+	}
+}
+
 // TestOnlineRecoverSmoothing: the smoothing app's double-buffered
 // stencil survives a mid-run rank loss in-process and still matches the
 // serial reference.
@@ -82,7 +114,6 @@ func TestOnlineRecoverSmoothing(t *testing.T) {
 			CkptEvery:     1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		},
 	}
@@ -117,7 +148,6 @@ func TestOnlineRecoverPICConservation(t *testing.T) {
 			CkptEvery:     1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		},
 	}
@@ -207,7 +237,6 @@ func TestSoakOnline(t *testing.T) {
 				CkptEvery:     1,
 				CommTimeout:   150 * time.Millisecond,
 				CommRetries:   2,
-				Liveness:      testLiveness(),
 				OnlineRecover: true,
 			},
 		}

@@ -125,7 +125,6 @@ func TestOnlineRecoverSmoothingOverlap(t *testing.T) {
 			CkptEvery:     1,
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
-			Liveness:      testLiveness(),
 			OnlineRecover: true,
 		},
 	}

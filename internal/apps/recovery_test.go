@@ -11,10 +11,6 @@ import (
 	"repro/internal/machine"
 )
 
-func testLiveness() *machine.LivenessConfig {
-	return &machine.LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond}
-}
-
 // iterStarts runs dry — the test's own configuration with the fault left
 // out — and returns how many messages victim had sent when each iteration
 // of its first epoch began.  A dry run turns the integrity layer on: like
@@ -22,9 +18,9 @@ func testLiveness() *machine.LivenessConfig {
 // path, so both runs send the same messages.  A fault rule on victim with
 // after=starts[it] first fires on the first send of iteration it: kill
 // points derived this way follow the run's message count wherever it
-// goes.  Heartbeats, which beat on the wall clock when liveness is on,
-// count in neither: the transports' Stats leave them out and a fault
-// rule's schedule skips them.
+// goes.  A fault-free run sends no membership probe, so the dry run's
+// counts are the program's own; the killed run's first probe comes after
+// the kill has fired.
 func iterStarts(t *testing.T, victim int, dry func() error) []int {
 	t.Helper()
 	var starts []int // appended by the victim's goroutine only
@@ -71,7 +67,6 @@ func TestADIKillAndRecover(t *testing.T) {
 	killed.P = 4
 	killed.CommTimeout = 150 * time.Millisecond
 	killed.CommRetries = 2
-	killed.Liveness = testLiveness()
 	after := killAfter(t, 2, 4, 0, func() error {
 		dry := killed
 		dry.CkptDir = t.TempDir()
@@ -196,7 +191,6 @@ func TestSoakChaos(t *testing.T) {
 		killed.Fault = fmt.Sprintf("drop,rank=%d,after=%d", victim, after)
 		killed.CommTimeout = 150 * time.Millisecond
 		killed.CommRetries = 2
-		killed.Liveness = testLiveness()
 		res, err := RunADI(killed)
 		if err == nil {
 			// The kill landed after the run finished all iterations —

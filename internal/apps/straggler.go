@@ -1,13 +1,16 @@
 // Straggler defense wiring shared by the application harnesses: a
 // StragglerConfig each app embeds, the compute-time injection that makes
-// a chosen rank measurably slow, the agreed per-boundary mitigation
-// decision (health report → scale policy → broadcast) the step loop
-// turns into a rebalance or a drain request.
+// a chosen rank measurably slow, and the per-boundary health collective
+// (work counters → every member's scorer → the same mitigation decision
+// on every member) the step loop turns into a rebalance or a drain
+// request.
 package apps
 
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -19,10 +22,10 @@ import (
 // StragglerConfig parameterizes an app run's straggler defense.  The
 // zero value disables everything.
 type StragglerConfig struct {
-	// HealthWindow enables health scoring when > 0: the machine runs the
-	// EWMA throughput scorer (machine.WithHealth) over this many
-	// observations, fed by the ranks' per-step work reports piggybacked
-	// on heartbeat traffic.  Requires Liveness.
+	// HealthWindow enables health scoring when > 0: every member runs
+	// the EWMA throughput scorer (internal/health) over this many
+	// observations, one per iteration boundary, fed by every member's
+	// cumulative work counters (machine.Ctx.ReportWork).
 	HealthWindow int
 	// DegradedRatio is the slowdown (vs the median rank) at which a rank
 	// is classified Degraded (default 2).
@@ -43,12 +46,12 @@ type StragglerConfig struct {
 	Policy string
 	// CheckAfter is the first iteration boundary at which the members
 	// evaluate the mitigation policy (default 2 — the scorer needs a few
-	// heartbeats of observations first).
+	// boundaries of observations first).
 	CheckAfter int
 	// SlowRank/SlowFactor inject a synthetic straggler for experiments:
 	// the given physical rank's compute sections are stretched by the
-	// factor (a sleep of at least stallQuantum).  Injection is active
-	// only when SlowFactor > 1.
+	// factor (a sleep of the extra time).  Injection is active only when
+	// SlowFactor > 1.
 	SlowRank   int
 	SlowFactor float64
 }
@@ -77,7 +80,7 @@ func (sc StragglerConfig) healthConfig() health.Config {
 
 // validate checks the prerequisites the chosen policy needs from the
 // surrounding app config.
-func (sc StragglerConfig) validate(haveLiveness bool, commTimeout time.Duration, ckptDir string) error {
+func (sc StragglerConfig) validate(commTimeout time.Duration, ckptDir string) error {
 	if !sc.Enabled() {
 		if sc.decide() != scale.Hold {
 			return fmt.Errorf("apps: straggler policy %q needs HealthWindow > 0 (nothing is measured)", sc.Policy)
@@ -88,9 +91,6 @@ func (sc StragglerConfig) validate(haveLiveness bool, commTimeout time.Duration,
 	case "", "off", "rebalance", "drain":
 	default:
 		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, or drain)", sc.Policy)
-	}
-	if !haveLiveness {
-		return errors.New("apps: straggler defense requires Liveness (work reports ride on heartbeats)")
 	}
 	if sc.mitigating() && commTimeout <= 0 {
 		return errors.New("apps: straggler mitigation requires a CommTimeout")
@@ -106,16 +106,13 @@ func (sc StragglerConfig) validate(haveLiveness bool, commTimeout time.Duration,
 // time.  Only compute sections go through timed — barrier and
 // communication waits must not count as work, or every rank waiting on
 // the straggler would itself look slow.
-//
-// The reported time is stretched by exactly SlowFactor; the stall that
-// pays for it lasts at least stallQuantum.
 func (sc StragglerConfig) timed(ctx *machine.Ctx, compute func()) time.Duration {
 	t0 := time.Now()
 	compute()
 	el := time.Since(t0)
 	if sc.SlowFactor > 1 && ctx.PhysRank() == sc.SlowRank {
 		extra := time.Duration(float64(el) * (sc.SlowFactor - 1))
-		time.Sleep(max(extra, stallQuantum))
+		time.Sleep(extra)
 		el += extra
 	}
 	return el
@@ -132,14 +129,6 @@ func (sc StragglerConfig) report(ctx *machine.Ctx, busy time.Duration) {
 	ctx.ReportWork(1, busy)
 }
 
-// stallQuantum is the shortest stall the injected straggler takes.  A
-// time.Sleep of 10 µs to 1 ms already parks for about a millisecond (the
-// runtime's poller waits in whole milliseconds) while a shorter one
-// returns in microseconds, so without the floor a sweep that gets faster
-// drops off that cliff and the injected rank stops holding anyone up:
-// the run is over before the heartbeat-fed scorer has its observations.
-const stallQuantum = time.Millisecond
-
 // localElems counts the rank's local allocation of v — the work units a
 // sweep over it performs.
 func localElems(ctx *machine.Ctx, v *core.Array) float64 {
@@ -150,41 +139,42 @@ func localElems(ctx *machine.Ctx, v *core.Array) float64 {
 	return float64(n)
 }
 
-// decideStraggler takes one iteration boundary's mitigation decision,
-// collectively.  Rank 0 consults the health scorer and the configured
-// policy; the decision, the straggler's view rank, and the measured
-// per-rank speeds are broadcast so every member acts identically (and
-// computes identical weighted bounds).  Returns Hold when no rank is
-// classified Degraded yet — the policy simply re-checks at the next
-// boundary.
-func decideStraggler(ctx *machine.Ctx, sc StragglerConfig) (scale.Decision, int, []float64, error) {
-	var vals []int
-	if ctx.Rank() == 0 {
-		np := ctx.NP()
-		vals = make([]int, 2+np)
-		vals[0], vals[1] = int(scale.Hold), -1
-		for i := range vals[2:] {
-			vals[2+i] = 1e6 // nominal speed
-		}
-		if view := ctx.DegradedMember(); view >= 0 && np > 1 {
-			vals[0], vals[1] = int(sc.decide()), view
-			for i, sp := range ctx.Machine().Health().Speeds(ctx.Members()) {
-				vals[2+i] = int(sp * 1e6)
-			}
-		}
-	}
-	out, err := ctx.Comm().BcastInts(0, vals)
+// observeHealth is one iteration boundary's health collective: every
+// member contributes its cumulative ReportWork counters to one
+// AllgatherInts and folds every member's into its own scorer as
+// observation seq, so all members' scorers hold the same observations.
+func observeHealth(ctx *machine.Ctx, h *health.Scorer, seq int64) error {
+	units, busy := ctx.Work()
+	all, err := ctx.Comm().AllgatherInts([]int{int(math.Float64bits(units)), int(busy)})
 	if err != nil {
-		return scale.Hold, -1, nil, err
+		return err
 	}
-	speeds := make([]float64, len(out)-2)
-	for i := range speeds {
-		speeds[i] = float64(out[2+i]) / 1e6
-		if speeds[i] <= 0 {
-			speeds[i] = 1
+	for i, w := range all {
+		if len(w) != 2 {
+			return fmt.Errorf("apps: health report of view rank %d has %d values, want 2", i, len(w))
 		}
+		h.Observe(ctx.PhysOf(i), seq, math.Float64frombits(uint64(w[0])), time.Duration(w[1]).Seconds())
 	}
-	return scale.Decision(out[0]), out[1], speeds, nil
+	return nil
+}
+
+// decideStraggler takes one iteration boundary's mitigation decision
+// from the member's own scorer — the same decision on every member,
+// which observeHealth fed the same data: the policy's decision, the
+// straggler's view rank and the members' measured speeds when a member
+// is classified Degraded or worse, Hold (re-check at the next boundary)
+// otherwise.
+func decideStraggler(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer) (scale.Decision, int, []float64) {
+	members := make([]int, ctx.NP())
+	for i := range members {
+		members[i] = ctx.PhysOf(i)
+	}
+	worst, class, _, ok := h.Worst(members)
+	if !ok || class < health.Degraded || len(members) < 2 {
+		return scale.Hold, -1, nil
+	}
+	view := slices.Index(members, worst)
+	return sc.decide(), view, h.Speeds(members)
 }
 
 // decide maps the configured policy to its decision for a Degraded rank:

@@ -22,7 +22,7 @@ func stragglerCfg(policy string) StragglerConfig {
 
 // stragglerADI is the shared shape of the mitigation matrix: a 4-rank
 // dynamic ADI with an injected 8× straggler on rank 2.  The health
-// scorer must classify it from the heartbeat-carried work reports, the
+// scorer must classify it from the boundary-gathered work reports, the
 // configured policy must fire at an iteration boundary, and the result
 // must still match the serial reference bit-for-bit.
 func stragglerADI(t *testing.T, useTCP bool, policy string) ADIResult {
@@ -34,7 +34,6 @@ func stragglerADI(t *testing.T, useTCP bool, policy string) ADIResult {
 			UseTCP:      useTCP,
 			CommTimeout: 250 * time.Millisecond,
 			CommRetries: 2,
-			Liveness:    testLiveness(),
 			Straggler:   stragglerCfg(policy),
 		},
 	}
@@ -108,7 +107,6 @@ func TestStragglerObserveOnly(t *testing.T) {
 		Runtime: Runtime{
 			CommTimeout: 250 * time.Millisecond,
 			CommRetries: 2,
-			Liveness:    testLiveness(),
 			Straggler:   stragglerCfg("off"),
 		},
 	})
@@ -136,7 +134,6 @@ func TestStragglerPICRebalance(t *testing.T) {
 		Runtime: Runtime{
 			CommTimeout: 250 * time.Millisecond,
 			CommRetries: 2,
-			Liveness:    testLiveness(),
 			Straggler:   stragglerCfg("rebalance"),
 		},
 	})
@@ -168,7 +165,6 @@ func TestStragglerPICDrain(t *testing.T) {
 			CkptDir: t.TempDir(), CkptEvery: 2,
 			CommTimeout: 250 * time.Millisecond,
 			CommRetries: 2,
-			Liveness:    testLiveness(),
 			Straggler:   stragglerCfg("drain"),
 		},
 	})
@@ -196,7 +192,6 @@ func TestStragglerSmoothingDrain(t *testing.T) {
 			CkptDir: t.TempDir(), CkptEvery: 2,
 			CommTimeout: 250 * time.Millisecond,
 			CommRetries: 2,
-			Liveness:    testLiveness(),
 			Straggler:   stragglerCfg("drain"),
 		},
 	})
@@ -228,25 +223,18 @@ func TestStragglerConfigValidation(t *testing.T) {
 		{"policy without window", func(c *ADIConfig) {
 			c.Straggler = StragglerConfig{Policy: "drain"}
 		}},
-		{"no liveness", func(c *ADIConfig) {
-			c.Straggler = StragglerConfig{HealthWindow: 4}
-		}},
 		{"mitigation without timeout", func(c *ADIConfig) {
-			c.Liveness = testLiveness()
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "rebalance"}
 		}},
 		{"drain without ckpt", func(c *ADIConfig) {
-			c.Liveness = testLiveness()
 			c.CommTimeout = 250 * time.Millisecond
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "drain"}
 		}},
 		{"unknown policy", func(c *ADIConfig) {
-			c.Liveness = testLiveness()
 			c.CommTimeout = 250 * time.Millisecond
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "panic"}
 		}},
 		{"online recover without ckpt", func(c *ADIConfig) {
-			c.Liveness = testLiveness()
 			c.CommTimeout = 250 * time.Millisecond
 			c.OnlineRecover = true
 		}},
@@ -254,7 +242,6 @@ func TestStragglerConfigValidation(t *testing.T) {
 			c.Recover = true
 		}},
 		{"static mode", func(c *ADIConfig) {
-			c.Liveness = testLiveness()
 			c.CommTimeout = 250 * time.Millisecond
 			c.Mode = ADIStaticCols
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "rebalance"}
@@ -272,7 +259,6 @@ func TestStragglerConfigValidation(t *testing.T) {
 		Runtime: Runtime{
 			CkptDir:     t.TempDir(),
 			CommTimeout: 250 * time.Millisecond,
-			Liveness:    testLiveness(),
 			Straggler:   StragglerConfig{HealthWindow: 4, Policy: "rebalance"},
 		},
 	}); err == nil {

@@ -17,7 +17,6 @@ import (
 func TestRunEpochsKeepsBodyError(t *testing.T) {
 	sentinel := errors.New("body failed")
 	m := machine.New(2,
-		machine.WithLiveness(machine.LivenessConfig{Interval: 5 * time.Millisecond, Window: 40 * time.Millisecond}),
 		machine.WithRetry(msg.RetryPolicy{Timeout: 20 * time.Millisecond, Retries: 1}))
 	defer m.Close()
 	eng := core.NewEngine(m)

@@ -18,12 +18,11 @@ import (
 // slot 2 — the dead rank — so per-rank budget verification read zero
 // for a rank that was busy and nonzero for a corpse.
 func TestWireGaugeCrossEpoch(t *testing.T) {
-	lc := machine.LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond}
 	cc := msg.RetryPolicy{Timeout: 150 * time.Millisecond, Retries: 2}
 	plan := &msg.FaultPlan{Rules: []msg.FaultRule{{Kind: msg.FaultDrop, Rank: 2, Peer: -1, After: 0}}}
 	m := machine.New(4,
 		machine.WithTransport(msg.NewFaultTransport(msg.NewChanTransport(4), plan)),
-		machine.WithLiveness(lc), machine.WithRetry(cc))
+		machine.WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *machine.Ctx) error {
 		var err error

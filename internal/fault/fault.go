@@ -91,26 +91,6 @@ func (in *Injector[R]) Fire(match func(*R) bool) *R {
 	return hit
 }
 
-// Holding returns the first rule (in plan order) that match accepts and
-// that has become permanent — a rule with no Count, Every or Prob to end
-// it that has fired at least once — or nil.  The operation is neither
-// counted nor drawn for: it is how traffic a schedule does not count
-// still meets a fault that no longer depends on counting.
-func (in *Injector[R]) Holding(match func(*R) bool) *R {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	if !in.armed {
-		return nil
-	}
-	for i := range in.rules {
-		r := &in.rules[i]
-		if w := in.win(r); match(r) && w.Prob <= 0 && w.Every <= 0 && w.Count <= 0 && in.seen[i] > w.After {
-			return r
-		}
-	}
-	return nil
-}
-
 // Kind is one row of a domain's kind table.  A rule's kind is its row
 // index; String(), the parser, the "want a|b|c" error and the CLI help
 // all read the same table, so adding a kind is a one-place change.

@@ -1,14 +1,15 @@
 // Package health scores the throughput of every rank of a running SPMD
 // machine and classifies each as Healthy, Degraded or Suspect — a state
-// machine deliberately distinct from the liveness detector's binary
-// dead set.  The liveness layer answers "is the rank gone?"; this layer
-// answers "is the rank *slow*?", which is what a drain-or-rebalance
-// policy needs: a persistently overloaded rank inflates every barrier
-// long before it misses a heartbeat.
+// machine deliberately distinct from the machine's binary dead set.  The
+// membership layer answers "is the rank gone?"; this layer answers "is
+// the rank *slow*?", which is what a drain-or-rebalance policy needs: a
+// persistently overloaded rank inflates every barrier long before it
+// misses a deadline.
 //
 // The scorer consumes per-rank work reports — cumulative (work units,
-// busy seconds) counters piggybacked on the machine's heartbeat traffic
-// — and maintains an EWMA of each rank's seconds-per-unit cost.  A
+// busy seconds) counters, which the step loop gathers from every member
+// at each iteration boundary — and maintains an EWMA of each rank's
+// seconds-per-unit cost.  A
 // rank's *slowdown* is its EWMA cost relative to the median across
 // ranks, so the classification is self-calibrating: it needs no
 // absolute speed model, only that most ranks are healthy.  Transitions
@@ -18,7 +19,7 @@
 // are, so one slow step (a GC pause, a page fault, a deschedule) never
 // flips anyone.
 //
-// Everything here is pure, mutex-guarded state; the machine layer feeds
+// Everything here is pure, mutex-guarded state; the step loop feeds
 // it and the policy layer reads it.
 package health
 
@@ -40,8 +41,8 @@ const (
 	// progress.
 	Degraded
 	// Suspect: slower than SuspectRatio × median — so slow that the
-	// policy should prefer draining it before the liveness window
-	// declares it dead mid-collective.
+	// policy should prefer draining it before its peers' deadlines run
+	// out mid-collective.
 	Suspect
 )
 
@@ -108,9 +109,8 @@ type rankState struct {
 }
 
 // Scorer maintains per-rank EWMA throughput scores with hysteresis.
-// All methods are safe for concurrent use; Observe is fed by every
-// rank's heartbeat monitor and deduplicates by report sequence, so the
-// n-fold delivery of an in-process machine collapses to one observation.
+// All methods are safe for concurrent use; Observe deduplicates by
+// report sequence, so a report delivered twice counts once.
 type Scorer struct {
 	mu    sync.Mutex
 	cfg   Config
@@ -127,7 +127,7 @@ func New(np int, cfg Config) *Scorer {
 // ignored), units and secs are *cumulative* work units completed and
 // busy seconds spent since the run began.  Deltas between consecutive
 // reports form the per-unit cost observation, so the sampling rate —
-// how often heartbeats pick the counters up — does not skew the score.
+// how often the counters are gathered — does not skew the score.
 func (s *Scorer) Observe(rank int, seq int64, units, secs float64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

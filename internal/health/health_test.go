@@ -168,9 +168,8 @@ func TestHysteresisRecovery(t *testing.T) {
 	}
 }
 
-// TestHealthDedupBySeq: the in-process machine delivers every heartbeat
-// to np monitors; replaying the same sequence must fold in exactly one
-// observation.
+// TestHealthDedupBySeq: replaying the same report sequence must fold in
+// exactly one observation.
 func TestHealthDedupBySeq(t *testing.T) {
 	s := New(2, Config{})
 	for i := 0; i < 5; i++ { // same report, five monitors

@@ -33,7 +33,7 @@ func (m *Machine) pendingDrains(phys []int) []int {
 	for _, p := range phys {
 		isMember[p] = true
 	}
-	dead := m.det.snapshotDead()
+	dead := m.dead.snapshot()
 	var out []int
 	for _, p := range m.drains.snapshot() {
 		if isMember[p] && !dead[p] {
@@ -44,7 +44,7 @@ func (m *Machine) pendingDrains(phys []int) []int {
 }
 
 // PendingDrains returns the physical ranks currently registered for a
-// voluntary drain (nil without WithLiveness).
+// voluntary drain (nil without a retry Timeout).
 func (m *Machine) PendingDrains() []int {
 	if m.drains == nil {
 		return nil
@@ -73,8 +73,8 @@ func (c *Ctx) Drain(viewRank int) error {
 	if c.reserved {
 		return errors.New("machine: Drain on a reserved rank (it has no membership to leave)")
 	}
-	if m.det == nil {
-		return errors.New("machine: Drain requires WithLiveness (drain transitions run over the liveness/epoch machinery)")
+	if m.dead == nil {
+		return errors.New("machine: Drain requires a retry Timeout (drain transitions run over the membership machinery)")
 	}
 	if viewRank < 0 || viewRank >= len(c.phys) {
 		return fmt.Errorf("machine: Drain(%d): no such view rank in epoch %d (NP=%d)", viewRank, c.epoch, len(c.phys))

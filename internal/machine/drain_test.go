@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/health"
 	"repro/internal/msg"
 )
 
@@ -16,8 +15,8 @@ import (
 // 3-rank epoch-1 view and their collectives work, and the run as a
 // whole succeeds — a voluntary departure is not an abort.
 func TestDrainShrinksEpoch(t *testing.T) {
-	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithRetry(cc))
+	cc := hbCfg()
+	m := New(4, WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
 		if err := ctx.Barrier(); err != nil {
@@ -110,14 +109,14 @@ func TestDrainRacingDeathOneEpoch(t *testing.T) {
 	}
 }
 
-// TestDrainedRunLeaksNoGoroutines: the drained rank's goroutine, its
-// heartbeat sender/monitor, and the health plumbing must all be joined
-// when the run ends — same gate the excluded/erroring paths pass.
+// TestDrainedRunLeaksNoGoroutines: the drained rank's goroutine must be
+// joined when the run ends, and its probe responder when the machine
+// closes — same gate the excluded/erroring paths pass.
 func TestDrainedRunLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {
-		lc, cc := hbCfg()
-		m := New(4, WithLiveness(lc), WithRetry(cc), WithHealth(health.Config{}))
+		cc := hbCfg()
+		m := New(4, WithRetry(cc))
 		err := m.Run(func(ctx *Ctx) error {
 			ctx.ReportWork(1, time.Millisecond)
 			if err := ctx.Barrier(); err != nil {
@@ -145,56 +144,8 @@ func TestDrainedRunLeaksNoGoroutines(t *testing.T) {
 	}
 }
 
-// TestHealthPiggyback: end to end through the real heartbeat plane —
-// ranks report work, heartbeats carry the counters, monitors feed the
-// shared scorer, and the 8× rank is the one classified Degraded.
-func TestHealthPiggyback(t *testing.T) {
-	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithRetry(cc),
-		WithHealth(health.Config{Window: 4, DegradedRatio: 2, SuspectRatio: 50, Hysteresis: 2}))
-	defer m.Close()
-	err := m.Run(func(ctx *Ctx) error {
-		cost := time.Millisecond
-		if ctx.PhysRank() == 3 {
-			cost = 8 * time.Millisecond
-		}
-		for i := 0; i < 40; i++ {
-			ctx.ReportWork(100, cost)
-			time.Sleep(5 * time.Millisecond)
-		}
-		return ctx.Barrier()
-	})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	h := m.Health()
-	if h == nil {
-		t.Fatal("Machine.Health() = nil with WithHealth")
-	}
-	rep := h.Report([]int{0, 1, 2, 3})
-	if n := rep[3].Observations; n < 3 {
-		t.Fatalf("only %d observations of rank 3 made it through the heartbeat plane", n)
-	}
-	if c := rep[3].Class; c != health.Degraded {
-		t.Fatalf("8x rank classified %v, want degraded (slowdown %.2f over %d obs)",
-			c, rep[3].Slowdown, rep[3].Observations)
-	}
-	if sd := rep[3].Slowdown; sd < 3 {
-		t.Fatalf("slowdown(3) = %.2f, want ≈8", sd)
-	}
-	for r := 0; r < 3; r++ {
-		if c := rep[r].Class; c != health.Healthy {
-			t.Fatalf("healthy rank %d classified %v", r, c)
-		}
-	}
-	if !rep[3].EverDegraded {
-		t.Fatal("EverDegraded not set on the straggler")
-	}
-}
-
 // TestDrainValidation: misconfiguration and bad arguments are named
-// errors, not hangs — and WithHealth without WithLiveness panics at
-// construction, like WithReserve.
+// errors, not hangs.
 func TestDrainValidation(t *testing.T) {
 	m := New(2)
 	defer m.Close()
@@ -208,8 +159,8 @@ func TestDrainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	lc, cc := hbCfg()
-	m2 := New(2, WithLiveness(lc), WithRetry(cc))
+	cc := hbCfg()
+	m2 := New(2, WithRetry(cc))
 	defer m2.Close()
 	err = m2.Run(func(ctx *Ctx) error {
 		if err := ctx.Drain(7); err == nil {
@@ -221,12 +172,4 @@ func TestDrainValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("WithHealth without WithLiveness should panic")
-			}
-		}()
-		New(2, WithHealth(health.Config{}))
-	}()
 }

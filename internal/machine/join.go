@@ -26,7 +26,7 @@ import (
 var ErrNeverJoined = fmt.Errorf("machine: reserved rank was never admitted: %w", ErrExcluded)
 
 // joinReg is the machine-shared registry of reserved ranks waiting to
-// be admitted.  Like the failure detector it is deliberately
+// be admitted.  Like the dead set it is deliberately
 // in-process-shared state: the analogue of a membership service's
 // connection table, not something the paper's static-processor model
 // provides.
@@ -75,7 +75,7 @@ func (m *Machine) pendingJoiners(phys []int) []int {
 	for _, p := range phys {
 		isMember[p] = true
 	}
-	dead := m.det.snapshotDead()
+	dead := m.dead.snapshot()
 	var out []int
 	for _, p := range m.joins.snapshot() {
 		if !isMember[p] && !dead[p] {
@@ -83,15 +83,6 @@ func (m *Machine) pendingJoiners(phys []int) []int {
 		}
 	}
 	return out
-}
-
-// PendingJoiners returns the physical ranks currently registered and
-// waiting to be admitted (nil without WithReserve/WithLiveness).
-func (m *Machine) PendingJoiners() []int {
-	if m.joins == nil {
-		return nil
-	}
-	return m.joins.snapshot()
 }
 
 // AwaitJoin registers this reserved rank with the machine and blocks
@@ -105,8 +96,7 @@ func (m *Machine) PendingJoiners() []int {
 // If the run ends without an admission (all engaged ranks returned, or
 // the transport closed under an abort), AwaitJoin returns
 // ErrNeverJoined, which the body should return; Machine.Run treats it
-// as a non-fatal exit.  A joiner that the failure detector declared
-// dead while waiting returns ErrExcluded.
+// as a non-fatal exit.
 func (c *Ctx) AwaitJoin() error {
 	m := c.m
 	if !c.reserved {
@@ -122,9 +112,8 @@ func (c *Ctx) AwaitJoin() error {
 
 	m.joins.add(myPhys)
 	ep := m.transport.Endpoint(myPhys)
-	poll := m.liveness.Interval
 	for {
-		pkt, err := ep.RecvTimeout(msg.AnySource, msg.TagJoinWelcome, poll)
+		pkt, err := ep.RecvTimeout(msg.AnySource, msg.TagJoinWelcome, m.retry.Timeout)
 		switch {
 		case err == nil:
 			vals := msg.DecodeInts(pkt.Data)
@@ -145,8 +134,7 @@ func (c *Ctx) AwaitJoin() error {
 			c.phys = members
 			c.rank = myView
 			c.reserved = false
-			c.comm = msg.NewComm(msg.NewView(ep, epoch, members, m.epochCheck(members)))
-			c.comm.SetRetry(m.retry)
+			c.comm = m.epochComm(myPhys, epoch, members)
 			c.collSeq = 0
 			if tr != nil {
 				tr.Instant(myPhys, trace.CatPhase, fmt.Sprintf("epoch:%d", epoch), myView, int64(len(members)))
@@ -161,11 +149,6 @@ func (c *Ctx) AwaitJoin() error {
 			// An SPMD abort tore the transport down before anyone
 			// admitted us.
 			return fmt.Errorf("machine: rank %d: %w", myPhys, ErrNeverJoined)
-		}
-		if m.det.snapshotDead()[myPhys] {
-			// Fail-stop contract: a joiner the detector declared dead
-			// will never be admitted.
-			return fmt.Errorf("machine: physical rank %d: %w", myPhys, ErrExcluded)
 		}
 		select {
 		case <-m.run.stop:

@@ -12,12 +12,12 @@ import (
 // parked joiners, liveness, deadlines, and an optional fault plan.
 func joinMachine(t *testing.T, base, reserve int, plan *msg.FaultPlan) *Machine {
 	t.Helper()
-	lc, cc := hbCfg()
+	cc := hbCfg()
 	var tr msg.Transport = msg.NewChanTransport(base + reserve)
 	if plan != nil {
 		tr = msg.NewFaultTransport(tr, plan)
 	}
-	return New(base, WithReserve(reserve), WithTransport(tr), WithLiveness(lc), WithRetry(cc))
+	return New(base, WithReserve(reserve), WithTransport(tr), WithRetry(cc))
 }
 
 // TestJoinAdmit: a reserved rank registers via AwaitJoin; the two active
@@ -139,17 +139,17 @@ func TestAdmitNothingPending(t *testing.T) {
 	}
 }
 
-// TestRegroupTwoDeadSameWindow: two ranks go silent inside the same
-// liveness window; the mask agreement must converge on the union and
+// TestRegroupTwoDeadSameWindow: two ranks go silent at the same moment;
+// the mask agreement must converge on the union and
 // produce one epoch transition excluding both.
 func TestRegroupTwoDeadSameWindow(t *testing.T) {
-	lc, cc := hbCfg()
+	cc := hbCfg()
 	plan := &msg.FaultPlan{Rules: []msg.FaultRule{
 		{Kind: msg.FaultDrop, Rank: 2, Peer: -1, After: 0},
 		{Kind: msg.FaultDrop, Rank: 3, Peer: -1, After: 0},
 	}}
 	m := New(5, WithTransport(msg.NewFaultTransport(msg.NewChanTransport(5), plan)),
-		WithLiveness(lc), WithRetry(cc))
+		WithRetry(cc))
 	defer m.Close()
 	err := m.Run(func(ctx *Ctx) error {
 		var err error

@@ -1,116 +1,72 @@
 package machine
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
 	"repro/internal/msg"
 )
 
-// LivenessConfig enables the machine's failure detector: every processor
-// periodically sends a heartbeat to every peer on the reserved
-// msg.TagHeartbeat tag, and a machine-wide detector declares a processor
-// permanently dead once no heartbeat from it has been observed for the
-// silence window.  The declaration is sticky — a processor that falls
-// silent past the window is treated as lost even if (say) a partitioned
-// link later heals; this is the fail-stop model checkpoint recovery
-// needs, not a suspicion list.
+// Liveness has no signal of its own: it is derived from the deadlines the
+// run already keeps.  The membership machinery (epoch views, the dead set
+// and the probe responders) is on exactly when the retry policy has a
+// Timeout.  A receive retried under that policy that misses its deadline
+// on a named peer raises a suspicion of the peer (msg.View.Suspect), and
+// one probe clears or confirms it:
 //
-// Because the detector state is shared by all ranks of the in-process
-// machine, survivors trivially agree on the surviving rank set; a
-// distributed deployment would need a membership consensus round here,
-// which is out of scope for this engine (the paper's model is a static
-// processor set — liveness exists to drive the checkpoint/restart
-// experiments).
-type LivenessConfig struct {
-	// Interval between heartbeats each rank sends to every peer.
-	// Defaults to 10ms.
-	Interval time.Duration
-	// Window is the silence span after which a peer is declared dead.
-	// Defaults to 8×Interval.  It must be comfortably smaller than the
-	// communication layer's total retry budget, so death is detected
-	// before a blocked collective aborts the run.
-	Window time.Duration
+//   - The suspecting rank sends a zero-byte msg.TagProbe frame to the
+//     peer's physical endpoint.  On the chan transport the frame lands in
+//     the peer's mailbox; on TCP it crosses the peer's loopback socket and
+//     the peer's reader goroutine files it there.  Either way the peer's
+//     probe responder — a goroutine per endpoint, not the peer's compute
+//     loop — takes it and sends a zero-byte msg.TagProbeReply back.  A rank
+//     asleep in its body, or computing, still answers.
+//   - Both frames go through the same transport stack as the program's
+//     messages: the fault injector, the CRC32C layer, the statistics and
+//     the cost model.  A permanent drop,rank=R rule therefore drops R's
+//     replies like all its other sends, and R falls silent to every probe.
+//   - No reply within the policy's first deadline confirms the death —
+//     unless the suspecting rank's own sends are the ones being lost (the
+//     others have confirmed it dead already, or it cannot reach its own
+//     responder either): then it is the rank confirmed dead (the
+//     fail-stop rule: a rank that finds itself dead leaves with
+//     ErrExcluded).  A probe cut short by a closing transport confirms
+//     nothing.
+//
+// Only a confirmed death enters the machine's dead set, which revokes
+// every epoch the rank belongs to (ErrEpochRevoked) and feeds Regroup and
+// Survivors.  A run that misses no deadline sends no probe.
+//
+// The dead set is shared by all ranks of the in-process machine, so
+// survivors trivially agree on it; a distributed deployment would need a
+// membership consensus round here, which is out of scope for this engine
+// (the paper's model is a static processor set — liveness exists to drive
+// the recovery experiments).
+
+// deadSet is the machine-wide, sticky set of confirmed deaths, indexed
+// by physical rank.
+type deadSet struct {
+	mu   sync.Mutex
+	dead []bool
 }
 
-func (lc LivenessConfig) withDefaults() LivenessConfig {
-	if lc.Interval <= 0 {
-		lc.Interval = 10 * time.Millisecond
-	}
-	if lc.Window <= 0 {
-		lc.Window = 8 * lc.Interval
-	}
-	return lc
-}
-
-// WithLiveness runs the failure detector alongside every Run on this
-// machine.
-func WithLiveness(lc LivenessConfig) Option {
-	l := lc.withDefaults()
-	return func(c *config) { c.liveness = &l }
-}
-
-// detector is the machine-wide failure detector state.  lastSeen[r] is
-// only advanced by heartbeats actually received *from* r — a rank never
-// vouches for itself — so a rank whose outbound messages are all lost
-// (the fault injector's permanent-kill model) goes silent here exactly
-// as a crashed process would.
-type detector struct {
-	mu       sync.Mutex
-	window   time.Duration
-	lastSeen []time.Time
-	dead     []bool
-}
-
-func newDetector(np int, window time.Duration) *detector {
-	d := &detector{
-		window:   window,
-		lastSeen: make([]time.Time, np),
-		dead:     make([]bool, np),
-	}
-	now := time.Now()
-	for i := range d.lastSeen {
-		d.lastSeen[i] = now
-	}
-	return d
-}
-
-func (d *detector) beat(rank int) {
+func (d *deadSet) mark(r int) {
 	d.mu.Lock()
-	d.lastSeen[rank] = time.Now()
+	d.dead[r] = true
 	d.mu.Unlock()
 }
 
-// sweep marks every rank silent for longer than the window as dead
-// (sticky).  With a single processor there are no peers to observe
-// anyone, so nothing is ever marked.
-func (d *detector) sweep() {
-	if len(d.lastSeen) < 2 {
-		return
-	}
-	now := time.Now()
-	d.mu.Lock()
-	for r := range d.lastSeen {
-		if !d.dead[r] && now.Sub(d.lastSeen[r]) > d.window {
-			d.dead[r] = true
-		}
-	}
-	d.mu.Unlock()
-}
-
-// snapshotDead returns a copy of the sticky dead mask, indexed by
-// physical rank.
-func (d *detector) snapshotDead() []bool {
+// snapshot returns a copy of the dead mask.
+func (d *deadSet) snapshot() []bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	out := make([]bool, len(d.dead))
-	copy(out, d.dead)
-	return out
+	return append([]bool(nil), d.dead...)
 }
 
-// firstDeadOf returns the lowest physical rank among phys that the
-// detector has declared dead, or -1 when all are live.
-func (d *detector) firstDeadOf(phys []int) int {
+// firstOf returns the lowest physical rank among phys confirmed dead, or
+// -1 when all are live.
+func (d *deadSet) firstOf(phys []int) int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	for _, r := range phys {
@@ -121,98 +77,103 @@ func (d *detector) firstDeadOf(phys []int) int {
 	return -1
 }
 
-func (d *detector) survivors() []int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	out := make([]int, 0, len(d.dead))
-	for r, dd := range d.dead {
-		if !dd {
+// Survivors returns the ranks not confirmed dead, in rank order, or nil
+// when the machine runs without a retry Timeout.  After a Run aborted by
+// a permanent rank loss, this is the processor set a recovery run should
+// be sized to.
+func (m *Machine) Survivors() []int {
+	if m.dead == nil {
+		return nil
+	}
+	var out []int
+	for r, d := range m.dead.snapshot() {
+		if !d {
 			out = append(out, r)
 		}
 	}
 	return out
 }
 
-// Survivors returns the ranks the failure detector has not declared
-// dead, in rank order, or nil when the machine runs without liveness
-// (WithLiveness).  After a Run aborted by a permanent rank loss, this is
-// the processor set a recovery run should be sized to.
-func (m *Machine) Survivors() []int {
-	if m.det == nil {
-		return nil
-	}
-	return m.det.survivors()
+// revoked is the error a rank gets once physical rank r is confirmed dead.
+func revoked(r int) error {
+	return fmt.Errorf("%w: member (physical rank %d) declared dead", ErrEpochRevoked, r)
 }
 
-// livenessRuntime owns the heartbeat goroutines of one Run: per rank,
-// one sender (heartbeats to every peer each interval) and one monitor
-// (receive loop on the heartbeat tag feeding the detector).  stop()
-// terminates and joins all of them — Run must not leak goroutines, even
-// when it returns an error.
-type livenessRuntime struct {
-	stopCh chan struct{}
-	wg     sync.WaitGroup
-}
-
-func (m *Machine) startLiveness() *livenessRuntime {
-	lc := *m.liveness
-	lv := &livenessRuntime{stopCh: make(chan struct{})}
+// startResponders starts one probe responder per endpoint.  A responder
+// lives as long as the transport: it returns when Close (or an SPMD abort)
+// closes it, and Close waits for it.
+func (m *Machine) startResponders() {
 	for r := 0; r < m.np; r++ {
 		ep := m.transport.Endpoint(r)
-
-		lv.wg.Add(1)
-		go func(rank int) { // sender
-			defer lv.wg.Done()
-			tick := time.NewTicker(lc.Interval)
-			defer tick.Stop()
+		m.probes.Add(1)
+		go func() {
+			defer m.probes.Done()
 			for {
-				select {
-				case <-lv.stopCh:
-					return
-				case <-tick.C:
-				}
-				// With health enabled the heartbeat carries this rank's
-				// latest cumulative work counters — the piggyback that
-				// feeds the throughput scorer at zero extra messages.
-				payload := m.heartbeatPayload(rank)
-				for to := 0; to < m.np; to++ {
-					if to == rank {
-						continue
-					}
-					if err := ep.Send(to, msg.TagHeartbeat, payload); err != nil {
-						return // transport closed: the run is over
-					}
-				}
-			}
-		}(r)
-
-		lv.wg.Add(1)
-		go func() { // monitor
-			defer lv.wg.Done()
-			for {
-				p, err := ep.RecvTimeout(msg.AnySource, msg.TagHeartbeat, lc.Interval)
+				p, err := ep.Recv(msg.AnySource, msg.TagProbe)
 				switch {
 				case err == nil:
-					m.det.beat(p.From)
-					m.observeHeartbeat(p.From, p.Data)
+					ep.Send(p.From, msg.TagProbeReply, nil) //nolint:errcheck // a lost reply is what a probe detects
 				case isClosedErr(err):
-					// An SPMD abort, not a peer death: the detector keeps
-					// whatever it knew, and the loop exits.
 					return
-				}
-				m.det.sweep()
-				select {
-				case <-lv.stopCh:
-					return
-				default:
+				default: // an injected receive fault: the probe waits in the mailbox
+					time.Sleep(m.retry.Backoff(0))
 				}
 			}
 		}()
 	}
-	return lv
 }
 
-func (lv *livenessRuntime) stop() {
-	close(lv.stopCh)
-	lv.wg.Wait()
+// probe sends one probe from physical rank by to peer's responder and
+// waits the retry policy's first deadline for the reply.  nil means peer
+// answered.
+func (m *Machine) probe(by, peer int) error {
+	ep := m.transport.Endpoint(by)
+	if err := msg.SendRetry(ep, m.retry, m.Tracer(), "probe", peer, msg.TagProbe, nil); err != nil {
+		return err
+	}
+	_, err := ep.RecvTimeout(peer, msg.TagProbeReply, m.retry.Deadline(0))
+	return err
+}
+
+// suspect settles physical rank by's suspicion of peer, whose deadline it
+// missed: nil when peer answers its probe (or the transport closed under
+// an abort, which the caller's own receive reports), a revocation naming
+// the rank confirmed dead otherwise — peer, or by itself when by's own
+// sends are the ones being lost: others have confirmed it dead already,
+// or it cannot reach its own responder either.
+func (m *Machine) suspect(by, peer int) error {
+	if r := m.dead.firstOf([]int{by, peer}); r >= 0 {
+		return revoked(r)
+	}
+	if err := m.probe(by, peer); err == nil || isClosedErr(err) {
+		return nil
+	}
+	victim := peer
+	if m.dead.firstOf([]int{by}) >= 0 {
+		victim = by
+	} else if err := m.probe(by, by); err != nil {
+		if isClosedErr(err) {
+			return nil
+		}
+		victim = by
+	}
+	m.dead.mark(victim)
+	return revoked(victim)
+}
+
+// epochComm is physical rank me's collectives handle on an epoch's view
+// of members: epoch-folded tags, renumbered ranks, the retry policy, the
+// dead-set check before every attempt and the suspicion hook after every
+// missed deadline.
+func (m *Machine) epochComm(me, epoch int, members []int) *msg.Comm {
+	v := msg.NewView(m.transport.Endpoint(me), epoch, members, func() error {
+		if r := m.dead.firstOf(members); r >= 0 {
+			return revoked(r)
+		}
+		return nil
+	})
+	v.SetSuspect(func(peer int) error { return m.suspect(me, peer) })
+	c := msg.NewComm(v)
+	c.SetRetry(m.retry)
+	return c
 }

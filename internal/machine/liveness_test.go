@@ -2,6 +2,7 @@ package machine
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -9,58 +10,142 @@ import (
 	"repro/internal/msg"
 )
 
-// hbCfg is a liveness/retry configuration tuned so tests detect a dead
-// rank well before a blocked collective exhausts its retries.
-func hbCfg() (LivenessConfig, msg.RetryPolicy) {
-	return LivenessConfig{Interval: 5 * time.Millisecond, Window: 75 * time.Millisecond},
-		msg.RetryPolicy{Timeout: 150 * time.Millisecond, Retries: 2}
+// hbCfg is the retry policy of the membership tests: its Timeout is the
+// deadline whose misses raise suspicions, and the deadline a probe's
+// reply gets.
+func hbCfg() msg.RetryPolicy {
+	return msg.RetryPolicy{Timeout: 150 * time.Millisecond, Retries: 2}
 }
 
-// TestLivenessAllAlive: a healthy run declares no one dead.
-func TestLivenessAllAlive(t *testing.T) {
-	lc, cc := hbCfg()
-	m := New(4, WithLiveness(lc), WithRetry(cc))
+// TestLivenessSilentRankConfirmed: a rank silenced by a permanent drop
+// rule mid-run is confirmed dead from the deadlines the survivors miss on
+// it, and the survivors have regrouped within 4×Timeout of the last send
+// the silenced rank could have made (it entered its last barrier before
+// the kill at that instant).
+func TestLivenessSilentRankConfirmed(t *testing.T) {
+	cc := hbCfg()
+	const killAt = 3 // rank 2's sends are dropped from its 4th barrier on
+	m := regroupMachine(t, killPlan(t, 2, 2*killAt))
 	defer m.Close()
+	var lastSend time.Time // rank 2 enters barrier killAt-1
+	regrouped := make([]time.Time, 4)
 	err := m.Run(func(ctx *Ctx) error {
-		time.Sleep(3 * lc.Window) // give heartbeats several windows
+		var err error
+		for i := 0; err == nil; i++ {
+			if i == 400 {
+				return errors.New("no revocation observed")
+			}
+			if ctx.PhysRank() == 2 && i == killAt-1 {
+				lastSend = time.Now()
+			}
+			time.Sleep(time.Millisecond)
+			err = ctx.Barrier()
+		}
+		if !errors.Is(err, ErrEpochRevoked) {
+			return fmt.Errorf("want ErrEpochRevoked, got: %w", err)
+		}
+		if err := ctx.Regroup(); err != nil {
+			return err // rank 2: ErrExcluded
+		}
+		regrouped[ctx.PhysRank()] = time.Now()
 		return ctx.Barrier()
 	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run: %v", err)
+	}
+	if s := m.Survivors(); len(s) != 3 || s[0] != 0 || s[1] != 1 || s[2] != 3 {
+		t.Fatalf("survivors = %v, want [0 1 3]", s)
+	}
+	var latency time.Duration
+	for _, r := range []int{0, 1, 3} {
+		latency = max(latency, regrouped[r].Sub(lastSend))
+	}
+	t.Logf("silent rank 2: survivors regrouped %v after its last send (Timeout %v, bound %v)", latency, cc.Timeout, 4*cc.Timeout)
+	if latency > 4*cc.Timeout {
+		t.Fatalf("survivors regrouped %v after the last send, want within 4×Timeout = %v", latency, 4*cc.Timeout)
+	}
+}
+
+// TestLivenessSleepingRankNotDead: a live rank that sleeps 3×Timeout in
+// its body while a peer waits on it makes the waiting ranks miss
+// deadlines, and the probes those raise are answered by its responder:
+// nobody is declared dead, and the run finishes on epoch 0 with every
+// rank — where a detector that judges silence over a window would
+// declare the sleeper dead.
+func TestLivenessSleepingRankNotDead(t *testing.T) {
+	cc := hbCfg()
+	m := New(4, WithRetry(cc))
+	defer m.Close()
+	epochs := make([]int, 4)
+	err := m.Run(func(ctx *Ctx) error {
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 1 {
+			time.Sleep(3 * cc.Timeout)
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		epochs[ctx.Rank()] = ctx.Epoch()
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("run with a sleeping rank: %v", err)
 	}
 	if s := m.Survivors(); len(s) != 4 {
 		t.Fatalf("survivors = %v, want all 4", s)
 	}
+	for r, e := range epochs {
+		if e != 0 {
+			t.Errorf("rank %d finished on epoch %d, want 0", r, e)
+		}
+	}
+	// Two barriers on four ranks send 16 messages; the missed deadlines
+	// on the sleeper sent probes besides.
+	if n := m.Stats().Snapshot().TotalMsgs(); n <= 16 {
+		t.Errorf("%d messages: the waits on the sleeper raised no probe", n)
+	}
 }
 
-// TestLivenessDetectsSilentRank: a rank whose every outbound message is
-// dropped (the permanent-kill fault) must be declared dead by the
-// detector, the blocked collective must abort via the retry budget, and
-// Survivors must name exactly the other ranks.
-func TestLivenessDetectsSilentRank(t *testing.T) {
-	plan, err := msg.ParseFaultPlan("drop,rank=2")
-	if err != nil {
+// TestLivenessLostFrameIsNoDeath: a drop rule with count=1 loses one of
+// rank 2's frames.  The rank waiting for it misses its deadlines and
+// probes rank 2, which answers: the receive fails with its timeout, and
+// nobody is declared dead.
+func TestLivenessLostFrameIsNoDeath(t *testing.T) {
+	plan := &msg.FaultPlan{Rules: []msg.FaultRule{{Kind: msg.FaultDrop, Rank: 2, Peer: -1, Count: 1}}}
+	m := New(4, WithTransport(msg.NewFaultTransport(msg.NewChanTransport(4), plan)),
+		WithRetry(msg.RetryPolicy{Timeout: 50 * time.Millisecond, Retries: 1}))
+	defer m.Close()
+	errs := make([]error, 4)
+	// No rank returns an error, so the transport stays open and every
+	// rank's receive reports what it saw.
+	if err := m.Run(func(ctx *Ctx) error {
+		errs[ctx.Rank()] = ctx.Barrier()
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	lc, cc := hbCfg()
-	ft := msg.NewFaultTransport(msg.NewChanTransport(4), plan)
-	m := New(4, WithTransport(ft), WithLiveness(lc), WithRetry(cc))
-	defer m.Close()
-	err = m.Run(func(ctx *Ctx) error {
-		// Rank 2's sends all vanish, so this collective cannot complete;
-		// the deadline/retry policy turns the hang into an error.
-		return ctx.Barrier()
-	})
-	if err == nil {
-		t.Fatal("barrier with a dead rank should fail")
+	failed := 0
+	for r, err := range errs {
+		if err == nil {
+			continue
+		}
+		failed++
+		if errors.Is(err, ErrEpochRevoked) || !errors.Is(err, msg.ErrTimeout) {
+			t.Errorf("rank %d: %v, want the receive's timeout", r, err)
+		}
 	}
-	s := m.Survivors()
-	if len(s) != 3 || s[0] != 0 || s[1] != 1 || s[2] != 3 {
-		t.Fatalf("survivors = %v, want [0 1 3]", s)
+	if failed == 0 {
+		t.Error("a frame was lost but every barrier completed")
+	}
+	if s := m.Survivors(); len(s) != 4 {
+		t.Fatalf("survivors = %v after one lost frame, want all 4", s)
 	}
 }
 
-// TestSurvivorsNilWithoutLiveness: no detector, no claim.
+// TestSurvivorsNilWithoutLiveness: no retry Timeout, no membership, no
+// claim.
 func TestSurvivorsNilWithoutLiveness(t *testing.T) {
 	m := New(2)
 	defer m.Close()
@@ -89,15 +174,14 @@ func settleGoroutines(base int, d time.Duration) int {
 
 // TestErroringRunLeaksNoGoroutines: a Run that aborts — body error on
 // one rank, peers unwound through the closed transport — must join every
-// rank goroutine, heartbeat sender/monitor, and transport reader before
-// returning.  This pins down the contract recovery relies on: after a
+// rank goroutine, and Close every probe responder and transport reader.  This pins down the contract recovery relies on: after a
 // failed run the process can build a fresh, smaller machine without
 // inheriting stuck goroutines from the dead one.
 func TestErroringRunLeaksNoGoroutines(t *testing.T) {
-	lc, cc := hbCfg()
+	cc := hbCfg()
 	base := runtime.NumGoroutine()
 	for i := 0; i < 3; i++ {
-		m := New(4, WithLiveness(lc), WithRetry(cc))
+		m := New(4, WithRetry(cc))
 		err := m.Run(func(ctx *Ctx) error {
 			if ctx.Rank() == 1 {
 				return errors.New("injected body failure")

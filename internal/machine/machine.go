@@ -24,8 +24,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
-	"repro/internal/health"
 	"repro/internal/msg"
 	"repro/internal/trace"
 )
@@ -38,12 +38,10 @@ type Machine struct {
 	base      int // initially active ranks (epoch 0 membership)
 	transport msg.Transport
 	retry     msg.RetryPolicy
-	liveness  *LivenessConfig
-	det       *detector
+	dead      *deadSet // confirmed deaths; nil without a retry Timeout
 	joins     *joinReg
 	drains    *joinReg       // registered voluntary-drain candidates
-	health    *health.Scorer // nil without WithHealth
-	work      *workLog       // per-rank cumulative work counters (health)
+	probes    sync.WaitGroup // the probe responders (liveness.go)
 	// exits[r] is closed when rank r's goroutine of the current Run
 	// returns; Regroup waits on the dead members' channels before
 	// installing a compacted view, so a survivor that takes over a dead
@@ -95,9 +93,7 @@ type config struct {
 	cost      *msg.CostModel
 	tracer    *trace.Tracer
 	retry     msg.RetryPolicy
-	liveness  *LivenessConfig
 	reserve   int
-	health    *health.Config
 }
 
 // WithTransport runs the machine on the given transport (e.g. a
@@ -123,18 +119,20 @@ func WithTrace(tr *trace.Tracer) Option {
 
 // WithRetry installs a retry policy on every processor's collectives
 // (see msg.RetryPolicy).  The zero policy blocks forever, the historical
-// behaviour.
+// behaviour.  A policy with a Timeout also turns the membership machinery
+// on: epoch views, the dead set its missed deadlines feed, and the probe
+// responders (see liveness.go).
 func WithRetry(pol msg.RetryPolicy) Option {
 	return func(c *config) { c.retry = pol }
 }
 
 // WithReserve provisions extra transport slots for processors that may
-// join the running machine: the transport (and failure detector) are
-// sized base+extra, the reserved ranks run the SPMD body with
+// join the running machine: the transport (and dead set) are sized
+// base+extra, the reserved ranks run the SPMD body with
 // Ctx.Reserved() == true and park in Ctx.AwaitJoin until the active
 // membership admits them into an epoch (Ctx.Admit, or a Regroup that
-// finds them pending).  Requires WithLiveness and a retry Timeout —
-// the same machinery a Regroup needs.
+// finds them pending).  Requires a retry Timeout — the same machinery a
+// Regroup needs.
 func WithReserve(extra int) Option {
 	return func(c *config) { c.reserve = extra }
 }
@@ -151,11 +149,8 @@ func New(np int, opts ...Option) *Machine {
 	if cfg.reserve < 0 {
 		panic(fmt.Sprintf("machine: negative reserve %d", cfg.reserve))
 	}
-	if cfg.reserve > 0 && cfg.liveness == nil {
-		panic("machine: WithReserve requires WithLiveness (join transitions run over the liveness/epoch machinery)")
-	}
-	if cfg.health != nil && cfg.liveness == nil {
-		panic("machine: WithHealth requires WithLiveness (work reports piggyback on heartbeat traffic)")
+	if cfg.reserve > 0 && cfg.retry.Timeout <= 0 {
+		panic("machine: WithReserve requires a retry Timeout (join transitions run over the membership machinery)")
 	}
 	total := np + cfg.reserve
 	tr := cfg.transport
@@ -182,18 +177,14 @@ func New(np int, opts ...Option) *Machine {
 		base:      np,
 		transport: tr,
 		retry:     cfg.retry,
-		liveness:  cfg.liveness,
 		objects:   make(map[int64]*collEntry),
 		procs:     make(map[string]*ProcArray),
 	}
-	if m.liveness != nil {
-		m.det = newDetector(total, m.liveness.Window)
+	if m.retry.Timeout > 0 {
+		m.dead = &deadSet{dead: make([]bool, total)}
 		m.joins = newJoinReg()
 		m.drains = newJoinReg()
-	}
-	if cfg.health != nil {
-		m.health = health.New(total, *cfg.health)
-		m.work = newWorkLog(total)
+		m.startResponders()
 	}
 	return m
 }
@@ -220,8 +211,13 @@ func (m *Machine) Cost() *msg.CostModel { return m.transport.Cost() }
 // Tracer returns the attached event tracer, or nil.
 func (m *Machine) Tracer() *trace.Tracer { return m.transport.Tracer() }
 
-// Close shuts down the transport.
-func (m *Machine) Close() error { return m.transport.Close() }
+// Close shuts down the transport and waits for the probe responders,
+// which it stops, to exit.
+func (m *Machine) Close() error {
+	err := m.transport.Close()
+	m.probes.Wait()
+	return err
+}
 
 // Run executes body as an SPMD program: one goroutine per processor, each
 // receiving its own Ctx.  Panics in the body are recovered and reported as
@@ -232,13 +228,6 @@ func (m *Machine) Close() error { return m.transport.Close() }
 // that is not itself a secondary ErrClosed consequence of the abort — and
 // its report names the failing rank.
 func (m *Machine) Run(body func(ctx *Ctx) error) error {
-	var lv *livenessRuntime
-	if m.liveness != nil {
-		lv = m.startLiveness()
-		// Joined on every exit path: an erroring Run must not leave
-		// heartbeat goroutines or transport readers behind.
-		defer lv.stop()
-	}
 	var wg sync.WaitGroup
 	errs := make([]error, m.np)
 	panicked := make([]bool, m.np)
@@ -338,7 +327,7 @@ func isClosedErr(err error) bool {
 const ErrClosedText = "transport closed"
 
 // Ctx is one processor's view of the machine during an SPMD run.  With
-// liveness enabled the view is epoch-scoped: after a successful Regroup
+// a retry Timeout the view is epoch-scoped: after a successful Regroup
 // the Ctx is renumbered into the compacted survivor set, its collectives
 // run over an epoch-tagged msg.View, and Rank/NP answer in view
 // coordinates (epoch 0 is the identity view over all np processors).
@@ -348,8 +337,11 @@ type Ctx struct {
 	comm     *msg.Comm
 	collSeq  int64
 	epoch    int
-	phys     []int // view rank -> physical rank; nil without liveness
+	phys     []int // view rank -> physical rank; nil without a retry Timeout
 	reserved bool  // a join slot not yet admitted into any epoch
+	// units and busy are this rank's cumulative ReportWork counters.
+	units float64
+	busy  time.Duration
 }
 
 func (m *Machine) newCtx(rank int) *Ctx {
@@ -364,20 +356,20 @@ func (m *Machine) newCtx(rank int) *Ctx {
 		c.comm.SetRetry(m.retry)
 		return c
 	}
-	if m.det != nil {
+	if m.dead != nil {
 		// Epoch 0 identity view over the active ranks: rank numbering and
 		// tags are unchanged, but collectives gain the liveness check — an
 		// in-flight operation aborts with ErrEpochRevoked as soon as a
-		// member is declared dead, instead of timing out peer by peer.
+		// member is confirmed dead, instead of timing out peer by peer.
 		phys := make([]int, m.base)
 		for i := range phys {
 			phys[i] = i
 		}
 		c.phys = phys
-		c.comm = msg.NewComm(msg.NewView(ep, 0, phys, m.epochCheck(phys)))
-	} else {
-		c.comm = msg.NewComm(ep)
+		c.comm = m.epochComm(rank, 0, phys)
+		return c
 	}
+	c.comm = msg.NewComm(ep)
 	c.comm.SetRetry(m.retry)
 	return c
 }
@@ -417,7 +409,7 @@ func (c *Ctx) PhysRank() int {
 }
 
 // PhysOf translates a view rank of the current epoch to its physical
-// rank (identity without liveness).
+// rank (identity without a retry Timeout).
 func (c *Ctx) PhysOf(viewRank int) int {
 	if c.phys != nil {
 		return c.phys[viewRank]
@@ -492,3 +484,17 @@ func (c *Ctx) PhaseBegin(name string) {
 func (c *Ctx) PhaseEnd(name string) {
 	c.Tracer().EndSpan(c.physRank(), trace.CatPhase, name)
 }
+
+// ReportWork adds one completed batch of application work to this rank's
+// cumulative counters: units is the amount of work (iterations, rows,
+// particles — any per-rank-comparable measure) and busy the computation
+// time it took.  Report compute time, not barrier waits: the contrast
+// between a straggler's cost-per-unit and the median is the signal.  The
+// counters stay with the rank; a health scorer reads them through Work.
+func (c *Ctx) ReportWork(units float64, busy time.Duration) {
+	c.units += units
+	c.busy += busy
+}
+
+// Work returns this rank's cumulative ReportWork counters.
+func (c *Ctx) Work() (units float64, busy time.Duration) { return c.units, c.busy }

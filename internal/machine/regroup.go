@@ -10,7 +10,7 @@ import (
 )
 
 // ErrEpochRevoked is the typed abort delivered to every operation of a
-// membership epoch once a member has been declared dead: the epoch
+// membership epoch once a member has been confirmed dead: the epoch
 // View's liveness check fails, SendRetry/RecvRetry stop retrying, and
 // the collective returns a wrapped ErrEpochRevoked instead of timing
 // out peer by peer.  The SPMD body reacts by calling Ctx.Regroup.
@@ -18,29 +18,18 @@ var ErrEpochRevoked = errors.New("machine: membership epoch revoked")
 
 // ErrExcluded is returned by Regroup on a rank that the surviving
 // membership has voted out (including a rank that observes itself in
-// the failure detector's dead set — the fail-stop contract).  The body
+// the machine's dead set — the fail-stop contract).  The body
 // must return it; Machine.Run treats excluded ranks as expected
 // casualties rather than as an SPMD abort.
 var ErrExcluded = errors.New("machine: rank excluded from surviving membership")
 
-// epochCheck builds the liveness check an epoch View consults before
-// every communication attempt: revoked as soon as any member of the
-// epoch is declared dead.
-func (m *Machine) epochCheck(phys []int) func() error {
-	return func() error {
-		if r := m.det.firstDeadOf(phys); r >= 0 {
-			return fmt.Errorf("%w: member (physical rank %d) declared dead", ErrEpochRevoked, r)
-		}
-		return nil
-	}
-}
-
 // regroupBudget is the per-round agreement deadline: generous enough
 // that a survivor still unwinding from an aborted epoch-e operation (at
-// worst one receive retried to exhaustion) joins the round before anyone
+// worst one receive retried to exhaustion, then the probe and self-probe
+// its last missed deadline raised) joins the round before anyone
 // suspects it.
 func (m *Machine) regroupBudget() time.Duration {
-	return m.retry.MaxWait() + m.liveness.Window + 250*time.Millisecond
+	return m.retry.MaxWait() + 2*m.retry.Timeout + 250*time.Millisecond
 }
 
 // encodeMasks packs the suspected-dead, pending-join, and pending-drain
@@ -90,10 +79,10 @@ func decodeMasks(data []byte, np int) (suspect, join, drain []bool) {
 // fresh collective sequence.  Stragglers of the revoked epoch can then
 // never match a receive of the new one.
 //
-// On the dead rank itself (the detector is shared, so a rank sees its
+// On the dead rank itself (the dead set is shared, so a rank sees its
 // own death) Regroup returns ErrExcluded, which the body must return.
-// Regroup requires WithLiveness and a retry Timeout (a dead rank's
-// goroutine can only unwind through receive deadlines).
+// Regroup requires a retry Timeout (deaths are confirmed from missed
+// deadlines, and a dead rank's goroutine can only unwind through them).
 //
 // All survivors must call Regroup (SPMD discipline); it is collective
 // over the survivor set and ends with a confirmation barrier on the new
@@ -132,11 +121,8 @@ const (
 // death — is resolved by the same decision round.
 func (c *Ctx) transition(kind transKind) error {
 	m := c.m
-	if m.det == nil {
-		return errors.New("machine: Regroup requires WithLiveness")
-	}
-	if m.retry.Timeout <= 0 {
-		return errors.New("machine: Regroup requires a retry Timeout (dead ranks unwind through receive deadlines)")
+	if m.dead == nil {
+		return errors.New("machine: Regroup requires a retry Timeout (deaths are confirmed from missed deadlines)")
 	}
 	myPhys := c.phys[c.rank]
 	tr := m.Tracer()
@@ -154,18 +140,20 @@ func (c *Ctx) transition(kind transKind) error {
 	}
 
 	// Phase 1: confirm the transition's trigger.  A Regroup may be
-	// entered off any error; if no member is actually dead within the
-	// detection window there is nothing to regroup from and the caller's
-	// original error stands.  An Admit needs at least one registered
-	// joiner; a Drain at least one registered drain candidate.
+	// entered off any error; unless a member's death is already
+	// confirmed, this rank probes every member once, and if none is dead
+	// there is nothing to regroup from and the caller's original error
+	// stands.  An Admit needs at least one registered joiner; a Drain at
+	// least one registered drain candidate.
 	switch kind {
 	case transRegroup:
-		waitUntil := time.Now().Add(m.liveness.Window + budget)
-		for m.det.firstDeadOf(c.phys) < 0 {
-			if time.Now().After(waitUntil) {
-				return fmt.Errorf("machine: regroup: no member of epoch %d declared dead within %v", c.epoch, m.liveness.Window+budget)
+		for _, p := range c.phys {
+			if p != myPhys && m.dead.firstOf(c.phys) < 0 {
+				m.suspect(myPhys, p) //nolint:errcheck // a confirmed death lands in the dead set
 			}
-			time.Sleep(m.liveness.Interval)
+		}
+		if m.dead.firstOf(c.phys) < 0 {
+			return fmt.Errorf("machine: regroup: no member of epoch %d declared dead when probed", c.epoch)
 		}
 	case transAdmit:
 		if len(m.pendingJoiners(c.phys)) == 0 {
@@ -176,15 +164,16 @@ func (c *Ctx) transition(kind transKind) error {
 			return fmt.Errorf("machine: drain: no drain registered with epoch %d", c.epoch)
 		}
 	}
-	dead := m.det.snapshotDead()
+	dead := m.dead.snapshot()
 	if dead[myPhys] {
 		return fmt.Errorf("machine: physical rank %d: %w", myPhys, ErrExcluded)
 	}
 
 	// Phase 2: coordinator-free agreement.  Every candidate repeatedly
 	// exchanges its (suspected-dead, pending-join) mask pair with the
-	// other candidates and unions what it hears; a candidate that misses
-	// a round deadline is itself suspected.  Masks only grow, so the
+	// other candidates and unions what it hears; a candidate that is
+	// confirmed dead while this rank waits for it (recvRound), or misses
+	// the round deadline, is itself suspected.  Masks only grow, so the
 	// exchange converges: the round in which nothing changed and every
 	// peer echoed my exact masks is the decision round — every
 	// participant of that round took the same decision from the same
@@ -225,14 +214,13 @@ func (c *Ctx) transition(kind transKind) error {
 			if p == myPhys || mineS[p] {
 				continue
 			}
-			left := time.Until(roundDeadline)
-			if left < time.Millisecond {
-				left = time.Millisecond
-			}
-			pkt, err := ep.RecvTimeout(p, tag, left)
+			pkt, err := m.recvRound(ep, myPhys, p, tag, roundDeadline)
 			if err != nil {
 				if isClosedErr(err) {
 					return fmt.Errorf("machine: regroup: agreement recv from %d: %w", p, err)
+				}
+				if m.dead.firstOf([]int{myPhys}) >= 0 {
+					return fmt.Errorf("machine: physical rank %d: %w", myPhys, ErrExcluded)
 				}
 				suspect[p] = true
 				changed = true
@@ -278,9 +266,9 @@ func (c *Ctx) transition(kind transKind) error {
 	}
 	// A rank that limped through the agreement alone (everyone else
 	// converged without it) decides a bogus singleton membership; by the
-	// time that happens the shared detector has long declared it dead.
+	// time that happens the others have probed it into the dead set.
 	// The fail-stop re-check turns that divergence into an exclusion.
-	if m.det.snapshotDead()[myPhys] {
+	if m.dead.firstOf([]int{myPhys}) >= 0 {
 		return fmt.Errorf("machine: physical rank %d: %w", myPhys, ErrExcluded)
 	}
 
@@ -357,8 +345,7 @@ func (c *Ctx) transition(kind transKind) error {
 	c.epoch = newEpoch
 	c.phys = members
 	c.rank = myView
-	c.comm = msg.NewComm(msg.NewView(ep, newEpoch, members, m.epochCheck(members)))
-	c.comm.SetRetry(m.retry)
+	c.comm = m.epochComm(myPhys, newEpoch, members)
 	c.collSeq = 0
 	if tr != nil {
 		tr.Instant(myPhys, trace.CatPhase, fmt.Sprintf("epoch:%d", newEpoch), myView, int64(len(members)))
@@ -387,8 +374,25 @@ func (c *Ctx) transition(kind transKind) error {
 	return nil
 }
 
+// recvRound receives candidate p's masks of one agreement round by the
+// round deadline.  Each Timeout missed on the way raises a suspicion of p
+// like a retried receive's does, so a member that died unconfirmed is
+// confirmed within a probe instead of holding the round to its deadline.
+func (m *Machine) recvRound(ep msg.Endpoint, me, p, tag int, deadline time.Time) (msg.Packet, error) {
+	for {
+		wait := max(min(time.Until(deadline), m.retry.Timeout), time.Millisecond)
+		pkt, err := ep.RecvTimeout(p, tag, wait)
+		if err == nil || isClosedErr(err) || !time.Now().Before(deadline) {
+			return pkt, err
+		}
+		if err := m.suspect(me, p); err != nil {
+			return pkt, err
+		}
+	}
+}
+
 // Members returns the physical ranks of the current membership epoch in
-// view-rank order (nil without liveness).
+// view-rank order (nil without a retry Timeout).
 func (c *Ctx) Members() []int {
 	if c.phys == nil {
 		return nil

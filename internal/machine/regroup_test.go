@@ -16,16 +16,16 @@ func killPlan(t *testing.T, r, after int) *msg.FaultPlan {
 	return &msg.FaultPlan{Rules: []msg.FaultRule{{Kind: msg.FaultDrop, Rank: r, Peer: -1, After: after}}}
 }
 
-// regroupMachine builds a 4-rank machine with liveness, deadlines, and
-// the given fault plan.
+// regroupMachine builds a 4-rank machine with deadlines (and so the
+// membership machinery) and the given fault plan.
 func regroupMachine(t *testing.T, plan *msg.FaultPlan) *Machine {
 	t.Helper()
-	lc, cc := hbCfg()
+	cc := hbCfg()
 	var tr msg.Transport = msg.NewChanTransport(4)
 	if plan != nil {
 		tr = msg.NewFaultTransport(tr, plan)
 	}
-	return New(4, WithTransport(tr), WithLiveness(lc), WithRetry(cc))
+	return New(4, WithTransport(tr), WithRetry(cc))
 }
 
 // TestRegroupAfterKill: rank 2 goes permanently silent mid-run; the
@@ -123,14 +123,6 @@ func TestRegroupRequiresLivenessAndTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("Regroup without liveness should fail")
 	}
-
-	lc, _ := hbCfg()
-	m2 := New(2, WithLiveness(lc))
-	defer m2.Close()
-	err = m2.Run(func(ctx *Ctx) error { return ctx.Regroup() })
-	if err == nil {
-		t.Fatal("Regroup without a retry timeout should fail")
-	}
 }
 
 // TestRegroupNoDeathTimesOut: calling Regroup when nobody is dead must
@@ -189,7 +181,7 @@ func TestEpochRevokedIsTyped(t *testing.T) {
 // TestExcludedRunLeaksNoGoroutines extends the goroutine-leak gate to
 // the online-recovery path: a run where one rank exits with ErrExcluded
 // while the survivors regroup and finish must join everything — rank
-// goroutines, heartbeat senders/monitors, retry tickers.
+// goroutines, retry timers, and (at Close) the probe responders.
 func TestExcludedRunLeaksNoGoroutines(t *testing.T) {
 	base := runtime.NumGoroutine()
 	for i := 0; i < 2; i++ {

@@ -137,9 +137,7 @@ func (e *chanEndpoint) Send(to, tag int, data []byte) error {
 	if c := e.t.cost; c != nil {
 		p.SendClock = c.OnSend(e.rank, len(data))
 	}
-	if tag != TagHeartbeat {
-		e.t.stats.OnSend(e.rank, to, len(data))
-	}
+	e.t.stats.OnSend(e.rank, to, len(data))
 	if tr := e.t.tracer; tr != nil {
 		tr.Send(e.rank, to, len(data))
 	}
@@ -166,9 +164,7 @@ func (e *chanEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, erro
 }
 
 func (e *chanEndpoint) afterRecv(p Packet) {
-	if p.Tag != TagHeartbeat {
-		e.t.stats.OnRecv(e.rank, p.From, len(p.Data))
-	}
+	e.t.stats.OnRecv(e.rank, p.From, len(p.Data))
 	if c := e.t.cost; c != nil {
 		c.OnRecv(e.rank, p.SendClock, len(p.Data))
 	}

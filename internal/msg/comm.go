@@ -17,10 +17,11 @@ import (
 // failed operation is retried up to Retries times before the caller gets
 // a wrapped error naming the operation and rank.  The deadline doubles
 // per attempt up to 4×Timeout, and a failed attempt sleeps 1 ms doubling
-// to 16 ms before the next, so a retrying operation never waits
-// unboundedly longer than the detector needs to declare a rank dead.
-// Errors that cannot heal (ErrClosed, ErrIntegrity — the corrupt frame
-// is already consumed) are never retried.
+// to 16 ms before the next.  Over an epoch View a missed deadline on a
+// named peer is also the membership layer's only failure signal: the
+// View's Suspect probes the peer, and a confirmed death ends the
+// operation at once.  Errors that cannot heal (ErrClosed, ErrIntegrity —
+// the corrupt frame is already consumed) are never retried.
 type RetryPolicy struct {
 	// Timeout is the first attempt's deadline; 0 means wait forever.
 	Timeout time.Duration
@@ -75,15 +76,28 @@ func escalate(d time.Duration, attempt int, max time.Duration) time.Duration {
 	return e
 }
 
-// liveChecker is the optional endpoint facet consulted before every
-// retry attempt: a non-nil error (typically machine.ErrEpochRevoked from
-// an epoch View) aborts the operation immediately instead of letting it
-// time out attempt by attempt against a peer that is already known dead.
-type liveChecker interface{ CheckLive() error }
+// liveChecker is the optional endpoint facet an epoch View provides.
+// CheckLive is consulted before every retry attempt: a non-nil error
+// (typically machine.ErrEpochRevoked) aborts the operation immediately
+// instead of letting it time out attempt by attempt against a peer that is
+// already known dead.  Suspect is called after every receive attempt that
+// missed its deadline on a named peer: the membership layer probes that
+// peer, and a non-nil error (the death confirmed) aborts the operation.
+type liveChecker interface {
+	CheckLive() error
+	Suspect(from int) error
+}
 
 func checkLive(ep Endpoint) error {
 	if lc, ok := ep.(liveChecker); ok {
 		return lc.CheckLive()
+	}
+	return nil
+}
+
+func suspect(ep Endpoint, from int) error {
+	if lc, ok := ep.(liveChecker); ok && from != AnySource {
+		return lc.Suspect(from)
 	}
 	return nil
 }
@@ -135,6 +149,11 @@ func RecvRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, from, 
 		}
 		if err == nil {
 			return p, nil
+		}
+		if errors.Is(err, ErrTimeout) {
+			if serr := suspect(ep, from); serr != nil {
+				return Packet{}, fmt.Errorf("msg: %s: rank %d: recv from %d: %w", op, ep.Rank(), from, serr)
+			}
 		}
 		if attempt >= pol.Retries || terminal(err) {
 			return Packet{}, fmt.Errorf("msg: %s: rank %d: recv from %d: %w", op, ep.Rank(), from, err)
@@ -252,10 +271,12 @@ func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
 		return buf, nil
 	}
 	// Binomial tree rooted at root: operate in the rotated rank space
-	// vrank = (rank - root + np) % np.
+	// vrank = (rank - root + np) % np.  A non-root receives from its
+	// parent, vrank with its lowest set bit cleared, by name, so a missed
+	// deadline names the rank to suspect.
 	vrank := (rank - root + np) % np
 	if vrank != 0 {
-		p, err := c.recv("bcast", AnySource, tag)
+		p, err := c.recv("bcast", (vrank&(vrank-1)+root)%np, tag)
 		if err != nil {
 			return nil, err
 		}
@@ -403,12 +424,17 @@ func (c *Comm) Gather(root int, buf []byte) ([][]byte, error) {
 	cp := make([]byte, len(buf))
 	copy(cp, buf)
 	out[rank] = cp
-	for i := 0; i < np-1; i++ {
-		p, err := c.recv("gather", AnySource, tag)
+	// Each part is received by name (a missed deadline then names the
+	// rank to suspect); the parts are in the mailbox in any order.
+	for r := range out {
+		if r == root {
+			continue
+		}
+		p, err := c.recv("gather", r, tag)
 		if err != nil {
 			return nil, err
 		}
-		out[p.From] = p.Data
+		out[r] = p.Data
 	}
 	return out, nil
 }

@@ -2,7 +2,6 @@ package msg
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -100,78 +99,6 @@ func TestFaultDropLosesFrameSilently(t *testing.T) {
 	p, err := ft.Endpoint(1).Recv(0, 3)
 	if err != nil || DecodeInts(p.Data)[0] != 2 {
 		t.Fatalf("second send: packet %+v err %v", p, err)
-	}
-}
-
-// TestFaultScheduleSkipsHeartbeats: a rule's after= and every= count the
-// program's sends, not the failure detector's heartbeats, however many
-// beat in between; a persistent rule that has fired drops heartbeats too
-// (the killed rank falls silent), and one with a Count never does.
-func TestFaultScheduleSkipsHeartbeats(t *testing.T) {
-	ft := NewFaultTransport(NewChanTransport(3), &FaultPlan{Rules: []FaultRule{
-		{Kind: FaultDrop, Rank: 0, Peer: -1, After: 2},           // kill rank 0 at its third send
-		{Kind: FaultDrop, Rank: 1, Peer: -1, After: 1, Count: 1}, // lose rank 1's second send only
-		{Kind: FaultDrop, Rank: 2, Peer: -1, Every: 2},           // lose every other send of rank 2
-	}})
-	defer ft.Close()
-	// send sends one frame from → to and reports whether it arrived.
-	send := func(from, to, tag int) bool {
-		t.Helper()
-		if err := ft.Endpoint(from).Send(to, tag, EncodeInts([]int{tag})); err != nil {
-			t.Fatal(err)
-		}
-		_, err := ft.Endpoint(to).RecvTimeout(from, tag, 20*time.Millisecond)
-		if err != nil && !errors.Is(err, ErrTimeout) {
-			t.Fatal(err)
-		}
-		return err == nil
-	}
-	beats := func(from, to, n int) (got int) {
-		for range n {
-			if send(from, to, TagHeartbeat) {
-				got++
-			}
-		}
-		return got
-	}
-	for _, r := range []int{0, 1} {
-		if n := beats(r, 2, 5); n != 5 {
-			t.Errorf("rank %d: %d of 5 heartbeats before any send arrived, want all", r, n)
-		}
-		if !send(r, 2, 7) {
-			t.Errorf("rank %d: first send lost", r)
-		}
-		if n := beats(r, 2, 5); n != 5 {
-			t.Errorf("rank %d: %d of 5 heartbeats between sends arrived, want all", r, n)
-		}
-		if send(r, 2, 7) != (r == 0) {
-			t.Errorf("rank %d: second send arrived = %v", r, r == 1)
-		}
-	}
-	if n := beats(0, 2, 3); n != 3 {
-		t.Errorf("rank 0: %d of 3 heartbeats before the rule fired arrived, want all", n)
-	}
-	if send(0, 2, 7) {
-		t.Error("rank 0: third send arrived; the kill is at after=2")
-	}
-	if n := beats(0, 2, 3); n != 0 {
-		t.Errorf("rank 0: %d heartbeats arrived after the persistent drop fired, want none", n)
-	}
-	if n := beats(1, 2, 3); n != 3 {
-		t.Errorf("rank 1: %d of 3 heartbeats after its one drop arrived, want all", n)
-	}
-	var lost []int
-	for i := range 4 {
-		beats(2, 0, 3)
-		if !send(2, 0, 7) {
-			lost = append(lost, i)
-		}
-	}
-	if sn := ft.Stats().Snapshot(); sn.MsgsSent[1] != 1 {
-		t.Errorf("rank 1: %d sends counted, want its one delivered program send", sn.MsgsSent[1])
-	}
-	if fmt.Sprint(lost) != "[0 2]" {
-		t.Errorf("every=2 lost sends %v, want [0 2] whatever heartbeats beat between", lost)
 	}
 }
 

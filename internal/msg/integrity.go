@@ -96,14 +96,11 @@ func (e *integrityEndpoint) NP() int   { return e.inner.NP() }
 // Tracer exposes the wrapped transport's tracer for Comm.
 func (e *integrityEndpoint) Tracer() *trace.Tracer { return e.tr }
 
-// CheckLive delegates to the wrapped endpoint when it carries a
-// liveness check (a View stacked under the integrity layer).
-func (e *integrityEndpoint) CheckLive() error {
-	if lc, ok := e.inner.(interface{ CheckLive() error }); ok {
-		return lc.CheckLive()
-	}
-	return nil
-}
+// CheckLive and Suspect delegate to the wrapped endpoint when it carries
+// them (a View stacked under the integrity layer).
+func (e *integrityEndpoint) CheckLive() error { return checkLive(e.inner) }
+
+func (e *integrityEndpoint) Suspect(from int) error { return suspect(e.inner, from) }
 
 func (e *integrityEndpoint) Send(to, tag int, data []byte) error {
 	sum := crc32.Checksum(data, castagnoli)

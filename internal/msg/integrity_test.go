@@ -7,14 +7,14 @@ import (
 )
 
 // TestIntegrityRoundTrip: checksummed frames arrive with the trailer
-// stripped, bit-identical to what was sent, including empty heartbeats.
+// stripped, bit-identical to what was sent, including empty frames.
 func TestIntegrityRoundTrip(t *testing.T) {
 	it := NewIntegrityTransport(NewChanTransport(2))
 	defer it.Close()
 	for _, payload := range [][]byte{
 		EncodeInts([]int{1, 2, 3}),
 		{0xde},
-		nil, // heartbeat frames carry no payload
+		nil, // barrier tokens and probes carry no payload
 	} {
 		if err := it.Endpoint(0).Send(1, 7, payload); err != nil {
 			t.Fatal(err)

@@ -44,20 +44,22 @@ const (
 	// TagMemberBase is the base of the small tag space used by the
 	// machine membership layer's survivor-agreement rounds (round k of
 	// the regroup to epoch e uses FoldTag(e, TagMemberBase+k)); it sits
-	// below the heartbeat tag so agreement traffic never matches
+	// below the probe tags so agreement traffic never matches
 	// application receives.
 	TagMemberBase = 1 << 24
-	// TagHeartbeat is the single tag used by the machine liveness layer's
-	// heartbeat instants; it sits below the RMA space so a failure
-	// detector's receive loop never matches application traffic.
-	TagHeartbeat = 1 << 25
+	// TagProbe carries a membership probe to a peer's probe responder,
+	// and TagProbeReply (below) the responder's answer.  Both are sent
+	// unfolded between physical ranks and sit below the RMA space, so a
+	// responder's receive never matches application traffic.
+	TagProbe = 1 << 25
 	// TagJoinWelcome is the single tag used by the machine membership
 	// layer to hand an admitted joiner its first epoch view (the welcome
 	// carries [epoch, members...]).  It is sent unfolded — a joiner does
 	// not know the epoch it is being admitted into — and lives in the
-	// reserved space next to the heartbeat tag, so a waiting joiner's
+	// reserved space next to the probe tags, so a waiting joiner's
 	// receive loop never matches application or agreement traffic.
-	TagJoinWelcome = TagHeartbeat + 1
+	TagJoinWelcome = TagProbe + 1
+	TagProbeReply  = TagProbe + 2
 	// TagRMABase is the base of the tag space used by the one-sided
 	// get/put service of the darray package; that space ends below
 	// TagCollBase.

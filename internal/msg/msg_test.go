@@ -258,34 +258,6 @@ func TestStatsCounting(t *testing.T) {
 	}
 }
 
-// TestStatsSkipHeartbeats: heartbeats, with or without a payload, reach
-// their receiver but neither transport counts them on either side.
-func TestStatsSkipHeartbeats(t *testing.T) {
-	tcp, err := NewTCPTransport(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, tr := range []Transport{NewChanTransport(2), tcp} {
-		for _, data := range [][]byte{nil, make([]byte, 24), make([]byte, 8)} {
-			tag := TagHeartbeat
-			if len(data) == 8 {
-				tag = 1
-			}
-			if err := tr.Endpoint(0).Send(1, tag, data); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := tr.Endpoint(1).Recv(0, tag); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sn := tr.Stats().Snapshot()
-		if sn.MsgsSent[0] != 1 || sn.BytesSent[0] != 8 || sn.MsgsRecv[1] != 1 || sn.BytesRecv[1] != 8 {
-			t.Errorf("%T: stats %+v, want the one 8-byte program message only", tr, sn)
-		}
-		tr.Close()
-	}
-}
-
 // TestStatsSentBySender: Sent reads one rank's data messages and bytes —
 // zero-byte tokens excluded, a shared-memory window transfer credited to
 // the rank that offered it — and no other rank's traffic moves it.

@@ -12,10 +12,9 @@ import (
 //
 // Counters are updated with atomics so they can be read while the SPMD
 // program runs; Snapshot gives a consistent-enough view for reporting after
-// a barrier.  They count the program's traffic only: the transports do not
-// report the failure detector's heartbeats (TagHeartbeat), which beat on a
-// wall-clock period and would make every count depend on how long a run
-// took — the same traffic a fault schedule does not count.
+// a barrier.  Every message a transport carries counts, the membership
+// layer's probes included; a run that misses no deadline sends no probe,
+// so its counts are the program's own.
 type Stats struct {
 	np        int
 	msgsSent  []atomic.Int64

@@ -338,9 +338,7 @@ func (e *tcpEndpoint) send(to, tag int, data, trailer []byte) error {
 	if c := e.t.cost; c != nil {
 		sendClock = c.OnSend(e.rank, n)
 	}
-	if tag != TagHeartbeat {
-		e.t.stats.OnSend(e.rank, to, n)
-	}
+	e.t.stats.OnSend(e.rank, to, n)
 	if tr := e.t.tracer; tr != nil {
 		tr.Send(e.rank, to, n)
 	}
@@ -390,9 +388,7 @@ func (e *tcpEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, error
 }
 
 func (e *tcpEndpoint) afterRecv(p Packet) {
-	if p.Tag != TagHeartbeat {
-		e.t.stats.OnRecv(e.rank, p.From, len(p.Data))
-	}
+	e.t.stats.OnRecv(e.rank, p.From, len(p.Data))
 	if c := e.t.cost; c != nil {
 		c.OnRecv(e.rank, p.SendClock, len(p.Data))
 	}

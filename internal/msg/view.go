@@ -68,13 +68,16 @@ func UnfoldTag(tag int) int {
 // A View may carry a liveness check; SendRetry/RecvRetry consult it
 // before every attempt, so an operation blocked on a peer that has since
 // been declared dead aborts with the checker's error (typically
-// machine.ErrEpochRevoked) instead of timing out attempt by attempt.
+// machine.ErrEpochRevoked) instead of timing out attempt by attempt.  It
+// may also carry a suspicion hook (SetSuspect), which RecvRetry calls
+// when an attempt on a named peer misses its deadline.
 type View struct {
-	inner Endpoint
-	epoch int
-	phys  []int // view rank -> physical rank
-	virt  []int // physical rank -> view rank (-1: not a member)
-	check func() error
+	inner   Endpoint
+	epoch   int
+	phys    []int // view rank -> physical rank
+	virt    []int // physical rank -> view rank (-1: not a member)
+	check   func() error
+	suspect func(phys int) error
 }
 
 // NewView wraps inner for the given epoch and member set.  phys lists
@@ -124,6 +127,20 @@ func (v *View) CheckLive() error {
 		return nil
 	}
 	return v.check()
+}
+
+// SetSuspect installs the hook Suspect calls with the suspected peer's
+// physical rank: nil means the peer answered, an error that it is dead
+// (typically wrapping machine.ErrEpochRevoked).
+func (v *View) SetSuspect(f func(phys int) error) { v.suspect = f }
+
+// Suspect reports that a receive from view rank r missed its deadline.
+// Without a hook, or for a rank outside the view, it answers nil.
+func (v *View) Suspect(r int) error {
+	if v.suspect == nil || r < 0 || r >= len(v.phys) {
+		return nil
+	}
+	return v.suspect(v.phys[r])
 }
 
 func (v *View) peer(r int) (int, error) {

@@ -13,7 +13,7 @@ func TestFoldTag(t *testing.T) {
 		{0, 42, 42}, // epoch 0 is the identity
 		{0, TagCollBase, TagCollBase},
 		{1, 42, 42 | 1<<40},
-		{3, TagHeartbeat, TagHeartbeat | 3<<40},
+		{3, TagProbe, TagProbe | 3<<40},
 		{2, AnyTag, AnyTag}, // wildcards pass through
 	} {
 		if got := FoldTag(tc.epoch, tc.tag); got != tc.want {
@@ -142,6 +142,40 @@ func TestViewCheckLiveAbortsRetry(t *testing.T) {
 	}
 	if el := time.Since(start); el > 15*time.Millisecond {
 		t.Fatalf("abort took %v; checker should fire before the first timeout", el)
+	}
+}
+
+// TestViewSuspectOnMissedDeadline: a receive attempt that misses its
+// deadline on a named peer hands the peer's physical rank to the view's
+// suspicion hook.  A cleared suspicion lets the retries run on; a
+// confirmed one ends the receive with the hook's error.
+func TestViewSuspectOnMissedDeadline(t *testing.T) {
+	tr := NewChanTransport(3)
+	defer tr.Close()
+	var suspected []int
+	confirm := errors.New("peer dead (test)")
+	var verdict error
+	v := NewView(tr.Endpoint(0), 1, []int{0, 2}, nil)
+	v.SetSuspect(func(phys int) error {
+		suspected = append(suspected, phys)
+		return verdict
+	})
+	cfg := RetryPolicy{Timeout: 5 * time.Millisecond, Retries: 2}
+	if _, err := RecvRetry(v, cfg, nil, "test", 1, 9001); !errors.Is(err, ErrTimeout) {
+		t.Fatalf("cleared suspicions: err = %v, want the receive's timeout", err)
+	}
+	if len(suspected) != 3 || suspected[0] != 2 {
+		t.Fatalf("suspected %v, want physical rank 2 once per missed deadline", suspected)
+	}
+	suspected, verdict = nil, confirm
+	if _, err := RecvRetry(v, cfg, nil, "test", 1, 9001); !errors.Is(err, confirm) {
+		t.Fatalf("confirmed suspicion: err = %v, want the hook's error", err)
+	}
+	if len(suspected) != 1 {
+		t.Fatalf("suspected %v after a confirmed death, want one probe", suspected)
+	}
+	if _, err := RecvRetry(v, RetryPolicy{Timeout: 5 * time.Millisecond}, nil, "test", AnySource, 9001); !errors.Is(err, ErrTimeout) || len(suspected) != 1 {
+		t.Fatalf("wildcard receive: err = %v, suspected %v; a wildcard names nobody to suspect", err, suspected)
 	}
 }
 

@@ -148,15 +148,6 @@ var NewFaultTransport = msg.NewFaultTransport
 // ParseFaultPlan parses the -fault flag syntax into a FaultPlan.
 var ParseFaultPlan = msg.ParseFaultPlan
 
-// LivenessConfig configures the heartbeat failure detector: each rank
-// heartbeats every Interval and marks a peer dead after Window of
-// silence (defaults: 10ms / 8×Interval).
-type LivenessConfig = machine.LivenessConfig
-
-// WithLiveness enables the heartbeat failure detector; after a failed
-// run, Machine.Survivors reports the ranks still alive.
-var WithLiveness = machine.WithLiveness
-
 // Manifest describes one committed checkpoint epoch: the arrays, their
 // recorded distributions, and the per-rank file checksums. Take
 // checkpoints with Engine.Checkpoint and replay them — onto the same or
