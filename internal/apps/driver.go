@@ -97,6 +97,9 @@ func (rt Runtime) validate() error {
 	if rt.Elastic && (rt.Join <= 0 || rt.CkptDir == "") {
 		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
 	}
+	if rt.Elastic && rt.Straggler.mitigating() {
+		return errors.New("apps: Elastic does not combine with a mitigating straggler policy (a joiner's scorer starts empty)")
+	}
 	return rt.Straggler.validate(rt.CommTimeout, rt.CkptDir)
 }
 
@@ -205,8 +208,9 @@ type app struct {
 	save func(meta map[string]string)
 
 	// mitigated, health and observed are the loop's own: the straggler
-	// policy fires once per run, not once per epoch, and the member's
-	// scorer keeps its observations across epochs.
+	// policy fires once per run, not once per epoch (view rank 0's flag
+	// gates the decision it hands every member), and the member's scorer
+	// keeps its observations across epochs.
 	mitigated bool
 	health    *health.Scorer
 	observed  int64
@@ -309,7 +313,7 @@ var testHookStep func(ctx *machine.Ctx, it int)
 // only when configured: the CkptEvery checkpoint; the elastic PollJoin
 // (one allreduce) and, on a pending joiner, a checkpoint and core.Grow;
 // the health observation (one allgather) and, until a mitigation has
-// fired, the straggler decision it feeds: the app's rebalance or a
+// fired, view rank 0's straggler decision it carries: the app's rebalance or a
 // checkpoint and a drain request.  A run with none of these configured
 // adds no collective to the app's own.
 func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *app, out *Outcome) error {
@@ -391,38 +395,37 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 				return core.Grow
 			}
 		}
-		// Straggler defense: one health collective per boundary, and the
-		// decision every member takes from the same observations once the
-		// scorer has had a chance to classify.
+		// Straggler defense: one health collective per boundary, which
+		// carries view rank 0's decision to every member once the scorer
+		// has had a chance to classify.
 		if a.health == nil {
 			continue
 		}
 		a.observed++
-		if err := observeHealth(ctx, a.health, a.observed); err != nil {
+		decide := sc.mitigating() && !a.mitigated && done >= sc.checkAfter() && done < rc.Iters
+		dec, view, speeds, err := observeHealth(ctx, sc, a.health, a.observed, decide)
+		if err != nil {
 			return err
 		}
-		if sc.mitigating() && !a.mitigated && done >= sc.checkAfter() && done < rc.Iters {
-			dec, view, speeds := decideStraggler(ctx, sc, a.health)
-			switch dec {
-			case scale.Rebalance:
-				if err := a.rebalance(speeds); err != nil {
-					return err
-				}
-				a.mitigated = true
-				if ctx.Rank() == 0 {
-					out.Mitigation = "rebalance"
-				}
-			case scale.Drain:
-				a.mitigated = true
-				if err := save(it); err != nil {
-					return err
-				}
-				if ctx.Rank() == 0 {
-					out.Mitigation = "drain"
-					out.Drained = append(out.Drained, ctx.PhysOf(view))
-				}
-				return &core.Resize{Drain: view}
+		switch dec {
+		case scale.Rebalance:
+			if err := a.rebalance(speeds); err != nil {
+				return err
 			}
+			a.mitigated = true
+			if ctx.Rank() == 0 {
+				out.Mitigation = "rebalance"
+			}
+		case scale.Drain:
+			a.mitigated = true
+			if err := save(it); err != nil {
+				return err
+			}
+			if ctx.Rank() == 0 {
+				out.Mitigation = "drain"
+				out.Drained = append(out.Drained, ctx.PhysOf(view))
+			}
+			return &core.Resize{Drain: view}
 		}
 	}
 	if err := a.end(); err != nil {

@@ -1,9 +1,9 @@
 // Straggler defense wiring shared by the application harnesses: a
 // StragglerConfig each app embeds, the compute-time injection that makes
 // a chosen rank measurably slow, and the per-boundary health collective
-// (work counters → every member's scorer → the same mitigation decision
-// on every member) the step loop turns into a rebalance or a drain
-// request.
+// (work counters → every member's scorer; view rank 0's mitigation
+// decision → every member) the step loop turns into a rebalance or a
+// drain request.
 package apps
 
 import (
@@ -142,28 +142,48 @@ func localElems(ctx *machine.Ctx, v *core.Array) float64 {
 // observeHealth is one iteration boundary's health collective: every
 // member contributes its cumulative ReportWork counters to one
 // AllgatherInts and folds every member's into its own scorer as
-// observation seq, so all members' scorers hold the same observations.
-func observeHealth(ctx *machine.Ctx, h *health.Scorer, seq int64) error {
+// observation seq.  When decide is set on view rank 0, it appends the
+// straggler decision its scorer held before this boundary's observation
+// (decideStraggler), and every member returns that one decision — the
+// same on every member by construction, whatever each member's own scorer
+// holds (a death mid-gather can leave one member an observation ahead of
+// another).  Hold when rank 0 appended none.
+func observeHealth(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer, seq int64, decide bool) (scale.Decision, int, []float64, error) {
 	units, busy := ctx.Work()
-	all, err := ctx.Comm().AllgatherInts([]int{int(math.Float64bits(units)), int(busy)})
+	mine := []int{int(math.Float64bits(units)), int(busy)}
+	if decide && ctx.Rank() == 0 {
+		if dec, view, speeds := decideStraggler(ctx, sc, h); dec != scale.Hold {
+			mine = append(mine, int(dec), view)
+			for _, sp := range speeds {
+				mine = append(mine, int(math.Float64bits(sp)))
+			}
+		}
+	}
+	all, err := ctx.Comm().AllgatherInts(mine)
 	if err != nil {
-		return err
+		return scale.Hold, -1, nil, err
 	}
 	for i, w := range all {
-		if len(w) != 2 {
-			return fmt.Errorf("apps: health report of view rank %d has %d values, want 2", i, len(w))
+		if len(w) != 2 && (i != 0 || len(w) != 4+len(all)) {
+			return scale.Hold, -1, nil, fmt.Errorf("apps: health report of view rank %d has %d values", i, len(w))
 		}
 		h.Observe(ctx.PhysOf(i), seq, math.Float64frombits(uint64(w[0])), time.Duration(w[1]).Seconds())
 	}
-	return nil
+	w := all[0]
+	if len(w) == 2 {
+		return scale.Hold, -1, nil, nil
+	}
+	speeds := make([]float64, len(all))
+	for i := range speeds {
+		speeds[i] = math.Float64frombits(uint64(w[4+i]))
+	}
+	return scale.Decision(w[2]), w[3], speeds, nil
 }
 
-// decideStraggler takes one iteration boundary's mitigation decision
-// from the member's own scorer — the same decision on every member,
-// which observeHealth fed the same data: the policy's decision, the
-// straggler's view rank and the members' measured speeds when a member
-// is classified Degraded or worse, Hold (re-check at the next boundary)
-// otherwise.
+// decideStraggler is the mitigation decision of the member's own scorer:
+// the policy's decision, the straggler's view rank and the members'
+// measured speeds when a member is classified Degraded or worse, Hold
+// (re-check at the next boundary) otherwise.
 func decideStraggler(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer) (scale.Decision, int, []float64) {
 	members := make([]int, ctx.NP())
 	for i := range members {

@@ -1,8 +1,13 @@
 package apps
 
 import (
+	"slices"
 	"testing"
 	"time"
+
+	"repro/internal/health"
+	"repro/internal/machine"
+	"repro/internal/scale"
 )
 
 // stragglerCfg is the shared defense setup of the matrix: a fast-tick
@@ -263,5 +268,68 @@ func TestStragglerConfigValidation(t *testing.T) {
 		},
 	}); err == nil {
 		t.Error("smoothing accepted the rebalance policy")
+	}
+}
+
+// TestStragglerRejectsElastic: a mitigating policy does not combine with
+// Elastic (a joiner's scorer starts empty); observing does.
+func TestStragglerRejectsElastic(t *testing.T) {
+	rt := Runtime{CkptDir: t.TempDir(), CommTimeout: 250 * time.Millisecond, Join: 1, Elastic: true}
+	for _, policy := range []string{"rebalance", "drain"} {
+		rt.Straggler = stragglerCfg(policy)
+		if err := rt.validate(); err == nil {
+			t.Errorf("Elastic with the %s policy was accepted", policy)
+		}
+	}
+	rt.Straggler = stragglerCfg("off")
+	if err := rt.validate(); err != nil {
+		t.Errorf("Elastic with observe-only scoring: %v", err)
+	}
+}
+
+// TestStragglerDecisionFromViewRankZero: the boundary collective hands
+// every member view rank 0's decision, also when the members' own scorers
+// disagree (here every other member's history names rank 3, rank 0's
+// rank 2).
+func TestStragglerDecisionFromViewRankZero(t *testing.T) {
+	const np = 4
+	m := machine.New(np)
+	defer m.Close()
+	sc := stragglerCfg("drain")
+	views := make([]int, np)
+	speeds := make([][]float64, np)
+	err := m.Run(func(ctx *machine.Ctx) error {
+		h := health.New(np, sc.healthConfig())
+		slow := 3
+		if ctx.Rank() == 0 {
+			slow = 2
+		}
+		for seq := int64(1); seq <= 4; seq++ {
+			for r := range np {
+				secs := float64(seq)
+				if r == slow {
+					secs *= 8
+				}
+				h.Observe(r, seq, float64(seq), secs)
+			}
+		}
+		ctx.ReportWork(1, time.Millisecond)
+		dec, view, sp, err := observeHealth(ctx, sc, h, 5, true)
+		if err != nil {
+			return err
+		}
+		if dec != scale.Drain {
+			t.Errorf("rank %d: decision %v, want drain", ctx.Rank(), dec)
+		}
+		views[ctx.Rank()], speeds[ctx.Rank()] = view, sp
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for r := range np {
+		if views[r] != 2 || !slices.Equal(speeds[r], speeds[0]) {
+			t.Errorf("rank %d: drains view rank %d at speeds %v, want 2 at %v", r, views[r], speeds[r], speeds[0])
+		}
 	}
 }

@@ -3,7 +3,6 @@ package machine
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/msg"
 )
@@ -22,10 +21,14 @@ import (
 //     probe responder — a goroutine per endpoint, not the peer's compute
 //     loop — takes it and sends a zero-byte msg.TagProbeReply back.  A rank
 //     asleep in its body, or computing, still answers.
-//   - Both frames go through the same transport stack as the program's
-//     messages: the fault injector, the CRC32C layer, the statistics and
-//     the cost model.  A permanent drop,rank=R rule therefore drops R's
-//     replies like all its other sends, and R falls silent to every probe.
+//   - Both frames are sent through the same transport stack as the
+//     program's messages: the fault injector, the CRC32C layer, the
+//     statistics and the cost model.  A permanent drop,rank=R rule
+//     therefore drops R's replies like all its other sends, and R falls
+//     silent to every probe.  The responder takes the probe off the wire
+//     endpoint beneath the fault and CRC layers, so its idle wait meets
+//     no receive-side rule; the prober's wait for the reply meets them
+//     all.
 //   - No reply within the policy's first deadline confirms the death —
 //     unless the suspecting rank's own sends are the ones being lost (the
 //     others have confirmed it dead already, or it cannot reach its own
@@ -100,8 +103,13 @@ func revoked(r int) error {
 }
 
 // startResponders starts one probe responder per endpoint.  A responder
-// lives as long as the transport: it returns when Close (or an SPMD abort)
-// closes it, and Close waits for it.
+// waits for probes on the wire endpoint beneath the fault and CRC layers
+// (msg.Wire), so its idle wait meets no receive-side fault rule — it
+// neither counts in a schedule nor draws from it, and a persistent
+// recverr rule cannot keep it from seeing the transport close — while
+// its replies go out through every layer.  It lives as long as the
+// transport: it returns when Close (or an SPMD abort) closes it, and
+// Close waits for it.
 func (m *Machine) startResponders() {
 	for r := 0; r < m.np; r++ {
 		ep := m.transport.Endpoint(r)
@@ -109,15 +117,11 @@ func (m *Machine) startResponders() {
 		go func() {
 			defer m.probes.Done()
 			for {
-				p, err := ep.Recv(msg.AnySource, msg.TagProbe)
-				switch {
-				case err == nil:
-					ep.Send(p.From, msg.TagProbeReply, nil) //nolint:errcheck // a lost reply is what a probe detects
-				case isClosedErr(err):
-					return
-				default: // an injected receive fault: the probe waits in the mailbox
-					time.Sleep(m.retry.Backoff(0))
+				p, err := msg.Wire(ep).Recv(msg.AnySource, msg.TagProbe)
+				if err != nil {
+					return // closed
 				}
+				ep.Send(p.From, msg.TagProbeReply, nil) //nolint:errcheck // a lost reply is what a probe detects
 			}
 		}()
 	}

@@ -144,6 +144,62 @@ func TestLivenessLostFrameIsNoDeath(t *testing.T) {
 	}
 }
 
+// faultMachine is a membership machine of np ranks on a chan transport
+// under the fault plan spec.
+func faultMachine(t *testing.T, np int, spec string) *Machine {
+	t.Helper()
+	plan, err := msg.ParseFaultPlan(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return New(np, WithTransport(msg.NewFaultTransport(msg.NewChanTransport(np), plan)),
+		WithRetry(msg.RetryPolicy{Timeout: 50 * time.Millisecond, Retries: 1}))
+}
+
+// TestLivenessRecvErrRankEndsRun: a rank whose every receive fails fails
+// the run, and Close returns: its probe responder waits beneath the
+// fault layer and sees the transport close.
+func TestLivenessRecvErrRankEndsRun(t *testing.T) {
+	m := faultMachine(t, 4, "recverr,rank=1")
+	done := make(chan error, 1)
+	go func() {
+		err := m.Run(func(ctx *Ctx) error { return ctx.Barrier() })
+		m.Close()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("run under a persistent recverr rule succeeded")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run or Close still blocked 5 s after start")
+	}
+}
+
+// TestLivenessResponderLeavesRecvRulesToProgram: the probe responders'
+// idle waits use up no receive-side rule, so a recverr rule with count=1
+// fails the program's first receive.
+func TestLivenessResponderLeavesRecvRulesToProgram(t *testing.T) {
+	m := faultMachine(t, 2, "recverr,rank=1,count=1")
+	defer m.Close()
+	time.Sleep(20 * time.Millisecond) // the responders are waiting
+	err := m.Run(func(ctx *Ctx) error {
+		ep := m.Transport().Endpoint(ctx.Rank())
+		if ctx.Rank() == 0 {
+			return ep.Send(1, 7, []byte{1})
+		}
+		if _, err := ep.Recv(0, 7); !errors.Is(err, msg.ErrInjected) {
+			return fmt.Errorf("first receive: %v, want the injected error", err)
+		}
+		_, err := ep.Recv(0, 7)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestSurvivorsNilWithoutLiveness: no retry Timeout, no membership, no
 // claim.
 func TestSurvivorsNilWithoutLiveness(t *testing.T) {

@@ -243,6 +243,9 @@ type faultEndpoint struct {
 	inj   *fault.Injector[FaultRule]
 }
 
+// wrapped is the facet Wire unwraps.
+func (e *faultEndpoint) wrapped() Endpoint { return e.inner }
+
 func (e *faultEndpoint) Rank() int { return e.inner.Rank() }
 func (e *faultEndpoint) NP() int   { return e.inner.NP() }
 

@@ -90,6 +90,9 @@ func appendSum(data []byte, sum uint32) []byte {
 	return framed
 }
 
+// wrapped is the facet Wire unwraps.
+func (e *integrityEndpoint) wrapped() Endpoint { return e.inner }
+
 func (e *integrityEndpoint) Rank() int { return e.inner.Rank() }
 func (e *integrityEndpoint) NP() int   { return e.inner.NP() }
 

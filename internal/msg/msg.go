@@ -142,6 +142,20 @@ type Endpoint interface {
 	RecvTimeout(from, tag int, d time.Duration) (Packet, error)
 }
 
+// Wire returns the transport endpoint beneath ep's decorators — the chan
+// or TCP endpoint under the fault injector and the integrity layer — or
+// ep itself when it decorates none.  A receive there meets no fault rule
+// and checks no CRC; its Recv fails only once the transport is closed.
+func Wire(ep Endpoint) Endpoint {
+	for {
+		d, ok := ep.(interface{ wrapped() Endpoint })
+		if !ok {
+			return ep
+		}
+		ep = d.wrapped()
+	}
+}
+
 // Transport connects NP logical processors.
 type Transport interface {
 	NP() int
