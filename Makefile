@@ -27,10 +27,12 @@ loc:
 	  | sort -k2
 
 # The reachability gate (ROADMAP aim 2): every non-test function is
-# reached from a cmd, example, bench path or the vienna facade, or is
-# listed in testdata/reachable_allow.txt.  TestReachable runs in tier-1;
-# this prints its listing: file:line, function and length of everything
-# only tests reach.
+# reached from a main of cmd/, examples/ or bench/, an init, an exported
+# func or var of vienna.go, a package-level use, or an interface its
+# receiver implements — or is listed, with its reason, in
+# testdata/reachable_allow.txt.  TestReachable runs in tier-1; this
+# prints its listing: file:line, function and length of everything only
+# tests reach.
 dead:
 	@$(GO) test -count=1 -run '^TestReachable$$' -v . | sed -n 's/^ *reachable_test.go:[0-9]*: //p'
 

@@ -81,16 +81,16 @@ func (sc StragglerConfig) healthConfig() health.Config {
 // validate checks the prerequisites the chosen policy needs from the
 // surrounding app config.
 func (sc StragglerConfig) validate(commTimeout time.Duration, ckptDir string) error {
+	switch sc.Policy {
+	case "", "off", "rebalance", "drain":
+	default:
+		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, or drain)", sc.Policy)
+	}
 	if !sc.Enabled() {
 		if sc.decide() != scale.Hold {
 			return fmt.Errorf("apps: straggler policy %q needs HealthWindow > 0 (nothing is measured)", sc.Policy)
 		}
 		return nil
-	}
-	switch sc.Policy {
-	case "", "off", "rebalance", "drain":
-	default:
-		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, or drain)", sc.Policy)
 	}
 	if sc.mitigating() && commTimeout <= 0 {
 		return errors.New("apps: straggler mitigation requires a CommTimeout")

@@ -239,6 +239,9 @@ func TestStragglerConfigValidation(t *testing.T) {
 			c.CommTimeout = 250 * time.Millisecond
 			c.Straggler = StragglerConfig{HealthWindow: 4, Policy: "panic"}
 		}},
+		{"unknown policy without window", func(c *ADIConfig) {
+			c.Straggler = StragglerConfig{Policy: "panic"}
+		}},
 		{"online recover without ckpt", func(c *ADIConfig) {
 			c.CommTimeout = 250 * time.Millisecond
 			c.OnlineRecover = true

@@ -57,7 +57,7 @@ type RestoreResult struct {
 // (np-dependent S_BLOCK/B_BLOCK specifiers degrade to BLOCK).  Then every
 // rank reads the saved rank files whose grids meet what it now owns,
 // one file at a time, and unpacks those parts.  Ghost areas are left
-// stale; refresh them with ExchangeGhosts before stencil use.
+// stale; refresh them with ExchangeAllGhosts before stencil use.
 func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Options) (*RestoreResult, error) {
 	rank, np := ctx.Rank(), ctx.NP()
 	if err := opts.Validate(); err != nil {

@@ -43,12 +43,6 @@ func (a *Array) Domain() index.Domain { return a.dom }
 // Dynamic reports whether the array was declared DYNAMIC.
 func (a *Array) Dynamic() bool { return a.dynamic }
 
-// ConnKind returns how the array connects to its primary.
-func (a *Array) Conn() ConnKind { return a.connKind }
-
-// PrimaryArray returns the primary of the array's connect class.
-func (a *Array) PrimaryArray() *Array { return a.class.primary }
-
 // ClassMembers returns the full equivalence class C(B): the primary
 // followed by the secondaries, in declaration order.
 func (a *Array) ClassMembers() []*Array {
@@ -88,11 +82,6 @@ func (a *Array) Get(ctx *machine.Ctx, p ...int) float64 {
 	return a.arr.Get(ctx, index.Point(p))
 }
 
-// Set writes a global element (one-sided when remote; ordered as for Get).
-func (a *Array) Set(ctx *machine.Ctx, v float64, p ...int) {
-	a.arr.Set(ctx, index.Point(p), v)
-}
-
 // FillFunc fills the locally owned elements.
 func (a *Array) FillFunc(ctx *machine.Ctx, f func(p index.Point) float64) {
 	a.arr.FillFunc(ctx, f)
@@ -106,16 +95,6 @@ func (a *Array) Fill(ctx *machine.Ctx, v float64) { a.arr.Fill(ctx, v) }
 func (a *Array) GatherTo(ctx *machine.Ctx, root int) ([]float64, error) {
 	return a.arr.GatherTo(ctx, root)
 }
-
-// ScatterFrom distributes a dense global slice from root, returning a
-// wrapped error on transport failure or a wrong-sized slice.
-func (a *Array) ScatterFrom(ctx *machine.Ctx, root int, data []float64) error {
-	return a.arr.ScatterFrom(ctx, root, data)
-}
-
-// ExchangeGhosts refreshes overlap areas along dimension k, returning a
-// wrapped error on transport failure.
-func (a *Array) ExchangeGhosts(ctx *machine.Ctx, k int) error { return a.arr.ExchangeGhosts(ctx, k) }
 
 // ExchangeAllGhosts refreshes all overlap areas, returning a wrapped
 // error on transport failure.

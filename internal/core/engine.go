@@ -93,11 +93,6 @@ func NewEngine(m *machine.Machine) *Engine {
 // Machine returns the underlying machine.
 func (e *Engine) Machine() *machine.Machine { return e.m }
 
-// NP returns the number of executing processors — the paper's $NP
-// intrinsic ("Vienna Fortran supports an intrinsic function $NP which
-// returns the number of processors being used to execute the program").
-func (e *Engine) NP() int { return e.m.NP() }
-
 // DefaultTarget returns the whole machine viewed as a one-dimensional
 // processor array $P(1:NP), the target used when a declaration omits
 // "TO R(...)".

@@ -109,10 +109,10 @@ func TestPaperExample2(t *testing.T) {
 			if !a1.DistType(ctx.Rank()).Equal(b4.DistType(ctx.Rank())) {
 				t.Errorf("A1 type %v != B4 type %v", a1.DistType(ctx.Rank()), b4.DistType(ctx.Rank()))
 			}
-			if a1.Conn() != ConnExtract || a2.Conn() != ConnAlign {
+			if a1.connKind != ConnExtract || a2.connKind != ConnAlign {
 				t.Error("connection kinds wrong")
 			}
-			if a1.PrimaryArray() != b4 {
+			if a1.class.primary != b4 {
 				t.Error("primary wrong")
 			}
 		}
@@ -416,7 +416,7 @@ func TestEngineLookupAndArrays(t *testing.T) {
 			if len(names) != 2 || names[0] != "P1" || names[1] != "P2" {
 				t.Errorf("arrays = %v", names)
 			}
-			if e.NP() != 2 {
+			if e.m.NP() != 2 {
 				t.Error("NP")
 			}
 		}

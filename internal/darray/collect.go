@@ -59,43 +59,6 @@ func (a *Array) GatherTo(ctx *machine.Ctx, root int) ([]float64, error) {
 	return out, nil
 }
 
-// ScatterFrom distributes a dense column-major slice (significant on
-// root only) into the array; every owner — including replicas — receives
-// its local part.  A wrong-sized data slice on root and transport
-// failures are returned as wrapped errors naming the array and ranks.
-func (a *Array) ScatterFrom(ctx *machine.Ctx, root int, data []float64) error {
-	rank, np := ctx.Rank(), ctx.NP()
-	d := a.requireDist(rank)
-	var bufs [][]byte
-	if rank == root {
-		if len(data) != a.dom.Size() {
-			return fmt.Errorf("darray: %s: scatter from rank %d: scatter data length %d != domain size %d",
-				a.name, root, len(data), a.dom.Size())
-		}
-		bufs = make([][]byte, np)
-		for r := 0; r < np; r++ {
-			g := d.LocalGrid(r)
-			buf, off := msg.GrowFloat64s(nil, g.Count())
-			g.ForEachRun(func(p index.Point, rn index.Run) bool {
-				o := a.dom.Offset(p)
-				for i := rn.Lo; i <= rn.Hi; i += rn.Stride {
-					msg.PutFloat64(buf, off, data[o])
-					off += 8
-					o += rn.Stride
-				}
-				return true
-			})
-			bufs[r] = buf
-		}
-	}
-	mine, err := ctx.Comm().Scatterv(root, bufs)
-	if err != nil {
-		return fmt.Errorf("darray: %s: scatter from %d: %w", a.name, root, err)
-	}
-	a.locals[rank].unpackWire(a.locals[rank].grid, mine)
-	return nil
-}
-
 // ReduceSum returns the sum of all owned elements across processors on
 // every rank (replicas divide their contribution so each element counts
 // once).

@@ -114,8 +114,8 @@ type arrOpts struct {
 
 // WithGhost declares symmetric overlap (ghost) areas of the given width
 // per dimension, used by stencil codes; ghost cells are refreshed with
-// ExchangeGhosts.  Ghosts require block-family distribution (or elision)
-// in that dimension.
+// ExchangeAllGhosts.  Ghosts require block-family distribution (or
+// elision) in that dimension.
 func WithGhost(widths ...int) Option {
 	return func(o *arrOpts) { o.ghost = widths }
 }
@@ -429,14 +429,8 @@ func (a *Array) retireLocal(rank int, d *dist.Distribution, l *Local) {
 	m[fp] = l
 }
 
-// Rank returns the owning processor's rank.
-func (l *Local) Rank() int { return l.rank }
-
 // Grid returns the owned global index set.
 func (l *Local) Grid() index.Grid { return l.grid }
-
-// Shape returns the owned extents per dimension (without ghosts).
-func (l *Local) Shape() []int { return l.shape }
 
 // Count returns the number of owned elements.
 func (l *Local) Count() int { return l.grid.Count() }
@@ -447,13 +441,6 @@ func (l *Local) Data() []float64 { return l.data }
 
 // AllocShape returns the allocated extents including ghosts.
 func (l *Local) AllocShape() []int { return l.alloc }
-
-// GhostLo returns the below-ghost widths actually allocated (clipped at
-// domain boundaries).
-func (l *Local) GhostLo() []int { return l.gLo }
-
-// GhostHi returns the above-ghost widths actually allocated.
-func (l *Local) GhostHi() []int { return l.gHi }
 
 // Segment returns the owned global bounds per dimension when every
 // dimension is contiguous; ok is false otherwise (the `segment`

@@ -76,7 +76,7 @@ func TestLocalAccessAndSegment(t *testing.T) {
 		a := New(ctx, "B", index.Dim(10), d)
 		l := a.Local(ctx)
 		if ctx.Rank() == 0 {
-			if l.Count() != 5 || l.Shape()[0] != 5 {
+			if l.Count() != 5 || l.shape[0] != 5 {
 				t.Errorf("rank 0 count = %d", l.Count())
 			}
 			lo, hi, ok := l.Segment()
@@ -382,7 +382,7 @@ func TestGhostExchange1D(t *testing.T) {
 		a := New(ctx, "A", dom, d, WithGhost(2))
 		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0] * p[0]) })
 		ctx.Barrier()
-		a.ExchangeGhosts(ctx, 0)
+		a.ExchangeAllGhosts(ctx)
 		l := a.Local(ctx)
 		lo, hi, _ := l.Segment()
 		// ghosts within 2 of my segment hold neighbour values
@@ -443,7 +443,7 @@ func TestGhostExchangeBBlockThinSegments(t *testing.T) {
 		a := New(ctx, "A", dom, d, WithGhost(2))
 		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0]) })
 		ctx.Barrier()
-		a.ExchangeGhosts(ctx, 0)
+		a.ExchangeAllGhosts(ctx)
 		l := a.Local(ctx)
 		if ctx.Rank() == 2 {
 			// p2's low ghost can only get 1 row from thin neighbour p1
@@ -457,37 +457,6 @@ func TestGhostExchangeBBlockThinSegments(t *testing.T) {
 			}
 			if got := l.At(index.Point{3}); got != 3 {
 				t.Errorf("p1 high ghost = %v", got)
-			}
-		}
-		return nil
-	})
-}
-
-func TestScatterGatherRoundTrip(t *testing.T) {
-	run(t, 4, func(ctx *machine.Ctx) error {
-		tg := ctx.Machine().ProcsDim("P", 4).Whole()
-		dom := index.Dim(9, 4)
-		d := dist.MustNew(dist.NewType(dist.CyclicDim(2), dist.ElidedDim()), dom, tg)
-		a := New(ctx, "A", dom, d)
-		var data []float64
-		if ctx.Rank() == 0 {
-			data = make([]float64, dom.Size())
-			for i := range data {
-				data[i] = float64(i) * 1.5
-			}
-		}
-		if err := a.ScatterFrom(ctx, 0, data); err != nil {
-			return err
-		}
-		got, err := a.GatherTo(ctx, 0)
-		if err != nil {
-			return err
-		}
-		if ctx.Rank() == 0 {
-			for i := range got {
-				if got[i] != float64(i)*1.5 {
-					t.Errorf("roundtrip[%d] = %v", i, got[i])
-				}
 			}
 		}
 		return nil

@@ -75,19 +75,6 @@ func TestOffsetOutsideAllocationPanics(t *testing.T) {
 	})
 }
 
-func TestScatterLengthMismatch(t *testing.T) {
-	expectRunPanic(t, 2, "scatter data length", func(ctx *machine.Ctx) error {
-		tg := ctx.Machine().ProcsDim("P", 2).Whole()
-		d := dist.MustNew(dist.NewType(dist.BlockDim()), index.Dim(8), tg)
-		a := New(ctx, "A", index.Dim(8), d)
-		var data []float64
-		if ctx.Rank() == 0 {
-			data = make([]float64, 3) // wrong length
-		}
-		return a.ScatterFrom(ctx, 0, data)
-	})
-}
-
 func TestAbortUnblocksPeers(t *testing.T) {
 	// One rank panics mid-collective; the other must unwind via the
 	// transport shutdown instead of deadlocking (MPI-abort semantics).

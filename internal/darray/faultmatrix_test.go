@@ -208,7 +208,7 @@ func runFaultCase(t *testing.T, transport, opName string, rule msg.FaultRule) []
 				}
 			}
 		case "ghost":
-			opErr = a.ExchangeGhosts(ctx, 0)
+			opErr = a.ExchangeAllGhosts(ctx)
 			if opErr == nil && rank > 0 {
 				// west ghost cell holds the left neighbour's last element
 				l := a.Local(ctx)

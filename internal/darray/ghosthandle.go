@@ -160,13 +160,30 @@ type GhostHandle struct {
 }
 
 // StartExchangeGhosts begins refreshing the overlap areas of dimension
-// k: boundary faces are sent to the neighbours without waiting for the
-// inbound faces.  Complete it with GhostHandle.Wait before reading this
-// processor's own ghost cells.  With a ghost width above 1 the faces
-// carry the margins of the dimensions before k (see Corners above), so
-// start dimension k only after those dimensions' handles were waited.
-// See ExchangeGhosts for the synchronous semantics, clipping rules and
-// error behaviour.
+// k: each processor sends its boundary faces to the neighbouring
+// processors along that dimension's target dimension without waiting for
+// the inbound faces; GhostHandle.Wait applies the neighbours' faces into
+// its own ghost margins and must run before this processor reads them.
+// Overlap areas are the mechanism the VFE uses to satisfy
+// nearest-neighbour non-local references (§3.2: "the associated overlap
+// areas"); a 5-point smoothing step needs one exchange per distributed
+// dimension per sweep, which is exactly the message pattern analyzed in
+// §4 (2 messages per processor for a column distribution, 4 for a 2-D
+// block distribution).
+//
+// The dimension must be contiguous (block-family or elided).  Ghost
+// areas are clipped at the domain boundary (non-periodic), and the
+// exchanged face width is min(ghost width, neighbour segment width) —
+// with degenerate segments thinner than the overlap, the farther ghost
+// rows stay stale (only nearest neighbours exchange).  With a ghost width
+// above 1 the faces carry the margins of the dimensions before k (see
+// Corners above), so start dimension k only after those dimensions'
+// handles were waited.
+//
+// Programmer errors (ghost exchange on a non-contiguous dimension) panic;
+// transport failures are returned as errors wrapping the underlying
+// cause.  The exchange runs under the machine's msg.RetryPolicy, so a
+// lost face surfaces as a wrapped timeout instead of blocking forever.
 func (a *Array) StartExchangeGhosts(ctx *machine.Ctx, k int) (*GhostHandle, error) {
 	h := &GhostHandle{a: a, ctx: ctx}
 	if err := h.start(k); err != nil {

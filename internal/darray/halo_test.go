@@ -25,7 +25,7 @@ func checkRing(t *testing.T, ctx *machine.Ctx, a *Array, what string, want func(
 	}
 	tri := make([][3]int, len(lo))
 	for k := range tri {
-		tri[k] = [3]int{lo[k] - l.GhostLo()[k], hi[k] + l.GhostHi()[k], 1}
+		tri[k] = [3]int{lo[k] - l.gLo[k], hi[k] + l.gHi[k], 1}
 	}
 	index.NewSection(tri...).ForEach(func(p index.Point) bool {
 		if got := l.At(p); got != want(p) {

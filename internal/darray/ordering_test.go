@@ -31,10 +31,10 @@ func checkGhosts(t *testing.T, ctx *machine.Ctx, a *Array, what string, want fun
 	r := len(lo)
 	for k := 0; k < r; k++ {
 		var layers []int
-		if l.GhostLo()[k] > 0 {
+		if l.gLo[k] > 0 {
 			layers = append(layers, lo[k]-1)
 		}
-		if l.GhostHi()[k] > 0 {
+		if l.gHi[k] > 0 {
 			layers = append(layers, hi[k]+1)
 		}
 		for _, g := range layers {

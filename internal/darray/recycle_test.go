@@ -64,7 +64,7 @@ func checkStorage(t *testing.T, ctx *machine.Ctx, a *Array, what string, want fu
 	for i, v := range l.Data() {
 		if v != exp[i] {
 			t.Errorf("rank %d %s: storage[%d] = %v, want %v (alloc %v, ghosts %v/%v)",
-				ctx.Rank(), what, i, v, exp[i], l.AllocShape(), l.GhostLo(), l.GhostHi())
+				ctx.Rank(), what, i, v, exp[i], l.AllocShape(), l.gLo, l.gHi)
 			return
 		}
 	}

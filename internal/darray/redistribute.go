@@ -47,7 +47,7 @@ func MemBudget(n int64) RedistOption {
 // evaluates the new distribution, determines the new locations of its
 // current local data from the symmetric communication schedule, sends it,
 // and receives its new local data.  Ghost areas are reallocated (their
-// contents become stale and must be refreshed with ExchangeGhosts).
+// contents become stale and must be refreshed with ExchangeAllGhosts).
 //
 // Nothing in it is a global rendezvous.  A processor commits — installs
 // its new Local and descriptor — as soon as its own incoming data has

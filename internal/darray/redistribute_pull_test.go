@@ -104,7 +104,7 @@ func TestRedistributeGhostedRects(t *testing.T) {
 					for i, v := range l.Data() {
 						if v != want[i] {
 							t.Errorf("rank %d under %v: storage[%d] = %v, want %v (alloc %v, ghosts %v/%v)",
-								ctx.Rank(), d, i, v, want[i], l.AllocShape(), l.GhostLo(), l.GhostHi())
+								ctx.Rank(), d, i, v, want[i], l.AllocShape(), l.gLo, l.gHi)
 							break
 						}
 					}

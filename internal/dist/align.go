@@ -88,19 +88,6 @@ func Transpose2D() Alignment {
 	return NewAlignment(Axis(1), Axis(0))
 }
 
-// Apply maps a source point to the target point.
-func (al Alignment) Apply(p index.Point) index.Point {
-	out := make(index.Point, len(al.Maps))
-	for j, m := range al.Maps {
-		if m.Const {
-			out[j] = m.ConstVal
-		} else {
-			out[j] = m.stride()*p[m.SrcDim] + m.Offset
-		}
-	}
-	return out
-}
-
 // Validate checks that the alignment maps every point of aDom into bDom
 // and that each source dimension is referenced at most once.
 func (al Alignment) Validate(aDom, bDom index.Domain) error {

@@ -309,48 +309,6 @@ func (d DimSpec) runSet(p, lo, n, np int) index.RunSet {
 	panic("dist: runSet unknown kind")
 }
 
-// localIndex returns the 0-based local position of global index i on its
-// owning coordinate (the paper's loc_map, per dimension).
-func (d DimSpec) localIndex(i, lo, n, np int) int {
-	switch d.Kind {
-	case Block, SBlock, BBlock:
-		p := d.owner(i, lo, n, np)
-		slo, _ := d.segBounds(p, lo, n, np)
-		return i - slo
-	case Cyclic:
-		if d.Phase != 0 {
-			p := d.owner(i, lo, n, np)
-			return d.runSet(p, lo, n, np).IndexOf(i)
-		}
-		k := normK(d.K)
-		off := i - lo
-		return (off/(np*k))*k + off%k
-	case Elided:
-		return i - lo
-	}
-	panic("dist: localIndex unknown kind")
-}
-
-// globalIndex is the inverse of localIndex for coordinate p.
-func (d DimSpec) globalIndex(li, p, lo, n, np int) int {
-	switch d.Kind {
-	case Block, SBlock, BBlock:
-		slo, _ := d.segBounds(p, lo, n, np)
-		return slo + li
-	case Cyclic:
-		if d.Phase != 0 {
-			return d.runSet(p, lo, n, np).At(li)
-		}
-		k := normK(d.K)
-		cycle := li / k
-		within := li % k
-		return lo + cycle*np*k + p*k + within
-	case Elided:
-		return lo + li
-	}
-	panic("dist: globalIndex unknown kind")
-}
-
 // Type is a distribution type: a list of per-dimension specifiers
 // (paper §2.2, "distribution expression ... determines a class of
 // distributions which is called a distribution type").

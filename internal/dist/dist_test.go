@@ -44,14 +44,6 @@ func TestBlockOwnership(t *testing.T) {
 	if !ok || seg.Lo[0] != 9 || seg.Hi[0] != 10 {
 		t.Errorf("segment p2 = %v ok=%v", seg, ok)
 	}
-	// loc_map roundtrip
-	li := d.LocalIndex(index.Point{6})
-	if li[0] != 1 {
-		t.Errorf("localIndex(6) = %v", li)
-	}
-	if g := d.GlobalIndex(1, []int{1}); g[0] != 6 {
-		t.Errorf("globalIndex = %v", g)
-	}
 }
 
 func TestCyclicOwnership(t *testing.T) {
@@ -69,16 +61,6 @@ func TestCyclicOwnership(t *testing.T) {
 	}
 	if _, ok := d.Segment(0); ok {
 		t.Error("cyclic should not report a contiguous segment")
-	}
-	// local<->global roundtrip across all elements
-	for i := 1; i <= 10; i++ {
-		p := index.Point{i}
-		owner := d.Owner(p)
-		li := d.LocalIndex(p)
-		back := d.GlobalIndex(owner, li)
-		if back[0] != i {
-			t.Errorf("roundtrip %d -> %v -> %v", i, li, back)
-		}
 	}
 	// grid partition: disjoint, total 10
 	g0 := d.LocalGrid(0).Dims[0]
@@ -290,36 +272,6 @@ func boundsFor(rng *rand.Rand, extent, np int) []int {
 	return bounds
 }
 
-func TestLocalGlobalRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	tg := target1(t, 4)
-	for trial := 0; trial < 50; trial++ {
-		n := 8 + rng.Intn(40)
-		specs := []DimSpec{
-			BlockDim(),
-			CyclicDim(1 + rng.Intn(5)),
-			SBlockDim(sizesFor(rng, n, 4)...),
-			BBlockDim(boundsFor(rng, n, 4)...),
-			{Kind: Cyclic, K: 3, Phase: rng.Intn(30)},
-		}
-		d, err := New(NewType(specs[rng.Intn(len(specs))]), index.Dim(n), tg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 1; i <= n; i++ {
-			p := index.Point{i}
-			owner := d.Owner(p)
-			li := d.LocalIndex(p)
-			if li[0] < 0 || li[0] >= d.LocalCount(owner) {
-				t.Fatalf("trial %d: localIndex(%d) = %d outside [0,%d) for %v", trial, i, li[0], d.LocalCount(owner), d)
-			}
-			if back := d.GlobalIndex(owner, li); back[0] != i {
-				t.Fatalf("trial %d: roundtrip %d -> %d for %v", trial, i, back[0], d)
-			}
-		}
-	}
-}
-
 func TestTypeEqualAndString(t *testing.T) {
 	a := NewType(BlockDim(), CyclicDim(1))
 	b := NewType(BlockDim(), CyclicDim(0)) // CYCLIC == CYCLIC(1)
@@ -397,7 +349,7 @@ func TestLocalShapeAndReplicationDegree(t *testing.T) {
 	if d.ReplicationDegree() != 3 {
 		t.Fatalf("degree = %d", d.ReplicationDegree())
 	}
-	if sh := d.LocalShape(0); sh[0] != 5 {
+	if sh := d.LocalGrid(0).Dims[0].Count(); sh != 5 {
 		t.Fatalf("shape = %v", sh)
 	}
 	if !d.IsPrimaryRank(0) || d.IsPrimaryRank(2) {

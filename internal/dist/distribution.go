@@ -341,53 +341,6 @@ func (d *Distribution) LocalCount(rank int) int {
 	return d.LocalGrid(rank).Count()
 }
 
-// LocalShape returns the per-dimension local extents on rank (the shape
-// of the dense local storage block, before overlap areas are added).
-func (d *Distribution) LocalShape(rank int) []int {
-	g := d.LocalGrid(rank)
-	out := make([]int, len(g.Dims))
-	for k, rs := range g.Dims {
-		out[k] = rs.Count()
-	}
-	return out
-}
-
-// LocalIndex returns the per-dimension 0-based local position of global
-// point p on its owner (the loc_map of §3.2.1).  The caller must ensure
-// p is owned by the rank whose storage is being addressed.
-func (d *Distribution) LocalIndex(p index.Point) []int {
-	out := make([]int, len(p))
-	for k, i := range p {
-		td := d.procDim[k]
-		np := 1
-		if td >= 0 {
-			np = d.target.Extent(td)
-		}
-		out[k] = d.typ.Dims[k].localIndex(i, d.domain.Lo[k], d.domain.Extent(k), np)
-	}
-	return out
-}
-
-// GlobalIndex converts a per-dimension local position on the target
-// coordinates of rank back to the global point (inverse of LocalIndex).
-func (d *Distribution) GlobalIndex(rank int, li []int) index.Point {
-	coords, ok := d.target.CoordsOf(rank)
-	if !ok {
-		panic(fmt.Sprintf("dist: rank %d outside target %v", rank, d.target))
-	}
-	p := make(index.Point, len(li))
-	for k := range li {
-		td := d.procDim[k]
-		np, c := 1, 0
-		if td >= 0 {
-			np = d.target.Extent(td)
-			c = coords[td]
-		}
-		p[k] = d.typ.Dims[k].globalIndex(li[k], c, d.domain.Lo[k], d.domain.Extent(k), np)
-	}
-	return p
-}
-
 // Segment returns rank's contiguous segment (inclusive per-dimension
 // bounds) when every distributed dimension is block-family; ok is false
 // when a CYCLIC dimension makes the local set non-contiguous or the rank

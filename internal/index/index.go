@@ -33,19 +33,6 @@ func (p Point) Clone() Point {
 	return q
 }
 
-// Equal reports whether p and q are identical points.
-func (p Point) Equal(q Point) bool {
-	if len(p) != len(q) {
-		return false
-	}
-	for i := range p {
-		if p[i] != q[i] {
-			return false
-		}
-	}
-	return true
-}
-
 func (p Point) String() string {
 	parts := make([]string, len(p))
 	for i, v := range p {

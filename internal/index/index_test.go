@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -55,7 +56,7 @@ func TestDomainOffsetColumnMajor(t *testing.T) {
 		if got := d.Offset(c.p); got != c.want {
 			t.Errorf("Offset(%v) = %d, want %d", c.p, got, c.want)
 		}
-		if back := d.At(c.want); !back.Equal(c.p) {
+		if back := d.At(c.want); !slices.Equal(back, c.p) {
 			t.Errorf("At(%d) = %v, want %v", c.want, back, c.p)
 		}
 	}
@@ -79,7 +80,7 @@ func TestSectionBasics(t *testing.T) {
 	}
 	var pts []Point
 	s.ForEach(func(p Point) bool { pts = append(pts, p.Clone()); return true })
-	if len(pts) != 4 || !pts[0].Equal(Point{1, 2}) || !pts[3].Equal(Point{10, 2}) {
+	if len(pts) != 4 || !slices.Equal(pts[0], Point{1, 2}) || !slices.Equal(pts[3], Point{10, 2}) {
 		t.Fatalf("iteration = %v", pts)
 	}
 }
@@ -316,7 +317,7 @@ func TestGridForEachRunMatchesForEach(t *testing.T) {
 			t.Fatalf("grid %d: %d points via runs, %d via ForEach, Count %d", gi, len(got), len(want), g.Count())
 		}
 		for i := range want {
-			if !got[i].Equal(want[i]) {
+			if !slices.Equal(got[i], want[i]) {
 				t.Fatalf("grid %d: point %d = %v via runs, %v via ForEach", gi, i, got[i], want[i])
 			}
 		}

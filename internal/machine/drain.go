@@ -43,15 +43,6 @@ func (m *Machine) pendingDrains(phys []int) []int {
 	return out
 }
 
-// PendingDrains returns the physical ranks currently registered for a
-// voluntary drain (nil without a retry Timeout).
-func (m *Machine) PendingDrains() []int {
-	if m.drains == nil {
-		return nil
-	}
-	return m.drains.snapshot()
-}
-
 // Drain transitions the current epoch's members to epoch e+1 *without*
 // the member at viewRank: the voluntary scale-IN mirror of Admit.  It
 // is collective over the member set — every member (including the one

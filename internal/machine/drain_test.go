@@ -35,7 +35,7 @@ func TestDrainShrinksEpoch(t *testing.T) {
 		if ctx.Epoch() != 1 || ctx.NP() != 3 {
 			t.Errorf("after drain: epoch %d np %d, want 1, 3", ctx.Epoch(), ctx.NP())
 		}
-		mem := ctx.Members()
+		mem := ctx.phys
 		if len(mem) != 3 || mem[0] != 0 || mem[1] != 1 || mem[2] != 3 {
 			t.Errorf("members = %v, want [0 1 3]", mem)
 		}
@@ -51,7 +51,7 @@ func TestDrainShrinksEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if pd := m.PendingDrains(); len(pd) != 0 {
+	if pd := m.drains.snapshot(); len(pd) != 0 {
 		t.Fatalf("drain registry not cleared: %v", pd)
 	}
 }
@@ -91,7 +91,7 @@ func TestDrainRacingDeathOneEpoch(t *testing.T) {
 		if ctx.Epoch() != 1 || ctx.NP() != 2 {
 			t.Errorf("drain+death resolved to epoch %d np %d, want ONE transition to epoch 1, np 2", ctx.Epoch(), ctx.NP())
 		}
-		mem := ctx.Members()
+		mem := ctx.phys
 		if len(mem) != 2 || mem[0] != 0 || mem[1] != 1 {
 			t.Errorf("members = %v, want [0 1]", mem)
 		}

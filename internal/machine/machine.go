@@ -417,9 +417,6 @@ func (c *Ctx) PhysOf(viewRank int) int {
 	return viewRank
 }
 
-// physRank is the historical unexported spelling of PhysRank.
-func (c *Ctx) physRank() int { return c.PhysRank() }
-
 // Machine returns the owning machine.
 func (c *Ctx) Machine() *Machine { return c.m }
 
@@ -443,7 +440,7 @@ func (c *Ctx) Barrier() error {
 // itself — follow with Barrier when the object must be fully visible
 // before unrelated communication.
 func (c *Ctx) CollectiveOnce(create func() any) any {
-	defer c.Tracer().BeginSpan(c.physRank(), trace.CatCollective, "collective-once").End()
+	defer c.Tracer().BeginSpan(c.PhysRank(), trace.CatCollective, "collective-once").End()
 	c.collSeq++
 	// The epoch is folded into the pairing key: after a regroup the
 	// survivors restart the sequence at 0 in the new epoch, so their
@@ -465,7 +462,7 @@ func (c *Ctx) CollectiveOnce(create func() any) any {
 // clock (no-op without a cost model).
 func (c *Ctx) Charge(seconds float64) {
 	if cm := c.m.Cost(); cm != nil {
-		cm.Charge(c.physRank(), seconds)
+		cm.Charge(c.PhysRank(), seconds)
 	}
 }
 
@@ -477,12 +474,12 @@ func (c *Ctx) Tracer() *trace.Tracer { return c.m.Tracer() }
 // the innermost open phase-like span in the summary.  No-op without a
 // tracer.
 func (c *Ctx) PhaseBegin(name string) {
-	c.Tracer().BeginSpan(c.physRank(), trace.CatPhase, name)
+	c.Tracer().BeginSpan(c.PhysRank(), trace.CatPhase, name)
 }
 
 // PhaseEnd closes the named user phase opened by PhaseBegin.
 func (c *Ctx) PhaseEnd(name string) {
-	c.Tracer().EndSpan(c.physRank(), trace.CatPhase, name)
+	c.Tracer().EndSpan(c.PhysRank(), trace.CatPhase, name)
 }
 
 // ReportWork adds one completed batch of application work to this rank's

@@ -57,18 +57,6 @@ func (m *Machine) ProcsDim(name string, extents ...int) *ProcArray {
 	return m.Procs(name, bounds...)
 }
 
-// Name returns the declaration name.
-func (p *ProcArray) Name() string { return p.name }
-
-// Domain returns the coordinate domain.
-func (p *ProcArray) Domain() index.Domain { return p.dom }
-
-// NDims returns the number of processor dimensions.
-func (p *ProcArray) NDims() int { return p.dom.Rank() }
-
-// Extent returns the number of processors along dimension k.
-func (p *ProcArray) Extent(k int) int { return p.dom.Extent(k) }
-
 // Size returns the total number of processors in the array.
 func (p *ProcArray) Size() int { return p.dom.Size() }
 
@@ -98,15 +86,6 @@ func (p *ProcArray) CoordsOf(rank int) ([]int, bool) {
 	return p.coordsTab[rank], true
 }
 
-// Ranks lists all transport ranks in the array in coordinate order.
-func (p *ProcArray) Ranks() []int {
-	out := make([]int, p.Size())
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // Whole returns the section covering the full processor array.  The
 // section is shared across calls: distribution expressions evaluate
 // "TO <array>" on every executable DISTRIBUTE, and sharing keeps the
@@ -121,8 +100,8 @@ func (p *ProcArray) Whole() *ProcSection {
 // Section selects a rectangular subset of the processor array, e.g.
 // R(1:2, 2:2).  Triplets follow index.NewSection conventions.
 func (p *ProcArray) Section(triplets ...[3]int) *ProcSection {
-	if len(triplets) != p.NDims() {
-		panic(fmt.Sprintf("machine: section rank %d != processor array rank %d", len(triplets), p.NDims()))
+	if len(triplets) != p.dom.Rank() {
+		panic(fmt.Sprintf("machine: section rank %d != processor array rank %d", len(triplets), p.dom.Rank()))
 	}
 	s := index.NewSection(triplets...)
 	s.ForEach(func(pt index.Point) bool {
@@ -148,9 +127,6 @@ type ProcSection struct {
 	strOnce sync.Once
 	str     string
 }
-
-// Array returns the parent processor array.
-func (s *ProcSection) Array() *ProcArray { return s.pa }
 
 // NDims returns the section's number of dimensions.
 func (s *ProcSection) NDims() int { return s.sec.Rank() }
@@ -226,29 +202,6 @@ func (s *ProcSection) Ranks() []int {
 		return true
 	})
 	return out
-}
-
-// Contains reports whether the transport rank belongs to the section.
-func (s *ProcSection) Contains(rank int) bool {
-	_, ok := s.CoordsOf(rank)
-	return ok
-}
-
-// Equal reports whether two sections denote the same processor set with
-// the same shape.
-func (s *ProcSection) Equal(o *ProcSection) bool {
-	if s == nil || o == nil {
-		return s == o
-	}
-	if s.pa != o.pa || s.NDims() != o.NDims() {
-		return false
-	}
-	for k := 0; k < s.NDims(); k++ {
-		if s.sec.Lo[k] != o.sec.Lo[k] || s.sec.Hi[k] != o.sec.Hi[k] || s.sec.Stride[k] != o.sec.Stride[k] {
-			return false
-		}
-	}
-	return true
 }
 
 func (s *ProcSection) String() string {

@@ -390,12 +390,3 @@ func (m *Machine) recvRound(ep msg.Endpoint, me, p, tag int, deadline time.Time)
 		}
 	}
 }
-
-// Members returns the physical ranks of the current membership epoch in
-// view-rank order (nil without a retry Timeout).
-func (c *Ctx) Members() []int {
-	if c.phys == nil {
-		return nil
-	}
-	return append([]int(nil), c.phys...)
-}

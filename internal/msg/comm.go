@@ -572,37 +572,6 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 	return recv, nil
 }
 
-// Scatterv distributes bufs[r] from root to each rank r; every rank
-// returns its own buffer (root's copy is local).
-func (c *Comm) Scatterv(root int, bufs [][]byte) ([]byte, error) {
-	if c.tr != nil {
-		defer c.span("scatterv").End()
-	}
-	np, rank := c.NP(), c.Rank()
-	tag := c.nextTag()
-	if rank == root {
-		if len(bufs) != np {
-			return nil, fmt.Errorf("msg: scatterv needs %d buffers, got %d", np, len(bufs))
-		}
-		for r := 0; r < np; r++ {
-			if r == root {
-				continue
-			}
-			if err := c.send("scatterv", r, tag, bufs[r]); err != nil {
-				return nil, err
-			}
-		}
-		cp := make([]byte, len(bufs[root]))
-		copy(cp, bufs[root])
-		return cp, nil
-	}
-	p, err := c.recv("scatterv", root, tag)
-	if err != nil {
-		return nil, err
-	}
-	return p.Data, nil
-}
-
 // BcastInts broadcasts an []int from root and returns it on every rank.
 func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
 	var buf []byte

@@ -72,16 +72,6 @@ func (c *CostModel) Charge(rank int, seconds float64) {
 	c.setClock(rank, c.Clock(rank)+seconds)
 }
 
-// Sync advances every clock to the maximum clock (models a barrier in
-// virtual time).  It must only be called when no processor is inside a
-// communication operation, e.g. right after a real barrier.
-func (c *CostModel) Sync() {
-	m := c.Makespan()
-	for i := range c.clocks {
-		c.setClock(i, m)
-	}
-}
-
 // Makespan returns the maximum virtual clock over all processors — the
 // modeled parallel execution time.
 func (c *CostModel) Makespan() float64 {
@@ -92,16 +82,4 @@ func (c *CostModel) Makespan() float64 {
 		}
 	}
 	return m
-}
-
-// Reset zeroes all clocks.
-func (c *CostModel) Reset() {
-	for i := range c.clocks {
-		c.setClock(i, 0)
-	}
-}
-
-// MessageTime returns the modeled cost of a single message of n bytes.
-func (c *CostModel) MessageTime(n int) float64 {
-	return c.Alpha + c.Beta*float64(n)
 }

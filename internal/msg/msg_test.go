@@ -247,12 +247,7 @@ func TestStatsCounting(t *testing.T) {
 	if sn.MsgsSent[0] != 2 || sn.MsgsRecv[1] != 2 || sn.BytesRecv[1] != 150 {
 		t.Fatalf("per-proc stats wrong: %+v", sn)
 	}
-	base := sn
-	tr.Stats().Reset()
-	if tr.Stats().Snapshot().TotalMsgs() != 0 {
-		t.Fatal("reset failed")
-	}
-	delta := base.Sub(Snapshot{NP: 2, MsgsSent: []int64{1, 0}, BytesSent: []int64{0, 0}, MsgsRecv: []int64{0, 0}, BytesRecv: []int64{0, 0}})
+	delta := sn.Sub(Snapshot{NP: 2, MsgsSent: []int64{1, 0}, BytesSent: []int64{0, 0}, MsgsRecv: []int64{0, 0}, BytesRecv: []int64{0, 0}})
 	if delta.MsgsSent[0] != 1 {
 		t.Fatal("Sub wrong")
 	}
@@ -316,14 +311,6 @@ func TestCostModelPointToPoint(t *testing.T) {
 	if m := cost.Makespan(); m < want {
 		t.Fatalf("makespan %g < %g", m, want)
 	}
-	cost.Sync()
-	if cost.Clock(0) != cost.Clock(1) {
-		t.Fatal("sync should equalize clocks")
-	}
-	cost.Reset()
-	if cost.Makespan() != 0 {
-		t.Fatal("reset failed")
-	}
 }
 
 func TestCostModelCharge(t *testing.T) {
@@ -332,13 +319,6 @@ func TestCostModelCharge(t *testing.T) {
 	cost.Charge(0, 0.5)
 	if cost.Clock(0) != 3.0 {
 		t.Fatalf("clock = %g", cost.Clock(0))
-	}
-	if cost.MessageTime(100) != 0 {
-		t.Fatal("zero model should cost nothing")
-	}
-	c2 := NewCostModel(1, 1e-3, 1e-9)
-	if c2.MessageTime(1000) != 1e-3+1e-6 {
-		t.Fatalf("message time = %g", c2.MessageTime(1000))
 	}
 }
 

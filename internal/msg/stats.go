@@ -102,10 +102,10 @@ func (s *Stats) OnSend(from, to, n int) {
 
 // Sent returns the data messages and payload bytes rank has sent so far.
 // Only rank's own sends move them — a shared-memory window transfer is
-// credited by its sender, and only the simulated one-sided reads
-// (Window.Get, darray's remote element access) credit a peer — so a rank
-// may difference two readings around a phase of its own without meeting
-// anyone.
+// credited by its sender, and only darray's simulated one-sided element
+// accesses (Array.Get and Array.Set on a remote owner) credit a peer —
+// so a rank may difference two readings around a phase of its own
+// without meeting anyone.
 func (s *Stats) Sent(rank int) (msgs, bytes int64) {
 	return s.dataSent[rank].Load(), s.bytesSent[rank].Load()
 }
@@ -115,19 +115,6 @@ func (s *Stats) OnRecv(rank, from, n int) {
 	s.msgsRecv[rank].Add(1)
 	s.bytesRecv[rank].Add(int64(n))
 	_ = from
-}
-
-// Reset zeroes all counters.
-func (s *Stats) Reset() {
-	for i := 0; i < s.np; i++ {
-		s.msgsSent[i].Store(0)
-		s.bytesSent[i].Store(0)
-		s.msgsRecv[i].Store(0)
-		s.bytesRecv[i].Store(0)
-		s.dataSent[i].Store(0)
-		s.wireCur[i].Store(0)
-		s.wirePeak[i].Store(0)
-	}
 }
 
 // Snapshot is a point-in-time copy of the counters.

@@ -330,9 +330,6 @@ func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 	}
 }
 
-// Name returns the window's diagnostic name.
-func (w *Window) Name() string { return w.name }
-
 // Register associates rank's storage with the window: rank's awaits
 // apply puts into it, and its offers address it after the rank's next
 // Settle.  Call it on rank whenever its storage is (re)allocated.

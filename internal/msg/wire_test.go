@@ -70,7 +70,8 @@ func TestTCPFrameGolden(t *testing.T) {
 		{"large", ep.Send, big, nil},
 		{"large+crc", summed.Send, big, []byte{byte(bigSum), byte(bigSum >> 8), byte(bigSum >> 16), byte(bigSum >> 24)}},
 	} {
-		cost.Reset()
+		cost = NewCostModel(2, 1e-4, 1e-8)
+		ep.t.cost = cost
 		cost.Charge(0, 1.5)
 		want := append(header(uint32(len(tc.payload)+len(tc.trailer))), tc.payload...)
 		want = append(want, tc.trailer...)

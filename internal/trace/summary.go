@@ -34,19 +34,6 @@ type PhaseStat struct {
 	Wall time.Duration
 }
 
-// RankPhaseStat is one processor's share of one phase — the per-rank
-// breakdown the per-phase maxima of PhaseStat are taken over.  A
-// straggler shows up here as the rank whose Wall dominates the phase
-// while everyone else's BarrierWait grows.
-type RankPhaseStat struct {
-	Rank        int
-	Count       int
-	Msgs, Bytes int64
-	VTime       float64
-	BarrierWait float64
-	Wall        time.Duration
-}
-
 // Summary is the per-phase cost account of a recorded trace.
 type Summary struct {
 	// Phases lists phase-like spans in order of first appearance
@@ -57,11 +44,7 @@ type Summary struct {
 	UnphasedMsgs, UnphasedBytes int64
 	// TotalMsgs / TotalBytes count all data messages in the trace.
 	TotalMsgs, TotalBytes int64
-
-	byRank map[phaseKey][]RankPhaseStat
 }
-
-type phaseKey struct{ cat, name string }
 
 // perRank accumulates one rank's contribution to one phase.
 type perRank struct {
@@ -85,7 +68,7 @@ func (t *Tracer) Summarize() *Summary {
 	if t == nil {
 		return s
 	}
-	type key = phaseKey
+	type key struct{ cat, name string }
 	order := []key{}
 	acc := map[key]map[int]*perRank{} // phase -> rank -> stats
 	get := func(k key, rank int) *perRank {
@@ -157,7 +140,6 @@ func (t *Tracer) Summarize() *Summary {
 		}
 	}
 
-	s.byRank = map[phaseKey][]RankPhaseStat{}
 	for _, k := range order {
 		ps := PhaseStat{Cat: k.cat, Name: k.name}
 		for _, r := range acc[k] {
@@ -176,14 +158,6 @@ func (t *Tracer) Summarize() *Summary {
 				ps.Wall = r.wall
 			}
 		}
-		for rank := 0; rank < t.np; rank++ {
-			if r, ok := acc[k][rank]; ok {
-				s.byRank[k] = append(s.byRank[k], RankPhaseStat{
-					Rank: rank, Count: r.count, Msgs: r.msgs, Bytes: r.bytes,
-					VTime: r.vtime, BarrierWait: r.barrierWait, Wall: r.wall,
-				})
-			}
-		}
 		s.Phases = append(s.Phases, ps)
 	}
 	return s
@@ -197,18 +171,6 @@ func (s *Summary) Phase(name string) (PhaseStat, bool) {
 		}
 	}
 	return PhaseStat{}, false
-}
-
-// PhaseByRank returns the named phase's per-rank breakdown, ordered by
-// rank; ranks that never entered the phase are omitted.  Nil when the
-// phase is absent.
-func (s *Summary) PhaseByRank(name string) []RankPhaseStat {
-	for k, v := range s.byRank {
-		if k.name == name {
-			return v
-		}
-	}
-	return nil
 }
 
 // String renders the account as a plain-text table: one row per phase

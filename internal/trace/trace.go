@@ -19,16 +19,14 @@
 // bytes, virtual α/β time, barrier wait — attributing each message to the
 // innermost enclosing phase-like span on its processor's span stack.
 //
-// Overhead discipline: a nil *Tracer is valid everywhere and every
-// recording method is gated on one atomic enabled-check, so the disabled
-// path costs a nil test plus at most one atomic load.  Per-rank event
-// buffers are guarded by per-rank mutexes: SPMD programs record almost
-// exclusively rank-locally, so the locks are uncontended.
+// Overhead discipline: a nil *Tracer is valid everywhere and is the
+// disabled tracer: every recording method is gated on one nil test.
+// Per-rank event buffers are guarded by per-rank mutexes: SPMD programs
+// record almost exclusively rank-locally, so the locks are uncontended.
 package trace
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -98,7 +96,6 @@ type Event struct {
 
 // Tracer records per-processor event timelines for one machine.
 type Tracer struct {
-	on    atomic.Bool
 	start time.Time
 	np    int
 	clock func(rank int) float64
@@ -110,30 +107,14 @@ type rankBuf struct {
 	ev []Event
 }
 
-// New creates an enabled tracer for np logical processors.
+// New creates a tracer for np logical processors.
 func New(np int) *Tracer {
-	t := &Tracer{start: time.Now(), np: np, ranks: make([]rankBuf, np)}
-	t.on.Store(true)
-	return t
+	return &Tracer{start: time.Now(), np: np, ranks: make([]rankBuf, np)}
 }
 
-// NP returns the number of processor timelines (0 on a nil tracer).
-func (t *Tracer) NP() int {
-	if t == nil {
-		return 0
-	}
-	return t.np
-}
-
-// Enabled reports whether the tracer is recording.  Safe on nil.
-func (t *Tracer) Enabled() bool { return t != nil && t.on.Load() }
-
-// SetEnabled switches recording on or off.  Safe on nil.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.on.Store(on)
-	}
-}
+// Enabled reports whether the tracer is recording: every non-nil tracer
+// is.  Safe on nil.
+func (t *Tracer) Enabled() bool { return t != nil }
 
 // SetClockSource attaches a per-rank virtual-clock reader (typically
 // (*msg.CostModel).Clock).  Call before the SPMD run starts; events then
@@ -225,19 +206,6 @@ func (t *Tracer) Events(rank int) []Event {
 	out := make([]Event, len(b.ev))
 	copy(out, b.ev)
 	return out
-}
-
-// Reset clears all recorded events (the enabled state is unchanged).
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.ranks {
-		b := &t.ranks[i]
-		b.mu.Lock()
-		b.ev = nil
-		b.mu.Unlock()
-	}
 }
 
 // attributable reports whether a span category accumulates message and

@@ -9,11 +9,12 @@ package vienna
 //
 //   - main and init of every package (main is only a root in cmd/*,
 //     examples/* and bench);
-//   - every exported func and var of the facade (vienna.go) and the
-//     exported method sets of the types it aliases;
+//   - every exported func and var of the facade (vienna.go) — a method of
+//     a type it aliases is live only if a root calls it;
 //   - every function a package-level declaration uses;
-//   - every method whose name an interface type of the module declares, or
-//     that a standard-library interface calls by name (stdlibMethods).
+//   - every method whose receiver type, T or *T, implements an interface
+//     type of the module that declares the method's name, and every
+//     method a standard-library interface calls by name (stdlibMethods).
 //
 // Reachability is computed under the default build tags and under race,
 // and a function is dead only if neither reaches it, so the Go fallbacks
@@ -25,6 +26,7 @@ package vienna
 // dead` runs it with -v to print the listing.
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
@@ -36,6 +38,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strings"
 	"testing"
@@ -121,6 +124,125 @@ func TestReachable(t *testing.T) {
 	}
 }
 
+// TestDocIdentifiers: every backticked A.B or A.B.C in README.md and
+// DESIGN.md names a func, method, type, field, var or const the module
+// declares, when A is one of its packages or a type it declares; other
+// names (the standard library's, local variables, the benchmark's
+// metrics, file names) are out of scope.  A trailing argument list, as in
+// `core.Array.Dist()`, is ignored, and `darray.stepDirect` may name a
+// method of a darray type.
+func TestDocIdentifiers(t *testing.T) {
+	fset := token.NewFileSet()
+	std := importer.ForCompiler(fset, "source", nil)
+	var mods []*reachLoader
+	for _, tags := range [][]string{nil, {"race"}} {
+		l, err := loadModule(fset, std, tags)
+		if err != nil {
+			t.Fatalf("tags %v: %v", tags, err)
+		}
+		mods = append(mods, l)
+	}
+	var bench struct {
+		EndToEnd []struct{ Name string } `json:"end_to_end"`
+		PerLayer []struct{ Name string } `json:"per_layer"`
+	}
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err == nil {
+		err = json.Unmarshal(data, &bench)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	metric := map[string]bool{}
+	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
+		metric[m.Name] = true
+	}
+	span := regexp.MustCompile("`([^`]+)`")
+	name := regexp.MustCompile(`^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*){1,2})(?:\(.*\)|\{.*\})?$`)
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fenced code blocks hold code, not references.
+		var prose []string
+		fenced := false
+		for _, line := range strings.Split(string(text), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+			} else if !fenced {
+				prose = append(prose, line)
+			}
+		}
+		for _, m := range span.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+			n := name.FindStringSubmatch(m[1])
+			if n == nil || metric[n[1]] || strings.HasSuffix(n[1], ".go") { // a file: go is a keyword
+				continue
+			}
+			parts := strings.Split(n[1], ".")
+			known, found := false, false
+			for _, l := range mods {
+				k, f := l.resolve(parts)
+				known, found = known || k, found || f
+			}
+			if known && !found {
+				t.Errorf("%s: `%s` names nothing the module declares", doc, n[1])
+			}
+		}
+	}
+}
+
+// resolve looks parts (A.B or A.B.C) up in the module: known reports
+// whether A is one of its packages or declared types, found whether the
+// rest names a member.
+func (l *reachLoader) resolve(parts []string) (known, found bool) {
+	for _, p := range l.order {
+		if p.name != parts[0] && !(p.name == "main" && filepath.Base(p.path) == parts[0]) {
+			continue
+		}
+		known = true
+		scope := p.types.Scope()
+		obj := scope.Lookup(parts[1])
+		if obj != nil && (len(parts) == 2 || hasMember(obj, parts[2])) {
+			return true, true
+		}
+		if len(parts) == 3 {
+			continue
+		}
+		for _, n := range scope.Names() {
+			if tn, ok := scope.Lookup(n).(*types.TypeName); ok && hasMember(tn, parts[1]) {
+				return true, true
+			}
+		}
+	}
+	if known {
+		return true, false
+	}
+	for _, p := range l.order {
+		tn, ok := p.types.Scope().Lookup(parts[0]).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		known = true
+		obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, tn.Pkg(), parts[1])
+		if obj != nil && (len(parts) == 2 || hasMember(obj, parts[2])) {
+			return true, true
+		}
+	}
+	return known, false
+}
+
+// hasMember reports whether obj, a type or a field or var, has a field or
+// method called name.
+func hasMember(obj types.Object, name string) bool {
+	switch obj.(type) {
+	case *types.TypeName, *types.Var:
+		m, _, _ := types.LookupFieldOrMethod(obj.Type(), true, obj.Pkg(), name)
+		return m != nil
+	}
+	return false
+}
+
 // reach returns every function reachable from the roots.
 func (g *reachGraph) reach() map[string]bool {
 	seen := map[string]bool{}
@@ -200,9 +322,9 @@ func (l *reachLoader) load(path string) (*reachPkg, error) {
 	return p, nil
 }
 
-// buildReachGraph loads every package of the module under the default
-// build tags plus tags and returns its call graph.
-func buildReachGraph(fset *token.FileSet, std types.Importer, tags []string) (*reachGraph, error) {
+// loadModule type-checks every package of the module under the default
+// build tags plus tags.
+func loadModule(fset *token.FileSet, std types.Importer, tags []string) (*reachLoader, error) {
 	l := &reachLoader{ctxt: build.Default, fset: fset, std: std, pkgs: map[string]*reachPkg{}}
 	l.ctxt.BuildTags = tags
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
@@ -226,18 +348,25 @@ func buildReachGraph(fset *token.FileSet, std types.Importer, tags []string) (*r
 	if err != nil {
 		return nil, err
 	}
+	return l, nil
+}
 
-	g := &reachGraph{decls: map[string]reachFunc{}, edges: map[string][]string{}}
-	ifaceNames := map[string]bool{}
-	for name := range stdlibMethods {
-		ifaceNames[name] = true
+// buildReachGraph loads every package of the module under the default
+// build tags plus tags and returns its call graph.
+func buildReachGraph(fset *token.FileSet, std types.Importer, tags []string) (*reachGraph, error) {
+	l, err := loadModule(fset, std, tags)
+	if err != nil {
+		return nil, err
 	}
+	g := &reachGraph{decls: map[string]reachFunc{}, edges: map[string][]string{}}
+	ifaces := map[string][]*types.Interface{} // method name -> the module's interfaces declaring it
 	var methods []*types.Func
 	for _, p := range l.order {
 		for _, tv := range p.info.Types {
 			if it, ok := tv.Type.(*types.Interface); ok {
 				for i := 0; i < it.NumMethods(); i++ {
-					ifaceNames[it.Method(i).Name()] = true
+					name := it.Method(i).Name()
+					ifaces[name] = append(ifaces[name], it)
 				}
 			}
 		}
@@ -270,25 +399,26 @@ func buildReachGraph(fset *token.FileSet, std types.Importer, tags []string) (*r
 		}
 	}
 	for _, fn := range methods {
-		if ifaceNames[fn.Name()] {
+		if stdlibMethods[fn.Name()] || implementsAny(fn, ifaces[fn.Name()]) {
 			g.roots = append(g.roots, funcKey(fn))
 		}
 	}
-	// The facade's aliases export their types' method sets.
-	scope := l.pkgs[reachModule].types.Scope()
-	for _, name := range scope.Names() {
-		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if !ok || !tn.IsAlias() || !tn.Exported() {
-			continue
-		}
-		ms := types.NewMethodSet(types.NewPointer(tn.Type()))
-		for i := 0; i < ms.Len(); i++ {
-			if fn := ms.At(i).Obj().(*types.Func); fn.Exported() {
-				g.roots = append(g.roots, funcKey(fn))
-			}
+	return g, nil
+}
+
+// implementsAny reports whether the receiver type of method fn, T or *T,
+// implements one of ifaces.
+func implementsAny(fn *types.Func, ifaces []*types.Interface) bool {
+	t := fn.Type().(*types.Signature).Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	for _, it := range ifaces {
+		if types.Implements(t, it) || types.Implements(types.NewPointer(t), it) {
+			return true
 		}
 	}
-	return g, nil
+	return false
 }
 
 // funcUses lists the module's functions and methods node uses.
