@@ -63,11 +63,14 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # parser and its fuzz seeds, the wire gauge, and
 # the barrier-free DISTRIBUTE: no Comm.Barrier in warm ADI or fresh
 # B_BLOCK class moves, ghosts exact after a move with one rank held back,
-# recycled storage intact under a lagging puller, and interpreted
-# non-local reads around a DISTRIBUTE equal to P = 1 — all under the race
-# detector.
+# recycled storage intact under a lagging puller, the connect class moved
+# in one message per peer pair (its bytes the members', its values the
+# per-member moves', per member under a budget, a secondary moved alone
+# after it under a lagging puller, a faulty class frame named), and
+# interpreted non-local reads around a DISTRIBUTE equal to P = 1 — all
+# under the race detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads' \
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
 
 # The depth-k halo: smoothing at forced depths 1, 2, 3 and 5 bit-identical

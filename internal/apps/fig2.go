@@ -43,7 +43,8 @@ ENDDO
 // RegisterFig2 installs Fig2Source's helper procedures, each RunPIC's own
 // code under its defaults.  BALANCE fills the replicated BOUNDS; an
 // UPDATE_PART is a drift block of one step, as an interpreted loop
-// promises no longer one; REBALANCE reduces a batch of one into REBAL.
+// promises no longer one; REBALANCE gathers a batch of one on view rank 0,
+// which decides and broadcasts REBAL.
 func RegisterFig2(in *interp.Interp) {
 	cfg := PICConfig{}.withDefaults()
 	reg := func(name string, arrays int, fn func(st *interp.State, a []*core.Array, args []any) error) {
@@ -91,17 +92,21 @@ func RegisterFig2(in *interp.Interp) {
 		}
 		var b imbalances
 		b.add(st.Ctx, a[0])
-		imbs, err := b.flush(st.Ctx)
+		imbs, _, err := b.flush(st.Ctx, nil)
 		if err != nil {
 			return err
 		}
-		st.Scalars["REBAL"] = 0
-		if imbs[0] > cfg.RebalanceThreshold {
-			st.Scalars["REBAL"] = 1
-		}
+		var rebal []int // view rank 0's decision: [1] to rebalance, empty not to
 		if st.Ctx.Rank() == 0 {
+			if imbs[0] > cfg.RebalanceThreshold {
+				rebal = []int{1}
+			}
 			fmt.Printf("  step %3.0f: imbalance %.3f  (dist %v)\n", k, imbs[0], a[0].DistType(0))
 		}
+		if rebal, err = st.Ctx.Comm().BcastInts(0, rebal); err != nil {
+			return err
+		}
+		st.Scalars["REBAL"] = float64(len(rebal))
 		return nil
 	})
 }

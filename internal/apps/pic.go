@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"repro/internal/core"
+	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/machine"
@@ -103,19 +104,15 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// checkpoint, so a replay never needs a lost rank's pending sums.
 		flushEvery := testFlushEvery || cfg.Elastic || cfg.Straggler.mitigating()
 		dr := &drift{frac: cfg.DriftFrac}
-		// balance computes BOUNDS equalizing particles per processor, then
-		// DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT with it.  No
-		// barrier follows, and the DISTRIBUTE has none: a rank leaves it
-		// once its own new blocks have landed, and the next step touches
-		// only those.  The drift block ends with it: the next step's frame,
-		// addressed by the new descriptor, waits in the receiver's mailbox
-		// until the receiver has moved too.
-		balance := func() error {
+		// rebalance runs DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT
+		// with it, in one message per peer pair.  No barrier follows, and
+		// the DISTRIBUTE has none: a rank leaves it once its own new blocks
+		// have landed, and the next step touches only those.  The drift
+		// block ends with it: the next step's frame, addressed by the new
+		// descriptor, waits in the receiver's mailbox until the receiver
+		// has moved too.
+		rebalance := func(bounds []int) error {
 			dr.restart()
-			bounds, err := picBounds(ctx, count, speedShares)
-			if err != nil {
-				return err
-			}
 			if err := redists.count(ctx, func() error {
 				return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
 			}); err != nil {
@@ -125,6 +122,15 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				res.Redistributions++
 			}
 			return nil
+		}
+		// balance is Figure 2's balance() outside a check: BOUNDS from
+		// COUNT, then rebalance.
+		balance := func() error {
+			bounds, err := picBounds(ctx, count, speedShares)
+			if err != nil {
+				return err
+			}
+			return rebalance(bounds)
 		}
 		return app{
 			declare: func(e *core.Engine) (err error) {
@@ -174,18 +180,32 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				if !check && k < cfg.Steps && !cfg.savesAfter(k) && !flushEvery {
 					return nil
 				}
-				// The series on rank 0 gets the batch ending at step it.
-				imbs, err := batch.flush(ctx)
+				// The series on view rank 0 gets the batch ending at step it.
+				// A check that may rebalance brings COUNT along, so rank 0
+				// decides and computes BOUNDS from the same gather, and one
+				// broadcast carries them — empty for no rebalance.
+				var cells *core.Array
+				if cfg.Rebalance && check {
+					cells = count
+				}
+				imbs, counts, err := batch.flush(ctx, cells)
 				if err != nil {
 					return err
 				}
+				var bounds []int
 				if ctx.Rank() == 0 {
 					copy(res.ImbalanceSeries[it+1-len(imbs):], imbs)
+					if cells != nil && imbs[len(imbs)-1] > cfg.RebalanceThreshold {
+						bounds = countBounds(counts, ctx.NP(), speedShares)
+					}
 				}
-				if cfg.Rebalance && check && imbs[len(imbs)-1] > cfg.RebalanceThreshold {
-					return balance()
+				if cells == nil {
+					return nil
 				}
-				return nil
+				if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil || len(bounds) == 0 {
+					return err
+				}
+				return rebalance(bounds)
 			},
 			// A straggler rebalance re-divides the particles by measured
 			// speed immediately, so the straggler gets fewer particles.
@@ -249,8 +269,8 @@ func initPos(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
 }
 
 // picBounds is the bounds half of Figure 2's balance(): COUNT gathered on
-// rank 0, B_BLOCK bounds equalizing particles per processor there — or,
-// given shares, per unit of measured speed — and broadcast to every rank.
+// view rank 0, B_BLOCK bounds computed there (countBounds) and broadcast
+// to every rank.
 func picBounds(ctx *machine.Ctx, count *core.Array, shares []float64) ([]int, error) {
 	counts, err := count.GatherTo(ctx, 0)
 	if err != nil {
@@ -258,22 +278,27 @@ func picBounds(ctx *machine.Ctx, count *core.Array, shares []float64) ([]int, er
 	}
 	var bounds []int
 	if ctx.Rank() == 0 {
-		if shares != nil {
-			bounds = scale.WeightedCountBounds(counts, shares)
-		} else {
-			bounds = scale.CountBounds(counts, ctx.NP())
-		}
+		bounds = countBounds(counts, ctx.NP(), shares)
 	}
 	return ctx.Comm().BcastInts(0, bounds)
 }
 
+// countBounds is the B_BLOCK bounds of the whole COUNT equalizing
+// particles per processor or, given shares, per unit of measured speed.
+func countBounds(counts []float64, np int, shares []float64) []int {
+	if shares != nil {
+		return scale.WeightedCountBounds(counts, shares)
+	}
+	return scale.CountBounds(counts, np)
+}
+
 // imbalances batches Figure 2's rebalance() input: add appends a step's
-// particle sum over this rank's cells, flush reduces every pending one.
-// vals and ops are the flush's reduction vector and operations, kept so
-// that a longer batch allocates nothing more.
+// particle sum over this rank's cells, flush gathers every pending one on
+// view rank 0.  buf is the flush's gather payload, kept so that a longer
+// batch allocates nothing more.
 type imbalances struct {
-	pending, vals []float64
-	ops           []func(a, b float64) float64
+	pending []float64
+	buf     []byte
 }
 
 func (b *imbalances) add(ctx *machine.Ctx, count *core.Array) {
@@ -282,34 +307,71 @@ func (b *imbalances) add(ctx *machine.Ctx, count *core.Array) {
 	b.pending = append(b.pending, local)
 }
 
-// flush reduces the pending batch (at least one step) in one
-// AllreduceEach of [sums…, maxes…] and returns each step's max/avg
-// particles per processor, the same on every rank.  Every element takes
-// the binomial tree of a scalar allreduce, so each value is bit for bit
-// what a reduction on every step would give.
-func (b *imbalances) flush(ctx *machine.Ctx) ([]float64, error) {
+// flush gathers the pending batch (at least one step) on view rank 0 in
+// one Comm.Gather and returns there each step's max/avg particles per
+// processor; other ranks get nil.  Given count, each rank's COUNT cells
+// ride in the same message and rank 0 also gets the whole COUNT, cell i
+// at i−1.  Particle counts are whole numbers, so rank 0's sum in rank
+// order is bit for bit any reduction tree's, and a max does not depend on
+// the order.
+func (b *imbalances) flush(ctx *machine.Ctx, count *core.Array) (imbs, counts []float64, err error) {
 	n := len(b.pending)
-	b.vals = append(append(b.vals[:0], b.pending...), b.pending...)
-	b.ops = b.ops[:0]
-	for range n {
-		b.ops = append(b.ops, msg.SumF64)
-	}
-	for range n {
-		b.ops = append(b.ops, msg.MaxF64)
-	}
+	b.buf = msg.AppendFloat64s(b.buf[:0], b.pending)
 	b.pending = b.pending[:0]
-	r, err := ctx.Comm().AllreduceEach(b.vals, b.ops...)
-	if err != nil {
-		return nil, err
+	if count != nil {
+		cells, _ := ownedCells(count.Local(ctx))
+		b.buf = msg.AppendFloat64s(b.buf, cells)
+	}
+	parts, err := ctx.Comm().Gather(0, b.buf)
+	if err != nil || ctx.Rank() != 0 {
+		return nil, nil, err
+	}
+	var d *dist.Distribution
+	if count != nil {
+		d = count.DistOf(ctx.Rank())
+		counts = make([]float64, count.Domain().Size())
+	}
+	imbs = make([]float64, 2*n) // sums, then maxes
+	for r, part := range parts {
+		cells := 0
+		if d != nil {
+			cells = d.LocalGrid(r).Dims[0].Count()
+		}
+		if len(part) != 8*(n+cells) {
+			return nil, nil, fmt.Errorf("apps: PIC imbalance gather at rank 0: part from rank %d has %d bytes, want 8·(%d+%d)", r, len(part), n, cells)
+		}
+		for i := range n {
+			v := msg.GetFloat64(part, 8*i)
+			imbs[i] += v
+			imbs[n+i] = max(imbs[n+i], v)
+		}
+		if cells > 0 {
+			lo := d.LocalGrid(r).Dims[0][0].Lo
+			msg.DecodeFloat64sInto(counts[lo-1:lo-1+cells], part[8*n:])
+		}
 	}
 	for i := range n {
 		imb := 1.0
-		if avg := r[i] / float64(ctx.NP()); avg != 0 {
-			imb = r[n+i] / avg
+		if avg := imbs[i] / float64(ctx.NP()); avg != 0 {
+			imb = imbs[n+i] / avg
 		}
-		r[i] = imb
+		imbs[i] = imb
 	}
-	return r[:n], nil
+	return imbs[:n], counts, nil
+}
+
+// ownedCells returns this rank's cells of the 1-D chain, contiguous in
+// storage (cell i is cells[i-lo]), and lo; a rank without cells gets
+// none and lo 0.  One Offset for the walk, not an At/SetAt per cell:
+// every Point handed to those is an allocation (Offset's panic message
+// makes it escape).
+func ownedCells(l *darray.Local) (cells []float64, lo int) {
+	rs := l.Grid().Dims[0]
+	if rs.Count() == 0 {
+		return nil, 0
+	}
+	lo = rs[0].Lo
+	return l.Data()[l.Offset(index.Point{lo}):][:rs[len(rs)-1].Hi-lo+1], lo
 }
 
 // driftHorizon is how many steps from step it on the distribution is sure
@@ -374,18 +436,8 @@ func (dr *drift) restart() { dr.left = 0 }
 // of the run — and caps a new block's depth.  Transport failures and
 // malformed frames are returned as errors naming both ranks.
 func (dr *drift) step(ctx *machine.Ctx, count *core.Array, horizon int) error {
-	l := count.Local(ctx)
 	n := count.Domain().Extent(0)
-	rs := l.Grid().Dims[0]
-	var cells []float64 // the owned cells, contiguous in storage: cell i is cells[i-lo]
-	lo := 0
-	if rs.Count() > 0 {
-		lo = rs[0].Lo
-		// One Offset for the walk, not an At/SetAt per cell: every Point
-		// handed to those is an allocation (Offset's panic message makes it
-		// escape).
-		cells = l.Data()[l.Offset(index.Point{lo}):][:rs[len(rs)-1].Hi-lo+1]
-	}
+	cells, lo := ownedCells(count.Local(ctx))
 	if dr.left == 0 {
 		if err := dr.start(ctx, count, cells, lo, n, horizon); err != nil {
 			return err
@@ -414,8 +466,8 @@ func (dr *drift) step(ctx *machine.Ctx, count *core.Array, horizon int) error {
 // barrier is needed: between two rebalance checks a rank may run up to
 // RebalanceEvery steps ahead of its receiver, its block frames queued in
 // order.  A block never outlives a check, and balance is the rendezvous
-// before a DISTRIBUTE can re-pair them: no rank leaves its GatherTo and
-// BcastInts before every rank has received the block frames it needs.
+// before a DISTRIBUTE can re-pair them: no rank leaves the check's gather
+// and broadcast before every rank has received the block frames it needs.
 func (dr *drift) start(ctx *machine.Ctx, count *core.Array, cells []float64, lo, n, horizon int) error {
 	d := count.DistOf(ctx.Rank())
 	k := horizon

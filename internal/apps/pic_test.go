@@ -12,6 +12,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/machine"
 	"repro/internal/msg"
+	"repro/internal/trace"
 )
 
 // runPICFlushEvery runs cfg with the imbalance reduced on every step, the
@@ -76,8 +77,8 @@ func samePICResult(t *testing.T, got, want PICResult) {
 // TestPICBatchedImbalanceBitExact: reducing the per-step particle sums
 // in one batch per rebalance check, last step or checkpoint gives the
 // series, the rebalance decisions and the field of a reduction on every
-// step bit for bit, and saves exactly one reduce and one broadcast —
-// 2(P−1) messages — on every other step.
+// step bit for bit, and saves exactly one gather — P−1 messages — on
+// every other step.
 func TestPICBatchedImbalanceBitExact(t *testing.T) {
 	for _, tcp := range []bool{false, true} {
 		for _, p := range []int{3, 4} {
@@ -105,12 +106,144 @@ func TestPICBatchedImbalanceBitExact(t *testing.T) {
 						if reb && got.Redistributions < 2 {
 							t.Errorf("%d redistributions: the run does not exercise the rebalance check", got.Redistributions)
 						}
-						saved := int64(2 * (p - 1) * (cfg.Steps - picFlushes(cfg)))
+						saved := int64((p - 1) * (cfg.Steps - picFlushes(cfg)))
 						if got.Msgs != want.Msgs-saved {
 							t.Errorf("Msgs %d, want %d − %d = %d", got.Msgs, want.Msgs, saved, want.Msgs-saved)
 						}
 					})
 				}
+			}
+		}
+	}
+}
+
+// picUnit is one top-level span of a rank's trace — a collective, a
+// DISTRIBUTE statement, a declaration — with the data messages the rank
+// sent inside it.
+type picUnit struct {
+	name  string
+	msgs  int
+	pairs map[[2]int]bool // (sender, receiver)
+	odd   int             // messages whose bytes are not whole FIELD+COUNT cell pairs
+}
+
+// picUnits splits rank's trace into its top-level spans.  Sends outside
+// any span (the drift frames) belong to none.
+func picUnits(tr *trace.Tracer, rank int) []picUnit {
+	var units []picUnit
+	depth := 0
+	for _, e := range tr.Events(rank) {
+		switch {
+		case e.Kind == trace.KindBegin:
+			if depth == 0 {
+				units = append(units, picUnit{name: e.Name, pairs: map[[2]int]bool{}})
+			}
+			depth++
+		case e.Kind == trace.KindEnd:
+			depth--
+		case e.Cat == trace.CatMsg && e.Name == "send" && e.Bytes > 0 && depth > 0:
+			u := &units[len(units)-1]
+			u.msgs++
+			u.pairs[[2]int{rank, e.Peer}] = true
+			if e.Bytes%16 != 0 {
+				u.odd++
+			}
+		}
+	}
+	return units
+}
+
+// TestPICCheckTraffic counts, from the trace, the data messages of every
+// balance round of Figure 2 — the initial balance and each rebalance
+// check — on 2 to 7 ranks over chan and TCP: P−1 for the gather that
+// brings the sums and COUNT to view rank 0, P−1 for the broadcast of the
+// bounds or none when the check does not rebalance (its broadcast is
+// empty), and one per moving peer pair for the DISTRIBUTE of the class
+// {FIELD, COUNT}, each carrying as many COUNT cells as FIELD cells.  A
+// static run broadcasts nothing.
+func TestPICCheckTraffic(t *testing.T) {
+	for _, tcp := range []bool{false, true} {
+		for p := 2; p <= 7; p++ {
+			for _, mode := range []string{"rebalance", "never", "static"} {
+				t.Run(fmt.Sprintf("tcp=%v/P=%d/%s", tcp, p, mode), func(t *testing.T) {
+					tr := trace.New(p)
+					cfg := PICConfig{
+						NCell: 47, Steps: 30, P: p, Rebalance: mode != "static", RebalanceEvery: 10,
+						DriftFrac: 0.3, InitPerCell: 40, WorkPerParticle: 1,
+						Runtime: Runtime{UseTCP: tcp, Tracer: tr},
+					}
+					if mode == "never" {
+						cfg.RebalanceThreshold = 1e9
+					}
+					res, err := RunPIC(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					units := make([][]picUnit, p)
+					for r := range units {
+						units[r] = picUnits(tr, r)
+						if len(units[r]) != len(units[0]) {
+							t.Fatalf("rank %d has %d top-level spans, rank 0 %d", r, len(units[r]), len(units[0]))
+						}
+					}
+					// sum folds unit i over the ranks.
+					sum := func(i int) picUnit {
+						s := picUnit{name: units[0][i].name, pairs: map[[2]int]bool{}}
+						for r := range units {
+							u := units[r][i]
+							if u.name != s.name {
+								t.Fatalf("span %d is %q on rank %d, %q on rank 0", i, u.name, r, s.name)
+							}
+							s.msgs += u.msgs
+							s.odd += u.odd
+							for k := range u.pairs {
+								s.pairs[k] = true
+							}
+						}
+						return s
+					}
+					rounds, moves := 0, 0
+					for i := 0; i < len(units[0]); i++ {
+						if u := sum(i); u.name == "bcast" && mode == "static" {
+							t.Errorf("span %d: a static run broadcasts", i)
+						}
+						if i+1 >= len(units[0]) || units[0][i].name != "gather" || units[0][i+1].name != "bcast" {
+							continue
+						}
+						rounds++
+						gather, bcast := sum(i), sum(i+1)
+						moved := i+2 < len(units[0]) && units[0][i+2].name == "DISTRIBUTE FIELD"
+						want := 0
+						if moved {
+							want = p - 1
+						}
+						if gather.msgs != p-1 || bcast.msgs != want {
+							t.Errorf("round %d: gather %d, broadcast %d data messages; want %d and %d", rounds, gather.msgs, bcast.msgs, p-1, want)
+						}
+						if !moved {
+							continue
+						}
+						moves++
+						d := sum(i + 2)
+						if d.msgs != len(d.pairs) || d.odd != 0 {
+							t.Errorf("round %d: DISTRIBUTE sent %d data messages over %d peer pairs (%d not FIELD+COUNT pairs of cells); want one per pair",
+								rounds, d.msgs, len(d.pairs), d.odd)
+						}
+					}
+					wantRounds := 0
+					if cfg.Rebalance {
+						wantRounds = 1 + cfg.Steps/cfg.RebalanceEvery
+					}
+					if rounds != wantRounds || moves != res.Redistributions {
+						t.Errorf("%d balance rounds and %d DISTRIBUTEs, want %d and %d", rounds, moves, wantRounds, res.Redistributions)
+					}
+					if mode == "rebalance" && res.Redistributions < 2 {
+						t.Errorf("%d redistributions: no check rebalanced", res.Redistributions)
+					}
+					if mode == "never" && res.Redistributions != 1 {
+						t.Errorf("%d redistributions, want the initial balance alone", res.Redistributions)
+					}
+				})
 			}
 		}
 	}

@@ -207,11 +207,14 @@ func (e *Engine) Distribute(ctx *machine.Ctx, primaries []*Array, expr Expr, opt
 	return nil
 }
 
-// distributeTo moves one primary's class to newD under the engine's
-// memory budget, which bounds each member's peak resident wire bytes
-// (0 = unbounded).  On a traced run the whole statement is recorded as a
-// structural span; the per-array DISTRIBUTE spans the redistributions
-// open inside it carry the attributed costs.
+// distributeTo moves one primary's class to newD.  Without a memory
+// budget the primary and every transferring secondary move in one
+// darray.RedistributeClass ring — one message per sender–receiver pair;
+// under the engine's budget, which bounds each member's peak resident
+// wire bytes, each member moves on its own.  NOTRANSFER secondaries stay
+// off the wire.  On a traced run the whole statement is recorded as a
+// structural span; the DISTRIBUTE spans the move opens inside it carry
+// the attributed costs.
 func (e *Engine) distributeTo(ctx *machine.Ctx, b *Array, newD *dist.Distribution, nt map[*Array]bool) error {
 	if !b.rng.Allows(newD.DistType()) {
 		return fmt.Errorf("core: DISTRIBUTE %s :: %v violates declared %v: %w", b.name, newD.DistType(), b.rng, ErrRangeViolation)
@@ -224,21 +227,35 @@ func (e *Engine) distributeTo(ctx *machine.Ctx, b *Array, newD *dist.Distributio
 	if budget := e.MemBudgetDefault(); budget > 0 {
 		bopt = append(bopt, darray.MemBudget(budget))
 	}
-	// Step 1+2 (§3.2.2): new distribution and access functions for B.
-	if err := b.arr.RedistributeTo(ctx, newD, bopt...); err != nil {
-		return fmt.Errorf("core: DISTRIBUTE %s: %w", b.name, err)
+	// Step 1 (§3.2.2): the new distribution of B; step 2: those of the
+	// connected arrays, derived from it.  A class of one (every ADI move)
+	// builds no member lists.
+	if len(b.class.secondaries) == 0 {
+		if err := b.arr.RedistributeTo(ctx, newD, bopt...); err != nil {
+			return fmt.Errorf("core: DISTRIBUTE %s: %w", b.name, err)
+		}
+		return nil
 	}
-	// Step 2+3: derive and communicate for every connected array.
+	arrays, dists := []*darray.Array{b.arr}, []*dist.Distribution{newD}
+	var kept []*Array
+	var keptDists []*dist.Distribution
 	for _, c := range b.class.secondaries {
 		cd, err := c.derive(newD)
 		if err != nil {
 			return fmt.Errorf("core: DISTRIBUTE %s: deriving %s: %w", b.name, c.name, err)
 		}
-		ropts := bopt
 		if nt[c] {
-			ropts = append(bopt[:len(bopt):len(bopt)], darray.NoTransfer())
+			kept, keptDists = append(kept, c), append(keptDists, cd)
+			continue
 		}
-		if err := c.arr.RedistributeTo(ctx, cd, ropts...); err != nil {
+		arrays, dists = append(arrays, c.arr), append(dists, cd)
+	}
+	// Step 3: communicate — the class's data in one ring.
+	if err := darray.RedistributeClass(ctx, arrays, dists, bopt...); err != nil {
+		return fmt.Errorf("core: DISTRIBUTE %s: %w", b.name, err)
+	}
+	for i, c := range kept {
+		if err := c.arr.RedistributeTo(ctx, keptDists[i], darray.NoTransfer()); err != nil {
 			return fmt.Errorf("core: DISTRIBUTE %s: %w", b.name, err)
 		}
 	}

@@ -40,8 +40,8 @@ func MemBudget(n int64) RedistOption {
 // RedistributeTo collectively re-associates the array with newD and moves
 // the data so that every element keeps its value under the new mapping —
 // the executable DISTRIBUTE statement of §2.4 for a single array
-// (internal/core drives it across connect classes and implements the
-// NOTRANSFER attribute by passing the NoTransfer option).
+// (internal/core moves a connect class through RedistributeClass and
+// implements the NOTRANSFER attribute by passing the NoTransfer option).
 //
 // The implementation follows §3.2.2 step by step: each processor
 // evaluates the new distribution, determines the new locations of its
@@ -64,104 +64,191 @@ func MemBudget(n int64) RedistOption {
 // or domain-mismatched distribution) panic; transport failures during the
 // data exchange are returned as errors wrapping the underlying cause.
 func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts ...RedistOption) error {
-	if newD == nil {
-		panic("darray: Redistribute with nil distribution")
+	var cfg redistConfig
+	for _, o := range opts {
+		o(&cfg)
 	}
-	if !newD.Domain().Equal(a.dom) {
-		panic(fmt.Sprintf("darray: %s: new distribution domain %v != array domain %v", a.name, newD.Domain(), a.dom))
+	ms := [1]member{{a: a, newD: newD}}
+	return moveClass(ctx, ms[:], cfg)
+}
+
+// RedistributeClass is RedistributeTo for the members of a connect class
+// moving together, arrays[i] to dists[i], the first array being the
+// primary: every sender–receiver pair exchanges one message carrying each
+// transferring member's segment in class order (§3.2.2 steps 2–3 as one
+// communication).  Both ends derive each member's share from the
+// schedules they hold, so the message has no header.  Under a MemBudget
+// each member moves on its own, so the budget bounds each member's peak.
+// A failed class move leaves every member as a failed RedistributeTo
+// leaves its array; the error names the first moving member.
+func RedistributeClass(ctx *machine.Ctx, arrays []*Array, dists []*dist.Distribution, opts ...RedistOption) error {
+	if len(arrays) != len(dists) {
+		panic(fmt.Sprintf("darray: class move of %d arrays to %d distributions", len(arrays), len(dists)))
 	}
 	var cfg redistConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
+	ms := make([]member, len(arrays))
+	for i, a := range arrays {
+		ms[i] = member{a: a, newD: dists[i]}
+	}
+	if cfg.memBudget > 0 {
+		for i := range ms {
+			if err := moveClass(ctx, ms[i:i+1], cfg); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return moveClass(ctx, ms, cfg)
+}
+
+// member is one array's part of a class move.  step is the schedule of
+// the ring pass being executed (the whole move's, or one panel of a
+// budget plan's) and plan its transfer plan, nil when the step crosses
+// no boundary of this rank.
+type member struct {
+	a                  *Array
+	oldD, newD         *dist.Distribution
+	sched, step        *redist.Schedule
+	oldLocal, newLocal *Local
+	plan               *xferPlan
+}
+
+// moveClass runs the class move of ms: each member settles its window and
+// takes its new storage, every self-transfer is copied, the remote
+// transfers go in one stepDirect ring, and each member commits.  A
+// budget applies to a lone member (RedistributeClass moves a class member
+// by member under one): the ring then runs once per panel of its plan.  A
+// member already at its new distribution does not move.
+func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 	rank, np := ctx.Rank(), ctx.NP()
-	oldD := a.Dist(rank)
-	if oldD != nil && oldD.Equal(newD) {
-		return nil // no-op redistribution: nothing moves, descriptor unchanged
+	n := 0
+	for _, m := range ms {
+		if m.newD == nil {
+			panic("darray: Redistribute with nil distribution")
+		}
+		if !m.newD.Domain().Equal(m.a.dom) {
+			panic(fmt.Sprintf("darray: %s: new distribution domain %v != array domain %v", m.a.name, m.newD.Domain(), m.a.dom))
+		}
+		if m.oldD = m.a.Dist(rank); m.oldD == nil || !m.oldD.Equal(m.newD) {
+			ms[n] = m
+			n++
+		} // else a no-op redistribution: nothing moves, descriptor unchanged
+	}
+	if ms = ms[:n]; n == 0 {
+		return nil
 	}
 
 	tr := ctx.Tracer()
 	prank := ctx.PhysRank() // trace timelines are physical-rank indexed
-	a.spans()
-	sp := tr.BeginSpan(prank, trace.CatDistribute, a.span)
+	for i := range ms {
+		ms[i].a.spans()
+	}
+	lead := ms[0].a
+	sp := tr.BeginSpan(prank, trace.CatDistribute, lead.span)
 	defer sp.End()
 
 	// Peers of the previous move may still be pulling from the storage
-	// this rank offered then, which takeLocal is about to recycle.
-	if err := a.win.Settle(ctx.Comm()); err != nil {
-		return fmt.Errorf("darray: %s: redistribution: %w", a.name, err)
-	}
-	newLocal := a.takeLocal(rank, newD, oldD != nil && !cfg.noTransfer)
-	if oldD == nil {
-		a.commit(rank, newD, newLocal) // first association: no data to move
-		return nil
-	}
-
-	oldLocal := a.locals[rank]
-	sched, hit := a.cache.Get(oldD, newD, rank, np)
-	schedEv := "sched:miss"
-	if hit {
-		schedEv = "sched:hit"
-	}
-
-	if cfg.noTransfer {
-		// NOTRANSFER: keep whatever was already in place.
-		tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
-		if keep := sched.LocalKeep; !keep.Empty() {
-			copyGrid(newLocal, oldLocal, keep)
+	// each member offered then, which takeLocal is about to recycle.
+	for i := range ms {
+		if err := ms[i].a.win.Settle(ctx.Comm()); err != nil {
+			return fmt.Errorf("darray: %s: redistribution: %w", ms[i].a.name, err)
 		}
-	} else {
-		// The move runs stepDirect once over the whole domain or, under a
-		// memory budget, once per panel of the plan that fits it.  The plan
-		// is computed identically on every rank from the distributions
-		// alone (and cached), so no coordination is needed; without a
-		// budget none is built — planning builds every rank's schedule,
-		// which matters on redistribute-heavy loops.
-		var plan *redist.Plan
-		steps, planEv, peak := 1, "plan:direct", int64(-1)
-		if cfg.memBudget > 0 {
-			psp := tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
-			p, err := a.cache.GetPlan(oldD, newD, np, redist.PlanOptions{MemBudget: cfg.memBudget})
-			psp.End()
-			if err != nil {
-				// Every rank fails here symmetrically before any data moves:
-				// the old distribution stays in place and readable.
-				a.retireLocal(rank, newD, newLocal)
-				return fmt.Errorf("darray: %s: redistribution planning: %w", a.name, err)
+	}
+
+	// The move runs stepDirect once over the whole domain or, under a
+	// memory budget, once per panel of the plan that fits it.  The plan is
+	// computed identically on every rank from the distributions alone (and
+	// cached), so no coordination is needed; without a budget none is
+	// built — planning builds every rank's schedule, which matters on
+	// redistribute-heavy loops.
+	var plan *redist.Plan
+	steps, planEv, peak := 1, "plan:direct", int64(-1)
+	if m := &ms[0]; cfg.memBudget > 0 && m.oldD != nil && !cfg.noTransfer {
+		psp := tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
+		p, err := m.a.cache.GetPlan(m.oldD, m.newD, np, redist.PlanOptions{MemBudget: cfg.memBudget})
+		psp.End()
+		if err != nil {
+			// Every rank fails here symmetrically before any storage is
+			// taken or data moves: the old distribution stays in place and
+			// readable.
+			return fmt.Errorf("darray: %s: redistribution planning: %w", m.a.name, err)
+		}
+		plan, steps, planEv, peak = p, len(p.Steps), "plan:"+p.Kind, p.PeakBytes
+	}
+	n = 0
+	for i, m := range ms {
+		// A secondary's own span holds its share of the setup; the wire
+		// traffic is the class's and lands in the lead's.
+		var msp trace.Span
+		if i > 0 {
+			msp = tr.BeginSpan(prank, trace.CatDistribute, m.a.span)
+		}
+		a := m.a
+		m.newLocal = a.takeLocal(rank, m.newD, m.oldD != nil && !cfg.noTransfer)
+		if m.oldD == nil {
+			a.commit(rank, m.newD, m.newLocal) // first association: no data to move
+			msp.End()
+			continue
+		}
+		m.oldLocal = a.locals[rank]
+		sched, hit := a.cache.Get(m.oldD, m.newD, rank, np)
+		schedEv := "sched:miss"
+		if hit {
+			schedEv = "sched:hit"
+		}
+		if cfg.noTransfer {
+			// NOTRANSFER: keep whatever was already in place.
+			tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
+			if keep := sched.LocalKeep; !keep.Empty() {
+				copyGrid(m.newLocal, m.oldLocal, keep)
 			}
-			plan, steps, planEv, peak = p, len(p.Steps), "plan:"+p.Kind, p.PeakBytes
+			a.commit(rank, m.newD, m.newLocal)
+			a.retireLocal(rank, m.oldD, m.oldLocal)
+			msp.End()
+			continue
 		}
 		tr.Instant(prank, trace.CatDistribute, schedEv, -1, int64(sched.SendBytes()))
-		tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
-
 		// The self-transfer never touches the wire: copy it whole before
 		// the ring (still only into the uncommitted newLocal).
 		for _, t := range sched.Sends {
 			if t.Peer == rank {
-				copyGrid(newLocal, oldLocal, t.Grid)
+				copyGrid(m.newLocal, m.oldLocal, t.Grid)
 			}
 		}
-		st := a.m.Stats()
-		for k := 0; k < steps; k++ {
-			sub := sched
-			if plan != nil {
-				sub = plan.StepSchedule(sched, k)
-			}
-			ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step")
-			err := a.stepDirect(ctx, oldD, newD, sub, oldLocal, newLocal, st)
-			ssp.End()
-			if err != nil {
-				return fmt.Errorf("darray: %s: redistribution step %d/%d: %w", a.name, k+1, steps, err)
-			}
+		m.sched, m.step = sched, sched
+		ms[n] = m
+		n++
+		msp.End()
+	}
+	if ms = ms[:n]; n == 0 {
+		return nil
+	}
+	lead = ms[0].a
+	tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
+	st := lead.m.Stats()
+	for k := 0; k < steps; k++ {
+		if plan != nil {
+			ms[0].step = plan.StepSchedule(ms[0].sched, k)
+		}
+		ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step")
+		err := stepDirect(ctx, ms, st)
+		ssp.End()
+		if err != nil {
+			return fmt.Errorf("darray: %s: redistribution step %d/%d: %w", lead.name, k+1, steps, err)
 		}
 	}
 
-	// Every transfer into newLocal has landed: the ring returned only
+	// Every transfer into each newLocal has landed: the ring returned only
 	// after this rank's last pull or unpack.  Commit without waiting for
-	// the peers still pulling from oldLocal — the window keeps offering it
-	// until this rank's next Settle.
-	a.commit(rank, newD, newLocal)
-	a.retireLocal(rank, oldD, oldLocal)
+	// the peers still pulling from the old storage — each window keeps
+	// offering it until this rank's next Settle of that window.
+	for _, m := range ms {
+		m.a.commit(rank, m.newD, m.newLocal)
+		m.a.retireLocal(rank, m.oldD, m.oldLocal)
+	}
 	return nil
 }
 
@@ -288,71 +375,152 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 	return plan
 }
 
-// stepDirect executes the step's schedule in one pass of the staggered
-// ring — DISTRIBUTE's one executor, run once per step of the plan: each
-// round sends this rank's transfer to one peer and receives its transfer
-// from another, so at most one outgoing and one incoming transfer are
-// resident at a time (the peak redist.PlanMove models).  A transfer that
-// is a rect on both layouts goes through the array's window (Offer/Pull):
-// on shared memory the receiver copies it straight out of the sender's
-// old storage into its own unpublished new Local, a single copy with
-// nothing resident on the wire; on other transports the window moves it
-// packed.  Any other transfer is packed just in time into the one
-// recycled stream buffer and unpacked on arrival, and its received buffer
-// goes back to the transport.  The sender's old Local stays untouched
-// until its next move's Settle has every puller's done token.
-func (a *Array) stepDirect(ctx *machine.Ctx, oldD, newD *dist.Distribution, sched *redist.Schedule, oldLocal, newLocal *Local, st *msg.Stats) error {
-	if !hasRemote(sched) {
-		// Nothing crosses this rank's boundary (a DISTRIBUTE that only
-		// renames the mapping, PIC's first balance): no peer offers to it
-		// or pulls from it, so it needs neither plan nor window.
-		return nil
-	}
-	rank := ctx.Rank()
-	// Stats slices are physical-rank indexed (sized to the transport);
-	// after a regroup/join the view rank diverges from the physical one,
-	// and charging the view rank would misattribute the gauge to another
-	// (possibly dead) rank's slot.
-	prank := ctx.PhysRank()
-	own := &a.own[rank]
-	plan := own.plans[sched]
+// planFor returns m's transfer plan for its current step, building and
+// caching it on first use.
+func (m *member) planFor(rank, np int) *xferPlan {
+	own := &m.a.own[rank]
+	plan := own.plans[m.step]
 	if plan == nil {
-		plan = a.planTransfers(oldD, newD, sched, ctx.NP(), oldLocal, newLocal)
+		plan = m.a.planTransfers(m.oldD, m.newD, m.step, np, m.oldLocal, m.newLocal)
 		switch {
 		case own.plans == nil:
 			own.plans = make(map[*redist.Schedule]*xferPlan)
 		case len(own.plans) >= maxPlans:
 			clear(own.plans)
 		}
-		own.plans[sched] = plan
+		own.plans[m.step] = plan
 	}
-	win, c := a.win, ctx.Comm()
+	return plan
+}
+
+// stepDirect executes one step of a class move in one pass of the
+// staggered ring — DISTRIBUTE's one executor, run once per step of the
+// plan: each round sends this rank's transfer to one peer and receives
+// its transfer from another, one message each way carrying every
+// member's segment for that pair in class order, so at most one outgoing
+// and one incoming transfer are resident at a time (the peak
+// redist.PlanMove models for a lone member).  A pair whose segments are
+// all rects on both layouts goes through the windows (Offer/Pull on the
+// lead's stream, one share per member): on shared memory the receiver
+// copies each segment straight out of its member's old storage into that
+// member's unpublished new Local, a single copy with nothing resident on
+// the wire; on other transports the segments travel packed in one frame.
+// Any other pair is packed just in time into the lead's one recycled
+// stream buffer and unpacked on arrival, and its received buffer goes
+// back to the transport.  A sender's old Locals stay untouched until its
+// next move's Settle of each member window has every puller's done token.
+func stepDirect(ctx *machine.Ctx, ms []member, st *msg.Stats) error {
+	rank, np := ctx.Rank(), ctx.NP()
+	remote := false
+	for i := range ms {
+		m := &ms[i]
+		// A step that crosses no boundary of this rank (a DISTRIBUTE that
+		// only renames the mapping, PIC's first balance) needs no plan: no
+		// peer offers to it or pulls from it.
+		m.plan = nil
+		if hasRemote(m.step) {
+			m.plan, remote = m.planFor(rank, np), true
+		}
+	}
+	if !remote {
+		return nil
+	}
+	// Stats slices are physical-rank indexed (sized to the transport);
+	// after a regroup/join the view rank diverges from the physical one,
+	// and charging the view rank would misattribute the gauge to another
+	// (possibly dead) rank's slot.
+	prank := ctx.PhysRank()
+	lead := ms[0].a
+	own := &lead.own[rank]
+	win, c := lead.win, ctx.Comm()
 	return c.Ring(func(to, from int) error {
-		if x := &plan.send[to]; x.rect {
-			if err := win.Offer(c, to, redistSubtag, x.src); err != nil {
+		var buf [4]msg.Share // a round's shares, on the stack for classes of up to 4
+		switch count, rects := pairOf(ms, to, true); {
+		case count == 0:
+		case rects:
+			shares := buf[:0]
+			for i := range ms {
+				if x := ms[i].xferTo(to, true); x != nil {
+					shares = append(shares, msg.Share{Win: ms[i].a.win, Src: x.src})
+				}
+			}
+			if err := win.Offer(c, to, redistSubtag, shares); err != nil {
 				return err
 			}
-		} else if x.count > 0 {
-			own.stream = oldLocal.appendPacked(own.streamBuf(x.count), x.grid)
+		default:
+			own.stream = own.streamBuf(count)
+			for i := range ms {
+				if x := ms[i].xferTo(to, true); x != nil {
+					own.stream = ms[i].oldLocal.appendPacked(own.stream, x.grid)
+				}
+			}
 			if err := win.OfferPacked(c, to, redistSubtag, own.stream); err != nil {
 				return err
 			}
 		}
-		if x := &plan.recv[from]; x.rect {
-			return win.Pull(c, from, redistSubtag, x.src, newLocal.data, x.dst)
-		} else if x.count > 0 {
-			p, err := win.PullPacked(c, from, redistSubtag)
-			if err != nil {
-				return err
-			}
-			n := int64(len(p.Data))
-			st.WireAcquire(prank, n)
-			newLocal.unpackWire(x.grid, p.Data)
-			st.WireRelease(prank, n)
-			p.Release()
+		count, rects := pairOf(ms, from, false)
+		if count == 0 {
+			return nil
 		}
+		if rects {
+			shares := buf[:0]
+			for i := range ms {
+				if x := ms[i].xferTo(from, false); x != nil {
+					shares = append(shares, msg.Share{Win: ms[i].a.win, Src: x.src, Dst: ms[i].newLocal.data, Dr: x.dst})
+				}
+			}
+			return win.Pull(c, from, redistSubtag, shares)
+		}
+		p, err := win.PullPacked(c, from, redistSubtag)
+		if err != nil {
+			return err
+		}
+		defer p.Release()
+		if len(p.Data) != 8*count {
+			return fmt.Errorf("darray: %s: rank %d: transfer from rank %d has %d bytes, want %d", lead.name, rank, from, len(p.Data), 8*count)
+		}
+		n := int64(len(p.Data))
+		st.WireAcquire(prank, n)
+		off := 0
+		for i := range ms {
+			if x := ms[i].xferTo(from, false); x != nil {
+				ms[i].newLocal.unpackWire(x.grid, p.Data[off:off+8*x.count])
+				off += 8 * x.count
+			}
+		}
+		st.WireRelease(prank, n)
 		return nil
 	})
+}
+
+// xferTo returns m's transfer to (send) or from (!send) peer, nil when
+// there is none.
+func (m *member) xferTo(peer int, send bool) *xfer {
+	if m.plan == nil {
+		return nil
+	}
+	x := &m.plan.recv[peer]
+	if send {
+		x = &m.plan.send[peer]
+	}
+	if x.count == 0 {
+		return nil
+	}
+	return x
+}
+
+// pairOf sums the members' transfers to (send) or from (!send) peer and
+// reports whether every one is a rect.  Both ends of a pair compute it
+// from the same schedules and layouts, so they agree on the message.
+func pairOf(ms []member, peer int, send bool) (count int, rects bool) {
+	rects = true
+	for i := range ms {
+		if x := ms[i].xferTo(peer, send); x != nil {
+			count += x.count
+			rects = rects && x.rect
+		}
+	}
+	return count, rects
 }
 
 // ScheduleCacheStats returns (hits, misses) of the redistribution

@@ -448,10 +448,49 @@ func (st *State) distSpec(de *lang.DistExpr, dom index.Domain) (*core.DistSpec, 
 	}
 	spec := &core.DistSpec{Type: dist.NewType(dims...)}
 	if de.Target != "" {
-		pa := st.Ctx.Machine().Procs(de.Target, procBounds(st, de.Target)...)
-		spec.Target = pa.Whole()
+		tg, err := st.target(de)
+		if err != nil {
+			return nil, err
+		}
+		spec.Target = tg
 	}
 	return spec, nil
+}
+
+// target resolves de's TO clause: the whole processor array or, given
+// subscripts, the section of it they select (§2.2).  A subscript is an
+// index or lo:hi[:step], an omitted part taking the array's bound or 1.
+func (st *State) target(de *lang.DistExpr) (dist.Target, error) {
+	bounds := procBounds(st, de.Target)
+	pa := st.Ctx.Machine().Procs(de.Target, bounds...)
+	if de.TargetIdx == nil {
+		return pa.Whole(), nil
+	}
+	if len(de.TargetIdx) != len(bounds) {
+		return nil, fmt.Errorf("TO %s: %d subscripts for a rank-%d processor array", de.Target, len(de.TargetIdx), len(bounds))
+	}
+	trips := make([][3]int, len(bounds))
+	for k, e := range de.TargetIdx {
+		ri, ok := e.(*lang.RangeIdx)
+		if !ok {
+			ri = &lang.RangeIdx{Lo: e, Hi: e} // one index: the section i:i
+		}
+		t := [3]int{bounds[k][0], bounds[k][1], 1}
+		for i, part := range []lang.Expr{ri.Lo, ri.Hi, ri.Step} {
+			if part != nil {
+				v, err := st.evalScalar(part)
+				if err != nil {
+					return nil, err
+				}
+				t[i] = int(v)
+			}
+		}
+		if t[2] < 1 || t[0] < bounds[k][0] || t[1] > bounds[k][1] || t[0] > t[1] {
+			return nil, fmt.Errorf("TO %s: subscript %v selects no section of %d:%d", de.Target, e, bounds[k][0], bounds[k][1])
+		}
+		trips[k] = t
+	}
+	return pa.Section(trips...), nil
 }
 
 // procBounds re-resolves a declared processor array's bounds (the
@@ -570,8 +609,11 @@ func (st *State) distributeExec(stm *lang.DistributeStmt) error {
 	}
 	ex := core.Dims(dims...)
 	if stm.Expr.Target != "" {
-		pa := st.Ctx.Machine().Procs(stm.Expr.Target, procBounds(st, stm.Expr.Target)...)
-		ex = ex.To(pa.Whole())
+		tg, err := st.target(stm.Expr)
+		if err != nil {
+			return fmt.Errorf("%v: %w", stm.Pos(), err)
+		}
+		ex = ex.To(tg)
 	}
 	if err := st.In.Engine.Distribute(st.Ctx, arrays, ex, core.NoTransfer(nt...)); err != nil {
 		return fmt.Errorf("%v: %w", stm.Pos(), err)

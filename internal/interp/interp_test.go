@@ -120,6 +120,70 @@ DISTRIBUTE A :: (CYCLIC)
 	}
 }
 
+// TestDistributeToSection runs a listing that distributes onto the
+// processor section R(1:2) and computes there: on four processors ranks 2
+// and 3 own nothing, and the result is the two-processor run's bit for bit
+// (on two processors the section is the whole of R).  The section prints
+// back as written.
+func TestDistributeToSection(t *testing.T) {
+	const src = `
+PARAMETER (N = 11)
+PROCESSORS R($NP)
+REAL A(N) DYNAMIC, DIST(BLOCK)
+DO I = 1, N
+  A(I) = I * 3 / 2 + MOD(I * 7, 5)
+ENDDO
+DISTRIBUTE A :: (CYCLIC(2)) TO R(1:2)
+DO I = 1, N
+  A(I) = A(I) * 3 / 10 + A(N + 1 - I)
+ENDDO
+`
+	prog, err := lang.Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := prog.Stmts[len(prog.Stmts)-2].(*lang.DistributeStmt)
+	if got := dist.Expr.String(); got != "(CYCLIC(2)) TO R(1:2)" {
+		t.Errorf("DISTRIBUTE expression prints as %q", got)
+	}
+	unit := sem.Analyze(prog)
+	if unit.HasErrors() {
+		t.Fatalf("sem: %v", unit.Diags)
+	}
+	results := map[int][]float64{}
+	for _, np := range []int{2, 4} {
+		m := machine.New(np)
+		in := New(core.NewEngine(m))
+		owned := make([]int, np)
+		if err := m.Run(func(ctx *machine.Ctx) error {
+			st, err := run(in, ctx, unit)
+			if err != nil {
+				return err
+			}
+			a, _ := st.Array("A")
+			owned[ctx.Rank()] = a.Local(ctx).Count()
+			got, err := a.GatherTo(ctx, 0)
+			if ctx.Rank() == 0 {
+				results[np] = got
+			}
+			return err
+		}); err != nil {
+			t.Fatal(err)
+		}
+		m.Close()
+		for r := 2; r < np; r++ {
+			if owned[r] != 0 {
+				t.Errorf("P = %d: rank %d owns %d elements of A, want none outside R(1:2)", np, r, owned[r])
+			}
+		}
+	}
+	for i, w := range results[2] {
+		if g := results[4][i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Errorf("A(%d) = %v on 4 processors, %v on 2", i+1, g, w)
+		}
+	}
+}
+
 func TestFig1ADIRunsAndMatchesSerial(t *testing.T) {
 	const nx, ny = 12, 8
 	src := `

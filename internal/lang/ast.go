@@ -122,6 +122,9 @@ func (d DistDim) String() string {
 type DistExpr struct {
 	Dims   []DistDim
 	Target string // "" = default; the TO R clause
+	// TargetIdx are the subscripts of a TO R(...) section (§2.2); nil
+	// targets the whole processor array.
+	TargetIdx []Expr
 }
 
 func (d DistExpr) String() string {
@@ -131,7 +134,7 @@ func (d DistExpr) String() string {
 	}
 	s := "(" + strings.Join(parts, ",") + ")"
 	if d.Target != "" {
-		s += " TO " + d.Target
+		s += " TO " + (&Ref{Name: d.Target, Indices: d.TargetIdx}).String()
 	}
 	return s
 }

@@ -12,12 +12,15 @@ import (
 // notices one that does not return).  And every expression in a parsed
 // program prints (String) to source that reparses to an expression
 // printing the same: a subscript triplet as a subscript, anything else as
-// the right-hand side of an assignment.  The seeds are the paper's
-// fixture programs and the sources under examples/.
+// the right-hand side of an assignment; so does every distribution
+// expression, TO clause and section included, as a DISTRIBUTE's.  The
+// seeds are the paper's fixture programs, a DISTRIBUTE onto a processor
+// section and the sources under examples/.
 //
 //	go test -run '^$' -fuzz FuzzParse -parallel 2 ./internal/lang
 func FuzzParse(f *testing.F) {
-	for _, src := range []string{FixtureFig1, FixtureFig2, FixtureExample2, FixtureExample4, FixtureIDT} {
+	section := "PROCESSORS R(1:4)\nREAL A(8) DYNAMIC\nDISTRIBUTE A :: (CYCLIC(2)) TO R(2:4:2)\n"
+	for _, src := range []string{FixtureFig1, FixtureFig2, FixtureExample2, FixtureExample4, FixtureIDT, section} {
 		f.Add(src)
 	}
 	examples, err := filepath.Glob(filepath.Join("..", "..", "examples", "*", "*.go"))
@@ -39,6 +42,22 @@ func FuzzParse(f *testing.F) {
 		if prog == nil {
 			t.Fatal("Parse returned neither a program nor an error")
 		}
+		eachDistExpr(reflect.ValueOf(prog), func(de *DistExpr) {
+			s := de.String()
+			again, err := Parse("DISTRIBUTE X :: " + s + "\n")
+			if err != nil {
+				t.Fatalf("distribution %q does not reparse: %v", s, err)
+			}
+			got := ""
+			if len(again.Stmts) == 1 {
+				if ds, ok := again.Stmts[0].(*DistributeStmt); ok && ds.Expr != nil {
+					got = ds.Expr.String()
+				}
+			}
+			if got != s {
+				t.Fatalf("distribution %q reparses to %q", s, got)
+			}
+		})
 		eachExpr(reflect.ValueOf(prog), func(e Expr) {
 			s := e.String()
 			again, err := reparseExpr(e, s)
@@ -71,31 +90,35 @@ func reparseExpr(e Expr, s string) (Expr, error) {
 	return rhs, nil
 }
 
-var exprType = reflect.TypeFor[Expr]()
+// eachExpr calls f on every expression reachable from v, parents first.
+func eachExpr(v reflect.Value, f func(Expr)) { eachNode(v, f) }
 
-// eachExpr calls f on every expression reachable from v — the AST is a
-// tree of pointers, structs, slices and interfaces — parents first.
-func eachExpr(v reflect.Value, f func(Expr)) {
+// eachDistExpr calls f on every distribution expression reachable from v.
+func eachDistExpr(v reflect.Value, f func(*DistExpr)) { eachNode(v, f) }
+
+// eachNode calls f on every T reachable from v — the AST is a tree of
+// pointers, structs, slices and interfaces — parents first.
+func eachNode[T any](v reflect.Value, f func(T)) {
 	switch v.Kind() {
 	case reflect.Interface:
 		if !v.IsNil() {
-			eachExpr(v.Elem(), f)
+			eachNode(v.Elem(), f)
 		}
 	case reflect.Pointer:
 		if v.IsNil() {
 			return
 		}
-		if v.Type().Implements(exprType) {
-			f(v.Interface().(Expr))
+		if n, ok := v.Interface().(T); ok {
+			f(n)
 		}
-		eachExpr(v.Elem(), f)
+		eachNode(v.Elem(), f)
 	case reflect.Struct:
 		for i := 0; i < v.NumField(); i++ {
-			eachExpr(v.Field(i), f)
+			eachNode(v.Field(i), f)
 		}
 	case reflect.Slice, reflect.Array:
 		for i := 0; i < v.Len(); i++ {
-			eachExpr(v.Index(i), f)
+			eachNode(v.Index(i), f)
 		}
 	}
 }

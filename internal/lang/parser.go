@@ -290,7 +290,8 @@ func (p *Parser) declStmt() (Stmt, error) {
 	}
 }
 
-// distExpr parses "( dims )" optionally followed by "TO NAME".
+// distExpr parses "( dims )" optionally followed by "TO NAME" or a
+// section of it, "TO NAME(subscripts)".
 func (p *Parser) distExpr() (*DistExpr, error) {
 	if _, err := p.expect(LPAREN); err != nil {
 		return nil, err
@@ -305,11 +306,11 @@ func (p *Parser) distExpr() (*DistExpr, error) {
 	de := &DistExpr{Dims: dims}
 	if p.at(KTO) {
 		p.next()
-		name, err := p.expect(IDENT)
+		r, err := p.refExpr()
 		if err != nil {
 			return nil, err
 		}
-		de.Target = name.Text
+		de.Target, de.TargetIdx = r.Name, r.Indices
 	}
 	return de, nil
 }

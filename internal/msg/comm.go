@@ -298,11 +298,9 @@ func (c *Comm) Bcast(root int, buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// reduce is the binomial-tree reduction into root under every Allreduce:
-// element i combines under ops[i], or under ops[0] when ops holds one
-// operation for every element.  On root the returned slice holds the
-// reduction, on others it is nil.
-func (c *Comm) reduce(root int, vals []float64, ops []func(a, b float64) float64) ([]float64, error) {
+// reduce is the binomial-tree reduction into root under every Allreduce.
+// On root the returned slice holds the reduction, on others it is nil.
+func (c *Comm) reduce(root int, vals []float64, op func(a, b float64) float64) ([]float64, error) {
 	if c.tr != nil {
 		defer c.span("reduce").End()
 	}
@@ -338,10 +336,6 @@ func (c *Comm) reduce(root int, vals []float64, ops []func(a, b float64) float64
 			}
 			DecodeFloat64sInto(got, p.Data)
 			for i := range acc {
-				op := ops[0]
-				if len(ops) > 1 {
-					op = ops[i]
-				}
 				acc[i] = op(acc[i], got[i])
 			}
 		}
@@ -350,28 +344,9 @@ func (c *Comm) reduce(root int, vals []float64, ops []func(a, b float64) float64
 }
 
 // AllreduceF64 reduces over all processors and distributes the result to
-// everyone.
+// everyone: one reduce into rank 0 and one broadcast of the result.
 func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) ([]float64, error) {
-	return c.allreduce(vals, []func(a, b float64) float64{op})
-}
-
-// AllreduceEach reduces vals over all processors element by element —
-// element i under ops[i] — and returns the result on every processor.  It
-// is one reduce into rank 0 and one broadcast of the whole vector, so k
-// reductions of one value cost the messages of one.  Every element takes
-// the same binomial tree in the same order as an AllreduceF64 of that
-// element alone, so the results are bit-identical to k separate calls.
-// len(ops) must equal len(vals); all processors must pass equally long
-// vectors (a mismatch is an error on the rank that sees it).
-func (c *Comm) AllreduceEach(vals []float64, ops ...func(a, b float64) float64) ([]float64, error) {
-	if len(ops) != len(vals) {
-		return nil, fmt.Errorf("msg: allreduce: rank %d: %d values under %d operations", c.Rank(), len(vals), len(ops))
-	}
-	return c.allreduce(vals, ops)
-}
-
-func (c *Comm) allreduce(vals []float64, ops []func(a, b float64) float64) ([]float64, error) {
-	red, err := c.reduce(0, vals, ops)
+	red, err := c.reduce(0, vals, op)
 	if err != nil {
 		return nil, err
 	}

@@ -3,7 +3,6 @@ package msg
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -85,7 +84,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 	for _, np := range []int{1, 2, 3, 6, 8} {
 		tr := runComms(t, np, func(c *Comm) error {
 			vals := []float64{float64(c.Rank() + 1), float64(c.Rank() * 2)}
-			r, err := c.reduce(0, vals, []func(a, b float64) float64{SumF64})
+			r, err := c.reduce(0, vals, SumF64)
 			if err != nil {
 				return err
 			}
@@ -119,7 +118,7 @@ func TestReduceAndAllreduce(t *testing.T) {
 
 func TestReduceNonRoot(t *testing.T) {
 	tr := runComms(t, 4, func(c *Comm) error {
-		r, err := c.reduce(2, []float64{float64(c.Rank())}, []func(a, b float64) float64{SumF64})
+		r, err := c.reduce(2, []float64{float64(c.Rank())}, SumF64)
 		if err != nil {
 			return err
 		}
@@ -351,139 +350,17 @@ func TestWireGauge(t *testing.T) {
 	}
 }
 
-// eachVals is rank's contribution to the AllreduceEach tests: values whose
-// sum depends on the order it is taken in, so a different tree shows.
-func eachVals(rank int) []float64 {
-	x := 0.1 * float64(rank+1) * (1 + 1e-9*float64(rank))
-	return []float64{x, x, 1e16 - x, float64(rank % 3)}
-}
-
-var eachOps = []func(a, b float64) float64{SumF64, MaxF64, SumF64, math.Min}
-
-// TestAllreduceEachMatchesSeparate: the fused reduction gives every rank,
-// on both transports, the bits that one AllreduceF64 per element gives.
-func TestAllreduceEachMatchesSeparate(t *testing.T) {
-	for _, np := range []int{1, 2, 3, 4, 5, 8} {
-		got := map[string][][]float64{}
-		for name, tr := range transports(t, np) {
-			fused, separate := make([][]float64, np), make([][]float64, np)
-			runCommsOn(t, tr, func(c *Comm) error {
-				vals := eachVals(c.Rank())
-				r, err := c.AllreduceEach(vals, eachOps...)
-				if err != nil {
-					return err
-				}
-				fused[c.Rank()] = r
-				for i, op := range eachOps {
-					s, err := c.AllreduceF64(vals[i:i+1], op)
-					if err != nil {
-						return err
-					}
-					separate[c.Rank()] = append(separate[c.Rank()], s[0])
-				}
-				return nil
-			})
-			tr.Close()
-			for r := range fused {
-				for i := range eachOps {
-					if math.Float64bits(fused[r][i]) != math.Float64bits(separate[0][i]) {
-						t.Errorf("%s np=%d rank %d element %d: fused %v, separate %v", name, np, r, i, fused[r][i], separate[0][i])
-					}
-				}
-			}
-			got[name] = fused
-		}
-		for i := range eachOps {
-			if c, p := got["chan"][0][i], got["tcp"][0][i]; math.Float64bits(c) != math.Float64bits(p) {
-				t.Errorf("np=%d element %d: chan %v, tcp %v", np, i, c, p)
-			}
-		}
-	}
-}
-
-// TestAllreduceEachOneRound: k values cost one reduce and one broadcast —
-// 2(P−1) messages of 8k bytes — where k AllreduceF64 calls cost k times
-// the messages for the same bytes.
-func TestAllreduceEachOneRound(t *testing.T) {
-	const np = 5
-	k := len(eachOps)
-	fused := runComms(t, np, func(c *Comm) error {
-		_, err := c.AllreduceEach(eachVals(c.Rank()), eachOps...)
-		return err
-	})
-	defer fused.Close()
-	separate := runComms(t, np, func(c *Comm) error {
-		for i, op := range eachOps {
-			if _, err := c.AllreduceF64(eachVals(c.Rank())[i:i+1], op); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	defer separate.Close()
-	f, s := fused.Stats().Snapshot(), separate.Stats().Snapshot()
-	if f.TotalMsgs() != 2*(np-1) || f.TotalBytes() != int64(2*(np-1)*8*k) {
-		t.Errorf("fused: %d messages, %d bytes; want %d, %d", f.TotalMsgs(), f.TotalBytes(), 2*(np-1), 2*(np-1)*8*k)
-	}
-	if s.TotalMsgs() != int64(k)*f.TotalMsgs() || s.TotalBytes() != f.TotalBytes() {
-		t.Errorf("separate: %d messages, %d bytes; want %d, %d", s.TotalMsgs(), s.TotalBytes(), int64(k)*f.TotalMsgs(), f.TotalBytes())
-	}
-}
-
-// TestAllreduceEachAllocs bounds a warm two-rank fused allreduce at what
-// it needs: each side's accumulator, encoded payload, channel copy and
-// decoded result, plus the root's receive scratch — nine in all.
-func TestAllreduceEachAllocs(t *testing.T) {
-	tr := NewChanTransport(2)
-	defer tr.Close()
-	c0, c1 := NewComm(tr.Endpoint(0)), NewComm(tr.Endpoint(1))
-	const runs = 200
-	done := make(chan error, 1)
-	go func() { // rank 1 pairs with every call AllocsPerRun makes, warm-up included
-		for i := 0; i < runs+1; i++ {
-			if _, err := c1.AllreduceEach([]float64{1, 2}, SumF64, MaxF64); err != nil {
-				done <- err
-				return
-			}
-		}
-		done <- nil
-	}()
-	n := testing.AllocsPerRun(runs, func() {
-		if _, err := c0.AllreduceEach([]float64{3, 4}, SumF64, MaxF64); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if err := <-done; err != nil {
-		t.Fatal(err)
-	}
-	if n > 9 {
-		t.Errorf("warm two-rank AllreduceEach: %v allocs, want <= 9", n)
-	}
-}
-
-// TestAllreduceEachLengthMismatch: fewer operations than values fails on
-// every rank before anything is sent, and ranks that disagree on the
-// vector length get an error from the collective — neither panics.
-func TestAllreduceEachLengthMismatch(t *testing.T) {
+// TestAllreduceLengthMismatch: ranks that disagree on the vector length
+// get an error from the collective at the root, never a panic.
+func TestAllreduceLengthMismatch(t *testing.T) {
 	tr := NewChanTransport(3)
 	defer tr.Close()
-	for r, err := range runWindowRanks(tr, RetryPolicy{}, func(c *Comm) error {
-		_, err := c.AllreduceEach([]float64{1, 2}, SumF64)
-		return err
-	}) {
-		if err == nil || !strings.Contains(err.Error(), "2 values under 1 operations") {
-			t.Errorf("rank %d: err = %v, want the ops/values mismatch", r, err)
-		}
-	}
-	if n := tr.Stats().Snapshot().TotalMsgs(); n != 0 {
-		t.Errorf("%d messages sent for a call that must fail up front", n)
-	}
 	errs := runWindowRanks(tr, RetryPolicy{Timeout: 50 * time.Millisecond}, func(c *Comm) error {
-		vals, ops := []float64{1, 2}, []func(a, b float64) float64{SumF64, MaxF64}
+		vals := []float64{1, 2}
 		if c.Rank() == 2 {
-			vals, ops = append(vals, 3), append(ops, math.Min)
+			vals = append(vals, 3)
 		}
-		_, err := c.AllreduceEach(vals, ops...)
+		_, err := c.AllreduceF64(vals, SumF64)
 		return err
 	})
 	if errs[0] == nil || !strings.Contains(errs[0].Error(), "length mismatch") {

@@ -270,7 +270,7 @@ func TestStatsSentBySender(t *testing.T) {
 			if _, err := c.Endpoint().Recv(0, 1); err != nil {
 				return err
 			}
-			return win.Pull(c, 0, 1, RectRun(0, 3), private, RectRun(0, 3))
+			return win.Pull(c, 0, 1, []Share{{Win: win, Src: RectRun(0, 3), Dst: private, Dr: RectRun(0, 3)}})
 		}
 		if err := win.Settle(c); err != nil {
 			return err
@@ -278,7 +278,7 @@ func TestStatsSentBySender(t *testing.T) {
 		if err := c.Endpoint().Send(1, 1, make([]byte, 40)); err != nil {
 			return err
 		}
-		return win.Offer(c, 1, 1, RectRun(0, 3))
+		return win.Offer(c, 1, 1, []Share{{Win: win, Src: RectRun(0, 3)}})
 	})
 	if m, b := tr.Stats().Sent(0); m != 2 || b != 40+24 {
 		t.Errorf("Sent(0) = %d msgs, %d bytes; want 2, 64", m, b)

@@ -29,9 +29,12 @@ import (
 //   - Offers (Offer / Pull): the owner offers a region of its offered
 //     storage and the receiver pulls it into storage of its own that need
 //     not be registered — the DISTRIBUTE discipline, where the destination
-//     stays private until its owner publishes it.  On shared memory the
-//     receiver makes the only copy and then hands the owner a done token;
-//     the owner's Settle collects them before it reuses what it offered.
+//     stays private until its owner publishes it.  One offer may carry
+//     regions of several windows (Share), as a connect class moves in one
+//     message per peer.  On shared memory the receiver makes the only
+//     copy and then hands the owner a done token per window; each
+//     window's Settle collects its own before the owner reuses what it
+//     offered.
 //
 // A rank's offered storage is its registered storage as of its last
 // Settle, so it may register new storage (the target of its own awaits)
@@ -442,34 +445,55 @@ func (w *Window) checkSubtag(op string, subtag int) {
 	}
 }
 
-// Offer makes the src region of the caller's offered storage available
-// to rank to, which completes the transfer with the matching Pull(from,
-// subtag, src, ...) — the receiver-driven counterpart of PutAsync, for
-// data whose destination is not (yet) registered storage.  On shared
-// memory nothing is copied here: the transport moves a zero-byte token,
-// accounted as the one data message of 8·count bytes the framed path
-// sends, and the receiver copies straight out of the offered storage.
-// The caller must therefore leave the offered region unmodified until
-// its next Settle, which returns once the receiver's done token is in;
-// the offer token orders the caller's earlier writes before the
-// receiver's reads.  On other transports the region travels packed, as
-// with PutAsync, and is reusable when Offer returns.
-func (w *Window) Offer(c *Comm, to, subtag int, src Rect) error {
+// A Share is one window's part of an offer: the Src region of that
+// window's offered storage on the offerer and, on the puller, the Dr
+// region of the Dst storage it lands in.  A connect class moves as one
+// offer per peer with one share per member.
+type Share struct {
+	Win     *Window
+	Src, Dr Rect
+	Dst     []float64
+}
+
+// Offer makes each share's Src region of its window's offered storage (the
+// caller's) available to rank to as one transfer on w's stream, which the
+// receiver completes with the matching Pull(from, subtag, shares) naming
+// the same windows and Src rects in the same order — the
+// receiver-driven counterpart of PutAsync, for data whose destination is
+// not (yet) registered storage.  On shared memory nothing is copied here:
+// the transport moves one zero-byte token for all shares, accounted as
+// the one data message of 8·count bytes the framed path sends, and the
+// receiver copies every share straight out of its window's offered
+// storage.  The caller must therefore leave each offered region
+// unmodified until its next Settle of that window, which returns once the
+// receiver's done token for the window is in; the offer token orders the
+// caller's earlier writes before the receiver's reads.  On other
+// transports the shares travel packed back to back in one frame, as with
+// PutAsync, and are reusable when Offer returns.
+func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 	w.checkSubtag("offer", subtag)
 	rank := c.Rank()
-	sh := &w.shared[rank]
-	if err := src.validate(len(sh.offered)); err != nil {
-		return w.opErr("offer to", to, err)
+	for _, s := range shares {
+		if err := s.Src.validate(len(s.Win.shared[rank].offered)); err != nil {
+			return w.opErr("offer to", to, err)
+		}
 	}
 	if !sharedMemory(c.ep) {
-		sh.sendBuf = PackRect(sh.sendBuf[:0], sh.offered, src)
+		sh := &w.shared[rank]
+		sh.sendBuf = sh.sendBuf[:0]
+		for _, s := range shares {
+			sh.sendBuf = PackRect(sh.sendBuf, s.Win.shared[rank].offered, s.Src)
+		}
 		return w.OfferPacked(c, to, subtag, sh.sendBuf)
 	}
 	if err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("offer to", to, err)
 	}
-	sh.owed[to]++
-	n := 8 * src.Count()
+	n := 0
+	for _, s := range shares {
+		s.Win.shared[rank].owed[to]++
+		n += 8 * s.Src.Count()
+	}
 	w.accountDirect(c.ep, rank, to, n)
 	c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), n)
 	return nil
@@ -493,24 +517,30 @@ func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
 	return nil
 }
 
-// Pull completes one Offer from rank from on the given subtag: the
-// elements of src (in from's offered storage) are stored into the dr
-// region of dst, which is any storage of the caller's — typically one no
-// peer can see yet.  src and dr must cover the same element count, and
-// both ends must describe the same src.  On shared memory the caller
-// copies the rect itself once the token arrives, advances its cost clock
-// to the arrival time of the 8·count bytes the token stands for — so
-// counters and the arrival equal the framed path's — and then hands the
-// offerer the zero-byte done token its Settle waits for; on other
-// transports the received payload is applied.  Completions on one (from,
-// subtag) stream match offers in their issue order.
-func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rect) error {
+// Pull completes one Offer from rank from on w's stream and the given
+// subtag: each share's Src elements (in from's offered storage of the
+// share's window) are stored into the Dr region of its Dst, which is any
+// storage of the caller's — typically one no peer can see yet.  Each
+// share's Src and Dr must cover the same element count, and both ends
+// must describe the same shares.  On shared memory the caller copies the
+// rects itself once the token arrives, advances its cost clock to the
+// arrival time of the 8·count bytes the token stands for — so counters and
+// the arrival equal the framed path's — and then hands the offerer one
+// zero-byte done token per share window, which that window's Settle waits
+// for; on other transports the received payload is applied share by
+// share.  Completions on one (from, subtag) stream match offers in their
+// issue order.
+func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 	w.checkSubtag("pull", subtag)
-	if sc, dc := src.Count(), dr.Count(); sc != dc {
-		panic(fmt.Sprintf("msg: window %s: pull count mismatch: src %d, dst %d", w.name, sc, dc))
-	}
-	if err := dr.validate(len(dst)); err != nil {
-		return w.opErr("pull from", from, err)
+	n := 0
+	for _, s := range shares {
+		if sc, dc := s.Src.Count(), s.Dr.Count(); sc != dc {
+			panic(fmt.Sprintf("msg: window %s: pull count mismatch: src %d, dst %d", w.name, sc, dc))
+		}
+		if err := s.Dr.validate(len(s.Dst)); err != nil {
+			return w.opErr("pull from", from, err)
+		}
+		n += 8 * s.Src.Count()
 	}
 	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opPull, from, w.tag(subtag))
 	if err != nil {
@@ -518,30 +548,39 @@ func (w *Window) Pull(c *Comm, from, subtag int, src Rect, dst []float64, dr Rec
 	}
 	prank := physOf(c.ep, c.Rank())
 	if !sharedMemory(c.ep) {
-		n := int64(len(p.Data))
-		w.stats.WireAcquire(prank, n)
-		err := ApplyRect(dst, dr, p.Data)
-		w.stats.WireRelease(prank, n)
-		p.Release()
-		if err != nil {
-			return w.opErr("pull from", from, err)
+		defer p.Release()
+		if len(p.Data) != n {
+			return w.opErr("pull from", from, fmt.Errorf("msg: offer of %d bytes, shares want %d", len(p.Data), n))
+		}
+		w.stats.WireAcquire(prank, int64(n))
+		defer w.stats.WireRelease(prank, int64(n))
+		off := 0
+		for _, s := range shares {
+			k := 8 * s.Src.Count()
+			if err := ApplyRect(s.Dst, s.Dr, p.Data[off:off+k]); err != nil {
+				return w.opErr("pull from", from, err)
+			}
+			off += k
 		}
 		return nil
 	}
-	fbuf := w.shared[from].offered
-	if err := src.validate(len(fbuf)); err != nil {
-		return w.opErr("pull from", from, err)
+	for _, s := range shares {
+		fbuf := s.Win.shared[from].offered
+		if err := s.Src.validate(len(fbuf)); err != nil {
+			return w.opErr("pull from", from, err)
+		}
+		copyRect(s.Dst, s.Dr, fbuf, s.Src)
 	}
-	copyRect(dst, dr, fbuf, src)
-	n := 8 * src.Count()
 	if w.cost != nil {
 		// The token's own arrival already ran OnRecv with zero bytes;
 		// max is idempotent, so this lands on the framed arrival time.
 		w.cost.OnRecv(prank, p.SendClock, n)
 	}
 	c.tr.Recv(prank, physOf(c.ep, from), n)
-	if err := SendRetry(c.ep, c.pol, c.tr, w.opDone, from, w.tag(doneSubtag), nil); err != nil {
-		return w.opErr("pull from", from, err)
+	for _, s := range shares {
+		if err := SendRetry(c.ep, c.pol, c.tr, s.Win.opDone, from, s.Win.tag(doneSubtag), nil); err != nil {
+			return w.opErr("pull from", from, err)
+		}
 	}
 	return nil
 }

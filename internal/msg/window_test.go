@@ -293,7 +293,7 @@ func TestWindowRevokedEpochAborts(t *testing.T) {
 	if err := win.AwaitPut(c, 1, 1, RectRun(0, 2)); !errors.Is(err, revoked) {
 		t.Fatalf("await on revoked epoch = %v, want the checker's error", err)
 	}
-	if err := win.Pull(c, 1, 1, RectRun(0, 2), make([]float64, 2), RectRun(0, 2)); !errors.Is(err, revoked) {
+	if err := win.Pull(c, 1, 1, []Share{{Win: win, Src: RectRun(0, 2), Dst: make([]float64, 2), Dr: RectRun(0, 2)}}); !errors.Is(err, revoked) {
 		t.Fatalf("pull on revoked epoch = %v, want the checker's error", err)
 	}
 }
@@ -537,11 +537,11 @@ func TestWindowOfferPullRing(t *testing.T) {
 				return err
 			}
 			next, prev := (r+1)%np, (r+np-1)%np
-			if err := win.Offer(c, next, 7, src); err != nil {
+			if err := win.Offer(c, next, 7, []Share{{Win: win, Src: src}}); err != nil {
 				return err
 			}
 			private := make([]float64, 8*cols)
-			if err := win.Pull(c, prev, 7, src, private, dst); err != nil {
+			if err := win.Pull(c, prev, 7, []Share{{Win: win, Src: src, Dst: private, Dr: dst}}); err != nil {
 				return err
 			}
 			if err := win.OfferPacked(c, next, 7, EncodeFloat64s([]float64{float64(r), -1})); err != nil {
@@ -645,12 +645,13 @@ func TestWindowPullAllocatesNothing(t *testing.T) {
 	if err := win.Settle(c0); err != nil {
 		t.Fatal(err)
 	}
-	private := make([]float64, 4096)
+	offered := []Share{{Win: win, Src: allocSrc}}
+	pulled := []Share{{Win: win, Src: allocSrc, Dst: make([]float64, 4096), Dr: allocDst}}
 	pull := func() {
-		if err := win.Offer(c0, 1, 2, allocSrc); err != nil {
+		if err := win.Offer(c0, 1, 2, offered); err != nil {
 			t.Fatal(err)
 		}
-		if err := win.Pull(c1, 0, 2, allocSrc, private, allocDst); err != nil {
+		if err := win.Pull(c1, 0, 2, pulled); err != nil {
 			t.Fatal(err)
 		}
 		if err := win.Settle(c0); err != nil {

@@ -274,11 +274,7 @@ func (u *Unit) declStmt(st *lang.DeclStmt) {
 			if len(st.Dist.Dims) != ai.Rank {
 				u.errf(st.Pos(), "%s: DIST has %d components for rank-%d array", dn.Name, len(st.Dist.Dims), ai.Rank)
 			}
-			if st.Dist.Target != "" {
-				if _, ok := u.Procs[st.Dist.Target]; !ok {
-					u.errf(st.Pos(), "%s: TO references unknown processor array %s", dn.Name, st.Dist.Target)
-				}
-			}
+			u.checkTarget(st.Pos(), dn.Name+": ", st.Dist)
 			if len(ai.Range) > 0 && !rangeMayAllow(ai.Range, pat) {
 				u.errf(st.Pos(), "%s: initial distribution %v violates %v", dn.Name, pat, ai.Range)
 			}
@@ -624,11 +620,7 @@ func (u *Unit) checkDistribute(st *lang.DistributeStmt) {
 				}
 			}
 		}
-		if st.Expr.Target != "" {
-			if _, ok := u.Procs[st.Expr.Target]; !ok {
-				u.errf(st.Pos(), "TO references unknown processor array %s", st.Expr.Target)
-			}
-		}
+		u.checkTarget(st.Pos(), "", st.Expr)
 	}
 	if st.Align != nil {
 		if _, ok := u.Arrays[st.Align.DstName]; !ok {
@@ -764,4 +756,20 @@ func mayMatchDim(q, t dist.DimPattern) bool {
 		return q.AnyParam || t.AnyParam || q.K == t.K
 	}
 	return true
+}
+
+// checkTarget checks a TO clause: a declared processor array, and one
+// subscript per dimension when it names a section.
+func (u *Unit) checkTarget(pos lang.Pos, what string, de *lang.DistExpr) {
+	if de.Target == "" {
+		return
+	}
+	pi, ok := u.Procs[de.Target]
+	if !ok {
+		u.errf(pos, "%sTO references unknown processor array %s", what, de.Target)
+		return
+	}
+	if de.TargetIdx != nil && len(de.TargetIdx) != pi.Rank {
+		u.errf(pos, "%sTO %s has %d subscripts for a rank-%d processor array", what, de.Target, len(de.TargetIdx), pi.Rank)
+	}
 }

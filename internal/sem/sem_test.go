@@ -109,6 +109,7 @@ func TestErrors(t *testing.T) {
 		{"REAL A(4) DYNAMIC, RANGE((BLOCK)), DIST(CYCLIC)\n", "violates"},
 		{"REAL A(4,4) DYNAMIC, DIST(BLOCK)\n", "components"},
 		{"REAL A(4) DIST(BLOCK) TO NOWHERE\n", "unknown processor array"},
+		{"PROCESSORS R(1:2)\nREAL A(4) DYNAMIC\nDISTRIBUTE A :: (BLOCK) TO R(1:2, 1)\n", "2 subscripts for a rank-1 processor array"},
 		{"REAL S(4) DIST(BLOCK)\nDISTRIBUTE S :: (CYCLIC)\n", "statically distributed"},
 		{"REAL B(4) DYNAMIC\nREAL A(4) DYNAMIC, CONNECT(=B)\nDISTRIBUTE A :: (CYCLIC)\n", "secondary"},
 		{"DISTRIBUTE NOPE :: (BLOCK)\n", "undeclared"},
