@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire fuzz-distribute soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -59,8 +59,10 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # contents, counts and modelled time across the chain crossings, the
 # window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
 # warm allocation bounds on chan, released payloads on TCP), the
-# symmetric no-plan failure, the np-keyed schedule cache, the budget
-# parser and its fuzz seeds, the wire gauge, and
+# symmetric no-plan failure, the np-keyed move table, the budget parser
+# and its fuzz seeds, FuzzDistribute's corpus (values, bytes and messages
+# of random crossings, replicated ones included, against closed forms
+# from the distributions), the wire gauge, and
 # the barrier-free DISTRIBUTE: no Comm.Barrier in warm ADI or fresh
 # B_BLOCK class moves, ghosts exact after a move with one rank held back,
 # recycled storage intact under a lagging puller, the connect class moved
@@ -70,8 +72,15 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # interpreted non-local reads around a DISTRIBUTE equal to P = 1 — all
 # under the race detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestCacheKeyedOnView|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
+
+# FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
+# crossings of BLOCK, CYCLIC(k), B_BLOCK and ':' over 1-6 ranks on lines
+# and grids of processors, each held to its closed-form values, bytes and
+# messages.
+fuzz-distribute:
+	$(GO) test -run '^$$' -fuzz '^FuzzDistribute$$' -fuzztime 5m -parallel 2 ./internal/darray
 
 # The depth-k halo: smoothing at forced depths 1, 2, 3 and 5 bit-identical
 # to the serial reference with claim C1's exact counts at depth k (columns,
@@ -99,12 +108,12 @@ check-pic:
 # The elastic scale-OUT matrix: the join protocol (admit, reject-by-
 # timeout, a join racing a death, two deaths at the same moment),
 # expand-restores onto more ranks, the epoch-headroom and budget-parse
-# overflow guards, physical-rank gauge attribution across epochs, the
-# grow/shrink policy arithmetic, and the end-to-end apps that admit a
-# joiner mid-run and finish bit-exact — all under the race detector.
+# overflow guards, physical-rank gauge attribution across epochs, and the
+# end-to-end apps that admit a joiner mid-run and finish bit-exact — all
+# under the race detector.
 check-expand:
-	$(GO) test -race -run 'TestJoin|TestAdmit|TestRegroupTwoDead|TestExpand|TestRestoreOnto|TestFoldTagBoundary|TestParseBudgetOverflow|TestWireGaugeCrossEpoch|TestStepTime|TestRecommend|TestRedistCost' \
-	  ./internal/machine ./internal/ckpt ./internal/msg ./internal/redist ./internal/darray ./internal/scale ./internal/apps
+	$(GO) test -race -run 'TestJoin|TestAdmit|TestRegroupTwoDead|TestExpand|TestRestoreOnto|TestFoldTagBoundary|TestParseBudgetOverflow|TestWireGaugeCrossEpoch' \
+	  ./internal/machine ./internal/ckpt ./internal/msg ./internal/redist ./internal/darray ./internal/apps
 
 # The online-recovery matrix: deaths confirmed from missed deadlines by
 # one probe (a silenced rank confirmed, a sleeping one and a lost frame

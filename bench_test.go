@@ -80,7 +80,7 @@ func BenchmarkExpandADI(b *testing.B) {
 			cfg.P = 3
 			cfg.CkptDir, cfg.CkptEvery = b.TempDir(), 1
 			cfg.CommTimeout, cfg.CommRetries = 150*time.Millisecond, 2
-			cfg.Join, cfg.Elastic, cfg.JoinAfterIter = 1, true, 2
+			cfg.Join, cfg.JoinAfterIter = 1, 2
 			res, err := apps.RunADI(cfg)
 			if err != nil {
 				b.Fatal(err)

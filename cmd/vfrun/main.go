@@ -32,7 +32,6 @@ import (
 	"repro/internal/msg"
 	"repro/internal/pario"
 	"repro/internal/redist"
-	"repro/internal/scale"
 	"repro/internal/sem"
 	"repro/internal/trace"
 )
@@ -54,7 +53,6 @@ func main() {
 	onlineRec := flag.Bool("online-recover", false, "recover from a mid-run rank loss in-process: survivors regroup onto the next membership epoch and replay the last committed checkpoint (requires -ckpt-dir)")
 	deadline := flag.Duration("deadline", 0, "kill the whole process with a goroutine dump if it runs longer than this (hang watchdog; 0 = off)")
 	redistBudget := flag.String("redist-budget", "", "bound each DISTRIBUTE's peak resident wire bytes per rank, e.g. 64K, 2M (empty/0 = unbounded)")
-	elastic := flag.Bool("elastic", false, "after the run, print the cost-driven grow/shrink advice for P±1 ranks from the run's measured trace (see internal/scale)")
 	healthWin := flag.Int("health-window", 0, "score per-rank health from the work reports every rank gathers at each trip of the driver loop, over this EWMA observation window, and print the report after the run (0 = off; see internal/health)")
 	drain := flag.Bool("drain", false, "voluntarily drain a rank classified Degraded at a trip boundary of the driver loop: members checkpoint, shrink the membership by one epoch and replay the checkpoint (requires -health-window and -ckpt-dir)")
 	slowRank := flag.Int("slow-rank", 1, "physical rank the straggler injection marks slow (with -slow-factor)")
@@ -152,7 +150,7 @@ ENDDO
 		rt.IO.Retry = msg.RetryPolicy{Timeout: time.Second, Retries: 2}
 	}
 	var tr *trace.Tracer
-	if *traceFile != "" || *elastic {
+	if *traceFile != "" {
 		tr = trace.New(*np)
 		rt.Tracer = tr
 	}
@@ -203,50 +201,12 @@ ENDDO
 			fmt.Printf("  %s%s\n", rr, suffix)
 		}
 	}
-	if *elastic {
-		printScaleAdvice(tr.Summarize(), *np, res.Wall)
-	}
-	if tr != nil && *traceFile != "" {
+	if tr != nil {
 		if err := tr.WriteJSONFile(*traceFile); err != nil {
 			log.Fatalf("writing trace: %v", err)
 		}
 		fmt.Printf("\ntrace written to %s (load in chrome://tracing or ui.perfetto.dev)\n", *traceFile)
 		fmt.Print(tr.Summarize().String())
-	}
-}
-
-// printScaleAdvice feeds the run's own measurements to the cost-driven
-// grow/shrink policy (internal/scale): each executed DISTRIBUTE marks a
-// computational phase boundary, so the program's phase count is the
-// policy horizon, the trace's per-phase DISTRIBUTE cost is the one-time
-// resize price, and the α/β-modeled share of the traffic is the
-// np-invariant communication component.
-func printScaleAdvice(sum *trace.Summary, np int, wall time.Duration) {
-	const alpha, beta = 1e-4, 1e-8 // modeled machine, as in vfbench defaults
-	steps := 0
-	for _, p := range sum.Phases {
-		if p.Cat == trace.CatDistribute {
-			steps += p.Count
-		}
-	}
-	if steps == 0 {
-		steps = 1
-	}
-	comm := (alpha*float64(sum.TotalMsgs) + beta*float64(sum.TotalBytes)) / float64(np)
-	compute := wall.Seconds() - comm
-	if compute < 0 {
-		compute = 0
-	}
-	inv := 1 / float64(steps)
-	ps := scale.PerStep{Compute: compute * inv, Comm: comm * inv}
-	rc := scale.RedistCost(sum)
-	fmt.Printf("elastic advice (%d phases, modeled alpha=%.0e beta=%.0e):\n", steps, alpha, beta)
-	for _, npNew := range []int{np + 1, np - 1} {
-		if npNew < 1 {
-			continue
-		}
-		adv := scale.Recommend(scale.Params{NP: np, NPNew: npNew, StepsLeft: steps, Step: ps, Redist: rc})
-		fmt.Printf("  %d -> %d ranks: %s\n", np, npNew, adv)
 	}
 }
 

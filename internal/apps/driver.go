@@ -62,15 +62,12 @@ type Runtime struct {
 	// transport error.  Implied when Fault has a corrupt/bitflip rule.
 	Integrity bool
 	// Join reserves this many extra ranks beyond P; they park in
-	// AwaitJoin and are admitted mid-run when Elastic is set (see
-	// machine.WithReserve).  Requires a CommTimeout.
-	Join int
-	// Elastic lets the active members poll for pending joiners at every
-	// iteration boundary at or after JoinAfterIter (0 = from the first);
-	// on a hit they checkpoint, admit the joiner into the next membership
-	// epoch, and replay onto the grown view.  Requires CkptDir and
-	// Join > 0.
-	Elastic       bool
+	// AwaitJoin (see machine.WithReserve) while the active members poll
+	// for pending joiners at every iteration boundary at or after
+	// JoinAfterIter (0 = from the first); on a hit they checkpoint, admit
+	// the joiner into the next membership epoch, and replay onto the
+	// grown view.  Requires a CommTimeout and a CkptDir.
+	Join          int
 	JoinAfterIter int
 	// MemBudget bounds each rank's peak resident wire bytes during
 	// redistributions (Engine.SetMemBudget), surviving every recovery
@@ -82,8 +79,8 @@ type Runtime struct {
 	Straggler StragglerConfig
 }
 
-// validate checks the prerequisites Recover, OnlineRecover, Elastic and
-// the straggler policy need from the rest of the settings.
+// validate checks the prerequisites Recover, OnlineRecover, Join and the
+// straggler policy need from the rest of the settings.
 func (rt Runtime) validate() error {
 	if rt.Recover && rt.CkptDir == "" {
 		return errors.New("apps: Recover requires a CkptDir")
@@ -91,14 +88,11 @@ func (rt Runtime) validate() error {
 	if rt.OnlineRecover && (rt.CkptDir == "" || rt.CommTimeout <= 0) {
 		return errors.New("apps: OnlineRecover requires a CkptDir and a CommTimeout")
 	}
-	if rt.Join > 0 && rt.CommTimeout <= 0 {
-		return errors.New("apps: Join requires a CommTimeout (admissions run over the membership machinery)")
+	if rt.Join > 0 && (rt.CommTimeout <= 0 || rt.CkptDir == "") {
+		return errors.New("apps: Join requires a CommTimeout (admissions run over the membership machinery) and a CkptDir")
 	}
-	if rt.Elastic && (rt.Join <= 0 || rt.CkptDir == "") {
-		return errors.New("apps: Elastic requires Join > 0 and a CkptDir")
-	}
-	if rt.Elastic && rt.Straggler.mitigating() {
-		return errors.New("apps: Elastic does not combine with a mitigating straggler policy (a joiner's scorer starts empty)")
+	if rt.Join > 0 && rt.Straggler.mitigating() {
+		return errors.New("apps: Join does not combine with a mitigating straggler policy (a joiner's scorer starts empty)")
 	}
 	return rt.Straggler.validate(rt.CommTimeout, rt.CkptDir)
 }
@@ -383,7 +377,7 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 		// Elastic scale-out: every member takes the same agreed poll; on a
 		// pending joiner they checkpoint here and leave so that RunEpochs
 		// admits it and the replay lands on the grown view.
-		if rc.Elastic && done >= rc.JoinAfterIter && done < rc.Iters {
+		if rc.Join > 0 && done >= rc.JoinAfterIter && done < rc.Iters {
 			grow, err := ctx.PollJoin()
 			if err != nil {
 				return err

@@ -118,11 +118,11 @@ func TestStepLoop(t *testing.T) {
 		{name: "recover", prior: 7, conf: func(rc *runConfig) { rc.CkptEvery, rc.Recover = 3, true }, epochs: 2, resumed: 5},
 		{name: "grow", conf: func(rc *runConfig) {
 			elastic(rc)
-			rc.P, rc.Join, rc.Elastic, rc.JoinAfterIter = 3, 1, true, 4
+			rc.P, rc.Join, rc.JoinAfterIter = 3, 1, 4
 		}, epochs: -1, resumed: -2, transition: true},
 		{name: "grow-tcp", conf: func(rc *runConfig) {
 			elastic(rc)
-			rc.P, rc.Join, rc.Elastic, rc.JoinAfterIter, rc.UseTCP = 3, 1, true, 4, true
+			rc.P, rc.Join, rc.JoinAfterIter, rc.UseTCP = 3, 1, 4, true
 		}, epochs: -1, resumed: -2, transition: true},
 		{name: "drain", conf: func(rc *runConfig) {
 			elastic(rc)

@@ -8,7 +8,7 @@ import (
 
 // expandADI is the shared shape of the elastic scale-out matrix: a
 // 3-rank ADI in the given mode with one reserved joiner, per-iteration
-// checkpoints, and Elastic polling from the given iteration boundary.
+// checkpoints, and join polling from the given iteration boundary.
 // The members must admit the joiner mid-run, replay the checkpoint onto
 // the grown 4-rank view, finish there, and still match the serial
 // reference bit-for-bit.
@@ -23,7 +23,6 @@ func expandADI(t *testing.T, mode ADIMode, useTCP bool, joinAfter int) ADIResult
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: joinAfter,
 		},
 	}
@@ -78,7 +77,6 @@ func TestExpandRejectedJoin(t *testing.T) {
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: 100,
 		},
 	})
@@ -106,7 +104,6 @@ func TestExpandUnderFault(t *testing.T) {
 			CommRetries:   2,
 			OnlineRecover: true,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: 2,
 		},
 	}
@@ -150,7 +147,6 @@ func TestExpandRespectsMemBudget(t *testing.T) {
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: 2,
 			MemBudget:     budget,
 		},
@@ -184,7 +180,6 @@ func TestExpandSmoothing(t *testing.T) {
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: 2,
 		},
 	})
@@ -211,7 +206,6 @@ func TestExpandPICConservation(t *testing.T) {
 			CommTimeout:   150 * time.Millisecond,
 			CommRetries:   2,
 			Join:          1,
-			Elastic:       true,
 			JoinAfterIter: 2,
 		},
 	})

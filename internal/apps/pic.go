@@ -102,7 +102,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// A run the driver may leave at any iteration boundary (a join, a
 		// straggler drain) flushes every step, and any run flushes before a
 		// checkpoint, so a replay never needs a lost rank's pending sums.
-		flushEvery := testFlushEvery || cfg.Elastic || cfg.Straggler.mitigating()
+		flushEvery := testFlushEvery || cfg.Join > 0 || cfg.Straggler.mitigating()
 		dr := &drift{frac: cfg.DriftFrac}
 		// rebalance runs DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT
 		// with it, in one message per peer pair.  No barrier follows, and

@@ -95,8 +95,8 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 		return res, fmt.Errorf("apps: smoothing needs N >= P+Join")
 	}
 	// A joiner cannot extend the square processor grid of SmoothBlock2D.
-	if cfg.Elastic && cfg.Mode != SmoothColumns {
-		return res, fmt.Errorf("apps: Elastic smoothing requires SmoothColumns")
+	if cfg.Join > 0 && cfg.Mode != SmoothColumns {
+		return res, fmt.Errorf("apps: smoothing with Join requires SmoothColumns")
 	}
 	sc := cfg.Straggler
 	if sc.mitigating() {

@@ -275,18 +275,18 @@ func TestStragglerConfigValidation(t *testing.T) {
 }
 
 // TestStragglerRejectsElastic: a mitigating policy does not combine with
-// Elastic (a joiner's scorer starts empty); observing does.
+// a Join (a joiner's scorer starts empty); observing does.
 func TestStragglerRejectsElastic(t *testing.T) {
-	rt := Runtime{CkptDir: t.TempDir(), CommTimeout: 250 * time.Millisecond, Join: 1, Elastic: true}
+	rt := Runtime{CkptDir: t.TempDir(), CommTimeout: 250 * time.Millisecond, Join: 1}
 	for _, policy := range []string{"rebalance", "drain"} {
 		rt.Straggler = stragglerCfg(policy)
 		if err := rt.validate(); err == nil {
-			t.Errorf("Elastic with the %s policy was accepted", policy)
+			t.Errorf("Join with the %s policy was accepted", policy)
 		}
 	}
 	rt.Straggler = stragglerCfg("off")
 	if err := rt.validate(); err != nil {
-		t.Errorf("Elastic with observe-only scoring: %v", err)
+		t.Errorf("Join with observe-only scoring: %v", err)
 	}
 }
 

@@ -44,7 +44,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/redist"
 )
 
 // Array is a distributed array of float64 (Fortran REAL*8) elements.
@@ -57,7 +56,10 @@ type Array struct {
 	ghost  []int // symmetric ghost width per dimension
 	locals []*Local
 	own    []rankState // indexed like locals
-	cache  *redist.Cache
+
+	// hits and misses count lookups in the ranks' move tables, summed
+	// over ranks (ScheduleCacheStats).
+	hits, misses atomic.Int64
 
 	// win is the one-sided window over the locals' storage.  Each rank
 	// registers its storage whenever its Local is replaced.
@@ -97,11 +99,12 @@ type rankState struct {
 	// a few mappings, so the next DISTRIBUTE back reuses the allocation
 	// instead of growing the heap every transition.
 	retired map[string]*Local
-	// plans holds stepDirect's per-schedule transfer plans (at most
-	// maxPlans, beside the cached schedules) and stream its single
-	// just-in-time pack buffer (ring rounds, gather).  The buffer may be
-	// handed to Endpoint.Send and reused as soon as Send returns.
-	plans  map[*redist.Schedule]*xferPlan
+	// moves is the rank's move table (moveOf): everything a DISTRIBUTE
+	// between two mappings needs, kept for the next one between them.
+	moves map[moveKey]*move
+	// stream is the rank's single just-in-time pack buffer (ring rounds,
+	// gather).  It may be handed to Endpoint.Send and reused as soon as
+	// Send returns.
 	stream []byte
 }
 
@@ -150,7 +153,6 @@ func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, 
 			ghost:  g,
 			locals: make([]*Local, np),
 			own:    make([]rankState, np),
-			cache:  redist.NewCache(),
 			win:    msg.NewWindow(np, name, ctx.Machine().Stats(), ctx.Machine().Cost()),
 		}
 		// Under SPMD discipline every rank passes an equivalent (often

@@ -374,6 +374,86 @@ func TestScheduleCacheReuse(t *testing.T) {
 	})
 }
 
+// TestMoveTable: a rank's second lookup of a move returns the entry its
+// first built, and the reversed pair is a move of its own.
+func TestMoveTable(t *testing.T) {
+	run(t, 2, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", 2).Whole()
+		dom := index.Dim(10)
+		blk := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
+		cyc := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
+		a := New(ctx, "A", dom, blk)
+		rank := ctx.Rank()
+		m1, hit1, err := a.moveOf(rank, 2, blk, cyc, 0)
+		if err != nil {
+			return err
+		}
+		m2, hit2, _ := a.moveOf(rank, 2, blk, cyc, 0)
+		if m1 != m2 {
+			t.Errorf("rank %d: a hit returned a different entry", rank)
+		}
+		if hit1 || !hit2 {
+			t.Errorf("rank %d: hit flags = %v/%v, want false/true", rank, hit1, hit2)
+		}
+		if m3, hit3, _ := a.moveOf(rank, 2, cyc, blk, 0); hit3 || m3 == m1 {
+			t.Errorf("rank %d: the reversed pair was served the forward move", rank)
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if h, m := a.ScheduleCacheStats(); rank == 0 && (h != 2 || m != 4) {
+			t.Errorf("stats = %d/%d, want 2/4 (summed over both ranks)", h, m)
+		}
+		return nil
+	})
+}
+
+// TestMoveTableKeyedOnView: a move built for one membership view must not
+// be served on a shrunken one.  Both distributions fingerprint the same
+// across the lookups — only np differs — and the np=4 schedule addresses
+// rank 3, which no longer exists after a Regroup onto a 3-rank view.
+func TestMoveTableKeyedOnView(t *testing.T) {
+	run(t, 4, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", 4).Whole()
+		dom := index.Dim(16)
+		oldD := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
+		newD := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
+		a := New(ctx, "A", dom, oldD)
+		if ctx.Rank() != 0 { // the table is rank 0's own
+			return nil
+		}
+		peers := func(mv *move) map[int]bool {
+			out := map[int]bool{}
+			for _, tr := range mv.sched.Recvs {
+				out[tr.Peer] = true
+			}
+			return out
+		}
+		wide, hit, err := a.moveOf(0, 4, oldD, newD, 0)
+		if err != nil || hit {
+			t.Fatalf("first build: hit %v, err %v", hit, err)
+		}
+		if !peers(wide)[3] {
+			t.Fatalf("np=4 move should receive from rank 3, got peers %v", peers(wide))
+		}
+		narrow, hit, _ := a.moveOf(0, 3, oldD, newD, 0)
+		if hit || narrow == wide {
+			t.Fatal("shrunken view was served the wider view's move")
+		}
+		if peers(narrow)[3] {
+			t.Fatalf("np=3 move addresses departed rank 3: %v", peers(narrow))
+		}
+		// Re-asking for either view is a hit on its own entry.
+		if mv, hit, _ := a.moveOf(0, 4, oldD, newD, 0); !hit || mv != wide {
+			t.Error("np=4 entry lost")
+		}
+		if mv, hit, _ := a.moveOf(0, 3, oldD, newD, 0); !hit || mv != narrow {
+			t.Error("np=3 entry lost")
+		}
+		return nil
+	})
+}
+
 func TestGhostExchange1D(t *testing.T) {
 	run(t, 3, func(ctx *machine.Ctx) error {
 		tg := ctx.Machine().ProcsDim("P", 3).Whole()

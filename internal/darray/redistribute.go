@@ -104,26 +104,105 @@ func RedistributeClass(ctx *machine.Ctx, arrays []*Array, dists []*dist.Distribu
 	return moveClass(ctx, ms, cfg)
 }
 
-// member is one array's part of a class move.  step is the schedule of
-// the ring pass being executed (the whole move's, or one panel of a
-// budget plan's) and plan its transfer plan, nil when the step crosses
-// no boundary of this rank.
+// member is one array's part of a class move: mv is its entry in the
+// array's move table and plan the transfer plan of the step being
+// executed, nil when that step crosses no boundary of this rank.
 type member struct {
 	a                  *Array
 	oldD, newD         *dist.Distribution
-	sched, step        *redist.Schedule
+	mv                 *move
+	hit                bool
 	oldLocal, newLocal *Local
 	plan               *xferPlan
 }
 
-// moveClass runs the class move of ms: each member settles its window and
-// takes its new storage, every self-transfer is copied, the remote
-// transfers go in one stepDirect ring, and each member commits.  A
-// budget applies to a lone member (RedistributeClass moves a class member
-// by member under one): the ring then runs once per panel of its plan.  A
-// member already at its new distribution does not move.
+// move is everything a rank keeps of one DISTRIBUTE between two
+// mappings, built by its first run (moveOf) and read by every later one.
+type move struct {
+	sched *redist.Schedule
+	// plan is the budget's decomposition, nil without a budget.
+	plan *redist.Plan
+	// steps are the ring passes: one over the whole domain, or one per
+	// panel of plan.  one backs steps for a move without a plan.
+	steps []moveStep
+	one   [1]moveStep
+}
+
+// moveKey identifies a move structurally: SPMD ranks build their own
+// logically-equal Distribution objects, so fingerprints rather than
+// pointers key it.  np is part of the key because a schedule enumerates
+// peers 0..np-1: after a membership Regroup shrinks the view, a move
+// built for the wider epoch would address ranks that no longer exist.
+// budget is the MemBudget the move is planned under, 0 for none.
+type moveKey struct {
+	oldFP, newFP string
+	np           int
+	budget       int64
+}
+
+// moveStep is one ring pass of a move: sched restricted to the step's
+// panel, and its transfer plan, built by the step's first run that
+// crosses a boundary of this rank.
+type moveStep struct {
+	sched *redist.Schedule
+	xfer  *xferPlan
+}
+
+// maxMoves bounds a rank's move table.  Phase-alternating programs (ADI
+// bounces between two mappings) cycle through a handful of moves and
+// never reach it; a program that moves to fresh bounds at every
+// DISTRIBUTE (PIC's rebalancing) would otherwise grow by one entry per
+// move, so at the bound the rank starts over — rebuilding a move costs
+// one schedule and a few layouts.
+const maxMoves = 16
+
+// moveOf returns rank's move from oldD to newD over np ranks under
+// budget (0: none), building it on a miss.  Under a budget a miss plans
+// the move (redist.PlanMove), which every rank computes identically from
+// the distributions alone, so every rank fails with ErrNoPlan or none
+// does.  The table is rank-private: no lock is taken.
+func (a *Array) moveOf(rank, np int, oldD, newD *dist.Distribution, budget int64) (mv *move, hit bool, err error) {
+	own := &a.own[rank]
+	k := moveKey{oldD.Fingerprint(), newD.Fingerprint(), np, budget}
+	if mv := own.moves[k]; mv != nil {
+		a.hits.Add(1)
+		return mv, true, nil
+	}
+	mv = &move{}
+	if budget > 0 {
+		if mv.plan, err = redist.PlanMove(oldD, newD, np, redist.PlanOptions{MemBudget: budget}); err != nil {
+			return nil, false, err
+		}
+	}
+	mv.sched = redist.Build(oldD, newD, rank, np)
+	if mv.plan == nil {
+		mv.one[0].sched = mv.sched
+		mv.steps = mv.one[:]
+	} else {
+		mv.steps = make([]moveStep, len(mv.plan.Steps))
+		for i := range mv.steps {
+			mv.steps[i].sched = mv.plan.StepSchedule(mv.sched, i)
+		}
+	}
+	switch {
+	case own.moves == nil:
+		own.moves = make(map[moveKey]*move)
+	case len(own.moves) >= maxMoves:
+		clear(own.moves)
+	}
+	own.moves[k] = mv
+	a.misses.Add(1)
+	return mv, false, nil
+}
+
+// moveClass runs the class move of ms: each member settles its window,
+// looks its move up and takes its new storage, every self-transfer is
+// copied, the remote transfers go in one stepDirect ring, and each member
+// commits.  A budget applies to a lone member (RedistributeClass moves a
+// class member by member under one): the ring then runs once per panel
+// of its plan.  A member already at its new distribution does not move.
 func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
-	rank, np := ctx.Rank(), ctx.NP()
+	rank := ctx.Rank()
 	n := 0
 	for _, m := range ms {
 		if m.newD == nil {
@@ -159,24 +238,30 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 	}
 
 	// The move runs stepDirect once over the whole domain or, under a
-	// memory budget, once per panel of the plan that fits it.  The plan is
-	// computed identically on every rank from the distributions alone (and
-	// cached), so no coordination is needed; without a budget none is
-	// built — planning builds every rank's schedule, which matters on
-	// redistribute-heavy loops.
-	var plan *redist.Plan
-	steps, planEv, peak := 1, "plan:direct", int64(-1)
-	if m := &ms[0]; cfg.memBudget > 0 && m.oldD != nil && !cfg.noTransfer {
-		psp := tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
-		p, err := m.a.cache.GetPlan(m.oldD, m.newD, np, redist.PlanOptions{MemBudget: cfg.memBudget})
+	// memory budget, once per panel of the plan that fits it.  Without a
+	// budget none is built — planning builds every rank's schedule, which
+	// matters on redistribute-heavy loops.  Every move is looked up before
+	// any storage is taken, so a budget no plan fits fails every rank here
+	// symmetrically, with the old distribution in place and readable.
+	var budget int64
+	if cfg.memBudget > 0 && !cfg.noTransfer {
+		budget = cfg.memBudget
+	}
+	for i := range ms {
+		m := &ms[i]
+		if m.oldD == nil {
+			continue
+		}
+		var psp trace.Span
+		if budget > 0 {
+			psp = tr.BeginSpan(prank, trace.CatRedist, "redist:plan")
+		}
+		var err error
+		m.mv, m.hit, err = m.a.moveOf(rank, ctx.NP(), m.oldD, m.newD, budget)
 		psp.End()
 		if err != nil {
-			// Every rank fails here symmetrically before any storage is
-			// taken or data moves: the old distribution stays in place and
-			// readable.
 			return fmt.Errorf("darray: %s: redistribution planning: %w", m.a.name, err)
 		}
-		plan, steps, planEv, peak = p, len(p.Steps), "plan:"+p.Kind, p.PeakBytes
 	}
 	n = 0
 	for i, m := range ms {
@@ -194,31 +279,25 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 			continue
 		}
 		m.oldLocal = a.locals[rank]
-		sched, hit := a.cache.Get(m.oldD, m.newD, rank, np)
+		sched := m.mv.sched
 		schedEv := "sched:miss"
-		if hit {
+		if m.hit {
 			schedEv = "sched:hit"
 		}
+		// What this rank already holds of its new part — under
+		// NOTRANSFER all it keeps — never touches the wire: copy it whole
+		// before the ring (still only into the uncommitted newLocal).
+		if keep := sched.LocalKeep; !keep.Empty() {
+			copyGrid(m.newLocal, m.oldLocal, keep)
+		}
 		if cfg.noTransfer {
-			// NOTRANSFER: keep whatever was already in place.
 			tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
-			if keep := sched.LocalKeep; !keep.Empty() {
-				copyGrid(m.newLocal, m.oldLocal, keep)
-			}
 			a.commit(rank, m.newD, m.newLocal)
 			a.retireLocal(rank, m.oldD, m.oldLocal)
 			msp.End()
 			continue
 		}
 		tr.Instant(prank, trace.CatDistribute, schedEv, -1, int64(sched.SendBytes()))
-		// The self-transfer never touches the wire: copy it whole before
-		// the ring (still only into the uncommitted newLocal).
-		for _, t := range sched.Sends {
-			if t.Peer == rank {
-				copyGrid(m.newLocal, m.oldLocal, t.Grid)
-			}
-		}
-		m.sched, m.step = sched, sched
 		ms[n] = m
 		n++
 		msp.End()
@@ -227,14 +306,15 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 		return nil
 	}
 	lead = ms[0].a
+	steps, planEv, peak := len(ms[0].mv.steps), "plan:direct", int64(-1)
+	if p := ms[0].mv.plan; p != nil {
+		planEv, peak = "plan:"+p.Kind, p.PeakBytes
+	}
 	tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
 	st := lead.m.Stats()
 	for k := 0; k < steps; k++ {
-		if plan != nil {
-			ms[0].step = plan.StepSchedule(ms[0].sched, k)
-		}
 		ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step")
-		err := stepDirect(ctx, ms, st)
+		err := stepDirect(ctx, ms, k, st)
 		ssp.End()
 		if err != nil {
 			return fmt.Errorf("darray: %s: redistribution step %d/%d: %w", lead.name, k+1, steps, err)
@@ -290,13 +370,6 @@ type xferPlan struct {
 	send, recv []xfer
 }
 
-// maxPlans bounds the transfer plans a rank keeps.  Phase-alternating
-// programs cycle through a handful of schedules and never reach it; a
-// program that moves to fresh bounds at every DISTRIBUTE (PIC's
-// rebalancing) would otherwise grow by one plan per move, so at the bound
-// the rank starts over — rebuilding a plan costs a few layouts.
-const maxPlans = 16
-
 // rect returns g's region of storage laid out by l; ok is false unless g
 // is one run per dimension and each run is affine in l (dimSpan).  The
 // rect's dimensions are written into dims, which must hold g.Rank().
@@ -331,7 +404,7 @@ func hasRemote(s *redist.Schedule) bool {
 // planTransfers lays sched's remote transfers out per peer and, for each
 // that qualifies, computes its window rects.  The peer's side comes from
 // the descriptor (layoutOf), never from the peer's Local.  It runs once
-// per schedule: the result is kept beside the cached schedule, so a warm
+// per step of a move: the result is kept in the move's entry, so a warm
 // DISTRIBUTE builds no geometry.
 func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) *xferPlan {
 	rank, r := sched.Rank, a.dom.Rank()
@@ -375,24 +448,6 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 	return plan
 }
 
-// planFor returns m's transfer plan for its current step, building and
-// caching it on first use.
-func (m *member) planFor(rank, np int) *xferPlan {
-	own := &m.a.own[rank]
-	plan := own.plans[m.step]
-	if plan == nil {
-		plan = m.a.planTransfers(m.oldD, m.newD, m.step, np, m.oldLocal, m.newLocal)
-		switch {
-		case own.plans == nil:
-			own.plans = make(map[*redist.Schedule]*xferPlan)
-		case len(own.plans) >= maxPlans:
-			clear(own.plans)
-		}
-		own.plans[m.step] = plan
-	}
-	return plan
-}
-
 // stepDirect executes one step of a class move in one pass of the
 // staggered ring — DISTRIBUTE's one executor, run once per step of the
 // plan: each round sends this rank's transfer to one peer and receives
@@ -409,7 +464,7 @@ func (m *member) planFor(rank, np int) *xferPlan {
 // stream buffer and unpacked on arrival, and its received buffer goes
 // back to the transport.  A sender's old Locals stay untouched until its
 // next move's Settle of each member window has every puller's done token.
-func stepDirect(ctx *machine.Ctx, ms []member, st *msg.Stats) error {
+func stepDirect(ctx *machine.Ctx, ms []member, k int, st *msg.Stats) error {
 	rank, np := ctx.Rank(), ctx.NP()
 	remote := false
 	for i := range ms {
@@ -417,9 +472,13 @@ func stepDirect(ctx *machine.Ctx, ms []member, st *msg.Stats) error {
 		// A step that crosses no boundary of this rank (a DISTRIBUTE that
 		// only renames the mapping, PIC's first balance) needs no plan: no
 		// peer offers to it or pulls from it.
+		s := &m.mv.steps[k]
 		m.plan = nil
-		if hasRemote(m.step) {
-			m.plan, remote = m.planFor(rank, np), true
+		if hasRemote(s.sched) {
+			if s.xfer == nil {
+				s.xfer = m.a.planTransfers(m.oldD, m.newD, s.sched, np, m.oldLocal, m.newLocal)
+			}
+			m.plan, remote = s.xfer, true
 		}
 	}
 	if !remote {
@@ -523,9 +582,9 @@ func pairOf(ms []member, peer int, send bool) (count int, rects bool) {
 	return count, rects
 }
 
-// ScheduleCacheStats returns (hits, misses) of the redistribution
-// schedule cache — phase-alternating programs should show hits after the
-// first iteration.
+// ScheduleCacheStats returns (hits, misses) of the ranks' move tables,
+// summed over ranks — phase-alternating programs should show hits after
+// the first iteration.
 func (a *Array) ScheduleCacheStats() (hits, misses int) {
-	return a.cache.Stats()
+	return int(a.hits.Load()), int(a.misses.Load())
 }

@@ -42,14 +42,19 @@ func TestRedistributeMixedSchedule(t *testing.T) {
 					}
 				}
 				rank := ctx.Rank()
-				for _, plan := range a.own[rank].plans {
-					for _, xs := range [][]xfer{plan.send, plan.recv} {
-						for _, x := range xs {
-							switch {
-							case x.rect:
-								rects[rank]++
-							case x.count > 0:
-								packed[rank]++
+				for _, mv := range a.own[rank].moves {
+					for _, step := range mv.steps {
+						if step.xfer == nil {
+							continue
+						}
+						for _, xs := range [][]xfer{step.xfer.send, step.xfer.recv} {
+							for _, x := range xs {
+								switch {
+								case x.rect:
+									rects[rank]++
+								case x.count > 0:
+									packed[rank]++
+								}
 							}
 						}
 					}

@@ -394,7 +394,7 @@ func (d *Distribution) String() string {
 // Fingerprint returns a string identifying the mapping completely (type,
 // domain, target, dimension bindings, pinned coordinates).  Two
 // distributions with equal fingerprints map every element identically;
-// the redistribution schedule cache keys on it, so the string is built
+// each rank's move table (darray) keys on it, so the string is built
 // once and memoized (distributions are immutable after construction) and
 // the numeric parts are appended directly rather than formatted.
 func (d *Distribution) Fingerprint() string {

@@ -383,7 +383,7 @@ func (st *State) declare(stm *lang.DeclStmt) error {
 			decl.AlignWith = stm.Align.DstName
 			decl.StaticAlign = al
 		case stm.Dist != nil:
-			spec, err := st.distSpec(stm.Dist, dom)
+			spec, err := st.distSpec(stm.Dist)
 			if err != nil {
 				return err
 			}
@@ -437,10 +437,10 @@ func (st *State) alignment(al *lang.AlignSpec, srcDom index.Domain) (*dist.Align
 }
 
 // distSpec evaluates a distribution expression to a core.DistSpec.
-func (st *State) distSpec(de *lang.DistExpr, dom index.Domain) (*core.DistSpec, error) {
+func (st *State) distSpec(de *lang.DistExpr) (*core.DistSpec, error) {
 	dims := make([]dist.DimSpec, len(de.Dims))
 	for i, d := range de.Dims {
-		spec, err := st.dimSpec(d, dom, i, de.Target)
+		spec, err := st.dimSpec(d)
 		if err != nil {
 			return nil, err
 		}
@@ -512,7 +512,7 @@ func procBounds(st *State, name string) [][2]int {
 
 // dimSpec evaluates one distribution component; B_BLOCK/S_BLOCK arguments
 // are integer arrays read from the (replicated) runtime values.
-func (st *State) dimSpec(d lang.DistDim, dom index.Domain, dimIdx int, target string) (dist.DimSpec, error) {
+func (st *State) dimSpec(d lang.DistDim) (dist.DimSpec, error) {
 	switch d.Kind {
 	case lang.DBlock:
 		return dist.BlockDim(), nil
@@ -601,7 +601,7 @@ func (st *State) distributeExec(stm *lang.DistributeStmt) error {
 			dims[i] = core.FromDim(d.From, 0)
 			continue
 		}
-		spec, err := st.dimSpec(d, arrays[0].Domain(), i, stm.Expr.Target)
+		spec, err := st.dimSpec(d)
 		if err != nil {
 			return fmt.Errorf("%v: %w", stm.Pos(), err)
 		}

@@ -70,7 +70,7 @@ func (p *ProcArray) RankOf(coords []int) int {
 
 // CoordsOf maps a transport rank to processor coordinates; ok is false if
 // the rank lies outside the array.  The returned slice is shared (the
-// mapping is precomputed once — rank lookups sit on the schedule-cache
+// mapping is precomputed once — rank lookups sit on the schedule-building
 // hot path) and must not be modified.
 func (p *ProcArray) CoordsOf(rank int) ([]int, bool) {
 	if rank < 0 || rank >= p.Size() {
@@ -156,7 +156,7 @@ func (s *ProcSection) RankOf(coords []int) int {
 // CoordsOf maps a transport rank to dense section coordinates; ok is
 // false when the rank is not part of the section.  The returned slice is
 // shared (the mapping is precomputed once — distribution ownership tests
-// call this per rank on the schedule-cache hot path) and must not be
+// call this per rank while a schedule is built) and must not be
 // modified.
 func (s *ProcSection) CoordsOf(rank int) ([]int, bool) {
 	if rank < 0 || rank >= s.pa.Size() {

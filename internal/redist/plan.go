@@ -7,7 +7,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -74,13 +73,6 @@ type Plan struct {
 
 	// chunkDim is the domain dimension panels slice (chunked plans).
 	chunkDim int
-
-	mu  sync.Mutex
-	sub map[subKey]*Schedule // memoized per-(rank,step) panel schedules
-}
-
-type subKey struct {
-	rank, step int
 }
 
 func (p *Plan) String() string {
@@ -94,38 +86,17 @@ func (p *Plan) String() string {
 var ErrNoPlan = errors.New("redist: no plan fits the memory budget")
 
 // StepSchedule returns s restricted to step k's panel: every transfer
-// grid intersected with the panel, empty transfers dropped.  Whole-domain
-// steps return s itself.  Results are memoized per (rank, step) — phase-
-// alternating programs execute the same plan every iteration.
+// grid intersected with the panel along the plan's chunk dimension,
+// empty transfers dropped.  Whole-domain steps return s itself.
 func (p *Plan) StepSchedule(s *Schedule, k int) *Schedule {
 	panel := p.Steps[k].Panel
 	if panel == nil {
 		return s
 	}
-	key := subKey{s.Rank, k}
-	p.mu.Lock()
-	if p.sub == nil {
-		p.sub = make(map[subKey]*Schedule)
-	}
-	if sub, ok := p.sub[key]; ok {
-		p.mu.Unlock()
-		return sub
-	}
-	p.mu.Unlock()
-	sub := restrictSchedule(s, panel, p.chunkDim)
-	p.mu.Lock()
-	p.sub[key] = sub
-	p.mu.Unlock()
-	return sub
-}
-
-// restrictSchedule intersects every transfer of s with the panel along
-// dimension chunkDim.
-func restrictSchedule(s *Schedule, panel index.RunSet, chunkDim int) *Schedule {
 	out := &Schedule{Rank: s.Rank}
 	clip := func(g index.Grid) index.Grid {
 		ng := index.Grid{Dims: slices.Clone(g.Dims)}
-		ng.Dims[chunkDim] = g.Dims[chunkDim].Intersect(panel)
+		ng.Dims[p.chunkDim] = g.Dims[p.chunkDim].Intersect(panel)
 		return ng
 	}
 	for _, t := range s.Sends {

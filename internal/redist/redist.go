@@ -10,12 +10,12 @@
 // per-dimension intersection of strided-run sets (index.Grid).  This is
 // the "run time optimization of communication related to dynamic array
 // references" of §3.2: schedules never enumerate elements to discover
-// owners, and are cached keyed by the (old, new) distribution pair.
+// owners.  The package is pure schedule arithmetic and remembers
+// nothing; darray keeps each rank's moves, keyed by the (old, new)
+// distribution pair.
 package redist
 
 import (
-	"sync"
-
 	"repro/internal/dist"
 	"repro/internal/index"
 )
@@ -37,14 +37,14 @@ type Schedule struct {
 	Rank int
 	// Sends lists outgoing transfers (data I own under the old
 	// distribution that peers own under the new one).  Only primary
-	// owners send; the self-transfer (Peer == Rank) is included and is
-	// executed as a local copy.
+	// owners send; a primary's self-transfer (Peer == Rank) is included.
 	Sends []Transfer
 	// Recvs lists incoming transfers.  Under a replicated new
 	// distribution every replica receives its copy.
 	Recvs []Transfer
-	// LocalKeep is the self-overlap (data already in place), identical
-	// to the send/recv entry with Peer == Rank when present.
+	// LocalKeep is what the rank already holds of its new part (old ∩
+	// new), on every holder; on a primary it is the grid of the Peer ==
+	// Rank entries.  The executor copies it locally.
 	LocalKeep index.Grid
 }
 
@@ -64,123 +64,45 @@ func (s *Schedule) SendBytes() int {
 // Both distributions must cover the same index domain.  np is the
 // transport size (peers are enumerated 0..np-1; ranks outside a
 // distribution's target simply own nothing).
+//
+// Under a replicated old distribution only primaries send, and no
+// transfer runs between two holders of the same replica group — ranks
+// whose old grids meet hold the same elements, so each already has what
+// the other would send it.  Every holder keeps its own overlap
+// (LocalKeep); a non-primary's shows in no Sends or Recvs entry.
+// Without replication no two old grids meet, so the rule changes
+// nothing.
 func Build(oldD, newD *dist.Distribution, rank, np int) *Schedule {
 	s := &Schedule{Rank: rank}
 	myOld := oldD.LocalGrid(rank)
 	myNew := newD.LocalGrid(rank)
+	keep := myOld.Intersect(myNew)
+	if !keep.Empty() {
+		s.LocalKeep = keep
+	}
 	iAmPrimaryOld := oldD.IsPrimaryRank(rank)
 	for peer := 0; peer < np; peer++ {
+		if peer == rank {
+			if iAmPrimaryOld && !keep.Empty() {
+				s.Sends = append(s.Sends, Transfer{Peer: peer, Grid: keep, Count: keep.Count()})
+				s.Recvs = append(s.Recvs, Transfer{Peer: peer, Grid: keep, Count: keep.Count()})
+			}
+			continue
+		}
+		peerPrimary := oldD.IsPrimaryRank(peer)
+		if oldD.Replicated() && (iAmPrimaryOld || peerPrimary) && !myOld.Intersect(oldD.LocalGrid(peer)).Empty() {
+			continue // the same replica group
+		}
 		if iAmPrimaryOld && !myOld.Empty() {
-			peerNew := newD.LocalGrid(peer)
-			if g := myOld.Intersect(peerNew); !g.Empty() {
+			if g := myOld.Intersect(newD.LocalGrid(peer)); !g.Empty() {
 				s.Sends = append(s.Sends, Transfer{Peer: peer, Grid: g, Count: g.Count()})
-				if peer == rank {
-					s.LocalKeep = g
-				}
 			}
 		}
-		if !myNew.Empty() && oldD.IsPrimaryRank(peer) {
-			peerOld := oldD.LocalGrid(peer)
-			if g := peerOld.Intersect(myNew); !g.Empty() {
+		if !myNew.Empty() && peerPrimary {
+			if g := oldD.LocalGrid(peer).Intersect(myNew); !g.Empty() {
 				s.Recvs = append(s.Recvs, Transfer{Peer: peer, Grid: g, Count: g.Count()})
 			}
 		}
 	}
 	return s
-}
-
-// cacheKey identifies a (old,new,rank,view) schedule structurally: SPMD
-// ranks build their own logically-equal Distribution objects, so
-// fingerprints rather than pointers key the cache.  np is part of the
-// key because the schedule enumerates peers 0..np-1: after a membership
-// Regroup shrinks the view, a schedule built for the wider epoch would
-// address ranks that no longer exist.
-type cacheKey struct {
-	oldFP string
-	newFP string
-	rank  int
-	np    int
-}
-
-// planKey identifies a selected Plan: plans are rank-independent (every
-// SPMD rank computes the same one), so only the distribution pair, the
-// view width and the budget distinguish them.
-type planKey struct {
-	oldFP  string
-	newFP  string
-	np     int
-	budget int64
-}
-
-// Cache memoizes schedules and plans.  The VFE keeps redistribution
-// schedules around because phase-structured codes (ADI, PIC) alternate
-// between the same pair of distributions every iteration.
-type Cache struct {
-	mu sync.Mutex
-	m  map[cacheKey]*Schedule
-	p  map[planKey]*Plan
-
-	hits, misses int
-}
-
-// NewCache creates an empty schedule cache.
-func NewCache() *Cache {
-	return &Cache{m: make(map[cacheKey]*Schedule), p: make(map[planKey]*Plan)}
-}
-
-// Get returns the cached schedule or builds and caches it; hit reports
-// whether the schedule was served from the cache.
-func (c *Cache) Get(oldD, newD *dist.Distribution, rank, np int) (s *Schedule, hit bool) {
-	k := cacheKey{oldD.Fingerprint(), newD.Fingerprint(), rank, np}
-	c.mu.Lock()
-	if s, ok := c.m[k]; ok {
-		c.hits++
-		c.mu.Unlock()
-		return s, true
-	}
-	c.misses++
-	c.mu.Unlock()
-	s = Build(oldD, newD, rank, np)
-	c.mu.Lock()
-	c.m[k] = s
-	c.mu.Unlock()
-	return s, false
-}
-
-// GetPlan returns the cached plan for (oldD, newD, np, opt) or computes
-// and caches it.  Like Get, it is keyed structurally and safe to call
-// concurrently from every SPMD rank; all ranks of one view receive the
-// same *Plan, so the per-step sub-schedule memoization inside the plan is
-// shared too.
-func (c *Cache) GetPlan(oldD, newD *dist.Distribution, np int, opt PlanOptions) (*Plan, error) {
-	budget := opt.MemBudget
-	if budget < 0 {
-		budget = 0
-	}
-	k := planKey{oldD.Fingerprint(), newD.Fingerprint(), np, budget}
-	c.mu.Lock()
-	if p, ok := c.p[k]; ok {
-		c.mu.Unlock()
-		return p, nil
-	}
-	c.mu.Unlock()
-	p, err := PlanMove(oldD, newD, np, opt)
-	if err != nil {
-		return nil, err
-	}
-	c.mu.Lock()
-	if prev, ok := c.p[k]; ok {
-		p = prev // another rank raced us; share its memoization
-	} else {
-		c.p[k] = p
-	}
-	c.mu.Unlock()
-	return p, nil
-}
-
-// Stats returns (hits, misses).
-func (c *Cache) Stats() (hits, misses int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

@@ -200,76 +200,6 @@ func TestScheduleWithReplication(t *testing.T) {
 	}
 }
 
-func TestCache(t *testing.T) {
-	tg := targets(t, 2)
-	dom := index.Dim(10)
-	a := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
-	b := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
-	c := NewCache()
-	s1, hit1 := c.Get(a, b, 0, 2)
-	s2, hit2 := c.Get(a, b, 0, 2)
-	if s1 != s2 {
-		t.Fatal("cache should return the same schedule")
-	}
-	if hit1 || !hit2 {
-		t.Fatalf("hit flags = %v/%v, want false/true", hit1, hit2)
-	}
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Fatalf("stats = %d/%d", h, m)
-	}
-	if s3, _ := c.Get(b, a, 0, 2); s3 == s1 {
-		t.Fatal("different key should build a different schedule")
-	}
-}
-
-func TestCacheKeyedOnView(t *testing.T) {
-	// Regression: a schedule built for one membership view must not be
-	// served on a shrunken view.  Both distributions fingerprint
-	// identically across the two Get calls — only np differs — and the
-	// np=4 schedule addresses rank 3, which no longer exists after a
-	// Regroup onto a 3-rank view.  The old cache key (oldFP, newFP, rank)
-	// returned the stale schedule as a hit.
-	tg := targets(t, 4)
-	dom := index.Dim(16)
-	oldD := dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg)
-	newD := dist.MustNew(dist.NewType(dist.CyclicDim(1)), dom, tg)
-	c := NewCache()
-
-	wide, hit := c.Get(oldD, newD, 0, 4)
-	if hit {
-		t.Fatal("first build should miss")
-	}
-	peers := func(s *Schedule) map[int]bool {
-		out := map[int]bool{}
-		for _, tr := range s.Recvs {
-			out[tr.Peer] = true
-		}
-		return out
-	}
-	if !peers(wide)[3] {
-		t.Fatalf("np=4 schedule should receive from rank 3, got peers %v", peers(wide))
-	}
-
-	narrow, hit := c.Get(oldD, newD, 0, 3)
-	if hit {
-		t.Fatal("shrunken view must not be served the wider view's schedule")
-	}
-	if narrow == wide {
-		t.Fatal("np=3 schedule aliases the np=4 schedule")
-	}
-	if peers(narrow)[3] {
-		t.Fatalf("np=3 schedule addresses departed rank 3: %v", peers(narrow))
-	}
-
-	// Re-asking for either view is a hit on its own entry.
-	if s, hit := c.Get(oldD, newD, 0, 4); !hit || s != wide {
-		t.Fatal("np=4 entry lost")
-	}
-	if s, hit := c.Get(oldD, newD, 0, 3); !hit || s != narrow {
-		t.Fatal("np=3 entry lost")
-	}
-}
-
 // budgetCase is one ParseBudget input with its verdict.
 type budgetCase struct {
 	in   string

@@ -1,7 +1,34 @@
-// Straggler rebalancing: the block bounds that divide work in proportion
-// to measured per-rank speeds (from the health scorer), and the
-// particle-count bounds of the paper's balance() (Figure 2).
+// Package scale is the arithmetic of the straggler defense: the decision
+// a health policy reaches, the block bounds that divide work in
+// proportion to measured per-rank speeds (from the health scorer), and
+// the particle-count bounds of the paper's balance() (Figure 2).
 package scale
+
+// Decision is what the straggler policy does at an iteration boundary.
+type Decision int
+
+// Decisions.
+const (
+	// Hold keeps every rank and the current bounds.
+	Hold Decision = iota
+	// Rebalance keeps every rank but re-divides the work in proportion
+	// to measured speeds — the degraded-mode mitigation for a straggler
+	// worth keeping.
+	Rebalance
+	// Drain voluntarily releases the straggler: P−1 healthy ranks beat P
+	// with one slow.
+	Drain
+)
+
+func (d Decision) String() string {
+	switch d {
+	case Rebalance:
+		return "rebalance"
+	case Drain:
+		return "drain"
+	}
+	return "hold"
+}
 
 // FairShares normalizes per-rank speeds (from health.Scorer.Speeds)
 // into work shares summing to 1.  Non-positive speeds are clamped to a

@@ -5,11 +5,10 @@ import (
 	"testing"
 )
 
-// TestDecisionStrings: the new decisions print their names.
+// TestDecisionStrings: the decisions print their names.
 func TestDecisionStrings(t *testing.T) {
 	for d, want := range map[Decision]string{
-		Hold: "hold", Grow: "grow", Shrink: "shrink",
-		Rebalance: "rebalance", Drain: "drain",
+		Hold: "hold", Rebalance: "rebalance", Drain: "drain",
 	} {
 		if d.String() != want {
 			t.Fatalf("Decision(%d).String() = %q, want %q", d, d.String(), want)
