@@ -250,14 +250,16 @@ check-portable:
 	GOARCH=arm64 $(GO) vet ./internal/kernels
 
 # The byte path off shared memory: the frozen wire format and the frame
-# limit (golden frame, header fuzz seeds, both refusals), the allgather
+# limit (golden frames — plain, gathered from a two-share offer's storage
+# runs, packed from a strided rect, each with and without the CRC — header
+# fuzz seeds, both refusals), the allgather
 # frame every checkpoint commit decodes (crafted frames fail with an
 # error naming the rank, never a panic; fuzz seeds), the rect
 # check every window transfer runs (fuzz seeds: no rect that validates
 # addresses outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
-# packet at a time), the warm allocation bounds of a TCP round trip and of
-# a timed receive, the restore's run extractor and the word-wise XOR
+# packet at a time), the warm allocation bounds of a TCP round trip, of
+# a gathered offer over TCP+CRC (none) and of a timed receive, the restore's run extractor and the word-wise XOR
 # against their per-element references, the rank files and the parity
 # fold (files byte-identical to a point-by-point image on 1-8 ranks, exact
 # counts, the modelled critical path, a short partial failing the epoch,
@@ -266,7 +268,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario

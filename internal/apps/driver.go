@@ -33,8 +33,9 @@ type Runtime struct {
 	// collectives so injected faults surface as errors instead of hangs.
 	// The escalated per-receive deadline is capped at 4×CommTimeout.  A
 	// CommTimeout also turns the machine's membership machinery on: a
-	// missed deadline raises a suspicion of the peer, one probe confirms
-	// a death, and Outcome.Survivors reports the ranks left.
+	// missed deadline raises a suspicion of the peer, two unanswered
+	// probes confirm a death, and Outcome.Survivors reports the ranks
+	// left.
 	CommTimeout time.Duration
 	CommRetries int
 	// CkptDir enables coordinated checkpoints: after every CkptEvery-th

@@ -17,7 +17,7 @@ import (
 //	rank   1 + b%2 dimensions, then 1 + b%16 per extent
 //	old    a distribution (below)
 //	new    a distribution
-//	flags  b%4 == 3: NOTRANSFER
+//	flags  b%4 == 3: NOTRANSFER; b&4: over TCP (bare), else over channels
 //
 // A distribution is a processor array — b%3: 0 a line of np, 1 a line of
 // 1 + b'%np (ranks past it hold nothing), 2 an a×(np/a) grid, a the
@@ -57,10 +57,22 @@ func (in *fuzzInput) procShape(np int) []int {
 	return []int{np}
 }
 
+// distSpec is a decoded distribution: a processor array's extents and
+// one spec per array dimension.
+type distSpec struct {
+	shape []int
+	specs []dist.DimSpec
+}
+
+// build makes the distribution of dom on m.
+func (s distSpec) build(m *machine.Machine, dom index.Domain) *dist.Distribution {
+	tg := m.ProcsDim(fmt.Sprint("P", s.shape), s.shape...).Whole()
+	return dist.MustNew(dist.NewType(s.specs...), dom, tg)
+}
+
 // dist decodes one distribution of dom over np ranks.
-func (in *fuzzInput) dist(m *machine.Machine, dom index.Domain, np int) *dist.Distribution {
+func (in *fuzzInput) dist(dom index.Domain, np int) distSpec {
 	shape := in.procShape(np)
-	tg := m.ProcsDim(fmt.Sprint("P", shape), shape...).Whole()
 	specs := make([]dist.DimSpec, dom.Rank())
 	td := 0
 	for k := range specs {
@@ -86,12 +98,14 @@ func (in *fuzzInput) dist(m *machine.Machine, dom index.Domain, np int) *dist.Di
 		}
 		td++
 	}
-	return dist.MustNew(dist.NewType(specs...), dom, tg)
+	return distSpec{shape, specs}
 }
 
 // fuzzSeeds are FuzzDistribute's corpus.  The first is the replicated
 // crossing (:,:) -> (BLOCK,:) of a 13x1 array on four ranks: every rank
-// already holds its new block, so the move sends nothing.
+// already holds its new block, so the move sends nothing.  The last four
+// run over TCP: their offers travel framed, gathered from storage runs
+// or, behind a CYCLIC target, packed.
 var fuzzSeeds = [][]byte{
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 0},         // 13x1 (:,:) -> (BLOCK,:), P=4
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 3},         // the same under NOTRANSFER
@@ -107,10 +121,15 @@ var fuzzSeeds = [][]byte{
 	{1, 0, 8, 2, 0, 0, 0, 1, 0},                // 9 (:) on 1x2 -> BLOCK on 2
 	{3, 1, 7, 3, 2, 1, 1, 0, 2, 1, 0, 1, 0},    // 8x4 (BLOCK,:) -> (:,BLOCK), both on 2x2
 	{5, 1, 11, 5, 2, 2, 1, 0, 0, 0, 1, 3},      // 12x6 (BLOCK,:) on 3x2 -> (:,BLOCK) on 6, NOTRANSFER
+	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 4},         // 13x1 (:,:) -> (BLOCK,:), P=4, TCP
+	{5, 1, 11, 7, 2, 1, 1, 1, 0, 1, 0, 4},      // 12x8 (BLOCK,BLOCK) on 2x3 -> (BLOCK,:) on 6, TCP
+	{3, 1, 7, 3, 2, 1, 1, 0, 2, 1, 0, 1, 4},    // 8x4 (BLOCK,:) -> (:,BLOCK), both on 2x2, TCP
+	{5, 0, 15, 0, 1, 0, 2, 0, 4},               // 16 BLOCK -> CYCLIC(1) on 6, TCP
 }
 
 // FuzzDistribute moves an array between two decoded distributions on a
-// machine over channels and holds the move to three oracles computed
+// machine over channels or bare TCP (no CRC layer, so the bytes are the
+// payload's) and holds the move to three oracles computed
 // from the distributions alone: every value arrives bit-exact (under
 // NOTRANSFER, what a rank held keeps its value and the rest reads 0); the
 // payload is 8 bytes for every element a rank owns under the new mapping
@@ -130,6 +149,12 @@ func FuzzDistribute(f *testing.F) {
 			exts[k] = 1 + in.next()%16
 		}
 		dom := index.Dim(exts...)
+		oldS, newS := in.dist(dom, np), in.dist(dom, np)
+		flags := in.next()
+		noTransfer, transport := flags%4 == 3, "chan"
+		if flags&4 != 0 {
+			transport = "tcp"
+		}
 		val := func(p index.Point) float64 {
 			v := float64(p[0])
 			if len(p) > 1 {
@@ -137,16 +162,12 @@ func FuzzDistribute(f *testing.F) {
 			}
 			return v
 		}
-		run(t, np, func(ctx *machine.Ctx) error {
-			type crossing struct {
-				oldD, newD *dist.Distribution
-				noTransfer bool
-			}
-			c := ctx.CollectiveOnce(func() any {
+		runOn(t, transport, np, nil, func(ctx *machine.Ctx) error {
+			ds := ctx.CollectiveOnce(func() any {
 				m := ctx.Machine()
-				return crossing{in.dist(m, dom, np), in.dist(m, dom, np), in.next()%4 == 3}
-			}).(crossing)
-			oldD, newD, noTransfer := c.oldD, c.newD, c.noTransfer
+				return [2]*dist.Distribution{oldS.build(m, dom), newS.build(m, dom)}
+			}).([2]*dist.Distribution)
+			oldD, newD := ds[0], ds[1]
 			var opts []RedistOption
 			if noTransfer {
 				opts = append(opts, NoTransfer())

@@ -459,7 +459,8 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 // lead's stream, one share per member): on shared memory the receiver
 // copies each segment straight out of its member's old storage into that
 // member's unpublished new Local, a single copy with nothing resident on
-// the wire; on other transports the segments travel packed in one frame.
+// the wire; on other transports the segments travel in one frame written
+// straight from the old storage's runs.
 // Any other pair is packed just in time into the lead's one recycled
 // stream buffer and unpacked on arrival, and its received buffer goes
 // back to the transport.  A sender's old Locals stay untouched until its

@@ -1,8 +1,10 @@
 package machine
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"time"
 
 	"repro/internal/msg"
 )
@@ -12,15 +14,18 @@ import (
 // and the probe responders) is on exactly when the retry policy has a
 // Timeout.  A receive retried under that policy that misses its deadline
 // on a named peer raises a suspicion of the peer (msg.View.Suspect), and
-// one probe clears or confirms it:
+// at most two probes clear or confirm it:
 //
-//   - The suspecting rank sends a zero-byte msg.TagProbe frame to the
-//     peer's physical endpoint.  On the chan transport the frame lands in
-//     the peer's mailbox; on TCP it crosses the peer's loopback socket and
-//     the peer's reader goroutine files it there.  Either way the peer's
-//     probe responder — a goroutine per endpoint, not the peer's compute
-//     loop — takes it and sends a zero-byte msg.TagProbeReply back.  A rank
-//     asleep in its body, or computing, still answers.
+//   - The suspecting rank sends a msg.TagProbe frame carrying a fresh
+//     8-byte sequence number to the peer's physical endpoint.  On the chan
+//     transport the frame lands in the peer's mailbox; on TCP it crosses
+//     the peer's loopback socket and the peer's reader goroutine files it
+//     there.  Either way the peer's probe responder — a goroutine per
+//     endpoint, not the peer's compute loop — takes it and echoes the
+//     number back in a msg.TagProbeReply.  A rank asleep in its body, or
+//     computing, still answers.  Only the echo of a number of the same
+//     suspicion answers a probe: a reply that arrives after its suspicion
+//     was settled is skipped, so it cannot clear a later one.
 //   - Both frames are sent through the same transport stack as the
 //     program's messages: the fault injector, the CRC32C layer, the
 //     statistics and the cost model.  A permanent drop,rank=R rule
@@ -29,9 +34,14 @@ import (
 //     endpoint beneath the fault and CRC layers, so its idle wait meets
 //     no receive-side rule; the prober's wait for the reply meets them
 //     all.
-//   - No reply within the policy's first deadline confirms the death —
-//     unless the suspecting rank's own sends are the ones being lost (the
-//     others have confirmed it dead already, or it cannot reach its own
+//   - A probe unanswered within half the policy's first deadline is sent
+//     once more, with a fresh half deadline, and either one's echo
+//     answers: a lost reply reads like a death, and a second loss in a row
+//     is what tells them apart.  The suspicion waits no longer than one
+//     probe of the whole deadline would, and a reply slower than half of
+//     it still counts.  No reply confirms the death — unless the
+//     suspecting rank's own sends are the ones being lost (the others
+//     have confirmed it dead already, or it cannot reach its own
 //     responder either): then it is the rank confirmed dead (the
 //     fail-stop rule: a rank that finds itself dead leaves with
 //     ErrExcluded).  A probe cut short by a closing transport confirms
@@ -121,41 +131,68 @@ func (m *Machine) startResponders() {
 				if err != nil {
 					return // closed
 				}
-				ep.Send(p.From, msg.TagProbeReply, nil) //nolint:errcheck // a lost reply is what a probe detects
+				// The wire payload is the number, plus the CRC32C trailer
+				// when the integrity layer is on.
+				seq := p.Data[:min(len(p.Data), probeSeqLen)]
+				ep.Send(p.From, msg.TagProbeReply, seq) //nolint:errcheck // a lost reply is what a probe detects
 			}
 		}()
 	}
 }
 
+// probeSeqLen is the length of a probe's sequence number.
+const probeSeqLen = 8
+
 // probe sends one probe from physical rank by to peer's responder and
-// waits the retry policy's first deadline for the reply.  nil means peer
-// answered.
-func (m *Machine) probe(by, peer int) error {
+// waits d for the echo of a sequence number no older than first — the
+// first probe of the suspicion, or this one's own when first is 0 — and
+// returns that first number.  Replies to earlier suspicions' probes are
+// skipped.  A nil error means peer answered.
+func (m *Machine) probe(by, peer int, d time.Duration, first uint64) (uint64, error) {
 	ep := m.transport.Endpoint(by)
-	if err := msg.SendRetry(ep, m.retry, m.Tracer(), "probe", peer, msg.TagProbe, nil); err != nil {
-		return err
+	seq := m.probeSeq.Add(1)
+	if first == 0 {
+		first = seq
 	}
-	_, err := ep.RecvTimeout(peer, msg.TagProbeReply, m.retry.Deadline(0))
-	return err
+	var b [probeSeqLen]byte
+	binary.LittleEndian.PutUint64(b[:], seq)
+	if err := msg.SendRetry(ep, m.retry, m.Tracer(), "probe", peer, msg.TagProbe, b[:]); err != nil {
+		return first, err
+	}
+	deadline := time.Now().Add(d)
+	for {
+		p, err := ep.RecvTimeout(peer, msg.TagProbeReply, time.Until(deadline))
+		if err != nil {
+			return first, err
+		}
+		if len(p.Data) == probeSeqLen && binary.LittleEndian.Uint64(p.Data) >= first {
+			return first, nil
+		}
+	}
 }
 
 // suspect settles physical rank by's suspicion of peer, whose deadline it
-// missed: nil when peer answers its probe (or the transport closed under
-// an abort, which the caller's own receive reports), a revocation naming
-// the rank confirmed dead otherwise — peer, or by itself when by's own
-// sends are the ones being lost: others have confirmed it dead already,
-// or it cannot reach its own responder either.
+// missed: nil when peer answers one of two probes (or the transport
+// closed under an abort, which the caller's own receive reports), a
+// revocation naming the rank confirmed dead otherwise — peer, or by
+// itself when by's own sends are the ones being lost: others have
+// confirmed it dead already, or it cannot reach its own responder either.
 func (m *Machine) suspect(by, peer int) error {
 	if r := m.dead.firstOf([]int{by, peer}); r >= 0 {
 		return revoked(r)
 	}
-	if err := m.probe(by, peer); err == nil || isClosedErr(err) {
-		return nil
+	var first uint64
+	for range 2 { // a probe and, after a lost reply, its retry
+		var err error
+		first, err = m.probe(by, peer, m.retry.Deadline(0)/2, first)
+		if err == nil || isClosedErr(err) {
+			return nil
+		}
 	}
 	victim := peer
 	if m.dead.firstOf([]int{by}) >= 0 {
 		victim = by
-	} else if err := m.probe(by, by); err != nil {
+	} else if _, err := m.probe(by, by, m.retry.Deadline(0), 0); err != nil {
 		if isClosedErr(err) {
 			return nil
 		}

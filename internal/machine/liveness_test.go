@@ -144,6 +144,56 @@ func TestLivenessLostFrameIsNoDeath(t *testing.T) {
 	}
 }
 
+// TestLivenessLostProbeReplyIsNoDeath: a drop rule with count=2 loses
+// rank 2's one frame and then its reply to the probe the lost frame
+// raises.  The prober probes again, rank 2 answers, and nobody is
+// declared dead: the receive fails with its timeout.
+func TestLivenessLostProbeReplyIsNoDeath(t *testing.T) {
+	m := faultMachine(t, 4, "drop,rank=2,count=2")
+	defer m.Close()
+	var sendErr, recvErr error
+	if err := m.Run(func(ctx *Ctx) error {
+		ep := ctx.Endpoint()
+		switch ctx.Rank() {
+		case 2:
+			sendErr = msg.SendRetry(ep, m.retry, nil, "lost", 0, 7, []byte{1})
+		case 0:
+			_, recvErr = msg.RecvRetry(ep, m.retry, nil, "lost", 2, 7)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if sendErr != nil {
+		t.Fatalf("rank 2's send: %v", sendErr)
+	}
+	if errors.Is(recvErr, ErrEpochRevoked) || !errors.Is(recvErr, msg.ErrTimeout) {
+		t.Errorf("rank 0's receive: %v, want its timeout", recvErr)
+	}
+	if s := m.Survivors(); len(s) != 4 {
+		t.Fatalf("survivors = %v after a lost frame and a lost probe reply, want all 4", s)
+	}
+}
+
+// TestLivenessStaleProbeReplyIsNoAnswer: a reply that arrives after its
+// suspicion was settled answers no later one.  With every send of rank 2
+// lost, a stale reply from it waiting in rank 0's mailbox leaves rank 0's
+// suspicion confirmed.
+func TestLivenessStaleProbeReplyIsNoAnswer(t *testing.T) {
+	m := faultMachine(t, 4, "drop,rank=2")
+	defer m.Close()
+	// Filed beneath the fault layer, as a late reply would have been.
+	if err := msg.Wire(m.Transport().Endpoint(2)).Send(0, msg.TagProbeReply, make([]byte, probeSeqLen)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.suspect(0, 2); !errors.Is(err, ErrEpochRevoked) {
+		t.Fatalf("suspicion of a silent rank: %v, want its death confirmed", err)
+	}
+	if s := m.Survivors(); len(s) != 3 || s[2] != 3 {
+		t.Fatalf("survivors = %v, want [0 1 3]", s)
+	}
+}
+
 // faultMachine is a membership machine of np ranks on a chan transport
 // under the fault plan spec.
 func faultMachine(t *testing.T, np int, spec string) *Machine {

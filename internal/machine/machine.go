@@ -42,6 +42,7 @@ type Machine struct {
 	joins     *joinReg
 	drains    *joinReg       // registered voluntary-drain candidates
 	probes    sync.WaitGroup // the probe responders (liveness.go)
+	probeSeq  atomic.Uint64  // the last probe's sequence number
 	// exits[r] is closed when rank r's goroutine of the current Run
 	// returns; Regroup waits on the dead members' channels before
 	// installing a compacted view, so a survivor that takes over a dead

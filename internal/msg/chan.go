@@ -122,24 +122,31 @@ func (e *chanEndpoint) SharedMemory() bool { return true }
 func (e *chanEndpoint) Tracer() *trace.Tracer { return e.t.tracer }
 
 func (e *chanEndpoint) Send(to, tag int, data []byte) error {
+	return e.sendGather(to, tag, gather{one: data})
+}
+
+// sendGather implements gatherSender: the pieces are copied straight into
+// the receive buffer the payload takes from the pair's free list.
+func (e *chanEndpoint) sendGather(to, tag int, g gather) error {
 	if e.t.closed.Load() {
 		return ErrClosed
 	}
 	if to < 0 || to >= e.t.np {
 		return fmt.Errorf("msg: send to invalid rank %d (np=%d)", to, e.t.np)
 	}
+	n := g.len()
 	p := Packet{From: e.rank, Tag: tag, Data: make([]byte, 0)}
-	if n := len(data); n > 0 {
+	if n > 0 {
 		f := &e.t.free[e.rank*e.t.np+to]
 		p.Data, p.home = f.take(n), f
-		copy(p.Data, data)
+		g.copyTo(p.Data)
 	}
 	if c := e.t.cost; c != nil {
-		p.SendClock = c.OnSend(e.rank, len(data))
+		p.SendClock = c.OnSend(e.rank, n)
 	}
-	e.t.stats.OnSend(e.rank, to, len(data))
+	e.t.stats.OnSend(e.rank, to, n)
 	if tr := e.t.tracer; tr != nil {
-		tr.Send(e.rank, to, len(data))
+		tr.Send(e.rank, to, n)
 	}
 	e.t.boxes[to].put(p)
 	return nil

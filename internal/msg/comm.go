@@ -113,11 +113,16 @@ func terminal(err error) bool {
 // with the operation name and sending rank.  Each retry is recorded as a
 // "retry:<op>" instant on the tracer (when non-nil).
 func SendRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, to, tag int, data []byte) error {
+	return sendRetry(ep, pol, tr, op, to, tag, gather{one: data})
+}
+
+// sendRetry is SendRetry for a payload given as pieces.
+func sendRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, to, tag int, g gather) error {
 	for attempt := 0; ; attempt++ {
 		if err := checkLive(ep); err != nil {
 			return fmt.Errorf("msg: %s: rank %d: send to %d: %w", op, ep.Rank(), to, err)
 		}
-		err := ep.Send(to, tag, data)
+		err := sendGather(ep, to, tag, g)
 		if err == nil {
 			return nil
 		}

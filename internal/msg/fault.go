@@ -187,7 +187,7 @@ func (r *FaultRule) setOption(k, v string) (ok bool, err error) {
 //     consulted, so the message (if any) survives for the retry.
 //
 // Its endpoints do not report SharedMemory(), even over the chan
-// transport: a Window's offers then travel packed through this layer, so
+// transport: a Window's offers then travel framed through this layer, so
 // a rule reaches every payload byte a DISTRIBUTE moves.
 type FaultTransport struct {
 	inner Transport
@@ -305,24 +305,17 @@ func (e *faultEndpoint) firedSend(to, tag int) *FaultRule {
 }
 
 func (e *faultEndpoint) Send(to, tag int, data []byte) error {
-	if r := e.firedSend(to, tag); r != nil {
-		return e.sendFaulty(r, to, tag, data)
-	}
-	return e.inner.Send(to, tag, data)
+	return e.sendGather(to, tag, gather{one: data})
 }
 
-// sendSummed implements summedSender.  A send no rule fires on goes down
-// as it came; one that is to be corrupted or delayed becomes the joined
-// frame first, so the injected fault lands on the same bytes it would
-// have without the hook.
-func (e *faultEndpoint) sendSummed(to, tag int, data []byte, sum uint32) error {
+// sendGather implements gatherSender.  A send no rule fires on goes down
+// in pieces as it came; one a rule fires on is joined first, so the
+// injected fault lands on the bytes a plain Send of the frame would carry.
+func (e *faultEndpoint) sendGather(to, tag int, g gather) error {
 	if r := e.firedSend(to, tag); r != nil {
-		return e.sendFaulty(r, to, tag, appendSum(data, sum))
+		return e.sendFaulty(r, to, tag, g.join())
 	}
-	if s, ok := e.inner.(summedSender); ok {
-		return s.sendSummed(to, tag, data, sum)
-	}
-	return e.inner.Send(to, tag, appendSum(data, sum))
+	return sendGather(e.inner, to, tag, g)
 }
 
 // sendFaulty applies the fired send-side rule r to one frame.

@@ -32,3 +32,7 @@ func GetFloat64s(dst []float64, buf []byte, off int) {
 		panic("msg: wire buffer too short for float64 run")
 	}
 }
+
+// byteViews reports that a float64 run's memory is its wire encoding, so
+// a Window sends runs straight from storage (appendRuns).
+const byteViews = true

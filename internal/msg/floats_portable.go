@@ -21,3 +21,10 @@ func GetFloat64s(dst []float64, buf []byte, off int) {
 		dst[i] = GetFloat64(buf, off+8*i)
 	}
 }
+
+// byteViews reports that a float64 run's memory is not its wire encoding
+// here: a Window packs what it sends (appendRuns).
+const byteViews = false
+
+// float64Bytes is never called where byteViews is false.
+func float64Bytes([]float64) []byte { panic("msg: no byte view of float64 memory on this target") }

@@ -31,7 +31,11 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // checksum is then computed before injection and verified after, so an
 // injected FaultCorrupt flip is caught exactly as real wire corruption
 // would be.  Its endpoints do not report SharedMemory(), so a Window's
-// offers travel packed and the checksum covers their payloads as well.
+// offers travel framed and the checksum covers their payloads as well.
+// A payload sent in pieces (gatherSender) is summed piece by piece — the
+// sum of their concatenation — and the sum goes down beside the pieces,
+// for the transport to write behind them: nothing is joined to be
+// checksummed.
 type IntegrityTransport struct {
 	inner Transport
 	eps   []integrityEndpoint
@@ -43,7 +47,6 @@ func NewIntegrityTransport(inner Transport) *IntegrityTransport {
 	t.eps = make([]integrityEndpoint, inner.NP())
 	for r := range t.eps {
 		t.eps[r] = integrityEndpoint{inner: inner.Endpoint(r), tr: inner.Tracer()}
-		t.eps[r].summed, _ = t.eps[r].inner.(summedSender)
 	}
 	return t
 }
@@ -68,26 +71,8 @@ func (t *IntegrityTransport) Cost() *CostModel { return t.inner.Cost() }
 func (t *IntegrityTransport) Tracer() *trace.Tracer { return t.inner.Tracer() }
 
 type integrityEndpoint struct {
-	inner  Endpoint
-	summed summedSender // inner, when it can place the trailer itself
-	tr     *trace.Tracer
-}
-
-// summedSender is the facet of an endpoint that can send data followed by
-// a four-byte little-endian sum as one message without the caller joining
-// the two: the TCP endpoint gathers them in its vectored write, the fault
-// injector passes an untouched send through.  The message on the wire is
-// byte for byte Send(to, tag, appendSum(data, sum)).
-type summedSender interface {
-	sendSummed(to, tag int, data []byte, sum uint32) error
-}
-
-// appendSum returns a fresh data‖sum frame.
-func appendSum(data []byte, sum uint32) []byte {
-	framed := make([]byte, len(data)+4)
-	copy(framed, data)
-	PutUint32(framed, len(data), sum)
-	return framed
+	inner Endpoint
+	tr    *trace.Tracer
 }
 
 // wrapped is the facet Wire unwraps.
@@ -106,11 +91,19 @@ func (e *integrityEndpoint) CheckLive() error { return checkLive(e.inner) }
 func (e *integrityEndpoint) Suspect(from int) error { return suspect(e.inner, from) }
 
 func (e *integrityEndpoint) Send(to, tag int, data []byte) error {
-	sum := crc32.Checksum(data, castagnoli)
-	if e.summed != nil {
-		return e.summed.sendSummed(to, tag, data, sum)
+	return e.sendGather(to, tag, gather{one: data})
+}
+
+// sendGather implements gatherSender: it sums the pieces in order — the
+// sum of their concatenation — and hands them down with the sum, which
+// the transport writes behind them.  g carries no sum yet.
+func (e *integrityEndpoint) sendGather(to, tag int, g gather) error {
+	sum := crc32.Checksum(g.one, castagnoli)
+	for _, p := range g.pieces {
+		sum = crc32.Update(sum, castagnoli, p)
 	}
-	return e.inner.Send(to, tag, appendSum(data, sum))
+	g.sum, g.summed = sum, true
+	return sendGather(e.inner, to, tag, g)
 }
 
 func (e *integrityEndpoint) verify(p Packet) (Packet, error) {

@@ -127,11 +127,12 @@ type Endpoint interface {
 	// ownership rule on the other side: a received Packet.Data is the
 	// receiver's until it calls Packet.Release and never after; not
 	// releasing is always safe.  Not every byte a program moves is handed
-	// to Send: on endpoints that report SharedMemory() a Window's
-	// Offer/Pull (DISTRIBUTE's rect transfers) lets the receiver copy
-	// straight out of the offerer's storage and sends only a zero-byte
-	// token here, accounting the payload beside it.  Ghost faces are
-	// always sent here, packed.
+	// to Send: a Window sends a rect as the byte views of its storage runs
+	// through the endpoints' gathered facet (sendGather), and on endpoints
+	// that report SharedMemory() its Offer/Pull (DISTRIBUTE's rect
+	// transfers) lets the receiver copy straight out of the offerer's
+	// storage and sends only a zero-byte token, accounting the payload
+	// beside it.
 	Send(to, tag int, data []byte) error
 	// Recv blocks until a message matching (from, tag) arrives and
 	// returns it.  AnySource / AnyTag act as wildcards.  Messages from
@@ -140,6 +141,70 @@ type Endpoint interface {
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout if no
 	// matching message arrives in time.
 	RecvTimeout(from, tag int, d time.Duration) (Packet, error)
+}
+
+// gather is a message payload given as pieces: one, then each of pieces,
+// then — when summed — the four little-endian bytes of sum, the CRC32C
+// trailer of the integrity layer.  It is passed by value, so a plain
+// Send's payload (one) needs no list.
+type gather struct {
+	one    []byte
+	pieces [][]byte
+	sum    uint32
+	summed bool
+}
+
+// len returns the payload's length in bytes, the trailer included.
+func (g gather) len() int {
+	n := len(g.one)
+	for _, p := range g.pieces {
+		n += len(p)
+	}
+	if g.summed {
+		n += 4
+	}
+	return n
+}
+
+// copyTo writes the payload into dst, which holds exactly g.len() bytes.
+func (g gather) copyTo(dst []byte) {
+	off := copy(dst, g.one)
+	for _, p := range g.pieces {
+		off += copy(dst[off:], p)
+	}
+	if g.summed {
+		PutUint32(dst, off, g.sum)
+	}
+}
+
+// join returns the payload as one slice: one itself when that is all of
+// it, a fresh copy otherwise.
+func (g gather) join() []byte {
+	if len(g.pieces) == 0 && !g.summed {
+		return g.one
+	}
+	b := make([]byte, g.len())
+	g.copyTo(b)
+	return b
+}
+
+// gatherSender is the vectored-send facet every endpoint of this package
+// implements: it sends g as one message, byte for byte Send(to, tag,
+// g.join()), without joining the pieces — the TCP endpoint writes them
+// with writev, the chan endpoint copies them into the receive buffer,
+// and the decorators pass them down (the integrity layer after summing
+// them, the fault layer joining them only for a rule that fires).
+type gatherSender interface {
+	sendGather(to, tag int, g gather) error
+}
+
+// sendGather sends g through ep's gathered facet, or joined through Send
+// where ep has none (an endpoint of another package).
+func sendGather(ep Endpoint, to, tag int, g gather) error {
+	if s, ok := ep.(gatherSender); ok {
+		return s.sendGather(to, tag, g)
+	}
+	return ep.Send(to, tag, g.join())
 }
 
 // Wire returns the transport endpoint beneath ep's decorators — the chan

@@ -25,10 +25,12 @@ import (
 // connection by a 4-byte handshake, not repeated per frame.  TestTCPFrameGolden
 // pins these bytes.
 //
-// Neither side copies a payload in user space: Send hands the header and
-// the caller's slice to one vectored write, and the reader lands each
-// payload in a buffer of exactly its size that the consumer may hand back
-// with Packet.Release (see rxFree).
+// The sender copies no payload in user space: a frame above tcpCoalesce
+// leaves by writev straight from the caller's pieces — a Send's slice, or
+// the storage runs a Window offers or puts (gatherSender) — with the
+// header and any CRC32C trailer.  The reader lands each payload in a
+// buffer of exactly its size that the consumer may hand back with
+// Packet.Release (see rxFree); the consumer's unpack is the one copy.
 type TCPTransport struct {
 	np     int
 	eps    []*tcpEndpoint
@@ -225,12 +227,11 @@ type tcpConn struct {
 	mu   sync.Mutex
 	conn net.Conn
 	// scratch holds the outgoing frame header, then either a coalesced
-	// small payload or the integrity trailer of a vectored one; iov and
-	// bufs are the gather list handed to writev.  Nothing here is
+	// small payload or the integrity trailer of a gathered one; gw is the
+	// gathered write's own state (tcp_writev_*.go).  Nothing here is
 	// allocated per message.
 	scratch [tcpFrameHeader + tcpCoalesce]byte
-	iov     [3][]byte
-	bufs    net.Buffers
+	gw      gatherWriter
 	free    rxFree
 }
 
@@ -310,27 +311,20 @@ func (e *tcpEndpoint) NP() int   { return e.t.np }
 func (e *tcpEndpoint) Tracer() *trace.Tracer { return e.t.tracer }
 
 func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
-	return e.send(to, tag, data, nil)
+	return e.sendGather(to, tag, gather{one: data})
 }
 
-// sendSummed implements summedSender: the frame's payload is data
-// followed by the four bytes of sum, gathered by the same write.
-func (e *tcpEndpoint) sendSummed(to, tag int, data []byte, sum uint32) error {
-	var trailer [4]byte
-	PutUint32(trailer[:], 0, sum)
-	return e.send(to, tag, data, trailer[:])
-}
-
-// send writes one frame whose payload is data followed by trailer (nil or
-// the integrity layer's four bytes).
-func (e *tcpEndpoint) send(to, tag int, data, trailer []byte) error {
+// sendGather implements gatherSender: one frame whose payload is g — a
+// small one copied behind the header and written whole, a larger one
+// gathered from the caller's pieces by writev.
+func (e *tcpEndpoint) sendGather(to, tag int, g gather) error {
 	if e.t.closed.Load() {
 		return ErrClosed
 	}
 	if to < 0 || to >= e.t.np {
 		return fmt.Errorf("msg: send to invalid rank %d (np=%d)", to, e.t.np)
 	}
-	n := len(data) + len(trailer)
+	n := g.len()
 	if n > maxFrame {
 		return fmt.Errorf("msg: tcp send: rank %d to %d: payload of %d bytes exceeds the frame limit of %d", e.rank, to, n, maxFrame)
 	}
@@ -344,23 +338,24 @@ func (e *tcpEndpoint) send(to, tag int, data, trailer []byte) error {
 	}
 	if to == e.rank {
 		cp := make([]byte, n)
-		copy(cp[copy(cp, data):], trailer)
+		g.copyTo(cp)
 		e.box.put(Packet{From: e.rank, Tag: tag, Data: cp, SendClock: sendClock})
 		return nil
 	}
 	oc := e.out[to]
 	oc.mu.Lock()
 	putFrameHeader(oc.scratch[:], tag, n, sendClock)
-	body := oc.scratch[tcpFrameHeader:]
 	var err error
 	if n <= tcpCoalesce {
-		copy(body[copy(body, data):], trailer)
+		g.copyTo(oc.scratch[tcpFrameHeader : tcpFrameHeader+n])
 		_, err = oc.conn.Write(oc.scratch[:tcpFrameHeader+n])
 	} else {
-		oc.iov = [3][]byte{oc.scratch[:tcpFrameHeader], data, body[:copy(body, trailer)]}
-		oc.bufs = oc.iov[:]
-		_, err = oc.bufs.WriteTo(oc.conn)
-		oc.iov[1] = nil // the caller's slice is the caller's again
+		trailer := oc.scratch[tcpFrameHeader:tcpFrameHeader]
+		if g.summed {
+			trailer = trailer[:4]
+			PutUint32(trailer, 0, g.sum)
+		}
+		err = oc.writeFrame(oc.scratch[:tcpFrameHeader], g.one, g.pieces, trailer)
 	}
 	oc.mu.Unlock()
 	if err != nil {

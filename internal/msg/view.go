@@ -164,11 +164,16 @@ func (v *View) translate(p Packet) Packet {
 
 // Send delivers data to view rank `to` with the epoch-folded tag.
 func (v *View) Send(to, tag int, data []byte) error {
+	return v.sendGather(to, tag, gather{one: data})
+}
+
+// sendGather implements gatherSender: Send for a payload given as pieces.
+func (v *View) sendGather(to, tag int, g gather) error {
 	pto, err := v.peer(to)
 	if err != nil {
 		return err
 	}
-	return v.inner.Send(pto, FoldTag(v.epoch, tag), data)
+	return sendGather(v.inner, pto, FoldTag(v.epoch, tag), g)
 }
 
 // Recv receives a message from view rank `from` on the epoch-folded tag.

@@ -2,6 +2,7 @@ package msg
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -43,11 +44,14 @@ import (
 //
 // Transport interplay:
 //
-//   - A put is packed span by span into a recycled wire buffer (the
-//     darray pack engine's run walk), sent through the endpoint, and
-//     applied bounds-checked at the target's await, which then releases
-//     the payload — on every transport.  The chan transport recycles released
-//     payload buffers as TCP does, so a warm put allocates nothing.
+//   - A put hands the endpoint a byte view of each contiguous run of its
+//     rect (appendRuns; the darray pack engine's run walk) as the pieces
+//     of one message: TCP writes them with writev, chan copies them into
+//     the receive buffer, and the target applies the payload
+//     bounds-checked at its await, which then releases it — on every
+//     transport.  The chan transport recycles released payload buffers
+//     as TCP does, and the gather list is recycled, so a warm put
+//     allocates nothing.
 //   - An offer on a transport whose endpoints report SharedMemory() (the
 //     in-process chan transport, possibly under a View; not under the
 //     fault or integrity layers, which must see the payload) moves only
@@ -55,7 +59,9 @@ import (
 //     happens-before edge (matcher mutex) that makes the puller's direct
 //     copy race-free, and the payload bytes are accounted on both sides so
 //     Stats and CostModel parity with the framed path is preserved.  On
-//     other transports (TCP loopback) offers travel packed, like puts.
+//     other transports (TCP loopback, the fault and integrity layers)
+//     offers travel framed, gathered from the offered storage's runs like
+//     puts.
 //
 // Epoch safety: window operations go through the caller's endpoint, so
 // when that endpoint is a *View the tags are epoch-folded and every
@@ -224,6 +230,33 @@ func copyRect(dst []float64, dr Rect, src []float64, sr Rect) {
 	}
 }
 
+// appendRuns appends to pieces the wire encoding of src's r region as
+// pieces whose concatenation is PackRect(nil, src, r): a byte view of
+// each contiguous run, runs that abut joined into one.  Where a run is
+// not contiguous (innermost stride other than 1) or memory order is not
+// wire order (byteViews is false), the region is packed into one fresh
+// piece instead.
+func appendRuns(pieces [][]byte, src []float64, r Rect) [][]byte {
+	c, stride, count := r.runs()
+	if !byteViews || stride != 1 {
+		return append(pieces, PackRect(nil, src, r))
+	}
+	runs := 1
+	for _, d := range c.outer {
+		runs *= d.Count
+	}
+	pieces = slices.Grow(pieces, runs) // one allocation, the first time only
+	lo, hi := c.off, c.off+count       // the run being joined: src[lo:hi]
+	for c.next() {
+		if c.off != hi {
+			pieces = append(pieces, float64Bytes(src[lo:hi]))
+			lo = c.off
+		}
+		hi = c.off + count
+	}
+	return append(pieces, float64Bytes(src[lo:hi]))
+}
+
 // PackRect appends the wire encoding of src's r region to buf in rect
 // enumeration order (innermost dimension fastest) and returns the
 // extended slice — the transport-level counterpart of the darray span
@@ -305,7 +338,7 @@ type winShared struct {
 	data    []float64 // registered storage: the target of awaited puts
 	offered []float64 // what offers address: data as of the last Settle
 	owed    []int32   // per peer, done tokens not yet collected by Settle
-	sendBuf []byte    // recycled pack buffer (puts; offers off shared memory)
+	pieces  [][]byte  // recycled gather list of a put or framed offer
 	_       [64]byte  // keep ranks off each other's cache lines
 }
 
@@ -397,7 +430,7 @@ func (w *Window) opErr(op string, peer int, err error) error {
 }
 
 // PutAsync initiates a counted one-sided put: the elements of src (in
-// the caller's registered storage) are packed and sent to rank to, whose
+// the caller's registered storage) are sent to rank to, whose
 // matching AwaitPut(from, subtag, dst) stores them into dst of its own
 // storage.  dst names that target region; the caller checks only that it
 // covers as many elements as src, since the target applies the payload
@@ -413,8 +446,10 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 	if err := src.validate(len(sh.data)); err != nil {
 		return w.opErr("put to", to, err)
 	}
-	sh.sendBuf = PackRect(sh.sendBuf[:0], sh.data, src)
-	if err := SendRetry(c.ep, c.pol, c.tr, w.opPut, to, w.tag(subtag), sh.sendBuf); err != nil {
+	sh.pieces = appendRuns(sh.pieces[:0], sh.data, src)
+	err := sendRetry(c.ep, c.pol, c.tr, w.opPut, to, w.tag(subtag), gather{pieces: sh.pieces})
+	clear(sh.pieces) // hold no storage past the send
+	if err != nil {
 		return w.opErr("put to", to, err)
 	}
 	return nil
@@ -468,8 +503,9 @@ type Share struct {
 // unmodified until its next Settle of that window, which returns once the
 // receiver's done token for the window is in; the offer token orders the
 // caller's earlier writes before the receiver's reads.  On other
-// transports the shares travel packed back to back in one frame, as with
-// PutAsync, and are reusable when Offer returns.
+// transports the shares travel back to back in one frame, gathered from
+// the offered storage as with PutAsync, and are reusable when Offer
+// returns.
 func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 	w.checkSubtag("offer", subtag)
 	rank := c.Rank()
@@ -480,11 +516,13 @@ func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 	}
 	if !sharedMemory(c.ep) {
 		sh := &w.shared[rank]
-		sh.sendBuf = sh.sendBuf[:0]
+		sh.pieces = sh.pieces[:0]
 		for _, s := range shares {
-			sh.sendBuf = PackRect(sh.sendBuf, s.Win.shared[rank].offered, s.Src)
+			sh.pieces = appendRuns(sh.pieces, s.Win.shared[rank].offered, s.Src)
 		}
-		return w.OfferPacked(c, to, subtag, sh.sendBuf)
+		err := w.offerFramed(c, to, subtag, gather{pieces: sh.pieces})
+		clear(sh.pieces) // hold no storage past the send
+		return err
 	}
 	if err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("offer to", to, err)
@@ -507,9 +545,15 @@ func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 // the send returns.
 func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
 	w.checkSubtag("offer", subtag)
-	prank, n := physOf(c.ep, c.Rank()), int64(len(payload))
+	return w.offerFramed(c, to, subtag, gather{one: payload})
+}
+
+// offerFramed sends an offer's payload itself on the offer stream; it
+// counts as resident wire bytes until the send returns.
+func (w *Window) offerFramed(c *Comm, to, subtag int, g gather) error {
+	prank, n := physOf(c.ep, c.Rank()), int64(g.len())
 	w.stats.WireAcquire(prank, n)
-	err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), payload)
+	err := sendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), g)
 	w.stats.WireRelease(prank, n)
 	if err != nil {
 		return w.opErr("offer to", to, err)

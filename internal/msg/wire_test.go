@@ -37,46 +37,100 @@ func rawEndpoint(t *testing.T, cost *CostModel) (*tcpEndpoint, net.Conn) {
 
 // TestTCPFrameGolden freezes the wire format: tag, length, clock bits and
 // payload — with integrity, the CRC32C trailer counted in the length —
-// byte for byte, on the coalesced write of a small frame and on the
-// vectored write of a large one.
+// byte for byte, on the coalesced write of a small frame, on the gathered
+// write of a large one and on a window offer's frame.  An offer's payload
+// is gathered from the offered storage runs (more runs than one writev
+// takes, and more bytes than the 64 KiB socket buffers take at once, so
+// the writer meets a full socket) or, for a rect whose innermost stride
+// is not 1, packed: either way it is the bytes PackRect puts behind one
+// another.
 func TestTCPFrameGolden(t *testing.T) {
-	cost := NewCostModel(2, 1e-4, 1e-8)
-	cost.Charge(0, 1.5) // the sender's clock: 0x3FF8000000000000
-	ep, wire := rawEndpoint(t, cost)
+	ep, wire := rawEndpoint(t, nil)
+	if err := ep.out[1].conn.(*net.TCPConn).SetWriteBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.(*net.TCPConn).SetReadBuffer(64 << 10); err != nil {
+		t.Fatal(err)
+	}
 	const tag = 0x0123456789
-	header := func(n uint32) []byte {
-		return []byte{
-			0x89, 0x67, 0x45, 0x23, 0x01, 0, 0, 0, // tag, little-endian int64
+	header := func(tag, n int) []byte {
+		h := []byte{
+			0, 0, 0, 0, 0, 0, 0, 0, // tag, little-endian int64
 			byte(n), byte(n >> 8), byte(n >> 16), byte(n >> 24), // payload length
 			0, 0, 0, 0, 0, 0, 0xF8, 0x3F, // sender clock 1.5 as float64 bits
 		}
+		for i := 0; i < 8; i++ {
+			h[i] = byte(tag >> (8 * i))
+		}
+		return h
+	}
+	castagnoli := crc32.MakeTable(crc32.Castagnoli)
+	sum := func(b []byte) []byte {
+		s := crc32.Checksum(b, castagnoli)
+		return []byte{byte(s), byte(s >> 8), byte(s >> 16), byte(s >> 24)}
 	}
 	big := make([]byte, 3*tcpCoalesce+5)
 	for i := range big {
 		big[i] = byte(i*7 + 1)
 	}
-	bigSum := crc32.Checksum(big, crc32.MakeTable(crc32.Castagnoli))
-	summed := &integrityEndpoint{inner: ep, summed: ep}
+	summed := &integrityEndpoint{inner: ep}
+
+	// Two windows over rank 0's storage, offered from as registered.
+	storage := func(n int) []float64 {
+		s := make([]float64, n)
+		for i := range s {
+			s[i] = float64(i)*1.25 - 7
+		}
+		return s
+	}
+	wa, wb := NewWindow(2, "golden-a", ep.t.stats, nil), NewWindow(2, "golden-b", ep.t.stats, nil)
+	da, db := storage(800), storage(100_000)
+	wa.Register(0, da)
+	wb.Register(0, db)
+	for _, w := range []*Window{wa, wb} {
+		if err := w.Settle(NewComm(ep)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// 100 separate runs of 3 (two writev calls' worth), and 60 runs of
+	// 1000 elements 1500 apart (480 KB).
+	runsA := Rect{Off: 5, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: 7, Count: 100}}}
+	runsB := Rect{Off: 40, Dims: []RectDim{{Stride: 1, Count: 1000}, {Stride: 1500, Count: 60}}}
+	strided := Rect{Off: 9, Dims: []RectDim{{Stride: 2, Count: 50}, {Stride: 200, Count: 3}}}
+	twoShares := []Share{{Win: wa, Src: runsA}, {Win: wb, Src: runsB}}
+	twoPacked := PackRect(PackRect(nil, da, runsA), db, runsB)
+	stridedPacked := PackRect(nil, da, strided)
+	offer := func(ep Endpoint, shares []Share) func() error {
+		return func() error { return wa.Offer(NewComm(ep), 1, 3, shares) }
+	}
+	send := func(ep Endpoint, data []byte) func() error {
+		return func() error { return ep.Send(1, tag, data) }
+	}
 	for _, tc := range []struct {
 		name    string
-		send    func(to, tag int, data []byte) error
+		tag     int
+		send    func() error
 		payload []byte
 		trailer []byte
 	}{
-		{"small", ep.Send, []byte("123456789"), nil},
+		{"small", tag, send(ep, []byte("123456789")), []byte("123456789"), nil},
 		// CRC32C("123456789") is the polynomial's check value, E3069283.
-		{"small+crc", summed.Send, []byte("123456789"), []byte{0x83, 0x92, 0x06, 0xE3}},
-		{"empty+crc", summed.Send, nil, []byte{0, 0, 0, 0}},
-		{"large", ep.Send, big, nil},
-		{"large+crc", summed.Send, big, []byte{byte(bigSum), byte(bigSum >> 8), byte(bigSum >> 16), byte(bigSum >> 24)}},
+		{"small+crc", tag, send(summed, []byte("123456789")), []byte("123456789"), []byte{0x83, 0x92, 0x06, 0xE3}},
+		{"empty+crc", tag, send(summed, nil), nil, []byte{0, 0, 0, 0}},
+		{"large", tag, send(ep, big), big, nil},
+		{"large+crc", tag, send(summed, big), big, sum(big)},
+		{"offer", wa.tag(3), offer(ep, twoShares), twoPacked, nil},
+		{"offer+crc", wa.tag(3), offer(summed, twoShares), twoPacked, sum(twoPacked)},
+		{"offer-strided", wa.tag(3), offer(ep, []Share{{Win: wa, Src: strided}}), stridedPacked, nil},
+		{"offer-strided+crc", wa.tag(3), offer(summed, []Share{{Win: wa, Src: strided}}), stridedPacked, sum(stridedPacked)},
 	} {
-		cost = NewCostModel(2, 1e-4, 1e-8)
+		cost := NewCostModel(2, 1e-4, 1e-8)
 		ep.t.cost = cost
-		cost.Charge(0, 1.5)
-		want := append(header(uint32(len(tc.payload)+len(tc.trailer))), tc.payload...)
+		cost.Charge(0, 1.5) // the sender's clock: 0x3FF8000000000000
+		want := append(header(tc.tag, len(tc.payload)+len(tc.trailer)), tc.payload...)
 		want = append(want, tc.trailer...)
 		errc := make(chan error, 1)
-		go func() { errc <- tc.send(1, tag, tc.payload) }()
+		go func() { errc <- tc.send() }()
 		got := make([]byte, len(want))
 		wire.SetReadDeadline(time.Now().Add(5 * time.Second))
 		if _, err := io.ReadFull(wire, got); err != nil {
@@ -293,6 +347,47 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 		if objs > 2 || byts > size/64 {
 			t.Errorf("%s: %.1f objects and %.0f bytes allocated per warm %d-byte round trip, want at most 2 and %d",
 				layer, objs, byts, size, size/64)
+		}
+	}
+}
+
+// TestTCPGatheredOfferAllocs: a warm Offer → Pull of a rect of 40 runs
+// over TCP under the integrity layer allocates nothing — the offer's
+// gather list, the connection's iovecs and the receive buffer are all
+// recycled — and lands the offered values.
+func TestTCPGatheredOfferAllocs(t *testing.T) {
+	tr := newWire(t, "integrity")
+	defer tr.Close()
+	a, b := NewComm(tr.Endpoint(0)), NewComm(tr.Endpoint(1))
+	w := NewWindow(2, "allocs", tr.Stats(), nil)
+	src := make([]float64, 64*64)
+	for i := range src {
+		src[i] = float64(i) + 0.5
+	}
+	w.Register(0, src)
+	if err := w.Settle(a); err != nil {
+		t.Fatal(err)
+	}
+	rect := Rect{Off: 64 + 3, Dims: []RectDim{{Stride: 1, Count: 48}, {Stride: 64, Count: 40}}}
+	dst := make([]float64, rect.Count())
+	shares := []Share{{Win: w, Src: rect, Dst: dst, Dr: RectRun(0, len(dst))}}
+	trip := func() {
+		if err := w.Offer(a, 1, 1, shares); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Pull(b, 0, 1, shares); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		trip()
+	}
+	if n := testing.AllocsPerRun(50, trip); n != 0 {
+		t.Errorf("a warm gathered offer and its pull allocate %.1f objects, want 0", n)
+	}
+	for i, v := range dst {
+		if want := src[rect.Off+i/48*64+i%48]; v != want {
+			t.Fatalf("element %d pulled as %v, want %v", i, v, want)
 		}
 	}
 }

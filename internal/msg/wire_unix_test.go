@@ -22,7 +22,7 @@ func TestTCPSendRefusesOversizedFrame(t *testing.T) {
 	for name, send := range map[string]func() error{
 		"tcp": func() error { return ep.Send(1, 7, huge) },
 		// The trailer counts: three bytes under the limit plus four.
-		"summed": func() error { return ep.sendSummed(1, 7, huge[:maxFrame-3], 0) },
+		"summed": func() error { return ep.sendGather(1, 7, gather{one: huge[:maxFrame-3], summed: true}) },
 	} {
 		err := send()
 		if err == nil {

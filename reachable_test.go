@@ -127,10 +127,13 @@ func TestReachable(t *testing.T) {
 // TestDocIdentifiers: every backticked A.B or A.B.C in README.md and
 // DESIGN.md names a func, method, type, field, var or const the module
 // declares, when A is one of its packages or a type it declares; other
-// names (the standard library's, local variables, the benchmark's
+// dotted names (the standard library's, local variables, the benchmark's
 // metrics, file names) are out of scope.  A trailing argument list, as in
 // `core.Array.Dist()`, is ignored, and `darray.stepDirect` may name a
-// method of a darray type.
+// method of a darray type.  A backticked bare CamelCase name, such as
+// `stepDirect` or `TestTCPFrameGolden`, must be declared by some file of
+// the module, its tests included: a func or its parameter, a method, type,
+// var, const, or struct or interface member.
 func TestDocIdentifiers(t *testing.T) {
 	fset := token.NewFileSet()
 	std := importer.ForCompiler(fset, "source", nil)
@@ -157,8 +160,13 @@ func TestDocIdentifiers(t *testing.T) {
 	for _, m := range append(bench.EndToEnd, bench.PerLayer...) {
 		metric[m.Name] = true
 	}
+	declared, err := moduleNames(fset)
+	if err != nil {
+		t.Fatal(err)
+	}
 	span := regexp.MustCompile("`([^`]+)`")
 	name := regexp.MustCompile(`^([A-Za-z_]\w*(?:\.[A-Za-z_]\w*){1,2})(?:\(.*\)|\{.*\})?$`)
+	camel := regexp.MustCompile(`^([A-Za-z][A-Za-z0-9]*[a-z0-9][A-Z][A-Za-z0-9]*)(?:\(.*\)|\{.*\})?$`)
 	for _, doc := range []string{"README.md", "DESIGN.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {
@@ -175,6 +183,9 @@ func TestDocIdentifiers(t *testing.T) {
 			}
 		}
 		for _, m := range span.FindAllStringSubmatch(strings.Join(prose, "\n"), -1) {
+			if c := camel.FindStringSubmatch(m[1]); c != nil && !declared[c[1]] {
+				t.Errorf("%s: `%s` names nothing the module declares", doc, c[1])
+			}
 			n := name.FindStringSubmatch(m[1])
 			if n == nil || metric[n[1]] || strings.HasSuffix(n[1], ".go") { // a file: go is a keyword
 				continue
@@ -190,6 +201,59 @@ func TestDocIdentifiers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// moduleNames returns every name the module's Go files declare, tests
+// and bench/ included: funcs and their parameters, methods, types, vars,
+// consts, and the members of struct and interface types.
+func moduleNames(fset *token.FileSet) (map[string]bool, error) {
+	names := map[string]bool{}
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if base := d.Name(); path != "." && (base == "testdata" || strings.HasPrefix(base, ".") || strings.HasPrefix(base, "_")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			var fields *ast.FieldList
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names[n.Name.Name] = true
+				fields = n.Type.Params
+			case *ast.TypeSpec:
+				names[n.Name.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			case *ast.StructType:
+				fields = n.Fields
+			case *ast.InterfaceType:
+				fields = n.Methods
+			}
+			if fields != nil {
+				for _, f := range fields.List {
+					for _, id := range f.Names {
+						names[id.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	return names, err
 }
 
 // resolve looks parts (A.B or A.B.C) up in the module: known reports
