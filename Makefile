@@ -57,12 +57,15 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # end to end (array 32x the budget, an elastic run over TCP), exact
 # byte/message parity on the unbounded path and chan/TCP parity of
 # contents, counts and modelled time across the chain crossings, the
-# window offer/pull pair (mixed rect/packed schedules, ghosted layouts,
-# warm allocation bounds on chan, released payloads on TCP), the
+# window offer/pull pair (multi-rect transfers with one done token per
+# window, ghosted layouts, warm allocation bounds on chan, released
+# payloads on TCP), every run of a cyclic crossing affine on both ends
+# (TestDimSpanInterleavedRuns), the
 # symmetric no-plan failure, the np-keyed move table, the budget parser
 # and its fuzz seeds, FuzzDistribute's corpus (values, bytes and messages
 # of random crossings, replicated ones included, against closed forms
-# from the distributions), the wire gauge, and
+# from the distributions, and no wire residency over channels), the wire
+# gauge, and
 # the barrier-free DISTRIBUTE: no Comm.Barrier in warm ADI or fresh
 # B_BLOCK class moves, ghosts exact after a move with one rank held back,
 # recycled storage intact under a lagging puller, the connect class moved
@@ -72,7 +75,7 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # interpreted non-local reads around a DISTRIBUTE equal to P = 1 — all
 # under the race detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestRedistributeMixedSchedule|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
+	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
 
 # FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
@@ -259,8 +262,8 @@ check-portable:
 # addresses outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip, of
-# a gathered offer over TCP+CRC (none) and of a timed receive, the restore's run extractor and the word-wise XOR
-# against their per-element references, the rank files and the parity
+# a gathered offer over TCP+CRC (none) and of a timed receive, the
+# word-wise XOR against the byte loop, the rank files and the parity
 # fold (files byte-identical to a point-by-point image on 1-8 ranks, exact
 # counts, the modelled critical path, a short partial failing the epoch,
 # the rank-file parser's and the manifest decoder's fuzz seeds) — then the
@@ -268,7 +271,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestPlaceExtractRuns|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
@@ -298,12 +301,12 @@ bench-kernels:
 # that claims a gain may not touch bench/: warm TCP round trips of 64 B,
 # 256 KiB and 1 MiB with every received buffer released, bare and under
 # CRC32C (the spine's msg.tcp.* probes echo p.Data back and never release,
-# so they see the send side only); the restore's run extractor and the
-# word-wise XOR against the per-element loops they replaced; and one warm
+# so they see the send side only); the word-wise XOR against the byte
+# loop it replaced; and one warm
 # parity save of the 768² grid on 4 ranks over TCP + integrity.
 bench-wire:
 	$(GO) test -run XXX -bench 'TCPRoundTrip' ./internal/msg
-	$(GO) test -run XXX -bench 'Extract|XorInto' ./internal/pario
+	$(GO) test -run XXX -bench 'XorInto' ./internal/pario
 	$(GO) test -run XXX -bench 'CkptSave768' ./internal/ckpt
 
 # Regenerate the EXPERIMENTS.md tables (E1-E4).

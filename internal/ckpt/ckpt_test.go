@@ -11,8 +11,6 @@ import (
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/machine"
-	"repro/internal/msg"
-	"repro/internal/pario"
 )
 
 // fill gives every point a value with a full-width float64 mantissa, so
@@ -437,32 +435,4 @@ func TestVirtualTargetMatchesProcSection(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestExtract: pulling a sub-grid out of a canonical payload must match
-// recomputing values point-wise.
-func TestExtract(t *testing.T) {
-	from := index.Grid{Dims: []index.RunSet{
-		{{Lo: 1, Hi: 8, Stride: 1}},
-		{{Lo: 3, Hi: 9, Stride: 2}},
-	}}
-	var payload []byte
-	from.ForEach(func(p index.Point) bool {
-		payload = msg.AppendFloat64s(payload, []float64{fill(p)})
-		return true
-	})
-	want := index.Grid{Dims: []index.RunSet{
-		{{Lo: 2, Hi: 5, Stride: 1}},
-		{{Lo: 5, Hi: 7, Stride: 2}},
-	}}
-	out := make([]byte, 8*want.Count())
-	pario.Extract(out, payload, from, want)
-	i := 0
-	want.ForEach(func(p index.Point) bool {
-		if got := msg.GetFloat64(out, 8*i); got != fill(p) {
-			t.Errorf("extract[%v] = %v, want %v", p, got, fill(p))
-		}
-		i++
-		return true
-	})
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/pario"
 )
 
 // ErrNoEpoch is the error of a restore that finds no committed
@@ -161,7 +160,6 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 	res := &RestoreResult{Manifest: &man, Resized: man.NP != np}
 	epochDir := filepath.Join(dir, epochDirName(man.Epoch))
 	set := man.stripeSet(epochDir)
-	var scratch []byte
 	fill := func(r int, pieces []piece) error {
 		read := set.ReadIntact
 		if slices.Contains(plan.Bad, r) {
@@ -184,12 +182,11 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 				return fmt.Errorf("ckpt: array %s: rank file %d holds %d values, its grid has %d",
 					man.Arrays[pc.ai].Name, r, msg.Float64Count(payload), pc.g.Count())
 			}
-			if !gridsEqual(pc.part, pc.g) {
-				scratch, _ = msg.GrowFloat64s(scratch[:0], pc.part.Count())
-				pario.Extract(scratch, payload, pc.g, pc.part)
-				payload = scratch
+			if gridsEqual(pc.part, pc.g) {
+				locals[pc.ai].UnpackWire(pc.part, payload)
+			} else {
+				locals[pc.ai].UnpackPart(pc.part, pc.g, payload)
 			}
-			locals[pc.ai].UnpackWire(pc.part, payload)
 		}
 		return nil
 	}

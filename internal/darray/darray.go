@@ -102,10 +102,12 @@ type rankState struct {
 	// moves is the rank's move table (moveOf): everything a DISTRIBUTE
 	// between two mappings needs, kept for the next one between them.
 	moves map[moveKey]*move
-	// stream is the rank's single just-in-time pack buffer (ring rounds,
-	// gather).  It may be handed to Endpoint.Send and reused as soon as
-	// Send returns.
+	// stream is the rank's pack buffer (GatherTo).  It may be handed to
+	// Endpoint.Send and reused as soon as Send returns.
 	stream []byte
+	// shares is the rank's recycled list of one DISTRIBUTE offer or pull
+	// (sharesOf).
+	shares []msg.Share
 }
 
 // Option configures array creation.
@@ -329,7 +331,20 @@ type Local struct {
 // layoutOf computes rank's storage geometry under d.
 func (a *Array) layoutOf(rank int, d *dist.Distribution) layout {
 	g := d.LocalGrid(rank)
-	r := a.dom.Rank()
+	for k, w := range a.ghost {
+		if rs := g.Dims[k]; w > 0 && rs.Count() > 0 && (len(rs) != 1 || rs[0].Stride != 1) {
+			panic(fmt.Sprintf("darray: %s: ghost areas need a contiguous (block-family) dimension %d, distribution is %v",
+				a.name, k+1, d.DistType()))
+		}
+	}
+	return newLayout(g, a.ghost, a.dom)
+}
+
+// newLayout lays g out column-major, with margins of the given ghost
+// widths (nil: none) clipped at dom's boundary; a dimension with ghosts
+// must be one stride-1 run.
+func newLayout(g index.Grid, ghost []int, dom index.Domain) layout {
+	r := g.Rank()
 	// One backing array for the six per-dimension tables; capacities are
 	// clipped so an append to one (Shape and Stride are handed out) can
 	// never run into the next.
@@ -350,23 +365,10 @@ func (a *Array) layoutOf(rank int, d *dist.Distribution) layout {
 			l.simple[k] = true
 			l.base[k] = 0
 		}
-		if w := a.ghost[k]; w > 0 && l.shape[k] > 0 {
-			if !l.simple[k] {
-				panic(fmt.Sprintf("darray: %s: ghost areas need a contiguous (block-family) dimension %d, distribution is %v",
-					a.name, k+1, d.DistType()))
-			}
+		if ghost != nil && ghost[k] > 0 && l.shape[k] > 0 {
 			// ghosts clipped at the domain boundary
-			if lo := l.base[k] - w; lo < a.dom.Lo[k] {
-				l.gLo[k] = l.base[k] - a.dom.Lo[k]
-			} else {
-				l.gLo[k] = w
-			}
-			hi := rs[0].Hi
-			if hi+w > a.dom.Hi[k] {
-				l.gHi[k] = a.dom.Hi[k] - hi
-			} else {
-				l.gHi[k] = w
-			}
+			l.gLo[k] = min(ghost[k], l.base[k]-dom.Lo[k])
+			l.gHi[k] = min(ghost[k], dom.Hi[k]-rs[0].Hi)
 		}
 		l.alloc[k] = l.shape[k] + l.gLo[k] + l.gHi[k]
 		l.strd[k] = n
@@ -455,13 +457,13 @@ func (l *Local) Segment() (lo, hi []int, ok bool) {
 // li returns the local storage index of global index i along dimension k
 // (including the ghost offset).  For contiguous dimensions, indices up to
 // the allocated ghost margins are valid.
-func (l *Local) li(k, i int) int {
+func (l *layout) li(k, i int) int {
 	if l.simple[k] {
 		return i - l.base[k] + l.gLo[k]
 	}
 	pos := l.grid.Dims[k].IndexOf(i)
 	if pos < 0 {
-		panic(fmt.Sprintf("darray: global index %d of dim %d not local to rank %d", i, k+1, l.rank))
+		panic(fmt.Sprintf("darray: global index %d of dim %d not in owned set %v", i, k+1, l.grid.Dims[k]))
 	}
 	return pos + l.gLo[k]
 }
@@ -496,20 +498,11 @@ func (l *Local) Owns(p index.Point) bool { return l.grid.Contains(p) }
 // filling and reducing stay off the per-point loc_map path.
 func (l *Local) ForEachOwned(f func(p index.Point, v *float64)) {
 	l.grid.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := l.rowOffset(p)
-		if li0, step, ok := l.dimSpan(0, r); ok {
-			off := row + li0*l.strd[0]
-			st := step * l.strd[0]
-			for i := r.Lo; i <= r.Hi; i += r.Stride {
-				p[0] = i
-				f(p, &l.data[off])
-				off += st
-			}
-		} else {
-			for i := r.Lo; i <= r.Hi; i += r.Stride {
-				p[0] = i
-				f(p, &l.data[row+l.li(0, i)*l.strd[0]])
-			}
+		off, st := l.span(p, r)
+		for i := r.Lo; i <= r.Hi; i += r.Stride {
+			p[0] = i
+			f(p, &l.data[off])
+			off += st
 		}
 		return true
 	})

@@ -103,9 +103,10 @@ func (in *fuzzInput) dist(dom index.Domain, np int) distSpec {
 
 // fuzzSeeds are FuzzDistribute's corpus.  The first is the replicated
 // crossing (:,:) -> (BLOCK,:) of a 13x1 array on four ranks: every rank
-// already holds its new block, so the move sends nothing.  The last four
-// run over TCP: their offers travel framed, gathered from storage runs
-// or, behind a CYCLIC target, packed.
+// already holds its new block, so the move sends nothing.  Seeds with
+// flags 4 run over TCP: their offers travel framed, gathered from
+// storage runs.  The last four cross CYCLIC(2), whose transfers are
+// several rects each, on both transports.
 var fuzzSeeds = [][]byte{
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 0},         // 13x1 (:,:) -> (BLOCK,:), P=4
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 3},         // the same under NOTRANSFER
@@ -125,6 +126,10 @@ var fuzzSeeds = [][]byte{
 	{5, 1, 11, 7, 2, 1, 1, 1, 0, 1, 0, 4},      // 12x8 (BLOCK,BLOCK) on 2x3 -> (BLOCK,:) on 6, TCP
 	{3, 1, 7, 3, 2, 1, 1, 0, 2, 1, 0, 1, 4},    // 8x4 (BLOCK,:) -> (:,BLOCK), both on 2x2, TCP
 	{5, 0, 15, 0, 1, 0, 2, 0, 4},               // 16 BLOCK -> CYCLIC(1) on 6, TCP
+	{1, 0, 15, 0, 2, 1, 0, 2, 2, 0},            // 16 CYCLIC(2) -> CYCLIC(3) on 2
+	{1, 0, 15, 0, 2, 1, 0, 2, 2, 4},            // the same over TCP
+	{3, 1, 15, 4, 0, 1, 0, 0, 2, 1, 0, 0},      // 16x5 (BLOCK,:) -> (CYCLIC(2),:) on 4
+	{3, 1, 15, 4, 0, 1, 0, 0, 2, 1, 0, 4},      // the same over TCP
 }
 
 // FuzzDistribute moves an array between two decoded distributions on a
@@ -135,8 +140,9 @@ var fuzzSeeds = [][]byte{
 // payload is 8 bytes for every element a rank owns under the new mapping
 // but held under none of its old; and the data messages are the ordered
 // (sender, receiver) pairs with such an element, the sender being the
-// element's primary old owner.  `make fuzz-distribute` runs it beyond the
-// corpus.
+// element's primary old owner.  Over channels every transfer is pulled
+// straight out of the sender's storage, so no wire byte is ever
+// resident.  `make fuzz-distribute` runs it beyond the corpus.
 func FuzzDistribute(f *testing.F) {
 	for _, s := range fuzzSeeds {
 		f.Add(s)
@@ -215,6 +221,9 @@ func FuzzDistribute(f *testing.F) {
 			}
 			if got := d.TotalDataMsgs(); got != int64(len(pairs)) {
 				t.Errorf("%v -> %v on %d ranks: sent %d data messages, want %d", oldD, newD, np, got, len(pairs))
+			}
+			if peak := st.PeakWireBytes(); transport == "chan" && peak != 0 {
+				t.Errorf("%v -> %v on %d ranks over channels: %d wire bytes resident at peak, want 0", oldD, newD, np, peak)
 			}
 			return nil
 		})

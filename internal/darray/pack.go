@@ -7,9 +7,10 @@ import (
 	"repro/internal/msg"
 )
 
-// Run-based data movement.  All bulk transfers (redistribution, ghost
-// faces, gather/scatter) move the elements of an index.Grid in canonical
-// enumeration order.  Instead of visiting every point through a closure
+// Run-based data movement.  Every bulk transfer moves the elements of an
+// index.Grid: a DISTRIBUTE as the grid's window rects (appendRects), a
+// checkpoint or gather packed in canonical enumeration order.  Instead of
+// visiting every point through a closure
 // and computing its storage offset from scratch (a per-element walk over
 // all dimensions), the routines here iterate Grid.ForEachRun: the offset
 // of the outer dimensions is computed once per innermost span, the span
@@ -21,43 +22,80 @@ import (
 
 // dimSpan returns affine storage addressing for run r along dimension k:
 // the local index of r.Lo and the local-index step between consecutive
-// run elements.  ok is false when the run does not map to an arithmetic
-// progression in local storage (it straddles several runs of a
-// non-contiguous owned set), in which case callers fall back to
-// per-element addressing.
+// run elements.
 //
 // For contiguous (simple) dimensions the mapping is i - base, which is
 // affine for any stride and also covers ghost indices outside the owned
 // set.  For a non-contiguous dimension the local index is the position in
 // the owned RunSet enumeration; that is affine exactly when r lies inside
-// a single owned run and r.Stride is a multiple of that run's stride —
-// true for every transfer grid produced by per-dimension intersection
-// with a single-run distribution, and checked here rather than assumed.
-func (l *layout) dimSpan(k int, r index.Run) (li0, step int, ok bool) {
+// a single owned run and r.Stride is a multiple of that run's stride.
+// Every grid the package moves is cut from owned sets by intersection
+// (index.IntersectRuns keeps the lcm of the strides), so each of its runs
+// lies inside one owned run: a run that does not is a bug, and panics.
+func (l *layout) dimSpan(k int, r index.Run) (li0, step int) {
 	if l.simple[k] {
-		return r.Lo - l.base[k] + l.gLo[k], r.Stride, true
+		return r.Lo - l.base[k] + l.gLo[k], r.Stride
 	}
 	pos := 0
 	for _, lr := range l.grid.Dims[k] {
-		if r.Lo >= lr.Lo && r.Lo <= lr.Hi {
-			if (r.Lo-lr.Lo)%lr.Stride != 0 || r.Hi > lr.Hi || r.Stride%lr.Stride != 0 {
-				return 0, 0, false
+		if lr.Contains(r.Lo) {
+			if r.Hi > lr.Hi || r.Count() > 1 && r.Stride%lr.Stride != 0 {
+				break
 			}
-			return pos + (r.Lo-lr.Lo)/lr.Stride + l.gLo[k], r.Stride / lr.Stride, true
+			return pos + (r.Lo-lr.Lo)/lr.Stride + l.gLo[k], r.Stride / lr.Stride
 		}
 		pos += lr.Count()
 	}
-	return 0, 0, false
+	panic(fmt.Sprintf("darray: run %v of dim %d is not affine in owned set %v", r, k+1, l.grid.Dims[k]))
 }
 
 // rowOffset returns the storage offset contribution of dimensions >= 1 of
 // point p (the per-span constant part of the loc_map).
-func (l *Local) rowOffset(p index.Point) int {
+func (l *layout) rowOffset(p index.Point) int {
 	off := 0
 	for k := 1; k < len(p); k++ {
 		off += l.li(k, p[k]) * l.strd[k]
 	}
 	return off
+}
+
+// span returns the storage offset of run r at p's outer position and the
+// storage step between its elements.
+func (l *layout) span(p index.Point, r index.Run) (off, step int) {
+	li0, st := l.dimSpan(0, r)
+	return l.rowOffset(p) + li0*l.strd[0], st * l.strd[0]
+}
+
+// appendRects appends g's regions of storage laid out by l to rects: one
+// rect per product of g's per-dimension runs, dimension 0's run varying
+// fastest, each rect's dimensions carved from the spare capacity of dims
+// (rectCount(g)·rank entries, sized by the caller).  Both ends of a
+// transfer enumerate the same grid, so their lists pair up rect by rect.
+func (l *layout) appendRects(rects []msg.Rect, dims []msg.RectDim, g index.Grid) ([]msg.Rect, []msg.RectDim) {
+	r := g.Rank()
+	for i, n := 0, rectCount(g); i < n; i++ {
+		rc := msg.Rect{Dims: dims[len(dims) : len(dims)+r : len(dims)+r]}
+		dims = dims[:len(dims)+r]
+		at := i // the mixed-radix digits of i select one run per dimension
+		for k, rs := range g.Dims {
+			run := rs[at%len(rs)]
+			at /= len(rs)
+			li0, step := l.dimSpan(k, run)
+			rc.Off += li0 * l.strd[k]
+			rc.Dims[k] = msg.RectDim{Stride: step * l.strd[k], Count: run.Count()}
+		}
+		rects = append(rects, rc)
+	}
+	return rects, dims
+}
+
+// rectCount is the number of rects appendRects makes of g.
+func rectCount(g index.Grid) int {
+	n := 1
+	for _, rs := range g.Dims {
+		n *= len(rs)
+	}
+	return n
 }
 
 // appendPacked appends the wire encoding (8 bytes per element, canonical
@@ -70,26 +108,17 @@ func (l *Local) appendPacked(buf []byte, g index.Grid) []byte {
 	buf, off = msg.GrowFloat64s(buf, g.Count())
 	data := l.data
 	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := l.rowOffset(p)
-		if li0, step, ok := l.dimSpan(0, r); ok {
-			so := row + li0*l.strd[0]
-			st := step * l.strd[0]
-			n := r.Count()
-			if st == 1 {
-				msg.PutFloat64s(buf, off, data[so:so+n])
-				off += 8 * n
-				return true
-			}
-			for ; n > 0; n-- {
-				msg.PutFloat64(buf, off, data[so])
-				off += 8
-				so += st
-			}
-		} else {
-			for i := r.Lo; i <= r.Hi; i += r.Stride {
-				msg.PutFloat64(buf, off, data[row+l.li(0, i)*l.strd[0]])
-				off += 8
-			}
+		so, st := l.span(p, r)
+		n := r.Count()
+		if st == 1 {
+			msg.PutFloat64s(buf, off, data[so:so+n])
+			off += 8 * n
+			return true
+		}
+		for ; n > 0; n-- {
+			msg.PutFloat64(buf, off, data[so])
+			off += 8
+			so += st
 		}
 		return true
 	})
@@ -106,26 +135,17 @@ func (l *Local) unpackWire(g index.Grid, buf []byte) {
 	off := 0
 	data := l.data
 	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := l.rowOffset(p)
-		if li0, step, ok := l.dimSpan(0, r); ok {
-			do := row + li0*l.strd[0]
-			st := step * l.strd[0]
-			n := r.Count()
-			if st == 1 {
-				msg.GetFloat64s(data[do:do+n], buf, off)
-				off += 8 * n
-				return true
-			}
-			for ; n > 0; n-- {
-				data[do] = msg.GetFloat64(buf, off)
-				off += 8
-				do += st
-			}
-		} else {
-			for i := r.Lo; i <= r.Hi; i += r.Stride {
-				data[row+l.li(0, i)*l.strd[0]] = msg.GetFloat64(buf, off)
-				off += 8
-			}
+		do, st := l.span(p, r)
+		n := r.Count()
+		if st == 1 {
+			msg.GetFloat64s(data[do:do+n], buf, off)
+			off += 8 * n
+			return true
+		}
+		for ; n > 0; n-- {
+			data[do] = msg.GetFloat64(buf, off)
+			off += 8
+			do += st
 		}
 		return true
 	})
@@ -135,7 +155,7 @@ func (l *Local) unpackWire(g index.Grid, buf []byte) {
 // grid order) of the values at g's points to buf and returns the extended
 // slice.  Every point of g must be addressable on this Local.  This is the
 // exported entry the checkpoint subsystem uses to serialize local spans
-// with the same fused pack+encode path redistribution uses.
+// with the same fused pack+encode path GatherTo uses.
 func (l *Local) AppendPacked(buf []byte, g index.Grid) []byte {
 	return l.appendPacked(buf, g)
 }
@@ -147,42 +167,46 @@ func (l *Local) UnpackWire(g index.Grid, buf []byte) {
 	l.unpackWire(g, buf)
 }
 
+// UnpackPart stores at part's points their values out of payload, the
+// wire encoding of whole in canonical order (AppendPacked of a Local
+// owning whole); part is cut from whole by intersection.  A restore onto
+// another number of ranks reads what it now owns of a saved rank file
+// this way: payload is decoded as the storage of a ghostless layout of
+// whole and copied by the span rule a DISTRIBUTE's self copy uses.
+func (l *Local) UnpackPart(part, whole index.Grid, payload []byte) {
+	src := Local{layout: newLayout(whole, nil, index.Domain{})}
+	if n := msg.Float64Count(payload); n != src.size {
+		panic(fmt.Sprintf("darray: unpack count mismatch: %d points, %d values", src.size, n))
+	}
+	src.data = make([]float64, src.size)
+	msg.GetFloat64s(src.data, payload, 0)
+	copyGrid(l, &src, part)
+}
+
 // copyGrid copies the values at g's points from src into dst (both must
 // address every point of g) — the span-loop form of the redistribution
 // local move and the NOTRANSFER keep.
 func copyGrid(dst, src *Local, g index.Grid) {
 	sd, dd := src.data, dst.data
 	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		srow, drow := src.rowOffset(p), dst.rowOffset(p)
-		sli, sstep, sok := src.dimSpan(0, r)
-		dli, dstep, dok := dst.dimSpan(0, r)
-		if sok && dok {
-			so := srow + sli*src.strd[0]
-			do := drow + dli*dst.strd[0]
-			sst, dst0 := sstep*src.strd[0], dstep*dst.strd[0]
-			if sst == 1 && dst0 == 1 {
-				copy(dd[do:do+r.Count()], sd[so:so+r.Count()])
-				return true
-			}
-			for n := r.Count(); n > 0; n-- {
-				dd[do] = sd[so]
-				so += sst
-				do += dst0
-			}
+		so, sst := src.span(p, r)
+		do, dst0 := dst.span(p, r)
+		n := r.Count()
+		if sst == 1 && dst0 == 1 {
+			copy(dd[do:do+n], sd[so:so+n])
 			return true
 		}
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			dd[drow+dst.li(0, i)*dst.strd[0]] = sd[srow+src.li(0, i)*src.strd[0]]
+		for ; n > 0; n-- {
+			dd[do] = sd[so]
+			so += sst
+			do += dst0
 		}
 		return true
 	})
 }
 
-// streamBuf returns the single recycled streaming pack buffer, emptied,
-// with capacity for count elements.  There is one buffer, not one per
-// peer: ring rounds pack one peer at a time and hand the buffer to Send
-// before packing the next, which is exactly what keeps their peak
-// residency to a single transfer.
+// streamBuf returns the single recycled pack buffer, emptied, with
+// capacity for count elements.
 func (b *rankState) streamBuf(count int) []byte {
 	if cap(b.stream) < 8*count {
 		b.stream = make([]byte, 0, 8*count)

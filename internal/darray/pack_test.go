@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/dist"
@@ -160,6 +161,156 @@ func TestCopyGridMatchesReference(t *testing.T) {
 			})
 		})
 	}
+}
+
+// TestDimSpanInterleavedRuns: every run of every transfer grid of BLOCK
+// <-> CYCLIC(2) and CYCLIC(2) <-> CYCLIC(3) maps affinely into both
+// ends' storage, element for element the position RunSet.IndexOf gives.
+// Under CYCLIC(k > 1) a rank's owned runs interleave — CYCLIC(2) at P = 2
+// on 16 elements owns {1:13:4 2:14:4} — and a run inside the second one
+// (2:6:4) must be found by membership, not by span.
+func TestDimSpanInterleavedRuns(t *testing.T) {
+	m := machine.New(4)
+	defer m.Close()
+	block, cyc2, cyc3 := dist.BlockDim(), dist.CyclicDim(2), dist.CyclicDim(3)
+	pairs := [][2]dist.DimSpec{{block, cyc2}, {cyc2, block}, {cyc2, cyc3}, {cyc3, cyc2}}
+	runs := 0
+	for _, np := range []int{2, 3, 4} {
+		tg := m.ProcsDim(fmt.Sprint("P", np), np).Whole()
+		for _, n := range []int{16, 23} {
+			dom := index.Dim(n)
+			for _, pr := range pairs {
+				from := dist.MustNew(dist.NewType(pr[0]), dom, tg)
+				to := dist.MustNew(dist.NewType(pr[1]), dom, tg)
+				for p := 0; p < np; p++ {
+					for q := 0; q < np; q++ {
+						g := from.LocalGrid(p).Intersect(to.LocalGrid(q))
+						for _, owner := range []index.Grid{from.LocalGrid(p), to.LocalGrid(q)} {
+							l := newLayout(owner, nil, dom)
+							for _, r := range g.Dims[0] {
+								li0, step := l.dimSpan(0, r)
+								for j := 0; j < r.Count(); j++ {
+									if want := owner.Dims[0].IndexOf(r.At(j)); li0+j*step != want {
+										t.Errorf("%v -> %v on %d of %d: run %v in %v: element %d at %d, want %d",
+											pr[0], pr[1], p, n, r, owner.Dims[0], j, li0+j*step, want)
+									}
+								}
+								runs++
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	l := newLayout(index.Grid{Dims: []index.RunSet{index.NewRunSet(index.NewRun(1, 13, 4), index.NewRun(2, 14, 4))}}, nil, index.Domain{})
+	if li0, step := l.dimSpan(0, index.NewRun(2, 6, 4)); li0 != 4 || step != 1 {
+		t.Errorf("run 2:6:4 of {1:13:4 2:14:4} at (%d, %d), want (4, 1)", li0, step)
+	}
+	t.Logf("%d runs checked", runs)
+}
+
+// owned is the index set rank r of np owns along a dimension 0..n-1
+// under the named distribution.
+func owned(kind string, n, np, r int) index.RunSet {
+	switch kind {
+	case "block":
+		b := (n + np - 1) / np
+		return index.NewRunSet(index.NewRun(r*b, min((r+1)*b, n)-1, 1))
+	case "cyclic1":
+		return index.NewRunSet(index.NewRun(r, n-1, np))
+	case "cyclic3":
+		var runs []index.Run
+		for j := 0; j < 3; j++ {
+			runs = append(runs, index.NewRun(3*r+j, n-1, 3*np))
+		}
+		return index.NewRunSet(runs...)
+	case "bblock":
+		// Uneven general blocks: rank r gets r+1 shares of n.
+		total := np * (np + 1) / 2
+		lo := n * (r * (r + 1) / 2) / total
+		hi := n*((r+1)*(r+2)/2)/total - 1
+		return index.NewRunSet(index.NewRun(lo, hi, 1))
+	}
+	panic(kind)
+}
+
+// checkUnpackPart unpacks part of a payload of whole into storage laid
+// out over mine (part = whole ∩ mine) and holds every element of mine to
+// its value, or to 0 outside part.
+func checkUnpackPart(t *testing.T, name string, part, whole, mine index.Grid) {
+	t.Helper()
+	value := func(p index.Point) float64 {
+		v := 1.0
+		for k, i := range p {
+			v += math.Sin(float64(i*(k+3))) * math.Exp(float64(k))
+		}
+		return v
+	}
+	var payload []byte
+	whole.ForEach(func(p index.Point) bool {
+		payload = msg.AppendFloat64s(payload, []float64{value(p)})
+		return true
+	})
+	l := &Local{layout: newLayout(mine, nil, index.Domain{})}
+	l.data = make([]float64, l.size)
+	l.UnpackPart(part, whole, payload)
+	mine.ForEach(func(p index.Point) bool {
+		want := 0.0
+		if part.Contains(p) {
+			want = value(p)
+		}
+		if got := l.At(p); got != want {
+			t.Errorf("%s: [%v] = %v, want %v (part %v of %v)", name, p, got, want, part, whole)
+			return false
+		}
+		return true
+	})
+}
+
+// TestUnpackPartRuns runs UnpackPart on what a restore onto another
+// number of ranks reads: every saved rank's grid under BLOCK, CYCLIC(1),
+// CYCLIC(3) and B_BLOCK in each dimension of 1-D, 2-D and 3-D domains,
+// intersected with every new rank's grid of a BLOCK or CYCLIC(3) over 3
+// ranks in the same dimension, and with a window of the domain.
+func TestUnpackPartRuns(t *testing.T) {
+	const np = 4
+	extents := [][]int{{29}, {13, 9}, {7, 6, 5}}
+	for _, ext := range extents {
+		whole := index.Grid{Dims: make([]index.RunSet, len(ext))}
+		window := index.Grid{Dims: make([]index.RunSet, len(ext))}
+		for k, e := range ext {
+			whole.Dims[k] = index.NewRunSet(index.NewRun(0, e-1, 1))
+			window.Dims[k] = index.NewRunSet(index.NewRun(1, e-2, 1))
+		}
+		for _, kind := range []string{"block", "cyclic1", "cyclic3", "bblock"} {
+			for d := range ext {
+				for r := 0; r < np; r++ {
+					saved := whole
+					saved.Dims = append([]index.RunSet(nil), whole.Dims...)
+					saved.Dims[d] = owned(kind, ext[d], np, r)
+					mines := []index.Grid{window}
+					for _, newKind := range []string{"block", "cyclic3"} {
+						for q := 0; q < 3; q++ {
+							mine := whole
+							mine.Dims = append([]index.RunSet(nil), whole.Dims...)
+							mine.Dims[d] = owned(newKind, ext[d], 3, q)
+							mines = append(mines, mine)
+						}
+					}
+					for i, mine := range mines {
+						if part := saved.Intersect(mine); !part.Empty() {
+							checkUnpackPart(t, fmt.Sprintf("%dD %s dim %d rank %d, mine %d", len(ext), kind, d, r, i), part, saved, mine)
+						}
+					}
+				}
+			}
+		}
+	}
+	// A part whose run's stride is a multiple of the enclosing run's.
+	whole := index.Grid{Dims: []index.RunSet{{{Lo: 1, Hi: 19, Stride: 2}}, {{Lo: 0, Hi: 3, Stride: 1}}}}
+	part := index.Grid{Dims: []index.RunSet{{{Lo: 3, Hi: 15, Stride: 4}}, {{Lo: 1, Hi: 2, Stride: 1}}}}
+	checkUnpackPart(t, "stride multiple", part, whole, part)
 }
 
 // TestPackAllocsPerRun pins the steady-state allocation behaviour of the

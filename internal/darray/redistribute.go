@@ -311,10 +311,9 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 		planEv, peak = "plan:"+p.Kind, p.PeakBytes
 	}
 	tr.Instant(prank, trace.CatRedist, planEv, -1, peak)
-	st := lead.m.Stats()
 	for k := 0; k < steps; k++ {
 		ssp := tr.BeginSpan(prank, trace.CatRedist, "redist:step")
-		err := stepDirect(ctx, ms, k, st)
+		err := stepDirect(ctx, ms, k)
 		ssp.End()
 		if err != nil {
 			return fmt.Errorf("darray: %s: redistribution step %d/%d: %w", lead.name, k+1, steps, err)
@@ -349,44 +348,17 @@ func (a *Array) commit(rank int, d *dist.Distribution, l *Local) {
 // ghost exchange owns the subtags below it.
 const redistSubtag = msg.MaxSubtag
 
-// xfer is one remote transfer of a schedule as stepDirect executes it.
-// count == 0 marks a peer with no transfer.
+// xfer is one remote transfer of a schedule as stepDirect executes it:
+// its grid's rects (appendRects) in the sender's old storage (src) and,
+// on the receiver, in its new storage (dst; a sender needs none).  A
+// peer with no transfer has no rects.
 type xfer struct {
-	grid  index.Grid
-	count int
-	// rect says the grid is one run per dimension and affine on both the
-	// sender's old layout and the receiver's new one: it moves through the
-	// window as src (in the sender's old storage) and dst (in the
-	// receiver's new storage; a sender needs no dst).  Both ends evaluate
-	// this from the same two layouts and the same grid, so they agree —
-	// per transfer: a rank whose other transfers are not rects still
-	// offers and pulls this one.  Any other grid travels packed.
-	rect     bool
-	src, dst msg.Rect
+	src, dst []msg.Rect
 }
 
 // xferPlan is a schedule's remote transfers indexed by peer.
 type xferPlan struct {
 	send, recv []xfer
-}
-
-// rect returns g's region of storage laid out by l; ok is false unless g
-// is one run per dimension and each run is affine in l (dimSpan).  The
-// rect's dimensions are written into dims, which must hold g.Rank().
-func (l *layout) rect(g index.Grid, dims []msg.RectDim) (r msg.Rect, ok bool) {
-	for k, rs := range g.Dims {
-		if len(rs) != 1 {
-			return msg.Rect{}, false
-		}
-		li0, step, ok := l.dimSpan(k, rs[0])
-		if !ok {
-			return msg.Rect{}, false
-		}
-		r.Off += li0 * l.strd[k]
-		dims[k] = msg.RectDim{Stride: step * l.strd[k], Count: rs[0].Count()}
-	}
-	r.Dims = dims
-	return r, true
 }
 
 // hasRemote reports whether any transfer of s crosses ranks.
@@ -401,48 +373,45 @@ func hasRemote(s *redist.Schedule) bool {
 	return false
 }
 
-// planTransfers lays sched's remote transfers out per peer and, for each
-// that qualifies, computes its window rects.  The peer's side comes from
-// the descriptor (layoutOf), never from the peer's Local.  It runs once
-// per step of a move: the result is kept in the move's entry, so a warm
-// DISTRIBUTE builds no geometry.
-func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) *xferPlan {
-	rank, r := sched.Rank, a.dom.Rank()
+// planTransfers lays sched's remote transfers out per peer with their
+// window rects.  The peer's side comes from the descriptor (layoutOf),
+// never from the peer's Local.  It runs once per step of a move: the
+// result is kept in the move's entry, so a warm DISTRIBUTE builds no
+// geometry.
+func (a *Array) planTransfers(oldD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) *xferPlan {
+	rank := sched.Rank
 	xs := make([]xfer, 2*np)
 	plan := &xferPlan{send: xs[:np:np], recv: xs[np:]}
-	// One backing array for every rect: a src per send, src and dst per
-	// receive, plus one scratch for the side whose rect is not kept.
-	dims := make([]msg.RectDim, r*(len(sched.Sends)+2*len(sched.Recvs)+1))
-	take := func() []msg.RectDim {
-		d := dims[:r:r]
-		dims = dims[r:]
-		return d
-	}
-	scratch := take()
+	// One backing array for every rect and one for their dimensions: a
+	// src per send, a src and a dst per receive.
+	n := 0
 	for _, t := range sched.Sends {
-		if t.Peer == rank {
-			continue
-		}
-		x := &plan.send[t.Peer]
-		x.grid, x.count = t.Grid, t.Count
-		if src, ok := oldLocal.rect(t.Grid, take()); ok {
-			peer := a.layoutOf(t.Peer, newD)
-			if _, ok := peer.rect(t.Grid, scratch); ok {
-				x.rect, x.src = true, src
-			}
+		if t.Peer != rank {
+			n += rectCount(t.Grid)
 		}
 	}
 	for _, t := range sched.Recvs {
-		if t.Peer == rank {
-			continue
+		if t.Peer != rank {
+			n += 2 * rectCount(t.Grid)
 		}
-		x := &plan.recv[t.Peer]
-		x.grid, x.count = t.Grid, t.Count
-		if dst, ok := newLocal.rect(t.Grid, take()); ok {
+	}
+	rects := make([]msg.Rect, 0, n)
+	dims := make([]msg.RectDim, 0, n*a.dom.Rank())
+	take := func(l *layout, g index.Grid) []msg.Rect {
+		lo := len(rects)
+		rects, dims = l.appendRects(rects, dims, g)
+		return rects[lo:len(rects):len(rects)]
+	}
+	for _, t := range sched.Sends {
+		if t.Peer != rank {
+			plan.send[t.Peer].src = take(&oldLocal.layout, t.Grid)
+		}
+	}
+	for _, t := range sched.Recvs {
+		if t.Peer != rank {
 			peer := a.layoutOf(t.Peer, oldD)
-			if src, ok := peer.rect(t.Grid, take()); ok {
-				x.rect, x.src, x.dst = true, src, dst
-			}
+			x := &plan.recv[t.Peer]
+			x.src, x.dst = take(&peer, t.Grid), take(&newLocal.layout, t.Grid)
 		}
 	}
 	return plan
@@ -450,22 +419,18 @@ func (a *Array) planTransfers(oldD, newD *dist.Distribution, sched *redist.Sched
 
 // stepDirect executes one step of a class move in one pass of the
 // staggered ring — DISTRIBUTE's one executor, run once per step of the
-// plan: each round sends this rank's transfer to one peer and receives
-// its transfer from another, one message each way carrying every
-// member's segment for that pair in class order, so at most one outgoing
-// and one incoming transfer are resident at a time (the peak
-// redist.PlanMove models for a lone member).  A pair whose segments are
-// all rects on both layouts goes through the windows (Offer/Pull on the
-// lead's stream, one share per member): on shared memory the receiver
-// copies each segment straight out of its member's old storage into that
-// member's unpublished new Local, a single copy with nothing resident on
-// the wire; on other transports the segments travel in one frame written
-// straight from the old storage's runs.
-// Any other pair is packed just in time into the lead's one recycled
-// stream buffer and unpacked on arrival, and its received buffer goes
-// back to the transport.  A sender's old Locals stay untouched until its
-// next move's Settle of each member window has every puller's done token.
-func stepDirect(ctx *machine.Ctx, ms []member, k int, st *msg.Stats) error {
+// plan: each round offers this rank's transfer to one peer and pulls its
+// transfer from another, one message each way carrying every member's
+// rects for that pair in class order (Offer/Pull on the lead's stream),
+// so at most one outgoing and one incoming transfer are resident at a
+// time (the peak redist.PlanMove models for a lone member).  On shared
+// memory the receiver copies each rect straight out of its member's old
+// storage into that member's unpublished new Local, a single copy with
+// nothing resident on the wire; on other transports the rects travel in
+// one frame written straight from the old storage's runs.  A sender's
+// old Locals stay untouched until its next move's Settle of each member
+// window has every puller's done token.
+func stepDirect(ctx *machine.Ctx, ms []member, k int) error {
 	rank, np := ctx.Rank(), ctx.NP()
 	remote := false
 	for i := range ms {
@@ -477,7 +442,7 @@ func stepDirect(ctx *machine.Ctx, ms []member, k int, st *msg.Stats) error {
 		m.plan = nil
 		if hasRemote(s.sched) {
 			if s.xfer == nil {
-				s.xfer = m.a.planTransfers(m.oldD, m.newD, s.sched, np, m.oldLocal, m.newLocal)
+				s.xfer = m.a.planTransfers(m.oldD, s.sched, np, m.oldLocal, m.newLocal)
 			}
 			m.plan, remote = s.xfer, true
 		}
@@ -485,102 +450,44 @@ func stepDirect(ctx *machine.Ctx, ms []member, k int, st *msg.Stats) error {
 	if !remote {
 		return nil
 	}
-	// Stats slices are physical-rank indexed (sized to the transport);
-	// after a regroup/join the view rank diverges from the physical one,
-	// and charging the view rank would misattribute the gauge to another
-	// (possibly dead) rank's slot.
-	prank := ctx.PhysRank()
-	lead := ms[0].a
-	own := &lead.own[rank]
-	win, c := lead.win, ctx.Comm()
+	own := &ms[0].a.own[rank]
+	win, c := ms[0].a.win, ctx.Comm()
 	return c.Ring(func(to, from int) error {
-		var buf [4]msg.Share // a round's shares, on the stack for classes of up to 4
-		switch count, rects := pairOf(ms, to, true); {
-		case count == 0:
-		case rects:
-			shares := buf[:0]
-			for i := range ms {
-				if x := ms[i].xferTo(to, true); x != nil {
-					shares = append(shares, msg.Share{Win: ms[i].a.win, Src: x.src})
-				}
-			}
+		if shares := own.sharesOf(ms, to, true); len(shares) > 0 {
 			if err := win.Offer(c, to, redistSubtag, shares); err != nil {
 				return err
 			}
-		default:
-			own.stream = own.streamBuf(count)
-			for i := range ms {
-				if x := ms[i].xferTo(to, true); x != nil {
-					own.stream = ms[i].oldLocal.appendPacked(own.stream, x.grid)
-				}
-			}
-			if err := win.OfferPacked(c, to, redistSubtag, own.stream); err != nil {
-				return err
-			}
 		}
-		count, rects := pairOf(ms, from, false)
-		if count == 0 {
-			return nil
-		}
-		if rects {
-			shares := buf[:0]
-			for i := range ms {
-				if x := ms[i].xferTo(from, false); x != nil {
-					shares = append(shares, msg.Share{Win: ms[i].a.win, Src: x.src, Dst: ms[i].newLocal.data, Dr: x.dst})
-				}
-			}
+		if shares := own.sharesOf(ms, from, false); len(shares) > 0 {
 			return win.Pull(c, from, redistSubtag, shares)
 		}
-		p, err := win.PullPacked(c, from, redistSubtag)
-		if err != nil {
-			return err
-		}
-		defer p.Release()
-		if len(p.Data) != 8*count {
-			return fmt.Errorf("darray: %s: rank %d: transfer from rank %d has %d bytes, want %d", lead.name, rank, from, len(p.Data), 8*count)
-		}
-		n := int64(len(p.Data))
-		st.WireAcquire(prank, n)
-		off := 0
-		for i := range ms {
-			if x := ms[i].xferTo(from, false); x != nil {
-				ms[i].newLocal.unpackWire(x.grid, p.Data[off:off+8*x.count])
-				off += 8 * x.count
-			}
-		}
-		st.WireRelease(prank, n)
 		return nil
 	})
 }
 
-// xferTo returns m's transfer to (send) or from (!send) peer, nil when
-// there is none.
-func (m *member) xferTo(peer int, send bool) *xfer {
-	if m.plan == nil {
-		return nil
-	}
-	x := &m.plan.recv[peer]
-	if send {
-		x = &m.plan.send[peer]
-	}
-	if x.count == 0 {
-		return nil
-	}
-	return x
-}
-
-// pairOf sums the members' transfers to (send) or from (!send) peer and
-// reports whether every one is a rect.  Both ends of a pair compute it
-// from the same schedules and layouts, so they agree on the message.
-func pairOf(ms []member, peer int, send bool) (count int, rects bool) {
-	rects = true
+// sharesOf lists the members' rects to (send) or from (!send) peer as
+// one offer's shares, in the rank's recycled share list.  Both ends of a
+// pair build it from the same schedules and layouts, so they agree share
+// by share.
+func (b *rankState) sharesOf(ms []member, peer int, send bool) []msg.Share {
+	b.shares = b.shares[:0]
 	for i := range ms {
-		if x := ms[i].xferTo(peer, send); x != nil {
-			count += x.count
-			rects = rects && x.rect
+		m := &ms[i]
+		if m.plan == nil {
+			continue
+		}
+		if send {
+			for _, src := range m.plan.send[peer].src {
+				b.shares = append(b.shares, msg.Share{Win: m.a.win, Src: src})
+			}
+			continue
+		}
+		x := &m.plan.recv[peer]
+		for j, src := range x.src {
+			b.shares = append(b.shares, msg.Share{Win: m.a.win, Src: src, Dst: m.newLocal.data, Dr: x.dst[j]})
 		}
 	}
-	return count, rects
+	return b.shares
 }
 
 // ScheduleCacheStats returns (hits, misses) of the ranks' move tables,

@@ -49,14 +49,12 @@ func gatherAfterRedist(t *testing.T, transport string, dom index.Domain, mk1, mk
 // times the budget: the measured peak must respect the bound and the
 // result must be bit-identical to the unbounded redistribution.  The
 // unbounded reference runs over TCP, the transport with a wire, where the
-// direct step holds one packed transfer at a time (2 KiB here, so the
+// direct step holds one framed transfer at a time (2 KiB here, so the
 // budget sits below a single transfer and only a chunked plan fits it).
-// The budgeted moves must show wire residency wherever there is a wire:
-// over TCP, and for BLOCK -> CYCLIC(2) — several runs per transfer, packed
-// on every transport — over channels too.  On shared memory a BLOCK ->
-// CYCLIC of rect transfers is pulled straight out of the senders' storage
-// and has no wire residency at all, budgeted or not, which is asserted
-// beside it.
+// The budgeted moves must show wire residency over TCP.  On shared memory
+// every transfer — BLOCK -> CYCLIC(2)'s two runs per transfer included —
+// is pulled rect by rect straight out of the senders' storage and has no
+// wire residency at all, budgeted or not, which is asserted beside it.
 func TestRedistributeMemBudgetBounded(t *testing.T) {
 	dom := index.Dim(4096, 1) // 32 KiB of float64 data
 	const budget = 1024       // array is 32x the budget
@@ -76,7 +74,7 @@ func TestRedistributeMemBudgetBounded(t *testing.T) {
 			if boundedPeak > budget {
 				t.Fatalf("CYCLIC(%d) %s: measured peak wire bytes %d exceeds budget %d", k, transport, boundedPeak, budget)
 			}
-			if pulled := transport == "chan" && k == 1; pulled != (boundedPeak == 0) {
+			if pulled := transport == "chan"; pulled != (boundedPeak == 0) {
 				t.Fatalf("CYCLIC(%d) %s: budgeted peak wire bytes %d: a pull holds none, a wire some (or the bound check is vacuous)",
 					k, transport, boundedPeak)
 			}
@@ -84,14 +82,12 @@ func TestRedistributeMemBudgetBounded(t *testing.T) {
 				t.Fatalf("CYCLIC(%d) %s: budgeted result differs from the unbounded one", k, transport)
 			}
 		}
-		if k == 1 {
-			pulled, pulledPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2)
-			if pulledPeak != 0 {
-				t.Fatalf("unbudgeted shared-memory DISTRIBUTE held %d wire bytes, want 0 (every transfer is a pull)", pulledPeak)
-			}
-			if !slices.Equal(free, pulled) {
-				t.Fatal("pulled result differs from the framed one")
-			}
+		pulled, pulledPeak := gatherAfterRedist(t, "chan", dom, mk1, mk2)
+		if pulledPeak != 0 {
+			t.Fatalf("CYCLIC(%d): unbudgeted shared-memory DISTRIBUTE held %d wire bytes, want 0 (every transfer is a pull)", k, pulledPeak)
+		}
+		if !slices.Equal(free, pulled) {
+			t.Fatalf("CYCLIC(%d): pulled result differs from the framed one", k)
 		}
 	}
 }

@@ -9,77 +9,6 @@ import (
 	"repro/internal/machine"
 )
 
-// TestRedistributeMixedSchedule crosses (BLOCK,:) -> (CYCLIC(2),:) with a
-// block of five rows, an odd size against the cyclic pairs: where a block
-// boundary splits a pair the transfer grid is a single run per dimension
-// (moved through the window as a rect, pulled on shared memory), where
-// it takes a whole pair it is two runs (packed) — on the same rank in the
-// same ring.  Whether a transfer is a rect is decided per transfer by
-// both of its ends — a per-rank choice deadlocks exactly this crossing.
-func TestRedistributeMixedSchedule(t *testing.T) {
-	dom := index.Dim(20, 5)
-	for _, transport := range []string{"chan", "tcp"} {
-		t.Run(transport, func(t *testing.T) {
-			var rects, packed [4]int
-			runOn(t, transport, 4, nil, func(ctx *machine.Ctx) error {
-				tg := ctx.Machine().ProcsDim("P", 4).Whole()
-				blk := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
-				cyc := dist.MustNew(dist.NewType(dist.CyclicDim(2), dist.ElidedDim()), dom, tg)
-				a := New(ctx, "M", dom, blk)
-				a.FillFunc(ctx, val2)
-				for _, d := range []*dist.Distribution{cyc, blk, cyc} {
-					if err := a.RedistributeTo(ctx, d); err != nil {
-						return err
-					}
-					bad := 0
-					a.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
-						if *v != val2(p) {
-							bad++
-						}
-					})
-					if bad != 0 {
-						t.Errorf("rank %d: %d wrong values under %v", ctx.Rank(), bad, d)
-					}
-				}
-				rank := ctx.Rank()
-				for _, mv := range a.own[rank].moves {
-					for _, step := range mv.steps {
-						if step.xfer == nil {
-							continue
-						}
-						for _, xs := range [][]xfer{step.xfer.send, step.xfer.recv} {
-							for _, x := range xs {
-								switch {
-								case x.rect:
-									rects[rank]++
-								case x.count > 0:
-									packed[rank]++
-								}
-							}
-						}
-					}
-				}
-				return nil
-			})
-			// Rank 1 ends up all-packed (its one single-run transfer falls
-			// between the receiver's strided runs, which dimSpan declines)
-			// while its peers pull: the per-rank-fallback deadlock shape.
-			mixed, allPacked := 0, 0
-			for r := range rects {
-				if rects[r] > 0 && packed[r] > 0 {
-					mixed++
-				}
-				if rects[r] == 0 && packed[r] > 0 {
-					allPacked++
-				}
-			}
-			if mixed == 0 || allPacked == 0 {
-				t.Errorf("rect/packed transfers per rank %v/%v: want ranks that mix both beside a rank that only packs", rects, packed)
-			}
-		})
-	}
-}
-
 // TestRedistributeGhostedRects redistributes a ghosted array: the window
 // rects are computed from layouts that include the overlap margins, so
 // every pulled element must land in the interior of the new Local and

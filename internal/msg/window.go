@@ -234,13 +234,16 @@ func copyRect(dst []float64, dr Rect, src []float64, sr Rect) {
 // pieces whose concatenation is PackRect(nil, src, r): a byte view of
 // each contiguous run, runs that abut joined into one.  Where a run is
 // not contiguous (innermost stride other than 1) or memory order is not
-// wire order (byteViews is false), the region is packed into one fresh
-// piece instead.
-func appendRuns(pieces [][]byte, src []float64, r Rect) [][]byte {
-	c, stride, count := r.runs()
-	if !byteViews || stride != 1 {
-		return append(pieces, PackRect(nil, src, r))
+// wire order (byteViews is false), the region is packed onto pack
+// instead, which the caller sized for the whole message (packBytes) so
+// that no earlier piece is moved; appendRuns returns both lists.
+func appendRuns(pieces [][]byte, pack []byte, src []float64, r Rect) ([][]byte, []byte) {
+	if packBytes(r) > 0 {
+		n := len(pack)
+		pack = PackRect(pack, src, r)
+		return append(pieces, pack[n:]), pack
 	}
+	c, _, count := r.runs()
 	runs := 1
 	for _, d := range c.outer {
 		runs *= d.Count
@@ -254,7 +257,25 @@ func appendRuns(pieces [][]byte, src []float64, r Rect) [][]byte {
 		}
 		hi = c.off + count
 	}
-	return append(pieces, float64Bytes(src[lo:hi]))
+	return append(pieces, float64Bytes(src[lo:hi])), pack
+}
+
+// packBytes returns how many bytes of r's wire encoding appendRuns packs
+// rather than views: all of them where its innermost stride is not 1 or
+// byteViews is false, none otherwise.
+func packBytes(r Rect) int {
+	if byteViews && (len(r.Dims) == 0 || r.Dims[0].Stride == 1) {
+		return 0
+	}
+	return 8 * r.Count()
+}
+
+// packFor returns pack emptied, with capacity for n bytes.
+func packFor(pack []byte, n int) []byte {
+	if cap(pack) < n {
+		return make([]byte, 0, n)
+	}
+	return pack[:0]
 }
 
 // PackRect appends the wire encoding of src's r region to buf in rect
@@ -339,6 +360,7 @@ type winShared struct {
 	offered []float64 // what offers address: data as of the last Settle
 	owed    []int32   // per peer, done tokens not yet collected by Settle
 	pieces  [][]byte  // recycled gather list of a put or framed offer
+	pack    []byte    // recycled bytes of its packed (strided) rects
 	_       [64]byte  // keep ranks off each other's cache lines
 }
 
@@ -446,7 +468,8 @@ func (w *Window) PutAsync(c *Comm, to, subtag int, src, dst Rect) error {
 	if err := src.validate(len(sh.data)); err != nil {
 		return w.opErr("put to", to, err)
 	}
-	sh.pieces = appendRuns(sh.pieces[:0], sh.data, src)
+	sh.pack = packFor(sh.pack, packBytes(src))
+	sh.pieces, sh.pack = appendRuns(sh.pieces[:0], sh.pack, sh.data, src)
 	err := sendRetry(c.ep, c.pol, c.tr, w.opPut, to, w.tag(subtag), gather{pieces: sh.pieces})
 	clear(sh.pieces) // hold no storage past the send
 	if err != nil {
@@ -480,10 +503,11 @@ func (w *Window) checkSubtag(op string, subtag int) {
 	}
 }
 
-// A Share is one window's part of an offer: the Src region of that
-// window's offered storage on the offerer and, on the puller, the Dr
-// region of the Dst storage it lands in.  A connect class moves as one
-// offer per peer with one share per member.
+// A Share is one region of an offer: the Src region of Win's offered
+// storage on the offerer and, on the puller, the Dr region of the Dst
+// storage it lands in.  A connect class moves as one offer per peer, its
+// members' shares in class order, and a member whose transfer is several
+// rects contributes a share per rect.
 type Share struct {
 	Win     *Window
 	Src, Dr Rect
@@ -504,61 +528,55 @@ type Share struct {
 // receiver's done token for the window is in; the offer token orders the
 // caller's earlier writes before the receiver's reads.  On other
 // transports the shares travel back to back in one frame, gathered from
-// the offered storage as with PutAsync, and are reusable when Offer
+// the offered storage as with PutAsync (strided shares packed into one
+// recycled buffer sized for the offer), and are reusable when Offer
+// returns; the frame counts as resident wire bytes until the send
 // returns.
 func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 	w.checkSubtag("offer", subtag)
 	rank := c.Rank()
+	n, packed := 0, 0
 	for _, s := range shares {
 		if err := s.Src.validate(len(s.Win.shared[rank].offered)); err != nil {
 			return w.opErr("offer to", to, err)
 		}
+		n += 8 * s.Src.Count()
+		packed += packBytes(s.Src)
 	}
 	if !sharedMemory(c.ep) {
 		sh := &w.shared[rank]
-		sh.pieces = sh.pieces[:0]
+		sh.pieces, sh.pack = sh.pieces[:0], packFor(sh.pack, packed)
 		for _, s := range shares {
-			sh.pieces = appendRuns(sh.pieces, s.Win.shared[rank].offered, s.Src)
+			sh.pieces, sh.pack = appendRuns(sh.pieces, sh.pack, s.Win.shared[rank].offered, s.Src)
 		}
-		err := w.offerFramed(c, to, subtag, gather{pieces: sh.pieces})
+		prank := physOf(c.ep, rank)
+		w.stats.WireAcquire(prank, int64(n))
+		err := sendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), gather{pieces: sh.pieces})
+		w.stats.WireRelease(prank, int64(n))
 		clear(sh.pieces) // hold no storage past the send
-		return err
+		if err != nil {
+			return w.opErr("offer to", to, err)
+		}
+		return nil
 	}
 	if err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
 		return w.opErr("offer to", to, err)
 	}
-	n := 0
-	for _, s := range shares {
-		s.Win.shared[rank].owed[to]++
-		n += 8 * s.Src.Count()
+	for i, s := range shares {
+		if firstOfWindow(shares, i) {
+			s.Win.shared[rank].owed[to]++
+		}
 	}
 	w.accountDirect(c.ep, rank, to, n)
 	c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), n)
 	return nil
 }
 
-// OfferPacked is Offer for data that is not a rect of the registered
-// storage: the caller packed it, and on every transport the payload
-// itself travels on the offer stream (completed by PullPacked).  It lets
-// one exchange mix window transfers with packed ones on a single
-// per-peer FIFO stream.  The payload counts as resident wire bytes until
-// the send returns.
-func (w *Window) OfferPacked(c *Comm, to, subtag int, payload []byte) error {
-	w.checkSubtag("offer", subtag)
-	return w.offerFramed(c, to, subtag, gather{one: payload})
-}
-
-// offerFramed sends an offer's payload itself on the offer stream; it
-// counts as resident wire bytes until the send returns.
-func (w *Window) offerFramed(c *Comm, to, subtag int, g gather) error {
-	prank, n := physOf(c.ep, c.Rank()), int64(g.len())
-	w.stats.WireAcquire(prank, n)
-	err := sendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), g)
-	w.stats.WireRelease(prank, n)
-	if err != nil {
-		return w.opErr("offer to", to, err)
-	}
-	return nil
+// firstOfWindow reports whether shares[i] starts a run of consecutive
+// shares on one window: a pull returns one done token per such run, and
+// the offer owes exactly as many.
+func firstOfWindow(shares []Share, i int) bool {
+	return i == 0 || shares[i-1].Win != shares[i].Win
 }
 
 // Pull completes one Offer from rank from on w's stream and the given
@@ -570,10 +588,10 @@ func (w *Window) offerFramed(c *Comm, to, subtag int, g gather) error {
 // rects itself once the token arrives, advances its cost clock to the
 // arrival time of the 8·count bytes the token stands for — so counters and
 // the arrival equal the framed path's — and then hands the offerer one
-// zero-byte done token per share window, which that window's Settle waits
-// for; on other transports the received payload is applied share by
-// share.  Completions on one (from, subtag) stream match offers in their
-// issue order.
+// zero-byte done token per window (per run of consecutive shares on it),
+// which that window's Settle waits for; on other transports the received
+// payload is applied share by share.  Completions on one (from, subtag)
+// stream match offers in their issue order.
 func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 	w.checkSubtag("pull", subtag)
 	n := 0
@@ -621,21 +639,13 @@ func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 		w.cost.OnRecv(prank, p.SendClock, n)
 	}
 	c.tr.Recv(prank, physOf(c.ep, from), n)
-	for _, s := range shares {
+	for i, s := range shares {
+		if !firstOfWindow(shares, i) {
+			continue
+		}
 		if err := SendRetry(c.ep, c.pol, c.tr, s.Win.opDone, from, s.Win.tag(doneSubtag), nil); err != nil {
 			return w.opErr("pull from", from, err)
 		}
 	}
 	return nil
-}
-
-// PullPacked completes one OfferPacked from rank from and returns its
-// packet, whose Data the caller owns and hands back with p.Release.
-func (w *Window) PullPacked(c *Comm, from, subtag int) (Packet, error) {
-	w.checkSubtag("pull", subtag)
-	p, err := RecvRetry(c.ep, c.pol, c.tr, w.opPull, from, w.tag(subtag))
-	if err != nil {
-		return Packet{}, w.opErr("pull from", from, err)
-	}
-	return p, nil
 }

@@ -492,17 +492,25 @@ func TestFaultMatrixWindowBitflip(t *testing.T) {
 
 // TestWindowOfferPullRing drives the offer/pull discipline on both
 // transports with a cost model attached: every rank offers a strided
-// 2-D block of its registered storage to its successor, which pulls it
-// into private storage no window knows about, and a second pair moves a
-// caller-packed payload on the same stream.  Data, payload bytes and
-// data messages must be identical on the token path (chan) and the
-// framed path (tcp).  The token path also returns one zero-byte done
-// token per pull, so it sends np more messages and every virtual clock
-// runs exactly one send overhead ahead of the framed path's.
+// 2-D block of its registered storage to its successor as two shares of
+// one window, which the successor pulls into private storage no window
+// knows about.  Data, payload bytes and data messages must be identical
+// on the token path (chan) and the framed path (tcp).  The token path
+// also returns one zero-byte done token per pull — per window, not per
+// share — so it sends np more messages and every virtual clock runs
+// exactly one send overhead ahead of the framed path's; nothing is ever
+// resident on its wire.
 func TestWindowOfferPullRing(t *testing.T) {
 	const np, rows, cols = 4, 6, 5
-	src := Rect{Off: 1, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: rows, Count: cols}}}
-	dst := Rect{Off: 2, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: cols}}}
+	// The block's first two columns and its last three.
+	src := [2]Rect{
+		{Off: 1, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: rows, Count: 2}}},
+		{Off: 1 + 2*rows, Dims: []RectDim{{Stride: 1, Count: 3}, {Stride: rows, Count: cols - 2}}},
+	}
+	dst := [2]Rect{
+		{Off: 2, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: 2}}},
+		{Off: 2 + 2*8, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: cols - 2}}},
+	}
 	type outcome struct {
 		snap   Snapshot
 		clocks [np]float64
@@ -537,24 +545,14 @@ func TestWindowOfferPullRing(t *testing.T) {
 				return err
 			}
 			next, prev := (r+1)%np, (r+np-1)%np
-			if err := win.Offer(c, next, 7, []Share{{Win: win, Src: src}}); err != nil {
+			if err := win.Offer(c, next, 7, []Share{{Win: win, Src: src[0]}, {Win: win, Src: src[1]}}); err != nil {
 				return err
 			}
 			private := make([]float64, 8*cols)
-			if err := win.Pull(c, prev, 7, []Share{{Win: win, Src: src, Dst: private, Dr: dst}}); err != nil {
+			pull := []Share{{Win: win, Src: src[0], Dst: private, Dr: dst[0]}, {Win: win, Src: src[1], Dst: private, Dr: dst[1]}}
+			if err := win.Pull(c, prev, 7, pull); err != nil {
 				return err
 			}
-			if err := win.OfferPacked(c, next, 7, EncodeFloat64s([]float64{float64(r), -1})); err != nil {
-				return err
-			}
-			packed, err := win.PullPacked(c, prev, 7)
-			if err != nil {
-				return err
-			}
-			if got := DecodeFloat64s(packed.Data); len(got) != 2 || got[0] != float64(prev) || got[1] != -1 {
-				t.Errorf("rank %d: packed pull = %v", r, got)
-			}
-			packed.Release()
 			for j := 0; j < cols; j++ {
 				for i := 0; i < 3; i++ {
 					want := float64(1000*prev + 1 + i + rows*j)
@@ -572,8 +570,8 @@ func TestWindowOfferPullRing(t *testing.T) {
 			out.clocks[r] = cost.Clock(r)
 		}
 		if name == "chan" {
-			if peak := tr.Stats().PeakWireBytes(); peak != 16 {
-				t.Errorf("chan: peak wire bytes %d, want 16 (only the packed offer is ever resident)", peak)
+			if peak := tr.Stats().PeakWireBytes(); peak != 0 {
+				t.Errorf("chan: peak wire bytes %d, want 0 (a token path offer is never resident)", peak)
 			}
 		}
 		tr.Close()
@@ -586,7 +584,7 @@ func TestWindowOfferPullRing(t *testing.T) {
 			ch.snap.TotalDataMsgs(), ch.snap.TotalMsgs(), ch.snap.TotalBytes(),
 			tc.snap.TotalDataMsgs(), tc.snap.TotalMsgs(), tc.snap.TotalBytes(), np)
 	}
-	if want := int64(np * (8*3*cols + 16)); ch.snap.TotalBytes() != want {
+	if want := int64(np * 8 * 3 * cols); ch.snap.TotalBytes() != want {
 		t.Errorf("offer traffic: %d bytes, want %d", ch.snap.TotalBytes(), want)
 	}
 	for r := range ch.clocks {

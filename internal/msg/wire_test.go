@@ -352,8 +352,9 @@ func TestTCPSteadyStateAllocs(t *testing.T) {
 }
 
 // TestTCPGatheredOfferAllocs: a warm Offer → Pull of a rect of 40 runs
-// over TCP under the integrity layer allocates nothing — the offer's
-// gather list, the connection's iovecs and the receive buffer are all
+// beside a strided-innermost rect over TCP under the integrity layer
+// allocates nothing — the offer's gather list, the pack buffer of its
+// strided share, the connection's iovecs and the receive buffer are all
 // recycled — and lands the offered values.
 func TestTCPGatheredOfferAllocs(t *testing.T) {
 	tr := newWire(t, "integrity")
@@ -369,8 +370,13 @@ func TestTCPGatheredOfferAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rect := Rect{Off: 64 + 3, Dims: []RectDim{{Stride: 1, Count: 48}, {Stride: 64, Count: 40}}}
+	strided := Rect{Off: 5, Dims: []RectDim{{Stride: 64, Count: 30}, {Stride: 2, Count: 4}}}
 	dst := make([]float64, rect.Count())
-	shares := []Share{{Win: w, Src: rect, Dst: dst, Dr: RectRun(0, len(dst))}}
+	sdst := make([]float64, strided.Count())
+	shares := []Share{
+		{Win: w, Src: rect, Dst: dst, Dr: RectRun(0, len(dst))},
+		{Win: w, Src: strided, Dst: sdst, Dr: RectRun(0, len(sdst))},
+	}
 	trip := func() {
 		if err := w.Offer(a, 1, 1, shares); err != nil {
 			t.Fatal(err)
@@ -388,6 +394,11 @@ func TestTCPGatheredOfferAllocs(t *testing.T) {
 	for i, v := range dst {
 		if want := src[rect.Off+i/48*64+i%48]; v != want {
 			t.Fatalf("element %d pulled as %v, want %v", i, v, want)
+		}
+	}
+	for i, v := range sdst {
+		if want := src[strided.Off+i%30*64+i/30*2]; v != want {
+			t.Fatalf("strided element %d pulled as %v, want %v", i, v, want)
 		}
 	}
 }

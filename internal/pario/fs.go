@@ -10,8 +10,6 @@
 //   - Disk, one rank's handle that runs each I/O operation under the
 //     transport's msg.RetryPolicy, with "io:" trace spans and retry
 //     instants;
-//   - Extract, which reads the part of a recorded grid's payload that a
-//     sub-grid covers, run by run;
 //   - redundancy and self-healing (StripeSet): the data files of a set
 //     are its stripes, each with a CRC, plus a parity or replica stripe,
 //     so any single lost or corrupt stripe file is reconstructed at read

@@ -6,7 +6,6 @@ import (
 	"hash/crc32"
 	"path/filepath"
 
-	"repro/internal/index"
 	"repro/internal/trace"
 )
 
@@ -28,55 +27,6 @@ const (
 // ValidRedundancy reports whether s names a redundancy mode.
 func ValidRedundancy(s string) bool {
 	return s == RedundancyNone || s == RedundancyParity || s == RedundancyReplica
-}
-
-// Extract gathers into dst (8 bytes per point of want, want's canonical
-// order, dimension 0 fastest) the values at want's points out of a
-// payload recorded in from's canonical order; want must be a subset of
-// from.  A restore reads the part of a saved rank file it now owns this
-// way.  A run of want whose indices are consecutive members of one run of
-// from's dimension 0 costs one copy — for block-shaped pieces that is
-// every run — and any other run goes value by value.
-func Extract(dst []byte, payload []byte, from, want index.Grid) {
-	strd := make([]int, from.Rank())
-	mul := 1
-	for k := range strd {
-		strd[k] = mul
-		mul *= from.Dims[k].Count()
-	}
-	at := func(gpos, ipos, n int) { copy(dst[8*gpos:8*(gpos+n)], payload[8*ipos:]) }
-	gpos := 0
-	want.ForEachRun(func(p index.Point, r index.Run) bool {
-		row := 0
-		for k := 1; k < len(p); k++ {
-			row += from.Dims[k].IndexOf(p[k]) * strd[k]
-		}
-		n := r.Count()
-		if contiguousIn(from.Dims[0], r) {
-			at(gpos, row+from.Dims[0].IndexOf(r.Lo), n)
-		} else {
-			for k := 0; k < n; k++ {
-				at(gpos+k, row+from.Dims[0].IndexOf(r.At(k)), 1)
-			}
-		}
-		gpos += n
-		return true
-	})
-}
-
-// contiguousIn reports whether r's indices are consecutive in rs's
-// enumeration: some run of rs with r's stride holds both ends of r (a
-// one-element r is consecutive wherever it lies).
-func contiguousIn(rs index.RunSet, r index.Run) bool {
-	if r.Lo == r.Hi {
-		return true
-	}
-	for _, in := range rs {
-		if in.Contains(r.Lo) {
-			return in.Stride == r.Stride && r.Hi <= in.Hi
-		}
-	}
-	return false
 }
 
 // XorInto folds src into dst (dst must be at least as long as src), a
