@@ -101,7 +101,8 @@ check-halo:
 # Figure 2's PIC: the depth-k drift bit-identical to the serial reference
 # on 2–7 ranks over chan and TCP, its frame count per block and its frame
 # checks, the batched imbalance reduction against a per-step one (plain,
-# recovered, killed mid-batch), the interpreted listing equal to RunPIC
+# recovered, killed mid-batch), update_field on CYCLIC(k) layouts
+# against the per-cell chain, the interpreted listing equal to RunPIC
 # on 1–7 ranks over chan and TCP, timing out on a lost drift frame and
 # resuming on fewer ranks mid-loop, and the degraded restore and trace
 # tests — all under the race detector.
@@ -293,9 +294,12 @@ bench:
 # alone, and a copy of the same block — the streaming floor, so the
 # roofline ratio is one command.  Reference box, L2 shape: 1.53 with
 # per-point bounds checks -> 0.97 with the bounds hoisted per row -> 0.50
-# with the SSE2 row kernel.
+# with the SSE2 row kernel.  PIC's update_field, ns per particle-op on one
+# rank's 128 cells of 512 particles, uniform and with a 51512-particle
+# pile-up cell: ParticleWork 0.26-0.31 / 0.57-0.91 against 2.0-2.7 /
+# 1.5-2.2 for the per-cell chain (2-core Xeon VM).
 bench-kernels:
-	$(GO) test -run XXX -bench 'Tridiag|Factor|Smooth' ./internal/kernels
+	$(GO) test -run XXX -bench 'Tridiag|Factor|Smooth|ParticleWork' ./internal/kernels
 
 # The wire and file layers under adi_ckpt_tcp, in-package because a PR
 # that claims a gain may not touch bench/: warm TCP round trips of 64 B,

@@ -79,8 +79,7 @@ func RegisterFig2(in *interp.Interp) {
 		return nil
 	})
 	reg("UPDATE_FIELD", 2, func(st *interp.State, a []*core.Array, _ []any) error {
-		updateField(st.Ctx, cfg, a[1], a[0])
-		return nil
+		return updateField(st.Ctx, cfg, a[1], a[0])
 	})
 	reg("UPDATE_PART", 1, func(st *interp.State, a []*core.Array, _ []any) error {
 		return (&drift{frac: cfg.DriftFrac}).step(st.Ctx, a[0], 1)

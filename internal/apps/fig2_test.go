@@ -132,6 +132,25 @@ func (e dropEP) Send(to, tag int, data []byte) error {
 	return e.Endpoint.Send(to, tag, data)
 }
 
+// TestPICFig2UnconnectedCountFails: a listing whose COUNT is not
+// distributed as FIELD gets an error from UPDATE_FIELD that names the
+// fix, not a panic or another array's cells.
+func TestPICFig2UnconnectedCountFails(t *testing.T) {
+	src := strings.Replace(Fig2Source, "REAL COUNT(NCELL) DYNAMIC, CONNECT(=FIELD)", "REAL COUNT(NCELL) DYNAMIC, DIST( CYCLIC )", 1)
+	m := machine.New(2)
+	defer m.Close()
+	in := interp.New(core.NewEngine(m))
+	RegisterFig2(in)
+	unit := checked(t, src)
+	err := m.Run(func(ctx *machine.Ctx) error {
+		_, err := runWhole(in, ctx, unit)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "CONNECT COUNT to FIELD") {
+		t.Fatalf("err = %v, want update_field's layout error", err)
+	}
+}
+
 // TestPICFig2LostDriftFrameTimesOut: the interpreted listing's drift
 // exchange runs under the machine's retry policy like every other
 // receive, so a lost frame ends the program with an error within the

@@ -9,6 +9,7 @@ import (
 	"repro/internal/darray"
 	"repro/internal/dist"
 	"repro/internal/index"
+	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/scale"
@@ -38,8 +39,9 @@ type PICConfig struct {
 	DriftFrac float64
 	// InitPerCell is the initial particle count per cell (default 64).
 	InitPerCell int
-	// WorkPerParticle spins this many arithmetic ops per particle in
-	// update_field, making wall time reflect the load (default 40).
+	// WorkPerParticle is how many adds per particle a cell's chain takes
+	// in update_field (kernels.ParticleWork, which runs eight cells'
+	// chains in lockstep), making wall time reflect the load (default 40).
 	WorkPerParticle int
 	// Alpha/Beta attach a cost model; each particle-op is charged one
 	// flop.
@@ -166,7 +168,9 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			},
 			step: func(it int) error {
 				k := it + 1 // Figure 2 counts steps from 1
-				updateField(ctx, cfg, count, field)
+				if err := updateField(ctx, cfg, count, field); err != nil {
+					return err
+				}
 				// update_part: DriftFrac of each cell's particles moves to
 				// cell+1; the last cell reflects (keeps its particles).  The
 				// only cross-processor flow is from my last cell to the
@@ -362,9 +366,7 @@ func (b *imbalances) flush(ctx *machine.Ctx, count *core.Array) (imbs, counts []
 
 // ownedCells returns this rank's cells of the 1-D chain, contiguous in
 // storage (cell i is cells[i-lo]), and lo; a rank without cells gets
-// none and lo 0.  One Offset for the walk, not an At/SetAt per cell:
-// every Point handed to those is an allocation (Offset's panic message
-// makes it escape).
+// none and lo 0.
 func ownedCells(l *darray.Local) (cells []float64, lo int) {
 	rs := l.Grid().Dims[0]
 	if rs.Count() == 0 {
@@ -382,29 +384,38 @@ func (cfg PICConfig) driftHorizon(it int) int {
 }
 
 // updateField is Figure 2's update_field: work proportional to the
-// local particle count.  The compute runs under timed so an injected
-// straggler is stretched and its per-particle cost reported to the
-// scorer.  It reads and writes the rank's own cells only, so nothing
-// waits for it: no peer reads FIELD, and COUNT crosses to a peer only in
-// a drift frame.
-func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
+// local particle count, kernels.ParticleWork over each owned run of COUNT
+// and FIELD.  The two are one connect class, so their runs match, and a
+// run of a 1-D array lies contiguous in storage whatever the
+// distribution (a CYCLIC(k) rank holds several).  The compute runs under
+// timed so an injected straggler is stretched and its per-particle cost
+// reported to the scorer.  It reads and writes the rank's own cells
+// only, so nothing waits for it: no peer reads FIELD, and COUNT crosses
+// to a peer only in a drift frame.  A listing whose COUNT is not
+// distributed as FIELD is an error.
+func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) error {
 	lc, lf := count.Local(ctx), field.Local(ctx)
+	runs := lc.Grid().Dims[0]
+	if !slices.Equal(runs, lf.Grid().Dims[0]) {
+		return fmt.Errorf("update_field: rank %d owns COUNT cells %v but FIELD cells %v; CONNECT COUNT to FIELD",
+			ctx.Rank(), runs, lf.Grid().Dims[0])
+	}
 	particles := 0.0
 	el := cfg.Straggler.timed(ctx, func() {
-		lc.ForEachOwned(func(p index.Point, v *float64) {
-			n := int(*v)
-			particles += *v
-			acc := lf.At(p)
-			for w := 0; w < n*cfg.WorkPerParticle; w++ {
-				acc += 1e-9 * float64(w%7)
+		for _, r := range runs {
+			at := index.Point{r.Lo}
+			cells := lc.Data()[lc.Offset(at):][:r.Count()]
+			for _, c := range cells {
+				particles += c
 			}
-			lf.SetAt(p, acc+*v)
-		})
+			kernels.ParticleWork(lf.Data()[lf.Offset(at):][:len(cells)], cells, cfg.WorkPerParticle)
+		}
 	})
 	ctx.Charge(flopTime * particles * float64(cfg.WorkPerParticle))
 	if cfg.Straggler.Enabled() {
 		ctx.ReportWork(particles, el)
 	}
+	return nil
 }
 
 // driftTag is the tag of the drift frames: [first cell, the sender's last

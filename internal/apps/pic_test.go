@@ -478,6 +478,75 @@ func onBlockCount(tr msg.Transport, ncell int, v float64, body func(ctx *machine
 	})
 }
 
+// TestPICUpdateFieldMultiRun runs updateField on a FIELD/COUNT class
+// distributed CYCLIC(k), where a rank owns several runs (or one strided
+// run), as a Figure 2 listing may distribute it: every cell must match
+// the per-cell chain bit for bit, with ragged counts, a pile-up cell and
+// empty cells.
+func TestPICUpdateFieldMultiRun(t *testing.T) {
+	const ncell, steps = 53, 2
+	cfg := PICConfig{WorkPerParticle: 3}
+	countOf := func(i int) float64 { // cell 41 piles up; every 23rd is empty
+		if i == 41 {
+			return 300
+		}
+		return float64(i * 7 % 23)
+	}
+	want := make([]float64, ncell)
+	for i := range want {
+		want[i] = 0.5 * float64(i)
+	}
+	for range steps {
+		for i, acc := range want {
+			c := countOf(i + 1)
+			for w := 0; w < int(c)*cfg.WorkPerParticle; w++ {
+				acc += 1e-9 * float64(w%7)
+			}
+			want[i] = acc + c
+		}
+	}
+	for _, k := range []int{1, 3, 4} {
+		m := machine.New(3)
+		eng := core.NewEngine(m)
+		var got []float64
+		err := m.Run(func(ctx *machine.Ctx) error {
+			field, err := eng.Declare(ctx, core.Decl{Name: "FIELD", Domain: index.Dim(ncell), Dynamic: true,
+				Init: &core.DistSpec{Type: dist.NewType(dist.CyclicDim(k))}})
+			if err != nil {
+				return err
+			}
+			count, err := eng.Declare(ctx, core.Decl{Name: "COUNT", Domain: index.Dim(ncell), Dynamic: true, ConnectTo: "FIELD"})
+			if err != nil {
+				return err
+			}
+			if runs := count.Local(ctx).Grid().Dims[0]; k > 1 && len(runs) < 2 {
+				return fmt.Errorf("CYCLIC(%d): rank %d owns %v, one run", k, ctx.Rank(), runs)
+			}
+			count.FillFunc(ctx, func(p index.Point) float64 { return countOf(p[0]) })
+			field.FillFunc(ctx, func(p index.Point) float64 { return 0.5 * float64(p[0]-1) })
+			for range steps {
+				if err := updateField(ctx, cfg, count, field); err != nil {
+					return err
+				}
+			}
+			all, err := field.GatherTo(ctx, 0)
+			if ctx.Rank() == 0 {
+				got = all
+			}
+			return err
+		})
+		m.Close()
+		if err != nil {
+			t.Fatalf("CYCLIC(%d): %v", k, err)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("CYCLIC(%d): cell %d = %v, per-cell chain %v", k, i+1, got[i], want[i])
+			}
+		}
+	}
+}
+
 // TestPICDriftFramesPerBlock pins the drift traffic: static BLOCK on 4
 // ranks with a check every 10 of 30 steps is three blocks of depth 10,
 // one frame per sender (ranks 0–2) and block — 9 frames, where a frame a

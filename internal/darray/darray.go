@@ -37,6 +37,7 @@ package darray
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -475,11 +476,20 @@ func (l *Local) Offset(p index.Point) int {
 	for k, i := range p {
 		li := l.li(k, i)
 		if li < 0 || li >= l.alloc[k] {
-			panic(fmt.Sprintf("darray: point %v outside local allocation of rank %d (dim %d)", p, l.rank, k+1))
+			l.outside(p, k)
 		}
 		off += li * l.strd[k]
 	}
 	return off
+}
+
+// outside is Offset's panic, out of line and formatting a copy of the
+// point, so the point Offset is given does not escape: a caller's
+// index.Point{i} stays on its stack.
+//
+//go:noinline
+func (l *Local) outside(p index.Point, k int) {
+	panic(fmt.Sprintf("darray: point %v outside local allocation of rank %d (dim %d)", slices.Clone(p), l.rank, k+1))
 }
 
 // At reads the element at global point p (must be local or ghost).

@@ -1,7 +1,8 @@
 // Package kernels provides the numerical routines the paper's application
 // studies call (§4): the constant-coefficient tridiagonal solver TRIDIAG
 // used by the ADI iteration of Figure 1, a residual computation, and the
-// 5-point smoothing step whose communication pattern §4 analyzes.
+// 5-point smoothing step whose communication pattern §4 analyzes, and
+// the per-particle work of Figure 2's update_field (ParticleWork).
 //
 // TRIDIAG is eliminated once, by Factor: Solve for lines local to one
 // processor (the dynamic-distribution ADI and the interpreter's TRIDIAG),
