@@ -72,11 +72,14 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # in one message per peer pair (its bytes the members', its values the
 # per-member moves', per member under a budget, a secondary moved alone
 # after it under a lagging puller, a faulty class frame named), and
-# interpreted non-local reads around a DISTRIBUTE equal to P = 1 — all
-# under the race detector.
+# interpreted non-local reads around a DISTRIBUTE equal to P = 1; the
+# rect paths every array byte moves by (pack/apply, self-copy, gather and
+# resized restore against per-point references, their warm allocations)
+# and the checkpoint rank files pinned by hash — all under the race
+# detector.
 check-redist:
-	$(GO) test -race -run 'TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
-	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp
+	$(GO) test -race -run 'TestPackUnpack|TestCopyGrid|TestUnpackPartRuns|TestPackAllocsPerRun|TestSaveRankFilesGolden|TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
+	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp ./internal/ckpt
 
 # FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
 # crossings of BLOCK, CYCLIC(k), B_BLOCK and ':' over 1-6 ranks on lines

@@ -151,6 +151,26 @@ func TestPICFig2UnconnectedCountFails(t *testing.T) {
 	}
 }
 
+// TestPICFig2CyclicCountFails: with both DISTRIBUTEs made ( CYCLIC ),
+// COUNT is no longer one block of cells per rank, and UPDATE_PART
+// returns an error naming the rank and its cells instead of slicing past
+// its storage.
+func TestPICFig2CyclicCountFails(t *testing.T) {
+	src := strings.ReplaceAll(Fig2Source, "DISTRIBUTE FIELD :: ( B_BLOCK (BOUNDS) )", "DISTRIBUTE FIELD :: ( CYCLIC )")
+	m := machine.New(2)
+	defer m.Close()
+	in := interp.New(core.NewEngine(m))
+	RegisterFig2(in)
+	unit := checked(t, src)
+	err := m.Run(func(ctx *machine.Ctx) error {
+		_, err := runWhole(in, ctx, unit)
+		return err
+	})
+	if err == nil || !strings.Contains(err.Error(), "update_part: rank ") || !strings.Contains(err.Error(), "not one block") {
+		t.Fatalf("err = %v, want update_part's error naming the rank's cells", err)
+	}
+}
+
 // TestPICFig2LostDriftFrameTimesOut: the interpreted listing's drift
 // exchange runs under the machine's retry policy like every other
 // receive, so a lost frame ends the program with an error within the

@@ -306,52 +306,50 @@ type imbalances struct {
 }
 
 func (b *imbalances) add(ctx *machine.Ctx, count *core.Array) {
+	l := count.Local(ctx)
 	local := 0.0
-	count.Local(ctx).ForEachOwned(func(_ index.Point, v *float64) { local += *v })
+	for _, r := range l.Grid().Dims[0] {
+		local += sum(runCells(l, r)) // whole numbers: exact in any order
+	}
 	b.pending = append(b.pending, local)
 }
 
 // flush gathers the pending batch (at least one step) on view rank 0 in
 // one Comm.Gather and returns there each step's max/avg particles per
-// processor; other ranks get nil.  Given count, each rank's COUNT cells
-// ride in the same message and rank 0 also gets the whole COUNT, cell i
-// at i−1.  Particle counts are whole numbers, so rank 0's sum in rank
-// order is bit for bit any reduction tree's, and a max does not depend on
-// the order.
+// processor; other ranks get nil.  Given count, each rank's COUNT part
+// (darray's AppendPart, as GatherTo sends it) rides in the same message
+// and rank 0 places it (PlacePart), so it also gets the whole COUNT,
+// cell i at i−1.  Particle counts are whole numbers, so rank 0's sum in
+// rank order is bit for bit any reduction tree's, and a max does not
+// depend on the order.
 func (b *imbalances) flush(ctx *machine.Ctx, count *core.Array) (imbs, counts []float64, err error) {
 	n := len(b.pending)
 	b.buf = msg.AppendFloat64s(b.buf[:0], b.pending)
 	b.pending = b.pending[:0]
 	if count != nil {
-		cells, _ := ownedCells(count.Local(ctx))
-		b.buf = msg.AppendFloat64s(b.buf, cells)
+		b.buf = count.DArray().AppendPart(ctx, b.buf)
 	}
 	parts, err := ctx.Comm().Gather(0, b.buf)
 	if err != nil || ctx.Rank() != 0 {
 		return nil, nil, err
 	}
-	var d *dist.Distribution
 	if count != nil {
-		d = count.DistOf(ctx.Rank())
 		counts = make([]float64, count.Domain().Size())
 	}
 	imbs = make([]float64, 2*n) // sums, then maxes
 	for r, part := range parts {
-		cells := 0
-		if d != nil {
-			cells = d.LocalGrid(r).Dims[0].Count()
-		}
-		if len(part) != 8*(n+cells) {
-			return nil, nil, fmt.Errorf("apps: PIC imbalance gather at rank 0: part from rank %d has %d bytes, want 8·(%d+%d)", r, len(part), n, cells)
+		if len(part) < 8*n || count == nil && len(part) != 8*n {
+			return nil, nil, fmt.Errorf("apps: PIC imbalance gather at rank 0: part from rank %d has %d bytes for %d sums", r, len(part), n)
 		}
 		for i := range n {
 			v := msg.GetFloat64(part, 8*i)
 			imbs[i] += v
 			imbs[n+i] = max(imbs[n+i], v)
 		}
-		if cells > 0 {
-			lo := d.LocalGrid(r).Dims[0][0].Lo
-			msg.DecodeFloat64sInto(counts[lo-1:lo-1+cells], part[8*n:])
+		if count != nil {
+			if err := count.DArray().PlacePart(ctx, counts, r, part[8*n:]); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	for i := range n {
@@ -364,16 +362,10 @@ func (b *imbalances) flush(ctx *machine.Ctx, count *core.Array) (imbs, counts []
 	return imbs[:n], counts, nil
 }
 
-// ownedCells returns this rank's cells of the 1-D chain, contiguous in
-// storage (cell i is cells[i-lo]), and lo; a rank without cells gets
-// none and lo 0.
-func ownedCells(l *darray.Local) (cells []float64, lo int) {
-	rs := l.Grid().Dims[0]
-	if rs.Count() == 0 {
-		return nil, 0
-	}
-	lo = rs[0].Lo
-	return l.Data()[l.Offset(index.Point{lo}):][:rs[len(rs)-1].Hi-lo+1], lo
+// runCells returns the cells of r, an owned run of the 1-D chain l holds:
+// contiguous in storage whatever the distribution.
+func runCells(l *darray.Local, r index.Run) []float64 {
+	return l.Data()[l.Offset(index.Point{r.Lo}):][:r.Count()]
 }
 
 // driftHorizon is how many steps from step it on the distribution is sure
@@ -403,12 +395,9 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) erro
 	particles := 0.0
 	el := cfg.Straggler.timed(ctx, func() {
 		for _, r := range runs {
-			at := index.Point{r.Lo}
-			cells := lc.Data()[lc.Offset(at):][:r.Count()]
-			for _, c := range cells {
-				particles += c
-			}
-			kernels.ParticleWork(lf.Data()[lf.Offset(at):][:len(cells)], cells, cfg.WorkPerParticle)
+			cells := runCells(lc, r)
+			particles += sum(cells)
+			kernels.ParticleWork(runCells(lf, r), cells, cfg.WorkPerParticle)
 		}
 	})
 	ctx.Charge(flopTime * particles * float64(cfg.WorkPerParticle))
@@ -445,10 +434,17 @@ func (dr *drift) restart() { dr.left = 0 }
 // at the global last cell).  horizon is the number of steps the current
 // distribution is sure to last — to the next rebalance check or the end
 // of the run — and caps a new block's depth.  Transport failures and
-// malformed frames are returned as errors naming both ranks.
+// malformed frames are returned as errors naming both ranks, and cells
+// that are not one block (a CYCLIC COUNT) as an error naming them.
 func (dr *drift) step(ctx *machine.Ctx, count *core.Array, horizon int) error {
 	n := count.Domain().Extent(0)
-	cells, lo := ownedCells(count.Local(ctx))
+	l, cells, lo := count.Local(ctx), []float64(nil), 0
+	if rs := l.Grid().Dims[0]; rs.Count() > 0 {
+		if len(rs) > 1 || rs[0].Stride != 1 && rs[0].Count() > 1 {
+			return fmt.Errorf("update_part: rank %d owns COUNT cells %v, not one block; distribute FIELD by BLOCK or B_BLOCK", ctx.Rank(), rs)
+		}
+		cells, lo = runCells(l, rs[0]), rs[0].Lo
+	}
 	if dr.left == 0 {
 		if err := dr.start(ctx, count, cells, lo, n, horizon); err != nil {
 			return err

@@ -182,10 +182,11 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 				return fmt.Errorf("ckpt: array %s: rank file %d holds %d values, its grid has %d",
 					man.Arrays[pc.ai].Name, r, msg.Float64Count(payload), pc.g.Count())
 			}
-			if gridsEqual(pc.part, pc.g) {
-				locals[pc.ai].UnpackWire(pc.part, payload)
-			} else {
-				locals[pc.ai].UnpackPart(pc.part, pc.g, payload)
+			l := locals[pc.ai]
+			if !gridsEqual(pc.g, l.Grid()) {
+				l.UnpackPart(pc.part, pc.g, payload)
+			} else if err := l.ApplyOwned(payload); err != nil {
+				return fmt.Errorf("ckpt: array %s: rank file %d: %w", man.Arrays[pc.ai].Name, r, err)
 			}
 		}
 		return nil

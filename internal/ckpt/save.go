@@ -288,7 +288,7 @@ func packRankFile(ctx *machine.Ctx, arrays []*darray.Array, epoch, size int) []b
 		}
 		l := a.Local(ctx)
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.Grid().Count()))
-		buf = l.AppendPacked(buf, l.Grid())
+		buf = l.AppendOwned(buf)
 	}
 	return buf
 }

@@ -106,6 +106,15 @@ type rankState struct {
 	// stream is the rank's pack buffer (GatherTo).  It may be handed to
 	// Endpoint.Send and reused as soon as Send returns.
 	stream []byte
+	// rects and dims back the rank's recycled rect list (rectsOf), in
+	// inl and inlDims while one rect of up to four dimensions fits; dense
+	// is the layout of the array's dense image over its domain, built by
+	// the rank's first PlacePart.
+	rects   []msg.Rect
+	dims    []msg.RectDim
+	inl     [1]msg.Rect
+	inlDims [4]msg.RectDim
+	dense   layout
 	// shares is the rank's recycled list of one DISTRIBUTE offer or pull
 	// (sharesOf).
 	shares []msg.Share
@@ -164,6 +173,7 @@ func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, 
 		// fingerprint) are built once instead of once per rank.
 		for r := range a.own {
 			a.own[r].dst.Store(d)
+			a.own[r].rects, a.own[r].dims = a.own[r].inl[:0], a.own[r].inlDims[:0]
 		}
 		return a
 	}).(*Array)
@@ -321,6 +331,10 @@ type Local struct {
 	dom  index.Domain
 	layout
 	data []float64
+	// own is the rect of the owned set in data; ownDims holds its
+	// dimensions while they fit.
+	own     msg.Rect
+	ownDims [4]msg.RectDim
 	// segment descriptor (§3.2.1), precomputed because kernels query it
 	// every sweep; nil slices when the owned set is not one contiguous
 	// block per dimension.
@@ -383,6 +397,11 @@ func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
 	l := &Local{rank: rank, dom: a.dom, layout: a.layoutOf(rank, d)}
 	l.data = make([]float64, l.size)
 	r := len(l.shape)
+	l.own.Dims = l.ownDims[:0]
+	for k, n := range l.shape {
+		l.own.Off += l.gLo[k] * l.strd[k]
+		l.own.Dims = append(l.own.Dims, msg.RectDim{Stride: l.strd[k], Count: n})
+	}
 	seg := make([]int, 2*r)
 	l.segLo, l.segHi, l.segOK = seg[:r:r], seg[r:], true
 	for k, rs := range l.grid.Dims {
@@ -503,16 +522,17 @@ func (l *Local) Owns(p index.Point) bool { return l.grid.Contains(p) }
 
 // ForEachOwned calls f with every owned global point and a pointer to its
 // storage.  The point is reused between calls.  Internally this walks the
-// owned set span by span (Grid.ForEachRun): the storage offset is
-// computed once per innermost run and advanced by a constant step, so
-// filling and reducing stay off the per-point loc_map path.
+// owned set run by run (Grid.ForEachRun): the storage offset is computed
+// once per owned run of dimension 0, whose elements lie next to each
+// other in storage, so filling and reducing stay off the per-point
+// loc_map path.
 func (l *Local) ForEachOwned(f func(p index.Point, v *float64)) {
 	l.grid.ForEachRun(func(p index.Point, r index.Run) bool {
-		off, st := l.span(p, r)
+		off := l.Offset(p)
 		for i := r.Lo; i <= r.Hi; i += r.Stride {
 			p[0] = i
 			f(p, &l.data[off])
-			off += st
+			off++
 		}
 		return true
 	})

@@ -2,23 +2,21 @@ package darray
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/index"
 	"repro/internal/msg"
 )
 
-// Run-based data movement.  Every bulk transfer moves the elements of an
-// index.Grid: a DISTRIBUTE as the grid's window rects (appendRects), a
-// checkpoint or gather packed in canonical enumeration order.  Instead of
-// visiting every point through a closure
-// and computing its storage offset from scratch (a per-element walk over
-// all dimensions), the routines here iterate Grid.ForEachRun: the offset
-// of the outer dimensions is computed once per innermost span, the span
-// itself advances by a constant storage step, and values are encoded into
-// (or decoded from) the wire-format []byte directly — a span whose
-// storage step is 1 with a single copy (msg.PutFloat64s/GetFloat64s), a
-// strided one element by element; no intermediate []float64 and, with
-// recycled buffers, no per-iteration allocation.
+// Data movement.  Every array byte darray packs, applies or copies moves
+// as msg rects through msg's one run walk (PackRect, ApplyRect,
+// CopyRect).  A grid's rects (appendRects) come in the same order on any
+// two layouts that hold the grid, so a DISTRIBUTE transfer, a gather
+// part, a resized restore and a self-copy pair rect i of one end with
+// rect i of the other.  A Local's whole owned set is one rect (Local.own):
+// its owned local indices are contiguous in every dimension and ghosts
+// only surround them, so that rect's order is the local canonical order
+// a checkpoint's rank file holds.
 
 // dimSpan returns affine storage addressing for run r along dimension k:
 // the local index of r.Lo and the local-index step between consecutive
@@ -49,31 +47,15 @@ func (l *layout) dimSpan(k int, r index.Run) (li0, step int) {
 	panic(fmt.Sprintf("darray: run %v of dim %d is not affine in owned set %v", r, k+1, l.grid.Dims[k]))
 }
 
-// rowOffset returns the storage offset contribution of dimensions >= 1 of
-// point p (the per-span constant part of the loc_map).
-func (l *layout) rowOffset(p index.Point) int {
-	off := 0
-	for k := 1; k < len(p); k++ {
-		off += l.li(k, p[k]) * l.strd[k]
-	}
-	return off
-}
-
-// span returns the storage offset of run r at p's outer position and the
-// storage step between its elements.
-func (l *layout) span(p index.Point, r index.Run) (off, step int) {
-	li0, st := l.dimSpan(0, r)
-	return l.rowOffset(p) + li0*l.strd[0], st * l.strd[0]
-}
-
 // appendRects appends g's regions of storage laid out by l to rects: one
 // rect per product of g's per-dimension runs, dimension 0's run varying
 // fastest, each rect's dimensions carved from the spare capacity of dims
-// (rectCount(g)·rank entries, sized by the caller).  Both ends of a
-// transfer enumerate the same grid, so their lists pair up rect by rect.
+// (grown to rectCount(g)·rank entries).  Both ends of a transfer
+// enumerate the same grid, so their lists pair up rect by rect.
 func (l *layout) appendRects(rects []msg.Rect, dims []msg.RectDim, g index.Grid) ([]msg.Rect, []msg.RectDim) {
-	r := g.Rank()
-	for i, n := 0, rectCount(g); i < n; i++ {
+	r, n := g.Rank(), rectCount(g)
+	rects, dims = slices.Grow(rects, n), slices.Grow(dims, n*r)
+	for i := 0; i < n; i++ {
 		rc := msg.Rect{Dims: dims[len(dims) : len(dims)+r : len(dims)+r]}
 		dims = dims[:len(dims)+r]
 		at := i // the mixed-radix digits of i select one run per dimension
@@ -98,81 +80,62 @@ func rectCount(g index.Grid) int {
 	return n
 }
 
-// appendPacked appends the wire encoding (8 bytes per element, canonical
-// grid order — identical to msg.EncodeFloat64s(packGrid(l, g))) of the
-// values at g's points to buf and returns the extended slice.  Reusing
-// the returned buffer across calls makes steady-state packing
-// allocation-free apart from the span iterator itself.
-func (l *Local) appendPacked(buf []byte, g index.Grid) []byte {
-	var off int
-	buf, off = msg.GrowFloat64s(buf, g.Count())
-	data := l.data
-	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		so, st := l.span(p, r)
-		n := r.Count()
-		if st == 1 {
-			msg.PutFloat64s(buf, off, data[so:so+n])
-			off += 8 * n
-			return true
-		}
-		for ; n > 0; n-- {
-			msg.PutFloat64(buf, off, data[so])
-			off += 8
-			so += st
-		}
-		return true
-	})
+// rects returns g's rects in storage laid out by l in fresh slices.
+func (l *layout) rects(g index.Grid) []msg.Rect {
+	n := rectCount(g)
+	rects, _ := l.appendRects(make([]msg.Rect, 0, n), make([]msg.RectDim, 0, n*g.Rank()), g)
+	return rects
+}
+
+// AppendOwned appends the wire encoding of the whole owned set to buf,
+// in local canonical order, and returns the extended slice: the segment
+// a checkpoint's rank file holds for this Local (nothing if it is empty).
+func (l *Local) AppendOwned(buf []byte) []byte {
+	if l.size == 0 {
+		return buf
+	}
+	return msg.PackRect(buf, l.data, l.own)
+}
+
+// ApplyOwned stores an AppendOwned payload into the owned set; its
+// length must match the owned set exactly.
+func (l *Local) ApplyOwned(payload []byte) error {
+	if l.size == 0 && len(payload) == 0 {
+		return nil
+	}
+	return msg.ApplyRect(l.data, l.own, payload)
+}
+
+// AppendPacked appends the wire encoding of g's values (all owned here) to
+// buf, rect after rect of g's rects, and returns the extended slice.  A
+// grid of one run per dimension is one rect, in canonical grid order.
+func (l *Local) AppendPacked(buf []byte, g index.Grid) []byte {
+	for _, r := range l.rects(g) {
+		buf = msg.PackRect(buf, l.data, r)
+	}
 	return buf
 }
 
-// unpackWire stores a wire payload (canonical grid order) at g's points —
-// the fused decode+unpack counterpart of appendPacked.  The payload
-// length must match the grid exactly.
-func (l *Local) unpackWire(g index.Grid, buf []byte) {
+// UnpackWire stores an AppendPacked payload of g at g's points.  The
+// payload length must match the grid exactly.
+func (l *Local) UnpackWire(g index.Grid, buf []byte) {
 	if n := msg.Float64Count(buf); n != g.Count() {
 		panic(fmt.Sprintf("darray: unpack count mismatch: %d points, %d values", g.Count(), n))
 	}
-	off := 0
-	data := l.data
-	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		do, st := l.span(p, r)
-		n := r.Count()
-		if st == 1 {
-			msg.GetFloat64s(data[do:do+n], buf, off)
-			off += 8 * n
-			return true
+	for _, r := range l.rects(g) {
+		k := 8 * r.Count()
+		if err := msg.ApplyRect(l.data, r, buf[:k]); err != nil {
+			panic(err)
 		}
-		for ; n > 0; n-- {
-			data[do] = msg.GetFloat64(buf, off)
-			off += 8
-			do += st
-		}
-		return true
-	})
+		buf = buf[k:]
+	}
 }
 
-// AppendPacked appends the wire encoding (8 bytes per element, canonical
-// grid order) of the values at g's points to buf and returns the extended
-// slice.  Every point of g must be addressable on this Local.  This is the
-// exported entry the checkpoint subsystem uses to serialize local spans
-// with the same fused pack+encode path GatherTo uses.
-func (l *Local) AppendPacked(buf []byte, g index.Grid) []byte {
-	return l.appendPacked(buf, g)
-}
-
-// UnpackWire stores a wire payload (canonical grid order, as produced by
-// AppendPacked) at g's points — the restore-side counterpart used by the
-// checkpoint subsystem.  The payload length must match the grid exactly.
-func (l *Local) UnpackWire(g index.Grid, buf []byte) {
-	l.unpackWire(g, buf)
-}
-
-// UnpackPart stores at part's points their values out of payload, the
-// wire encoding of whole in canonical order (AppendPacked of a Local
-// owning whole); part is cut from whole by intersection.  A restore onto
-// another number of ranks reads what it now owns of a saved rank file
-// this way: payload is decoded as the storage of a ghostless layout of
-// whole and copied by the span rule a DISTRIBUTE's self copy uses.
+// UnpackPart stores at part's points their values out of payload, a
+// saved rank file's segment of whole (canonical order); part is cut from
+// whole by intersection.  A restore onto another number of ranks reads
+// its pieces so: payload is decoded as the storage of a ghostless layout
+// of whole and copied out as a self-copy is.
 func (l *Local) UnpackPart(part, whole index.Grid, payload []byte) {
 	src := Local{layout: newLayout(whole, nil, index.Domain{})}
 	if n := msg.Float64Count(payload); n != src.size {
@@ -180,36 +143,29 @@ func (l *Local) UnpackPart(part, whole index.Grid, payload []byte) {
 	}
 	src.data = make([]float64, src.size)
 	msg.GetFloat64s(src.data, payload, 0)
-	copyGrid(l, &src, part)
+	copyPlan(&l.layout, &src.layout, part, nil, nil).copy(l.data, src.data)
 }
 
-// copyGrid copies the values at g's points from src into dst (both must
-// address every point of g) — the span-loop form of the redistribution
-// local move and the NOTRANSFER keep.
-func copyGrid(dst, src *Local, g index.Grid) {
-	sd, dd := src.data, dst.data
-	g.ForEachRun(func(p index.Point, r index.Run) bool {
-		so, sst := src.span(p, r)
-		do, dst0 := dst.span(p, r)
-		n := r.Count()
-		if sst == 1 && dst0 == 1 {
-			copy(dd[do:do+n], sd[so:so+n])
-			return true
-		}
-		for ; n > 0; n-- {
-			dd[do] = sd[so]
-			so += sst
-			do += dst0
-		}
-		return true
-	})
+// copyPlan is g's rects in src's storage and in dst's, pair by pair: a
+// copy of g between two layouts that both hold it, its rects appended to
+// rects and their dimensions carved from dims (appendRects).
+func copyPlan(dst, src *layout, g index.Grid, rects []msg.Rect, dims []msg.RectDim) xfer {
+	rects, dims = src.appendRects(rects, dims, g)
+	n := len(rects)
+	rects, _ = dst.appendRects(rects, dims, g)
+	return xfer{src: rects[:n:n], dst: rects[n:]}
 }
 
-// streamBuf returns the single recycled pack buffer, emptied, with
-// capacity for count elements.
-func (b *rankState) streamBuf(count int) []byte {
-	if cap(b.stream) < 8*count {
-		b.stream = make([]byte, 0, 8*count)
+// copy copies each src rect of x out of src into its dst rect in dst.
+func (x xfer) copy(dst, src []float64) {
+	for i, dr := range x.dst {
+		msg.CopyRect(dst, dr, src, x.src[i])
 	}
-	return b.stream[:0]
+}
+
+// rectsOf returns g's rects in storage laid out by l in the rank's
+// recycled rect list, valid until its next call.
+func (b *rankState) rectsOf(l *layout, g index.Grid) []msg.Rect {
+	b.rects, b.dims = l.appendRects(b.rects[:0], b.dims[:0], g)
+	return b.rects
 }

@@ -32,34 +32,47 @@ var packCases = []struct {
 	{"block2dToCyclicCols", index.Dim(12, 16), []dist.DimSpec{dist.BlockDim(), dist.ElidedDim()}, []dist.DimSpec{dist.CyclicDim(2), dist.ElidedDim()}},
 }
 
-// packGrid serializes the values at the grid's points in canonical order
-// — the per-point reference implementation of the packing order that
-// Local.appendPacked (fused span pack+encode) must match byte for byte.
+// forEachInRectOrder calls f with g's points in rect order: one
+// sub-grid per product of g's per-dimension runs, dimension 0's run
+// varying fastest, each in canonical order — the per-point statement of
+// the order appendRects lays g's rects out in.  A grid whose dimensions
+// but the last are single runs is in canonical order.
+func forEachInRectOrder(g index.Grid, f func(p index.Point)) {
+	for i, n := 0, rectCount(g); i < n; i++ {
+		sub := index.Grid{Dims: make([]index.RunSet, g.Rank())}
+		at := i
+		for k, rs := range g.Dims {
+			sub.Dims[k] = index.RunSet{rs[at%len(rs)]}
+			at /= len(rs)
+		}
+		sub.ForEach(func(p index.Point) bool { f(p); return true })
+	}
+}
+
+// packGrid serializes the values at the grid's points in rect order —
+// the per-point reference implementation of the packing order that
+// Local.AppendPacked must match byte for byte.
 func packGrid(l *Local, g index.Grid) []float64 {
 	out := make([]float64, 0, g.Count())
-	g.ForEach(func(p index.Point) bool {
-		out = append(out, l.data[l.Offset(p)])
-		return true
-	})
+	forEachInRectOrder(g, func(p index.Point) { out = append(out, l.data[l.Offset(p)]) })
 	return out
 }
 
-// unpackGrid stores values (canonical order) at the grid's points — the
-// per-point reference counterpart of Local.unpackWire.
+// unpackGrid stores values (rect order) at the grid's points — the
+// per-point reference counterpart of Local.UnpackWire.
 func unpackGrid(l *Local, g index.Grid, vals []float64) {
 	i := 0
-	g.ForEach(func(p index.Point) bool {
+	forEachInRectOrder(g, func(p index.Point) {
 		l.data[l.Offset(p)] = vals[i]
 		i++
-		return true
 	})
 	if i != len(vals) {
 		panic(fmt.Sprintf("darray: unpack count mismatch: %d points, %d values", i, len(vals)))
 	}
 }
 
-// TestPackUnpackMatchesPerPointReference holds the span-based wire path
-// (appendPacked -> unpackWire) to exact equivalence with the per-point
+// TestPackUnpackMatchesPerPointReference holds the rect wire path
+// (AppendPacked -> UnpackWire) to exact equivalence with the per-point
 // reference path (packGrid -> EncodeFloat64s -> DecodeFloat64s ->
 // unpackGrid) on every transfer grid of each distribution pair,
 // including the strided and non-contiguous local sets cyclic(k)
@@ -96,12 +109,12 @@ func TestPackUnpackMatchesPerPointReference(t *testing.T) {
 					}
 					covered += g.Count()
 					sl := src.locals[peer] // shared handle: read-only after the barrier
-					wire := sl.appendPacked(nil, g)
+					wire := sl.AppendPacked(nil, g)
 					vals := packGrid(sl, g)
 					if want := msg.EncodeFloat64s(vals); !bytes.Equal(wire, want) {
-						t.Errorf("%s: rank %d <- %d: appendPacked differs from per-point encoding on %v", tc.name, rank, peer, g)
+						t.Errorf("%s: rank %d <- %d: AppendPacked differs from per-point encoding on %v", tc.name, rank, peer, g)
 					}
-					got.unpackWire(g, wire)
+					got.UnpackWire(g, wire)
 					unpackGrid(ref, g, msg.DecodeFloat64s(wire))
 				}
 				if covered != got.Count() {
@@ -121,9 +134,10 @@ func TestPackUnpackMatchesPerPointReference(t *testing.T) {
 	}
 }
 
-// TestCopyGridMatchesReference checks the local-move span copy against
-// the reference pack/unpack pair on the same transfer grids (rank's own
-// intersection — exactly what RedistributeTo's Peer==rank branch uses).
+// TestCopyGridMatchesReference checks the self-copy (copyPlan's rect
+// pairs through msg.CopyRect) against the reference pack/unpack pair on
+// the same transfer grids (rank's own intersection — exactly what a
+// DISTRIBUTE's LocalKeep copies).
 func TestCopyGridMatchesReference(t *testing.T) {
 	const np = 4
 	for _, tc := range packCases {
@@ -146,12 +160,12 @@ func TestCopyGridMatchesReference(t *testing.T) {
 				g := fromD.LocalGrid(rank).Intersect(toD.LocalGrid(rank))
 				if !g.Empty() {
 					sl := src.Local(ctx)
-					copyGrid(gotA.Local(ctx), sl, g)
-					unpackGrid(refA.Local(ctx), g, packGrid(sl, g))
 					got, ref := gotA.Local(ctx), refA.Local(ctx)
+					copyPlan(&got.layout, &sl.layout, g, nil, nil).copy(got.data, sl.data)
+					unpackGrid(ref, g, packGrid(sl, g))
 					g.ForEach(func(p index.Point) bool {
 						if got.At(p) != ref.At(p) {
-							t.Errorf("%s: rank %d: copyGrid[%v] = %v, reference %v", tc.name, rank, p, got.At(p), ref.At(p))
+							t.Errorf("%s: rank %d: self-copy[%v] = %v, reference %v", tc.name, rank, p, got.At(p), ref.At(p))
 							return false
 						}
 						return true
@@ -160,6 +174,79 @@ func TestCopyGridMatchesReference(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// TestPackUnpackGatherMatchesPerPointReference gathers an array under
+// each distribution of every packCases pair, and a ghosted (BLOCK, BLOCK)
+// one, and holds the dense result point by point to the values filled
+// in: every part crosses as its grid's rects and lands in the rects the
+// grid has in the result, several runs in a non-last dimension
+// (block2dToCyclicCols) included.
+func TestPackUnpackGatherMatchesPerPointReference(t *testing.T) {
+	const np = 4
+	val := func(p index.Point) float64 {
+		v := 0.5
+		for k, i := range p {
+			v = v*1000 + float64(i+7*k)
+		}
+		return v
+	}
+	type gcase struct {
+		name  string
+		dom   index.Domain
+		specs []dist.DimSpec
+		procs []int
+		opts  []Option
+	}
+	var cases []gcase
+	for _, tc := range packCases {
+		cases = append(cases, gcase{tc.name + "/from", tc.dom, tc.from, []int{np}, nil}, gcase{tc.name + "/to", tc.dom, tc.to, []int{np}, nil})
+	}
+	cases = append(cases, gcase{"ghosted", index.Dim(13, 9), []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}, []int{2, 2}, []Option{WithGhost(1, 1)}})
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run(t, np, func(ctx *machine.Ctx) error {
+				tg := ctx.Machine().ProcsDim(fmt.Sprint("P", tc.procs), tc.procs...).Whole()
+				a := New(ctx, "g", tc.dom, dist.MustNew(dist.NewType(tc.specs...), tc.dom, tg), tc.opts...)
+				a.FillFunc(ctx, val)
+				got, err := a.GatherTo(ctx, 0)
+				if err != nil || ctx.Rank() != 0 {
+					return err
+				}
+				tc.dom.WholeSection().ForEach(func(p index.Point) bool {
+					if g := got[tc.dom.Offset(p)]; g != val(p) {
+						t.Errorf("%s: gathered %v = %v, want %v", tc.name, p, g, val(p))
+						return false
+					}
+					return true
+				})
+				return nil
+			})
+		})
+	}
+}
+
+// TestUnpackPartRunsPackCases runs the resized restore's UnpackPart on
+// every packCases pair: the saved segment is a rank's grid under the
+// first distribution, in canonical order, and the restoring Local holds
+// another rank's grid under the second.
+func TestUnpackPartRunsPackCases(t *testing.T) {
+	const np = 4
+	m := machine.New(np)
+	defer m.Close()
+	tg := m.ProcsDim("P", np).Whole()
+	for _, tc := range packCases {
+		fromD := dist.MustNew(dist.NewType(tc.from...), tc.dom, tg)
+		toD := dist.MustNew(dist.NewType(tc.to...), tc.dom, tg)
+		for p := 0; p < np; p++ {
+			for q := 0; q < np; q++ {
+				saved, mine := fromD.LocalGrid(p), toD.LocalGrid(q)
+				if part := saved.Intersect(mine); !part.Empty() {
+					checkUnpackPart(t, fmt.Sprintf("%s: saved %d, mine %d", tc.name, p, q), part, saved, mine)
+				}
+			}
+		}
 	}
 }
 
@@ -313,11 +400,12 @@ func TestUnpackPartRuns(t *testing.T) {
 	checkUnpackPart(t, "stride multiple", part, whole, part)
 }
 
-// TestPackAllocsPerRun pins the steady-state allocation behaviour of the
-// span pack/unpack pair: with a recycled buffer the cost is a small
-// constant (the run iterator's point/position slices and closure), not a
-// function of the element count — the property that makes E3/E4
-// allocation counts flat in N.
+// TestPackAllocsPerRun pins the steady-state allocation behaviour of
+// the rect pack/apply paths with recycled buffers: a grid packed or
+// applied on its own plans its rects (two allocations: the rects and
+// their dimensions, whatever the element count — the property that keeps
+// E3/E4 allocation counts flat in N); the whole owned set, a gather part
+// and a planned self-copy allocate nothing.
 func TestPackAllocsPerRun(t *testing.T) {
 	m := machine.New(1)
 	defer m.Close()
@@ -334,22 +422,35 @@ func TestPackAllocsPerRun(t *testing.T) {
 			index.NewRunSet(index.NewRun(1, 31, 2), index.NewRun(40, 48, 2)),
 			index.NewRunSet(index.NewRun(2, 60, 2)),
 		}}
-		buf := l.appendPacked(nil, g)
-		const iterOverhead = 8 // run-iterator scratch + closure; size-independent
-		if n := testing.AllocsPerRun(100, func() {
-			buf = l.appendPacked(buf[:0], g)
-		}); n > iterOverhead {
-			t.Errorf("appendPacked with recycled buffer: %v allocs/run for %d elements, want <= %d", n, g.Count(), iterOverhead)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			l.unpackWire(g, buf)
-		}); n > iterOverhead {
-			t.Errorf("unpackWire: %v allocs/run for %d elements, want <= %d", n, g.Count(), iterOverhead)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			copyGrid(l, l, g)
-		}); n > iterOverhead {
-			t.Errorf("copyGrid: %v allocs/run for %d elements, want <= %d", n, g.Count(), iterOverhead)
+		const planAllocs = 2 // g's rects and their dimensions
+		buf := l.AppendPacked(nil, g)
+		x := copyPlan(&l.layout, &l.layout, g, nil, nil)
+		out := make([]float64, dom.Size())
+		for _, tc := range []struct {
+			name string
+			max  float64
+			f    func()
+		}{
+			{"AppendPacked", planAllocs, func() { buf = l.AppendPacked(buf[:0], g) }},
+			{"UnpackWire", planAllocs, func() { l.UnpackWire(g, buf) }},
+			{"AppendOwned", 0, func() { buf = l.AppendOwned(buf[:0]) }},
+			{"ApplyOwned", 0, func() {
+				if err := l.ApplyOwned(buf); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			{"planned self-copy", 0, func() { x.copy(l.data, l.data) }},
+			{"AppendPart", 0, func() { buf = a.AppendPart(ctx, buf[:0]) }},
+			{"PlacePart", 0, func() {
+				if err := a.PlacePart(ctx, out, 0, buf); err != nil {
+					t.Fatal(err)
+				}
+			}},
+		} {
+			tc.f() // warm: buffers grown, the dense layout built
+			if n := testing.AllocsPerRun(100, tc.f); n > tc.max {
+				t.Errorf("%s with recycled buffers: %v allocs/run for %d elements, want <= %v", tc.name, n, g.Count(), tc.max)
+			}
 		}
 		return nil
 	}); err != nil {

@@ -126,6 +126,11 @@ type move struct {
 	// panel of plan.  one backs steps for a move without a plan.
 	steps []moveStep
 	one   [1]moveStep
+	// keep is the self-copy of sched.LocalKeep (copyPlan), built by the
+	// move's first run; keepRects and keepDims hold a small one in place.
+	keep      xfer
+	keepRects [2]msg.Rect
+	keepDims  [8]msg.RectDim
 }
 
 // moveKey identifies a move structurally: SPMD ranks build their own
@@ -288,7 +293,10 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 		// NOTRANSFER all it keeps — never touches the wire: copy it whole
 		// before the ring (still only into the uncommitted newLocal).
 		if keep := sched.LocalKeep; !keep.Empty() {
-			copyGrid(m.newLocal, m.oldLocal, keep)
+			if mv := m.mv; mv.keep.src == nil {
+				mv.keep = copyPlan(&m.newLocal.layout, &m.oldLocal.layout, keep, mv.keepRects[:0], mv.keepDims[:0])
+			}
+			m.mv.keep.copy(m.newLocal.data, m.oldLocal.data)
 		}
 		if cfg.noTransfer {
 			tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
@@ -348,10 +356,10 @@ func (a *Array) commit(rank int, d *dist.Distribution, l *Local) {
 // ghost exchange owns the subtags below it.
 const redistSubtag = msg.MaxSubtag
 
-// xfer is one remote transfer of a schedule as stepDirect executes it:
-// its grid's rects (appendRects) in the sender's old storage (src) and,
-// on the receiver, in its new storage (dst; a sender needs none).  A
-// peer with no transfer has no rects.
+// xfer is one transfer of a schedule: its grid's rects (appendRects) in
+// the sender's old storage (src) and, on the receiver, in its new
+// storage (dst; a remote sender needs none).  A peer with no transfer
+// has no rects; a self-copy (move.keep) is both ends on one rank.
 type xfer struct {
 	src, dst []msg.Rect
 }

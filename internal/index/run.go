@@ -339,10 +339,10 @@ func (g Grid) ForEach(f func(Point) bool) {
 // ForEachRun calls f for every innermost span of the grid: r is one run
 // of dimension 0 and p is a point whose remaining coordinates select the
 // outer position (p[0] is set to r.Lo for convenience).  Visiting every
-// run's elements in order reproduces exactly the ForEach enumeration —
-// spans are the unit the data-movement layer packs with copy-style loops
-// instead of per-point callbacks.  The Point passed to f is reused
-// between calls; clone it if it must be retained.
+// run's elements in order reproduces exactly the ForEach enumeration,
+// with the outer coordinates computed once per span rather than per
+// point.  The Point passed to f is reused between calls; clone it if it
+// must be retained.
 func (g Grid) ForEachRun(f func(p Point, r Run) bool) {
 	if g.Empty() {
 		return

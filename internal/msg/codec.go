@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Wire encodings for the element and header types the runtime exchanges.
@@ -31,20 +32,13 @@ func AppendFloat64s(buf []byte, vals []float64) []byte {
 }
 
 // GrowFloat64s extends buf with room for n float64 wire slots (contents
-// unspecified — callers must write every slot) and
-// returns the extended slice plus the byte offset where the new region
-// starts.  Growth reuses buf's capacity when available, so steady-state
+// unspecified — callers must write every slot) and returns the extended
+// slice plus the byte offset where the new region starts.  Growth is
+// append's, reusing buf's capacity when available, so steady-state
 // callers that recycle buffers pay no allocation.
 func GrowFloat64s(buf []byte, n int) ([]byte, int) {
 	off := len(buf)
-	need := off + 8*n
-	if need <= cap(buf) {
-		buf = buf[:need]
-		return buf, off
-	}
-	nbuf := make([]byte, need)
-	copy(nbuf, buf)
-	return nbuf, off
+	return slices.Grow(buf, 8*n)[:off+8*n], off
 }
 
 // PutFloat64 stores v at byte offset off of a wire buffer.

@@ -45,7 +45,7 @@ import (
 // Transport interplay:
 //
 //   - A put hands the endpoint a byte view of each contiguous run of its
-//     rect (appendRuns; the darray pack engine's run walk) as the pieces
+//     rect (appendRuns, the run walk PackRect also takes) as the pieces
 //     of one message: TCP writes them with writev, chan copies them into
 //     the receive buffer, and the target applies the payload
 //     bounds-checked at its await, which then releases it — on every
@@ -78,9 +78,9 @@ import (
 
 // Rect describes a strided hyper-rectangular region of a window's
 // registered storage: element offset Off plus per-dimension (stride,
-// count) pairs, innermost (fastest-varying) dimension first.  This is
-// the affine span addressing of the darray pack engine lifted to the
-// transport layer.
+// count) pairs, innermost (fastest-varying) dimension first.  It is how
+// darray addresses every array byte it packs, applies or copies: a
+// window transfer, a gather part, a rank-file segment, a self-copy.
 type Rect struct {
 	Off  int
 	Dims []RectDim
@@ -195,11 +195,12 @@ func (c *runCursor) next() bool {
 	return false
 }
 
-// copyRect copies src's sr region into dst's dr region directly (the
-// shared-memory fast path).  Counts must match; where both sides' runs
-// are contiguous the overlap of the two current runs moves with one
-// copy().
-func copyRect(dst []float64, dr Rect, src []float64, sr Rect) {
+// CopyRect copies src's sr region into dst's dr region element for
+// element in rect order, with no wire encoding in between (a pull on
+// shared memory, a DISTRIBUTE's self-copy, a resized restore).  Counts
+// must match; where both sides' runs are contiguous the overlap of the
+// two current runs moves with one copy().
+func CopyRect(dst []float64, dr Rect, src []float64, sr Rect) {
 	dc, dstride, dcount := dr.runs()
 	sc, sstride, scount := sr.runs()
 	dpos, spos := 0, 0
@@ -280,8 +281,7 @@ func packFor(pack []byte, n int) []byte {
 
 // PackRect appends the wire encoding of src's r region to buf in rect
 // enumeration order (innermost dimension fastest) and returns the
-// extended slice — the transport-level counterpart of the darray span
-// pack engine; recycled buffers make the steady state allocation-free.
+// extended slice; recycled buffers make the steady state allocation-free.
 func PackRect(buf []byte, src []float64, r Rect) []byte {
 	var off int
 	buf, off = GrowFloat64s(buf, r.Count())
@@ -631,7 +631,7 @@ func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 		if err := s.Src.validate(len(fbuf)); err != nil {
 			return w.opErr("pull from", from, err)
 		}
-		copyRect(s.Dst, s.Dr, fbuf, s.Src)
+		CopyRect(s.Dst, s.Dr, fbuf, s.Src)
 	}
 	if w.cost != nil {
 		// The token's own arrival already ran OnRecv with zero bytes;

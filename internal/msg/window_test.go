@@ -75,7 +75,7 @@ func TestWindowRectRoundTrip(t *testing.T) {
 				t.Fatal(err)
 			}
 			viaCopy := make([]float64, len(src))
-			copyRect(viaCopy, tc.r, src, tc.r)
+			CopyRect(viaCopy, tc.r, src, tc.r)
 			touched := 0
 			c, stride, count := tc.r.runs()
 			for more := true; more; more = c.next() {
