@@ -90,7 +90,7 @@ fuzz-distribute:
 
 # The depth-k halo: smoothing at forced depths 1, 2, 3 and 5 bit-identical
 # to the serial reference with claim C1's exact counts at depth k (columns,
-# 2x2 and 3x3 blocks, uneven N, synchronous and overlapped, chan and TCP),
+# 2x2 and 3x3 blocks, uneven N, chan and TCP),
 # the model's depth and a depth-5 run recovered mid-block, every other
 # TestSmoothing*; corners forwarded into a width-3 ring on an uneven 3x3
 # grid, a barrier-free depth-3 stencil with a sleeping rank (passes only
@@ -146,19 +146,21 @@ check-recovery:
 # The straggler-defense matrix: the voluntary-drain protocol (basic
 # drain, drain racing a real death in one transition, drained-rank
 # goroutine leak gates), the health scorer's hysteresis and EWMA
-# arithmetic, the slow transport fault and the retry backoff, the
-# weighted bounds and fair shares a rebalance divides by, and the
-# end-to-end apps matrix — chan and TCP
-# × rebalance and drain, ADI/PIC/smoothing, bit-exact across the drain
-# epoch transition — all under the race detector.
+# arithmetic and its one slow band against the two-band reference over
+# 10 000 seeded runs, the slow transport fault and the retry backoff, the
+# decisions, the weighted bounds and fair shares a rebalance divides by,
+# Figure 2's balance() bounds, and the end-to-end apps matrix — chan and
+# TCP × rebalance and drain, ADI/PIC/smoothing, bit-exact across the
+# drain epoch transition — all under the race detector.
 check-drain:
-	$(GO) test -race -run 'TestDrain|TestHealth|TestHysteresis|TestSlowFault|TestBackoffDelay|TestStraggler|TestWeightedBounds|TestFairShares|TestDecisionStrings' \
-	  ./internal/machine ./internal/health ./internal/msg ./internal/scale ./internal/apps
+	$(GO) test -race -run 'TestDrain|TestHealth|TestHysteresis|TestPauseEcho|TestStreakSurvives|TestOneBandMatchesTwoBand|TestSlowFault|TestBackoffDelay|TestStraggler|TestWeightedBounds|TestFairShares|TestDecisionStrings|TestDecide|TestCountBounds|TestWeightedCountBounds' \
+	  ./internal/machine ./internal/health ./internal/msg ./internal/apps
 
 # The verdicts timing can move (ROADMAP item 1): FLAKE_N runs of every
 # TestStraggler*, TestOnlineRecover*, TestPIC* and TestExpandPIC* test
 # (PIC runs up to RebalanceEvery steps between two rendezvous), of
-# the darray package (whose DISTRIBUTE orders itself by messages, not
+# the health package (whose scorer those verdicts come from), of the
+# darray package (whose DISTRIBUTE orders itself by messages, not
 # barriers), the ckpt package (whose save folds parity partials over
 # a tree) and the machine package (whose deaths are confirmed from
 # missed deadlines), and of msg's TestRecvTimeoutCheap (a goroutine
@@ -172,7 +174,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/darray:.' './internal/ckpt:.' './internal/machine:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/health:.' './internal/darray:.' './internal/ckpt:.' './internal/machine:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \

@@ -54,7 +54,7 @@ func sameSums(t *testing.T, what string, got, want map[string]string) {
 }
 
 // TestDemoChecksums pins what the two paper listings compute, Figure 2
-// at five widths: every BALANCE sets BOUNDS by scale.CountBounds, and
+// at five widths: every BALANCE sets BOUNDS by apps.CountBounds, and
 // FIELD and COUNT are what apps.RunPIC computes (apps'
 // TestPICFig2MatchesRunPIC holds the listing to it).
 func TestDemoChecksums(t *testing.T) {

@@ -18,15 +18,14 @@ package apps
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/dist"
+	"repro/internal/health"
 	"repro/internal/index"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/scale"
 )
 
 // ADIMode selects the distribution strategy of the ADI run.
@@ -195,9 +194,9 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			// sweep's lines local (V is declared so for the first one), which
 			// confines all communication to the DISTRIBUTEs; a static mode
 			// pipelines the sweep along its distributed dimension.  Local
-			// sweeps run under timed: injected slowdown is applied and the
-			// busy time — communication waits excluded — reported to the
-			// health scorer.
+			// sweeps run under the stopwatch: injected slowdown is applied
+			// and the busy time — communication waits excluded — reported
+			// to the health scorer.
 			//
 			// No barrier follows a sweep: it touches only the rank's own
 			// block, and the next reader of that block is a peer pulling a
@@ -208,7 +207,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			// token.  The pipelined sweep is ordered by its own messages.
 			step: func(it int) error {
 				var units float64
-				var busy time.Duration
+				sw := stopwatch{ctx: ctx, sc: sc}
 				for d := range 2 {
 					if d == pipeDim {
 						if err := sweeps.count(ctx, pipe); err != nil {
@@ -221,16 +220,16 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 							return err
 						}
 					}
-					busy += sc.timed(ctx, sweep[d])
+					sw.start()
+					sweep[d]()
+					sw.stop()
 					units += localElems(ctx, v)
 				}
-				if sc.Enabled() {
-					ctx.ReportWork(units, busy)
-				}
+				sw.done(units)
 				return nil
 			},
 			rebalance: func(speeds []float64) error {
-				axis[0].bounds, axis[1].bounds = scale.WeightedBounds(cfg.NX, speeds), scale.WeightedBounds(cfg.NY, speeds)
+				axis[0].bounds, axis[1].bounds = health.WeightedBounds(cfg.NX, speeds), health.WeightedBounds(cfg.NY, speeds)
 				return nil
 			},
 			end: func() error {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/health"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/scale"
 	"repro/internal/trace"
 )
 
@@ -403,7 +402,7 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 			return err
 		}
 		switch dec {
-		case scale.Rebalance:
+		case health.Rebalance:
 			if err := a.rebalance(speeds); err != nil {
 				return err
 			}
@@ -411,7 +410,7 @@ func (rc runConfig) epoch(ctx *machine.Ctx, eng *core.Engine, replay bool, a *ap
 			if ctx.Rank() == 0 {
 				out.Mitigation = "rebalance"
 			}
-		case scale.Drain:
+		case health.Drain:
 			a.mitigated = true
 			if err := save(it); err != nil {
 				return err

@@ -52,6 +52,7 @@ func (ty *toy) run(rc runConfig) (Outcome, error) {
 		}
 		var v *core.Array
 		var it int
+		sw := &stopwatch{ctx: ctx, sc: sc}
 		update := func() {
 			v.Local(ctx).ForEachOwned(func(_ index.Point, x *float64) { *x = 2**x + float64(it) + 1 })
 			time.Sleep(200 * time.Microsecond) // something for the health scorer to time
@@ -69,10 +70,10 @@ func (ty *toy) run(rc runConfig) (Outcome, error) {
 				if ctx.Rank() == 0 {
 					ty.steps = append(ty.steps, it)
 				}
-				el := sc.timed(ctx, update)
-				if sc.Enabled() {
-					ctx.ReportWork(localElems(ctx, v), el)
-				}
+				sw.start()
+				update()
+				sw.stop()
+				sw.done(localElems(ctx, v))
 				if it == ty.failBarrierAt && ctx.Rank() == 1 {
 					ft.Arm(1)
 				}

@@ -50,10 +50,9 @@ func haloTraffic(n, e0, e1, k int) (msgs, bytes float64) {
 
 // TestSmoothingDepthBitIdenticalCounts: with the halo depth forced to
 // k ∈ {1, 2, 3, 5}, smoothing on columns (P = 4), 2×2 and 3×3 blocks,
-// uneven N, synchronous and overlapped, on both transports, matches the
-// serial reference bit for bit and moves exactly claim C1's traffic at
-// depth k: m/k messages a step for m neighbours, and the closed-form bytes
-// with their corner terms.
+// uneven N, on both transports, matches the serial reference bit for bit
+// and moves exactly claim C1's traffic at depth k: m/k messages a step
+// for m neighbours, and the closed-form bytes with their corner terms.
 func TestSmoothingDepthBitIdenticalCounts(t *testing.T) {
 	grids := []struct {
 		mode   SmoothMode
@@ -69,23 +68,21 @@ func TestSmoothingDepthBitIdenticalCounts(t *testing.T) {
 		for _, g := range grids {
 			for _, n := range []int{47, 50} {
 				wantMsgs, wantBytes := haloTraffic(n, g.e0, g.e1, k)
-				for _, overlap := range []bool{false, true} {
-					for _, tcp := range []bool{false, true} {
-						name := fmt.Sprintf("k=%d/%v/P=%d/N=%d/overlap=%v/tcp=%v", k, g.mode, g.p, n, overlap, tcp)
-						res, err := RunSmoothing(SmoothConfig{
-							N: n, Steps: 2 * k, P: g.p, Mode: g.mode, Overlap: overlap, Validate: true,
-							Runtime: Runtime{UseTCP: tcp},
-						})
-						if err != nil {
-							t.Fatalf("%s: %v", name, err)
-						}
-						if res.MaxErr != 0 || res.Depth != k {
-							t.Errorf("%s: MaxErr %g at depth %d, want 0 at %d", name, res.MaxErr, res.Depth, k)
-						}
-						if res.MsgsPerProcStep != wantMsgs || res.BytesPerProcStep != wantBytes {
-							t.Errorf("%s: %v msgs, %v bytes a step; want %v, %v",
-								name, res.MsgsPerProcStep, res.BytesPerProcStep, wantMsgs, wantBytes)
-						}
+				for _, tcp := range []bool{false, true} {
+					name := fmt.Sprintf("k=%d/%v/P=%d/N=%d/tcp=%v", k, g.mode, g.p, n, tcp)
+					res, err := RunSmoothing(SmoothConfig{
+						N: n, Steps: 2 * k, P: g.p, Mode: g.mode, Validate: true,
+						Runtime: Runtime{UseTCP: tcp},
+					})
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					if res.MaxErr != 0 || res.Depth != k {
+						t.Errorf("%s: MaxErr %g at depth %d, want 0 at %d", name, res.MaxErr, res.Depth, k)
+					}
+					if res.MsgsPerProcStep != wantMsgs || res.BytesPerProcStep != wantBytes {
+						t.Errorf("%s: %v msgs, %v bytes a step; want %v, %v",
+							name, res.MsgsPerProcStep, res.BytesPerProcStep, wantMsgs, wantBytes)
 					}
 				}
 			}
@@ -110,7 +107,7 @@ func TestSmoothingDepthFromModel(t *testing.T) {
 	if k := SmoothDepth(SmoothBlock2D, 10, 9, 1e-3, 1e-9); k > 2 {
 		t.Errorf("N=10 on 3x3: SmoothDepth = %d, deeper than the thinnest segment", k)
 	}
-	res, err := RunSmoothing(SmoothConfig{N: 256, Steps: 10, P: 4, Mode: SmoothBlock2D, Overlap: true,
+	res, err := RunSmoothing(SmoothConfig{N: 256, Steps: 10, P: 4, Mode: SmoothBlock2D,
 		Alpha: 1e-4, Beta: 1e-8, Validate: true})
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +116,7 @@ func TestSmoothingDepthFromModel(t *testing.T) {
 	if res.Depth != want || want == 1 || res.MaxErr != 0 {
 		t.Errorf("modelled run: depth %d (model %d), MaxErr %g; want the model's depth > 1 and 0", res.Depth, want, res.MaxErr)
 	}
-	plain, err := RunSmoothing(SmoothConfig{N: 256, Steps: 10, P: 4, Mode: SmoothBlock2D, Overlap: true})
+	plain, err := RunSmoothing(SmoothConfig{N: 256, Steps: 10, P: 4, Mode: SmoothBlock2D})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +135,7 @@ func TestSmoothingDepthFromModel(t *testing.T) {
 func TestOnlineRecoverSmoothingDepth(t *testing.T) {
 	withDepth(t, 5)
 	cfg := SmoothConfig{
-		N: 24, Steps: 14, P: 4, Mode: SmoothColumns, Validate: true, Overlap: true,
+		N: 24, Steps: 14, P: 4, Mode: SmoothColumns, Validate: true,
 		Runtime: Runtime{
 			CkptEvery:     3,
 			CommTimeout:   150 * time.Millisecond,

@@ -8,11 +8,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/darray"
 	"repro/internal/dist"
+	"repro/internal/health"
 	"repro/internal/index"
 	"repro/internal/kernels"
 	"repro/internal/machine"
 	"repro/internal/msg"
-	"repro/internal/scale"
 )
 
 // PICConfig parameterizes the Figure 2 particle-in-cell study.  The
@@ -214,7 +214,7 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 			// A straggler rebalance re-divides the particles by measured
 			// speed immediately, so the straggler gets fewer particles.
 			rebalance: func(speeds []float64) error {
-				speedShares = scale.FairShares(speeds)
+				speedShares = health.FairShares(speeds)
 				return balance()
 			},
 			end: func() error {
@@ -291,9 +291,82 @@ func picBounds(ctx *machine.Ctx, count *core.Array, shares []float64) ([]int, er
 // particles per processor or, given shares, per unit of measured speed.
 func countBounds(counts []float64, np int, shares []float64) []int {
 	if shares != nil {
-		return scale.WeightedCountBounds(counts, shares)
+		return WeightedCountBounds(counts, shares)
 	}
-	return scale.CountBounds(counts, np)
+	return CountBounds(counts, np)
+}
+
+// CountBounds returns B_BLOCK bounds assigning contiguous cells to np
+// processors so that each gets roughly total/np of the counts (particles
+// per cell) — the balance() of the paper's Figure 2.  Bounds are 1-based
+// inclusive upper bounds, non-decreasing, ending at len(counts).  It sets
+// one bound per cell: a cell heavy enough to pass several targets closes
+// one block, and the next blocks close at the following cells.  That is
+// why it is not WeightedCountBounds with even shares, which closes a
+// block at every target the cell passes.
+func CountBounds(counts []float64, np int) []int {
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	per := total / float64(np)
+	bounds := make([]int, np)
+	acc := 0.0
+	p := 0
+	for i, c := range counts {
+		acc += c
+		if acc >= per*float64(p+1) && p < np-1 {
+			bounds[p] = i + 1 // 1-based cell index
+			p++
+		}
+	}
+	return closeBounds(bounds, p, len(counts))
+}
+
+// WeightedCountBounds generalizes CountBounds to uneven targets: the
+// cumulative count targets follow the given work shares (summing to 1,
+// from health.FairShares) instead of an even total/np split, so a slow
+// processor's segment carries proportionally fewer particles.
+func WeightedCountBounds(counts, shares []float64) []int {
+	np := len(shares)
+	total := 0.0
+	for _, c := range counts {
+		total += c
+	}
+	targets := make([]float64, np)
+	cum := 0.0
+	for p := range shares {
+		cum += shares[p]
+		targets[p] = total * cum
+	}
+	bounds := make([]int, np)
+	acc := 0.0
+	p := 0
+	for i, c := range counts {
+		acc += c
+		for p < np-1 && acc >= targets[p] {
+			bounds[p] = i + 1 // 1-based cell index
+			p++
+		}
+	}
+	return closeBounds(bounds, p, len(counts))
+}
+
+// closeBounds gives the processors from p on the bound n, fills any gap
+// so the bounds never decrease, and ends them at n.
+func closeBounds(bounds []int, p, n int) []int {
+	for ; p < len(bounds); p++ {
+		bounds[p] = n
+	}
+	prev := 0
+	for i := range bounds {
+		if bounds[i] < prev {
+			bounds[i] = prev
+		}
+		prev = bounds[i]
+	}
+	bounds[len(bounds)-1] = n
+	return bounds
 }
 
 // imbalances batches Figure 2's rebalance() input: add appends a step's
@@ -380,8 +453,8 @@ func (cfg PICConfig) driftHorizon(it int) int {
 // and FIELD.  The two are one connect class, so their runs match, and a
 // run of a 1-D array lies contiguous in storage whatever the
 // distribution (a CYCLIC(k) rank holds several).  The compute runs under
-// timed so an injected straggler is stretched and its per-particle cost
-// reported to the scorer.  It reads and writes the rank's own cells
+// a stopwatch so an injected straggler is stretched and its per-particle
+// cost reported to the scorer.  It reads and writes the rank's own cells
 // only, so nothing waits for it: no peer reads FIELD, and COUNT crosses
 // to a peer only in a drift frame.  A listing whose COUNT is not
 // distributed as FIELD is an error.
@@ -393,17 +466,16 @@ func updateField(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) erro
 			ctx.Rank(), runs, lf.Grid().Dims[0])
 	}
 	particles := 0.0
-	el := cfg.Straggler.timed(ctx, func() {
-		for _, r := range runs {
-			cells := runCells(lc, r)
-			particles += sum(cells)
-			kernels.ParticleWork(runCells(lf, r), cells, cfg.WorkPerParticle)
-		}
-	})
-	ctx.Charge(flopTime * particles * float64(cfg.WorkPerParticle))
-	if cfg.Straggler.Enabled() {
-		ctx.ReportWork(particles, el)
+	sw := stopwatch{ctx: ctx, sc: cfg.Straggler}
+	sw.start()
+	for _, r := range runs {
+		cells := runCells(lc, r)
+		particles += sum(cells)
+		kernels.ParticleWork(runCells(lf, r), cells, cfg.WorkPerParticle)
 	}
+	sw.stop()
+	ctx.Charge(flopTime * particles * float64(cfg.WorkPerParticle))
+	sw.done(particles)
 	return nil
 }
 

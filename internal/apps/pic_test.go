@@ -583,3 +583,42 @@ func TestPICDriftFramesPerBlock(t *testing.T) {
 		}
 	}
 }
+
+func TestCountBounds(t *testing.T) {
+	counts := []float64{10, 10, 10, 10, 0, 0, 0, 0}
+	b := CountBounds(counts, 4)
+	if b[3] != 8 {
+		t.Fatalf("last bound = %d", b[3])
+	}
+	// each processor should get ~10 particles: bounds 1,2,3,8
+	if b[0] != 1 || b[1] != 2 || b[2] != 3 {
+		t.Fatalf("bounds = %v", b)
+	}
+	// degenerate: everything in one cell
+	b = CountBounds([]float64{0, 0, 100, 0}, 2)
+	if b[1] != 4 || b[0] < 2 {
+		t.Fatalf("bounds = %v", b)
+	}
+	// heavy cells: one bound per cell, where the even weighted split
+	// closes two blocks at cell 1 and two at cell 3
+	heavy := []float64{93, 0, 65, 0, 0, 0, 0, 0, 20}
+	if b := CountBounds(heavy, 5); fmt.Sprint(b) != "[1 2 3 4 9]" {
+		t.Fatalf("bounds = %v, want [1 2 3 4 9]", b)
+	}
+	if b := WeightedCountBounds(heavy, []float64{0.2, 0.2, 0.2, 0.2, 0.2}); fmt.Sprint(b) != "[1 1 3 3 9]" {
+		t.Fatalf("even weighted bounds = %v, want [1 1 3 3 9]", b)
+	}
+}
+
+// TestWeightedCountBounds: a processor with half the work share ends its
+// segment at half the particles, and a share past the last particle
+// still ends at the last cell.
+func TestWeightedCountBounds(t *testing.T) {
+	counts := []float64{10, 10, 10, 10, 10, 10, 10, 10}
+	if b := WeightedCountBounds(counts, []float64{0.5, 0.25, 0.25}); b[0] != 4 || b[1] != 6 || b[2] != 8 {
+		t.Fatalf("bounds = %v, want [4 6 8]", b)
+	}
+	if b := WeightedCountBounds([]float64{0, 5, 0}, []float64{0.25, 0.75}); b[0] != 2 || b[1] != 3 {
+		t.Fatalf("bounds = %v, want [2 3]", b)
+	}
+}

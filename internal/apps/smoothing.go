@@ -40,13 +40,10 @@ type SmoothConfig struct {
 	Steps int
 	P     int
 	Mode  SmoothMode
-	// Overlap runs the first step of each block with the ghost exchange in
-	// flight during the interior update (smoothBlockStart: one dimension's
-	// start/Wait per band of interior rows) instead of a synchronous
-	// exchange followed by the full sweep.  Neither mode has a per-step
-	// barrier — neighbour completion is the only synchronization — so
-	// per-step traffic is the phase total divided by Steps.  Results are
-	// bit-identical to the synchronous mode.
+	// Overlap does nothing: every run overlaps the first step of each
+	// block with its ghost exchange (smoothBlockStart).  It stays only
+	// because bench/workloads.go sets it, and goes with the next change
+	// to the benchmark.
 	Overlap bool
 	// Alpha/Beta attach a cost model; a grid-point update is charged
 	// four flops.
@@ -103,8 +100,8 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 		if sc.Policy != "drain" {
 			return res, fmt.Errorf("apps: smoothing straggler policy must be drain or off (the ghost connect class keeps the even block split)")
 		}
-		if cfg.Mode != SmoothColumns || cfg.Overlap {
-			return res, fmt.Errorf("apps: smoothing straggler drain requires SmoothColumns and synchronous steps")
+		if cfg.Mode != SmoothColumns {
+			return res, fmt.Errorf("apps: smoothing straggler drain requires SmoothColumns")
 		}
 	}
 
@@ -177,25 +174,13 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 				// widened by kb-1-j; the last block may be short.
 				j := (s - s0) % k
 				w := min(k, cfg.Steps-(s-j)) - 1 - j
-				switch {
-				case cfg.Overlap && j == 0:
-					if err := exch.count(ctx, func() error { return smoothBlockStart(ctx, src, dst, exDims, w) }); err != nil {
+				sw := stopwatch{ctx: ctx, sc: sc}
+				if j == 0 {
+					if err := exch.count(ctx, func() error { return smoothBlockStart(ctx, src, dst, exDims, w, &sw) }); err != nil {
 						return err
 					}
-				case cfg.Overlap:
-					smoothLocal(ctx, src, dst, w)
-				default:
-					if j == 0 {
-						if err := exch.count(ctx, func() error { return src.ExchangeAllGhosts(ctx) }); err != nil {
-							return err
-						}
-					}
-					el := sc.timed(ctx, func() { smoothLocal(ctx, src, dst, w) })
-					if sc.Enabled() {
-						ctx.ReportWork(localElems(ctx, src), el)
-					}
-				}
-				if j > 0 {
+				} else {
+					smoothLocal(ctx, src, dst, w, &sw)
 					// A step inside a block waits for nothing.  Yield, so
 					// that ranks sharing a core advance a step at a time:
 					// one that ran its whole block first would leave its
@@ -203,6 +188,7 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 					// the end of the run.
 					runtime.Gosched()
 				}
+				sw.done(localElems(ctx, src))
 				src, dst = dst, src
 				return nil
 			},
@@ -266,13 +252,16 @@ func boxOf(l *darray.Local, dom index.Domain, w int) smoothBox {
 // most two) global edge columns peeled off — the same run-based movement
 // the pack/unpack layer uses, instead of a per-point branch in the inner
 // loop.
-func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, w int) {
+func smoothLocal(ctx *machine.Ctx, src, dst *core.Array, w int, sw *stopwatch) {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
 	b := boxOf(ls, src.Domain(), w)
 	if !b.ok {
 		return
 	}
-	ctx.Charge(flopTime * float64(4*smoothPart(ls, ld, src.Domain(), b.i0, b.i1, b.j0, b.j1)))
+	sw.start()
+	cnt := smoothPart(ls, ld, src.Domain(), b.i0, b.i1, b.j0, b.j1)
+	sw.stop()
+	ctx.Charge(flopTime * float64(4*cnt))
 }
 
 // smoothPart runs smoothRect over the global box [i0..i1]×[j0..j1] of the
@@ -327,14 +316,15 @@ func smoothRect(dd, sd []float64, rowOff, s1, i0, i1, j0, j1, n0, n1 int) int {
 // leaves only after the margins of the dimensions before it have landed
 // (the corners it forwards); the rest of the box — edge strips and the
 // ring the neighbours own — follows the last wait.  Every point goes
-// through the same smoothRect arithmetic as the synchronous path, so the
-// result is bit-identical.  Compute is charged as it is done, so the
-// model sees each arrival hidden under the band before its wait.
+// through smoothRect's arithmetic, so the result is bit-identical to a
+// sweep after the whole exchange.  Compute is charged as it is done, so
+// the model sees each arrival hidden under the band before its wait, and
+// sw times the bands and the strips, never a wait.
 //
 // The split is race-free without barriers: faces are applied only by
 // this rank's own waits, into src's margins, which the interior never
 // reads; the ring of dst this rank writes is its own storage too.
-func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int) error {
+func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int, sw *stopwatch) error {
 	ls, ld := src.Local(ctx), dst.Local(ctx)
 	dom := src.Domain()
 	in, b := boxOf(ls, dom, -1), boxOf(ls, dom, w)
@@ -347,7 +337,10 @@ func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int)
 		if in.ok {
 			rows := in.j1 - in.j0 + 1
 			j0, j1 := in.j0+n*rows/len(dims), in.j0+(n+1)*rows/len(dims)-1
-			charge(smoothPart(ls, ld, dom, in.i0, in.i1, j0, j1))
+			sw.start()
+			cnt := smoothPart(ls, ld, dom, in.i0, in.i1, j0, j1)
+			sw.stop()
+			charge(cnt)
 		}
 		if err := h.Wait(); err != nil {
 			return err
@@ -360,10 +353,12 @@ func smoothBlockStart(ctx *machine.Ctx, src, dst *core.Array, dims []int, w int)
 	// strips cover the remaining middle rows.  Together with the interior
 	// they partition the box (degenerate segments collapse the empty
 	// strips).
+	sw.start()
 	cnt := smoothPart(ls, ld, dom, b.i0, b.i1, b.j0, in.j0-1)
 	cnt += smoothPart(ls, ld, dom, b.i0, b.i1, max(in.j1+1, in.j0), b.j1)
 	cnt += smoothPart(ls, ld, dom, b.i0, in.i0-1, in.j0, in.j1)
 	cnt += smoothPart(ls, ld, dom, max(in.i1+1, in.i0), b.i1, in.j0, in.j1)
+	sw.stop()
 	charge(cnt)
 	return nil
 }

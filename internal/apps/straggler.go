@@ -10,13 +10,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/health"
 	"repro/internal/machine"
-	"repro/internal/scale"
 )
 
 // StragglerConfig parameterizes an app run's straggler defense.  The
@@ -59,9 +57,13 @@ type StragglerConfig struct {
 // Enabled reports whether health scoring is on at all.
 func (sc StragglerConfig) Enabled() bool { return sc.HealthWindow > 0 }
 
-// mitigating reports whether the policy acts on a Degraded rank (as
-// opposed to observing only).
-func (sc StragglerConfig) mitigating() bool { return sc.Enabled() && sc.decide() != scale.Hold }
+// acts reports whether the policy acts on a Degraded rank (as opposed
+// to observing only).
+func (sc StragglerConfig) acts() bool { return sc.Policy == "rebalance" || sc.Policy == "drain" }
+
+// mitigating reports whether scoring is on and the policy acts on its
+// verdict.
+func (sc StragglerConfig) mitigating() bool { return sc.Enabled() && sc.acts() }
 
 func (sc StragglerConfig) checkAfter() int {
 	if sc.CheckAfter <= 0 {
@@ -87,7 +89,7 @@ func (sc StragglerConfig) validate(commTimeout time.Duration, ckptDir string) er
 		return fmt.Errorf("apps: unknown straggler policy %q (want off, rebalance, or drain)", sc.Policy)
 	}
 	if !sc.Enabled() {
-		if sc.decide() != scale.Hold {
+		if sc.acts() {
 			return fmt.Errorf("apps: straggler policy %q needs HealthWindow > 0 (nothing is measured)", sc.Policy)
 		}
 		return nil
@@ -101,27 +103,52 @@ func (sc StragglerConfig) validate(commTimeout time.Duration, ckptDir string) er
 	return nil
 }
 
-// timed runs a compute section, stretches it on the injected straggler,
-// and returns the (stretched) elapsed time the caller reports as busy
-// time.  Only compute sections go through timed — barrier and
-// communication waits must not count as work, or every rank waiting on
-// the straggler would itself look slow.
-func (sc StragglerConfig) timed(ctx *machine.Ctx, compute func()) time.Duration {
-	t0 := time.Now()
-	compute()
-	el := time.Since(t0)
-	if sc.SlowFactor > 1 && ctx.PhysRank() == sc.SlowRank {
-		extra := time.Duration(float64(el) * (sc.SlowFactor - 1))
+// stopwatch times a step's compute sections for the health scorer:
+// start and stop bracket each section, the injected straggler's sections
+// are stretched (a sleep of the extra time), and done hands the step's
+// busy time and work units to the scorer.  Only compute sections are
+// timed — barrier and communication waits must not count as work, or
+// every rank waiting on the straggler would itself look slow.  With
+// scoring off and no injection it reads no clock.
+type stopwatch struct {
+	ctx  *machine.Ctx
+	sc   StragglerConfig
+	t0   time.Time
+	busy time.Duration
+}
+
+func (w *stopwatch) on() bool { return w.sc.Enabled() || w.sc.SlowFactor > 1 }
+
+func (w *stopwatch) start() {
+	if w.on() {
+		w.t0 = time.Now()
+	}
+}
+
+func (w *stopwatch) stop() {
+	if !w.on() {
+		return
+	}
+	el := time.Since(w.t0)
+	if w.sc.SlowFactor > 1 && w.ctx.PhysRank() == w.sc.SlowRank {
+		extra := time.Duration(float64(el) * (w.sc.SlowFactor - 1))
 		time.Sleep(extra)
 		el += extra
 	}
-	return el
+	w.busy += el
+}
+
+// done reports the step's busy time as units of work.
+func (w *stopwatch) done(units float64) {
+	if w.sc.Enabled() {
+		w.ctx.ReportWork(units, w.busy)
+	}
 }
 
 // report hands one interpreted statement's busy time to the health
-// scorer as one unit of work, SlowFactor× on SlowRank: unlike timed's
-// stall, a real mid-statement stall would also inflate the other ranks'
-// one-sided fetch waits and mask the straggler.
+// scorer as one unit of work, SlowFactor× on SlowRank: unlike the
+// stopwatch's sleep, a real mid-statement stall would also inflate the
+// other ranks' one-sided fetch waits and mask the straggler.
 func (sc StragglerConfig) report(ctx *machine.Ctx, busy time.Duration) {
 	if sc.SlowFactor > 1 && ctx.PhysRank() == sc.SlowRank {
 		busy = time.Duration(float64(busy) * sc.SlowFactor)
@@ -144,15 +171,19 @@ func localElems(ctx *machine.Ctx, v *core.Array) float64 {
 // AllgatherInts and folds every member's into its own scorer as
 // observation seq.  When decide is set on view rank 0, it appends the
 // straggler decision its scorer held before this boundary's observation
-// (decideStraggler), and every member returns that one decision — the
+// (health.Decide), and every member returns that one decision — the
 // same on every member by construction, whatever each member's own scorer
 // holds (a death mid-gather can leave one member an observation ahead of
 // another).  Hold when rank 0 appended none.
-func observeHealth(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer, seq int64, decide bool) (scale.Decision, int, []float64, error) {
+func observeHealth(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer, seq int64, decide bool) (health.Decision, int, []float64, error) {
 	units, busy := ctx.Work()
 	mine := []int{int(math.Float64bits(units)), int(busy)}
 	if decide && ctx.Rank() == 0 {
-		if dec, view, speeds := decideStraggler(ctx, sc, h); dec != scale.Hold {
+		members := make([]int, ctx.NP())
+		for i := range members {
+			members[i] = ctx.PhysOf(i)
+		}
+		if dec, view, speeds := health.Decide(sc.Policy, h, members); dec != health.Hold {
 			mine = append(mine, int(dec), view)
 			for _, sp := range speeds {
 				mine = append(mine, int(math.Float64bits(sp)))
@@ -161,50 +192,21 @@ func observeHealth(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer, seq i
 	}
 	all, err := ctx.Comm().AllgatherInts(mine)
 	if err != nil {
-		return scale.Hold, -1, nil, err
+		return health.Hold, -1, nil, err
 	}
 	for i, w := range all {
 		if len(w) != 2 && (i != 0 || len(w) != 4+len(all)) {
-			return scale.Hold, -1, nil, fmt.Errorf("apps: health report of view rank %d has %d values", i, len(w))
+			return health.Hold, -1, nil, fmt.Errorf("apps: health report of view rank %d has %d values", i, len(w))
 		}
 		h.Observe(ctx.PhysOf(i), seq, math.Float64frombits(uint64(w[0])), time.Duration(w[1]).Seconds())
 	}
 	w := all[0]
 	if len(w) == 2 {
-		return scale.Hold, -1, nil, nil
+		return health.Hold, -1, nil, nil
 	}
 	speeds := make([]float64, len(all))
 	for i := range speeds {
 		speeds[i] = math.Float64frombits(uint64(w[4+i]))
 	}
-	return scale.Decision(w[2]), w[3], speeds, nil
-}
-
-// decideStraggler is the mitigation decision of the member's own scorer:
-// the policy's decision, the straggler's view rank and the members'
-// measured speeds when a member is classified Degraded or worse, Hold
-// (re-check at the next boundary) otherwise.
-func decideStraggler(ctx *machine.Ctx, sc StragglerConfig, h *health.Scorer) (scale.Decision, int, []float64) {
-	members := make([]int, ctx.NP())
-	for i := range members {
-		members[i] = ctx.PhysOf(i)
-	}
-	worst, class, _, ok := h.Worst(members)
-	if !ok || class < health.Degraded || len(members) < 2 {
-		return scale.Hold, -1, nil
-	}
-	view := slices.Index(members, worst)
-	return sc.decide(), view, h.Speeds(members)
-}
-
-// decide maps the configured policy to its decision for a Degraded rank:
-// Hold for "" and "off", which observe only.
-func (sc StragglerConfig) decide() scale.Decision {
-	switch sc.Policy {
-	case "rebalance":
-		return scale.Rebalance
-	case "drain":
-		return scale.Drain
-	}
-	return scale.Hold
+	return health.Decision(w[2]), w[3], speeds, nil
 }

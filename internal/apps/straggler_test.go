@@ -1,13 +1,13 @@
 package apps
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 	"time"
 
 	"repro/internal/health"
 	"repro/internal/machine"
-	"repro/internal/scale"
 )
 
 // stragglerCfg is the shared defense setup of the matrix: a fast-tick
@@ -23,6 +23,22 @@ func stragglerCfg(policy string) StragglerConfig {
 		SlowRank:      2,
 		SlowFactor:    8,
 	}
+}
+
+// failf fails t with the message and what the health scorer of the
+// run's final view rank 0 saw: each rank's class, slowdown, observation
+// count and EverDegraded.  A straggler verdict is a judgement on a
+// wall-clock signal, so a wrong one is read from these inputs.
+func failf(t *testing.T, out Outcome, format string, args ...any) {
+	t.Helper()
+	saw := ""
+	for _, rr := range out.Health {
+		saw += fmt.Sprintf("\n  %v, ever degraded %v", rr, rr.EverDegraded)
+	}
+	if saw == "" {
+		saw = " no health report"
+	}
+	t.Fatalf(format+"\nscorer saw:%s", append(args, saw)...)
 }
 
 // stragglerADI is the shared shape of the mitigation matrix: a 4-rank
@@ -44,16 +60,16 @@ func stragglerADI(t *testing.T, useTCP bool, policy string) ADIResult {
 	}
 	res, err := RunADI(cfg)
 	if err != nil {
-		t.Fatalf("straggler run (tcp=%v policy=%s): %v", useTCP, policy, err)
+		failf(t, res.Outcome, "straggler run (tcp=%v policy=%s): %v", useTCP, policy, err)
 	}
 	if res.DegradedRank != 2 {
-		t.Fatalf("DegradedRank = %d, want the injected straggler 2", res.DegradedRank)
+		failf(t, res.Outcome, "DegradedRank = %d, want the injected straggler 2", res.DegradedRank)
 	}
 	if res.Mitigation != policy {
-		t.Fatalf("Mitigation = %q, want %q", res.Mitigation, policy)
+		failf(t, res.Outcome, "Mitigation = %q, want %q", res.Mitigation, policy)
 	}
 	if res.MaxErr != 0 {
-		t.Fatalf("mitigated result deviates from serial reference: MaxErr = %g, want bit-for-bit 0", res.MaxErr)
+		failf(t, res.Outcome, "mitigated result deviates from serial reference: MaxErr = %g, want bit-for-bit 0", res.MaxErr)
 	}
 	return res
 }
@@ -64,10 +80,10 @@ func stragglerADI(t *testing.T, useTCP bool, policy string) ADIResult {
 func TestStragglerADIRebalanceChan(t *testing.T) {
 	res := stragglerADI(t, false, "rebalance")
 	if res.FinalEpoch != 0 {
-		t.Fatalf("rebalance moved the membership epoch to %d", res.FinalEpoch)
+		failf(t, res.Outcome, "rebalance moved the membership epoch to %d", res.FinalEpoch)
 	}
 	if len(res.Drained) != 0 {
-		t.Fatalf("rebalance drained ranks: %v", res.Drained)
+		failf(t, res.Outcome, "rebalance drained ranks: %v", res.Drained)
 	}
 }
 
@@ -77,10 +93,10 @@ func TestStragglerADIRebalanceChan(t *testing.T) {
 func TestStragglerADIDrainChan(t *testing.T) {
 	res := stragglerADI(t, false, "drain")
 	if res.FinalEpoch < 1 {
-		t.Fatalf("drain finished on epoch %d, want a membership transition", res.FinalEpoch)
+		failf(t, res.Outcome, "drain finished on epoch %d, want a membership transition", res.FinalEpoch)
 	}
 	if len(res.Drained) != 1 || res.Drained[0] != 2 {
-		t.Fatalf("Drained = %v, want [2]", res.Drained)
+		failf(t, res.Outcome, "Drained = %v, want [2]", res.Drained)
 	}
 }
 
@@ -89,17 +105,17 @@ func TestStragglerADIDrainChan(t *testing.T) {
 func TestStragglerADIRebalanceTCP(t *testing.T) {
 	res := stragglerADI(t, true, "rebalance")
 	if res.FinalEpoch != 0 {
-		t.Fatalf("rebalance moved the membership epoch to %d", res.FinalEpoch)
+		failf(t, res.Outcome, "rebalance moved the membership epoch to %d", res.FinalEpoch)
 	}
 }
 
 func TestStragglerADIDrainTCP(t *testing.T) {
 	res := stragglerADI(t, true, "drain")
 	if res.FinalEpoch < 1 {
-		t.Fatalf("drain finished on epoch %d, want a membership transition", res.FinalEpoch)
+		failf(t, res.Outcome, "drain finished on epoch %d, want a membership transition", res.FinalEpoch)
 	}
 	if len(res.Drained) != 1 || res.Drained[0] != 2 {
-		t.Fatalf("Drained = %v, want [2]", res.Drained)
+		failf(t, res.Outcome, "Drained = %v, want [2]", res.Drained)
 	}
 }
 
@@ -116,16 +132,16 @@ func TestStragglerObserveOnly(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("observe-only run: %v", err)
+		failf(t, res.Outcome, "observe-only run: %v", err)
 	}
 	if res.DegradedRank != 2 {
-		t.Fatalf("DegradedRank = %d, want 2", res.DegradedRank)
+		failf(t, res.Outcome, "DegradedRank = %d, want 2", res.DegradedRank)
 	}
 	if res.Mitigation != "" || res.FinalEpoch != 0 {
-		t.Fatalf("observe-only run mitigated: %q, epoch %d", res.Mitigation, res.FinalEpoch)
+		failf(t, res.Outcome, "observe-only run mitigated: %q, epoch %d", res.Mitigation, res.FinalEpoch)
 	}
 	if res.MaxErr != 0 {
-		t.Fatalf("MaxErr = %g", res.MaxErr)
+		failf(t, res.Outcome, "MaxErr = %g", res.MaxErr)
 	}
 }
 
@@ -143,20 +159,20 @@ func TestStragglerPICRebalance(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("PIC straggler run: %v", err)
+		failf(t, res.Outcome, "PIC straggler run: %v", err)
 	}
 	if res.DegradedRank != 2 {
-		t.Fatalf("DegradedRank = %d, want 2", res.DegradedRank)
+		failf(t, res.Outcome, "DegradedRank = %d, want 2", res.DegradedRank)
 	}
 	if res.Mitigation != "rebalance" {
-		t.Fatalf("Mitigation = %q, want rebalance", res.Mitigation)
+		failf(t, res.Outcome, "Mitigation = %q, want rebalance", res.Mitigation)
 	}
 	if res.ParticlesEnd != res.ParticlesStart {
-		t.Fatalf("particles not conserved across the weighted rebalance: %v -> %v",
+		failf(t, res.Outcome, "particles not conserved across the weighted rebalance: %v -> %v",
 			res.ParticlesStart, res.ParticlesEnd)
 	}
 	if res.Redistributions == 0 {
-		t.Fatal("weighted rebalance never redistributed")
+		failf(t, res.Outcome, "weighted rebalance never redistributed")
 	}
 }
 
@@ -174,16 +190,16 @@ func TestStragglerPICDrain(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("PIC drain run: %v", err)
+		failf(t, res.Outcome, "PIC drain run: %v", err)
 	}
 	if res.FinalEpoch < 1 {
-		t.Fatalf("drain finished on epoch %d", res.FinalEpoch)
+		failf(t, res.Outcome, "drain finished on epoch %d", res.FinalEpoch)
 	}
 	if len(res.Drained) != 1 || res.Drained[0] != 2 {
-		t.Fatalf("Drained = %v, want [2]", res.Drained)
+		failf(t, res.Outcome, "Drained = %v, want [2]", res.Drained)
 	}
 	if res.ParticlesEnd != float64(64*32) {
-		t.Fatalf("particles not conserved across the drain: %v, want %v", res.ParticlesEnd, 64*32)
+		failf(t, res.Outcome, "particles not conserved across the drain: %v, want %v", res.ParticlesEnd, 64*32)
 	}
 }
 
@@ -201,19 +217,19 @@ func TestStragglerSmoothingDrain(t *testing.T) {
 		},
 	})
 	if err != nil {
-		t.Fatalf("smoothing drain run: %v", err)
+		failf(t, res.Outcome, "smoothing drain run: %v", err)
 	}
 	if res.DegradedRank != 2 {
-		t.Fatalf("DegradedRank = %d, want 2", res.DegradedRank)
+		failf(t, res.Outcome, "DegradedRank = %d, want 2", res.DegradedRank)
 	}
 	if res.FinalEpoch < 1 {
-		t.Fatalf("drain finished on epoch %d", res.FinalEpoch)
+		failf(t, res.Outcome, "drain finished on epoch %d", res.FinalEpoch)
 	}
 	if len(res.Drained) != 1 || res.Drained[0] != 2 {
-		t.Fatalf("Drained = %v, want [2]", res.Drained)
+		failf(t, res.Outcome, "Drained = %v, want [2]", res.Drained)
 	}
 	if res.MaxErr > 1e-12 {
-		t.Fatalf("MaxErr = %g after the drain", res.MaxErr)
+		failf(t, res.Outcome, "MaxErr = %g after the drain", res.MaxErr)
 	}
 }
 
@@ -321,7 +337,7 @@ func TestStragglerDecisionFromViewRankZero(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if dec != scale.Drain {
+		if dec != health.Drain {
 			t.Errorf("rank %d: decision %v, want drain", ctx.Rank(), dec)
 		}
 		views[ctx.Rank()], speeds[ctx.Rank()] = view, sp

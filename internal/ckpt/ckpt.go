@@ -51,6 +51,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -395,7 +396,7 @@ func distMeta(d *dist.Distribution) (DistMeta, error) {
 		return DistMeta{}, fmt.Errorf("ckpt: descriptor does not serialize: %w", err)
 	}
 	for r := 0; r < tg.Size(); r++ {
-		if !gridsEqual(rd.LocalGrid(r), d.LocalGrid(r)) {
+		if !slices.EqualFunc(rd.LocalGrid(r).Dims, d.LocalGrid(r).Dims, index.RunSet.Equal) {
 			return DistMeta{}, fmt.Errorf("ckpt: non-standard distribution %v (pinned, sectioned or permuted target binding) is not checkpointable", d)
 		}
 	}
@@ -440,18 +441,6 @@ func replay(dm DistMeta, dom index.Domain) (*dist.Distribution, error) {
 		return nil, err
 	}
 	return dist.New(typ, dom, virtualTarget{ext: dm.TargetExtents})
-}
-
-func gridsEqual(a, b index.Grid) bool {
-	if a.Rank() != b.Rank() {
-		return false
-	}
-	for k := range a.Dims {
-		if !a.Dims[k].Equal(b.Dims[k]) {
-			return false
-		}
-	}
-	return true
 }
 
 // errPeerFailed is what every rank but the failing one reports when a
@@ -503,16 +492,4 @@ func remapDims(dm DistMeta, newExt []int) DistMeta {
 		td++
 	}
 	return out
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

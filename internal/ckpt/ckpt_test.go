@@ -4,6 +4,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -400,7 +401,7 @@ func TestBalancedExtents(t *testing.T) {
 		if prod != tc.np {
 			t.Errorf("balancedExtents(%d,%d) = %v: product %d", tc.np, tc.nd, got, prod)
 		}
-		if len(tc.want) > 0 && !intsEqual(got, tc.want) {
+		if len(tc.want) > 0 && !slices.Equal(got, tc.want) {
 			t.Errorf("balancedExtents(%d,%d) = %v, want %v", tc.np, tc.nd, got, tc.want)
 		}
 	}
@@ -424,7 +425,7 @@ func TestVirtualTargetMatchesProcSection(t *testing.T) {
 		for r := 0; r < real.Size(); r++ {
 			rc, ok1 := real.CoordsOf(r)
 			vc, ok2 := virt.CoordsOf(r)
-			if ok1 != ok2 || !intsEqual(rc, vc) {
+			if ok1 != ok2 || !slices.Equal(rc, vc) {
 				t.Errorf("rank %d: real coords %v(%v), virtual %v(%v)", r, rc, ok1, vc, ok2)
 			}
 			if virt.RankOf(vc) != r {

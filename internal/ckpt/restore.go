@@ -183,7 +183,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 					man.Arrays[pc.ai].Name, r, msg.Float64Count(payload), pc.g.Count())
 			}
 			l := locals[pc.ai]
-			if !gridsEqual(pc.g, l.Grid()) {
+			if !slices.EqualFunc(pc.g.Dims, l.Grid().Dims, index.RunSet.Equal) {
 				l.UnpackPart(pc.part, pc.g, payload)
 			} else if err := l.ApplyOwned(payload); err != nil {
 				return fmt.Errorf("ckpt: array %s: rank file %d: %w", man.Arrays[pc.ai].Name, r, err)
@@ -227,7 +227,7 @@ func restoredDist(ctx *machine.Ctx, am ArrayMeta, dom index.Domain) (*dist.Distr
 		newExt = balancedExtents(ctx.NP(), len(oldExt))
 	}
 	newMeta := am.Dist
-	if !intsEqual(newExt, oldExt) {
+	if !slices.Equal(newExt, oldExt) {
 		newMeta = remapDims(am.Dist, newExt)
 	}
 	procName := "$CKPT"

@@ -17,6 +17,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/index"
@@ -140,9 +141,9 @@ func (d DimSpec) Equal(o DimSpec) bool {
 	case Cyclic:
 		return normK(d.K) == normK(o.K) && d.Phase == o.Phase
 	case SBlock:
-		return intsEqual(d.Sizes, o.Sizes)
+		return slices.Equal(d.Sizes, o.Sizes)
 	case BBlock:
-		return intsEqual(d.Bounds, o.Bounds)
+		return slices.Equal(d.Bounds, o.Bounds)
 	}
 	return true
 }
@@ -158,18 +159,6 @@ func normK(k int) int {
 func (d DimSpec) normPhase(np int) int {
 	cyc := np * normK(d.K)
 	return (d.Phase%cyc + cyc) % cyc
-}
-
-func intsEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // validate checks the specifier against an array dimension of extent n

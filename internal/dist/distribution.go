@@ -2,6 +2,7 @@ package dist
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -379,7 +380,7 @@ func (d *Distribution) Equal(o *Distribution) bool {
 	if d.target != o.target && d.target.String() != o.target.String() {
 		return false
 	}
-	if !intsEqual(d.procDim, o.procDim) || !intsEqual(d.fixed, o.fixed) {
+	if !slices.Equal(d.procDim, o.procDim) || !slices.Equal(d.fixed, o.fixed) {
 		return false
 	}
 	return true

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"slices"
 	"strings"
 )
 
@@ -56,9 +57,9 @@ func (p DimPattern) MatchesDim(d DimSpec) bool {
 	case Cyclic:
 		return p.AnyParam || normK(p.K) == normK(d.K)
 	case SBlock:
-		return p.AnyParam || p.Sizes == nil || intsEqual(p.Sizes, d.Sizes)
+		return p.AnyParam || p.Sizes == nil || slices.Equal(p.Sizes, d.Sizes)
 	case BBlock:
-		return p.AnyParam || p.Bounds == nil || intsEqual(p.Bounds, d.Bounds)
+		return p.AnyParam || p.Bounds == nil || slices.Equal(p.Bounds, d.Bounds)
 	}
 	return true
 }

@@ -1,6 +1,7 @@
-// Package health scores the throughput of every rank of a running SPMD
-// machine and classifies each as Healthy, Degraded or Suspect — a state
-// machine deliberately distinct from the machine's binary dead set.  The
+// Package health is the straggler defense's measurement and decision.  It
+// scores the throughput of every rank of a running SPMD machine and
+// classifies each as Healthy or Degraded — a state machine deliberately
+// distinct from the machine's binary dead set.  The
 // membership layer answers "is the rank gone?"; this layer answers "is
 // the rank *slow*?", which is what a drain-or-rebalance policy needs: a
 // persistently overloaded rank inflates every barrier long before it
@@ -19,12 +20,16 @@
 // are, so one slow step (a GC pause, a page fault, a deschedule) never
 // flips anyone.
 //
-// Everything here is pure, mutex-guarded state; the step loop feeds
-// it and the policy layer reads it.
+// Decide turns the scorer's verdict into the policy's Decision, and
+// FairShares / WeightedBounds turn its measured speeds into the B_BLOCK
+// bounds a rebalance divides work by (the paper's §2.2 bounds, driven by
+// speed instead of particle counts).  Everything here is pure or
+// mutex-guarded state; the step loop feeds it and acts on Decide.
 package health
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -40,18 +45,11 @@ const (
 	// straggler worth rebalancing around or draining, but still making
 	// progress.
 	Degraded
-	// Suspect: slower than SuspectRatio × median — so slow that the
-	// policy should prefer draining it before its peers' deadlines run
-	// out mid-collective.
-	Suspect
 )
 
 func (c Class) String() string {
-	switch c {
-	case Degraded:
+	if c == Degraded {
 		return "degraded"
-	case Suspect:
-		return "suspect"
 	}
 	return "healthy"
 }
@@ -65,9 +63,6 @@ type Config struct {
 	// DegradedRatio is the slowdown (EWMA cost / median cost) at or
 	// above which a rank is a Degraded candidate.  Default 2.
 	DegradedRatio float64
-	// SuspectRatio is the slowdown at or above which a rank is a
-	// Suspect candidate.  Default 3× DegradedRatio.
-	SuspectRatio float64
 	// Hysteresis is the number of consecutive observations that must
 	// agree on a new class before the rank transitions to it.  Default
 	// 3; a value below 2 is raised to 2 so a single observation can
@@ -82,9 +77,6 @@ func (c Config) withDefaults() Config {
 	if c.DegradedRatio <= 1 {
 		c.DegradedRatio = 2
 	}
-	if c.SuspectRatio <= c.DegradedRatio {
-		c.SuspectRatio = 3 * c.DegradedRatio
-	}
 	if c.Hysteresis < 2 {
 		if c.Hysteresis == 0 {
 			c.Hysteresis = 3
@@ -97,15 +89,14 @@ func (c Config) withDefaults() Config {
 
 // rankState is one rank's scoring state.
 type rankState struct {
-	seq       int64   // newest report sequence folded in (dedup)
-	units     float64 // cumulative work units at seq
-	secs      float64 // cumulative busy seconds at seq
-	n         int     // observations folded into the EWMA
-	cost      float64 // EWMA seconds per work unit
-	class     Class
-	candidate Class // class of the current hysteresis streak
-	streak    int   // consecutive observations agreeing on candidate
-	everDegr  bool  // rank was classified Degraded or worse at least once
+	seq      int64   // newest report sequence folded in (dedup)
+	units    float64 // cumulative work units at seq
+	secs     float64 // cumulative busy seconds at seq
+	n        int     // observations folded into the EWMA
+	cost     float64 // EWMA seconds per work unit
+	class    Class
+	streak   int  // consecutive observations arguing for the other class
+	everDegr bool // rank was classified Degraded at least once
 }
 
 // Scorer maintains per-rank EWMA throughput scores with hysteresis.
@@ -160,9 +151,7 @@ func (s *Scorer) Observe(rank int, seq int64, units, secs float64) {
 // EWMA alone carries one extreme sample (a descheduled compute section)
 // over several later observations and would let a single pause fill a
 // whole streak, while the raw cost alone counts every moderately noisy
-// sample.  A streak of slow observations survives flicker between the
-// Degraded and Suspect bands and settles on the milder of the two.
-// Caller holds mu.
+// sample.  Caller holds mu.
 func (s *Scorer) reclassify(rank int, cost float64) {
 	med := s.medianLocked()
 	st := &s.ranks[rank]
@@ -171,30 +160,17 @@ func (s *Scorer) reclassify(rank int, cost float64) {
 	}
 	ratio := min(cost, st.cost) / med
 	target := Healthy
-	switch {
-	case ratio >= s.cfg.SuspectRatio:
-		target = Suspect
-	case ratio >= s.cfg.DegradedRatio:
+	if ratio >= s.cfg.DegradedRatio {
 		target = Degraded
 	}
 	if target == st.class {
 		st.streak = 0
 		return
 	}
-	switch {
-	case target == st.candidate:
-		st.streak++
-	case st.streak > 0 && target >= Degraded && st.candidate >= Degraded:
-		st.candidate = min(target, st.candidate)
-		st.streak++
-	default:
-		st.candidate = target
-		st.streak = 1
-	}
+	st.streak++
 	if st.streak >= s.cfg.Hysteresis {
-		st.class = st.candidate
-		st.streak = 0
-		if st.class >= Degraded {
+		st.class, st.streak = target, 0
+		if target == Degraded {
 			st.everDegr = true
 		}
 	}
@@ -256,7 +232,7 @@ type RankReport struct {
 	Slowdown     float64
 	Observations int
 	// EverDegraded reports whether the rank was ever classified Degraded
-	// or Suspect during the run — the "was the straggler detected"
+	// during the run — the "was the straggler detected"
 	// answer, robust to the rank recovering (or being relieved by a
 	// rebalance) afterwards.
 	EverDegraded bool
@@ -284,22 +260,135 @@ func (s *Scorer) Report(ranks []int) []RankReport {
 	return out
 }
 
-// Worst returns the given rank set's worst classified member — the
-// straggler a mitigation policy would act on: the rank whose class is
-// highest, ties broken by the larger slowdown.  ok is false when every
+// Worst returns the given rank set's slowest Degraded member — the
+// straggler a mitigation policy would act on.  ok is false when every
 // given rank is Healthy.
-func (s *Scorer) Worst(ranks []int) (rank int, class Class, slowdown float64, ok bool) {
+func (s *Scorer) Worst(ranks []int) (rank int, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rank = -1
+	rank, worst := -1, 0.0
 	for _, r := range ranks {
 		if r < 0 || r >= len(s.ranks) || s.ranks[r].class == Healthy {
 			continue
 		}
-		c, sd := s.ranks[r].class, s.slowdownLocked(r)
-		if c > class || (c == class && sd > slowdown) {
-			rank, class, slowdown, ok = r, c, sd, true
+		if sd := s.slowdownLocked(r); !ok || sd > worst {
+			rank, worst, ok = r, sd, true
 		}
 	}
-	return rank, class, slowdown, ok
+	return rank, ok
+}
+
+// Decision is what the straggler policy does at an iteration boundary.
+type Decision int
+
+// Decisions.
+const (
+	// Hold keeps every rank and the current bounds.
+	Hold Decision = iota
+	// Rebalance keeps every rank but re-divides the work in proportion
+	// to measured speeds — the degraded-mode mitigation for a straggler
+	// worth keeping.
+	Rebalance
+	// Drain voluntarily releases the straggler: P−1 healthy ranks beat P
+	// with one slow.
+	Drain
+)
+
+func (d Decision) String() string {
+	switch d {
+	case Rebalance:
+		return "rebalance"
+	case Drain:
+		return "drain"
+	}
+	return "hold"
+}
+
+// Decide is the straggler policy's decision over the view whose members
+// are the given physical ranks (members[v] is view rank v's): for policy
+// "rebalance" or "drain" and a Degraded member among at least two, that
+// decision, the straggler's view rank and the members' measured speeds;
+// Hold, -1 and nil otherwise — "" and "off" observe only.
+func Decide(policy string, s *Scorer, members []int) (Decision, int, []float64) {
+	dec := Hold
+	switch policy {
+	case "rebalance":
+		dec = Rebalance
+	case "drain":
+		dec = Drain
+	}
+	if dec == Hold || len(members) < 2 {
+		return Hold, -1, nil
+	}
+	worst, ok := s.Worst(members)
+	if !ok {
+		return Hold, -1, nil
+	}
+	return dec, slices.Index(members, worst), s.Speeds(members)
+}
+
+// FairShares normalizes per-rank speeds (from Scorer.Speeds) into work
+// shares summing to 1.  Non-positive speeds are clamped to a small
+// fraction of the fastest so a stalled rank still gets a sliver rather
+// than a divide-by-zero; all-non-positive input degrades to an even
+// split.
+func FairShares(speeds []float64) []float64 {
+	n := len(speeds)
+	out := make([]float64, n)
+	if n == 0 {
+		return out
+	}
+	max := 0.0
+	for _, v := range speeds {
+		if v > max {
+			max = v
+		}
+	}
+	if max <= 0 {
+		for i := range out {
+			out[i] = 1 / float64(n)
+		}
+		return out
+	}
+	floor := max * 1e-3
+	sum := 0.0
+	for i, v := range speeds {
+		if v < floor {
+			v = floor
+		}
+		out[i] = v
+		sum += v
+	}
+	for i := range out {
+		out[i] /= sum
+	}
+	return out
+}
+
+// WeightedBounds divides n items (rows, columns) over len(speeds)
+// processors in proportion to their measured speeds: the generalized
+// B_BLOCK bounds of the paper's §2.3, with the straggler's block shrunk
+// by its slowdown.  Bounds are 1-based inclusive upper bounds per
+// processor, non-decreasing, ending at n — the exact shape
+// dist.BBlockDim wants.  Equal speeds reproduce the even block split.
+func WeightedBounds(n int, speeds []float64) []int {
+	shares := FairShares(speeds)
+	np := len(shares)
+	bounds := make([]int, np)
+	cum := 0.0
+	for p := 0; p < np; p++ {
+		cum += shares[p]
+		b := int(cum*float64(n) + 0.5)
+		if p > 0 && b < bounds[p-1] {
+			b = bounds[p-1]
+		}
+		if b > n {
+			b = n
+		}
+		bounds[p] = b
+	}
+	if np > 0 {
+		bounds[np-1] = n
+	}
+	return bounds
 }
