@@ -164,7 +164,7 @@ check-drain:
 # barriers), the ckpt package (whose save folds parity partials over
 # a tree) and the machine package (whose deaths are confirmed from
 # missed deadlines), and of msg's TestRecvTimeoutCheap (a goroutine
-# count), under
+# count) and TestSlowFault* (a straggler's stall), under
 # GOMAXPROCS=1 and 2 beside a busy-loop CPU hog.  Per test it prints how
 # many runs failed and, for each failing run, the first *_test.go:N: line
 # that test logged — enough to tell a false accusation from a false death
@@ -174,7 +174,7 @@ FLAKE_N ?= 10
 flake:
 	@sh -c 'while :; do :; done' & hog=$$!; trap "kill $$hog" EXIT; \
 	for p in 1 2; do \
-	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/health:.' './internal/darray:.' './internal/ckpt:.' './internal/machine:.' './internal/msg:^TestRecvTimeoutCheap$$'; do \
+	  for set in './internal/apps:^(TestStraggler|TestOnlineRecover|TestPIC|TestExpandPIC)' './internal/health:.' './internal/darray:.' './internal/ckpt:.' './internal/machine:.' './internal/msg:^(TestRecvTimeoutCheap$$|TestSlowFault)'; do \
 	    pkg=$${set%%:*}; pat=$${set#*:}; \
 	    echo "GOMAXPROCS=$$p, $$pkg, $(FLAKE_N) runs each, beside a CPU hog:"; \
 	    GOMAXPROCS=$$p $(GO) test -count=$(FLAKE_N) -run "$$pat" -v $$pkg 2>&1 | \
@@ -268,8 +268,9 @@ check-portable:
 # addresses outside its storage), receive-buffer
 # ownership (held payloads never change, a released buffer serves one
 # packet at a time), the warm allocation bounds of a TCP round trip, of
-# a gathered offer over TCP+CRC (none) and of a timed receive, the
-# word-wise XOR against the byte loop, the rank files and the parity
+# a gathered offer over TCP+CRC (none) and of a timed receive, each
+# decorator's hold on both sends and both receives and one exchange
+# alike over all sixteen transport stacks, the word-wise XOR against the byte loop, the rank files and the parity
 # fold (files byte-identical to a point-by-point image on 1-8 ranks, exact
 # counts, the modelled critical path, a short partial failing the epoch,
 # the rank-file parser's and the manifest decoder's fuzz seeds) — then the
@@ -277,7 +278,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestLayerInterception|TestStackConformance|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario

@@ -32,43 +32,37 @@ func (m *Machine) regroupBudget() time.Duration {
 	return m.retry.MaxWait() + 2*m.retry.Timeout + 250*time.Millisecond
 }
 
-// encodeMasks packs the suspected-dead, pending-join, and pending-drain
-// masks of one agreement round into a single payload: 3·np bits, dead
-// first, joins second, drains last.
-func encodeMasks(suspect, join, drain []bool) []byte {
-	np := len(suspect)
+// masks are one agreement round's membership masks over the physical
+// ranks, in payload order: suspected dead, pending joins, pending drains.
+type masks [3][]bool
+
+// encode packs the masks into a single payload: 3·np ints, dead first,
+// joins second, drains last.
+func (ms masks) encode() []byte {
+	np := len(ms[0])
 	bits := make([]int, 3*np)
-	for i, b := range suspect {
-		if b {
-			bits[i] = 1
-		}
-	}
-	for i, b := range join {
-		if b {
-			bits[np+i] = 1
-		}
-	}
-	for i, b := range drain {
-		if b {
-			bits[2*np+i] = 1
+	for k, mask := range ms {
+		for i, b := range mask {
+			if b {
+				bits[k*np+i] = 1
+			}
 		}
 	}
 	return msg.EncodeInts(bits)
 }
 
-func decodeMasks(data []byte, np int) (suspect, join, drain []bool) {
+// decodeMasks unpacks an encode payload over np ranks; ranks the payload
+// is too short to cover are unset.
+func decodeMasks(data []byte, np int) masks {
 	bits := msg.DecodeInts(data)
-	suspect, join, drain = make([]bool, np), make([]bool, np), make([]bool, np)
-	for i := 0; i < np && i < len(bits); i++ {
-		suspect[i] = bits[i] != 0
+	var ms masks
+	for k := range ms {
+		ms[k] = make([]bool, np)
+		for i := 0; i < np && k*np+i < len(bits); i++ {
+			ms[k][i] = bits[k*np+i] != 0
+		}
 	}
-	for i := 0; i < np && np+i < len(bits); i++ {
-		join[i] = bits[np+i] != 0
-	}
-	for i := 0; i < np && 2*np+i < len(bits); i++ {
-		drain[i] = bits[2*np+i] != 0
-	}
-	return suspect, join, drain
+	return ms
 }
 
 // Regroup transitions this rank from membership epoch e to e+1 after a
@@ -170,25 +164,25 @@ func (c *Ctx) transition(kind transKind) error {
 	}
 
 	// Phase 2: coordinator-free agreement.  Every candidate repeatedly
-	// exchanges its (suspected-dead, pending-join) mask pair with the
-	// other candidates and unions what it hears; a candidate that is
-	// confirmed dead while this rank waits for it (recvRound), or misses
-	// the round deadline, is itself suspected.  Masks only grow, so the
-	// exchange converges: the round in which nothing changed and every
-	// peer echoed my exact masks is the decision round — every
+	// exchanges its (suspected-dead, pending-join, pending-drain) masks
+	// with the other candidates and unions what it hears; a candidate
+	// that is confirmed dead while this rank waits for it (recvRound), or
+	// misses the round deadline, is itself suspected.  Masks only grow,
+	// so the exchange converges: the round in which nothing changed and
+	// every peer echoed my exact masks is the decision round — every
 	// participant of that round took the same decision from the same
 	// masks.
-	suspect := make([]bool, m.np)
-	for _, p := range c.phys {
-		if dead[p] {
-			suspect[p] = true
-		}
+	var ms masks
+	for k := range ms {
+		ms[k] = make([]bool, m.np)
 	}
-	join := make([]bool, m.np)
+	suspect, join, drain := ms[0], ms[1], ms[2]
+	for _, p := range c.phys {
+		suspect[p] = dead[p]
+	}
 	for _, p := range m.pendingJoiners(c.phys) {
 		join[p] = true
 	}
-	drain := make([]bool, m.np)
 	for _, p := range m.pendingDrains(c.phys) {
 		drain[p] = true
 	}
@@ -196,10 +190,8 @@ func (c *Ctx) transition(kind transKind) error {
 	converged := false
 	for round := 0; round < m.np+2 && !converged; round++ {
 		tag := msg.FoldTag(newEpoch, msg.TagMemberBase+round)
-		payload := encodeMasks(suspect, join, drain)
-		mineS := append([]bool(nil), suspect...)
-		mineJ := append([]bool(nil), join...)
-		mineD := append([]bool(nil), drain...)
+		payload := ms.encode()
+		mine := decodeMasks(payload, m.np) // the masks as this round sends them
 		for _, p := range c.phys {
 			if p == myPhys || suspect[p] {
 				continue
@@ -211,7 +203,7 @@ func (c *Ctx) transition(kind transKind) error {
 		changed, allEqual := false, true
 		roundDeadline := time.Now().Add(budget)
 		for _, p := range c.phys {
-			if p == myPhys || mineS[p] {
+			if p == myPhys || mine[0][p] { // suspected as the round began
 				continue
 			}
 			pkt, err := m.recvRound(ep, myPhys, p, tag, roundDeadline)
@@ -227,32 +219,15 @@ func (c *Ctx) transition(kind transKind) error {
 				allEqual = false
 				continue
 			}
-			theirS, theirJ, theirD := decodeMasks(pkt.Data, m.np)
-			for r, s := range theirS {
-				if s != mineS[r] {
-					allEqual = false
-				}
-				if s && !suspect[r] {
-					suspect[r] = true
-					changed = true
-				}
-			}
-			for r, s := range theirJ {
-				if s != mineJ[r] {
-					allEqual = false
-				}
-				if s && !join[r] {
-					join[r] = true
-					changed = true
-				}
-			}
-			for r, s := range theirD {
-				if s != mineD[r] {
-					allEqual = false
-				}
-				if s && !drain[r] {
-					drain[r] = true
-					changed = true
+			for k, mask := range decodeMasks(pkt.Data, m.np) {
+				for r, s := range mask {
+					if s != mine[k][r] {
+						allEqual = false
+					}
+					if s && !ms[k][r] {
+						ms[k][r] = true
+						changed = true
+					}
 				}
 			}
 		}

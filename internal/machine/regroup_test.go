@@ -1,7 +1,9 @@
 package machine
 
 import (
+	"bytes"
 	"errors"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -207,5 +209,32 @@ func TestExcludedRunLeaksNoGoroutines(t *testing.T) {
 	}
 	if n := settleGoroutines(base+2, 2*time.Second); n > base+2 {
 		t.Fatalf("goroutines: %d before, %d after excluded runs (leak)", base, n)
+	}
+}
+
+// TestMasksPayload pins the agreement payload: 3·np ints, the dead mask
+// first, then joins, then drains; a payload too short for a mask leaves
+// its ranks unset.
+func TestMasksPayload(t *testing.T) {
+	T, F := true, false
+	for _, tc := range []struct {
+		ms   masks
+		bits []int
+	}{
+		{masks{{T, F, T}, {F, T, F}, {F, F, T}}, []int{1, 0, 1, 0, 1, 0, 0, 0, 1}},
+		{masks{{F, F}, {F, F}, {F, F}}, []int{0, 0, 0, 0, 0, 0}},
+		{masks{{F, F, F, T}, {T, F, F, F}, {F, T, T, F}}, []int{0, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 0}},
+	} {
+		got := tc.ms.encode()
+		if want := msg.EncodeInts(tc.bits); !bytes.Equal(got, want) {
+			t.Errorf("%v: payload %x, want %x", tc.ms, got, want)
+		}
+		if back := decodeMasks(got, len(tc.ms[0])); !reflect.DeepEqual(back, tc.ms) {
+			t.Errorf("%v: decodes to %v", tc.ms, back)
+		}
+	}
+	short := decodeMasks(msg.EncodeInts([]int{1, 0, 1, 1}), 3)
+	if want := (masks{{T, F, T}, {T, F, F}, {F, F, F}}); !reflect.DeepEqual(short, want) {
+		t.Errorf("short payload decodes to %v, want %v", short, want)
 	}
 }

@@ -76,28 +76,23 @@ func escalate(d time.Duration, attempt int, max time.Duration) time.Duration {
 	return e
 }
 
-// liveChecker is the optional endpoint facet an epoch View provides.
-// CheckLive is consulted before every retry attempt: a non-nil error
-// (typically machine.ErrEpochRevoked) aborts the operation immediately
-// instead of letting it time out attempt by attempt against a peer that is
-// already known dead.  Suspect is called after every receive attempt that
-// missed its deadline on a named peer: the membership layer probes that
-// peer, and a non-nil error (the death confirmed) aborts the operation.
-type liveChecker interface {
-	CheckLive() error
-	Suspect(from int) error
-}
-
+// checkLive is consulted before every retry attempt: over an epoch View
+// a non-nil error (typically machine.ErrEpochRevoked) aborts the
+// operation immediately instead of letting it time out attempt by
+// attempt against a peer that is already known dead.
 func checkLive(ep Endpoint) error {
-	if lc, ok := ep.(liveChecker); ok {
-		return lc.CheckLive()
+	if v, ok := ep.(*View); ok {
+		return v.CheckLive()
 	}
 	return nil
 }
 
+// suspect is called after every receive attempt that missed its deadline
+// on a named peer: over an epoch View the membership layer probes that
+// peer, and a non-nil error (the death confirmed) aborts the operation.
 func suspect(ep Endpoint, from int) error {
-	if lc, ok := ep.(liveChecker); ok && from != AnySource {
-		return lc.Suspect(from)
+	if v, ok := ep.(*View); ok && from != AnySource {
+		return v.Suspect(from)
 	}
 	return nil
 }
@@ -145,13 +140,7 @@ func RecvRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, from, 
 		if err := checkLive(ep); err != nil {
 			return Packet{}, fmt.Errorf("msg: %s: rank %d: recv from %d: %w", op, ep.Rank(), from, err)
 		}
-		var p Packet
-		var err error
-		if pol.Timeout > 0 {
-			p, err = ep.RecvTimeout(from, tag, pol.Deadline(attempt))
-		} else {
-			p, err = ep.Recv(from, tag)
-		}
+		p, err := receive(ep, from, tag, pol.Deadline(attempt))
 		if err == nil {
 			return p, nil
 		}
@@ -186,14 +175,10 @@ type Comm struct {
 	seq int64
 }
 
-// NewComm wraps an endpoint.  If the endpoint exposes a Tracer (both
-// built-in transports do), every collective records a span on it.
+// NewComm wraps an endpoint.  Every collective records a span on the
+// endpoint's Tracer when it has one.
 func NewComm(ep Endpoint) *Comm {
-	c := &Comm{ep: ep}
-	if tp, ok := ep.(interface{ Tracer() *trace.Tracer }); ok {
-		c.tr = tp.Tracer()
-	}
-	return c
+	return &Comm{ep: ep, tr: ep.Tracer()}
 }
 
 // SetRetry installs the retry policy for this Comm's collectives.  Every

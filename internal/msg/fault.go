@@ -189,19 +189,19 @@ func (r *FaultRule) setOption(k, v string) (ok bool, err error) {
 // Its endpoints do not report SharedMemory(), even over the chan
 // transport: a Window's offers then travel framed through this layer, so
 // a rule reaches every payload byte a DISTRIBUTE moves.
+//
+// Everything but the endpoints is the wrapped transport's: its Stats
+// never see a dropped frame or a failed injected send.
 type FaultTransport struct {
-	inner Transport
-	plan  *FaultPlan
-	eps   []*faultEndpoint
+	Transport
+	eps []faultEndpoint
 }
 
 // NewFaultTransport wraps inner with the plan's fault rules.
 func NewFaultTransport(inner Transport, plan *FaultPlan) *FaultTransport {
-	t := &FaultTransport{inner: inner, plan: plan}
-	t.eps = make([]*faultEndpoint, inner.NP())
+	t := &FaultTransport{Transport: inner, eps: make([]faultEndpoint, inner.NP())}
 	for r := range t.eps {
-		t.eps[r] = &faultEndpoint{
-			t:     t,
+		t.eps[r] = faultEndpoint{
 			inner: inner.Endpoint(r),
 			inj:   fault.NewInjector(plan.Seed, r, !plan.StartDisarmed, plan.Rules, (*FaultRule).window),
 		}
@@ -209,25 +209,8 @@ func NewFaultTransport(inner Transport, plan *FaultPlan) *FaultTransport {
 	return t
 }
 
-// NP returns the processor count.
-func (t *FaultTransport) NP() int { return t.inner.NP() }
-
 // Endpoint returns rank's fault-injecting endpoint.
-func (t *FaultTransport) Endpoint(rank int) Endpoint { return t.eps[rank] }
-
-// Close closes the wrapped transport.
-func (t *FaultTransport) Close() error { return t.inner.Close() }
-
-// Stats returns the wrapped transport's statistics.  Dropped frames and
-// failed injected sends never reach the inner transport, so they are not
-// counted.
-func (t *FaultTransport) Stats() *Stats { return t.inner.Stats() }
-
-// Cost returns the wrapped transport's cost model.
-func (t *FaultTransport) Cost() *CostModel { return t.inner.Cost() }
-
-// Tracer returns the wrapped transport's tracer.
-func (t *FaultTransport) Tracer() *trace.Tracer { return t.inner.Tracer() }
+func (t *FaultTransport) Endpoint(rank int) Endpoint { return &t.eps[rank] }
 
 // Arm enables injection on rank's endpoint.  For plans built with
 // StartDisarmed, a test arms each rank at a point where that rank's next
@@ -238,7 +221,6 @@ func (t *FaultTransport) Arm(rank int) { t.eps[rank].inj.SetArmed(true) }
 func (t *FaultTransport) Disarm(rank int) { t.eps[rank].inj.SetArmed(false) }
 
 type faultEndpoint struct {
-	t     *FaultTransport
 	inner Endpoint
 	inj   *fault.Injector[FaultRule]
 }
@@ -249,9 +231,7 @@ func (e *faultEndpoint) wrapped() Endpoint { return e.inner }
 func (e *faultEndpoint) Rank() int { return e.inner.Rank() }
 func (e *faultEndpoint) NP() int   { return e.inner.NP() }
 
-// Tracer exposes the wrapped transport's tracer so Comm still records
-// collective spans when running over a FaultTransport.
-func (e *faultEndpoint) Tracer() *trace.Tracer { return e.t.inner.Tracer() }
+func (e *faultEndpoint) Tracer() *trace.Tracer { return e.inner.Tracer() }
 
 // isWinTag reports whether a wire tag belongs to the one-sided window
 // tag space (after stripping any folded membership epoch).
@@ -298,21 +278,17 @@ func (e *faultEndpoint) stall(peer, tag int) {
 	}
 }
 
-// firedSend runs one send past the slow rules and the send-side schedule.
-func (e *faultEndpoint) firedSend(to, tag int) *FaultRule {
-	e.stall(to, tag)
-	return e.fire(to, tag, FaultSendErr, FaultRecvDelay, FaultDrop, FaultCorrupt)
-}
-
 func (e *faultEndpoint) Send(to, tag int, data []byte) error {
 	return e.sendGather(to, tag, gather{one: data})
 }
 
-// sendGather implements gatherSender.  A send no rule fires on goes down
-// in pieces as it came; one a rule fires on is joined first, so the
-// injected fault lands on the bytes a plain Send of the frame would carry.
+// sendGather implements gatherSender: it runs the send past the slow
+// rules and the send-side schedule.  A send no rule fires on goes down in
+// pieces as it came; one a rule fires on is joined first, so the injected
+// fault lands on the bytes a plain Send of the frame would carry.
 func (e *faultEndpoint) sendGather(to, tag int, g gather) error {
-	if r := e.firedSend(to, tag); r != nil {
+	e.stall(to, tag)
+	if r := e.fire(to, tag, FaultSendErr, FaultRecvDelay, FaultDrop, FaultCorrupt); r != nil {
 		return e.sendFaulty(r, to, tag, g.join())
 	}
 	return sendGather(e.inner, to, tag, g)
@@ -347,18 +323,19 @@ func (e *faultEndpoint) sendFaulty(r *FaultRule, to, tag int, data []byte) error
 	return e.inner.Send(to, tag, data)
 }
 
-func (e *faultEndpoint) Recv(from, tag int) (Packet, error) {
-	e.stall(from, tag)
-	if r := e.fire(from, tag, FaultRecvErr); r != nil {
-		return Packet{}, fmt.Errorf("%w: recv %d<-%d", ErrInjected, e.inner.Rank(), from)
-	}
-	return e.inner.Recv(from, tag)
-}
+func (e *faultEndpoint) Recv(from, tag int) (Packet, error) { return e.recv(from, tag, 0) }
 
 func (e *faultEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
+	return e.recv(from, tag, deadline(d))
+}
+
+// recv runs one receive past the slow rules and the receive-side
+// schedule, then receives through the wrapped endpoint, waiting at most
+// d when d > 0.
+func (e *faultEndpoint) recv(from, tag int, d time.Duration) (Packet, error) {
 	e.stall(from, tag)
 	if r := e.fire(from, tag, FaultRecvErr); r != nil {
 		return Packet{}, fmt.Errorf("%w: recv %d<-%d", ErrInjected, e.inner.Rank(), from)
 	}
-	return e.inner.RecvTimeout(from, tag, d)
+	return receive(e.inner, from, tag, d)
 }

@@ -35,44 +35,27 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // A payload sent in pieces (gatherSender) is summed piece by piece — the
 // sum of their concatenation — and the sum goes down beside the pieces,
 // for the transport to write behind them: nothing is joined to be
-// checksummed.
+// checksummed.  Everything but the endpoints is the wrapped transport's;
+// its Stats count the 4-byte trailers, which really do cross the wire.
 type IntegrityTransport struct {
-	inner Transport
-	eps   []integrityEndpoint
+	Transport
+	eps []integrityEndpoint
 }
 
 // NewIntegrityTransport wraps inner with per-message CRC32C checksums.
 func NewIntegrityTransport(inner Transport) *IntegrityTransport {
-	t := &IntegrityTransport{inner: inner}
-	t.eps = make([]integrityEndpoint, inner.NP())
+	t := &IntegrityTransport{Transport: inner, eps: make([]integrityEndpoint, inner.NP())}
 	for r := range t.eps {
-		t.eps[r] = integrityEndpoint{inner: inner.Endpoint(r), tr: inner.Tracer()}
+		t.eps[r].inner = inner.Endpoint(r)
 	}
 	return t
 }
 
-// NP returns the processor count.
-func (t *IntegrityTransport) NP() int { return t.inner.NP() }
-
 // Endpoint returns rank's checksumming endpoint.
 func (t *IntegrityTransport) Endpoint(rank int) Endpoint { return &t.eps[rank] }
 
-// Close closes the wrapped transport.
-func (t *IntegrityTransport) Close() error { return t.inner.Close() }
-
-// Stats returns the wrapped transport's statistics (byte counts include
-// the 4-byte trailers, which really do cross the wire).
-func (t *IntegrityTransport) Stats() *Stats { return t.inner.Stats() }
-
-// Cost returns the wrapped transport's cost model.
-func (t *IntegrityTransport) Cost() *CostModel { return t.inner.Cost() }
-
-// Tracer returns the wrapped transport's tracer.
-func (t *IntegrityTransport) Tracer() *trace.Tracer { return t.inner.Tracer() }
-
 type integrityEndpoint struct {
 	inner Endpoint
-	tr    *trace.Tracer
 }
 
 // wrapped is the facet Wire unwraps.
@@ -81,14 +64,7 @@ func (e *integrityEndpoint) wrapped() Endpoint { return e.inner }
 func (e *integrityEndpoint) Rank() int { return e.inner.Rank() }
 func (e *integrityEndpoint) NP() int   { return e.inner.NP() }
 
-// Tracer exposes the wrapped transport's tracer for Comm.
-func (e *integrityEndpoint) Tracer() *trace.Tracer { return e.tr }
-
-// CheckLive and Suspect delegate to the wrapped endpoint when it carries
-// them (a View stacked under the integrity layer).
-func (e *integrityEndpoint) CheckLive() error { return checkLive(e.inner) }
-
-func (e *integrityEndpoint) Suspect(from int) error { return suspect(e.inner, from) }
+func (e *integrityEndpoint) Tracer() *trace.Tracer { return e.inner.Tracer() }
 
 func (e *integrityEndpoint) Send(to, tag int, data []byte) error {
 	return e.sendGather(to, tag, gather{one: data})
@@ -106,7 +82,19 @@ func (e *integrityEndpoint) sendGather(to, tag int, g gather) error {
 	return sendGather(e.inner, to, tag, g)
 }
 
-func (e *integrityEndpoint) verify(p Packet) (Packet, error) {
+func (e *integrityEndpoint) Recv(from, tag int) (Packet, error) { return e.recv(from, tag, 0) }
+
+func (e *integrityEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
+	return e.recv(from, tag, deadline(d))
+}
+
+// recv receives through the wrapped endpoint, waiting at most d when
+// d > 0, and checks and strips the CRC32C trailer.
+func (e *integrityEndpoint) recv(from, tag int, d time.Duration) (Packet, error) {
+	p, err := receive(e.inner, from, tag, d)
+	if err != nil {
+		return p, err
+	}
 	n := len(p.Data) - 4
 	if n < 0 {
 		return Packet{}, fmt.Errorf("%w: frame from %d (tag %d) too short for trailer (%d bytes)",
@@ -119,20 +107,4 @@ func (e *integrityEndpoint) verify(p Packet) (Packet, error) {
 	}
 	p.Data = p.Data[:n]
 	return p, nil
-}
-
-func (e *integrityEndpoint) Recv(from, tag int) (Packet, error) {
-	p, err := e.inner.Recv(from, tag)
-	if err != nil {
-		return p, err
-	}
-	return e.verify(p)
-}
-
-func (e *integrityEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
-	p, err := e.inner.RecvTimeout(from, tag, d)
-	if err != nil {
-		return p, err
-	}
-	return e.verify(p)
 }

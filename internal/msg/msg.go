@@ -18,6 +18,14 @@
 //     clocks, used by the experiment harnesses to reproduce the paper's
 //     message-cost arguments (§4).
 //
+// Both transports embed one core (core.go): the mailboxes, Stats, the
+// cost model and the tracer, the receive, and every send's checks and
+// accounting; each adds only its delivery (a copy into the peer's
+// mailbox, a frame on the socket).  FaultTransport and IntegrityTransport
+// embed the Transport they wrap and define only Endpoint; a View wraps
+// one endpoint per membership epoch.  Each layer writes its receive once,
+// recv(from, tag, d), under both Recv and RecvTimeout.
+//
 // All payloads are byte slices at the transport boundary; codec.go
 // provides the encodings for the element types the runtime uses.  Byte
 // counts observed by Stats are therefore real wire sizes on both
@@ -26,8 +34,6 @@ package msg
 
 import (
 	"errors"
-	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/trace"
@@ -139,9 +145,29 @@ type Endpoint interface {
 	// the same sender with the same tag are received in send order.
 	Recv(from, tag int) (Packet, error)
 	// RecvTimeout is Recv with a deadline; it returns ErrTimeout if no
-	// matching message arrives in time.
+	// matching message arrives in time (at once when d <= 0 and none is
+	// queued).
 	RecvTimeout(from, tag int, d time.Duration) (Packet, error)
+	// Tracer returns the transport's event tracer, or nil; Comm records
+	// its collective spans on it.
+	Tracer() *trace.Tracer
 }
+
+// receive runs one receive on ep: Recv when d <= 0, RecvTimeout(d)
+// otherwise.  Each layer writes its receive once, as recv(from, tag, d),
+// and passes d down through here; its Recv passes no deadline and its
+// RecvTimeout passes deadline(d).
+func receive(ep Endpoint, from, tag int, d time.Duration) (Packet, error) {
+	if d <= 0 {
+		return ep.Recv(from, tag)
+	}
+	return ep.RecvTimeout(from, tag, d)
+}
+
+// deadline is RecvTimeout's d as a receive deadline: at least a
+// nanosecond, so that a deadline already past times out instead of
+// waiting for ever.
+func deadline(d time.Duration) time.Duration { return max(d, time.Nanosecond) }
 
 // gather is a message payload given as pieces: one, then each of pieces,
 // then — when summed — the four little-endian bytes of sum, the CRC32C
@@ -233,101 +259,4 @@ type Transport interface {
 	// Tracer returns the attached event tracer, or nil.  Transports
 	// record per-message send/recv events on it when it is enabled.
 	Tracer() *trace.Tracer
-}
-
-// matcher is an unbounded mailbox with predicate matching.  Producers
-// append packets; consumers block until a packet matching their (from,
-// tag) pattern is present.  Multiple concurrent consumers are supported;
-// per-(from,tag) FIFO order is preserved because consumers scan the queue
-// front-to-back.
-type matcher struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	queue  []Packet
-	closed bool
-}
-
-func newMatcher() *matcher {
-	m := &matcher{}
-	m.cond = sync.NewCond(&m.mu)
-	return m
-}
-
-func (m *matcher) put(p Packet) {
-	m.mu.Lock()
-	m.queue = append(m.queue, p)
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-func (m *matcher) close() {
-	m.mu.Lock()
-	m.closed = true
-	m.mu.Unlock()
-	m.cond.Broadcast()
-}
-
-func matches(p Packet, from, tag int) bool {
-	return (from == AnySource || p.From == from) && (tag == AnyTag || p.Tag == tag)
-}
-
-// take removes and returns the first queued packet matching (from, tag).
-// The slot the removal vacates past the new length is zeroed: left alone
-// it would keep the packet's payload reachable from the mailbox long
-// after the receiver dropped it.  m.mu must be held.
-func (m *matcher) take(from, tag int) (Packet, bool) {
-	for i, p := range m.queue {
-		if matches(p, from, tag) {
-			last := len(m.queue) - 1
-			copy(m.queue[i:], m.queue[i+1:])
-			m.queue[last] = Packet{}
-			m.queue = m.queue[:last]
-			return p, true
-		}
-	}
-	return Packet{}, false
-}
-
-func (m *matcher) get(from, tag int) (Packet, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if p, ok := m.take(from, tag); ok {
-			return p, nil
-		}
-		if m.closed {
-			return Packet{}, ErrClosed
-		}
-		m.cond.Wait()
-	}
-}
-
-func (m *matcher) getTimeout(from, tag int, d time.Duration) (Packet, error) {
-	// One timer per call, stopped on return: RecvRetry comes through here
-	// for every receive of a run with a CommTimeout.  The timer sets
-	// expired under the mailbox lock before it broadcasts, so a consumer
-	// that saw it unset is already registered in cond.Wait when the
-	// broadcast goes out — the fire cannot slip between check and wait.
-	expired := false
-	timer := time.AfterFunc(d, func() {
-		m.mu.Lock()
-		expired = true
-		m.mu.Unlock()
-		m.cond.Broadcast()
-	})
-	defer timer.Stop()
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for {
-		if p, ok := m.take(from, tag); ok {
-			return p, nil
-		}
-		if m.closed {
-			return Packet{}, ErrClosed
-		}
-		if expired {
-			return Packet{}, fmt.Errorf("%w (from=%d tag=%d)", ErrTimeout, from, tag)
-		}
-		m.cond.Wait()
-	}
 }

@@ -328,23 +328,18 @@ func TestCostModelCharge(t *testing.T) {
 // a whole DISTRIBUTE transfer per mailbox — in the slice slot just past
 // the new length until some later message overwrote it.
 func TestMailboxDropsReceivedPayload(t *testing.T) {
-	for _, timeout := range []bool{false, true} {
-		m := newMatcher()
+	for _, d := range []time.Duration{0, time.Second} {
+		m := &matcher{}
+		m.cond.L = &m.mu
 		freed := make(chan struct{})
 		func() {
 			payload := make([]byte, 1<<20)
 			runtime.SetFinalizer(&payload[0], func(*byte) { close(freed) })
 			m.put(Packet{From: 1, Tag: 7, Data: payload})
 		}()
-		var p Packet
-		var err error
-		if timeout {
-			p, err = m.getTimeout(1, 7, time.Second)
-		} else {
-			p, err = m.get(1, 7)
-		}
+		p, err := m.get(1, 7, d)
 		if err != nil || len(p.Data) != 1<<20 {
-			t.Fatalf("timeout=%v: get = %d bytes, %v", timeout, len(p.Data), err)
+			t.Fatalf("deadline %v: get = %d bytes, %v", d, len(p.Data), err)
 		}
 		p = Packet{}
 		deadline := time.After(5 * time.Second)
@@ -355,7 +350,7 @@ func TestMailboxDropsReceivedPayload(t *testing.T) {
 			case <-freed:
 				break wait
 			case <-deadline:
-				t.Fatalf("timeout=%v: received payload still reachable from the mailbox", timeout)
+				t.Fatalf("deadline %v: received payload still reachable from the mailbox", d)
 			case <-time.After(10 * time.Millisecond):
 			}
 		}

@@ -3,7 +3,23 @@ package msg
 import (
 	"testing"
 	"time"
+
+	"repro/internal/fault"
 )
+
+// countMatches rebuilds rank's injector in ft from the same plan and
+// returns the number of times one of its rules has matched an operation
+// since: the injector reads a rule's window exactly once per armed match,
+// whether or not the rule then fires.  A rule that did not match did not
+// fire — an exact check where a wall-clock bound is not.
+func countMatches(ft *FaultTransport, rank int, plan *FaultPlan) *int {
+	n := new(int)
+	ft.eps[rank].inj = fault.NewInjector(plan.Seed, rank, !plan.StartDisarmed, plan.Rules, func(r *FaultRule) fault.Window {
+		*n++
+		return r.window()
+	})
+	return n
+}
 
 // TestSlowFaultParse: the slow kind parses with its factor, defaults to
 // a persistent schedule, and rejects a missing base delay.
@@ -32,22 +48,23 @@ func TestSlowFaultParse(t *testing.T) {
 // slowed operations still succeed.
 func TestSlowFaultStallsMatchingRank(t *testing.T) {
 	const base = 5 * time.Millisecond
-	ft := NewFaultTransport(NewChanTransport(2), &FaultPlan{
+	plan := &FaultPlan{
 		Rules: []FaultRule{{Kind: FaultSlow, Rank: 1, Peer: -1, Delay: base, Factor: 4}},
-	})
+	}
+	ft := NewFaultTransport(NewChanTransport(2), plan)
 	defer ft.Close()
+	healthy := countMatches(ft, 0, plan)
 
-	// Rank 0 (healthy): send is effectively instant.
-	t0 := time.Now()
+	// Rank 0 (healthy): the slow rule does not match its send.
 	if err := ft.Endpoint(0).Send(1, 7, EncodeInts([]int{1})); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(t0); el > base {
-		t.Fatalf("healthy rank's send took %v (slowdown leaked to the wrong rank)", el)
+	if *healthy != 0 {
+		t.Fatalf("the slow rule matched %d of the healthy rank's operations (slowdown leaked to the wrong rank)", *healthy)
 	}
 
 	// Rank 1 (slow): both its receive and its send stall ≥ Delay×Factor.
-	t0 = time.Now()
+	t0 := time.Now()
 	p, err := ft.Endpoint(1).RecvTimeout(0, 7, time.Second)
 	if err != nil {
 		t.Fatal(err)
@@ -71,36 +88,39 @@ func TestSlowFaultStallsMatchingRank(t *testing.T) {
 // switches the latency on, like every other fault kind.
 func TestSlowFaultArmDisarm(t *testing.T) {
 	const base = 10 * time.Millisecond
-	ft := NewFaultTransport(NewChanTransport(2), &FaultPlan{
+	plan := &FaultPlan{
 		StartDisarmed: true,
 		Rules:         []FaultRule{{Kind: FaultSlow, Rank: 0, Peer: -1, Delay: base, Factor: 2}},
-	})
+	}
+	ft := NewFaultTransport(NewChanTransport(2), plan)
 	defer ft.Close()
+	matched := countMatches(ft, 0, plan)
 	ep := ft.Endpoint(0)
 
-	t0 := time.Now()
 	if err := ep.Send(1, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(t0); el > base {
-		t.Fatalf("disarmed slow rule still stalled the send (%v)", el)
+	if *matched != 0 {
+		t.Fatalf("disarmed slow rule still matched the send (%d matches)", *matched)
 	}
 
 	ft.Arm(0)
-	t0 = time.Now()
+	t0 := time.Now()
 	if err := ep.Send(1, 7, nil); err != nil {
 		t.Fatal(err)
 	}
 	if el := time.Since(t0); el < 2*base {
 		t.Fatalf("armed slow send took %v, want >= %v", el, 2*base)
 	}
+	if *matched != 1 {
+		t.Fatalf("armed slow rule matched %d sends, want 1", *matched)
+	}
 	ft.Disarm(0)
-	t0 = time.Now()
 	if err := ep.Send(1, 7, nil); err != nil {
 		t.Fatal(err)
 	}
-	if el := time.Since(t0); el > base {
-		t.Fatalf("disarmed slow rule still stalled the send (%v)", el)
+	if *matched != 1 {
+		t.Fatalf("disarmed slow rule still matched the send (%d matches, want 1)", *matched)
 	}
 }
 

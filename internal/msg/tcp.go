@@ -5,10 +5,7 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
-
-	"repro/internal/trace"
 )
 
 // TCPTransport connects np logical processors through a full mesh of TCP
@@ -32,14 +29,8 @@ import (
 // buffer of exactly its size that the consumer may hand back with
 // Packet.Release (see rxFree); the consumer's unpack is the one copy.
 type TCPTransport struct {
-	np     int
-	eps    []*tcpEndpoint
-	stats  *Stats
-	cost   *CostModel
-	tracer *trace.Tracer
-	closed atomic.Bool
-	conns  []net.Conn // all conns for Close
-	mu     sync.Mutex
+	core
+	conns []net.Conn // every connection, for Close; written only by NewTCPTransport
 	// readers counts the running readLoops; Close waits for them, so no
 	// reader touches an endpoint once Close has returned.
 	readers sync.WaitGroup
@@ -52,7 +43,8 @@ const (
 	// would wrap into a short frame followed by bytes the reader takes
 	// for headers, and a damaged length would make the reader allocate
 	// whatever it says.  Send refuses more; the reader treats more as a
-	// broken connection.
+	// broken connection.  The chan transport keeps the same limit, so a
+	// program sends alike on both.
 	maxFrame = 1 << 30
 	// tcpCoalesce is the payload size up to which Send copies the payload
 	// behind the header in the connection's scratch and issues a plain
@@ -62,8 +54,8 @@ const (
 	tcpCoalesce = 1024
 	// rxFreeCap bounds a connection's free list of receive buffers, and
 	// TCP payloads below rxFreeMin bypass it: the reader allocates them
-	// cheaply and they would only push the bulk buffers out.  (The chan
-	// transport copies every payload anyway, so all of its take the list.)
+	// cheaply and they would only push the bulk buffers out.  (A payload
+	// copied by core.land is copied anyway, so all of those take the list.)
 	rxFreeCap = 4
 	rxFreeMin = 4096
 )
@@ -92,14 +84,15 @@ func parseFrameHeader(hdr []byte) (tag, n int, sendClock float64, ok bool) {
 }
 
 // rxFree is one connection's free list of receive buffers — a TCP
-// connection's, or a chan sender-receiver pair's.  The reader (on chan,
-// the sending copy) takes a buffer of exactly the incoming payload's
-// length when one is listed and allocates otherwise; a buffer enters the
-// list only through Packet.Release.  Transfer sizes repeat exactly from step to step, so in
-// steady state a bulk payload lands in the buffer its predecessor was
-// released from and nothing its size is allocated; a size that stops
-// recurring is pushed out by later releases, so at most rxFreeCap buffers
-// are ever held per connection.
+// connection's, or a sender-receiver pair's for the copies core.land
+// makes.  The reader (for land, the sending copy) takes a buffer of
+// exactly the incoming payload's length when one is listed and allocates
+// otherwise; a buffer enters the list only through Packet.Release.
+// Transfer sizes repeat exactly from step to step, so in steady state a
+// bulk payload lands in the buffer its predecessor was released from and
+// nothing its size is allocated; a size that stops recurring is pushed
+// out by later releases, so at most rxFreeCap buffers are ever held per
+// connection.
 type rxFree struct {
 	mu   sync.Mutex
 	bufs [rxFreeCap][]byte
@@ -145,13 +138,12 @@ func NewTCPTransport(np int, opts ...Option) (*TCPTransport, error) {
 	if np <= 0 {
 		return nil, fmt.Errorf("msg: invalid processor count %d", np)
 	}
-	t := &TCPTransport{np: np, stats: NewStats(np)}
-	for _, o := range opts {
-		o(&option{cost: &t.cost, tracer: &t.tracer})
-	}
-	t.eps = make([]*tcpEndpoint, np)
-	for i := range t.eps {
-		t.eps[i] = &tcpEndpoint{t: t, rank: i, box: newMatcher(), out: make([]*tcpConn, np)}
+	t := &TCPTransport{}
+	t.init(np, opts, t.write)
+	eps := make([]*tcpEndpoint, np)
+	for i := range eps {
+		eps[i] = &tcpEndpoint{port: port{&t.core, i}, out: make([]*tcpConn, np)}
+		t.eps[i] = eps[i]
 	}
 
 	// Every rank i < j pair gets one connection: i listens, j dials.
@@ -208,14 +200,12 @@ func NewTCPTransport(np int, opts ...Option) (*TCPTransport, error) {
 			// side is the dialed conn.
 			ci := &tcpConn{conn: accepted[r.j]}
 			cj := &tcpConn{conn: r.conn}
-			t.eps[i].out[r.j] = ci
-			t.eps[r.j].out[i] = cj
-			t.mu.Lock()
+			eps[i].out[r.j] = ci
+			eps[r.j].out[i] = cj
 			t.conns = append(t.conns, accepted[r.j], r.conn)
-			t.mu.Unlock()
 			t.readers.Add(2)
-			go func() { defer t.readers.Done(); t.readLoop(t.eps[i], r.j, ci) }()
-			go func() { defer t.readers.Done(); t.readLoop(t.eps[r.j], i, cj) }()
+			go func() { defer t.readers.Done(); eps[i].readLoop(r.j, ci) }()
+			go func() { defer t.readers.Done(); eps[r.j].readLoop(i, cj) }()
 		}
 	}
 	return t, nil
@@ -236,13 +226,13 @@ type tcpConn struct {
 }
 
 type tcpEndpoint struct {
-	t    *TCPTransport
-	rank int
-	box  *matcher
-	out  []*tcpConn // by peer rank; nil for self
+	port
+	out []*tcpConn // by peer rank; nil for self
 }
 
-func (t *TCPTransport) readLoop(ep *tcpEndpoint, from int, c *tcpConn) {
+// readLoop lands the frames of the connection from rank from in the
+// endpoint's mailbox until the connection closes.
+func (e *tcpEndpoint) readLoop(from int, c *tcpConn) {
 	hdr := make([]byte, tcpFrameHeader)
 	for {
 		if _, err := io.ReadFull(c.conn, hdr); err != nil {
@@ -264,85 +254,32 @@ func (t *TCPTransport) readLoop(ep *tcpEndpoint, from int, c *tcpConn) {
 		if _, err := io.ReadFull(c.conn, p.Data); err != nil {
 			return
 		}
-		ep.box.put(p)
+		e.t.boxes[e.rank].put(p)
 	}
 }
-
-// NP returns the processor count.
-func (t *TCPTransport) NP() int { return t.np }
-
-// Stats returns the traffic statistics collector.
-func (t *TCPTransport) Stats() *Stats { return t.stats }
-
-// Cost returns the attached cost model (nil if none).
-func (t *TCPTransport) Cost() *CostModel { return t.cost }
-
-// Tracer returns the attached event tracer (nil if none).
-func (t *TCPTransport) Tracer() *trace.Tracer { return t.tracer }
-
-// Endpoint returns processor rank's endpoint.
-func (t *TCPTransport) Endpoint(rank int) Endpoint { return t.eps[rank] }
 
 // Close tears down all connections and returns once their readers have
 // stopped; blocked receives return ErrClosed.
 func (t *TCPTransport) Close() error {
-	if t.closed.Swap(true) {
+	if !t.shut() {
 		return nil
 	}
-	t.mu.Lock()
 	for _, c := range t.conns {
 		c.Close()
-	}
-	t.mu.Unlock()
-	for _, ep := range t.eps {
-		if ep != nil {
-			ep.box.close()
-		}
 	}
 	t.readers.Wait()
 	return nil
 }
 
-func (e *tcpEndpoint) Rank() int { return e.rank }
-func (e *tcpEndpoint) NP() int   { return e.t.np }
-
-// Tracer exposes the transport's tracer so Comm can record collective
-// spans without widening the Endpoint interface.
-func (e *tcpEndpoint) Tracer() *trace.Tracer { return e.t.tracer }
-
-func (e *tcpEndpoint) Send(to, tag int, data []byte) error {
-	return e.sendGather(to, tag, gather{one: data})
-}
-
-// sendGather implements gatherSender: one frame whose payload is g — a
-// small one copied behind the header and written whole, a larger one
-// gathered from the caller's pieces by writev.
-func (e *tcpEndpoint) sendGather(to, tag int, g gather) error {
-	if e.t.closed.Load() {
-		return ErrClosed
-	}
-	if to < 0 || to >= e.t.np {
-		return fmt.Errorf("msg: send to invalid rank %d (np=%d)", to, e.t.np)
+// write is the TCP delivery: one frame whose payload is g — a small one
+// copied behind the header and written whole, a larger one gathered from
+// the caller's pieces by writev.  A send to self lands by copy.
+func (t *TCPTransport) write(from, to, tag int, g gather, sendClock float64) error {
+	if to == from {
+		return t.land(from, to, tag, g, sendClock)
 	}
 	n := g.len()
-	if n > maxFrame {
-		return fmt.Errorf("msg: tcp send: rank %d to %d: payload of %d bytes exceeds the frame limit of %d", e.rank, to, n, maxFrame)
-	}
-	var sendClock float64
-	if c := e.t.cost; c != nil {
-		sendClock = c.OnSend(e.rank, n)
-	}
-	e.t.stats.OnSend(e.rank, to, n)
-	if tr := e.t.tracer; tr != nil {
-		tr.Send(e.rank, to, n)
-	}
-	if to == e.rank {
-		cp := make([]byte, n)
-		g.copyTo(cp)
-		e.box.put(Packet{From: e.rank, Tag: tag, Data: cp, SendClock: sendClock})
-		return nil
-	}
-	oc := e.out[to]
+	oc := t.eps[from].(*tcpEndpoint).out[to]
 	oc.mu.Lock()
 	putFrameHeader(oc.scratch[:], tag, n, sendClock)
 	var err error
@@ -362,32 +299,4 @@ func (e *tcpEndpoint) sendGather(to, tag int, g gather) error {
 		return fmt.Errorf("msg: tcp send: %w", err)
 	}
 	return nil
-}
-
-func (e *tcpEndpoint) Recv(from, tag int) (Packet, error) {
-	p, err := e.box.get(from, tag)
-	if err != nil {
-		return p, err
-	}
-	e.afterRecv(p)
-	return p, nil
-}
-
-func (e *tcpEndpoint) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
-	p, err := e.box.getTimeout(from, tag, d)
-	if err != nil {
-		return p, err
-	}
-	e.afterRecv(p)
-	return p, nil
-}
-
-func (e *tcpEndpoint) afterRecv(p Packet) {
-	e.t.stats.OnRecv(e.rank, p.From, len(p.Data))
-	if c := e.t.cost; c != nil {
-		c.OnRecv(e.rank, p.SendClock, len(p.Data))
-	}
-	if tr := e.t.tracer; tr != nil {
-		tr.Recv(e.rank, p.From, len(p.Data))
-	}
 }

@@ -107,14 +107,8 @@ func (v *View) Rank() int { return v.virt[v.inner.Rank()] }
 // NP returns the number of members of the view.
 func (v *View) NP() int { return len(v.phys) }
 
-// Tracer exposes the wrapped endpoint's tracer so Comm still records
-// collective spans over a view.
-func (v *View) Tracer() *trace.Tracer {
-	if tp, ok := v.inner.(interface{ Tracer() *trace.Tracer }); ok {
-		return tp.Tracer()
-	}
-	return nil
-}
+// Tracer returns the wrapped endpoint's tracer.
+func (v *View) Tracer() *trace.Tracer { return v.inner.Tracer() }
 
 // SharedMemory forwards the one-sided fast-path capability of the
 // wrapped endpoint (offers over a view keep the token path).
@@ -177,25 +171,21 @@ func (v *View) sendGather(to, tag int, g gather) error {
 }
 
 // Recv receives a message from view rank `from` on the epoch-folded tag.
-func (v *View) Recv(from, tag int) (Packet, error) {
-	pfrom, err := v.peer(from)
-	if err != nil {
-		return Packet{}, err
-	}
-	p, err := v.inner.Recv(pfrom, FoldTag(v.epoch, tag))
-	if err != nil {
-		return p, err
-	}
-	return v.translate(p), nil
-}
+func (v *View) Recv(from, tag int) (Packet, error) { return v.recv(from, tag, 0) }
 
 // RecvTimeout is Recv with a deadline.
 func (v *View) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
+	return v.recv(from, tag, deadline(d))
+}
+
+// recv receives from view rank from on the folded tag, waiting at most d
+// when d > 0, and translates the packet into view coordinates.
+func (v *View) recv(from, tag int, d time.Duration) (Packet, error) {
 	pfrom, err := v.peer(from)
 	if err != nil {
 		return Packet{}, err
 	}
-	p, err := v.inner.RecvTimeout(pfrom, FoldTag(v.epoch, tag), d)
+	p, err := receive(v.inner, pfrom, FoldTag(v.epoch, tag), d)
 	if err != nil {
 		return p, err
 	}

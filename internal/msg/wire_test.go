@@ -30,8 +30,10 @@ func rawEndpoint(t *testing.T, cost *CostModel) (*tcpEndpoint, net.Conn) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { client.Close(); server.Close() })
-	tr := &TCPTransport{np: 2, stats: NewStats(2), cost: cost}
-	ep := &tcpEndpoint{t: tr, rank: 0, box: newMatcher(), out: []*tcpConn{nil, {conn: client}}}
+	tr := &TCPTransport{}
+	tr.init(2, []Option{WithCost(cost)}, tr.write)
+	ep := &tcpEndpoint{port: port{&tr.core, 0}, out: []*tcpConn{nil, {conn: client}}}
+	tr.eps[0] = ep
 	return ep, server
 }
 
@@ -190,7 +192,7 @@ func FuzzTCPFrameHeader(f *testing.F) {
 func TestTCPReaderRejectsOversizedLength(t *testing.T) {
 	ep, wire := rawEndpoint(t, nil)
 	done := make(chan struct{})
-	go func() { ep.t.readLoop(ep, 1, ep.out[1]); close(done) }()
+	go func() { ep.readLoop(1, ep.out[1]); close(done) }()
 	hdr := make([]byte, tcpFrameHeader)
 	putFrameHeader(hdr, 7, 0, 0)
 	PutUint32(hdr, 8, maxFrame+1)
