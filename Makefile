@@ -61,7 +61,10 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # window, ghosted layouts, warm allocation bounds on chan, released
 # payloads on TCP), every run of a cyclic crossing affine on both ends
 # (TestDimSpanInterleavedRuns), the
-# symmetric no-plan failure, the np-keyed move table, the budget parser
+# symmetric no-plan failure, the np-keyed move table, closed-form
+# schedules equal to the per-peer reference (TestScheduleMatchesReference),
+# a fresh-bounds move planned and laid out in reused storage
+# (TestRebalanceWarmAllocs, TestRecycledStorageFreshBounds), the budget parser
 # and its fuzz seeds, FuzzDistribute's corpus (values, bytes and messages
 # of random crossings, replicated ones included, against closed forms
 # from the distributions, and no wire residency over channels), the wire
@@ -78,13 +81,13 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 # and the checkpoint rank files pinned by hash — all under the race
 # detector.
 check-redist:
-	$(GO) test -race -run 'TestPackUnpack|TestCopyGrid|TestUnpackPartRuns|TestPackAllocsPerRun|TestSaveRankFilesGolden|TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
+	$(GO) test -race -run 'TestPackUnpack|TestCopyGrid|TestUnpackPartRuns|TestPackAllocsPerRun|TestSaveRankFilesGolden|TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRebalanceWarmAllocs|TestScheduleMatchesReference|TestRecycledStorageFreshBounds|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp ./internal/ckpt
 
 # FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
-# crossings of BLOCK, CYCLIC(k), B_BLOCK and ':' over 1-6 ranks on lines
-# and grids of processors, each held to its closed-form values, bytes and
-# messages.
+# crossings of BLOCK, CYCLIC(k), B_BLOCK, S_BLOCK and ':' over 1-6 ranks
+# on lines and grids of processors, each held to its closed-form values,
+# bytes and messages and every rank's schedule to the per-peer reference.
 fuzz-distribute:
 	$(GO) test -run '^$$' -fuzz '^FuzzDistribute$$' -fuzztime 5m -parallel 2 ./internal/darray
 

@@ -173,8 +173,9 @@ func (e *Engine) Distribute(ctx *machine.Ctx, primaries []*Array, expr Expr, opt
 	for _, o := range opts {
 		o.applyDist(&cfg)
 	}
-	// Validate the NOTRANSFER set up front.
-	nt := make(map[*Array]bool, len(cfg.noTransfer))
+	// Validate the NOTRANSFER set up front.  Without a size the map
+	// allocates nothing until its first entry.
+	nt := make(map[*Array]bool)
 	for _, c := range cfg.noTransfer {
 		ok := false
 		for _, b := range primaries {

@@ -52,6 +52,9 @@ type Engine struct {
 	// ckptMu guards ckptOpts (function-valued fields rule out an atomic).
 	ckptMu   sync.Mutex
 	ckptOpts ckpt.Options
+
+	defOnce sync.Once
+	def     dist.Target // DefaultTarget, resolved once for every DISTRIBUTE
 }
 
 // SetCkptOptions installs the parallel-I/O options (redundancy mode,
@@ -97,7 +100,8 @@ func (e *Engine) Machine() *machine.Machine { return e.m }
 // processor array $P(1:NP), the target used when a declaration omits
 // "TO R(...)".
 func (e *Engine) DefaultTarget() dist.Target {
-	return e.m.ProcsDim("$P", e.m.NP()).Whole()
+	e.defOnce.Do(func() { e.def = e.m.ProcsDim("$P", e.m.NP()).Whole() })
+	return e.def
 }
 
 // viewTarget is DefaultTarget restricted to the processors that actually

@@ -101,8 +101,11 @@ type rankState struct {
 	// instead of growing the heap every transition.
 	retired map[string]*Local
 	// moves is the rank's move table (moveOf): everything a DISTRIBUTE
-	// between two mappings needs, kept for the next one between them.
+	// between two mappings needs, kept for the next one between them;
+	// clock stamps its lookups.  peer is planTransfers' peer layout.
 	moves map[moveKey]*move
+	clock uint64
+	peer  layout
 	// stream is the rank's pack buffer (GatherTo).  It may be handed to
 	// Endpoint.Send and reused as soon as Send returns.
 	stream []byte
@@ -178,7 +181,7 @@ func New(ctx *machine.Ctx, name string, dom index.Domain, d *dist.Distribution, 
 		return a
 	}).(*Array)
 	if d := a.Dist(ctx.Rank()); d != nil {
-		l := a.allocLocal(ctx.Rank(), d)
+		l := a.takeLocal(ctx.Rank(), d, false)
 		a.locals[ctx.Rank()] = l
 		a.win.Register(ctx.Rank(), l.data)
 	}
@@ -322,6 +325,7 @@ type layout struct {
 	// index is i - base[k]; otherwise IndexOf on the run set.
 	base   []int
 	simple []bool
+	runs   []index.Run // backs grid's run sets (lay)
 }
 
 // Local is one processor's storage for its part of an Array: its layout
@@ -337,48 +341,63 @@ type Local struct {
 	ownDims [4]msg.RectDim
 	// segment descriptor (§3.2.1), precomputed because kernels query it
 	// every sweep; nil slices when the owned set is not one contiguous
-	// block per dimension.
+	// block per dimension.  seg backs them up to rank 4.
 	segLo []int
 	segHi []int
 	segOK bool
+	seg   [8]int
 }
 
-// layoutOf computes rank's storage geometry under d.
-func (a *Array) layoutOf(rank int, d *dist.Distribution) layout {
-	g := d.LocalGrid(rank)
+// lay makes l rank's storage geometry under d in l's own tables and
+// runs, so laying out a rank's own or a peer's storage allocates nothing
+// once l has held as large a layout.
+func (a *Array) lay(l *layout, rank int, d *dist.Distribution) {
+	if r := a.dom.Rank(); l.grid.Dims == nil {
+		l.grid.Dims, l.runs = make([]index.RunSet, 0, r), make([]index.Run, 0, r)
+	}
+	g, runs := d.LocalGridInto(l.grid, l.runs[:0], rank)
 	for k, w := range a.ghost {
 		if rs := g.Dims[k]; w > 0 && rs.Count() > 0 && (len(rs) != 1 || rs[0].Stride != 1) {
 			panic(fmt.Sprintf("darray: %s: ghost areas need a contiguous (block-family) dimension %d, distribution is %v",
 				a.name, k+1, d.DistType()))
 		}
 	}
-	return newLayout(g, a.ghost, a.dom)
+	l.runs = runs
+	l.set(g, a.ghost, a.dom)
 }
 
 // newLayout lays g out column-major, with margins of the given ghost
 // widths (nil: none) clipped at dom's boundary; a dimension with ghosts
 // must be one stride-1 run.
 func newLayout(g index.Grid, ghost []int, dom index.Domain) layout {
+	var l layout
+	l.set(g, ghost, dom)
+	return l
+}
+
+// set is newLayout in l's own tables.
+func (l *layout) set(g index.Grid, ghost []int, dom index.Domain) {
 	r := g.Rank()
-	// One backing array for the six per-dimension tables; capacities are
-	// clipped so an append to one (Shape and Stride are handed out) can
-	// never run into the next.
-	ints := make([]int, 6*r)
-	cut := func(i int) []int { return ints[i*r : (i+1)*r : (i+1)*r] }
-	l := layout{
-		grid: g, shape: cut(0), gLo: cut(1), gHi: cut(2), alloc: cut(3), strd: cut(4), base: cut(5),
-		simple: make([]bool, r),
+	if len(l.shape) != r {
+		// One backing array for the six per-dimension tables; capacities
+		// are clipped so an append to one (Shape and Stride are handed
+		// out) can never run into the next.
+		ints := make([]int, 6*r)
+		cut := func(i int) []int { return ints[i*r : (i+1)*r : (i+1)*r] }
+		l.shape, l.gLo, l.gHi, l.alloc, l.strd, l.base = cut(0), cut(1), cut(2), cut(3), cut(4), cut(5)
+		l.simple = make([]bool, r)
 	}
+	l.grid = g
 	n := 1
 	for k := 0; k < r; k++ {
 		rs := g.Dims[k]
 		l.shape[k] = rs.Count()
+		l.simple[k], l.base[k], l.gLo[k], l.gHi[k] = false, 0, 0, 0
 		if len(rs) == 1 && rs[0].Stride == 1 {
 			l.simple[k] = true
 			l.base[k] = rs[0].Lo
 		} else if l.shape[k] == 0 {
 			l.simple[k] = true
-			l.base[k] = 0
 		}
 		if ghost != nil && ghost[k] > 0 && l.shape[k] > 0 {
 			// ghosts clipped at the domain boundary
@@ -390,20 +409,21 @@ func newLayout(g index.Grid, ghost []int, dom index.Domain) layout {
 		n *= l.alloc[k]
 	}
 	l.size = n
-	return l
 }
 
-func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
-	l := &Local{rank: rank, dom: a.dom, layout: a.layoutOf(rank, d)}
-	l.data = make([]float64, l.size)
+// describe derives l's owned rect and segment descriptor from its layout.
+func (l *Local) describe() {
 	r := len(l.shape)
-	l.own.Dims = l.ownDims[:0]
+	l.own = msg.Rect{Dims: l.ownDims[:0]}
 	for k, n := range l.shape {
 		l.own.Off += l.gLo[k] * l.strd[k]
 		l.own.Dims = append(l.own.Dims, msg.RectDim{Stride: l.strd[k], Count: n})
 	}
-	seg := make([]int, 2*r)
-	l.segLo, l.segHi, l.segOK = seg[:r:r], seg[r:], true
+	seg := l.seg[:]
+	if 2*r > len(seg) {
+		seg = make([]int, 2*r)
+	}
+	l.segLo, l.segHi, l.segOK = seg[:r:r], seg[r:2*r], true
 	for k, rs := range l.grid.Dims {
 		if len(rs) != 1 || rs[0].Stride != 1 {
 			l.segLo, l.segHi, l.segOK = nil, nil, false
@@ -411,27 +431,44 @@ func (a *Array) allocLocal(rank int, d *dist.Distribution) *Local {
 		}
 		l.segLo[k], l.segHi[k] = rs[0].Lo, rs[0].Hi
 	}
-	return l
 }
 
-// takeLocal returns storage for d: a recycled Local when one was retired
-// under the same mapping (the steady state of phase-alternating DISTRIBUTE
-// sequences), a fresh allocation otherwise.  Whatever the caller reads
+// takeLocal returns storage for d: a Local retired under the same mapping
+// (the steady state of phase-alternating DISTRIBUTE sequences), else the
+// largest one retired, laid out anew and its data regrown if short (a
+// rebalance to fresh bounds), else a fresh one.  Whatever the caller reads
 // before writing reads 0, as in a fresh allocation.  overwritten is its
 // promise to write every owned element before the Local is published — a
 // transferring DISTRIBUTE does, by the self copy plus one incoming
-// transfer per foreign owner — so recycled storage is cleared only when
-// that promise is missing or there are ghost cells, which no transfer
-// writes.
+// transfer per foreign owner — so recycled storage is cleared only
+// without that promise or with ghost cells, which no transfer writes.
 func (a *Array) takeLocal(rank int, d *dist.Distribution, overwritten bool) *Local {
-	if l, ok := a.own[rank].retired[d.Fingerprint()]; ok {
-		delete(a.own[rank].retired, d.Fingerprint())
-		if !overwritten || l.size != l.grid.Count() {
-			clear(l.data)
+	own := &a.own[rank]
+	fp := d.Fingerprint()
+	l, ok := own.retired[fp]
+	if !ok {
+		for k, r := range own.retired {
+			if l == nil || cap(r.data) > cap(l.data) {
+				fp, l = k, r
+			}
 		}
-		return l
+		if l == nil {
+			l = &Local{rank: rank, dom: a.dom}
+		}
+		a.lay(&l.layout, rank, d)
+		l.describe()
+		if cap(l.data) < l.size { // fresh storage reads 0
+			delete(own.retired, fp)
+			l.data = make([]float64, l.size)
+			return l
+		}
+		l.data = l.data[:l.size]
 	}
-	return a.allocLocal(rank, d)
+	delete(own.retired, fp)
+	if !overwritten || l.size != l.grid.Count() {
+		clear(l.data)
+	}
+	return l
 }
 
 // maxRetired bounds how many mappings' storage a rank parks; programs
@@ -439,7 +476,7 @@ func (a *Array) takeLocal(rank int, d *dist.Distribution, overwritten bool) *Loc
 const maxRetired = 4
 
 // retireLocal parks replaced storage for a later DISTRIBUTE back to the
-// same mapping.
+// same mapping, or to any whose layout it can hold.
 func (a *Array) retireLocal(rank int, d *dist.Distribution, l *Local) {
 	m := a.own[rank].retired
 	if m == nil {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/index"
 	"repro/internal/machine"
+	"repro/internal/redist"
 )
 
 // fuzzInput decodes a FuzzDistribute input.  Every byte string decodes to
@@ -22,10 +23,11 @@ import (
 // A distribution is a processor array — b%3: 0 a line of np, 1 a line of
 // 1 + b'%np (ranks past it hold nothing), 2 an a×(np/a) grid, a the
 // b'-th divisor of np — then one byte per array dimension: b%4 is ':',
-// BLOCK, CYCLIC(1 + b'%4) or B_BLOCK, whose bounds take one byte per
-// processor (each block 0..extent elements, the last block what is
-// left).  A dimension past the processor array's rank is ':', so a
-// grid or an elided dimension replicates.
+// BLOCK, CYCLIC(1 + b'%4) or, at 3, B_BLOCK (b&4 == 0) or S_BLOCK, whose
+// blocks take one byte per processor (each block 0..extent elements, the
+// last block what is left, so blocks may be empty).  A dimension past
+// the processor array's rank is ':', so a grid or an elided dimension
+// replicates.
 type fuzzInput struct {
 	b []byte
 }
@@ -76,12 +78,12 @@ func (in *fuzzInput) dist(dom index.Domain, np int) distSpec {
 	specs := make([]dist.DimSpec, dom.Rank())
 	td := 0
 	for k := range specs {
-		kind := in.next() % 4
-		if kind == 0 || td == len(shape) {
+		b := in.next()
+		if b%4 == 0 || td == len(shape) {
 			specs[k] = dist.ElidedDim()
 			continue
 		}
-		switch kind {
+		switch b % 4 {
 		case 1:
 			specs[k] = dist.BlockDim()
 		case 2:
@@ -94,7 +96,14 @@ func (in *fuzzInput) dist(dom index.Domain, np int) distSpec {
 				bounds[i] = hi
 			}
 			bounds[len(bounds)-1] = n
-			specs[k] = dist.BBlockDim(bounds...)
+			if b&4 == 0 {
+				specs[k] = dist.BBlockDim(bounds...)
+				break
+			}
+			for i := len(bounds) - 1; i > 0; i-- {
+				bounds[i] -= bounds[i-1]
+			}
+			specs[k] = dist.SBlockDim(bounds...)
 		}
 		td++
 	}
@@ -105,8 +114,9 @@ func (in *fuzzInput) dist(dom index.Domain, np int) distSpec {
 // crossing (:,:) -> (BLOCK,:) of a 13x1 array on four ranks: every rank
 // already holds its new block, so the move sends nothing.  Seeds with
 // flags 4 run over TCP: their offers travel framed, gathered from
-// storage runs.  The last four cross CYCLIC(2), whose transfers are
-// several rects each, on both transports.
+// storage runs.  Then come four crossings of CYCLIC(2), whose transfers
+// are several rects each, on both transports, and five of S_BLOCK and
+// B_BLOCK with empty blocks, replicated sources and NOTRANSFER among them.
 var fuzzSeeds = [][]byte{
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 0},         // 13x1 (:,:) -> (BLOCK,:), P=4
 	{3, 1, 12, 0, 0, 0, 0, 0, 1, 0, 3},         // the same under NOTRANSFER
@@ -130,11 +140,18 @@ var fuzzSeeds = [][]byte{
 	{1, 0, 15, 0, 2, 1, 0, 2, 2, 4},            // the same over TCP
 	{3, 1, 15, 4, 0, 1, 0, 0, 2, 1, 0, 0},      // 16x5 (BLOCK,:) -> (CYCLIC(2),:) on 4
 	{3, 1, 15, 4, 0, 1, 0, 0, 2, 1, 0, 4},      // the same over TCP
+
+	{3, 0, 15, 0, 7, 0, 5, 0, 0, 0, 3, 3, 0, 9, 0, 0},            // 16 S_BLOCK(0,5,0,11) -> B_BLOCK(3,3,12,16) on 4
+	{3, 0, 15, 0, 7, 0, 5, 0, 0, 0, 3, 3, 0, 9, 0, 4},            // the same over TCP
+	{3, 0, 15, 0, 7, 0, 5, 0, 0, 0, 3, 3, 0, 9, 0, 3},            // the same under NOTRANSFER
+	{5, 1, 9, 5, 2, 1, 7, 0, 0, 1, 0, 7, 2, 0, 3, 0, 0, 0, 0, 0}, // 10x6 (S_BLOCK(0,10),BLOCK) on 2x3 -> (S_BLOCK(2,0,3,0,0,5),:) on 6
+	{3, 0, 11, 2, 1, 7, 0, 0, 0, 7, 3, 0, 4, 0, 0},               // 12 S_BLOCK(0,12) on 2x2 (replicated) -> S_BLOCK(3,0,4,5) on 4
 }
 
 // FuzzDistribute moves an array between two decoded distributions on a
 // machine over channels or bare TCP (no CRC layer, so the bytes are the
-// payload's) and holds the move to three oracles computed
+// payload's) and holds every rank's schedule to the per-peer reference
+// (referenceSchedule) and the move to three oracles computed
 // from the distributions alone: every value arrives bit-exact (under
 // NOTRANSFER, what a rank held keeps its value and the rest reads 0); the
 // payload is 8 bytes for every element a rank owns under the new mapping
@@ -203,6 +220,11 @@ func FuzzDistribute(f *testing.F) {
 			})
 			if rank != 0 {
 				return nil
+			}
+			for r := 0; r < np; r++ {
+				if d := scheduleDiff(redist.Build(oldD, newD, r, np), referenceSchedule(oldD, newD, r, np)); d != "" {
+					t.Errorf("%v -> %v, rank %d of %d: %s", oldD, newD, r, np, d)
+				}
 			}
 			var wantBytes int64
 			pairs := map[[2]int]bool{}

@@ -302,3 +302,64 @@ func TestRecycledStorageFailedExchange(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledStorageFreshBounds moves an array to fresh B_BLOCK bounds
+// twenty times, as PIC's rebalancing does: no move returns to a mapping
+// the array held before, so storage parked under its own mapping is
+// never asked for again, and storage found by mapping alone would be
+// allocated anew by every move.  Here a move lands in the storage the
+// move before it parked, laid out anew, and allocates data only when its
+// block is larger than that storage holds: after four moves have given
+// every rank a block of the largest size, at most twice in the sixteen
+// moves left.  With the parked storage poisoned before every move, each
+// holds what a fresh allocation would: every owned element its value
+// and, with ghosts, margins that read 0.
+func TestRecycledStorageFreshBounds(t *testing.T) {
+	const np, moves = 4, 20
+	dom := index.Dim(60)
+	val := func(p index.Point) float64 { return float64(p[0]) + 0.5 }
+	for _, ghost := range []int{0, 1} {
+		t.Run(fmt.Sprint("ghost", ghost), func(t *testing.T) {
+			run(t, np, func(ctx *machine.Ctx) error {
+				tg := ctx.Machine().ProcsDim("P", np).Whole()
+				// Move i: blocks 15±a and 15±b rotated by i; the first four
+				// give every rank the largest block, 18 elements.
+				bblock := func(i int) *dist.Distribution {
+					a, b := i%5-2, (i/5)%5-2
+					if i < 4 {
+						a, b = 3, 0
+					}
+					sz := []int{15 + a, 15 - a, 15 + b, 15 - b}
+					bounds := make([]int, np)
+					for r := range bounds {
+						bounds[r] = sz[(r+i)%np]
+						if r > 0 {
+							bounds[r] += bounds[r-1]
+						}
+					}
+					return dist.MustNew(dist.NewType(dist.BBlockDim(bounds...)), dom, tg)
+				}
+				a := New(ctx, "R", dom, dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg), WithGhost(ghost))
+				a.FillFunc(ctx, val)
+				seen, fresh := map[*float64]bool{}, 0
+				for i := 0; i < moves; i++ {
+					poisonRetired(t, ctx, a)
+					if err := a.RedistributeTo(ctx, bblock(i)); err != nil {
+						return err
+					}
+					checkStorage(t, ctx, a, fmt.Sprint("move ", i), val)
+					if data := a.Local(ctx).Data(); len(data) > 0 {
+						if !seen[&data[0]] && i >= 4 {
+							fresh++
+						}
+						seen[&data[0]] = true
+					}
+				}
+				if fresh > 2 {
+					t.Errorf("rank %d: %d of moves 4-%d allocated their data, want at most 2", ctx.Rank(), fresh, moves-1)
+				}
+				return nil
+			})
+		})
+	}
+}

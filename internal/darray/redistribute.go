@@ -2,6 +2,7 @@ package darray
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -119,7 +120,7 @@ type member struct {
 // move is everything a rank keeps of one DISTRIBUTE between two
 // mappings, built by its first run (moveOf) and read by every later one.
 type move struct {
-	sched *redist.Schedule
+	sched redist.Schedule
 	// plan is the budget's decomposition, nil without a budget.
 	plan *redist.Plan
 	// steps are the ring passes: one over the whole domain, or one per
@@ -127,10 +128,11 @@ type move struct {
 	steps []moveStep
 	one   [1]moveStep
 	// keep is the self-copy of sched.LocalKeep (copyPlan), built by the
-	// move's first run; keepRects and keepDims hold a small one in place.
+	// move's first run in keepRects and keepDims.
 	keep      xfer
-	keepRects [2]msg.Rect
-	keepDims  [8]msg.RectDim
+	keepRects []msg.Rect
+	keepDims  []msg.RectDim
+	used      uint64 // the rank's clock at the move's last lookup
 }
 
 // moveKey identifies a move structurally: SPMD ranks build their own
@@ -149,16 +151,16 @@ type moveKey struct {
 // panel, and its transfer plan, built by the step's first run that
 // crosses a boundary of this rank.
 type moveStep struct {
-	sched *redist.Schedule
-	xfer  *xferPlan
+	sched   *redist.Schedule
+	xfer    xferPlan
+	planned bool
 }
 
 // maxMoves bounds a rank's move table.  Phase-alternating programs (ADI
 // bounces between two mappings) cycle through a handful of moves and
 // never reach it; a program that moves to fresh bounds at every
-// DISTRIBUTE (PIC's rebalancing) would otherwise grow by one entry per
-// move, so at the bound the rank starts over — rebuilding a move costs
-// one schedule and a few layouts.
+// DISTRIBUTE (PIC's rebalancing) misses every time, and its miss
+// replaces the least recently used entry, in that entry's storage.
 const maxMoves = 16
 
 // moveOf returns rank's move from oldD to newD over np ranks under
@@ -168,32 +170,43 @@ const maxMoves = 16
 // does.  The table is rank-private: no lock is taken.
 func (a *Array) moveOf(rank, np int, oldD, newD *dist.Distribution, budget int64) (mv *move, hit bool, err error) {
 	own := &a.own[rank]
+	own.clock++
 	k := moveKey{oldD.Fingerprint(), newD.Fingerprint(), np, budget}
 	if mv := own.moves[k]; mv != nil {
+		mv.used = own.clock
 		a.hits.Add(1)
 		return mv, true, nil
 	}
-	mv = &move{}
+	var plan *redist.Plan
 	if budget > 0 {
-		if mv.plan, err = redist.PlanMove(oldD, newD, np, redist.PlanOptions{MemBudget: budget}); err != nil {
+		if plan, err = redist.PlanMove(oldD, newD, np, redist.PlanOptions{MemBudget: budget}); err != nil {
 			return nil, false, err
 		}
 	}
-	mv.sched = redist.Build(oldD, newD, rank, np)
-	if mv.plan == nil {
-		mv.one[0].sched = mv.sched
+	if own.moves == nil {
+		own.moves = make(map[moveKey]*move)
+	}
+	if len(own.moves) >= maxMoves {
+		var lru moveKey
+		for k, e := range own.moves {
+			if mv == nil || e.used < mv.used {
+				lru, mv = k, e
+			}
+		}
+		delete(own.moves, lru)
+	} else {
+		mv = &move{}
+	}
+	mv.sched.Rebuild(oldD, newD, rank, np)
+	mv.plan, mv.keep, mv.used = plan, xfer{}, own.clock
+	if plan == nil {
+		mv.one[0].sched, mv.one[0].planned = &mv.sched, false
 		mv.steps = mv.one[:]
 	} else {
-		mv.steps = make([]moveStep, len(mv.plan.Steps))
+		mv.steps = make([]moveStep, len(plan.Steps))
 		for i := range mv.steps {
-			mv.steps[i].sched = mv.plan.StepSchedule(mv.sched, i)
+			mv.steps[i].sched = plan.StepSchedule(&mv.sched, i)
 		}
-	}
-	switch {
-	case own.moves == nil:
-		own.moves = make(map[moveKey]*move)
-	case len(own.moves) >= maxMoves:
-		clear(own.moves)
 	}
 	own.moves[k] = mv
 	a.misses.Add(1)
@@ -284,7 +297,7 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 			continue
 		}
 		m.oldLocal = a.locals[rank]
-		sched := m.mv.sched
+		sched := &m.mv.sched
 		schedEv := "sched:miss"
 		if m.hit {
 			schedEv = "sched:hit"
@@ -294,7 +307,9 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
 		// before the ring (still only into the uncommitted newLocal).
 		if keep := sched.LocalKeep; !keep.Empty() {
 			if mv := m.mv; mv.keep.src == nil {
-				mv.keep = copyPlan(&m.newLocal.layout, &m.oldLocal.layout, keep, mv.keepRects[:0], mv.keepDims[:0])
+				n := 2 * rectCount(keep)
+				mv.keepRects, mv.keepDims = slices.Grow(mv.keepRects[:0], n), slices.Grow(mv.keepDims[:0], n*keep.Rank())
+				mv.keep = copyPlan(&m.newLocal.layout, &m.oldLocal.layout, keep, mv.keepRects, mv.keepDims)
 			}
 			m.mv.keep.copy(m.newLocal.data, m.oldLocal.data)
 		}
@@ -364,9 +379,12 @@ type xfer struct {
 	src, dst []msg.Rect
 }
 
-// xferPlan is a schedule's remote transfers indexed by peer.
+// xferPlan is a schedule's remote transfers indexed by peer, carved from
+// rects and dims.
 type xferPlan struct {
 	send, recv []xfer
+	rects      []msg.Rect
+	dims       []msg.RectDim
 }
 
 // hasRemote reports whether any transfer of s crosses ranks.
@@ -381,15 +399,16 @@ func hasRemote(s *redist.Schedule) bool {
 	return false
 }
 
-// planTransfers lays sched's remote transfers out per peer with their
-// window rects.  The peer's side comes from the descriptor (layoutOf),
-// never from the peer's Local.  It runs once per step of a move: the
-// result is kept in the move's entry, so a warm DISTRIBUTE builds no
-// geometry.
-func (a *Array) planTransfers(oldD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) *xferPlan {
-	rank := sched.Rank
-	xs := make([]xfer, 2*np)
-	plan := &xferPlan{send: xs[:np:np], recv: xs[np:]}
+// planTransfers lays sched's remote transfers out in p, per peer with
+// their window rects, reusing p's storage.  The peer's side comes from
+// the descriptor (lay), never from the peer's Local.  It runs once per
+// step of a move: the result is kept in the move's entry, so a warm
+// DISTRIBUTE builds no geometry.
+func (a *Array) planTransfers(p *xferPlan, oldD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) {
+	rank, own := sched.Rank, &a.own[sched.Rank]
+	xs := slices.Grow(p.send[:0], 2*np)[:2*np]
+	clear(xs)
+	p.send, p.recv = xs[:np], xs[np:]
 	// One backing array for every rect and one for their dimensions: a
 	// src per send, a src and a dst per receive.
 	n := 0
@@ -403,8 +422,8 @@ func (a *Array) planTransfers(oldD *dist.Distribution, sched *redist.Schedule, n
 			n += 2 * rectCount(t.Grid)
 		}
 	}
-	rects := make([]msg.Rect, 0, n)
-	dims := make([]msg.RectDim, 0, n*a.dom.Rank())
+	rects := slices.Grow(p.rects[:0], n)
+	dims := slices.Grow(p.dims[:0], n*a.dom.Rank())
 	take := func(l *layout, g index.Grid) []msg.Rect {
 		lo := len(rects)
 		rects, dims = l.appendRects(rects, dims, g)
@@ -412,17 +431,17 @@ func (a *Array) planTransfers(oldD *dist.Distribution, sched *redist.Schedule, n
 	}
 	for _, t := range sched.Sends {
 		if t.Peer != rank {
-			plan.send[t.Peer].src = take(&oldLocal.layout, t.Grid)
+			p.send[t.Peer].src = take(&oldLocal.layout, t.Grid)
 		}
 	}
 	for _, t := range sched.Recvs {
 		if t.Peer != rank {
-			peer := a.layoutOf(t.Peer, oldD)
-			x := &plan.recv[t.Peer]
-			x.src, x.dst = take(&peer, t.Grid), take(&newLocal.layout, t.Grid)
+			a.lay(&own.peer, t.Peer, oldD)
+			x := &p.recv[t.Peer]
+			x.src, x.dst = take(&own.peer, t.Grid), take(&newLocal.layout, t.Grid)
 		}
 	}
-	return plan
+	p.rects, p.dims = rects, dims
 }
 
 // stepDirect executes one step of a class move in one pass of the
@@ -449,10 +468,11 @@ func stepDirect(ctx *machine.Ctx, ms []member, k int) error {
 		s := &m.mv.steps[k]
 		m.plan = nil
 		if hasRemote(s.sched) {
-			if s.xfer == nil {
-				s.xfer = m.a.planTransfers(m.oldD, s.sched, np, m.oldLocal, m.newLocal)
+			if !s.planned {
+				m.a.planTransfers(&s.xfer, m.oldD, s.sched, np, m.oldLocal, m.newLocal)
+				s.planned = true
 			}
-			m.plan, remote = s.xfer, true
+			m.plan, remote = &s.xfer, true
 		}
 	}
 	if !remote {

@@ -96,6 +96,89 @@ func TestRedistributeWarmAllocs(t *testing.T) {
 	}
 }
 
+// TestRebalanceWarmAllocs pins what a DISTRIBUTE to fresh B_BLOCK bounds
+// costs in allocations once the rank's move table is at its bound: every
+// call misses the table, so it plans the move (schedule, transfer rects,
+// peer layouts) in the evicted entry's storage and lays its new Local out
+// in parked storage.  The calls cycle through 2·maxMoves+1 bounds, built
+// beforehand as a program builds its BOUNDS, which the least recently
+// used eviction turns into a miss every call; the warm-up runs every
+// bounds through every entry's storage, and block sizes stay within
+// 56-72 of a 256-element array on four ranks, so parked storage holds
+// every layout.  Counted as TestRedistributeWarmAllocs counts, per rank
+// and call.
+func TestRebalanceWarmAllocs(t *testing.T) {
+	const np, runs, cycle = 4, 50, 2*maxMoves + 1
+	dom := index.Dim(256)
+	var perRank float64
+	var missed int
+	run(t, np, func(ctx *machine.Ctx) error {
+		tg := ctx.Machine().ProcsDim("P", np).Whole()
+		ds := make([]*dist.Distribution, cycle)
+		for i := range ds {
+			a, b := i%17-8, i/17*8-4
+			sz := []int{64 + a, 64 - a, 64 + b, 64 - b}
+			bounds := make([]int, np)
+			for r := range bounds {
+				bounds[r] = sz[(r+i)%np]
+				if r > 0 {
+					bounds[r] += bounds[r-1]
+				}
+			}
+			ds[i] = dist.MustNew(dist.NewType(dist.BBlockDim(bounds...)), dom, tg)
+			ds[i].Fingerprint()
+		}
+		a := New(ctx, "F", dom, dist.MustNew(dist.NewType(dist.BlockDim()), dom, tg))
+		a.FillFunc(ctx, func(p index.Point) float64 { return float64(p[0]) })
+		var failed error
+		next := 0
+		move := func() {
+			if err := a.RedistributeTo(ctx, ds[next%cycle]); err != nil && failed == nil {
+				failed = err
+			}
+			next++
+		}
+		for next < maxMoves*cycle { // every bounds through every entry
+			move()
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		_, before := a.ScheduleCacheStats()
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if ctx.Rank() == 0 {
+			perRank = testing.AllocsPerRun(runs, move) / np
+		} else {
+			for i := 0; i < runs+1; i++ { // AllocsPerRun adds one warm-up call
+				move()
+			}
+		}
+		if err := ctx.Barrier(); err != nil {
+			return err
+		}
+		if _, after := a.ScheduleCacheStats(); ctx.Rank() == 0 {
+			missed = after - before
+		}
+		l := a.Local(ctx)
+		l.ForEachOwned(func(p index.Point, v *float64) {
+			if *v != float64(p[0]) {
+				t.Errorf("rank %d: %v holds %v", ctx.Rank(), p, *v)
+			}
+		})
+		return failed
+	})
+	if missed != np*(runs+1) {
+		t.Errorf("%d table misses over %d fresh-bounds calls on %d ranks, want every call a miss", missed, runs+1, np)
+	}
+	// Measured: exactly 1, RedistributeTo's option struct as in a warm
+	// DISTRIBUTE.
+	if perRank > 1 {
+		t.Errorf("fresh-bounds DISTRIBUTE: %.2f allocs per rank, want <= 1", perRank)
+	}
+}
+
 // TestGhostExchangeWarmAllocs bounds the allocations of a warm ghost
 // exchange, per rank, the way TestRedistributeWarmAllocs bounds a warm
 // DISTRIBUTE: a (:,BLOCK) grid with one ghost column a side, as the

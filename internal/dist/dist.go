@@ -262,40 +262,36 @@ func (d DimSpec) owner(i, lo, n, np int) int {
 	panic("dist: owner on elided dimension")
 }
 
-// runSet returns the global indices owned by processor coordinate p as a
-// RunSet.  Block-family kinds yield a single stride-1 run; CYCLIC(k)
-// yields k runs of stride np*k.
-func (d DimSpec) runSet(p, lo, n, np int) index.RunSet {
+// appendRuns appends the global indices owned by processor coordinate p
+// to runs, in increasing order.  Block-family kinds own a single stride-1
+// run (none when the block is empty); CYCLIC(k) owns up to k runs of
+// stride np*k.
+func (d DimSpec) appendRuns(runs []index.Run, p, lo, n, np int) []index.Run {
 	hi := lo + n - 1
 	switch d.Kind {
 	case Block, SBlock, BBlock:
-		slo, shi := d.segBounds(p, lo, n, np)
-		if shi < slo {
-			return index.RunSet{}
+		if slo, shi := d.segBounds(p, lo, n, np); slo <= shi {
+			runs = append(runs, index.NewRun(slo, shi, 1))
 		}
-		return index.RunSet{index.NewRun(slo, shi, 1)}
+		return runs
 	case Cyclic:
 		k := normK(d.K)
 		ph := d.normPhase(np)
 		cyc := np * k
-		runs := make([]index.Run, 0, min(k, n))
+		at := len(runs)
 		for j := 0; j < k; j++ {
 			// offsets off with (off+ph) ≡ p*k+j (mod np*k)
 			startOff := ((p*k+j-ph)%cyc + cyc) % cyc
-			start := lo + startOff
-			if start > hi {
-				continue
-			}
-			r := index.NewRun(start, hi, cyc)
-			if !r.Empty() {
-				runs = append(runs, r)
+			if start := lo + startOff; start <= hi {
+				runs = append(runs, index.NewRun(start, hi, cyc))
 			}
 		}
-		return index.NewRunSet(runs...)
+		slices.SortFunc(runs[at:], func(a, b index.Run) int { return a.Lo - b.Lo })
+		return runs
 	case Elided:
-		return index.RunSet{index.NewRun(lo, hi, 1)}
+		return append(runs, index.NewRun(lo, hi, 1))
 	}
-	panic("dist: runSet unknown kind")
+	panic("dist: appendRuns unknown kind")
 }
 
 // Type is a distribution type: a list of per-dimension specifiers

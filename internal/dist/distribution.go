@@ -235,14 +235,9 @@ func (d *Distribution) Owners(p index.Point) []int {
 
 // IsLocal reports whether rank owns point p.
 func (d *Distribution) IsLocal(rank int, p index.Point) bool {
-	coords, ok := d.target.CoordsOf(rank)
+	coords, ok := d.Coords(rank)
 	if !ok {
 		return false
-	}
-	for td, c := range coords {
-		if d.fixed[td] >= 0 && d.fixed[td] != c {
-			return false
-		}
 	}
 	for k, td := range d.procDim {
 		if td >= 0 && d.OwnerCoord(k, p[k]) != coords[td] {
@@ -257,14 +252,9 @@ func (d *Distribution) IsLocal(rank int, p index.Point) bool {
 // Under replication each element has several owners; communication
 // schedules let only the primary copy send, avoiding duplicate transfers.
 func (d *Distribution) IsPrimaryRank(rank int) bool {
-	coords, ok := d.target.CoordsOf(rank)
+	coords, ok := d.Coords(rank)
 	if !ok {
 		return false
-	}
-	for td, c := range coords {
-		if d.fixed[td] >= 0 && d.fixed[td] != c {
-			return false
-		}
 	}
 	for _, td := range d.replDims {
 		if coords[td] != 0 {
@@ -274,67 +264,82 @@ func (d *Distribution) IsPrimaryRank(rank int) bool {
 	return true
 }
 
-// LocalGrid returns the set of global indices rank owns, as a Grid of
-// per-dimension RunSets.  Ranks outside the target (or off a pinned
-// coordinate) own nothing.  The grids are computed once per rank and
-// shared (schedule building intersects them per peer on every cache
-// miss) — callers must treat the result as read-only.
-func (d *Distribution) LocalGrid(rank int) index.Grid {
-	if rank >= 0 && rank < d.target.Size() {
-		d.lgOnce.Do(func() {
-			tab := make([]index.Grid, d.target.Size())
-			for r := range tab {
-				tab[r] = d.localGrid(r)
-			}
-			d.lgTab = tab
-		})
-		return d.lgTab[rank]
-	}
-	return d.localGrid(rank)
-}
-
-func (d *Distribution) localGrid(rank int) index.Grid {
-	g := index.Grid{Dims: make([]index.RunSet, d.domain.Rank())}
+// Coords returns rank's target coordinates (shared: read-only) if rank
+// lies in the target and on every pinned coordinate.
+func (d *Distribution) Coords(rank int) ([]int, bool) {
 	coords, ok := d.target.CoordsOf(rank)
 	if !ok {
-		for k := range g.Dims {
-			g.Dims[k] = index.RunSet{}
-		}
-		return g
+		return nil, false
 	}
 	for td, c := range coords {
 		if d.fixed[td] >= 0 && d.fixed[td] != c {
-			for k := range g.Dims {
-				g.Dims[k] = index.RunSet{}
-			}
-			return g
+			return nil, false
 		}
 	}
-	for k := range g.Dims {
-		g.Dims[k] = d.DimRunSet(k, rankCoord(d, coords, k))
-	}
-	return g
+	return coords, true
 }
 
-func rankCoord(d *Distribution, coords []int, k int) int {
-	td := d.procDim[k]
-	if td < 0 {
-		return 0
+// Pinned returns the coordinate target dimension td is pinned to, or -1.
+func (d *Distribution) Pinned(td int) int { return d.fixed[td] }
+
+// LocalGrid returns the set of global indices rank owns, as a Grid of
+// per-dimension RunSets.  Ranks outside the target (or off a pinned
+// coordinate) own nothing.  The grids are computed once per rank, into
+// one backing array, and shared — callers must treat the result as
+// read-only.
+func (d *Distribution) LocalGrid(rank int) index.Grid {
+	if rank < 0 || rank >= d.target.Size() {
+		g, _ := d.LocalGridInto(index.Grid{}, nil, rank)
+		return g
 	}
-	return coords[td]
+	d.lgOnce.Do(func() {
+		r := d.domain.Rank()
+		tab := make([]index.Grid, d.target.Size())
+		dims := make([]index.RunSet, len(tab)*r)
+		runs := make([]index.Run, 0, len(tab)*r) // a run per dimension, more under CYCLIC(k)
+		for i := range tab {
+			tab[i], runs = d.LocalGridInto(index.Grid{Dims: dims[i*r : i*r : (i+1)*r]}, runs, i)
+		}
+		d.lgTab = tab
+	})
+	return d.lgTab[rank]
 }
 
-// DimRunSet returns the indices of array dimension k owned by target
-// coordinate c along the dimension's processor dimension.  For elided
-// dimensions c is ignored and the full extent is returned.
-func (d *Distribution) DimRunSet(k, c int) index.RunSet {
-	spec := d.typ.Dims[k]
-	lo, n := d.domain.Lo[k], d.domain.Extent(k)
-	td := d.procDim[k]
-	if td < 0 {
-		return spec.runSet(0, lo, n, 1)
+// LocalGridInto is LocalGrid built in the caller's storage: g.Dims is
+// refilled and rank's runs are appended to runs, and both are returned,
+// with nothing allocated once they have room.
+func (d *Distribution) LocalGridInto(g index.Grid, runs []index.Run, rank int) (index.Grid, []index.Run) {
+	g.Dims = g.Dims[:0]
+	coords, ok := d.Coords(rank)
+	for k, td := range d.procDim {
+		at := len(runs)
+		if ok { // an elided dimension (td < 0) ignores the coordinate
+			runs = d.AppendDimRuns(runs, k, coords[max(td, 0)])
+		}
+		g.Dims = append(g.Dims, runs[at:len(runs):len(runs)])
 	}
-	return spec.runSet(c, lo, n, d.target.Extent(td))
+	return g, runs
+}
+
+// AppendDimRuns appends to runs the indices of array dimension k that
+// target coordinate c along ProcDim(k) owns, in increasing order.  For
+// an elided dimension c is ignored and the whole extent is appended.
+func (d *Distribution) AppendDimRuns(runs []index.Run, k, c int) []index.Run {
+	np := 1
+	if td := d.procDim[k]; td >= 0 {
+		np = d.target.Extent(td)
+	}
+	return d.typ.Dims[k].appendRuns(runs, c, d.domain.Lo[k], d.domain.Extent(k), np)
+}
+
+// OwnerSpan returns the first and last target coordinates along
+// ProcDim(k) that can own an index of [lo, hi] in dimension k: under
+// CYCLIC all of them; else the owners of lo and hi, as owners ascend.
+func (d *Distribution) OwnerSpan(k, lo, hi int) (c0, c1 int) {
+	if d.typ.Dims[k].Kind == Cyclic {
+		return 0, d.target.Extent(d.procDim[k]) - 1
+	}
+	return d.OwnerCoord(k, lo), d.OwnerCoord(k, hi)
 }
 
 // LocalCount returns how many elements rank owns.

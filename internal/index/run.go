@@ -215,16 +215,22 @@ func (rs RunSet) Intersect(other RunSet) RunSet {
 	if len(rs) == 0 || len(other) == 0 {
 		return nil
 	}
-	out := make(RunSet, 0, len(rs)*len(other))
-	for _, a := range rs {
-		for _, b := range other {
-			if c := IntersectRuns(a, b); !c.Empty() {
-				out = append(out, c)
+	return AppendIntersect(make(RunSet, 0, len(rs)*len(other)), rs, other)
+}
+
+// AppendIntersect appends a ∩ b to dst, sorted by Lo, and returns the
+// extended slice: one run per pair of runs that meet.
+func AppendIntersect(dst []Run, a, b RunSet) []Run {
+	at := len(dst)
+	for _, x := range a {
+		for _, y := range b {
+			if c := IntersectRuns(x, y); !c.Empty() {
+				dst = append(dst, c)
 			}
 		}
 	}
-	slices.SortFunc(out, func(a, b Run) int { return a.Lo - b.Lo })
-	return out
+	slices.SortFunc(dst[at:], func(x, y Run) int { return x.Lo - y.Lo })
+	return dst
 }
 
 // Equal reports whether two RunSets denote the same index set.

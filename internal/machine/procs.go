@@ -138,19 +138,20 @@ func (s *ProcSection) Extent(k int) int { return s.sec.DimCount(k) }
 func (s *ProcSection) Size() int { return s.sec.Size() }
 
 // RankOf maps dense section coordinates (0-based per dimension) to a
-// transport rank.
+// transport rank, the parent array's column-major offset.
 func (s *ProcSection) RankOf(coords []int) int {
 	if len(coords) != s.NDims() {
 		panic(fmt.Sprintf("machine: section coords rank %d != %d", len(coords), s.NDims()))
 	}
-	abs := make(index.Point, len(coords))
+	rank, mult := 0, 1
 	for k, c := range coords {
 		if c < 0 || c >= s.Extent(k) {
 			panic(fmt.Sprintf("machine: section coord %d out of range [0,%d) in dim %d", c, s.Extent(k), k))
 		}
-		abs[k] = s.sec.Lo[k] + c*s.sec.Stride[k]
+		rank += (s.sec.Lo[k] + c*s.sec.Stride[k] - s.pa.dom.Lo[k]) * mult
+		mult *= s.pa.dom.Extent(k)
 	}
-	return s.pa.RankOf(abs)
+	return rank
 }
 
 // CoordsOf maps a transport rank to dense section coordinates; ok is

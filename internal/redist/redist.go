@@ -6,16 +6,20 @@
 // A schedule is computed symmetrically on every processor from the old
 // and new distributions alone — no coordination messages are needed.  Per
 // peer, the transfer set is the intersection of "what I own now" with
-// "what the peer will own", which the ownership algebra expresses as a
-// per-dimension intersection of strided-run sets (index.Grid).  This is
-// the "run time optimization of communication related to dynamic array
-// references" of §3.2: schedules never enumerate elements to discover
-// owners.  The package is pure schedule arithmetic and remembers
-// nothing; darray keeps each rank's moves, keyed by the (old, new)
-// distribution pair.
+// "what the peer will own", which is a per-dimension intersection of
+// strided-run sets (index.Grid), and the peers are found by owner
+// arithmetic, not by trying every rank: dist's owner rule bounds the
+// coordinates that can own a piece of the rank's runs (under B_BLOCK,
+// only the overlapping neighbours).  This is the "run time optimization
+// of communication related to dynamic array references" of §3.2:
+// schedules never enumerate elements to discover owners.  The package
+// remembers nothing; darray keeps each rank's moves, keyed by the (old,
+// new) distribution pair, and rebuilds an evicted one in place.
 package redist
 
 import (
+	"slices"
+
 	"repro/internal/dist"
 	"repro/internal/index"
 )
@@ -46,6 +50,8 @@ type Schedule struct {
 	// new), on every holder; on a primary it is the grid of the Peer ==
 	// Rank entries.  The executor copies it locally.
 	LocalKeep index.Grid
+
+	w work
 }
 
 // SendBytes returns the payload bytes this rank sends to remote peers
@@ -62,8 +68,8 @@ func (s *Schedule) SendBytes() int {
 
 // Build computes rank's schedule for redistributing from oldD to newD.
 // Both distributions must cover the same index domain.  np is the
-// transport size (peers are enumerated 0..np-1; ranks outside a
-// distribution's target simply own nothing).
+// transport size: peers, listed in ascending order, are ranks 0..np-1,
+// and a rank outside a distribution's target simply owns nothing.
 //
 // Under a replicated old distribution only primaries send, and no
 // transfer runs between two holders of the same replica group — ranks
@@ -73,36 +79,110 @@ func (s *Schedule) SendBytes() int {
 // Without replication no two old grids meet, so the rule changes
 // nothing.
 func Build(oldD, newD *dist.Distribution, rank, np int) *Schedule {
-	s := &Schedule{Rank: rank}
-	myOld := oldD.LocalGrid(rank)
-	myNew := newD.LocalGrid(rank)
-	keep := myOld.Intersect(myNew)
-	if !keep.Empty() {
-		s.LocalKeep = keep
-	}
-	iAmPrimaryOld := oldD.IsPrimaryRank(rank)
-	for peer := 0; peer < np; peer++ {
-		if peer == rank {
-			if iAmPrimaryOld && !keep.Empty() {
-				s.Sends = append(s.Sends, Transfer{Peer: peer, Grid: keep, Count: keep.Count()})
-				s.Recvs = append(s.Recvs, Transfer{Peer: peer, Grid: keep, Count: keep.Count()})
-			}
-			continue
-		}
-		peerPrimary := oldD.IsPrimaryRank(peer)
-		if oldD.Replicated() && (iAmPrimaryOld || peerPrimary) && !myOld.Intersect(oldD.LocalGrid(peer)).Empty() {
-			continue // the same replica group
-		}
-		if iAmPrimaryOld && !myOld.Empty() {
-			if g := myOld.Intersect(newD.LocalGrid(peer)); !g.Empty() {
-				s.Sends = append(s.Sends, Transfer{Peer: peer, Grid: g, Count: g.Count()})
-			}
-		}
-		if !myNew.Empty() && peerPrimary {
-			if g := oldD.LocalGrid(peer).Intersect(myNew); !g.Empty() {
-				s.Recvs = append(s.Recvs, Transfer{Peer: peer, Grid: g, Count: g.Count()})
-			}
-		}
-	}
+	s := new(Schedule)
+	s.Rebuild(oldD, newD, rank, np)
 	return s
+}
+
+// Rebuild makes s rank's schedule from oldD to newD, as Build does, in
+// s's own storage: once s has held a schedule as large, it allocates
+// nothing.  Grids of s's previous schedule are overwritten.
+func (s *Schedule) Rebuild(oldD, newD *dist.Distribution, rank, np int) {
+	s.Rank, s.Sends, s.Recvs, s.LocalKeep = rank, s.Sends[:0], s.Recvs[:0], index.Grid{}
+	w := &s.w
+	w.runs, w.sets, w.first = w.runs[:0], w.sets[:0], w.first[:0]
+	var myOld, myNew index.Grid
+	myOld, w.runs = oldD.LocalGridInto(w.grid(oldD.Domain().Rank()), w.runs, rank)
+	myNew, w.runs = newD.LocalGridInto(w.grid(newD.Domain().Rank()), w.runs, rank)
+	s.LocalKeep = w.and(myOld, myNew)
+	if !myOld.Empty() {
+		for _, rs := range myOld.Dims {
+			w.first = append(w.first, rs[0].Lo)
+		}
+	}
+	// A peer of rank's replica group owns a point rank holds.
+	group := func(peer int) bool {
+		return oldD.Replicated() && peer != rank && len(w.first) > 0 && oldD.IsLocal(peer, w.first)
+	}
+	if oldD.IsPrimaryRank(rank) && !myOld.Empty() {
+		s.Sends = w.transfers(s.Sends, myOld, newD, false, np, group)
+	}
+	if !myNew.Empty() {
+		s.Recvs = w.transfers(s.Recvs, myNew, oldD, true, np, group)
+	}
+}
+
+// work is a schedule's storage: runs and sets back its grids; the rest
+// is scratch.
+type work struct {
+	runs, tmp      []index.Run
+	sets           []index.RunSet
+	hold           index.Grid
+	first          index.Point
+	coords, lo, hi []int
+}
+
+// grid returns a grid of r dimensions carved from w.sets.
+func (w *work) grid(r int) index.Grid {
+	n := len(w.sets)
+	w.sets = slices.Grow(w.sets, r)[:n+r]
+	return index.Grid{Dims: w.sets[n : n+r : n+r]}
+}
+
+// and returns a ∩ b in w's storage, or an empty grid, keeping nothing,
+// when they do not meet.
+func (w *work) and(a, b index.Grid) index.Grid {
+	n, at := len(w.sets), len(w.runs)
+	g := w.grid(len(a.Dims))
+	for k := range g.Dims {
+		lo := len(w.runs)
+		w.runs = index.AppendIntersect(w.runs, a.Dims[k], b.Dims[k])
+		if g.Dims[k] = w.runs[lo:len(w.runs):len(w.runs)]; len(g.Dims[k]) == 0 {
+			w.sets, w.runs = w.sets[:n], w.runs[:at]
+			return index.Grid{}
+		}
+	}
+	return g
+}
+
+// transfers appends to ts, in rank order, one transfer per rank below np
+// outside rank's replica group that holds a piece of mine under d (a
+// primary holder, if primaries).  The holders lie in a box of target
+// coordinates: d.OwnerSpan of mine along a dimension that distributes,
+// the pin of a pinned one, all of a replicating one (0 for primaries).
+// Targets number ranks column-major, so the box's walk is in rank order.
+func (w *work) transfers(ts []Transfer, mine index.Grid, d *dist.Distribution, primaries bool, np int, group func(int) bool) []Transfer {
+	tg := d.Target()
+	w.lo, w.hi = w.lo[:0], w.hi[:0]
+	for td := range tg.NDims() {
+		c0, c1 := 0, tg.Extent(td)-1
+		if p := d.Pinned(td); p >= 0 {
+			c0, c1 = p, p
+		} else if primaries {
+			c1 = 0
+		}
+		w.lo, w.hi = append(w.lo, c0), append(w.hi, c1)
+	}
+	for k, rs := range mine.Dims {
+		if td := d.ProcDim(k); td >= 0 {
+			w.lo[td], w.hi[td] = d.OwnerSpan(k, rs[0].Lo, slices.MaxFunc(rs, func(a, b index.Run) int { return a.Hi - b.Hi }).Hi)
+		}
+	}
+	w.coords = append(w.coords[:0], w.lo...)
+	for {
+		if r := tg.RankOf(w.coords); r < np && !group(r) {
+			w.hold, w.tmp = d.LocalGridInto(w.hold, w.tmp[:0], r)
+			if g := w.and(mine, w.hold); !g.Empty() {
+				ts = append(ts, Transfer{Peer: r, Grid: g, Count: g.Count()})
+			}
+		}
+		td := 0
+		for ; td < len(w.coords) && w.coords[td] == w.hi[td]; td++ {
+			w.coords[td] = w.lo[td]
+		}
+		if td == len(w.coords) {
+			return ts
+		}
+		w.coords[td]++
+	}
 }
