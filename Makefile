@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire fuzz-distribute soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire check-allocs fuzz-distribute soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -43,7 +43,7 @@ dead:
 # corrupt-fault runs — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire
+check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire check-allocs
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./cmd/vfrun
@@ -83,6 +83,23 @@ check: check-fault check-recovery check-online check-redist check-halo check-pic
 check-redist:
 	$(GO) test -race -run 'TestPackUnpack|TestCopyGrid|TestUnpackPartRuns|TestPackAllocsPerRun|TestSaveRankFilesGolden|TestPlan|TestRedistributeMemBudget|TestRedistributeUnboundedExactCounts|TestRedistributeBudgetInfeasible|TestDimSpanInterleavedRuns|TestRedistributeGhostedRects|TestRedistributeWarmAllocs|TestRebalanceWarmAllocs|TestScheduleMatchesReference|TestRecycledStorageFreshBounds|TestRedistributeTCPReleasesPayloads|TestWindowOfferPull|AllocatesNothing|TestMoveTable|FuzzDistribute|TestParseBudget|FuzzParseBudget|TestWireGauge|TestExpandRespectsMemBudget|TestDistributeBarrierFree|TestDistributeThenGhostsDelayedRank|TestDistributeLaggingPuller|TestDistributeThenNonLocalReads|TestDistributeClass' \
 	  ./internal/redist ./internal/darray ./internal/msg ./internal/apps ./internal/core ./internal/interp ./internal/ckpt
+
+# The allocation gates, at GOMAXPROCS 1 and 2, three runs each: a warm
+# DISTRIBUTE statement allocates nothing in Figure 1's, Example 3's
+# extraction and a connect class's form (TestDistributeStatementWarmAllocs),
+# nor does resolving a held mapping on a shrunken view, whose target is
+# resolved once per epoch (TestDistributeEpochTarget); darray's warm and
+# fresh-bounds moves, the warm ghost exchange and checkpoint save keep
+# their bounds (*WarmAllocs); a warm step of each benchmark-shaped run
+# stays under its ceiling in internal/apps/testdata/step_allocs.json
+# (TestStepAllocs).  Then resolution returns only the mapping a statement
+# denotes, ranks sharing one Expr, under the race detector.
+check-allocs:
+	for p in 1 2; do \
+	  GOMAXPROCS=$$p $(GO) test -count=3 -run 'WarmAllocs|TestStepAllocs|TestDistributeEpochTarget|TestIs$$' \
+	    ./internal/core ./internal/darray ./internal/dist ./internal/ckpt ./internal/apps || exit 1; \
+	done
+	$(GO) test -race -count=1 -run 'TestDistributeResolution|TestIs$$' ./internal/core ./internal/dist
 
 # FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
 # crossings of BLOCK, CYCLIC(k), B_BLOCK, S_BLOCK and ':' over 1-6 ranks

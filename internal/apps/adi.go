@@ -136,23 +136,30 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			// bounds, once a straggler rebalance has installed it, replaces
 			// the even BLOCK split of d in the remaining DISTRIBUTEs.
 			bounds []int
+			// expr is the DISTRIBUTE that makes the lines along d local: d
+			// elided, the other dimension blocked (B_BLOCK by its bounds
+			// once installed).  setExprs builds both at every declare and
+			// rebalance; a statement keeps nothing of its Expr, so the steps
+			// between allocate nothing for it.
+			expr core.Expr
 			// factor is the elimination the sweep along d shares across its
 			// lines, built by the first sweep (a zero-step run builds none).
 			factor lineFactor
 		}
-		// distribute[d] is the DISTRIBUTE that makes the lines along
-		// dimension d local: d elided, the other dimension blocked.
-		var distribute [2]func() error
-		var sweep [2]func()
-		for d := range 2 {
-			distribute[d] = func() error {
-				dims := [2]dist.DimSpec{dist.BlockDim(), dist.BlockDim()}
+		setExprs := func() {
+			for d := range 2 {
+				dims := []dist.DimSpec{dist.BlockDim(), dist.BlockDim()}
 				if b := axis[1-d].bounds; b != nil {
 					dims[1-d] = dist.BBlockDim(b...)
 				}
 				dims[d] = dist.ElidedDim()
-				return eng.Distribute(ctx, []*core.Array{v}, core.DimsOf(dims[0], dims[1]))
+				axis[d].expr = core.DimsOf(dims...)
 			}
+		}
+		var distribute [2]func() error
+		var sweep [2]func()
+		for d := range 2 {
+			distribute[d] = func() error { return eng.Distribute(ctx, []*core.Array{v}, axis[d].expr) }
 			sweep[d] = func() { localSweep(ctx, v, d, &axis[d].factor) }
 		}
 		// A static mode keeps one dimension distributed for the whole run
@@ -173,6 +180,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 					// bounds were computed: fall back to the even block split.
 					axis[0].bounds, axis[1].bounds = nil, nil
 				}
+				setExprs()
 				decl := core.Decl{Name: "V", Domain: dom}
 				switch cfg.Mode {
 				case ADIDynamic:
@@ -230,6 +238,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 			},
 			rebalance: func(speeds []float64) error {
 				axis[0].bounds, axis[1].bounds = health.WeightedBounds(cfg.NX, speeds), health.WeightedBounds(cfg.NY, speeds)
+				setExprs()
 				return nil
 			},
 			end: func() error {

@@ -106,6 +106,12 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// checkpoint, so a replay never needs a lost rank's pending sums.
 		flushEvery := testFlushEvery || cfg.Join > 0 || cfg.Straggler.mitigating()
 		dr := &drift{frac: cfg.DriftFrac}
+		// bounds holds the BOUNDS each check broadcasts, decoded into the
+		// same storage every time, and bblock the rebalancing DISTRIBUTE's
+		// one specifier, B_BLOCK(BOUNDS): the statement copies what it
+		// keeps, so a check allocates nothing for either.
+		var bounds []int
+		var bblock [1]dist.DimSpec
 		// rebalance runs DISTRIBUTE FIELD :: B_BLOCK(BOUNDS) — moving COUNT
 		// with it, in one message per peer pair.  No barrier follows, and
 		// the DISTRIBUTE has none: a rank leaves it once its own new blocks
@@ -115,8 +121,9 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 		// has moved too.
 		rebalance := func(bounds []int) error {
 			dr.restart()
+			bblock[0] = dist.DimSpec{Kind: dist.BBlock, Bounds: bounds}
 			if err := redists.count(ctx, func() error {
-				return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(dist.BBlockDim(bounds...)))
+				return eng.Distribute(ctx, []*core.Array{field}, core.DimsOf(bblock[:]...))
 			}); err != nil {
 				return err
 			}
@@ -196,17 +203,17 @@ func RunPIC(cfg PICConfig) (PICResult, error) {
 				if err != nil {
 					return err
 				}
-				var bounds []int
+				var fresh []int
 				if ctx.Rank() == 0 {
 					copy(res.ImbalanceSeries[it+1-len(imbs):], imbs)
 					if cells != nil && imbs[len(imbs)-1] > cfg.RebalanceThreshold {
-						bounds = countBounds(counts, ctx.NP(), speedShares)
+						fresh = countBounds(counts, ctx.NP(), speedShares)
 					}
 				}
 				if cells == nil {
 					return nil
 				}
-				if bounds, err = ctx.Comm().BcastInts(0, bounds); err != nil || len(bounds) == 0 {
+				if bounds, err = ctx.Comm().BcastIntsInto(0, fresh, bounds); err != nil || len(bounds) == 0 {
 					return err
 				}
 				return rebalance(bounds)
@@ -496,6 +503,10 @@ type drift struct {
 	left  int       // steps left in the current block; 0 starts one
 	ghost []float64 // cells lo−k..lo−1 as the left neighbour holds them; empty without one
 	buf   []byte    // the frame being sent, reused (Send is done with it on return)
+	// grid and runs hold one rank's cells at a time while start reads the
+	// block sizes off the descriptor.
+	grid index.Grid
+	runs []index.Run
 }
 
 // restart ends the current block: the next step starts one under the
@@ -551,7 +562,8 @@ func (dr *drift) start(ctx *machine.Ctx, count *core.Array, cells []float64, lo,
 	d := count.DistOf(ctx.Rank())
 	k := horizon
 	for r := range ctx.NP() {
-		if rs := d.LocalGrid(r).Dims[0]; rs.Count() > 0 && rs[len(rs)-1].Hi < n {
+		dr.grid, dr.runs = d.LocalGridInto(dr.grid, dr.runs[:0], r)
+		if rs := dr.grid.Dims[0]; rs.Count() > 0 && rs[len(rs)-1].Hi < n {
 			k = min(k, rs.Count())
 		}
 	}

@@ -83,12 +83,15 @@ func RunRedistCost(cfg RedistCostConfig) (RedistCostResult, error) {
 		if err := ctx.Barrier(); err != nil {
 			return err
 		}
+		// Each round's two statements resolve to the two mappings the
+		// ranks hold from the first round on, and allocate nothing.
+		arrs, to, from := []*core.Array{a}, core.DimsOf(cfg.To...), core.DimsOf(cfg.From...)
 		start := time.Now()
 		for r := 0; r < cfg.Rounds; r++ {
-			if err := e.Distribute(ctx, []*core.Array{a}, core.DimsOf(cfg.To...)); err != nil {
+			if err := e.Distribute(ctx, arrs, to); err != nil {
 				return err
 			}
-			if err := e.Distribute(ctx, []*core.Array{a}, core.DimsOf(cfg.From...)); err != nil {
+			if err := e.Distribute(ctx, arrs, from); err != nil {
 				return err
 			}
 		}

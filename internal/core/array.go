@@ -29,7 +29,24 @@ type Array struct {
 	declErr error
 
 	arr *darray.Array
+	own []rankState // per rank of the declaring view
 }
+
+// rankState is what one rank keeps of an array between statements.
+type rankState struct {
+	// derived holds a secondary's last two derivations (derive), next the
+	// slot the next one replaces.
+	derived [2]derivation
+	next    int
+	// arrays and dists are a primary's class-move lists (distributeTo),
+	// reused by its every DISTRIBUTE.
+	arrays []*darray.Array
+	dists  []*dist.Distribution
+}
+
+// derivation is one secondary distribution d derived from the primary's
+// distribution src.
+type derivation struct{ src, d *dist.Distribution }
 
 // Name returns the declaration name.
 func (a *Array) Name() string { return a.name }
@@ -120,18 +137,37 @@ func (a *Array) Epoch(rank int) int { return a.arr.Epoch(rank) }
 
 func (a *Array) String() string { return a.arr.String() }
 
-// derive computes this secondary array's distribution from the primary's,
-// per the connection recorded at declaration (§2.4 step "for each
-// secondary array A in C(B), its distribution is determined from the
-// distribution type associated with da, I^A, and the connection").
-func (a *Array) derive(primDist *dist.Distribution) (*dist.Distribution, error) {
+// derive computes this secondary array's distribution on rank from the
+// primary's, per the connection recorded at declaration (§2.4 step "for
+// each secondary array A in C(B), its distribution is determined from the
+// distribution type associated with da, I^A, and the connection").  The
+// result is a function of primDist alone — the connection never changes
+// and distributions are immutable — so a primary distribution met in
+// one of the rank's last two derivations resolves to the distribution
+// derived then, allocating nothing: the primary's own resolution hands
+// back the mappings it holds, so a phase-alternating class always hits.
+func (a *Array) derive(rank int, primDist *dist.Distribution) (*dist.Distribution, error) {
+	st := &a.own[rank]
+	for _, h := range st.derived {
+		if h.src == primDist {
+			return h.d, nil
+		}
+	}
+	var d *dist.Distribution
+	var err error
 	switch a.connKind {
 	case ConnExtract:
-		return dist.Extract(primDist, a.dom)
+		d, err = dist.Extract(primDist, a.dom)
 	case ConnAlign:
-		return dist.Construct(a.align, primDist, a.dom)
+		d, err = dist.Construct(a.align, primDist, a.dom)
+	default:
+		return nil, fmt.Errorf("core: %s is not a secondary array", a.name)
 	}
-	return nil, fmt.Errorf("core: %s is not a secondary array", a.name)
+	if err != nil {
+		return nil, err
+	}
+	st.derived[st.next], st.next = derivation{primDist, d}, 1-st.next
+	return d, nil
 }
 
 // CallWith implements procedure-boundary implicit redistribution (§4):

@@ -55,6 +55,16 @@ type Engine struct {
 
 	defOnce sync.Once
 	def     dist.Target // DefaultTarget, resolved once for every DISTRIBUTE
+	// view is the executing view's target of the latest shrunken epoch
+	// (viewTarget), resolved once per epoch.
+	view atomic.Pointer[epochView]
+}
+
+// epochView is the target of a view smaller than the machine: np ranks
+// of membership epoch epoch.
+type epochView struct {
+	epoch, np int
+	tg        dist.Target
 }
 
 // SetCkptOptions installs the parallel-I/O options (redundancy mode,
@@ -110,13 +120,20 @@ func (e *Engine) DefaultTarget() dist.Target {
 // machine's full width on a smaller view would leave their last blocks
 // owned by no executing rank — data silently dropped at the next
 // DISTRIBUTE — so every declaration and DISTRIBUTE target defaults to
-// the view, not the machine.
+// the view, not the machine.  A shrunken view's target is resolved once
+// per epoch, so every DISTRIBUTE of the epoch names the same target
+// object and can resolve to a distribution the rank holds.
 func (e *Engine) viewTarget(ctx *machine.Ctx) dist.Target {
-	np := ctx.NP()
+	np, ep := ctx.NP(), ctx.Epoch()
 	if np == e.m.NP() {
 		return e.DefaultTarget()
 	}
-	return e.m.ProcsDim(fmt.Sprintf("$P.%d", ctx.Epoch()), np).Whole()
+	if v := e.view.Load(); v != nil && v.epoch == ep && v.np == np {
+		return v.tg
+	}
+	v := &epochView{ep, np, e.m.ProcsDim(fmt.Sprintf("$P.%d", ep), np).Whole()}
+	e.view.Store(v)
+	return v.tg
 }
 
 // Lookup finds a declared array by name.
@@ -267,7 +284,7 @@ func (e *Engine) Declare(ctx *machine.Ctx, d Decl) (*Array, error) {
 	}
 
 	a := ctx.CollectiveOnce(func() any {
-		return &Array{e: e, name: d.Name, dom: d.Domain, dynamic: d.Dynamic, rng: d.Range}
+		return &Array{e: e, name: d.Name, dom: d.Domain, dynamic: d.Dynamic, rng: d.Range, own: make([]rankState, ctx.NP())}
 	}).(*Array)
 
 	// Connect-class wiring and registration: the first processor to take
@@ -330,7 +347,7 @@ func (e *Engine) Declare(ctx *machine.Ctx, d Decl) (*Array, error) {
 	if a.connKind != ConnNone && d0 == nil {
 		prim := a.class.primary
 		if prim.arr != nil && prim.arr.Distributed(ctx.Rank()) {
-			d0, err = a.derive(prim.arr.Dist(ctx.Rank()))
+			d0, err = a.derive(ctx.Rank(), prim.arr.Dist(ctx.Rank()))
 			if err != nil {
 				return nil, fmt.Errorf("core: %s: %w", d.Name, err)
 			}

@@ -92,6 +92,8 @@ type rankState struct {
 	// Dist(0) may be read from another rank without a data race.
 	dst  atomic.Pointer[dist.Distribution]
 	epoc int // redistributions this rank has committed (diagnostics)
+	// left is the distribution the rank's last move left (Held).
+	left *dist.Distribution
 	// ghosts is the ghost exchange under dst, rebuilt by the first
 	// exchange after a commit (ghostPlanOf).
 	ghosts ghostPlan
@@ -119,8 +121,10 @@ type rankState struct {
 	inlDims [4]msg.RectDim
 	dense   layout
 	// shares is the rank's recycled list of one DISTRIBUTE offer or pull
-	// (sharesOf).
-	shares []msg.Share
+	// (sharesOf); members is its recycled list of one class move
+	// (RedistributeClass) led by this array.
+	shares  []msg.Share
+	members []member
 }
 
 // Option configures array creation.
@@ -201,6 +205,15 @@ func (a *Array) Domain() index.Domain { return a.dom }
 // message or collective orders that rank's last DISTRIBUTE before the
 // call.
 func (a *Array) Dist(rank int) *dist.Distribution { return a.own[rank].dst.Load() }
+
+// Held returns the distributions processor rank holds for the array: the
+// current one and the one its last move left (nil before a move).  A
+// DISTRIBUTE back to either moves from or to mapping objects whose
+// fingerprints and local grids are built already.
+func (a *Array) Held(rank int) [2]*dist.Distribution {
+	own := &a.own[rank]
+	return [2]*dist.Distribution{own.dst.Load(), own.left}
+}
 
 // DistType returns rank's current distribution type, panicking if the
 // array has not been associated with a distribution yet.

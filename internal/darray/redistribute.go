@@ -12,21 +12,31 @@ import (
 	"repro/internal/trace"
 )
 
-// RedistOption configures a single-array redistribution.
-type RedistOption func(*redistConfig)
-
-type redistConfig struct {
+// RedistOption configures a single-array redistribution: NoTransfer or
+// MemBudget.  It is a plain value, and a call's options merge into one
+// (configOf), so applying them allocates nothing.
+type RedistOption struct {
 	noTransfer bool
 	memBudget  int64
+}
+
+// configOf merges a call's options: NOTRANSFER if any asks for it, and
+// the last budget given.
+func configOf(opts []RedistOption) (c RedistOption) {
+	for _, o := range opts {
+		c.noTransfer = c.noTransfer || o.noTransfer
+		if o.memBudget != 0 {
+			c.memBudget = o.memBudget
+		}
+	}
+	return c
 }
 
 // NoTransfer requests the paper's NOTRANSFER semantics: "only the access
 // function ... is changed and the elements of the array are not
 // physically moved".  The new storage is zero-filled except for elements
 // the processor already owned, which are kept in place.
-func NoTransfer() RedistOption {
-	return func(c *redistConfig) { c.noTransfer = true }
-}
+func NoTransfer() RedistOption { return RedistOption{noTransfer: true} }
 
 // MemBudget bounds the peak resident wire bytes per rank during the
 // redistribution.  The planner decomposes the move into bounded steps
@@ -34,9 +44,7 @@ func NoTransfer() RedistOption {
 // redistribution fails (on every rank symmetrically, before any data
 // moves) and the old distribution stays fully readable.  n <= 0 means
 // unbounded: one pass of the ring over the whole domain, with no plan.
-func MemBudget(n int64) RedistOption {
-	return func(c *redistConfig) { c.memBudget = n }
-}
+func MemBudget(n int64) RedistOption { return RedistOption{memBudget: n} }
 
 // RedistributeTo collectively re-associates the array with newD and moves
 // the data so that every element keeps its value under the new mapping —
@@ -65,12 +73,8 @@ func MemBudget(n int64) RedistOption {
 // or domain-mismatched distribution) panic; transport failures during the
 // data exchange are returned as errors wrapping the underlying cause.
 func (a *Array) RedistributeTo(ctx *machine.Ctx, newD *dist.Distribution, opts ...RedistOption) error {
-	var cfg redistConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
 	ms := [1]member{{a: a, newD: newD}}
-	return moveClass(ctx, ms[:], cfg)
+	return moveClass(ctx, ms[:], configOf(opts))
 }
 
 // RedistributeClass is RedistributeTo for the members of a connect class
@@ -86,11 +90,13 @@ func RedistributeClass(ctx *machine.Ctx, arrays []*Array, dists []*dist.Distribu
 	if len(arrays) != len(dists) {
 		panic(fmt.Sprintf("darray: class move of %d arrays to %d distributions", len(arrays), len(dists)))
 	}
-	var cfg redistConfig
-	for _, o := range opts {
-		o(&cfg)
-	}
-	ms := make([]member, len(arrays))
+	cfg := configOf(opts)
+	// The member list lives in the lead's per-rank storage, reused by its
+	// every class move and cleared after it.
+	own := &arrays[0].own[ctx.Rank()]
+	ms := slices.Grow(own.members[:0], len(arrays))[:len(arrays)]
+	own.members = ms
+	defer clear(ms)
 	for i, a := range arrays {
 		ms[i] = member{a: a, newD: dists[i]}
 	}
@@ -219,7 +225,7 @@ func (a *Array) moveOf(rank, np int, oldD, newD *dist.Distribution, budget int64
 // commits.  A budget applies to a lone member (RedistributeClass moves a
 // class member by member under one): the ring then runs once per panel
 // of its plan.  A member already at its new distribution does not move.
-func moveClass(ctx *machine.Ctx, ms []member, cfg redistConfig) error {
+func moveClass(ctx *machine.Ctx, ms []member, cfg RedistOption) error {
 	rank := ctx.Rank()
 	n := 0
 	for _, m := range ms {
@@ -363,6 +369,9 @@ func (a *Array) commit(rank int, d *dist.Distribution, l *Local) {
 	a.locals[rank] = l
 	a.win.Register(rank, l.data)
 	own := &a.own[rank]
+	if old := own.dst.Load(); old != d {
+		own.left = old
+	}
 	own.dst.Store(d)
 	own.epoc++
 }

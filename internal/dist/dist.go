@@ -306,6 +306,30 @@ func NewType(dims ...DimSpec) Type {
 	return Type{Dims: dims}
 }
 
+// clone returns a deep copy of t in two allocations at most: the
+// specifiers, and one array behind every S_BLOCK size and B_BLOCK bound.
+// Only scalar fields are copied across, so t's storage does not escape.
+func (t Type) clone() Type {
+	n := 0
+	for _, s := range t.Dims {
+		n += len(s.Sizes) + len(s.Bounds)
+	}
+	ints := make([]int, 0, n)
+	take := func(v []int) []int {
+		if v == nil {
+			return nil
+		}
+		at := len(ints)
+		ints = append(ints, v...)
+		return ints[at:len(ints):len(ints)]
+	}
+	dims := make([]DimSpec, len(t.Dims))
+	for i, s := range t.Dims {
+		dims[i] = DimSpec{Kind: s.Kind, K: s.K, Phase: s.Phase, Sizes: take(s.Sizes), Bounds: take(s.Bounds)}
+	}
+	return Type{Dims: dims}
+}
+
 // Rank returns the number of array dimensions the type applies to.
 func (t Type) Rank() int { return len(t.Dims) }
 

@@ -356,3 +356,61 @@ func TestLocalShapeAndReplicationDegree(t *testing.T) {
 		t.Fatal("primary detection wrong")
 	}
 }
+
+// TestIs: Is accepts exactly the mapping New(NewType(specs...), dom,
+// target) builds — and a distribution New built from the same specifiers
+// — and refuses one that differs in any field: a specifier's kind, K,
+// phase, sizes or bounds, the rank, the domain, the target object (even
+// one printing the same), the binding (a transposed alignment) or a pin.
+// It allocates nothing.
+func TestIs(t *testing.T) {
+	m := machine.New(4)
+	defer m.Close()
+	line, grid := m.ProcsDim("P", 4).Whole(), m.ProcsDim("R", 2, 2).Whole()
+	twin := m.ProcsDim("P", 4).Section([3]int{1, 4, 1}) // prints as line does, another object
+	dom := index.Dim(16, 12)
+	specs := []DimSpec{BlockDim(), CyclicDim(3)}
+	d := MustNew(NewType(specs...), dom, grid)
+	if !d.Is(specs, dom, grid) {
+		t.Fatalf("%v is not the mapping it was built from", d)
+	}
+	if n := testing.AllocsPerRun(20, func() { d.Is(specs, dom, grid) }); n != 0 {
+		t.Errorf("Is allocates %v", n)
+	}
+	bb := MustNew(NewType(BBlockDim(3, 9, 16)), index.Dim(16), m.ProcsDim("T", 3).Whole())
+	sb := MustNew(NewType(SBlockDim(5, 6, 5)), index.Dim(16), m.ProcsDim("T", 3).Whole())
+	tr, err := Construct(Transpose2D(), d, index.Dim(12, 16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned, err := Construct(NewAlignment(Axis(0), AxisConst(2)), MustNew(NewType(BlockDim(), BlockDim()), index.Dim(16, 16), grid), index.Dim(16))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		d      *Distribution
+		specs  []DimSpec
+		dom    index.Domain
+		target Target
+		want   bool
+	}{
+		{"kind", d, []DimSpec{BlockDim(), BlockDim()}, dom, grid, false},
+		{"K", d, []DimSpec{BlockDim(), CyclicDim(2)}, dom, grid, false},
+		{"phase", d, []DimSpec{BlockDim(), {Kind: Cyclic, K: 3, Phase: 1}}, dom, grid, false},
+		{"rank", d, []DimSpec{BlockDim()}, dom, grid, false},
+		{"domain", d, specs, index.Dim(16, 13), grid, false},
+		{"target", d, specs, dom, line, false},
+		{"bounds", bb, []DimSpec{BBlockDim(3, 9, 16)}, index.Dim(16), bb.Target(), true},
+		{"bounds differ", bb, []DimSpec{BBlockDim(3, 10, 16)}, index.Dim(16), bb.Target(), false},
+		{"sizes", sb, []DimSpec{SBlockDim(5, 6, 5)}, index.Dim(16), sb.Target(), true},
+		{"sizes differ", sb, []DimSpec{SBlockDim(6, 5, 5)}, index.Dim(16), sb.Target(), false},
+		{"twin target", MustNew(NewType(BlockDim()), index.Dim(16), line), []DimSpec{BlockDim()}, index.Dim(16), twin, false},
+		{"transposed binding", tr, tr.DistType().Dims, index.Dim(12, 16), grid, false},
+		{"pinned", pinned, pinned.DistType().Dims, index.Dim(16), grid, false},
+	} {
+		if got := c.d.Is(c.specs, c.dom, c.target); got != c.want {
+			t.Errorf("%s: %v.Is(%v, %v, %v) = %v, want %v", c.name, c.d, c.specs, c.dom, c.target, got, c.want)
+		}
+	}
+}

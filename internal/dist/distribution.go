@@ -57,25 +57,56 @@ type Distribution struct {
 // k-th distributed (non-elided) array dimension to the k-th target
 // dimension.  The number of distributed dimensions must not exceed the
 // number of target dimensions; irregular specifiers are validated against
-// extents.
+// extents.  The distribution keeps its own copy of typ, so a caller may
+// pass specifiers in storage it reuses.
 func New(typ Type, dom index.Domain, target Target) (*Distribution, error) {
-	if typ.Rank() != dom.Rank() {
-		return nil, fmt.Errorf("dist: type rank %d != domain rank %d", typ.Rank(), dom.Rank())
+	t := typ.clone()
+	if t.Rank() != dom.Rank() {
+		return nil, fmt.Errorf("dist: type rank %d != domain rank %d", t.Rank(), dom.Rank())
 	}
-	procDim := make([]int, typ.Rank())
+	var buf [8]int
+	procDim := buf[:0]
 	td := 0
-	for k, spec := range typ.Dims {
+	for _, spec := range t.Dims {
 		if !spec.Distributed() {
-			procDim[k] = -1
+			procDim = append(procDim, -1)
 			continue
 		}
 		if td >= target.NDims() {
-			return nil, fmt.Errorf("dist: type %v has more distributed dimensions than target %v has dimensions", typ, target)
+			return nil, fmt.Errorf("dist: type %v has more distributed dimensions than target %v has dimensions", t, target)
 		}
-		procDim[k] = td
+		procDim = append(procDim, td)
 		td++
 	}
-	return newBound(typ, dom, target, procDim, nil)
+	return newBound(t, dom, target, procDim, nil)
+}
+
+// Is reports whether d is the mapping New(NewType(specs...), dom, target)
+// builds: the same target object, domain and specifiers, the k-th
+// distributed dimension bound to the k-th target dimension, and no
+// pinned coordinate.  It compares field by field and allocates nothing,
+// so a DISTRIBUTE resolves its expression to a distribution the rank
+// already holds before it builds one.
+func (d *Distribution) Is(specs []DimSpec, dom index.Domain, target Target) bool {
+	if d == nil || d.target != target || len(specs) != len(d.typ.Dims) || !d.domain.Equal(dom) {
+		return false
+	}
+	td := 0
+	for k, s := range specs {
+		want := -1
+		if s.Distributed() {
+			want, td = td, td+1
+		}
+		if d.procDim[k] != want || !s.Equal(d.typ.Dims[k]) {
+			return false
+		}
+	}
+	for _, c := range d.fixed {
+		if c >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // newBound builds a distribution with an explicit binding of array
@@ -89,12 +120,15 @@ func newBound(typ Type, dom index.Domain, target Target, procDim, fixedIn []int)
 	if len(procDim) != typ.Rank() {
 		return nil, fmt.Errorf("dist: binding rank %d != type rank %d", len(procDim), typ.Rank())
 	}
+	// One allocation holds the binding and the pins.
+	r, nt := typ.Rank(), target.NDims()
+	ints := make([]int, r+nt)
 	d := &Distribution{
 		typ:     typ,
 		domain:  dom,
 		target:  target,
-		procDim: make([]int, typ.Rank()),
-		fixed:   make([]int, target.NDims()),
+		procDim: ints[:r:r],
+		fixed:   ints[r:],
 	}
 	copy(d.procDim, procDim)
 	for td := range d.fixed {
@@ -106,7 +140,6 @@ func newBound(typ Type, dom index.Domain, target Target, procDim, fixedIn []int)
 			d.fixed[td] = fixedIn[td]
 		}
 	}
-	used := make([]bool, target.NDims())
 	for k, spec := range typ.Dims {
 		td := d.procDim[k]
 		if !spec.Distributed() {
@@ -115,22 +148,21 @@ func newBound(typ Type, dom index.Domain, target Target, procDim, fixedIn []int)
 			}
 			continue
 		}
-		if td < 0 || td >= target.NDims() {
+		if td < 0 || td >= nt {
 			return nil, fmt.Errorf("dist: dimension %d bound to invalid target dim %d", k+1, td)
 		}
-		if used[td] {
+		if slices.Contains(d.procDim[:k], td) {
 			return nil, fmt.Errorf("dist: target dim %d bound twice", td)
 		}
 		if d.fixed[td] >= 0 {
 			return nil, fmt.Errorf("dist: target dim %d both bound and pinned", td)
 		}
-		used[td] = true
 		if err := spec.validate(dom.Lo[k], dom.Extent(k), target.Extent(td)); err != nil {
 			return nil, fmt.Errorf("dist: dimension %d: %w", k+1, err)
 		}
 	}
-	for td := 0; td < target.NDims(); td++ {
-		if !used[td] && d.fixed[td] < 0 {
+	for td := 0; td < nt; td++ {
+		if !slices.Contains(d.procDim, td) && d.fixed[td] < 0 {
 			d.replDims = append(d.replDims, td)
 		}
 	}

@@ -83,18 +83,6 @@ func DecodeFloat64sInto(dst []float64, buf []byte) {
 	}
 }
 
-// DecodeInt64s decodes a []int64 payload.
-func DecodeInt64s(buf []byte) []int64 {
-	if len(buf)%8 != 0 {
-		panic(fmt.Sprintf("msg: int64 payload length %d not a multiple of 8", len(buf)))
-	}
-	out := make([]int64, len(buf)/8)
-	for i := range out {
-		out[i] = int64(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out
-}
-
 // EncodeInts encodes a []int payload as int64s.
 func EncodeInts(vals []int) []byte {
 	buf := make([]byte, 8*len(vals))
@@ -106,12 +94,20 @@ func EncodeInts(vals []int) []byte {
 
 // DecodeInts decodes a payload written by EncodeInts.
 func DecodeInts(buf []byte) []int {
-	v := DecodeInt64s(buf)
-	out := make([]int, len(v))
-	for i := range v {
-		out[i] = int(v[i])
+	return DecodeIntsInto(make([]int, 0, len(buf)/8), buf)
+}
+
+// DecodeIntsInto is DecodeInts into dst's storage, grown only when it
+// lacks room.
+func DecodeIntsInto(dst []int, buf []byte) []int {
+	if len(buf)%8 != 0 {
+		panic(fmt.Sprintf("msg: int64 payload length %d not a multiple of 8", len(buf)))
 	}
-	return out
+	dst = slices.Grow(dst[:0], len(buf)/8)[:len(buf)/8]
+	for i := range dst {
+		dst[i] = int(int64(binary.LittleEndian.Uint64(buf[8*i:])))
+	}
+	return dst
 }
 
 // PutUint32 / GetUint32 are header helpers for framed transports.

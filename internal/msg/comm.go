@@ -539,6 +539,13 @@ func (c *Comm) Alltoallv(send [][]byte) ([][]byte, error) {
 
 // BcastInts broadcasts an []int from root and returns it on every rank.
 func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
+	return c.BcastIntsInto(root, vals, nil)
+}
+
+// BcastIntsInto is BcastInts decoding into dst's storage, grown only when
+// it lacks room: a rank that keeps dst allocates nothing for the values
+// it receives once dst holds them.
+func (c *Comm) BcastIntsInto(root int, vals, dst []int) ([]int, error) {
 	var buf []byte
 	if c.Rank() == root {
 		buf = EncodeInts(vals)
@@ -547,7 +554,7 @@ func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	return DecodeInts(out), nil
+	return DecodeIntsInto(dst, out), nil
 }
 
 // MaxInt returns the larger of a and b.
