@@ -343,11 +343,12 @@ bench-wire:
 experiments:
 	$(GO) run ./cmd/vfbench
 
-# The paper's compiler-analysis artifacts (E6).
+# The paper's compiler-analysis artifacts (E6): reaching sets, DCASE/IDT
+# verdicts and the communication / memory report.
 analyze:
-	$(GO) run ./cmd/vfanalyze -demo fig1
-	$(GO) run ./cmd/vfanalyze -demo fig2
-	$(GO) run ./cmd/vfanalyze -demo example4
+	$(GO) run ./cmd/vfanalyze -demo fig1 -comm
+	$(GO) run ./cmd/vfanalyze -demo fig2 -comm
+	$(GO) run ./cmd/vfanalyze -demo example4 -comm
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -25,7 +25,6 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/apps"
 	"repro/internal/ckpt"
 	"repro/internal/lang"
@@ -39,7 +38,6 @@ import (
 func main() {
 	np := flag.Int("p", 4, "number of processors")
 	demo := flag.String("demo", "", "run a built-in paper listing: fig1|fig2")
-	report := flag.Bool("analyze", false, "print the reaching-distribution report before running")
 	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace of the run to FILE and print the per-phase summary")
 	faultSpec := flag.String("fault", "", "inject transport faults, e.g. 'senderr,rank=1,after=3,count=2;drop,peer=2,count=1' (kinds: "+msg.FaultKinds()+"; see msg.ParseFaultPlan)")
 	commTimeout := flag.Duration("comm-timeout", 0, "per-receive deadline inside collectives (0 = wait forever)")
@@ -122,10 +120,6 @@ ENDDO
 			fmt.Fprintln(os.Stderr, d)
 		}
 		os.Exit(1)
-	}
-	if *report {
-		fmt.Print(analysis.Analyze(unit).Report())
-		fmt.Println()
 	}
 
 	// The run settings, prerequisites included, are checked once, by

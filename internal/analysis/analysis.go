@@ -18,6 +18,7 @@ package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -178,6 +179,19 @@ type Result struct {
 	// Diags extends the unit's diagnostics with flow-sensitive findings
 	// (possible/definite RANGE violations, access before distribution).
 	Diags []sem.Diag
+
+	// loops holds the enclosing DO/FORALL induction variables during the
+	// walk; sites the assignments it recorded, for AnalyzeComm.
+	loops []string
+	sites []site
+}
+
+// site is one assignment the recording walk reached: the DO/FORALL
+// induction variables around it and the state reaching it.
+type site struct {
+	stm   *lang.AssignStmt
+	loops []string
+	st    State
 }
 
 func (r *Result) errf(pos lang.Pos, format string, args ...any) {
@@ -199,7 +213,7 @@ func Analyze(u *sem.Unit) *Result {
 			continue
 		}
 		if !ai.Dynamic && ai.Align != nil && ai.Primary != nil {
-			st[name] = deriveThroughAlign(st[ai.Primary.Name], ai)
+			st[name] = r.deriveSetThroughAlign(st[ai.Primary.Name], ai)
 			continue
 		}
 		if ai.Dynamic {
@@ -207,7 +221,7 @@ func Analyze(u *sem.Unit) *Result {
 			case ai.Conn == sem.ConnExtract && ai.Primary != nil:
 				st[name] = st[ai.Primary.Name]
 			case ai.Conn == sem.ConnAlign && ai.Primary != nil:
-				st[name] = deriveThroughAlign(st[ai.Primary.Name], ai)
+				st[name] = r.deriveSetThroughAlign(st[ai.Primary.Name], ai)
 			case ai.Init != nil:
 				st[name] = TypeSet{{Type: *ai.Init, Target: ai.Target}}
 			default:
@@ -239,11 +253,14 @@ func (r *Result) stmt(s lang.Stmt, st State) State {
 		r.recordExpr(stm.From, st)
 		r.recordExpr(stm.To, st)
 		// FORALL iterations are independent; a single pass suffices
-		out := r.stmts(stm.Body, st)
-		return out
+		r.loops = append(r.loops, stm.Var)
+		defer r.popLoop()
+		return r.stmts(stm.Body, st)
 	case *lang.DoStmt:
 		r.recordExpr(stm.From, st)
 		r.recordExpr(stm.To, st)
+		r.loops = append(r.loops, stm.Var)
+		defer r.popLoop()
 		// fixpoint: the body may execute 0..n times
 		cur := st
 		for i := 0; ; i++ {
@@ -267,18 +284,21 @@ func (r *Result) stmt(s lang.Stmt, st State) State {
 	case *lang.AssignStmt:
 		r.recordRef(stm.LHS, st)
 		r.recordExpr(stm.RHS, st)
+		r.sites = append(r.sites, site{stm: stm, loops: slices.Clone(r.loops), st: st})
 		return st
 	}
 	return st
 }
 
+func (r *Result) popLoop() { r.loops = r.loops[:len(r.loops)-1] }
+
 // stmtsNoRecord interprets statements without recording references (used
 // inside the DO fixpoint so references are reported once, against the
 // converged state).
 func (r *Result) stmtsNoRecord(list []lang.Stmt, st State) State {
-	savedRefs, savedArms, savedConds, savedDiags := r.Refs, r.Arms, r.Conds, r.Diags
+	savedRefs, savedArms, savedConds, savedDiags, savedSites := r.Refs, r.Arms, r.Conds, r.Diags, r.sites
 	out := r.stmts(list, st)
-	r.Refs, r.Arms, r.Conds, r.Diags = savedRefs, savedArms, savedConds, savedDiags
+	r.Refs, r.Arms, r.Conds, r.Diags, r.sites = savedRefs, savedArms, savedConds, savedDiags, savedSites
 	return out
 }
 
@@ -330,7 +350,7 @@ func (r *Result) distribute(stm *lang.DistributeStmt, st State) State {
 			if sec.Conn == sem.ConnExtract {
 				out[sec.Name] = newSet
 			} else {
-				out[sec.Name] = deriveSetThroughAlign(newSet, sec)
+				out[sec.Name] = r.deriveSetThroughAlign(newSet, sec)
 			}
 		}
 	}
@@ -620,24 +640,20 @@ func (r *Result) recordRef(ref *lang.Ref, st State) {
 	}
 }
 
-// deriveThroughAlign derives a secondary's reaching set from its
+// deriveSetThroughAlign derives a secondary's reaching set from its
 // primary's, conservatively transforming kinds (identity axes keep the
 // kind; offset/stride axes over block-family dimensions become general
 // block; unreferenced dims elide).
-func deriveThroughAlign(primSet TypeSet, ai *sem.ArrayInfo) TypeSet {
-	return deriveSetThroughAlign(primSet, ai)
-}
-
-func deriveSetThroughAlign(primSet TypeSet, ai *sem.ArrayInfo) TypeSet {
+func (r *Result) deriveSetThroughAlign(primSet TypeSet, ai *sem.ArrayInfo) TypeSet {
 	var out TypeSet
 	for _, t := range primSet {
-		out = out.union(TypeSet{{Type: alignedPattern(t.Type, ai), Target: t.Target}})
+		out = out.union(TypeSet{{Type: r.alignedPattern(t.Type, ai), Target: t.Target}})
 	}
 	return out
 }
 
 // alignedPattern maps the primary's abstract type through ai.Align.
-func alignedPattern(primType dist.Pattern, ai *sem.ArrayInfo) dist.Pattern {
+func (r *Result) alignedPattern(primType dist.Pattern, ai *sem.ArrayInfo) dist.Pattern {
 	if primType.Any || ai.Align == nil {
 		return anyOfRank(ai.Rank)
 	}
@@ -650,17 +666,12 @@ func alignedPattern(primType dist.Pattern, ai *sem.ArrayInfo) dist.Pattern {
 			break
 		}
 		// which source index forms target dim j?
-		name, stride, offset, ok := affine(e, ai.Align.SrcIdx)
+		name, stride, offset, ok := r.Unit.AffineOf(e, ai.Align.SrcIdx)
 		if !ok || name == "" {
 			continue // constant axis: pins a coordinate, no source dim
 		}
-		srcDim := -1
-		for i, n := range ai.Align.SrcIdx {
-			if n == name {
-				srcDim = i
-			}
-		}
-		if srcDim < 0 || srcDim >= len(dims) {
+		srcDim := slices.Index(ai.Align.SrcIdx, name)
+		if srcDim >= len(dims) {
 			continue
 		}
 		pd := primType.Dims[j]
@@ -679,52 +690,6 @@ func alignedPattern(primType dist.Pattern, ai *sem.ArrayInfo) dist.Pattern {
 		}
 	}
 	return dist.NewPattern(dims...)
-}
-
-// affine is a parameter-free version of sem's AffineOf for use here
-// (alignment subscripts are index names, literals, and +,-,* of them).
-func affine(e lang.Expr, idxNames []string) (name string, stride, offset int, ok bool) {
-	switch ex := e.(type) {
-	case *lang.IntLit:
-		return "", 0, ex.Value, true
-	case *lang.Ref:
-		for _, n := range idxNames {
-			if ex.Name == n && ex.Indices == nil {
-				return n, 1, 0, true
-			}
-		}
-		return "", 0, 0, false
-	case *lang.BinExpr:
-		ln, ls, lo, lok := affine(ex.L, idxNames)
-		rn, rs, ro, rok := affine(ex.R, idxNames)
-		if !lok || !rok {
-			return "", 0, 0, false
-		}
-		switch ex.Op {
-		case lang.PLUS:
-			if ln != "" && rn != "" {
-				return "", 0, 0, false
-			}
-			if ln != "" {
-				return ln, ls, lo + ro, true
-			}
-			return rn, rs, lo + ro, true
-		case lang.MINUS:
-			if rn != "" {
-				return "", 0, 0, false
-			}
-			return ln, ls, lo - ro, true
-		case lang.STAR:
-			if ln != "" && rn == "" {
-				return ln, ls * ro, lo * ro, true
-			}
-			if rn != "" && ln == "" {
-				return rn, rs * lo, ro * lo, true
-			}
-			return "", 0, lo * ro, true
-		}
-	}
-	return "", 0, 0, false
 }
 
 func anyOfRank(rank int) dist.Pattern {

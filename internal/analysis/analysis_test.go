@@ -312,3 +312,17 @@ END SELECT
 		t.Fatalf("arms: %+v", r.Arms)
 	}
 }
+
+func TestAlignOffsetThroughParameter(t *testing.T) {
+	// An alignment offset named by a PARAMETER decomposes like a literal:
+	// both secondaries run as B_BLOCK, so both sets must hold it.
+	r := analyze(t, `
+PARAMETER (N = 16, K = 2)
+REAL C(N) DIST (BLOCK)
+REAL D(N-K) ALIGN D(I) WITH C(I+K)
+REAL E(N-2) ALIGN E(I) WITH C(I+2)
+`)
+	if d, e := r.Final["D"].String(), r.Final["E"].String(); d != e || d != "{(B_BLOCK(*))}" {
+		t.Fatalf("D %s, E %s", d, e)
+	}
+}

@@ -9,9 +9,13 @@ package analysis
 // irregular-access detection that triggers the inspector/executor
 // paradigm [10, 15].)
 //
-// For every assignment nested in DO loops, each right-hand-side array
-// reference is classified against the left-hand side's iteration space,
-// per plausible distribution of the referenced array:
+// The pass walks no statements itself: Analyze's recording walk keeps
+// every assignment it reaches, with the enclosing DO/FORALL induction
+// variables and the reaching state there (DCASE and IDT refinements
+// applied, dead arms skipped).  For each owner-computes assignment, each
+// right-hand-side array reference is classified against the left-hand
+// side's iteration space, per plausible distribution of the referenced
+// array in that state:
 //
 //	Local      — the reference is owner-local under the distribution
 //	             (the subscript driving each distributed dimension is the
@@ -31,8 +35,8 @@ package analysis
 //
 // The pass also estimates each array's per-processor memory requirement
 // under each plausible distribution, including the overlap areas implied
-// by the Shift classifications — the "memory requirements" §3.1 speaks
-// of.
+// by the Shift classifications made under that distribution — the
+// "memory requirements" §3.1 speaks of.
 
 import (
 	"fmt"
@@ -112,97 +116,29 @@ type CommResult struct {
 	Mems  []MemEstimate
 }
 
-// AnalyzeComm runs the communication analysis over the unit, using the
-// reaching sets of a prior Analyze.  np is the processor count assumed
-// for memory estimates (per distributed dimension the estimate divides by
-// the per-dimension factor of an even split).
+// AnalyzeComm classifies the assignments Analyze's walk recorded, each
+// under the reaching sets that walk computed for it.  np is the processor
+// count assumed for memory estimates (per distributed dimension the
+// estimate divides by the per-dimension factor of an even split).
 func AnalyzeComm(r *Result, np int) *CommResult {
-	c := &commPass{res: r, out: &CommResult{}, np: np}
-	c.stmts(r.Unit.Prog.Stmts, nil, State{})
+	c := &commPass{res: r, out: &CommResult{}, np: np, ghost: map[ghostKey][]int{}}
+	for _, s := range r.sites {
+		c.assign(s)
+	}
 	c.memory()
 	return c.out
-}
-
-type loopVar struct {
-	name string
 }
 
 type commPass struct {
 	res *Result
 	out *CommResult
 	np  int
-	// ghost accumulates the max shift width per array per dim.
-	ghost map[string][]int
+	// ghost accumulates the max shift width per dim of an array under
+	// one plausible distribution.
+	ghost map[ghostKey][]int
 }
 
-// stmts walks statements tracking enclosing loop variables and a local
-// copy of the reaching state (recomputed the same way Analyze did).
-func (c *commPass) stmts(list []lang.Stmt, loops []loopVar, st State) State {
-	if len(st) == 0 {
-		st = c.initialState()
-	}
-	for _, s := range list {
-		switch stm := s.(type) {
-		case *lang.DistributeStmt:
-			st = c.res.distributeNoDiag(stm, st)
-		case *lang.ForallStmt:
-			c.stmts(stm.Body, append(loops, loopVar{stm.Var}), st)
-		case *lang.DoStmt:
-			// fixpoint as in Analyze, then walk once with the stable state
-			cur := st
-			for {
-				next := cur.join(c.res.stmtsNoRecord(stm.Body, cur))
-				if next.equal(cur) {
-					break
-				}
-				cur = next
-			}
-			c.stmts(stm.Body, append(loops, loopVar{stm.Var}), cur)
-			st = cur
-		case *lang.IfStmt:
-			s1 := c.stmts(stm.Then, loops, st)
-			s2 := c.stmts(stm.Else, loops, st)
-			st = s1.join(s2)
-		case *lang.SelectStmt:
-			joined := st
-			for _, arm := range stm.Arms {
-				joined = joined.join(c.stmts(arm.Body, loops, st))
-			}
-			st = joined
-		case *lang.AssignStmt:
-			c.assign(stm, loops, st)
-		}
-	}
-	return st
-}
-
-func (c *commPass) initialState() State {
-	st := State{}
-	u := c.res.Unit
-	for _, name := range u.Order {
-		ai := u.Arrays[name]
-		switch {
-		case ai.Init != nil:
-			st[name] = TypeSet{{Type: *ai.Init, Target: ai.Target}}
-		case ai.Conn == sem.ConnExtract && ai.Primary != nil:
-			st[name] = st[ai.Primary.Name]
-		case ai.Conn == sem.ConnAlign && ai.Primary != nil:
-			st[name] = deriveSetThroughAlign(st[ai.Primary.Name], ai)
-		default:
-			st[name] = TypeSet{}
-		}
-	}
-	return st
-}
-
-// distributeNoDiag reuses the transfer function without duplicating
-// diagnostics.
-func (r *Result) distributeNoDiag(stm *lang.DistributeStmt, st State) State {
-	savedDiags := r.Diags
-	out := r.distribute(stm, st)
-	r.Diags = savedDiags
-	return out
-}
+type ghostKey struct{ array, under string }
 
 // subscriptShape classifies one subscript expression.
 type subscriptShape struct {
@@ -211,15 +147,11 @@ type subscriptShape struct {
 	offset  int
 }
 
-func (c *commPass) shape(e lang.Expr, loops []loopVar) subscriptShape {
-	names := make([]string, len(loops))
-	for i, l := range loops {
-		names[i] = l.name
-	}
-	if hasArrayRef(e, c.res.Unit) {
+func (c *commPass) shape(e lang.Expr, loops []string) subscriptShape {
+	if len(collectArrayRefs(e, c.res.Unit, nil)) > 0 {
 		return subscriptShape{kind: CommIrregular}
 	}
-	if name, stride, off, ok := c.res.Unit.AffineOf(e, names); ok {
+	if name, stride, off, ok := c.res.Unit.AffineOf(e, loops); ok {
 		if name == "" {
 			return subscriptShape{kind: CommBroadcast, offset: off}
 		}
@@ -229,29 +161,10 @@ func (c *commPass) shape(e lang.Expr, loops []loopVar) subscriptShape {
 		return subscriptShape{kind: CommUnknown}
 	}
 	// loop-invariant scalar expression: broadcast-like
-	if isLoopInvariant(e, names) {
+	if isLoopInvariant(e, loops) {
 		return subscriptShape{kind: CommBroadcast}
 	}
 	return subscriptShape{kind: CommUnknown}
-}
-
-func hasArrayRef(e lang.Expr, u *sem.Unit) bool {
-	switch ex := e.(type) {
-	case *lang.Ref:
-		if _, ok := u.Arrays[ex.Name]; ok && ex.Indices != nil {
-			return true
-		}
-		for _, ix := range ex.Indices {
-			if hasArrayRef(ix, u) {
-				return true
-			}
-		}
-	case *lang.BinExpr:
-		return hasArrayRef(ex.L, u) || hasArrayRef(ex.R, u)
-	case *lang.UnExpr:
-		return hasArrayRef(ex.X, u)
-	}
-	return false
 }
 
 func isLoopInvariant(e lang.Expr, loopNames []string) bool {
@@ -278,9 +191,9 @@ func isLoopInvariant(e lang.Expr, loopNames []string) bool {
 
 // assign classifies every RHS array reference of an owner-computes
 // assignment A(subscripts) = expr.
-func (c *commPass) assign(stm *lang.AssignStmt, loops []loopVar, st State) {
+func (c *commPass) assign(s site) {
 	u := c.res.Unit
-	lhs := stm.LHS
+	lhs := s.stm.LHS
 	if _, ok := u.Arrays[lhs.Name]; !ok || lhs.Indices == nil {
 		return // scalar assignment: no owner-computes placement
 	}
@@ -288,49 +201,49 @@ func (c *commPass) assign(stm *lang.AssignStmt, loops []loopVar, st State) {
 	lhsDimOf := map[string]int{}
 	lhsOffset := map[string]int{}
 	for d, ix := range lhs.Indices {
-		sh := c.shape(ix, loops)
+		sh := c.shape(ix, s.loops)
 		if sh.kind == CommLocal {
 			lhsDimOf[sh.varName] = d
 			lhsOffset[sh.varName] = sh.offset
 		}
 	}
-	var refs []*lang.Ref
-	collectArrayRefs(stm.RHS, u, &refs)
-	for _, ref := range refs {
-		for _, t := range st[ref.Name] {
-			info := c.classify(ref, t, loops, lhsDimOf, lhsOffset)
+	for _, ref := range collectArrayRefs(s.stm.RHS, u, nil) {
+		for _, t := range s.st[ref.Name] {
+			info := c.classify(ref, t, s.loops, lhsDimOf, lhsOffset)
 			info.Pos = ref.Pos()
 			info.Array = ref.Name
 			info.Under = t
 			c.out.Infos = append(c.out.Infos, info)
 			if info.Kind == CommShift {
-				c.noteGhost(ref.Name, info.Dim, info.Width)
+				c.noteGhost(ref.Name, t, info.Dim, info.Width)
 			}
 		}
 	}
 }
 
-func collectArrayRefs(e lang.Expr, u *sem.Unit, out *[]*lang.Ref) {
+// collectArrayRefs appends e's subscripted references to declared arrays
+// to out, outermost first.
+func collectArrayRefs(e lang.Expr, u *sem.Unit, out []*lang.Ref) []*lang.Ref {
 	switch ex := e.(type) {
 	case *lang.Ref:
 		if _, ok := u.Arrays[ex.Name]; ok && ex.Indices != nil {
-			*out = append(*out, ex)
+			out = append(out, ex)
 		}
 		for _, ix := range ex.Indices {
-			collectArrayRefs(ix, u, out)
+			out = collectArrayRefs(ix, u, out)
 		}
 	case *lang.BinExpr:
-		collectArrayRefs(ex.L, u, out)
-		collectArrayRefs(ex.R, u, out)
+		out = collectArrayRefs(ex.R, u, collectArrayRefs(ex.L, u, out))
 	case *lang.UnExpr:
-		collectArrayRefs(ex.X, u, out)
+		out = collectArrayRefs(ex.X, u, out)
 	}
+	return out
 }
 
 // classify determines the dominant communication kind of one reference
 // under one plausible distribution.  Severity order: irregular >
 // transpose > broadcast > shift > local.
-func (c *commPass) classify(ref *lang.Ref, t AbsDist, loops []loopVar, lhsDimOf, lhsOffset map[string]int) CommInfo {
+func (c *commPass) classify(ref *lang.Ref, t AbsDist, loops []string, lhsDimOf, lhsOffset map[string]int) CommInfo {
 	info := CommInfo{Kind: CommLocal}
 	bump := func(k CommKind) {
 		if k > info.Kind && !(info.Kind == CommIrregular) {
@@ -410,18 +323,12 @@ func abs(x int) int {
 	return x
 }
 
-func (c *commPass) noteGhost(array string, dim, width int) {
-	if c.ghost == nil {
-		c.ghost = map[string][]int{}
-	}
-	ai := c.res.Unit.Arrays[array]
-	if ai == nil {
-		return
-	}
-	g := c.ghost[array]
+func (c *commPass) noteGhost(array string, t AbsDist, dim, width int) {
+	k := ghostKey{array, t.key()}
+	g := c.ghost[k]
 	if g == nil {
-		g = make([]int, ai.Rank)
-		c.ghost[array] = g
+		g = make([]int, c.res.Unit.Arrays[array].Rank)
+		c.ghost[k] = g
 	}
 	if dim < len(g) && width > g[dim] {
 		g[dim] = width
@@ -531,19 +438,14 @@ func (c *commPass) estimate(ai *sem.ArrayInfo, t AbsDist) MemEstimate {
 		elems *= local[i]
 	}
 	est.Elems = elems
-	if g := c.ghost[ai.Name]; g != nil {
-		for i, w := range g {
-			if w == 0 {
-				continue
+	for i, w := range c.ghost[ghostKey{ai.Name, t.key()}] {
+		slab := 1
+		for j, l := range local {
+			if j != i {
+				slab *= l
 			}
-			slab := 1
-			for j, l := range local {
-				if j != i {
-					slab *= l
-				}
-			}
-			est.Ghost += 2 * w * slab
 		}
+		est.Ghost += 2 * w * slab
 	}
 	est.Bytes = 8 * (est.Elems + est.Ghost)
 	return est

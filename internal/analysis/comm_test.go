@@ -218,3 +218,88 @@ ENDDO
 		t.Fatalf("report:\n%s", rep)
 	}
 }
+
+// memFor returns the memory estimate of one array under one distribution.
+func memFor(t *testing.T, cr *CommResult, name, under string) MemEstimate {
+	t.Helper()
+	for _, m := range cr.Mems {
+		if m.Array == name && m.Under.String() == under {
+			return m
+		}
+	}
+	t.Fatalf("no memory estimate for %s under %s: %+v", name, under, cr.Mems)
+	return MemEstimate{}
+}
+
+func TestCommStaticAlign(t *testing.T) {
+	// A statically aligned array is classified under the set Analyze
+	// derived through its alignment, and its estimate carries the overlap.
+	cr := analyzeComm(t, `
+PARAMETER (N = 16)
+REAL C(N,N) DIST (BLOCK, :)
+REAL D(N,N) ALIGN D(I,J) WITH C(I,J)
+DO J = 1, N
+  DO I = 2, N
+    C(I,J) = D(I-1,J)
+  ENDDO
+ENDDO
+`, 4)
+	infos := infosFor(cr, "D")
+	if len(infos) != 1 || infos[0].String() != "D under (BLOCK,:): shift dim 1 width 1" {
+		t.Fatalf("D: %+v", infos)
+	}
+	if m := memFor(t, cr, "D", "(BLOCK,:)"); m.Ghost != 2*1*16 {
+		t.Fatalf("D estimate: %+v", m)
+	}
+}
+
+func TestCommDCASERefined(t *testing.T) {
+	// Inside CASE (BLOCK, :) the selector reaches only (BLOCK,:), so its
+	// reference is classified once, under that distribution.
+	cr := analyzeComm(t, `
+PARAMETER (N = 16)
+REAL B(N,N) DYNAMIC, DIST (BLOCK, :)
+REAL A(N,N) DYNAMIC, DIST (BLOCK, :)
+X = 1
+IF (X .EQ. 1) THEN
+  DISTRIBUTE B :: (:, BLOCK)
+ENDIF
+SELECT DCASE (B)
+CASE (BLOCK, :)
+  DO J = 1, N
+    DO I = 2, N
+      A(I,J) = B(I-1,J)
+    ENDDO
+  ENDDO
+END SELECT
+`, 4)
+	infos := infosFor(cr, "B")
+	if len(infos) != 1 || infos[0].String() != "B under (BLOCK,:): shift dim 1 width 1" {
+		t.Fatalf("B: %+v", infos)
+	}
+}
+
+func TestCommGhostPerDistribution(t *testing.T) {
+	// U(I,J-1) shifts along dim 2 under (:,BLOCK) only: the overlap is
+	// charged to that estimate, not to (BLOCK,:), where dim 2 is elided.
+	cr := analyzeComm(t, `
+PARAMETER (N = 16)
+REAL U(N,N) DYNAMIC, DIST(BLOCK, :)
+REAL V(N,N) DYNAMIC, DIST(BLOCK, :)
+REAL FLAG(2)
+IF (FLAG(1) .GT. 0) THEN
+  DISTRIBUTE U :: (:, BLOCK)
+ENDIF
+DO J = 2, N
+  DO I = 1, N
+    V(I,J) = U(I,J-1)
+  ENDDO
+ENDDO
+`, 4)
+	if m := memFor(t, cr, "U", "(BLOCK,:)"); m.Ghost != 0 {
+		t.Fatalf("U under (BLOCK,:): %+v", m)
+	}
+	if m := memFor(t, cr, "U", "(:,BLOCK)"); m.Ghost != 2*1*16 {
+		t.Fatalf("U under (:,BLOCK): %+v", m)
+	}
+}

@@ -232,15 +232,9 @@ func (st *State) computeStmt(run func() error) error {
 // processor walks the full range (the per-element owner test still makes
 // each element's store unique).
 //
-// DISTRIBUTE and DCASE are not legal inside FORALL (the construct is a
-// parallel loop; its iterations may not change descriptors).
+// sem rejects DISTRIBUTE and DCASE inside a FORALL, so its iterations
+// never change a descriptor.
 func (st *State) forall(stm *lang.ForallStmt) error {
-	for _, s := range stm.Body {
-		switch s.(type) {
-		case *lang.DistributeStmt, *lang.SelectStmt:
-			return fmt.Errorf("%v: %T not allowed inside FORALL", s.Pos(), s)
-		}
-	}
 	from, err := st.evalScalar(stm.From)
 	if err != nil {
 		return err

@@ -138,7 +138,7 @@ func Analyze(prog *lang.Program) *Unit {
 		u.topLevel(s)
 	}
 	// executable statements are checked recursively
-	u.checkStmts(prog.Stmts)
+	u.checkStmts(prog.Stmts, false)
 	return u
 }
 
@@ -543,25 +543,33 @@ func rangeMayAllow(r dist.Range, t dist.Pattern) bool {
 	return false
 }
 
-// checkStmts walks executable statements recursively.
-func (u *Unit) checkStmts(stmts []lang.Stmt) {
+// checkStmts walks executable statements recursively.  DISTRIBUTE and
+// DCASE are illegal anywhere inside a FORALL: its iterations are
+// independent and may not change descriptors.
+func (u *Unit) checkStmts(stmts []lang.Stmt, inForall bool) {
 	for _, s := range stmts {
 		switch st := s.(type) {
 		case *lang.DistributeStmt:
+			if inForall {
+				u.errf(st.Pos(), "DISTRIBUTE not allowed inside FORALL")
+			}
 			u.checkDistribute(st)
 		case *lang.SelectStmt:
+			if inForall {
+				u.errf(st.Pos(), "DCASE not allowed inside FORALL")
+			}
 			u.checkSelect(st)
 			for _, arm := range st.Arms {
-				u.checkStmts(arm.Body)
+				u.checkStmts(arm.Body, inForall)
 			}
 		case *lang.IfStmt:
 			u.checkExpr(st.Cond)
-			u.checkStmts(st.Then)
-			u.checkStmts(st.Else)
+			u.checkStmts(st.Then, inForall)
+			u.checkStmts(st.Else, inForall)
 		case *lang.DoStmt:
-			u.checkStmts(st.Body)
+			u.checkStmts(st.Body, inForall)
 		case *lang.ForallStmt:
-			u.checkStmts(st.Body)
+			u.checkStmts(st.Body, true)
 		case *lang.CallStmt:
 			for _, a := range st.Args {
 				u.checkExpr(a)

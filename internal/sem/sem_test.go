@@ -120,6 +120,10 @@ func TestErrors(t *testing.T) {
 		{"IF (IDT(NOPE,(BLOCK))) THEN\nENDIF\n", "unknown array"},
 		{"PARAMETER (N = 2)\nPARAMETER (N = 3)\n", "redefined"},
 		{"REAL B(4) DYNAMIC, CONNECT(=B4), DIST(BLOCK)\n", "no RANGE or initial DIST"},
+		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  DISTRIBUTE A :: (CYCLIC)\nENDFORALL\n", "DISTRIBUTE not allowed inside FORALL"},
+		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  IF (I .GT. 4) THEN\n    DISTRIBUTE A :: (CYCLIC)\n  ENDIF\nENDFORALL\n", "DISTRIBUTE not allowed inside FORALL"},
+		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  DO J = 1, 2\n    DISTRIBUTE A :: (CYCLIC)\n  ENDDO\nENDFORALL\n", "DISTRIBUTE not allowed inside FORALL"},
+		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  IF (I .GT. 4) THEN\n    SELECT DCASE (A)\n    CASE DEFAULT\n    END SELECT\n  ENDIF\nENDFORALL\n", "DCASE not allowed inside FORALL"},
 	}
 	for _, c := range cases {
 		u := analyze(t, c.src)
