@@ -100,7 +100,7 @@ func TestExactCounts(t *testing.T) {
 // allocation (a mailbox's growth, a late timer) cannot fail it, a
 // statement that allocates every step does.  The ceilings leave room
 // for -race builds, whose sync.Pool drops items (adi_ckpt_tcp measures
-// about 104 plain, 111-117 under -race); they may only shrink.
+// about 54 plain, 59-61 under -race); they may only shrink.
 func TestStepAllocs(t *testing.T) {
 	raw, err := os.ReadFile("testdata/step_allocs.json")
 	if err != nil {

@@ -50,10 +50,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"slices"
-	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -191,10 +190,31 @@ func (m *Manifest) stripeSet(epochDir string) pario.StripeSet {
 }
 
 func epochDirName(epoch int) string   { return fmt.Sprintf("epoch-%08d", epoch) }
-func rankFileName(r int) string       { return fmt.Sprintf("rank-%04d.bin", r) }
 func parityFileName() string          { return "parity.bin" }
-func stagingDirName(epoch int) string { return epochDirName(epoch) + ".tmp" }
+func stagingDirName(epoch int) string { return fmt.Sprintf("epoch-%08d.tmp", epoch) }
 func manifestPath(dir string) string  { return filepath.Join(dir, "manifest.json") }
+
+// rankNames holds the first ranks' file names: naming them allocates nothing.
+var rankNames = func() (t [64]string) {
+	for r := range t {
+		t[r] = fmt.Sprintf("rank-%04d.bin", r)
+	}
+	return t
+}()
+
+func rankFileName(r int) string {
+	if r < len(rankNames) {
+		return rankNames[r]
+	}
+	return fmt.Sprintf("rank-%04d.bin", r)
+}
+
+// epochOf parses an epoch directory's name, epoch-NNNNNNNN (eight digits).
+func epochOf(name string) (int, bool) {
+	digits, ok := strings.CutPrefix(name, "epoch-")
+	n, err := strconv.ParseUint(digits, 10, 32)
+	return int(n), ok && len(digits) == 8 && err == nil
+}
 
 // maxPoints bounds a recorded domain's bounds and point count, so that no
 // arithmetic on a decoded manifest overflows.
@@ -261,11 +281,6 @@ func (m *Manifest) validate() error {
 	return nil
 }
 
-var (
-	epochDirRe   = regexp.MustCompile(`^epoch-(\d{8})$`)
-	stagingDirRe = regexp.MustCompile(`^epoch-\d{8}\.tmp$`)
-)
-
 // epochsIn lists the committed epoch numbers in dir, descending.
 func epochsIn(f pario.FS, dir string) ([]int, error) {
 	ents, err := f.ReadDir(dir)
@@ -275,28 +290,18 @@ func epochsIn(f pario.FS, dir string) ([]int, error) {
 		}
 		return nil, fmt.Errorf("ckpt: scanning %s: %w", dir, err)
 	}
-	var epochs []int
+	epochs := make([]int, 0, len(ents))
 	for _, e := range ents {
 		if !e.IsDir() {
 			continue
 		}
-		if m := epochDirRe.FindStringSubmatch(e.Name()); m != nil {
-			n, _ := strconv.Atoi(m[1])
+		if n, ok := epochOf(e.Name()); ok {
 			epochs = append(epochs, n)
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(epochs)))
+	slices.Sort(epochs)
+	slices.Reverse(epochs)
 	return epochs, nil
-}
-
-// verifyEpoch reports whether an epoch is *verifiably complete* — every
-// data file integrity-checks against the manifest, or, for a redundant
-// epoch, the damage is within what redundancy can reconstruct — and
-// which rank files failed their check.
-func verifyEpoch(d pario.Disk, epochDir string, man *Manifest) (ok bool, bad []int) {
-	set := man.stripeSet(epochDir)
-	h := set.Verify(d)
-	return h.Recoverable, h.BadStripes
 }
 
 // LatestEpoch scans dir for the newest *verifiably complete* epoch: its
@@ -323,9 +328,10 @@ func latestUsable(d pario.Disk, dir string) (epoch int, man *Manifest, bad []int
 	for i, n := range epochs {
 		epochDir := filepath.Join(dir, epochDirName(n))
 		man, err := readManifest(d, epochDir)
-		if err == nil {
-			var ok bool
-			if ok, bad = verifyEpoch(d, epochDir, man); !ok {
+		if err == nil { // every rank file checks out or is reconstructible
+			set := man.stripeSet(epochDir)
+			h := set.Verify(d)
+			if bad = h.BadStripes; !h.Recoverable {
 				err = fmt.Errorf("ckpt: %s: data files lost or corrupt beyond redundancy", epochDir)
 			}
 		}
@@ -338,20 +344,6 @@ func latestUsable(d pario.Disk, dir string) (epoch int, man *Manifest, bad []int
 		}
 	}
 	return -1, nil, nil, skipped, nil
-}
-
-// maxEpochDir returns the highest epoch number with a directory in dir,
-// committed or not (damaged epochs still occupy their name, and the
-// commit rename must never collide with one).  -1 when none exist.
-func maxEpochDir(f pario.FS, dir string) (int, error) {
-	epochs, err := epochsIn(f, dir)
-	if err != nil {
-		return -1, err
-	}
-	if len(epochs) == 0 {
-		return -1, nil
-	}
-	return epochs[0], nil
 }
 
 func readManifest(d pario.Disk, epochDir string) (*Manifest, error) {
@@ -369,17 +361,11 @@ func readManifest(d pario.Disk, epochDir string) (*Manifest, error) {
 	return &man, nil
 }
 
-// distMeta serializes d's descriptor and verifies it replays: the
-// rebuilt distribution (same type over a virtual target of the same
-// extents, standard dimension binding) must own exactly the same grid on
-// every rank.  Distributions that cannot be replayed this way — pinned
-// coordinates, transposed bindings from alignment derivation, targets
-// that are proper sub-sections of the machine — are rejected at *save*
-// time, when the program can still do something about it.
-func distMeta(d *dist.Distribution) (DistMeta, error) {
+// distMeta serializes d's descriptor: specifiers and target extents.
+func distMeta(d *dist.Distribution) DistMeta {
 	tg := d.Target()
-	dm := DistMeta{TargetExtents: make([]int, tg.NDims())}
-	for k := 0; k < tg.NDims(); k++ {
+	dm := DistMeta{TargetExtents: make([]int, tg.NDims()), Dims: make([]DimMeta, 0, len(d.DistType().Dims))}
+	for k := range dm.TargetExtents {
 		dm.TargetExtents[k] = tg.Extent(k)
 	}
 	for _, spec := range d.DistType().Dims {
@@ -391,16 +377,28 @@ func distMeta(d *dist.Distribution) (DistMeta, error) {
 			Bounds: append([]int(nil), spec.Bounds...),
 		})
 	}
-	rd, err := replay(dm, d.Domain())
-	if err != nil {
-		return DistMeta{}, fmt.Errorf("ckpt: descriptor does not serialize: %w", err)
+	return dm
+}
+
+// checkReplay verifies that d's descriptor replays — the same type over
+// a virtual target of the same extents owns the same grids — as it does
+// for a standard d.  Pinned coordinates, transposed bindings from
+// alignment and proper sub-sections of the machine are rejected at
+// *save* time, when the program can still do something about it.
+func checkReplay(d *dist.Distribution) error {
+	if d.Standard() {
+		return nil
 	}
-	for r := 0; r < tg.Size(); r++ {
+	rd, err := replay(distMeta(d), d.Domain())
+	if err != nil {
+		return fmt.Errorf("ckpt: descriptor does not serialize: %w", err)
+	}
+	for r := 0; r < d.Target().Size(); r++ {
 		if !slices.EqualFunc(rd.LocalGrid(r).Dims, d.LocalGrid(r).Dims, index.RunSet.Equal) {
-			return DistMeta{}, fmt.Errorf("ckpt: non-standard distribution %v (pinned, sectioned or permuted target binding) is not checkpointable", d)
+			return fmt.Errorf("ckpt: non-standard distribution %v (pinned, sectioned or permuted target binding) is not checkpointable", d)
 		}
 	}
-	return dm, nil
+	return nil
 }
 
 func dimSpecOf(dm DimMeta) (dist.DimSpec, error) {

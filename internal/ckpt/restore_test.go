@@ -135,9 +135,10 @@ func TestRestoreReadsOwnFile(t *testing.T) {
 }
 
 // warmSaveAllocs bounds TestSaveWarmAllocs; it may only shrink.
-// Measured: 638 (667-668 under -race, whose sync.Pool drops some puts);
-// the same save through the stripe exchange made 1149.
-const warmSaveAllocs = 680
+// Measured: 168 (192-200 under -race, whose sync.Pool drops some puts);
+// 511 while every save replayed its descriptors and named its I/O spans,
+// 638 before that, and 1149 through the stripe exchange.
+const warmSaveAllocs = 212
 
 // TestSaveWarmAllocs: a warm 4-rank parity save on chan allocates at most
 // warmSaveAllocs, counted over the whole process — all four ranks and

@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"path/filepath"
 	"slices"
+	"strings"
 	"sync"
 
 	"repro/internal/darray"
@@ -39,25 +40,21 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	opts = opts.withDefaults()
 	d := opts.disk(rank, ctx.Tracer())
 
-	// Serialize descriptors first (deterministic: every rank fails
-	// identically on a non-checkpointable distribution).
-	metas := make([]ArrayMeta, len(arrays))
-	for i, a := range arrays {
+	// Check the descriptors first (deterministic: every rank fails
+	// identically on a non-checkpointable distribution); rank 0, which
+	// writes the manifest, serializes them.
+	var metas []ArrayMeta
+	for _, a := range arrays {
 		d := a.Dist(rank)
 		if d == nil {
 			return -1, fmt.Errorf("ckpt: array %s has no distribution", a.Name())
 		}
-		dm, err := distMeta(d)
-		if err != nil {
+		if err := checkReplay(d); err != nil {
 			return -1, fmt.Errorf("ckpt: array %s: %w", a.Name(), err)
 		}
-		dom := a.Domain()
-		am := ArrayMeta{Name: a.Name(), Dist: dm}
-		for k := 0; k < dom.Rank(); k++ {
-			am.Lo = append(am.Lo, dom.Lo[k])
-			am.Hi = append(am.Hi, dom.Hi[k])
+		if dom := a.Domain(); rank == 0 {
+			metas = append(metas, ArrayMeta{Name: a.Name(), Lo: slices.Clone(dom.Lo), Hi: slices.Clone(dom.Hi), Dist: distMeta(d)})
 		}
-		metas[i] = am
 	}
 
 	// Rank 0 picks the epoch number, garbage-collects staging directories
@@ -67,7 +64,8 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	if rank == 0 {
 		epoch, prepErr = prepareStaging(d, dir)
 	}
-	ep, err := ctx.Comm().BcastInts(0, []int{epoch})
+	one := [1]int{epoch}
+	ep, err := ctx.Comm().BcastIntsInto(0, one[:], one[:])
 	if err != nil {
 		return -1, fmt.Errorf("ckpt: epoch agreement: %w", err)
 	}
@@ -78,21 +76,23 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		}
 		return -1, errors.New("ckpt: rank 0 failed to prepare the staging directory")
 	}
-	staging := filepath.Join(dir, stagingDirName(epoch))
+	stage := stagingDirName(epoch)
 
 	// Every rank file's size is a pure function of the descriptors, so all
 	// ranks agree on the parity length without negotiation.  This rank's
 	// file goes to its server at once; the disk write overlaps the fold.
-	sizes := make([]int, np)
-	for r := range sizes {
-		sizes[r] = rankFileSize(arrays, rank, r)
+	var sizesBuf [16]int
+	sizes := sizesBuf[:0]
+	for r := range np {
+		sizes = append(sizes, rankFileSize(arrays, rank, r))
 	}
-	file := packRankFile(ctx, arrays, epoch, sizes[rank])
+	fileBox := packRankFile(ctx, arrays, epoch, sizes[rank])
+	file := *fileBox
 	myCRC := crc32.ChecksumIEEE(file)
 	srv := pario.StartServer(d)
-	srv.Write(filepath.Join(staging, rankFileName(rank)), file)
+	srv.Write(filepath.Join(dir, stage, rankFileName(rank)), file)
 	if opts.Redundancy == pario.RedundancyReplica {
-		srv.Write(filepath.Join(staging, pario.ReplicaName(rankFileName(rank))), file)
+		srv.Write(filepath.Join(dir, stage, pario.ReplicaName(rankFileName(rank))), file)
 	}
 
 	// A bad partial fails the epoch, not the protocol: the rank that sees
@@ -112,16 +112,16 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	parity := opts.Redundancy == pario.RedundancyParity
 	root := np - 1 // the parity writer
 	var (
-		acc        []byte
+		accBox     *[]byte
 		parityCRC  uint32
 		paritySize int
 	)
 	if parity {
 		partial := file
 		if hasChildren((rank-root+np)%np, np) {
-			acc = getBuf(slices.Max(sizes))
-			clear(acc[copy(acc, file):])
-			partial = acc
+			accBox = getBuf(slices.Max(sizes))
+			partial = *accBox
+			clear(partial[copy(partial, file):])
 		}
 		if err := foldParity(ctx, partial, root, sizes, fail); err != nil {
 			srv.Close()
@@ -129,7 +129,7 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		}
 		if rank == root {
 			parityCRC, paritySize = crc32.ChecksumIEEE(partial), len(partial)
-			srv.Write(filepath.Join(staging, parityFileName()), partial)
+			srv.Write(filepath.Join(dir, stage, parityFileName()), partial)
 		}
 	}
 
@@ -156,14 +156,16 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 		}
 	}
 	// The server is joined: the file and parity buffers are free.
-	putBuf(acc)
-	putBuf(file)
+	putBuf(accBox)
+	putBuf(fileBox)
 
 	// Rank 0 writes the manifest and commits with the staging rename,
 	// applies the retention policy and broadcasts the verdict.
 	var commitErr error
 	if rank == 0 {
-		man := Manifest{Version: Version, Epoch: epoch, NP: np, Meta: meta, Arrays: metas, Redundancy: opts.Redundancy}
+		staging := filepath.Join(dir, stage)
+		man := Manifest{Version: Version, Epoch: epoch, NP: np, Meta: meta, Arrays: metas, Redundancy: opts.Redundancy,
+			Files: make([]FileMeta, 0, np)}
 		for r := 0; r < np; r++ {
 			man.Files = append(man.Files, FileMeta{
 				Rank: r, Name: rankFileName(r), Size: int64(sums[r][1]), CRC: uint32(sums[r][0]),
@@ -194,7 +196,8 @@ func SaveOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, meta map[str
 	if commitErr != nil {
 		verdict = 1
 	}
-	got, err := ctx.Comm().BcastInts(0, []int{verdict})
+	one[0] = verdict
+	got, err := ctx.Comm().BcastIntsInto(0, one[:], one[:])
 	switch {
 	case commitErr != nil:
 		return -1, fmt.Errorf("ckpt: committing epoch %d: %w", epoch, commitErr)
@@ -268,16 +271,17 @@ func rankFileSize(arrays []*darray.Array, self, r int) int {
 	for _, a := range arrays {
 		n += 4
 		if d := a.Dist(self); d.IsPrimaryRank(r) {
-			n += 8 * d.LocalGrid(r).Count()
+			n += 8 * d.LocalCount(r)
 		}
 	}
 	return n
 }
 
 // packRankFile packs this rank's file into a pooled buffer of size bytes.
-func packRankFile(ctx *machine.Ctx, arrays []*darray.Array, epoch, size int) []byte {
+func packRankFile(ctx *machine.Ctx, arrays []*darray.Array, epoch, size int) *[]byte {
 	rank := ctx.Rank()
-	buf := getBuf(size)[:0]
+	box := getBuf(size)
+	buf := (*box)[:0]
 	for _, v := range [5]uint32{fileMagic, Version, uint32(epoch), uint32(rank), uint32(len(arrays))} {
 		buf = binary.LittleEndian.AppendUint32(buf, v)
 	}
@@ -290,25 +294,30 @@ func packRankFile(ctx *machine.Ctx, arrays []*darray.Array, epoch, size int) []b
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(l.Grid().Count()))
 		buf = l.AppendOwned(buf)
 	}
-	return buf
+	*box = buf
+	return box
 }
 
 // fileBufs recycles a save's file-sized buffers — the rank file and the
-// parity accumulator — for the next save.  The I/O server writes both
-// asynchronously, so they come back only after it is joined.
+// parity accumulator — for the next save, each in the box it came in, so
+// neither taking nor returning one allocates.  The I/O server writes
+// both asynchronously, so they come back only after it is joined.
 var fileBufs sync.Pool
 
-// getBuf returns an n-byte buffer of unspecified content.
-func getBuf(n int) []byte {
-	if p, ok := fileBufs.Get().(*[]byte); ok && cap(*p) >= n {
-		return (*p)[:n]
+// getBuf returns a box holding an n-byte buffer of unspecified content.
+func getBuf(n int) *[]byte {
+	p, _ := fileBufs.Get().(*[]byte)
+	if p == nil || cap(*p) < n {
+		b := make([]byte, n)
+		return &b
 	}
-	return make([]byte, n)
+	*p = (*p)[:n]
+	return p
 }
 
-func putBuf(b []byte) {
-	if cap(b) > 0 {
-		fileBufs.Put(&b)
+func putBuf(p *[]byte) {
+	if p != nil {
+		fileBufs.Put(p)
 	}
 }
 
@@ -321,7 +330,8 @@ func prepareStaging(d pario.Disk, dir string) (int, error) {
 	}
 	if ents, err := d.FS.ReadDir(dir); err == nil {
 		for _, e := range ents {
-			if e.IsDir() && stagingDirRe.MatchString(e.Name()) {
+			n, staging := strings.CutSuffix(e.Name(), ".tmp")
+			if _, ok := epochOf(n); e.IsDir() && staging && ok {
 				// Best-effort GC of an interrupted checkpoint's staging
 				// debris; a leftover under this epoch's own name is
 				// cleared again below in any case.
@@ -329,11 +339,16 @@ func prepareStaging(d pario.Disk, dir string) (int, error) {
 			}
 		}
 	}
-	latest, err := maxEpochDir(d.FS, dir)
+	// After the highest epoch directory, committed or not: the commit
+	// rename must never collide with a damaged epoch's name.
+	epochs, err := epochsIn(d.FS, dir)
 	if err != nil {
 		return -1, err
 	}
-	epoch := latest + 1
+	epoch := 0
+	if len(epochs) > 0 {
+		epoch = epochs[0] + 1
+	}
 	staging := filepath.Join(dir, stagingDirName(epoch))
 	if err := d.FS.RemoveAll(staging); err != nil {
 		return -1, err

@@ -252,3 +252,71 @@ func TestSaveShortPartialFailsEpoch(t *testing.T) {
 		t.Errorf("epochs after a failed save: %v (%v)", epochs, err)
 	}
 }
+
+// TestSaveRejectsNonStandard: a distribution whose replay over a virtual
+// target would own other grids — a transposed binding, a pinned
+// coordinate, a proper section of the machine — fails the save on every
+// rank with one and the same error, before anything is written.  A
+// standard mapping onto a smaller processor array than the machine
+// saves.
+func TestSaveRejectsNonStandard(t *testing.T) {
+	const np = 4
+	dom := index.Dim(8, 6)
+	blocks := func(m *machine.Machine, d index.Domain, specs ...dist.DimSpec) *dist.Distribution {
+		return dist.MustNew(dist.NewType(specs...), d, m.ProcsDim("G", 2, 2).Whole())
+	}
+	cases := []struct {
+		name string
+		d    func(m *machine.Machine) (*dist.Distribution, error)
+		ok   bool
+	}{
+		{"transposed", func(m *machine.Machine) (*dist.Distribution, error) {
+			b := blocks(m, index.Dim(6, 8), dist.BlockDim(), dist.BlockDim())
+			return dist.Construct(dist.Transpose2D(), b, dom)
+		}, false},
+		{"pinned", func(m *machine.Machine) (*dist.Distribution, error) {
+			b := blocks(m, index.Dim(8, 6, 6), dist.BlockDim(), dist.BlockDim(), dist.ElidedDim())
+			return dist.Construct(dist.NewAlignment(dist.Axis(0), dist.AxisMap{Const: true, ConstVal: 5}, dist.Axis(1)), b, dom)
+		}, false},
+		{"section", func(m *machine.Machine) (*dist.Distribution, error) {
+			return dist.New(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, m.ProcsDim("P", np).Section([3]int{2, 3, 1}))
+		}, false},
+		{"smaller", func(m *machine.Machine) (*dist.Distribution, error) {
+			return dist.New(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, m.ProcsDim("P", 2).Whole())
+		}, true},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			m := machine.New(np)
+			defer m.Close()
+			d, err := c.d(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			errs := make([]string, np)
+			m.Run(func(ctx *machine.Ctx) error {
+				a := darray.New(ctx, "A", dom, d)
+				if _, err := SaveOpts(ctx, dir, []*darray.Array{a}, nil, Options{}); err != nil {
+					errs[ctx.Rank()] = err.Error()
+				}
+				return nil
+			})
+			ents, _ := os.ReadDir(dir)
+			if c.ok {
+				if errs[0] != "" || len(ents) != 1 {
+					t.Fatalf("%v: errors %q, %d entries written", d, errs, len(ents))
+				}
+				return
+			}
+			for r, e := range errs {
+				if !strings.Contains(e, "is not checkpointable") || e != errs[0] {
+					t.Errorf("%v: rank %d: error %q, rank 0 %q", d, r, e, errs[0])
+				}
+			}
+			if len(ents) != 0 {
+				t.Errorf("%v: %d entries written", d, len(ents))
+			}
+		})
+	}
+}

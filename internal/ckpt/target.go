@@ -15,7 +15,7 @@ import (
 // It matches machine.ProcSection's coordinate model (dense 0-based
 // per-dimension coordinates, column-major rank order), which is why a
 // checkpointed distribution whose save-time validation passed (see
-// distMeta) replays element-for-element.
+// checkReplay) replays element-for-element.
 type virtualTarget struct {
 	ext []int
 }

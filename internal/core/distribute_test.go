@@ -2,6 +2,7 @@ package core
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/dist"
 	"repro/internal/index"
@@ -16,8 +17,8 @@ import (
 // schedules, plans and window and to park both Locals, and then warm.
 // testing.AllocsPerRun counts the whole process, so rank 0 measures
 // while the other ranks run the same collective calls, and the figure is
-// divided by the rank count.
-func warmStatementAllocs(t *testing.T, body func(ctx *machine.Ctx, e *Engine) (pair [2]func() error)) float64 {
+// divided by the rank count.  opts configure the machine.
+func warmStatementAllocs(t *testing.T, body func(ctx *machine.Ctx, e *Engine) (pair [2]func() error), opts ...machine.Option) float64 {
 	const np, runs = 4, 50
 	var perRank float64
 	run(t, np, func(ctx *machine.Ctx, e *Engine) error {
@@ -42,7 +43,7 @@ func warmStatementAllocs(t *testing.T, body func(ctx *machine.Ctx, e *Engine) (p
 			}
 		}
 		return failed
-	})
+	}, opts...)
 	return perRank
 }
 
@@ -53,21 +54,26 @@ func warmStatementAllocs(t *testing.T, body func(ctx *machine.Ctx, e *Engine) (p
 // from the same primary distribution, options and class lists live in
 // plain values and per-rank storage, and the move is in the rank's
 // table.  The forms: Figure 1's pair (:,BLOCK) <-> (BLOCK,:); Example
-// 3's extraction (=B1, CYCLIC(3)) onto a 2×2 section; and a connect
-// class whose secondary is aligned transposed.
+// 3's extraction (=B1, CYCLIC(3)) onto a 2×2 section; a connect class
+// whose secondary is aligned transposed; and Figure 1's pair again under
+// a 1 s CommTimeout, whose timed receives re-arm the deadlines their
+// mailboxes kept.
 func TestDistributeStatementWarmAllocs(t *testing.T) {
 	rows := DimsOf(dist.BlockDim(), dist.ElidedDim())
 	cols := DimsOf(dist.ElidedDim(), dist.BlockDim())
 	colsInit := &DistSpec{Type: dist.NewType(dist.ElidedDim(), dist.BlockDim())}
+	adi := func(ctx *machine.Ctx, e *Engine) [2]func() error {
+		v := e.MustDeclare(ctx, Decl{Name: "V", Domain: index.Dim(64, 64), Dynamic: true, Init: colsInit})
+		to := func(x Expr) func() error { return func() error { return e.Distribute(ctx, []*Array{v}, x) } }
+		return [2]func() error{to(rows), to(cols)}
+	}
 	forms := []struct {
 		name string
 		body func(ctx *machine.Ctx, e *Engine) [2]func() error
+		opts []machine.Option
 	}{
-		{"adi", func(ctx *machine.Ctx, e *Engine) [2]func() error {
-			v := e.MustDeclare(ctx, Decl{Name: "V", Domain: index.Dim(64, 64), Dynamic: true, Init: colsInit})
-			to := func(x Expr) func() error { return func() error { return e.Distribute(ctx, []*Array{v}, x) } }
-			return [2]func() error{to(rows), to(cols)}
-		}},
+		{"adi", adi, nil},
+		{"adi-timeout", adi, []machine.Option{machine.WithRetry(msg.RetryPolicy{Timeout: time.Second})}},
 		{"extraction", func(ctx *machine.Ctx, e *Engine) [2]func() error {
 			grid := e.Machine().ProcsDim("R", 2, 2).Whole()
 			e.MustDeclare(ctx, Decl{Name: "B1", Domain: index.Dim(64), Dynamic: true,
@@ -78,20 +84,21 @@ func TestDistributeStatementWarmAllocs(t *testing.T) {
 			blocks := DimsOf(dist.BlockDim(), dist.BlockDim()).To(grid)
 			to := func(x Expr) func() error { return func() error { return e.Distribute(ctx, []*Array{b4}, x) } }
 			return [2]func() error{to(extract), to(blocks)}
-		}},
+		}, nil},
 		{"class", func(ctx *machine.Ctx, e *Engine) [2]func() error {
 			a := e.MustDeclare(ctx, Decl{Name: "A", Domain: index.Dim(64, 48), Dynamic: true, Init: colsInit})
 			tr := dist.Transpose2D()
 			e.MustDeclare(ctx, Decl{Name: "S", Domain: index.Dim(48, 64), Dynamic: true, ConnectTo: "A", Align: &tr})
 			to := func(x Expr) func() error { return func() error { return e.Distribute(ctx, []*Array{a}, x) } }
 			return [2]func() error{to(rows), to(cols)}
-		}},
+		}, nil},
 	}
 	for _, f := range forms {
 		t.Run(f.name, func(t *testing.T) {
 			// Measured: 0 in every form (8.9, 4.5 and 21.9 while every
-			// statement built its mappings anew).
-			if perRank := warmStatementAllocs(t, f.body); perRank > 0 {
+			// statement built its mappings anew; 17.9 under the timeout
+			// while every timed receive armed a fresh timer).
+			if perRank := warmStatementAllocs(t, f.body, f.opts...); perRank > 0 {
 				t.Errorf("warm DISTRIBUTE statement (%s): %.2f allocs per rank, want 0", f.name, perRank)
 			}
 		})

@@ -11,9 +11,9 @@ import (
 )
 
 // run executes an SPMD body over a fresh machine + engine.
-func run(t *testing.T, np int, body func(ctx *machine.Ctx, e *Engine) error) *machine.Machine {
+func run(t *testing.T, np int, body func(ctx *machine.Ctx, e *Engine) error, opts ...machine.Option) *machine.Machine {
 	t.Helper()
-	m := machine.New(np)
+	m := machine.New(np, opts...)
 	t.Cleanup(func() { m.Close() })
 	e := NewEngine(m)
 	if err := m.Run(func(ctx *machine.Ctx) error { return body(ctx, e) }); err != nil {

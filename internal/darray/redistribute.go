@@ -130,15 +130,11 @@ type move struct {
 	// plan is the budget's decomposition, nil without a budget.
 	plan *redist.Plan
 	// steps are the ring passes: one over the whole domain, or one per
-	// panel of plan.  one backs steps for a move without a plan.
+	// panel of plan.  one backs steps for a move without a plan.  The
+	// first step's plan also holds the self-copy of sched.LocalKeep.
 	steps []moveStep
 	one   [1]moveStep
-	// keep is the self-copy of sched.LocalKeep (copyPlan), built by the
-	// move's first run in keepRects and keepDims.
-	keep      xfer
-	keepRects []msg.Rect
-	keepDims  []msg.RectDim
-	used      uint64 // the rank's clock at the move's last lookup
+	used  uint64 // the rank's clock at the move's last lookup
 }
 
 // moveKey identifies a move structurally: SPMD ranks build their own
@@ -204,7 +200,7 @@ func (a *Array) moveOf(rank, np int, oldD, newD *dist.Distribution, budget int64
 		mv = &move{}
 	}
 	mv.sched.Rebuild(oldD, newD, rank, np)
-	mv.plan, mv.keep, mv.used = plan, xfer{}, own.clock
+	mv.plan, mv.used = plan, own.clock
 	if plan == nil {
 		mv.one[0].sched, mv.one[0].planned = &mv.sched, false
 		mv.steps = mv.one[:]
@@ -311,14 +307,11 @@ func moveClass(ctx *machine.Ctx, ms []member, cfg RedistOption) error {
 		// What this rank already holds of its new part — under
 		// NOTRANSFER all it keeps — never touches the wire: copy it whole
 		// before the ring (still only into the uncommitted newLocal).
-		if keep := sched.LocalKeep; !keep.Empty() {
-			if mv := m.mv; mv.keep.src == nil {
-				n := 2 * rectCount(keep)
-				mv.keepRects, mv.keepDims = slices.Grow(mv.keepRects[:0], n), slices.Grow(mv.keepDims[:0], n*keep.Rank())
-				mv.keep = copyPlan(&m.newLocal.layout, &m.oldLocal.layout, keep, mv.keepRects, mv.keepDims)
-			}
-			m.mv.keep.copy(m.newLocal.data, m.oldLocal.data)
+		if st := &m.mv.steps[0]; !st.planned {
+			a.planTransfers(&st.xfer, m.oldD, st.sched, sched.LocalKeep, ctx.NP(), m.oldLocal, m.newLocal)
+			st.planned = true
 		}
+		m.mv.steps[0].xfer.keep.copy(m.newLocal.data, m.oldLocal.data)
 		if cfg.noTransfer {
 			tr.Instant(prank, trace.CatDistribute, schedEv, -1, 0)
 			a.commit(rank, m.newD, m.newLocal)
@@ -388,10 +381,12 @@ type xfer struct {
 	src, dst []msg.Rect
 }
 
-// xferPlan is a schedule's remote transfers indexed by peer, carved from
-// rects and dims.
+// xferPlan is a schedule's remote transfers indexed by peer and a move's
+// self-copy (keep, on its first step), carved from rects and dims.
 type xferPlan struct {
-	send, recv []xfer
+	send, recv []xfer // carved from xs
+	xs         []xfer
+	keep       xfer
 	rects      []msg.Rect
 	dims       []msg.RectDim
 }
@@ -408,19 +403,19 @@ func hasRemote(s *redist.Schedule) bool {
 	return false
 }
 
-// planTransfers lays sched's remote transfers out in p, per peer with
-// their window rects, reusing p's storage.  The peer's side comes from
-// the descriptor (lay), never from the peer's Local.  It runs once per
-// step of a move: the result is kept in the move's entry, so a warm
-// DISTRIBUTE builds no geometry.
-func (a *Array) planTransfers(p *xferPlan, oldD *dist.Distribution, sched *redist.Schedule, np int, oldLocal, newLocal *Local) {
+// planTransfers lays the self-copy of keep and sched's remote transfers
+// (per peer, with their window rects) out in p's storage, sized once.
+// The peer's side comes from the descriptor (lay), never from the peer's
+// Local.  It runs once per step of a move: the result is kept in the
+// move's entry, so a warm DISTRIBUTE builds no geometry.
+func (a *Array) planTransfers(p *xferPlan, oldD *dist.Distribution, sched *redist.Schedule, keep index.Grid, np int, oldLocal, newLocal *Local) {
 	rank, own := sched.Rank, &a.own[sched.Rank]
-	xs := slices.Grow(p.send[:0], 2*np)[:2*np]
-	clear(xs)
-	p.send, p.recv = xs[:np], xs[np:]
 	// One backing array for every rect and one for their dimensions: a
-	// src per send, a src and a dst per receive.
+	// src and a dst per kept rect and per receive, a src per send.
 	n := 0
+	if !keep.Empty() {
+		n = 2 * rectCount(keep)
+	}
 	for _, t := range sched.Sends {
 		if t.Peer != rank {
 			n += rectCount(t.Grid)
@@ -431,12 +426,20 @@ func (a *Array) planTransfers(p *xferPlan, oldD *dist.Distribution, sched *redis
 			n += 2 * rectCount(t.Grid)
 		}
 	}
-	rects := slices.Grow(p.rects[:0], n)
-	dims := slices.Grow(p.dims[:0], n*a.dom.Rank())
+	if r := a.dom.Rank(); cap(p.xs) < 2*np || cap(p.rects) < n || cap(p.dims) < n*r {
+		p.xs, p.rects, p.dims = make([]xfer, 2*np), make([]msg.Rect, 0, n), make([]msg.RectDim, 0, n*r)
+	}
+	xs, rects, dims := p.xs[:2*np], p.rects[:0], p.dims[:0]
+	clear(xs)
+	p.send, p.recv = xs[:np], xs[np:]
 	take := func(l *layout, g index.Grid) []msg.Rect {
 		lo := len(rects)
 		rects, dims = l.appendRects(rects, dims, g)
 		return rects[lo:len(rects):len(rects)]
+	}
+	p.keep = xfer{}
+	if !keep.Empty() {
+		p.keep = xfer{src: take(&oldLocal.layout, keep), dst: take(&newLocal.layout, keep)}
 	}
 	for _, t := range sched.Sends {
 		if t.Peer != rank {
@@ -478,7 +481,7 @@ func stepDirect(ctx *machine.Ctx, ms []member, k int) error {
 		m.plan = nil
 		if hasRemote(s.sched) {
 			if !s.planned {
-				m.a.planTransfers(&s.xfer, m.oldD, s.sched, np, m.oldLocal, m.newLocal)
+				m.a.planTransfers(&s.xfer, m.oldD, s.sched, index.Grid{}, np, m.oldLocal, m.newLocal)
 				s.planned = true
 			}
 			m.plan, remote = &s.xfer, true

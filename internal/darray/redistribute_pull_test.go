@@ -1,6 +1,7 @@
 package darray
 
 import (
+	"math"
 	"runtime"
 	"testing"
 
@@ -94,6 +95,79 @@ func TestRedistributeWarmAllocs(t *testing.T) {
 	// span name was concatenated per call).
 	if perRank > 0 {
 		t.Errorf("warm DISTRIBUTE: %.2f allocs per rank, want 0", perRank)
+	}
+}
+
+// coldPlanAllocs bounds TestColdPlanAllocs; it may only shrink.
+// Measured: 7 from (:,BLOCK), 8 from (CYCLIC(3),:), whose peer layout
+// grows (32 from (:,BLOCK) while a schedule, its transfer rects and the
+// self-copy's rects grew slice by slice).
+const coldPlanAllocs = 8
+
+// TestColdPlanAllocs pins what a rank's first move between two mappings
+// allocates besides its new Local: a 4-rank (:,BLOCK) → (BLOCK,:) move
+// whose table misses sizes the schedule, the transfer plan and the
+// self-copy's rects once and fills them, and so does one from
+// (CYCLIC(3),:), whose runs bound the sizes.  The new Local's storage is
+// left out by recycling it: each round declares a fresh array under
+// (BLOCK,:) and moves it to the other mapping, which parks that Local,
+// and the measured move back lays its new Local out in it.  The count is
+// the whole process's between barriers, per rank, least of five rounds;
+// the moved values must be exact.
+func TestColdPlanAllocs(t *testing.T) {
+	const np, rounds = 4, 5
+	dom := index.Dim(64, 64)
+	mallocs := func() uint64 {
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	for _, from := range []dist.Type{
+		dist.NewType(dist.ElidedDim(), dist.BlockDim()),
+		dist.NewType(dist.CyclicDim(3), dist.ElidedDim()),
+	} {
+		best := uint64(math.MaxUint64)
+		run(t, np, func(ctx *machine.Ctx) error {
+			tg := ctx.Machine().ProcsDim("P", np).Whole()
+			via := dist.MustNew(from, dom, tg)
+			rows := dist.MustNew(dist.NewType(dist.BlockDim(), dist.ElidedDim()), dom, tg)
+			for range rounds {
+				a := New(ctx, "V", dom, rows)
+				a.FillFunc(ctx, val2)
+				if err := a.RedistributeTo(ctx, via); err != nil {
+					return err
+				}
+				var m0 uint64
+				for step := range 4 { // barrier, read, barrier, move, barrier, read, barrier
+					if err := ctx.Barrier(); err != nil {
+						return err
+					}
+					switch {
+					case step == 0 && ctx.Rank() == 0:
+						m0 = mallocs()
+					case step == 1:
+						if err := a.RedistributeTo(ctx, rows); err != nil {
+							return err
+						}
+					case step == 2 && ctx.Rank() == 0:
+						best = min(best, (mallocs()-m0)/np)
+					}
+				}
+				if hits, misses := a.ScheduleCacheStats(); hits != 0 || misses != 2*np {
+					t.Errorf("move table: %d hits, %d misses, want 0 and %d", hits, misses, 2*np)
+				}
+				a.Local(ctx).ForEachOwned(func(p index.Point, v *float64) {
+					if *v != val2(p) {
+						t.Errorf("rank %d: [%v] = %v, want %v", ctx.Rank(), p, *v, val2(p))
+					}
+				})
+			}
+			return nil
+		})
+		t.Logf("cold move from %v to (BLOCK,:): %d allocs per rank", from, best)
+		if best > coldPlanAllocs {
+			t.Errorf("cold move from %v to (BLOCK,:): %d allocs per rank besides its Local, want <= %d", from, best, coldPlanAllocs)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/index"
@@ -411,6 +412,57 @@ func TestIs(t *testing.T) {
 	} {
 		if got := c.d.Is(c.specs, c.dom, c.target); got != c.want {
 			t.Errorf("%s: %v.Is(%v, %v, %v) = %v, want %v", c.name, c.d, c.specs, c.dom, c.target, got, c.want)
+		}
+	}
+}
+
+// TestOwnerAllocs: Owner, and Owners without replication, read the
+// distribution's rank table and allocate nothing — BLOCK×BLOCK on a 2×2
+// grid and B_BLOCK on a line.  On those and on a replicated mapping,
+// Owners lists exactly the ranks IsLocal accepts, and Owner is the
+// primary among them.  LocalCount, also allocation-free, is the size of
+// LocalGrid on every rank, CYCLIC(3) included.
+func TestOwnerAllocs(t *testing.T) {
+	grid := MustNew(NewType(BlockDim(), BlockDim()), index.Dim(9, 7), target2(t, 2, 2))
+	bblock := MustNew(NewType(BBlockDim(3, 4, 9, 12)), index.Dim(12), target1(t, 4))
+	repl := MustNew(NewType(ElidedDim(), BlockDim()), index.Dim(3, 8), target2(t, 2, 3))
+	cyclic := MustNew(NewType(CyclicDim(3), BlockDim()), index.Dim(20, 7), target2(t, 2, 2))
+	for _, d := range []*Distribution{grid, bblock, repl, cyclic} {
+		for r := range d.Target().Size() + 2 {
+			if n := d.LocalCount(r); n != d.LocalGrid(r).Count() {
+				t.Errorf("%v: LocalCount(%d) = %d, LocalGrid has %d", d, r, n, d.LocalGrid(r).Count())
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { d.LocalCount(1) }); n != 0 {
+			t.Errorf("%v: LocalCount allocates %.1f", d, n)
+		}
+	}
+	for _, d := range []*Distribution{grid, bblock, repl} {
+		d.Domain().WholeSection().ForEach(func(p index.Point) bool {
+			var want []int
+			for r := range d.Target().Size() {
+				if d.IsLocal(r, p) {
+					want = append(want, r)
+				}
+			}
+			got := slices.Clone(d.Owners(p))
+			slices.Sort(got)
+			if o := d.Owner(p); !slices.Equal(got, want) || !slices.Contains(want, o) || !d.IsPrimaryRank(o) {
+				t.Fatalf("%v at %v: Owners %v, Owner %d; IsLocal holds on %v", d, p, got, o, want)
+			}
+			return true
+		})
+	}
+	for _, d := range []*Distribution{grid, bblock} {
+		p := make(index.Point, d.Domain().Rank())
+		for k := range p {
+			p[k] = d.Domain().Hi[k]
+		}
+		if n := testing.AllocsPerRun(100, func() { d.Owner(p) }); n != 0 {
+			t.Errorf("%v: Owner allocates %.1f", d, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { d.Owners(p) }); n != 0 {
+			t.Errorf("%v: Owners allocates %.1f", d, n)
 		}
 	}
 }

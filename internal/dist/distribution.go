@@ -45,6 +45,7 @@ type Distribution struct {
 	fixed []int
 	// replDims lists target dimensions that replicate.
 	replDims []int
+	ranks    []int // the rank at each target coordinate, column-major
 
 	fpOnce sync.Once
 	fp     string // memoized Fingerprint (distributions are immutable)
@@ -109,6 +110,18 @@ func (d *Distribution) Is(specs []DimSpec, dom index.Domain, target Target) bool
 	return true
 }
 
+// Standard reports whether d is New's mapping onto a target that numbers
+// its ranks 0, 1, … column-major: then its type, domain and the target's
+// extents fix every rank's ownership, whatever the target object.
+func (d *Distribution) Standard() bool {
+	for i, r := range d.ranks {
+		if r != i {
+			return false
+		}
+	}
+	return d.Is(d.typ.Dims, d.domain, d.target)
+}
+
 // newBound builds a distribution with an explicit binding of array
 // dimensions to target dimensions (procDim[k] = target dim or -1) and
 // optionally pinned target coordinates (fixedIn[td] >= 0).  Alignment
@@ -120,15 +133,27 @@ func newBound(typ Type, dom index.Domain, target Target, procDim, fixedIn []int)
 	if len(procDim) != typ.Rank() {
 		return nil, fmt.Errorf("dist: binding rank %d != type rank %d", len(procDim), typ.Rank())
 	}
-	// One allocation holds the binding and the pins.
-	r, nt := typ.Rank(), target.NDims()
-	ints := make([]int, r+nt)
+	// One allocation holds the binding, the pins, the rank table and the
+	// coordinates that fill it.
+	r, nt, size := typ.Rank(), target.NDims(), target.Size()
+	ints := make([]int, r+2*nt+size)
 	d := &Distribution{
 		typ:     typ,
 		domain:  dom,
 		target:  target,
 		procDim: ints[:r:r],
-		fixed:   ints[r:],
+		fixed:   ints[r : r+nt : r+nt],
+		ranks:   ints[r+nt : r+nt+size : r+nt+size],
+	}
+	coords := ints[r+nt+size:]
+	for i := range d.ranks {
+		d.ranks[i] = target.RankOf(coords)
+		for td := range coords { // the next coordinates, column-major
+			if coords[td]++; coords[td] < target.Extent(td) {
+				break
+			}
+			coords[td] = 0
+		}
 	}
 	copy(d.procDim, procDim)
 	for td := range d.fixed {
@@ -214,54 +239,38 @@ func (d *Distribution) OwnerCoord(k, i int) int {
 }
 
 // Owner returns the primary owner rank of point p (replicated dimensions
-// at coordinate 0).
-func (d *Distribution) Owner(p index.Point) int {
-	coords := make([]int, d.target.NDims())
-	for td := range coords {
-		if d.fixed[td] >= 0 {
-			coords[td] = d.fixed[td]
+// at coordinate 0).  It allocates nothing.
+func (d *Distribution) Owner(p index.Point) int { return d.ranks[d.ownerAt(p)] }
+
+// ownerAt is p's primary owner's index in d.ranks.
+func (d *Distribution) ownerAt(p index.Point) int {
+	at, mul := 0, 1
+	for td, c := range d.fixed {
+		if c < 0 {
+			c = 0
+			if k := slices.Index(d.procDim, td); k >= 0 {
+				c = d.OwnerCoord(k, p[k])
+			}
 		}
+		at += c * mul
+		mul *= d.target.Extent(td)
 	}
-	for k, td := range d.procDim {
-		if td >= 0 {
-			coords[td] = d.OwnerCoord(k, p[k])
-		}
-	}
-	return d.target.RankOf(coords)
+	return at
 }
 
 // Owners returns all owner ranks of point p (more than one only under
-// replication).
+// replication, else shared and not to be modified).
 func (d *Distribution) Owners(p index.Point) []int {
-	base := make([]int, d.target.NDims())
-	for td := range base {
-		if d.fixed[td] >= 0 {
-			base[td] = d.fixed[td]
-		}
-	}
-	for k, td := range d.procDim {
-		if td >= 0 {
-			base[td] = d.OwnerCoord(k, p[k])
-		}
-	}
+	at := d.ownerAt(p)
 	if len(d.replDims) == 0 {
-		return []int{d.target.RankOf(base)}
+		return d.ranks[at : at+1 : at+1]
 	}
-	out := []int{}
-	var rec func(i int)
-	rec = func(i int) {
-		if i == len(d.replDims) {
-			out = append(out, d.target.RankOf(base))
-			return
+	var out []int
+	for _, r := range d.ranks {
+		if d.IsLocal(r, p) {
+			out = append(out, r)
 		}
-		td := d.replDims[i]
-		for c := 0; c < d.target.Extent(td); c++ {
-			base[td] = c
-			rec(i + 1)
-		}
-		base[td] = 0
 	}
-	rec(0)
 	return out
 }
 
@@ -364,6 +373,15 @@ func (d *Distribution) AppendDimRuns(runs []index.Run, k, c int) []index.Run {
 	return d.typ.Dims[k].appendRuns(runs, c, d.domain.Lo[k], d.domain.Extent(k), np)
 }
 
+// MaxRuns bounds the runs any rank owns along array dimension k: one
+// under ':' and the block family, at most K under CYCLIC(K).
+func (d *Distribution) MaxRuns(k int) int {
+	if s := d.typ.Dims[k]; s.Kind == Cyclic {
+		return min(normK(s.K), d.domain.Extent(k))
+	}
+	return 1
+}
+
 // OwnerSpan returns the first and last target coordinates along
 // ProcDim(k) that can own an index of [lo, hi] in dimension k: under
 // CYCLIC all of them; else the owners of lo and hi, as owners ascend.
@@ -374,9 +392,18 @@ func (d *Distribution) OwnerSpan(k, lo, hi int) (c0, c1 int) {
 	return d.OwnerCoord(k, lo), d.OwnerCoord(k, hi)
 }
 
-// LocalCount returns how many elements rank owns.
+// LocalCount returns how many elements rank owns, allocating nothing.
 func (d *Distribution) LocalCount(rank int) int {
-	return d.LocalGrid(rank).Count()
+	coords, ok := d.Coords(rank)
+	if !ok {
+		return 0
+	}
+	n := min(len(d.procDim), 1)
+	for k, td := range d.procDim { // an elided dimension ignores the coordinate
+		var runs [16]index.Run
+		n *= index.RunSet(d.AppendDimRuns(runs[:0], k, coords[max(td, 0)])).Count()
+	}
+	return n
 }
 
 // Segment returns rank's contiguous segment (inclusive per-dimension

@@ -135,7 +135,7 @@ func TestIntersectRunsExamples(t *testing.T) {
 	b := NewRun(1, 30, 5) // 1 6 11 16 21 26
 	c := IntersectRuns(a, b)
 	want := []int{6, 21}
-	got := RunSet{c}.Indices()
+	got := indices(RunSet{c})
 	if len(got) != len(want) {
 		t.Fatalf("got %v want %v", got, want)
 	}
@@ -159,7 +159,7 @@ func TestIntersectRunsProperty(t *testing.T) {
 	for trial := 0; trial < 2000; trial++ {
 		a := NewRun(rng.Intn(40)-20, rng.Intn(60)-10, 1+rng.Intn(8))
 		b := NewRun(rng.Intn(40)-20, rng.Intn(60)-10, 1+rng.Intn(8))
-		got := RunSet{IntersectRuns(a, b)}.Indices()
+		got := indices(RunSet{IntersectRuns(a, b)})
 		want := bruteIntersect(a, b)
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: a=%v b=%v got %v want %v", trial, a, b, got, want)
@@ -269,6 +269,96 @@ func TestRunSetEqual(t *testing.T) {
 	c := NewRunSet(NewRun(0, 8, 1))
 	if a.Equal(c) {
 		t.Fatal("different sets compared equal")
+	}
+}
+
+// indices materializes a set as a sorted slice, an index once per run
+// that holds it.
+func indices(rs RunSet) []int {
+	var out []int
+	rs.ForEach(func(i int) bool { out = append(out, i); return true })
+	slices.Sort(out)
+	return out
+}
+
+// TestRunSetEqualWalk holds Equal to the comparison of materialised
+// indices (equal counts, equal sorted Indices) over random sets: strided
+// CYCLIC(k) run sets, overlapping runs, empty sets and singletons, each
+// against a random set and against its own indices re-cut into other
+// runs.  Equal allocates nothing.
+func TestRunSetEqualWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	cyclic := func() RunSet { // a CYCLIC(k) owner's runs over 1..n on np
+		k, np, n := 1+rng.Intn(4), 1+rng.Intn(4), rng.Intn(40)
+		c, rs := rng.Intn(np), RunSet{}
+		for j := 0; j < k; j++ {
+			if lo := 1 + c*k + j; lo <= n {
+				rs = append(rs, NewRun(lo, n, k*np))
+			}
+		}
+		return rs
+	}
+	overlapping := func() RunSet {
+		rs := make(RunSet, rng.Intn(4))
+		for i := range rs {
+			lo := rng.Intn(20)
+			rs[i] = NewRun(lo, lo+rng.Intn(20), 1+rng.Intn(3))
+		}
+		slices.SortFunc(rs, func(a, b Run) int { return a.Lo - b.Lo })
+		return rs
+	}
+	gens := []func() RunSet{
+		cyclic, overlapping,
+		func() RunSet { return nil },
+		func() RunSet { return RunSet{{Lo: 5, Hi: 4, Stride: 1}, {Lo: 1}} },
+		func() RunSet { i := rng.Intn(20); return RunSet{NewRun(i, i, 1)} },
+	}
+	// recut lists a set's indices again as runs of one, two or three
+	// points, so the same set arrives in another representation.
+	recut := func(rs RunSet) RunSet {
+		var out RunSet
+		idx := indices(rs)
+		for len(idx) > 0 {
+			n := min(len(idx), 1+rng.Intn(3))
+			if n == 1 || idx[1] == idx[0] || idx[n-1]-idx[0] != (n-1)*(idx[1]-idx[0]) {
+				n = 1
+			}
+			stride := 1
+			if n > 1 {
+				stride = idx[1] - idx[0]
+			}
+			out = append(out, NewRun(idx[0], idx[n-1], stride))
+			idx = idx[n:]
+		}
+		return out
+	}
+	want := func(a, b RunSet) bool { return a.Count() == b.Count() && slices.Equal(indices(a), indices(b)) }
+	equal := 0
+	for i := 0; i < 20000; i++ {
+		a := gens[rng.Intn(len(gens))]()
+		b := gens[rng.Intn(len(gens))]()
+		if rng.Intn(2) == 0 {
+			b = recut(a)
+		}
+		got := a.Equal(b)
+		if got != want(a, b) || got != b.Equal(a) {
+			t.Fatalf("%v.Equal(%v) = %v, materialised indices say %v", a, b, got, want(a, b))
+		}
+		if got {
+			equal++
+		}
+	}
+	if equal < 5000 {
+		t.Errorf("only %d of 20000 pairs equal: the walk's true case is barely exercised", equal)
+	}
+	// The same indices and count, held by runs a different number of
+	// times: {1, 1, 2} against {1, 2, 2}.
+	if one, two := (RunSet{NewRun(1, 1, 1), NewRun(1, 2, 1)}), (RunSet{NewRun(1, 2, 1), NewRun(2, 2, 1)}); one.Equal(two) {
+		t.Errorf("%v.Equal(%v): multiplicities ignored", one, two)
+	}
+	a, b := RunSet{NewRun(1, 40, 3), NewRun(2, 40, 3)}, RunSet{NewRun(1, 1, 1), NewRun(2, 40, 3), NewRun(4, 40, 3)}
+	if n := testing.AllocsPerRun(100, func() { a.Equal(b) }); n != 0 {
+		t.Errorf("Equal allocates %.1f per call, want 0", n)
 	}
 }
 

@@ -2,8 +2,8 @@ package index
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -202,14 +202,6 @@ func (rs RunSet) ForEach(f func(int) bool) {
 	}
 }
 
-// Indices materializes the set as a sorted slice (for tests and small sets).
-func (rs RunSet) Indices() []int {
-	out := make([]int, 0, rs.Count())
-	rs.ForEach(func(i int) bool { out = append(out, i); return true })
-	sort.Ints(out)
-	return out
-}
-
 // Intersect returns the intersection of two RunSets.
 func (rs RunSet) Intersect(other RunSet) RunSet {
 	if len(rs) == 0 || len(other) == 0 {
@@ -233,18 +225,39 @@ func AppendIntersect(dst []Run, a, b RunSet) []Run {
 	return dst
 }
 
-// Equal reports whether two RunSets denote the same index set.
+// Equal reports whether two RunSets denote the same index set, an index
+// counted once per run that holds it.  It walks both sets' indices in
+// increasing order and allocates nothing.
 func (rs RunSet) Equal(other RunSet) bool {
 	if rs.Count() != other.Count() {
 		return false
 	}
-	a, b := rs.Indices(), other.Indices()
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	for v := math.MinInt; ; {
+		next, n := rs.after(v)
+		if onext, on := other.after(v); next != onext || n != on || n == 0 {
+			return next == onext && n == on
 		}
+		v = next
 	}
-	return true
+}
+
+// after returns the least index of rs above v and the number of runs
+// that hold it; n is 0 when no index lies above v.
+func (rs RunSet) after(v int) (next, n int) {
+	for _, r := range rs {
+		i := r.Lo
+		if v >= r.Lo && v < r.Hi {
+			i += ((v-r.Lo)/r.Stride + 1) * r.Stride
+		}
+		if i <= v || i > r.Hi || (n > 0 && i > next) {
+			continue
+		}
+		if n == 0 || i < next {
+			next, n = i, 0
+		}
+		n++
+	}
+	return next, n
 }
 
 func (rs RunSet) String() string {

@@ -84,10 +84,13 @@ func DecodeFloat64sInto(dst []float64, buf []byte) {
 }
 
 // EncodeInts encodes a []int payload as int64s.
-func EncodeInts(vals []int) []byte {
-	buf := make([]byte, 8*len(vals))
-	for i, v := range vals {
-		binary.LittleEndian.PutUint64(buf[8*i:], uint64(int64(v)))
+func EncodeInts(vals []int) []byte { return AppendInts(make([]byte, 0, 8*len(vals)), vals) }
+
+// AppendInts appends EncodeInts(vals) to buf, growing it at most once.
+func AppendInts(buf []byte, vals []int) []byte {
+	buf = slices.Grow(buf, 8*len(vals))
+	for _, v := range vals {
+		buf = binary.LittleEndian.AppendUint64(buf, uint64(int64(v)))
 	}
 	return buf
 }

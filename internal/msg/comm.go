@@ -169,10 +169,11 @@ func RecvRetry(ep Endpoint, pol RetryPolicy, tr *trace.Tracer, op string, from, 
 // operation allows, mirroring what the VFE's "specialized routines for
 // handling reductions" (§3.2) would provide.
 type Comm struct {
-	ep  Endpoint
-	tr  *trace.Tracer
-	pol RetryPolicy
-	seq int64
+	ep   Endpoint
+	tr   *trace.Tracer
+	pol  RetryPolicy
+	seq  int64
+	ints []byte // an int collective's encoding: a send consumes it
 }
 
 // NewComm wraps an endpoint.  Every collective records a span on the
@@ -407,8 +408,10 @@ func (c *Comm) Gather(root int, buf []byte) ([][]byte, error) {
 // AllgatherInts gathers one int slice per processor everywhere: a gather
 // at 0, then a broadcast of the framed concatenation (encodeAllgather).
 // A frame that does not decode is an error on the rank that received it.
+// It encodes in the Comm's buffer and decodes into one array.
 func (c *Comm) AllgatherInts(vals []int) ([][]int, error) {
-	parts, err := c.Gather(0, EncodeInts(vals))
+	c.ints = AppendInts(c.ints[:0], vals)
+	parts, err := c.Gather(0, c.ints)
 	if err != nil {
 		return nil, err
 	}
@@ -458,12 +461,10 @@ func decodeAllgatherInts(rank, np int, frame []byte) ([][]int, error) {
 	if body != len(frame)-4*np {
 		return nil, fmt.Errorf("msg: allgather: rank %d: lengths sum to %d bytes, frame carries %d", rank, body, len(frame)-4*np)
 	}
-	out := make([][]int, np)
-	off := 4 * np
+	out, all := make([][]int, np), DecodeInts(frame[4*np:])
 	for i := range out {
-		n := int(GetUint32(frame, 4*i))
-		out[i] = DecodeInts(frame[off : off+n])
-		off += n
+		n := int(GetUint32(frame, 4*i)) / 8
+		out[i], all = all[:n:n], all[n:]
 	}
 	return out, nil
 }
@@ -548,7 +549,8 @@ func (c *Comm) BcastInts(root int, vals []int) ([]int, error) {
 func (c *Comm) BcastIntsInto(root int, vals, dst []int) ([]int, error) {
 	var buf []byte
 	if c.Rank() == root {
-		buf = EncodeInts(vals)
+		c.ints = AppendInts(c.ints[:0], vals)
+		buf = c.ints
 	}
 	out, err := c.Bcast(root, buf)
 	if err != nil {

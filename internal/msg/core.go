@@ -187,6 +187,7 @@ type matcher struct {
 	cond   sync.Cond // on mu
 	queue  []Packet
 	closed bool
+	alarms []*alarm // stopped, for the next timed waits (arm)
 }
 
 func (m *matcher) put(p Packet) {
@@ -225,16 +226,18 @@ func (m *matcher) take(from, tag int) (Packet, bool) {
 }
 
 // get removes and returns the first packet matching (from, tag), waiting
-// for one to arrive — at most d when d > 0.  Without a deadline it starts
-// no timer and allocates nothing.
+// for one at most d when d > 0, under an alarm armed only to wait and
+// kept for the mailbox's next waits, so that a wait allocates nothing.
 func (m *matcher) get(from, tag int, d time.Duration) (Packet, error) {
-	var a *alarm
-	if d > 0 {
-		a = m.alarm(d)
-		defer a.timer.Stop()
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	var a *alarm
+	defer func() {
+		if a != nil {
+			a.timer.Stop()
+			m.alarms = append(m.alarms, a)
+		}
+	}()
 	for {
 		if p, ok := m.take(from, tag); ok {
 			return p, nil
@@ -242,29 +245,39 @@ func (m *matcher) get(from, tag int, d time.Duration) (Packet, error) {
 		if m.closed {
 			return Packet{}, ErrClosed
 		}
-		if a != nil && a.expired {
+		if d > 0 && a == nil {
+			a = m.arm(d)
+		} else if a != nil && a.expired {
 			return Packet{}, fmt.Errorf("%w (from=%d tag=%d)", ErrTimeout, from, tag)
 		}
 		m.cond.Wait()
 	}
 }
 
-// alarm is one timed receive's deadline: a timer per call, stopped on
-// return (RecvRetry comes through here for every receive of a run with
-// a CommTimeout).  The timer sets expired under the mailbox lock before
-// it broadcasts, so a consumer that saw it unset is already registered
-// in cond.Wait when the broadcast goes out — the fire cannot slip
-// between check and wait.
+// alarm is one timed wait's deadline.  Its timer sets expired under the
+// mailbox lock before it broadcasts, so the fire cannot slip between a
+// consumer's check and its cond.Wait.  A fire that Stop came too late to
+// cancel finds the clock short of the re-armed deadline: no mark.
 type alarm struct {
 	timer   *time.Timer
-	expired bool // guarded by the mailbox's mu
+	when    time.Time // the current deadline
+	expired bool      // guarded by the mailbox's mu
 }
 
-func (m *matcher) alarm(d time.Duration) *alarm {
-	a := &alarm{}
+// arm returns an alarm that expires d from now, one the mailbox kept if
+// it has one.  m.mu must be held.
+func (m *matcher) arm(d time.Duration) *alarm {
+	if n := len(m.alarms); n > 0 {
+		a := m.alarms[n-1]
+		m.alarms = m.alarms[:n-1]
+		a.when, a.expired = time.Now().Add(d), false
+		a.timer.Reset(d)
+		return a
+	}
+	a := &alarm{when: time.Now().Add(d)}
 	a.timer = time.AfterFunc(d, func() {
 		m.mu.Lock()
-		a.expired = true
+		a.expired = a.expired || !time.Now().Before(a.when)
 		m.mu.Unlock()
 		m.cond.Broadcast()
 	})

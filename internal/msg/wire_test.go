@@ -449,3 +449,34 @@ func TestRecvTimeoutCheap(t *testing.T) {
 		t.Errorf("a satisfied timed receive allocates %.0f objects, want at most 5", n)
 	}
 }
+
+// TestAlarmReuse: timed waits on one mailbox share the alarm it keeps.
+// A packet already queued arms nothing; a wait that expires returns
+// ErrTimeout and its alarm serves the next wait; and a fire left over
+// from an earlier arming does not expire the current one.
+func TestAlarmReuse(t *testing.T) {
+	m := &matcher{}
+	m.cond.L = &m.mu
+	m.put(Packet{From: 1, Tag: 2})
+	if _, err := m.get(1, 2, time.Hour); err != nil || len(m.alarms) != 0 {
+		t.Fatalf("queued packet: err %v, %d alarms armed", err, len(m.alarms))
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := m.get(1, 2, time.Millisecond); !errors.Is(err, ErrTimeout) {
+			t.Fatalf("wait %d: %v, want ErrTimeout", i, err)
+		}
+	}
+	if len(m.alarms) != 1 {
+		t.Fatalf("three timed-out waits left %d alarms, want one reused", len(m.alarms))
+	}
+	m.mu.Lock()
+	a := m.alarms[0]
+	a.when, a.expired = time.Now().Add(time.Hour), false
+	a.timer.Reset(0) // a late fire of the millisecond arming
+	m.cond.Wait()    // until that fire has run and broadcast
+	expired := a.expired
+	m.mu.Unlock()
+	if expired {
+		t.Fatal("a stale fire expired the re-armed alarm")
+	}
+}

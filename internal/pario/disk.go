@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io/fs"
 	"os"
+	"strings"
 	"time"
 
 	"repro/internal/msg"
@@ -33,18 +34,48 @@ type Disk struct {
 	Rank    int
 }
 
+// op is one filesystem operation — "write", "read", "rename" (of path2)
+// or "mkdir" of path, with data — and, once run, its outcome: a plain
+// value, so running one allocates nothing of its own.
+type op struct {
+	verb, path, path2 string
+	data              []byte
+	err               error
+}
+
+// exec performs o once.
+func (d Disk) exec(o op) op {
+	switch o.verb {
+	case "write":
+		o.err = d.FS.WriteFile(o.path, o.data, 0o644)
+	case "read":
+		o.data, o.err = d.FS.ReadFile(o.path)
+	case "rename":
+		o.err = d.FS.Rename(o.path2, o.path)
+	default:
+		o.err = d.FS.MkdirAll(o.path, 0o755)
+	}
+	return o
+}
+
 // run executes one FS operation under the retry policy, recording an
-// "io:" span on the rank's timeline.  Torn state left behind by a failed
-// attempt (a short write) is overwritten by the retry: all operations
-// here are idempotent.
-func (d Disk) run(name string, op func() error) error {
+// "io:" span on the rank's timeline, labelled only when traced.  Torn
+// state left behind by a failed attempt (a short write) is overwritten
+// by the retry: all operations here are idempotent.
+func (d Disk) run(o op) op {
+	name := ""
+	if d.Tracer.Enabled() {
+		name = o.verb + " " + filebase(o.path)
+		if o.verb == "write" {
+			name += fmt.Sprintf(" (%dB)", len(o.data))
+		}
+	}
 	sp := d.Tracer.BeginSpan(d.Rank, trace.CatIO, "io:"+name)
 	defer sp.End()
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = d.once(op, attempt)
-		if err == nil || attempt >= d.Retry.Retries || !retryable(err) {
-			break
+		r := d.once(o, attempt)
+		if r.err == nil || attempt >= d.Retry.Retries || !retryable(r.err) {
+			return r
 		}
 		if d.Metrics != nil {
 			d.Metrics.Retries.Add(1)
@@ -52,25 +83,24 @@ func (d Disk) run(name string, op func() error) error {
 		d.Tracer.Instant(d.Rank, trace.CatIO, "io:retry "+name, -1, -1)
 		time.Sleep(d.Retry.Backoff(attempt))
 	}
-	return err
 }
 
-// once runs op under attempt's deadline.  The operation goroutine sends
+// once runs o under attempt's deadline.  The operation goroutine sends
 // into a buffered channel, so a late completion after the timeout exits
 // cleanly rather than leaking.
-func (d Disk) once(op func() error, attempt int) error {
+func (d Disk) once(o op, attempt int) op {
 	if d.Retry.Timeout <= 0 {
-		return op()
+		return d.exec(o)
 	}
-	done := make(chan error, 1)
-	go func() { done <- op() }()
+	done := make(chan op, 1)
+	go func(o op) { done <- d.exec(o) }(o)
 	t := time.NewTimer(d.Retry.Deadline(attempt))
 	defer t.Stop()
 	select {
-	case err := <-done:
-		return err
+	case r := <-done:
+		return r
 	case <-t.C:
-		return ErrTimeout
+		return op{err: ErrTimeout}
 	}
 }
 
@@ -83,9 +113,7 @@ func retryable(err error) bool {
 
 // WriteFile writes path whole-file under the retry policy.
 func (d Disk) WriteFile(path string, data []byte) error {
-	err := d.run(fmt.Sprintf("write %s (%dB)", filebase(path), len(data)), func() error {
-		return d.FS.WriteFile(path, data, 0o644)
-	})
+	err := d.run(op{verb: "write", path: path, data: data}).err
 	if err == nil && d.Metrics != nil {
 		d.Metrics.WriteOps.Add(1)
 		d.Metrics.BytesWritten.Add(int64(len(data)))
@@ -95,45 +123,24 @@ func (d Disk) WriteFile(path string, data []byte) error {
 
 // ReadFile reads path under the retry policy.
 func (d Disk) ReadFile(path string) ([]byte, error) {
-	var data []byte
-	err := d.run("read "+filebase(path), func() error {
-		var err error
-		data, err = d.FS.ReadFile(path)
-		return err
-	})
-	if err == nil && d.Metrics != nil {
+	r := d.run(op{verb: "read", path: path})
+	if r.err == nil && d.Metrics != nil {
 		d.Metrics.ReadOps.Add(1)
-		d.Metrics.BytesRead.Add(int64(len(data)))
+		d.Metrics.BytesRead.Add(int64(len(r.data)))
 	}
-	return data, err
+	return r.data, r.err
 }
 
 // Rename renames under the retry policy.
 func (d Disk) Rename(oldpath, newpath string) error {
-	return d.run("rename "+filebase(newpath), func() error {
-		return d.FS.Rename(oldpath, newpath)
-	})
+	return d.run(op{verb: "rename", path: newpath, path2: oldpath}).err
 }
 
 // MkdirAll creates a directory tree under the retry policy.
-func (d Disk) MkdirAll(path string) error {
-	return d.run("mkdir "+filebase(path), func() error {
-		return d.FS.MkdirAll(path, 0o755)
-	})
-}
+func (d Disk) MkdirAll(path string) error { return d.run(op{verb: "mkdir", path: path}).err }
 
-// filebase is filepath.Base without pulling the path package into every
-// span label; it keeps only the last two path elements for context.
+// filebase keeps the last two elements of path, for span labels.
 func filebase(path string) string {
-	sep := byte(os.PathSeparator)
-	last, prev := -1, -1
-	for i := 0; i < len(path); i++ {
-		if path[i] == sep {
-			prev, last = last, i
-		}
-	}
-	if prev >= 0 {
-		return path[prev+1:]
-	}
-	return path
+	i := strings.LastIndexByte(path, os.PathSeparator)
+	return path[strings.LastIndexByte(path[:max(i, 0)], os.PathSeparator)+1:]
 }

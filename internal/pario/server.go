@@ -4,21 +4,18 @@ import "sync"
 
 // Server is one dedicated I/O server goroutine: a rank hands completed
 // write jobs (its own file, its replica, the parity) to its server and
-// goes back to the
-// collective protocol (checksum gathers, manifest agreement) while the
-// bytes drain to disk.  Writes execute in submission order under the
-// server's Disk; the first failure is remembered and later jobs are
-// skipped (the epoch cannot commit anyway, and skipping keeps fault
-// schedules deterministic).  Close joins the goroutine — no Server ever
-// outlives its Save.
+// goes back to the collective protocol (checksum gathers, manifest
+// agreement) while the bytes drain to disk.  Writes execute in
+// submission order under the server's Disk; the first failure is
+// remembered and later jobs are skipped (the epoch cannot commit anyway,
+// and skipping keeps fault schedules deterministic).  Close joins the
+// goroutine, so none outlives its Save; the Server value does: Close
+// parks it, idle, for a later StartServer to run a goroutine on anew.
 type Server struct {
-	d Disk
-
+	d    Disk
 	jobs chan writeJob
 	done sync.WaitGroup
-
-	mu  sync.Mutex
-	err error
+	err  error // the loop's until Close joins it
 }
 
 type writeJob struct {
@@ -26,47 +23,46 @@ type writeJob struct {
 	data []byte
 }
 
+// servers holds the Servers Close parked.
+var servers = sync.Pool{New: func() any { return &Server{jobs: make(chan writeJob, 4)} }}
+
 // StartServer launches the I/O server goroutine for d's rank.
 func StartServer(d Disk) *Server {
-	s := &Server{d: d, jobs: make(chan writeJob, 4)}
+	s := servers.Get().(*Server)
+	s.d, s.err = d, nil
 	s.done.Add(1)
 	go s.loop()
 	return s
 }
 
+// loop runs the jobs up to Close's empty one.
 func (s *Server) loop() {
 	defer s.done.Done()
 	for j := range s.jobs {
-		if s.Err() != nil {
-			continue // drain: a failed epoch skips the remaining writes
+		if j.path == "" {
+			return
 		}
-		if err := s.d.WriteFile(j.path, j.data); err != nil {
-			s.mu.Lock()
-			if s.err == nil {
-				s.err = err
-			}
-			s.mu.Unlock()
+		if s.err == nil { // else drain: a failed epoch skips the remaining writes
+			s.err = s.d.WriteFile(j.path, j.data)
 		}
 	}
 }
 
-// Write enqueues one whole-file write; ownership of data passes to the
-// server.  It never blocks longer than the slowest in-flight write.
+// Write enqueues one whole-file write of a non-empty path; ownership of
+// data passes to the server.  It never blocks longer than the slowest
+// in-flight write.
 func (s *Server) Write(path string, data []byte) {
 	s.jobs <- writeJob{path: path, data: data}
 }
 
-// Err returns the first write failure so far (nil while healthy).
-func (s *Server) Err() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-// Close drains the queue, stops the goroutine and returns the first
-// write failure.  Idempotent-unsafe: call exactly once.
+// Close drains the queue, joins the goroutine, parks the server and
+// returns the first write failure.  Call it exactly once, and use s no
+// more.
 func (s *Server) Close() error {
-	close(s.jobs)
+	s.jobs <- writeJob{}
 	s.done.Wait()
-	return s.Err()
+	err := s.err
+	s.d = Disk{}
+	servers.Put(s)
+	return err
 }

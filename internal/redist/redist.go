@@ -85,12 +85,12 @@ func Build(oldD, newD *dist.Distribution, rank, np int) *Schedule {
 }
 
 // Rebuild makes s rank's schedule from oldD to newD, as Build does, in
-// s's own storage: once s has held a schedule as large, it allocates
-// nothing.  Grids of s's previous schedule are overwritten.
+// s's own storage, sized once for the pair (size): once s has held a
+// schedule as large, it allocates nothing.  It overwrites s's grids.
 func (s *Schedule) Rebuild(oldD, newD *dist.Distribution, rank, np int) {
-	s.Rank, s.Sends, s.Recvs, s.LocalKeep = rank, s.Sends[:0], s.Recvs[:0], index.Grid{}
 	w := &s.w
-	w.runs, w.sets, w.first = w.runs[:0], w.sets[:0], w.first[:0]
+	w.size(oldD, newD, np)
+	s.Rank, s.Sends, s.Recvs, s.LocalKeep = rank, w.ts[:0:np], w.ts[np:np:2*np], index.Grid{}
 	var myOld, myNew index.Grid
 	myOld, w.runs = oldD.LocalGridInto(w.grid(oldD.Domain().Rank()), w.runs, rank)
 	myNew, w.runs = newD.LocalGridInto(w.grid(newD.Domain().Rank()), w.runs, rank)
@@ -112,14 +112,36 @@ func (s *Schedule) Rebuild(oldD, newD *dist.Distribution, rank, np int) {
 	}
 }
 
-// work is a schedule's storage: runs and sets back its grids; the rest
-// is scratch.
+// work is a schedule's storage: runs and sets back its grids and ts its
+// transfers; the rest is scratch, in inl up to 8 target dimensions.
 type work struct {
 	runs, tmp      []index.Run
 	sets           []index.RunSet
 	hold           index.Grid
 	first          index.Point
 	coords, lo, hi []int
+	runBuf         []index.Run
+	setBuf         []index.RunSet
+	ts             []Transfer
+	inl            [32]int
+}
+
+// size makes w's arrays hold the largest schedule from oldD to newD over
+// np peers — two local grids, their intersection and np transfers each
+// way, of at most both sides' runs multiplied (MaxRuns) — and carves w.
+func (w *work) size(oldD, newD *dist.Distribution, np int) {
+	r, ro, rn, cross := oldD.Domain().Rank(), 0, 0, 0
+	for k := range r {
+		a, b := oldD.MaxRuns(k), newD.MaxRuns(k)
+		ro, rn, cross = ro+a, rn+b, cross+a*b
+	}
+	nr, nh, ns := ro+rn+(1+2*np)*cross, max(ro, rn), (3+2*np)*r
+	if cap(w.runBuf) < nr+nh || cap(w.setBuf) < ns+r || cap(w.ts) < 2*np {
+		w.runBuf, w.setBuf, w.ts = make([]index.Run, nr+nh), make([]index.RunSet, ns+r), make([]Transfer, 2*np)
+	}
+	w.runs, w.tmp = w.runBuf[:0:nr], w.runBuf[nr:nr]
+	w.sets, w.hold.Dims = w.setBuf[:0:ns], w.setBuf[ns:ns]
+	w.first, w.coords, w.lo, w.hi = w.inl[0:0:8], w.inl[8:8:16], w.inl[16:16:24], w.inl[24:24]
 }
 
 // grid returns a grid of r dimensions carved from w.sets.
