@@ -91,14 +91,15 @@ check-redist:
 # resolved once per epoch (TestDistributeEpochTarget); darray's warm and
 # fresh-bounds moves, the warm ghost exchange and checkpoint save keep
 # their bounds (*WarmAllocs); a first move plans in storage sized once
-# (TestColdPlanAllocs); Owner allocates nothing (TestOwnerAllocs); a warm
+# (TestColdPlanAllocs); Owner allocates nothing (TestOwnerAllocs), nor do
+# FillFunc, Fill and the storage-run walk (TestFillReduceAllocs); a warm
 # step of each benchmark-shaped run stays under its ceiling in
 # internal/apps/testdata/step_allocs.json (TestStepAllocs).  Then
 # resolution returns only the mapping a statement denotes, ranks sharing
 # one Expr, under the race detector.
 check-allocs:
 	for p in 1 2; do \
-	  GOMAXPROCS=$$p $(GO) test -count=3 -run 'WarmAllocs|ColdPlanAllocs|OwnerAllocs|TestStepAllocs|TestDistributeEpochTarget|TestIs$$' \
+	  GOMAXPROCS=$$p $(GO) test -count=3 -run 'WarmAllocs|ColdPlanAllocs|OwnerAllocs|TestFillReduceAllocs|TestStepAllocs|TestDistributeEpochTarget|TestIs$$' \
 	    ./internal/core ./internal/darray ./internal/dist ./internal/ckpt ./internal/apps || exit 1; \
 	done
 	$(GO) test -race -count=1 -run 'TestDistributeResolution|TestIs$$' ./internal/core ./internal/dist

@@ -91,6 +91,17 @@ const (
 	adiA, adiB, adiC = -1.0, 4.0, -1.0
 )
 
+// adiInitial writes V's initial values into run, the elements p,
+// p+stride, … of one dimension-0 run (the Local.ForEachRun callback).
+func adiInitial(p index.Point, stride int, run []float64) {
+	k := p[0]*31 + p[1]*17
+	for j := range min(13, len(run)) {
+		run[j] = float64((k+31*stride*j)%13) - 6.0
+	}
+	for n := 13; n < len(run); n += copy(run[n:], run[:n]) { // the values repeat every 13
+	}
+}
+
 func colsType() dist.Type { return dist.NewType(dist.ElidedDim(), dist.BlockDim()) }
 func rowsType() dist.Type { return dist.NewType(dist.BlockDim(), dist.ElidedDim()) }
 
@@ -113,16 +124,9 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 	}
 
 	dom := index.Dim(cfg.NX, cfg.NY)
-	initial := func(p index.Point) float64 {
-		return float64((p[0]*31+p[1]*17)%13) - 6.0
-	}
 	var ref []float64 // serial reference
 	if cfg.Validate {
-		ref = make([]float64, dom.Size())
-		dom.WholeSection().ForEach(func(p index.Point) bool {
-			ref[dom.Offset(p)] = initial(p)
-			return true
-		})
+		ref = serialGrid(dom, adiInitial)
 		kernels.SerialADI(ref, cfg.NX, cfg.NY, cfg.Iters, adiA, adiB, adiC)
 	}
 
@@ -193,7 +197,7 @@ func RunADI(cfg ADIConfig) (ADIResult, error) {
 				v, err = e.Declare(ctx, decl)
 				return err
 			},
-			fill: func() error { v.FillFunc(ctx, initial); return nil },
+			fill: func() error { v.Local(ctx).ForEachRun(adiInitial); return nil },
 			begin: func(int, map[string]string) error {
 				ctx.PhaseBegin("iterate")
 				return nil

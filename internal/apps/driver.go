@@ -8,6 +8,7 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/health"
+	"repro/internal/index"
 	"repro/internal/machine"
 	"repro/internal/msg"
 	"repro/internal/trace"
@@ -240,12 +241,12 @@ func NewMachine(p int, alpha, beta float64, rt Runtime) (*machine.Machine, error
 		}
 		integrity = integrity || plan.HasKind(msg.FaultCorrupt)
 	}
-	var tr msg.Transport = msg.NewChanTransport(total, topts...)
-	if rt.UseTCP {
-		tcp, err := msg.NewTCPTransport(total, topts...)
-		if err != nil {
-			return nil, err
-		}
+	var tr msg.Transport
+	if !rt.UseTCP {
+		tr = msg.NewChanTransport(total, topts...)
+	} else if tcp, err := msg.NewTCPTransport(total, topts...); err != nil {
+		return nil, err
+	} else {
 		tr = tcp
 	}
 	if plan != nil {
@@ -478,6 +479,16 @@ func (t tally) most() (msgs, bytes int64) {
 		msgs, bytes = max(msgs, s[0]), max(bytes, s[1])
 	}
 	return msgs, bytes
+}
+
+// serialGrid is a serial reference's initial grid: 2-D dom column-major,
+// each column written by init, the distributed fill's run formula.
+func serialGrid(dom index.Domain, init func(p index.Point, stride int, run []float64)) []float64 {
+	ref, n := make([]float64, dom.Size()), dom.Extent(0)
+	for j := range dom.Extent(1) {
+		init(index.Point{dom.Lo[0], dom.Lo[1] + j}, 1, ref[j*n:(j+1)*n])
+	}
+	return ref
 }
 
 // checksum reduces the final grid of v: with a serial reference, rank 0

@@ -275,8 +275,8 @@ func (cfg PICConfig) withDefaults() PICConfig {
 
 // initPos is Figure 2's initpos: uniform loading, no field yet.
 func initPos(ctx *machine.Ctx, cfg PICConfig, count, field *core.Array) {
-	count.FillFunc(ctx, func(index.Point) float64 { return float64(cfg.InitPerCell) })
-	field.FillFunc(ctx, func(index.Point) float64 { return 0 })
+	count.Fill(ctx, float64(cfg.InitPerCell))
+	field.Fill(ctx, 0)
 }
 
 // picBounds is the bounds half of Figure 2's balance(): COUNT gathered on
@@ -386,11 +386,8 @@ type imbalances struct {
 }
 
 func (b *imbalances) add(ctx *machine.Ctx, count *core.Array) {
-	l := count.Local(ctx)
-	local := 0.0
-	for _, r := range l.Grid().Dims[0] {
-		local += sum(runCells(l, r)) // whole numbers: exact in any order
-	}
+	local := 0.0 // whole numbers: exact in any order
+	count.Local(ctx).ForEachRun(func(_ index.Point, _ int, run []float64) { local += sum(run) })
 	b.pending = append(b.pending, local)
 }
 

@@ -73,6 +73,17 @@ type SmoothResult struct {
 // thinnest segment); 0 leaves it to the model.
 var testDepth int
 
+// smoothInitial writes U's initial values into run, the elements p,
+// p+stride, … of one dimension-0 run (the Local.ForEachRun callback).
+func smoothInitial(p index.Point, stride int, run []float64) {
+	k := p[0]*13 + p[1]*7
+	for j := range min(11, len(run)) {
+		run[j] = float64((k+13*stride*j)%11) * 0.25
+	}
+	for n := 11; n < len(run); n += copy(run[n:], run[:n]) { // the values repeat every 11
+	}
+}
+
 // RunSmoothing performs Steps Jacobi smoothing steps on an N×N grid under
 // the chosen distribution, counting ghost-exchange traffic.
 //
@@ -106,16 +117,9 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 	}
 
 	dom := index.Dim(cfg.N, cfg.N)
-	initial := func(p index.Point) float64 {
-		return float64((p[0]*13+p[1]*7)%11) * 0.25
-	}
 	var ref []float64
 	if cfg.Validate {
-		ref = make([]float64, dom.Size())
-		dom.WholeSection().ForEach(func(p index.Point) bool {
-			ref[dom.Offset(p)] = initial(p)
-			return true
-		})
+		ref = serialGrid(dom, smoothInitial)
 		next := make([]float64, dom.Size())
 		for s := 0; s < cfg.Steps; s++ {
 			kernels.Smooth5(next, ref, cfg.N, cfg.N)
@@ -156,7 +160,7 @@ func RunSmoothing(cfg SmoothConfig) (SmoothResult, error) {
 				v, err = eng.Declare(ctx, core.Decl{Name: "V", Domain: dom, Dynamic: true, ConnectTo: "U", Ghost: ghost})
 				return err
 			},
-			fill: func() error { u.FillFunc(ctx, initial); return nil },
+			fill: func() error { u.Local(ctx).ForEachRun(smoothInitial); return nil },
 			// A checkpoint holds both buffers, and the step it was taken
 			// after gives the parity, so the double-buffer swap resumes
 			// exactly where the lost run stopped; the first block starts

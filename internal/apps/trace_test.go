@@ -43,30 +43,33 @@ func spanOpen(stack []trace.Event, cat, name string) bool {
 // dynamic ADI every data message sent during the "iterate" phase happens
 // inside a DISTRIBUTE span — the sweeps themselves are communication-free.
 // The static-columns run is the control: its pipelined y-sweep sends data
-// during "iterate" with no DISTRIBUTE open.
+// during "iterate" with no DISTRIBUTE open.  The dynamic run goes over
+// channels and over TCP, whose transport gets the tracer too.
 func TestADIDynamicTraceConfinement(t *testing.T) {
 	const np = 4
-	tr := trace.New(np)
-	if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIDynamic, Runtime: Runtime{Tracer: tr}}); err != nil {
-		t.Fatal(err)
-	}
-	inIterate, escaped := 0, 0
-	for rank := 0; rank < np; rank++ {
-		replaySends(tr.Events(rank), func(stack []trace.Event) {
-			if !spanOpen(stack, trace.CatPhase, "iterate") {
-				return
-			}
-			inIterate++
-			if !spanOpen(stack, trace.CatDistribute, "") {
-				escaped++
-			}
-		})
-	}
-	if inIterate == 0 {
-		t.Fatal("no data sends recorded during the iterate phase — tracer not wired?")
-	}
-	if escaped != 0 {
-		t.Errorf("dynamic ADI: %d of %d iterate-phase data sends outside any DISTRIBUTE span", escaped, inIterate)
+	for _, tcp := range []bool{false, true} {
+		tr := trace.New(np)
+		if _, err := RunADI(ADIConfig{NX: 32, NY: 32, Iters: 3, P: np, Mode: ADIDynamic, Runtime: Runtime{Tracer: tr, UseTCP: tcp}}); err != nil {
+			t.Fatal(err)
+		}
+		inIterate, escaped := 0, 0
+		for rank := 0; rank < np; rank++ {
+			replaySends(tr.Events(rank), func(stack []trace.Event) {
+				if !spanOpen(stack, trace.CatPhase, "iterate") {
+					return
+				}
+				inIterate++
+				if !spanOpen(stack, trace.CatDistribute, "") {
+					escaped++
+				}
+			})
+		}
+		if inIterate == 0 {
+			t.Fatalf("tcp=%v: no data sends recorded during the iterate phase — tracer not wired?", tcp)
+		}
+		if escaped != 0 {
+			t.Errorf("dynamic ADI, tcp=%v: %d of %d iterate-phase data sends outside any DISTRIBUTE span", tcp, escaped, inIterate)
+		}
 	}
 
 	// Control: the static distribution communicates inside the sweep.

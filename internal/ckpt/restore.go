@@ -132,7 +132,7 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 			}
 			return nil, fmt.Errorf("ckpt: array %s: domain %v in checkpoint, %v declared", am.Name, dom, arr.Domain())
 		}
-		neu, err := restoredDist(ctx, am, dom)
+		neu, kept, err := restoredDist(ctx, am, dom)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: array %s: rebuilding distribution: %w", am.Name, err)
 		}
@@ -141,11 +141,18 @@ func RestoreOpts(ctx *machine.Ctx, dir string, arrays []*darray.Array, opts Opti
 			return nil, fmt.Errorf("ckpt: array %s: %w", am.Name, err)
 		}
 		locals[ai] = arr.Local(ctx)
+		mine := locals[ai].Grid()
+		if kept && man.NP == np && neu.Standard() && neu.IsPrimaryRank(rank) {
+			// Saved from this arrangement: the rank's file holds its grid.
+			if !mine.Empty() {
+				need[rank] = append(need[rank], piece{ai, mine, mine})
+			}
+			continue
+		}
 		saved, err := replay(am.Dist, dom)
 		if err != nil {
 			return nil, fmt.Errorf("ckpt: array %s: %w", am.Name, err)
 		}
-		mine := locals[ai].Grid()
 		for r := range need {
 			if !saved.IsPrimaryRank(r) {
 				continue
@@ -215,19 +222,19 @@ type piece struct {
 }
 
 // restoredDist is the destination distribution on the live machine: the
-// recorded arrangement when the sizes match exactly, a balanced
+// recorded arrangement when the sizes match exactly (kept), a balanced
 // re-factorization over all np ranks otherwise.  Both directions resize:
 // a restore onto fewer ranks (shrink recovery) compacts the arrangement,
 // and a restore onto more ranks (expand recovery after a join) spreads it
 // so the new members own data instead of idling.
-func restoredDist(ctx *machine.Ctx, am ArrayMeta, dom index.Domain) (*dist.Distribution, error) {
+func restoredDist(ctx *machine.Ctx, am ArrayMeta, dom index.Domain) (*dist.Distribution, bool, error) {
 	oldExt := am.Dist.TargetExtents
 	newExt := oldExt
 	if (virtualTarget{ext: oldExt}).Size() != ctx.NP() {
 		newExt = balancedExtents(ctx.NP(), len(oldExt))
 	}
-	newMeta := am.Dist
-	if !slices.Equal(newExt, oldExt) {
+	newMeta, kept := am.Dist, slices.Equal(newExt, oldExt)
+	if !kept {
 		newMeta = remapDims(am.Dist, newExt)
 	}
 	procName := "$CKPT"
@@ -247,7 +254,7 @@ func restoredDist(ctx *machine.Ctx, am ArrayMeta, dom index.Domain) (*dist.Distr
 		d, err := dist.New(typ, dom, target)
 		return distOrErr{d, err}
 	}).(distOrErr)
-	return neu.d, neu.err
+	return neu.d, kept, neu.err
 }
 
 // restorePlan is rank 0's broadcast at the start of a restore: the

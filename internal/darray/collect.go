@@ -90,8 +90,13 @@ func (a *Array) ReduceSum(ctx *machine.Ctx) (float64, error) {
 	d := a.requireDist(rank)
 	local := 0.0
 	if d.IsPrimaryRank(rank) {
-		l := a.locals[rank]
-		l.ForEachOwned(func(_ index.Point, v *float64) { local += *v })
+		a.locals[rank].ForEachRun(func(_ index.Point, _ int, run []float64) {
+			s := local // in a register for the run: local lives in the closure
+			for _, v := range run {
+				s += v
+			}
+			local = s
+		})
 	}
 	out, err := ctx.Comm().AllreduceF64([]float64{local}, msg.SumF64)
 	if err != nil {

@@ -299,16 +299,23 @@ func (a *Array) accountRMA(ctx *machine.Ctx, owner int) {
 	}
 }
 
-// FillFunc sets every locally owned element to f(p).  Collective only in
-// the sense that each processor fills its part; no communication.
+// FillFunc sets every element the calling processor owns to f(p).
 func (a *Array) FillFunc(ctx *machine.Ctx, f func(p index.Point) float64) {
-	l := a.Local(ctx)
-	l.ForEachOwned(func(p index.Point, v *float64) { *v = f(p) })
+	a.Local(ctx).ForEachRun(func(p index.Point, stride int, run []float64) {
+		for j := range run {
+			run[j] = f(p)
+			p[0] += stride
+		}
+	})
 }
 
 // Fill sets every locally owned element to v.
 func (a *Array) Fill(ctx *machine.Ctx, v float64) {
-	a.FillFunc(ctx, func(index.Point) float64 { return v })
+	a.Local(ctx).ForEachRun(func(_ index.Point, _ int, run []float64) {
+		for j := range run {
+			run[j] = v
+		}
+	})
 }
 
 // String describes the array with the distribution rank 0 holds.
@@ -359,6 +366,9 @@ type Local struct {
 	segHi []int
 	segOK bool
 	seg   [8]int
+	// walk is ForEachRun's point and odometer, up to rank 4, unless walking
+	walk    [8]int
+	walking bool
 }
 
 // lay makes l rank's storage geometry under d in l's own tables and
@@ -570,21 +580,34 @@ func (l *Local) SetAt(p index.Point, v float64) { l.data[l.Offset(p)] = v }
 // Owns reports whether global point p is owned (ghosts excluded).
 func (l *Local) Owns(p index.Point) bool { return l.grid.Contains(p) }
 
-// ForEachOwned calls f with every owned global point and a pointer to its
-// storage.  The point is reused between calls.  Internally this walks the
-// owned set run by run (Grid.ForEachRun): the storage offset is computed
-// once per owned run of dimension 0, whose elements lie next to each
-// other in storage, so filling and reducing stay off the per-point
-// loc_map path.
-func (l *Local) ForEachOwned(f func(p index.Point, v *float64)) {
-	l.grid.ForEachRun(func(p index.Point, r index.Run) bool {
-		off := l.Offset(p)
-		for i := r.Lo; i <= r.Hi; i += r.Stride {
-			p[0] = i
-			f(p, &l.data[off])
-			off++
-		}
+// ForEachRun is the one walk over the owned storage: f gets each owned
+// run of dimension 0, in Grid.ForEachRun's order, as its first point p,
+// its index stride, and run, the storage of p[0], p[0]+stride, …  Under
+// every layout such a run is contiguous in storage (ghosts only surround
+// the owned block; a CYCLIC(k) run is consecutive positions of its run
+// set).  p is reused: f may change p[0], nothing else.
+func (l *Local) ForEachRun(f func(p index.Point, stride int, run []float64)) {
+	buf, outer := l.walk[:], l.walking
+	if outer {
+		buf = nil // a walk inside a walk of l takes a point of its own
+	}
+	l.walking = true
+	l.grid.ForEachRun(buf, func(p index.Point, r index.Run) bool {
+		off, n := l.Offset(p), r.Count()
+		f(p, r.Stride, l.data[off:off+n:off+n])
 		return true
+	})
+	l.walking = outer
+}
+
+// ForEachOwned calls f with every owned global point and a pointer to its
+// storage, in ForEachRun's order.  The point is reused between calls.
+func (l *Local) ForEachOwned(f func(p index.Point, v *float64)) {
+	l.ForEachRun(func(p index.Point, stride int, run []float64) {
+		for j := range run {
+			f(p, &run[j])
+			p[0] += stride
+		}
 	})
 }
 

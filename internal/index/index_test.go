@@ -389,7 +389,7 @@ func TestGridForEachRunMatchesForEach(t *testing.T) {
 	for gi, g := range grids {
 		want := collectPoints(g.ForEach)
 		got := collectPoints(func(f func(Point) bool) {
-			g.ForEachRun(func(p Point, r Run) bool {
+			g.ForEachRun(nil, func(p Point, r Run) bool {
 				if p[0] != r.Lo {
 					t.Fatalf("grid %d: p[0] = %d, want run lo %d", gi, p[0], r.Lo)
 				}
@@ -416,14 +416,14 @@ func TestGridForEachRunMatchesForEach(t *testing.T) {
 
 func TestGridForEachRunEmptyAndEarlyStop(t *testing.T) {
 	empty := Grid{Dims: []RunSet{NewRunSet(NewRun(1, 5, 1)), {}}}
-	empty.ForEachRun(func(Point, Run) bool { t.Fatal("iterated empty grid"); return false })
+	empty.ForEachRun(nil, func(Point, Run) bool { t.Fatal("iterated empty grid"); return false })
 
 	g := Grid{Dims: []RunSet{
 		NewRunSet(NewRun(0, 4, 2), NewRun(7, 9, 1)),
 		NewRunSet(NewRun(0, 1, 1)),
 	}}
 	calls := 0
-	g.ForEachRun(func(Point, Run) bool { calls++; return false })
+	g.ForEachRun(nil, func(Point, Run) bool { calls++; return false })
 	if calls != 1 {
 		t.Fatalf("early stop made %d calls, want 1", calls)
 	}

@@ -361,15 +361,18 @@ func (g Grid) ForEach(f func(Point) bool) {
 // run's elements in order reproduces exactly the ForEach enumeration,
 // with the outer coordinates computed once per span rather than per
 // point.  The Point passed to f is reused between calls; clone it if it
-// must be retained.
-func (g Grid) ForEachRun(f func(p Point, r Run) bool) {
+// must be retained.  buf is the point and odometer when it holds 2·rank
+// ints; otherwise they are allocated.
+func (g Grid) ForEachRun(buf []int, f func(p Point, r Run) bool) {
 	if g.Empty() {
 		return
 	}
 	rank := g.Rank()
-	scratch := make([]int, 2*rank) // one allocation: point + positions
-	p := Point(scratch[:rank])
-	idx := scratch[rank:] // enumeration positions of dims >= 1
+	if len(buf) < 2*rank {
+		buf = make([]int, 2*rank)
+	}
+	p, idx := Point(buf[:rank]), buf[rank:2*rank] // idx: enumeration positions of dims >= 1
+	clear(idx)
 	for k := 1; k < rank; k++ {
 		p[k] = g.Dims[k].At(0)
 	}

@@ -53,9 +53,10 @@ const (
 	// copying a few hundred bytes.
 	tcpCoalesce = 1024
 	// rxFreeCap bounds a connection's free list of receive buffers, and
-	// TCP payloads below rxFreeMin bypass it: the reader allocates them
-	// cheaply and they would only push the bulk buffers out.  (A payload
-	// copied by core.land is copied anyway, so all of those take the list.)
+	// TCP payloads below rxFreeMin bypass it and are carved one after the
+	// next from a chunk of 4·rxFreeMin bytes, which lives while any packet
+	// points into it.  (A payload copied by core.land is copied anyway, so
+	// all of those take the list.)
 	rxFreeCap = 4
 	rxFreeMin = 4096
 )
@@ -234,6 +235,7 @@ type tcpEndpoint struct {
 // endpoint's mailbox until the connection closes.
 func (e *tcpEndpoint) readLoop(from int, c *tcpConn) {
 	hdr := make([]byte, tcpFrameHeader)
+	var chunk []byte // what small payloads are carved from
 	for {
 		if _, err := io.ReadFull(c.conn, hdr); err != nil {
 			return // connection closed
@@ -247,7 +249,10 @@ func (e *tcpEndpoint) readLoop(from int, c *tcpConn) {
 		}
 		p := Packet{From: from, Tag: tag, SendClock: sendClock}
 		if n < rxFreeMin {
-			p.Data = make([]byte, n)
+			if chunk == nil || len(chunk) < n {
+				chunk = make([]byte, 4*rxFreeMin)
+			}
+			p.Data, chunk = chunk[:n:n], chunk[n:]
 		} else {
 			p.Data, p.home = c.free.take(n), &c.free
 		}

@@ -212,12 +212,13 @@ func TestTCPReaderRejectsOversizedLength(t *testing.T) {
 	}
 }
 
-// TestPacketReleaseAliasing: a payload the receiver holds is never
+// TestPacketReleaseAliasing: a payload the receiver holds, from the free
+// list or carved from the reader's chunk (under rxFreeMin), is never
 // touched by later traffic, a released buffer is handed out to one later
 // packet at a time, and releasing twice — or releasing a chan packet — is
 // harmless.
 func TestPacketReleaseAliasing(t *testing.T) {
-	sizes := []int{2 * rxFreeMin, 3 * rxFreeMin}
+	sizes := []int{2 * rxFreeMin, 3 * rxFreeMin, rxFreeMin - 1000}
 	pattern := func(seq, n int) []byte {
 		b := make([]byte, n)
 		for i := range b {
