@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire check-allocs fuzz-distribute soak bench bench-kernels bench-wire examples experiments analyze clean
+.PHONY: all build vet test race loc dead flake check check-halo check-pic check-fault check-recovery check-online check-redist check-expand check-io check-drain check-kernels check-portable check-wire check-allocs check-analysis fuzz-distribute soak bench bench-kernels bench-wire examples experiments analyze clean
 
 all: build check test
 
@@ -43,7 +43,7 @@ dead:
 # corrupt-fault runs — and the benchmark's smoke, which pins the import surface bench/
 # freezes and every replica checksum against its app.  Part of the
 # default target.  It writes no committed file.
-check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire check-allocs
+check: check-fault check-recovery check-online check-redist check-halo check-pic check-expand check-io check-drain check-kernels check-portable check-wire check-allocs check-analysis
 	$(GO) vet ./...
 	$(GO) test -race ./internal/...
 	$(GO) test -race ./cmd/vfrun
@@ -103,6 +103,18 @@ check-allocs:
 	    ./internal/core ./internal/darray ./internal/dist ./internal/ckpt ./internal/apps || exit 1; \
 	done
 	$(GO) test -race -count=1 -run 'TestDistributeResolution|TestIs$$' ./internal/core ./internal/dist
+
+# The §3.1 analysis held to the run, by one alignment rule: the pattern
+# dist.ConstructPattern derives has the kinds of dist.Construct's type,
+# or both refuse, and decided queries agree, over 10 000 seeded (primary
+# type, alignment, processor shape) triples at P = 1-6
+# (TestConstructPatternProperty); aligned arrays' IDT verdicts are the
+# branches a 4-rank run takes (TestStaticVerdictMatchesRun); a stride
+# over CYCLIC is diagnosed (TestStrideOverCyclicDiagnosed); and the five
+# demos' reports equal cmd/vfanalyze/testdata byte for byte
+# (TestDemosComm).  The packages whole: a few seconds.
+check-analysis:
+	$(GO) test -count=1 ./internal/dist ./internal/sem ./internal/analysis ./cmd/vfanalyze
 
 # FuzzDistribute beyond its corpus, on two workers: random 1-D and 2-D
 # crossings of BLOCK, CYCLIC(k), B_BLOCK, S_BLOCK and ':' over 1-6 ranks
@@ -351,6 +363,7 @@ experiments:
 analyze:
 	$(GO) run ./cmd/vfanalyze -demo fig1 -comm
 	$(GO) run ./cmd/vfanalyze -demo fig2 -comm
+	$(GO) run ./cmd/vfanalyze -demo example2 -comm
 	$(GO) run ./cmd/vfanalyze -demo example4 -comm
 
 examples:

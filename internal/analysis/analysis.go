@@ -208,25 +208,17 @@ func Analyze(u *sem.Unit) *Result {
 	st := State{}
 	for _, name := range u.Order {
 		ai := u.Arrays[name]
-		if !ai.Dynamic && ai.Init != nil {
+		switch {
+		case ai.Init != nil:
 			st[name] = TypeSet{{Type: *ai.Init, Target: ai.Target}}
-			continue
-		}
-		if !ai.Dynamic && ai.Align != nil && ai.Primary != nil {
-			st[name] = r.deriveSetThroughAlign(st[ai.Primary.Name], ai)
-			continue
-		}
-		if ai.Dynamic {
-			switch {
-			case ai.Conn == sem.ConnExtract && ai.Primary != nil:
-				st[name] = st[ai.Primary.Name]
-			case ai.Conn == sem.ConnAlign && ai.Primary != nil:
-				st[name] = r.deriveSetThroughAlign(st[ai.Primary.Name], ai)
-			case ai.Init != nil:
-				st[name] = TypeSet{{Type: *ai.Init, Target: ai.Target}}
-			default:
+		case ai.Primary == nil:
+			if ai.Dynamic {
 				st[name] = TypeSet{} // ⊥: not accessible yet
 			}
+		case ai.Conn == sem.ConnExtract:
+			st[name] = st[ai.Primary.Name]
+		default: // a static ALIGN or a CONNECT alignment
+			st[name] = r.alignedSet(ai.Decl.Pos(), ai, ai.Align, st[ai.Primary.Name])
 		}
 	}
 	r.Final = r.stmts(u.Prog.Stmts, st)
@@ -314,12 +306,11 @@ func (r *Result) distribute(stm *lang.DistributeStmt, st State) State {
 		var newSet TypeSet
 		if stm.Align != nil {
 			// alignment form: derived from the target array's reaching set
-			for _, t := range st[stm.Align.DstName] {
-				newSet = newSet.union(TypeSet{{Type: conservativeAligned(t.Type, ai.Rank), Target: t.Target}})
+			with := st[stm.Align.DstName]
+			if len(with) == 0 {
+				with = TypeSet{{Type: dist.AnyPattern()}} // ⊥ or undeclared: anything
 			}
-			if len(newSet) == 0 {
-				newSet = TypeSet{{Type: anyOfRank(ai.Rank)}}
-			}
+			newSet = r.alignedSet(stm.Pos(), ai, stm.Align, with)
 		} else {
 			newSet = r.evalDistExpr(stm, stm.Expr, st)
 		}
@@ -350,7 +341,7 @@ func (r *Result) distribute(stm *lang.DistributeStmt, st State) State {
 			if sec.Conn == sem.ConnExtract {
 				out[sec.Name] = newSet
 			} else {
-				out[sec.Name] = r.deriveSetThroughAlign(newSet, sec)
+				out[sec.Name] = r.alignedSet(stm.Pos(), sec, sec.Align, newSet)
 			}
 		}
 	}
@@ -458,27 +449,16 @@ func (r *Result) armVerdict(stm *lang.SelectStmt, arm lang.CaseArm, st State) Ve
 			}
 			sel = stm.Selectors[qi]
 		}
-		qp := r.Unit.AbstractPattern(q.Pattern)
 		set := st[sel]
 		if len(set) == 0 {
 			// access before distribution: a run-time error; treat as never
 			r.warnf(arm.Pos(), "selector %s may have no distribution at this DCASE", sel)
 			return Maybe
 		}
-		some := false
-		all := true
-		for _, t := range set {
-			if sem.MayMatch(qp, t.Type) {
-				some = true
-			}
-			if !sem.DefMatch(qp, t.Type) {
-				all = false
-			}
-		}
-		if !some {
+		switch v, _ := query(r.Unit.AbstractPattern(q.Pattern), set); v {
+		case Never:
 			return Never
-		}
-		if !all {
+		case Maybe:
 			always = false
 		}
 	}
@@ -499,16 +479,29 @@ func (r *Result) refine(stm *lang.SelectStmt, arm lang.CaseArm, st State) State 
 			}
 			sel = stm.Selectors[qi]
 		}
-		qp := r.Unit.AbstractPattern(q.Pattern)
-		var kept TypeSet
-		for _, t := range out[sel] {
-			if sem.MayMatch(qp, t.Type) {
-				kept = append(kept, t)
-			}
-		}
-		out[sel] = kept
+		_, out[sel] = query(r.Unit.AbstractPattern(q.Pattern), out[sel])
 	}
 	return out
+}
+
+// query partially evaluates query q over a reaching set: Never if no
+// plausible distribution may match it, Always if every one must, and
+// the members that may match.
+func query(q dist.Pattern, set TypeSet) (Verdict, TypeSet) {
+	v := Always
+	var kept TypeSet
+	for _, t := range set {
+		if sem.MayMatch(q, t.Type) {
+			kept = append(kept, t)
+		}
+		if !sem.DefMatch(q, t.Type) {
+			v = Maybe
+		}
+	}
+	if len(kept) == 0 {
+		return Never, nil
+	}
+	return v, kept
 }
 
 // ifStmt partially evaluates IDT conditions and joins the branches.
@@ -539,31 +532,17 @@ func (r *Result) ifStmt(stm *lang.IfStmt, st State) State {
 func (r *Result) condVerdict(e lang.Expr, st State) (Verdict, State) {
 	switch ex := e.(type) {
 	case *lang.IDTExpr:
-		qp := r.Unit.AbstractPattern(ex.Pattern)
 		set := st[ex.Array]
 		if len(set) == 0 {
 			return Maybe, st
 		}
-		some, all := false, true
-		var kept TypeSet
-		for _, t := range set {
-			if sem.MayMatch(qp, t.Type) {
-				some = true
-				kept = append(kept, t)
-			}
-			if !sem.DefMatch(qp, t.Type) {
-				all = false
-			}
-		}
-		if !some {
+		v, kept := query(r.Unit.AbstractPattern(ex.Pattern), set)
+		if v == Never {
 			return Never, st
 		}
 		ref := st.clone()
 		ref[ex.Array] = kept
-		if all {
-			return Always, ref
-		}
-		return Maybe, ref
+		return v, ref
 	case *lang.BinExpr:
 		if ex.Op == lang.AND {
 			lv, lst := r.condVerdict(ex.L, st)
@@ -640,72 +619,23 @@ func (r *Result) recordRef(ref *lang.Ref, st State) {
 	}
 }
 
-// deriveSetThroughAlign derives a secondary's reaching set from its
-// primary's, conservatively transforming kinds (identity axes keep the
-// kind; offset/stride axes over block-family dimensions become general
-// block; unreferenced dims elide).
-func (r *Result) deriveSetThroughAlign(primSet TypeSet, ai *sem.ArrayInfo) TypeSet {
+// alignedSet derives the reaching set of array ai, aligned by spec with
+// an array that reaches prim: each plausible distribution through
+// dist.ConstructPattern, the abstraction of the rule dist.Construct
+// applies at run time.  A derivation the run would refuse is reported
+// at pos.  A spec sem refused decodes to no axes, which derives "*" in
+// every dimension.
+func (r *Result) alignedSet(pos lang.Pos, ai *sem.ArrayInfo, spec *lang.AlignSpec, prim TypeSet) TypeSet {
+	al, _ := r.Unit.Alignment(spec, ai.Rank)
 	var out TypeSet
-	for _, t := range primSet {
-		out = out.union(TypeSet{{Type: r.alignedPattern(t.Type, ai), Target: t.Target}})
+	for _, t := range prim {
+		p, err := dist.ConstructPattern(al, t.Type, ai.Rank)
+		if err != nil {
+			r.errf(pos, "%s aligned with %s under %v: %v", ai.Name, spec.DstName, t.Type, err)
+		}
+		out = out.union(TypeSet{{Type: p, Target: t.Target}})
 	}
 	return out
-}
-
-// alignedPattern maps the primary's abstract type through ai.Align.
-func (r *Result) alignedPattern(primType dist.Pattern, ai *sem.ArrayInfo) dist.Pattern {
-	if primType.Any || ai.Align == nil {
-		return anyOfRank(ai.Rank)
-	}
-	dims := make([]dist.DimPattern, ai.Rank)
-	for i := range dims {
-		dims[i] = dist.PElided() // unreferenced source dims elide
-	}
-	for j, e := range ai.Align.DstIdx {
-		if j >= len(primType.Dims) {
-			break
-		}
-		// which source index forms target dim j?
-		name, stride, offset, ok := r.Unit.AffineOf(e, ai.Align.SrcIdx)
-		if !ok || name == "" {
-			continue // constant axis: pins a coordinate, no source dim
-		}
-		srcDim := slices.Index(ai.Align.SrcIdx, name)
-		if srcDim >= len(dims) {
-			continue
-		}
-		pd := primType.Dims[j]
-		identity := stride == 1 && offset == 0
-		switch {
-		case pd.Any:
-			dims[srcDim] = dist.PAny()
-		case pd.Kind == dist.Cyclic:
-			dims[srcDim] = pd // K preserved; phase invisible to matching
-		case pd.Kind == dist.Elided:
-			dims[srcDim] = dist.PElided()
-		case identity:
-			dims[srcDim] = pd
-		default:
-			dims[srcDim] = dist.PBBlock() // derived general block
-		}
-	}
-	return dist.NewPattern(dims...)
-}
-
-func anyOfRank(rank int) dist.Pattern {
-	dims := make([]dist.DimPattern, rank)
-	for i := range dims {
-		dims[i] = dist.PAny()
-	}
-	return dist.NewPattern(dims...)
-}
-
-// conservativeAligned approximates an alignment-form DISTRIBUTE target.
-func conservativeAligned(t dist.Pattern, rank int) dist.Pattern {
-	if t.Any || len(t.Dims) != rank {
-		return anyOfRank(rank)
-	}
-	return t
 }
 
 // Report renders the analysis result as text (used by cmd/vfanalyze).

@@ -282,8 +282,8 @@ CALL USE(A)
 		t.Fatalf("refs: %v", sets)
 	}
 	// A's dim0 follows B's dim1 (CYCLIC(2)); A's dim1 follows B's dim0
-	// (BLOCK, identity -> kind preserved)
-	if !strings.Contains(sets[0], "(CYCLIC(2),BLOCK)") {
+	// (BLOCK: the preimage of its segments is a general block)
+	if !strings.Contains(sets[0], "(CYCLIC(2),B_BLOCK(*))") {
 		t.Fatalf("aligned set: %s", sets[0])
 	}
 }

@@ -245,10 +245,10 @@ DO J = 1, N
 ENDDO
 `, 4)
 	infos := infosFor(cr, "D")
-	if len(infos) != 1 || infos[0].String() != "D under (BLOCK,:): shift dim 1 width 1" {
+	if len(infos) != 1 || infos[0].String() != "D under (B_BLOCK(*),:): shift dim 1 width 1" {
 		t.Fatalf("D: %+v", infos)
 	}
-	if m := memFor(t, cr, "D", "(BLOCK,:)"); m.Ghost != 2*1*16 {
+	if m := memFor(t, cr, "D", "(B_BLOCK(*),:)"); m.Ghost != 2*1*16 {
 		t.Fatalf("D estimate: %+v", m)
 	}
 }

@@ -37,7 +37,12 @@ type ListingResult struct {
 // end.  A program without one is all fresh start and one empty
 // iteration.  A checkpoint's meta holds the scalars (PARAMETERs and $NP
 // aside) and names the arrays whose bounds read $NP (ckpt.PerProcessor).
+// A listing's distributions are its own, so it cannot take the
+// "rebalance" straggler policy: that is refused before a rank starts.
 func RunListing(unit *sem.Unit, p int, rt Runtime) (*ListingResult, error) {
+	if rt.Straggler.Policy == "rebalance" {
+		return nil, errors.New("apps: a listing cannot take the rebalance straggler policy: its distributions are its own")
+	}
 	l := unit.Cut(p)
 	res := &ListingResult{}
 	err := run(runConfig{P: p, Iters: l.Trips, Runtime: rt}, &res.Outcome, func(ctx *machine.Ctx) app {
@@ -64,7 +69,6 @@ func RunListing(unit *sem.Unit, p int, rt Runtime) (*ListingResult, error) {
 				}
 				return err
 			},
-			rebalance: func([]float64) error { return errors.New("apps: a listing's distributions are its own to rebalance") },
 			step: func(it int) error {
 				if l.Loop == nil {
 					return nil

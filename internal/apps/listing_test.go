@@ -3,6 +3,8 @@ package apps
 import (
 	"fmt"
 	"math"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -131,4 +133,30 @@ func TestOnlineRecoverFig2(t *testing.T) {
 			began[0][len(began[0])-1], began[1][0], redone, rt.CkptEvery)
 	}
 	sameSums(t, "online recovery", res, plain, "FIELD", "COUNT")
+}
+
+// TestListingRejectsRebalance: a listing's distributions are its own, so
+// RunListing refuses the rebalance straggler policy before a rank
+// starts: the error comes back and no checkpoint was written, though the
+// run asks for one after every trip.
+func TestListingRejectsRebalance(t *testing.T) {
+	unit := checked(t, `
+PARAMETER (N = 12)
+REAL A(N) DYNAMIC, DIST(BLOCK)
+DO K = 1, 4
+  FORALL I = 1, N
+    A(I) = A(I) + 1
+  ENDFORALL
+ENDDO
+`)
+	dir := t.TempDir()
+	rt := Runtime{CkptDir: dir, CkptEvery: 1, CommTimeout: time.Second,
+		Straggler: StragglerConfig{HealthWindow: 2, Policy: "rebalance"}}
+	_, err := RunListing(unit, 4, rt)
+	if err == nil || !strings.Contains(err.Error(), "rebalance") {
+		t.Fatalf("RunListing with the rebalance policy: err = %v, want a refusal", err)
+	}
+	if files, _ := os.ReadDir(dir); len(files) > 0 {
+		t.Fatalf("a refused run wrote %d checkpoint entries", len(files))
+	}
 }

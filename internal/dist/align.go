@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
@@ -134,18 +135,10 @@ func (al Alignment) String() string {
 // Construct realizes the paper's CONSTRUCT(α_A, δ_B) (§2.1): given the
 // distribution of B and an alignment of A with B, derive A's distribution
 // so that δ_A(i) = δ_B(α_A(i)) — aligned elements are guaranteed to
-// reside on the same processors.
-//
-// The derivation is exact for the supported alignment forms:
-//
-//   - identity/offset/stride axes over block-family dimensions become
-//     B_BLOCK with preimaged bounds,
-//   - identity/offset axes over CYCLIC dimensions become phase-shifted
-//     CYCLIC (stride > 1 over CYCLIC is rejected — ownership would not be
-//     expressible per-dimension),
-//   - constant axes pin the corresponding target dimension's coordinate,
-//   - source dimensions not referenced by the alignment are elided (the
-//     owner does not depend on them).
+// reside on the same processors.  Each axis follows alignedKind; the
+// derivation is exact: a B_BLOCK axis takes the preimages of B's segment
+// bounds, a CYCLIC axis B's block length with its phase shifted by the
+// offset, and a constant axis pins B's owning coordinate.
 func Construct(al Alignment, bDist *Distribution, aDom index.Domain) (*Distribution, error) {
 	bDom := bDist.Domain()
 	if err := al.Validate(aDom, bDom); err != nil {
@@ -170,44 +163,99 @@ func Construct(al Alignment, bDist *Distribution, aDom index.Domain) (*Distribut
 			}
 			continue
 		}
-		if !bSpec.Distributed() || td < 0 {
-			continue // A's source dim stays elided: locality unconstrained
+		kind, err := alignedKind(m, j, bSpec.Kind)
+		if err != nil {
+			return nil, err
 		}
-		np := bDist.target.Extent(td)
 		s, o := m.stride(), m.Offset
 		aLo, aHi := aDom.Lo[m.SrcDim], aDom.Hi[m.SrcDim]
-		var derived DimSpec
-		switch bSpec.Kind {
-		case Block, SBlock, BBlock:
+		switch kind {
+		case Elided:
+			continue // A's source dim stays elided: locality unconstrained
+		case BBlock:
+			np := bDist.target.Extent(td)
 			bounds := make([]int, np)
 			for p := 0; p < np; p++ {
 				_, shi := bSpec.segBounds(p, bDom.Lo[j], bDom.Extent(j), np)
 				// preimage upper bound: largest x with s*x+o <= shi
-				b := floorDiv(shi-o, s)
-				if b < aLo-1 {
-					b = aLo - 1
-				}
-				if b > aHi {
-					b = aHi
-				}
-				bounds[p] = b
+				bounds[p] = min(max(floorDiv(shi-o, s), aLo-1), aHi)
 			}
 			bounds[np-1] = aHi
-			derived = DimSpec{Kind: BBlock, Bounds: bounds}
+			specs[m.SrcDim] = DimSpec{Kind: BBlock, Bounds: bounds}
 		case Cyclic:
-			if s != 1 {
-				return nil, fmt.Errorf("dist: alignment stride %d over CYCLIC dimension %d not supported", s, j+1)
-			}
-			derived = DimSpec{Kind: Cyclic, K: normK(bSpec.K),
-				Phase: bSpec.normPhase(np) + (aLo + o - bDom.Lo[j])}
-		default:
-			return nil, fmt.Errorf("dist: cannot derive through %v dimension", bSpec.Kind)
+			specs[m.SrcDim] = DimSpec{Kind: Cyclic, K: normK(bSpec.K),
+				Phase: bSpec.normPhase(bDist.target.Extent(td)) + (aLo + o - bDom.Lo[j])}
 		}
-		specs[m.SrcDim] = derived
 		procDim[m.SrcDim] = td
 	}
 	typ := NewType(specs...)
 	return newBound(typ, aDom, bDist.target, procDim, fixed)
+}
+
+// alignedKind is CONSTRUCT's rule for one axis: the kind A's source
+// dimension takes from target dimension j of B, of kind k, that the
+// non-constant axis m maps it to.  An affine axis over a block-family
+// dimension gives B_BLOCK, identity included: §2.1 asks only that
+// δ_A(i) = δ_B(α_A(i)), and a preimage of BLOCK segments is a general
+// block whatever the axis.  A stride-1 axis over CYCLIC(K) stays
+// CYCLIC(K); a stride over CYCLIC is refused, since its owners repeat
+// with a period no per-dimension specifier expresses.  An elided
+// dimension leaves its source dimension elided, like a source dimension
+// no axis references.
+func alignedKind(m AxisMap, j int, k Kind) (Kind, error) {
+	switch k {
+	case Elided:
+		return Elided, nil
+	case Block, SBlock, BBlock:
+		return BBlock, nil
+	case Cyclic:
+		if s := m.stride(); s != 1 {
+			return 0, fmt.Errorf("dist: alignment stride %d over CYCLIC dimension %d not supported", s, j+1)
+		}
+		return Cyclic, nil
+	}
+	return 0, fmt.Errorf("dist: cannot derive through %v dimension", k)
+}
+
+// ConstructPattern is Construct on abstract types, the form the §3.1
+// analysis needs: the pattern that every distribution Construct derives
+// through al, for a rank-rank array, from a distribution of type b
+// matches.  A "*" dimension of b, or a b of another rank than al, leaves
+// its source dimensions "*".  Where alignedKind refuses an axis the
+// source dimension widens to "*" and the refusal is returned beside the
+// pattern: the run would stop there.
+func ConstructPattern(al Alignment, b Pattern, rank int) (Pattern, error) {
+	dims := make([]DimPattern, rank)
+	if b.Any || len(b.Dims) != len(al.Maps) {
+		for i := range dims {
+			dims[i] = PAny()
+		}
+		return NewPattern(dims...), nil
+	}
+	for i := range dims {
+		dims[i] = PElided() // unless an axis references it
+	}
+	var err error
+	for j, m := range al.Maps {
+		d := b.Dims[j]
+		if m.Const {
+			continue
+		}
+		if d.Any {
+			dims[m.SrcDim] = PAny()
+			continue
+		}
+		switch kind, e := alignedKind(m, j, d.Kind); {
+		case e != nil:
+			dims[m.SrcDim] = PAny()
+			err = cmp.Or(err, e)
+		case kind == BBlock:
+			dims[m.SrcDim] = PBBlock() // its bounds are the run's
+		case kind == Cyclic:
+			dims[m.SrcDim] = d // K kept; the phase is invisible to a query
+		}
+	}
+	return NewPattern(dims...), err
 }
 
 // Extract realizes distribution extraction "CONNECT (=B)" (§2.3): apply

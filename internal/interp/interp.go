@@ -362,20 +362,20 @@ func (st *State) declare(stm *lang.DeclStmt) error {
 			if stm.Connect.Extract != "" {
 				decl.ConnectTo = stm.Connect.Extract
 			} else {
-				al, err := st.alignment(stm.Connect.Align, dom)
+				al, err := st.Unit.Alignment(stm.Connect.Align, dom.Rank())
 				if err != nil {
 					return err
 				}
 				decl.ConnectTo = stm.Connect.Align.DstName
-				decl.Align = al
+				decl.Align = &al
 			}
 		case stm.Align != nil:
-			al, err := st.alignment(stm.Align, dom)
+			al, err := st.Unit.Alignment(stm.Align, dom.Rank())
 			if err != nil {
 				return err
 			}
 			decl.AlignWith = stm.Align.DstName
-			decl.StaticAlign = al
+			decl.StaticAlign = &al
 		case stm.Dist != nil:
 			spec, err := st.distSpec(stm.Dist)
 			if err != nil {
@@ -404,30 +404,6 @@ func (st *State) declare(stm *lang.DeclStmt) error {
 		st.arrays[dn.Name] = a
 	}
 	return nil
-}
-
-// alignment converts a source-level AlignSpec into a dist.Alignment.
-func (st *State) alignment(al *lang.AlignSpec, srcDom index.Domain) (*dist.Alignment, error) {
-	maps := make([]dist.AxisMap, len(al.DstIdx))
-	for j, e := range al.DstIdx {
-		name, stride, offset, ok := st.Unit.AffineOf(e, al.SrcIdx)
-		if !ok {
-			return nil, fmt.Errorf("alignment subscript %v is not affine", e)
-		}
-		if name == "" {
-			maps[j] = dist.AxisConst(offset)
-			continue
-		}
-		srcDim := -1
-		for i, n := range al.SrcIdx {
-			if n == name {
-				srcDim = i
-			}
-		}
-		maps[j] = dist.AxisAffine(srcDim, stride, offset)
-	}
-	a := dist.NewAlignment(maps...)
-	return &a, nil
 }
 
 // distSpec evaluates a distribution expression to a core.DistSpec.
@@ -582,11 +558,11 @@ func (st *State) distributeExec(stm *lang.DistributeStmt) error {
 		nt = append(nt, a)
 	}
 	if stm.Align != nil {
-		al, err := st.alignment(stm.Align, arrays[0].Domain())
+		al, err := st.Unit.Alignment(stm.Align, arrays[0].Domain().Rank())
 		if err != nil {
 			return err
 		}
-		return st.In.Engine.Distribute(st.Ctx, arrays, core.AlignWith(stm.Align.DstName, *al), core.NoTransfer(nt...))
+		return st.In.Engine.Distribute(st.Ctx, arrays, core.AlignWith(stm.Align.DstName, al), core.NoTransfer(nt...))
 	}
 	// build the expression; extraction components read current types
 	dims := make([]core.DimExpr, len(stm.Expr.Dims))

@@ -295,34 +295,50 @@ func (u *Unit) declStmt(st *lang.DeclStmt) {
 	}
 }
 
-// checkAlign validates an alignment spec syntactically: the source index
-// list must cover distinct names, target expressions must reference only
-// those names (affinely) or constants, and ranks must agree.
+// checkAlign reports what makes an alignment of src with dst illegal:
+// a target rank other than dst's, and whatever Alignment refuses.
 func (u *Unit) checkAlign(pos lang.Pos, src, dst *ArrayInfo, al *lang.AlignSpec) {
-	if len(al.SrcIdx) != src.Rank {
-		u.errf(pos, "%s: alignment lists %d source indices for rank-%d array", src.Name, len(al.SrcIdx), src.Rank)
-	}
 	if len(al.DstIdx) != dst.Rank {
 		u.errf(pos, "%s: alignment has %d target subscripts for rank-%d array %s", src.Name, len(al.DstIdx), dst.Rank, dst.Name)
 	}
-	seen := map[string]bool{}
-	for _, n := range al.SrcIdx {
-		if seen[n] {
-			u.errf(pos, "%s: duplicate alignment index %s", src.Name, n)
-		}
-		seen[n] = true
+	if _, err := u.Alignment(al, src.Rank); err != nil {
+		u.errf(pos, "%s: %v", src.Name, err)
 	}
-	used := map[string]bool{}
-	for _, e := range al.DstIdx {
-		if name, _, _, isAffine := u.AffineOf(e, al.SrcIdx); isAffine && name != "" {
-			if used[name] {
-				u.errf(pos, "%s: alignment index %s used twice", src.Name, name)
-			}
-			used[name] = true
-		} else if _, isConst := u.EvalConst(e); !isConst && !isAffine {
-			u.errf(pos, "%s: alignment subscript %v is neither affine in an index nor constant", src.Name, e)
+}
+
+// Alignment decodes the ALIGN text of a rank-rank array — A(I,J) WITH
+// B(J, 2*I+1, 3) — into the index mapping dist.Construct applies: one
+// axis map per target subscript, affine with a positive stride in one
+// of the distinct source indices, each used once, or constant.  It is
+// the one reading of an ALIGN's subscripts: checkAlign reports its
+// errors, and the interpreter and the analysis derive through what it
+// returns.
+func (u *Unit) Alignment(al *lang.AlignSpec, rank int) (dist.Alignment, error) {
+	if len(al.SrcIdx) != rank {
+		return dist.Alignment{}, fmt.Errorf("alignment lists %d source indices for rank-%d array", len(al.SrcIdx), rank)
+	}
+	for i, n := range al.SrcIdx {
+		if slices.Contains(al.SrcIdx[:i], n) {
+			return dist.Alignment{}, fmt.Errorf("duplicate alignment index %s", n)
 		}
 	}
+	maps := make([]dist.AxisMap, len(al.DstIdx))
+	used := make([]bool, rank)
+	for j, e := range al.DstIdx {
+		name, stride, offset, ok := u.AffineOf(e, al.SrcIdx)
+		i := slices.Index(al.SrcIdx, name)
+		switch {
+		case !ok || name != "" && stride < 1:
+			return dist.Alignment{}, fmt.Errorf("alignment subscript %v is neither constant nor affine in one index with a positive stride", e)
+		case name == "":
+			maps[j] = dist.AxisConst(offset)
+		case used[i]:
+			return dist.Alignment{}, fmt.Errorf("alignment index %s used twice", name)
+		default:
+			used[i], maps[j] = true, dist.AxisAffine(i, stride, offset)
+		}
+	}
+	return dist.NewAlignment(maps...), nil
 }
 
 // AffineOf decomposes e as stride*IDX + offset over one of the given
@@ -601,6 +617,12 @@ func (u *Unit) checkExpr(e lang.Expr) {
 }
 
 func (u *Unit) checkDistribute(st *lang.DistributeStmt) {
+	var with *ArrayInfo
+	if st.Align != nil {
+		if with = u.Arrays[st.Align.DstName]; with == nil {
+			u.errf(st.Pos(), "DISTRIBUTE alignment with unknown array %s", st.Align.DstName)
+		}
+	}
 	for _, n := range st.Names {
 		ai, ok := u.Arrays[n]
 		if !ok {
@@ -616,6 +638,9 @@ func (u *Unit) checkDistribute(st *lang.DistributeStmt) {
 		if st.Expr != nil && len(st.Expr.Dims) != ai.Rank {
 			u.errf(st.Pos(), "DISTRIBUTE %s: expression has %d components for rank-%d array", n, len(st.Expr.Dims), ai.Rank)
 		}
+		if with != nil {
+			u.checkAlign(st.Pos(), ai, with, st.Align)
+		}
 	}
 	if st.Expr != nil {
 		for _, d := range st.Expr.Dims {
@@ -629,11 +654,6 @@ func (u *Unit) checkDistribute(st *lang.DistributeStmt) {
 			}
 		}
 		u.checkTarget(st.Pos(), "", st.Expr)
-	}
-	if st.Align != nil {
-		if _, ok := u.Arrays[st.Align.DstName]; !ok {
-			u.errf(st.Pos(), "DISTRIBUTE alignment with unknown array %s", st.Align.DstName)
-		}
 	}
 	// NOTRANSFER members must be secondaries of the distributed classes
 	for _, n := range st.NoTransfer {

@@ -124,6 +124,9 @@ func TestErrors(t *testing.T) {
 		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  IF (I .GT. 4) THEN\n    DISTRIBUTE A :: (CYCLIC)\n  ENDIF\nENDFORALL\n", "DISTRIBUTE not allowed inside FORALL"},
 		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  DO J = 1, 2\n    DISTRIBUTE A :: (CYCLIC)\n  ENDDO\nENDFORALL\n", "DISTRIBUTE not allowed inside FORALL"},
 		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  IF (I .GT. 4) THEN\n    SELECT DCASE (A)\n    CASE DEFAULT\n    END SELECT\n  ENDIF\nENDFORALL\n", "DCASE not allowed inside FORALL"},
+		{"REAL C(4,4) DIST(BLOCK,:)\nREAL D(4,4) ALIGN D(I,J) WITH C(I,I)\n", "alignment index I used twice"},
+		{"REAL C(16) DIST(BLOCK)\nREAL D(4) ALIGN D(I) WITH C(I*I)\n", "neither constant nor affine"},
+		{"REAL C(4,4) DYNAMIC, DIST(BLOCK,:)\nREAL D(4) DYNAMIC\nDISTRIBUTE D :: D(I,J) WITH C(J,I)\n", "2 source indices for rank-1 array"},
 	}
 	for _, c := range cases {
 		u := analyze(t, c.src)
