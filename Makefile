@@ -305,7 +305,8 @@ check-portable:
 # packet at a time), the warm allocation bounds of a TCP round trip, of
 # a gathered offer over TCP+CRC (none) and of a timed receive, each
 # decorator's hold on both sends and both receives and one exchange
-# alike over all sixteen transport stacks, the word-wise XOR against the byte loop, the rank files and the parity
+# alike over all sixteen transport stacks, a window offer booked once by
+# the transport on chan and TCP alike, the word-wise XOR against the byte loop, the rank files and the parity
 # fold (files byte-identical to a point-by-point image on 1-8 ranks, exact
 # counts, the modelled critical path, a short partial failing the epoch,
 # the rank-file parser's and the manifest decoder's fuzz seeds) — then the
@@ -313,7 +314,7 @@ check-portable:
 # detector on one and on two processors, since buffers now change hands
 # between the reader goroutines and the ranks.
 check-wire:
-	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestLayerInterception|TestStackConformance|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
+	$(GO) test -race -count=1 -run 'TestTCPFrameGolden|FuzzTCPFrameHeader|TestAllgatherRejectsBadFrames|FuzzAllgatherFrame|FuzzRectValidate|TestTCPReaderRejectsOversizedLength|TestTCPSendRefusesOversizedFrame|TestPacketReleaseAliasing|TestTCPSteadyStateAllocs|TestTCPGatheredOfferAllocs|TestRecvTimeoutCheap|TestLayerInterception|TestStackConformance|TestWindowOfferPullRing|TestXorIntoWords|TestSaveCounts|TestSaveShortPartialFailsEpoch|TestParityFoldMatrix|TestSaveCriticalPath|FuzzStripePayloads|FuzzManifest' \
 	  ./internal/msg ./internal/pario ./internal/ckpt
 	GOMAXPROCS=1 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
 	GOMAXPROCS=2 $(GO) test -race -count=1 ./internal/msg ./internal/ckpt ./internal/pario
@@ -366,6 +367,8 @@ analyze:
 	$(GO) run ./cmd/vfanalyze -demo example2 -comm
 	$(GO) run ./cmd/vfanalyze -demo example4 -comm
 
+# Every example at a small size, then each one's Example (default flags,
+# checked output; tier-1 runs those too).
 examples:
 	$(GO) run ./examples/quickstart
 	$(GO) run ./examples/adi -nx 64 -ny 64 -iters 2
@@ -373,6 +376,7 @@ examples:
 	$(GO) run ./examples/smoothing -n 128
 	$(GO) run ./examples/dcase
 	$(GO) run ./examples/connect
+	$(GO) test ./examples/...
 
 clean:
 	$(GO) clean ./...

@@ -27,12 +27,17 @@ import (
 	"repro/internal/kernels"
 )
 
+// The flags are package-level, so main may run more than once in a
+// process (its Example).
+var (
+	nx        = flag.Int("nx", 100, "grid extent in x")
+	ny        = flag.Int("ny", 100, "grid extent in y")
+	np        = flag.Int("p", 4, "number of processors")
+	iters     = flag.Int("iters", 3, "ADI iterations")
+	traceFile = flag.String("trace", "", "write a Chrome trace_event JSON trace to FILE and print the per-phase summary")
+)
+
 func main() {
-	nx := flag.Int("nx", 100, "grid extent in x")
-	ny := flag.Int("ny", 100, "grid extent in y")
-	np := flag.Int("p", 4, "number of processors")
-	iters := flag.Int("iters", 3, "ADI iterations")
-	traceFile := flag.String("trace", "", "write a Chrome trace_event JSON trace to FILE and print the per-phase summary")
 	flag.Parse()
 
 	var mopts []vienna.MachineOption

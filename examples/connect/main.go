@@ -50,10 +50,11 @@ func main() {
 			fmt.Printf("alignment invariant: owner A2(3,5) = %d, owner B(5,3) = %d\n",
 				a2.DistOf(ctx.Rank()).Owner(vienna.Point{3, 5}), b.DistOf(ctx.Rank()).Owner(vienna.Point{5, 3}))
 		}
-		ctx.Barrier()
-
-		// One DISTRIBUTE moves the whole class; A1's data stays put.
+		// One DISTRIBUTE moves the whole class; A1's data stays put.  The
+		// traffic base is taken before the barrier: past it, other ranks
+		// may already be sending.
 		base := m.Stats().Snapshot()
+		ctx.Barrier()
 		e.MustDistribute(ctx, []*vienna.Array{b},
 			vienna.DimsOf(vienna.Cyclic(1), vienna.Block()).To(g.Whole()), vienna.NoTransfer(a1))
 		ctx.Barrier()

@@ -31,12 +31,17 @@ import (
 	"repro/internal/apps"
 )
 
+// The flags are package-level, so main may run more than once in a
+// process (its Example).
+var (
+	ncell     = flag.Int("ncell", 256, "number of cells")
+	steps     = flag.Int("steps", 60, "time steps")
+	np        = flag.Int("p", 4, "number of processors")
+	rebalance = flag.Bool("rebalance", true, "enable B_BLOCK rebalancing (Figure 2)")
+	drift     = flag.Float64("drift", 0.25, "fraction of particles drifting per step")
+)
+
 func main() {
-	ncell := flag.Int("ncell", 256, "number of cells")
-	steps := flag.Int("steps", 60, "time steps")
-	np := flag.Int("p", 4, "number of processors")
-	rebalance := flag.Bool("rebalance", true, "enable B_BLOCK rebalancing (Figure 2)")
-	drift := flag.Float64("drift", 0.25, "fraction of particles drifting per step")
 	flag.Parse()
 
 	res, err := apps.RunPIC(apps.PICConfig{
@@ -61,5 +66,4 @@ func main() {
 	fmt.Printf("  final:    %.3f (peak %.3f, mean %.3f)\n",
 		res.FinalImbalance, res.PeakImbalance, res.MeanImbalance)
 	fmt.Printf("redistributions: %d (%d bytes moved by DISTRIBUTE)\n", res.Redistributions, res.RedistBytes)
-	fmt.Printf("wall time: %v\n", res.Wall)
 }

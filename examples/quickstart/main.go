@@ -53,7 +53,7 @@ func main() {
 		b.FillFunc(ctx, func(p vienna.Point) float64 { return float64(p[0]*10 + p[1]) })
 		ctx.Barrier()
 		if ctx.Rank() == 0 {
-			fmt.Println("declared:", c, "\n         ", b, "\n         ", a)
+			fmt.Printf("declared: %v\n          %v\n          %v\n", c, b, a)
 			fmt.Printf("owner of B(5,5): processor %d\n", b.DistOf(ctx.Rank()).Owner(vienna.Point{5, 5}))
 			fmt.Printf("B's type: %v   A follows: %v\n", b.DistType(ctx.Rank()), a.DistType(ctx.Rank()))
 		}

@@ -17,7 +17,8 @@ import (
 // 1 in its THEN branch and 2 in its ELSE branch; every verdict here is
 // definite.  An identity axis over BLOCK derives B_BLOCK, so D is never
 // (BLOCK, :), whether aligned statically, by DISTRIBUTE … WITH
-// (transposed) or as a CONNECT secondary of a redistributed primary.
+// (transposed), with a constant subscript (N/2, folded) or as a CONNECT
+// secondary of a redistributed primary.
 func TestStaticVerdictMatchesRun(t *testing.T) {
 	for name, src := range map[string]string{
 		"static-identity": `
@@ -46,6 +47,21 @@ ELSE
   X1 = 2
 ENDIF
 IF (IDT(D, (:, B_BLOCK(*)))) THEN
+  X2 = 1
+ELSE
+  X2 = 2
+ENDIF
+`,
+		"static-constant-quotient": `
+PARAMETER (N = 16)
+REAL C(N,N) DIST (BLOCK, :)
+REAL D(N) ALIGN D(I) WITH C(I, N/2)
+IF (IDT(D, (BLOCK))) THEN
+  X1 = 1
+ELSE
+  X1 = 2
+ENDIF
+IF (IDT(D, (B_BLOCK(*)))) THEN
   X2 = 1
 ELSE
   X2 = 2

@@ -98,7 +98,7 @@ func (t *core) shut() bool {
 // free list, which only Packet.Release refills, and the packet in to's
 // mailbox.
 func (t *core) land(from, to, tag int, g gather, clock float64) error {
-	p := Packet{From: from, Tag: tag, Data: make([]byte, 0), SendClock: clock}
+	p := Packet{From: from, Tag: tag, Data: make([]byte, 0), SendClock: clock, stands: g.stands}
 	if n := g.len(); n > 0 {
 		f := &t.free[from*t.np+to]
 		p.Data, p.home = f.take(n), f
@@ -128,7 +128,8 @@ func (e *port) Send(to, tag int, data []byte) error {
 
 // sendGather implements gatherSender: the checks and the accounting of
 // every send, then the transport's delivery.  A refused send is not
-// counted.
+// counted.  The frame limit bounds the bytes the message carries; the
+// accounting books those plus the payload it stands for.
 func (e *port) sendGather(to, tag int, g gather) error {
 	t := e.t
 	if t.closed.Load() {
@@ -141,6 +142,7 @@ func (e *port) sendGather(to, tag int, g gather) error {
 	if n > maxFrame {
 		return fmt.Errorf("msg: send: rank %d to %d: payload of %d bytes exceeds the frame limit of %d", e.rank, to, n, maxFrame)
 	}
+	n += g.stands
 	var clock float64
 	if t.cost != nil {
 		clock = t.cost.OnSend(e.rank, n)
@@ -159,14 +161,15 @@ func (e *port) RecvTimeout(from, tag int, d time.Duration) (Packet, error) {
 }
 
 // recv takes the first packet matching (from, tag) out of the rank's
-// mailbox — waiting at most d when d > 0 — and accounts it.
+// mailbox — waiting at most d when d > 0 — and accounts it, with the
+// payload it stands for.
 func (e *port) recv(from, tag int, d time.Duration) (Packet, error) {
 	t := e.t
 	p, err := t.boxes[e.rank].get(from, tag, d)
 	if err != nil {
 		return p, err
 	}
-	n := len(p.Data)
+	n := len(p.Data) + p.stands
 	t.stats.OnRecv(e.rank, p.From, n)
 	if t.cost != nil {
 		t.cost.OnRecv(e.rank, p.SendClock, n)

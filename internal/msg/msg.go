@@ -97,6 +97,9 @@ type Packet struct {
 	// home is the free list Data's buffer came from; nil for empty
 	// payloads and for TCP payloads too small to be worth keeping.
 	home *rxFree
+	// stands is the payload a shared-memory window offer's token stands
+	// for (gather.stands), booked on receipt with len(Data).
+	stands int
 }
 
 // Release hands Data's buffer back to the transport for a later receive
@@ -137,8 +140,10 @@ type Endpoint interface {
 	// through the endpoints' gathered facet (sendGather), and on endpoints
 	// that report SharedMemory() its Offer/Pull (DISTRIBUTE's rect
 	// transfers) lets the receiver copy straight out of the offerer's
-	// storage and sends only a zero-byte token, accounting the payload
-	// beside it.
+	// storage and sends only a zero-byte token that stands for the
+	// payload: the transport books the token as the message it replaces,
+	// on both ends, in the same Stats, cost-model and trace calls as any
+	// other.
 	Send(to, tag int, data []byte) error
 	// Recv blocks until a message matching (from, tag) arrives and
 	// returns it.  AnySource / AnyTag act as wildcards.  Messages from
@@ -172,12 +177,16 @@ func deadline(d time.Duration) time.Duration { return max(d, time.Nanosecond) }
 // gather is a message payload given as pieces: one, then each of pieces,
 // then — when summed — the four little-endian bytes of sum, the CRC32C
 // trailer of the integrity layer.  It is passed by value, so a plain
-// Send's payload (one) needs no list.
+// Send's payload (one) needs no list.  stands is the size of a payload
+// the message does not carry: a shared-memory window offer's token
+// stands for the bytes its puller copies straight out of the offerer's
+// storage, and both ends book them as if they travelled.
 type gather struct {
 	one    []byte
 	pieces [][]byte
 	sum    uint32
 	summed bool
+	stands int
 }
 
 // len returns the payload's length in bytes, the trailer included.

@@ -101,11 +101,11 @@ func (s *Stats) OnSend(from, to, n int) {
 }
 
 // Sent returns the data messages and payload bytes rank has sent so far.
-// Only rank's own sends move them — a shared-memory window transfer is
-// credited by its sender, and only darray's simulated one-sided element
-// accesses (Array.Get and Array.Set on a remote owner) credit a peer —
-// so a rank may difference two readings around a phase of its own
-// without meeting anyone.
+// Only rank's own sends move them — a shared-memory window offer is one
+// of them, its token booked at the send as the payload it stands for —
+// and only darray's simulated one-sided element accesses (Array.Get and
+// Array.Set on a remote owner) credit a peer, so a rank may difference
+// two readings around a phase of its own without meeting anyone.
 func (s *Stats) Sent(rank int) (msgs, bytes int64) {
 	return s.dataSent[rank].Load(), s.bytesSent[rank].Load()
 }

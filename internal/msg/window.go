@@ -55,11 +55,13 @@ import (
 //   - An offer on a transport whose endpoints report SharedMemory() (the
 //     in-process chan transport, possibly under a View; not under the
 //     fault or integrity layers, which must see the payload) moves only
-//     a notification token: the token carries the
-//     happens-before edge (matcher mutex) that makes the puller's direct
-//     copy race-free, and the payload bytes are accounted on both sides so
-//     Stats and CostModel parity with the framed path is preserved.  On
-//     other transports (TCP loopback, the fault and integrity layers)
+//     a notification token: the token carries the happens-before edge
+//     (matcher mutex) that makes the puller's direct copy race-free, and
+//     it stands for the payload (gather.stands), so the transport's core
+//     books it as the framed path's one data message of 8·count bytes —
+//     Stats, CostModel and tracer alike, the sender's side at the offer
+//     and the puller's at its receive.  The window itself books nothing.
+//     On other transports (TCP loopback, the fault and integrity layers)
 //     offers travel framed, gathered from the offered storage's runs like
 //     puts.
 //
@@ -346,7 +348,6 @@ type Window struct {
 	id     int
 	name   string
 	stats  *Stats
-	cost   *CostModel
 	shared []winShared
 	// op names handed to SendRetry/RecvRetry, built once: the counted
 	// streams run per message and must not concatenate per call.
@@ -364,9 +365,11 @@ type winShared struct {
 	_       [64]byte  // keep ranks off each other's cache lines
 }
 
-// NewWindow creates a window for np ranks.  stats must be non-nil; cost
-// may be nil.  All ranks must share the returned object (create it once
-// and publish it, e.g. via a collective constructor).
+// NewWindow creates a window for np ranks.  stats must be non-nil; it
+// holds the wire gauge of framed offers.  cost is not used: the
+// transport books every transfer.  All ranks must share the returned
+// object (create it once and publish it, e.g. via a collective
+// constructor).
 func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 	shared := make([]winShared, np)
 	owed := make([]int32, np*np)
@@ -377,7 +380,6 @@ func NewWindow(np int, name string, stats *Stats, cost *CostModel) *Window {
 		id:     int(winSeq.Add(1)),
 		name:   name,
 		stats:  stats,
-		cost:   cost,
 		shared: shared,
 
 		opPut:   "win-put " + name,
@@ -428,23 +430,12 @@ func sharedMemory(ep Endpoint) bool {
 }
 
 // physOf maps an endpoint-relative rank to the physical rank the Stats
-// and CostModel are indexed by (identity except under a *View).
+// wire gauge is indexed by (identity except under a *View).
 func physOf(ep Endpoint, r int) int {
 	if v, ok := ep.(interface{ Phys(int) int }); ok {
 		return v.Phys(r)
 	}
 	return r
-}
-
-// accountDirect records the payload bytes of one token-path offer: the
-// token already counted as one (zero-byte) message on each side, so
-// adding the payload bytes to both ends makes the counters match the
-// framed path exactly (one data message of n bytes).
-func (w *Window) accountDirect(ep Endpoint, from, to, n int) {
-	pf, pt := physOf(ep, from), physOf(ep, to)
-	w.stats.bytesSent[pf].Add(int64(n))
-	w.stats.dataSent[pf].Add(1)
-	w.stats.bytesRecv[pt].Add(int64(n))
 }
 
 func (w *Window) opErr(op string, peer int, err error) error {
@@ -520,8 +511,8 @@ type Share struct {
 // the same windows and Src rects in the same order — the
 // receiver-driven counterpart of PutAsync, for data whose destination is
 // not (yet) registered storage.  On shared memory nothing is copied here:
-// the transport moves one zero-byte token for all shares, accounted as
-// the one data message of 8·count bytes the framed path sends, and the
+// the transport moves one zero-byte token for all shares, which stands
+// for the one data message of 8·count bytes the framed path sends, and the
 // receiver copies every share straight out of its window's offered
 // storage.  The caller must therefore leave each offered region
 // unmodified until its next Settle of that window, which returns once the
@@ -559,7 +550,7 @@ func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 		}
 		return nil
 	}
-	if err := SendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), nil); err != nil {
+	if err := sendRetry(c.ep, c.pol, c.tr, w.opOffer, to, w.tag(subtag), gather{stands: n}); err != nil {
 		return w.opErr("offer to", to, err)
 	}
 	for i, s := range shares {
@@ -567,8 +558,6 @@ func (w *Window) Offer(c *Comm, to, subtag int, shares []Share) error {
 			s.Win.shared[rank].owed[to]++
 		}
 	}
-	w.accountDirect(c.ep, rank, to, n)
-	c.tr.Send(physOf(c.ep, rank), physOf(c.ep, to), n)
 	return nil
 }
 
@@ -585,9 +574,9 @@ func firstOfWindow(shares []Share, i int) bool {
 // storage of the caller's — typically one no peer can see yet.  Each
 // share's Src and Dr must cover the same element count, and both ends
 // must describe the same shares.  On shared memory the caller copies the
-// rects itself once the token arrives, advances its cost clock to the
-// arrival time of the 8·count bytes the token stands for — so counters and
-// the arrival equal the framed path's — and then hands the offerer one
+// rects itself once the token arrives — whose receipt the transport books
+// as the 8·count bytes it stands for, so counters and the arrival equal
+// the framed path's — and then hands the offerer one
 // zero-byte done token per window (per run of consecutive shares on it),
 // which that window's Settle waits for; on other transports the received
 // payload is applied share by share.  Completions on one (from, subtag)
@@ -608,9 +597,9 @@ func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 	if err != nil {
 		return w.opErr("pull from", from, err)
 	}
-	prank := physOf(c.ep, c.Rank())
 	if !sharedMemory(c.ep) {
 		defer p.Release()
+		prank := physOf(c.ep, c.Rank())
 		if len(p.Data) != n {
 			return w.opErr("pull from", from, fmt.Errorf("msg: offer of %d bytes, shares want %d", len(p.Data), n))
 		}
@@ -633,12 +622,6 @@ func (w *Window) Pull(c *Comm, from, subtag int, shares []Share) error {
 		}
 		CopyRect(s.Dst, s.Dr, fbuf, s.Src)
 	}
-	if w.cost != nil {
-		// The token's own arrival already ran OnRecv with zero bytes;
-		// max is idempotent, so this lands on the framed arrival time.
-		w.cost.OnRecv(prank, p.SendClock, n)
-	}
-	c.tr.Recv(prank, physOf(c.ep, from), n)
 	for i, s := range shares {
 		if !firstOfWindow(shares, i) {
 			continue

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 // withWindowTransports runs f as a subtest over both built-in transports,
@@ -499,7 +502,10 @@ func TestFaultMatrixWindowBitflip(t *testing.T) {
 // also returns one zero-byte done token per pull — per window, not per
 // share — so it sends np more messages and every virtual clock runs
 // exactly one send overhead ahead of the framed path's; nothing is ever
-// resident on its wire.
+// resident on its wire.  Both paths book an offer in the transport alone:
+// per rank the same bytes sent and received and the same data messages,
+// one send trace event of the offer's bytes at the offer and one receive
+// event at the pull, and nothing received before the puller pulls.
 func TestWindowOfferPullRing(t *testing.T) {
 	const np, rows, cols = 4, 6, 5
 	// The block's first two columns and its last three.
@@ -511,6 +517,7 @@ func TestWindowOfferPullRing(t *testing.T) {
 		{Off: 2, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: 2}}},
 		{Off: 2 + 2*8, Dims: []RectDim{{Stride: 2, Count: 3}, {Stride: 8, Count: cols - 2}}},
 	}
+	const offerBytes = 8 * 3 * cols
 	type outcome struct {
 		snap   Snapshot
 		clocks [np]float64
@@ -519,17 +526,23 @@ func TestWindowOfferPullRing(t *testing.T) {
 	results := map[string]*outcome{}
 	for _, name := range []string{"chan", "tcp"} {
 		cost := NewCostModel(np, 3e-6, 2e-9)
+		rec := trace.New(np)
 		var tr Transport
 		if name == "tcp" {
-			tcp, err := NewTCPTransport(np, WithCost(cost))
+			tcp, err := NewTCPTransport(np, WithCost(cost), WithTracer(rec))
 			if err != nil {
 				t.Fatal(err)
 			}
 			tr = tcp
 		} else {
-			tr = NewChanTransport(np, WithCost(cost))
+			tr = NewChanTransport(np, WithCost(cost), WithTracer(rec))
 		}
 		out := &outcome{}
+		// armed: every rank has read its bytes received; offered: every
+		// rank has offered.  Go-side, so the traffic is the program's own.
+		var armed, offered sync.WaitGroup
+		armed.Add(np)
+		offered.Add(np)
 		win := NewWindow(np, "offer", tr.Stats(), tr.Cost())
 		runCommsOn(t, tr, func(c *Comm) error {
 			r := c.Rank()
@@ -545,14 +558,26 @@ func TestWindowOfferPullRing(t *testing.T) {
 				return err
 			}
 			next, prev := (r+1)%np, (r+np-1)%np
-			if err := win.Offer(c, next, 7, []Share{{Win: win, Src: src[0]}, {Win: win, Src: src[1]}}); err != nil {
+			before := tr.Stats().Snapshot().BytesRecv[r]
+			armed.Done()
+			armed.Wait()
+			rec.Instant(r, "test", "offer", -1, -1)
+			err := win.Offer(c, next, 7, []Share{{Win: win, Src: src[0]}, {Win: win, Src: src[1]}})
+			offered.Done()
+			if err != nil {
 				return err
+			}
+			offered.Wait()
+			if got := tr.Stats().Snapshot().BytesRecv[r]; got != before {
+				t.Errorf("%s rank %d: %d bytes received after rank %d offered, before any pull", name, r, got-before, prev)
 			}
 			private := make([]float64, 8*cols)
 			pull := []Share{{Win: win, Src: src[0], Dst: private, Dr: dst[0]}, {Win: win, Src: src[1], Dst: private, Dr: dst[1]}}
+			rec.Instant(r, "test", "pull", -1, -1)
 			if err := win.Pull(c, prev, 7, pull); err != nil {
 				return err
 			}
+			rec.Instant(r, "test", "pulled", -1, -1)
 			for j := 0; j < cols; j++ {
 				for i := 0; i < 3; i++ {
 					want := float64(1000*prev + 1 + i + rows*j)
@@ -568,6 +593,16 @@ func TestWindowOfferPullRing(t *testing.T) {
 		out.snap = tr.Stats().Snapshot()
 		for r := 0; r < np; r++ {
 			out.clocks[r] = cost.Clock(r)
+			next, prev := (r+1)%np, (r+np-1)%np
+			sends, recvs := offerPullEvents(rec.Events(r))
+			want := []trace.Event{{Name: "send", Peer: next, Bytes: offerBytes}}
+			if !slices.Equal(sends, want) {
+				t.Errorf("%s rank %d: offer traced %v, want %v", name, r, sends, want)
+			}
+			want = []trace.Event{{Name: "recv", Peer: prev, Bytes: offerBytes}}
+			if !slices.Equal(recvs, want) {
+				t.Errorf("%s rank %d: pull traced %v, want %v", name, r, recvs, want)
+			}
 		}
 		if name == "chan" {
 			if peak := tr.Stats().PeakWireBytes(); peak != 0 {
@@ -587,6 +622,14 @@ func TestWindowOfferPullRing(t *testing.T) {
 	if want := int64(np * 8 * 3 * cols); ch.snap.TotalBytes() != want {
 		t.Errorf("offer traffic: %d bytes, want %d", ch.snap.TotalBytes(), want)
 	}
+	for r := 0; r < np; r++ {
+		if ch.snap.BytesSent[r] != tc.snap.BytesSent[r] || ch.snap.BytesRecv[r] != tc.snap.BytesRecv[r] ||
+			ch.snap.DataSent[r] != tc.snap.DataSent[r] {
+			t.Errorf("rank %d: chan sent %d bytes/received %d/%d data msgs, tcp %d/%d/%d", r,
+				ch.snap.BytesSent[r], ch.snap.BytesRecv[r], ch.snap.DataSent[r],
+				tc.snap.BytesSent[r], tc.snap.BytesRecv[r], tc.snap.DataSent[r])
+		}
+	}
 	for r := range ch.clocks {
 		if d := ch.clocks[r] - tc.clocks[r]; math.Abs(d-1.5e-6) > 1e-15 {
 			t.Errorf("rank %d: chan clock %v runs %v ahead of tcp's %v, want one send overhead (1.5e-6)", r, ch.clocks[r], d, tc.clocks[r])
@@ -599,6 +642,25 @@ func TestWindowOfferPullRing(t *testing.T) {
 			}
 		}
 	}
+}
+
+// offerPullEvents returns the send events a rank traced between its
+// "offer" and "pull" marks and the receive events between "pull" and
+// "pulled", each reduced to its name, peer and bytes.
+func offerPullEvents(evs []trace.Event) (sends, recvs []trace.Event) {
+	mark := ""
+	for _, e := range evs {
+		switch {
+		case e.Cat == "test":
+			mark = e.Name
+		case e.Cat != trace.CatMsg:
+		case mark == "offer" && e.Name == "send":
+			sends = append(sends, trace.Event{Name: e.Name, Peer: e.Peer, Bytes: e.Bytes})
+		case mark == "pull" && e.Name == "recv":
+			recvs = append(recvs, trace.Event{Name: e.Name, Peer: e.Peer, Bytes: e.Bytes})
+		}
+	}
+	return sends, recvs
 }
 
 // warmWindowPair returns a two-rank shared-memory window with a cost

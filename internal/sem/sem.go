@@ -309,7 +309,8 @@ func (u *Unit) checkAlign(pos lang.Pos, src, dst *ArrayInfo, al *lang.AlignSpec)
 // Alignment decodes the ALIGN text of a rank-rank array — A(I,J) WITH
 // B(J, 2*I+1, 3) — into the index mapping dist.Construct applies: one
 // axis map per target subscript, affine with a positive stride in one
-// of the distinct source indices, each used once, or constant.  It is
+// of the distinct source indices (none a PARAMETER), each used once, or
+// constant.  It is
 // the one reading of an ALIGN's subscripts: checkAlign reports its
 // errors, and the interpreter and the analysis derive through what it
 // returns.
@@ -320,6 +321,10 @@ func (u *Unit) Alignment(al *lang.AlignSpec, rank int) (dist.Alignment, error) {
 	for i, n := range al.SrcIdx {
 		if slices.Contains(al.SrcIdx[:i], n) {
 			return dist.Alignment{}, fmt.Errorf("duplicate alignment index %s", n)
+		}
+		if _, isParam := u.Params[n]; isParam {
+			// AffineOf would fold the index as the constant.
+			return dist.Alignment{}, fmt.Errorf("alignment index %s names a PARAMETER", n)
 		}
 	}
 	maps := make([]dist.AxisMap, len(al.DstIdx))
@@ -342,27 +347,17 @@ func (u *Unit) Alignment(al *lang.AlignSpec, rank int) (dist.Alignment, error) {
 }
 
 // AffineOf decomposes e as stride*IDX + offset over one of the given
-// index names; name == "" with ok means a constant.
+// index names; name == "" with ok means a constant, which EvalConst
+// folds (N/2 of a PARAMETER N included).
 func (u *Unit) AffineOf(e lang.Expr, idxNames []string) (name string, stride, offset int, ok bool) {
-	isIdx := func(n string) bool {
-		for _, x := range idxNames {
-			if x == n {
-				return true
-			}
-		}
-		return false
+	if v, isConst := u.EvalConst(e); isConst {
+		return "", 0, v, true
 	}
 	switch ex := e.(type) {
-	case *lang.IntLit:
-		return "", 0, ex.Value, true
 	case *lang.Ref:
-		if ex.Indices == nil && isIdx(ex.Name) {
+		if ex.Indices == nil && slices.Contains(idxNames, ex.Name) {
 			return ex.Name, 1, 0, true
 		}
-		if v, isConst := u.EvalConst(ex); isConst {
-			return "", 0, v, true
-		}
-		return "", 0, 0, false
 	case *lang.BinExpr:
 		ln, ls, lo, lok := u.AffineOf(ex.L, idxNames)
 		rn, rs, ro, rok := u.AffineOf(ex.R, idxNames)
@@ -389,17 +384,6 @@ func (u *Unit) AffineOf(e lang.Expr, idxNames []string) (name string, stride, of
 			}
 			if rn != "" && ln == "" {
 				return rn, rs * lo, ro * lo, true
-			}
-			if ln == "" && rn == "" {
-				return "", 0, lo * ro, true
-			}
-		}
-		return "", 0, 0, false
-	case *lang.UnExpr:
-		if ex.Op == lang.MINUS {
-			n, _, o, ok := u.AffineOf(ex.X, idxNames)
-			if ok && n == "" {
-				return "", 0, -o, true
 			}
 		}
 	}

@@ -126,6 +126,7 @@ func TestErrors(t *testing.T) {
 		{"REAL A(8) DYNAMIC, DIST(BLOCK)\nFORALL I = 1, 8\n  IF (I .GT. 4) THEN\n    SELECT DCASE (A)\n    CASE DEFAULT\n    END SELECT\n  ENDIF\nENDFORALL\n", "DCASE not allowed inside FORALL"},
 		{"REAL C(4,4) DIST(BLOCK,:)\nREAL D(4,4) ALIGN D(I,J) WITH C(I,I)\n", "alignment index I used twice"},
 		{"REAL C(16) DIST(BLOCK)\nREAL D(4) ALIGN D(I) WITH C(I*I)\n", "neither constant nor affine"},
+		{"PARAMETER (I = 2)\nREAL C(4) DIST(BLOCK)\nREAL D(4) ALIGN D(I) WITH C(I)\n", "alignment index I names a PARAMETER"},
 		{"REAL C(4,4) DYNAMIC, DIST(BLOCK,:)\nREAL D(4) DYNAMIC\nDISTRIBUTE D :: D(I,J) WITH C(J,I)\n", "2 source indices for rank-1 array"},
 	}
 	for _, c := range cases {
@@ -213,6 +214,12 @@ func TestAffineOf(t *testing.T) {
 	}
 	if _, _, _, ok := u.AffineOf(parse("I*J"), idx); ok {
 		t.Fatal("I*J should not be affine")
+	}
+	if n, _, o, ok := u.AffineOf(parse("C/2"), idx); !ok || n != "" || o != 2 {
+		t.Fatalf("C/2 -> %q %d %v", n, o, ok)
+	}
+	if n, s, o, ok := u.AffineOf(parse("3*I-C/2"), idx); !ok || n != "I" || s != 3 || o != -2 {
+		t.Fatalf("3*I-C/2 -> %s %d %d %v", n, s, o, ok)
 	}
 }
 
